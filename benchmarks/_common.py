@@ -7,11 +7,11 @@ import pathlib
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import KVDirectConfig
+from repro import scenario
 from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
-from repro.driver import run_closed_loop
 from repro.core.store import KVDirectStore
+from repro.driver import run_closed_loop
 from repro.obs import MetricsRegistry, StageProfiler
 from repro.obs.bench_history import snapshot_from_run
 from repro.sim import Simulator
@@ -26,57 +26,12 @@ DEFAULT_MEMORY = 8 << 20
 EXPORT_METRICS_DIR: Optional[pathlib.Path] = None
 
 
-def build_store(
-    memory_size: int = DEFAULT_MEMORY,
-    fill_utilization: Optional[float] = None,
-    kv_size: int = 13,
-    **overrides,
-) -> Tuple[KVDirectStore, int]:
-    """A store, optionally pre-filled; returns (store, inserted count)."""
-    store = KVDirectStore.create(memory_size=memory_size, **overrides)
-    count = 0
-    if fill_utilization is not None:
-        count = store.fill_to_utilization(fill_utilization, kv_size)
-        store.reset_measurements()
-    return store, count
-
-
-def build_processor(
-    memory_size: int = DEFAULT_MEMORY,
-    fill_utilization: Optional[float] = None,
-    kv_size: int = 13,
-    **overrides,
-) -> Tuple[Simulator, KVDirectStore, KVProcessor, int]:
-    sim = Simulator()
-    store, count = build_store(
-        memory_size, fill_utilization, kv_size, **overrides
-    )
-    processor = KVProcessor(sim, store, profiler=StageProfiler())
-    return sim, store, processor, count
-
-
 #: Benchmark sweeps build the same pre-filled store for every (workload,
 #: concurrency) cell.  Fill it once per (corpus, kv_size, memory) shape and
 #: hand each cell an independent deep copy - the clone serves identical
 #: reads and writes, so measured runs are unchanged, but setup drops from
-#: a full refill to one copy.  Cells with store overrides bypass the cache.
+#: a full refill to one copy.
 _FILLED_STORE_CACHE: Dict[Tuple[int, int, int], Tuple[KeySpace, KVDirectStore]] = {}
-
-
-def _filled_store(
-    corpus: int, kv_size: int, memory_size: int
-) -> Tuple[KeySpace, KVDirectStore]:
-    cached = _FILLED_STORE_CACHE.get((corpus, kv_size, memory_size))
-    if cached is None:
-        keyspace = KeySpace(count=corpus, kv_size=kv_size)
-        store = KVDirectStore.create(memory_size=memory_size)
-        for key, value in keyspace.pairs():
-            store.put(key, value)
-        store.reset_measurements()
-        cached = (keyspace, store)
-        _FILLED_STORE_CACHE[(corpus, kv_size, memory_size)] = cached
-    keyspace, template = cached
-    return keyspace, copy.deepcopy(template)
 
 
 def ycsb_setup(
@@ -85,21 +40,21 @@ def ycsb_setup(
     corpus: int = 4000,
     memory_size: int = DEFAULT_MEMORY,
     ops: int = 5000,
-    **overrides,
 ) -> Tuple[Simulator, KVProcessor, List[KVOperation]]:
     """A processor pre-loaded with a YCSB corpus plus its op stream."""
+    shape = (corpus, kv_size, memory_size)
+    cached = _FILLED_STORE_CACHE.get(shape)
+    if cached is None:
+        built = scenario.build(
+            memory_size=memory_size, corpus=corpus, kv_size=kv_size
+        )
+        cached = _FILLED_STORE_CACHE[shape] = (built.keyspace, built.store)
+    keyspace, template = cached
     sim = Simulator()
-    if overrides:
-        store = KVDirectStore.create(memory_size=memory_size, **overrides)
-        keyspace = KeySpace(count=corpus, kv_size=kv_size)
-        for key, value in keyspace.pairs():
-            store.put(key, value)
-        store.reset_measurements()
-    else:
-        keyspace, store = _filled_store(corpus, kv_size, memory_size)
-    processor = KVProcessor(sim, store, profiler=StageProfiler())
-    generator = YCSBGenerator(keyspace, spec)
-    return sim, processor, generator.operations(ops)
+    processor = KVProcessor(
+        sim, copy.deepcopy(template), profiler=StageProfiler()
+    )
+    return sim, processor, YCSBGenerator(keyspace, spec).operations(ops)
 
 
 def measure_throughput(

@@ -19,10 +19,11 @@ import pytest
 
 from repro.analysis.report import format_series
 from repro.core.operations import KVOperation
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.slab import SlabAllocator
 from repro.core.slab_host import HostSlabManager
 from repro.core.store import KVDirectStore
+from repro.driver import run_closed_loop
 from repro.sim import Simulator
 from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
 

@@ -16,9 +16,10 @@ import pytest
 from repro.analysis.report import format_series
 from repro.baselines import OneSidedRDMAModel, TwoSidedRDMAModel
 from repro.core.operations import KVOperation
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD
+from repro.driver import run_closed_loop
 from repro.sim import Simulator
 from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
 

@@ -15,8 +15,9 @@ everything caches and the uniform/long-tail distinction vanishes.
 import pytest
 
 from repro.analysis.report import format_series
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
+from repro.driver import run_closed_loop
 from repro.sim import Simulator
 from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
 

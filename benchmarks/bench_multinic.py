@@ -10,7 +10,7 @@ scaling is near-linear because they share nothing.  Two measurements:
 - **end-to-end**: key-hash routed clients drive every NIC through the
   full client -> network -> batch decode -> admission -> pipeline path
   (one :class:`~repro.client.client.KVClient` per shard, via
-  :meth:`MultiNICServer.run_clients`) - the configuration the paper
+  :meth:`MultiNICServer.router`) - the configuration the paper
   actually ships,
 - **direct-submit**: the processor-bound closed loop (shared harness in
   :mod:`repro.driver`) isolating the KV pipeline from the wire.
@@ -22,6 +22,7 @@ from repro.analysis.report import format_series
 from repro.core.config import KVDirectConfig
 from repro.core.hashing import shard_of
 from repro.core.operations import KVOperation
+from repro.driver import run_closed_loop
 from repro.multi import MultiNICServer
 from repro.sim import Simulator
 
@@ -63,9 +64,9 @@ def _balanced_gets(keys, nic_count: int, total: int):
 def _end_to_end_throughput(nic_count: int) -> float:
     server, keys = _server(nic_count, E2E_CORPUS)
     ops = _balanced_gets(keys, nic_count, E2E_TOTAL_OPS)
-    stats = server.run_clients(
-        ops, batch_size=16, max_outstanding_batches=8
-    )
+    stats = server.router(
+        batch_size=16, max_outstanding_batches=8
+    ).run(ops)
     return stats.throughput_mops
 
 
@@ -75,7 +76,7 @@ def _direct_stats(nic_count: int) -> dict:
         KVOperation.get(b"key%06d" % (i % CORPUS), seq=i)
         for i in range(OPS_PER_NIC * nic_count)
     ]
-    return server.run_closed_loop(ops, concurrency_per_nic=200)
+    return run_closed_loop(server, ops, concurrency=200)
 
 
 @pytest.fixture(scope="module")

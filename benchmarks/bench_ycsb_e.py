@@ -24,8 +24,9 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.core.config import KVDirectConfig
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
+from repro.driver import run_closed_loop
 from repro.multi import MultiNICServer
 from repro.obs import StageProfiler
 from repro.sim import Simulator
@@ -86,12 +87,10 @@ def _sharded_run(nics: int) -> dict:
         server.put_direct(key, value)
     generator = StandardYCSB(keyspace, "E", seed=1)
     scan_results: dict = {}
-    from repro.driver import run_closed_loop_sharded
-
-    stats = run_closed_loop_sharded(
+    stats = run_closed_loop(
         server,
         generator.operations(OPS),
-        concurrency_per_nic=128,
+        concurrency=128,
         scan_results=scan_results,
     )
     stats["merged_scans"] = float(len(scan_results))

@@ -10,8 +10,9 @@ side RMW would pay two round trips).
 import pytest
 
 from repro.analysis.report import format_table
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
+from repro.driver import run_closed_loop
 from repro.sim import Simulator
 from repro.workloads import KeySpace, StandardYCSB
 

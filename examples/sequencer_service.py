@@ -17,9 +17,10 @@ Run:  python examples/sequencer_service.py
 import struct
 
 from repro.core.operations import KVOperation
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD
+from repro.driver import run_closed_loop
 from repro.sim import Simulator
 
 

@@ -21,9 +21,10 @@ import random
 import struct
 
 from repro.core.operations import KVOperation, OpType
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.core.vector import FuncKind
+from repro.driver import run_closed_loop
 from repro.sim import Simulator
 
 NUM_ITEMS = 200

@@ -14,13 +14,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
+from repro import scenario
 from repro.core.admission import OverloadPolicy
 from repro.core.operations import KVOperation
-from repro.core.processor import KVProcessor, run_closed_loop
-from repro.core.store import KVDirectStore
+from repro.core.processor import KVProcessor
+from repro.driver import run_closed_loop
 from repro.errors import DeadlineExceeded, ServerBusy
 from repro.obs.registry import MetricsRegistry
-from repro.sim.engine import Simulator
 from repro.sim.stats import mops
 
 #: Key-space breadth of the sweep workload.  Wide on purpose: a hot set
@@ -44,9 +44,16 @@ def _workload(seed: int, num_ops: int) -> List[KVOperation]:
     return ops
 
 
-def _populate(store: KVDirectStore) -> None:
+def _processor(
+    memory_size: int, seed: int, overload: Optional[OverloadPolicy]
+) -> KVProcessor:
+    """One NIC over the sweep corpus, with or without a shed policy."""
+    built = scenario.build(
+        seed=seed, memory_size=memory_size, overload=overload
+    )
     for idx in range(_NUM_KEYS):
-        store.put(b"ov%04d" % idx, _VALUE)
+        built.store.put(b"ov%04d" % idx, _VALUE)
+    return built.processor
 
 
 def probe_capacity(
@@ -58,10 +65,7 @@ def probe_capacity(
     overload policy) - the denominator every offered-load multiplier in
     the sweep and the soak harness is relative to.
     """
-    store = KVDirectStore.create(memory_size=memory_size, seed=seed)
-    _populate(store)
-    sim = Simulator()
-    processor = KVProcessor(sim, store)
+    processor = _processor(memory_size, seed, overload=None)
     stats = run_closed_loop(processor, _workload(seed, num_ops))
     return num_ops / stats["elapsed_ns"]
 
@@ -89,12 +93,8 @@ def run_point(
         if shed
         else None
     )
-    store = KVDirectStore.create(
-        memory_size=memory_size, seed=seed, overload=overload
-    )
-    _populate(store)
-    sim = Simulator()
-    processor = KVProcessor(sim, store)
+    processor = _processor(memory_size, seed, overload)
+    sim = processor.sim
     if registry is not None:
         processor.register_metrics(registry)
     ops = _workload(seed, num_ops)

@@ -32,14 +32,12 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro import scenario
+from repro.chaos.overload import probe_capacity
 from repro.client.robust import CircuitBreaker, RetryBudget
 from repro.client.router import ClusterRouter
 from repro.core.admission import OverloadPolicy
-from repro.core.config import KVDirectConfig
-from repro.core.hashing import shard_of
 from repro.core.operations import KVOperation, OpType
-from repro.core.processor import KVProcessor
-from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD
 from repro.errors import (
     ConfigurationError,
@@ -48,10 +46,8 @@ from repro.errors import (
     ServerBusy,
 )
 from repro.faults.plan import FaultPlan
-from repro.multi.cluster import Cluster
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.sim.engine import Simulator
 
 #: Fraction of the kill target's expected arrivals after which a
 #: ``kill_node`` soak takes it down (mid-run, deterministically).
@@ -267,23 +263,29 @@ class _Soak:
 
     def __init__(self, cfg: SoakConfig, tracer: Optional[Tracer]) -> None:
         self.cfg = cfg
-        self.sim = Simulator()
-        self.cluster: Optional[Cluster] = None
+        built = scenario.build(
+            seed=cfg.seed,
+            memory_size=cfg.memory_size,
+            shards=cfg.num_shards,
+            nodes=cfg.cluster_nodes,
+            slots=cfg.cluster_slots,
+            tracer=tracer,
+            max_inflight=cfg.max_inflight,
+            overload=cfg.overload,
+            fault_plan=cfg.fault_plan,
+        )
+        self.sim = built.sim
+        self.cluster = built.cluster
+        #: What the soak observes and reconciles against: the cluster
+        #: when there is one, else the shard server.  Both answer
+        #: ``owner(key)``, ``primary_state()``, ``faults_fired``,
+        #: ``fault_digest_lines()`` and the observability attach points.
+        self.topology = built.topology
         self.router: Optional[ClusterRouter] = None
-        if cfg.cluster_nodes > 0:
-            self.cluster = Cluster(
-                self.sim,
-                num_nodes=cfg.cluster_nodes,
-                num_slots=cfg.cluster_slots,
-                config=KVDirectConfig(
-                    memory_size=cfg.memory_size,
-                    seed=cfg.seed,
-                    max_inflight=cfg.max_inflight,
-                    overload=cfg.overload,
-                    fault_plan=cfg.fault_plan,
-                ),
-                tracer=tracer,
-            )
+        #: Generator ``perform(op, deadline_ns)`` -> result: direct submit
+        #: to the owning shard, or the cluster router's retry loop.
+        self.perform = self._submit_direct
+        if self.cluster is not None:
             self.router = ClusterRouter(
                 self.sim,
                 self.cluster,
@@ -299,30 +301,7 @@ class _Soak:
                     open_ns=50_000.0,
                 ),
             )
-            self.stores = [node.store for node in self.cluster.nodes]
-            self.processors = [
-                node.stack.processor for node in self.cluster.nodes
-            ]
-        else:
-            #: One share-nothing store per shard; shard 0 uses the base
-            #: seed, so a single-shard soak is byte-identical to the
-            #: unsharded one.
-            self.stores = [
-                KVDirectStore.create(
-                    memory_size=cfg.memory_size,
-                    seed=cfg.seed + shard,
-                    max_inflight=cfg.max_inflight,
-                    overload=cfg.overload,
-                    fault_plan=cfg.fault_plan,
-                )
-                for shard in range(cfg.num_shards)
-            ]
-            self.processors = [
-                KVProcessor(self.sim, store, tracer=tracer)
-                for store in self.stores
-            ]
-        self.store = self.stores[0]
-        self.processor = self.processors[0]
+            self.perform = self.router.perform
         self.model = _RefModel()
         self.report = SoakReport(
             seed=cfg.seed, goodput_floor=cfg.goodput_floor
@@ -349,8 +328,6 @@ class _Soak:
 
     def _capacity(self) -> float:
         """Ops per ns, probed on a clean copy of the same geometry."""
-        from repro.chaos.overload import probe_capacity
-
         ops_per_ns = probe_capacity(
             memory_size=self.cfg.memory_size, seed=self.cfg.seed, num_ops=500
         )
@@ -408,16 +385,8 @@ class _Soak:
 
     # -- drivers -----------------------------------------------------------
 
-    def _shard(self, key: bytes) -> int:
-        """The shard owning a key (the server-side routing function)."""
-        return shard_of(key, self.cfg.num_shards)
-
-    def _store_for(self, key: bytes) -> KVDirectStore:
-        """The store currently authoritative for a key."""
-        if self.cluster is not None:
-            slot = self.cluster.map.slot_of(key)
-            return self.cluster.nodes[self.cluster.map.primary(slot)].store
-        return self.stores[self._shard(key)]
+    def _submit_direct(self, op: KVOperation, deadline_ns: Optional[float]):
+        return (yield self.topology.submit(op, deadline_ns=deadline_ns))
 
     def _driver(self, key_idx: int):
         cfg = self.cfg
@@ -431,15 +400,7 @@ class _Soak:
             self.report.submitted += 1
             outcome = "ok"
             try:
-                if self.router is not None:
-                    result = yield from self.router.perform(
-                        op, deadline_ns=deadline
-                    )
-                else:
-                    processor = self.processors[self._shard(op.key)]
-                    result = yield processor.submit(
-                        op, deadline_ns=deadline
-                    )
+                result = yield from self.perform(op, deadline)
             except ServerBusy:
                 self.report.shed += 1
                 outcome = "shed"
@@ -478,7 +439,7 @@ class _Soak:
         between is a divergence.
         """
         before = self.model.state.get(op.key)
-        actual = self._store_for(op.key).get(op.key)
+        actual = self.topology.owner(op.key).store.get(op.key)
         if actual == before:
             return
         self.model.apply(op)
@@ -510,30 +471,17 @@ class _Soak:
             # finish before the replicas are compared differentially.
             self.sim.run(self.sim.process(self.cluster.quiesce()))
         report.elapsed_ns = self.sim.now
+        report.final_state_matches = (
+            self.topology.primary_state() == self.model.state
+        )
+        report.faults_fired = self.topology.faults_fired
+        for line in self.topology.fault_digest_lines():
+            self._hash.update(f"faults|{line}\n".encode())
         if self.cluster is not None:
-            merged = self.cluster.primary_state()
-        else:
-            # Shard routing is disjoint, so the union of per-shard states
-            # must equal the single reference model's state.
-            merged: Dict[bytes, bytes] = {}
-            for store in self.stores:
-                merged.update(store.items())
-        report.final_state_matches = merged == self.model.state
-        if self.cluster is not None:
-            report.divergences.extend(
-                self.cluster.replication_divergences()
-            )
-            report.faults_fired = self.cluster.injector.fired
-            for store in self.stores:
-                if store.injector is not None:
-                    report.faults_fired += store.injector.fired
-            for line in self.cluster.fault_digest_lines():
-                self._hash.update(f"faults|{line}\n".encode())
-            self._hash.update(
-                f"epoch|{self.cluster.map.epoch}\n".encode()
-            )
-            report.robustness = self.router.robustness_snapshot()
             cluster = self.cluster
+            report.divergences.extend(cluster.replication_divergences())
+            self._hash.update(f"epoch|{cluster.map.epoch}\n".encode())
+            report.robustness = self.router.robustness_snapshot()
             report.cluster = {
                 "nodes": len(cluster.nodes),
                 "alive_nodes": cluster.alive_nodes,
@@ -562,21 +510,6 @@ class _Soak:
                     for sample in cluster.failover_time_ns.samples()
                 ],
             }
-        elif self.cfg.num_shards == 1:
-            injector = self.store.injector
-            if injector is not None:
-                report.faults_fired = injector.fired
-                self._hash.update(
-                    f"faults|{injector.schedule_digest()}\n".encode()
-                )
-        else:
-            for shard, store in enumerate(self.stores):
-                if store.injector is not None:
-                    report.faults_fired += store.injector.fired
-                    self._hash.update(
-                        f"faults|{shard}|"
-                        f"{store.injector.schedule_digest()}\n".encode()
-                    )
         report.digest = self._hash.hexdigest()
         return report
 
@@ -603,23 +536,11 @@ def run_soak(
     """
     soak = _Soak(config or SoakConfig(), tracer)
     if registry is not None:
-        if soak.cluster is not None:
-            soak.cluster.register_metrics(registry)
+        soak.topology.register_metrics(registry)
+        if soak.router is not None:
             soak.router.register_metrics(registry)
-        elif soak.cfg.num_shards == 1:
-            soak.processor.register_metrics(registry)
-        else:
-            for shard, processor in enumerate(soak.processors):
-                processor.register_metrics(registry, prefix=f"nic{shard}")
     if timeline is not None:
-        timeline.bind(soak.sim)
-        if soak.cluster is not None:
-            timeline.attach_cluster(soak.cluster)
-        elif soak.cfg.num_shards == 1:
-            timeline.attach_processor("nic0", soak.processor)
-        else:
-            for shard, processor in enumerate(soak.processors):
-                timeline.attach_processor(f"nic{shard}", processor)
+        soak.topology.attach_timeline(timeline)
         timeline.start()
     report = soak.run()
     if timeline is not None:

@@ -20,25 +20,38 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import random
 import struct
 import sys
+import time
 from typing import List, Optional
 
-from repro import constants, __version__
+from repro import constants, scenario, __version__
 from repro.analysis.report import format_table
-from repro.client.client import KVClient
+from repro.chaos import SoakConfig, run_soak, sweep_offered_load
+from repro.client.router import ClusterRouter
 from repro.core.admission import SHED_POLICIES, OverloadPolicy
-from repro.core.operations import KVOperation
-from repro.core.processor import KVProcessor, run_closed_loop
-from repro.core.store import KVDirectStore
+from repro.core.operations import KVOperation, decode_scan_payload
 from repro.core.tuning import optimal_hash_index_ratio
 from repro.core.vector import FETCH_ADD
-from repro.obs import MetricsRegistry, Tracer
+from repro.driver import run_closed_loop
+from repro.faults import FaultPlan
+from repro.obs import (
+    FlightRecorder,
+    MetricsRegistry,
+    TimelineSampler,
+    Tracer,
+    bench_history,
+)
+from repro.obs.attribution import audit
+from repro.obs.profiler import STAGE_ORDER, merge_folded, merged_dict
+from repro.obs.timeline import sparkline
 from repro.pcie import DMAEngine, PCIeLinkConfig
 from repro.sim import Simulator
 from repro.sim.stats import mops
-from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
+from repro.workloads.trace import TraceWriter, load_trace
 
 
 def _latency_rows(stats, pcts=(50, 99)) -> List[List[str]]:
@@ -60,6 +73,25 @@ def _latency_rows(stats, pcts=(50, 99)) -> List[List[str]]:
     return rows
 
 
+def _plain(parser, **defaults) -> None:
+    """Add ``--name`` options that carry only a typed default (``kv_size=13``
+    adds ``--kv-size``, ``type=int``), in the order given."""
+    for name, default in defaults.items():
+        parser.add_argument(
+            "--" + name.replace("_", "-"), type=type(default), default=default
+        )
+
+
+def _timeline_args(parser, what: str) -> None:
+    """``--timeline PATH`` / ``--window-ns`` for a run that can carry a
+    windowed timeline (``what`` finishes the ``--timeline`` help)."""
+    parser.add_argument("--timeline", metavar="PATH", help=what)
+    parser.add_argument(
+        "--window-ns", type=float, default=2000.0,
+        help="timeline window in simulated nanoseconds",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -73,15 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="show the modelled hardware constants")
 
     ycsb = sub.add_parser("ycsb", help="run a YCSB workload (Figures 16/17)")
-    ycsb.add_argument("--kv-size", type=int, default=13)
-    ycsb.add_argument("--put-ratio", type=float, default=0.0)
+    _plain(ycsb, kv_size=13, put_ratio=0.0)
     ycsb.add_argument(
         "--distribution", choices=("uniform", "zipf"), default="uniform"
     )
-    ycsb.add_argument("--ops", type=int, default=5000)
-    ycsb.add_argument("--corpus", type=int, default=5000)
-    ycsb.add_argument("--memory-mib", type=int, default=8)
-    ycsb.add_argument("--concurrency", type=int, default=250)
+    _plain(ycsb, ops=5000, corpus=5000, memory_mib=8, concurrency=250)
     ycsb.add_argument(
         "--no-ooo", action="store_true", help="disable out-of-order execution"
     )
@@ -103,12 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="run a short batched workload and export the metrics registry",
     )
-    metrics.add_argument("--kv-size", type=int, default=13)
-    metrics.add_argument("--put-ratio", type=float, default=0.5)
-    metrics.add_argument("--ops", type=int, default=2000)
-    metrics.add_argument("--corpus", type=int, default=1000)
-    metrics.add_argument("--memory-mib", type=int, default=8)
-    metrics.add_argument("--seed", type=int, default=0)
+    _plain(
+        metrics, kv_size=13, put_ratio=0.5, ops=2000, corpus=1000,
+        memory_mib=8, seed=0,
+    )
     metrics.add_argument(
         "--format", choices=("json", "prom", "both"), default="both",
         help="export format(s) to print (default: both)",
@@ -122,12 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace",
         help="emit the deterministic per-op span log of a seeded workload",
     )
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--ops", type=int, default=200)
-    trace.add_argument("--corpus", type=int, default=500)
-    trace.add_argument("--kv-size", type=int, default=13)
-    trace.add_argument("--put-ratio", type=float, default=0.5)
-    trace.add_argument("--memory-mib", type=int, default=8)
+    _plain(
+        trace, seed=0, ops=200, corpus=500, kv_size=13, put_ratio=0.5,
+        memory_mib=8,
+    )
     trace.add_argument(
         "--sample", type=float, default=1.0,
         help="fraction of ops traced (deterministic hash sampling)",
@@ -139,12 +163,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "deterministic JSONL series, sparkline table, or Chrome "
              "trace-event JSON for Perfetto (docs/OBSERVABILITY.md)",
     )
-    timeline.add_argument("--seed", type=int, default=0)
-    timeline.add_argument("--ops", type=int, default=2000)
-    timeline.add_argument("--corpus", type=int, default=1000)
-    timeline.add_argument("--kv-size", type=int, default=13)
-    timeline.add_argument("--put-ratio", type=float, default=0.5)
-    timeline.add_argument("--memory-mib", type=int, default=8)
+    _plain(
+        timeline, seed=0, ops=2000, corpus=1000, kv_size=13, put_ratio=0.5,
+        memory_mib=8,
+    )
     timeline.add_argument(
         "--window-ns", type=float, default=2000.0,
         help="sampling window in simulated nanoseconds",
@@ -173,12 +195,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-stage latency attribution + DMA cost audit of a seeded "
              "YCSB run (docs/OBSERVABILITY.md)",
     )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--ops", type=int, default=2000)
-    profile.add_argument("--corpus", type=int, default=1000)
-    profile.add_argument("--kv-size", type=int, default=13)
-    profile.add_argument("--put-ratio", type=float, default=0.5)
-    profile.add_argument("--memory-mib", type=int, default=8)
+    _plain(
+        profile, seed=0, ops=2000, corpus=1000, kv_size=13, put_ratio=0.5,
+        memory_mib=8,
+    )
     profile.add_argument(
         "--shards", type=int, default=1,
         help="profile an N-shard server (per-nic<i> prefixed profiles)",
@@ -209,13 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="run a small seeded bench and write a snapshot"
     )
     bench_run.add_argument("--name", default="small-ycsb")
-    bench_run.add_argument("--seed", type=int, default=0)
-    bench_run.add_argument("--ops", type=int, default=2000)
-    bench_run.add_argument("--corpus", type=int, default=1000)
-    bench_run.add_argument("--kv-size", type=int, default=13)
-    bench_run.add_argument("--put-ratio", type=float, default=0.5)
-    bench_run.add_argument("--memory-mib", type=int, default=8)
-    bench_run.add_argument("--concurrency", type=int, default=128)
+    _plain(
+        bench_run, seed=0, ops=2000, corpus=1000, kv_size=13, put_ratio=0.5,
+        memory_mib=8, concurrency=128,
+    )
     bench_run.add_argument(
         "--workload", choices=("ycsb", "ycsb-e"), default="ycsb",
         help="ycsb = the seeded GET/PUT mix; ycsb-e = standard YCSB-E "
@@ -225,15 +242,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output", metavar="PATH",
         help="snapshot path (default: BENCH_<name>.json)",
     )
-    bench_run.add_argument(
-        "--timeline", metavar="PATH",
-        help="sample a windowed timeline during the bench and write the "
-             "JSONL (+ digest trailer) to PATH; the snapshot records "
-             "timeline_windows / timeline_digest (schema 3)",
-    )
-    bench_run.add_argument(
-        "--window-ns", type=float, default=2000.0,
-        help="timeline window in simulated nanoseconds",
+    _timeline_args(
+        bench_run,
+        "sample a windowed timeline during the bench and write the "
+        "JSONL (+ digest trailer) to PATH; the snapshot records "
+        "timeline_windows / timeline_digest (schema 3)",
     )
     bench_diff = bench_sub.add_parser(
         "diff",
@@ -260,9 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of RANGE/SCAN operations (every 4th is a keys-only "
              "SCAN)",
     )
-    range_cmd.add_argument("--corpus", type=int, default=512)
-    range_cmd.add_argument("--kv-size", type=int, default=13)
-    range_cmd.add_argument("--memory-mib", type=int, default=8)
+    _plain(range_cmd, corpus=512, kv_size=13, memory_mib=8)
     range_cmd.add_argument(
         "--max-count", type=int, default=16,
         help="scan lengths are uniform in [1, max-count]",
@@ -277,13 +288,11 @@ def _build_parser() -> argparse.ArgumentParser:
     atomics = sub.add_parser(
         "atomics", help="single/multi-key atomics (Figure 13a)"
     )
-    atomics.add_argument("--keys", type=int, default=1)
-    atomics.add_argument("--ops", type=int, default=3000)
+    _plain(atomics, keys=1, ops=3000)
     atomics.add_argument("--no-ooo", action="store_true")
 
     pcie = sub.add_parser("pcie", help="PCIe DMA microbenchmark (Figure 3)")
-    pcie.add_argument("--payload", type=int, default=64)
-    pcie.add_argument("--ops", type=int, default=3000)
+    _plain(pcie, payload=64, ops=3000)
     pcie.add_argument("--write", action="store_true")
 
     tune = sub.add_parser(
@@ -291,20 +300,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument("--kv-size", type=int, required=True)
     tune.add_argument("--utilization", type=float, required=True)
-    tune.add_argument("--inline-threshold", type=int, default=20)
-    tune.add_argument("--memory-mib", type=int, default=2)
+    _plain(tune, inline_threshold=20, memory_mib=2)
 
     record = sub.add_parser(
         "record", help="generate a YCSB workload and save it as a trace"
     )
     record.add_argument("output", help="trace file to write (.kvdt)")
-    record.add_argument("--kv-size", type=int, default=13)
-    record.add_argument("--put-ratio", type=float, default=0.5)
+    _plain(record, kv_size=13, put_ratio=0.5)
     record.add_argument(
         "--distribution", choices=("uniform", "zipf"), default="uniform"
     )
-    record.add_argument("--ops", type=int, default=5000)
-    record.add_argument("--corpus", type=int, default=5000)
+    _plain(record, ops=5000, corpus=5000)
     record.add_argument(
         "--load-phase", action="store_true",
         help="prepend PUTs inserting the whole corpus",
@@ -330,10 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--multipliers", default="0.5,1.0,2.0,3.0",
         help="comma-separated offered-load multiples of probed capacity",
     )
-    overload.add_argument("--ops", type=int, default=3000)
-    overload.add_argument("--seed", type=int, default=0)
-    overload.add_argument("--memory-mib", type=int, default=4)
-    overload.add_argument("--queue-depth", type=int, default=64)
+    _plain(overload, ops=3000, seed=0, memory_mib=4, queue_depth=64)
     overload.add_argument(
         "--shed-policy", choices=SHED_POLICIES, default="reject-new"
     )
@@ -351,9 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="chaos soak: seeded faults + overload bursts, checked against "
              "a differential model (docs/ROBUSTNESS.md)",
     )
-    soak.add_argument("--seed", type=int, default=0)
-    soak.add_argument("--keys", type=int, default=16)
-    soak.add_argument("--ops-per-key", type=int, default=40)
+    _plain(soak, seed=0, keys=16, ops_per_key=40)
     soak.add_argument(
         "--chaos", type=float, default=0.02,
         help="fault intensity for FaultPlan.chaos (0 disables faults)",
@@ -390,15 +391,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the canonical JSON report (byte-identical across runs "
              "of the same arguments)",
     )
-    soak.add_argument(
-        "--timeline", metavar="PATH",
-        help="sample a windowed timeline during the soak and write the "
-             "JSONL (+ digest trailer) to PATH; flight-recorder dumps, "
-             "if any, land at PATH.flight.json",
-    )
-    soak.add_argument(
-        "--window-ns", type=float, default=2000.0,
-        help="timeline window in simulated nanoseconds",
+    _timeline_args(
+        soak,
+        "sample a windowed timeline during the soak and write the "
+        "JSONL (+ digest trailer) to PATH; flight-recorder dumps, "
+        "if any, land at PATH.flight.json",
     )
 
     cluster = sub.add_parser(
@@ -407,14 +404,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "directory, optional mid-run primary kill + failover "
              "(docs/ARCHITECTURE.md)",
     )
-    cluster.add_argument("--nodes", type=int, default=3)
-    cluster.add_argument("--slots", type=int, default=8)
-    cluster.add_argument("--ops", type=int, default=2000)
-    cluster.add_argument("--corpus", type=int, default=512)
-    cluster.add_argument("--kv-size", type=int, default=13)
-    cluster.add_argument("--put-ratio", type=float, default=0.5)
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--concurrency", type=int, default=64)
+    _plain(
+        cluster, nodes=3, slots=8, ops=2000, corpus=512, kv_size=13,
+        put_ratio=0.5, seed=0, concurrency=64,
+    )
     cluster.add_argument(
         "--kill-node", action="store_true",
         help="kill the first key's primary mid-run (deterministic, "
@@ -428,15 +421,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--snapshot", metavar="PATH",
         help="write a BENCH_*.json snapshot of the run to PATH",
     )
-    cluster.add_argument(
-        "--timeline", metavar="PATH",
-        help="sample a windowed timeline (per-node + cluster gauges: "
-             "epoch, alive nodes, migrating slots) and write the JSONL "
-             "(+ digest trailer) to PATH",
-    )
-    cluster.add_argument(
-        "--window-ns", type=float, default=2000.0,
-        help="timeline window in simulated nanoseconds",
+    _timeline_args(
+        cluster,
+        "sample a windowed timeline (per-node + cluster gauges: "
+        "epoch, alive nodes, migrating slots) and write the JSONL "
+        "(+ digest trailer) to PATH",
     )
 
     multinic = sub.add_parser(
@@ -450,8 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="total GET operations across all NICs")
     multinic.add_argument("--corpus", type=int, default=512,
                           help="distinct keys preloaded before the run")
-    multinic.add_argument("--batch-size", type=int, default=16)
-    multinic.add_argument("--seed", type=int, default=0)
+    _plain(multinic, batch_size=16, seed=0)
     multinic.add_argument(
         "--direct", action="store_true",
         help="direct-submit closed loop (no client/wire layer): reports "
@@ -492,34 +480,23 @@ def _cmd_info(args, out) -> int:
 
 
 def _cmd_ycsb(args, out) -> int:
-    sim = Simulator()
-    store = KVDirectStore.create(
+    built = scenario.build(
         memory_size=args.memory_mib << 20,
+        corpus=args.corpus,
+        kv_size=args.kv_size,
+        put_ratio=args.put_ratio,
+        distribution=args.distribution,
+        workload=args.standard or "ycsb",
         out_of_order=not args.no_ooo,
         use_nic_dram=not args.no_nic_dram,
-        ordered_index=args.standard == "E",
     )
-    keyspace = KeySpace(count=args.corpus, kv_size=args.kv_size)
-    if args.standard:
-        from repro.workloads.ycsb_standard import StandardYCSB
-
-        generator = StandardYCSB(keyspace, args.standard)
-        for op in generator.load_phase():
-            store.execute(op)
-        workload_name = f"YCSB-{args.standard}"
-    else:
-        for key, value in keyspace.pairs():
-            store.put(key, value)
-        generator = YCSBGenerator(
-            keyspace,
-            WorkloadSpec(put_ratio=args.put_ratio,
-                         distribution=args.distribution),
-        )
-        workload_name = generator.spec.name
-    store.reset_measurements()
-    processor = KVProcessor(sim, store)
+    workload_name = (
+        f"YCSB-{args.standard}" if args.standard
+        else built.generator.spec.name
+    )
+    processor = built.processor
     stats = run_closed_loop(
-        processor, generator.operations(args.ops),
+        processor, built.operations(args.ops),
         concurrency=args.concurrency,
     )
     rows = [
@@ -540,53 +517,59 @@ def _cmd_ycsb(args, out) -> int:
     return 0
 
 
-def _seeded_client_run(args, tracer=None, profiler=None, timeline=None):
-    """One batched client run over a seeded corpus/workload/config.
+def _build(args, **topology) -> scenario.Scenario:
+    """The scenario behind the seeded subcommands' shared options
+    (``--workload ycsb-e`` is standard YCSB-E, ordered index on)."""
+    return scenario.build(
+        seed=args.seed,
+        memory_size=args.memory_mib << 20,
+        corpus=args.corpus,
+        kv_size=args.kv_size,
+        put_ratio=getattr(args, "put_ratio", 0.0),
+        workload=(
+            "E" if getattr(args, "workload", "") == "ycsb-e" else "ycsb"
+        ),
+        **topology,
+    )
+
+
+def _write_timeline(path: str, sampler) -> None:
+    with open(path, "w") as handle:
+        handle.write(timeline_text(sampler))
+
+
+def _seeded_run(args, tracer=None, profile=False, timeline=None):
+    """One batched client run over a seeded corpus/workload/topology.
 
     Shared by ``repro metrics``, ``repro trace``, ``repro profile`` and
     ``repro timeline``: everything (store config, corpus, workload,
     latency distributions) is derived from ``args.seed``, so two
     invocations with identical arguments replay the identical
-    simulation.  ``args.workload`` (``repro profile`` only) switches the
-    op stream to standard YCSB-E and enables the ordered index the scans
-    need.  A ``timeline`` sampler, when given, is bound to the run's
-    simulator, attached as shard ``nic0`` and finished after the run.
+    simulation.  ``args.shards`` (profile/timeline) sizes the server;
+    ``args.workload`` (profile) switches the op stream to standard YCSB-E
+    and enables the ordered index the scans need.  A ``timeline``
+    sampler, when given, is attached per NIC and finished after the run.
+    Returns ``(server, router, ops)``.
     """
-    workload = getattr(args, "workload", "ycsb")
-    sim = Simulator()
-    store = KVDirectStore.create(
-        memory_size=args.memory_mib << 20, seed=args.seed,
-        ordered_index=workload == "ycsb-e",
+    built = _build(
+        args, shards=getattr(args, "shards", 1), tracer=tracer,
+        profile=profile,
     )
-    keyspace = KeySpace(count=args.corpus, kv_size=args.kv_size,
-                        seed=args.seed)
-    for key, value in keyspace.pairs():
-        store.put(key, value)
-    store.reset_measurements()
-    processor = KVProcessor(sim, store, tracer=tracer, profiler=profiler)
-    client = KVClient(sim, processor, batch_size=16)
-    if workload == "ycsb-e":
-        from repro.workloads.ycsb_standard import StandardYCSB
-
-        generator = StandardYCSB(keyspace, "E", seed=args.seed)
-    else:
-        generator = YCSBGenerator(
-            keyspace, WorkloadSpec(put_ratio=args.put_ratio, seed=args.seed)
-        )
+    ops = built.operations(args.ops)
+    router = built.server.router(batch_size=16)
     if timeline is not None:
-        timeline.bind(sim)
-        timeline.attach_processor("nic0", processor)
+        built.server.attach_timeline(timeline)
         timeline.start()
-    stats = client.run(generator.operations(args.ops))
+    router.run(ops)
     if timeline is not None:
         timeline.finish()
-    return processor, client, stats
+    return built.server, router, ops
 
 
 def _cmd_metrics(args, out) -> int:
-    processor, client, __ = _seeded_client_run(args)
-    registry = processor.register_metrics(MetricsRegistry())
-    client.register_metrics(registry)
+    server, router, __ = _seeded_run(args)
+    registry = server.register_metrics(MetricsRegistry())
+    router.clients[0].register_metrics(registry)
     if args.format in ("json", "both"):
         print(registry.to_json(), file=out)
     if args.format in ("prom", "both"):
@@ -599,7 +582,7 @@ def _cmd_metrics(args, out) -> int:
 
 def _cmd_trace(args, out) -> int:
     tracer = Tracer(sample_rate=args.sample, seed=args.seed)
-    __, __, _stats = _seeded_client_run(args, tracer=tracer)
+    _seeded_run(args, tracer=tracer)
     for line in tracer.render_lines():
         print(line, file=out)
     print(f"# spans={len(tracer)} digest={tracer.digest()}", file=out)
@@ -615,55 +598,17 @@ def timeline_text(sampler) -> str:
 
 
 def _cmd_timeline(args, out) -> int:
-    from repro.obs.timeline import TimelineSampler, sparkline
-
     sampler = TimelineSampler(window_ns=args.window_ns)
-    want_chrome = args.format == "chrome"
-    tracer = (
-        Tracer(sample_rate=args.sample, seed=args.seed)
-        if want_chrome else None
-    )
-    if args.shards <= 1:
-        _seeded_client_run(args, tracer=tracer, timeline=sampler)
-        shard_names = ["nic0"]
-        shard_for_seq = None
-    else:
-        from repro.core.config import KVDirectConfig
-        from repro.multi import MultiNICServer
-
-        sim = Simulator()
-        server = MultiNICServer(
-            sim,
-            nic_count=args.shards,
-            config=KVDirectConfig(
-                memory_size=args.memory_mib << 20, seed=args.seed
-            ),
-            tracer=tracer,
-        )
-        keyspace = KeySpace(count=args.corpus, kv_size=args.kv_size,
-                            seed=args.seed)
-        for key, value in keyspace.pairs():
-            server.put_direct(key, value)
-        for stack in server.stacks:
-            stack.store.reset_measurements()
-        generator = YCSBGenerator(
-            keyspace, WorkloadSpec(put_ratio=args.put_ratio, seed=args.seed)
-        )
-        ops = list(generator.operations(args.ops))
-        shard_map = {op.seq: server.shard_of(op.key) for op in ops}
-        server.attach_timeline(sampler)
-        sampler.start()
-        server.run_clients(ops, batch_size=16)
-        sampler.finish()
-        shard_names = [stack.name for stack in server.stacks]
-        shard_for_seq = shard_map.get
+    tracer = None
+    if args.format == "chrome":
+        tracer = Tracer(sample_rate=args.sample, seed=args.seed)
+    server, __, ops = _seeded_run(args, tracer=tracer, timeline=sampler)
 
     if args.format == "chrome":
-        def seq_to_shard(seq):
-            return shard_for_seq(seq, 0) if shard_for_seq else 0
-
+        shard_map = {op.seq: server.shard_of(op.key) for op in ops}
         text = tracer.export_chrome(
-            shard_for_seq=seq_to_shard, shard_names=shard_names
+            shard_for_seq=lambda seq: shard_map.get(seq, 0),
+            shard_names=[stack.name for stack in server.stacks],
         ) + "\n"
         print(text, file=out, end="")
     elif args.format == "jsonl":
@@ -698,50 +643,6 @@ def _cmd_timeline(args, out) -> int:
     return 0
 
 
-def _profiled_run(args):
-    """Run the seeded profile workload; returns (profilers, allocators,
-    summary-stats dict)."""
-    from repro.obs.profiler import StageProfiler
-
-    if args.shards <= 1:
-        profiler = StageProfiler()
-        processor, __, stats = _seeded_client_run(args, profiler=profiler)
-        return [profiler], [processor.store.allocator], stats.as_dict()
-
-    from repro.core.config import KVDirectConfig
-    from repro.multi import MultiNICServer
-
-    workload = getattr(args, "workload", "ycsb")
-    sim = Simulator()
-    server = MultiNICServer(
-        sim,
-        nic_count=args.shards,
-        config=KVDirectConfig(
-            memory_size=args.memory_mib << 20, seed=args.seed,
-            ordered_index=workload == "ycsb-e",
-        ),
-        profile=True,
-    )
-    keyspace = KeySpace(count=args.corpus, kv_size=args.kv_size,
-                        seed=args.seed)
-    for key, value in keyspace.pairs():
-        server.put_direct(key, value)
-    for stack in server.stacks:
-        stack.store.reset_measurements()
-    if workload == "ycsb-e":
-        from repro.workloads.ycsb_standard import StandardYCSB
-
-        generator = StandardYCSB(keyspace, "E", seed=args.seed)
-    else:
-        generator = YCSBGenerator(
-            keyspace, WorkloadSpec(put_ratio=args.put_ratio, seed=args.seed)
-        )
-    stats = server.run_clients(generator.operations(args.ops),
-                               batch_size=16)
-    allocators = [stack.store.allocator for stack in server.stacks]
-    return server.profilers, allocators, stats.as_dict()
-
-
 def _latency_identity(profilers):
     """(checked, exact) per-op latency-identity counts across shards."""
     checked = exact = 0
@@ -756,14 +657,9 @@ def _latency_identity(profilers):
 
 
 def _cmd_profile(args, out) -> int:
-    from repro.obs.attribution import audit
-    from repro.obs.profiler import (
-        STAGE_ORDER,
-        merge_folded,
-        merged_dict,
-    )
-
-    profilers, allocators, stats = _profiled_run(args)
+    server, __, __ = _seeded_run(args, profile=True)
+    profilers = server.profilers
+    allocators = [stack.store.allocator for stack in server.stacks]
     checked, exact = _latency_identity(profilers)
     report = audit(profilers, allocators=allocators,
                    tolerance=args.tolerance,
@@ -838,8 +734,6 @@ def _cmd_profile(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
-    from repro.obs import bench_history
-
     if args.bench_command == "diff":
         baseline = bench_history.load_snapshot(args.baseline)
         current = bench_history.load_snapshot(args.current)
@@ -860,41 +754,19 @@ def _cmd_bench(args, out) -> int:
             print("verdict:", "PASS" if result.passed else "FAIL", file=out)
         return 0 if result.passed else 1
 
-    from repro.obs.profiler import StageProfiler
-
-    sim = Simulator()
-    store = KVDirectStore.create(
-        memory_size=args.memory_mib << 20, seed=args.seed,
-        ordered_index=args.workload == "ycsb-e",
-    )
-    keyspace = KeySpace(count=args.corpus, kv_size=args.kv_size,
-                        seed=args.seed)
-    for key, value in keyspace.pairs():
-        store.put(key, value)
-    store.reset_measurements()
-    profiler = StageProfiler()
-    processor = KVProcessor(sim, store, profiler=profiler)
-    if args.workload == "ycsb-e":
-        from repro.workloads.ycsb_standard import StandardYCSB
-
-        generator = StandardYCSB(keyspace, "E", seed=args.seed)
-    else:
-        generator = YCSBGenerator(
-            keyspace, WorkloadSpec(put_ratio=args.put_ratio, seed=args.seed)
-        )
+    built = _build(args, profile=True)
+    processor = built.processor
+    profiler = processor.profiler
     sampler = None
-    if getattr(args, "timeline", None):
-        from repro.obs.timeline import TimelineSampler
-
-        sampler = TimelineSampler(window_ns=args.window_ns, sim=sim)
-        sampler.attach_processor("nic0", processor)
+    if args.timeline:
+        sampler = TimelineSampler(window_ns=args.window_ns)
+        built.server.attach_timeline(sampler)
     stats = run_closed_loop(
-        processor, generator.operations(args.ops),
+        processor, built.operations(args.ops),
         concurrency=args.concurrency, timeline=sampler,
     )
     if sampler is not None:
-        with open(args.timeline, "w") as handle:
-            handle.write(timeline_text(sampler))
+        _write_timeline(args.timeline, sampler)
     extra = {
         "seed": args.seed,
         "corpus": args.corpus,
@@ -945,26 +817,8 @@ def _cmd_range(args, out) -> int:
     same corpus scanned at 1 and at 4 shards must produce the same
     digest (the golden-trace CI job compares exactly that).
     """
-    import hashlib
-    import random
-
-    from repro.core.config import KVDirectConfig
-    from repro.core.operations import decode_scan_payload
-    from repro.multi import MultiNICServer
-
-    sim = Simulator()
-    server = MultiNICServer(
-        sim,
-        nic_count=args.shards,
-        config=KVDirectConfig(
-            memory_size=args.memory_mib << 20, seed=args.seed,
-            ordered_index=True,
-        ),
-    )
-    keyspace = KeySpace(count=args.corpus, kv_size=args.kv_size,
-                        seed=args.seed)
-    for key, value in keyspace.pairs():
-        server.put_direct(key, value)
+    built = _build(args, shards=args.shards, ordered_index=True)
+    keyspace = built.keyspace
     rng = random.Random(args.seed ^ 0x5CA)
     ops = []
     for seq in range(args.scans):
@@ -974,7 +828,7 @@ def _cmd_range(args, out) -> int:
             ops.append(KVOperation.scan(start, count, seq=seq))
         else:
             ops.append(KVOperation.range(start, count, seq=seq))
-    router = server.router(batch_size=args.batch_size, checksum=True)
+    router = built.server.router(batch_size=args.batch_size, checksum=True)
     stats = router.run(ops)
     merged = router.scan_results(ops)
     digest = hashlib.sha256()
@@ -1003,13 +857,11 @@ def _cmd_range(args, out) -> int:
 
 
 def _cmd_atomics(args, out) -> int:
-    sim = Simulator()
-    store = KVDirectStore.create(
+    built = scenario.build(
         memory_size=4 << 20, out_of_order=not args.no_ooo
     )
     for k in range(args.keys):
-        store.put(b"ctr%06d" % k, struct.pack("<q", 0))
-    processor = KVProcessor(sim, store)
+        built.store.put(b"ctr%06d" % k, struct.pack("<q", 0))
     ops = [
         KVOperation.update(
             b"ctr%06d" % (i % args.keys), FETCH_ADD,
@@ -1017,7 +869,7 @@ def _cmd_atomics(args, out) -> int:
         )
         for i in range(args.ops)
     ]
-    stats = run_closed_loop(processor, ops, concurrency=200)
+    stats = run_closed_loop(built.processor, ops, concurrency=200)
     mode = "stalling (no OoO)" if args.no_ooo else "out-of-order"
     rows = [
         ["keys", str(args.keys)],
@@ -1071,13 +923,11 @@ def _cmd_tune(args, out) -> int:
 
 
 def _cmd_record(args, out) -> int:
-    from repro.workloads.trace import TraceWriter
-
-    keyspace = KeySpace(count=args.corpus, kv_size=args.kv_size)
-    generator = YCSBGenerator(
-        keyspace,
-        WorkloadSpec(put_ratio=args.put_ratio,
-                     distribution=args.distribution),
+    __, generator = scenario.make_workload(
+        corpus=args.corpus,
+        kv_size=args.kv_size,
+        put_ratio=args.put_ratio,
+        distribution=args.distribution,
     )
     with TraceWriter(args.output) as writer:
         if args.load_phase:
@@ -1095,15 +945,12 @@ def _cmd_record(args, out) -> int:
 
 
 def _cmd_replay(args, out) -> int:
-    from repro.workloads.trace import load_trace
-
     ops = load_trace(args.input)
-    store = KVDirectStore.create(memory_size=args.memory_mib << 20)
+    built = scenario.build(memory_size=args.memory_mib << 20)
+    store = built.store
     rows = [["trace", args.input], ["operations", str(len(ops))]]
     if args.timed:
-        sim = Simulator()
-        processor = KVProcessor(sim, store)
-        stats = run_closed_loop(processor, ops,
+        stats = run_closed_loop(built.processor, ops,
                                 concurrency=args.concurrency)
         rows += _latency_rows(stats, pcts=(99,))
     else:
@@ -1122,8 +969,6 @@ def _cmd_replay(args, out) -> int:
 
 
 def _cmd_overload(args, out) -> int:
-    from repro.chaos import sweep_offered_load
-
     multipliers = tuple(
         float(m) for m in args.multipliers.split(",") if m.strip()
     )
@@ -1162,9 +1007,6 @@ def _cmd_overload(args, out) -> int:
 
 
 def _cmd_soak(args, out) -> int:
-    from repro.chaos import SoakConfig, run_soak
-    from repro.faults import FaultPlan
-
     config = SoakConfig(
         seed=args.seed,
         num_shards=args.shards,
@@ -1185,15 +1027,12 @@ def _cmd_soak(args, out) -> int:
     )
     sampler = recorder = None
     if args.timeline:
-        from repro.obs.timeline import FlightRecorder, TimelineSampler
-
         recorder = FlightRecorder()
         sampler = TimelineSampler(window_ns=args.window_ns,
                                   recorder=recorder)
     report = run_soak(config, timeline=sampler, recorder=recorder)
     if sampler is not None:
-        with open(args.timeline, "w") as handle:
-            handle.write(timeline_text(sampler))
+        _write_timeline(args.timeline, sampler)
         if recorder.dumps:
             with open(args.timeline + ".flight.json", "w") as handle:
                 handle.write(recorder.dump_json() + "\n")
@@ -1235,28 +1074,17 @@ def _cmd_soak(args, out) -> int:
 
 
 def _cmd_cluster(args, out) -> int:
-    from repro.client.router import ClusterRouter
-    from repro.core.config import KVDirectConfig
-    from repro.multi import Cluster
-    from repro.workloads.keyspace import KeySpace
-
-    sim = Simulator()
-    cluster = Cluster(
-        sim,
-        num_nodes=args.nodes,
-        num_slots=args.slots,
-        config=KVDirectConfig(memory_size=4 << 20, seed=args.seed),
+    built = scenario.build(
+        seed=args.seed,
+        memory_size=4 << 20,
+        corpus=args.corpus,
+        kv_size=args.kv_size,
+        put_ratio=args.put_ratio,
+        nodes=args.nodes,
+        slots=args.slots,
     )
-    keyspace = KeySpace(count=args.corpus, kv_size=args.kv_size,
-                        seed=args.seed)
-    for key, value in keyspace.pairs():
-        cluster.preload(key, value)
-    for node in cluster.nodes:
-        node.store.reset_measurements()
-    generator = YCSBGenerator(
-        keyspace, WorkloadSpec(put_ratio=args.put_ratio, seed=args.seed)
-    )
-    ops = list(generator.operations(args.ops))
+    sim, cluster = built.sim, built.cluster
+    ops = built.operations(args.ops)
     if args.kill_node:
         if args.nodes < 2:
             raise SystemExit("--kill-node needs --nodes >= 2 (a backup "
@@ -1267,17 +1095,16 @@ def _cmd_cluster(args, out) -> int:
         )
     sampler = None
     if args.timeline:
-        from repro.obs.timeline import TimelineSampler
-
         sampler = TimelineSampler(window_ns=args.window_ns, sim=sim)
         cluster.attach_timeline(sampler)
         sampler.start()
     router = ClusterRouter(sim, cluster, seed=args.seed)
+    wall_start = time.perf_counter()
     stats = router.run(ops, concurrency=args.concurrency)
+    wall_clock_s = time.perf_counter() - wall_start
     if sampler is not None:
         sampler.finish()
-        with open(args.timeline, "w") as handle:
-            handle.write(timeline_text(sampler))
+        _write_timeline(args.timeline, sampler)
     payload = dict(stats)
     payload["counters"] = dict(sorted(cluster.counters.snapshot().items()))
     payload["robustness"] = router.robustness_snapshot()
@@ -1291,11 +1118,12 @@ def _cmd_cluster(args, out) -> int:
             "path": args.timeline,
         }
     if args.snapshot:
-        from repro.obs import bench_history
-
         snapshot = bench_history.snapshot_from_run(
             f"cluster-{args.nodes}n", cluster.nodes[0].stack.processor,
-            stats,
+            # Wall-clock fields go to the snapshot only: the JSON payload
+            # stays deterministic.
+            {**stats, "wall_clock_s": wall_clock_s,
+             "sim_ops_per_wall_s": len(ops) / wall_clock_s},
             extra={
                 "seed": args.seed,
                 "nodes": args.nodes,
@@ -1343,26 +1171,18 @@ def _cmd_cluster(args, out) -> int:
 
 
 def _cmd_multinic(args, out) -> int:
-    from repro.core.config import KVDirectConfig
-    from repro.multi import MultiNICServer
-    from repro.workloads.keyspace import KeySpace
-
-    sim = Simulator()
-    server = MultiNICServer(
-        sim,
-        nic_count=args.nics,
-        config=KVDirectConfig(memory_size=4 << 20, seed=args.seed),
+    built = scenario.build(
+        seed=args.seed, memory_size=4 << 20, corpus=args.corpus,
+        shards=args.nics,
     )
-    keyspace = KeySpace(count=args.corpus, kv_size=13, seed=args.seed)
-    for key, value in keyspace.pairs():
-        server.put_direct(key, value)
-    keys = [key for key, __ in keyspace.pairs()]
+    server = built.server
+    keys = [built.keyspace.key(i) for i in range(args.corpus)]
     ops = [
         KVOperation.get(keys[i % len(keys)], seq=i) for i in range(args.ops)
     ]
     if args.direct:
-        stats = server.run_closed_loop(
-            ops, concurrency_per_nic=args.concurrency_per_nic
+        stats = run_closed_loop(
+            server, ops, concurrency=args.concurrency_per_nic
         )
         if args.json:
             print(json.dumps(stats, indent=2, sort_keys=True), file=out)
@@ -1380,9 +1200,9 @@ def _cmd_multinic(args, out) -> int:
         print(format_table("Multi-NIC scaling (direct submit)",
                            ["metric", "value"], rows), file=out)
         return 0
-    stats = server.run_clients(
-        ops, batch_size=args.batch_size, max_outstanding_batches=8
-    )
+    stats = server.router(
+        batch_size=args.batch_size, max_outstanding_batches=8
+    ).run(ops)
     if args.json:
         payload = stats.as_dict()
         payload["per_shard"] = [s.as_dict() for s in stats.per_shard]
@@ -1404,31 +1224,11 @@ def _cmd_multinic(args, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "info": _cmd_info,
-    "ycsb": _cmd_ycsb,
-    "metrics": _cmd_metrics,
-    "trace": _cmd_trace,
-    "timeline": _cmd_timeline,
-    "profile": _cmd_profile,
-    "range": _cmd_range,
-    "bench": _cmd_bench,
-    "atomics": _cmd_atomics,
-    "pcie": _cmd_pcie,
-    "tune": _cmd_tune,
-    "record": _cmd_record,
-    "replay": _cmd_replay,
-    "overload": _cmd_overload,
-    "soak": _cmd_soak,
-    "cluster": _cmd_cluster,
-    "multinic": _cmd_multinic,
-}
-
-
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, out or sys.stdout)
+        # Subcommand ``x`` is implemented by ``_cmd_x``.
+        return globals()[f"_cmd_{args.command}"](args, out or sys.stdout)
     except BrokenPipeError:
         # Downstream consumer (head, less) closed the pipe: not an error.
         try:

@@ -30,13 +30,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.client.client import ClientStats, KVClient
 from repro.client.robust import BackoffPolicy, CircuitBreaker, RetryBudget
-from repro.core.hashing import shard_of
-from repro.core.operations import (
-    KVOperation,
-    KVResult,
-    OpType,
-    merge_scan_payloads,
-)
+from repro.core.operations import KVOperation, KVResult, fan_out, merge_scan
+from repro.driver import latency_fields
 from repro.errors import (
     ConfigurationError,
     KVDirectError,
@@ -60,6 +55,12 @@ class RouterStats:
     per_shard_mops: float
     #: One ClientStats per shard client that ran (empty shards excluded).
     per_shard: List[ClientStats] = field(default_factory=list)
+    #: Client-observed latency over the merged per-shard histograms;
+    #: None when no operation completed.
+    latency_p50_ns: Optional[float] = None
+    latency_p95_ns: Optional[float] = None
+    latency_p99_ns: Optional[float] = None
+    latency_mean_ns: Optional[float] = None
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -68,6 +69,10 @@ class RouterStats:
             "elapsed_ns": self.elapsed_ns,
             "throughput_mops": self.throughput_mops,
             "per_shard_mops": self.per_shard_mops,
+            "latency_p50_ns": self.latency_p50_ns,
+            "latency_p95_ns": self.latency_p95_ns,
+            "latency_p99_ns": self.latency_p99_ns,
+            "latency_mean_ns": self.latency_mean_ns,
         }
 
 
@@ -89,62 +94,22 @@ class ShardRouter:
     def shards(self) -> int:
         return len(self.stacks)
 
-    def shard_of(self, key: bytes) -> int:
-        """The shard owning a key (mirrors the server's function)."""
-        shard = shard_of(key, self.shards)
-        if shard >= len(self.clients):
-            raise ConfigurationError(
-                f"key {key!r} hashes to shard {shard} but only "
-                f"{len(self.clients)} shard clients exist (stacks mutated "
-                f"after construction?)"
-            )
-        return shard
-
-    def partition(
-        self, ops: Sequence[KVOperation]
-    ) -> List[List[KVOperation]]:
-        """Split an op stream into per-shard substreams, order-preserving
-        within each shard.
-
-        Point operations go to the shard owning their key.  RANGE/SCAN
-        operations are replicated into *every* substream: hash sharding
-        scatters adjacent keys across all shards, so an ordered scan has
-        no single owner and each shard must answer for its slice.  The
-        per-shard partial payloads are merged by :meth:`scan_results`.
-        """
-        parts: List[List[KVOperation]] = [[] for __ in range(self.shards)]
-        for op in ops:
-            if op.carries_count:
-                for part in parts:
-                    part.append(op)
-            else:
-                parts[self.shard_of(op.key)].append(op)
-        return parts
-
     def scan_results(
         self, ops: Sequence[KVOperation]
     ) -> Dict[int, bytes]:
         """Merged ``{seq: payload}`` for every scan in ``ops`` that
-        succeeded on all shards.
-
-        Reads each shard client's recorded response for the scan's seq
-        and k-way merges the partial payloads by key, truncated to the
-        op's count.  Shards are always visited in shard-index order, so
-        the merged bytes are independent of simulated completion order
-        (seed-stable across runs and shard counts).
-        """
+        succeeded on all shards, from each shard client's recorded
+        response (shard-index order, so the bytes are seed-stable across
+        runs and shard counts)."""
         merged: Dict[int, bytes] = {}
         for op in ops:
             if not op.carries_count or op.seq < 0:
                 continue
-            partials = [client.responses.get(op.seq) for client in self.clients]
-            if any(p is None or not p.ok or p.value is None for p in partials):
-                continue  # a shard failed or never answered this scan
-            merged[op.seq] = merge_scan_payloads(
-                [p.value for p in partials],
-                op.count,
-                with_values=op.op is OpType.RANGE,
+            payload = merge_scan(
+                op, [client.responses.get(op.seq) for client in self.clients]
             )
+            if payload is not None:
+                merged[op.seq] = payload
         return merged
 
     def run(self, ops: Sequence[KVOperation]) -> RouterStats:
@@ -159,7 +124,9 @@ class ShardRouter:
                 f"{len(self.stacks)} stacks: stacks were mutated after "
                 f"construction"
             )
-        parts = self.partition(ops)
+        # Mirrors the server's shard function; scans go to every shard
+        # and are merged afterwards by :meth:`scan_results`.
+        parts = fan_out(ops, self.shards)
         start = self.sim.now
         procs = []
         ran: List[int] = []
@@ -174,6 +141,9 @@ class ShardRouter:
             for index in ran
         ]
         total = mops(len(ops), elapsed)
+        latencies = Histogram()
+        for client in self.clients:
+            latencies.record_many(client.latencies.samples())
         return RouterStats(
             shards=self.shards,
             operations=len(ops),
@@ -181,6 +151,7 @@ class ShardRouter:
             throughput_mops=total,
             per_shard_mops=total / self.shards,
             per_shard=per_shard,
+            **latency_fields(latencies),
         )
 
 
@@ -192,7 +163,8 @@ class ClusterRouter:
     re-reads the :class:`~repro.multi.cluster.ClusterMap`, stamps the
     current epoch, pays ``route_delay_ns`` of wire time (during which the
     epoch may move - that is how :class:`~repro.errors.WrongEpoch` fires)
-    and submits to the slot's primary.  Retryable NACKs back off through
+    and submits to the slot's primary (a RANGE/SCAN: to every primary,
+    merging the partial results).  Retryable NACKs back off through
     a dedicated :class:`~repro.client.robust.BackoffPolicy` stream,
     bounded by ``retry_limit`` and the optional
     :class:`~repro.client.robust.RetryBudget`; the optional
@@ -233,27 +205,46 @@ class ClusterRouter:
         self.latency_ns = Histogram()
 
     def perform(self, op: KVOperation, deadline_ns: Optional[float] = None):
-        """Generator: route one operation to ack or a terminal failure."""
+        """Generator: route one operation to ack or a terminal failure.
+
+        A point operation goes to its slot's primary.  Slot placement
+        scatters adjacent keys across the cluster, so a RANGE/SCAN has no
+        single owner: it goes to every *distinct* primary concurrently
+        (in node-index order, for determinism) and the partial payloads
+        are k-way merged by key, truncated to ``op.count``.  Either way a
+        retryable NACK restarts the whole attempt against the re-read
+        map - partials from a failed attempt are discarded, so a merged
+        result always reflects one epoch.
+        """
         sim = self.sim
         cluster = self.cluster
+        cmap = cluster.map
+        scan = op.carries_count
         attempt = 0
         while True:
             if self.breaker is not None and not self.breaker.allow():
                 self.counters.add("breaker_fast_fails")
                 yield sim.timeout(max(self.breaker.wait_ns(), 1.0))
                 continue
-            slot = cluster.map.slot_of(op.key)
-            primary = cluster.map.primary(slot)
-            stamped = replace(op, epoch=cluster.map.epoch)
+            if scan:
+                targets = sorted(
+                    {cmap.primary(slot) for slot in range(cmap.num_slots)}
+                )
+            else:
+                targets = (cmap.primary(cmap.slot_of(op.key)),)
+            stamped = replace(op, epoch=cmap.epoch)
             # Wire time between stamping and arrival: an epoch bump can
             # land in this window, which is exactly the stale-routing race
             # the WrongEpoch NACK exists for.
             yield sim.timeout(self.route_delay_ns)
-            event = cluster.nodes[primary].submit(
-                stamped, deadline_ns=deadline_ns
-            )
+            events = [
+                cluster.nodes[node].submit(stamped, deadline_ns=deadline_ns)
+                for node in targets
+            ]
             try:
-                result = yield event
+                results = []
+                for event in events:
+                    results.append((yield event))
             except NodeDown as exc:
                 if exc.reason == "killed":
                     cluster.notice_node_down(exc.node)
@@ -265,7 +256,13 @@ class ClusterRouter:
                     self.breaker.record(True)
                 if self.budget is not None:
                     self.budget.on_success()
-                return result
+                if not scan:
+                    return results[0]
+                self.counters.add("scan_fanouts")
+                merged = merge_scan(op, results)
+                return KVResult(
+                    op.op, ok=merged is not None, value=merged, seq=op.seq
+                )
             if self.breaker is not None:
                 self.breaker.record(False)
             attempt += 1
@@ -278,79 +275,6 @@ class ClusterRouter:
                 self.counters.add("give_ups")
                 raise RetryExhausted(
                     f"{op.op.name} on {op.key!r}: retry budget exhausted"
-                )
-            yield sim.timeout(self.backoff.delay(attempt))
-
-    def perform_scan(
-        self, op: KVOperation, deadline_ns: Optional[float] = None
-    ):
-        """Generator: fan one RANGE/SCAN out to every primary and merge.
-
-        Slot placement scatters adjacent keys across the cluster, so an
-        ordered scan has no single owner: each attempt reads the current
-        map, submits the epoch-stamped scan to every *distinct* primary
-        concurrently (in node-index order, for determinism), and k-way
-        merges the partial payloads by key, truncated to ``op.count``.
-        Retryable NACKs (:class:`~repro.errors.NodeDown`,
-        :class:`~repro.errors.WrongEpoch`) restart the whole fan-out
-        against the re-read map - partial payloads from a failed attempt
-        are discarded, so a merged result always reflects one epoch.
-        """
-        if not op.carries_count:
-            raise ConfigurationError(
-                f"perform_scan needs a RANGE/SCAN op, got {op.op.name}"
-            )
-        sim = self.sim
-        cluster = self.cluster
-        attempt = 0
-        while True:
-            if self.breaker is not None and not self.breaker.allow():
-                self.counters.add("breaker_fast_fails")
-                yield sim.timeout(max(self.breaker.wait_ns(), 1.0))
-                continue
-            primaries = sorted({
-                cluster.map.primary(slot)
-                for slot in range(cluster.map.num_slots)
-            })
-            stamped = replace(op, epoch=cluster.map.epoch)
-            yield sim.timeout(self.route_delay_ns)
-            events = [
-                cluster.nodes[node].submit(stamped, deadline_ns=deadline_ns)
-                for node in primaries
-            ]
-            try:
-                payloads = []
-                for event in events:
-                    result = yield event
-                    payloads.append(result.value)
-            except NodeDown as exc:
-                if exc.reason == "killed":
-                    cluster.notice_node_down(exc.node)
-                self.counters.add("node_down_retries")
-            except WrongEpoch:
-                self.counters.add("wrong_epoch_retries")
-            else:
-                if self.breaker is not None:
-                    self.breaker.record(True)
-                if self.budget is not None:
-                    self.budget.on_success()
-                self.counters.add("scan_fanouts")
-                merged = merge_scan_payloads(
-                    payloads, op.count, with_values=op.op is OpType.RANGE
-                )
-                return KVResult(op.op, ok=True, value=merged, seq=op.seq)
-            if self.breaker is not None:
-                self.breaker.record(False)
-            attempt += 1
-            if attempt > self.retry_limit:
-                self.counters.add("give_ups")
-                raise RetryExhausted(
-                    f"{op.op.name} from {op.key!r} NACKed {attempt} times"
-                )
-            if self.budget is not None and not self.budget.try_spend():
-                self.counters.add("give_ups")
-                raise RetryExhausted(
-                    f"{op.op.name} from {op.key!r}: retry budget exhausted"
                 )
             yield sim.timeout(self.backoff.delay(attempt))
 
@@ -371,10 +295,7 @@ class ClusterRouter:
             for op in stream:
                 issued = sim.now
                 try:
-                    if op.carries_count:
-                        yield from self.perform_scan(op)
-                    else:
-                        yield from self.perform(op)
+                    yield from self.perform(op)
                 except KVDirectError:
                     outcomes["failed"] += 1
                 else:
@@ -398,15 +319,7 @@ class ClusterRouter:
             "throughput_mops": mops(outcomes["completed"], elapsed),
             "epoch": float(self.cluster.map.epoch),
         }
-        for pct in (50, 95, 99):
-            stats[f"latency_p{pct}_ns"] = (
-                self.latency_ns.percentile(pct)
-                if self.latency_ns.count
-                else None
-            )
-        stats["latency_mean_ns"] = (
-            self.latency_ns.mean() if self.latency_ns.count else None
-        )
+        stats.update(latency_fields(self.latency_ns))
         return stats
 
     def robustness_snapshot(self) -> Dict[str, int]:

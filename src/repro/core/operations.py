@@ -21,6 +21,7 @@ from enum import IntEnum
 from heapq import merge as _heap_merge
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.hashing import shard_of_many
 from repro.errors import ProtocolError
 
 
@@ -295,3 +296,47 @@ def merge_scan_payloads(
         if len(merged) == count:
             break
     return encode_scan_payload(merged, with_values)
+
+
+# -- fan-out across shards -----------------------------------------------------
+#
+# The one routing rule every sharded path shares (closed-loop driver,
+# ShardRouter, ClusterRouter): point operations go to the shard owning
+# their key; RANGE/SCAN go to *every* shard, because hash placement
+# scatters adjacent keys, and the per-shard partials are k-way merged.
+
+
+def fan_out(
+    ops: Sequence[KVOperation], shards: int
+) -> List[List[KVOperation]]:
+    """Per-shard substreams of ``ops``, order-preserving within a shard
+    (scans are replicated into every substream)."""
+    if shards == 1:
+        return [list(ops)]
+    parts: List[List[KVOperation]] = [[] for __ in range(shards)]
+    for op, shard in zip(ops, shard_of_many([op.key for op in ops], shards)):
+        if op.carries_count:
+            for part in parts:
+                part.append(op)
+        else:
+            parts[shard].append(op)
+    return parts
+
+
+def merge_scan(
+    op: KVOperation, partials: Sequence[Optional[KVResult]]
+) -> Optional[bytes]:
+    """One scan's merged payload from its per-shard results, or None if
+    any shard failed or never answered.
+
+    ``partials`` must be in shard-index order - never simulated
+    completion order - so the merged bytes are seed-stable and the same
+    at any shard count.
+    """
+    if any(p is None or not p.ok or p.value is None for p in partials):
+        return None
+    return merge_scan_payloads(
+        [p.value for p in partials],
+        op.count,
+        with_values=op.op is OpType.RANGE,
+    )

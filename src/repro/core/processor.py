@@ -46,7 +46,6 @@ from repro.core.store import KVDirectStore
 from repro.core.vector import apply_operation
 from repro.dram.cache import DramCache, ECCFaultPath
 from repro.dram.nic import NICDram
-from repro.driver import run_closed_loop  # noqa: F401  (re-exported API)
 from repro.errors import (
     DeadlineExceeded,
     KVDirectError,

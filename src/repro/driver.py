@@ -1,11 +1,11 @@
 """Shared closed-loop measurement harness.
 
 One driver for every "keep N ops outstanding until the list drains"
-loop in the repo: the single-processor measurement behind Figures 13,
-14, 16 and 17 (:func:`run_closed_loop`, re-exported from
-:mod:`repro.core.processor` for compatibility), the multi-NIC scaling
-measurement (:func:`run_closed_loop_sharded`, used by
-:class:`~repro.multi.multinic.MultiNICServer`), and the benchmarks.
+loop in the repo: :func:`run_closed_loop` pumps one lane per processor,
+so the single-processor measurement behind Figures 13, 14, 16 and 17
+and the multi-NIC scaling measurement (Table 3, a
+:class:`~repro.multi.multinic.MultiNICServer`) are the same loop over
+1..N lanes.
 
 The pump pattern is deliberately callback-based rather than a simulated
 process: a response callback immediately refills the submission window,
@@ -16,26 +16,25 @@ being measured.
 Alongside the simulated measurements, each run also reports how long it
 took in *wall-clock* terms (``wall_clock_s``, ``sim_ops_per_wall_s``) so
 interpreter-speed regressions in the simulator itself are observable and
-can be gated (BENCH schema v2).  The cyclic garbage collector is paused
-for the duration of the event loop: the sim allocates hundreds of
+can be gated by ``repro bench diff``.  The cyclic garbage collector is
+paused for the duration of the event loop: the sim allocates hundreds of
 thousands of short-lived events and generator frames per run, and the
 periodic gen0 scans cost ~15% wall time while collecting almost nothing
 (everything is freed by refcounting at run end).
 
 This module intentionally knows nothing about :class:`KVProcessor`
 internals: any object with ``sim``, ``submit(op) -> Event`` and a
-``latencies`` histogram can be driven (duck typing also keeps the import
-graph acyclic - ``core.processor`` re-exports from here).
+``latencies`` histogram is a lane, and any object with ``sim`` and a
+``processors`` list of lanes is a sharded server.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.hashing import shard_of_many
-from repro.core.operations import KVOperation, OpType, merge_scan_payloads
+from repro.core.operations import KVOperation, KVResult, fan_out, merge_scan
 from repro.sim.stats import Histogram, mops
 
 
@@ -63,19 +62,7 @@ def _pump_lane(processor, pending: List[KVOperation], concurrency: int,
     fill()
 
 
-def _run_paused_gc(sim, done) -> None:
-    """``sim.run(done)`` with the cyclic collector paused."""
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        sim.run(done)
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _latency_fields(latencies) -> Dict[str, float]:
+def latency_fields(latencies) -> Dict[str, Optional[float]]:
     """p50/p95/p99/mean from a histogram, or None fields when empty.
 
     A run where every op was shed or deadline-expired records no
@@ -91,179 +78,117 @@ def _latency_fields(latencies) -> Dict[str, float]:
     }
 
 
-def _wall_fields(operations: int, wall_clock_s: float) -> Dict[str, float]:
-    return {
-        "wall_clock_s": wall_clock_s,
-        "sim_ops_per_wall_s": (
-            operations / wall_clock_s if wall_clock_s > 0 else 0.0
-        ),
-    }
-
-
-def _timeline_fields(timeline) -> Dict[str, object]:
-    """Timeline context for the run-stats dict (BENCH schema v3).
-
-    Nullable by design: a run without an attached sampler reports
-    ``None`` for both fields, and the bench diff gate never compares
-    them - they are context, like ``wall_clock_s``, not a gated metric.
-    """
-    if timeline is None:
-        return {"timeline_windows": None, "timeline_digest": None}
-    return {
-        "timeline_windows": float(timeline.windows),
-        "timeline_digest": timeline.digest(),
-    }
-
-
 def run_closed_loop(
-    processor,
+    target,
     ops: Sequence[KVOperation],
     concurrency: int = 128,
     timeline=None,
+    scan_results: Optional[Dict[int, bytes]] = None,
 ) -> Dict[str, float]:
-    """Drive one processor with a fixed number of outstanding operations.
+    """Keep ``concurrency`` operations outstanding per lane until ``ops``
+    drains; returns throughput, latency and wall-clock statistics.
 
-    Returns throughput and latency statistics - the measurement loop
-    behind Figures 13, 14, 16 and 17.  Pass an attached
-    :class:`~repro.obs.timeline.TimelineSampler` as ``timeline`` to
-    sample windowed metrics during the run; its window count and digest
-    land in the stats (``None`` without one).
+    ``target`` is one processor (one lane - the measurement loop behind
+    Figures 13, 14, 16 and 17) or a sharded server with a ``processors``
+    list (one lane per NIC, so a slow shard never stalls the others'
+    submission windows - the Table 3 scaling measurement; its stats add
+    ``nics`` / ``per_nic_mops`` and take latency percentiles over the
+    merged per-lane histograms).  Ops are split across lanes by
+    :func:`~repro.core.operations.fan_out`: point ops to the shard
+    owning their key, RANGE/SCAN to every shard.
+
+    Pass a dict as ``scan_results`` to receive ``{seq: merged payload}``
+    for every scan that succeeded on all lanes.  Merging is independent
+    of simulated completion order - scans in ascending ``seq``, lanes in
+    index order - so the bytes are seed-stable at any shard count.  Pass
+    an attached :class:`~repro.obs.timeline.TimelineSampler` as
+    ``timeline`` to sample windowed metrics during the run; its window
+    count and digest land in the stats (``None`` without one - they are
+    context, like the wall-clock fields, never a gated metric).
     """
-    sim = processor.sim
+    sim = target.sim
+    lanes = getattr(target, "processors", None)
+    sharded = lanes is not None
+    if not sharded:
+        lanes = [target]
     if timeline is not None:
         timeline.bind(sim)
         timeline.start()
-    pending = list(reversed(ops))
+    queues = fan_out(ops, len(lanes))
     done = sim.event()
-    state = {"remaining": len(ops)}
+    state = {"remaining": 0}
+    for queue in queues:
+        state["remaining"] += len(queue)
 
     def on_response(event) -> None:
         state["remaining"] -= 1
         if state["remaining"] == 0 and not done.triggered:
             done.succeed()
 
+    #: seq -> (scan op, its per-lane results): collected only when the
+    #: caller asks for the merged payloads, so a plain run pays nothing
+    #: per response for them.
+    partials: Dict[int, Tuple[KVOperation, List[Optional[KVResult]]]] = {}
+    if scan_results is not None:
+        partials = {
+            op.seq: (op, [None] * len(lanes))
+            for op in ops if op.carries_count
+        }
+
+    def collecting(lane: int):
+        def on_scan_response(event) -> None:
+            if event.ok and event.value.seq in partials:
+                partials[event.value.seq][1][lane] = event.value
+            on_response(event)
+
+        return on_scan_response
+
     start = sim.now
     wall_start = time.perf_counter()
-    _pump_lane(processor, pending, concurrency, on_response)
+    for lane, queue in enumerate(queues):
+        if queue:
+            queue.reverse()
+            _pump_lane(lanes[lane], queue, concurrency,
+                       collecting(lane) if partials else on_response)
     if state["remaining"] == 0 and not done.triggered:
         done.succeed()
-    _run_paused_gc(sim, done)
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        sim.run(done)
+    finally:
+        if was_enabled:
+            gc.enable()
+    for seq in sorted(partials):
+        merged = merge_scan(*partials[seq])
+        if merged is not None:
+            scan_results[seq] = merged
     wall_clock_s = time.perf_counter() - wall_start
     if timeline is not None:
         timeline.finish()
     elapsed = sim.now - start
+    latencies = lanes[0].latencies
+    if len(lanes) > 1:
+        latencies = Histogram()
+        for processor in lanes:
+            latencies.record_many(processor.latencies.samples())
+    throughput = mops(len(ops), elapsed)
     stats: Dict[str, float] = {
         "operations": float(len(ops)),
         "elapsed_ns": elapsed,
-        "throughput_mops": mops(len(ops), elapsed),
+        "throughput_mops": throughput,
+        **latency_fields(latencies),
+        "wall_clock_s": wall_clock_s,
+        "sim_ops_per_wall_s": (
+            len(ops) / wall_clock_s if wall_clock_s > 0 else 0.0
+        ),
+        "timeline_windows": (
+            None if timeline is None else float(timeline.windows)
+        ),
+        "timeline_digest": None if timeline is None else timeline.digest(),
     }
-    stats.update(_latency_fields(processor.latencies))
-    stats.update(_wall_fields(len(ops), wall_clock_s))
-    stats.update(_timeline_fields(timeline))
-    return stats
-
-
-def run_closed_loop_sharded(
-    server,
-    ops: Sequence[KVOperation],
-    concurrency_per_nic: int = 128,
-    scan_results: Optional[Dict[int, bytes]] = None,
-    timeline=None,
-) -> Dict[str, float]:
-    """Drive every shard of a sharded server concurrently.
-
-    ``server`` needs ``sim``, ``nic_count``, ``shard_of(key) -> int`` and
-    a ``processors`` list; each shard gets its own closed-loop pump so a
-    slow shard never stalls the others' submission windows.  Returns
-    aggregate statistics (the Table 3 scaling measurement), including
-    latency percentiles over the merged per-shard histograms.
-
-    Point operations route to the shard owning their key; RANGE/SCAN ops
-    fan out to *every* shard (hash sharding scatters adjacent keys) and
-    their per-shard payloads are k-way merged by key, truncated to the
-    op's count.  Pass a dict as ``scan_results`` to receive
-    ``{seq: merged payload}`` for every scan that succeeded on all
-    shards.  Merging is deterministic regardless of simulated completion
-    order: partials are merged per scan in ascending ``seq``, visiting
-    shards in shard-index order - asserted below so sharded scan results
-    are seed-stable (same seed, same bytes, any shard count).
-    """
-    sim = server.sim
-    if timeline is not None:
-        timeline.bind(sim)
-        timeline.start()
-    shards: List[List[KVOperation]] = [[] for __ in range(server.nic_count)]
-    scans: Dict[int, KVOperation] = {}
-    for op, shard in zip(
-        ops, shard_of_many([op.key for op in ops], server.nic_count)
-    ):
-        if op.carries_count:
-            # Ordered ops cannot be routed by key hash: every shard owns
-            # an arbitrary slice of the key range, so all must answer.
-            scans[op.seq] = op
-            for queue in shards:
-                queue.append(op)
-        else:
-            shards[shard].append(op)
-    total = sum(len(queue) for queue in shards)
-    done = sim.event()
-    state = {"remaining": total}
-    #: seq -> {shard index -> payload}, for scans only.
-    partials: Dict[int, Dict[int, bytes]] = {}
-
-    def make_on_response(shard: int):
-        def on_response(event) -> None:
-            state["remaining"] -= 1
-            if event.ok and event.value is not None:
-                result = event.value
-                if result.seq in scans and result.ok:
-                    partials.setdefault(result.seq, {})[shard] = result.value
-            if state["remaining"] == 0 and not done.triggered:
-                done.succeed()
-
-        return on_response
-
-    start = sim.now
-    wall_start = time.perf_counter()
-    for shard, (processor, queue) in enumerate(
-        zip(server.processors, shards)
-    ):
-        if queue:
-            _pump_lane(processor, list(reversed(queue)),
-                       concurrency_per_nic, make_on_response(shard))
-    if state["remaining"] == 0 and not done.triggered:
-        done.succeed()
-    _run_paused_gc(sim, done)
-    if scan_results is not None:
-        for seq in sorted(partials):
-            by_shard = partials[seq]
-            if len(by_shard) != server.nic_count:
-                continue  # a shard failed the scan; no merged result
-            shard_order = sorted(by_shard)
-            # Determinism invariant: the merge consumes shards in index
-            # order and seqs ascending, never in completion order.
-            assert shard_order == list(range(server.nic_count))
-            op = scans[seq]
-            scan_results[seq] = merge_scan_payloads(
-                [by_shard[shard] for shard in shard_order],
-                op.count,
-                with_values=op.op.name == "RANGE",
-            )
-    wall_clock_s = time.perf_counter() - wall_start
-    if timeline is not None:
-        timeline.finish()
-    elapsed = sim.now - start
-    merged = Histogram()
-    for processor in server.processors:
-        merged.record_many(processor.latencies.samples())
-    stats = {
-        "nics": float(server.nic_count),
-        "operations": float(len(ops)),
-        "elapsed_ns": elapsed,
-        "throughput_mops": mops(len(ops), elapsed),
-        "per_nic_mops": mops(len(ops), elapsed) / server.nic_count,
-    }
-    stats.update(_latency_fields(merged))
-    stats.update(_wall_fields(len(ops), wall_clock_s))
-    stats.update(_timeline_fields(timeline))
+    if sharded:
+        stats["nics"] = float(len(lanes))
+        stats["per_nic_mops"] = throughput / len(lanes)
     return stats

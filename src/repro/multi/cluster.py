@@ -1,9 +1,13 @@
-"""Fault-tolerant cluster mode: replicated server stacks behind a directory.
+"""Fault-tolerant cluster mode: a placement directory over the shard server.
 
-KV-Direct scales by composing share-nothing NICs; this layer makes that
-composition survive a NIC (node) death.  A :class:`ClusterMap` is the
-placement directory: keys hash to *slots* (key ranges), each slot names a
-primary and a backup node, and the whole map carries a versioned *epoch*.
+KV-Direct scales by composing share-nothing NICs
+(:class:`~repro.multi.multinic.MultiNICServer`); this layer makes that
+composition survive a NIC (node) death without building anything twice:
+a :class:`Cluster` owns one server, wraps each of its stacks in a
+:class:`ClusterNode` gate, and adds placement, replication and
+fail-over on top.  A :class:`ClusterMap` is the placement directory:
+keys hash to *slots* (key ranges), each slot names a primary and a
+backup node, and the whole map carries a versioned *epoch*.
 Writes apply at the slot's primary and are asynchronously replicated to
 its backup through a cluster-owned :class:`ReplicationChannel` (FIFO,
 state-based: each record carries a full value snapshot taken when the
@@ -50,11 +54,19 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.multi.multinic import MultiNICServer
 from repro.multi.stack import ServerStack
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Counter, Histogram
+
+#: Simulated cost of applying one replication record at the backup.
+REPLICATION_DELAY_NS = 200.0
+#: Simulated cost of copying one key during a slot migration.
+MIGRATION_DELAY_PER_KEY_NS = 300.0
+#: How often quiesce/failover loops re-check for in-flight work.
+POLL_NS = 100.0
 
 
 @dataclass(frozen=True)
@@ -138,6 +150,7 @@ class ClusterNode:
     ) -> None:
         self.cluster = cluster
         self.index = index
+        self.name = f"node{index}"
         self.stack = stack
         self.sim = stack.sim
         self.alive = True
@@ -148,10 +161,6 @@ class ClusterNode:
         self.accepted = 0
         #: Die when ``accepted`` reaches this (deterministic mid-run kill).
         self.kill_after_accepts: Optional[int] = None
-
-    @property
-    def name(self) -> str:
-        return self.stack.name
 
     @property
     def store(self) -> KVDirectStore:
@@ -237,7 +246,7 @@ class ClusterNode:
         self.accepted += 1
         self.outstanding += 1
         cluster.slot_outstanding[slot] += 1
-        event = self.stack.submit(op, deadline_ns=deadline_ns)
+        event = self.stack.processor.submit(op, deadline_ns=deadline_ns)
 
         def _settled(_event: Event, op=op, slot=slot) -> None:
             self.outstanding -= 1
@@ -254,10 +263,10 @@ class ReplicationChannel:
 
     Records are ``(key, value-or-None, acked_at_ns)`` snapshots of the
     primary's state when the write settled; a lazy drain process applies
-    them to the slot's *current* backup after ``replication_delay_ns``
-    each.  Because the channel outlives its nodes, every record enqueued
-    at ack time survives a primary kill - failover drains the channel
-    into the backup before promoting it.
+    them to the slot's *current* backup after
+    :data:`REPLICATION_DELAY_NS` each.  Because the channel outlives its
+    nodes, every record enqueued at ack time survives a primary kill -
+    failover drains the channel into the backup before promoting it.
     """
 
     def __init__(self, cluster: "Cluster", slot: int) -> None:
@@ -283,7 +292,7 @@ class ReplicationChannel:
         cluster = self.cluster
         sim = cluster.sim
         while self.queue:
-            yield sim.timeout(cluster.replication_delay_ns)
+            yield sim.timeout(REPLICATION_DELAY_NS)
             key, value, acked_at = self.queue.popleft()
             backup = cluster.map.backup(self.slot)
             if backup is None or not cluster.nodes[backup].alive:
@@ -296,7 +305,8 @@ class ReplicationChannel:
 
 
 class Cluster:
-    """N replicated :class:`ServerStack` nodes behind a :class:`ClusterMap`.
+    """A :class:`MultiNICServer` whose stacks are replicated nodes behind
+    a :class:`ClusterMap`.
 
     Route through :class:`~repro.client.router.ClusterRouter`; submitting
     directly to :attr:`nodes` bypasses epoch stamping and retries.
@@ -309,18 +319,15 @@ class Cluster:
         num_slots: int = 8,
         config: Optional[KVDirectConfig] = None,
         tracer: Optional[Tracer] = None,
-        replication_delay_ns: float = 200.0,
-        migration_delay_per_key_ns: float = 300.0,
-        poll_ns: float = 100.0,
     ) -> None:
         if num_nodes <= 0:
             raise ConfigurationError("cluster needs at least one node")
         self.sim = sim
-        base = config or KVDirectConfig(memory_size=4 << 20)
         self.map = ClusterMap(num_slots, num_nodes)
-        self.replication_delay_ns = replication_delay_ns
-        self.migration_delay_per_key_ns = migration_delay_per_key_ns
-        self.poll_ns = poll_ns
+        #: The stacks (built, seeded and observed by the shard server);
+        #: node i gates stack i.
+        self.server = MultiNICServer(sim, num_nodes, config, tracer=tracer)
+        base = self.server.config
         self.counters = Counter()
         self.replication_lag_ns = Histogram()
         self.failover_time_ns = Histogram()
@@ -333,15 +340,10 @@ class Cluster:
         self.injector = FaultInjector(
             base.fault_plan or FaultPlan(), seed=base.seed
         )
-        self.nodes: List[ClusterNode] = []
-        for index in range(num_nodes):
-            store = KVDirectStore(
-                base.with_overrides(seed=base.seed + index)
-            )
-            stack = ServerStack(
-                sim, name=f"node{index}", tracer=tracer, store=store
-            )
-            self.nodes.append(ClusterNode(self, index, stack))
+        self.nodes: List[ClusterNode] = [
+            ClusterNode(self, index, stack)
+            for index, stack in enumerate(self.server.stacks)
+        ]
         self.channels = [
             ReplicationChannel(self, slot) for slot in range(num_slots)
         ]
@@ -360,6 +362,10 @@ class Cluster:
         self.nodes[placement.primary].store.put(key, value)
         if placement.backup is not None:
             self.nodes[placement.backup].store.put(key, value)
+
+    def owner(self, key: bytes) -> ServerStack:
+        """The stack currently authoritative for a key (its primary's)."""
+        return self.nodes[self.map.primary(self.map.slot_of(key))].stack
 
     def replicate(self, slot: int, key: bytes, primary: ClusterNode) -> None:
         """Enqueue a state record for a settled write (ack-time snapshot).
@@ -394,17 +400,6 @@ class Cluster:
 
     # -- faults and failover ----------------------------------------------
 
-    def kill_at(self, node_id: int, at_ns: float) -> None:
-        """Schedule a deterministic kill of one node at an absolute time."""
-
-        def killer():
-            delay = at_ns - self.sim.now
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            self.nodes[node_id].die(reason=f"kill_at:{at_ns!r}")
-
-        self.sim.process(killer())
-
     def kill_after_accepts(self, node_id: int, accepts: int) -> None:
         """Kill one node once it has accepted ``accepts`` operations.
 
@@ -417,10 +412,6 @@ class Cluster:
     @property
     def alive_nodes(self) -> int:
         return sum(1 for node in self.nodes if node.alive)
-
-    @property
-    def failover_in_progress(self) -> bool:
-        return self._failovers_active > 0
 
     def notice_node_down(self, node_id: int) -> None:
         """Start failover for a dead node (idempotent; routers call this
@@ -445,9 +436,9 @@ class Cluster:
         """Wait until a write-blocked slot has no in-flight ops and an
         empty replication channel (its state is fully settled)."""
         while self.slot_outstanding[slot] > 0:
-            yield self.sim.timeout(self.poll_ns)
+            yield self.sim.timeout(POLL_NS)
         while self.channels[slot].pending:
-            yield self.sim.timeout(self.poll_ns)
+            yield self.sim.timeout(POLL_NS)
 
     def annotate(self, name: str, detail: str = "") -> None:
         """Forward an instant-event marker to the tracer, if any."""
@@ -463,7 +454,7 @@ class Cluster:
         # were or will be delivered), and each settled write enqueues its
         # replication record - wait for all of them before draining.
         while node.outstanding > 0:
-            yield self.sim.timeout(self.poll_ns)
+            yield self.sim.timeout(POLL_NS)
         primary_slots = self.map.slots_owned(node_id)
         backup_slots = self.map.slots_backed(node_id)
         for slot in primary_slots:
@@ -505,19 +496,13 @@ class Cluster:
             target = self.nodes[new_backup]
             # Clear any stale copy of this slot before the fresh snapshot
             # (a delete at the primary must not resurrect at the backup).
-            for key in sorted(
-                key
-                for key, __ in target.store.items()
-                if self.map.slot_of(key) == slot
-            ):
+            for key in sorted(self._slot_items(target, slot)):
                 self.apply_state(target, key, None)
             snapshot = sorted(
-                (key, value)
-                for key, value in self.nodes[owner].store.items()
-                if self.map.slot_of(key) == slot
+                self._slot_items(self.nodes[owner], slot).items()
             )
             for key, value in snapshot:
-                yield self.sim.timeout(self.migration_delay_per_key_ns)
+                yield self.sim.timeout(MIGRATION_DELAY_PER_KEY_NS)
                 self.apply_state(target, key, value)
                 self.counters.add("migrated_keys")
             self.map.placements[slot] = Placement(
@@ -538,6 +523,15 @@ class Cluster:
 
     # -- settling ----------------------------------------------------------
 
+    def _slot_items(self, node: ClusterNode, slot: int) -> dict:
+        """The keys of one slot held by one node (primary or backup copy)."""
+        slot_of = self.map.slot_of
+        return {
+            key: value
+            for key, value in node.store.items()
+            if slot_of(key) == slot
+        }
+
     def quiesce(self):
         """Generator: wait for every channel to drain and every failover
         to finish (run it to compare replicas differentially)."""
@@ -547,16 +541,15 @@ class Cluster:
             )
             if not busy:
                 return
-            yield self.sim.timeout(self.poll_ns)
+            yield self.sim.timeout(POLL_NS)
 
     def primary_state(self) -> dict:
         """The authoritative key space: each slot read at its primary."""
         merged = {}
         for slot in range(self.map.num_slots):
-            primary = self.nodes[self.map.primary(slot)]
-            for key, value in primary.store.items():
-                if self.map.slot_of(key) == slot:
-                    merged[key] = value
+            merged.update(
+                self._slot_items(self.nodes[self.map.primary(slot)], slot)
+            )
         return merged
 
     def replication_divergences(self) -> List[str]:
@@ -569,16 +562,8 @@ class Cluster:
             backup = self.nodes[placement.backup]
             if not primary.alive or not backup.alive:
                 continue
-            want = {
-                key: value
-                for key, value in primary.store.items()
-                if self.map.slot_of(key) == slot
-            }
-            have = {
-                key: value
-                for key, value in backup.store.items()
-                if self.map.slot_of(key) == slot
-            }
+            want = self._slot_items(primary, slot)
+            have = self._slot_items(backup, slot)
             if want != have:
                 missing = sorted(set(want) - set(have))
                 extra = sorted(set(have) - set(want))
@@ -594,6 +579,11 @@ class Cluster:
                 )
         return problems
 
+    @property
+    def faults_fired(self) -> int:
+        """Faults injected so far: node-level sites plus every stack's."""
+        return self.injector.fired + self.server.faults_fired
+
     def fault_digest_lines(self) -> List[str]:
         """Canonical fault-digest lines (cluster sites + per-node stores)
         for folding into a soak digest."""
@@ -608,12 +598,9 @@ class Cluster:
     # -- observability ------------------------------------------------------
 
     def register_metrics(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        include_stacks: bool = False,
+        self, registry: Optional[MetricsRegistry] = None
     ) -> MetricsRegistry:
-        """Register ``cluster.*`` metrics (and optionally every node's
-        full stack under its ``node<i>`` namespace)."""
+        """Register the ``cluster.*`` metrics."""
         registry = registry if registry is not None else MetricsRegistry()
         registry.register("cluster.events", self.counters)
         registry.register(
@@ -631,13 +618,12 @@ class Cluster:
             "cluster.migrating_slots",
             lambda: float(len(self.migrating_slots)),
         )
-        if include_stacks:
-            for node in self.nodes:
-                node.stack.register_metrics(registry)
         return registry
 
-    def attach_timeline(self, sampler, include_nodes: bool = True) -> None:
-        """Attach cluster gauges (and each node's processor) to a
-        timeline sampler."""
+    def attach_timeline(self, sampler) -> None:
+        """Attach each node's processor (``node<i>`` series) and the
+        cluster gauges to a timeline sampler."""
         sampler.bind(self.sim)
-        sampler.attach_cluster(self, include_nodes=include_nodes)
+        for node in self.nodes:
+            sampler.attach_processor(node.name, node.stack.processor)
+        sampler.attach_cluster(self)

@@ -4,27 +4,34 @@
 10 programmable NIC cards in a commodity server, we achieve 1.22 billion
 KV operations per second."
 
-The server is composed of N real :class:`~repro.multi.stack.ServerStack`
-bundles - each NIC owns its ethernet port, batch decoder, admission
-queue, KV processor, and a disjoint shard of host memory (its own hash
-index and slab area) plus its own PCIe links, so NICs share nothing.
-Clients route operations to the NIC owning the key, by key hash
-(:func:`repro.core.hashing.shard_of`); :meth:`run_clients` drives the
-whole stack end-to-end through the client/batching/wire layer, while
-:meth:`run_closed_loop` keeps the direct-submit measurement loop for the
-processor-bound scaling figures.
+:class:`MultiNICServer` is the one place that builds, names, seeds,
+loads and observes N :class:`~repro.multi.stack.ServerStack` bundles -
+each NIC owns its ethernet port, batch decoder, admission queue, KV
+processor, and a disjoint shard of host memory (its own hash index and
+slab area) plus its own PCIe links, so NICs share nothing.  Operations
+go to the NIC owning the key, by key hash
+(:func:`repro.core.hashing.shard_of`); :meth:`router` drives the whole
+stack end-to-end through the client/batching/wire layer, while
+:func:`repro.driver.run_closed_loop` (one pump lane per NIC) is the
+direct-submit measurement loop for the processor-bound scaling figures.
+The replicated
+:class:`~repro.multi.cluster.Cluster` is a placement directory layered
+over one of these, not a second way to build stacks.
+
+A 1-NIC server *is* the single-NIC server: its metrics, profile and
+fault-digest exports carry no ``nic<i>`` namespace, so they are
+byte-identical to a bare processor's.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.client.router import RouterStats, ShardRouter
+from repro.client.router import ShardRouter
 from repro.core.config import KVDirectConfig
 from repro.core.hashing import shard_of
 from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
-from repro.driver import run_closed_loop_sharded
 from repro.errors import ConfigurationError
 from repro.multi.stack import ServerStack
 from repro.obs.profiler import StageProfiler
@@ -48,19 +55,24 @@ class MultiNICServer:
             raise ConfigurationError("need at least one NIC")
         self.sim = sim
         self.nic_count = nic_count
-        base = config or KVDirectConfig(memory_size=4 << 20)
+        #: The base configuration; stack i runs it with seed ``base + i``.
+        self.config = config or KVDirectConfig(memory_size=4 << 20)
+        base = self.config
         #: The per-NIC stacks; stack i is named ``nic<i>`` and gets a
         #: distinct seed so the shards' hardware jitter is independent.
-        #: With ``profile=True`` each stack gets its own named
-        #: :class:`~repro.obs.profiler.StageProfiler` (``nic<i>`` prefixes
-        #: in merged exports).
+        #: With ``profile=True`` each stack gets its own
+        #: :class:`~repro.obs.profiler.StageProfiler`, named ``nic<i>``
+        #: (the prefix in merged exports) when there is more than one.
         self.stacks: List[ServerStack] = [
             ServerStack(
                 sim,
                 base.with_overrides(seed=base.seed + i),
                 name=f"nic{i}",
                 tracer=tracer,
-                profiler=StageProfiler(name=f"nic{i}") if profile else None,
+                profiler=(
+                    StageProfiler(name=f"nic{i}" if nic_count > 1 else "")
+                    if profile else None
+                ),
             )
             for i in range(nic_count)
         ]
@@ -79,53 +91,84 @@ class MultiNICServer:
         """The per-NIC KV processors (stack views)."""
         return [stack.processor for stack in self.stacks]
 
+    # -- data path ---------------------------------------------------------
+
     def shard_of(self, key: bytes) -> int:
         """The NIC owning a key.  Uses high hash bits so sharding stays
         independent of each shard's bucket index."""
         return shard_of(key, self.nic_count)
 
-    def submit(self, op: KVOperation) -> Event:
-        return self.stacks[self.shard_of(op.key)].submit(op)
+    def owner(self, key: bytes) -> ServerStack:
+        """The stack authoritative for a key."""
+        return self.stacks[shard_of(key, self.nic_count)]
+
+    def submit(
+        self, op: KVOperation, deadline_ns: Optional[float] = None
+    ) -> Event:
+        """Direct submission to the owning NIC (bypasses the wire)."""
+        return self.owner(op.key).processor.submit(
+            op, deadline_ns=deadline_ns
+        )
 
     def put_direct(self, key: bytes, value: bytes) -> None:
         """Functional insert bypassing timing (benchmark preparation)."""
-        self.stacks[self.shard_of(key)].put_direct(key, value)
+        self.owner(key).store.put(key, value)
+
+    def reset_measurements(self) -> None:
+        """Zero every store's access counters (after loading a corpus)."""
+        for stack in self.stacks:
+            stack.store.reset_measurements()
+
+    def primary_state(self) -> Dict[bytes, bytes]:
+        """The whole key space: shard ownership is disjoint, so the union
+        of the per-NIC stores."""
+        merged: Dict[bytes, bytes] = {}
+        for stack in self.stacks:
+            merged.update(stack.store.items())
+        return merged
 
     def router(self, **client_kwargs) -> ShardRouter:
         """A shard-aware client router over this server's stacks."""
         return ShardRouter(self.sim, self.stacks, **client_kwargs)
 
-    def run_clients(
-        self, ops: List[KVOperation], **client_kwargs
-    ) -> RouterStats:
-        """Drive all NICs end-to-end through the client/batching/wire
-        layer: one network client per NIC, key-hash routed."""
-        return self.router(**client_kwargs).run(ops)
+    # -- faults ------------------------------------------------------------
 
-    def run_closed_loop(
-        self,
-        ops: List[KVOperation],
-        concurrency_per_nic: int = 128,
-        timeline=None,
-    ) -> Dict[str, float]:
-        """Drive all NICs concurrently (direct submit); returns aggregate
-        statistics via the shared closed-loop harness."""
-        return run_closed_loop_sharded(
-            self, ops, concurrency_per_nic=concurrency_per_nic,
-            timeline=timeline,
+    @property
+    def faults_fired(self) -> int:
+        """Hardware faults injected so far, over every NIC."""
+        return sum(
+            stack.store.injector.fired
+            for stack in self.stacks
+            if stack.store.injector is not None
         )
+
+    def fault_digest_lines(self) -> List[str]:
+        """Canonical per-NIC fault-schedule digests (``<i>|<digest>``;
+        bare for a 1-NIC server) for folding into a soak digest."""
+        return [
+            (f"{index}|" if self.nic_count > 1 else "")
+            + stack.store.injector.schedule_digest()
+            for index, stack in enumerate(self.stacks)
+            if stack.store.injector is not None
+        ]
+
+    # -- observability -----------------------------------------------------
 
     def attach_timeline(self, sampler) -> None:
         """Attach every stack to a timeline sampler (``nic<i>`` series)."""
         sampler.bind(self.sim)
-        sampler.attach_server(self)
+        for stack in self.stacks:
+            sampler.attach_processor(stack.name, stack.processor)
 
     def register_metrics(
         self, registry: Optional[MetricsRegistry] = None
     ) -> MetricsRegistry:
         """One registry over every shard, namespaced per NIC
-        (``nic0.processor.deadline.*``, ``nic3.eth.*``, ...)."""
+        (``nic0.processor.deadline.*``, ``nic3.eth.*``, ...; a 1-NIC
+        server keeps the unnamespaced single-NIC names)."""
         registry = registry if registry is not None else MetricsRegistry()
         for stack in self.stacks:
-            stack.register_metrics(registry)
+            stack.processor.register_metrics(
+                registry, prefix=stack.name if self.nic_count > 1 else ""
+            )
         return registry

@@ -20,13 +20,11 @@ from typing import Optional
 
 from repro.client.client import KVClient
 from repro.core.config import KVDirectConfig
-from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.obs.profiler import StageProfiler
-from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 
 class ServerStack:
@@ -39,20 +37,15 @@ class ServerStack:
         config: Optional[KVDirectConfig] = None,
         name: str = "nic0",
         tracer: Optional[Tracer] = None,
-        store: Optional[KVDirectStore] = None,
         profiler: Optional[StageProfiler] = None,
     ) -> None:
         self.sim = sim
         self.name = name
-        if store is None:
-            store = KVDirectStore(config)
-        self.store = store
+        self.store = KVDirectStore(config)
         self.profiler = profiler
         self.processor = KVProcessor(
-            sim, store, tracer=tracer, profiler=profiler
+            sim, self.store, tracer=tracer, profiler=profiler
         )
-
-    # -- component views (everything is owned by the processor) ---------------
 
     @property
     def config(self) -> KVDirectConfig:
@@ -63,58 +56,7 @@ class ServerStack:
         """This stack's ethernet port."""
         return self.processor.network
 
-    @property
-    def decoder(self):
-        """This stack's batch/op decode pipeline."""
-        return self.processor.decoder
-
-    @property
-    def admission(self):
-        """This stack's ingress queue (None on the legacy blocking path)."""
-        return self.processor.admission
-
-    @property
-    def station(self):
-        """This stack's reservation station."""
-        return self.processor.station
-
-    # -- operation entry points ------------------------------------------------
-
     def client(self, **kwargs) -> KVClient:
         """A network client wired to this stack (full batching + wire
         path); kwargs forward to :class:`~repro.client.client.KVClient`."""
         return KVClient(self.sim, self.processor, **kwargs)
-
-    def submit(
-        self, op: KVOperation, deadline_ns: Optional[float] = None
-    ) -> Event:
-        """Direct submission into the pipeline (bypasses the wire)."""
-        return self.processor.submit(op, deadline_ns=deadline_ns)
-
-    def put_direct(self, key: bytes, value: bytes) -> None:
-        """Functional insert bypassing timing (benchmark preparation)."""
-        self.store.put(key, value)
-
-    # -- observability ---------------------------------------------------------
-
-    def register_metrics(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: Optional[str] = None,
-    ) -> MetricsRegistry:
-        """Register every layer of this stack under its shard namespace.
-
-        Defaults to the stack's name, so stack ``nic0`` exports
-        ``nic0.processor.deadline.*``, ``nic0.station.*`` and so on
-        alongside its siblings in one registry.  Pass ``prefix=""`` for
-        the unnamespaced single-NIC layout.
-        """
-        registry = registry if registry is not None else MetricsRegistry()
-        scope = self.name if prefix is None else prefix
-        return self.processor.register_metrics(registry, prefix=scope)
-
-    def attach_timeline(self, sampler, name: Optional[str] = None) -> None:
-        """Attach this stack's processor to a timeline sampler as a
-        series named after the stack (or ``name``)."""
-        sampler.bind(self.sim)
-        sampler.attach_processor(name or self.name, self.processor)

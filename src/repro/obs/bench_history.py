@@ -11,18 +11,17 @@ on regressions against a committed baseline
 
 The *simulated* metrics in a snapshot are deterministic for a fixed
 seed and config: sorted JSON keys, and the git revision falls back to
-``"unknown"`` outside a repository.  Schema 2 adds two deliberately
-nondeterministic fields - ``wall_clock_s`` and ``sim_ops_per_wall_s`` -
-so interpreter-speed regressions in the simulator itself are visible
-next to the simulated numbers; they are nullable, excluded from
-determinism comparisons, and a ``None`` on either side of a diff never
-gates.  Schema 3 adds timeline context the same way:
-``timeline_windows`` / ``timeline_digest`` record whether (and what) a
+``"unknown"`` outside a repository.  Two fields are deliberately
+nondeterministic - ``wall_clock_s`` and ``sim_ops_per_wall_s`` - so
+interpreter-speed regressions in the simulator itself are visible next
+to the simulated numbers; they are nullable, excluded from determinism
+comparisons, and a ``None`` on either side of a diff never gates.
+``timeline_windows`` / ``timeline_digest`` are context the same way:
+they record whether (and what) a
 :class:`~repro.obs.timeline.TimelineSampler` observed during the run -
 both null when the timeline was off, and never part of the diff gate.
-Schema-1/2 files (no wall / timeline fields) still load and diff.
-``tools/check_bench.py`` lints any ``BENCH_*.json`` against
-:func:`validate`.
+There is one schema (:data:`SCHEMA_VERSION`); ``tools/check_bench.py``
+lints any ``BENCH_*.json`` against :func:`validate`.
 """
 
 from __future__ import annotations
@@ -33,15 +32,10 @@ import subprocess
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
-#: Current snapshot schema version.
+#: The snapshot schema version (the only one that loads).
 SCHEMA_VERSION = 3
-#: Schema versions :func:`validate` accepts (1 predates wall-clock
-#: fields, 2 predates timeline fields).
-SUPPORTED_SCHEMAS = (1, 2, 3)
 
 #: Metrics where larger is better (may drop by at most the tolerance).
-#: ``sim_ops_per_wall_s`` is None in schema-1 baselines, so it reports
-#: but never gates until a v2 baseline is committed.
 HIGHER_BETTER = ("throughput_mops", "cache_hit_rate", "sim_ops_per_wall_s")
 #: Metrics where smaller is better (may rise by at most the tolerance).
 LOWER_BETTER = (
@@ -72,15 +66,15 @@ class BenchSnapshot:
     git_rev: str
     config_digest: str
     schema: int = SCHEMA_VERSION
-    #: Wall-clock seconds the closed-loop run took (schema 2; None in
-    #: schema-1 files).  Nondeterministic by design - never byte-gated.
+    #: Wall-clock seconds the closed-loop run took (None when the run
+    #: was not timed).  Nondeterministic by design - never byte-gated.
     wall_clock_s: Optional[float] = None
-    #: Simulated ops completed per wall-clock second (schema 2).
+    #: Simulated ops completed per wall-clock second.
     sim_ops_per_wall_s: Optional[float] = None
-    #: Timeline windows sampled during the run (schema 3; None when the
-    #: timeline was off).  Context only - never gated by ``bench diff``.
+    #: Timeline windows sampled during the run (None when the timeline
+    #: was off).  Context only - never gated by ``bench diff``.
     timeline_windows: Optional[float] = None
-    #: SHA-256 of the run's timeline JSONL (schema 3; None when off).
+    #: SHA-256 of the run's timeline JSONL (None when off).
     timeline_digest: Optional[str] = None
     #: Free-form context (workload parameters, per-class breakdowns...).
     extra: Dict[str, object] = field(default_factory=dict)
@@ -157,10 +151,9 @@ def validate(data: dict) -> List[str]:
     problems: List[str] = []
     if not isinstance(data, dict):
         return ["snapshot must be a JSON object"]
-    schema = data.get("schema")
-    if schema not in SUPPORTED_SCHEMAS:
+    if data.get("schema") != SCHEMA_VERSION:
         problems.append(
-            f"schema must be one of {SUPPORTED_SCHEMAS}, got {schema!r}"
+            f"schema must be {SCHEMA_VERSION}, got {data.get('schema')!r}"
         )
     for key, types in (
         ("name", str),
@@ -174,30 +167,22 @@ def validate(data: dict) -> List[str]:
         value = data.get(key)
         if not isinstance(value, types) or isinstance(value, bool):
             problems.append(f"field {key!r} must be {types}, got {value!r}")
-    nullable = ["latency_p50_ns", "latency_p95_ns", "latency_p99_ns"]
-    if isinstance(schema, int) and schema >= 2:
-        # Wall-clock fields are required (but nullable) from schema 2 on;
-        # schema-1 files predate them and may omit them entirely.
-        nullable += ["wall_clock_s", "sim_ops_per_wall_s"]
-    if isinstance(schema, int) and schema >= 3:
-        # Timeline fields are required (but nullable) from schema 3 on.
-        nullable += ["timeline_windows"]
-    for key in nullable:
+    # Required but nullable: latency (no op completed), wall clock (run
+    # not timed), timeline (sampler off).
+    number = ((int, float), "a number")
+    for key, (types, kind) in (
+        ("latency_p50_ns", number),
+        ("latency_p95_ns", number),
+        ("latency_p99_ns", number),
+        ("wall_clock_s", number),
+        ("sim_ops_per_wall_s", number),
+        ("timeline_windows", number),
+        ("timeline_digest", (str, "a string")),
+    ):
         if key not in data:
             problems.append(f"missing field {key!r}")
-        elif data[key] is not None and not isinstance(
-            data[key], (int, float)
-        ):
-            problems.append(f"field {key!r} must be a number or null")
-    if isinstance(schema, int) and schema >= 3:
-        if "timeline_digest" not in data:
-            problems.append("missing field 'timeline_digest'")
-        elif data["timeline_digest"] is not None and not isinstance(
-            data["timeline_digest"], str
-        ):
-            problems.append(
-                "field 'timeline_digest' must be a string or null"
-            )
+        elif data[key] is not None and not isinstance(data[key], types):
+            problems.append(f"field {key!r} must be {kind} or null")
     if "extra" in data and not isinstance(data["extra"], dict):
         problems.append("field 'extra' must be an object")
     return problems

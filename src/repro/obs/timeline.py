@@ -73,6 +73,16 @@ def _percentile_fields(hist: Histogram) -> Dict[str, Optional[float]]:
     }
 
 
+def _derive_rates(row: Dict[str, Any]) -> None:
+    """Window throughput and cache hit rate from the row's own deltas."""
+    elapsed = row["end_ns"] - row["start_ns"]
+    row["throughput_mops"] = (
+        mops(row["completed"], elapsed) if elapsed > 0 else 0.0
+    )
+    accesses = row["cache_hits"] + row["cache_misses"]
+    row["cache_hit_rate"] = row["cache_hits"] / accesses if accesses else None
+
+
 class _ProcessorSource:
     """Per-shard series over one :class:`~repro.core.processor.KVProcessor`.
 
@@ -120,14 +130,7 @@ class _ProcessorSource:
         # sim is single-threaded).
         self.window_hist = Histogram()
         self.processor.window_latencies = self.window_hist
-        elapsed = row["end_ns"] - row["start_ns"]
-        row["throughput_mops"] = (
-            mops(row["completed"], elapsed) if elapsed > 0 else 0.0
-        )
-        accesses = row["cache_hits"] + row["cache_misses"]
-        row["cache_hit_rate"] = (
-            row["cache_hits"] / accesses if accesses else None
-        )
+        _derive_rates(row)
         proc = self.processor
         row["station_occupancy"] = proc.station.occupancy
         row["ingress_depth"] = (
@@ -234,9 +237,10 @@ class TimelineSampler:
     """Windowed metric sampling on the simulator's own event loop.
 
     Construct with the window width, ``bind()`` a simulator (or pass one
-    up front), attach sources, then ``start()`` before driving load and
-    ``finish()`` after - the final partial window is closed there.  Each
-    closed window emits one row per attached processor (in attach order),
+    up front), attach sources (a topology's ``attach_timeline(sampler)``,
+    or :meth:`attach_processor` for a bare processor), then ``start()``
+    before driving load and ``finish()`` after - the final partial window
+    is closed there.  Each closed window emits one row per attached processor (in attach order),
     an ``"all"`` aggregate row when more than one processor is attached
     (window latency percentiles over the *merged* raw samples, not
     averaged percentiles), and a ``"cluster"`` row when a cluster is
@@ -285,19 +289,10 @@ class TimelineSampler:
             raise ConfigurationError("cannot attach sources after start()")
         self._sources.append(_ProcessorSource(name, processor))
 
-    def attach_server(self, server) -> None:
-        """Attach every stack of a :class:`MultiNICServer` under its name."""
-        for stack in server.stacks:
-            self.attach_processor(stack.name, stack.processor)
-
-    def attach_cluster(self, cluster, include_nodes: bool = True) -> None:
-        """Attach cluster-wide gauges (and, by default, each node's
-        processor under its ``node<i>`` name)."""
+    def attach_cluster(self, cluster) -> None:
+        """Add the cluster-wide gauge series (``"cluster"`` rows)."""
         if self._started:
             raise ConfigurationError("cannot attach sources after start()")
-        if include_nodes:
-            for node in cluster.nodes:
-                self.attach_processor(node.name, node.stack.processor)
         self._cluster = _ClusterSource(cluster)
 
     @property
@@ -380,14 +375,7 @@ class TimelineSampler:
         merged = Histogram()
         merged.record_many(merged_samples)
         row.update(_percentile_fields(merged))
-        elapsed = row["end_ns"] - row["start_ns"]
-        row["throughput_mops"] = (
-            mops(row["completed"], elapsed) if elapsed > 0 else 0.0
-        )
-        accesses = row["cache_hits"] + row["cache_misses"]
-        row["cache_hit_rate"] = (
-            row["cache_hits"] / accesses if accesses else None
-        )
+        _derive_rates(row)
         return row
 
     def _observe_anomalies(

@@ -54,34 +54,17 @@ class TestSnapshot:
     def test_load_rejects_invalid(self, tmp_path):
         path = tmp_path / "BENCH_bad.json"
         path.write_text(json.dumps({"schema": 99}))
-        with pytest.raises(ValueError, match="schema must be one of"):
+        with pytest.raises(ValueError, match="schema must be 3"):
             load_snapshot(str(path))
 
-    def test_schema1_file_still_loads(self, tmp_path):
-        """v1 snapshots (no wall-clock fields) load and default to None."""
-        path = tmp_path / "BENCH_v1.json"
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_older_schemas_no_longer_load(self, tmp_path, old):
+        path = tmp_path / "BENCH_old.json"
         data = json.loads(_snapshot().to_json())
-        data["schema"] = 1
-        del data["wall_clock_s"]
-        del data["sim_ops_per_wall_s"]
+        data["schema"] = old
         path.write_text(json.dumps(data))
-        loaded = load_snapshot(str(path))
-        assert loaded.schema == 1
-        assert loaded.wall_clock_s is None
-        assert loaded.sim_ops_per_wall_s is None
-
-    def test_schema2_file_still_loads(self, tmp_path):
-        """v2 snapshots (no timeline fields) load and default to None."""
-        path = tmp_path / "BENCH_v2.json"
-        data = json.loads(_snapshot().to_json())
-        data["schema"] = 2
-        del data["timeline_windows"]
-        del data["timeline_digest"]
-        path.write_text(json.dumps(data))
-        loaded = load_snapshot(str(path))
-        assert loaded.schema == 2
-        assert loaded.timeline_windows is None
-        assert loaded.timeline_digest is None
+        with pytest.raises(ValueError, match="schema must be 3"):
+            load_snapshot(str(path))
 
     def test_git_rev_is_rev_or_unknown(self):
         rev = git_rev()
@@ -112,35 +95,17 @@ class TestValidate:
         data = json.loads(_snapshot(latency_p99_ns=None).to_json())
         assert validate(data) == []
 
-    def test_schema2_requires_wall_fields(self):
+    def test_wall_and_timeline_fields_are_required_but_nullable(self):
         data = json.loads(_snapshot().to_json())
-        del data["wall_clock_s"]
+        assert data["wall_clock_s"] is None
+        assert data["timeline_digest"] is None
+        for key in ("wall_clock_s", "sim_ops_per_wall_s",
+                    "timeline_windows", "timeline_digest"):
+            del data[key]
         problems = validate(data)
-        assert any("wall_clock_s" in p for p in problems)
-
-    def test_schema1_wall_fields_optional(self):
-        data = json.loads(_snapshot().to_json())
-        data["schema"] = 1
-        del data["wall_clock_s"]
-        del data["sim_ops_per_wall_s"]
-        del data["timeline_windows"]
-        del data["timeline_digest"]
-        assert validate(data) == []
-
-    def test_schema3_requires_timeline_fields(self):
-        data = json.loads(_snapshot().to_json())
-        del data["timeline_windows"]
-        del data["timeline_digest"]
-        problems = validate(data)
-        assert any("timeline_windows" in p for p in problems)
-        assert any("timeline_digest" in p for p in problems)
-
-    def test_schema2_timeline_fields_optional(self):
-        data = json.loads(_snapshot().to_json())
-        data["schema"] = 2
-        del data["timeline_windows"]
-        del data["timeline_digest"]
-        assert validate(data) == []
+        for key in ("wall_clock_s", "sim_ops_per_wall_s",
+                    "timeline_windows", "timeline_digest"):
+            assert any(key in p for p in problems)
 
     def test_timeline_digest_must_be_string_or_null(self):
         data = json.loads(_snapshot().to_json())
@@ -223,10 +188,10 @@ class TestDiff:
         delta = [d for d in report.deltas if d.metric == "latency_p50_ns"]
         assert delta[0].change is None
 
-    def test_v1_baseline_never_gates_on_wall_speed(self):
-        """A schema-1 baseline has no wall fields -> reported, not gated."""
+    def test_untimed_baseline_never_gates_on_wall_speed(self):
+        """A baseline with null wall fields -> reported, not gated."""
         report = diff(
-            _snapshot(schema=1),
+            _snapshot(),
             _snapshot(wall_clock_s=3.0, sim_ops_per_wall_s=650.0),
         )
         assert report.passed
@@ -235,7 +200,7 @@ class TestDiff:
         ]
         assert delta and delta[0].change is None
 
-    def test_wall_speed_drop_regresses_between_v2_snapshots(self):
+    def test_wall_speed_drop_regresses(self):
         base = _snapshot(wall_clock_s=1.0, sim_ops_per_wall_s=1000.0)
         slow = _snapshot(wall_clock_s=2.0, sim_ops_per_wall_s=500.0)
         report = diff(base, slow)
@@ -257,8 +222,8 @@ class TestSnapshotFromRun:
     def test_end_to_end(self):
         from repro.core.processor import KVProcessor
         from repro.core.store import KVDirectStore
-        from repro.driver import run_closed_loop
         from repro.core.operations import KVOperation
+        from repro.driver import run_closed_loop
         from repro.sim import Simulator
 
         sim = Simulator()
@@ -335,3 +300,5 @@ class TestCommittedBaseline:
         for path in files:
             data = json.loads(path.read_text())
             assert validate(data) == [], path.name
+            assert data["sim_ops_per_wall_s"] > 0, path.name
+            assert data["timeline_digest"] is None, path.name

@@ -10,6 +10,7 @@ end to end through the :class:`~repro.client.router.ClusterRouter`.
 import pytest
 
 from repro.chaos import SoakConfig, run_soak
+from repro.client.robust import RetryBudget
 from repro.client.router import ClusterRouter
 from repro.core.config import KVDirectConfig
 from repro.core.operations import KVOperation
@@ -278,46 +279,85 @@ class TestFailover:
         assert cluster.counters.get("failovers") == 1
 
 
-class TestWrongEpochRace:
-    def test_epoch_bump_in_flight_forces_reroute(self):
-        """An epoch bump inside the route delay window NACKs the stale
-        stamp and the router re-reads the map and retries."""
-        sim, cluster = _cluster()
-        router = ClusterRouter(sim, cluster, route_delay_ns=100.0)
-        results = []
+_RETRY_OPS = {
+    "point": KVOperation.put(b"key000000", b"v", seq=0),
+    "scan": KVOperation.range(b"key000000", 4, seq=0),
+}
 
+
+@pytest.mark.parametrize("kind", sorted(_RETRY_OPS))
+class TestRetryLoop:
+    """The one ClusterRouter retry loop, for point ops (one primary) and
+    scans (every primary): each retryable NACK re-reads the map and
+    retries; the retry limit and the retry budget bound the churn."""
+
+    def _setup(self, **router_kwargs):
+        sim = Simulator()
+        cluster = Cluster(
+            sim, num_nodes=3, num_slots=8,
+            config=KVDirectConfig(memory_size=2 << 20, ordered_index=True),
+        )
+        cluster.preload(b"key000000", b"old")
+        router = ClusterRouter(sim, cluster, route_delay_ns=100.0,
+                               **router_kwargs)
+        return sim, cluster, router
+
+    def _bump_in_flight(self, sim, cluster):
         def bumper():
             # Land strictly inside the op's [stamp, arrival) window.
             yield sim.timeout(50.0)
             cluster.map.bump()
 
         sim.process(bumper())
-        _perform(sim, router, KVOperation.put(b"k", b"v", seq=0), results)
-        sim.run()
-        assert results and results[0].ok
-        assert router.counters.get("wrong_epoch_retries") >= 1
 
-    def test_retry_limit_bounds_epoch_churn(self):
-        sim, cluster = _cluster()
-        router = ClusterRouter(sim, cluster, retry_limit=0,
-                               route_delay_ns=100.0)
-
-        def bumper():
-            yield sim.timeout(50.0)
-            cluster.map.bump()
-
-        sim.process(bumper())
-        failures = []
+    def _outcome(self, sim, router, kind):
+        outcome = []
 
         def runner():
             try:
-                yield from router.perform(KVOperation.put(b"k", b"v", seq=0))
+                outcome.append((yield from router.perform(_RETRY_OPS[kind])))
             except RetryExhausted as exc:
-                failures.append(exc)
+                outcome.append(exc)
 
         sim.process(runner())
         sim.run()
-        assert failures
+        return outcome[0]
+
+    def test_node_down_fails_over_and_retries(self, kind):
+        sim, cluster, router = self._setup()
+        cluster.nodes[
+            cluster.map.primary(cluster.map.slot_of(b"key000000"))
+        ].die()
+        result = self._outcome(sim, router, kind)
+        sim.run(sim.process(cluster.quiesce()))
+        assert result.ok
+        assert router.counters.get("node_down_retries") >= 1
+        assert cluster.counters.get("failovers") == 1
+        assert cluster.map.epoch == 1
+
+    def test_epoch_bump_in_flight_forces_reroute(self, kind):
+        """An epoch bump inside the route delay window NACKs the stale
+        stamp and the router re-reads the map and retries."""
+        sim, cluster, router = self._setup()
+        self._bump_in_flight(sim, cluster)
+        assert self._outcome(sim, router, kind).ok
+        assert router.counters.get("wrong_epoch_retries") >= 1
+        assert router.counters.get("give_ups") == 0
+
+    def test_retry_limit_bounds_epoch_churn(self, kind):
+        sim, cluster, router = self._setup(retry_limit=0)
+        self._bump_in_flight(sim, cluster)
+        assert isinstance(self._outcome(sim, router, kind), RetryExhausted)
+        assert router.counters.get("give_ups") == 1
+
+    def test_empty_retry_budget_gives_up(self, kind):
+        budget = RetryBudget(capacity=0.5)
+        sim, cluster, router = self._setup(retry_budget=budget)
+        self._bump_in_flight(sim, cluster)
+        outcome = self._outcome(sim, router, kind)
+        assert isinstance(outcome, RetryExhausted)
+        assert "budget" in str(outcome)
+        assert budget.refused == 1
         assert router.counters.get("give_ups") == 1
 
 

@@ -7,8 +7,9 @@ seeds (no knife-edge artifacts).
 
 import pytest
 
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
+from repro.driver import run_closed_loop
 from repro.sim import Simulator
 from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
 

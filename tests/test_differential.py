@@ -18,9 +18,10 @@ import struct
 import pytest
 
 from repro.core.operations import KVOperation, OpType
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD
+from repro.driver import run_closed_loop
 from repro.errors import FaultInjected
 from repro.faults import FaultPlan
 from repro.sim import Simulator

@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.operations import KVOperation, OpType
-from repro.core.processor import KVProcessor, run_closed_loop
+from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD, apply_operation
+from repro.driver import run_closed_loop
 from repro.sim import Simulator
 
 

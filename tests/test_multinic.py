@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.operations import KVOperation
+from repro.driver import run_closed_loop
 from repro.errors import ConfigurationError
 from repro.multi import MultiNICServer
 from repro.sim import Simulator
@@ -62,7 +63,7 @@ class TestScaling:
             KVOperation.get(b"key%06d" % (i % 512), seq=i)
             for i in range(total)
         ]
-        return server.run_closed_loop(ops)["throughput_mops"]
+        return run_closed_loop(server, ops)["throughput_mops"]
 
     def test_two_nics_scale(self):
         one = self._throughput(1)
@@ -78,8 +79,8 @@ class TestScaling:
         sim = Simulator()
         server = MultiNICServer(sim, nic_count=2)
         server.put_direct(b"k", b"v")
-        stats = server.run_closed_loop(
-            [KVOperation.get(b"k", seq=i) for i in range(50)]
+        stats = run_closed_loop(
+            server, [KVOperation.get(b"k", seq=i) for i in range(50)]
         )
         assert stats["nics"] == 2.0
         assert stats["operations"] == 50.0
@@ -95,9 +96,10 @@ class TestScaling:
         server = MultiNICServer(sim, nic_count=4)
         for i in range(256):
             server.put_direct(b"key%06d" % i, b"v" * 5)
-        stats = server.run_closed_loop(
+        stats = run_closed_loop(
+            server,
             [KVOperation.get(b"key%06d" % (i % 256), seq=i)
-             for i in range(800)]
+             for i in range(800)],
         )
         for field in ("latency_p50_ns", "latency_p95_ns",
                       "latency_p99_ns", "latency_mean_ns"):
@@ -114,7 +116,7 @@ class TestScaling:
         reports None latency fields instead of crashing."""
         sim = Simulator()
         server = MultiNICServer(sim, nic_count=2)
-        stats = server.run_closed_loop([])
+        stats = run_closed_loop(server, [])
         assert stats["operations"] == 0.0
         assert stats["latency_p50_ns"] is None
         assert stats["latency_p99_ns"] is None

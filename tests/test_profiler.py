@@ -162,7 +162,7 @@ class TestSharded:
             KVOperation.get(b"key%04d" % (i % 256), seq=i)
             for i in range(1200)
         ]
-        server.run_closed_loop(ops)
+        run_closed_loop(server, ops)
         profilers = server.profilers
         assert len(profilers) == 4
         assert [p.name for p in profilers] == [f"nic{i}" for i in range(4)]
@@ -178,7 +178,7 @@ class TestSharded:
         server = MultiNICServer(sim, nic_count=2, profile=True)
         for i in range(64):
             server.put_direct(b"key%02d" % i, b"v" * 5)
-        server.run_closed_loop([
+        run_closed_loop(server, [
             KVOperation.get(b"key%02d" % (i % 64), seq=i)
             for i in range(200)
         ])

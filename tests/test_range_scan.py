@@ -17,10 +17,11 @@ from repro.core.operations import (
     OpType,
     decode_scan_payload,
     encode_scan_payload,
+    fan_out,
     merge_scan_payloads,
 )
 from repro.core.store import KVDirectStore
-from repro.driver import run_closed_loop_sharded
+from repro.driver import run_closed_loop
 from repro.errors import ProtocolError, UnsupportedOperation
 from repro.multi import MultiNICServer
 from repro.network.batching import BatchEncoder, decode_batch, encode_batch
@@ -280,8 +281,7 @@ def _sharded_scan_run(nics=4, seed=3):
         for i in range(10)
     ]
     scan_results = {}
-    stats = run_closed_loop_sharded(server, ops,
-                                    scan_results=scan_results)
+    stats = run_closed_loop(server, ops, scan_results=scan_results)
     return pairs, ops, scan_results, stats
 
 
@@ -329,18 +329,11 @@ class TestShardRouterScans:
         router.run(ops)
         return pairs, router.scan_results(ops)
 
-    def test_partition_replicates_scans(self):
-        sim = Simulator()
-        server = MultiNICServer(
-            sim, nic_count=3,
-            config=KVDirectConfig(memory_size=4 << 20,
-                                  ordered_index=True),
-        )
-        router = server.router()
-        parts = router.partition([
+    def test_fan_out_replicates_scans(self):
+        parts = fan_out([
             KVOperation.get(b"point", seq=0),
             KVOperation.range(b"start", 4, seq=1),
-        ])
+        ], 3)
         scans_per_shard = [
             sum(1 for op in part if op.carries_count) for part in parts
         ]
@@ -361,7 +354,7 @@ class TestShardRouterScans:
 
 
 class TestClusterScans:
-    def test_perform_scan_merges_across_primaries(self):
+    def test_perform_merges_scans_across_primaries(self):
         from repro.multi import Cluster
 
         sim = Simulator()
@@ -382,24 +375,10 @@ class TestClusterScans:
             for i in range(6):
                 op = KVOperation.range(b"key%05d" % (i * 9), 4,
                                        seq=200 + i)
-                results[i] = yield from router.perform_scan(op)
+                results[i] = yield from router.perform(op)
 
         sim.run(sim.process(driver()))
         for i in range(6):
             assert results[i].ok
             entries = decode_scan_payload(results[i].value, True)
             assert entries == pairs[i * 9:i * 9 + 4]
-
-    def test_perform_scan_rejects_point_ops(self):
-        from repro.errors import ConfigurationError
-        from repro.multi import Cluster
-
-        sim = Simulator()
-        cluster = Cluster(
-            sim, num_nodes=2, num_slots=4,
-            config=KVDirectConfig(memory_size=4 << 20,
-                                  ordered_index=True),
-        )
-        router = ClusterRouter(sim, cluster)
-        with pytest.raises(ConfigurationError):
-            next(router.perform_scan(KVOperation.get(b"k")))

@@ -168,16 +168,14 @@ class TestShardRouterEdgeCases:
         stacks[0].store.put(b"key000000", b"v" * 5)
         router = ShardRouter(sim, stacks)
         ops = [KVOperation.get(b"key000000", seq=i) for i in range(16)]
-        assert all(router.shard_of(op.key) == 0 for op in ops)
         stats = router.run(ops)
         assert stats.shards == 1
         assert stats.operations == 16
         assert len(stats.per_shard) == 1
 
     def test_mutated_stacks_are_refused_not_misrouted(self):
-        """Growing router.stacks after construction would make shard_of
-        hash keys to clients that do not exist; both lookups and runs
-        must fail loudly."""
+        """Growing router.stacks after construction would hash keys to
+        clients that do not exist; the run must fail loudly."""
         from repro.client import ShardRouter
         from repro.core.operations import KVOperation
         from repro.errors import ConfigurationError
@@ -187,24 +185,19 @@ class TestShardRouterEdgeCases:
         sim2, extra = self._stacks(1)
         router.stacks.append(extra[0])
         with pytest.raises(ConfigurationError):
-            for i in range(64):
-                router.shard_of(b"key%06d" % i)
-        with pytest.raises(ConfigurationError):
             router.run([KVOperation.get(b"key000000", seq=0)])
 
 
 class TestServerStackComposition:
-    def test_single_stack_matches_plain_processor_metrics(self):
-        """A 1-stack server with prefix '' registers the exact single-NIC
-        metric names."""
-        from repro.multi import ServerStack
+    def test_one_nic_server_keeps_plain_processor_metric_names(self):
+        from repro.multi import MultiNICServer
 
-        sim = Simulator()
-        stack = ServerStack(sim, name="nic0")
-        registry = stack.register_metrics(prefix="")
-        names = set(registry.collect())
+        names = set(
+            MultiNICServer(Simulator(), 1).register_metrics().collect()
+        )
         assert "processor.completed_ops" in names
         assert "station.occupancy" in names
+        assert not any(name.startswith("nic0") for name in names)
 
     def test_multinic_registry_prefixes_every_shard(self):
         from repro.multi import MultiNICServer

@@ -69,8 +69,8 @@ def _sharded_run(timeline=None, shards=4, ops=OPS, seed=7):
     )
     if timeline is not None:
         server.attach_timeline(timeline)
-    stats = server.run_closed_loop(
-        list(generator.operations(ops)), timeline=timeline
+    stats = run_closed_loop(
+        server, list(generator.operations(ops)), timeline=timeline
     )
     return server, stats
 

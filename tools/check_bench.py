@@ -7,9 +7,9 @@ committed as a baseline.  Each file must:
 
 * parse as JSON;
 * validate against the :mod:`repro.obs.bench_history` schema
-  (``schema`` version 1 or 2, required typed fields, nullable latency
-  percentiles, nullable wall-clock fields required from schema 2 on,
-  ``extra`` an object);
+  (``schema`` 3 - the only version; required typed fields; latency,
+  wall-clock and timeline fields required but nullable; ``extra`` an
+  object);
 * carry finite numbers - NaN/Infinity are rejected even though Python's
   ``json`` accepts them.
 
