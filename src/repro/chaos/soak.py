@@ -480,6 +480,9 @@ class _Soak:
         if self.cluster is not None:
             cluster = self.cluster
             report.divergences.extend(cluster.replication_divergences())
+            # Both comparisons above read the stores through the cluster's
+            # key directory; hold the directory itself to a bucket walk.
+            report.divergences.extend(cluster.directory_divergences())
             self._hash.update(f"epoch|{cluster.map.epoch}\n".encode())
             report.robustness = self.router.robustness_snapshot()
             report.cluster = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.constants import BUCKET_SIZE
 from repro.core.hashindex import (
@@ -49,6 +49,13 @@ MAX_KEY_SIZE = 255
 
 #: Largest record (header + key + value) that fits the biggest slab.
 MAX_RECORD_SIZE = 512
+
+#: What a never-written (or fully emptied, unchained) bucket looks like.
+_ZERO_BUCKET = Bucket.empty_bytes()
+
+#: ``read(addr, size) -> bytes``: ``memory.read`` (counted, traced) or
+#: ``memory.peek`` (neither).
+Reader = Callable[[int, int], bytes]
 
 
 @dataclass
@@ -179,6 +186,15 @@ class HashTable(Index):
         self._check_key(key)
         return self._get(key)
 
+    def peek(self, key: bytes) -> Optional[bytes]:
+        """Lookup that leaves no mark: the chain walk of :meth:`get` read
+        through ``memory.peek``, so no memory or table counter, cost
+        distribution or active trace sees it.  For control-plane readers
+        (cluster snapshots, replica comparison) that must not perturb the
+        measured data path."""
+        self._check_key(key)
+        return self._get(key, self.memory.peek)
+
     def utilization(self, total_memory: Optional[int] = None) -> float:
         """Stored KV bytes over the memory size ("memory utilization")."""
         total = total_memory if total_memory is not None else self.memory.size
@@ -212,18 +228,20 @@ class HashTable(Index):
     def bucket_addr(self, index: int) -> int:
         return self.base + index * BUCKET_SIZE
 
-    def _load(self, addr: int) -> Bucket:
-        return Bucket.unpack(self.memory.read(addr, BUCKET_SIZE))
+    def _load(self, addr: int, read: Optional[Reader] = None) -> Bucket:
+        return Bucket.unpack((read or self.memory.read)(addr, BUCKET_SIZE))
 
     def _store(self, addr: int, bucket: Bucket) -> None:
         self.memory.write(addr, bucket.pack())
 
-    def _chain(self, key: bytes) -> Iterator[Tuple[int, Bucket]]:
+    def _chain(
+        self, key: bytes, read: Optional[Reader] = None
+    ) -> Iterator[Tuple[int, Bucket]]:
         """Walk the bucket chain for a key, loading each bucket (1 DMA)."""
         h = fnv1a64(key)
         addr = self.bucket_addr(bucket_index(h, self.num_buckets))
         while True:
-            bucket = self._load(addr)
+            bucket = self._load(addr, read)
             yield addr, bucket
             if not bucket.chain_ptr:
                 return
@@ -236,10 +254,12 @@ class HashTable(Index):
             addr, _RECORD_HEADER.pack(len(key), len(value)) + key + value
         )
 
-    def _read_record(self, pointer: int, slab_type: int) -> Tuple[bytes, bytes]:
+    def _read_record(
+        self, pointer: int, slab_type: int, read: Optional[Reader] = None
+    ) -> Tuple[bytes, bytes]:
         """Read a slab record; one DMA of the slab's size class."""
         addr = pointer * POINTER_GRANULARITY
-        raw = self.memory.read(addr, class_size(slab_type))
+        raw = (read or self.memory.read)(addr, class_size(slab_type))
         klen, vlen = _RECORD_HEADER.unpack_from(raw)
         start = _RECORD_HEADER.size
         return raw[start : start + klen], raw[start + klen : start + klen + vlen]
@@ -253,9 +273,13 @@ class HashTable(Index):
 
     # -- GET -------------------------------------------------------------------------
 
-    def _get(self, key: bytes) -> Optional[bytes]:
+    def _get(
+        self, key: bytes, read: Optional[Reader] = None
+    ) -> Optional[bytes]:
+        """The lookup walk; ``read`` defaults to the counted
+        ``memory.read``, and only the counted walk bumps counters."""
         secondary = secondary_hash(fnv1a64(key))
-        for __, bucket in self._chain(key):
+        for __, bucket in self._chain(key, read):
             start = bucket.find_inline(key)
             if start is not None:
                 return bucket.read_inline(start)[1]
@@ -263,11 +287,12 @@ class HashTable(Index):
                 if sec != secondary:
                     continue
                 rkey, rvalue = self._read_record(
-                    pointer, bucket.slab_types[slot]
+                    pointer, bucket.slab_types[slot], read
                 )
                 if rkey == key:
                     return rvalue
-                self.counters.add("secondary_false_positives")
+                if read is None:
+                    self.counters.add("secondary_false_positives")
         return None
 
     # -- PUT -------------------------------------------------------------------------
@@ -474,11 +499,20 @@ class HashTable(Index):
     # -- debug / introspection -----------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        """Scan every stored KV (uncounted; for tests and tooling)."""
+        """Scan every stored KV (uncounted; for tests and tooling).
+
+        The reference walk other structures are checked against: it
+        derives the contents from the memory image alone.  All-zero
+        buckets - most of a sparsely filled table - hold nothing and
+        chain nowhere, so they are skipped without decoding.
+        """
         for index in range(self.num_buckets):
             addr = self.bucket_addr(index)
             while True:
-                bucket = Bucket.unpack(self.memory.peek(addr, BUCKET_SIZE))
+                raw = self.memory.peek(addr, BUCKET_SIZE)
+                if raw == _ZERO_BUCKET:
+                    break
+                bucket = Bucket.unpack(raw)
                 for start, __ in bucket.inline_spans():
                     yield bucket.read_inline(start)
                 for slot, pointer, __ in bucket.pointer_slots():

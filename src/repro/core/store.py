@@ -222,6 +222,11 @@ class KVDirectStore:
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         return self.table.items()
 
+    def peek(self, key: bytes) -> Optional[bytes]:
+        """Value of ``key`` or None, uncounted and untraced (like
+        :meth:`items`, for one key)."""
+        return self.table.peek(key)
+
     def utilization(self) -> float:
         """Stored KV bytes over total KV memory."""
         return self.table.utilization()

@@ -30,6 +30,14 @@ further side effects; failover then
 4. migrates each affected slot's keys to a freshly chosen backup to
    re-establish the replication factor, then unblocks writes.
 
+The cluster also keeps a **live-key directory** - per node, per slot, the
+set of keys that node's store holds - maintained where cluster-mode
+mutations already pass (:meth:`Cluster.preload`, :meth:`Cluster.replicate`
+at write settle, :meth:`Cluster.apply_state`).  Snapshots and replica
+comparison read exactly a slot's keys through the store's uncounted point
+lookup instead of walking every bucket; the directory holds keys only, so
+every compared value is still the store's own bytes.
+
 Everything runs in simulated time under deterministic seeds: failover
 time and replication lag are histograms in sim-ns, and the fault log
 (including the kill itself) folds into the soak digest, so two runs of
@@ -40,7 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import KVDirectConfig
 from repro.core.hashing import shard_of
@@ -212,19 +220,20 @@ class ClusterNode:
                 NodeDown(f"{self.name} is stalled", node=self.index,
                          reason="stalled")
             )
-        injector = cluster.injector
-        if injector.node_kill(self.name, now):
-            self.alive = False
-            return self._nack(
-                NodeDown(f"{self.name} died", node=self.index,
-                         reason="killed")
-            )
-        if injector.node_stall(self.name, now):
-            self.stalled_until = now + injector.plan.node_stall_ns
-            return self._nack(
-                NodeDown(f"{self.name} stalled", node=self.index,
-                         reason="stalled")
-            )
+        if cluster.has_node_faults:
+            injector = cluster.injector
+            if injector.node_kill(self.name, now):
+                self.alive = False
+                return self._nack(
+                    NodeDown(f"{self.name} died", node=self.index,
+                             reason="killed")
+                )
+            if injector.node_stall(self.name, now):
+                self.stalled_until = now + injector.plan.node_stall_ns
+                return self._nack(
+                    NodeDown(f"{self.name} stalled", node=self.index,
+                             reason="stalled")
+                )
         if op.epoch != -1 and op.epoch != cluster.map.epoch:
             return self._nack(
                 WrongEpoch(
@@ -297,8 +306,9 @@ class ReplicationChannel:
             backup = cluster.map.backup(self.slot)
             if backup is None or not cluster.nodes[backup].alive:
                 cluster.counters.add("replication_skipped")
-            else:
-                cluster.apply_state(cluster.nodes[backup], key, value)
+            elif cluster.apply_state(
+                cluster.nodes[backup], self.slot, key, value
+            ):
                 cluster.counters.add("replication_applies")
                 cluster.replication_lag_ns.record(sim.now - acked_at)
         self._draining = False
@@ -340,12 +350,24 @@ class Cluster:
         self.injector = FaultInjector(
             base.fault_plan or FaultPlan(), seed=base.seed
         )
+        plan = self.injector.plan
+        #: Whether arrivals draw the node kill/stall sites at all (a
+        #: zero-probability draw never fires and never touches the RNG).
+        self.has_node_faults = (
+            plan.node_kill_prob > 0.0 or plan.node_stall_prob > 0.0
+        )
         self.nodes: List[ClusterNode] = [
             ClusterNode(self, index, stack)
             for index, stack in enumerate(self.server.stacks)
         ]
         self.channels = [
             ReplicationChannel(self, slot) for slot in range(num_slots)
+        ]
+        #: The live-key directory: ``directory[node][slot]`` is the set of
+        #: keys of that slot held by that node's store (keys only - values
+        #: are always read from the store itself).
+        self.directory: List[List[Set[bytes]]] = [
+            [set() for __ in range(num_slots)] for __ in self.nodes
         ]
         #: Slots currently write-blocked by an in-progress migration.
         self.migrating_slots: Set[int] = set()
@@ -359,9 +381,10 @@ class Cluster:
         """Functional insert to primary *and* backup (benchmark prep)."""
         slot = self.map.slot_of(key)
         placement = self.map.placements[slot]
-        self.nodes[placement.primary].store.put(key, value)
-        if placement.backup is not None:
-            self.nodes[placement.backup].store.put(key, value)
+        for holder in (placement.primary, placement.backup):
+            if holder is not None:
+                self.nodes[holder].store.put(key, value)
+                self.directory[holder][slot].add(key)
 
     def owner(self, key: bytes) -> ServerStack:
         """The stack currently authoritative for a key (its primary's)."""
@@ -373,19 +396,27 @@ class Cluster:
         Called on *every* write settle - success or failure - because a
         hardware fault during timing replay can fire after functional
         execution; snapshotting the store's actual state is correct in
-        both cases and keeps replication idempotent.
+        both cases and keeps replication idempotent.  The same snapshot
+        tells the directory whether the primary now holds the key.
         """
-        self.channels[slot].enqueue(
-            key, primary.store.get(key), self.sim.now
-        )
+        value = primary.store.get(key)
+        self._track(primary, slot, key, value is not None)
+        self.channels[slot].enqueue(key, value, self.sim.now)
 
     def apply_state(
-        self, node: ClusterNode, key: bytes, value: Optional[bytes]
-    ) -> None:
-        """Apply one state record to a node's store (put or delete).
+        self,
+        node: ClusterNode,
+        slot: int,
+        key: bytes,
+        value: Optional[bytes],
+    ) -> bool:
+        """Apply one state record of ``slot`` to a node's store (put or
+        delete); returns whether it landed.
 
         Injected slab exhaustion is a fresh draw per attempt, so a failed
         apply retries (bounded) rather than silently dropping the record.
+        Past the bound the record is counted as a failure, the directory
+        is left as it was, and the caller must not account it as applied.
         """
         for __ in range(64):
             try:
@@ -393,10 +424,23 @@ class Cluster:
                     node.store.delete(key)
                 else:
                     node.store.put(key, value)
-                return
             except KVDirectError:
                 self.counters.add("replication_apply_retries")
+            else:
+                self._track(node, slot, key, value is not None)
+                return True
         self.counters.add("replication_apply_failures")
+        return False
+
+    def _track(
+        self, node: ClusterNode, slot: int, key: bytes, present: bool
+    ) -> None:
+        """Record in the directory that ``node`` holds / dropped ``key``."""
+        keys = self.directory[node.index][slot]
+        if present:
+            keys.add(key)
+        else:
+            keys.discard(key)
 
     # -- faults and failover ----------------------------------------------
 
@@ -496,15 +540,17 @@ class Cluster:
             target = self.nodes[new_backup]
             # Clear any stale copy of this slot before the fresh snapshot
             # (a delete at the primary must not resurrect at the backup).
-            for key in sorted(self._slot_items(target, slot)):
-                self.apply_state(target, key, None)
+            # Both lists are sorted: migration order, and so every
+            # timestamp, must not depend on set iteration order.
+            for key in sorted(self.directory[new_backup][slot]):
+                self.apply_state(target, slot, key, None)
             snapshot = sorted(
                 self._slot_items(self.nodes[owner], slot).items()
             )
             for key, value in snapshot:
                 yield self.sim.timeout(MIGRATION_DELAY_PER_KEY_NS)
-                self.apply_state(target, key, value)
-                self.counters.add("migrated_keys")
+                if self.apply_state(target, slot, key, value):
+                    self.counters.add("migrated_keys")
             self.map.placements[slot] = Placement(
                 primary=owner, backup=new_backup
             )
@@ -523,14 +569,14 @@ class Cluster:
 
     # -- settling ----------------------------------------------------------
 
-    def _slot_items(self, node: ClusterNode, slot: int) -> dict:
-        """The keys of one slot held by one node (primary or backup copy)."""
-        slot_of = self.map.slot_of
-        return {
-            key: value
-            for key, value in node.store.items()
-            if slot_of(key) == slot
-        }
+    def _slot_items(
+        self, node: ClusterNode, slot: int
+    ) -> Dict[bytes, Optional[bytes]]:
+        """One node's copy of one slot: the directory's keys, each value
+        read from the node's own memory image (uncounted, so snapshots
+        and replica comparison never move a measured number)."""
+        peek = node.store.peek
+        return {key: peek(key) for key in self.directory[node.index][slot]}
 
     def quiesce(self):
         """Generator: wait for every channel to drain and every failover
@@ -577,6 +623,35 @@ class Cluster:
                     f"(missing={missing!r}, extra={extra!r}, "
                     f"stale={stale!r})"
                 )
+        return problems
+
+    def directory_divergences(self) -> List[str]:
+        """Per live node and slot, directory-vs-store mismatches.
+
+        The reference is a full bucket walk of the node's memory image
+        (one per node), which shares nothing with the directory's
+        bookkeeping.  Call once traffic has settled: a write reaches the
+        directory when it settles, not when it executes.
+        """
+        problems: List[str] = []
+        slot_of = self.map.slot_of
+        for node in self.nodes:
+            if not node.alive:
+                continue
+            walked: List[Set[bytes]] = [
+                set() for __ in range(self.map.num_slots)
+            ]
+            for key in node.store.keys():
+                walked[slot_of(key)].add(key)
+            for slot, want in enumerate(walked):
+                have = self.directory[node.index][slot]
+                if have != want:
+                    problems.append(
+                        f"{node.name} slot {slot}: directory diverged "
+                        f"from the store walk "
+                        f"(missing={sorted(want - have)!r}, "
+                        f"extra={sorted(have - want)!r})"
+                    )
         return problems
 
     @property

@@ -7,14 +7,20 @@ the epoch bump, byte-identical digests for seeded runs - are exercised
 end to end through the :class:`~repro.client.router.ClusterRouter`.
 """
 
+import random
+import struct
+
 import pytest
 
 from repro.chaos import SoakConfig, run_soak
 from repro.client.robust import RetryBudget
 from repro.client.router import ClusterRouter
 from repro.core.config import KVDirectConfig
+from repro.core.hashtable import HashTable
 from repro.core.operations import KVOperation
+from repro.core.vector import FETCH_ADD
 from repro.errors import (
+    AllocationError,
     ConfigurationError,
     NodeDown,
     RetryExhausted,
@@ -277,6 +283,223 @@ class TestFailover:
         cluster.notice_node_down(1)
         sim.run(sim.process(cluster.quiesce()))
         assert cluster.counters.get("failovers") == 1
+
+
+def _walk_slot_items(cluster, node, slot):
+    """The reference ``_slot_items``: filter a full bucket walk."""
+    return {
+        key: value for key, value in node.store.items()
+        if cluster.map.slot_of(key) == slot
+    }
+
+
+def _mixed_ops(count):
+    """PUTs (inline and slab-sized), DELETEs, fetch-adds and GETs over a
+    small key space, so keys appear, change representation and vanish."""
+    rng = random.Random(0)
+    ops = []
+    for seq in range(count):
+        key = b"key%06d" % rng.randrange(96)
+        kind = rng.randrange(10)
+        if kind < 5:
+            value = struct.pack("<q", seq) * rng.choice((1, 5))
+            ops.append(KVOperation.put(key, value, seq=seq))
+        elif kind < 7:
+            ops.append(KVOperation.delete(key, seq=seq))
+        elif kind < 9:
+            ops.append(KVOperation.update(
+                key, FETCH_ADD, struct.pack("<q", 3), seq=seq
+            ))
+        else:
+            ops.append(KVOperation.get(key, seq=seq))
+    return ops
+
+
+def _killed_run(plan=None):
+    """Preload, route mixed traffic, kill node 0 mid-run, quiesce."""
+    sim = Simulator()
+    cluster = Cluster(
+        sim, num_nodes=3, num_slots=8,
+        config=KVDirectConfig(memory_size=2 << 20, fault_plan=plan),
+    )
+    for i in range(0, 96, 2):
+        cluster.preload(b"key%06d" % i, struct.pack("<q", i))
+    cluster.kill_after_accepts(0, 64)
+    stats = ClusterRouter(sim, cluster).run(_mixed_ops(600), concurrency=8)
+    return cluster, stats
+
+
+class TestKeyDirectory:
+    """The per-node, per-slot live-key directory against the bucket walk
+    it replaced on the failover and replica-comparison paths."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            None,
+            FaultPlan(
+                slab_exhaust_prob=0.05,
+                node_stall_prob=0.02, node_stall_ns=500.0,
+            ),
+        ],
+        ids=["clean", "slab-exhaust+node-stall"],
+    )
+    def test_directory_equals_the_bucket_walk(self, plan):
+        cluster, stats = _killed_run(plan)
+        assert cluster.counters.get("failovers") == 1
+        assert cluster.counters.get("migrated_keys") > 0
+        if plan is None:
+            assert stats["failed"] == 0
+        else:
+            assert cluster.faults_fired > 0
+        for node in cluster.nodes:
+            if not node.alive:
+                continue
+            for slot in range(cluster.map.num_slots):
+                walked = _walk_slot_items(cluster, node, slot)
+                assert cluster.directory[node.index][slot] == set(walked)
+                assert cluster._slot_items(node, slot) == walked
+        assert cluster.directory_divergences() == []
+        assert cluster.replication_divergences() == []
+
+    def test_directory_divergence_is_reported(self):
+        __, cluster = _cluster()
+        node = cluster.nodes[1]
+        # A write behind the cluster's back is exactly what the walk is
+        # kept to catch.
+        node.store.put(b"untracked", b"v")
+        slot = cluster.map.slot_of(b"untracked")
+        (problem,) = cluster.directory_divergences()
+        assert f"{node.name} slot {slot}" in problem
+        assert "missing=[b'untracked']" in problem
+
+    def test_data_path_never_walks_buckets(self, monkeypatch):
+        want = _killed_run()[0].counters.get("migrated_keys")
+
+        def no_walk(self):
+            raise AssertionError("bucket walk on the cluster data path")
+
+        monkeypatch.setattr(HashTable, "items", no_walk)
+        cluster, stats = _killed_run()
+        assert stats["completed"] == stats["operations"]
+        assert cluster.counters.get("failovers") == 1
+        assert cluster.counters.get("migrated_keys") == want
+        assert cluster.replication_divergences() == []
+        assert len(cluster.primary_state()) == sum(
+            len(cluster.directory[cluster.map.primary(slot)][slot])
+            for slot in range(cluster.map.num_slots)
+        )
+
+    def test_deletes_leave_no_trace_and_do_not_resurrect(self):
+        sim, cluster = _cluster()
+        router = ClusterRouter(sim, cluster)
+        key = b"key000000"
+        slot = cluster.map.slot_of(key)
+        placement = cluster.map.placements[slot]
+        spare = cluster.nodes[
+            3 - placement.primary - placement.backup
+        ]
+        # A stale copy where the slot will be re-replicated to.
+        assert cluster.apply_state(spare, slot, key, b"stale")
+        router.run(
+            [KVOperation.put(key, b"v", seq=0),
+             KVOperation.delete(key, seq=1)],
+            concurrency=1,
+        )
+        for index in (placement.primary, placement.backup):
+            assert key not in cluster.directory[index][slot]
+            assert cluster.nodes[index].store.get(key) is None
+        cluster.nodes[placement.backup].die()
+        cluster.notice_node_down(placement.backup)
+        sim.run(sim.process(cluster.quiesce()))
+        assert cluster.map.backup(slot) == spare.index
+        assert key not in cluster.directory[spare.index][slot]
+        assert spare.store.get(key) is None
+        assert key not in cluster.primary_state()
+        assert cluster.directory_divergences() == []
+
+
+class TestFailedApply:
+    """A state record that never lands is a failure, not an apply."""
+
+    @staticmethod
+    def _break_puts(node):
+        def put(key, value):
+            raise AllocationError("injected: dynamic area exhausted")
+
+        node.store.put = put
+
+    def test_apply_state_reports_whether_the_record_landed(self):
+        sim, cluster = _cluster()
+        node = cluster.nodes[0]
+        assert cluster.apply_state(node, 0, b"k", b"v")
+        assert cluster.apply_state(node, 0, b"k", None)
+        self._break_puts(node)
+        assert not cluster.apply_state(node, 0, b"k", b"v")
+        assert cluster.counters.get("replication_apply_retries") == 64
+        assert cluster.counters.get("replication_apply_failures") == 1
+        assert cluster.directory[0][0] == set()
+
+    def test_failed_replication_is_not_counted_as_applied(self):
+        sim, cluster = _cluster()
+        key = b"key000000"
+        slot = cluster.map.slot_of(key)
+        backup = cluster.map.backup(slot)
+        self._break_puts(cluster.nodes[backup])
+        ClusterRouter(sim, cluster).run([KVOperation.put(key, b"v", seq=0)])
+        assert cluster.counters.get("replication_records") == 1
+        assert cluster.counters.get("replication_apply_failures") == 1
+        assert cluster.counters.get("replication_applies") == 0
+        assert cluster.replication_lag_ns.count == 0
+        assert key not in cluster.directory[backup][slot]
+        assert len(cluster.replication_divergences()) == 1
+
+    def test_failed_migration_copies_are_not_counted_as_migrated(self):
+        sim, cluster = _cluster()
+        for i in range(32):
+            cluster.preload(b"key%06d" % i, b"v")
+        for node in cluster.nodes[1:]:
+            self._break_puts(node)
+        cluster.nodes[0].die()
+        cluster.notice_node_down(0)
+        sim.run(sim.process(cluster.quiesce()))
+        assert cluster.counters.get("failovers") == 1
+        assert cluster.counters.get("replication_apply_failures") > 0
+        assert cluster.counters.get("migrated_keys") == 0
+        assert cluster.directory_divergences() == []
+
+
+class TestNodeFaultDraws:
+    def test_no_draws_without_node_faults_in_the_plan(self, monkeypatch):
+        sim, cluster = _cluster()
+        assert not cluster.has_node_faults
+        drawn = []
+        fire = cluster.injector.fire
+        monkeypatch.setattr(
+            cluster.injector, "fire",
+            lambda site, *args, **kwargs: (
+                drawn.append(site) or fire(site, *args, **kwargs)
+            ),
+        )
+        cluster.kill_after_accepts(0, 4)
+        stats = ClusterRouter(sim, cluster).run(_mixed_ops(64))
+        assert stats["completed"] == 64
+        # Only the scheduled kill reaches the injector (and its log).
+        assert drawn == ["node0.kill"]
+        assert cluster.injector.fired == 1
+
+    @pytest.mark.parametrize("field", ["node_kill_prob", "node_stall_prob"])
+    def test_either_probability_turns_the_draws_on(self, field):
+        sim = Simulator()
+        cluster = Cluster(
+            sim, num_nodes=2,
+            config=KVDirectConfig(
+                memory_size=2 << 20, fault_plan=FaultPlan(**{field: 0.5}),
+            ),
+        )
+        assert cluster.has_node_faults
+        ClusterRouter(sim, cluster).run(_mixed_ops(32))
+        assert cluster.injector.fired > 0
 
 
 _RETRY_OPS = {

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.constants import BUCKET_SIZE
+from repro.core.hashindex import POINTER_GRANULARITY, Bucket
+from repro.core.hashing import fnv1a64, secondary_hash
 from repro.core.hashtable import HashTable
 from repro.core.slab import SlabAllocator
-from repro.core.slab_host import HostSlabManager
+from repro.core.slab_host import HostSlabManager, class_size
 from repro.dram.host import MemoryImage
 from repro.errors import ConfigurationError, KeyTooLargeError
 
@@ -283,6 +286,137 @@ class TestAccounting:
             table.put(key, value)
             expected[key] = value
         assert dict(table.items()) == expected
+
+
+def _undecoded_walk(table):
+    """``HashTable.items()`` without the zero-bucket skip: decode every
+    bucket.  The order it yields in is the order ``items()`` must keep."""
+    for index in range(table.num_buckets):
+        addr = table.bucket_addr(index)
+        while True:
+            bucket = Bucket.unpack(table.memory.peek(addr, BUCKET_SIZE))
+            for start, __ in bucket.inline_spans():
+                yield bucket.read_inline(start)
+            for slot, pointer, __ in bucket.pointer_slots():
+                raw = table.memory.peek(
+                    pointer * POINTER_GRANULARITY,
+                    class_size(bucket.slab_types[slot]),
+                )
+                klen, vlen = raw[0], int.from_bytes(raw[1:3], "little")
+                yield raw[3 : 3 + klen], raw[3 + klen : 3 + klen + vlen]
+            if not bucket.chain_ptr:
+                break
+            addr = bucket.chain_ptr * POINTER_GRANULARITY
+
+
+class TestItemsWalk:
+    def test_sparse_table_keeps_order_and_contents(self):
+        table = make_table()
+        for i in range(300):
+            table.put(b"k%04d" % i, b"v" * (i % 60))
+        for i in range(0, 300, 3):
+            table.delete(b"k%04d" % i)
+        zero = sum(
+            table.memory.peek(table.bucket_addr(i), BUCKET_SIZE)
+            == Bucket.empty_bytes()
+            for i in range(table.num_buckets)
+        )
+        assert zero > 0.9 * table.num_buckets
+        assert list(table.items()) == list(_undecoded_walk(table))
+        assert len(list(table.items())) == len(table) == 200
+
+    def test_emptied_head_bucket_still_leads_to_its_chain(self):
+        """Empty but not all-zero: the chain pointer survives."""
+        table = make_table(
+            memory_size=1 << 16, index_ratio=64 / (1 << 16),
+            inline_threshold=40,
+        )
+        assert table.num_buckets == 1
+        keys = [b"k%03d" % i for i in range(40)]
+        for key in keys:
+            table.put(key, b"v" * 30)
+        head = Bucket.unpack(table.memory.peek(0, BUCKET_SIZE))
+        in_head = [head.read_inline(s)[0] for s, __ in head.inline_spans()]
+        for key in in_head:
+            table.delete(key)
+        head = Bucket.unpack(table.memory.peek(0, BUCKET_SIZE))
+        assert head.has_no_entries() and head.chain_ptr
+        assert list(table.items()) == list(_undecoded_walk(table))
+        assert {k for k, __ in table.items()} == set(keys) - set(in_head)
+
+
+class TestUncountedPeek:
+    """``peek`` is ``get`` minus every observable side effect."""
+
+    @staticmethod
+    def _footprint(table):
+        return (
+            table.memory.counters.snapshot(),
+            table.counters.snapshot(),
+            table.get_cost.count,
+        )
+
+    def _assert_peek_matches_get(self, table, keys):
+        table.memory.start_trace()
+        before = self._footprint(table)
+        peeked = [table.peek(key) for key in keys]
+        assert self._footprint(table) == before
+        assert table.memory.stop_trace() == []
+        assert peeked == [table.get(key) for key in keys]
+        return peeked
+
+    def test_inline_slab_and_missing(self):
+        table = make_table()
+        table.put(b"small", b"v")
+        table.put(b"large", b"x" * 100)
+        table.put(b"empty", b"")
+        peeked = self._assert_peek_matches_get(
+            table, [b"small", b"large", b"empty", b"absent"]
+        )
+        assert peeked == [b"v", b"x" * 100, b"", None]
+
+    def test_chained_buckets(self):
+        table = make_table(memory_size=1 << 16, index_ratio=0.01)
+        keys = [b"key%04d" % i for i in range(300)]
+        for i, key in enumerate(keys):
+            table.put(key, b"v" * (20 + i % 40))
+        assert table.counters["chained_buckets"] > 0
+        self._assert_peek_matches_get(table, keys + [b"absent"])
+
+    def test_secondary_hash_false_positive(self):
+        # One bucket, slab records only: two keys with equal secondary
+        # hashes share a chain, so looking up the later-placed one reads
+        # the other's record first.
+        table = make_table(
+            memory_size=1 << 16, index_ratio=64 / (1 << 16),
+            inline_threshold=0,
+        )
+        by_secondary = {}
+        for i in range(2000):
+            key = b"fp%05d" % i
+            twin = by_secondary.setdefault(
+                secondary_hash(fnv1a64(key)), key
+            )
+            if twin != key:
+                break
+        table.put(twin, b"first")
+        table.put(key, b"second")
+        seen = table.counters["secondary_false_positives"]
+        assert table.get(key) == b"second"
+        assert table.counters["secondary_false_positives"] == seen + 1
+        assert self._assert_peek_matches_get(table, [twin, key]) == [
+            b"first", b"second",
+        ]
+        # The helper's counted lookup hit the false positive once more;
+        # its uncounted one did not register.
+        assert table.counters["secondary_false_positives"] == seen + 2
+
+    def test_rejects_what_get_rejects(self):
+        table = make_table()
+        with pytest.raises(KeyTooLargeError):
+            table.peek(b"")
+        with pytest.raises(TypeError):
+            table.peek("text")
 
 
 class TestPropertyBased:

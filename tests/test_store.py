@@ -79,6 +79,13 @@ class TestCrud(object):
         store.put(b"b", b"2")
         assert dict(store.items()) == {b"a": b"1", b"b": b"2"}
 
+    def test_peek_is_an_uncounted_get(self, store):
+        store.put(b"a", b"1")
+        stats = store.dma_stats()
+        assert store.peek(b"a") == b"1"
+        assert store.peek(b"b") is None
+        assert store.dma_stats() == stats
+
 
 class TestAtomics:
     def test_fetch_add_sequencer(self, store):
