@@ -14,9 +14,34 @@ from typing import Optional
 from repro import constants
 from repro.dram.host import MemoryImage
 from repro.errors import ConfigurationError
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import BandwidthServer
 from repro.sim.stats import Counter
+
+
+class _Burst:
+    """One access in flight: issue -> channel drained -> latency -> done,
+    a queue hop each - the first too (``docs/MODELING.md``, "Same-instant
+    ordering contract", has the run that moves when it is dropped)."""
+
+    __slots__ = ("dram", "nbytes", "done")
+
+    def __init__(self, dram: "NICDram", nbytes: int) -> None:
+        self.dram = dram
+        self.nbytes = nbytes
+        self.done = Event(dram.sim)
+        dram.sim.call_soon(self.issue)
+
+    def issue(self, _entry) -> None:
+        dram = self.dram
+        dram.sim.call_when(dram.channel.reserve(self.nbytes), self.drained)
+
+    def drained(self, _entry) -> None:
+        dram = self.dram
+        dram.sim.call_after(dram.latency_ns, self.landed)
+
+    def landed(self, _entry) -> None:
+        self.dram.sim.finish(self.done)
 
 
 class NICDram:
@@ -47,16 +72,11 @@ class NICDram:
         self.image = image
         self.counters = Counter()
 
-    def access(self, nbytes: int, write: bool = False) -> Process:
+    def access(self, nbytes: int, write: bool = False) -> Event:
         """Timed access of ``nbytes``; completes when the burst drains."""
-        kind = "writes" if write else "reads"
-        self.counters.add(kind)
-        self.counters.add(f"{kind[:-1]}_bytes", nbytes)
-        return self.sim.process(self._access(nbytes))
-
-    def _access(self, nbytes: int):
-        yield self.channel.transfer(nbytes)
-        yield self.sim.timeout(self.latency_ns)
+        self.counters.add("writes" if write else "reads")
+        self.counters.add("write_bytes" if write else "read_bytes", nbytes)
+        return _Burst(self, nbytes).done
 
     @property
     def accesses(self) -> int:

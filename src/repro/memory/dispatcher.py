@@ -60,7 +60,15 @@ class LoadDispatcher:
 
     def is_cacheable(self, addr: int) -> bool:
         """True if the 64 B line holding ``addr`` is in the cacheable part."""
-        return address_hash(self.line_of(addr)) < self.ratio
+        return self.caches_line(addr // self.line_size)
+
+    def caches_line(self, line_index: int) -> bool:
+        """:meth:`is_cacheable` for a caller that already holds the line
+        index (the access engine, once per line): :func:`address_hash`
+        written out, so the per-line question is one call."""
+        return (
+            (line_index * _HASH_MULTIPLIER) & _HASH_MASK
+        ) / (_HASH_MASK + 1) < self.ratio
 
 
 def uniform_hit_rate(k: float, l: float) -> float:

@@ -12,20 +12,191 @@ load dispatcher to either the NIC DRAM (cacheable lines) or PCIe DMA
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.constants import CACHE_LINE_SIZE
 from repro.dram.cache import DramCache, ECCFaultPath
 from repro.dram.hamming import DecodeStatus
 from repro.dram.nic import NICDram
+from repro.errors import CorruptionDetected
 from repro.memory.dispatcher import LoadDispatcher
 from repro.pcie.dma import MultiLinkDMA
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profiler import StageProfiler
     from repro.obs.tracer import Tracer
+
+
+class _Access:
+    """One timed access: fan out a transfer per line, join when the last
+    one lands, fail fast with the first failure."""
+
+    __slots__ = ("engine", "addr", "size", "write", "seq", "done", "waiting")
+
+    def __init__(self, engine: "MemoryAccessEngine", addr: int, size: int,
+                 write: bool, seq: int) -> None:
+        self.engine = engine
+        self.addr = addr
+        self.size = size
+        self.write = write
+        self.seq = seq
+        self.done = Event(engine.sim)
+        engine.sim.call_soon(self.start)
+
+    def start(self, _entry) -> None:
+        engine = self.engine
+        addr, size, write, seq = self.addr, self.size, self.write, self.seq
+        if size <= 0:
+            engine.sim.finish(self.done)
+            return
+        engine.counters.add("writes" if write else "reads")
+        line_size = engine.line_size
+        end = addr + size
+        first = addr // line_size
+        last = (end - 1) // line_size
+        # The tracer check is hoisted so untraced runs never build the
+        # per-line detail strings.
+        tracer = engine.tracer
+        cache = engine.cache
+        caches_line = engine.dispatcher.caches_line
+        for line in range(first, last + 1):
+            line_addr = line * line_size
+            start = addr if line == first else line_addr
+            span = (end if line == last else line_addr + line_size) - start
+            if cache is not None and caches_line(line):
+                if tracer is not None:
+                    tracer.emit(seq, "mem.route", f"line={line} dram")
+                landed = _CachedLine(
+                    engine, line, write, span == line_size, seq
+                ).done
+            else:
+                engine.counters.add("pcie_direct")
+                if tracer is not None:
+                    tracer.emit(seq, "mem.route", f"line={line} pcie")
+                if write:
+                    landed = engine.dma.write(span, seq)
+                else:
+                    landed = engine.dma.read(span, seq)
+            landed.callbacks.append(self.line_landed)
+        self.waiting = last - first + 1
+
+    def line_landed(self, event: Event) -> None:
+        if not self.waiting:
+            return  # already failed
+        error = event.exception
+        if error is not None:
+            self.waiting = 0
+            self.engine.sim.call_soon(lambda _entry: self.done.fail(error))
+            return
+        self.waiting -= 1
+        if not self.waiting:
+            self.engine.sim.call_soon(self.joined)
+
+    def joined(self, _entry) -> None:
+        self.engine.sim.finish(self.done)
+
+
+class _CachedLine:
+    """One cacheable line: a hit is one NIC-DRAM burst; a miss is write-back
+    of a dirty victim (NIC-DRAM read, then PCIe write), fill over PCIe and
+    install into NIC DRAM, each step started by the previous one landing."""
+
+    __slots__ = ("engine", "line", "write", "full", "seq", "done", "fill")
+
+    def __init__(self, engine: "MemoryAccessEngine", line: int, write: bool,
+                 full: bool, seq: int) -> None:
+        self.engine = engine
+        self.line = line
+        self.write = write
+        self.full = full
+        self.seq = seq
+        self.done = Event(engine.sim)
+        engine.sim.call_soon(self.start)
+
+    def start(self, _entry) -> None:
+        engine = self.engine
+        line, write, seq = self.line, self.write, self.seq
+        tracer = engine.tracer
+        result = engine.cache.access(line, write, full_line=self.full)
+        if result.hit:
+            engine.counters.add("cache_hits")
+            if engine.profiler is not None:
+                engine.profiler.record_cache(seq, "hit")
+            if tracer is not None:
+                tracer.emit(seq, "dram.hit", f"line={line}")
+            if not write and engine.ecc is not None:
+                # A read serves data out of NIC DRAM: one word of the line
+                # passes through the SEC-DED path (an injected double-bit
+                # error fails the line with CorruptionDetected).
+                try:
+                    status = engine.ecc.read_word(engine.sim.now)
+                except CorruptionDetected as exc:
+                    self.done.fail(exc)
+                    return
+                if status is DecodeStatus.CORRECTED:
+                    engine._trace(seq, "dram.ecc_corrected", f"line={line}")
+            self.burst(write)
+            return
+        engine.counters.add("cache_misses")
+        if engine.profiler is not None:
+            engine.profiler.record_cache(seq, "miss")
+        if tracer is not None:
+            tracer.emit(seq, "dram.miss", f"line={line}")
+        self.fill = result.needs_fill
+        # Dirty eviction: read old line from NIC DRAM, write back over PCIe.
+        if result.writeback_line is not None:
+            engine.counters.add("writebacks")
+            if engine.profiler is not None:
+                engine.profiler.record_cache(seq, "writeback")
+            engine._trace(
+                seq, "dram.writeback", f"line={result.writeback_line}"
+            )
+            engine.nic_dram.access(engine.line_size, write=False).callbacks.append(
+                self.victim_read
+            )
+        else:
+            self.fetch()
+
+    def victim_read(self, _event: Event) -> None:
+        engine = self.engine
+        engine.dma.write(engine.line_size, self.seq).callbacks.append(
+            self.dma_landed
+        )
+
+    def dma_landed(self, event: Event) -> None:
+        """The write-back or the fill is over: on to the next step, unless
+        the DMA failed (and the line with it)."""
+        if event.exception is not None:
+            self.done.fail(event.exception)
+        else:
+            self.fetch()
+
+    def fetch(self) -> None:
+        if not self.fill:
+            # Install the (new or fetched) line in NIC DRAM.
+            self.burst(True)
+            return
+        self.fill = False
+        engine = self.engine
+        engine.counters.add("fills")
+        if engine.profiler is not None:
+            engine.profiler.record_cache(self.seq, "fill")
+        engine._trace(self.seq, "dram.fill", f"line={self.line}")
+        engine.dma.read(engine.line_size, self.seq).callbacks.append(
+            self.dma_landed
+        )
+
+    def burst(self, write: bool) -> None:
+        """The line's last step: one NIC-DRAM burst, then done."""
+        engine = self.engine
+        engine.nic_dram.access(engine.line_size, write=write).callbacks.append(
+            self.landed
+        )
+
+    def landed(self, _event: Event) -> None:
+        self.engine.sim.finish(self.done)
 
 
 class MemoryAccessEngine:
@@ -60,97 +231,16 @@ class MemoryAccessEngine:
 
     def access(
         self, addr: int, size: int, write: bool = False, seq: int = -1
-    ) -> Process:
+    ) -> Event:
         """Perform a timed access; completes when all its traffic drains.
 
         ``seq`` attributes the access to a client operation for tracing.
         """
-        return self.sim.process(self._access(addr, size, write, seq))
+        return _Access(self, addr, size, write, seq).done
 
     def _trace(self, seq: int, stage: str, detail: str = "") -> None:
         if self.tracer is not None:
             self.tracer.emit(seq, stage, detail)
-
-    def _access(self, addr: int, size: int, write: bool, seq: int) -> Generator:
-        if size <= 0:
-            return
-        self.counters.add("writes" if write else "reads")
-        line_size = self.line_size
-        first = addr // line_size
-        last = (addr + size - 1) // line_size
-        # The tracer check is hoisted so untraced runs never build the
-        # per-line detail strings.
-        tracer = self.tracer
-        cache = self.cache
-        pending = []
-        for line in range(first, last + 1):
-            line_addr = line * line_size
-            start = max(addr, line_addr)
-            end = min(addr + size, line_addr + line_size)
-            span = end - start
-            full = span == line_size
-            if cache is not None and self.dispatcher.is_cacheable(line_addr):
-                if tracer is not None:
-                    tracer.emit(seq, "mem.route", f"line={line} dram")
-                pending.append(
-                    self.sim.process(self._cached_line(line, write, full, seq))
-                )
-            else:
-                self.counters.add("pcie_direct")
-                if tracer is not None:
-                    tracer.emit(seq, "mem.route", f"line={line} pcie")
-                if write:
-                    pending.append(self.dma.write(span, seq))
-                else:
-                    pending.append(self.dma.read(span, seq))
-        if pending:
-            yield self.sim.all_of(pending)
-
-    def _cached_line(
-        self, line: int, write: bool, full: bool, seq: int = -1
-    ) -> Generator:
-        cache = self.cache
-        assert cache is not None
-        tracer = self.tracer
-        result = cache.access(line, write, full_line=full)
-        if result.hit:
-            self.counters.add("cache_hits")
-            if self.profiler is not None:
-                self.profiler.record_cache(seq, "hit")
-            if tracer is not None:
-                tracer.emit(seq, "dram.hit", f"line={line}")
-            if not write and self.ecc is not None:
-                # A read serves data out of NIC DRAM: one word of the line
-                # passes through the SEC-DED path (may raise
-                # CorruptionDetected on an injected double-bit error).
-                status = self.ecc.read_word(self.sim.now)
-                if status is DecodeStatus.CORRECTED:
-                    self._trace(seq, "dram.ecc_corrected", f"line={line}")
-            yield self.nic_dram.access(self.line_size, write=write)
-            return
-        self.counters.add("cache_misses")
-        if self.profiler is not None:
-            self.profiler.record_cache(seq, "miss")
-        if tracer is not None:
-            tracer.emit(seq, "dram.miss", f"line={line}")
-        # Dirty eviction: read old line from NIC DRAM, write back over PCIe.
-        if result.writeback_line is not None:
-            self.counters.add("writebacks")
-            if self.profiler is not None:
-                self.profiler.record_cache(seq, "writeback")
-            self._trace(
-                seq, "dram.writeback", f"line={result.writeback_line}"
-            )
-            yield self.nic_dram.access(self.line_size, write=False)
-            yield self.dma.write(self.line_size, seq)
-        if result.needs_fill:
-            self.counters.add("fills")
-            if self.profiler is not None:
-                self.profiler.record_cache(seq, "fill")
-            self._trace(seq, "dram.fill", f"line={line}")
-            yield self.dma.read(self.line_size, seq)
-        # Install the (new or fetched) line in NIC DRAM.
-        yield self.nic_dram.access(self.line_size, write=True)
 
     # -- introspection ------------------------------------------------------
 

@@ -315,7 +315,7 @@ class TimelineSampler:
 
     def _arm(self, when: float) -> None:
         self._next_boundary = when
-        self.sim.call_at(when, self._tick)
+        self.sim.call_when(when, self._tick)
 
     def _tick(self, event) -> None:
         if self._stopped:

@@ -20,7 +20,7 @@ tag-bound near 60 Mops; writes are bandwidth-bound near 80 Mops.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import FaultInjected
 from repro.pcie.link import PCIeLinkConfig
@@ -30,7 +30,7 @@ from repro.pcie.tlp import (
     transfer_drop_probability,
     write_request_bytes,
 )
-from repro.sim.engine import Event, Process, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import BandwidthServer, TokenPool
 from repro.sim.stats import Counter, Histogram
 
@@ -38,6 +38,149 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.obs.profiler import StageProfiler
     from repro.obs.tracer import Tracer
+
+
+class _Transfer:
+    """One DMA in flight, kept the way the hardware keeps it (Figure 3): a
+    few registers stepped by a fixed state machine, not a process.
+
+    Creating it queues ``issue``, one hop after the request; every later step is
+    the callback of the resource it waited for.  ``sent`` / ``drop_check``
+    are the fault checks of one attempt: an attempt whose TLPs were
+    dropped is replayed from ``send`` after the completion timeout, and
+    the transfer fails with :class:`~repro.errors.FaultInjected` once the
+    retry budget is exhausted.  Each step is one queue entry, and how many
+    there are is observable (``docs/MODELING.md``, "Same-instant ordering
+    contract"): merging two moves simulated results.
+    """
+
+    __slots__ = ("link", "nbytes", "seq", "done", "attempts")
+
+    def __init__(self, link: "DMAEngine", nbytes: int, seq: int) -> None:
+        self.link = link
+        self.nbytes = nbytes
+        self.seq = seq
+        self.attempts = 0
+        self.done = Event(link.sim)
+        link.sim.call_soon(self.issue)
+
+    def send(self, _event) -> None:
+        link = self.link
+        link.sim.call_when(
+            link.tx.reserve(self.request_bytes(self.nbytes)), self.sent
+        )
+
+    def sent(self, _entry) -> None:
+        link = self.link
+        injector = link.injector
+        if injector is None:
+            self.delivered()
+        elif injector.dma_delay(link.name, link.sim.now):
+            link.counters.add("fault_delays")
+            link._trace(self.seq, "pcie.fault_delay", link.name)
+            link.sim.call_after(injector.plan.dma_delay_ns, self.drop_check)
+        else:
+            self.drop_check(None)
+
+    def drop_check(self, _entry) -> None:
+        link = self.link
+        injector = link.injector
+        drop_prob = transfer_drop_probability(
+            injector.plan.dma_drop_prob, self.nbytes
+        )
+        if not injector.dma_drop(link.name, link.sim.now, prob=drop_prob):
+            self.delivered()
+            return
+        link.counters.add("fault_drops")
+        self.attempts += 1
+        if self.attempts > injector.plan.dma_max_retries:
+            self.release()
+            self.done.fail(FaultInjected(
+                f"{link.name}: DMA transfer dropped "
+                f"{self.attempts} times, retry budget exhausted"
+            ))
+            return
+        link.counters.add("dma_retries")
+        link._trace(
+            self.seq, "pcie.retry", f"{link.name} attempt={self.attempts}"
+        )
+        # Completion timeout before the engine notices and replays.
+        link.sim.call_after(injector.plan.dma_retry_timeout_ns, self.send)
+
+
+class _Read(_Transfer):
+    """Non-posted read: tag, credit, request TLP, round trip, completion."""
+
+    __slots__ = ("start",)
+    request_bytes = staticmethod(read_request_bytes)
+
+    def issue(self, _entry) -> None:
+        link = self.link
+        self.start = link.sim.now
+        link.tags.acquire().callbacks.append(self.tagged)
+
+    def tagged(self, _event) -> None:
+        self.link.nonposted_credits.acquire().callbacks.append(self.send)
+
+    def delivered(self) -> None:
+        # Round trip: root complex -> host DRAM -> completion arrives.
+        link = self.link
+        link.sim.call_after(link.config.read_latency.sample(), self.respond)
+
+    def respond(self, _entry) -> None:
+        # Completion TLP(s) downstream carry the payload.
+        link = self.link
+        link.sim.call_when(
+            link.rx.reserve(read_response_bytes(self.nbytes)), self.complete
+        )
+
+    def release(self) -> None:
+        self.link.nonposted_credits.release()
+        self.link.tags.release()
+
+    def complete(self, _entry) -> None:
+        link = self.link
+        nbytes = self.nbytes
+        self.release()
+        link.counters.add("dma_reads")
+        link.counters.add("dma_read_bytes", nbytes)
+        link.read_latency_hist.record(link.sim.now - self.start)
+        if link.profiler is not None:
+            link.profiler.record_dma(self.seq, "read", nbytes)
+        if link.tracer is not None:
+            link.tracer.emit(self.seq, "pcie.read", f"{link.name} {nbytes}B")
+        link.sim.finish(self.done)
+
+
+class _Write(_Transfer):
+    """Posted write: credit, request TLP; done once serialized."""
+
+    __slots__ = ()
+    request_bytes = staticmethod(write_request_bytes)
+
+    def issue(self, _entry) -> None:
+        self.link.posted_credits.acquire().callbacks.append(self.send)
+
+    def delivered(self) -> None:
+        link = self.link
+        nbytes = self.nbytes
+        # The posted credit is consumed until the root complex processes the
+        # write and returns a flow-control update (~ fabric RTT later).
+        link.sim.call_soon(self.credit_in_flight)
+        link.counters.add("dma_writes")
+        link.counters.add("dma_write_bytes", nbytes)
+        if link.profiler is not None:
+            link.profiler.record_dma(self.seq, "write", nbytes)
+        if link.tracer is not None:
+            link.tracer.emit(self.seq, "pcie.write", f"{link.name} {nbytes}B")
+        link.sim.finish(self.done)
+
+    def credit_in_flight(self, _entry) -> None:
+        link = self.link
+        link.sim.call_after(link.config.fabric_rtt_ns, self.release)
+
+    def release(self, _entry=None) -> None:
+        self.link.posted_credits.release()
 
 
 class DMAEngine:
@@ -78,113 +221,19 @@ class DMAEngine:
 
     # -- public API ---------------------------------------------------------
 
-    def read(self, nbytes: int, seq: int = -1) -> Process:
-        """Issue a DMA read; the returned process completes with the data
+    def read(self, nbytes: int, seq: int = -1) -> Event:
+        """Issue a DMA read; the returned event completes with the data
         available on the NIC.  ``seq`` is the client sequence of the op
         this transfer serves (for tracing; -1 when unattributed)."""
-        return self.sim.process(self._read(nbytes, seq))
+        return _Read(self, nbytes, seq).done
 
-    def write(self, nbytes: int, seq: int = -1) -> Process:
+    def write(self, nbytes: int, seq: int = -1) -> Event:
         """Issue a posted DMA write; completes once the TLP is serialized."""
-        return self.sim.process(self._write(nbytes, seq))
-
-    # -- internals ----------------------------------------------------------
+        return _Write(self, nbytes, seq).done
 
     def _trace(self, seq: int, stage: str, detail: str = "") -> None:
         if self.tracer is not None:
             self.tracer.emit(seq, stage, detail)
-
-    def _read(self, nbytes: int, seq: int = -1) -> Generator[Event, None, None]:
-        start = self.sim.now
-        yield self.tags.acquire()
-        yield self.nonposted_credits.acquire()
-        try:
-            attempts = 0
-            while True:
-                # Request TLP upstream (header only).
-                yield self.tx.transfer(read_request_bytes(nbytes))
-                # On clean runs skip the fault-check generator entirely;
-                # it would yield nothing and return False.
-                if self.injector is None:
-                    break
-                if not (yield from self._fault_check(nbytes, attempts, seq)):
-                    break
-                attempts += 1
-            # Round trip: root complex -> host DRAM -> completion arrives.
-            yield self.sim.timeout(self.config.read_latency.sample())
-            # Completion TLP(s) downstream carry the payload.
-            yield self.rx.transfer(read_response_bytes(nbytes))
-        finally:
-            self.nonposted_credits.release()
-            self.tags.release()
-        self.counters.add("dma_reads")
-        self.counters.add("dma_read_bytes", nbytes)
-        self.read_latency_hist.record(self.sim.now - start)
-        if self.profiler is not None:
-            self.profiler.record_dma(seq, "read", nbytes)
-        if self.tracer is not None:
-            self.tracer.emit(seq, "pcie.read", f"{self.name} {nbytes}B")
-
-    def _fault_check(
-        self, nbytes: int, attempts: int, seq: int = -1
-    ) -> Generator[Event, None, bool]:
-        """Fault checks for one transfer attempt.
-
-        Returns True if the attempt's TLPs were dropped and the transfer
-        must be replayed; raises :class:`~repro.errors.FaultInjected` once
-        the retry budget is exhausted.
-        """
-        injector = self.injector
-        if injector is None:
-            return False
-        if injector.dma_delay(self.name, self.sim.now):
-            self.counters.add("fault_delays")
-            self._trace(seq, "pcie.fault_delay", self.name)
-            yield self.sim.timeout(injector.plan.dma_delay_ns)
-        drop_prob = transfer_drop_probability(
-            injector.plan.dma_drop_prob, nbytes
-        )
-        if not injector.dma_drop(self.name, self.sim.now, prob=drop_prob):
-            return False
-        self.counters.add("fault_drops")
-        if attempts >= injector.plan.dma_max_retries:
-            raise FaultInjected(
-                f"{self.name}: DMA transfer dropped "
-                f"{attempts + 1} times, retry budget exhausted"
-            )
-        self.counters.add("dma_retries")
-        self._trace(seq, "pcie.retry", f"{self.name} attempt={attempts + 1}")
-        # Completion timeout before the engine notices and replays.
-        yield self.sim.timeout(injector.plan.dma_retry_timeout_ns)
-        return True
-
-    def _write(self, nbytes: int, seq: int = -1) -> Generator[Event, None, None]:
-        yield self.posted_credits.acquire()
-        try:
-            attempts = 0
-            while True:
-                yield self.tx.transfer(write_request_bytes(nbytes))
-                if self.injector is None:
-                    break
-                if not (yield from self._fault_check(nbytes, attempts, seq)):
-                    break
-                attempts += 1
-        except FaultInjected:
-            self.posted_credits.release()
-            raise
-        # The posted credit is consumed until the root complex processes the
-        # write and returns a flow-control update (~ fabric RTT later).
-        self.sim.process(self._return_posted_credit())
-        self.counters.add("dma_writes")
-        self.counters.add("dma_write_bytes", nbytes)
-        if self.profiler is not None:
-            self.profiler.record_dma(seq, "write", nbytes)
-        if self.tracer is not None:
-            self.tracer.emit(seq, "pcie.write", f"{self.name} {nbytes}B")
-
-    def _return_posted_credit(self) -> Generator[Event, None, None]:
-        yield self.sim.timeout(self.config.fabric_rtt_ns)
-        self.posted_credits.release()
 
     # -- introspection ------------------------------------------------------
 
@@ -241,10 +290,10 @@ class MultiLinkDMA:
         self._next = (self._next + 1) % len(self.links)
         return link
 
-    def read(self, nbytes: int, seq: int = -1) -> Process:
+    def read(self, nbytes: int, seq: int = -1) -> Event:
         return self._pick().read(nbytes, seq)
 
-    def write(self, nbytes: int, seq: int = -1) -> Process:
+    def write(self, nbytes: int, seq: int = -1) -> Event:
         return self._pick().write(nbytes, seq)
 
     @property

@@ -12,6 +12,7 @@ and the analytic sanity checks all agree.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from repro.constants import PCIE_TLP_OVERHEAD
 
@@ -28,16 +29,19 @@ def tlp_count(nbytes: int, max_payload: int = MAX_TLP_PAYLOAD) -> int:
     return math.ceil(nbytes / max_payload)
 
 
+@lru_cache(maxsize=1024)
 def read_request_bytes(nbytes: int) -> int:
     """Upstream bytes for a DMA read request (headers only, no payload)."""
     return tlp_count(nbytes) * PCIE_TLP_OVERHEAD
 
 
+@lru_cache(maxsize=1024)
 def read_response_bytes(nbytes: int) -> int:
     """Downstream bytes for a DMA read completion (headers + payload)."""
     return nbytes + tlp_count(nbytes) * PCIE_TLP_OVERHEAD
 
 
+@lru_cache(maxsize=1024)
 def write_request_bytes(nbytes: int) -> int:
     """Downstream bytes for a posted DMA write (headers + payload)."""
     return nbytes + tlp_count(nbytes) * PCIE_TLP_OVERHEAD

@@ -1,11 +1,14 @@
 """Discrete-event simulation kernel.
 
-A minimal, dependency-free process-based simulator in the style of SimPy.
+A minimal, dependency-free simulator in the style of SimPy: generator
+processes for control flow, callback chains for the leaf hardware models.
 Simulated time is measured in **nanoseconds** throughout the project.
 
 The kernel provides:
 
-- :class:`~repro.sim.engine.Simulator` - the event loop and clock.
+- :class:`~repro.sim.engine.Simulator` - the event loop and clock, plus the
+  bare-callback entries (``call_soon`` / ``call_after`` / ``call_when``) and
+  ``finish`` that a leaf model's chain hops on.
 - :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Process` -
   synchronization primitives; processes are Python generators that ``yield``
   events.

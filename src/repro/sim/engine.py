@@ -1,11 +1,14 @@
-"""Event loop, events, and generator-based processes.
+"""Event loop, events, generator-based processes and bare callbacks.
 
 The design mirrors SimPy's core: a :class:`Simulator` owns a priority queue
 of pending events; a :class:`Process` wraps a generator that ``yield``\\ s
-events and is resumed when they trigger.  The implementation is deliberately
-small - it exists so the hardware models in :mod:`repro.pcie`,
-:mod:`repro.dram` and :mod:`repro.network` can express concurrency (in-flight
-DMAs, pipelined operations) without any external dependency.
+events and is resumed when they trigger.  Processes carry control flow
+(ingress, the main pipeline, clients); the leaf hardware models in
+:mod:`repro.pcie`, :mod:`repro.dram` and :mod:`repro.memory` keep each
+in-flight DMA, burst or cache line as a callback chain hopping between
+``call_soon`` / ``call_after`` / ``call_when`` entries and ending in
+``finish`` - the queue positions a process would occupy ("Same-instant
+ordering contract" in ``docs/MODELING.md``) without the generator.
 
 Scheduling order is the observable contract: events fire in ``(time, FIFO)``
 order — at equal simulated times, strictly in the order they were scheduled.
@@ -30,6 +33,8 @@ _PENDING = object()
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+_PAST = "cannot schedule at {} before now ({})"
 
 
 class Event:
@@ -84,15 +89,13 @@ class Event:
             raise SimulationError("event already triggered")
         if self._scheduled:
             raise SimulationError("event scheduled twice")
-        self._value = value
-        self._scheduled = True
         sim = self.sim
-        when = sim._now + delay
-        if when == sim._now:
+        if sim._now + delay == sim._now:
+            self._scheduled = True
             sim._dq.append(self)
         else:
-            sim._sequence += 1
-            _heappush(sim._queue, (when, sim._sequence, self))
+            sim._schedule(self, delay)
+        self._value = value
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -101,9 +104,9 @@ class Event:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.sim._schedule(self, delay)
         self._exception = exception
         self._value = None
-        self.sim._schedule(self, delay)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -115,14 +118,25 @@ class Event:
             self.callbacks.append(callback)
 
 
+class _Call:
+    """A bare queue entry: one callback, no value, no waiters.
+
+    The run loop handles it like an :class:`Event` (reads and clears
+    ``callbacks``, runs them with the entry as argument); the class-level
+    ``_value`` / ``_exception`` let it kick-start a :class:`Process`.
+    """
+
+    __slots__ = ("callbacks",)
+    _value = None
+    _exception = None
+
+
 class Timeout(Event):
     """An event that triggers after a fixed delay."""
 
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self._value = value
         sim._schedule(self, delay)
@@ -152,11 +166,7 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         # Kick-start on the next simulation step at the current time.
-        bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap._value = None
-        bootstrap._scheduled = True
-        sim._dq.append(bootstrap)
+        sim.call_soon(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -181,35 +191,24 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
         sim = self.sim
-        sim._active_process = self
         try:
             if event._exception is None:
                 next_event = self._generator.send(event._value)
             else:
                 next_event = self._generator.throw(event._exception)
         except StopIteration as stop:
-            sim._active_process = None
-            if self._value is _PENDING and self._exception is None:
-                self._value = stop.value
-                self._scheduled = True
-                sim._dq.append(self)
+            sim.finish(self, stop.value)
             return
         except Interrupt:
             # Process chose not to handle the interrupt: treat as completion.
-            sim._active_process = None
-            if self._value is _PENDING and self._exception is None:
-                self._value = None
-                self._scheduled = True
-                sim._dq.append(self)
+            sim.finish(self)
             return
         except BaseException as exc:
             # The process body raised: fail the process event so waiters
             # (parent processes, sim.run) observe the exception.
-            sim._active_process = None
             if self._value is _PENDING and self._exception is None:
                 self.fail(exc)
             return
-        sim._active_process = None
         if not isinstance(next_event, Event):
             raise SimulationError(
                 f"process yielded {next_event!r}, expected an Event"
@@ -288,36 +287,31 @@ class Simulator:
         self._queue: List = []
         self._dq = deque()
         self._sequence = 0
-        self._active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
         """Current simulated time in nanoseconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
         if event._scheduled:
             raise SimulationError("event scheduled twice")
-        event._scheduled = True
         when = self._now + delay
         if when == self._now:
             self._dq.append(event)
         else:
+            if when < self._now:
+                raise SimulationError(_PAST.format(when, self._now))
             self._sequence += 1
             _heappush(self._queue, (when, self._sequence, event))
+        event._scheduled = True
 
     def schedule_at(self, event: Event, when: float, value: Any = None) -> Event:
         """Trigger ``event`` successfully at absolute time ``when``."""
         if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at {when} before now ({self._now})"
-            )
+            raise SimulationError(_PAST.format(when, self._now))
         if event._value is not _PENDING or event._exception is not None:
             raise SimulationError("event already triggered")
         if event._scheduled:
@@ -331,17 +325,41 @@ class Simulator:
             _heappush(self._queue, (when, self._sequence, event))
         return event
 
-    def call_at(self, when: float, callback: Callable) -> Event:
-        """Run ``callback(event)`` at absolute time ``when``.
+    # -- bare callbacks: one queue entry, one callback, no Event ------------
 
-        Convenience over :meth:`schedule_at` for periodic observers (the
-        timeline sampler's window tick): the callback fires in event-loop
-        order at ``when``, after any earlier-scheduled events at the same
-        instant.  Returns the underlying event.
-        """
-        event = Event(self)
-        event.add_callback(callback)
-        return self.schedule_at(event, when)
+    def call_soon(self, callback: Callable) -> None:
+        """Run ``callback(entry)`` at the current instant, after everything
+        already queued for it (the position of a delay-0 ``succeed``)."""
+        entry = _Call()
+        entry.callbacks = (callback,)
+        self._dq.append(entry)
+
+    def call_after(self, delay: float, callback: Callable) -> None:
+        """Run ``callback(entry)`` ``delay`` ns from now (the position of a
+        ``Timeout``)."""
+        self.call_when(self._now + delay, callback)
+
+    def call_when(self, when: float, callback: Callable) -> None:
+        """Run ``callback(entry)`` at absolute time ``when`` (the position
+        of ``schedule_at``): a window tick, a reservation's drain time."""
+        entry = _Call()
+        entry.callbacks = (callback,)
+        if when == self._now:
+            self._dq.append(entry)
+        else:
+            if when < self._now:
+                raise SimulationError(_PAST.format(when, self._now))
+            self._sequence += 1
+            _heappush(self._queue, (when, self._sequence, entry))
+
+    def finish(self, event: Event, value: Any = None) -> None:
+        """Complete ``event`` the way a returning process completes itself:
+        queued at the current instant with ``value``, and a no-op if
+        something already triggered it."""
+        if event._value is _PENDING and event._exception is None:
+            event._value = value
+            event._scheduled = True
+            self._dq.append(event)
 
     # -- factories ---------------------------------------------------------
 

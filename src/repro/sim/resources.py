@@ -49,7 +49,7 @@ class TokenPool:
 
     def acquire(self) -> Event:
         """Request one token; the returned event fires when granted."""
-        event = self.sim.event()
+        event = Event(self.sim)
         if self._available > 0 and not self._waiters:
             self._available -= 1
             self._account()
@@ -116,19 +116,25 @@ class BandwidthServer:
     ) -> "BandwidthServer":
         return cls(sim, bytes_per_sec / 1e9, name)
 
-    def transfer(self, nbytes: float) -> Event:
-        """Serialize ``nbytes`` through the channel; event fires when done."""
+    def reserve(self, nbytes: float) -> float:
+        """Book ``nbytes`` behind everything already submitted; returns the
+        absolute time the channel has drained them."""
         if nbytes < 0:
             raise SimulationError(f"{self.name}: negative transfer size")
-        start = max(self.sim.now, self._free_at)
+        start = self._free_at
+        if start < self.sim._now:
+            start = self.sim._now
         duration = nbytes / self.bytes_per_ns
         self._free_at = start + duration
         self.bytes_transferred += nbytes
         self.transfers += 1
         self.busy_time += duration
-        event = self.sim.event()
-        self.sim.schedule_at(event, self._free_at)
-        return event
+        return self._free_at
+
+    def transfer(self, nbytes: float) -> Event:
+        """Serialize ``nbytes`` through the channel; event fires when done."""
+        sim = self.sim
+        return sim.schedule_at(Event(sim), self.reserve(nbytes))
 
     def queue_delay(self) -> float:
         """Current backlog in ns (0 when the channel is idle)."""

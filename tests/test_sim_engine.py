@@ -75,6 +75,27 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
 
+    def test_negative_delay_rejected_on_every_relative_schedule(self):
+        """``succeed`` / ``fail`` / ``call_after`` used to push the entry
+        into the past: a waiter at t=10 resumed with ``sim.now == 5``."""
+        sim = Simulator()
+        sim.run(sim.timeout(10.0))
+        event = sim.event()
+        with pytest.raises(SimulationError):
+            event.succeed("early", delay=-5.0)
+        with pytest.raises(SimulationError):
+            event.fail(ValueError("early"), delay=-5.0)
+        with pytest.raises(SimulationError):
+            sim.call_after(-5.0, lambda entry: None)
+        with pytest.raises(SimulationError):
+            sim.call_when(5.0, lambda entry: None)
+        # A rejected trigger leaves the event usable, and the clock where
+        # it was.
+        assert not event.triggered
+        event.succeed("on time")
+        assert sim.run(event) == "on time"
+        assert sim.now == 10.0
+
     def test_zero_delay_allowed(self):
         sim = Simulator()
         timeout = sim.timeout(0.0)
@@ -298,6 +319,80 @@ class TestSimulatorRun:
             sim.process(worker(name))
         sim.run()
         assert order == ["a", "b", "c"]
+
+
+class TestBareCallbacks:
+    """``call_soon`` / ``call_after`` / ``call_when`` entries take the queue
+    positions of a delay-0 ``succeed``, a ``Timeout`` and ``schedule_at``."""
+
+    def test_time_fifo_order_across_entry_kinds(self):
+        sim = Simulator()
+        order = []
+
+        def note(tag):
+            return lambda _entry_or_event: order.append((sim.now, tag))
+
+        def process(tag):
+            order.append((sim.now, tag))
+            yield sim.timeout(0)
+
+        # Same instant: bare entries, events and process bootstraps run in
+        # the order they were queued, whatever their kind.
+        sim.call_soon(note("soon-1"))
+        sim.event().succeed().add_callback(note("event-2"))
+        sim.process(process("process-3"))
+        sim.call_after(0.0, note("after0-4"))
+        sim.call_when(0.0, note("when0-5"))
+        sim.timeout(0.0).add_callback(note("timeout0-6"))
+        # Equal future times: heap entries of every kind in push order, and
+        # all of them before anything queued while processing that instant.
+        sim.call_after(7.0, note("after-1"))
+        sim.timeout(7.0).add_callback(note("timeout-2"))
+        sim.call_when(7.0, note("when-3"))
+        sim.schedule_at(sim.event(), 7.0).add_callback(
+            lambda _event: (note("scheduled-4")(None),
+                            sim.call_soon(note("soon-6")))
+        )
+        sim.event().succeed(delay=7.0).add_callback(note("delayed-5"))
+        sim.call_after(3.0, note("earlier"))
+        sim.run()
+        assert order == [
+            (0.0, "soon-1"), (0.0, "event-2"), (0.0, "process-3"),
+            (0.0, "after0-4"), (0.0, "when0-5"), (0.0, "timeout0-6"),
+            (3.0, "earlier"),
+            (7.0, "after-1"), (7.0, "timeout-2"), (7.0, "when-3"),
+            (7.0, "scheduled-4"), (7.0, "delayed-5"), (7.0, "soon-6"),
+        ]
+
+    def test_run_until_time_and_peek_see_bare_entries(self):
+        sim = Simulator()
+        fired = []
+        sim.call_after(42.0, fired.append)
+        assert sim.peek() == pytest.approx(42.0)
+        sim.run(until=41.0)
+        assert not fired
+        sim.run(until=50.0)
+        assert len(fired) == 1
+
+    def test_finish_completes_like_a_returning_process(self):
+        sim = Simulator()
+        event = sim.event()
+        sim.finish(event, "value")
+        assert event.triggered and not event.processed
+        assert sim.run(event) == "value"
+
+    def test_finish_on_a_triggered_event_is_a_noop(self):
+        sim = Simulator()
+        won = sim.event().succeed("first")
+        sim.finish(won, "second")
+        lost = sim.event().fail(KeyError("first"))
+        sim.finish(lost)
+        seen = []
+        won.add_callback(seen.append)
+        sim.run()
+        assert seen == [won]  # queued once, not twice
+        assert won.value == "first"
+        assert isinstance(lost.exception, KeyError)
 
 
 class TestEdgeCases:

@@ -1,0 +1,193 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the repo benchmark, with a verdict.
+
+Runs ``benchmarks/e2e/run.py`` the way the driver does (one workload, one
+fresh process, ``--trace 0``, last stdout line is the result) in two
+checkouts, alternating which side goes first and cycling seeds 7/11/23,
+then prints
+
+* whether the rows that repeat exactly for a seed (the five simulated ones)
+  are equal on both sides, and ``host_calls_per_op`` per seed;
+* each side's median and quartiles of ``sim_ops_per_wall_s`` and every pair,
+  and the medians of the other host rows (``setup_s``, ``peak_rss_mib``);
+* the verdict of section 8 of the choosing-metrics guide: a gain needs the
+  change ahead in at least nine tenths of the pairs (ties count for
+  neither side) *and* medians further apart than the parent's own
+  inter-quartile distance.
+
+Each checkout runs its own copy of the benchmark on its own ``src/``, so
+the two must carry identical ``benchmarks/e2e/`` files.  Exits 1 when an
+exact row differs, a run is incorrect, or the metric regressed.
+
+Usage::
+
+    python tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload scan-ordered --pairs 10
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from typing import Dict, List, Sequence, Tuple
+
+SEEDS = (7, 11, 23)
+#: The one end-to-end row that is a noisy wall-clock rate (higher is better).
+METRIC = "sim_ops_per_wall_s"
+#: Pairs below which no gain is claimed.
+MIN_PAIRS = 10
+#: Rows that repeat to the last digit for a fixed seed; a host-only change
+#: must not move them.
+EXACT_ROWS = (
+    "sim_throughput_mops",
+    "sim_latency_p50_ns",
+    "sim_latency_p99_ns",
+    "dma_per_op",
+    "completed_op_share",
+)
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)``; a single run is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def verdict(
+    parent: Sequence[float], change: Sequence[float], bound: float
+) -> Dict[str, object]:
+    """Judge the rates ``change[i]`` against ``parent[i]`` over all pairs.
+
+    ``GAIN``        at least ten pairs, change ahead in >= 9/10 of them and
+                    the medians differ by more than the parent's
+                    inter-quartile distance.
+    ``REGRESSED``   the change's median is worse than the parent's by more
+                    than ``bound`` (a share of the parent's median).
+    ``UNRESOLVED``  neither, and either too few pairs to claim the gain they
+                    show, or the parent's own runs spread wider than
+                    ``bound`` so "no worse" cannot be told from noise.
+    ``NO CHANGE``   neither, within a spread that could have shown it.
+    """
+    if not parent or len(parent) != len(change):
+        raise ValueError("need the same, non-zero number of runs per side")
+    wins = sum(c > p for p, c in zip(parent, change))
+    losses = sum(c < p for p, c in zip(parent, change))
+    p_q1, p_median, p_q3 = quartiles(parent)
+    __, c_median, __ = quartiles(change)
+    spread = p_q3 - p_q1
+    ahead_by = c_median - p_median
+    if 10 * wins >= 9 * len(parent) and ahead_by > spread:
+        outcome = "GAIN" if len(parent) >= MIN_PAIRS else "UNRESOLVED"
+    elif -ahead_by > bound * p_median:
+        outcome = "REGRESSED"
+    elif spread > bound * p_median and losses:
+        outcome = "UNRESOLVED"
+    else:
+        outcome = "NO CHANGE"
+    return {
+        "verdict": outcome,
+        "pairs": len(parent),
+        "wins": wins,
+        "losses": losses,
+        "parent_median": p_median,
+        "change_median": c_median,
+        "ratio": c_median / p_median,
+        "parent_iqr": spread,
+    }
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One contract-mode run in ``checkout``; the parsed last stdout line."""
+    done = subprocess.run(
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"{checkout}: run.py exited {done.returncode}\n{done.stderr}"
+        )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float,
+                        help="timed seconds per run (default: the contract's)")
+    args = parser.parse_args(argv)
+    if args.pairs <= 0:
+        parser.error("--pairs must be positive")
+    with open(f"{args.parent}/BENCHMARK.json", encoding="utf-8") as handle:
+        contract = json.load(handle)
+    bound = next(
+        metric["bound"] for metric in contract["end_to_end"]
+        if metric["name"] == METRIC
+    )
+    seconds = args.seconds or contract["run_seconds"]
+
+    sides = {"parent": args.parent, "change": args.change}
+    runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
+    exact_ok = correct = True
+    for pair in range(args.pairs):
+        seed = SEEDS[pair % len(SEEDS)]
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        results = {
+            side: run_once(sides[side], args.workload, seed, seconds)
+            for side in order
+        }
+        rows = {
+            side: {name: row["value"] for name, row in result["metrics"].items()}
+            for side, result in results.items()
+        }
+        moved = [name for name in EXACT_ROWS
+                 if rows["parent"][name] != rows["change"][name]]
+        exact_ok = exact_ok and not moved
+        correct = correct and all(
+            result["correct"] and not result["failed"]
+            for result in results.values()
+        )
+        for side in sides:
+            runs[side].append(rows[side])
+        print(
+            f"pair {pair + 1:>2} seed {seed:>2} {order[0]} first: "
+            f"{METRIC} {rows['parent'][METRIC]:.6g} -> "
+            f"{rows['change'][METRIC]:.6g}; host_calls_per_op "
+            f"{rows['parent']['host_calls_per_op']:.2f} -> "
+            f"{rows['change']['host_calls_per_op']:.2f}; exact rows "
+            + ("equal" if not moved else "MOVED: " + ", ".join(moved)),
+            flush=True,
+        )
+
+    values = {side: [row[METRIC] for row in runs[side]] for side in sides}
+    judged = verdict(values["parent"], values["change"], bound)
+    for side in sides:
+        q1, median, q3 = quartiles(values[side])
+        others = ", ".join(
+            f"{name} median "
+            f"{statistics.median(row[name] for row in runs[side]):.4g}"
+            for name in ("setup_s", "peak_rss_mib")
+        )
+        print(f"{side:<7} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}"
+              f"  ({others})")
+    print(
+        f"{args.workload} {METRIC}: {judged['verdict']} - change ahead "
+        f"in {judged['wins']}/{judged['pairs']} pairs, median ratio "
+        f"{judged['ratio']:.3f} (base {judged['parent_median']:.6g}), "
+        f"parent inter-quartile distance {judged['parent_iqr']:.6g}; "
+        f"exact rows {'equal' if exact_ok else 'MOVED'}; "
+        f"{'all runs correct' if correct else 'INCORRECT RUNS'}"
+    )
+    failed = judged["verdict"] == "REGRESSED" or not exact_ok or not correct
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
