@@ -1,48 +1,44 @@
-"""The explicit stage pipeline of the KV processor.
+"""The KV processor's pipeline: its stage names and the per-op context.
 
-The processor's data path is a fixed graph of small stages::
+The processor's data path (Figure 4) is a fixed hardware pipeline::
 
     decode --> admission --> issue (OoO) -.-> memory --> complete/respond
                                           '-> (parked in the station)
 
-Each stage is an object implementing the :class:`Stage` interface and
-operating on a first-class :class:`OpContext` that carries everything an
-in-flight operation owns - the op itself, its response event, deadline,
-per-stage timestamps, and unwind state (station slot / reservation-station
-membership) - instead of threading that state through processor method
-locals.
+Nothing substitutes a stage, so there are no stage objects: the two
+driver functions of :class:`~repro.core.processor.KVProcessor` spell the
+sequence out in order - ``_ingress`` (decode, admission, issue; one
+simulated process per submitted op) and ``_main_pipeline`` (memory,
+complete; entered from issue for independent ops, from completion for
+write-backs and newly unblocked ops, never for ops answered purely by
+data forwarding).  This module holds what the rest of the code shares
+with them:
 
-Stage-boundary behaviour is uniform and driven by the processor, not
-hand-placed inside each stage:
+- :data:`STAGE_ORDER`, the one declaration of the stage names.  The
+  drivers stamp :attr:`OpContext.timestamps` under exactly these keys, in
+  this order, and the profiler (:mod:`repro.obs.profiler`) decomposes
+  latency along them.
+- :class:`OpContext`, everything an in-flight operation owns - the op
+  itself, its response event, deadline, per-stage timestamps, and unwind
+  state (station slot / reservation-station membership).
 
-- **deadline checks** run at every boundary a stage declares via
-  :attr:`Stage.deadline_boundary` (``decode``, ``admission``,
-  ``pipeline_start``); expiry is unwound according to the context's state
-  (no slot yet / slot held / admitted into the station),
-- **trace spans** for boundary events (``deadline.expired``) and stage
-  events are emitted through one processor hook,
-- **per-stage counters** (``processor.deadline.<boundary>``, the
-  admitted/main-pipeline counts) are bumped by the driver and the stage
-  declarations, never ad hoc.
-
-Stages are deliberately thin: they own *when to wait* (which simulated
-resources to yield on) and *what domain events to record*; the processor
-owns routing between stages and all completion/unwind paths, so the
-single-shard behaviour of the pipeline is byte-identical to the
-pre-refactor monolith (same span log, same metrics).
+Deadlines are checked at three boundaries - ``decode`` and ``admission``
+(after the stage) and ``pipeline_start`` (at memory-stage entry, since
+the op may have expired while parked) - and every expiry goes through one
+method, ``KVProcessor._expire``, which bumps
+``processor.deadline.<boundary>``, emits the ``deadline.expired`` span
+and unwinds according to the context's state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, Optional
+from typing import Dict, Optional
 
-from repro.core.ooo import Admission
-from repro.core.operations import KVOperation, KVResult
-from repro.errors import KVDirectError, ServerBusy
+from repro.core.operations import KVOperation
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.processor import KVProcessor
+#: Canonical pipeline order; keys of :attr:`OpContext.timestamps`.
+STAGE_ORDER = ("decode", "admission", "issue", "memory", "complete")
 
 
 @dataclass(slots=True)
@@ -50,8 +46,8 @@ class OpContext:
     """Everything one in-flight operation carries through the pipeline.
 
     One context carries one submitted client operation (and one, without
-    a response event, each internal station write-back).  Stages mutate
-    it; the processor routes it.  Contexts are pooled: the processor
+    a response event, each internal station write-back).  The processor's
+    drivers mutate and route it.  Contexts are pooled: the processor
     recycles them through :meth:`reset` once their op has left the
     pipeline, so the steady-state data path allocates no per-op context
     or timestamp dict.
@@ -70,11 +66,6 @@ class OpContext:
     slot_held: bool = False
     #: True once the op entered the reservation station (issue stage).
     station_admitted: bool = False
-    #: Error that took the op out of the pipeline, if any.
-    error: Optional[BaseException] = None
-    #: Functional result + value-after, filled by the memory stage.
-    result: Optional[KVResult] = None
-    value_after: Optional[bytes] = None
 
     def reset(
         self,
@@ -91,211 +82,4 @@ class OpContext:
         self.timestamps.clear()
         self.slot_held = False
         self.station_admitted = False
-        self.error = None
-        self.result = None
-        self.value_after = None
         return self
-
-    @property
-    def seq(self) -> int:
-        return self.op.seq
-
-    def expired(self, now: float) -> bool:
-        """True if the context carries a deadline that has passed."""
-        return self.deadline_ns is not None and now > self.deadline_ns
-
-    def mark(self, stage: str, now: float) -> None:
-        """Record the entry time of one stage crossing."""
-        self.timestamps[stage] = now
-
-
-class Stage:
-    """One pipeline stage: a resource wait plus its domain bookkeeping.
-
-    :meth:`run` is a simulation generator: it yields the events the stage
-    waits on and returns ``True`` to hand the context to the next stage,
-    or ``False`` when the op left the pipeline inside the stage (shed,
-    failed - the stage has already routed the failure).  The driver
-    applies the uniform boundary behaviour (deadline check, expiry trace,
-    per-boundary counter) after every stage that declares
-    :attr:`deadline_boundary`.
-    """
-
-    #: Stage name; keys :attr:`OpContext.timestamps`.
-    name: str = "stage"
-    #: Deadline boundary checked by the driver after this stage, if any.
-    deadline_boundary: Optional[str] = None
-
-    def __init__(self, proc: "KVProcessor") -> None:
-        self.proc = proc
-
-    def run(self, ctx: OpContext) -> Generator:
-        raise NotImplementedError
-
-
-class DecodeStage(Stage):
-    """The fully pipelined batch/op decoder (one op per clock)."""
-
-    name = "decode"
-    deadline_boundary = "decode"
-
-    def run(self, ctx: OpContext) -> Generator:
-        yield self.proc.decoder.submit()
-        self.proc.emit(ctx, "decode")
-        return True
-
-
-class AdmissionStage(Stage):
-    """Bounded ingress admission (or the legacy blocking token pool).
-
-    Grants one reservation-station slot, recording ingress stall time;
-    under a configured overload policy the wait may instead fail with
-    :class:`~repro.errors.ServerBusy`, which this stage routes as a shed.
-    """
-
-    name = "admission"
-    deadline_boundary = "admission"
-
-    def run(self, ctx: OpContext) -> Generator:
-        proc = self.proc
-        if proc.admission is not None:
-            grant = proc.admission.submit(ctx.op)
-            if not grant.triggered:
-                proc.station.record_full_stall()
-            stall_start = proc.sim.now
-            try:
-                yield grant
-            except ServerBusy as exc:
-                proc.counters.add("shed_ops")
-                proc.emit(ctx, "shed", f"policy={exc.policy}")
-                proc.fail_before_admission(ctx, exc)
-                return False
-            if proc.sim.now > stall_start:
-                proc.stall_times.record(proc.sim.now - stall_start)
-        else:
-            grant = proc.inflight.acquire()
-            if not grant.triggered:
-                proc.station.record_full_stall()
-                stall_start = proc.sim.now
-                yield grant
-                proc.stall_times.record(proc.sim.now - stall_start)
-            else:
-                yield grant
-        ctx.slot_held = True
-        return True
-
-
-class IssueStage(Stage):
-    """Reservation-station issue: execute independent ops out of order,
-    park (conservatively) dependent ones for data forwarding."""
-
-    name = "issue"
-
-    def run(self, ctx: OpContext) -> Generator:
-        proc = self.proc
-        proc.counters.add("admitted")
-        admission = proc.station.admit(ctx.op)
-        ctx.station_admitted = True
-        if admission is Admission.EXECUTE:
-            proc.emit(
-                ctx, "station.execute",
-                f"occupancy={proc.station.occupancy}",
-            )
-            proc.sim.process(proc._main_pipeline(ctx))
-        else:
-            proc.emit(
-                ctx, "station.queued",
-                f"occupancy={proc.station.occupancy}",
-            )
-        # QUEUED ops sleep in the station until forwarding or next_issue
-        # resolves them; either path fires their response event.
-        return True
-        yield  # pragma: no cover - makes run() a generator; never reached
-
-
-class MemoryStage(Stage):
-    """Execute one op against the hash table, then replay every memory
-    access it made through the memory access engine (NIC DRAM cache +
-    PCIe DMA) plus any compiled λ pipeline occupancy."""
-
-    name = "memory"
-    #: Checked by the driver at stage *entry* (the op may have expired
-    #: while parked in the reservation station).
-    deadline_boundary = "pipeline_start"
-
-    def run(self, ctx: OpContext) -> Generator:
-        proc = self.proc
-        proc.emit(ctx, "pipeline.start")
-        memory = proc.store.memory
-        memory.start_trace()
-        try:
-            result, value_after = proc.execute_functional(ctx.op)
-        except KVDirectError as exc:
-            memory.stop_trace()
-            proc.fail_op(ctx, exc)
-            return False
-        trace = memory.stop_trace()
-        if proc.profiler is not None:
-            proc.profiler.record_table_accesses(ctx.seq, trace)
-        # Dependent accesses replay serially: a record read cannot start
-        # before its bucket read returned the pointer.
-        replay_start = proc.sim.now
-        try:
-            for kind, addr, size in trace:
-                yield proc.engine.access(
-                    addr, size, write=(kind == "write"), seq=ctx.seq
-                )
-            compute_ns = proc.compute_time(ctx.op, value_after)
-            if compute_ns > 0:
-                yield proc.sim.timeout(compute_ns)
-        except KVDirectError as exc:
-            # Graceful degradation: an unrecoverable hardware fault (DMA
-            # retry exhaustion, uncorrectable ECC error) fails only this
-            # operation - the pipeline, its dependents, and the rest of
-            # the simulation keep running.
-            proc.memory_time.record(proc.sim.now - replay_start)
-            proc.counters.add("fault_failed_replays")
-            proc.fail_op(ctx, exc)
-            return False
-        proc.memory_time.record(proc.sim.now - replay_start)
-        proc.counters.add("main_pipeline_ops")
-        proc.emit(ctx, "pipeline.done")
-        ctx.result = result
-        ctx.value_after = value_after
-        return True
-
-
-class CompleteStage(Stage):
-    """Completion/respond: resolve the reservation station, answer the
-    client, forward data to dependents, and re-issue write-backs and
-    newly unblocked ops into the memory stage."""
-
-    name = "complete"
-
-    def resolve(self, ctx: OpContext) -> None:
-        """Synchronous completion routing (no simulated resource wait)."""
-        proc = self.proc
-        completion = proc.station.complete(ctx.op, ctx.value_after)
-        if ctx.seq >= 0:
-            proc.respond(ctx, ctx.result)
-        # Forwarded dependents execute one per clock in the dedicated
-        # execution engine.
-        for forwarded_op, forwarded_result in completion.responses:
-            proc.sim.process(
-                proc._deliver_forwarded(forwarded_op, forwarded_result)
-            )
-        if completion.writeback is not None:
-            proc.counters.add("writebacks")
-            proc.emit(ctx, "station.writeback")
-            proc.sim.process(
-                proc._main_pipeline(proc.context_for(completion.writeback))
-            )
-        if completion.next_issue is not None:
-            proc.sim.process(
-                proc._main_pipeline(proc.context_for(completion.next_issue))
-            )
-
-    def run(self, ctx: OpContext) -> Generator:  # pragma: no cover
-        self.resolve(ctx)
-        return True
-        yield  # makes run() a generator; never reached

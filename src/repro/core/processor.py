@@ -1,26 +1,26 @@
 """The timed KV processor pipeline (Figure 4).
 
-Couples the functional store to the hardware models through the explicit
-stage pipeline defined in :mod:`repro.core.pipeline`:
+Couples the functional store to the hardware models.  The pipeline is
+fixed, so it is written as two straight-line drivers over the stages
+named in :data:`repro.core.pipeline.STAGE_ORDER`:
 
-- operations enter through a fully pipelined **decode** stage (one per
-  clock at 180 MHz),
-- the **admission** stage grants bounded in-flight slots (optionally
-  fronted by the overload-control ingress queue),
-- the **issue** stage runs the reservation station
+- :meth:`KVProcessor._ingress` - operations enter through a fully
+  pipelined **decode** stage (one per clock at 180 MHz); **admission**
+  grants bounded in-flight slots (optionally fronted by the
+  overload-control ingress queue); **issue** runs the reservation station
   (:mod:`repro.core.ooo`): independent operations execute out of order,
   dependents are parked for data forwarding,
-- the **memory** stage executes an operation against the real hash table,
-  then replays every memory access it made through the **memory access
-  engine** (NIC DRAM cache + PCIe DMA, with the load dispatcher routing),
-- the **complete** stage forwards data to dependents (one per clock in
-  the dedicated execution engine), emits at most one write-back, and
-  responds through the network model.
+- :meth:`KVProcessor._main_pipeline` - the **memory** stage executes an
+  operation against the real hash table, then replays every memory access
+  it made through the **memory access engine** (NIC DRAM cache + PCIe
+  DMA, with the load dispatcher routing); **complete** forwards data to
+  dependents (one per clock in the dedicated execution engine), emits at
+  most one write-back, and responds through the network model.
 
 Every in-flight operation is carried by one
-:class:`~repro.core.pipeline.OpContext`; deadline checks, expiry traces
-and per-boundary counters are uniform stage-boundary behaviour applied by
-this driver, not hand-placed calls inside stages.
+:class:`~repro.core.pipeline.OpContext`; each stage stamps its entry time
+there, and a deadline is checked after decode, after admission and at
+memory-stage entry, every expiry unwinding through :meth:`KVProcessor._expire`.
 
 Throughput = completed operations / simulated time; latency per operation
 is measured from submission to response.
@@ -32,16 +32,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.admission import IngressQueue
 from repro.core.config import KVDirectConfig
-from repro.core.ooo import ReservationStation
+from repro.core.ooo import Admission, Completion, ReservationStation
 from repro.core.operations import KVOperation, KVResult, OpType
-from repro.core.pipeline import (
-    AdmissionStage,
-    CompleteStage,
-    DecodeStage,
-    IssueStage,
-    MemoryStage,
-    OpContext,
-)
+from repro.core.pipeline import OpContext
 from repro.core.store import KVDirectStore
 from repro.core.vector import apply_operation
 from repro.dram.cache import DramCache, ECCFaultPath
@@ -49,6 +42,7 @@ from repro.dram.nic import NICDram
 from repro.errors import (
     DeadlineExceeded,
     KVDirectError,
+    ServerBusy,
     SimulationError,
 )
 from repro.memory.dispatcher import LoadDispatcher
@@ -178,22 +172,6 @@ class KVProcessor:
             else None
         )
 
-        # -- pipeline stages ------------------------------------------------
-        #: Ingress-side stages, driven in order for every submitted op.
-        self.front_stages = (
-            DecodeStage(self),
-            AdmissionStage(self),
-            IssueStage(self),
-        )
-        self.memory_stage = MemoryStage(self)
-        self.complete_stage = CompleteStage(self)
-        #: Every stage by name (introspection / docs).
-        self.stages = {
-            stage.name: stage
-            for stage in (*self.front_stages, self.memory_stage,
-                          self.complete_stage)
-        }
-
         # -- bookkeeping -----------------------------------------------------
         #: Live OpContext per in-flight client op, keyed by id(op).
         self._contexts: Dict[int, OpContext] = {}
@@ -245,12 +223,16 @@ class KVProcessor:
     def submit_many(self, ops: List[KVOperation]) -> List[Event]:
         return [self.submit(op) for op in ops]
 
-    # -- stage hooks (called by repro.core.pipeline stages) --------------------
+    # -- contexts, unwinds and completion (shared by the two drivers) ----------
 
     def emit(self, ctx: OpContext, stage: str, detail: str = "") -> None:
-        """Record one trace span for a context's stage crossing."""
+        """Record one trace span on a rare path (shed, failed, expired).
+
+        The per-op spans are emitted in place by the drivers, which read
+        the tracer once and format span details only when it is set.
+        """
         if self.tracer is not None:
-            self.tracer.emit(ctx.seq, stage, detail)
+            self.tracer.emit(ctx.op.seq, stage, detail)
 
     def context_for(self, op: KVOperation) -> OpContext:
         """The live context of ``op``, or a fresh internal one.
@@ -293,9 +275,6 @@ class KVProcessor:
         """
         ctx.op = None  # type: ignore[assignment]
         ctx.response = None
-        ctx.error = None
-        ctx.result = None
-        ctx.value_after = None
         self._ctx_pool.append(ctx)
 
     def fail_before_admission(
@@ -307,8 +286,7 @@ class KVProcessor:
         state - just surface the error on the response event.
         """
         self._contexts.pop(id(ctx.op), None)
-        ctx.error = exc
-        if self.profiler is not None and ctx.seq >= 0:
+        if self.profiler is not None and ctx.op.seq >= 0:
             self.profiler.observe_failure(ctx, exc)
         if ctx.response is not None:
             ctx.response.fail(exc)
@@ -381,86 +359,204 @@ class KVProcessor:
         self.emit(ctx, "failed", type(exc).__name__)
         value_after = self.store.table.get(op.key)
         completion = self.station.complete(op, value_after)
-        if ctx.seq >= 0:
+        if op.seq >= 0:
             self._contexts.pop(id(op), None)
             self._release_slot()
-            ctx.error = exc
             if self.profiler is not None:
                 self.profiler.observe_failure(ctx, exc)
             if ctx.response is not None:
                 ctx.response.fail(exc)
-        for forwarded_op, forwarded_result in completion.responses:
-            self.sim.process(
-                self._deliver_forwarded(forwarded_op, forwarded_result)
-            )
-        if completion.writeback is not None:
-            self.sim.process(
-                self._main_pipeline(self.context_for(completion.writeback))
-            )
-        if completion.next_issue is not None:
-            self.sim.process(
-                self._main_pipeline(self.context_for(completion.next_issue))
-            )
+        self._fan_out(op.seq, completion)
 
     def respond(self, ctx: OpContext, result: KVResult) -> None:
         if self._contexts.pop(id(ctx.op), None) is None:
             raise SimulationError("response for unknown operation")
         self._release_slot()
-        self.emit(ctx, "complete", f"ok={result.ok}")
+        if self.tracer is not None:
+            self.tracer.emit(ctx.op.seq, "complete", f"ok={result.ok}")
         if self.profiler is not None:
             self.profiler.observe_complete(ctx, self.sim.now)
         ctx.response.succeed(result)
 
-    # -- pipeline driver -------------------------------------------------------
+    def _fan_out(self, seq: int, completion: Completion) -> None:
+        """Route what the station released when op ``seq`` left it, whether
+        it completed or failed: forwarded dependents execute one per clock
+        in the dedicated execution engine; a dirtied cached value is
+        written back and a newly unblocked op issued, both through the
+        main pipeline."""
+        sim = self.sim
+        for forwarded_op, forwarded_result in completion.responses:
+            sim.process(
+                self._deliver_forwarded(forwarded_op, forwarded_result)
+            )
+        if completion.writeback is not None:
+            self.counters.add("writebacks")
+            if self.tracer is not None:
+                self.tracer.emit(seq, "station.writeback")
+            sim.process(
+                self._main_pipeline(self.context_for(completion.writeback))
+            )
+        if completion.next_issue is not None:
+            sim.process(
+                self._main_pipeline(self.context_for(completion.next_issue))
+            )
+
+    # -- pipeline drivers ------------------------------------------------------
 
     def _ingress(self, ctx: OpContext):
-        """Drive one context through the ingress-side stages.
+        """Decode, admit and issue one submitted op (one process per op).
 
-        Uniform stage-boundary behaviour lives here: after every stage
-        declaring a :attr:`~repro.core.pipeline.Stage.deadline_boundary`
-        the context's deadline is checked and expiry is unwound according
-        to how far the op got (see :meth:`_expire`).
+        The deadline is checked after decode and after admission; expiry
+        is unwound according to how far the op got (see :meth:`_expire`).
+        Whenever the op leaves the pipeline here (shed, expired) nothing
+        else holds its context, so it is released on the spot.
         """
         sim = self.sim
+        tracer = self.tracer
+        op = ctx.op
+        seq = op.seq
+        deadline = ctx.deadline_ns
+        stamps = ctx.timestamps
         ctx.submitted_ns = sim.now
-        self.emit(ctx, "ingress", f"op={ctx.op.op.name}")
-        for stage in self.front_stages:
-            ctx.mark(stage.name, sim.now)
-            alive = yield from stage.run(ctx)
-            if not alive:
-                # The stage already routed the failure (shed); nothing
-                # else holds the context.
+        if tracer is not None:
+            tracer.emit(seq, "ingress", f"op={op.op.name}")
+
+        # decode: the fully pipelined batch/op decoder (one op per clock).
+        stamps["decode"] = sim.now
+        yield self.decoder.submit()
+        if tracer is not None:
+            tracer.emit(seq, "decode")
+        if deadline is not None and sim.now > deadline:
+            self._expire(ctx, "decode")
+            self._release_context(ctx)
+            return
+
+        # admission: one reservation-station slot from the bounded ingress
+        # queue (which may shed the op instead) or the blocking token
+        # pool, recording the time stalled on a full station.
+        stamps["admission"] = sim.now
+        if self.admission is not None:
+            grant = self.admission.submit(op)
+            if not grant.triggered:
+                self.station.record_full_stall()
+            stall_start = sim.now
+            try:
+                yield grant
+            except ServerBusy as exc:
+                self.counters.add("shed_ops")
+                self.emit(ctx, "shed", f"policy={exc.policy}")
+                self.fail_before_admission(ctx, exc)
                 self._release_context(ctx)
                 return
-            if stage.deadline_boundary is not None and ctx.expired(sim.now):
-                self._expire(ctx, stage.deadline_boundary)
-                self._release_context(ctx)
-                return
+            if sim.now > stall_start:
+                self.stall_times.record(sim.now - stall_start)
+        else:
+            grant = self.inflight.acquire()
+            if not grant.triggered:
+                self.station.record_full_stall()
+                stall_start = sim.now
+                yield grant
+                self.stall_times.record(sim.now - stall_start)
+            else:
+                yield grant
+        ctx.slot_held = True
+        if deadline is not None and sim.now > deadline:
+            self._expire(ctx, "admission")
+            self._release_context(ctx)
+            return
+
+        # issue: independent ops execute out of order; (conservatively)
+        # dependent ones sleep in the station until forwarding or
+        # next_issue resolves them - either path fires their response.
+        stamps["issue"] = sim.now
+        self.counters.add("admitted")
+        admission = self.station.admit(op)
+        ctx.station_admitted = True
+        if admission is Admission.EXECUTE:
+            if tracer is not None:
+                tracer.emit(
+                    seq, "station.execute",
+                    f"occupancy={self.station.occupancy}",
+                )
+            sim.process(self._main_pipeline(ctx))
+        elif tracer is not None:
+            tracer.emit(
+                seq, "station.queued", f"occupancy={self.station.occupancy}"
+            )
         self._stamp_on_response(ctx)
 
     def _main_pipeline(self, ctx: OpContext):
-        """Drive one context through the memory stage, then complete it.
+        """Execute one op against memory, then complete it.
 
-        Entered from the issue stage (independent ops), from completion
-        (station write-backs and newly unblocked queued ops), and from
-        failure unwinds; the memory stage's deadline boundary is checked
-        at entry because the op may have expired while parked.
+        Entered from issue (independent ops), from completion (station
+        write-backs and newly unblocked queued ops), and from failure
+        unwinds.  On every exit the op has left the pipeline and nothing
+        else holds its context.
         """
-        stage = self.memory_stage
-        if ctx.seq >= 0 and ctx.expired(self.sim.now):
-            # Already admitted, but dead before touching memory: fail it
-            # through the station so dependents are forwarded the key's
-            # true current value.  No store state was modified.
-            self._expire(ctx, stage.deadline_boundary)
+        sim = self.sim
+        tracer = self.tracer
+        op = ctx.op
+        seq = op.seq
+        deadline = ctx.deadline_ns
+        if seq >= 0 and deadline is not None and sim.now > deadline:
+            # The op may have expired while parked.  Already admitted, but
+            # dead before touching memory: fail it through the station so
+            # dependents are forwarded the key's true current value.  No
+            # store state was modified.
+            self._expire(ctx, "pipeline_start")
             self._release_context(ctx)
             return
-        ctx.mark(stage.name, self.sim.now)
-        alive = yield from stage.run(ctx)
-        if alive:
-            ctx.mark(self.complete_stage.name, self.sim.now)
-            self.complete_stage.resolve(ctx)
-        # Whether completed or failed inside the memory stage, the op has
-        # left the pipeline and nothing holds its context.
+
+        # memory: execute against the index, recording every access made.
+        ctx.timestamps["memory"] = sim.now
+        if tracer is not None:
+            tracer.emit(seq, "pipeline.start")
+        memory = self.store.memory
+        memory.start_trace()
+        try:
+            result, value_after = self.execute_functional(op)
+        except KVDirectError as exc:
+            memory.stop_trace()
+            self.fail_op(ctx, exc)
+            self._release_context(ctx)
+            return
+        trace = memory.stop_trace()
+        if self.profiler is not None:
+            self.profiler.record_table_accesses(seq, trace)
+        # Replay the accesses through the memory access engine (NIC DRAM
+        # cache + PCIe DMA), then any compiled λ pipeline occupancy.
+        # Dependent accesses replay serially: a record read cannot start
+        # before its bucket read returned the pointer.
+        replay_start = sim.now
+        try:
+            for kind, addr, size in trace:
+                yield self.engine.access(
+                    addr, size, write=(kind == "write"), seq=seq
+                )
+            compute_ns = self.compute_time(op, value_after)
+            if compute_ns > 0:
+                yield sim.timeout(compute_ns)
+        except KVDirectError as exc:
+            # Graceful degradation: an unrecoverable hardware fault (DMA
+            # retry exhaustion, uncorrectable ECC error) fails only this
+            # operation - the pipeline, its dependents, and the rest of
+            # the simulation keep running.
+            self.memory_time.record(sim.now - replay_start)
+            self.counters.add("fault_failed_replays")
+            self.fail_op(ctx, exc)
+            self._release_context(ctx)
+            return
+        self.memory_time.record(sim.now - replay_start)
+        self.counters.add("main_pipeline_ops")
+        if tracer is not None:
+            tracer.emit(seq, "pipeline.done")
+
+        # complete/respond: synchronous, no simulated resource wait.
+        ctx.timestamps["complete"] = sim.now
+        completion = self.station.complete(op, value_after)
+        if seq >= 0:
+            self.respond(ctx, result)
+        self._fan_out(seq, completion)
         self._release_context(ctx)
 
     def _expire(self, ctx: OpContext, boundary: str) -> None:
@@ -477,7 +573,7 @@ class KVProcessor:
             self.fail_op(
                 ctx,
                 DeadlineExceeded(
-                    f"op seq={ctx.seq} missed its deadline at the "
+                    f"op seq={ctx.op.seq} missed its deadline at the "
                     f"{boundary} boundary",
                     stage=boundary,
                 ),
@@ -491,7 +587,7 @@ class KVProcessor:
         self.fail_before_admission(
             ctx,
             DeadlineExceeded(
-                f"op seq={ctx.seq} missed its deadline at the {boundary} "
+                f"op seq={ctx.op.seq} missed its deadline at the {boundary} "
                 f"boundary ({self.sim.now - deadline:.0f} ns late)",
                 stage=boundary,
             ),
@@ -519,7 +615,8 @@ class KVProcessor:
         yield self.forward_engine.submit()
         self.counters.add("forwarded")
         ctx = self.context_for(op)
-        self.emit(ctx, "station.forwarded")
+        if self.tracer is not None:
+            self.tracer.emit(op.seq, "station.forwarded")
         self.respond(ctx, result)
         self._release_context(ctx)
 
@@ -604,28 +701,3 @@ class KVProcessor:
     def throughput_mops(self) -> float:
         """Completed client operations per simulated microsecond."""
         return mops(self.completed, self.sim.now)
-
-    def snapshot(self) -> dict:
-        data = self.counters.snapshot()
-        data.update({f"station_{k}": v for k, v in self.station.snapshot().items()})
-        data.update({f"mem_{k}": v for k, v in self.engine.snapshot().items()})
-        return data
-
-    def metrics(self) -> dict:
-        """One comprehensive report: throughput, latency, and breakdowns."""
-        data = {
-            "completed_ops": self.completed,
-            "throughput_mops": self.throughput_mops(),
-            "cache_hit_rate": self.engine.hit_rate(),
-            "forwarded_ops": self.counters["forwarded"],
-            "writebacks": self.counters["writebacks"],
-            "dma_reads": self.dma.reads,
-            "dma_writes": self.dma.writes,
-        }
-        if self.latencies.count:
-            for pct in (50, 95, 99):
-                data[f"latency_p{pct}_ns"] = self.latencies.percentile(pct)
-        if self.memory_time.count:
-            data["memory_time_p50_ns"] = self.memory_time.percentile(50)
-            data["memory_time_mean_ns"] = self.memory_time.mean()
-        return data

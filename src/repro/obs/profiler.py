@@ -56,10 +56,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.operations import KVOperation, OpType
+from repro.core.pipeline import STAGE_ORDER
 from repro.errors import DeadlineExceeded, ServerBusy
-
-#: Canonical pipeline order; keys of ``OpContext.timestamps``.
-STAGE_ORDER = ("decode", "admission", "issue", "memory", "complete")
 
 #: Stages whose whole segment is queueing (see module docstring).
 _QUEUE_STAGES = frozenset({"admission", "issue"})
@@ -238,8 +236,9 @@ class StageProfiler:
     def observe_submit(self, ctx) -> None:
         """One client op entered the pipeline."""
         name = op_class(ctx.op)
-        if ctx.seq >= 0:
-            self._class_of[ctx.seq] = name
+        seq = ctx.op.seq
+        if seq >= 0:
+            self._class_of[seq] = name
         self.class_profile(name).submitted += 1
 
     def observe_complete(self, ctx, now: float) -> None:
@@ -250,9 +249,9 @@ class StageProfiler:
         forwarded = "memory" not in ctx.timestamps
         if forwarded:
             profile.forwarded += 1
-        # Stages mark the context in pipeline order, so the timestamp
-        # dict's insertion order *is* STAGE_ORDER (restricted to the
-        # stages this op crossed).
+        # The drivers stamp the context in pipeline order, so the
+        # timestamp dict's insertion order *is* STAGE_ORDER (restricted
+        # to the stages this op crossed).
         marks = list(ctx.timestamps.items())
         segments = self._segments_from_marks(marks, ctx.submitted_ns, now)
         for stage, queue_ns, service_ns in segments:
@@ -264,7 +263,7 @@ class StageProfiler:
         if self.keep_records:
             self.records.append(
                 OpRecord(
-                    seq=ctx.seq,
+                    seq=ctx.op.seq,
                     op_class=name,
                     submitted_ns=ctx.submitted_ns,
                     completed_ns=now,

@@ -84,3 +84,72 @@ class TestVerdict:
             judge(ab_pairs, [1.0, 2.0], parent=[1.0])
         with pytest.raises(ValueError):
             judge(ab_pairs, [], parent=[])
+
+
+def _result(ab_pairs, calls):
+    """A run.py result line with every row the tool reads."""
+    rows = dict.fromkeys(ab_pairs.EXACT_ROWS, 1.0)
+    rows.update(
+        sim_ops_per_wall_s=1000.0, host_calls_per_op=calls,
+        setup_s=1.0, peak_rss_mib=100.0,
+    )
+    return {
+        "correct": True, "failed": 0,
+        "metrics": {name: {"value": value} for name, value in rows.items()},
+    }
+
+
+class TestCountRule:
+    """``host_calls_per_op`` repeats exactly per seed, so it is judged per
+    pair against its BENCHMARK.json bound, not by medians."""
+
+    def test_count_worse_only_beyond_the_bound(self, ab_pairs):
+        assert not ab_pairs.count_worse(366.29, 336.34, 0.08)
+        assert not ab_pairs.count_worse(366.29, 366.29, 0.08)
+        assert not ab_pairs.count_worse(100.0, 108.0, 0.08)
+        assert ab_pairs.count_worse(100.0, 108.1, 0.08)
+
+    def _main(self, ab_pairs, monkeypatch, capsys, change_calls, argv=()):
+        def fake_run(checkout, workload, seed, seconds):
+            if checkout == "change":
+                return _result(ab_pairs, change_calls(workload))
+            return _result(ab_pairs, 100.0)
+
+        monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+        # The parent directory only supplies BENCHMARK.json.
+        code = ab_pairs.main([str(ROOT), "change", "--pairs", "3", *argv])
+        return code, capsys.readouterr().out
+
+    def test_every_workload_is_judged_by_default(
+        self, ab_pairs, monkeypatch, capsys
+    ):
+        code, out = self._main(ab_pairs, monkeypatch, capsys, lambda w: 90.0)
+        assert code == 0
+        verdicts = [
+            line.split()[0] for line in out.splitlines()
+            if "sim_ops_per_wall_s: " in line
+        ]
+        assert verdicts == [
+            "point-direct", "net-sharded", "scan-ordered", "cluster-failover",
+        ]
+        assert "ABOVE" not in out
+
+    def test_more_calls_on_one_workload_fails_the_run(
+        self, ab_pairs, monkeypatch, capsys
+    ):
+        code, out = self._main(
+            ab_pairs, monkeypatch, capsys,
+            lambda w: 120.0 if w == "scan-ordered" else 100.0,
+        )
+        assert code == 1
+        above = [line for line in out.splitlines() if "ABOVE" in line]
+        assert len(above) == 1 and above[0].startswith("scan-ordered ")
+
+    def test_one_named_workload(self, ab_pairs, monkeypatch, capsys):
+        code, out = self._main(
+            ab_pairs, monkeypatch, capsys, lambda w: 100.0,
+            argv=("--workload", "net-sharded"),
+        )
+        assert code == 0
+        assert out.count("sim_ops_per_wall_s: ") == 1
+        assert "point-direct" not in out

@@ -1,78 +1,173 @@
-"""The explicit stage pipeline: Stage interface, OpContext lifecycle,
-and uniform stage-boundary deadline behaviour."""
+"""The KV pipeline's observable behaviour: stage stamps in STAGE_ORDER,
+span order, the OpContext lifecycle, the three deadline boundaries and
+the completion fan-out - under blocking ingress and under an
+OverloadPolicy alike."""
 
 import pytest
 
+from repro.core.admission import OverloadPolicy
 from repro.core.operations import KVOperation
-from repro.core.pipeline import (
-    AdmissionStage,
-    CompleteStage,
-    DecodeStage,
-    IssueStage,
-    MemoryStage,
-    OpContext,
-    Stage,
-)
+from repro.core.pipeline import STAGE_ORDER
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.errors import DeadlineExceeded
+from repro.obs.profiler import StageProfiler
+from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 
+#: Prefixes of the spans the hardware models emit (not the processor).
+_HARDWARE_SPANS = ("mem.", "dram.", "pcie.")
 
-def _processor(**overrides):
+
+def _processor(tracer=None, profiler=None, **overrides):
     sim = Simulator()
     store = KVDirectStore.create(memory_size=2 << 20, **overrides)
-    return sim, KVProcessor(sim, store)
+    return sim, KVProcessor(sim, store, tracer=tracer, profiler=profiler)
 
 
-class TestStageGraph:
-    def test_front_stage_order(self):
-        __, proc = _processor()
-        assert [type(s) for s in proc.front_stages] == [
-            DecodeStage, AdmissionStage, IssueStage,
+@pytest.fixture(params=["blocking", "overload"])
+def ingress(request):
+    """Config overrides selecting one of the two admission branches."""
+    if request.param == "blocking":
+        return {}
+    return {"overload": OverloadPolicy(queue_depth=64)}
+
+
+def _park_behind_blocker(proc, parked):
+    """Submit a slow different-key PUT first so that, with one
+    reservation-station slot, every op of ``parked`` waits in the station
+    behind it; returns the events of ``parked``."""
+    proc.submit(KVOperation.put(b"blocker", b"x" * 64, seq=100))
+    return [proc.submit(op, deadline_ns=deadline) for op, deadline in parked]
+
+
+class TestDriverBehaviour:
+    def test_completed_op_stamps_follow_stage_order(self, ingress):
+        profiler = StageProfiler()
+        sim, proc = _processor(profiler=profiler, **ingress)
+        proc.submit(KVOperation.put(b"k", b"v", seq=0))
+        sim.run()
+        (record,) = profiler.records
+        assert not record.forwarded
+        assert tuple(stage for stage, __ in record.timestamps) == STAGE_ORDER
+
+    def test_forwarded_op_has_no_memory_stamp(self, ingress):
+        profiler = StageProfiler()
+        sim, proc = _processor(profiler=profiler, **ingress)
+        proc.submit(KVOperation.put(b"k", b"v", seq=0))
+        get = proc.submit(KVOperation.get(b"k", seq=1))
+        sim.run()
+        assert get.value.value == b"v"
+        record = next(r for r in profiler.records if r.seq == 1)
+        assert record.forwarded
+        stages = [stage for stage, __ in record.timestamps]
+        assert stages == ["decode", "admission", "issue"]
+        assert proc.counters["forwarded"] == 1
+
+    def test_put_spans_in_pipeline_order(self, ingress):
+        tracer = Tracer()
+        sim, proc = _processor(tracer=tracer, **ingress)
+        proc.submit(KVOperation.put(b"k", b"v", seq=0))
+        sim.run()
+        stages = [span.stage for span in tracer.spans if span.seq == 0]
+        own = [s for s in stages if not s.startswith(_HARDWARE_SPANS)]
+        assert own == [
+            "ingress", "decode", "station.execute",
+            "pipeline.start", "pipeline.done", "complete",
         ]
-        assert isinstance(proc.memory_stage, MemoryStage)
-        assert isinstance(proc.complete_stage, CompleteStage)
+        # The hardware models' spans all fall inside the memory stage.
+        hardware = [
+            i for i, s in enumerate(stages) if s.startswith(_HARDWARE_SPANS)
+        ]
+        assert hardware
+        assert stages.index("pipeline.start") < min(hardware)
+        assert max(hardware) < stages.index("pipeline.done")
 
-    def test_stage_names_are_unique_and_registered(self):
-        __, proc = _processor()
-        assert set(proc.stages) == {
-            "decode", "admission", "issue", "memory", "complete",
-        }
-        for name, stage in proc.stages.items():
-            assert stage.name == name
-            assert isinstance(stage, Stage)
+    def test_reachable_deadline_boundaries(self, ingress):
+        """Across an op dead on arrival, one that waits too long for a
+        slot and one that expires parked in the station, the boundaries
+        reported are exactly decode, admission and pipeline_start - by the
+        exception and by ``processor.deadline.*`` alike."""
+        reported, counted = set(), set()
 
-    def test_deadline_boundaries_declared_by_stages(self):
-        """Every deadline boundary the processor can report comes from a
-        stage declaration, not a hand-placed check."""
-        __, proc = _processor()
-        boundaries = {
-            s.deadline_boundary
-            for s in proc.stages.values()
-            if s.deadline_boundary is not None
-        }
-        assert boundaries == {"decode", "admission", "pipeline_start"}
+        def collect(proc, victim):
+            assert isinstance(victim.exception, DeadlineExceeded)
+            assert proc.deadline_counters[victim.exception.stage] == 1
+            reported.add(victim.exception.stage)
+            counted.update(proc.deadline_counters.snapshot())
+            assert proc.inflight.available == proc.inflight.capacity
 
-    def test_base_stage_run_is_abstract(self):
-        __, proc = _processor()
-        with pytest.raises(NotImplementedError):
-            next(Stage(proc).run(OpContext(op=KVOperation.get(b"k", seq=0))))
+        # Dead before the decoder is done with it.
+        sim, proc = _processor(**ingress)
+        victim = proc.submit(KVOperation.get(b"k", seq=0), deadline_ns=1.0)
+        sim.run()
+        collect(proc, victim)
+
+        # Both slots taken by ~1 us PUTs: the grant comes too late.
+        sim, proc = _processor(max_inflight=2, **ingress)
+        for i in range(2):
+            proc.submit(KVOperation.put(b"slow%d" % i, b"x" * 64, seq=i))
+        victim = proc.submit(KVOperation.get(b"k", seq=9), deadline_ns=400.0)
+        sim.run()
+        collect(proc, victim)
+
+        # Admitted in time, then parked past the deadline.
+        sim, proc = _processor(reservation_slots=1, **ingress)
+        (victim,) = _park_behind_blocker(
+            proc, [(KVOperation.get(b"k", seq=0), 400.0)]
+        )
+        sim.run()
+        collect(proc, victim)
+
+        assert reported == counted == {"decode", "admission", "pipeline_start"}
 
 
 class TestOpContext:
     def test_expiry_requires_a_deadline(self):
-        ctx = OpContext(op=KVOperation.get(b"k", seq=0))
-        assert not ctx.expired(1e12)
-        ctx.deadline_ns = 100.0
-        assert not ctx.expired(100.0)
-        assert ctx.expired(100.1)
+        """No deadline never expires; a deadline expires only once the
+        clock is strictly past it."""
+        tracer = Tracer()
+        sim, proc = _processor(tracer=tracer)
+        event = proc.submit(KVOperation.get(b"k", seq=0))
+        sim.run()
+        assert event.ok
+        decoded_at = next(
+            span.at_ns for span in tracer.spans if span.stage == "decode"
+        )
+
+        sim, proc = _processor()
+        on_time = proc.submit(
+            KVOperation.get(b"k", seq=0), deadline_ns=decoded_at
+        )
+        sim.run()
+        assert on_time.ok
+        assert proc.deadline_counters.snapshot() == {}
+
+        sim, proc = _processor()
+        late = proc.submit(
+            KVOperation.get(b"k", seq=0), deadline_ns=decoded_at - 0.001
+        )
+        sim.run()
+        assert isinstance(late.exception, DeadlineExceeded)
+        assert late.exception.stage == "decode"
 
     def test_mark_records_stage_entry_times(self):
-        ctx = OpContext(op=KVOperation.get(b"k", seq=0))
-        ctx.mark("decode", 1.0)
-        ctx.mark("memory", 7.5)
-        assert ctx.timestamps == {"decode": 1.0, "memory": 7.5}
+        """Each stamp is the simulated time its stage was entered."""
+        tracer, profiler = Tracer(), StageProfiler()
+        sim, proc = _processor(tracer=tracer, profiler=profiler)
+        proc.submit(KVOperation.put(b"k", b"v", seq=0))
+        sim.run()
+        (record,) = profiler.records
+        stamps = dict(record.timestamps)
+        span_at = {span.stage: span.at_ns for span in tracer.spans}
+        assert stamps["decode"] == record.submitted_ns == span_at["ingress"]
+        assert stamps["admission"] == span_at["decode"]
+        assert stamps["issue"] == span_at["station.execute"]
+        assert stamps["memory"] == span_at["pipeline.start"]
+        assert stamps["complete"] == span_at["pipeline.done"]
+        times = [at for __, at in record.timestamps]
+        assert times == sorted(times)
+        assert stamps["memory"] < stamps["complete"] <= record.completed_ns
 
     def test_context_tracked_in_flight_and_released(self):
         sim, proc = _processor()
@@ -85,24 +180,6 @@ class TestOpContext:
         sim.run()
         assert event.triggered
         assert not proc._contexts
-
-    def test_contexts_cross_every_front_stage(self):
-        sim, proc = _processor()
-        seen = {}
-        original = proc.emit
-
-        def spy(ctx, stage, detail=""):
-            if ctx.seq == 0:
-                seen[stage] = dict(ctx.timestamps)
-            original(ctx, stage, detail)
-
-        proc.emit = spy
-        proc.submit(KVOperation.put(b"k", b"v", seq=0))
-        sim.run()
-        # By completion the context crossed decode/admission/issue/memory.
-        assert set(seen["complete"]) >= {
-            "decode", "admission", "issue", "memory",
-        }
 
     def test_writeback_context_is_internal(self):
         __, proc = _processor()
@@ -154,3 +231,34 @@ class TestUniformDeadlineBoundaries:
         assert proc.deadline_counters[victim.exception.stage] == 1
         # The slot was handed back: the pool drained fully.
         assert proc.inflight.available == proc.inflight.capacity
+
+
+class TestCompletionFanOut:
+    def test_failed_op_writeback_counted_traced_applied(self, ingress):
+        """A PUT parked behind an op that fails is forwarded the key's
+        true value; the write-back that makes its effect durable goes
+        through the same fan-out as on success - counted, traced, and
+        applied to the store."""
+        tracer = Tracer()
+        sim, proc = _processor(tracer=tracer, reservation_slots=1, **ingress)
+        proc.store.put(b"k", b"old")
+        doomed, put = _park_behind_blocker(
+            proc,
+            [
+                (KVOperation.get(b"k", seq=0), 400.0),
+                (KVOperation.put(b"k", b"new", seq=1), None),
+            ],
+        )
+        sim.run()
+        assert isinstance(doomed.exception, DeadlineExceeded)
+        assert doomed.exception.stage == "pipeline_start"
+        assert put.ok
+        assert proc.counters["failed_ops"] == 1
+        assert proc.counters["writebacks"] == 1
+        assert proc.station.counters["writebacks"] == 1
+        writebacks = [
+            span for span in tracer.spans if span.stage == "station.writeback"
+        ]
+        assert [span.seq for span in writebacks] == [0]
+        assert proc.store.get(b"k") == b"new"
+        assert proc.station.occupancy == 0

@@ -193,9 +193,9 @@ class TestAccounting:
         proc = make_processor()
         proc.store.put(b"k", b"v")
         proc.sim.run(proc.submit(KVOperation.get(b"k")))
-        snap = proc.snapshot()
-        assert snap["admitted"] == 1
-        assert snap["main_pipeline_ops"] == 1
+        snap = proc.register_metrics().collect()
+        assert snap["processor.admitted"] == 1
+        assert snap["processor.main_pipeline_ops"] == 1
 
     def test_closed_loop_stats_shape(self):
         proc = make_processor()
@@ -229,12 +229,15 @@ class TestMetrics:
             proc, [KVOperation.get(b"k", seq=i) for i in range(100)],
             concurrency=16,
         )
-        metrics = proc.metrics()
-        assert metrics["completed_ops"] == 100
-        assert metrics["throughput_mops"] > 0
-        assert metrics["latency_p50_ns"] <= metrics["latency_p99_ns"]
-        assert 0.0 <= metrics["cache_hit_rate"] <= 1.0
-        assert metrics["memory_time_mean_ns"] > 0
+        metrics = proc.register_metrics().collect()
+        assert metrics["processor.completed_ops"] == 100
+        assert metrics["processor.throughput_mops"] > 0
+        assert (
+            metrics["processor.latency_ns.p50"]
+            <= metrics["processor.latency_ns.p99"]
+        )
+        assert 0.0 <= metrics["mem.cache_hit_rate"] <= 1.0
+        assert metrics["processor.memory_time_ns.mean"] > 0
 
     def test_memory_time_reflects_cache_vs_pcie(self):
         """Memory time for a repeatedly-hit cached line is far below a
@@ -252,6 +255,6 @@ class TestMetrics:
 
     def test_metrics_before_any_op(self):
         proc = make_processor()
-        metrics = proc.metrics()
-        assert metrics["completed_ops"] == 0
-        assert "latency_p50_ns" not in metrics
+        metrics = proc.register_metrics().collect()
+        assert metrics["processor.completed_ops"] == 0
+        assert "processor.latency_ns.p50" not in metrics

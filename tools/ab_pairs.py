@@ -4,10 +4,13 @@
 Runs ``benchmarks/e2e/run.py`` the way the driver does (one workload, one
 fresh process, ``--trace 0``, last stdout line is the result) in two
 checkouts, alternating which side goes first and cycling seeds 7/11/23,
-then prints
+then prints, for each workload (every one in ``BENCHMARK.json`` unless
+``--workload`` names one),
 
 * whether the rows that repeat exactly for a seed (the five simulated ones)
-  are equal on both sides, and ``host_calls_per_op`` per seed;
+  are equal on both sides, and ``host_calls_per_op`` per seed - a count
+  that also repeats exactly, so one pair above the parent by more than
+  its ``BENCHMARK.json`` bound is a regression, not noise;
 * each side's median and quartiles of ``sim_ops_per_wall_s`` and every pair,
   and the medians of the other host rows (``setup_s``, ``peak_rss_mib``);
 * the verdict of section 8 of the choosing-metrics guide: a gain needs the
@@ -16,12 +19,15 @@ then prints
   inter-quartile distance.
 
 Each checkout runs its own copy of the benchmark on its own ``src/``, so
-the two must carry identical ``benchmarks/e2e/`` files.  Exits 1 when an
-exact row differs, a run is incorrect, or the metric regressed.
+the two must carry identical ``benchmarks/e2e/`` files.  Exits 1 when, on
+any workload, an exact row differs, a run is incorrect, the call count
+rose beyond its bound or the metric regressed - so a change that claims
+no gain has one command for "no row worse on any workload".
 
 Usage::
 
-    python tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload scan-ordered --pairs 10
+    python tools/ab_pairs.py PARENT_DIR CHANGE_DIR --pairs 10
+    python tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload scan-ordered
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from typing import Dict, List, Sequence, Tuple
 SEEDS = (7, 11, 23)
 #: The one end-to-end row that is a noisy wall-clock rate (higher is better).
 METRIC = "sim_ops_per_wall_s"
+#: The end-to-end row that is an exact count per seed (lower is better).
+COUNT = "host_calls_per_op"
 #: Pairs below which no gain is claimed.
 MIN_PAIRS = 10
 #: Rows that repeat to the last digit for a fixed seed; a host-only change
@@ -100,6 +108,12 @@ def verdict(
     }
 
 
+def count_worse(parent: float, change: float, bound: float) -> bool:
+    """True when the exact count ``change`` is above ``parent`` (same
+    seed) by more than ``bound``, a share of the parent's count."""
+    return change > parent * (1.0 + bound)
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One contract-mode run in ``checkout``; the parsed last stdout line."""
     done = subprocess.run(
@@ -114,33 +128,22 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="timed seconds per run (default: the contract's)")
-    args = parser.parse_args(argv)
-    if args.pairs <= 0:
-        parser.error("--pairs must be positive")
-    with open(f"{args.parent}/BENCHMARK.json", encoding="utf-8") as handle:
-        contract = json.load(handle)
-    bound = next(
-        metric["bound"] for metric in contract["end_to_end"]
-        if metric["name"] == METRIC
-    )
-    seconds = args.seconds or contract["run_seconds"]
-
-    sides = {"parent": args.parent, "change": args.change}
+def judge_workload(
+    sides: Dict[str, str],
+    workload: str,
+    pairs: int,
+    seconds: float,
+    bounds: Dict[str, float],
+) -> bool:
+    """Run and print ``pairs`` alternating pairs of one workload; True
+    when nothing is worse (see the module docstring)."""
     runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
-    exact_ok = correct = True
-    for pair in range(args.pairs):
+    exact_ok = correct = count_ok = True
+    for pair in range(pairs):
         seed = SEEDS[pair % len(SEEDS)]
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         results = {
-            side: run_once(sides[side], args.workload, seed, seconds)
+            side: run_once(sides[side], workload, seed, seconds)
             for side in order
         }
         rows = {
@@ -154,20 +157,24 @@ def main(argv: List[str]) -> int:
             result["correct"] and not result["failed"]
             for result in results.values()
         )
+        more_calls = count_worse(
+            rows["parent"][COUNT], rows["change"][COUNT], bounds[COUNT]
+        )
+        count_ok = count_ok and not more_calls
         for side in sides:
             runs[side].append(rows[side])
         print(
-            f"pair {pair + 1:>2} seed {seed:>2} {order[0]} first: "
+            f"{workload} pair {pair + 1:>2} seed {seed:>2} {order[0]} first: "
             f"{METRIC} {rows['parent'][METRIC]:.6g} -> "
-            f"{rows['change'][METRIC]:.6g}; host_calls_per_op "
-            f"{rows['parent']['host_calls_per_op']:.2f} -> "
-            f"{rows['change']['host_calls_per_op']:.2f}; exact rows "
+            f"{rows['change'][METRIC]:.6g}; {COUNT} "
+            f"{rows['parent'][COUNT]:.2f} -> {rows['change'][COUNT]:.2f}"
+            + (" WORSE" if more_calls else "") + "; exact rows "
             + ("equal" if not moved else "MOVED: " + ", ".join(moved)),
             flush=True,
         )
 
     values = {side: [row[METRIC] for row in runs[side]] for side in sides}
-    judged = verdict(values["parent"], values["change"], bound)
+    judged = verdict(values["parent"], values["change"], bounds[METRIC])
     for side in sides:
         q1, median, q3 = quartiles(values[side])
         others = ", ".join(
@@ -178,15 +185,49 @@ def main(argv: List[str]) -> int:
         print(f"{side:<7} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}"
               f"  ({others})")
     print(
-        f"{args.workload} {METRIC}: {judged['verdict']} - change ahead "
+        f"{workload} {METRIC}: {judged['verdict']} - change ahead "
         f"in {judged['wins']}/{judged['pairs']} pairs, median ratio "
         f"{judged['ratio']:.3f} (base {judged['parent_median']:.6g}), "
         f"parent inter-quartile distance {judged['parent_iqr']:.6g}; "
-        f"exact rows {'equal' if exact_ok else 'MOVED'}; "
-        f"{'all runs correct' if correct else 'INCORRECT RUNS'}"
+        f"exact rows {'equal' if exact_ok else 'MOVED'}; {COUNT} "
+        f"{'within' if count_ok else 'ABOVE'} its bound; "
+        f"{'all runs correct' if correct else 'INCORRECT RUNS'}",
+        flush=True,
     )
-    failed = judged["verdict"] == "REGRESSED" or not exact_ok or not correct
-    return 1 if failed else 0
+    return (
+        judged["verdict"] != "REGRESSED" and exact_ok and count_ok and correct
+    )
+
+
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload",
+                        help="one workload (default: every one in "
+                             "BENCHMARK.json, one verdict line each)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float,
+                        help="timed seconds per run (default: the contract's)")
+    args = parser.parse_args(argv)
+    if args.pairs <= 0:
+        parser.error("--pairs must be positive")
+    with open(f"{args.parent}/BENCHMARK.json", encoding="utf-8") as handle:
+        contract = json.load(handle)
+    bounds = {
+        metric["name"]: metric["bound"] for metric in contract["end_to_end"]
+    }
+    workloads = [args.workload] if args.workload else [
+        workload["name"] for workload in contract["workloads"]
+    ]
+    sides = {"parent": args.parent, "change": args.change}
+    seconds = args.seconds or contract["run_seconds"]
+    # Judge every workload even after one fails: each gets its verdict line.
+    passed = [
+        judge_workload(sides, workload, args.pairs, seconds, bounds)
+        for workload in workloads
+    ]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":
