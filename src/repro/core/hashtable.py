@@ -235,10 +235,10 @@ class HashTable(Index):
         self.memory.write(addr, bucket.pack())
 
     def _chain(
-        self, key: bytes, read: Optional[Reader] = None
+        self, h: int, read: Optional[Reader] = None
     ) -> Iterator[Tuple[int, Bucket]]:
-        """Walk the bucket chain for a key, loading each bucket (1 DMA)."""
-        h = fnv1a64(key)
+        """Walk the bucket chain of a key with hash ``h`` (computed once
+        per index operation), loading each bucket (1 DMA)."""
         addr = self.bucket_addr(bucket_index(h, self.num_buckets))
         while True:
             bucket = self._load(addr, read)
@@ -278,8 +278,9 @@ class HashTable(Index):
     ) -> Optional[bytes]:
         """The lookup walk; ``read`` defaults to the counted
         ``memory.read``, and only the counted walk bumps counters."""
-        secondary = secondary_hash(fnv1a64(key))
-        for __, bucket in self._chain(key, read):
+        h = fnv1a64(key)
+        secondary = secondary_hash(h)
+        for __, bucket in self._chain(h, read):
             start = bucket.find_inline(key)
             if start is not None:
                 return bucket.read_inline(start)[1]
@@ -309,11 +310,13 @@ class HashTable(Index):
         nslots = inline_slots_needed(len(key) + len(value)) if inline_ok else 0
         host: Optional[Tuple[int, Bucket]] = None
         last_addr, last_bucket = first_addr, None
-        for addr, bucket in self._chain(key):
+        for addr, bucket in self._chain(h):
             last_addr, last_bucket = addr, bucket
             start = bucket.find_inline(key)
             if start is not None:
-                return self._replace_inline(addr, bucket, start, key, value)
+                return self._replace_inline(
+                    addr, bucket, start, key, value, secondary
+                )
             for slot, pointer, sec in bucket.pointer_slots():
                 if sec != secondary:
                     continue
@@ -322,7 +325,8 @@ class HashTable(Index):
                 )
                 if rkey == key:
                     return self._replace_record(
-                        addr, bucket, slot, pointer, key, value, len(rvalue)
+                        addr, bucket, slot, pointer, key, value, len(rvalue),
+                        secondary,
                     )
                 self.counters.add("secondary_false_positives")
             if host is None and bucket.find_free_run(max(nslots, 1)) is not None:
@@ -332,7 +336,7 @@ class HashTable(Index):
         # the pipeline from pass 1 (no extra DMA to re-read it).
         if host is None:
             return self._insert_into_new_chain_bucket(
-                last_addr, last_bucket, key, value
+                last_addr, last_bucket, key, value, secondary
             )
         addr, bucket = host
         if inline_ok:
@@ -369,6 +373,7 @@ class HashTable(Index):
         last_bucket: Optional[Bucket],
         key: bytes,
         value: bytes,
+        secondary: int,
     ) -> None:
         """Chain a fresh overflow bucket and place the KV in it."""
         new_addr = self.allocator.alloc_class(_BUCKET_CLASS)
@@ -376,7 +381,6 @@ class HashTable(Index):
         if self._is_inline(key, value):
             new_bucket.write_inline(0, key, value)
         else:
-            secondary = secondary_hash(fnv1a64(key))
             record_class = self._record_class(key, value)
             record_addr = self.allocator.alloc_class(record_class)
             self._write_record(record_addr, key, value)
@@ -391,7 +395,8 @@ class HashTable(Index):
         return None
 
     def _replace_inline(
-        self, addr: int, bucket: Bucket, start: int, key: bytes, value: bytes
+        self, addr: int, bucket: Bucket, start: int, key: bytes, value: bytes,
+        secondary: int,
     ) -> Optional[int]:
         old_key, old_value = bucket.read_inline(start)
         bucket.erase_inline(start)
@@ -407,8 +412,7 @@ class HashTable(Index):
         free_slot = bucket.find_free_run(1)
         if free_slot is not None:
             self._insert_pointer(
-                addr, bucket, free_slot, key, value,
-                secondary_hash(fnv1a64(key)),
+                addr, bucket, free_slot, key, value, secondary
             )
             return len(old_value)
         # No room in this bucket at all: persist the erase, then reinsert.
@@ -425,6 +429,7 @@ class HashTable(Index):
         key: bytes,
         value: bytes,
         old_value_len: int,
+        secondary: int,
     ) -> Optional[int]:
         old_class = bucket.slab_types[slot]
         new_class = self._record_class(key, value)
@@ -436,10 +441,7 @@ class HashTable(Index):
         new_addr = self.allocator.alloc_class(new_class)
         self._write_record(new_addr, key, value)
         bucket.set_pointer(
-            slot,
-            new_addr // POINTER_GRANULARITY,
-            secondary_hash(fnv1a64(key)),
-            new_class,
+            slot, new_addr // POINTER_GRANULARITY, secondary, new_class
         )
         self._store(addr, bucket)
         self.allocator.free(record_addr, old_class)
@@ -454,9 +456,10 @@ class HashTable(Index):
         its predecessor and its 64 B slab freed, so chains shrink again
         after churn instead of growing monotonically.
         """
-        secondary = secondary_hash(fnv1a64(key))
+        h = fnv1a64(key)
+        secondary = secondary_hash(h)
         prev: Optional[Tuple[int, Bucket]] = None
-        for addr, bucket in self._chain(key):
+        for addr, bucket in self._chain(h):
             start = bucket.find_inline(key)
             if start is not None:
                 __, old_value = bucket.read_inline(start)

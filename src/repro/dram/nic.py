@@ -9,7 +9,7 @@ the DRAM cache stores line data in.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro import constants
 from repro.dram.host import MemoryImage
@@ -20,16 +20,19 @@ from repro.sim.stats import Counter
 
 
 class _Burst:
-    """One access in flight: issue -> channel drained -> latency -> done,
-    a queue hop each - the first too (``docs/MODELING.md``, "Same-instant
-    ordering contract", has the run that moves when it is dropped)."""
+    """One access in flight: issue -> channel drained -> latency -> ``then``
+    queued, a queue hop each - the first too (``docs/MODELING.md``,
+    "Same-instant ordering contract", has the run that moves when it is
+    dropped).  ``then`` is the caller's next step, queued bare where a
+    completion event used to be; or, from the continuation-omitted
+    ``access()``, the pending event that is completed there instead."""
 
-    __slots__ = ("dram", "nbytes", "done")
+    __slots__ = ("dram", "nbytes", "then")
 
-    def __init__(self, dram: "NICDram", nbytes: int) -> None:
+    def __init__(self, dram: "NICDram", nbytes: int, then) -> None:
         self.dram = dram
         self.nbytes = nbytes
-        self.done = Event(dram.sim)
+        self.then = then
         dram.sim.call_soon(self.issue)
 
     def issue(self, _entry) -> None:
@@ -41,7 +44,11 @@ class _Burst:
         dram.sim.call_after(dram.latency_ns, self.landed)
 
     def landed(self, _entry) -> None:
-        self.dram.sim.finish(self.done)
+        then = self.then
+        if type(then) is Event:
+            self.dram.sim.finish(then)
+        else:
+            self.dram.sim.call_soon(then)
 
 
 class NICDram:
@@ -72,11 +79,20 @@ class NICDram:
         self.image = image
         self.counters = Counter()
 
-    def access(self, nbytes: int, write: bool = False) -> Event:
-        """Timed access of ``nbytes``; completes when the burst drains."""
+    def access(
+        self, nbytes: int, write: bool = False,
+        then: Optional[Callable] = None,
+    ) -> Optional[Event]:
+        """Timed access of ``nbytes``: ``then(kick)`` is queued when the
+        burst has drained.  With ``then`` omitted an event is returned and
+        completes at that same queue position."""
         self.counters.add("writes" if write else "reads")
         self.counters.add("write_bytes" if write else "read_bytes", nbytes)
-        return _Burst(self, nbytes).done
+        done = None
+        if then is None:
+            then = done = Event(self.sim)
+        _Burst(self, nbytes, then)
+        return done
 
     @property
     def accesses(self) -> int:

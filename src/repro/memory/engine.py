@@ -31,7 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class _Access:
     """One timed access: fan out a transfer per line, join when the last
-    one lands, fail fast with the first failure."""
+    one lands, fail fast with the first failure.  ``done`` is the one
+    event of the leaf models: what the main pipeline yields on."""
 
     __slots__ = ("engine", "addr", "size", "write", "seq", "done", "waiting")
 
@@ -61,6 +62,7 @@ class _Access:
         tracer = engine.tracer
         cache = engine.cache
         caches_line = engine.dispatcher.caches_line
+        line_landed = self.line_landed
         for line in range(first, last + 1):
             line_addr = line * line_size
             start = addr if line == first else line_addr
@@ -68,21 +70,21 @@ class _Access:
             if cache is not None and caches_line(line):
                 if tracer is not None:
                     tracer.emit(seq, "mem.route", f"line={line} dram")
-                landed = _CachedLine(
-                    engine, line, write, span == line_size, seq
-                ).done
+                _CachedLine(
+                    engine, line, write, span == line_size, seq, line_landed
+                )
             else:
                 engine.counters.add("pcie_direct")
                 if tracer is not None:
                     tracer.emit(seq, "mem.route", f"line={line} pcie")
                 if write:
-                    landed = engine.dma.write(span, seq)
+                    engine.dma.write(span, seq, line_landed)
                 else:
-                    landed = engine.dma.read(span, seq)
-            landed.callbacks.append(self.line_landed)
+                    engine.dma.read(span, seq, line_landed)
         self.waiting = last - first + 1
 
-    def line_landed(self, event: Event) -> None:
+    def line_landed(self, event) -> None:
+        """A line's continuation: the kick, or the line's failed event."""
         if not self.waiting:
             return  # already failed
         error = event.exception
@@ -101,18 +103,21 @@ class _Access:
 class _CachedLine:
     """One cacheable line: a hit is one NIC-DRAM burst; a miss is write-back
     of a dirty victim (NIC-DRAM read, then PCIe write), fill over PCIe and
-    install into NIC DRAM, each step started by the previous one landing."""
+    install into NIC DRAM.  Each step is the continuation handed to the
+    burst or DMA before it; the last one queues ``then`` (the access's
+    ``line_landed``), and a failed step - an uncorrectable ECC read, a
+    write-back or fill out of retries - hands it a failed event instead."""
 
-    __slots__ = ("engine", "line", "write", "full", "seq", "done", "fill")
+    __slots__ = ("engine", "line", "write", "full", "seq", "then", "fill")
 
     def __init__(self, engine: "MemoryAccessEngine", line: int, write: bool,
-                 full: bool, seq: int) -> None:
+                 full: bool, seq: int, then) -> None:
         self.engine = engine
         self.line = line
         self.write = write
         self.full = full
         self.seq = seq
-        self.done = Event(engine.sim)
+        self.then = then
         engine.sim.call_soon(self.start)
 
     def start(self, _entry) -> None:
@@ -133,7 +138,7 @@ class _CachedLine:
                 try:
                     status = engine.ecc.read_word(engine.sim.now)
                 except CorruptionDetected as exc:
-                    self.done.fail(exc)
+                    engine.sim.fail(self.then, exc)
                     return
                 if status is DecodeStatus.CORRECTED:
                     engine._trace(seq, "dram.ecc_corrected", f"line={line}")
@@ -153,23 +158,19 @@ class _CachedLine:
             engine._trace(
                 seq, "dram.writeback", f"line={result.writeback_line}"
             )
-            engine.nic_dram.access(engine.line_size, write=False).callbacks.append(
-                self.victim_read
-            )
+            engine.nic_dram.access(engine.line_size, False, self.victim_read)
         else:
             self.fetch()
 
-    def victim_read(self, _event: Event) -> None:
+    def victim_read(self, _entry) -> None:
         engine = self.engine
-        engine.dma.write(engine.line_size, self.seq).callbacks.append(
-            self.dma_landed
-        )
+        engine.dma.write(engine.line_size, self.seq, self.dma_landed)
 
-    def dma_landed(self, event: Event) -> None:
+    def dma_landed(self, event) -> None:
         """The write-back or the fill is over: on to the next step, unless
         the DMA failed (and the line with it)."""
         if event.exception is not None:
-            self.done.fail(event.exception)
+            self.engine.sim.fail(self.then, event.exception)
         else:
             self.fetch()
 
@@ -184,19 +185,15 @@ class _CachedLine:
         if engine.profiler is not None:
             engine.profiler.record_cache(self.seq, "fill")
         engine._trace(self.seq, "dram.fill", f"line={self.line}")
-        engine.dma.read(engine.line_size, self.seq).callbacks.append(
-            self.dma_landed
-        )
+        engine.dma.read(engine.line_size, self.seq, self.dma_landed)
 
     def burst(self, write: bool) -> None:
         """The line's last step: one NIC-DRAM burst, then done."""
         engine = self.engine
-        engine.nic_dram.access(engine.line_size, write=write).callbacks.append(
-            self.landed
-        )
+        engine.nic_dram.access(engine.line_size, write, self.landed)
 
-    def landed(self, _event: Event) -> None:
-        self.engine.sim.finish(self.done)
+    def landed(self, _entry) -> None:
+        self.engine.sim.call_soon(self.then)
 
 
 class MemoryAccessEngine:

@@ -20,7 +20,7 @@ tag-bound near 60 Mops; writes are bandwidth-bound near 80 Mops.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import FaultInjected
 from repro.pcie.link import PCIeLinkConfig
@@ -45,23 +45,28 @@ class _Transfer:
     few registers stepped by a fixed state machine, not a process.
 
     Creating it queues ``issue``, one hop after the request; every later step is
-    the callback of the resource it waited for.  ``sent`` / ``drop_check``
+    the continuation handed to the resource it waits for (a tag or credit
+    grant, a drained channel, a timer), and the last one queues ``then`` -
+    the caller's next step, bare, where a completion event used to be (or,
+    from the continuation-omitted ``read()`` / ``write()``, completes the
+    pending event ``then`` is).  ``sent`` / ``drop_check``
     are the fault checks of one attempt: an attempt whose TLPs were
     dropped is replayed from ``send`` after the completion timeout, and
-    the transfer fails with :class:`~repro.errors.FaultInjected` once the
-    retry budget is exhausted.  Each step is one queue entry, and how many
+    once the retry budget is exhausted the transfer fails: ``then`` is
+    handed a failed event carrying :class:`~repro.errors.FaultInjected`.
+    Each step is one queue entry, and how many
     there are is observable (``docs/MODELING.md``, "Same-instant ordering
     contract"): merging two moves simulated results.
     """
 
-    __slots__ = ("link", "nbytes", "seq", "done", "attempts")
+    __slots__ = ("link", "nbytes", "seq", "then", "attempts")
 
-    def __init__(self, link: "DMAEngine", nbytes: int, seq: int) -> None:
+    def __init__(self, link: "DMAEngine", nbytes: int, seq: int, then) -> None:
         self.link = link
         self.nbytes = nbytes
         self.seq = seq
         self.attempts = 0
-        self.done = Event(link.sim)
+        self.then = then
         link.sim.call_soon(self.issue)
 
     def send(self, _event) -> None:
@@ -95,7 +100,7 @@ class _Transfer:
         self.attempts += 1
         if self.attempts > injector.plan.dma_max_retries:
             self.release()
-            self.done.fail(FaultInjected(
+            link.sim.fail(self.then, FaultInjected(
                 f"{link.name}: DMA transfer dropped "
                 f"{self.attempts} times, retry budget exhausted"
             ))
@@ -117,10 +122,10 @@ class _Read(_Transfer):
     def issue(self, _entry) -> None:
         link = self.link
         self.start = link.sim.now
-        link.tags.acquire().callbacks.append(self.tagged)
+        link.tags.acquire(self.tagged)
 
     def tagged(self, _event) -> None:
-        self.link.nonposted_credits.acquire().callbacks.append(self.send)
+        self.link.nonposted_credits.acquire(self.send)
 
     def delivered(self) -> None:
         # Round trip: root complex -> host DRAM -> completion arrives.
@@ -149,7 +154,11 @@ class _Read(_Transfer):
             link.profiler.record_dma(self.seq, "read", nbytes)
         if link.tracer is not None:
             link.tracer.emit(self.seq, "pcie.read", f"{link.name} {nbytes}B")
-        link.sim.finish(self.done)
+        then = self.then
+        if type(then) is Event:
+            link.sim.finish(then)
+        else:
+            link.sim.call_soon(then)
 
 
 class _Write(_Transfer):
@@ -159,7 +168,7 @@ class _Write(_Transfer):
     request_bytes = staticmethod(write_request_bytes)
 
     def issue(self, _entry) -> None:
-        self.link.posted_credits.acquire().callbacks.append(self.send)
+        self.link.posted_credits.acquire(self.send)
 
     def delivered(self) -> None:
         link = self.link
@@ -173,7 +182,11 @@ class _Write(_Transfer):
             link.profiler.record_dma(self.seq, "write", nbytes)
         if link.tracer is not None:
             link.tracer.emit(self.seq, "pcie.write", f"{link.name} {nbytes}B")
-        link.sim.finish(self.done)
+        then = self.then
+        if type(then) is Event:
+            link.sim.finish(then)
+        else:
+            link.sim.call_soon(then)
 
     def credit_in_flight(self, _entry) -> None:
         link = self.link
@@ -221,15 +234,31 @@ class DMAEngine:
 
     # -- public API ---------------------------------------------------------
 
-    def read(self, nbytes: int, seq: int = -1) -> Event:
-        """Issue a DMA read; the returned event completes with the data
-        available on the NIC.  ``seq`` is the client sequence of the op
-        this transfer serves (for tracing; -1 when unattributed)."""
-        return _Read(self, nbytes, seq).done
+    def read(
+        self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
+    ) -> Optional[Event]:
+        """Issue a DMA read: ``then(kick)`` is queued with the data
+        available on the NIC, or ``then(failed_event)`` once the retry
+        budget is exhausted.  With ``then`` omitted an event is returned
+        and completes (or fails) at that same queue position.  ``seq`` is
+        the client sequence of the op this transfer serves (for tracing;
+        -1 when unattributed)."""
+        done = None
+        if then is None:
+            then = done = Event(self.sim)
+        _Read(self, nbytes, seq, then)
+        return done
 
-    def write(self, nbytes: int, seq: int = -1) -> Event:
-        """Issue a posted DMA write; completes once the TLP is serialized."""
-        return _Write(self, nbytes, seq).done
+    def write(
+        self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
+    ) -> Optional[Event]:
+        """Issue a posted DMA write; completes, the way :meth:`read` does,
+        once the TLP is serialized."""
+        done = None
+        if then is None:
+            then = done = Event(self.sim)
+        _Write(self, nbytes, seq, then)
+        return done
 
     def _trace(self, seq: int, stage: str, detail: str = "") -> None:
         if self.tracer is not None:
@@ -290,11 +319,15 @@ class MultiLinkDMA:
         self._next = (self._next + 1) % len(self.links)
         return link
 
-    def read(self, nbytes: int, seq: int = -1) -> Event:
-        return self._pick().read(nbytes, seq)
+    def read(
+        self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
+    ) -> Optional[Event]:
+        return self._pick().read(nbytes, seq, then)
 
-    def write(self, nbytes: int, seq: int = -1) -> Event:
-        return self._pick().write(nbytes, seq)
+    def write(
+        self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
+    ) -> Optional[Event]:
+        return self._pick().write(nbytes, seq, then)
 
     @property
     def reads(self) -> int:

@@ -6,14 +6,17 @@ Simulated time is measured in **nanoseconds** throughout the project.
 
 The kernel provides:
 
-- :class:`~repro.sim.engine.Simulator` - the event loop and clock, plus the
-  bare-callback entries (``call_soon`` / ``call_after`` / ``call_when``) and
-  ``finish`` that a leaf model's chain hops on.
+- :class:`~repro.sim.engine.Simulator` - the event loop and clock.  A
+  queue entry is a triggered event or any bare callable (``call_soon`` /
+  ``call_after`` / ``call_when``), called with one shared kick-start
+  sentinel: what a leaf model's chain hops on, at no allocation per hop.
 - :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Process` -
   synchronization primitives; processes are Python generators that ``yield``
-  events.
+  events.  Completions inside the leaf models are not events but
+  continuations (``then``): the next step, queued bare when its turn comes.
 - :class:`~repro.sim.resources.TokenPool` - counted resource (PCIe tags,
-  flow-control credits, reservation-station entries).
+  flow-control credits, reservation-station entries); ``acquire(then)``
+  queues the continuation on grant, ``acquire()`` returns an event.
 - :class:`~repro.sim.resources.BandwidthServer` - a serial channel with a
   fixed byte rate (PCIe link, DRAM channel, Ethernet port).
 - :class:`~repro.sim.resources.FIFOServer` - a fixed-service-time pipeline

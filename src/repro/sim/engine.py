@@ -1,23 +1,36 @@
-"""Event loop, events, generator-based processes and bare callbacks.
+"""Event loop, events, generator-based processes and bare callables.
 
 The design mirrors SimPy's core: a :class:`Simulator` owns a priority queue
-of pending events; a :class:`Process` wraps a generator that ``yield``\\ s
+of pending entries; a :class:`Process` wraps a generator that ``yield``\\ s
 events and is resumed when they trigger.  Processes carry control flow
 (ingress, the main pipeline, clients); the leaf hardware models in
 :mod:`repro.pcie`, :mod:`repro.dram` and :mod:`repro.memory` keep each
 in-flight DMA, burst or cache line as a callback chain hopping between
-``call_soon`` / ``call_after`` / ``call_when`` entries and ending in
-``finish`` - the queue positions a process would occupy ("Same-instant
-ordering contract" in ``docs/MODELING.md``) without the generator.
+``call_soon`` / ``call_after`` / ``call_when`` entries and ending by
+queueing its continuation - the queue positions a process would occupy
+("Same-instant ordering contract" in ``docs/MODELING.md``) without the
+generator and without an :class:`Event` per hop.
 
-Scheduling order is the observable contract: events fire in ``(time, FIFO)``
+A queue entry is one of two things.  A triggered :class:`Event` (or
+subclass): processing it clears ``callbacks`` and runs them with the event.
+Or **any other callable** - a bound method, a lambda, a ``partial``, a
+builtin: processing it calls it with the one shared kick-start sentinel,
+whose ``_value``, ``_exception`` and ``exception`` are all ``None``, so a
+step written for an event (``Process._resume``, a chain's ``line_landed``)
+reads it as "succeeded, no value".  The entry carries nothing else: no
+wrapper object, no tuple.
+
+Scheduling order is the observable contract: entries fire in ``(time, FIFO)``
 order — at equal simulated times, strictly in the order they were scheduled.
-The implementation splits the pending set into a heap of *future* events and
-a plain FIFO deque of events scheduled at the *current* instant (the vast
+The implementation splits the pending set into a heap of *future* entries and
+a plain FIFO deque of entries scheduled at the *current* instant (the vast
 majority under closed-loop load, where most triggers are delay-0).  The split
 preserves the exact global order: every heap entry at time ``T`` was pushed
 before the clock reached ``T``, so it precedes — in sequence order — every
-deque entry appended while processing at ``T``.
+deque entry appended while processing at ``T``.  And nothing pushed while
+the clock stands at ``T`` can be due at ``T`` (it would have gone to the
+deque), so once the heap entries due at an instant are done the run loop
+drains the deque without looking at the heap again.
 """
 
 from __future__ import annotations
@@ -36,6 +49,10 @@ _heappop = heapq.heappop
 
 _PAST = "cannot schedule at {} before now ({})"
 
+#: :class:`Event` and every subclass: how the run loop tells an event entry
+#: from a bare callable (one ``type(entry) in`` test, no call).
+_EVENT_TYPES = set()
+
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -46,6 +63,10 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_exception", "_scheduled")
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _EVENT_TYPES.add(cls)
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -118,17 +139,24 @@ class Event:
             self.callbacks.append(callback)
 
 
-class _Call:
-    """A bare queue entry: one callback, no value, no waiters.
+_EVENT_TYPES.add(Event)
 
-    The run loop handles it like an :class:`Event` (reads and clears
-    ``callbacks``, runs them with the entry as argument); the class-level
-    ``_value`` / ``_exception`` let it kick-start a :class:`Process`.
-    """
 
-    __slots__ = ("callbacks",)
+class _Kick:
+    """What a bare callable entry is called with: reads as an event that
+    succeeded with no value, so it kick-starts a :class:`Process` and
+    passes a chain's ``event.exception`` check."""
+
+    __slots__ = ()
     _value = None
     _exception = None
+    exception = None
+
+
+_KICK = _Kick()
+#: A pending event nothing ever schedules: what ``run`` waits for when it
+#: is not waiting for an event.
+_NEVER = Event(None)
 
 
 class Timeout(Event):
@@ -275,11 +303,12 @@ class AnyOf(_Condition):
 
 
 class Simulator:
-    """The event loop: a clock plus pending-event queues.
+    """The event loop: a clock plus pending-entry queues.
 
-    Future events live in a ``(time, sequence, event)`` heap; events
-    scheduled at the current instant live in a FIFO deque.  See the module
-    docstring for why this preserves exact ``(time, FIFO)`` order.
+    Future entries live in a ``(time, sequence, entry)`` heap; entries
+    scheduled at the current instant live in a FIFO deque.  An entry is a
+    triggered :class:`Event` or a bare callable.  See the module docstring
+    for why this preserves exact ``(time, FIFO)`` order.
     """
 
     def __init__(self) -> None:
@@ -287,6 +316,10 @@ class Simulator:
         self._queue: List = []
         self._dq = deque()
         self._sequence = 0
+        #: ``call_soon(callback)``: run ``callback(kick)`` at the current
+        #: instant, after everything already queued for it (the position
+        #: of a delay-0 ``succeed``).  The deque's own ``append``.
+        self.call_soon: Callable[[Callable], None] = self._dq.append
 
     @property
     def now(self) -> float:
@@ -325,32 +358,30 @@ class Simulator:
             _heappush(self._queue, (when, self._sequence, event))
         return event
 
-    # -- bare callbacks: one queue entry, one callback, no Event ------------
-
-    def call_soon(self, callback: Callable) -> None:
-        """Run ``callback(entry)`` at the current instant, after everything
-        already queued for it (the position of a delay-0 ``succeed``)."""
-        entry = _Call()
-        entry.callbacks = (callback,)
-        self._dq.append(entry)
+    # -- bare callables: one queue entry, nothing allocated -----------------
 
     def call_after(self, delay: float, callback: Callable) -> None:
-        """Run ``callback(entry)`` ``delay`` ns from now (the position of a
+        """Run ``callback(kick)`` ``delay`` ns from now (the position of a
         ``Timeout``)."""
-        self.call_when(self._now + delay, callback)
-
-    def call_when(self, when: float, callback: Callable) -> None:
-        """Run ``callback(entry)`` at absolute time ``when`` (the position
-        of ``schedule_at``): a window tick, a reservation's drain time."""
-        entry = _Call()
-        entry.callbacks = (callback,)
+        when = self._now + delay
         if when == self._now:
-            self._dq.append(entry)
+            self._dq.append(callback)
         else:
             if when < self._now:
                 raise SimulationError(_PAST.format(when, self._now))
             self._sequence += 1
-            _heappush(self._queue, (when, self._sequence, entry))
+            _heappush(self._queue, (when, self._sequence, callback))
+
+    def call_when(self, when: float, callback: Callable) -> None:
+        """Run ``callback(kick)`` at absolute time ``when`` (the position
+        of ``schedule_at``): a window tick, a reservation's drain time."""
+        if when == self._now:
+            self._dq.append(callback)
+        else:
+            if when < self._now:
+                raise SimulationError(_PAST.format(when, self._now))
+            self._sequence += 1
+            _heappush(self._queue, (when, self._sequence, callback))
 
     def finish(self, event: Event, value: Any = None) -> None:
         """Complete ``event`` the way a returning process completes itself:
@@ -360,6 +391,17 @@ class Simulator:
             event._value = value
             event._scheduled = True
             self._dq.append(event)
+
+    def fail(self, then: Any, exception: BaseException) -> None:
+        """Fail a chain at the current instant, where ``done.fail(exc)``
+        would queue ``done``: ``then`` is that pending event (the
+        continuation-omitted form), or a continuation, which is handed a
+        failed event to read ``.exception`` from."""
+        if type(then) is not Event:
+            failed = Event(self)
+            failed.callbacks.append(then)
+            then = failed
+        then.fail(exception)
 
     # -- factories ---------------------------------------------------------
 
@@ -380,100 +422,94 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------
 
-    def _next_event(self) -> Event:
-        """Pop the next event in (time, FIFO) order, advancing the clock."""
+    def _next_event(self) -> Any:
+        """Pop the next entry in (time, FIFO) order, advancing the clock."""
         queue = self._queue
         if queue and queue[0][0] <= self._now:
-            when, __, event = _heappop(queue)
-            self._now = when
-            return event
-        dq = self._dq
-        if dq:
-            return dq.popleft()
-        when, __, event = _heappop(queue)
+            return _heappop(queue)[2]
+        if self._dq:
+            return self._dq.popleft()
+        if not queue:
+            raise SimulationError("simulation ran out of events")
+        when, __, entry = _heappop(queue)
         self._now = when
-        return event
+        return entry
 
     def step(self) -> None:
-        """Process the next scheduled event."""
-        event = self._next_event()
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
+        """Process the next scheduled entry."""
+        entry = self._next_event()
+        if type(entry) in _EVENT_TYPES:
+            callbacks = entry.callbacks
+            entry.callbacks = None
             for callback in callbacks:
-                callback(event)
+                callback(entry)
+        else:
+            entry(_KICK)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run until no events remain), a number
+        ``until`` may be ``None`` (run until no entries remain), a number
         (run until that simulated time), or an :class:`Event` (run until it
-        is processed, returning its value).
+        is processed, returning its value - at once, with whatever else is
+        queued for that instant left for the next ``run``).
         """
         queue = self._queue
         dq = self._dq
+        popleft = dq.popleft
+        event_types = _EVENT_TYPES
+        kick = _KICK
+        deadline = float("inf")
         if isinstance(until, Event):
             target = until
-            while target.callbacks is not None:
-                if queue and queue[0][0] <= self._now:
-                    when, __, event = _heappop(queue)
-                    self._now = when
-                elif dq:
-                    event = dq.popleft()
-                elif queue:
-                    when, __, event = _heappop(queue)
-                    self._now = when
-                else:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered (deadlock?)"
-                    )
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
+        else:
+            target = _NEVER
+            if until is not None:
+                deadline = float(until)
+                if deadline < self._now:
+                    raise SimulationError("run(until) target is in the past")
+        while target.callbacks is not None:
+            # Heap entries due at this instant were all pushed before the
+            # clock reached it: they go before anything in the deque.
+            while queue and queue[0][0] <= self._now:
+                entry = _heappop(queue)[2]
+                if type(entry) in event_types:
+                    callbacks = entry.callbacks
+                    entry.callbacks = None
                     for callback in callbacks:
-                        callback(event)
-            return target.value
-        if until is None:
-            while queue or dq:
-                if queue and queue[0][0] <= self._now:
-                    when, __, event = _heappop(queue)
-                    self._now = when
-                elif dq:
-                    event = dq.popleft()
+                        callback(entry)
+                    if target.callbacks is None:
+                        return target.value
                 else:
-                    when, __, event = _heappop(queue)
-                    self._now = when
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
+                    entry(kick)
+            # The rest of the instant: nothing queued from here on can be
+            # due in the heap, so the deque drains without re-testing it.
+            while dq:
+                entry = popleft()
+                if type(entry) in event_types:
+                    callbacks = entry.callbacks
+                    entry.callbacks = None
                     for callback in callbacks:
-                        callback(event)
-            return None
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError("run(until) target is in the past")
-        while True:
-            if queue and queue[0][0] <= self._now:
-                when, __, event = _heappop(queue)
-                self._now = when
-            elif dq:
-                event = dq.popleft()
-            elif queue and queue[0][0] <= deadline:
-                when, __, event = _heappop(queue)
-                self._now = when
+                        callback(entry)
+                    if target.callbacks is None:
+                        return target.value
+                else:
+                    entry(kick)
+            if queue and queue[0][0] <= deadline:
+                self._now = queue[0][0]
+            elif target is not _NEVER:
+                raise SimulationError(
+                    "simulation ran out of events before the awaited "
+                    "event triggered (deadlock?)"
+                )
             else:
-                break
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-        self._now = deadline
-        return None
+                if until is not None:
+                    self._now = deadline
+                return None
+        return target.value
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled entry, or ``inf`` if none."""
         if self._dq:
             if self._queue and self._queue[0][0] < self._now:
                 return self._queue[0][0]

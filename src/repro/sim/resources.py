@@ -14,7 +14,7 @@ from:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional, Union
 
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
@@ -24,8 +24,9 @@ class TokenPool:
     """A counted resource with FIFO acquisition.
 
     Models PCIe tags (64 per DMA engine), posted/non-posted header credits,
-    and reservation-station capacity.  ``acquire`` returns an event that
-    triggers once a token is available; ``release`` returns one token.
+    and reservation-station capacity.  ``acquire`` queues a continuation
+    (or triggers the event it returns) once a token is available;
+    ``release`` returns one token.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "tokens") -> None:
@@ -35,7 +36,7 @@ class TokenPool:
         self.name = name
         self.capacity = capacity
         self._available = capacity
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[Union[Callable, Event]] = deque()
         self.peak_in_use = 0
         self.total_acquired = 0
 
@@ -47,15 +48,19 @@ class TokenPool:
     def in_use(self) -> int:
         return self.capacity - self._available
 
-    def acquire(self) -> Event:
-        """Request one token; the returned event fires when granted."""
-        event = Event(self.sim)
+    def acquire(self, then: Optional[Callable] = None) -> Optional[Event]:
+        """Request one token.  ``then(kick)`` is queued once it is granted -
+        at once, or in FIFO turn on a later :meth:`release`.  With ``then``
+        omitted an event is returned instead and is itself what is queued
+        at that position."""
+        event = None
+        if then is None:
+            then = event = Event(self.sim)
         if self._available > 0 and not self._waiters:
             self._available -= 1
-            self._account()
-            event.succeed()
+            self._grant(then)
         else:
-            self._waiters.append(event)
+            self._waiters.append(then)
         return event
 
     def try_acquire(self) -> bool:
@@ -74,8 +79,7 @@ class TokenPool:
             # The token passes directly to the oldest waiter; _available
             # stays unchanged (it was consumed by the releaser and is now
             # consumed by the waiter).
-            self._account()
-            self._waiters.popleft().succeed()
+            self._grant(self._waiters.popleft())
         else:
             self._available += 1
 
@@ -84,6 +88,14 @@ class TokenPool:
         in_use = self.capacity - self._available
         if in_use > self.peak_in_use:
             self.peak_in_use = in_use
+
+    def _grant(self, then: Union[Callable, Event]) -> None:
+        """Account one token as taken and queue its holder's next step."""
+        self._account()
+        if type(then) is Event:
+            then.succeed()
+        else:
+            self.sim.call_soon(then)
 
 
 class BandwidthServer:

@@ -13,9 +13,11 @@ each access's outcome.
 """
 
 import random
+from collections import deque
 
 import pytest
 
+from repro import scenario
 from repro.dram.cache import DramCache, ECCFaultPath
 from repro.dram.hamming import DecodeStatus
 from repro.dram.nic import NICDram
@@ -32,7 +34,8 @@ from repro.pcie.tlp import (
     transfer_drop_probability,
     write_request_bytes,
 )
-from repro.sim import Event, Simulator
+from repro.driver import run_closed_loop
+from repro.sim import Simulator
 
 LINE = 64
 
@@ -53,10 +56,14 @@ class RefNICDram(NICDram):
 
 
 class RefDMAEngine(DMAEngine):
-    def read(self, nbytes, seq=-1):
+    # ``then`` is what ``MultiLinkDMA`` forwards; the generators never pass
+    # one and wait on the returned process instead.
+    def read(self, nbytes, seq=-1, then=None):
+        assert then is None
         return self.sim.process(self._read(nbytes, seq))
 
-    def write(self, nbytes, seq=-1):
+    def write(self, nbytes, seq=-1, then=None):
+        assert then is None
         return self.sim.process(self._write(nbytes, seq))
 
     def _read(self, nbytes, seq=-1):
@@ -216,18 +223,17 @@ class HopFusedNICDram(NICDram):
     """What the contract forbids: the burst books the channel inside
     ``access()`` instead of one queue hop later."""
 
-    def access(self, nbytes, write=False):
+    def access(self, nbytes, write=False, then=None):
         kind = "writes" if write else "reads"
         self.counters.add(kind)
         self.counters.add(f"{kind[:-1]}_bytes", nbytes)
-        sim, done = self.sim, Event(self.sim)
+        sim = self.sim
         sim.call_when(
             self.channel.reserve(nbytes),
             lambda _: sim.call_after(
-                self.latency_ns, lambda _: sim.finish(done)
+                self.latency_ns, lambda _: sim.call_soon(then)
             ),
         )
-        return done
 
 
 # -- one instrumented stack per implementation --------------------------------
@@ -292,17 +298,21 @@ class Rig:
             )
             for pool in (link.tags, link.posted_credits, link.nonposted_credits):
                 self.pools.append(pool)
-                self._spy(pool, "acquire", pool.name, result=lambda _: None)
+                # The chains pass their next step to ``acquire``; the
+                # generators yield on the event it returns.  Same call.
+                self._spy(pool, "acquire", pool.name, result=lambda _: None,
+                          logged_args=lambda args: ())
                 self._spy(pool, "release", pool.name)
 
-    def _spy(self, target, method, label, result=lambda value: value):
+    def _spy(self, target, method, label, result=lambda value: value,
+             logged_args=lambda args: args):
         inner = getattr(target, method)
 
         def spy(*args, **kwargs):
             value = inner(*args, **kwargs)
             self.log.append(
-                (self.sim.now, label, method, args, tuple(kwargs.items()),
-                 result(value))
+                (self.sim.now, label, method, logged_args(args),
+                 tuple(kwargs.items()), result(value))
             )
             return value
 
@@ -466,6 +476,47 @@ class TestTheGateBites:
         credit = ("pcie0.nonposted", "acquire")
         assert order(chains).index(booked) > order(chains).index(credit)
         assert order(fused).index(booked) < order(fused).index(credit)
+
+
+class _CountingDeque(deque):
+    appends = 0
+
+    def append(self, item):
+        self.appends += 1
+        super().append(item)
+
+
+class TestQueueEntriesPerOp:
+    """Every hop is one queue entry, so a fused or an added hop changes the
+    number of entries a fixed run queues - caught here by count, whether or
+    not it happens to move a golden.  The numbers were measured on the
+    commit before the continuations (generator ``Process``es gone, one
+    ``Event`` per hop still there): ``(deque appends, heap pushes)``."""
+
+    @staticmethod
+    def queue_entries(built, ops, concurrency):
+        sim = built.sim
+        assert not sim._dq and not sim._queue
+        counting = sim._dq = _CountingDeque()
+        sim.call_soon = counting.append
+        pushes = sim._sequence
+        stats = run_closed_loop(built.processor, ops, concurrency=concurrency)
+        assert stats["operations"] == len(ops)
+        return counting.appends, sim._sequence - pushes
+
+    def test_direct_point_ops(self):
+        built = scenario.build(
+            seed=7, memory_size=1 << 20, corpus=2000, put_ratio=0.5
+        )
+        entries = self.queue_entries(built, built.operations(400), 32)
+        assert entries == (7207, 2318)  # 23.8 per op
+
+    def test_ordered_scans(self):
+        built = scenario.build(
+            seed=7, memory_size=1 << 20, corpus=1000, workload="E"
+        )
+        entries = self.queue_entries(built, built.operations(120), 16)
+        assert entries == (23760, 11804)  # 296.4 per op
 
 
 class TestPureFunctionTrims:

@@ -1,9 +1,17 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from functools import partial
+
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import Event, Interrupt, Simulator
+from repro.dram.cache import DramCache, ECCFaultPath
+from repro.dram.nic import NICDram
+from repro.errors import CorruptionDetected, FaultInjected, SimulationError
+from repro.faults import FaultInjector, FaultPlan
+from repro.memory.dispatcher import LoadDispatcher
+from repro.memory.engine import MemoryAccessEngine, _CachedLine
+from repro.pcie.dma import DMAEngine, MultiLinkDMA
+from repro.sim import Event, Interrupt, Simulator, TokenPool
 
 
 class TestEventBasics:
@@ -287,6 +295,17 @@ class TestSimulatorRun:
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(proc)
 
+    def test_step_on_an_empty_simulator(self):
+        """Used to escape as ``IndexError: index out of range`` from
+        ``heappop``."""
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="ran out of events"):
+            sim.step()
+        sim.call_soon(lambda kick: None)
+        sim.step()
+        with pytest.raises(SimulationError, match="ran out of events"):
+            sim.step()
+
     def test_schedule_at_absolute(self):
         sim = Simulator()
         sim.run(sim.timeout(50))
@@ -364,6 +383,103 @@ class TestBareCallbacks:
             (7.0, "scheduled-4"), (7.0, "delayed-5"), (7.0, "soon-6"),
         ]
 
+    def test_any_callable_is_an_entry_in_the_deque_and_the_heap(self):
+        """A builtin, a lambda and a ``partial`` queued bare, next to
+        events, in the deque and in the heap: one ``(time, FIFO)`` order,
+        and every one of them is called with the same kick-start sentinel
+        (which is all ``order.append`` - the builtin - can record)."""
+        sim = Simulator()
+        order = []
+        kicks = []
+
+        def tagged(tag, kick):
+            kicks.append(kick)
+            order.append((sim.now, tag))
+
+        def note(tag):
+            return lambda event: order.append((sim.now, tag))
+
+        sim.call_soon(lambda kick: tagged("lambda-1", kick))
+        sim.call_soon(order.append)
+        sim.event().succeed().add_callback(note("event-3"))
+        sim.call_soon(partial(tagged, "partial-4"))
+        sim.call_after(5.0, partial(tagged, "partial-1"))
+        sim.timeout(5.0).add_callback(note("timeout-2"))
+        sim.call_when(5.0, order.append)
+        sim.call_after(5.0, lambda kick: tagged("lambda-4", kick))
+        sim.schedule_at(sim.event(), 5.0).add_callback(note("scheduled-5"))
+        sim.call_after(0.0, order.append)
+        sim.call_after(2.0, order.append)
+        sim.run()
+        kicks += [item for item in order if not isinstance(item, tuple)]
+        assert len(kicks) == 8 and len({id(kick) for kick in kicks}) == 1
+        kick = kicks[0]
+        assert kick._value is None
+        assert kick._exception is None and kick.exception is None
+        assert order == [
+            (0.0, "lambda-1"), kick, (0.0, "event-3"), (0.0, "partial-4"),
+            kick,
+            kick,
+            (5.0, "partial-1"), (5.0, "timeout-2"), kick, (5.0, "lambda-4"),
+            (5.0, "scheduled-5"),
+        ]
+
+    def test_a_process_is_kick_started_by_its_bare_resume(self):
+        sim = Simulator()
+        order = []
+
+        def body():
+            order.append("process")
+            got = yield sim.timeout(1.0, value="woken")
+            order.append(got)
+
+        sim.call_soon(lambda kick: order.append("before"))
+        process = sim.process(body())
+        sim.call_soon(lambda kick: order.append("after"))
+        # The bootstrap is the bound ``_resume`` itself, not an Event.
+        assert sim._dq[1] == process._resume
+        sim.run()
+        assert order == ["before", "process", "after", "woken"]
+
+    def test_run_until_event_stops_mid_instant_and_run_resumes_in_order(self):
+        """The target is the second of four heap entries at t=7, and the
+        first queued a deque entry: ``run(target)`` returns with two due
+        heap entries and one deque entry pending, and the next ``run()``
+        fires them heap first, as one uninterrupted run would."""
+        def build():
+            sim = Simulator()
+            order = []
+
+            def note(tag):
+                return lambda entry: order.append((sim.now, tag))
+
+            def first(kick):
+                order.append((sim.now, "heap-1"))
+                sim.call_soon(note("soon-5"))
+
+            sim.call_after(7.0, first)
+            target = sim.timeout(7.0, value="hit")
+            target.add_callback(note("target-2"))
+            sim.call_when(7.0, note("heap-3"))
+            sim.timeout(7.0).add_callback(note("timeout-4"))
+            sim.call_after(9.0, note("later-6"))
+            return sim, order, target
+
+        sim, uninterrupted, __ = build()
+        sim.run()
+        sim, order, target = build()
+        assert sim.run(target) == "hit"
+        assert order == [(7.0, "heap-1"), (7.0, "target-2")]
+        assert sim.now == 7.0 and len(sim._dq) == 1 and len(sim._queue) == 3
+        assert sim.peek() == 7.0
+        assert sim.run(target) == "hit"  # already processed: nothing runs
+        assert len(order) == 2
+        sim.run()
+        assert order == uninterrupted == [
+            (7.0, "heap-1"), (7.0, "target-2"), (7.0, "heap-3"),
+            (7.0, "timeout-4"), (7.0, "soon-5"), (9.0, "later-6"),
+        ]
+
     def test_run_until_time_and_peek_see_bare_entries(self):
         sim = Simulator()
         fired = []
@@ -393,6 +509,114 @@ class TestBareCallbacks:
         assert seen == [won]  # queued once, not twice
         assert won.value == "first"
         assert isinstance(lost.exception, KeyError)
+
+
+class TestContinuations:
+    """``TokenPool.acquire(then)`` and the leaf models' ``then``: the next
+    step queued bare where the event form queues its event."""
+
+    def test_immediate_grant_is_queued_not_called(self):
+        sim = Simulator()
+        pool = TokenPool(sim, 2)
+        order = []
+        assert pool.acquire(lambda kick: order.append("then")) is None
+        order.append("after acquire")
+        granted = pool.acquire()
+        assert granted.triggered and not granted.processed
+        granted.add_callback(lambda event: order.append("event"))
+        sim.run()
+        assert order == ["after acquire", "then", "event"]
+        assert pool.available == 0
+
+    def test_release_grants_in_fifo_order_across_both_forms(self):
+        sim = Simulator()
+        pool = TokenPool(sim, 1)
+        order = []
+
+        def holder(tag):
+            return lambda entry: order.append((sim.now, tag))
+
+        pool.acquire(holder("then-0"))
+        second = pool.acquire()
+        second.add_callback(holder("event-1"))
+        pool.acquire(holder("then-2"))
+        fourth = pool.acquire()
+        fourth.add_callback(holder("event-3"))
+        pool.acquire(holder("then-4"))
+        assert not second.triggered and not fourth.triggered
+        sim.run()
+        assert order == [(0.0, "then-0")]
+        for when in (10.0, 20.0, 30.0, 40.0):
+            sim.run(until=when)
+            pool.release()
+            # Granted at the release, queued behind it - not run inline.
+            assert len(order) == when // 10
+            assert second.triggered is (when >= 10.0)
+            assert fourth.triggered is (when >= 30.0)
+        sim.run()
+        assert order == [
+            (0.0, "then-0"), (10.0, "event-1"), (20.0, "then-2"),
+            (30.0, "event-3"), (40.0, "then-4"),
+        ]
+
+    def test_pool_counters_match_the_event_form(self):
+        def drive(acquire):
+            sim = Simulator()
+            pool = TokenPool(sim, 3)
+            for __ in range(5):
+                acquire(pool)
+            sim.run()
+            seen = [(pool.available, pool.peak_in_use, pool.total_acquired)]
+            for __ in range(4):
+                pool.release()
+                seen.append(
+                    (pool.available, pool.peak_in_use, pool.total_acquired,
+                     len(pool._waiters))
+                )
+            sim.run()
+            return seen
+
+        with_events = drive(lambda pool: pool.acquire())
+        with_continuations = drive(lambda pool: pool.acquire(lambda kick: None))
+        assert with_continuations == with_events
+        assert with_events[-1] == (2, 3, 5, 0)
+
+    def test_dma_retry_exhaustion_hands_the_continuation_a_failed_event(self):
+        sim = Simulator()
+        injector = FaultInjector(
+            FaultPlan(dma_drop_prob=1.0, dma_max_retries=2), seed=1
+        )
+        link = DMAEngine(sim, injector=injector)
+        got = []
+        assert link.read(64, seq=5, then=got.append) is None
+        assert link.write(64, seq=6, then=got.append) is None
+        failed_read = link.read(64, seq=7)
+        sim.run()
+        assert [type(event.exception) for event in got] == [FaultInjected] * 2
+        assert all(type(event) is Event and event.processed for event in got)
+        assert isinstance(failed_read.exception, FaultInjected)
+        assert link.counters["fault_drops"] == 9
+        for pool in (link.tags, link.nonposted_credits, link.posted_credits):
+            assert pool.available == pool.capacity
+
+    def test_uncorrectable_ecc_read_hands_the_line_a_failed_event(self):
+        sim = Simulator()
+        injector = FaultInjector(FaultPlan(double_bit_flip_prob=1.0), seed=1)
+        engine = MemoryAccessEngine(
+            sim, MultiLinkDMA(sim), NICDram(sim), LoadDispatcher(1.0),
+            DramCache(nic_lines=8, host_lines=64),
+            ecc=ECCFaultPath(injector),
+        )
+        sim.run(engine.access(0, 64, write=True))  # install line 0
+        got = []
+        _CachedLine(engine, 0, False, True, -1, got.append)
+        sim.run()
+        assert len(got) == 1 and type(got[0]) is Event
+        assert isinstance(got[0].exception, CorruptionDetected)
+        # ...and through the public, event-returning form.
+        access = engine.access(0, 64)
+        with pytest.raises(CorruptionDetected):
+            sim.run(access)
 
 
 class TestEdgeCases:
