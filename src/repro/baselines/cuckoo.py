@@ -215,7 +215,7 @@ class CuckooHashTable:
             victim_key, victim_pointer = slots[victim_index]
             slots[victim_index] = (key, pointer)
             self._write_bucket(bucket, slots)
-            self.counters.add("kicks")
+            self.counters["kicks"] += 1
             v1, v2 = self._buckets_of(victim_key)
             bucket = v2 if bucket == v1 else v1
             key, pointer = victim_key, victim_pointer

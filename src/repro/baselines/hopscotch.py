@@ -249,7 +249,7 @@ class HopscotchHashTable:
                         slots[i] = (None, 0)
                         self._write_bucket(candidate, slots)
                         free_bucket, free_slot = candidate, i
-                        self.counters.add("bubbles")
+                        self.counters["bubbles"] += 1
                         moved = True
                         break
                 if moved:
@@ -267,7 +267,7 @@ class HopscotchHashTable:
         self.memory.write(self._addr(home), b"")  # chain pointer update
         self.memory.write(block, bytes(64))
         self._chains.setdefault(home, []).append((key, pointer, block))
-        self.counters.add("chained")
+        self.counters["chained"] += 1
 
     def _distance(self, start: int, bucket: int) -> int:
         return (bucket - start) % self.num_buckets

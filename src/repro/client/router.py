@@ -25,7 +25,7 @@ sees every acknowledged write (read-your-writes across failover).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.client.client import ClientStats, KVClient
@@ -223,7 +223,7 @@ class ClusterRouter:
         attempt = 0
         while True:
             if self.breaker is not None and not self.breaker.allow():
-                self.counters.add("breaker_fast_fails")
+                self.counters["breaker_fast_fails"] += 1
                 yield sim.timeout(max(self.breaker.wait_ns(), 1.0))
                 continue
             if scan:
@@ -232,7 +232,7 @@ class ClusterRouter:
                 )
             else:
                 targets = (cmap.primary(cmap.slot_of(op.key)),)
-            stamped = replace(op, epoch=cmap.epoch)
+            stamped = op.with_epoch(cmap.epoch)
             # Wire time between stamping and arrival: an epoch bump can
             # land in this window, which is exactly the stale-routing race
             # the WrongEpoch NACK exists for.
@@ -248,9 +248,9 @@ class ClusterRouter:
             except NodeDown as exc:
                 if exc.reason == "killed":
                     cluster.notice_node_down(exc.node)
-                self.counters.add("node_down_retries")
+                self.counters["node_down_retries"] += 1
             except WrongEpoch:
-                self.counters.add("wrong_epoch_retries")
+                self.counters["wrong_epoch_retries"] += 1
             else:
                 if self.breaker is not None:
                     self.breaker.record(True)
@@ -258,7 +258,7 @@ class ClusterRouter:
                     self.budget.on_success()
                 if not scan:
                     return results[0]
-                self.counters.add("scan_fanouts")
+                self.counters["scan_fanouts"] += 1
                 merged = merge_scan(op, results)
                 return KVResult(
                     op.op, ok=merged is not None, value=merged, seq=op.seq
@@ -267,12 +267,12 @@ class ClusterRouter:
                 self.breaker.record(False)
             attempt += 1
             if attempt > self.retry_limit:
-                self.counters.add("give_ups")
+                self.counters["give_ups"] += 1
                 raise RetryExhausted(
                     f"{op.op.name} on {op.key!r} NACKed {attempt} times"
                 )
             if self.budget is not None and not self.budget.try_spend():
-                self.counters.add("give_ups")
+                self.counters["give_ups"] += 1
                 raise RetryExhausted(
                     f"{op.op.name} on {op.key!r}: retry budget exhausted"
                 )

@@ -142,7 +142,7 @@ class IngressQueue:
         """Request admission for one op; see class docstring for outcomes."""
         event = self.sim.event()
         if not self._queue and self.tokens.try_acquire():
-            self.counters.add("admitted_direct")
+            self.counters["admitted_direct"] += 1
             self.wait_ns.record(0.0)
             event.succeed(0.0)
             return event
@@ -150,7 +150,7 @@ class IngressQueue:
         if len(self._queue) < self.policy.queue_depth:
             self._enqueue(waiter)
             return event
-        self.counters.add("queue_full")
+        self.counters["queue_full"] += 1
         victim = self._choose_victim(waiter)
         if victim is not waiter:
             self._queue.remove(victim)
@@ -164,7 +164,7 @@ class IngressQueue:
         if self._queue and self.tokens.try_acquire():
             waiter = self._queue.popleft()
             waited = self.sim.now - waiter.enqueued_ns
-            self.counters.add("admitted_queued")
+            self.counters["admitted_queued"] += 1
             self.wait_ns.record(waited)
             waiter.event.succeed(waited)
 
@@ -172,7 +172,7 @@ class IngressQueue:
 
     def _enqueue(self, waiter: _Waiter) -> None:
         self._queue.append(waiter)
-        self.counters.add("enqueued")
+        self.counters["enqueued"] += 1
         self.counters.record_max("max_depth", len(self._queue))
 
     def _choose_victim(self, arriving: _Waiter) -> _Waiter:
@@ -199,7 +199,7 @@ class IngressQueue:
             else "oldest" if policy == "drop-oldest"
             else _CLASS_NAMES[shed_class(victim.op)]
         )
-        self.counters.add("shed_total")
+        self.counters["shed_total"] += 1
         self.counters.add(f"shed_{policy.replace('-', '_')}")
         self.counters.add(f"shed_class_{_CLASS_NAMES[shed_class(victim.op)]}")
         victim.event.fail(

@@ -20,6 +20,16 @@ The secondary hash lets lookups skip non-matching pointer slots without
 fetching the pointed-to KV; the full key is still compared after the fetch,
 "at the cost of one additional memory access" on the 1/512 false-positive
 path.
+
+The hardware decides a bucket in one clock: the ten slots, the two bitmaps
+and the secondary hashes are evaluated side by side, not walked.  The
+queries here are written the same way - :meth:`Bucket.find_inline`,
+:meth:`Bucket.pointer_slots`, :meth:`Bucket.find_free_run` and
+:meth:`Bucket.has_no_entries` work on the two bitmaps and on the slot area
+taken as one integer (set bits by ``x & -x``, free runs by shift-and-mask),
+so a query is one frame whatever the bucket holds.  Bitmap bits 10..15 are
+carried through :meth:`Bucket.pack` untouched and never looked at, as a
+walk over ten slots never looks at them.
 """
 
 from __future__ import annotations
@@ -47,7 +57,16 @@ INLINE_HEADER = 2
 
 _SECONDARY_MASK = (1 << SECONDARY_HASH_BITS) - 1
 _POINTER_MASK = (1 << POINTER_BITS) - 1
-_META = struct.Struct("<IHHIH")  # slab types, used, start, chain, reserved
+#: slot area, slab types, used, start, chain, reserved
+_BUCKET = struct.Struct(f"<{SLOT_AREA}sIHHIH")
+_SLOT_BITS = SLOT_SIZE * 8
+_SLOT_WORD_MASK = (1 << _SLOT_BITS) - 1
+#: The bitmap bits that name a slot.
+_SLOTS_MASK = (1 << SLOTS_PER_BUCKET) - 1
+#: Slot index of a one-bit bitmap (what ``x & -x`` leaves).
+_SLOT_OF_BIT = {1 << index: index for index in range(SLOTS_PER_BUCKET)}
+_NO_SLAB_TYPES = [0] * SLOTS_PER_BUCKET
+_EMPTY_SLOT_AREA = bytes(SLOT_AREA)
 
 
 def pack_slot(pointer: int, secondary: int) -> int:
@@ -68,8 +87,8 @@ def inline_slots_needed(kv_size: int) -> int:
     """Hash slots an inline KV of ``kv_size = klen + vlen`` bytes occupies."""
     if kv_size < 0:
         raise KVDirectError(f"negative KV size: {kv_size}")
-    total = kv_size + INLINE_HEADER
-    return max(1, -(-total // SLOT_SIZE))
+    # Never below one slot: the header alone is two bytes.
+    return -(-(kv_size + INLINE_HEADER) // SLOT_SIZE)
 
 
 def max_inline_kv_size() -> int:
@@ -99,16 +118,19 @@ class Bucket:
 
     @classmethod
     def unpack(cls, data: bytes) -> "Bucket":
-        if len(data) != BUCKET_SIZE:
+        try:
+            area, types, used, start, chain, __ = _BUCKET.unpack(data)
+        except struct.error:
             raise KVDirectError(
                 f"bucket must be {BUCKET_SIZE} bytes, got {len(data)}"
-            )
-        bucket = cls()
-        bucket.slot_bytes = bytearray(data[:SLOT_AREA])
-        types_word, used, start, chain, __ = _META.unpack(data[SLOT_AREA:])
+            ) from None
+        bucket = cls.__new__(cls)
+        bucket.slot_bytes = bytearray(area)
         bucket.slab_types = [
-            (types_word >> (3 * i)) & 0x7 for i in range(SLOTS_PER_BUCKET)
-        ]
+            types & 7, types >> 3 & 7, types >> 6 & 7, types >> 9 & 7,
+            types >> 12 & 7, types >> 15 & 7, types >> 18 & 7,
+            types >> 21 & 7, types >> 24 & 7, types >> 27 & 7,
+        ] if types else [0] * SLOTS_PER_BUCKET
         bucket.inline_used = used
         bucket.inline_start = start
         bucket.chain_ptr = chain & _POINTER_MASK
@@ -116,13 +138,17 @@ class Bucket:
 
     def pack(self) -> bytes:
         types_word = 0
-        for i, slab_type in enumerate(self.slab_types):
-            if not 0 <= slab_type <= 0x7:
-                raise KVDirectError(f"slab type out of range: {slab_type}")
-            types_word |= slab_type << (3 * i)
+        if self.slab_types != _NO_SLAB_TYPES:
+            for i, slab_type in enumerate(self.slab_types):
+                if not 0 <= slab_type <= 0x7:
+                    raise KVDirectError(
+                        f"slab type out of range: {slab_type}"
+                    )
+                types_word |= slab_type << (3 * i)
         if self.chain_ptr > _POINTER_MASK:
             raise KVDirectError(f"chain pointer out of range: {self.chain_ptr}")
-        return bytes(self.slot_bytes) + _META.pack(
+        return _BUCKET.pack(
+            self.slot_bytes,
             types_word,
             self.inline_used,
             self.inline_start,
@@ -169,24 +195,39 @@ class Bucket:
         """First index of ``length`` contiguous free slots, if any."""
         if length <= 0 or length > SLOTS_PER_BUCKET:
             return None
-        run = 0
-        for i in range(SLOTS_PER_BUCKET):
-            run = run + 1 if self.is_free(i) else 0
-            if run == length:
-                return i - length + 1
-        return None
+        # Occupied: holds inline data, or a non-zero word.
+        occupied = self.inline_used
+        area = int.from_bytes(self.slot_bytes, "little")
+        bit = 1
+        while area:
+            if area & _SLOT_WORD_MASK:
+                occupied |= bit
+            area >>= _SLOT_BITS
+            bit <<= 1
+        free = ~occupied & _SLOTS_MASK
+        # Bit i survives k shifts iff slots i..i+k are all free.
+        runs = free
+        for shift in range(1, length):
+            runs &= free >> shift
+        return _SLOT_OF_BIT[runs & -runs] if runs else None
 
     # -- pointer slots ---------------------------------------------------------
 
-    def pointer_slots(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield (slot index, pointer, secondary hash) for occupied slots."""
-        for i in range(SLOTS_PER_BUCKET):
-            if self.is_inline_slot(i):
-                continue
-            word = self.slot_word(i)
-            if word:
-                pointer, secondary = unpack_slot(word)
-                yield i, pointer, secondary
+    def pointer_slots(self) -> List[Tuple[int, int, int]]:
+        """(slot index, pointer, secondary hash) of each occupied slot."""
+        found = []
+        area = int.from_bytes(self.slot_bytes, "little")
+        inline = self.inline_used
+        index = 0
+        while area:
+            word = area & _SLOT_WORD_MASK
+            if word and not inline >> index & 1:
+                found.append(
+                    (index, word >> SECONDARY_HASH_BITS, word & _SECONDARY_MASK)
+                )
+            area >>= _SLOT_BITS
+            index += 1
+        return found
 
     def set_pointer(
         self, index: int, pointer: int, secondary: int, slab_type: int
@@ -223,15 +264,14 @@ class Bucket:
         """Read the inline KV beginning at ``start``; returns (key, value)."""
         if not self.inline_start & (1 << start):
             raise KVDirectError(f"slot {start} does not begin an inline KV")
+        slot_bytes = self.slot_bytes
         offset = start * SLOT_SIZE
-        klen = self.slot_bytes[offset]
-        vlen = self.slot_bytes[offset + 1]
         data_start = offset + INLINE_HEADER
-        key = bytes(self.slot_bytes[data_start : data_start + klen])
-        value = bytes(
-            self.slot_bytes[data_start + klen : data_start + klen + vlen]
+        value_start = data_start + slot_bytes[offset]
+        return (
+            bytes(slot_bytes[data_start:value_start]),
+            bytes(slot_bytes[value_start : value_start + slot_bytes[offset + 1]]),
         )
-        return key, value
 
     def write_inline(self, start: int, key: bytes, value: bytes) -> None:
         """Store an inline KV at ``start``; caller ensured the run is free."""
@@ -245,41 +285,46 @@ class Bucket:
         record = bytes([len(key), len(value)]) + key + value
         padded = record.ljust(nslots * SLOT_SIZE, b"\x00")
         self.slot_bytes[offset : offset + nslots * SLOT_SIZE] = padded
-        for i in range(start, start + nslots):
-            self.inline_used |= 1 << i
-            self.inline_start &= ~(1 << i)
-            self.slab_types[i] = 0
-        self.inline_start |= 1 << start
+        run = ((1 << nslots) - 1) << start
+        self.inline_used |= run
+        self.inline_start = self.inline_start & ~run | 1 << start
+        self.slab_types[start : start + nslots] = [0] * nslots
 
     def erase_inline(self, start: int) -> None:
         """Remove the inline KV beginning at ``start``."""
-        key, value = self.read_inline(start)
-        nslots = inline_slots_needed(len(key) + len(value))
+        if not self.inline_start & (1 << start):
+            raise KVDirectError(f"slot {start} does not begin an inline KV")
         offset = start * SLOT_SIZE
-        self.slot_bytes[offset : offset + nslots * SLOT_SIZE] = bytes(
+        slot_bytes = self.slot_bytes
+        nslots = inline_slots_needed(slot_bytes[offset] + slot_bytes[offset + 1])
+        if start + nslots > SLOTS_PER_BUCKET:  # lengths that overrun the area
+            nslots = SLOTS_PER_BUCKET - start
+        slot_bytes[offset : offset + nslots * SLOT_SIZE] = bytes(
             nslots * SLOT_SIZE
         )
-        for i in range(start, start + nslots):
-            self.inline_used &= ~(1 << i)
-            self.inline_start &= ~(1 << i)
+        run = ((1 << nslots) - 1) << start
+        self.inline_used &= ~run
+        self.inline_start &= ~run
 
     def find_inline(self, key: bytes) -> Optional[int]:
         """Start slot of the inline KV with this key, if present."""
-        for start, __ in self.inline_spans():
+        starts = self.inline_start & _SLOTS_MASK
+        slot_bytes = self.slot_bytes
+        klen = len(key)
+        while starts:
+            low = starts & -starts
+            starts ^= low
+            start = _SLOT_OF_BIT[low]
             offset = start * SLOT_SIZE
-            klen = self.slot_bytes[offset]
-            if klen != len(key):
-                continue
-            data_start = offset + INLINE_HEADER
-            if self.slot_bytes[data_start : data_start + klen] == key:
-                return start
+            if slot_bytes[offset] == klen:
+                data_start = offset + INLINE_HEADER
+                if slot_bytes[data_start : data_start + klen] == key:
+                    return start
         return None
 
     def has_no_entries(self) -> bool:
         """No inline KVs and no pointer slots (chain pointer ignored)."""
-        return self.inline_used == 0 and all(
-            self.slot_word(i) == 0 for i in range(SLOTS_PER_BUCKET)
-        )
+        return self.inline_used == 0 and self.slot_bytes == _EMPTY_SLOT_AREA
 
     def is_empty(self) -> bool:
         return self.chain_ptr == 0 and self.has_no_entries()

@@ -117,23 +117,27 @@ class HashTable(Index):
 
     # -- public API -----------------------------------------------------------
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Look up a key; returns its value or ``None``."""
+    def get(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
+        """Look up a key; returns its value or ``None``.  ``h``, here and
+        on the other operations, is ``fnv1a64(key)`` when the caller
+        already has it."""
         self._check_key(key)
-        before = self.memory.accesses
-        value = self._get(key)
-        self.get_cost.record(self.memory.accesses - before)
-        self.counters.add("gets")
+        memory = self.memory
+        before = memory.accesses
+        value = self._get(key, fnv1a64(key) if h is None else h)
+        self.get_cost.record(memory.accesses - before)
+        self.counters["gets"] += 1
         return value
 
-    def put(self, key: bytes, value: bytes) -> bool:
+    def put(self, key: bytes, value: bytes, h: Optional[int] = None) -> bool:
         """Insert or replace a (key, value) pair.  Returns True."""
         self._check_key(key)
         self._check_value(key, value)
-        before = self.memory.accesses
-        replaced_size = self._put(key, value)
-        self.put_cost.record(self.memory.accesses - before)
-        self.counters.add("puts")
+        memory = self.memory
+        before = memory.accesses
+        replaced_size = self._put(key, value, fnv1a64(key) if h is None else h)
+        self.put_cost.record(memory.accesses - before)
+        self.counters["puts"] += 1
         if replaced_size is None:
             self.count += 1
             self.stored_bytes += len(key) + len(value)
@@ -141,13 +145,14 @@ class HashTable(Index):
             self.stored_bytes += len(value) - replaced_size
         return True
 
-    def delete(self, key: bytes) -> bool:
+    def delete(self, key: bytes, h: Optional[int] = None) -> bool:
         """Delete a key; returns whether it existed."""
         self._check_key(key)
-        before = self.memory.accesses
-        removed = self._delete(key)
-        self.delete_cost.record(self.memory.accesses - before)
-        self.counters.add("deletes")
+        memory = self.memory
+        before = memory.accesses
+        removed = self._delete(key, fnv1a64(key) if h is None else h)
+        self.delete_cost.record(memory.accesses - before)
+        self.counters["deletes"] += 1
         if removed is not None:
             self.count -= 1
             self.stored_bytes -= len(key) + removed
@@ -157,16 +162,12 @@ class HashTable(Index):
         return self.count
 
     def __contains__(self, key: bytes) -> bool:
-        return self.get(key) is not None
+        return self.peek(key) is not None
 
     # -- Index interface ------------------------------------------------------
 
-    def lookup(self, key: bytes) -> Optional[bytes]:
-        return self.get(key)
-
-    def insert(self, key: bytes, value: bytes) -> bool:
-        return self.put(key, value)
-
+    lookup = get
+    insert = put
     # delete() above already satisfies the interface.
 
     def scan(self, start: bytes, count: int, with_values: bool = True):
@@ -175,7 +176,7 @@ class HashTable(Index):
             "an ordered index (config.ordered_index)"
         )
 
-    def probe(self, key: bytes) -> Optional[bytes]:
+    def probe(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
         """Lookup without per-op statistics, for index-internal reads.
 
         Scans fetch values through this so their bucket/record reads are
@@ -184,16 +185,16 @@ class HashTable(Index):
         measurements.
         """
         self._check_key(key)
-        return self._get(key)
+        return self._get(key, fnv1a64(key) if h is None else h)
 
     def peek(self, key: bytes) -> Optional[bytes]:
         """Lookup that leaves no mark: the chain walk of :meth:`get` read
         through ``memory.peek``, so no memory or table counter, cost
         distribution or active trace sees it.  For control-plane readers
-        (cluster snapshots, replica comparison) that must not perturb the
-        measured data path."""
+        (cluster snapshots, replica comparison) and ``key in table``, which
+        must not perturb the measured data path."""
         self._check_key(key)
-        return self._get(key, self.memory.peek)
+        return self._get(key, fnv1a64(key), self.memory.peek)
 
     def utilization(self, total_memory: Optional[int] = None) -> float:
         """Stored KV bytes over the memory size ("memory utilization")."""
@@ -204,6 +205,8 @@ class HashTable(Index):
 
     @staticmethod
     def _check_key(key: bytes) -> None:
+        if type(key) is bytes and 0 < len(key) <= MAX_KEY_SIZE:
+            return
         if not isinstance(key, (bytes, bytearray)):
             raise TypeError("key must be bytes")
         if not key:
@@ -228,24 +231,8 @@ class HashTable(Index):
     def bucket_addr(self, index: int) -> int:
         return self.base + index * BUCKET_SIZE
 
-    def _load(self, addr: int, read: Optional[Reader] = None) -> Bucket:
-        return Bucket.unpack((read or self.memory.read)(addr, BUCKET_SIZE))
-
     def _store(self, addr: int, bucket: Bucket) -> None:
         self.memory.write(addr, bucket.pack())
-
-    def _chain(
-        self, h: int, read: Optional[Reader] = None
-    ) -> Iterator[Tuple[int, Bucket]]:
-        """Walk the bucket chain of a key with hash ``h`` (computed once
-        per index operation), loading each bucket (1 DMA)."""
-        addr = self.bucket_addr(bucket_index(h, self.num_buckets))
-        while True:
-            bucket = self._load(addr, read)
-            yield addr, bucket
-            if not bucket.chain_ptr:
-                return
-            addr = bucket.chain_ptr * POINTER_GRANULARITY
 
     # -- records -------------------------------------------------------------------
 
@@ -254,12 +241,12 @@ class HashTable(Index):
             addr, _RECORD_HEADER.pack(len(key), len(value)) + key + value
         )
 
+    @staticmethod
     def _read_record(
-        self, pointer: int, slab_type: int, read: Optional[Reader] = None
+        pointer: int, slab_type: int, read: Reader
     ) -> Tuple[bytes, bytes]:
         """Read a slab record; one DMA of the slab's size class."""
-        addr = pointer * POINTER_GRANULARITY
-        raw = (read or self.memory.read)(addr, class_size(slab_type))
+        raw = read(pointer * POINTER_GRANULARITY, class_size(slab_type))
         klen, vlen = _RECORD_HEADER.unpack_from(raw)
         start = _RECORD_HEADER.size
         return raw[start : start + klen], raw[start + klen : start + klen + vlen]
@@ -274,13 +261,19 @@ class HashTable(Index):
     # -- GET -------------------------------------------------------------------------
 
     def _get(
-        self, key: bytes, read: Optional[Reader] = None
+        self, key: bytes, h: int, read: Optional[Reader] = None
     ) -> Optional[bytes]:
-        """The lookup walk; ``read`` defaults to the counted
+        """The lookup walk down the bucket chain of hash ``h``, one bucket
+        load (1 DMA) per link; ``read`` defaults to the counted
         ``memory.read``, and only the counted walk bumps counters."""
-        h = fnv1a64(key)
+        counted = read is None
+        if counted:
+            read = self.memory.read
+        unpack = Bucket.unpack
         secondary = secondary_hash(h)
-        for __, bucket in self._chain(h, read):
+        addr = self.bucket_addr(bucket_index(h, self.num_buckets))
+        while True:
+            bucket = unpack(read(addr, BUCKET_SIZE))
             start = bucket.find_inline(key)
             if start is not None:
                 return bucket.read_inline(start)[1]
@@ -292,62 +285,65 @@ class HashTable(Index):
                 )
                 if rkey == key:
                     return rvalue
-                if read is None:
-                    self.counters.add("secondary_false_positives")
-        return None
+                if counted:
+                    self.counters["secondary_false_positives"] += 1
+            if not bucket.chain_ptr:
+                return None
+            addr = bucket.chain_ptr * POINTER_GRANULARITY
 
     # -- PUT -------------------------------------------------------------------------
 
-    def _put(self, key: bytes, value: bytes) -> Optional[int]:
+    def _put(self, key: bytes, value: bytes, h: int) -> Optional[int]:
         """Insert/replace; returns the replaced value's size, or None."""
-        h = fnv1a64(key)
         secondary = secondary_hash(h)
-        first_addr = self.bucket_addr(bucket_index(h, self.num_buckets))
+        read = self.memory.read
+        unpack = Bucket.unpack
 
         # Pass 1: walk the chain looking for the key, remembering the first
-        # bucket that could host the new KV.
+        # bucket that could host the new KV and where in it.
         inline_ok = self._is_inline(key, value)
-        nslots = inline_slots_needed(len(key) + len(value)) if inline_ok else 0
-        host: Optional[Tuple[int, Bucket]] = None
-        last_addr, last_bucket = first_addr, None
-        for addr, bucket in self._chain(h):
-            last_addr, last_bucket = addr, bucket
+        nslots = inline_slots_needed(len(key) + len(value)) if inline_ok else 1
+        host: Optional[Tuple[int, Bucket, int]] = None
+        addr = self.bucket_addr(bucket_index(h, self.num_buckets))
+        while True:
+            bucket = unpack(read(addr, BUCKET_SIZE))
             start = bucket.find_inline(key)
             if start is not None:
                 return self._replace_inline(
-                    addr, bucket, start, key, value, secondary
+                    addr, bucket, start, key, value, secondary, h
                 )
             for slot, pointer, sec in bucket.pointer_slots():
                 if sec != secondary:
                     continue
                 rkey, rvalue = self._read_record(
-                    pointer, bucket.slab_types[slot]
+                    pointer, bucket.slab_types[slot], read
                 )
                 if rkey == key:
                     return self._replace_record(
                         addr, bucket, slot, pointer, key, value, len(rvalue),
                         secondary,
                     )
-                self.counters.add("secondary_false_positives")
-            if host is None and bucket.find_free_run(max(nslots, 1)) is not None:
-                host = (addr, bucket)
+                self.counters["secondary_false_positives"] += 1
+            if host is None:
+                run = bucket.find_free_run(nslots)
+                if run is not None:
+                    host = (addr, bucket, run)
+            if not bucket.chain_ptr:
+                break
+            addr = bucket.chain_ptr * POINTER_GRANULARITY
 
         # Pass 2: insert as a new KV.  The hosting bucket is still held in
         # the pipeline from pass 1 (no extra DMA to re-read it).
         if host is None:
             return self._insert_into_new_chain_bucket(
-                last_addr, last_bucket, key, value, secondary
+                addr, bucket, key, value, secondary
             )
-        addr, bucket = host
+        addr, bucket, run = host
         if inline_ok:
-            start = bucket.find_free_run(nslots)
-            assert start is not None
-            bucket.write_inline(start, key, value)
+            bucket.write_inline(run, key, value)
             self._store(addr, bucket)
-            return None
-        free_slot = bucket.find_free_run(1)
-        assert free_slot is not None
-        self._insert_pointer(addr, bucket, free_slot, key, value, secondary)
+        else:
+            self._insert_pointer(addr, bucket, run, key, value, secondary)
         return None
 
     def _insert_pointer(
@@ -370,7 +366,7 @@ class HashTable(Index):
     def _insert_into_new_chain_bucket(
         self,
         last_addr: int,
-        last_bucket: Optional[Bucket],
+        last_bucket: Bucket,
         key: bytes,
         value: bytes,
         secondary: int,
@@ -388,15 +384,14 @@ class HashTable(Index):
                 0, record_addr // POINTER_GRANULARITY, secondary, record_class
             )
         self._store(new_addr, new_bucket)
-        last = last_bucket if last_bucket is not None else self._load(last_addr)
-        last.chain_ptr = new_addr // POINTER_GRANULARITY
-        self._store(last_addr, last)
-        self.counters.add("chained_buckets")
+        last_bucket.chain_ptr = new_addr // POINTER_GRANULARITY
+        self._store(last_addr, last_bucket)
+        self.counters["chained_buckets"] += 1
         return None
 
     def _replace_inline(
         self, addr: int, bucket: Bucket, start: int, key: bytes, value: bytes,
-        secondary: int,
+        secondary: int, h: int,
     ) -> Optional[int]:
         old_key, old_value = bucket.read_inline(start)
         bucket.erase_inline(start)
@@ -417,7 +412,7 @@ class HashTable(Index):
             return len(old_value)
         # No room in this bucket at all: persist the erase, then reinsert.
         self._store(addr, bucket)
-        self._put(key, value)
+        self._put(key, value, h)
         return len(old_value)
 
     def _replace_record(
@@ -449,17 +444,20 @@ class HashTable(Index):
 
     # -- DELETE -----------------------------------------------------------------------
 
-    def _delete(self, key: bytes) -> Optional[int]:
+    def _delete(self, key: bytes, h: int) -> Optional[int]:
         """Remove a key; returns the removed value's size, or None.
 
         A chained overflow bucket left completely empty is unlinked from
         its predecessor and its 64 B slab freed, so chains shrink again
         after churn instead of growing monotonically.
         """
-        h = fnv1a64(key)
         secondary = secondary_hash(h)
+        read = self.memory.read
+        unpack = Bucket.unpack
         prev: Optional[Tuple[int, Bucket]] = None
-        for addr, bucket in self._chain(h):
+        addr = self.bucket_addr(bucket_index(h, self.num_buckets))
+        while True:
+            bucket = unpack(read(addr, BUCKET_SIZE))
             start = bucket.find_inline(key)
             if start is not None:
                 __, old_value = bucket.read_inline(start)
@@ -469,19 +467,19 @@ class HashTable(Index):
             for slot, pointer, sec in bucket.pointer_slots():
                 if sec != secondary:
                     continue
-                rkey, rvalue = self._read_record(
-                    pointer, bucket.slab_types[slot]
-                )
-                if rkey != key:
-                    self.counters.add("secondary_false_positives")
-                    continue
                 old_class = bucket.slab_types[slot]
+                rkey, rvalue = self._read_record(pointer, old_class, read)
+                if rkey != key:
+                    self.counters["secondary_false_positives"] += 1
+                    continue
                 bucket.clear_slot(slot)
                 self._finish_delete(addr, bucket, prev)
                 self.allocator.free(pointer * POINTER_GRANULARITY, old_class)
                 return len(rvalue)
+            if not bucket.chain_ptr:
+                return None
             prev = (addr, bucket)
-        return None
+            addr = bucket.chain_ptr * POINTER_GRANULARITY
 
     def _finish_delete(
         self,
@@ -495,7 +493,7 @@ class HashTable(Index):
             prev_bucket.chain_ptr = bucket.chain_ptr
             self._store(prev_addr, prev_bucket)
             self.allocator.free(addr, _BUCKET_CLASS)
-            self.counters.add("unlinked_buckets")
+            self.counters["unlinked_buckets"] += 1
             return
         self._store(addr, bucket)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
+from repro.core.hashing import fnv1a64
 from repro.core.operations import ScanEntry
 from repro.errors import SimulationError, UnsupportedOperation
 from repro.sim.stats import Counter, RunningStats
@@ -42,18 +43,24 @@ class Index(ABC):
     sequence of counted ``memory.read``/``memory.write`` calls it makes,
     which the pipeline's memory stage captures with
     ``memory.start_trace()`` and replays through the DMA/cache models.
+
+    ``h`` on the point operations is ``fnv1a64(key)`` for a caller that
+    already computed it (the pipeline hashes a key once, at issue); left
+    out, the index hashes the key itself.
     """
 
     @abstractmethod
-    def lookup(self, key: bytes) -> Optional[bytes]:
+    def lookup(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
         """Value of ``key``, or None."""
 
     @abstractmethod
-    def insert(self, key: bytes, value: bytes) -> bool:
+    def insert(
+        self, key: bytes, value: bytes, h: Optional[int] = None
+    ) -> bool:
         """Insert or replace a pair; returns True."""
 
     @abstractmethod
-    def delete(self, key: bytes) -> bool:
+    def delete(self, key: bytes, h: Optional[int] = None) -> bool:
         """Remove ``key``; returns whether it existed."""
 
     @abstractmethod
@@ -87,20 +94,25 @@ class CompositeIndex(Index):
         self.scan_cost = RunningStats()
         self.counters = Counter()
 
-    def lookup(self, key: bytes) -> Optional[bytes]:
-        return self.table.get(key)
+    def lookup(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
+        return self.table.get(key, h)
 
-    def insert(self, key: bytes, value: bytes) -> bool:
+    def insert(
+        self, key: bytes, value: bytes, h: Optional[int] = None
+    ) -> bool:
+        table = self.table
         if self.ordered is None:
-            return self.table.put(key, value)
-        before = self.table.count
-        ok = self.table.put(key, value)
-        if self.table.count != before:
-            self.ordered.insert(key)
+            return table.put(key, value, h)
+        if h is None:
+            h = fnv1a64(key)
+        before = table.count
+        ok = table.put(key, value, h)
+        if table.count != before:
+            self.ordered.insert(key, h)
         return ok
 
-    def delete(self, key: bytes) -> bool:
-        existed = self.table.delete(key)
+    def delete(self, key: bytes, h: Optional[int] = None) -> bool:
+        existed = self.table.delete(key, h)
         if existed and self.ordered is not None:
             self.ordered.delete(key)
         return existed
@@ -115,19 +127,19 @@ class CompositeIndex(Index):
             )
         memory = self.table.memory
         before = memory.accesses
-        keys = self.ordered.scan(start, count)
-        entries: List[ScanEntry] = []
-        for key in keys:
-            if not with_values:
-                entries.append((key, None))
-                continue
-            value = self.table.probe(key)
-            if value is None:
+        keys, hashes = self.ordered.scan(start, count)
+        if with_values:
+            # Each value is one probe of the hash table, with the hash the
+            # ordered index kept for the key.
+            values = list(map(self.table.probe, keys, hashes))
+            if None in values:
                 raise SimulationError(
-                    f"ordered index out of sync: key {key!r} has no "
-                    f"hash-table record"
+                    f"ordered index out of sync: key "
+                    f"{keys[values.index(None)]!r} has no hash-table record"
                 )
-            entries.append((key, value))
+        else:
+            values = [None] * len(keys)
+        entries: List[ScanEntry] = list(zip(keys, values))
         self.scan_cost.record(memory.accesses - before)
-        self.counters.add("ranges" if with_values else "scans")
+        self.counters["ranges" if with_values else "scans"] += 1
         return entries

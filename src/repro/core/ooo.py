@@ -117,21 +117,25 @@ class ReservationStation:
         where it used to be silent - the ``queued`` counter only covers
         same-key dependency chains, not capacity stalls.
         """
-        self.counters.add("full_stalls")
+        self.counters["full_stalls"] += 1
 
-    def admit(self, op: KVOperation) -> Admission:
-        """Accept one operation; caller must respect :attr:`has_room`."""
-        if not self.has_room:
+    def admit(self, op: KVOperation, h: Optional[int] = None) -> Admission:
+        """Accept one operation; caller must respect :attr:`has_room`.
+        ``h`` is ``fnv1a64(op.key)`` when the caller already has it."""
+        if self.occupancy >= self.capacity:
             raise SimulationError("reservation station full")
         self.occupancy += 1
-        slot = self._slots.setdefault(self.slot_for(op.key), _Slot())
+        slot_id = (fnv1a64(op.key) if h is None else h) % self.num_slots
+        slot = self._slots.get(slot_id)
+        if slot is None:
+            slot = self._slots[slot_id] = _Slot()
         if not slot.busy:
             slot.busy = True
             slot.busy_key = op.key
             slot.busy_op = op
             slot.cached = None
             slot.cached_valid = False
-            self.counters.add("issued")
+            self.counters["issued"] += 1
             return Admission.EXECUTE
         writer_inflight = slot.busy_op is not None and slot.busy_op.is_write
         if (
@@ -144,17 +148,18 @@ class ReservationStation:
             # pipeline is stalled when a PUT operation finds any in-flight
             # operation with the same key" - concurrent GETs may proceed.
             slot.extra_readers += 1
-            self.counters.add("issued")
+            self.counters["issued"] += 1
             return Admission.EXECUTE
         slot.chain.append(op)
-        self.counters.add("queued")
+        self.counters["queued"] += 1
         self.counters.record_max("max_chain", len(slot.chain))
         return Admission.QUEUED
 
     # -- completion --------------------------------------------------------------
 
     def complete(
-        self, op: KVOperation, value_after: Optional[bytes]
+        self, op: KVOperation, value_after: Optional[bytes],
+        h: Optional[int] = None,
     ) -> Completion:
         """Main pipeline finished ``op``; resolve dependents.
 
@@ -162,8 +167,9 @@ class ReservationStation:
         (for a GET, the value read; for a PUT, the value written; ``None``
         for deleted/missing).  The caller sends ``responses`` to clients,
         issues ``writeback`` and/or ``next_issue`` to the main pipeline.
+        ``h`` is ``fnv1a64(op.key)`` when the caller already has it.
         """
-        slot_id = self.slot_for(op.key)
+        slot_id = (fnv1a64(op.key) if h is None else h) % self.num_slots
         slot = self._slots.get(slot_id)
         if slot is None or not slot.busy:
             raise SimulationError("completion for an op that was not issued")
@@ -203,7 +209,7 @@ class ReservationStation:
                 slot.cached = None
                 slot.cached_valid = False
                 completion.next_issue = nxt
-                self.counters.add("issued")
+                self.counters["issued"] += 1
             else:
                 del self._slots[slot_id]
         else:
@@ -224,7 +230,7 @@ class ReservationStation:
                 slot.cached = None
                 slot.cached_valid = False
                 completion.next_issue = nxt
-                self.counters.add("issued")
+                self.counters["issued"] += 1
             else:
                 del self._slots[slot_id]
         return completion
@@ -256,11 +262,11 @@ class ReservationStation:
             completion.responses.append((nxt, result))
             completion.forwarded += 1
             self.occupancy -= 1
-            self.counters.add("forwarded")
+            self.counters["forwarded"] += 1
         slot.chain = remaining
         if dirty:
             completion.writeback = self._writeback_op(slot)
-            self.counters.add("writebacks")
+            self.counters["writebacks"] += 1
 
     @staticmethod
     def _writeback_op(slot: _Slot) -> KVOperation:

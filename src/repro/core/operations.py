@@ -64,6 +64,11 @@ _OPS_WITH_FUNC = frozenset(
 #: Ordered operations carrying a scan count/limit field.
 _OPS_WITH_COUNT = frozenset({OpType.RANGE, OpType.SCAN})
 
+#: Operations that leave store state as it was.
+_READ_OPS = frozenset(
+    {OpType.GET, OpType.REDUCE, OpType.FILTER, OpType.RANGE, OpType.SCAN}
+)
+
 #: Maximum key length encodable on the wire (1 byte).
 MAX_KEY_LEN = 255
 
@@ -146,13 +151,14 @@ class KVOperation:
     @property
     def is_write(self) -> bool:
         """Writes mutate store state (reads: GET/REDUCE/FILTER/RANGE/SCAN)."""
-        return self.op not in (
-            OpType.GET,
-            OpType.REDUCE,
-            OpType.FILTER,
-            OpType.RANGE,
-            OpType.SCAN,
-        )
+        return self.op not in _READ_OPS
+
+    def with_epoch(self, epoch: int) -> "KVOperation":
+        """This operation stamped with a cluster-map ``epoch``: a new
+        object with the same, already validated, fields."""
+        stamped = object.__new__(KVOperation)
+        stamped.__dict__.update(self.__dict__, epoch=epoch)
+        return stamped
 
     # -- convenience constructors ------------------------------------------
 
@@ -228,14 +234,14 @@ def encode_scan_payload(
     if len(entries) > MAX_SCAN_COUNT:
         raise ValueError(f"too many scan entries: {len(entries)}")
     parts = [_U16.pack(len(entries))]
-    for key, value in entries:
-        parts.append(bytes([len(key)]))
-        parts.append(key)
-        if with_values:
+    if with_values:
+        for key, value in entries:
             if value is None:
                 raise ValueError("RANGE payload entry missing its value")
-            parts.append(_U16.pack(len(value)))
-            parts.append(value)
+            parts += (bytes((len(key),)), key, _U16.pack(len(value)), value)
+    else:
+        for key, __ in entries:
+            parts += (bytes((len(key),)), key)
     return b"".join(parts)
 
 

@@ -24,14 +24,16 @@ Leaf writes store a digest image (entry count + per-key FNV-1a64), not
 the variable-length keys themselves: the bytes are deterministic and
 leaf-sized, which is all the DMA/cache models consume.  The full keys
 live in the Python mirror, exactly like the functional half of every
-other structure in this reproduction.
+other structure in this reproduction - beside the hashes the image is
+made of, which a scan hands back with the keys so the value probes need
+not hash again.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right, insort
-from typing import List
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Tuple
 
 from repro.core.hashing import fnv1a64
 from repro.core.slab import SlabAllocator
@@ -45,18 +47,17 @@ LEAF_CLASS = 4
 #: Keys per leaf before it splits.
 LEAF_CAPACITY = 16
 
-_U16 = struct.Struct("<H")
-_U64 = struct.Struct("<Q")
-
 
 class _Leaf:
-    """One sorted run of keys backed by a 512 B slab."""
+    """One sorted run of keys, and the FNV-1a64 of each, backed by a
+    512 B slab."""
 
-    __slots__ = ("addr", "keys")
+    __slots__ = ("addr", "keys", "hashes")
 
-    def __init__(self, addr: int, keys: List[bytes]) -> None:
+    def __init__(self, addr: int, keys: List[bytes], hashes: List[int]) -> None:
         self.addr = addr
         self.keys = keys
+        self.hashes = hashes
 
 
 class OrderedIndex:
@@ -77,9 +78,10 @@ class OrderedIndex:
 
     def _image(self, leaf: _Leaf) -> bytes:
         """The deterministic byte image written back for one leaf."""
-        parts = [_U16.pack(len(leaf.keys))]
-        parts.extend(_U64.pack(fnv1a64(key)) for key in leaf.keys)
-        return b"".join(parts).ljust(self.leaf_bytes, b"\x00")
+        count = len(leaf.hashes)
+        return struct.pack(f"<H{count}Q", count, *leaf.hashes).ljust(
+            self.leaf_bytes, b"\x00"
+        )
 
     def _read(self, leaf: _Leaf) -> None:
         self.memory.read(leaf.addr, self.leaf_bytes)
@@ -96,10 +98,13 @@ class OrderedIndex:
 
     # -- mutation ---------------------------------------------------------------
 
-    def insert(self, key: bytes) -> None:
-        """Add a *new* key (the composite index filters replacements)."""
+    def insert(self, key: bytes, h: Optional[int] = None) -> None:
+        """Add a *new* key (the composite index filters replacements);
+        ``h`` is its ``fnv1a64`` when the caller already has it."""
+        if h is None:
+            h = fnv1a64(key)
         if not self._leaves:
-            leaf = _Leaf(self.allocator.alloc_class(LEAF_CLASS), [key])
+            leaf = _Leaf(self.allocator.alloc_class(LEAF_CLASS), [key], [h])
             self._leaves.append(leaf)
             self._write(leaf)
             self.count += 1
@@ -107,14 +112,17 @@ class OrderedIndex:
         index = self._leaf_index(key)
         leaf = self._leaves[index]
         self._read(leaf)
-        insort(leaf.keys, key)
+        position = bisect_right(leaf.keys, key)
+        leaf.keys.insert(position, key)
+        leaf.hashes.insert(position, h)
         self.count += 1
         if len(leaf.keys) > LEAF_CAPACITY:
             mid = len(leaf.keys) // 2
             sibling = _Leaf(
-                self.allocator.alloc_class(LEAF_CLASS), leaf.keys[mid:]
+                self.allocator.alloc_class(LEAF_CLASS),
+                leaf.keys[mid:], leaf.hashes[mid:],
             )
-            leaf.keys = leaf.keys[:mid]
+            del leaf.keys[mid:], leaf.hashes[mid:]
             self._leaves.insert(index + 1, sibling)
             self._write(sibling)
         self._write(leaf)
@@ -127,11 +135,12 @@ class OrderedIndex:
         leaf = self._leaves[index]
         self._read(leaf)
         try:
-            leaf.keys.remove(key)
+            position = leaf.keys.index(key)
         except ValueError:
             raise SimulationError(
                 f"ordered delete of unknown key {key!r}"
             ) from None
+        del leaf.keys[position], leaf.hashes[position]
         self.count -= 1
         if leaf.keys:
             self._write(leaf)
@@ -142,20 +151,31 @@ class OrderedIndex:
 
     # -- scans -------------------------------------------------------------------
 
-    def scan(self, start: bytes, count: int) -> List[bytes]:
-        """Up to ``count`` keys >= ``start``, ascending; one read per leaf."""
+    def scan(self, start: bytes, count: int) -> Tuple[List[bytes], List[int]]:
+        """Up to ``count`` keys >= ``start``, ascending, and their hashes;
+        one read per leaf."""
+        keys: List[bytes] = []
+        hashes: List[int] = []
         if count <= 0 or not self._leaves:
-            return []
-        result: List[bytes] = []
-        for leaf in self._leaves[self._leaf_index(start) :]:
-            self._read(leaf)
-            for key in leaf.keys:
-                if key < start:
-                    continue
-                result.append(key)
-                if len(result) == count:
-                    return result
-        return result
+            return keys, hashes
+        leaves = self._leaves
+        index = self._leaf_index(start)
+        # Only the first leaf can hold keys below ``start``.
+        skip = bisect_left(leaves[index].keys, start)
+        read = self.memory.read
+        leaf_bytes = self.leaf_bytes
+        wanted = count
+        end = len(leaves)
+        while index < end and wanted > 0:
+            leaf = leaves[index]
+            read(leaf.addr, leaf_bytes)
+            found = leaf.keys[skip : skip + wanted]
+            keys += found
+            hashes += leaf.hashes[skip : skip + wanted]
+            wanted -= len(found)
+            skip = 0
+            index += 1
+        return keys, hashes
 
     # -- introspection ------------------------------------------------------------
 

@@ -66,6 +66,9 @@ class OpContext:
     slot_held: bool = False
     #: True once the op entered the reservation station (issue stage).
     station_admitted: bool = False
+    #: ``fnv1a64(op.key)``, computed once at issue and handed to the
+    #: station and the index, which would each hash the key again.
+    key_hash: Optional[int] = field(default=None, init=False)
 
     def reset(
         self,
@@ -82,4 +85,5 @@ class OpContext:
         self.timestamps.clear()
         self.slot_held = False
         self.station_admitted = False
+        self.key_hash = None
         return self

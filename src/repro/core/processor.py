@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.admission import IngressQueue
 from repro.core.config import KVDirectConfig
+from repro.core.hashing import fnv1a64
 from repro.core.ooo import Admission, Completion, ReservationStation
 from repro.core.operations import KVOperation, KVResult, OpType
 from repro.core.pipeline import OpContext
@@ -245,6 +246,7 @@ class KVProcessor:
         if ctx is None:
             ctx = self._acquire_context(op, submitted_ns=self.sim.now)
             ctx.station_admitted = True
+            ctx.key_hash = fnv1a64(op.key)
         return ctx
 
     def _acquire_context(
@@ -292,10 +294,11 @@ class KVProcessor:
             ctx.response.fail(exc)
 
     def execute_functional(
-        self, op: KVOperation
+        self, op: KVOperation, h: Optional[int] = None
     ) -> Tuple[KVResult, Optional[bytes]]:
         """Run the op on the store's index; also return the value afterwards
-        (the reservation station caches it for data forwarding).
+        (the reservation station caches it for data forwarding).  ``h`` is
+        ``fnv1a64(op.key)`` when the caller already has it.
 
         Scans return their encoded result payload in the KVResult and
         ``None`` as the value-after: a scan mutates nothing, and the
@@ -304,30 +307,30 @@ class KVProcessor:
         """
         index = self.store.index
         if op.op is OpType.GET:
-            value = index.lookup(op.key)
+            value = index.lookup(op.key, h)
             return (
                 KVResult(op.op, ok=value is not None, value=value, seq=op.seq),
                 value,
             )
         if op.op is OpType.PUT:
             assert op.value is not None
-            index.insert(op.key, op.value)
+            index.insert(op.key, op.value, h)
             return KVResult(op.op, ok=True, seq=op.seq), op.value
         if op.op is OpType.DELETE:
-            existed = index.delete(op.key)
+            existed = index.delete(op.key, h)
             return KVResult(op.op, ok=existed, seq=op.seq), None
         if op.op in (OpType.RANGE, OpType.SCAN):
             result = self.store.execute(op)
             return result, None
-        current = index.lookup(op.key)
+        current = index.lookup(op.key, h)
         if current is None:
             return KVResult(op.op, ok=False, seq=op.seq), None
         new_value, result = apply_operation(op, current, self.store.registry)
         if new_value != current:
             if new_value is None:
-                index.delete(op.key)
+                index.delete(op.key, h)
             else:
-                index.insert(op.key, new_value)
+                index.insert(op.key, new_value, h)
         return result, new_value
 
     def compute_time(self, op: KVOperation, value_after) -> float:
@@ -341,7 +344,7 @@ class KVProcessor:
         nelements = len(vector) // compiled.func.element_size
         cycles = compiled.cycles_for(nelements)
         if cycles:
-            self.counters.add("lambda_cycles", cycles)
+            self.counters["lambda_cycles"] += cycles
         return cycles * self.config.cycle_ns
 
     def fail_op(self, ctx: OpContext, exc: KVDirectError) -> None:
@@ -355,10 +358,10 @@ class KVProcessor:
         dependents ``None`` would forward stale data.
         """
         op = ctx.op
-        self.counters.add("failed_ops")
+        self.counters["failed_ops"] += 1
         self.emit(ctx, "failed", type(exc).__name__)
-        value_after = self.store.table.get(op.key)
-        completion = self.station.complete(op, value_after)
+        value_after = self.store.table.get(op.key, ctx.key_hash)
+        completion = self.station.complete(op, value_after, ctx.key_hash)
         if op.seq >= 0:
             self._contexts.pop(id(op), None)
             self._release_slot()
@@ -390,7 +393,7 @@ class KVProcessor:
                 self._deliver_forwarded(forwarded_op, forwarded_result)
             )
         if completion.writeback is not None:
-            self.counters.add("writebacks")
+            self.counters["writebacks"] += 1
             if self.tracer is not None:
                 self.tracer.emit(seq, "station.writeback")
             sim.process(
@@ -443,7 +446,7 @@ class KVProcessor:
             try:
                 yield grant
             except ServerBusy as exc:
-                self.counters.add("shed_ops")
+                self.counters["shed_ops"] += 1
                 self.emit(ctx, "shed", f"policy={exc.policy}")
                 self.fail_before_admission(ctx, exc)
                 self._release_context(ctx)
@@ -469,8 +472,9 @@ class KVProcessor:
         # dependent ones sleep in the station until forwarding or
         # next_issue resolves them - either path fires their response.
         stamps["issue"] = sim.now
-        self.counters.add("admitted")
-        admission = self.station.admit(op)
+        self.counters["admitted"] += 1
+        ctx.key_hash = key_hash = fnv1a64(op.key)
+        admission = self.station.admit(op, key_hash)
         ctx.station_admitted = True
         if admission is Admission.EXECUTE:
             if tracer is not None:
@@ -514,7 +518,7 @@ class KVProcessor:
         memory = self.store.memory
         memory.start_trace()
         try:
-            result, value_after = self.execute_functional(op)
+            result, value_after = self.execute_functional(op, ctx.key_hash)
         except KVDirectError as exc:
             memory.stop_trace()
             self.fail_op(ctx, exc)
@@ -542,18 +546,18 @@ class KVProcessor:
             # operation - the pipeline, its dependents, and the rest of
             # the simulation keep running.
             self.memory_time.record(sim.now - replay_start)
-            self.counters.add("fault_failed_replays")
+            self.counters["fault_failed_replays"] += 1
             self.fail_op(ctx, exc)
             self._release_context(ctx)
             return
         self.memory_time.record(sim.now - replay_start)
-        self.counters.add("main_pipeline_ops")
+        self.counters["main_pipeline_ops"] += 1
         if tracer is not None:
             tracer.emit(seq, "pipeline.done")
 
         # complete/respond: synchronous, no simulated resource wait.
         ctx.timestamps["complete"] = sim.now
-        completion = self.station.complete(op, value_after)
+        completion = self.station.complete(op, value_after, ctx.key_hash)
         if seq >= 0:
             self.respond(ctx, result)
         self._fan_out(seq, completion)
@@ -613,7 +617,7 @@ class KVProcessor:
 
     def _deliver_forwarded(self, op: KVOperation, result: KVResult):
         yield self.forward_engine.submit()
-        self.counters.add("forwarded")
+        self.counters["forwarded"] += 1
         ctx = self.context_for(op)
         if self.tracer is not None:
             self.tracer.emit(op.seq, "station.forwarded")

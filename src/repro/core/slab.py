@@ -81,7 +81,7 @@ class SlabAllocator:
         if self.injector is not None and self.injector.slab_exhausted(
             detail=f"class {class_index}"
         ):
-            self.counters.add("fault_exhaustions")
+            self.counters["fault_exhaustions"] += 1
             raise FaultInjected(
                 f"injected slab exhaustion for class {class_index} "
                 f"({class_size(class_index)} B)"
@@ -90,7 +90,7 @@ class SlabAllocator:
         if not stack:
             self._sync_from_host(class_index)
             stack = self._stacks[class_index]
-        self.counters.add("allocs")
+        self.counters["allocs"] += 1
         addr = stack.pop()
         self._live[addr] = class_index
         self.counters.record_max("live_peak", len(self._live))
@@ -109,21 +109,21 @@ class SlabAllocator:
             raise AllocationError(f"bad slab class: {class_index}")
         owner_class = self._live.pop(addr, None)
         if owner_class is None:
-            self.counters.add("rejected_frees")
+            self.counters["rejected_frees"] += 1
             raise AllocationError(
                 f"free of address {addr:#x} that is not allocated "
                 f"(double free?)"
             )
         if owner_class != class_index:
             self._live[addr] = owner_class
-            self.counters.add("rejected_frees")
+            self.counters["rejected_frees"] += 1
             raise AllocationError(
                 f"free of address {addr:#x} with class {class_index}, "
                 f"but it was allocated as class {owner_class}"
             )
         stack = self._stacks[class_index]
         stack.append(addr)
-        self.counters.add("frees")
+        self.counters["frees"] += 1
         self.counters.record_max("stack_peak", len(stack))
         if len(stack) > self.stack_capacity:
             self._sync_to_host(class_index)
@@ -143,8 +143,8 @@ class SlabAllocator:
                 f"({class_size(class_index)} B)"
             )
         self._stacks[class_index].extend(entries)
-        self.counters.add("sync_reads")
-        self.counters.add("sync_read_bytes", len(entries) * SLAB_ENTRY_BYTES)
+        self.counters["sync_reads"] += 1
+        self.counters["sync_read_bytes"] += len(entries) * SLAB_ENTRY_BYTES
 
     def _sync_to_host(self, class_index: int) -> None:
         """Drain the low half of an overfull NIC stack to the host (one DMA)."""
@@ -153,8 +153,8 @@ class SlabAllocator:
         # The *bottom* of the stack drains: the NIC end keeps its hot top.
         entries, self._stacks[class_index] = stack[:drain], stack[drain:]
         self.host.push(class_index, entries)
-        self.counters.add("sync_writes")
-        self.counters.add("sync_write_bytes", len(entries) * SLAB_ENTRY_BYTES)
+        self.counters["sync_writes"] += 1
+        self.counters["sync_write_bytes"] += len(entries) * SLAB_ENTRY_BYTES
 
     def flush(self) -> int:
         """Drain every cached free entry back to the host.
@@ -169,7 +169,7 @@ class SlabAllocator:
                 continue
             self.host.push(class_index, stack)
             drained += len(stack)
-            self.counters.add("sync_writes")
+            self.counters["sync_writes"] += 1
             self.counters.add(
                 "sync_write_bytes", len(stack) * SLAB_ENTRY_BYTES
             )

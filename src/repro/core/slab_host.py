@@ -140,7 +140,7 @@ class HostSlabManager:
         units = self._units_of(class_index)
         for addr in taken:
             self.bitmap.mark_allocated(self._unit(addr), units)
-        self.counters.add("pops", len(taken))
+        self.counters["pops"] += len(taken)
         return taken
 
     def push(self, class_index: int, entries: Sequence[int]) -> None:
@@ -150,7 +150,7 @@ class HostSlabManager:
         for addr in entries:
             self.bitmap.mark_free(self._unit(addr), units)
             pool.append(addr)
-        self.counters.add("pushes", len(entries))
+        self.counters["pushes"] += len(entries)
 
     # -- splitting ---------------------------------------------------------------
 
@@ -170,7 +170,7 @@ class HostSlabManager:
         addr = self.pools[class_index + 1].pop()
         half = class_size(class_index)
         self.pools[class_index].extend((addr, addr + half))
-        self.counters.add("splits")
+        self.counters["splits"] += 1
         return True
 
     def _refill(self, class_index: int) -> None:
@@ -208,7 +208,7 @@ class HostSlabManager:
                 merged += self._merge_class_radix(class_index)
         else:
             raise ValueError(f"unknown merge method: {method}")
-        self.counters.add("merges", merged)
+        self.counters["merges"] += merged
         return {"merged": merged}
 
     def _merge_class_radix(self, class_index: int) -> int:

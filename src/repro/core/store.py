@@ -217,7 +217,7 @@ class KVDirectStore:
         return len(self.table)
 
     def __contains__(self, key: bytes) -> bool:
-        return key in self.table
+        return self.peek(key) is not None
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         return self.table.items()

@@ -37,6 +37,10 @@ class AccessResult:
     needs_fill: bool = False
 
 
+#: Every hit's result: frozen, so one object serves them all.
+_HIT = AccessResult(hit=True)
+
+
 class CacheStats:
     """Hit/miss/eviction counters with derived rates."""
 
@@ -151,22 +155,28 @@ class DramCache:
         write fetches the line first.  Returns the traffic the memory engine
         must charge (fill and/or dirty writeback).
         """
-        slot = self.slot_of(host_line)
-        tag = self.tag_of(host_line)
+        if not 0 <= host_line < self.host_lines:
+            self._check_line(host_line)
+        # The metadata word is (tag << 1) | dirty (ECCMetadataCodec.pack,
+        # which still range-checks every word a miss installs).
+        nic_lines = self.nic_lines
+        slot = host_line % nic_lines
+        tag = host_line // nic_lines
         if self._valid[slot]:
-            old_tag, old_dirty = self.codec.unpack(self._meta[slot])
+            word = self._meta[slot]
+            old_tag = word >> 1
             if old_tag == tag:
                 self.stats.hits += 1
-                if write and not old_dirty:
-                    self._meta[slot] = self.codec.pack(tag, True)
-                return AccessResult(hit=True)
+                if write:
+                    self._meta[slot] = word | 1
+                return _HIT
             # Conflict miss: evict the resident line.
             self.stats.misses += 1
             self.stats.evictions += 1
             writeback = None
-            if old_dirty:
+            if word & 1:
                 self.stats.writebacks += 1
-                writeback = old_tag * self.nic_lines + slot
+                writeback = old_tag * nic_lines + slot
             self._meta[slot] = self.codec.pack(tag, write)
             needs_fill = (not write) or (not full_line)
             return AccessResult(
@@ -265,9 +275,9 @@ class ECCFaultPath:
                 raise CorruptionDetected(
                     "SEC-DED correction returned the wrong data"
                 )
-            self.counters.add("corrected_bits")
+            self.counters["corrected_bits"] += 1
             return result.status
-        self.counters.add("detected_double_errors")
+        self.counters["detected_double_errors"] += 1
         raise CorruptionDetected(
             f"uncorrectable double-bit error in NIC DRAM "
             f"(positions {sorted(positions)})"

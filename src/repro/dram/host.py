@@ -60,23 +60,36 @@ class MemoryImage:
 
     def read(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes at ``addr``; counts one read access."""
-        self._check(addr, size)
-        self.counters.add("reads")
-        self.counters.add("read_bytes", size)
-        self.counters.add("read_lines", touched_lines(addr, size))
+        end = addr + size
+        if addr < 0 or size < 0 or end > self.size:
+            self._check(addr, size)
+        counters = self.counters
+        counters["reads"] += 1
+        counters["read_bytes"] += size
+        counters["read_lines"] += (  # touched_lines(addr, size), in place
+            (end - 1) // CACHE_LINE_SIZE - addr // CACHE_LINE_SIZE + 1
+            if size else 0
+        )
         if self._trace is not None:
             self._trace.append(("read", addr, size))
-        return bytes(self._data[addr : addr + size])
+        return bytes(self._data[addr:end])
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at ``addr``; counts one write access."""
-        self._check(addr, len(data))
-        self.counters.add("writes")
-        self.counters.add("write_bytes", len(data))
-        self.counters.add("write_lines", touched_lines(addr, len(data)))
+        size = len(data)
+        end = addr + size
+        if addr < 0 or end > self.size:
+            self._check(addr, size)
+        counters = self.counters
+        counters["writes"] += 1
+        counters["write_bytes"] += size
+        counters["write_lines"] += (
+            (end - 1) // CACHE_LINE_SIZE - addr // CACHE_LINE_SIZE + 1
+            if size else 0
+        )
         if self._trace is not None:
-            self._trace.append(("write", addr, len(data)))
-        self._data[addr : addr + len(data)] = data
+            self._trace.append(("write", addr, size))
+        self._data[addr:end] = data
 
     def peek(self, addr: int, size: int) -> bytes:
         """Read without counting (debug / test introspection)."""
@@ -99,7 +112,8 @@ class MemoryImage:
     @property
     def accesses(self) -> int:
         """Total counted read + write accesses."""
-        return self.counters["reads"] + self.counters["writes"]
+        counters = self.counters
+        return counters["reads"] + counters["writes"]
 
     @property
     def lines_touched(self) -> int:

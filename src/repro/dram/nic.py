@@ -86,8 +86,13 @@ class NICDram:
         """Timed access of ``nbytes``: ``then(kick)`` is queued when the
         burst has drained.  With ``then`` omitted an event is returned and
         completes at that same queue position."""
-        self.counters.add("writes" if write else "reads")
-        self.counters.add("write_bytes" if write else "read_bytes", nbytes)
+        counters = self.counters
+        if write:
+            counters["writes"] += 1
+            counters["write_bytes"] += nbytes
+        else:
+            counters["reads"] += 1
+            counters["read_bytes"] += nbytes
         done = None
         if then is None:
             then = done = Event(self.sim)

@@ -52,7 +52,7 @@ class _Access:
         if size <= 0:
             engine.sim.finish(self.done)
             return
-        engine.counters.add("writes" if write else "reads")
+        engine.counters["writes" if write else "reads"] += 1
         line_size = engine.line_size
         end = addr + size
         first = addr // line_size
@@ -74,7 +74,7 @@ class _Access:
                     engine, line, write, span == line_size, seq, line_landed
                 )
             else:
-                engine.counters.add("pcie_direct")
+                engine.counters["pcie_direct"] += 1
                 if tracer is not None:
                     tracer.emit(seq, "mem.route", f"line={line} pcie")
                 if write:
@@ -126,7 +126,7 @@ class _CachedLine:
         tracer = engine.tracer
         result = engine.cache.access(line, write, full_line=self.full)
         if result.hit:
-            engine.counters.add("cache_hits")
+            engine.counters["cache_hits"] += 1
             if engine.profiler is not None:
                 engine.profiler.record_cache(seq, "hit")
             if tracer is not None:
@@ -144,7 +144,7 @@ class _CachedLine:
                     engine._trace(seq, "dram.ecc_corrected", f"line={line}")
             self.burst(write)
             return
-        engine.counters.add("cache_misses")
+        engine.counters["cache_misses"] += 1
         if engine.profiler is not None:
             engine.profiler.record_cache(seq, "miss")
         if tracer is not None:
@@ -152,7 +152,7 @@ class _CachedLine:
         self.fill = result.needs_fill
         # Dirty eviction: read old line from NIC DRAM, write back over PCIe.
         if result.writeback_line is not None:
-            engine.counters.add("writebacks")
+            engine.counters["writebacks"] += 1
             if engine.profiler is not None:
                 engine.profiler.record_cache(seq, "writeback")
             engine._trace(
@@ -181,7 +181,7 @@ class _CachedLine:
             return
         self.fill = False
         engine = self.engine
-        engine.counters.add("fills")
+        engine.counters["fills"] += 1
         if engine.profiler is not None:
             engine.profiler.record_cache(self.seq, "fill")
         engine._trace(self.seq, "dram.fill", f"line={self.line}")

@@ -292,7 +292,7 @@ class ReplicationChannel:
         self, key: bytes, value: Optional[bytes], acked_at: float
     ) -> None:
         self.queue.append((key, value, acked_at))
-        self.cluster.counters.add("replication_records")
+        self.cluster.counters["replication_records"] += 1
         if not self._draining:
             self._draining = True
             self.cluster.sim.process(self._drain())
@@ -305,11 +305,11 @@ class ReplicationChannel:
             key, value, acked_at = self.queue.popleft()
             backup = cluster.map.backup(self.slot)
             if backup is None or not cluster.nodes[backup].alive:
-                cluster.counters.add("replication_skipped")
+                cluster.counters["replication_skipped"] += 1
             elif cluster.apply_state(
                 cluster.nodes[backup], self.slot, key, value
             ):
-                cluster.counters.add("replication_applies")
+                cluster.counters["replication_applies"] += 1
                 cluster.replication_lag_ns.record(sim.now - acked_at)
         self._draining = False
 
@@ -425,11 +425,11 @@ class Cluster:
                 else:
                     node.store.put(key, value)
             except KVDirectError:
-                self.counters.add("replication_apply_retries")
+                self.counters["replication_apply_retries"] += 1
             else:
                 self._track(node, slot, key, value is not None)
                 return True
-        self.counters.add("replication_apply_failures")
+        self.counters["replication_apply_failures"] += 1
         return False
 
     def _track(
@@ -508,15 +508,15 @@ class Cluster:
             yield from self._quiesce_slot(slot)
             new_primary = self.map.backup(slot)
             if new_primary is None or not self.nodes[new_primary].alive:
-                self.counters.add("slots_lost")
+                self.counters["slots_lost"] += 1
                 self.migrating_slots.discard(slot)
                 continue
             self.map.placements[slot] = Placement(
                 primary=new_primary, backup=None
             )
-            self.counters.add("promotions")
+            self.counters["promotions"] += 1
         self.map.bump()
-        self.counters.add("epoch_bumps")
+        self.counters["epoch_bumps"] += 1
         self.annotate("cluster.epoch_bump", f"epoch={self.map.epoch}")
         # Re-establish the replication factor for every slot the dead
         # node touched; each slot stays write-blocked during its copy so
@@ -531,7 +531,7 @@ class Cluster:
             yield from self._quiesce_slot(slot)
             new_backup = self._pick_backup(exclude=owner)
             if new_backup is None:
-                self.counters.add("unreplicated_slots")
+                self.counters["unreplicated_slots"] += 1
                 self.map.placements[slot] = Placement(
                     primary=owner, backup=None
                 )
@@ -550,7 +550,7 @@ class Cluster:
             for key, value in snapshot:
                 yield self.sim.timeout(MIGRATION_DELAY_PER_KEY_NS)
                 if self.apply_state(target, slot, key, value):
-                    self.counters.add("migrated_keys")
+                    self.counters["migrated_keys"] += 1
             self.map.placements[slot] = Placement(
                 primary=owner, backup=new_backup
             )
@@ -560,7 +560,7 @@ class Cluster:
                 f"slot={slot} keys={len(snapshot)} backup=node{new_backup}",
             )
         self.failover_time_ns.record(self.sim.now - started)
-        self.counters.add("failovers")
+        self.counters["failovers"] += 1
         self._failovers_active -= 1
         self.annotate(
             "cluster.failover_done",

@@ -61,8 +61,8 @@ class EthernetLink:
 
     def receive(self, nbytes: int) -> Process:
         """Client -> server transfer; completes when fully received."""
-        self.counters.add("rx_packets")
-        self.counters.add("rx_bytes", nbytes)
+        self.counters["rx_packets"] += 1
+        self.counters["rx_bytes"] += nbytes
         return self.sim.process(self._transfer(self.ingress, nbytes, "rx"))
 
     def send(self, nbytes: int, nacks: int = 0) -> Process:
@@ -72,10 +72,10 @@ class EthernetLink:
         (shed operations answered without execution), surfaced as the
         ``eth.tx_nacks`` counter.
         """
-        self.counters.add("tx_packets")
-        self.counters.add("tx_bytes", nbytes)
+        self.counters["tx_packets"] += 1
+        self.counters["tx_bytes"] += nbytes
         if nacks:
-            self.counters.add("tx_nacks", nacks)
+            self.counters["tx_nacks"] += nacks
         return self.sim.process(self._transfer(self.egress, nbytes, "tx"))
 
     def _transfer(self, channel: BandwidthServer, nbytes: int, direction: str):

@@ -143,7 +143,7 @@ class Tracer:
         at_ns = self.clock() if self.clock is not None else UNTIMED
         span = Span(len(self.spans), seq, stage, at_ns, detail)
         self.spans.append(span)
-        self.counters.add(stage)
+        self.counters[stage] += 1
         if self.recorder is not None:
             self.recorder.record_span(span)
 

@@ -81,7 +81,7 @@ class _Transfer:
         if injector is None:
             self.delivered()
         elif injector.dma_delay(link.name, link.sim.now):
-            link.counters.add("fault_delays")
+            link.counters["fault_delays"] += 1
             link._trace(self.seq, "pcie.fault_delay", link.name)
             link.sim.call_after(injector.plan.dma_delay_ns, self.drop_check)
         else:
@@ -96,7 +96,7 @@ class _Transfer:
         if not injector.dma_drop(link.name, link.sim.now, prob=drop_prob):
             self.delivered()
             return
-        link.counters.add("fault_drops")
+        link.counters["fault_drops"] += 1
         self.attempts += 1
         if self.attempts > injector.plan.dma_max_retries:
             self.release()
@@ -105,7 +105,7 @@ class _Transfer:
                 f"{self.attempts} times, retry budget exhausted"
             ))
             return
-        link.counters.add("dma_retries")
+        link.counters["dma_retries"] += 1
         link._trace(
             self.seq, "pcie.retry", f"{link.name} attempt={self.attempts}"
         )
@@ -147,8 +147,9 @@ class _Read(_Transfer):
         link = self.link
         nbytes = self.nbytes
         self.release()
-        link.counters.add("dma_reads")
-        link.counters.add("dma_read_bytes", nbytes)
+        counters = link.counters
+        counters["dma_reads"] += 1
+        counters["dma_read_bytes"] += nbytes
         link.read_latency_hist.record(link.sim.now - self.start)
         if link.profiler is not None:
             link.profiler.record_dma(self.seq, "read", nbytes)
@@ -176,8 +177,9 @@ class _Write(_Transfer):
         # The posted credit is consumed until the root complex processes the
         # write and returns a flow-control update (~ fabric RTT later).
         link.sim.call_soon(self.credit_in_flight)
-        link.counters.add("dma_writes")
-        link.counters.add("dma_write_bytes", nbytes)
+        counters = link.counters
+        counters["dma_writes"] += 1
+        counters["dma_write_bytes"] += nbytes
         if link.profiler is not None:
             link.profiler.record_dma(self.seq, "write", nbytes)
         if link.tracer is not None:
@@ -314,20 +316,30 @@ class MultiLinkDMA:
         ]
         self._next = 0
 
-    def _pick(self) -> DMAEngine:
-        link = self.links[self._next]
-        self._next = (self._next + 1) % len(self.links)
-        return link
-
     def read(
         self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
     ) -> Optional[Event]:
-        return self._pick().read(nbytes, seq, then)
+        """:meth:`DMAEngine.read` on the next link in turn.  With a
+        continuation there is nothing to return, so the transfer starts on
+        the link directly."""
+        links = self.links
+        link = links[self._next]
+        self._next = (self._next + 1) % len(links)
+        if then is None:
+            return link.read(nbytes, seq)
+        _Read(link, nbytes, seq, then)
+        return None
 
     def write(
         self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
     ) -> Optional[Event]:
-        return self._pick().write(nbytes, seq, then)
+        links = self.links
+        link = links[self._next]
+        self._next = (self._next + 1) % len(links)
+        if then is None:
+            return link.write(nbytes, seq)
+        _Write(link, nbytes, seq, then)
+        return None
 
     @property
     def reads(self) -> int:

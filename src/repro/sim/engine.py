@@ -111,7 +111,7 @@ class Event:
         if self._scheduled:
             raise SimulationError("event scheduled twice")
         sim = self.sim
-        if sim._now + delay == sim._now:
+        if sim.now + delay == sim.now:
             self._scheduled = True
             sim._dq.append(self)
         else:
@@ -237,7 +237,7 @@ class Process(Event):
             if self._value is _PENDING and self._exception is None:
                 self.fail(exc)
             return
-        if not isinstance(next_event, Event):
+        if type(next_event) not in _EVENT_TYPES:
             raise SimulationError(
                 f"process yielded {next_event!r}, expected an Event"
             )
@@ -312,7 +312,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in nanoseconds: a plain attribute the run
+        #: loop assigns, so reading the clock costs no call.
+        self.now = 0.0
         self._queue: List = []
         self._dq = deque()
         self._sequence = 0
@@ -321,37 +323,32 @@ class Simulator:
         #: of a delay-0 ``succeed``).  The deque's own ``append``.
         self.call_soon: Callable[[Callable], None] = self._dq.append
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
         if event._scheduled:
             raise SimulationError("event scheduled twice")
-        when = self._now + delay
-        if when == self._now:
+        when = self.now + delay
+        if when == self.now:
             self._dq.append(event)
         else:
-            if when < self._now:
-                raise SimulationError(_PAST.format(when, self._now))
+            if when < self.now:
+                raise SimulationError(_PAST.format(when, self.now))
             self._sequence += 1
             _heappush(self._queue, (when, self._sequence, event))
         event._scheduled = True
 
     def schedule_at(self, event: Event, when: float, value: Any = None) -> Event:
         """Trigger ``event`` successfully at absolute time ``when``."""
-        if when < self._now:
-            raise SimulationError(_PAST.format(when, self._now))
+        if when < self.now:
+            raise SimulationError(_PAST.format(when, self.now))
         if event._value is not _PENDING or event._exception is not None:
             raise SimulationError("event already triggered")
         if event._scheduled:
             raise SimulationError("event scheduled twice")
         event._value = value
         event._scheduled = True
-        if when == self._now:
+        if when == self.now:
             self._dq.append(event)
         else:
             self._sequence += 1
@@ -363,23 +360,23 @@ class Simulator:
     def call_after(self, delay: float, callback: Callable) -> None:
         """Run ``callback(kick)`` ``delay`` ns from now (the position of a
         ``Timeout``)."""
-        when = self._now + delay
-        if when == self._now:
+        when = self.now + delay
+        if when == self.now:
             self._dq.append(callback)
         else:
-            if when < self._now:
-                raise SimulationError(_PAST.format(when, self._now))
+            if when < self.now:
+                raise SimulationError(_PAST.format(when, self.now))
             self._sequence += 1
             _heappush(self._queue, (when, self._sequence, callback))
 
     def call_when(self, when: float, callback: Callable) -> None:
         """Run ``callback(kick)`` at absolute time ``when`` (the position
         of ``schedule_at``): a window tick, a reservation's drain time."""
-        if when == self._now:
+        if when == self.now:
             self._dq.append(callback)
         else:
-            if when < self._now:
-                raise SimulationError(_PAST.format(when, self._now))
+            if when < self.now:
+                raise SimulationError(_PAST.format(when, self.now))
             self._sequence += 1
             _heappush(self._queue, (when, self._sequence, callback))
 
@@ -425,14 +422,14 @@ class Simulator:
     def _next_event(self) -> Any:
         """Pop the next entry in (time, FIFO) order, advancing the clock."""
         queue = self._queue
-        if queue and queue[0][0] <= self._now:
+        if queue and queue[0][0] <= self.now:
             return _heappop(queue)[2]
         if self._dq:
             return self._dq.popleft()
         if not queue:
             raise SimulationError("simulation ran out of events")
         when, __, entry = _heappop(queue)
-        self._now = when
+        self.now = when
         return entry
 
     def step(self) -> None:
@@ -466,12 +463,12 @@ class Simulator:
             target = _NEVER
             if until is not None:
                 deadline = float(until)
-                if deadline < self._now:
+                if deadline < self.now:
                     raise SimulationError("run(until) target is in the past")
         while target.callbacks is not None:
             # Heap entries due at this instant were all pushed before the
             # clock reached it: they go before anything in the deque.
-            while queue and queue[0][0] <= self._now:
+            while queue and queue[0][0] <= self.now:
                 entry = _heappop(queue)[2]
                 if type(entry) in event_types:
                     callbacks = entry.callbacks
@@ -496,7 +493,7 @@ class Simulator:
                 else:
                     entry(kick)
             if queue and queue[0][0] <= deadline:
-                self._now = queue[0][0]
+                self.now = queue[0][0]
             elif target is not _NEVER:
                 raise SimulationError(
                     "simulation ran out of events before the awaited "
@@ -504,14 +501,14 @@ class Simulator:
                 )
             else:
                 if until is not None:
-                    self._now = deadline
+                    self.now = deadline
                 return None
         return target.value
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none."""
         if self._dq:
-            if self._queue and self._queue[0][0] < self._now:
+            if self._queue and self._queue[0][0] < self.now:
                 return self._queue[0][0]
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else float("inf")

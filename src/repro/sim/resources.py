@@ -57,8 +57,16 @@ class TokenPool:
         if then is None:
             then = event = Event(self.sim)
         if self._available > 0 and not self._waiters:
+            # try_acquire, written out: a grant is one frame.
             self._available -= 1
-            self._grant(then)
+            self.total_acquired += 1
+            in_use = self.capacity - self._available
+            if in_use > self.peak_in_use:
+                self.peak_in_use = in_use
+            if event is None:
+                self.sim.call_soon(then)
+            else:
+                event.succeed()
         else:
             self._waiters.append(then)
         return event
@@ -67,7 +75,10 @@ class TokenPool:
         """Take a token immediately if one is free (non-blocking)."""
         if self._available > 0 and not self._waiters:
             self._available -= 1
-            self._account()
+            self.total_acquired += 1
+            in_use = self.capacity - self._available
+            if in_use > self.peak_in_use:
+                self.peak_in_use = in_use
             return True
         return False
 
@@ -78,24 +89,15 @@ class TokenPool:
         if self._waiters:
             # The token passes directly to the oldest waiter; _available
             # stays unchanged (it was consumed by the releaser and is now
-            # consumed by the waiter).
-            self._grant(self._waiters.popleft())
+            # consumed by the waiter), and so does the peak.
+            then = self._waiters.popleft()
+            self.total_acquired += 1
+            if type(then) is Event:
+                then.succeed()
+            else:
+                self.sim.call_soon(then)
         else:
             self._available += 1
-
-    def _account(self) -> None:
-        self.total_acquired += 1
-        in_use = self.capacity - self._available
-        if in_use > self.peak_in_use:
-            self.peak_in_use = in_use
-
-    def _grant(self, then: Union[Callable, Event]) -> None:
-        """Account one token as taken and queue its holder's next step."""
-        self._account()
-        if type(then) is Event:
-            then.succeed()
-        else:
-            self.sim.call_soon(then)
 
 
 class BandwidthServer:
@@ -134,8 +136,9 @@ class BandwidthServer:
         if nbytes < 0:
             raise SimulationError(f"{self.name}: negative transfer size")
         start = self._free_at
-        if start < self.sim._now:
-            start = self.sim._now
+        now = self.sim.now
+        if start < now:
+            start = now
         duration = nbytes / self.bytes_per_ns
         self._free_at = start + duration
         self.bytes_transferred += nbytes

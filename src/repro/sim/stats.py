@@ -13,18 +13,23 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 
-class Counter:
-    """A named bag of monotonically increasing integer counters."""
+class Counter(dict):
+    """A named bag of monotonically increasing integer counters.
 
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
+    A ``dict`` in which a name nothing counted yet reads 0 *without being
+    created*: a site with a fixed name counts with ``counters["x"] += n`` -
+    two dict operations, no Python frame - and a name appears in
+    :meth:`snapshot` (in first-touch order, which the exports compare
+    byte for byte) only once something counted it, ``+= 0`` included.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> int:
+        return 0
 
     def add(self, name: str, amount: int = 1) -> None:
-        counts = self._counts
-        try:
-            counts[name] += amount
-        except KeyError:
-            counts[name] = amount
+        self[name] += amount
 
     def record_max(self, name: str, value: int) -> None:
         """High-watermark gauge: keep the largest value ever recorded.
@@ -35,28 +40,20 @@ class Counter:
         so an idle run reports ``0`` (or a negative level) rather than
         omitting the gauge entirely.
         """
-        counts = self._counts
-        prev = counts.get(name)
-        if prev is None or value > prev:
-            counts[name] = value
+        if name not in self or value > self[name]:
+            self[name] = value
 
     def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._counts
+        return self[name]
 
     def reset(self) -> None:
-        self._counts.clear()
+        self.clear()
 
     def snapshot(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.items()))
         return f"Counter({inner})"
 
 

@@ -1,0 +1,52 @@
+"""Host calls per op, pinned: a re-added frame fails by count.
+
+The queue entries of a run are pinned in ``test_leaf_model_equivalence.py``
+(``TestQueueEntriesPerOp``) because they are observable: adding or fusing
+one moves simulated results.  What happens *around* an entry - accounting,
+bucket decoding, key hashing, token grants - is not observable and may be
+fused freely (``docs/MODELING.md``, "What is a hop and what is not"), which
+also means nothing simulated notices when a frame per counter bump or per
+bucket slot creeps back in.  This gate notices: the same two small seeded
+runs under ``cProfile``, whose call count (Python functions and builtins)
+is exact for a given interpreter, held under a ceiling measured when the
+frames were removed plus 5 % for the spread between CPython 3.10-3.12.
+"""
+
+import cProfile
+
+import pytest
+
+from repro import scenario
+from repro.driver import run_closed_loop
+
+#: Headroom over the measured count for interpreter versions (3.12 inlines
+#: comprehensions; 3.10 calls a few more builtins).
+HEADROOM = 1.05
+
+
+def calls_per_op(built, ops, concurrency):
+    profile = cProfile.Profile()
+    profile.enable()
+    stats = run_closed_loop(built.processor, ops, concurrency=concurrency)
+    profile.disable()
+    assert stats["operations"] == len(ops)
+    calls = sum(entry.callcount for entry in profile.getstats())
+    return calls / len(ops)
+
+
+class TestCallBudget:
+    def test_direct_point_ops(self):
+        built = scenario.build(
+            seed=7, memory_size=1 << 20, corpus=2000, put_ratio=0.5
+        )
+        measured = calls_per_op(built, built.operations(400), 32)
+        # 216.8 on CPython 3.11 (302.5 before the frames were removed).
+        assert measured <= 217 * HEADROOM, measured
+
+    def test_ordered_scans(self):
+        built = scenario.build(
+            seed=7, memory_size=1 << 20, corpus=1000, workload="E"
+        )
+        measured = calls_per_op(built, built.operations(120), 16)
+        # 1891.4 on CPython 3.11 (2577.0 before).
+        assert measured <= 1892 * HEADROOM, measured

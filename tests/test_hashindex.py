@@ -238,3 +238,231 @@ class TestWireLayoutStability:
         bucket.write_inline(0, b"k", b"v")
         bucket.chain_ptr = 123
         assert bucket.pack()[62:64] == b"\x00\x00"
+
+
+# -- the bitmap forms against the slot walk they replaced ---------------------
+
+import struct
+
+from repro.constants import SLOT_SIZE
+from repro.core.hashindex import SLOT_AREA
+
+_REF_META = struct.Struct("<IHHIH")
+
+
+class SlotWalkBucket(Bucket):
+    """The per-slot bodies as they were before the bitmap forms - ``is_free
+    -> is_inline_slot -> _check_slot -> slot_word`` per slot, a decode by
+    slices - kept verbatim as a test-only reference."""
+
+    __slots__ = ()
+
+    @classmethod
+    def unpack(cls, data):
+        if len(data) != BUCKET_SIZE:
+            raise KVDirectError(
+                f"bucket must be {BUCKET_SIZE} bytes, got {len(data)}"
+            )
+        bucket = cls()
+        bucket.slot_bytes = bytearray(data[:SLOT_AREA])
+        types_word, used, start, chain, __ = _REF_META.unpack(data[SLOT_AREA:])
+        bucket.slab_types = [
+            (types_word >> (3 * i)) & 0x7 for i in range(SLOTS_PER_BUCKET)
+        ]
+        bucket.inline_used = used
+        bucket.inline_start = start
+        bucket.chain_ptr = chain & ((1 << 31) - 1)
+        return bucket
+
+    def pack(self):
+        types_word = 0
+        for i, slab_type in enumerate(self.slab_types):
+            if not 0 <= slab_type <= 0x7:
+                raise KVDirectError(f"slab type out of range: {slab_type}")
+            types_word |= slab_type << (3 * i)
+        if self.chain_ptr > (1 << 31) - 1:
+            raise KVDirectError(f"chain pointer out of range: {self.chain_ptr}")
+        return bytes(self.slot_bytes) + _REF_META.pack(
+            types_word, self.inline_used, self.inline_start, self.chain_ptr, 0
+        )
+
+    def find_free_run(self, length):
+        if length <= 0 or length > SLOTS_PER_BUCKET:
+            return None
+        run = 0
+        for i in range(SLOTS_PER_BUCKET):
+            run = run + 1 if self.is_free(i) else 0
+            if run == length:
+                return i - length + 1
+        return None
+
+    def pointer_slots(self):
+        for i in range(SLOTS_PER_BUCKET):
+            if self.is_inline_slot(i):
+                continue
+            word = self.slot_word(i)
+            if word:
+                pointer, secondary = unpack_slot(word)
+                yield i, pointer, secondary
+
+    def write_inline(self, start, key, value):
+        size = len(key) + len(value)
+        nslots = inline_slots_needed(size)
+        if start < 0 or start + nslots > SLOTS_PER_BUCKET:
+            raise KVDirectError("inline KV does not fit the bucket")
+        if len(key) > 255 or len(value) > 255:
+            raise KVDirectError("inline key/value length must fit one byte")
+        offset = start * SLOT_SIZE
+        record = bytes([len(key), len(value)]) + key + value
+        padded = record.ljust(nslots * SLOT_SIZE, b"\x00")
+        self.slot_bytes[offset : offset + nslots * SLOT_SIZE] = padded
+        for i in range(start, start + nslots):
+            self.inline_used |= 1 << i
+            self.inline_start &= ~(1 << i)
+            self.slab_types[i] = 0
+        self.inline_start |= 1 << start
+
+    def erase_inline(self, start):
+        key, value = self.read_inline(start)
+        nslots = inline_slots_needed(len(key) + len(value))
+        offset = start * SLOT_SIZE
+        self.slot_bytes[offset : offset + nslots * SLOT_SIZE] = bytes(
+            nslots * SLOT_SIZE
+        )
+        for i in range(start, start + nslots):
+            self.inline_used &= ~(1 << i)
+            self.inline_start &= ~(1 << i)
+
+    def find_inline(self, key):
+        for start, __ in self.inline_spans():
+            offset = start * SLOT_SIZE
+            klen = self.slot_bytes[offset]
+            if klen != len(key):
+                continue
+            data_start = offset + 2
+            if self.slot_bytes[data_start : data_start + klen] == key:
+                return start
+        return None
+
+    def has_no_entries(self):
+        return self.inline_used == 0 and all(
+            self.slot_word(i) == 0 for i in range(SLOTS_PER_BUCKET)
+        )
+
+
+def assert_same_answers(bucket, reference, keys=()):
+    """Every query of the bitmap forms against the slot walk's."""
+    assert bytes(bucket.slot_bytes) == bytes(reference.slot_bytes)
+    assert bucket.slab_types == reference.slab_types
+    assert bucket.inline_used == reference.inline_used
+    assert bucket.inline_start == reference.inline_start
+    assert bucket.chain_ptr == reference.chain_ptr
+    assert bucket.pack() == reference.pack()
+    for length in range(-1, SLOTS_PER_BUCKET + 2):
+        assert bucket.find_free_run(length) == reference.find_free_run(length)
+    assert bucket.pointer_slots() == list(reference.pointer_slots())
+    assert list(bucket.inline_spans()) == list(reference.inline_spans())
+    assert bucket.has_no_entries() == reference.has_no_entries()
+    assert bucket.is_empty() == reference.is_empty()
+    assert bucket.free_slots() == reference.free_slots()
+    # Every key any slot could be read as holding, plus the caller's.
+    area = bytes(bucket.slot_bytes)
+    candidates = list(keys) + [
+        area[5 * i + 2 : 5 * i + 2 + area[5 * i]]
+        for i in range(SLOTS_PER_BUCKET)
+    ]
+    for key in candidates:
+        assert bucket.find_inline(key) == reference.find_inline(key)
+
+
+#: One slot of raw bytes: free (zero) half the time, so free runs, empty
+#: buckets and sparse pointer slots all come up.
+raw_slots = st.lists(
+    st.one_of(st.just(bytes(5)), st.binary(min_size=5, max_size=5)),
+    min_size=SLOTS_PER_BUCKET, max_size=SLOTS_PER_BUCKET,
+)
+#: Bitmaps with and without the six bits no slot owns.
+bitmaps = st.one_of(st.integers(0, 0x3FF), st.integers(0, 0xFFFF), st.just(0))
+
+
+class TestBitmapFormsMatchTheSlotWalk:
+    @given(raw_slots, st.integers(0, 2**32 - 1), bitmaps, bitmaps,
+           st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))
+    def test_any_64_bytes(self, slots, types, used, start, chain, reserved):
+        """Raw images, valid or not: bitmap bits 10..15, slab-type bits
+        30..31, chain bit 31 and the reserved tail are ignored or dropped
+        exactly as the slot walk ignores or drops them."""
+        data = b"".join(slots) + _REF_META.pack(
+            types, used, start, chain, reserved
+        )
+        bucket, reference = Bucket.unpack(data), SlotWalkBucket.unpack(data)
+        assert_same_answers(bucket, reference)
+        # The stray bitmap bits ride through pack() untouched.
+        assert bucket.pack()[54:58] == data[54:58]
+        for slot in range(SLOTS_PER_BUCKET):
+            if not start >> slot & 1:
+                continue
+            assert bucket.read_inline(slot) == reference.read_inline(slot)
+            erased, erased_reference = (
+                cls.unpack(data) for cls in (Bucket, SlotWalkBucket)
+            )
+            erased.erase_inline(slot)
+            erased_reference.erase_inline(slot)
+            assert_same_answers(erased, erased_reference)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(("inline", "pointer", "erase", "clear", "chain")),
+        st.binary(min_size=1, max_size=12), st.binary(max_size=30),
+        st.integers(0, 2**31 - 1), st.integers(0, 511), st.integers(0, 7),
+    ), max_size=25))
+    def test_random_mixes_built_through_the_api(self, steps):
+        """Inline KVs, pointer slots, frees and chain pointers, applied in
+        lockstep: same placement decisions, same bytes after every step."""
+        bucket, reference = Bucket(), SlotWalkBucket()
+        keys = []
+        for action, key, value, pointer, secondary, slab_type in steps:
+            if action == "inline":
+                if len(key) + len(value) > max_inline_kv_size():
+                    continue
+                run = bucket.find_free_run(
+                    inline_slots_needed(len(key) + len(value))
+                )
+                if run is None or bucket.find_inline(key) is not None:
+                    continue
+                bucket.write_inline(run, key, value)
+                reference.write_inline(run, key, value)
+                keys.append(key)
+            elif action == "pointer":
+                run = bucket.find_free_run(1)
+                if run is None or not (pointer or secondary):
+                    continue
+                bucket.set_pointer(run, pointer, secondary, slab_type)
+                reference.set_pointer(run, pointer, secondary, slab_type)
+            elif action == "erase":
+                spans = list(bucket.inline_spans())
+                if not spans:
+                    continue
+                start = spans[pointer % len(spans)][0]
+                bucket.erase_inline(start)
+                reference.erase_inline(start)
+            elif action == "clear":
+                slots = bucket.pointer_slots()
+                if not slots:
+                    continue
+                slot = slots[pointer % len(slots)][0]
+                bucket.clear_slot(slot)
+                reference.clear_slot(slot)
+            else:
+                bucket.chain_ptr = reference.chain_ptr = pointer
+            assert_same_answers(bucket, reference, keys)
+            # And the image decodes back to the same thing on both sides.
+            assert_same_answers(
+                Bucket.unpack(bucket.pack()),
+                SlotWalkBucket.unpack(reference.pack()), keys,
+            )
+
+    def test_a_short_or_long_image_is_rejected_by_both(self):
+        for cls in (Bucket, SlotWalkBucket):
+            for size in (0, BUCKET_SIZE - 1, BUCKET_SIZE + 1):
+                with pytest.raises(KVDirectError, match=f"got {size}"):
+                    cls.unpack(bytes(size))

@@ -65,6 +65,22 @@ class TestBasicOperations:
         assert b"k" in table
         assert b"other" not in table
 
+    def test_contains_leaves_no_mark(self):
+        """Regression: membership sits beside ``len`` and ``items()`` as
+        introspection but ran a counted ``get``."""
+        table = make_table()
+        table.put(b"k", b"v")
+        table.put(b"record", b"x" * 100)
+        counters = table.counters.snapshot()
+        memory = table.memory.counters.snapshot()
+        table.memory.start_trace()
+        assert b"k" in table and b"record" in table
+        assert b"other" not in table
+        assert table.memory.stop_trace() == []
+        assert table.counters.snapshot() == counters
+        assert table.get_cost.count == 0
+        assert table.memory.counters.snapshot() == memory
+
     def test_empty_value(self):
         table = make_table()
         table.put(b"k", b"")

@@ -253,6 +253,28 @@ class TestKVOperationValidation:
         assert KVOperation.update(b"k", 1, b"").is_write
         assert not KVOperation.get(b"k").is_write
         assert not KVOperation(OpType.REDUCE, b"k", func_id=1).is_write
+        assert not KVOperation.range(b"k", 3).is_write
+        assert not KVOperation.scan(b"k", 3).is_write
+
+    def test_with_epoch_is_replace_without_revalidation(self):
+        """The router's epoch stamp: a new frozen op, every field kept."""
+        import dataclasses
+
+        for op in (
+            KVOperation.put(b"k", b"v", seq=9),
+            KVOperation.update(b"k", 3, b"\x01", seq=2),
+            KVOperation.range(b"k", 7, seq=4),
+        ):
+            stamped = op.with_epoch(5)
+            assert stamped is not op and op.epoch == -1
+            assert stamped.epoch == 5 and stamped.seq == op.seq
+            assert stamped == op  # seq and epoch do not compare
+            assert dataclasses.asdict(stamped) == dataclasses.asdict(
+                dataclasses.replace(op, epoch=5)
+            )
+            assert stamped.with_epoch(6).epoch == 6 and stamped.epoch == 5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                stamped.epoch = 7
 
     def test_key_must_be_bytes(self):
         with pytest.raises(TypeError):

@@ -108,7 +108,7 @@ class TestIngressQueue:
         queue.submit(KVOperation.get(b"a"))
         first = queue.submit(KVOperation.get(b"b"))
         second = queue.submit(KVOperation.get(b"c"))
-        sim._now = 500.0  # advance the clock without running processes
+        sim.now = 500.0  # advance the clock without running processes
         queue.release()
         assert first.triggered and first.ok and first.value == 500.0
         assert not second.triggered

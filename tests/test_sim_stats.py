@@ -64,6 +64,59 @@ class TestCounter:
         counter.record_max("level", -1)
         assert counter["level"] == -1
 
+    def test_reading_a_missing_name_does_not_create_it(self):
+        """A name shows up in ``snapshot()`` - and so in every export -
+        only once something counted it; looking is not counting."""
+        counter = Counter()
+        assert counter["n"] == 0
+        assert counter.get("n") == 0
+        assert "n" not in counter
+        assert counter.snapshot() == {} and len(counter) == 0
+
+    def test_in_place_add_is_add(self):
+        """``counters["x"] += n`` is what the hot sites write instead of
+        ``add("x", n)``: same value, same materialisation - of ``+= 0``
+        too, which is how a counted zero reaches the snapshot."""
+        by_call, in_place = Counter(), Counter()
+        by_call.add("x")
+        by_call.add("x", 4)
+        by_call.add("zero", 0)
+        in_place["x"] += 1
+        in_place["x"] += 4
+        in_place["zero"] += 0
+        assert in_place == by_call
+        assert in_place.snapshot() == {"x": 5, "zero": 0}
+
+    def test_snapshot_is_a_plain_dict_in_first_touch_order(self):
+        counter = Counter()
+        counter["b"] += 1
+        counter.add("a")
+        counter.record_max("c", 0)
+        counter["b"] += 1
+        snap = counter.snapshot()
+        assert type(snap) is dict
+        assert list(snap.items()) == [("b", 2), ("a", 1), ("c", 0)]
+        counter.reset()
+        counter["a"] += 1
+        assert list(counter.snapshot()) == ["a"]  # order restarts too
+
+    def test_record_max_on_an_idle_gauge_keeps_reading_zero(self):
+        counter = Counter()
+        assert counter["peak"] == 0  # a look before the first record
+        counter.record_max("peak", -2)
+        assert counter.snapshot() == {"peak": -2}
+
+    def test_the_registry_still_takes_it_for_a_counter(self):
+        from repro.obs import MetricsRegistry
+
+        counter = Counter()
+        registry = MetricsRegistry()
+        registry.register("layer", counter)
+        assert registry.collect() == {}
+        counter["ops"] += 3
+        assert registry.collect() == {"layer.ops": 3}
+        assert "# TYPE kvdirect_layer counter" in registry.to_prometheus()
+
 
 class TestRunningStats:
     def test_mean_min_max(self):

@@ -86,6 +86,23 @@ class TestCrud(object):
         assert store.peek(b"b") is None
         assert store.dma_stats() == stats
 
+    def test_membership_is_uncounted_and_untraced(self, store):
+        """Regression: ``key in store`` ran a counted ``get`` - it bumped
+        ``gets``, the cost distribution and the memory counters, and
+        inside a pipeline trace window appended a replayed access."""
+        store.put(b"a", b"1")
+        store.put(b"big", b"x" * 100)  # a slab record, not an inline KV
+        table_counters = store.table.counters.snapshot()
+        memory_counters = store.memory.counters.snapshot()
+        gets = store.table.get_cost.count
+        store.memory.start_trace()
+        assert b"a" in store and b"big" in store
+        assert b"missing" not in store
+        assert store.memory.stop_trace() == []
+        assert store.table.counters.snapshot() == table_counters
+        assert store.memory.counters.snapshot() == memory_counters
+        assert store.table.get_cost.count == gets
+
 
 class TestAtomics:
     def test_fetch_add_sequencer(self, store):
