@@ -5,7 +5,7 @@ responses - that is what creates overload) drives one processor at a
 multiple of its measured capacity.  With an
 :class:`~repro.core.admission.OverloadPolicy` configured the server sheds
 the excess and goodput holds near peak with bounded latency; without one
-the legacy blocking ingress queues every arrival and latency grows with
+the unbounded ingress queue holds every arrival and latency grows with
 the backlog.  ``repro overload`` exports both curves side by side.
 """
 

@@ -1,13 +1,15 @@
-"""Ingress admission control and load shedding (overload path).
+"""Ingress admission: the one way into the reservation station.
 
-The paper's reservation station bounds *in-flight* operations, but the
-seed implementation simply blocked at ingress when the station filled:
-under offered load above capacity the simulated NIC queued requests
-unboundedly and latencies grew without bound.  This module gives the
-processor the property production KV stores have instead - graceful
-degradation: a **bounded ingress queue** in front of the station's token
-pool, plus a pluggable **shed policy** deciding which operation to drop
-when the queue is full.  A shed operation fails fast with
+The paper's reservation station bounds *in-flight* operations; an
+operation that finds every slot taken waits at ingress.  That wait is an
+:class:`IngressQueue`: a FIFO queue in front of the station's token pool
+whose :meth:`~IngressQueue.release` hands a freed slot straight to the
+oldest waiter.  With no :class:`OverloadPolicy` the queue is unbounded
+and never sheds - under offered load above capacity requests queue and
+latency grows without bound.  A policy gives the processor the property
+production KV stores have instead - graceful degradation: the queue is
+**bounded**, and a pluggable **shed policy** decides which operation to
+drop when it is full.  A shed operation fails fast with
 :class:`~repro.errors.ServerBusy` (a retryable NACK on the wire) rather
 than waiting forever.
 
@@ -65,7 +67,7 @@ class OverloadPolicy:
     """Overload-control knobs of one processor.
 
     Attach via :class:`~repro.core.config.KVDirectConfig.overload`; when
-    absent the processor keeps the legacy blocking-ingress behaviour.
+    absent the processor's ingress queue is unbounded and never sheds.
     """
 
     #: Operations that may wait in front of the reservation station
@@ -101,21 +103,22 @@ class _Waiter:
 
 
 class IngressQueue:
-    """Bounded admission queue in front of the reservation station.
+    """FIFO admission queue in front of the reservation station.
 
     :meth:`submit` returns an event that *succeeds* (with the queue wait
-    in ns) once a station token is granted, or *fails* with
-    :class:`~repro.errors.ServerBusy` when the shed policy drops the
-    operation.  The processor calls :meth:`release` instead of releasing
-    the token pool directly, so freed slots hand over to the oldest
-    waiter in FIFO order.
+    in ns) once a station token is granted, or - under a ``policy`` only -
+    *fails* with :class:`~repro.errors.ServerBusy` when the shed policy
+    drops the operation.  ``policy=None`` makes the queue unbounded: it
+    never sheds.  The processor calls :meth:`release` instead of
+    releasing the token pool directly, so freed slots hand over to the
+    oldest waiter in FIFO order.
     """
 
     def __init__(
         self,
         sim: Simulator,
         tokens: TokenPool,
-        policy: OverloadPolicy,
+        policy: Optional[OverloadPolicy],
     ) -> None:
         self.sim = sim
         self.tokens = tokens
@@ -140,14 +143,15 @@ class IngressQueue:
 
     def submit(self, op: KVOperation) -> Event:
         """Request admission for one op; see class docstring for outcomes."""
-        event = self.sim.event()
+        event = Event(self.sim)
         if not self._queue and self.tokens.try_acquire():
             self.counters["admitted_direct"] += 1
             self.wait_ns.record(0.0)
             event.succeed(0.0)
             return event
         waiter = _Waiter(op, event, self.sim.now)
-        if len(self._queue) < self.policy.queue_depth:
+        policy = self.policy
+        if policy is None or len(self._queue) < policy.queue_depth:
             self._enqueue(waiter)
             return event
         self.counters["queue_full"] += 1

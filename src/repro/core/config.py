@@ -87,10 +87,10 @@ class KVDirectConfig:
     fault_plan: Optional[FaultPlan] = None
 
     #: Optional overload-control policy (see :mod:`repro.core.admission`
-    #: and ``docs/ROBUSTNESS.md``).  When set, the processor fronts the
-    #: reservation station with a bounded ingress queue and sheds excess
-    #: load with :class:`~repro.errors.ServerBusy` NACKs; when ``None``
-    #: ingress blocks (the legacy, collapse-prone behaviour).
+    #: and ``docs/ROBUSTNESS.md``).  When set, the processor's ingress
+    #: queue in front of the reservation station is bounded and sheds
+    #: excess load with :class:`~repro.errors.ServerBusy` NACKs; when
+    #: ``None`` it is unbounded (the collapse-prone behaviour).
     overload: Optional[OverloadPolicy] = None
 
     def __post_init__(self) -> None:

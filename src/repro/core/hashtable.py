@@ -187,14 +187,17 @@ class HashTable(Index):
         self._check_key(key)
         return self._get(key, fnv1a64(key) if h is None else h)
 
-    def peek(self, key: bytes) -> Optional[bytes]:
+    def peek(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
         """Lookup that leaves no mark: the chain walk of :meth:`get` read
         through ``memory.peek``, so no memory or table counter, cost
         distribution or active trace sees it.  For control-plane readers
-        (cluster snapshots, replica comparison) and ``key in table``, which
-        must not perturb the measured data path."""
+        (cluster snapshots, replica comparison, the value a failed op
+        forwards to its dependents) and ``key in table``, which must not
+        perturb the measured data path."""
         self._check_key(key)
-        return self._get(key, fnv1a64(key), self.memory.peek)
+        return self._get(
+            key, fnv1a64(key) if h is None else h, self.memory.peek
+        )
 
     def utilization(self, total_memory: Optional[int] = None) -> float:
         """Stored KV bytes over the memory size ("memory utilization")."""

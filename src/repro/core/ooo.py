@@ -111,9 +111,9 @@ class ReservationStation:
     def record_full_stall(self) -> None:
         """Count one ingress arrival that found every in-flight slot taken.
 
-        The processor calls this when an operation cannot be admitted
-        immediately (legacy blocking ingress *and* the overload path's
-        bounded queue); ``station.full_stalls`` makes saturation visible
+        The processor calls this when an operation has to queue for a
+        slot at ingress (with or without an overload policy);
+        ``station.full_stalls`` makes saturation visible
         where it used to be silent - the ``queued`` counter only covers
         same-key dependency chains, not capacity stalls.
         """

@@ -22,6 +22,11 @@ with them:
   itself, its response event, deadline, per-stage timestamps, and unwind
   state (station slot / reservation-station membership).
 
+Admission is one path for every configuration: a FIFO
+:class:`~repro.core.admission.IngressQueue` over the station's slot
+tokens, unbounded without an overload policy and bounded (shedding with
+``ServerBusy``) under one.
+
 Deadlines are checked at three boundaries - ``decode`` and ``admission``
 (after the stage) and ``pipeline_start`` (at memory-stage entry, since
 the op may have expired while parked) - and every expiry goes through one
@@ -47,10 +52,7 @@ class OpContext:
 
     One context carries one submitted client operation (and one, without
     a response event, each internal station write-back).  The processor's
-    drivers mutate and route it.  Contexts are pooled: the processor
-    recycles them through :meth:`reset` once their op has left the
-    pipeline, so the steady-state data path allocates no per-op context
-    or timestamp dict.
+    drivers mutate and route it; each op gets a fresh one.
     """
 
     op: KVOperation
@@ -69,21 +71,3 @@ class OpContext:
     #: ``fnv1a64(op.key)``, computed once at issue and handed to the
     #: station and the index, which would each hash the key again.
     key_hash: Optional[int] = field(default=None, init=False)
-
-    def reset(
-        self,
-        op: KVOperation,
-        response: Optional[object] = None,
-        deadline_ns: Optional[float] = None,
-        submitted_ns: float = 0.0,
-    ) -> "OpContext":
-        """Reinitialize a pooled context for a new operation."""
-        self.op = op
-        self.response = response
-        self.deadline_ns = deadline_ns
-        self.submitted_ns = submitted_ns
-        self.timestamps.clear()
-        self.slot_held = False
-        self.station_admitted = False
-        self.key_hash = None
-        return self

@@ -6,8 +6,9 @@ named in :data:`repro.core.pipeline.STAGE_ORDER`:
 
 - :meth:`KVProcessor._ingress` - operations enter through a fully
   pipelined **decode** stage (one per clock at 180 MHz); **admission**
-  grants bounded in-flight slots (optionally fronted by the
-  overload-control ingress queue); **issue** runs the reservation station
+  grants bounded in-flight slots in FIFO order through one ingress queue
+  (:mod:`repro.core.admission`: unbounded, or bounded and shedding under
+  an overload policy); **issue** runs the reservation station
   (:mod:`repro.core.ooo`): independent operations execute out of order,
   dependents are parked for data forwarding,
 - :meth:`KVProcessor._main_pipeline` - the **memory** stage executes an
@@ -17,13 +18,14 @@ named in :data:`repro.core.pipeline.STAGE_ORDER`:
   dependents (one per clock in the dedicated execution engine), emits at
   most one write-back, and responds through the network model.
 
-Every in-flight operation is carried by one
+Every in-flight operation is carried by its own
 :class:`~repro.core.pipeline.OpContext`; each stage stamps its entry time
 there, and a deadline is checked after decode, after admission and at
 memory-stage entry, every expiry unwinding through :meth:`KVProcessor._expire`.
 
 Throughput = completed operations / simulated time; latency per operation
-is measured from submission to response.
+is measured from submission to response.  Both count successful responses
+only: an op that fails or expires is neither completed nor timed.
 """
 
 from __future__ import annotations
@@ -165,20 +167,13 @@ class KVProcessor:
         self.inflight = TokenPool(
             sim, cfg.max_inflight, name="station_tokens"
         )
-        #: Bounded ingress queue + shed policy, when overload control is
-        #: configured; None keeps the legacy blocking ingress.
-        self.admission = (
-            IngressQueue(sim, self.inflight, cfg.overload)
-            if cfg.overload is not None
-            else None
-        )
+        #: The one way into the station: a FIFO queue over the slot tokens,
+        #: bounded and shedding only under ``cfg.overload``.
+        self.admission = IngressQueue(sim, self.inflight, cfg.overload)
 
         # -- bookkeeping -----------------------------------------------------
         #: Live OpContext per in-flight client op, keyed by id(op).
         self._contexts: Dict[int, OpContext] = {}
-        #: Recycled contexts (see :class:`~repro.core.pipeline.OpContext`);
-        #: bounded by the peak number of simultaneously live ops.
-        self._ctx_pool: List[OpContext] = []
         self.counters = Counter()
         self.latencies = Histogram()
         #: Time each main-pipeline op spent in memory accesses (ns).
@@ -209,7 +204,7 @@ class KVProcessor:
         :class:`~repro.core.admission.OverloadPolicy` the event may also
         fail with :class:`~repro.errors.ServerBusy` when the op is shed.
         """
-        ctx = self._acquire_context(
+        ctx = OpContext(
             op,
             response=self.sim.event(),
             deadline_ns=deadline_ns,
@@ -244,40 +239,11 @@ class KVProcessor:
         """
         ctx = self._contexts.get(id(op))
         if ctx is None:
-            ctx = self._acquire_context(op, submitted_ns=self.sim.now)
-            ctx.station_admitted = True
+            ctx = OpContext(
+                op, submitted_ns=self.sim.now, station_admitted=True
+            )
             ctx.key_hash = fnv1a64(op.key)
         return ctx
-
-    def _acquire_context(
-        self,
-        op: KVOperation,
-        response: Optional[Event] = None,
-        deadline_ns: Optional[float] = None,
-        submitted_ns: float = 0.0,
-    ) -> OpContext:
-        pool = self._ctx_pool
-        if pool:
-            return pool.pop().reset(op, response, deadline_ns, submitted_ns)
-        return OpContext(
-            op=op,
-            response=response,
-            deadline_ns=deadline_ns,
-            submitted_ns=submitted_ns,
-        )
-
-    def _release_context(self, ctx: OpContext) -> None:
-        """Recycle a context whose op has left the pipeline.
-
-        Callers guarantee nothing holds the context afterwards: every
-        completion/unwind path reads it synchronously and the latency
-        stamp captures ``submitted_ns`` by value (never through the
-        context).  References to the op/response are dropped here so the
-        pool does not pin finished operations in memory.
-        """
-        ctx.op = None  # type: ignore[assignment]
-        ctx.response = None
-        self._ctx_pool.append(ctx)
 
     def fail_before_admission(
         self, ctx: OpContext, exc: KVDirectError
@@ -354,17 +320,20 @@ class KVProcessor:
         Dependents must be forwarded the key's *true* current value: if the
         op failed during timing replay its functional effect has already
         been applied, and if it failed before execution the old value still
-        stands - either way ``table.get`` is the ground truth, and handing
-        dependents ``None`` would forward stale data.
+        stands - either way the table is the ground truth, and handing
+        dependents ``None`` would forward stale data.  It is read through
+        the uncounted ``table.peek``: the read is bookkeeping of the
+        functional model, not an access the timed pipeline replays, so no
+        access counter may see it.
         """
         op = ctx.op
         self.counters["failed_ops"] += 1
         self.emit(ctx, "failed", type(exc).__name__)
-        value_after = self.store.table.get(op.key, ctx.key_hash)
+        value_after = self.store.table.peek(op.key, ctx.key_hash)
         completion = self.station.complete(op, value_after, ctx.key_hash)
         if op.seq >= 0:
             self._contexts.pop(id(op), None)
-            self._release_slot()
+            self.admission.release()
             if self.profiler is not None:
                 self.profiler.observe_failure(ctx, exc)
             if ctx.response is not None:
@@ -374,7 +343,7 @@ class KVProcessor:
     def respond(self, ctx: OpContext, result: KVResult) -> None:
         if self._contexts.pop(id(ctx.op), None) is None:
             raise SimulationError("response for unknown operation")
-        self._release_slot()
+        self.admission.release()
         if self.tracer is not None:
             self.tracer.emit(ctx.op.seq, "complete", f"ok={result.ok}")
         if self.profiler is not None:
@@ -411,8 +380,6 @@ class KVProcessor:
 
         The deadline is checked after decode and after admission; expiry
         is unwound according to how far the op got (see :meth:`_expire`).
-        Whenever the op leaves the pipeline here (shed, expired) nothing
-        else holds its context, so it is released on the spot.
         """
         sim = self.sim
         tracer = self.tracer
@@ -431,41 +398,29 @@ class KVProcessor:
             tracer.emit(seq, "decode")
         if deadline is not None and sim.now > deadline:
             self._expire(ctx, "decode")
-            self._release_context(ctx)
             return
 
-        # admission: one reservation-station slot from the bounded ingress
-        # queue (which may shed the op instead) or the blocking token
-        # pool, recording the time stalled on a full station.
+        # admission: one reservation-station slot from the ingress queue
+        # (which, under an overload policy, may shed the op instead),
+        # recording the time a queued op stalled on a full station.
         stamps["admission"] = sim.now
-        if self.admission is not None:
-            grant = self.admission.submit(op)
-            if not grant.triggered:
-                self.station.record_full_stall()
+        grant = self.admission.submit(op)
+        queued = not grant.triggered
+        if queued:
+            self.station.record_full_stall()
             stall_start = sim.now
-            try:
-                yield grant
-            except ServerBusy as exc:
-                self.counters["shed_ops"] += 1
-                self.emit(ctx, "shed", f"policy={exc.policy}")
-                self.fail_before_admission(ctx, exc)
-                self._release_context(ctx)
-                return
-            if sim.now > stall_start:
-                self.stall_times.record(sim.now - stall_start)
-        else:
-            grant = self.inflight.acquire()
-            if not grant.triggered:
-                self.station.record_full_stall()
-                stall_start = sim.now
-                yield grant
-                self.stall_times.record(sim.now - stall_start)
-            else:
-                yield grant
+        try:
+            yield grant
+        except ServerBusy as exc:
+            self.counters["shed_ops"] += 1
+            self.emit(ctx, "shed", f"policy={exc.policy}")
+            self.fail_before_admission(ctx, exc)
+            return
+        if queued:
+            self.stall_times.record(sim.now - stall_start)
         ctx.slot_held = True
         if deadline is not None and sim.now > deadline:
             self._expire(ctx, "admission")
-            self._release_context(ctx)
             return
 
         # issue: independent ops execute out of order; (conservatively)
@@ -494,8 +449,7 @@ class KVProcessor:
 
         Entered from issue (independent ops), from completion (station
         write-backs and newly unblocked queued ops), and from failure
-        unwinds.  On every exit the op has left the pipeline and nothing
-        else holds its context.
+        unwinds.
         """
         sim = self.sim
         tracer = self.tracer
@@ -508,7 +462,6 @@ class KVProcessor:
             # dependents are forwarded the key's true current value.  No
             # store state was modified.
             self._expire(ctx, "pipeline_start")
-            self._release_context(ctx)
             return
 
         # memory: execute against the index, recording every access made.
@@ -522,7 +475,6 @@ class KVProcessor:
         except KVDirectError as exc:
             memory.stop_trace()
             self.fail_op(ctx, exc)
-            self._release_context(ctx)
             return
         trace = memory.stop_trace()
         if self.profiler is not None:
@@ -548,7 +500,6 @@ class KVProcessor:
             self.memory_time.record(sim.now - replay_start)
             self.counters["fault_failed_replays"] += 1
             self.fail_op(ctx, exc)
-            self._release_context(ctx)
             return
         self.memory_time.record(sim.now - replay_start)
         self.counters["main_pipeline_ops"] += 1
@@ -561,7 +512,6 @@ class KVProcessor:
         if seq >= 0:
             self.respond(ctx, result)
         self._fan_out(seq, completion)
-        self._release_context(ctx)
 
     def _expire(self, ctx: OpContext, boundary: str) -> None:
         """Uniform deadline-expiry handling at one stage boundary.
@@ -586,7 +536,7 @@ class KVProcessor:
         if ctx.slot_held:
             # The slot was granted but the op is already dead: hand the
             # token straight back before failing.
-            self._release_slot()
+            self.admission.release()
         deadline = ctx.deadline_ns if ctx.deadline_ns is not None else 0.0
         self.fail_before_admission(
             ctx,
@@ -598,22 +548,20 @@ class KVProcessor:
         )
 
     def _stamp_on_response(self, ctx: OpContext) -> None:
-        event = ctx.response
-        if event is None:  # pragma: no cover - defensive
-            return
-        # Capture by value: the callback fires at response delivery, by
-        # which time the (pooled) context may already carry another op.
-        submitted = ctx.submitted_ns
+        """Count the op and record its latency when its response is
+        delivered - if it succeeded: a failed op is not completed."""
 
         def record(ev: Event) -> None:
-            latency = self.sim.now - submitted
+            if ev.exception is not None:
+                return
+            latency = self.sim.now - ctx.submitted_ns
             self.latencies.record(latency)
             self.completed += 1
             window = self.window_latencies
             if window is not None:
                 window.record(latency)
 
-        event.add_callback(record)
+        ctx.response.add_callback(record)
 
     def _deliver_forwarded(self, op: KVOperation, result: KVResult):
         yield self.forward_engine.submit()
@@ -622,15 +570,6 @@ class KVProcessor:
         if self.tracer is not None:
             self.tracer.emit(op.seq, "station.forwarded")
         self.respond(ctx, result)
-        self._release_context(ctx)
-
-    def _release_slot(self) -> None:
-        """Return one station slot, via the ingress queue when present so
-        freed capacity hands over to the oldest queued arrival."""
-        if self.admission is not None:
-            self.admission.release()
-        else:
-            self.inflight.release()
 
     # -- measurement ------------------------------------------------------------------
 
@@ -673,7 +612,7 @@ class KVProcessor:
             scoped("station.busy_slots"), self.station.busy_slots
         )
         registry.register(scoped("station.stall_time_ns"), self.stall_times)
-        if self.admission is not None:
+        if self.admission.policy is not None:
             registry.register(scoped("ingress"), self.admission.counters)
             registry.register(scoped("ingress.wait_ns"), self.admission.wait_ns)
             registry.register_gauge(

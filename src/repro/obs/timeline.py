@@ -133,9 +133,7 @@ class _ProcessorSource:
         _derive_rates(row)
         proc = self.processor
         row["station_occupancy"] = proc.station.occupancy
-        row["ingress_depth"] = (
-            proc.admission.depth if proc.admission is not None else 0
-        )
+        row["ingress_depth"] = proc.admission.depth
         return row, samples
 
 

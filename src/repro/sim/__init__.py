@@ -25,27 +25,18 @@ The kernel provides:
 - :mod:`~repro.sim.latency` - reproducible latency distributions.
 """
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    Simulator,
-    Timeout,
-)
+from repro.sim.engine import AllOf, Event, Process, Simulator, Timeout
 from repro.sim.latency import (
     ConstantLatency,
     ExponentialLatency,
     LatencyModel,
     UniformLatency,
 )
-from repro.sim.resources import BandwidthServer, FIFOServer, Store, TokenPool
+from repro.sim.resources import BandwidthServer, FIFOServer, TokenPool
 from repro.sim.stats import Counter, Histogram, RunningStats
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BandwidthServer",
     "ConstantLatency",
     "Counter",
@@ -53,12 +44,10 @@ __all__ = [
     "ExponentialLatency",
     "FIFOServer",
     "Histogram",
-    "Interrupt",
     "LatencyModel",
     "Process",
     "RunningStats",
     "Simulator",
-    "Store",
     "Timeout",
     "TokenPool",
     "UniformLatency",

@@ -170,14 +170,6 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
 class Process(Event):
     """A generator executing in simulated time.
 
@@ -187,12 +179,11 @@ class Process(Event):
     that triggers with the generator's return value.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator", generator: Generator) -> None:
         super().__init__(sim)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         # Kick-start on the next simulation step at the current time.
         sim.call_soon(self._resume)
 
@@ -200,24 +191,7 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            return
-        target = self._waiting_on
-        if target is not None and not target.triggered:
-            # Detach from the event we were waiting on and resume with the
-            # interrupt instead.
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-        wakeup = Event(self.sim)
-        wakeup.callbacks.append(self._resume)
-        wakeup._exception = Interrupt(cause)
-        wakeup._value = None
-        self.sim._schedule(wakeup, 0.0)
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         sim = self.sim
         try:
             if event._exception is None:
@@ -226,10 +200,6 @@ class Process(Event):
                 next_event = self._generator.throw(event._exception)
         except StopIteration as stop:
             sim.finish(self, stop.value)
-            return
-        except Interrupt:
-            # Process chose not to handle the interrupt: treat as completion.
-            sim.finish(self)
             return
         except BaseException as exc:
             # The process body raised: fail the process event so waiters
@@ -241,7 +211,6 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {next_event!r}, expected an Event"
             )
-        self._waiting_on = next_event
         callbacks = next_event.callbacks
         if callbacks is None:
             # Already processed: resume immediately (same as add_callback).
@@ -250,8 +219,11 @@ class Process(Event):
             callbacks.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf`."""
+class AllOf(Event):
+    """Triggers when every constituent event has triggered.
+
+    Succeeds with the list of values; fails fast on the first failure.
+    """
 
     __slots__ = ("_events", "_remaining")
 
@@ -265,18 +237,6 @@ class _Condition(Event):
         for event in self._events:
             event.add_callback(self._check)
 
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when every constituent event has triggered.
-
-    Succeeds with the list of values; fails fast on the first failure.
-    """
-
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING or self._exception is not None:
             return
@@ -286,20 +246,6 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([e._value for e in self._events])
-
-
-class AnyOf(_Condition):
-    """Triggers when the first constituent event triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._value is not _PENDING or self._exception is not None:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-            return
-        self.succeed(event._value)
 
 
 class Simulator:
@@ -414,34 +360,7 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- execution ---------------------------------------------------------
-
-    def _next_event(self) -> Any:
-        """Pop the next entry in (time, FIFO) order, advancing the clock."""
-        queue = self._queue
-        if queue and queue[0][0] <= self.now:
-            return _heappop(queue)[2]
-        if self._dq:
-            return self._dq.popleft()
-        if not queue:
-            raise SimulationError("simulation ran out of events")
-        when, __, entry = _heappop(queue)
-        self.now = when
-        return entry
-
-    def step(self) -> None:
-        """Process the next scheduled entry."""
-        entry = self._next_event()
-        if type(entry) in _EVENT_TYPES:
-            callbacks = entry.callbacks
-            entry.callbacks = None
-            for callback in callbacks:
-                callback(entry)
-        else:
-            entry(_KICK)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.

@@ -197,36 +197,3 @@ class FIFOServer:
         self.sim.schedule_at(event, issue + self.latency + self.interval)
         return event
 
-    def issue_time(self) -> float:
-        """Absolute time the next submission would issue at."""
-        return max(self.sim.now, self._next_issue)
-
-
-class Store:
-    """An unbounded FIFO queue of items between producer/consumer processes."""
-
-    def __init__(self, sim: Simulator, name: str = "store") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: Deque = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = self.sim.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def peek(self) -> Optional[object]:
-        return self._items[0] if self._items else None

@@ -18,6 +18,7 @@ from collections import deque
 import pytest
 
 from repro import scenario
+from repro.core.admission import OverloadPolicy
 from repro.dram.cache import DramCache, ECCFaultPath
 from repro.dram.hamming import DecodeStatus
 from repro.dram.nic import NICDram
@@ -517,6 +518,26 @@ class TestQueueEntriesPerOp:
         )
         entries = self.queue_entries(built, built.operations(120), 16)
         assert entries == (23760, 11804)  # 296.4 per op
+
+    # Four slots under 32 concurrent clients: almost every op queues for
+    # its slot, so these two pin the queued grant and its hand-over.
+
+    def saturated(self, **overrides):
+        built = scenario.build(
+            seed=7, memory_size=1 << 20, corpus=2000, put_ratio=0.5,
+            max_inflight=4, **overrides
+        )
+        entries = self.queue_entries(built, built.operations(400), 32)
+        processor = built.processor
+        stalls = processor.station.counters["full_stalls"]
+        return entries, stalls, processor.stall_times.count
+
+    def test_saturated_ingress_without_policy(self):
+        assert self.saturated() == ((7291, 2337), 396, 396)
+
+    def test_saturated_ingress_under_a_shed_policy(self):
+        policy = OverloadPolicy(queue_depth=8, shed_policy="drop-oldest")
+        assert self.saturated(overload=policy) == ((1860, 489), 396, 13)
 
 
 class TestPureFunctionTrims:

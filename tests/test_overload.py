@@ -254,6 +254,9 @@ class TestProcessorShedding:
         assert processor.admission.shed_total == len(shed)
 
     def test_no_shedding_without_policy(self):
+        """Without a policy the ingress queue is unbounded: 16 ops through
+        2 slots all wait their turn, none is shed, and no ``ingress.*``
+        metric is exported."""
         sim, processor = self._processor(max_inflight=2)
         events = [
             processor.submit(KVOperation.get(b"k%03d" % i, seq=i))
@@ -261,7 +264,13 @@ class TestProcessorShedding:
         ]
         ok, shed, __ = _settle_all(sim, events)
         assert len(ok) == 16 and not shed
-        assert processor.admission is None
+        queue = processor.admission
+        assert queue.policy is None and queue.shed_total == 0
+        assert queue.counters["max_depth"] >= 14
+        assert queue.depth == 0
+        assert processor.counters["shed_ops"] == 0
+        names = processor.register_metrics(MetricsRegistry()).names()
+        assert not [name for name in names if name.startswith("ingress")]
 
     def test_full_stalls_counted_on_both_paths(self):
         for overload in (None, OverloadPolicy(queue_depth=16)):

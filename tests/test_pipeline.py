@@ -1,7 +1,7 @@
 """The KV pipeline's observable behaviour: stage stamps in STAGE_ORDER,
-span order, the OpContext lifecycle, the three deadline boundaries and
-the completion fan-out - under blocking ingress and under an
-OverloadPolicy alike."""
+span order, the OpContext lifecycle, the three deadline boundaries, the
+completion fan-out and what a failed op counts - through the ingress
+queue without and with an OverloadPolicy alike."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.core.store import KVDirectStore
 from repro.errors import DeadlineExceeded
 from repro.obs.profiler import StageProfiler
 from repro.obs.tracer import Tracer
-from repro.sim import Simulator
+from repro.sim import Histogram, Simulator
 
 #: Prefixes of the spans the hardware models emit (not the processor).
 _HARDWARE_SPANS = ("mem.", "dram.", "pcie.")
@@ -27,7 +27,8 @@ def _processor(tracer=None, profiler=None, **overrides):
 
 @pytest.fixture(params=["blocking", "overload"])
 def ingress(request):
-    """Config overrides selecting one of the two admission branches."""
+    """Config overrides for the ingress queue: unbounded, or bounded
+    under an OverloadPolicy."""
     if request.param == "blocking":
         return {}
     return {"overload": OverloadPolicy(queue_depth=64)}
@@ -262,3 +263,42 @@ class TestCompletionFanOut:
         assert [span.seq for span in writebacks] == [0]
         assert proc.store.get(b"k") == b"new"
         assert proc.station.occupancy == 0
+
+
+
+def _expire_parked_gets(window=None, **ingress):
+    """One PUT to ``k``, then five GETs to ``k`` that wait in the station
+    behind it (no forwarding) and expire at ``pipeline_start``."""
+    sim, proc = _processor(out_of_order=False, **ingress)
+    proc.window_latencies = window
+    events = [proc.submit(KVOperation.put(b"k", b"v", seq=0))]
+    events += [
+        proc.submit(KVOperation.get(b"k", seq=i), deadline_ns=300.0)
+        for i in range(1, 6)
+    ]
+    sim.run()
+    assert [event.ok for event in events] == [True] + [False] * 5
+    assert proc.deadline_counters.snapshot() == {"pipeline_start": 5}
+    return proc
+
+
+class TestFailedOpAccounting:
+    def test_failed_ops_are_neither_completed_nor_timed(self, ingress):
+        """Ops that fail after station admission used to be counted as
+        completed and to record a latency, unlike ops that expire at
+        decode or admission."""
+        window = Histogram()
+        proc = _expire_parked_gets(window, **ingress)
+        assert proc.completed == 1
+        assert proc.latencies.count == 1 and window.count == 1
+
+    def test_expiries_make_no_counted_read(self, ingress):
+        """The value a failed op forwards to its dependents is read
+        uncounted: table counters, the GET cost distribution and the
+        memory counters see only the one PUT, which the engine replayed."""
+        proc = _expire_parked_gets(**ingress)
+        table = proc.store.table
+        assert table.counters.snapshot() == {"puts": 1}
+        assert table.get_cost.count == 0
+        assert proc.store.memory.counters["reads"] == 1
+        assert proc.engine.counters["reads"] == 1

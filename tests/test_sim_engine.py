@@ -11,7 +11,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.memory.dispatcher import LoadDispatcher
 from repro.memory.engine import MemoryAccessEngine, _CachedLine
 from repro.pcie.dma import DMAEngine, MultiLinkDMA
-from repro.sim import Event, Interrupt, Simulator, TokenPool
+from repro.sim import Event, Simulator, TokenPool
 
 
 class TestEventBasics:
@@ -205,27 +205,6 @@ class TestProcess:
         assert sim.run(sim.process(outer())) == 24
         assert sim.now == pytest.approx(12.0)
 
-    def test_interrupt_wakes_process(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(1000)
-                log.append("finished")
-            except Interrupt as intr:
-                log.append(("interrupted", intr.cause, sim.now))
-
-        proc = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(10)
-            proc.interrupt("wakeup")
-
-        sim.process(interrupter())
-        sim.run(proc)
-        assert log == [("interrupted", "wakeup", 10.0)]
-
     def test_is_alive(self):
         sim = Simulator()
 
@@ -250,14 +229,6 @@ class TestConditions:
         sim = Simulator()
         result = sim.run(sim.all_of([]))
         assert result == []
-
-    def test_any_of_first_value(self):
-        sim = Simulator()
-        events = [sim.timeout(9, value="late"), sim.timeout(2, value="early")]
-        result = sim.run(sim.any_of(events))
-        assert result == "early"
-        assert sim.now == pytest.approx(2.0)
-
 
 class TestSimulatorRun:
     def test_run_until_time(self):
@@ -294,17 +265,6 @@ class TestSimulatorRun:
         proc = sim.process(waiter())
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(proc)
-
-    def test_step_on_an_empty_simulator(self):
-        """Used to escape as ``IndexError: index out of range`` from
-        ``heappop``."""
-        sim = Simulator()
-        with pytest.raises(SimulationError, match="ran out of events"):
-            sim.step()
-        sim.call_soon(lambda kick: None)
-        sim.step()
-        with pytest.raises(SimulationError, match="ran out of events"):
-            sim.step()
 
     def test_schedule_at_absolute(self):
         sim = Simulator()
@@ -620,15 +580,6 @@ class TestContinuations:
 
 
 class TestEdgeCases:
-    def test_any_of_failure_propagates(self):
-        sim = Simulator()
-        good = sim.timeout(10, value="ok")
-        bad = sim.event()
-        bad.fail(RuntimeError("boom"))
-        condition = sim.any_of([good, bad])
-        with pytest.raises(RuntimeError):
-            sim.run(condition)
-
     def test_all_of_failure_fails_fast(self):
         sim = Simulator()
         slow = sim.timeout(1000)
@@ -638,29 +589,6 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             sim.run(condition)
         assert sim.now < 1000
-
-    def test_interrupt_completed_process_is_noop(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1)
-
-        proc = sim.process(quick())
-        sim.run(proc)
-        proc.interrupt("late")  # must not raise
-        sim.run()
-
-    def test_unhandled_interrupt_ends_process(self):
-        sim = Simulator()
-
-        def stubborn():
-            yield sim.timeout(1000)
-
-        proc = sim.process(stubborn())
-        sim.run(until=1.0)
-        proc.interrupt("stop")
-        sim.run(proc)
-        assert not proc.is_alive
 
     def test_process_exception_propagates_to_waiter(self):
         sim = Simulator()

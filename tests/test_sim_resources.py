@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import BandwidthServer, FIFOServer, Simulator, Store, TokenPool
+from repro.sim import BandwidthServer, FIFOServer, Simulator, TokenPool
 
 
 class TestTokenPool:
@@ -209,56 +209,6 @@ class TestFIFOServer:
             FIFOServer(sim, initiation_interval_ns=0.0)
         with pytest.raises(SimulationError):
             FIFOServer(sim, initiation_interval_ns=1.0, latency_ns=-1.0)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("item")
-        assert sim.run(store.get()) == "item"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        def producer():
-            yield sim.timeout(25)
-            store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [("late", 25.0)]
-
-    def test_fifo_ordering(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(5):
-            store.put(i)
-        results = []
-
-        def consumer():
-            for __ in range(5):
-                item = yield store.get()
-                results.append(item)
-
-        sim.run(sim.process(consumer()))
-        assert results == [0, 1, 2, 3, 4]
-
-    def test_len_and_peek(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert len(store) == 0
-        assert store.peek() is None
-        store.put("x")
-        assert len(store) == 1
-        assert store.peek() == "x"
 
 
 class TestLatencyModels:

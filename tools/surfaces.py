@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Byte-identity of every seeded CLI surface between two checkouts.
+
+Runs each surface - every ``CASES`` command of
+``tests/test_cli_determinism.py`` plus the few seeded commands listed in
+:data:`EXTRA` - as ``python -m repro ...`` once on each checkout's
+``src/``, both sides from directories of the same name (so the paths the
+commands write and print match), two processes at a time.  Then it
+compares stdout and every file each side wrote, byte for byte, prints one
+line per surface and exits 1 if any surface differs; the outputs are kept
+for inspection in that case and removed otherwise.
+
+Usage::
+
+    python tools/surfaces.py PARENT_DIR CHANGE_DIR
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Seeded surfaces beyond the determinism cases, by name.
+EXTRA = {
+    "metrics": "metrics --seed 7 --format both",
+    "overload-export": "overload --seed 0 --ops 1500 --deadline-us 10 "
+                       "--export overload.json",
+    "ycsb": "ycsb --ops 3000 --put-ratio 0.5",
+}
+
+SIDES = ("parent", "change")
+
+
+def surfaces() -> Dict[str, str]:
+    """Every surface: name -> ``repro`` arguments."""
+    spec = importlib.util.spec_from_file_location(
+        "test_cli_determinism", ROOT / "tests" / "test_cli_determinism.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    found = {name: argv for name, (argv, __) in module.CASES.items()}
+    found.update(EXTRA)
+    return found
+
+
+def run_cli(checkout: str, argv: List[str], cwd: pathlib.Path) -> bytes:
+    """``python -m repro ARGV`` on ``checkout``'s sources, run in ``cwd``;
+    returns stdout."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(checkout) / "src"),
+               PYTHONHASHSEED="0")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=cwd, env=env, capture_output=True, check=False,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"{checkout}: repro {' '.join(argv)} exited {done.returncode}\n"
+            f"{done.stderr.decode()}"
+        )
+    return done.stdout
+
+
+def outputs(stdout: bytes, cwd: pathlib.Path) -> Dict[str, bytes]:
+    """What one run produced: ``<stdout>`` and each file it wrote."""
+    found = {"<stdout>": stdout}
+    for path in sorted(cwd.iterdir()):
+        found[path.name] = path.read_bytes()
+    return found
+
+
+def differences(parent: Dict[str, bytes], change: Dict[str, bytes]) -> List[str]:
+    """Names of the outputs that differ or exist on one side only."""
+    return sorted(
+        name for name in set(parent) | set(change)
+        if parent.get(name) != change.get(name)
+    )
+
+
+def compare(
+    name: str, argv: str, checkouts: Dict[str, str], workdir: pathlib.Path
+) -> List[str]:
+    """Run one surface on both sides; the outputs that differ."""
+    dirs = {side: workdir / side / name for side in SIDES}
+    for cwd in dirs.values():
+        cwd.mkdir(parents=True)
+    with ThreadPoolExecutor(max_workers=len(SIDES)) as pool:
+        futures = {
+            side: pool.submit(run_cli, checkouts[side], argv.split(), dirs[side])
+            for side in SIDES
+        }
+        produced = {
+            side: outputs(future.result(), dirs[side])
+            for side, future in futures.items()
+        }
+    return differences(produced["parent"], produced["change"])
+
+
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent, "change": args.change}
+    workdir = pathlib.Path(tempfile.mkdtemp(prefix="surfaces-"))
+    differing = 0
+    for name, command in surfaces().items():
+        moved = compare(name, command, checkouts, workdir)
+        differing += bool(moved)
+        print(f"{name:<18} " + (
+            "identical" if not moved else "DIFFERS: " + ", ".join(moved)
+        ), flush=True)
+    if differing:
+        print(f"{differing} surface(s) differ; outputs kept in {workdir}")
+        return 1
+    shutil.rmtree(workdir)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
