@@ -421,7 +421,7 @@ class KVClient:
             yield self.sim.timeout(wait)
 
     def _flight_with_retries(
-        self, flight: Callable[[], Process], wire: int, direction: str
+        self, flight: Callable[[], Event], wire: int, direction: str
     ) -> Generator:
         """Run one network flight, retrying injected losses with capped
         exponential backoff; raises

@@ -109,11 +109,6 @@ def _fnv1a64_fixed(keys: Sequence[bytes], length: int) -> np.ndarray:
     return h
 
 
-def bucket_index_many(key_hashes: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Primary buckets for a batch of key hashes."""
-    return key_hashes % np.uint64(num_buckets)
-
-
 def shard_of_many(keys: Iterable[bytes], shards: int) -> np.ndarray:
     """Shard assignment for a batch of keys; matches ``shard_of`` key-for-key."""
     h = fnv1a64_many(list(keys)) >> np.uint64(16)
@@ -121,10 +116,3 @@ def shard_of_many(keys: Iterable[bytes], shards: int) -> np.ndarray:
         h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return (h ^ (h >> np.uint64(31))) % np.uint64(shards)
-
-
-def secondary_hash_many(key_hashes: np.ndarray) -> np.ndarray:
-    """Batch counterpart of :func:`secondary_hash`."""
-    return (key_hashes >> np.uint64(64 - SECONDARY_HASH_BITS)) & np.uint64(
-        (1 << SECONDARY_HASH_BITS) - 1
-    )

@@ -6,13 +6,13 @@ The processor's data path (Figure 4) is a fixed hardware pipeline::
                                           '-> (parked in the station)
 
 Nothing substitutes a stage, so there are no stage objects: the two
-driver functions of :class:`~repro.core.processor.KVProcessor` spell the
-sequence out in order - ``_ingress`` (decode, admission, issue; one
-simulated process per submitted op) and ``_main_pipeline`` (memory,
-complete; entered from issue for independent ops, from completion for
-write-backs and newly unblocked ops, never for ops answered purely by
-data forwarding).  This module holds what the rest of the code shares
-with them:
+drivers of :class:`~repro.core.processor.KVProcessor` spell the sequence
+out in order as callback chains over one context per op - ``_ingress``
+(decode, admission, issue) and ``_main_pipeline`` (memory, complete;
+entered from issue for independent ops, from completion for write-backs
+and newly unblocked ops, never for ops answered purely by data
+forwarding).  This module holds what the rest of the code shares with
+them:
 
 - :data:`STAGE_ORDER`, the one declaration of the stage names.  The
   drivers stamp :attr:`OpContext.timestamps` under exactly these keys, in
@@ -71,3 +71,5 @@ class OpContext:
     #: ``fnv1a64(op.key)``, computed once at issue and handed to the
     #: station and the index, which would each hash the key again.
     key_hash: Optional[int] = field(default=None, init=False)
+    #: The memory stage's ``(KVResult, value after)`` while it replays.
+    outcome: Optional[tuple] = field(default=None, init=False)

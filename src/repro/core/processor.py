@@ -1,8 +1,13 @@
 """The timed KV processor pipeline (Figure 4).
 
 Couples the functional store to the hardware models.  The pipeline is
-fixed, so it is written as two straight-line drivers over the stages
-named in :data:`repro.core.pipeline.STAGE_ORDER`:
+fixed, so each op crosses the stages named in
+:data:`repro.core.pipeline.STAGE_ORDER` as one callback chain, not a
+process: every step is a bound method in a ``partial`` with the op's
+:class:`~repro.core.pipeline.OpContext`, every hop between steps is a
+queue entry whose position is observable (``docs/MODELING.md``, "Rule
+for writing a chain"), and a step that raises propagates out of
+``sim.run``.
 
 - :meth:`KVProcessor._ingress` - operations enter through a fully
   pipelined **decode** stage (one per clock at 180 MHz); **admission**
@@ -18,10 +23,9 @@ named in :data:`repro.core.pipeline.STAGE_ORDER`:
   dependents (one per clock in the dedicated execution engine), emits at
   most one write-back, and responds through the network model.
 
-Every in-flight operation is carried by its own
-:class:`~repro.core.pipeline.OpContext`; each stage stamps its entry time
-there, and a deadline is checked after decode, after admission and at
-memory-stage entry, every expiry unwinding through :meth:`KVProcessor._expire`.
+Each stage stamps its entry time on the context, and a deadline is
+checked after decode, after admission and at memory-stage entry, every
+expiry unwinding through :meth:`KVProcessor._expire`.
 
 Throughput = completed operations / simulated time; latency per operation
 is measured from submission to response.  Both count successful responses
@@ -30,6 +34,7 @@ only: an op that fails or expires is neither completed nor timed.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.admission import IngressQueue
@@ -45,7 +50,6 @@ from repro.dram.nic import NICDram
 from repro.errors import (
     DeadlineExceeded,
     KVDirectError,
-    ServerBusy,
     SimulationError,
 )
 from repro.memory.dispatcher import LoadDispatcher
@@ -213,7 +217,7 @@ class KVProcessor:
         self._contexts[id(op)] = ctx
         if self.profiler is not None:
             self.profiler.observe_submit(ctx)
-        self.sim.process(self._ingress(ctx))
+        self.sim.call_soon(partial(self._ingress, ctx))
         return ctx.response
 
     def submit_many(self, ops: List[KVOperation]) -> List[Event]:
@@ -357,76 +361,74 @@ class KVProcessor:
         written back and a newly unblocked op issued, both through the
         main pipeline."""
         sim = self.sim
-        for forwarded_op, forwarded_result in completion.responses:
-            sim.process(
-                self._deliver_forwarded(forwarded_op, forwarded_result)
-            )
+        for forwarded in completion.responses:  # (op, result) pairs
+            sim.call_soon(partial(self._deliver_forwarded, *forwarded))
         if completion.writeback is not None:
             self.counters["writebacks"] += 1
             if self.tracer is not None:
                 self.tracer.emit(seq, "station.writeback")
-            sim.process(
-                self._main_pipeline(self.context_for(completion.writeback))
-            )
+            sim.call_soon(partial(
+                self._main_pipeline, self.context_for(completion.writeback)
+            ))
         if completion.next_issue is not None:
-            sim.process(
-                self._main_pipeline(self.context_for(completion.next_issue))
-            )
+            sim.call_soon(partial(
+                self._main_pipeline, self.context_for(completion.next_issue)
+            ))
 
     # -- pipeline drivers ------------------------------------------------------
 
-    def _ingress(self, ctx: OpContext):
-        """Decode, admit and issue one submitted op (one process per op).
-
-        The deadline is checked after decode and after admission; expiry
-        is unwound according to how far the op got (see :meth:`_expire`).
-        """
+    def _ingress(self, ctx: OpContext, _entry) -> None:
+        """Enter the decoder; :meth:`_decoded` asks for a station slot and
+        :meth:`_admitted` issues."""
         sim = self.sim
-        tracer = self.tracer
         op = ctx.op
-        seq = op.seq
-        deadline = ctx.deadline_ns
-        stamps = ctx.timestamps
         ctx.submitted_ns = sim.now
-        if tracer is not None:
-            tracer.emit(seq, "ingress", f"op={op.op.name}")
-
+        if self.tracer is not None:
+            self.tracer.emit(op.seq, "ingress", f"op={op.op.name}")
         # decode: the fully pipelined batch/op decoder (one op per clock).
-        stamps["decode"] = sim.now
-        yield self.decoder.submit()
-        if tracer is not None:
-            tracer.emit(seq, "decode")
-        if deadline is not None and sim.now > deadline:
+        ctx.timestamps["decode"] = sim.now
+        sim.call_when(self.decoder.reserve(), partial(self._decoded, ctx))
+
+    def _decoded(self, ctx: OpContext, _entry) -> None:
+        sim = self.sim
+        op = ctx.op
+        if self.tracer is not None:
+            self.tracer.emit(op.seq, "decode")
+        if ctx.deadline_ns is not None and sim.now > ctx.deadline_ns:
             self._expire(ctx, "decode")
             return
-
         # admission: one reservation-station slot from the ingress queue
         # (which, under an overload policy, may shed the op instead),
         # recording the time a queued op stalled on a full station.
-        stamps["admission"] = sim.now
+        ctx.timestamps["admission"] = sim.now
         grant = self.admission.submit(op)
-        queued = not grant.triggered
-        if queued:
+        stall_start = None
+        if not grant.triggered:
             self.station.record_full_stall()
             stall_start = sim.now
-        try:
-            yield grant
-        except ServerBusy as exc:
+        grant.callbacks.append(partial(self._admitted, ctx, stall_start))
+
+    def _admitted(self, ctx: OpContext, stall_start, grant: Event) -> None:
+        sim = self.sim
+        tracer = self.tracer
+        op = ctx.op
+        exc = grant._exception
+        if exc is not None:  # ServerBusy: the ingress queue shed the op
             self.counters["shed_ops"] += 1
             self.emit(ctx, "shed", f"policy={exc.policy}")
             self.fail_before_admission(ctx, exc)
             return
-        if queued:
+        if stall_start is not None:
             self.stall_times.record(sim.now - stall_start)
         ctx.slot_held = True
-        if deadline is not None and sim.now > deadline:
+        if ctx.deadline_ns is not None and sim.now > ctx.deadline_ns:
             self._expire(ctx, "admission")
             return
 
         # issue: independent ops execute out of order; (conservatively)
         # dependent ones sleep in the station until forwarding or
         # next_issue resolves them - either path fires their response.
-        stamps["issue"] = sim.now
+        ctx.timestamps["issue"] = sim.now
         self.counters["admitted"] += 1
         ctx.key_hash = key_hash = fnv1a64(op.key)
         admission = self.station.admit(op, key_hash)
@@ -434,25 +436,30 @@ class KVProcessor:
         if admission is Admission.EXECUTE:
             if tracer is not None:
                 tracer.emit(
-                    seq, "station.execute",
+                    op.seq, "station.execute",
                     f"occupancy={self.station.occupancy}",
                 )
-            sim.process(self._main_pipeline(ctx))
+            sim.call_soon(partial(self._main_pipeline, ctx))
         elif tracer is not None:
             tracer.emit(
-                seq, "station.queued", f"occupancy={self.station.occupancy}"
+                op.seq, "station.queued", f"occupancy={self.station.occupancy}"
             )
-        self._stamp_on_response(ctx)
+        ctx.response.callbacks.append(partial(self._responded, ctx))
 
-    def _main_pipeline(self, ctx: OpContext):
-        """Execute one op against memory, then complete it.
+    def _responded(self, ctx: OpContext, response: Event) -> None:
+        """On delivery: count the op and record its latency if it succeeded."""
+        if response._exception is None:
+            latency = self.sim.now - ctx.submitted_ns
+            self.latencies.record(latency)
+            self.completed += 1
+            if self.window_latencies is not None:
+                self.window_latencies.record(latency)
 
-        Entered from issue (independent ops), from completion (station
-        write-backs and newly unblocked queued ops), and from failure
-        unwinds.
-        """
+    def _main_pipeline(self, ctx: OpContext, entry) -> None:
+        """Execute one op against memory; :meth:`_replay` replays its
+        accesses and completes it.  Entered from issue (independent ops)
+        and from :meth:`_fan_out` (write-backs and newly unblocked ops)."""
         sim = self.sim
-        tracer = self.tracer
         op = ctx.op
         seq = op.seq
         deadline = ctx.deadline_ns
@@ -466,12 +473,12 @@ class KVProcessor:
 
         # memory: execute against the index, recording every access made.
         ctx.timestamps["memory"] = sim.now
-        if tracer is not None:
-            tracer.emit(seq, "pipeline.start")
+        if self.tracer is not None:
+            self.tracer.emit(seq, "pipeline.start")
         memory = self.store.memory
         memory.start_trace()
         try:
-            result, value_after = self.execute_functional(op, ctx.key_hash)
+            ctx.outcome = self.execute_functional(op, ctx.key_hash)
         except KVDirectError as exc:
             memory.stop_trace()
             self.fail_op(ctx, exc)
@@ -479,32 +486,42 @@ class KVProcessor:
         trace = memory.stop_trace()
         if self.profiler is not None:
             self.profiler.record_table_accesses(seq, trace)
-        # Replay the accesses through the memory access engine (NIC DRAM
-        # cache + PCIe DMA), then any compiled λ pipeline occupancy.
-        # Dependent accesses replay serially: a record read cannot start
-        # before its bucket read returned the pointer.
-        replay_start = sim.now
-        try:
-            for kind, addr, size in trace:
-                yield self.engine.access(
-                    addr, size, write=(kind == "write"), seq=seq
-                )
-            compute_ns = self.compute_time(op, value_after)
-            if compute_ns > 0:
-                yield sim.timeout(compute_ns)
-        except KVDirectError as exc:
+        self._replay(ctx, iter(trace), entry)
+
+    def _replay(self, ctx: OpContext, accesses, event) -> None:
+        """Replay the op's next access, coming back here when it lands (a
+        record read cannot start before its bucket read returned the
+        pointer); after the last, wait out any compiled λ pipeline
+        occupancy (``accesses`` is then ``None``), then complete."""
+        sim = self.sim
+        op = ctx.op
+        seq = op.seq
+        result, value_after = ctx.outcome
+        error = event._exception
+        if error is not None:
             # Graceful degradation: an unrecoverable hardware fault (DMA
             # retry exhaustion, uncorrectable ECC error) fails only this
             # operation - the pipeline, its dependents, and the rest of
             # the simulation keep running.
-            self.memory_time.record(sim.now - replay_start)
+            self.memory_time.record(sim.now - ctx.timestamps["memory"])
             self.counters["fault_failed_replays"] += 1
-            self.fail_op(ctx, exc)
+            self.fail_op(ctx, error)
             return
-        self.memory_time.record(sim.now - replay_start)
+        if accesses is not None:
+            for kind, addr, size in accesses:  # the next one, if any
+                self.engine.access(
+                    addr, size, kind == "write", seq,
+                    partial(self._replay, ctx, accesses),
+                )
+                return
+            compute_ns = self.compute_time(op, value_after)
+            if compute_ns > 0:
+                sim.call_after(compute_ns, partial(self._replay, ctx, None))
+                return
+        self.memory_time.record(sim.now - ctx.timestamps["memory"])
         self.counters["main_pipeline_ops"] += 1
-        if tracer is not None:
-            tracer.emit(seq, "pipeline.done")
+        if self.tracer is not None:
+            self.tracer.emit(seq, "pipeline.done")
 
         # complete/respond: synchronous, no simulated resource wait.
         ctx.timestamps["complete"] = sim.now
@@ -547,24 +564,13 @@ class KVProcessor:
             ),
         )
 
-    def _stamp_on_response(self, ctx: OpContext) -> None:
-        """Count the op and record its latency when its response is
-        delivered - if it succeeded: a failed op is not completed."""
+    def _deliver_forwarded(self, op, result, _entry) -> None:
+        """Forwarded ops respond one per clock via the dedicated engine."""
+        self.sim.call_when(
+            self.forward_engine.reserve(), partial(self._forwarded, op, result)
+        )
 
-        def record(ev: Event) -> None:
-            if ev.exception is not None:
-                return
-            latency = self.sim.now - ctx.submitted_ns
-            self.latencies.record(latency)
-            self.completed += 1
-            window = self.window_latencies
-            if window is not None:
-                window.record(latency)
-
-        ctx.response.add_callback(record)
-
-    def _deliver_forwarded(self, op: KVOperation, result: KVResult):
-        yield self.forward_engine.submit()
+    def _forwarded(self, op, result, _entry) -> None:
         self.counters["forwarded"] += 1
         ctx = self.context_for(op)
         if self.tracer is not None:

@@ -18,7 +18,7 @@ took in *wall-clock* terms (``wall_clock_s``, ``sim_ops_per_wall_s``) so
 interpreter-speed regressions in the simulator itself are observable and
 can be gated by ``repro bench diff``.  The cyclic garbage collector is
 paused for the duration of the event loop: the sim allocates hundreds of
-thousands of short-lived events and generator frames per run, and the
+thousands of short-lived events and chain steps per run, and the
 periodic gen0 scans cost ~15% wall time while collecting almost nothing
 (everything is freed by refcounting at run end).
 

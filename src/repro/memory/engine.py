@@ -12,7 +12,7 @@ load dispatcher to either the NIC DRAM (cacheable lines) or PCIe DMA
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.constants import CACHE_LINE_SIZE
 from repro.dram.cache import DramCache, ECCFaultPath
@@ -31,26 +31,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class _Access:
     """One timed access: fan out a transfer per line, join when the last
-    one lands, fail fast with the first failure.  ``done`` is the one
-    event of the leaf models: what the main pipeline yields on."""
+    one lands - queueing ``then``, the caller's next step (or completing
+    the event ``access()`` returned) - and fail fast with the first failure."""
 
-    __slots__ = ("engine", "addr", "size", "write", "seq", "done", "waiting")
+    __slots__ = ("engine", "addr", "size", "write", "seq", "then", "waiting")
 
     def __init__(self, engine: "MemoryAccessEngine", addr: int, size: int,
-                 write: bool, seq: int) -> None:
+                 write: bool, seq: int, then) -> None:
         self.engine = engine
         self.addr = addr
         self.size = size
         self.write = write
         self.seq = seq
-        self.done = Event(engine.sim)
+        self.then = then
         engine.sim.call_soon(self.start)
 
     def start(self, _entry) -> None:
         engine = self.engine
         addr, size, write, seq = self.addr, self.size, self.write, self.seq
         if size <= 0:
-            engine.sim.finish(self.done)
+            self.joined(None)
             return
         engine.counters["writes" if write else "reads"] += 1
         line_size = engine.line_size
@@ -88,16 +88,20 @@ class _Access:
         if not self.waiting:
             return  # already failed
         error = event.exception
+        sim = self.engine.sim
         if error is not None:
             self.waiting = 0
-            self.engine.sim.call_soon(lambda _entry: self.done.fail(error))
-            return
-        self.waiting -= 1
-        if not self.waiting:
-            self.engine.sim.call_soon(self.joined)
+            sim.call_soon(lambda _entry: sim.fail(self.then, error))
+        else:
+            self.waiting -= 1
+            if not self.waiting:
+                sim.call_soon(self.joined)
 
     def joined(self, _entry) -> None:
-        self.engine.sim.finish(self.done)
+        if type(self.then) is Event:
+            self.engine.sim.finish(self.then)
+        else:
+            self.engine.sim.call_soon(self.then)
 
 
 class _CachedLine:
@@ -226,14 +230,15 @@ class MemoryAccessEngine:
         self.profiler = profiler
         self.counters = Counter()
 
-    def access(
-        self, addr: int, size: int, write: bool = False, seq: int = -1
-    ) -> Event:
-        """Perform a timed access; completes when all its traffic drains.
-
-        ``seq`` attributes the access to a client operation for tracing.
-        """
-        return _Access(self, addr, size, write, seq).done
+    def access(self, addr: int, size: int, write: bool = False, seq: int = -1,
+               then: Optional[Callable] = None) -> Optional[Event]:
+        """Perform a timed access: ``then(kick)`` is queued when all its
+        traffic drains (``then(failed_event)`` on a failed line); with
+        ``then`` omitted an event is returned that completes there instead.
+        ``seq`` attributes the access to a client operation for tracing."""
+        done = Event(self.sim) if then is None else None
+        _Access(self, addr, size, write, seq, then or done)
+        return done
 
     def _trace(self, seq: int, stage: str, detail: str = "") -> None:
         if self.tracer is not None:

@@ -1,7 +1,7 @@
 """40 GbE port model: bandwidth serialization plus propagation delay.
 
 With a fault injector attached, each direction also models fabric
-misbehaviour: packet **loss** (the transfer process fails with
+misbehaviour: packet **loss** (the transfer fails with
 :class:`~repro.errors.FaultInjected`; the client's retry/backoff path
 recovers), **reordering** (the packet is delayed past its successors), and
 **duplication** (the copy burns link bandwidth but is discarded by the
@@ -14,13 +14,64 @@ from typing import TYPE_CHECKING, Optional
 
 from repro import constants
 from repro.errors import ConfigurationError, FaultInjected
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import BandwidthServer
 from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.obs.tracer import Tracer
+
+
+class _Transfer(Event):
+    """One packet in flight and the event its sender waits on: serialized
+    (again for a duplicate, which the receiver drops), held back by a
+    reorder so successors pass it, propagated - or lost (``FaultInjected``)."""
+
+    __slots__ = ("link", "channel", "nbytes", "direction")
+
+    def __init__(self, link, channel, nbytes: int, direction: str) -> None:
+        super().__init__(link.sim)
+        self.link, self.channel = link, channel
+        self.nbytes, self.direction = nbytes, direction
+        link.sim.call_soon(self.start)
+
+    def start(self, _entry) -> None:
+        self.sim.call_when(self.channel.reserve(self.nbytes), self.sent)
+
+    def sent(self, _entry) -> None:
+        if self.misbehaves("packet_duplicate", "dup", "duplicates"):
+            self.sim.call_when(self.channel.reserve(self.nbytes), self.held)
+        else:
+            self.held(None)
+
+    def held(self, _entry) -> None:
+        if self.misbehaves("packet_reorder", "reorder", "reordered"):
+            delay = self.link.injector.plan.packet_reorder_delay_ns
+            self.sim.call_after(delay, self.released)
+        else:
+            self.released(None)
+
+    def released(self, _entry) -> None:
+        if self.misbehaves("packet_loss", "lost", "lost"):
+            what = f"{self.direction} packet ({self.nbytes} B)"
+            self.fail(FaultInjected(f"{what} lost in the fabric"))
+        else:
+            self.sim.call_after(self.link.rtt_ns / 2.0, self.arrived)
+
+    def arrived(self, _entry) -> None:
+        self.link._trace(f"eth.{self.direction}", f"{self.nbytes}B")
+        self.sim.finish(self)
+
+    def misbehaves(self, draw: str, span: str, counter: str) -> bool:
+        """Draw ``draw`` for this packet; count and trace it if it fires."""
+        link, site = self.link, f"eth.{self.direction}"
+        injector = link.injector
+        if injector is None or not getattr(injector, draw)(site, self.sim.now):
+            return False
+        link.counters.add(f"{self.direction}_{counter}")
+        link._trace(f"{site}.{span}", f"{self.nbytes}B")
+        return True
 
 
 class EthernetLink:
@@ -59,13 +110,13 @@ class EthernetLink:
         if self.tracer is not None:
             self.tracer.emit(-1, stage, detail)
 
-    def receive(self, nbytes: int) -> Process:
+    def receive(self, nbytes: int) -> Event:
         """Client -> server transfer; completes when fully received."""
         self.counters["rx_packets"] += 1
         self.counters["rx_bytes"] += nbytes
-        return self.sim.process(self._transfer(self.ingress, nbytes, "rx"))
+        return _Transfer(self, self.ingress, nbytes, "rx")
 
-    def send(self, nbytes: int, nacks: int = 0) -> Process:
+    def send(self, nbytes: int, nacks: int = 0) -> Event:
         """Server -> client transfer; completes when delivered.
 
         ``nacks`` counts ServerBusy NACKs riding in this response packet
@@ -76,31 +127,7 @@ class EthernetLink:
         self.counters["tx_bytes"] += nbytes
         if nacks:
             self.counters["tx_nacks"] += nacks
-        return self.sim.process(self._transfer(self.egress, nbytes, "tx"))
-
-    def _transfer(self, channel: BandwidthServer, nbytes: int, direction: str):
-        yield channel.transfer(nbytes)
-        injector = self.injector
-        if injector is not None:
-            site = f"eth.{direction}"
-            if injector.packet_duplicate(site, self.sim.now):
-                # The duplicate serializes too; the receiver drops it.
-                self.counters.add(f"{direction}_duplicates")
-                self._trace(f"eth.{direction}.dup", f"{nbytes}B")
-                yield channel.transfer(nbytes)
-            if injector.packet_reorder(site, self.sim.now):
-                # Held in the fabric long enough for successors to pass it.
-                self.counters.add(f"{direction}_reordered")
-                self._trace(f"eth.{direction}.reorder", f"{nbytes}B")
-                yield self.sim.timeout(injector.plan.packet_reorder_delay_ns)
-            if injector.packet_loss(site, self.sim.now):
-                self.counters.add(f"{direction}_lost")
-                self._trace(f"eth.{direction}.lost", f"{nbytes}B")
-                raise FaultInjected(
-                    f"{direction} packet ({nbytes} B) lost in the fabric"
-                )
-        yield self.sim.timeout(self.rtt_ns / 2.0)
-        self._trace(f"eth.{direction}", f"{nbytes}B")
+        return _Transfer(self, self.egress, nbytes, "tx")
 
     def snapshot(self) -> dict:
         return self.counters.snapshot()

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 A minimal, dependency-free simulator in the style of SimPy: generator
-processes for control flow, callback chains for the leaf hardware models.
+processes for cold control flow, callback chains on the request path.
 Simulated time is measured in **nanoseconds** throughout the project.
 
 The kernel provides:
@@ -20,7 +20,7 @@ The kernel provides:
 - :class:`~repro.sim.resources.BandwidthServer` - a serial channel with a
   fixed byte rate (PCIe link, DRAM channel, Ethernet port).
 - :class:`~repro.sim.resources.FIFOServer` - a fixed-service-time pipeline
-  stage.
+  stage; ``reserve()`` returns an item's exit time.
 - :mod:`~repro.sim.stats` - counters, histograms and percentile helpers.
 - :mod:`~repro.sim.latency` - reproducible latency distributions.
 """

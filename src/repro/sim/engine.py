@@ -2,12 +2,12 @@
 
 The design mirrors SimPy's core: a :class:`Simulator` owns a priority queue
 of pending entries; a :class:`Process` wraps a generator that ``yield``\\ s
-events and is resumed when they trigger.  Processes carry control flow
-(ingress, the main pipeline, clients); the leaf hardware models in
-:mod:`repro.pcie`, :mod:`repro.dram` and :mod:`repro.memory` keep each
-in-flight DMA, burst or cache line as a callback chain hopping between
+events and is resumed when they trigger.  Processes carry cold control
+flow (clients' batches, router workers, failover, the soak); on the
+server's request path each op through the KV pipeline, each packet, DMA,
+NIC-DRAM burst and cache line is a callback chain, hopping between
 ``call_soon`` / ``call_after`` / ``call_when`` entries and ending by
-queueing its continuation - the queue positions a process would occupy
+queueing its continuation: the queue positions a process would occupy
 ("Same-instant ordering contract" in ``docs/MODELING.md``) without the
 generator and without an :class:`Event` per hop.
 

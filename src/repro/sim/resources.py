@@ -188,12 +188,11 @@ class FIFOServer:
         self._next_issue = 0.0
         self.items = 0
 
-    def submit(self) -> Event:
-        """Enter the pipeline; the event fires when the item exits."""
+    def reserve(self) -> float:
+        """Enter the pipeline behind every earlier item; returns the
+        absolute time this one exits (for ``call_when``)."""
         issue = max(self.sim.now, self._next_issue)
         self._next_issue = issue + self.interval
         self.items += 1
-        event = self.sim.event()
-        self.sim.schedule_at(event, issue + self.latency + self.interval)
-        return event
+        return issue + self.latency + self.interval
 

@@ -40,13 +40,15 @@ class TestCallBudget:
             seed=7, memory_size=1 << 20, corpus=2000, put_ratio=0.5
         )
         measured = calls_per_op(built, built.operations(400), 32)
-        # 216.8 on CPython 3.11 (302.5 before the frames were removed).
-        assert measured <= 217 * HEADROOM, measured
+        # 184.5 on CPython 3.11 (216.0 with the per-op drivers as
+        # generator processes, 302.5 before the frames were removed).
+        assert measured <= 185 * HEADROOM, measured
 
     def test_ordered_scans(self):
         built = scenario.build(
             seed=7, memory_size=1 << 20, corpus=1000, workload="E"
         )
         measured = calls_per_op(built, built.operations(120), 16)
-        # 1891.4 on CPython 3.11 (2577.0 before).
-        assert measured <= 1892 * HEADROOM, measured
+        # 1796.2 on CPython 3.11 (1890.6 with generator drivers, 2577.0
+        # before the frames were removed).
+        assert measured <= 1797 * HEADROOM, measured

@@ -2,8 +2,8 @@
 
 The ``*_many`` batch functions in :mod:`repro.core.hashing` exist purely
 for interpreter speed; any divergence from the scalar definitions would
-silently re-route keys to different buckets/shards and invalidate every
-golden trace.  These property tests pin the equivalence across random
+silently re-route keys to different shards and invalidate every golden
+trace.  These property tests pin the equivalence across random
 key batches (mixed lengths, binary content), the fixed-width fast path,
 and the edge cases (empty batch, empty key).
 """
@@ -13,17 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.constants import SECONDARY_HASH_BITS
-from repro.core.hashing import (
-    bucket_index,
-    bucket_index_many,
-    fnv1a64,
-    fnv1a64_many,
-    secondary_hash,
-    secondary_hash_many,
-    shard_of,
-    shard_of_many,
-)
+from repro.core.hashing import fnv1a64, fnv1a64_many, shard_of, shard_of_many
 
 
 def _random_keys(rng, count, min_len=0, max_len=24, fixed_len=None):
@@ -51,29 +41,12 @@ class TestScalarEquivalence:
         keys = _random_keys(rng, 200, fixed_len=13)
         assert fnv1a64_many(keys).tolist() == [fnv1a64(k) for k in keys]
 
-    def test_bucket_index_many_matches_scalar(self, seed):
-        rng = random.Random(seed)
-        keys = _random_keys(rng, 200)
-        hashes = fnv1a64_many(keys)
-        for buckets in (1, 7, 1024, 12289):
-            expected = [bucket_index(fnv1a64(k), buckets) for k in keys]
-            assert bucket_index_many(hashes, buckets).tolist() == expected
-
     def test_shard_of_many_matches_scalar(self, seed):
         rng = random.Random(seed)
         keys = _random_keys(rng, 200)
         for shards in (1, 2, 4, 10):
             expected = [shard_of(k, shards) for k in keys]
             assert shard_of_many(keys, shards).tolist() == expected
-
-    def test_secondary_hash_many_matches_scalar(self, seed):
-        rng = random.Random(seed)
-        keys = _random_keys(rng, 200)
-        hashes = fnv1a64_many(keys)
-        expected = [secondary_hash(fnv1a64(k)) for k in keys]
-        got = secondary_hash_many(hashes)
-        assert got.tolist() == expected
-        assert all(0 <= v < (1 << SECONDARY_HASH_BITS) for v in got.tolist())
 
 
 class TestEdgeCases:

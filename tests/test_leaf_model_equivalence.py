@@ -1,31 +1,53 @@
-"""The leaf callback chains against the generator bodies they replaced.
+"""The callback chains against the generator bodies they replaced.
 
 ``dram/nic.py``, ``pcie/dma.py`` and ``memory/engine.py`` used to run every
-NIC-DRAM burst, DMA and cache line as a generator ``Process``; they now run
-them as callback chains that must occupy the *same queue positions* (see
-"Same-instant ordering contract" in ``docs/MODELING.md``).  The deleted
-generator bodies live on here, verbatim, as the ``Ref*`` subclasses - a
-test-only reference.  Both implementations are driven through the same
-seeded concurrent mixes and must produce the same ordered log of every
-``(sim.now, resource, call)``: token acquires and releases, bandwidth
-reservations, cache decisions, latency draws and samples, tracer spans and
-each access's outcome.
+NIC-DRAM burst, DMA and cache line as a generator ``Process``, and the KV
+processor ran every op through its ``_ingress`` / ``_main_pipeline`` /
+``_deliver_forwarded`` processes and every packet through
+``EthernetLink._transfer``; all of them are now callback chains that must
+occupy the *same queue positions* (see "Same-instant ordering contract" in
+``docs/MODELING.md``).  The deleted generator bodies live on here,
+verbatim, as the ``Ref*`` subclasses - a test-only reference.  Both
+implementations are driven through the same seeded runs and must produce
+the same ordered log of every ``(sim.now, resource, call)``: token
+acquires and releases, bandwidth reservations, cache decisions, latency
+draws and samples, tracer spans and each access's outcome - and, for the
+processor, the same stage stamps, profile, metrics and responses.
 """
 
+import dataclasses
 import random
+import struct
 from collections import deque
 
 import pytest
 
 from repro import scenario
-from repro.core.admission import OverloadPolicy
+from repro.client.client import KVClient
+from repro.core.admission import SHED_POLICIES, OverloadPolicy
+from repro.core.hashing import fnv1a64
+from repro.core.hls import HLSToolchain
+from repro.core.ooo import Admission
+from repro.core.operations import KVOperation, OpType
+from repro.core.pipeline import OpContext
+from repro.core.processor import KVProcessor
+from repro.core.store import KVDirectStore
+from repro.core.vector import FETCH_ADD
 from repro.dram.cache import DramCache, ECCFaultPath
 from repro.dram.hamming import DecodeStatus
 from repro.dram.nic import NICDram
-from repro.errors import CorruptionDetected, FaultInjected
+from repro.errors import (
+    CorruptionDetected,
+    DeadlineExceeded,
+    FaultInjected,
+    KVDirectError,
+    ServerBusy,
+)
 from repro.faults import FaultInjector, FaultPlan
 from repro.memory.dispatcher import LoadDispatcher, address_hash
 from repro.memory.engine import MemoryAccessEngine
+from repro.network.ethernet import EthernetLink
+from repro.obs.profiler import StageProfiler
 from repro.obs.tracer import Tracer
 from repro.pcie.dma import DMAEngine, MultiLinkDMA
 from repro.pcie.link import PCIeLinkConfig
@@ -36,7 +58,7 @@ from repro.pcie.tlp import (
     write_request_bytes,
 )
 from repro.driver import run_closed_loop
-from repro.sim import Simulator
+from repro.sim import FIFOServer, Simulator
 
 LINE = 64
 
@@ -218,6 +240,240 @@ class RefEngine(MemoryAccessEngine):
             self._trace(seq, "dram.fill", f"line={line}")
             yield self.dma.read(self.line_size, seq)
         yield self.nic_dram.access(self.line_size, write=True)
+
+
+class RefFIFOServer(FIFOServer):
+    def submit(self):
+        sim = self.sim
+        return sim.schedule_at(sim.event(), self.reserve())
+
+
+class RefEthernetLink(EthernetLink):
+    def receive(self, nbytes):
+        self.counters["rx_packets"] += 1
+        self.counters["rx_bytes"] += nbytes
+        return self.sim.process(self._transfer(self.ingress, nbytes, "rx"))
+
+    def send(self, nbytes, nacks=0):
+        self.counters["tx_packets"] += 1
+        self.counters["tx_bytes"] += nbytes
+        if nacks:
+            self.counters["tx_nacks"] += nacks
+        return self.sim.process(self._transfer(self.egress, nbytes, "tx"))
+
+    def _transfer(self, channel, nbytes, direction):
+        yield channel.transfer(nbytes)
+        injector = self.injector
+        if injector is not None:
+            site = f"eth.{direction}"
+            if injector.packet_duplicate(site, self.sim.now):
+                # The duplicate serializes too; the receiver drops it.
+                self.counters.add(f"{direction}_duplicates")
+                self._trace(f"eth.{direction}.dup", f"{nbytes}B")
+                yield channel.transfer(nbytes)
+            if injector.packet_reorder(site, self.sim.now):
+                # Held in the fabric long enough for successors to pass it.
+                self.counters.add(f"{direction}_reordered")
+                self._trace(f"eth.{direction}.reorder", f"{nbytes}B")
+                yield self.sim.timeout(injector.plan.packet_reorder_delay_ns)
+            if injector.packet_loss(site, self.sim.now):
+                self.counters.add(f"{direction}_lost")
+                self._trace(f"eth.{direction}.lost", f"{nbytes}B")
+                raise FaultInjected(
+                    f"{direction} packet ({nbytes} B) lost in the fabric"
+                )
+        yield self.sim.timeout(self.rtt_ns / 2.0)
+        self._trace(f"eth.{direction}", f"{nbytes}B")
+
+
+class RefKVProcessor(KVProcessor):
+    """The processor with its per-op drivers as generator processes: one
+    per submitted op, one per main-pipeline pass, one per forwarded op."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.decoder.__class__ = RefFIFOServer
+        self.forward_engine.__class__ = RefFIFOServer
+        self.network.__class__ = RefEthernetLink
+
+    def submit(self, op, deadline_ns=None):
+        ctx = OpContext(
+            op,
+            response=self.sim.event(),
+            deadline_ns=deadline_ns,
+            submitted_ns=self.sim.now,
+        )
+        self._contexts[id(op)] = ctx
+        if self.profiler is not None:
+            self.profiler.observe_submit(ctx)
+        self.sim.process(self._ingress(ctx))
+        return ctx.response
+
+    def _fan_out(self, seq, completion):
+        sim = self.sim
+        for forwarded_op, forwarded_result in completion.responses:
+            sim.process(
+                self._deliver_forwarded(forwarded_op, forwarded_result)
+            )
+        if completion.writeback is not None:
+            self.counters["writebacks"] += 1
+            if self.tracer is not None:
+                self.tracer.emit(seq, "station.writeback")
+            sim.process(
+                self._main_pipeline(self.context_for(completion.writeback))
+            )
+        if completion.next_issue is not None:
+            sim.process(
+                self._main_pipeline(self.context_for(completion.next_issue))
+            )
+
+    def _ingress(self, ctx):
+        sim = self.sim
+        tracer = self.tracer
+        op = ctx.op
+        seq = op.seq
+        deadline = ctx.deadline_ns
+        stamps = ctx.timestamps
+        ctx.submitted_ns = sim.now
+        if tracer is not None:
+            tracer.emit(seq, "ingress", f"op={op.op.name}")
+
+        # decode: the fully pipelined batch/op decoder (one op per clock).
+        stamps["decode"] = sim.now
+        yield self.decoder.submit()
+        if tracer is not None:
+            tracer.emit(seq, "decode")
+        if deadline is not None and sim.now > deadline:
+            self._expire(ctx, "decode")
+            return
+
+        # admission: one reservation-station slot from the ingress queue
+        # (which, under an overload policy, may shed the op instead),
+        # recording the time a queued op stalled on a full station.
+        stamps["admission"] = sim.now
+        grant = self.admission.submit(op)
+        queued = not grant.triggered
+        if queued:
+            self.station.record_full_stall()
+            stall_start = sim.now
+        try:
+            yield grant
+        except ServerBusy as exc:
+            self.counters["shed_ops"] += 1
+            self.emit(ctx, "shed", f"policy={exc.policy}")
+            self.fail_before_admission(ctx, exc)
+            return
+        if queued:
+            self.stall_times.record(sim.now - stall_start)
+        ctx.slot_held = True
+        if deadline is not None and sim.now > deadline:
+            self._expire(ctx, "admission")
+            return
+
+        # issue: independent ops execute out of order; (conservatively)
+        # dependent ones sleep in the station until forwarding or
+        # next_issue resolves them - either path fires their response.
+        stamps["issue"] = sim.now
+        self.counters["admitted"] += 1
+        ctx.key_hash = key_hash = fnv1a64(op.key)
+        admission = self.station.admit(op, key_hash)
+        ctx.station_admitted = True
+        if admission is Admission.EXECUTE:
+            if tracer is not None:
+                tracer.emit(
+                    seq, "station.execute",
+                    f"occupancy={self.station.occupancy}",
+                )
+            sim.process(self._main_pipeline(ctx))
+        elif tracer is not None:
+            tracer.emit(
+                seq, "station.queued", f"occupancy={self.station.occupancy}"
+            )
+        self._stamp_on_response(ctx)
+
+    def _main_pipeline(self, ctx):
+        sim = self.sim
+        tracer = self.tracer
+        op = ctx.op
+        seq = op.seq
+        deadline = ctx.deadline_ns
+        if seq >= 0 and deadline is not None and sim.now > deadline:
+            # The op may have expired while parked.  Already admitted, but
+            # dead before touching memory: fail it through the station so
+            # dependents are forwarded the key's true current value.  No
+            # store state was modified.
+            self._expire(ctx, "pipeline_start")
+            return
+
+        # memory: execute against the index, recording every access made.
+        ctx.timestamps["memory"] = sim.now
+        if tracer is not None:
+            tracer.emit(seq, "pipeline.start")
+        memory = self.store.memory
+        memory.start_trace()
+        try:
+            result, value_after = self.execute_functional(op, ctx.key_hash)
+        except KVDirectError as exc:
+            memory.stop_trace()
+            self.fail_op(ctx, exc)
+            return
+        trace = memory.stop_trace()
+        if self.profiler is not None:
+            self.profiler.record_table_accesses(seq, trace)
+        # Replay the accesses through the memory access engine (NIC DRAM
+        # cache + PCIe DMA), then any compiled λ pipeline occupancy.
+        # Dependent accesses replay serially: a record read cannot start
+        # before its bucket read returned the pointer.
+        replay_start = sim.now
+        try:
+            for kind, addr, size in trace:
+                yield self.engine.access(
+                    addr, size, write=(kind == "write"), seq=seq
+                )
+            compute_ns = self.compute_time(op, value_after)
+            if compute_ns > 0:
+                yield sim.timeout(compute_ns)
+        except KVDirectError as exc:
+            # Graceful degradation: an unrecoverable hardware fault (DMA
+            # retry exhaustion, uncorrectable ECC error) fails only this
+            # operation - the pipeline, its dependents, and the rest of
+            # the simulation keep running.
+            self.memory_time.record(sim.now - replay_start)
+            self.counters["fault_failed_replays"] += 1
+            self.fail_op(ctx, exc)
+            return
+        self.memory_time.record(sim.now - replay_start)
+        self.counters["main_pipeline_ops"] += 1
+        if tracer is not None:
+            tracer.emit(seq, "pipeline.done")
+
+        # complete/respond: synchronous, no simulated resource wait.
+        ctx.timestamps["complete"] = sim.now
+        completion = self.station.complete(op, value_after, ctx.key_hash)
+        if seq >= 0:
+            self.respond(ctx, result)
+        self._fan_out(seq, completion)
+
+    def _stamp_on_response(self, ctx):
+        def record(ev):
+            if ev.exception is not None:
+                return
+            latency = self.sim.now - ctx.submitted_ns
+            self.latencies.record(latency)
+            self.completed += 1
+            window = self.window_latencies
+            if window is not None:
+                window.record(latency)
+
+        ctx.response.add_callback(record)
+
+    def _deliver_forwarded(self, op, result):
+        yield self.forward_engine.submit()
+        self.counters["forwarded"] += 1
+        ctx = self.context_for(op)
+        if self.tracer is not None:
+            self.tracer.emit(op.seq, "station.forwarded")
+        self.respond(ctx, result)
 
 
 class HopFusedNICDram(NICDram):
@@ -490,9 +746,15 @@ class _CountingDeque(deque):
 class TestQueueEntriesPerOp:
     """Every hop is one queue entry, so a fused or an added hop changes the
     number of entries a fixed run queues - caught here by count, whether or
-    not it happens to move a golden.  The numbers were measured on the
-    commit before the continuations (generator ``Process``es gone, one
-    ``Event`` per hop still there): ``(deque appends, heap pushes)``."""
+    not it happens to move a golden: ``(deque appends, heap pushes)``.
+
+    The per-op drivers used to be processes; each one's completion was an
+    entry nobody waited on, and the chains queue everything else.  So each
+    pin is the generator drivers' count less one deque append per process
+    they created (:class:`TestDriverChainsMatchTheGenerators` asserts that
+    identity run by run): 800 = two per op for 400 point ops, 240 for 120
+    scans, and 417 for the shed run, whose shed ops never reach the main
+    pipeline.  Heap pushes are unchanged."""
 
     @staticmethod
     def queue_entries(built, ops, concurrency):
@@ -510,14 +772,14 @@ class TestQueueEntriesPerOp:
             seed=7, memory_size=1 << 20, corpus=2000, put_ratio=0.5
         )
         entries = self.queue_entries(built, built.operations(400), 32)
-        assert entries == (7207, 2318)  # 23.8 per op
+        assert entries == (6407, 2318)  # 21.8 per op
 
     def test_ordered_scans(self):
         built = scenario.build(
             seed=7, memory_size=1 << 20, corpus=1000, workload="E"
         )
         entries = self.queue_entries(built, built.operations(120), 16)
-        assert entries == (23760, 11804)  # 296.4 per op
+        assert entries == (23520, 11804)  # 294.4 per op
 
     # Four slots under 32 concurrent clients: almost every op queues for
     # its slot, so these two pin the queued grant and its hand-over.
@@ -533,11 +795,266 @@ class TestQueueEntriesPerOp:
         return entries, stalls, processor.stall_times.count
 
     def test_saturated_ingress_without_policy(self):
-        assert self.saturated() == ((7291, 2337), 396, 396)
+        assert self.saturated() == ((6491, 2337), 396, 396)
 
     def test_saturated_ingress_under_a_shed_policy(self):
         policy = OverloadPolicy(queue_depth=8, shed_policy="drop-oldest")
-        assert self.saturated(overload=policy) == ((1860, 489), 396, 13)
+        assert self.saturated(overload=policy) == ((1443, 489), 396, 13)
+
+
+# -- the per-op drivers: the processor's chains against RefKVProcessor --------
+
+#: The reference's fire-and-forget drivers: nobody waits on one of these
+#: processes, so its completion entry runs no callback - the one entry per
+#: process that a chain does not queue.
+DRIVERS = {"_ingress", "_main_pipeline", "_deliver_forwarded"}
+
+
+class ProcessorRig(Rig):
+    """A processor - the chains or the generator reference - over a fresh
+    store: its hardware models' resource calls logged as in :class:`Rig`,
+    every submitted op's context and response kept, the queue entries and
+    the reference's driver processes counted."""
+
+    def __init__(self, processor_cls, preload=(), hls=None, **store_options):
+        self.sim = sim = Simulator()
+        self.log, self.pools, self.contexts, self.responses = [], [], [], []
+        self.entries = sim._dq = _CountingDeque()
+        sim.call_soon = self.entries.append
+        self.processes = 0
+        spawn = sim.process
+
+        def process(generator):
+            self.processes += generator.gi_code.co_name in DRIVERS
+            return spawn(generator)
+
+        sim.process = process
+        store = KVDirectStore.create(memory_size=2 << 20, **store_options)
+        for key, value in preload:
+            store.put(key, value)
+        store.reset_measurements()
+        self.tracer = Tracer()
+        self.profiler = StageProfiler()
+        self.processor = processor = processor_cls(
+            sim, store, hls=hls(store) if hls else None,
+            tracer=self.tracer, profiler=self.profiler,
+        )
+        for target, label in (
+            (processor.decoder, "decode"),
+            (processor.forward_engine, "forward"),
+            (processor.nic_dram.channel, "nic_dram"),
+            (processor.network.ingress, "eth.rx"),
+            (processor.network.egress, "eth.tx"),
+        ):
+            self._spy(target, "reserve", label)
+        self._spy(processor.cache, "access", "cache", result=lambda r: (
+            r.hit, r.writeback_line, r.needs_fill
+        ))
+        self._spy(self.tracer, "emit", "tracer")
+        self.pools.append(processor.inflight)
+        self._spy(processor.inflight, "try_acquire", "slots")
+        self._spy(processor.inflight, "release", "slots")
+        for link in processor.dma.links:
+            self._spy(link.tx, "reserve", link.tx.name)
+            self._spy(link.rx, "reserve", link.rx.name)
+            self._spy(link.config.read_latency, "sample", f"{link.name}.rtt")
+            for pool in (link.tags, link.posted_credits, link.nonposted_credits):
+                self.pools.append(pool)
+                self._spy(pool, "acquire", pool.name, result=lambda _: None,
+                          logged_args=lambda args: ())
+                self._spy(pool, "release", pool.name)
+        submit = processor.submit
+
+        def submit_and_keep(op, deadline_ns=None):
+            response = submit(op, deadline_ns)
+            self.contexts.append(processor._contexts[id(op)])
+            self.responses.append(response)
+            return response
+
+        processor.submit = submit_and_keep
+
+    def observed(self):
+        """Everything a run leaves behind, in comparable form."""
+        assert all(response.triggered for response in self.responses)
+        return {
+            "log": self.log,
+            "spans": [
+                (span.at_ns, span.seq, span.stage, span.detail)
+                for span in self.tracer.spans
+            ],
+            "timestamps": [ctx.timestamps for ctx in self.contexts],
+            "responses": [
+                response.value if response.ok else type(response.exception)
+                for response in self.responses
+            ],
+            "profile": self.profiler.as_dict(),
+            "metrics": self.processor.register_metrics().collect(),
+            "now": self.sim.now,
+            "heap_pushes": self.sim._sequence,
+        }
+
+
+def run_drivers(drive, **options):
+    """Drive the generator reference and the chains through one seeded run
+    each.  Everything observable must match, and the chains must queue
+    exactly the reference's entries less one per driver process (its
+    completion).  Returns the chains' rig."""
+    reference, chains = (
+        ProcessorRig(cls, **options) for cls in (RefKVProcessor, KVProcessor)
+    )
+    for rig in (reference, chains):
+        drive(rig)
+        rig.sim.run()  # the posted-credit returns after the last response
+        rig.assert_drained()
+    assert chains.observed() == reference.observed()
+    assert chains.processes == 0 < reference.processes
+    assert chains.entries.appends == (
+        reference.entries.appends - reference.processes
+    )
+    return chains
+
+
+def hot_key_mix(seed, count=240, keys=10, value_sizes=(8, 64)):
+    """GETs and PUTs over a few hot keys: same-key ops park in the station
+    and are forwarded, and forwarded PUTs dirty a slot's cached value."""
+    rng = random.Random(seed)
+    ops = []
+    for seq in range(count):
+        key = b"hot%02d" % rng.randrange(keys)
+        if rng.random() < 0.5:
+            value = bytes([seq % 251]) * rng.choice(value_sizes)
+            ops.append(KVOperation.put(key, value, seq=seq))
+        else:
+            ops.append(KVOperation.get(key, seq=seq))
+    return ops
+
+
+HOT_KEYS = [(b"hot%02d" % i, b"v" * 64) for i in range(10)]
+
+
+def closed_loop(ops, concurrency=32):
+    return lambda rig: run_closed_loop(rig.processor, ops, concurrency)
+
+
+def all_at_once(ops, deadlines=None):
+    """Submit every op at t=0 (each with its deadline), then run."""
+    def drive(rig):
+        for i, op in enumerate(ops):
+            rig.processor.submit(op, None if deadlines is None else deadlines[i])
+        rig.sim.run()
+    return drive
+
+
+class TestDriverChainsMatchTheGenerators:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_forwarding_and_station_writebacks(self, seed):
+        rig = run_drivers(
+            closed_loop(hot_key_mix(seed)), preload=HOT_KEYS, seed=seed
+        )
+        counters = rig.processor.counters
+        assert counters["forwarded"] and counters["writebacks"]
+
+    def test_dma_retry_exhaustion_and_ecc_faults(self):
+        plan = FaultPlan(
+            dma_drop_prob=0.2, dma_max_retries=1,
+            bit_flip_prob=0.3, double_bit_flip_prob=0.3,
+        )
+        rig = run_drivers(
+            closed_loop(hot_key_mix(3, keys=40)),
+            preload=HOT_KEYS, seed=3, fault_plan=plan,
+        )
+        failed = set(rig.observed()["responses"]) & {
+            FaultInjected, CorruptionDetected
+        }
+        assert failed == {FaultInjected, CorruptionDetected}
+        assert rig.processor.counters["fault_failed_replays"]
+
+    @pytest.mark.parametrize("out_of_order", [True, False])
+    def test_expiry_at_every_boundary(self, out_of_order):
+        rng = random.Random(4)
+        ops = hot_key_mix(4, count=160)
+        deadlines = [
+            rng.choice((None, 1.0, 300.0, 900.0, 2500.0, 6000.0))
+            for __ in ops
+        ]
+        rig = run_drivers(
+            all_at_once(ops, deadlines), preload=HOT_KEYS, seed=4,
+            max_inflight=8, reservation_slots=4, out_of_order=out_of_order,
+        )
+        assert set(rig.processor.deadline_counters.snapshot()) == {
+            "decode", "admission", "pipeline_start"
+        }
+
+    @pytest.mark.parametrize("policy", SHED_POLICIES)
+    def test_shedding_under_each_policy(self, policy):
+        rig = run_drivers(
+            all_at_once(hot_key_mix(5, count=120, keys=40)),
+            preload=HOT_KEYS, seed=5, max_inflight=4,
+            overload=OverloadPolicy(queue_depth=6, shed_policy=policy),
+        )
+        assert rig.processor.counters["shed_ops"]
+        assert ServerBusy in rig.observed()["responses"]
+
+    def test_lambda_compute_time(self):
+        def q(*values):
+            return struct.pack("<%dq" % len(values), *values)
+
+        def toolchain(store):
+            hls = HLSToolchain()
+            hls.compile(store.registry.lookup(FETCH_ADD))
+            return hls
+
+        rng = random.Random(6)
+        ops = [
+            KVOperation(
+                OpType.UPDATE_SCALAR2VECTOR, b"vec%d" % rng.randrange(4),
+                func_id=FETCH_ADD, param=q(seq), seq=seq,
+            ) if rng.random() < 0.6 else
+            KVOperation.get(b"vec%d" % rng.randrange(4), seq=seq)
+            for seq in range(120)
+        ]
+        rig = run_drivers(
+            closed_loop(ops, 16), hls=toolchain, seed=6,
+            preload=[(b"vec%d" % i, q(*range(40))) for i in range(4)],
+        )
+        assert rig.processor.counters["lambda_cycles"]
+
+    def test_ordered_range_scans(self):
+        rng = random.Random(8)
+        corpus = [(b"key%04d" % i, b"v" * 13) for i in range(300)]
+        ops = [
+            KVOperation.put(b"key%04d" % rng.randrange(400), b"w" * 13, seq=seq)
+            if rng.random() < 0.2 else
+            KVOperation.range(
+                b"key%04d" % rng.randrange(300), rng.randint(1, 25), seq=seq
+            )
+            for seq in range(100)
+        ]
+        rig = run_drivers(
+            closed_loop(ops, 16), preload=corpus, seed=8, ordered_index=True
+        )
+        assert rig.processor.store.index.scan_cost.count
+
+    def test_client_under_packet_loss_duplication_and_reorder(self):
+        plan = FaultPlan(
+            packet_loss_prob=0.15, packet_duplicate_prob=0.2,
+            packet_reorder_prob=0.2,
+        )
+        stats = []
+
+        def drive(rig):
+            client = KVClient(
+                rig.sim, rig.processor, batch_size=8, retry_limit=16,
+                retry_backoff_ns=500.0,
+            )
+            stats.append(dataclasses.asdict(client.run(hot_key_mix(9))))
+            stats.append(client.responses)
+
+        rig = run_drivers(drive, preload=HOT_KEYS, seed=9, fault_plan=plan)
+        assert stats[0:2] == stats[2:4]
+        eth = rig.processor.network.counters
+        for kind in ("lost", "duplicates", "reordered"):
+            assert eth["rx_" + kind] and eth["tx_" + kind], kind
 
 
 class TestPureFunctionTrims:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro import constants
 from repro.core.operations import KVOperation, OpType
 from repro.errors import ConfigurationError, ProtocolError
+from repro.faults import FaultInjector, FaultPlan
 from repro.network import (
     BatchEncoder,
     EthernetLink,
@@ -47,6 +48,21 @@ class TestEthernetLink:
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
             EthernetLink(Simulator(), bandwidth=0)
+
+    def test_an_exception_in_a_transfer_step_propagates(self):
+        """A transfer step that raised used to fail the packet's process;
+        with nobody waiting on it the error vanished and the run went on."""
+        sim = Simulator()
+        injector = FaultInjector(FaultPlan(packet_reorder_prob=0.5), seed=1)
+        link = EthernetLink(sim, injector=injector)
+
+        def broken(site, now):
+            raise RuntimeError(f"reorder draw at {site}")
+
+        injector.packet_reorder = broken
+        link.send(100)
+        with pytest.raises(RuntimeError, match="eth.tx"):
+            sim.run()
 
 
 class TestRDMAFraming:

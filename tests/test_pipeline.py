@@ -10,6 +10,7 @@ from repro.core.operations import KVOperation
 from repro.core.pipeline import STAGE_ORDER
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
+from repro.driver import run_closed_loop
 from repro.errors import DeadlineExceeded
 from repro.obs.profiler import StageProfiler
 from repro.obs.tracer import Tracer
@@ -302,3 +303,25 @@ class TestFailedOpAccounting:
         assert table.get_cost.count == 0
         assert proc.store.memory.counters["reads"] == 1
         assert proc.engine.counters["reads"] == 1
+
+
+class TestStepExceptions:
+    def test_an_exception_in_the_pipeline_propagates_out_of_the_run(self):
+        """A pipeline step that raises used to fail a process nobody waited
+        on: the error was dropped, the op never responded, and the run
+        ended in a misleading "ran out of events ... (deadlock?)"."""
+        sim, proc = _processor()
+        execute = proc.execute_functional
+        calls = []
+
+        def execute_then_break(op, h=None):
+            calls.append(op.seq)
+            if len(calls) == 5:
+                raise RuntimeError("bug in the functional model")
+            return execute(op, h)
+
+        proc.execute_functional = execute_then_break
+        ops = [KVOperation.put(b"k%d" % i, b"v", seq=i) for i in range(40)]
+        with pytest.raises(RuntimeError, match="functional model"):
+            run_closed_loop(proc, ops, concurrency=8)
+        assert len(calls) == 5

@@ -180,28 +180,22 @@ class TestFIFOServer:
         sim = Simulator()
         # One item per 5.56 ns = 180 MHz pipeline.
         stage = FIFOServer(sim, initiation_interval_ns=5.0, latency_ns=0.0)
-        finish_times = []
-
-        def feed(n):
-            events = [stage.submit() for __ in range(n)]
-            for event in events:
-                yield event
-                finish_times.append(sim.now)
-
-        sim.run(sim.process(feed(4)))
-        assert finish_times == [
+        assert [stage.reserve() for __ in range(4)] == [
             pytest.approx(5.0),
             pytest.approx(10.0),
             pytest.approx(15.0),
             pytest.approx(20.0),
         ]
+        assert stage.items == 4
 
     def test_latency_adds_to_exit_time(self):
         sim = Simulator()
         stage = FIFOServer(sim, initiation_interval_ns=1.0, latency_ns=100.0)
-        done = stage.submit()
-        sim.run(done)
-        assert sim.now == pytest.approx(101.0)
+        assert stage.reserve() == pytest.approx(101.0)
+        # An item entering an idle stage later starts from the clock.
+        sim.now = 50.0
+        assert stage.reserve() == pytest.approx(151.0)
+        assert stage.reserve() == pytest.approx(152.0)
 
     def test_invalid_parameters_rejected(self):
         sim = Simulator()
