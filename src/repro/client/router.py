@@ -13,8 +13,9 @@ shards there is no ordering, exactly like independent NICs.
 
 The :class:`ClusterRouter` is the fault-tolerant variant over a
 :class:`~repro.multi.cluster.Cluster`: every attempt re-reads the
-placement directory, stamps the current epoch on the operation, and
-routes to the slot's primary; retryable NACKs
+placement directory, routes to the slot's primary and hands it the
+epoch it routed under (``ClusterNode.submit(op, deadline_ns, epoch)``:
+the operation itself is never copied or re-stamped); retryable NACKs
 (:class:`~repro.errors.NodeDown`, :class:`~repro.errors.WrongEpoch`)
 back off and re-route - the first ``NodeDown(reason="killed")`` observed
 triggers cluster failover.  Because a NACKed operation provably had no
@@ -25,6 +26,7 @@ sees every acknowledged write (read-your-writes across failover).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -160,13 +162,13 @@ class ClusterRouter:
 
     :meth:`perform` is a generator meant to run inside a simulation
     process (``result = yield from router.perform(op)``): each attempt
-    re-reads the :class:`~repro.multi.cluster.ClusterMap`, stamps the
-    current epoch, pays ``route_delay_ns`` of wire time (during which the
-    epoch may move - that is how :class:`~repro.errors.WrongEpoch` fires)
-    and submits to the slot's primary (a RANGE/SCAN: to every primary,
-    merging the partial results).  Retryable NACKs back off through
-    a dedicated :class:`~repro.client.robust.BackoffPolicy` stream,
-    bounded by ``retry_limit`` and the optional
+    re-reads the :class:`~repro.multi.cluster.ClusterMap` and its epoch,
+    pays ``route_delay_ns`` of wire time (during which the epoch may move
+    - that is how :class:`~repro.errors.WrongEpoch` fires) and submits the
+    operation with that epoch to the slot's primary (a RANGE/SCAN: to
+    every primary, merging the partial results).  Retryable NACKs back
+    off through a dedicated :class:`~repro.client.robust.BackoffPolicy`
+    stream, bounded by ``retry_limit`` and the optional
     :class:`~repro.client.robust.RetryBudget`; the optional
     :class:`~repro.client.robust.CircuitBreaker` fails fast while open.
     Non-retryable failures (shed, deadline, injected faults) propagate to
@@ -230,15 +232,20 @@ class ClusterRouter:
                 targets = sorted(
                     {cmap.primary(slot) for slot in range(cmap.num_slots)}
                 )
+                # Partials of a NACKed attempt may still be in flight at
+                # the other primaries, and a processor tracks an in-flight
+                # op by identity: each fan-out attempt sends its own copy.
+                sent = copy(op)
             else:
-                targets = (cmap.primary(cmap.slot_of(op.key)),)
-            stamped = op.with_epoch(cmap.epoch)
-            # Wire time between stamping and arrival: an epoch bump can
+                targets = (cmap.primary(cmap.slot_of(op.key, op.key_hash)),)
+                sent = op
+            epoch = cmap.epoch
+            # Wire time between routing and arrival: an epoch bump can
             # land in this window, which is exactly the stale-routing race
             # the WrongEpoch NACK exists for.
             yield sim.timeout(self.route_delay_ns)
             events = [
-                cluster.nodes[node].submit(stamped, deadline_ns=deadline_ns)
+                cluster.nodes[node].submit(sent, deadline_ns, epoch)
                 for node in targets
             ]
             try:

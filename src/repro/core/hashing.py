@@ -47,7 +47,13 @@ def shard_of(key: bytes, shards: int) -> int:
     big-endian integer keys of ``KeySpace``), enough to leave whole
     shards empty without the extra avalanche.
     """
-    h = fnv1a64(key) >> 16
+    return shard_of_hash(fnv1a64(key), shards)
+
+
+def shard_of_hash(key_hash: int, shards: int) -> int:
+    """:func:`shard_of` for a key whose ``fnv1a64`` is already known (an
+    operation's cached ``key_hash``)."""
+    h = key_hash >> 16
     h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (h ^ (h >> 31)) % shards

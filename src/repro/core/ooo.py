@@ -198,7 +198,7 @@ class ReservationStation:
             # is None by construction (a scan reads many keys, not the
             # slot key), and handing that to dependents would look like a
             # phantom delete.  Dependents re-enter via next_issue instead.
-            self._forward_chain(slot, completion)
+            self._forward_chain(slot, completion, h)
 
         if completion.writeback is None:
             # Nothing dirty: hand the slot to the next queued op, if any.
@@ -235,7 +235,9 @@ class ReservationStation:
                 del self._slots[slot_id]
         return completion
 
-    def _forward_chain(self, slot: _Slot, completion: Completion) -> None:
+    def _forward_chain(
+        self, slot: _Slot, completion: Completion, h: Optional[int]
+    ) -> None:
         """Execute queued same-key ops against the cached value, in order.
 
         "Pending operations in the same hash slot are checked one by one,
@@ -265,15 +267,22 @@ class ReservationStation:
             self.counters["forwarded"] += 1
         slot.chain = remaining
         if dirty:
-            completion.writeback = self._writeback_op(slot)
+            completion.writeback = self._writeback_op(slot, h)
             self.counters["writebacks"] += 1
 
     @staticmethod
-    def _writeback_op(slot: _Slot) -> KVOperation:
-        """Build the cache write-back op; seq = -1 marks it internal."""
+    def _writeback_op(slot: _Slot, h: Optional[int]) -> KVOperation:
+        """Build the cache write-back op; seq = -1 marks it internal.
+        ``h``, the slot key's hash when known, seeds its ``key_hash``."""
         if slot.cached is None:
-            return KVOperation(OpType.DELETE, slot.busy_key, seq=-1)
-        return KVOperation(OpType.PUT, slot.busy_key, value=slot.cached, seq=-1)
+            op = KVOperation(OpType.DELETE, slot.busy_key, seq=-1)
+        else:
+            op = KVOperation(
+                OpType.PUT, slot.busy_key, value=slot.cached, seq=-1
+            )
+        if h is not None:
+            op.__dict__["key_hash"] = h
+        return op
 
     # -- introspection ---------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from enum import IntEnum
 from heapq import merge as _heap_merge
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.hashing import shard_of_many
+from repro.core.hashing import fnv1a64, shard_of_many
 from repro.errors import ProtocolError
 
 
@@ -79,6 +79,20 @@ MAX_VALUE_LEN = 65535
 MAX_SCAN_COUNT = 65535
 
 
+class _KeyHash:
+    """``op.key_hash``: ``fnv1a64(op.key)``, computed on the first read and
+    stored in the instance ``__dict__``, which shadows this non-data
+    descriptor from then on.  Not a dataclass field, so construction,
+    ``__eq__`` and ``repr`` do not see it; every layer an op crosses (router,
+    cluster node, processor, replication) reads the one hash."""
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            return self
+        h = op.__dict__["key_hash"] = fnv1a64(op.key)
+        return h
+
+
 @dataclass(frozen=True)
 class KVOperation:
     """One client-issued operation.
@@ -98,11 +112,15 @@ class KVOperation:
     count: int = 0
     #: Client-side issue sequence, for latency attribution.
     seq: int = field(default=0, compare=False)
-    #: Cluster-map epoch the client stamped at routing time; -1 disables
-    #: the epoch check (single-node and plain sharded paths).  Nodes in a
-    #: cluster reject mismatched epochs with
-    #: :class:`~repro.errors.WrongEpoch` before any side effect.
+    #: Cluster-map epoch the op was built under; -1 disables the epoch
+    #: check (single-node and plain sharded paths).  The cluster router
+    #: passes its routing epoch to ``ClusterNode.submit(epoch=)`` instead,
+    #: and a node falls back to this field when none is passed.  Nodes
+    #: reject mismatched epochs with :class:`~repro.errors.WrongEpoch`
+    #: before any side effect.
     epoch: int = field(default=-1, compare=False)
+
+    key_hash = _KeyHash()
 
     def __post_init__(self) -> None:
         if not isinstance(self.key, (bytes, bytearray)):
@@ -152,13 +170,6 @@ class KVOperation:
     def is_write(self) -> bool:
         """Writes mutate store state (reads: GET/REDUCE/FILTER/RANGE/SCAN)."""
         return self.op not in _READ_OPS
-
-    def with_epoch(self, epoch: int) -> "KVOperation":
-        """This operation stamped with a cluster-map ``epoch``: a new
-        object with the same, already validated, fields."""
-        stamped = object.__new__(KVOperation)
-        stamped.__dict__.update(self.__dict__, epoch=epoch)
-        return stamped
 
     # -- convenience constructors ------------------------------------------
 

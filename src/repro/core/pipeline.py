@@ -68,8 +68,5 @@ class OpContext:
     slot_held: bool = False
     #: True once the op entered the reservation station (issue stage).
     station_admitted: bool = False
-    #: ``fnv1a64(op.key)``, computed once at issue and handed to the
-    #: station and the index, which would each hash the key again.
-    key_hash: Optional[int] = field(default=None, init=False)
     #: The memory stage's ``(KVResult, value after)`` while it replays.
     outcome: Optional[tuple] = field(default=None, init=False)

@@ -246,7 +246,6 @@ class KVProcessor:
             ctx = OpContext(
                 op, submitted_ns=self.sim.now, station_admitted=True
             )
-            ctx.key_hash = fnv1a64(op.key)
         return ctx
 
     def fail_before_admission(
@@ -333,8 +332,8 @@ class KVProcessor:
         op = ctx.op
         self.counters["failed_ops"] += 1
         self.emit(ctx, "failed", type(exc).__name__)
-        value_after = self.store.table.peek(op.key, ctx.key_hash)
-        completion = self.station.complete(op, value_after, ctx.key_hash)
+        value_after = self.store.table.peek(op.key, op.key_hash)
+        completion = self.station.complete(op, value_after, op.key_hash)
         if op.seq >= 0:
             self._contexts.pop(id(op), None)
             self.admission.release()
@@ -430,7 +429,13 @@ class KVProcessor:
         # next_issue resolves them - either path fires their response.
         ctx.timestamps["issue"] = sim.now
         self.counters["admitted"] += 1
-        ctx.key_hash = key_hash = fnv1a64(op.key)
+        # The op's first read of ``op.key_hash`` on the single-node path:
+        # fill its cache here, without the descriptor's frame.
+        cached = op.__dict__
+        if "key_hash" in cached:
+            key_hash = cached["key_hash"]
+        else:
+            key_hash = cached["key_hash"] = fnv1a64(op.key)
         admission = self.station.admit(op, key_hash)
         ctx.station_admitted = True
         if admission is Admission.EXECUTE:
@@ -478,7 +483,7 @@ class KVProcessor:
         memory = self.store.memory
         memory.start_trace()
         try:
-            ctx.outcome = self.execute_functional(op, ctx.key_hash)
+            ctx.outcome = self.execute_functional(op, op.key_hash)
         except KVDirectError as exc:
             memory.stop_trace()
             self.fail_op(ctx, exc)
@@ -525,7 +530,7 @@ class KVProcessor:
 
         # complete/respond: synchronous, no simulated resource wait.
         ctx.timestamps["complete"] = sim.now
-        completion = self.station.complete(op, value_after, ctx.key_hash)
+        completion = self.station.complete(op, value_after, op.key_hash)
         if seq >= 0:
             self.respond(ctx, result)
         self._fan_out(seq, completion)

@@ -10,8 +10,11 @@ keys hash to *slots* (key ranges), each slot names a primary and a
 backup node, and the whole map carries a versioned *epoch*.
 Writes apply at the slot's primary and are asynchronously replicated to
 its backup through a cluster-owned :class:`ReplicationChannel` (FIFO,
-state-based: each record carries a full value snapshot taken when the
-write settled, so replay is idempotent and last-writer-wins).
+state-based: each ``(key, key_hash, value, acked_at)`` record carries a
+full value snapshot taken when the write settled, so replay is
+idempotent and last-writer-wins).  The key is hashed once per operation:
+the router, the node gate, the processor and the record share the op's
+cached ``key_hash``.
 
 Node-level faults (``node<i>.kill`` / ``node<i>.stall`` sites, driven by
 :class:`~repro.faults.plan.FaultPlan` probabilities or scheduled
@@ -25,7 +28,8 @@ further side effects; failover then
    time*, and the channels are owned by the cluster, not the dying node
    - so draining guarantees **zero lost acknowledged writes**),
 3. promotes each slot's backup to primary and bumps the epoch
-   (operations stamped with the stale epoch NACK with
+   (operations routed under the stale epoch - the router passes it as
+   ``ClusterNode.submit(..., epoch=)`` - NACK with
    :class:`~repro.errors.WrongEpoch` and re-route),
 4. migrates each affected slot's keys to a freshly chosen backup to
    re-establish the replication factor, then unblocks writes.
@@ -48,10 +52,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import KVDirectConfig
-from repro.core.hashing import shard_of
+from repro.core.hashing import fnv1a64, shard_of_hash
 from repro.core.operations import KVOperation
 from repro.core.store import KVDirectStore
 from repro.errors import (
@@ -117,9 +122,12 @@ class ClusterMap:
             for slot in range(num_slots)
         ]
 
-    def slot_of(self, key: bytes) -> int:
-        """The slot owning a key (same hash family as shard routing)."""
-        return shard_of(key, self.num_slots)
+    def slot_of(self, key: bytes, h: Optional[int] = None) -> int:
+        """The slot owning a key (same hash family as shard routing);
+        ``h`` is ``fnv1a64(key)`` when the caller already has it."""
+        return shard_of_hash(
+            fnv1a64(key) if h is None else h, self.num_slots
+        )
 
     def primary(self, slot: int) -> int:
         return self.placements[slot].primary
@@ -197,11 +205,19 @@ class ClusterNode:
         return event
 
     def submit(
-        self, op: KVOperation, deadline_ns: Optional[float] = None
+        self,
+        op: KVOperation,
+        deadline_ns: Optional[float] = None,
+        epoch: int = -1,
     ) -> Event:
         """Gate and submit one operation; the returned event settles with
         the :class:`~repro.core.operations.KVResult` or fails with a
-        retryable NACK / pipeline error."""
+        retryable NACK / pipeline error.
+
+        ``epoch`` is the cluster-map epoch the caller routed under (the
+        router passes it rather than stamping a copy of the op); -1 falls
+        back to ``op.epoch``, and an epoch of -1 after that skips the
+        check."""
         sim = self.sim
         cluster = self.cluster
         now = sim.now
@@ -234,16 +250,18 @@ class ClusterNode:
                     NodeDown(f"{self.name} stalled", node=self.index,
                              reason="stalled")
                 )
-        if op.epoch != -1 and op.epoch != cluster.map.epoch:
+        if epoch == -1:
+            epoch = op.epoch
+        if epoch != -1 and epoch != cluster.map.epoch:
             return self._nack(
                 WrongEpoch(
-                    f"operation stamped epoch {op.epoch}, cluster is at "
+                    f"operation stamped epoch {epoch}, cluster is at "
                     f"{cluster.map.epoch}",
                     expected=cluster.map.epoch,
-                    got=op.epoch,
+                    got=epoch,
                 )
             )
-        slot = cluster.map.slot_of(op.key)
+        slot = cluster.map.slot_of(op.key, op.key_hash)
         if op.is_write and slot in cluster.migrating_slots:
             return self._nack(
                 NodeDown(
@@ -256,32 +274,37 @@ class ClusterNode:
         self.outstanding += 1
         cluster.slot_outstanding[slot] += 1
         event = self.stack.processor.submit(op, deadline_ns=deadline_ns)
-
-        def _settled(_event: Event, op=op, slot=slot) -> None:
-            self.outstanding -= 1
-            cluster.slot_outstanding[slot] -= 1
-            if op.is_write:
-                cluster.replicate(slot, op.key, self)
-
-        event.add_callback(_settled)
+        event.add_callback(partial(self._settled, op, slot))
         return event
+
+    def _settled(self, op: KVOperation, slot: int, _event: Event) -> None:
+        """An accepted op settled: release it and replicate a write."""
+        self.outstanding -= 1
+        cluster = self.cluster
+        cluster.slot_outstanding[slot] -= 1
+        if op.is_write:
+            cluster.replicate(slot, op.key, op.key_hash, self)
 
 
 class ReplicationChannel:
     """Cluster-owned FIFO of state records for one slot.
 
-    Records are ``(key, value-or-None, acked_at_ns)`` snapshots of the
-    primary's state when the write settled; a lazy drain process applies
-    them to the slot's *current* backup after
-    :data:`REPLICATION_DELAY_NS` each.  Because the channel outlives its
-    nodes, every record enqueued at ack time survives a primary kill -
-    failover drains the channel into the backup before promoting it.
+    Records are ``(key, key_hash, value-or-None, acked_at_ns)`` snapshots
+    of the primary's state when the write settled; a lazy drain chain
+    applies them to the slot's *current* backup after
+    :data:`REPLICATION_DELAY_NS` each - one ``call_after`` per record, so
+    each apply holds the queue position its ``Timeout`` used to.  Because
+    the channel outlives its nodes, every record enqueued at ack time
+    survives a primary kill - failover drains the channel into the backup
+    before promoting it.
     """
 
     def __init__(self, cluster: "Cluster", slot: int) -> None:
         self.cluster = cluster
         self.slot = slot
-        self.queue: Deque[Tuple[bytes, Optional[bytes], float]] = deque()
+        self.queue: Deque[
+            Tuple[bytes, int, Optional[bytes], float]
+        ] = deque()
         self._draining = False
 
     @property
@@ -289,29 +312,35 @@ class ReplicationChannel:
         return len(self.queue)
 
     def enqueue(
-        self, key: bytes, value: Optional[bytes], acked_at: float
+        self, key: bytes, h: int, value: Optional[bytes], acked_at: float
     ) -> None:
-        self.queue.append((key, value, acked_at))
+        self.queue.append((key, h, value, acked_at))
         self.cluster.counters["replication_records"] += 1
         if not self._draining:
             self._draining = True
-            self.cluster.sim.process(self._drain())
+            self.cluster.sim.call_soon(self._drain)
 
-    def _drain(self):
+    def _drain(self, _kick) -> None:
+        """Wait out the head record's delay (the drain's bootstrap hop)."""
+        self.cluster.sim.call_after(REPLICATION_DELAY_NS, self._apply)
+
+    def _apply(self, _kick) -> None:
+        """Apply the head record to the current backup, then wait out the
+        next one's delay or stop draining."""
         cluster = self.cluster
-        sim = cluster.sim
-        while self.queue:
-            yield sim.timeout(REPLICATION_DELAY_NS)
-            key, value, acked_at = self.queue.popleft()
-            backup = cluster.map.backup(self.slot)
-            if backup is None or not cluster.nodes[backup].alive:
-                cluster.counters["replication_skipped"] += 1
-            elif cluster.apply_state(
-                cluster.nodes[backup], self.slot, key, value
-            ):
-                cluster.counters["replication_applies"] += 1
-                cluster.replication_lag_ns.record(sim.now - acked_at)
-        self._draining = False
+        key, h, value, acked_at = self.queue.popleft()
+        backup = cluster.map.backup(self.slot)
+        if backup is None or not cluster.nodes[backup].alive:
+            cluster.counters["replication_skipped"] += 1
+        elif cluster.apply_state(
+            cluster.nodes[backup], self.slot, key, value, h
+        ):
+            cluster.counters["replication_applies"] += 1
+            cluster.replication_lag_ns.record(cluster.sim.now - acked_at)
+        if self.queue:
+            cluster.sim.call_after(REPLICATION_DELAY_NS, self._apply)
+        else:
+            self._draining = False
 
 
 class Cluster:
@@ -390,18 +419,23 @@ class Cluster:
         """The stack currently authoritative for a key (its primary's)."""
         return self.nodes[self.map.primary(self.map.slot_of(key))].stack
 
-    def replicate(self, slot: int, key: bytes, primary: ClusterNode) -> None:
-        """Enqueue a state record for a settled write (ack-time snapshot).
+    def replicate(
+        self, slot: int, key: bytes, h: int, primary: ClusterNode
+    ) -> None:
+        """Enqueue a state record for a settled write (ack-time snapshot);
+        ``h`` is ``fnv1a64(key)``, carried in the record to the backup.
 
         Called on *every* write settle - success or failure - because a
         hardware fault during timing replay can fire after functional
         execution; snapshotting the store's actual state is correct in
         both cases and keeps replication idempotent.  The same snapshot
-        tells the directory whether the primary now holds the key.
+        tells the directory whether the primary now holds the key.  It is
+        read through the uncounted ``table.peek``: no DMA is replayed for
+        it, so no access counter or cost distribution may see it.
         """
-        value = primary.store.get(key)
+        value = primary.store.table.peek(key, h)
         self._track(primary, slot, key, value is not None)
-        self.channels[slot].enqueue(key, value, self.sim.now)
+        self.channels[slot].enqueue(key, h, value, self.sim.now)
 
     def apply_state(
         self,
@@ -409,21 +443,24 @@ class Cluster:
         slot: int,
         key: bytes,
         value: Optional[bytes],
+        h: Optional[int] = None,
     ) -> bool:
         """Apply one state record of ``slot`` to a node's store (put or
-        delete); returns whether it landed.
+        delete); returns whether it landed.  ``h`` is ``fnv1a64(key)``
+        when the caller already has it.
 
         Injected slab exhaustion is a fresh draw per attempt, so a failed
         apply retries (bounded) rather than silently dropping the record.
         Past the bound the record is counted as a failure, the directory
         is left as it was, and the caller must not account it as applied.
         """
+        index = node.store.index
         for __ in range(64):
             try:
                 if value is None:
-                    node.store.delete(key)
+                    index.delete(key, h)
                 else:
-                    node.store.put(key, value)
+                    index.insert(key, value, h)
             except KVDirectError:
                 self.counters["replication_apply_retries"] += 1
             else:

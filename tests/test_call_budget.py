@@ -6,10 +6,11 @@ one moves simulated results.  What happens *around* an entry - accounting,
 bucket decoding, key hashing, token grants - is not observable and may be
 fused freely (``docs/MODELING.md``, "What is a hop and what is not"), which
 also means nothing simulated notices when a frame per counter bump or per
-bucket slot creeps back in.  This gate notices: the same two small seeded
-runs under ``cProfile``, whose call count (Python functions and builtins)
-is exact for a given interpreter, held under a ceiling measured when the
-frames were removed plus 5 % for the spread between CPython 3.10-3.12.
+bucket slot creeps back in.  This gate notices: two of those small seeded
+runs and a replicated-cluster run with a primary kill under ``cProfile``,
+whose call count (Python functions and builtins) is exact for a given
+interpreter, held under a ceiling measured when the frames were removed
+plus 5 % for the spread between CPython 3.10-3.12.
 """
 
 import cProfile
@@ -17,6 +18,7 @@ import cProfile
 import pytest
 
 from repro import scenario
+from repro.client.router import ClusterRouter
 from repro.driver import run_closed_loop
 
 #: Headroom over the measured count for interpreter versions (3.12 inlines
@@ -52,3 +54,25 @@ class TestCallBudget:
         # 1796.2 on CPython 3.11 (1890.6 with generator drivers, 2577.0
         # before the frames were removed).
         assert measured <= 1797 * HEADROOM, measured
+
+    def test_cluster_router_with_a_kill(self):
+        """The replicated path: one key hash per op from router to replica,
+        the epoch passed rather than stamped on a copy, the replication
+        drain a chain."""
+        built = scenario.build(
+            seed=7, memory_size=2 << 20, corpus=600, put_ratio=0.5, nodes=3
+        )
+        cluster = built.cluster
+        ops = built.operations(600)
+        cluster.kill_after_accepts(cluster.map.primary(0), len(ops) // 9)
+        router = ClusterRouter(built.sim, cluster, seed=7)
+        profile = cProfile.Profile()
+        profile.enable()
+        stats = router.run(ops, concurrency=64)
+        profile.disable()
+        assert stats["completed"] == len(ops)
+        assert cluster.counters["failovers"] == 1
+        measured = sum(e.callcount for e in profile.getstats()) / len(ops)
+        # 334.0 on CPython 3.11 (351.1 with a hash per layer, a stamped op
+        # copy per attempt and a drain process per burst of records).
+        assert measured <= 334 * HEADROOM, measured

@@ -7,15 +7,20 @@ the epoch bump, byte-identical digests for seeded runs - are exercised
 end to end through the :class:`~repro.client.router.ClusterRouter`.
 """
 
+import cProfile
+import pstats
 import random
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.chaos import SoakConfig, run_soak
 from repro.client.robust import RetryBudget
 from repro.client.router import ClusterRouter
 from repro.core.config import KVDirectConfig
+from repro.core.hashing import fnv1a64
 from repro.core.hashtable import HashTable
 from repro.core.operations import KVOperation
 from repro.core.vector import FETCH_ADD
@@ -84,6 +89,11 @@ class TestClusterMap:
             slot = cmap.slot_of(key)
             assert 0 <= slot < 8
             assert slot == cmap.slot_of(key)
+
+    @given(st.binary(min_size=1, max_size=64), st.integers(1, 64))
+    def test_slot_of_a_passed_hash_is_slot_of_the_key(self, key, slots):
+        cmap = ClusterMap(slots, 3)
+        assert cmap.slot_of(key, fnv1a64(key)) == cmap.slot_of(key)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -193,6 +203,20 @@ class TestReplication:
         assert cluster.replication_divergences() == []
         backup = cluster.map.backup(cluster.map.slot_of(key))
         assert cluster.nodes[backup].store.get(key) is None
+
+    def test_write_settle_reads_no_counted_memory(self):
+        """The ack-time snapshot is bookkeeping, not a replayed access: a
+        replicated PUT costs the primary its PUT's accesses and no GET."""
+        sim, cluster = _cluster()
+        key = b"key000000"
+        primary = cluster.nodes[cluster.map.primary(cluster.map.slot_of(key))]
+        table = primary.store.table
+        before = table.memory.accesses
+        ClusterRouter(sim, cluster).run([KVOperation.put(key, b"v", seq=0)])
+        assert cluster.counters["replication_applies"] == 1
+        assert table.counters["gets"] == 0 and table.get_cost.count == 0
+        assert table.put_cost.count == 1
+        assert table.memory.accesses - before == table.put_cost.mean
 
     def test_replication_lag_is_recorded(self):
         sim, cluster = _cluster()
@@ -424,10 +448,10 @@ class TestFailedApply:
 
     @staticmethod
     def _break_puts(node):
-        def put(key, value):
+        def insert(key, value, h=None):
             raise AllocationError("injected: dynamic area exhausted")
 
-        node.store.put = put
+        node.store.index.insert = insert
 
     def test_apply_state_reports_whether_the_record_landed(self):
         sim, cluster = _cluster()
@@ -676,3 +700,48 @@ class TestPlacement:
         placement = Placement(primary=0, backup=1)
         with pytest.raises(AttributeError):
             placement.primary = 2
+
+
+class TestOneHashPerOp:
+    """The router, the node gate, the processor and the replication record
+    share the op's cached ``key_hash``, and a station write-back inherits
+    its key's: over a seeded run with a primary kill, FNV-1a runs once per
+    op, and otherwise only for the failover's uncounted snapshot peeks and
+    the migration applies that copy them."""
+
+    def test_fnv1a64_runs_once_per_op_plus_the_failover(self):
+        sim, cluster = _cluster()
+        for i in range(96):
+            cluster.preload(b"key%06d" % i, b"v%d" % i)
+        rng = random.Random(3)
+        ops = [
+            KVOperation.put(b"key%06d" % rng.randrange(96), b"w", seq=seq)
+            if rng.random() < 0.5 else
+            KVOperation.get(b"key%06d" % rng.randrange(96), seq=seq)
+            for seq in range(300)
+        ]
+        cluster.kill_after_accepts(cluster.map.primary(0), 100)
+        router = ClusterRouter(sim, cluster, seed=3)
+        profile = cProfile.Profile()
+        profile.enable()
+        stats = router.run(ops, concurrency=16)
+        profile.disable()
+        assert stats["completed"] == len(ops)
+        migrated = cluster.counters["migrated_keys"]
+        assert cluster.counters["failovers"] == 1 and migrated
+        assert cluster.counters["replication_applies"]
+        (hashed,) = [
+            (calls, callers)
+            for (__, __, name), (__, calls, __, __, callers)
+            in pstats.Stats(profile).stats.items()
+            if name == "fnv1a64"
+        ]
+        calls, callers = hashed
+        per_op = sum(
+            count for (__, __, name), (count, *__) in callers.items()
+            if name in ("__get__", "_admitted")
+        )
+        assert per_op <= len(ops), per_op
+        # Each migrated key: one peek at the owner, one insert at the
+        # new backup (4.9 calls per op before the hash was shared).
+        assert calls - per_op <= 2 * migrated, (calls, per_op, migrated)

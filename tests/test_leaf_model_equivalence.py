@@ -3,8 +3,9 @@
 ``dram/nic.py``, ``pcie/dma.py`` and ``memory/engine.py`` used to run every
 NIC-DRAM burst, DMA and cache line as a generator ``Process``, and the KV
 processor ran every op through its ``_ingress`` / ``_main_pipeline`` /
-``_deliver_forwarded`` processes and every packet through
-``EthernetLink._transfer``; all of them are now callback chains that must
+``_deliver_forwarded`` processes, every packet through
+``EthernetLink._transfer`` and every burst of replication records through
+``ReplicationChannel._drain``; all of them are now callback chains that must
 occupy the *same queue positions* (see "Same-instant ordering contract" in
 ``docs/MODELING.md``).  The deleted generator bodies live on here,
 verbatim, as the ``Ref*`` subclasses - a test-only reference.  Both
@@ -24,8 +25,9 @@ import pytest
 
 from repro import scenario
 from repro.client.client import KVClient
+from repro.client.router import ClusterRouter
 from repro.core.admission import SHED_POLICIES, OverloadPolicy
-from repro.core.hashing import fnv1a64
+from repro.core.config import KVDirectConfig
 from repro.core.hls import HLSToolchain
 from repro.core.ooo import Admission
 from repro.core.operations import KVOperation, OpType
@@ -46,6 +48,8 @@ from repro.errors import (
 from repro.faults import FaultInjector, FaultPlan
 from repro.memory.dispatcher import LoadDispatcher, address_hash
 from repro.memory.engine import MemoryAccessEngine
+from repro.multi import Cluster
+from repro.multi.cluster import REPLICATION_DELAY_NS, ReplicationChannel
 from repro.network.ethernet import EthernetLink
 from repro.obs.profiler import StageProfiler
 from repro.obs.tracer import Tracer
@@ -375,8 +379,7 @@ class RefKVProcessor(KVProcessor):
         # next_issue resolves them - either path fires their response.
         stamps["issue"] = sim.now
         self.counters["admitted"] += 1
-        ctx.key_hash = key_hash = fnv1a64(op.key)
-        admission = self.station.admit(op, key_hash)
+        admission = self.station.admit(op, op.key_hash)
         ctx.station_admitted = True
         if admission is Admission.EXECUTE:
             if tracer is not None:
@@ -412,7 +415,7 @@ class RefKVProcessor(KVProcessor):
         memory = self.store.memory
         memory.start_trace()
         try:
-            result, value_after = self.execute_functional(op, ctx.key_hash)
+            result, value_after = self.execute_functional(op, op.key_hash)
         except KVDirectError as exc:
             memory.stop_trace()
             self.fail_op(ctx, exc)
@@ -449,7 +452,7 @@ class RefKVProcessor(KVProcessor):
 
         # complete/respond: synchronous, no simulated resource wait.
         ctx.timestamps["complete"] = sim.now
-        completion = self.station.complete(op, value_after, ctx.key_hash)
+        completion = self.station.complete(op, value_after, op.key_hash)
         if seq >= 0:
             self.respond(ctx, result)
         self._fan_out(seq, completion)
@@ -1055,6 +1058,124 @@ class TestDriverChainsMatchTheGenerators:
         eth = rig.processor.network.counters
         for kind in ("lost", "duplicates", "reordered"):
             assert eth["rx_" + kind] and eth["tx_" + kind], kind
+
+
+# -- the replication drain: the chain against RefReplicationChannel ----------
+
+
+class RefReplicationChannel(ReplicationChannel):
+    """The replication drain as the generator process it was: one per
+    burst of records, sleeping :data:`REPLICATION_DELAY_NS` per record."""
+
+    def enqueue(self, key, h, value, acked_at):
+        self.queue.append((key, h, value, acked_at))
+        self.cluster.counters["replication_records"] += 1
+        if not self._draining:
+            self._draining = True
+            self.cluster.sim.process(self._drain())
+
+    def _drain(self):
+        cluster = self.cluster
+        sim = cluster.sim
+        while self.queue:
+            yield sim.timeout(REPLICATION_DELAY_NS)
+            key, h, value, acked_at = self.queue.popleft()
+            backup = cluster.map.backup(self.slot)
+            if backup is None or not cluster.nodes[backup].alive:
+                cluster.counters["replication_skipped"] += 1
+            elif cluster.apply_state(
+                cluster.nodes[backup], self.slot, key, value, h
+            ):
+                cluster.counters["replication_applies"] += 1
+                cluster.replication_lag_ns.record(sim.now - acked_at)
+        self._draining = False
+
+
+def run_cluster(channel_cls, nodes, seed):
+    """One seeded ClusterRouter run with a primary killed mid-run, every
+    channel a ``channel_cls``: what it leaves behind, its deque appends and
+    the number of drain processes it created."""
+    sim = Simulator()
+    entries = sim._dq = _CountingDeque()
+    sim.call_soon = entries.append
+    drains = []
+    spawn = sim.process
+
+    def process(generator):
+        drains.append(generator.gi_code.co_name == "_drain")
+        return spawn(generator)
+
+    sim.process = process
+    tracer = Tracer()
+    cluster = Cluster(
+        sim, num_nodes=nodes, num_slots=8, tracer=tracer,
+        config=KVDirectConfig(memory_size=2 << 20, seed=seed),
+    )
+    for channel in cluster.channels:
+        channel.__class__ = channel_cls
+    applies = []
+    apply_state = cluster.apply_state
+
+    def logged_apply(node, slot, key, value, h=None):
+        landed = apply_state(node, slot, key, value, h)
+        applies.append((sim.now, node.index, slot, key, value, landed))
+        return landed
+
+    cluster.apply_state = logged_apply
+    for i in range(64):
+        cluster.preload(b"key%04d" % i, b"v%d" % i)
+    rng = random.Random(seed)
+    ops = []
+    for seq in range(360):
+        key = b"key%04d" % rng.randrange(80)
+        kind = rng.random()
+        if kind < 0.45:
+            ops.append(KVOperation.put(key, b"w%d" % seq, seq=seq))
+        elif kind < 0.55:
+            ops.append(KVOperation.delete(key, seq=seq))
+        else:
+            ops.append(KVOperation.get(key, seq=seq))
+    cluster.kill_after_accepts(cluster.map.primary(0), 120)
+    router = ClusterRouter(sim, cluster, seed=seed)
+    stats = router.run(ops, concurrency=16)
+    observed = {
+        "stats": stats,
+        "router": router.counters.snapshot(),
+        "cluster": cluster.counters.snapshot(),
+        "lag": cluster.replication_lag_ns.samples(),
+        "failover": cluster.failover_time_ns.samples(),
+        "applies": applies,
+        "spans": [
+            (span.at_ns, span.seq, span.stage, span.detail)
+            for span in tracer.spans
+        ],
+        "state": sorted(cluster.primary_state().items()),
+        "directory": cluster.directory,
+        "now": sim.now,
+        "heap_pushes": sim._sequence,
+    }
+    return observed, entries.appends, sum(drains)
+
+
+class TestReplicationChainMatchesTheGenerator:
+    """Everything a replicated run leaves behind is the generator drain's,
+    and the chain queues exactly its entries less one per drain process:
+    the completion nobody waited on."""
+
+    @pytest.mark.parametrize("nodes,seed", [(3, 1), (3, 2), (2, 3)])
+    def test_failover_run(self, nodes, seed):
+        reference, ref_entries, ref_drains = run_cluster(
+            RefReplicationChannel, nodes, seed
+        )
+        chains, entries, drains = run_cluster(ReplicationChannel, nodes, seed)
+        assert chains == reference
+        assert drains == 0 < ref_drains
+        assert entries == ref_entries - ref_drains
+        events = chains["cluster"]
+        assert events["failovers"] == 1
+        assert events["replication_applies"] and events["replication_skipped"]
+        # Two nodes leave the survivor unreplicated: nothing to migrate.
+        assert bool(events.get("migrated_keys")) == (nodes == 3)
 
 
 class TestPureFunctionTrims:

@@ -272,25 +272,53 @@ class TestKVOperationValidation:
         assert not KVOperation.range(b"k", 3).is_write
         assert not KVOperation.scan(b"k", 3).is_write
 
-    def test_with_epoch_is_replace_without_revalidation(self):
-        """The router's epoch stamp: a new frozen op, every field kept."""
+    def test_submit_epoch_overrides_and_falls_back_to_op_epoch(self):
+        """The router hands its routing epoch to ``ClusterNode.submit``
+        instead of stamping a copy of the op: a stale ``epoch=`` NACKs with
+        WrongEpoch before any side effect, ``epoch=-1`` falls back to
+        ``op.epoch``, and the op object itself is what reaches the node."""
+        from repro.core.config import KVDirectConfig
+        from repro.errors import WrongEpoch
+        from repro.multi import Cluster
+
+        sim = Simulator()
+        cluster = Cluster(
+            sim, num_nodes=2, num_slots=2,
+            config=KVDirectConfig(memory_size=2 << 20),
+        )
+        cluster.map.bump()  # the cluster is at epoch 1
+        op = KVOperation.put(b"k", b"v", seq=1)
+        node = cluster.nodes[cluster.map.primary(cluster.map.slot_of(b"k"))]
+
+        def outcome(event):
+            sim.run()
+            return event.value if event.ok else event.exception
+
+        stale = outcome(node.submit(op, None, epoch=0))
+        assert isinstance(stale, WrongEpoch)
+        assert (stale.expected, stale.got) == (1, 0)
+        assert node.accepted == 0 and b"k" not in node.store
+        assert cluster.counters["wrong_epoch_nacks"] == 1
+        # epoch=-1 falls back to op.epoch: -1 there too skips the check...
+        assert outcome(node.submit(op, None)).ok
+        # ...and a stamped op.epoch is checked like a passed one.
+        stamped = KVOperation(OpType.GET, b"k", seq=2, epoch=0)
+        assert isinstance(outcome(node.submit(stamped)), WrongEpoch)
+        assert outcome(node.submit(stamped, None, epoch=1)).value == b"v"
+        assert node.accepted == 2 and op.epoch == -1
+
+    def test_key_hash_is_cached_lazily_and_is_not_a_field(self):
         import dataclasses
 
-        for op in (
-            KVOperation.put(b"k", b"v", seq=9),
-            KVOperation.update(b"k", 3, b"\x01", seq=2),
-            KVOperation.range(b"k", 7, seq=4),
-        ):
-            stamped = op.with_epoch(5)
-            assert stamped is not op and op.epoch == -1
-            assert stamped.epoch == 5 and stamped.seq == op.seq
-            assert stamped == op  # seq and epoch do not compare
-            assert dataclasses.asdict(stamped) == dataclasses.asdict(
-                dataclasses.replace(op, epoch=5)
-            )
-            assert stamped.with_epoch(6).epoch == 6 and stamped.epoch == 5
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                stamped.epoch = 7
+        from repro.core.hashing import fnv1a64
+
+        op = KVOperation.put(b"k", b"v", seq=3)
+        before = repr(op)
+        assert "key_hash" not in op.__dict__  # construction does not hash
+        assert op.key_hash == fnv1a64(b"k")
+        assert op.__dict__["key_hash"] == fnv1a64(b"k")
+        assert repr(op) == before and op == KVOperation.put(b"k", b"v")
+        assert "key_hash" not in {f.name for f in dataclasses.fields(op)}
 
     def test_key_must_be_bytes(self):
         with pytest.raises(TypeError):

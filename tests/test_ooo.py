@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from repro.core.hashing import fnv1a64
 from repro.core.ooo import Admission, ReservationStation
 from repro.core.operations import KVOperation, OpType
 from repro.core.vector import FETCH_ADD, FunctionRegistry, apply_operation
@@ -128,6 +129,19 @@ class TestCompletion:
         completion = station.complete(get, b"value")
         assert completion.writeback is not None
         assert completion.writeback.op is OpType.DELETE
+
+    def test_writeback_inherits_the_completed_ops_key_hash(self):
+        """A write-back writes its slot's key, so it carries the hash the
+        completing op was passed instead of hashing the key again."""
+        for h, cached in ((fnv1a64(b"a"), True), (None, False)):
+            station = make_station()
+            get, put = KVOperation.get(b"a"), KVOperation.put(b"a", b"v2")
+            station.admit(get, h)
+            station.admit(put, h)
+            writeback = station.complete(get, b"v1", h).writeback
+            assert ("key_hash" in writeback.__dict__) == cached
+            assert writeback.key_hash == fnv1a64(b"a")
+            assert writeback == KVOperation(OpType.PUT, b"a", value=b"v2")
 
     def test_get_after_delete_forwards_missing(self):
         station = make_station()

@@ -2,9 +2,11 @@
 differential soak against the single dict reference model."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.chaos import SoakConfig, run_soak
-from repro.core.hashing import bucket_index, fnv1a64, shard_of
+from repro.core.hashing import bucket_index, fnv1a64, shard_of, shard_of_hash
 from repro.faults import FaultPlan
 from repro.sim import Simulator
 
@@ -61,6 +63,10 @@ class TestShardBalance:
     def test_matches_published_formula(self):
         for key in KEYS[:64]:
             assert shard_of(key, 7) == _finalize(fnv1a64(key) >> 16) % 7
+
+    @given(st.binary(min_size=1, max_size=255), st.integers(1, 1024))
+    def test_a_known_hash_routes_like_its_key(self, key, shards):
+        assert shard_of_hash(fnv1a64(key), shards) == shard_of(key, shards)
 
 
 class TestBucketBitDisjointness:
