@@ -53,8 +53,3 @@ class CPUKVSModel:
         return self.base_latency_ns + (
             (self.tail_latency_ns - self.base_latency_ns) * (pct / 100.0) ** 4
         )
-
-
-def random_access_bound(cores: int) -> float:
-    """Max random 64 B accesses/s the CPU can issue (memory-bound ceiling)."""
-    return cores * constants.CPU_CORE_RANDOM_ACCESS_OPS

@@ -27,11 +27,12 @@ clients cannot amplify the very overload being shed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.client.robust import BackoffPolicy, CircuitBreaker, RetryBudget
 from repro.core.operations import KVOperation, KVResult
 from repro.core.processor import KVProcessor
+from repro.driver import latency_fields
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -53,10 +54,11 @@ class ClientStats:
     operations: int
     elapsed_ns: float
     throughput_mops: float
-    latency_mean_ns: float
-    latency_p50_ns: float
-    latency_p95_ns: float
-    latency_p99_ns: float
+    #: None when no op completed (see :func:`~repro.driver.latency_fields`).
+    latency_mean_ns: Optional[float]
+    latency_p50_ns: Optional[float]
+    latency_p95_ns: Optional[float]
+    latency_p99_ns: Optional[float]
     request_bytes_on_wire: int
     response_bytes_on_wire: int
     #: Flights retransmitted after injected packet loss.
@@ -74,7 +76,7 @@ class ClientStats:
     #: Times the circuit breaker opened during the run.
     breaker_opens: int = 0
 
-    def as_dict(self) -> Dict[str, float]:
+    def as_dict(self) -> Dict[str, Optional[float]]:
         return {
             "operations": float(self.operations),
             "elapsed_ns": self.elapsed_ns,
@@ -192,20 +194,21 @@ class KVClient:
     def collect_stats(self, operations: int, elapsed_ns: float) -> ClientStats:
         """Snapshot this client's counters into a :class:`ClientStats`.
 
-        A run where every op was shed or deadline-expired records no
-        latencies; report zeros instead of crashing on the empty
-        histogram (zero goodput is a valid measurement).
+        A run where no op completed records no latencies; its latency
+        fields are None (:func:`~repro.driver.latency_fields`), not a
+        zero-latency success.
         """
-        elapsed = elapsed_ns
-        empty = self.latencies.count == 0
+        latencies = self.latencies
+        # The mean first: it folds the samples in insertion order, which
+        # the percentiles' sort would change.
+        mean = latencies.mean() if latencies.count else None
+        fields = latency_fields(latencies)
+        fields["latency_mean_ns"] = mean
         return ClientStats(
             operations=operations,
-            elapsed_ns=elapsed,
-            throughput_mops=mops(operations, elapsed),
-            latency_mean_ns=0.0 if empty else self.latencies.mean(),
-            latency_p50_ns=0.0 if empty else self.latencies.percentile(50),
-            latency_p95_ns=0.0 if empty else self.latencies.percentile(95),
-            latency_p99_ns=0.0 if empty else self.latencies.percentile(99),
+            elapsed_ns=elapsed_ns,
+            throughput_mops=mops(operations, elapsed_ns),
+            **fields,
             request_bytes_on_wire=self._request_bytes,
             response_bytes_on_wire=self._response_bytes,
             retries=self.retries,
@@ -314,6 +317,7 @@ class KVClient:
         )
         pending = batch
         busy_attempt = 0
+        completed = 0
         while True:
             yield from self._breaker_gate()
             payload = encode_batch(
@@ -338,7 +342,8 @@ class KVClient:
                 for op in pending
             ]
             yield self._settled(events)
-            busy_ops = self._collect(pending, events)
+            busy_ops, succeeded = self._collect(pending, events)
+            completed += succeeded
             # Response flight back to the client.  These ops already
             # executed (or were NACKed), so only the send retries (server
             # retransmit buffer).
@@ -371,17 +376,21 @@ class KVClient:
             pending = busy_ops
         latency = self.sim.now - start
         self._trace("client.batch.done", f"ops={len(batch)}")
-        for __ in batch:
-            self.latencies.record(latency)
+        # One sample per op that succeeded: like the processor's, the
+        # client's latencies time completed ops only.
+        self.latencies.extend([latency] * completed)
         callback()
 
     def _collect(
         self, pending: List[KVOperation], events: List[Event]
-    ) -> List[KVOperation]:
-        """Harvest one round of responses; return the NACKed ops."""
+    ) -> Tuple[List[KVOperation], int]:
+        """Harvest one round of responses; return the NACKed ops and how
+        many ops succeeded."""
         busy_ops: List[KVOperation] = []
+        succeeded = 0
         for op, event in zip(pending, events):
             if event.ok:
+                succeeded += 1
                 result = event.value
                 if result.seq >= 0:
                     self.responses[result.seq] = result
@@ -403,7 +412,7 @@ class KVClient:
                     self.breaker.record(False)
             else:
                 self.failed_ops += 1
-        return busy_ops
+        return busy_ops, succeeded
 
     def _give_up(self, busy_ops: List[KVOperation], why: str) -> None:
         """Abandon NACKed ops: fail fast rather than retry-storm."""

@@ -2,9 +2,9 @@
 
 The paper's reservation station bounds *in-flight* operations; an
 operation that finds every slot taken waits at ingress.  That wait is an
-:class:`IngressQueue`: a FIFO queue in front of the station's token pool
-whose :meth:`~IngressQueue.release` hands a freed slot straight to the
-oldest waiter.  With no :class:`OverloadPolicy` the queue is unbounded
+:class:`IngressQueue`: a FIFO queue that counts the station's free slots
+itself and whose :meth:`~IngressQueue.release` hands a freed slot straight
+to the oldest waiter.  With no :class:`OverloadPolicy` the queue is unbounded
 and never sheds - under offered load above capacity requests queue and
 latency grows without bound.  A policy gives the processor the property
 production KV stores have instead - graceful degradation: the queue is
@@ -31,9 +31,8 @@ from dataclasses import dataclass, replace
 from typing import Deque, Optional
 
 from repro.core.operations import KVOperation, OpType
-from repro.errors import ConfigurationError, ServerBusy
+from repro.errors import ConfigurationError, ServerBusy, SimulationError
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import TokenPool
 from repro.sim.stats import Counter, Histogram
 
 #: The shed policies :class:`OverloadPolicy` accepts.
@@ -106,22 +105,25 @@ class IngressQueue:
     """FIFO admission queue in front of the reservation station.
 
     :meth:`submit` returns an event that *succeeds* (with the queue wait
-    in ns) once a station token is granted, or - under a ``policy`` only -
-    *fails* with :class:`~repro.errors.ServerBusy` when the shed policy
-    drops the operation.  ``policy=None`` makes the queue unbounded: it
-    never sheds.  The processor calls :meth:`release` instead of
-    releasing the token pool directly, so freed slots hand over to the
-    oldest waiter in FIFO order.
+    in ns) once one of ``capacity`` station slots is granted, or - under a
+    ``policy`` only - *fails* with :class:`~repro.errors.ServerBusy` when
+    the shed policy drops the operation.  ``policy=None`` makes the queue
+    unbounded: it never sheds.  Every granted slot comes back through
+    :meth:`release`, which hands it to the oldest waiter in FIFO order.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        tokens: TokenPool,
+        capacity: int,
         policy: Optional[OverloadPolicy],
     ) -> None:
+        if capacity <= 0:
+            raise SimulationError("ingress: capacity must be positive")
         self.sim = sim
-        self.tokens = tokens
+        self.capacity = capacity
+        #: Station slots not granted to any op.
+        self.available = capacity
         self.policy = policy
         self._queue: Deque[_Waiter] = deque()
         self.counters = Counter()
@@ -144,7 +146,8 @@ class IngressQueue:
     def submit(self, op: KVOperation) -> Event:
         """Request admission for one op; see class docstring for outcomes."""
         event = Event(self.sim)
-        if not self._queue and self.tokens.try_acquire():
+        if self.available and not self._queue:
+            self.available -= 1
             self.counters["admitted_direct"] += 1
             self.wait_ns.record(0.0)
             event.succeed(0.0)
@@ -163,14 +166,18 @@ class IngressQueue:
         return event
 
     def release(self) -> None:
-        """Return one station token, admitting the oldest waiter if any."""
-        self.tokens.release()
-        if self._queue and self.tokens.try_acquire():
-            waiter = self._queue.popleft()
-            waited = self.sim.now - waiter.enqueued_ns
-            self.counters["admitted_queued"] += 1
-            self.wait_ns.record(waited)
-            waiter.event.succeed(waited)
+        """Return one station slot, granting it to the oldest waiter if
+        any.  A release without a grant is a slot-ledger bug and raises."""
+        if self.available >= self.capacity:
+            raise SimulationError("ingress: slot released without a grant")
+        if not self._queue:
+            self.available += 1
+            return
+        waiter = self._queue.popleft()
+        waited = self.sim.now - waiter.enqueued_ns
+        self.counters["admitted_queued"] += 1
+        self.wait_ns.record(waited)
+        waiter.event.succeed(waited)
 
     # -- shedding -----------------------------------------------------------
 

@@ -11,13 +11,14 @@ more robust to hash clustering".
 
 Every host-memory access goes through the backing
 :class:`~repro.dram.host.MemoryImage`, so *measured* (not modelled) DMA
-counts per GET/PUT/DELETE drive Figures 6, 9, 10 and 11.
+counts per GET/PUT/DELETE drive Figures 6, 9, 10 and 11.  The store reaches
+the table through :class:`~repro.core.index.CompositeIndex`, which adds the
+ordered sidecar for RANGE/SCAN when one is configured.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 from repro.constants import BUCKET_SIZE
@@ -27,15 +28,10 @@ from repro.core.hashindex import (
     inline_slots_needed,
 )
 from repro.core.hashing import bucket_index, fnv1a64, secondary_hash
-from repro.core.index import Index
 from repro.core.slab import SlabAllocator
 from repro.core.slab_host import class_for_size, class_size
 from repro.dram.host import MemoryImage
-from repro.errors import (
-    ConfigurationError,
-    KeyTooLargeError,
-    UnsupportedOperation,
-)
+from repro.errors import ConfigurationError, KeyTooLargeError
 from repro.sim.stats import Counter, RunningStats
 
 #: Non-inline record header: key length (u8) + value length (u16).
@@ -58,28 +54,8 @@ _ZERO_BUCKET = Bucket.empty_bytes()
 Reader = Callable[[int, int], bytes]
 
 
-@dataclass
-class OpCost:
-    """Memory accesses one operation consumed (for per-op statistics)."""
-
-    reads: int
-    writes: int
-
-    @property
-    def total(self) -> int:
-        return self.reads + self.writes
-
-
-class HashTable(Index):
-    """The KV-Direct hash table over a byte-addressable memory image.
-
-    Implements the :class:`~repro.core.index.Index` contract for point
-    operations; :meth:`scan` raises
-    :class:`~repro.errors.UnsupportedOperation` because a chained hash
-    table keeps no key order (pair it with an
-    :class:`~repro.core.ordered.OrderedIndex` via
-    :class:`~repro.core.index.CompositeIndex` for RANGE/SCAN).
-    """
+class HashTable:
+    """The KV-Direct hash table over a byte-addressable memory image."""
 
     def __init__(
         self,
@@ -163,18 +139,6 @@ class HashTable(Index):
 
     def __contains__(self, key: bytes) -> bool:
         return self.peek(key) is not None
-
-    # -- Index interface ------------------------------------------------------
-
-    lookup = get
-    insert = put
-    # delete() above already satisfies the interface.
-
-    def scan(self, start: bytes, count: int, with_values: bool = True):
-        raise UnsupportedOperation(
-            "the chained hash table keeps no key order; RANGE/SCAN need "
-            "an ordered index (config.ordered_index)"
-        )
 
     def probe(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
         """Lookup without per-op statistics, for index-internal reads.

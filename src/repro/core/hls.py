@@ -56,10 +56,6 @@ class CompiledFunction:
     #: Estimated FPGA resources consumed.
     alms: int
 
-    @property
-    def elements_per_cycle(self) -> int:
-        return self.duplication
-
     def cycles_for(self, nelements: int) -> int:
         """Pipeline cycles to stream a vector through the λ lanes."""
         if nelements <= 0:

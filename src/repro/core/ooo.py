@@ -101,9 +101,6 @@ class ReservationStation:
 
     # -- admission -------------------------------------------------------------
 
-    def slot_for(self, key: bytes) -> int:
-        return fnv1a64(key) % self.num_slots
-
     @property
     def has_room(self) -> bool:
         return self.occupancy < self.capacity

@@ -11,17 +11,18 @@ for writing a chain"), and a step that raises propagates out of
 
 - :meth:`KVProcessor._ingress` - operations enter through a fully
   pipelined **decode** stage (one per clock at 180 MHz); **admission**
-  grants bounded in-flight slots in FIFO order through one ingress queue
-  (:mod:`repro.core.admission`: unbounded, or bounded and shedding under
-  an overload policy); **issue** runs the reservation station
-  (:mod:`repro.core.ooo`): independent operations execute out of order,
-  dependents are parked for data forwarding,
-- :meth:`KVProcessor._main_pipeline` - the **memory** stage executes an
-  operation against the real hash table, then replays every memory access
-  it made through the **memory access engine** (NIC DRAM cache + PCIe
-  DMA, with the load dispatcher routing); **complete** forwards data to
-  dependents (one per clock in the dedicated execution engine), emits at
-  most one write-back, and responds through the network model.
+  grants one of ``max_inflight`` slots in FIFO order through the ingress
+  queue that counts them (:mod:`repro.core.admission`: unbounded, or
+  bounded and shedding under an overload policy); **issue** runs the
+  reservation station (:mod:`repro.core.ooo`): independent operations
+  execute out of order, dependents are parked for data forwarding,
+- :meth:`KVProcessor._main_pipeline` - the **memory** stage runs an
+  operation through :meth:`~repro.core.store.KVDirectStore.apply` (the
+  store's one interpreter), then replays every memory access it made
+  through the **memory access engine** (NIC DRAM cache + PCIe DMA, with
+  the load dispatcher routing); **complete** forwards data to dependents
+  (one per clock in the dedicated execution engine), emits at most one
+  write-back, and responds through the network model.
 
 Each stage stamps its entry time on the context, and a deadline is
 checked after decode, after admission and at memory-stage entry, every
@@ -35,13 +36,13 @@ only: an op that fails or expires is neither completed nor timed.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.admission import IngressQueue
 from repro.core.config import KVDirectConfig
 from repro.core.hashing import fnv1a64
 from repro.core.ooo import Admission, Completion, ReservationStation
-from repro.core.operations import KVOperation, KVResult, OpType
+from repro.core.operations import KVOperation, KVResult
 from repro.core.pipeline import OpContext
 from repro.core.store import KVDirectStore
 from repro.core.vector import apply_operation
@@ -61,7 +62,7 @@ from repro.obs.tracer import Tracer
 from repro.pcie.dma import MultiLinkDMA
 from repro.pcie.link import PCIeLinkConfig
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import FIFOServer, TokenPool
+from repro.sim.resources import FIFOServer
 from repro.sim.stats import Counter, Histogram, mops
 
 #: Pipeline depth of the decode stage, in clock cycles (latency only; the
@@ -163,17 +164,15 @@ class KVProcessor:
         #: Dedicated execution engine for forwarded ops (1 op/cycle).
         self.forward_engine = FIFOServer(sim, cycle, name="forward")
         self.station = ReservationStation(
-            store.forwarding_executor(),
+            partial(apply_operation, registry=store.registry),
             num_slots=cfg.reservation_slots,
             capacity=cfg.max_inflight,
             forwarding=cfg.out_of_order,
         )
-        self.inflight = TokenPool(
-            sim, cfg.max_inflight, name="station_tokens"
-        )
-        #: The one way into the station: a FIFO queue over the slot tokens,
-        #: bounded and shedding only under ``cfg.overload``.
-        self.admission = IngressQueue(sim, self.inflight, cfg.overload)
+        #: The one way into the station: a FIFO queue that counts its
+        #: ``max_inflight`` slots, bounded and shedding only under
+        #: ``cfg.overload``.
+        self.admission = IngressQueue(sim, cfg.max_inflight, cfg.overload)
 
         # -- bookkeeping -----------------------------------------------------
         #: Live OpContext per in-flight client op, keyed by id(op).
@@ -253,7 +252,7 @@ class KVProcessor:
     ) -> None:
         """Fail an op that never reached the reservation station.
 
-        Nothing to unwind: no station slot, no inflight token, no store
+        Nothing to unwind: no station slot, no store
         state - just surface the error on the response event.
         """
         self._contexts.pop(id(ctx.op), None)
@@ -261,46 +260,6 @@ class KVProcessor:
             self.profiler.observe_failure(ctx, exc)
         if ctx.response is not None:
             ctx.response.fail(exc)
-
-    def execute_functional(
-        self, op: KVOperation, h: Optional[int] = None
-    ) -> Tuple[KVResult, Optional[bytes]]:
-        """Run the op on the store's index; also return the value afterwards
-        (the reservation station caches it for data forwarding).  ``h`` is
-        ``fnv1a64(op.key)`` when the caller already has it.
-
-        Scans return their encoded result payload in the KVResult and
-        ``None`` as the value-after: a scan mutates nothing, and the
-        completion path never forwards from a scan (see
-        :meth:`~repro.core.ooo.ReservationStation.complete`).
-        """
-        index = self.store.index
-        if op.op is OpType.GET:
-            value = index.lookup(op.key, h)
-            return (
-                KVResult(op.op, ok=value is not None, value=value, seq=op.seq),
-                value,
-            )
-        if op.op is OpType.PUT:
-            assert op.value is not None
-            index.insert(op.key, op.value, h)
-            return KVResult(op.op, ok=True, seq=op.seq), op.value
-        if op.op is OpType.DELETE:
-            existed = index.delete(op.key, h)
-            return KVResult(op.op, ok=existed, seq=op.seq), None
-        if op.op in (OpType.RANGE, OpType.SCAN):
-            result = self.store.execute(op)
-            return result, None
-        current = index.lookup(op.key, h)
-        if current is None:
-            return KVResult(op.op, ok=False, seq=op.seq), None
-        new_value, result = apply_operation(op, current, self.store.registry)
-        if new_value != current:
-            if new_value is None:
-                index.delete(op.key, h)
-            else:
-                index.insert(op.key, new_value, h)
-        return result, new_value
 
     def compute_time(self, op: KVOperation, value_after) -> float:
         """Pipeline occupancy of the λ lanes for a vector operation."""
@@ -483,7 +442,7 @@ class KVProcessor:
         memory = self.store.memory
         memory.start_trace()
         try:
-            ctx.outcome = self.execute_functional(op, op.key_hash)
+            ctx.outcome = self.store.apply(op, op.key_hash)
         except KVDirectError as exc:
             memory.stop_trace()
             self.fail_op(ctx, exc)
@@ -541,7 +500,7 @@ class KVProcessor:
         The boundary counter and trace span are always recorded; the
         unwind depends on how far the context got - admitted into the
         station (fail through it so dependents are forwarded), holding a
-        station slot (hand the token back), or neither.
+        station slot (hand it back), or neither.
         """
         self.deadline_counters.add(boundary)
         self.emit(ctx, "deadline.expired", f"stage={boundary}")
@@ -556,8 +515,8 @@ class KVProcessor:
             )
             return
         if ctx.slot_held:
-            # The slot was granted but the op is already dead: hand the
-            # token straight back before failing.
+            # The slot was granted but the op is already dead: hand it
+            # straight back before failing.
             self.admission.release()
         deadline = ctx.deadline_ns if ctx.deadline_ns is not None else 0.0
         self.fail_before_admission(

@@ -5,9 +5,11 @@ table + slab allocator over a byte-addressable memory image, with all of
 Table 1's operations.  It measures memory accesses per operation (the
 quantity Figures 6/9/10/11 plot) as it goes.
 
-For *timed* behaviour - throughput and latency under the PCIe/DRAM/network
-models - wrap a store's config in a
-:class:`~repro.core.processor.KVProcessor`.
+:meth:`KVDirectStore.apply` is the one interpreter that runs an operation
+against memory: the store API (:meth:`~KVDirectStore.execute` and the
+Table 1 helpers) and the timed pipeline's memory stage both call it.  For
+*timed* behaviour - throughput and latency under the PCIe/DRAM/network
+models - wrap a store in a :class:`~repro.core.processor.KVProcessor`.
 """
 
 from __future__ import annotations
@@ -66,9 +68,8 @@ class KVDirectStore:
             if self.config.ordered_index
             else None
         )
-        #: The pluggable index every operation routes through.  With the
-        #: ordered side disabled this is a zero-cost veneer over the hash
-        #: table (identical call and access sequences).
+        #: The index every operation routes through.  With the ordered
+        #: side disabled it makes exactly the hash table's accesses.
         self.index = CompositeIndex(self.table, self.ordered)
         self.registry = FunctionRegistry()
 
@@ -150,55 +151,55 @@ class KVDirectStore:
     # -- generic execution -----------------------------------------------------------
 
     def execute(self, op: KVOperation) -> KVResult:
-        """Execute any wire operation against the store.
+        """Execute any wire operation against the store (see :meth:`apply`)."""
+        return self.apply(op)[0]
+
+    def apply(
+        self, op: KVOperation, h: Optional[int] = None
+    ) -> Tuple[KVResult, Optional[bytes]]:
+        """Run one wire operation against memory; returns its result and
+        the key's value after it, which the reservation station caches for
+        data forwarding.  ``h`` is ``fnv1a64(op.key)`` when the caller
+        already has it (the pipeline hashes a key once, at issue).
 
         GET/PUT/DELETE go straight through the index (the hash table,
         plus ordered maintenance when configured).  RANGE/SCAN walk the
         ordered index and return their entries as an encoded payload in
-        the result value.  Function operations are read-modify-write:
-        fetch the value, apply the λ (the same
-        :func:`~repro.core.vector.apply_operation` the OoO engine's
-        forwarding path uses), and write back if it changed.
+        the result value, and ``None`` as the value after: a scan mutates
+        nothing, and the station never forwards from one.  Function
+        operations are read-modify-write: fetch the value, apply the λ
+        (the :func:`~repro.core.vector.apply_operation` the station's
+        forwarding runs too), and write back if it changed.
         """
+        index = self.index
         if op.op is OpType.GET:
-            value = self.index.lookup(op.key)
-            return KVResult(op.op, ok=value is not None, value=value,
-                            seq=op.seq)
+            value = index.lookup(op.key, h)
+            return (
+                KVResult(op.op, ok=value is not None, value=value, seq=op.seq),
+                value,
+            )
         if op.op is OpType.PUT:
             assert op.value is not None
-            self.index.insert(op.key, op.value)
-            return KVResult(op.op, ok=True, seq=op.seq)
+            index.insert(op.key, op.value, h)
+            return KVResult(op.op, ok=True, seq=op.seq), op.value
         if op.op is OpType.DELETE:
-            existed = self.index.delete(op.key)
-            return KVResult(op.op, ok=existed, seq=op.seq)
+            existed = index.delete(op.key, h)
+            return KVResult(op.op, ok=existed, seq=op.seq), None
         if op.op in (OpType.RANGE, OpType.SCAN):
             with_values = op.op is OpType.RANGE
-            entries = self.index.scan(
-                op.key, op.count, with_values=with_values
-            )
+            entries = index.scan(op.key, op.count, with_values=with_values)
             payload = encode_scan_payload(entries, with_values)
-            return KVResult(op.op, ok=True, value=payload, seq=op.seq)
-        current = self.index.lookup(op.key)
+            return KVResult(op.op, ok=True, value=payload, seq=op.seq), None
+        current = index.lookup(op.key, h)
         if current is None:
-            return KVResult(op.op, ok=False, seq=op.seq)
+            return KVResult(op.op, ok=False, seq=op.seq), None
         new_value, result = apply_operation(op, current, self.registry)
         if new_value != current:
             if new_value is None:
-                self.index.delete(op.key)
+                index.delete(op.key, h)
             else:
-                self.index.insert(op.key, new_value)
-        return result
-
-    def forwarding_executor(
-        self,
-    ) -> Callable[[KVOperation, Optional[bytes]], Tuple[Optional[bytes], KVResult]]:
-        """The executor the OoO engine uses for data forwarding."""
-        registry = self.registry
-
-        def executor(op: KVOperation, current: Optional[bytes]):
-            return apply_operation(op, current, registry)
-
-        return executor
+                index.insert(op.key, new_value, h)
+        return result, new_value
 
     def register_function(
         self,
@@ -248,7 +249,7 @@ class KVDirectStore:
         count = 0
         while self.utilization() < target:
             key = prefix + count.to_bytes(key_size - len(prefix), "big")
-            self.table.put(key, value)
+            self.index.insert(key, value)
             count += 1
         return count
 

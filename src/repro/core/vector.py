@@ -184,10 +184,12 @@ def apply_operation(
     """Pure semantics of one KV operation against a current value.
 
     Returns ``(new_value, result)`` where ``new_value`` is ``None`` for an
-    absent key.  This single function is used both by the functional store
-    (against the hash table) and by the out-of-order engine's data
-    forwarding path (against the reservation station's cached value), which
-    is what guarantees the two paths agree.
+    absent key.  The out-of-order engine's data forwarding runs every op
+    through it (against the reservation station's cached value).  The
+    store (:meth:`~repro.core.store.KVDirectStore.apply`) runs only λ ops
+    through it, against the value in the hash table; its GET, PUT and
+    DELETE are direct index operations, checked against this function by
+    ``tests/test_store.py``.
     """
     if op.op is OpType.GET:
         return current, KVResult(op.op, ok=current is not None,

@@ -186,9 +186,3 @@ class FaultInjector:
     def snapshot(self) -> dict:
         """Per-site fault counters (order-insensitive, comparable with ==)."""
         return self.counters.snapshot()
-
-    def reset_log(self) -> None:
-        """Clear the log and counters (not the RNG streams)."""
-        self.log.clear()
-        self.counters.reset()
-        self._site_counts.clear()

@@ -55,9 +55,6 @@ class LoadDispatcher:
         self.ratio = load_dispatch_ratio
         self.line_size = line_size
 
-    def line_of(self, addr: int) -> int:
-        return addr // self.line_size
-
     def is_cacheable(self, addr: int) -> bool:
         """True if the 64 B line holding ``addr`` is in the cacheable part."""
         return self.caches_line(addr // self.line_size)

@@ -35,7 +35,7 @@ assigned; 10-15 are reserved).
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.operations import KVOperation, OpType
 from repro.errors import CorruptionDetected, ProtocolError
@@ -361,8 +361,3 @@ def decode_batch_with_deadline(
     decoder = BatchDecoder(data)
     ops = decoder.decode()
     return ops, decoder.deadline_ns
-
-
-def encoded_size(ops: Sequence[KVOperation]) -> int:
-    """Payload size of a batch without materializing responses."""
-    return len(encode_batch(ops))

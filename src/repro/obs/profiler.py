@@ -114,10 +114,6 @@ class StageBreakdown:
     queue_ns: float = 0.0
     service_ns: float = 0.0
 
-    @property
-    def total_ns(self) -> float:
-        return self.queue_ns + self.service_ns
-
 
 @dataclass
 class MemoryCost:
@@ -348,17 +344,6 @@ class StageProfiler:
             last = latency - accounted
         spans.append(last)
         return spans
-
-    def _segments(
-        self, ctx, now: float
-    ) -> Tuple[Tuple[str, float, float], ...]:
-        """Decompose one op's latency into per-stage (queue, service)."""
-        marks = [
-            (stage, ctx.timestamps[stage])
-            for stage in STAGE_ORDER
-            if stage in ctx.timestamps
-        ]
-        return self._segments_from_marks(marks, ctx.submitted_ns, now)
 
     def _segments_from_marks(
         self, marks: List[Tuple[str, float]], submitted_ns: float, now: float

@@ -15,7 +15,7 @@ The kernel provides:
   events.  Completions inside the leaf models are not events but
   continuations (``then``): the next step, queued bare when its turn comes.
 - :class:`~repro.sim.resources.TokenPool` - counted resource (PCIe tags,
-  flow-control credits, reservation-station entries); ``acquire(then)``
+  flow-control credits); ``acquire(then)``
   queues the continuation on grant, ``acquire()`` returns an event.
 - :class:`~repro.sim.resources.BandwidthServer` - a serial channel with a
   fixed byte rate (PCIe link, DRAM channel, Ethernet port).

@@ -23,8 +23,8 @@ from repro.sim.engine import Event, Simulator
 class TokenPool:
     """A counted resource with FIFO acquisition.
 
-    Models PCIe tags (64 per DMA engine), posted/non-posted header credits,
-    and reservation-station capacity.  ``acquire`` queues a continuation
+    Models PCIe tags (64 per DMA engine) and posted/non-posted header
+    credits.  ``acquire`` queues a continuation
     (or triggers the event it returns) once a token is available;
     ``release`` returns one token.
     """
@@ -57,7 +57,6 @@ class TokenPool:
         if then is None:
             then = event = Event(self.sim)
         if self._available > 0 and not self._waiters:
-            # try_acquire, written out: a grant is one frame.
             self._available -= 1
             self.total_acquired += 1
             in_use = self.capacity - self._available
@@ -70,17 +69,6 @@ class TokenPool:
         else:
             self._waiters.append(then)
         return event
-
-    def try_acquire(self) -> bool:
-        """Take a token immediately if one is free (non-blocking)."""
-        if self._available > 0 and not self._waiters:
-            self._available -= 1
-            self.total_acquired += 1
-            in_use = self.capacity - self._available
-            if in_use > self.peak_in_use:
-                self.peak_in_use = in_use
-            return True
-        return False
 
     def release(self) -> None:
         """Return one token, waking the oldest waiter if any."""

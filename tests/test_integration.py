@@ -142,7 +142,7 @@ class TestClosedLoopConservation:
         sim.run()
         assert processor.station.inflight == 0
         assert processor.station.busy_slots() == 0
-        assert processor.inflight.available == processor.inflight.capacity
+        assert processor.admission.available == processor.admission.capacity
 
     def test_no_response_left_pending(self):
         sim = Simulator()

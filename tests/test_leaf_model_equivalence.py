@@ -415,7 +415,7 @@ class RefKVProcessor(KVProcessor):
         memory = self.store.memory
         memory.start_trace()
         try:
-            result, value_after = self.execute_functional(op, op.key_hash)
+            result, value_after = self.store.apply(op, op.key_hash)
         except KVDirectError as exc:
             memory.stop_trace()
             self.fail_op(ctx, exc)
@@ -854,9 +854,9 @@ class ProcessorRig(Rig):
             r.hit, r.writeback_line, r.needs_fill
         ))
         self._spy(self.tracer, "emit", "tracer")
-        self.pools.append(processor.inflight)
-        self._spy(processor.inflight, "try_acquire", "slots")
-        self._spy(processor.inflight, "release", "slots")
+        self._spy(processor.admission, "submit", "slots",
+                  result=lambda grant: grant.triggered)
+        self._spy(processor.admission, "release", "slots")
         for link in processor.dma.links:
             self._spy(link.tx, "reserve", link.tx.name)
             self._spy(link.rx, "reserve", link.rx.name)
@@ -875,6 +875,12 @@ class ProcessorRig(Rig):
             return response
 
         processor.submit = submit_and_keep
+
+    def assert_drained(self):
+        super().assert_drained()
+        admission = self.processor.admission
+        assert admission.available == admission.capacity
+        assert not admission.depth
 
     def observed(self):
         """Everything a run leaves behind, in comparable form."""

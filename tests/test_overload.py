@@ -28,6 +28,7 @@ from repro.errors import (
     DeadlineExceeded,
     ProtocolError,
     ServerBusy,
+    SimulationError,
 )
 from repro.network.batching import (
     decode_batch,
@@ -36,7 +37,6 @@ from repro.network.batching import (
 )
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
-from repro.sim.resources import TokenPool
 
 
 def q(value):
@@ -77,26 +77,39 @@ class TestShedClass:
         assert shed_class(put) < shed_class(get)
 
 
-def _queue(policy="reject-new", depth=2, tokens=1):
+def _queue(policy="reject-new", depth=2, slots=1):
     sim = Simulator()
-    pool = TokenPool(sim, tokens, name="t")
     queue = IngressQueue(
-        sim, pool, OverloadPolicy(queue_depth=depth, shed_policy=policy)
+        sim, slots, OverloadPolicy(queue_depth=depth, shed_policy=policy)
     )
-    return sim, pool, queue
+    return sim, queue
 
 
 class TestIngressQueue:
     def test_direct_admit_when_idle(self):
-        __, pool, queue = _queue()
+        __, queue = _queue()
         event = queue.submit(KVOperation.get(b"a"))
         assert event.triggered and event.ok and event.value == 0.0
         assert queue.counters["admitted_direct"] == 1
         assert queue.depth == 0
-        assert not pool.try_acquire()  # the token went to the op
+        assert queue.available == 0  # the slot went to the op
+
+    def test_release_without_grant_rejected(self):
+        """The slot ledger: every release returns a granted slot."""
+        __, queue = _queue(slots=2)
+        queue.submit(KVOperation.get(b"a"))
+        queue.release()
+        assert queue.available == queue.capacity
+        with pytest.raises(SimulationError, match="without a grant"):
+            queue.release()
+
+    @pytest.mark.parametrize("slots", [0, -1])
+    def test_rejects_bad_capacity(self, slots):
+        with pytest.raises(SimulationError):
+            _queue(slots=slots)
 
     def test_enqueues_when_tokens_busy(self):
-        __, __, queue = _queue()
+        __, queue = _queue()
         queue.submit(KVOperation.get(b"a"))
         waiting = queue.submit(KVOperation.get(b"b"))
         assert not waiting.triggered
@@ -104,7 +117,7 @@ class TestIngressQueue:
         assert queue.counters["enqueued"] == 1
 
     def test_release_grants_fifo_with_wait_time(self):
-        sim, __, queue = _queue()
+        sim, queue = _queue()
         queue.submit(KVOperation.get(b"a"))
         first = queue.submit(KVOperation.get(b"b"))
         second = queue.submit(KVOperation.get(b"c"))
@@ -117,7 +130,7 @@ class TestIngressQueue:
         assert queue.counters["admitted_queued"] == 1
 
     def test_reject_new_sheds_the_arrival(self):
-        __, __, queue = _queue(policy="reject-new", depth=1)
+        __, queue = _queue(policy="reject-new", depth=1)
         queue.submit(KVOperation.get(b"a"))
         queued = queue.submit(KVOperation.get(b"b"))
         shed = queue.submit(KVOperation.get(b"c"))
@@ -130,7 +143,7 @@ class TestIngressQueue:
         assert queue.shed_total == 1
 
     def test_drop_oldest_sheds_the_head(self):
-        __, __, queue = _queue(policy="drop-oldest", depth=1)
+        __, queue = _queue(policy="drop-oldest", depth=1)
         queue.submit(KVOperation.get(b"a"))
         oldest = queue.submit(KVOperation.get(b"b"))
         arrival = queue.submit(KVOperation.get(b"c"))
@@ -140,7 +153,7 @@ class TestIngressQueue:
         assert queue.depth == 1
 
     def test_by_op_class_sheds_writes_before_reads(self):
-        __, __, queue = _queue(policy="by-op-class", depth=2)
+        __, queue = _queue(policy="by-op-class", depth=2)
         queue.submit(KVOperation.get(b"a"))
         write = queue.submit(KVOperation.put(b"b", b"v"))
         read = queue.submit(KVOperation.get(b"c"))
@@ -151,7 +164,7 @@ class TestIngressQueue:
         assert queue.counters["shed_class_write"] == 1
 
     def test_by_op_class_sheds_vector_ops_first(self):
-        __, __, queue = _queue(policy="by-op-class", depth=2)
+        __, queue = _queue(policy="by-op-class", depth=2)
         queue.submit(KVOperation.get(b"a"))
         write = queue.submit(KVOperation.put(b"b", b"v"))
         vector = queue.submit(KVOperation.update(b"c", FETCH_ADD, q(1)))
@@ -162,7 +175,7 @@ class TestIngressQueue:
 
     def test_by_op_class_tie_sheds_oldest(self):
         """All reads: the oldest queued read goes, not the arrival."""
-        __, __, queue = _queue(policy="by-op-class", depth=1)
+        __, queue = _queue(policy="by-op-class", depth=1)
         queue.submit(KVOperation.get(b"a"))
         oldest = queue.submit(KVOperation.get(b"b"))
         arrival = queue.submit(KVOperation.get(b"c"))

@@ -97,7 +97,7 @@ class TestDriverBehaviour:
             assert proc.deadline_counters[victim.exception.stage] == 1
             reported.add(victim.exception.stage)
             counted.update(proc.deadline_counters.snapshot())
-            assert proc.inflight.available == proc.inflight.capacity
+            assert proc.admission.available == proc.admission.capacity
 
         # Dead before the decoder is done with it.
         sim, proc = _processor(**ingress)
@@ -231,8 +231,8 @@ class TestUniformDeadlineBoundaries:
         assert isinstance(victim.exception, DeadlineExceeded)
         assert victim.exception.stage in ("admission", "pipeline_start")
         assert proc.deadline_counters[victim.exception.stage] == 1
-        # The slot was handed back: the pool drained fully.
-        assert proc.inflight.available == proc.inflight.capacity
+        # The slot was handed back: every slot is free again.
+        assert proc.admission.available == proc.admission.capacity
 
 
 class TestCompletionFanOut:
@@ -311,16 +311,16 @@ class TestStepExceptions:
         on: the error was dropped, the op never responded, and the run
         ended in a misleading "ran out of events ... (deadlock?)"."""
         sim, proc = _processor()
-        execute = proc.execute_functional
+        apply = proc.store.apply
         calls = []
 
-        def execute_then_break(op, h=None):
+        def apply_then_break(op, h=None):
             calls.append(op.seq)
             if len(calls) == 5:
                 raise RuntimeError("bug in the functional model")
-            return execute(op, h)
+            return apply(op, h)
 
-        proc.execute_functional = execute_then_break
+        proc.store.apply = apply_then_break
         ops = [KVOperation.put(b"k%d" % i, b"v", seq=i) for i in range(40)]
         with pytest.raises(RuntimeError, match="functional model"):
             run_closed_loop(proc, ops, concurrency=8)

@@ -22,6 +22,7 @@ from repro.client.robust import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
 )
+from repro.cli import _latency_rows
 from repro.core.admission import OverloadPolicy
 from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
@@ -322,6 +323,30 @@ class TestClientBusyRetries:
         assert stats.busy_give_ups > 0
         assert stats.busy_give_ups == stats.failed_ops
         assert stats.busy_retries == 0
+
+    def test_every_op_shed_reports_no_latency(self):
+        """Regression: a client that completed no op reported 0.0 ns
+        latencies - a zero-latency success - where every other driver
+        reports None."""
+        sim, store, client = _client_setup(
+            overload=OverloadPolicy(queue_depth=1), max_inflight=1,
+            batch_size=8, busy_retry_limit=0,
+        )
+        ops = _gets(store, count=8)
+        # Take the one slot and the one queue place first, so every client
+        # op arrives at a full queue and is shed.
+        admission = client.processor.admission
+        admission.submit(KVOperation.get(b"holder"))
+        admission.submit(KVOperation.get(b"waiter"))
+        stats = client.run(ops)
+        assert stats.busy_give_ups == stats.failed_ops == len(ops)
+        assert [
+            stats.latency_mean_ns, stats.latency_p50_ns,
+            stats.latency_p95_ns, stats.latency_p99_ns,
+        ] == [None] * 4
+        assert _latency_rows(stats.as_dict())[1:] == [
+            ["p50 latency", "n/a"], ["p99 latency", "n/a"]
+        ]
 
     def test_budget_stops_busy_retries(self):
         budget = RetryBudget(capacity=1.0, refill_per_success=0.0)

@@ -63,14 +63,6 @@ class TestTokenPool:
         sim.run()
         assert order == ["first", "second", "third"]
 
-    def test_try_acquire(self):
-        sim = Simulator()
-        pool = TokenPool(sim, capacity=1)
-        assert pool.try_acquire()
-        assert not pool.try_acquire()
-        pool.release()
-        assert pool.try_acquire()
-
     def test_release_without_acquire_rejected(self):
         sim = Simulator()
         pool = TokenPool(sim, capacity=2)
@@ -81,7 +73,7 @@ class TestTokenPool:
         sim = Simulator()
         pool = TokenPool(sim, capacity=8)
         for __ in range(5):
-            assert pool.try_acquire()
+            assert pool.acquire().triggered
         for __ in range(5):
             pool.release()
         assert pool.peak_in_use == 5

@@ -1,6 +1,8 @@
 """Unit tests for the public KVDirectStore API."""
 
+import random
 import struct
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,14 +10,18 @@ from hypothesis import strategies as st
 
 from repro import KVDirectConfig, KVDirectStore
 from repro.core.operations import KVOperation, OpType
+from repro.core.processor import KVProcessor
 from repro.core.vector import (
     COMPARE_AND_SWAP,
     FETCH_ADD,
     FILTER_NONZERO,
     FuncKind,
     REDUCE_SUM,
+    apply_operation,
 )
+from repro.driver import run_closed_loop
 from repro.errors import ConfigurationError, KVDirectError
+from repro.sim import Simulator
 
 
 def q(*values):
@@ -198,6 +204,15 @@ class TestFillAndMeasure:
         assert count > 0
         assert store.utilization() >= 0.2
 
+    def test_fill_reaches_the_ordered_index(self):
+        """Regression: the fill inserted behind the index's back, so RANGE
+        and SCAN on an ordered store skipped every filled key."""
+        store = KVDirectStore.create(memory_size=4 << 20, ordered_index=True)
+        count = store.fill_to_utilization(0.1, kv_size=32)
+        entries = store.range_scan(b"", len(store) + 1)
+        assert len(entries) == count == len(store)
+        assert entries == sorted(store.items())
+
     def test_fill_validates(self, store):
         with pytest.raises(KVDirectError):
             store.fill_to_utilization(1.5, kv_size=32)
@@ -237,7 +252,7 @@ class TestForwardingConsistency:
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow], deadline=None)
     def test_forwarded_equals_direct(self, commands):
         direct = KVDirectStore.create(memory_size=1 << 20)
-        executor = direct.forwarding_executor()
+        executor = partial(apply_operation, registry=direct.registry)
         shadow = {}  # key -> value bytes, maintained via the executor
         for action, key_index, operand in commands:
             key = b"key%d" % key_index
@@ -259,6 +274,79 @@ class TestForwardingConsistency:
             assert direct_result.value == fwd_result.value
         for key, value in shadow.items():
             assert direct.get(key) == value
+
+
+def _interpreter_mix(seed, count=300, keys=60):
+    """Seeded GET / PUT / DELETE / fetch-add / vector λ / RANGE / SCAN."""
+    rng = random.Random(seed)
+    ops = []
+    for seq in range(count):
+        key = b"key%03d" % rng.randrange(keys)
+        kind = rng.randrange(7)
+        if kind == 0:
+            op = KVOperation.get(key, seq=seq)
+        elif kind == 1:
+            value = q(*range(seq, seq + rng.randrange(1, 9)))
+            op = KVOperation.put(key, value, seq=seq)
+        elif kind == 2:
+            op = KVOperation.delete(key, seq=seq)
+        elif kind == 3:
+            op = KVOperation.update(key, FETCH_ADD, q(1), seq=seq)
+        elif kind == 4:
+            op = KVOperation(
+                OpType.UPDATE_SCALAR2VECTOR, key, func_id=FETCH_ADD,
+                param=q(seq), seq=seq,
+            )
+        elif kind == 5:
+            op = KVOperation.range(key, rng.randrange(1, 8), seq=seq)
+        else:
+            op = KVOperation.scan(key, rng.randrange(1, 8), seq=seq)
+        ops.append(op)
+    return ops
+
+
+class TestOneInterpreter:
+    """``store.execute`` and the timed pipeline's memory stage run every op
+    through the same ``KVDirectStore.apply``: one serial mix leaves equal
+    results, contents, cost statistics and memory accesses both ways."""
+
+    @staticmethod
+    def _loaded_store():
+        store = KVDirectStore.create(memory_size=4 << 20, ordered_index=True)
+        for i in range(0, 60, 2):
+            store.put(b"key%03d" % i, q(i, i + 1, i + 2))
+        store.reset_measurements()
+        return store
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_execute_and_pipeline_agree(self, seed):
+        ops = _interpreter_mix(seed)
+        direct = self._loaded_store()
+        direct_results = [direct.execute(op) for op in ops]
+
+        timed = self._loaded_store()
+        processor = KVProcessor(Simulator(), timed)
+        responses = []
+        submit = processor.submit
+
+        def submit_and_keep(op):
+            responses.append(submit(op))
+            return responses[-1]
+
+        processor.submit = submit_and_keep
+        run_closed_loop(processor, ops, concurrency=1)
+        assert processor.completed == len(ops)
+
+        assert [event.value for event in responses] == direct_results
+        assert sorted(timed.items()) == sorted(direct.items())
+        assert timed.dma_stats() == direct.dma_stats()
+        for name in ("get_cost", "put_cost", "delete_cost"):
+            assert (getattr(timed.table, name).count
+                    == getattr(direct.table, name).count)
+        assert timed.index.scan_cost.count == direct.index.scan_cost.count
+        assert timed.table.counters == direct.table.counters
+        assert timed.index.counters == direct.index.counters
+        assert timed.memory.accesses == direct.memory.accesses > 0
 
 
 class TestKeysIterator:
