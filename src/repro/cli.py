@@ -82,12 +82,26 @@ def _plain(parser, **defaults) -> None:
         )
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a span of time: a finite float above zero, so that
+    ``nan``, ``inf``, ``0`` and negatives are usage errors (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < float("inf"):  # NaN fails this too
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above zero: {text!r}"
+        )
+    return value
+
+
 def _timeline_args(parser, what: str) -> None:
     """``--timeline PATH`` / ``--window-ns`` for a run that can carry a
     windowed timeline (``what`` finishes the ``--timeline`` help)."""
     parser.add_argument("--timeline", metavar="PATH", help=what)
     parser.add_argument(
-        "--window-ns", type=float, default=2000.0,
+        "--window-ns", type=_positive_float, default=2000.0,
         help="timeline window in simulated nanoseconds",
     )
 
@@ -168,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
         memory_mib=8,
     )
     timeline.add_argument(
-        "--window-ns", type=float, default=2000.0,
+        "--window-ns", type=_positive_float, default=2000.0,
         help="sampling window in simulated nanoseconds",
     )
     timeline.add_argument(
@@ -341,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shed-policy", choices=SHED_POLICIES, default="reject-new"
     )
     overload.add_argument(
-        "--deadline-us", type=float,
+        "--deadline-us", type=_positive_float,
         help="per-op deadline budget in microseconds (default: none)",
     )
     overload.add_argument(
@@ -360,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fault intensity for FaultPlan.chaos (0 disables faults)",
     )
     soak.add_argument(
-        "--deadline-us", type=float,
+        "--deadline-us", type=_positive_float,
         help="per-op deadline budget in microseconds (default: none)",
     )
     soak.add_argument(

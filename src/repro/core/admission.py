@@ -4,7 +4,8 @@ The paper's reservation station bounds *in-flight* operations; an
 operation that finds every slot taken waits at ingress.  That wait is an
 :class:`IngressQueue`: a FIFO queue that counts the station's free slots
 itself and whose :meth:`~IngressQueue.release` hands a freed slot straight
-to the oldest waiter.  With no :class:`OverloadPolicy` the queue is unbounded
+to the oldest waiter - as a continuation, like a PCIe tag, not an event
+per op.  With no :class:`OverloadPolicy` the queue is unbounded
 and never sheds - under offered load above capacity requests queue and
 latency grows without bound.  A policy gives the processor the property
 production KV stores have instead - graceful degradation: the queue is
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional, Union
 
 from repro.core.operations import KVOperation, OpType
 from repro.errors import ConfigurationError, ServerBusy, SimulationError
@@ -97,17 +98,22 @@ class _Waiter:
     """One operation parked in the ingress queue."""
 
     op: KVOperation
-    event: Event
+    #: What the grant queues: a continuation, or the pending event the
+    #: continuation-omitted :meth:`IngressQueue.submit` returned.
+    then: Callable
     enqueued_ns: float
 
 
 class IngressQueue:
     """FIFO admission queue in front of the reservation station.
 
-    :meth:`submit` returns an event that *succeeds* (with the queue wait
-    in ns) once one of ``capacity`` station slots is granted, or - under a
-    ``policy`` only - *fails* with :class:`~repro.errors.ServerBusy` when
-    the shed policy drops the operation.  ``policy=None`` makes the queue
+    :meth:`submit` queues its continuation ``then(kick)`` once one of
+    ``capacity`` station slots is granted, or - under a ``policy`` only -
+    hands it a failed event carrying :class:`~repro.errors.ServerBusy`
+    when the shed policy drops the operation, the way
+    :meth:`~repro.sim.resources.TokenPool.acquire` does; with ``then``
+    omitted it returns an event that succeeds (with the queue wait in ns)
+    or fails at that same queue position.  ``policy=None`` makes the queue
     unbounded: it never sheds.  Every granted slot comes back through
     :meth:`release`, which hands it to the oldest waiter in FIFO order.
     """
@@ -127,7 +133,8 @@ class IngressQueue:
         self.policy = policy
         self._queue: Deque[_Waiter] = deque()
         self.counters = Counter()
-        #: Time admitted operations spent waiting in the ingress queue.
+        #: Time admitted operations spent waiting in the ingress queue;
+        #: recorded under a policy only, the one case that exports it.
         self.wait_ns = Histogram()
 
     # -- introspection ------------------------------------------------------
@@ -143,27 +150,41 @@ class IngressQueue:
 
     # -- admission ----------------------------------------------------------
 
-    def submit(self, op: KVOperation) -> Event:
-        """Request admission for one op; see class docstring for outcomes."""
-        event = Event(self.sim)
+    def submit(
+        self, op: KVOperation, then: Optional[Callable] = None
+    ) -> Union[Event, bool]:
+        """Request admission for one op: ``then(kick)`` is queued once a
+        slot is granted - at once, or in FIFO turn from :meth:`release` -
+        and ``then(failed_event)`` if the op is shed.  Returns whether
+        ``then`` is queued already (granted or shed on arrival), so False
+        means the op waits for a slot.  With ``then`` omitted the event
+        the class docstring describes is returned instead."""
+        event = None
+        if then is None:
+            then = event = Event(self.sim)
+        policy = self.policy
         if self.available and not self._queue:
             self.available -= 1
             self.counters["admitted_direct"] += 1
-            self.wait_ns.record(0.0)
-            event.succeed(0.0)
-            return event
-        waiter = _Waiter(op, event, self.sim.now)
-        policy = self.policy
+            if policy is not None:
+                self.wait_ns.record(0.0)
+            if event is None:
+                self.sim.call_soon(then)
+                return True
+            return event.succeed(0.0)
+        waiter = _Waiter(op, then, self.sim.now)
+        shed_on_arrival = False
         if policy is None or len(self._queue) < policy.queue_depth:
             self._enqueue(waiter)
-            return event
-        self.counters["queue_full"] += 1
-        victim = self._choose_victim(waiter)
-        if victim is not waiter:
-            self._queue.remove(victim)
-            self._enqueue(waiter)
-        self._shed(victim)
-        return event
+        else:
+            self.counters["queue_full"] += 1
+            victim = self._choose_victim(waiter)
+            if victim is not waiter:
+                self._queue.remove(victim)
+                self._enqueue(waiter)
+            self._shed(victim)
+            shed_on_arrival = victim is waiter
+        return shed_on_arrival if event is None else event
 
     def release(self) -> None:
         """Return one station slot, granting it to the oldest waiter if
@@ -176,8 +197,13 @@ class IngressQueue:
         waiter = self._queue.popleft()
         waited = self.sim.now - waiter.enqueued_ns
         self.counters["admitted_queued"] += 1
-        self.wait_ns.record(waited)
-        waiter.event.succeed(waited)
+        if self.policy is not None:
+            self.wait_ns.record(waited)
+        then = waiter.then
+        if type(then) is Event:
+            then.succeed(waited)
+        else:
+            self.sim.call_soon(then)
 
     # -- shedding -----------------------------------------------------------
 
@@ -213,13 +239,14 @@ class IngressQueue:
         self.counters["shed_total"] += 1
         self.counters.add(f"shed_{policy.replace('-', '_')}")
         self.counters.add(f"shed_class_{_CLASS_NAMES[shed_class(victim.op)]}")
-        victim.event.fail(
+        self.sim.fail(
+            victim.then,
             ServerBusy(
                 f"ingress queue full ({self.policy.queue_depth} deep): "
                 f"op seq={victim.op.seq} shed by {policy} ({reason})",
                 policy=policy,
                 reason=reason,
-            )
+            ),
         )
 
     def snapshot(self) -> dict:

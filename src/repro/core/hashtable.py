@@ -194,12 +194,12 @@ class HashTable:
             )
 
     # -- bucket IO ---------------------------------------------------------------
+    # A bucket is stored as ``memory.write(addr, bucket.pack())`` and a
+    # chain head found as ``base + bucket_index(h) * BUCKET_SIZE``, written
+    # out at each site rather than behind a forwarding frame.
 
     def bucket_addr(self, index: int) -> int:
         return self.base + index * BUCKET_SIZE
-
-    def _store(self, addr: int, bucket: Bucket) -> None:
-        self.memory.write(addr, bucket.pack())
 
     # -- records -------------------------------------------------------------------
 
@@ -222,9 +222,6 @@ class HashTable:
     def _record_class(key: bytes, value: bytes) -> int:
         return class_for_size(_RECORD_HEADER.size + len(key) + len(value))
 
-    def _is_inline(self, key: bytes, value: bytes) -> bool:
-        return len(key) + len(value) <= self.inline_threshold
-
     # -- GET -------------------------------------------------------------------------
 
     def _get(
@@ -238,7 +235,7 @@ class HashTable:
             read = self.memory.read
         unpack = Bucket.unpack
         secondary = secondary_hash(h)
-        addr = self.bucket_addr(bucket_index(h, self.num_buckets))
+        addr = self.base + bucket_index(h, self.num_buckets) * BUCKET_SIZE
         while True:
             bucket = unpack(read(addr, BUCKET_SIZE))
             start = bucket.find_inline(key)
@@ -267,17 +264,20 @@ class HashTable:
         unpack = Bucket.unpack
 
         # Pass 1: walk the chain looking for the key, remembering the first
-        # bucket that could host the new KV and where in it.
-        inline_ok = self._is_inline(key, value)
-        nslots = inline_slots_needed(len(key) + len(value)) if inline_ok else 1
+        # bucket that could host the new KV and where in it.  Whether the
+        # KV goes inline, and in how many slots, is decided once, here.
+        kv_size = len(key) + len(value)
+        inline_ok = kv_size <= self.inline_threshold
+        nslots = inline_slots_needed(kv_size) if inline_ok else 1
         host: Optional[Tuple[int, Bucket, int]] = None
-        addr = self.bucket_addr(bucket_index(h, self.num_buckets))
+        addr = self.base + bucket_index(h, self.num_buckets) * BUCKET_SIZE
         while True:
             bucket = unpack(read(addr, BUCKET_SIZE))
             start = bucket.find_inline(key)
             if start is not None:
                 return self._replace_inline(
-                    addr, bucket, start, key, value, secondary, h
+                    addr, bucket, start, key, value, secondary, h,
+                    inline_ok, nslots,
                 )
             for slot, pointer, sec in bucket.pointer_slots():
                 if sec != secondary:
@@ -303,12 +303,12 @@ class HashTable:
         # the pipeline from pass 1 (no extra DMA to re-read it).
         if host is None:
             return self._insert_into_new_chain_bucket(
-                addr, bucket, key, value, secondary
+                addr, bucket, key, value, secondary, inline_ok
             )
         addr, bucket, run = host
         if inline_ok:
             bucket.write_inline(run, key, value)
-            self._store(addr, bucket)
+            self.memory.write(addr, bucket.pack())
         else:
             self._insert_pointer(addr, bucket, run, key, value, secondary)
         return None
@@ -328,7 +328,7 @@ class HashTable:
         bucket.set_pointer(
             slot, record_addr // POINTER_GRANULARITY, secondary, record_class
         )
-        self._store(addr, bucket)
+        self.memory.write(addr, bucket.pack())
 
     def _insert_into_new_chain_bucket(
         self,
@@ -337,11 +337,12 @@ class HashTable:
         key: bytes,
         value: bytes,
         secondary: int,
+        inline_ok: bool,
     ) -> None:
         """Chain a fresh overflow bucket and place the KV in it."""
         new_addr = self.allocator.alloc_class(_BUCKET_CLASS)
         new_bucket = Bucket()
-        if self._is_inline(key, value):
+        if inline_ok:
             new_bucket.write_inline(0, key, value)
         else:
             record_class = self._record_class(key, value)
@@ -350,25 +351,25 @@ class HashTable:
             new_bucket.set_pointer(
                 0, record_addr // POINTER_GRANULARITY, secondary, record_class
             )
-        self._store(new_addr, new_bucket)
+        self.memory.write(new_addr, new_bucket.pack())
         last_bucket.chain_ptr = new_addr // POINTER_GRANULARITY
-        self._store(last_addr, last_bucket)
+        self.memory.write(last_addr, last_bucket.pack())
         self.counters["chained_buckets"] += 1
         return None
 
     def _replace_inline(
         self, addr: int, bucket: Bucket, start: int, key: bytes, value: bytes,
-        secondary: int, h: int,
+        secondary: int, h: int, inline_ok: bool, nslots: int,
     ) -> Optional[int]:
+        """Replace the inline KV at ``start``; ``inline_ok`` / ``nslots``
+        are the new KV's placement, as :meth:`_put` decided it."""
         old_key, old_value = bucket.read_inline(start)
         bucket.erase_inline(start)
-        if self._is_inline(key, value):
-            run = bucket.find_free_run(
-                inline_slots_needed(len(key) + len(value))
-            )
+        if inline_ok:
+            run = bucket.find_free_run(nslots)
             if run is not None:
                 bucket.write_inline(run, key, value)
-                self._store(addr, bucket)
+                self.memory.write(addr, bucket.pack())
                 return len(old_value)
         # The replacement no longer fits inline: demote to a slab record.
         free_slot = bucket.find_free_run(1)
@@ -378,7 +379,7 @@ class HashTable:
             )
             return len(old_value)
         # No room in this bucket at all: persist the erase, then reinsert.
-        self._store(addr, bucket)
+        self.memory.write(addr, bucket.pack())
         self._put(key, value, h)
         return len(old_value)
 
@@ -405,7 +406,7 @@ class HashTable:
         bucket.set_pointer(
             slot, new_addr // POINTER_GRANULARITY, secondary, new_class
         )
-        self._store(addr, bucket)
+        self.memory.write(addr, bucket.pack())
         self.allocator.free(record_addr, old_class)
         return old_value_len
 
@@ -422,7 +423,7 @@ class HashTable:
         read = self.memory.read
         unpack = Bucket.unpack
         prev: Optional[Tuple[int, Bucket]] = None
-        addr = self.bucket_addr(bucket_index(h, self.num_buckets))
+        addr = self.base + bucket_index(h, self.num_buckets) * BUCKET_SIZE
         while True:
             bucket = unpack(read(addr, BUCKET_SIZE))
             start = bucket.find_inline(key)
@@ -458,11 +459,11 @@ class HashTable:
         if prev is not None and bucket.has_no_entries():
             prev_addr, prev_bucket = prev
             prev_bucket.chain_ptr = bucket.chain_ptr
-            self._store(prev_addr, prev_bucket)
+            self.memory.write(prev_addr, prev_bucket.pack())
             self.allocator.free(addr, _BUCKET_CLASS)
             self.counters["unlinked_buckets"] += 1
             return
-        self._store(addr, bucket)
+        self.memory.write(addr, bucket.pack())
 
     # -- debug / introspection -----------------------------------------------------------
 

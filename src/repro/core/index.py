@@ -23,11 +23,14 @@ class CompositeIndex:
     """The :class:`~repro.core.hashtable.HashTable` plus an optional
     :class:`~repro.core.ordered.OrderedIndex`, kept consistent.
 
-    Point operations go straight to the hash table; when the ordered
-    sidecar is attached, inserts of *new* keys (detected via the table's
-    key count - replacements don't touch the ordered structure) and
-    deletes of existing keys maintain it, and scans walk it, probing the
-    hash table for values on RANGE.  Without it, scans raise
+    Point operations go straight to the hash table: ``lookup(key, h=None)``
+    *is* the table's ``get``, and without the ordered sidecar ``insert``
+    and ``delete`` are its ``put`` and ``delete`` too - bound once, at
+    construction, so an index call is one frame, not a forwarding one.
+    When the sidecar is attached, inserts of *new* keys (detected via the
+    table's key count - replacements don't touch the ordered structure)
+    and deletes of existing keys maintain it, and scans walk it, probing
+    the hash table for values on RANGE.  Without it, scans raise
     :class:`~repro.errors.UnsupportedOperation` and every other operation
     makes exactly the hash table's accesses.
 
@@ -42,16 +45,17 @@ class CompositeIndex:
         #: table's get/put/delete cost stats).
         self.scan_cost = RunningStats()
         self.counters = Counter()
+        self.lookup = table.get
+        if ordered is None:
+            self.insert = table.put
+            self.delete = table.delete
 
-    def lookup(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
-        return self.table.get(key, h)
+    # -- point writes with the ordered sidecar attached ----------------------
 
     def insert(
         self, key: bytes, value: bytes, h: Optional[int] = None
     ) -> bool:
         table = self.table
-        if self.ordered is None:
-            return table.put(key, value, h)
         if h is None:
             h = fnv1a64(key)
         before = table.count
@@ -62,7 +66,7 @@ class CompositeIndex:
 
     def delete(self, key: bytes, h: Optional[int] = None) -> bool:
         existed = self.table.delete(key, h)
-        if existed and self.ordered is not None:
+        if existed:
             self.ordered.delete(key)
         return existed
 

@@ -57,19 +57,19 @@ class Completion:
     forwarded: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Slot:
-    """State of one reservation-station hash slot."""
+    """State of one busy reservation-station hash slot; a slot with
+    nothing in flight is not kept."""
 
-    busy: bool = False
-    busy_key: bytes = b""
+    busy_key: bytes
     #: The op currently in the main pipeline for this slot.
-    busy_op: Optional[KVOperation] = None
-    #: Queued (conservatively) dependent operations, FIFO.
-    chain: Deque[KVOperation] = field(default_factory=deque)
-    #: Cached latest value of busy_key; valid only while busy.
+    busy_op: Optional[KVOperation]
+    #: Queued (conservatively) dependent operations, FIFO - created when
+    #: the first dependent parks, so an op nobody waits on allocates none.
+    chain: Optional[Deque[KVOperation]] = None
+    #: Cached latest value of busy_key, once the busy op completed.
     cached: Optional[bytes] = None
-    cached_valid: bool = False
     #: Stall mode only: additional concurrent in-flight *reads* beyond
     #: busy_op (read-read on a key needs no ordering).
     extra_readers: int = 0
@@ -125,13 +125,7 @@ class ReservationStation:
         slot_id = (fnv1a64(op.key) if h is None else h) % self.num_slots
         slot = self._slots.get(slot_id)
         if slot is None:
-            slot = self._slots[slot_id] = _Slot()
-        if not slot.busy:
-            slot.busy = True
-            slot.busy_key = op.key
-            slot.busy_op = op
-            slot.cached = None
-            slot.cached_valid = False
+            self._slots[slot_id] = _Slot(op.key, op)
             self.counters["issued"] += 1
             return Admission.EXECUTE
         writer_inflight = slot.busy_op is not None and slot.busy_op.is_write
@@ -147,9 +141,12 @@ class ReservationStation:
             slot.extra_readers += 1
             self.counters["issued"] += 1
             return Admission.EXECUTE
-        slot.chain.append(op)
+        chain = slot.chain
+        if chain is None:
+            chain = slot.chain = deque()
+        chain.append(op)
         self.counters["queued"] += 1
-        self.counters.record_max("max_chain", len(slot.chain))
+        self.counters.record_max("max_chain", len(chain))
         return Admission.QUEUED
 
     # -- completion --------------------------------------------------------------
@@ -157,18 +154,20 @@ class ReservationStation:
     def complete(
         self, op: KVOperation, value_after: Optional[bytes],
         h: Optional[int] = None,
-    ) -> Completion:
+    ) -> Optional[Completion]:
         """Main pipeline finished ``op``; resolve dependents.
 
         ``value_after`` is the key's value after the op executed in memory
         (for a GET, the value read; for a PUT, the value written; ``None``
         for deleted/missing).  The caller sends ``responses`` to clients,
         issues ``writeback`` and/or ``next_issue`` to the main pipeline.
+        When that would be nothing - no dependent was parked behind the op,
+        or stall-mode readers still hold its slot - it returns ``None``.
         ``h`` is ``fnv1a64(op.key)`` when the caller already has it.
         """
         slot_id = (fnv1a64(op.key) if h is None else h) % self.num_slots
         slot = self._slots.get(slot_id)
-        if slot is None or not slot.busy:
+        if slot is None:
             raise SimulationError("completion for an op that was not issued")
         if slot.busy_op is not op:
             if self.forwarding or op.is_write or slot.extra_readers <= 0:
@@ -177,19 +176,21 @@ class ReservationStation:
                 )
             # Stall mode: one of the concurrent extra readers finished.
             return self._complete_extra_reader(slot_id, slot)
-        completion = Completion()
-        is_writeback = op.seq < 0  # internal write-back, not a client op
-        if not is_writeback:
+        if op.seq >= 0:  # not an internal write-back
             self.occupancy -= 1
-        slot.cached = value_after
-        slot.cached_valid = True
 
         if not self.forwarding and slot.extra_readers > 0:
             # The primary op finished but concurrent readers remain: the
             # slot stays occupied until they drain.
             slot.busy_op = None
-            return completion
+            return None
+        if not slot.chain:
+            # Nothing parked behind the op: the slot frees, nothing else.
+            del self._slots[slot_id]
+            return None
 
+        slot.cached = value_after
+        completion = Completion()
         if self.forwarding and not op.carries_count:
             # Never forward out of a completed RANGE/SCAN: its value_after
             # is None by construction (a scan reads many keys, not the
@@ -204,7 +205,6 @@ class ReservationStation:
                 slot.busy_key = nxt.key
                 slot.busy_op = nxt
                 slot.cached = None
-                slot.cached_valid = False
                 completion.next_issue = nxt
                 self.counters["issued"] += 1
             else:
@@ -214,9 +214,10 @@ class ReservationStation:
             slot.busy_op = completion.writeback
         return completion
 
-    def _complete_extra_reader(self, slot_id: int, slot: _Slot) -> Completion:
+    def _complete_extra_reader(
+        self, slot_id: int, slot: _Slot
+    ) -> Optional[Completion]:
         """Stall mode: a concurrent GET finished."""
-        completion = Completion()
         self.occupancy -= 1
         slot.extra_readers -= 1
         if slot.extra_readers == 0 and slot.busy_op is None:
@@ -225,12 +226,10 @@ class ReservationStation:
                 slot.busy_key = nxt.key
                 slot.busy_op = nxt
                 slot.cached = None
-                slot.cached_valid = False
-                completion.next_issue = nxt
                 self.counters["issued"] += 1
-            else:
-                del self._slots[slot_id]
-        return completion
+                return Completion(next_issue=nxt)
+            del self._slots[slot_id]
+        return None
 
     def _forward_chain(
         self, slot: _Slot, completion: Completion, h: Optional[int]

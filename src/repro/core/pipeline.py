@@ -64,6 +64,9 @@ class OpContext:
     submitted_ns: float = 0.0
     #: Simulated entry time of each stage crossed, by stage name.
     timestamps: Dict[str, float] = field(default_factory=dict)
+    #: When the op began waiting for an in-flight slot, if it found every
+    #: one taken; ``None`` when it was granted (or shed) on arrival.
+    stall_start: Optional[float] = None
     #: True once a station token (in-flight slot) is held.
     slot_held: bool = False
     #: True once the op entered the reservation station (issue stage).

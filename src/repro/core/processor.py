@@ -207,12 +207,9 @@ class KVProcessor:
         :class:`~repro.core.admission.OverloadPolicy` the event may also
         fail with :class:`~repro.errors.ServerBusy` when the op is shed.
         """
-        ctx = OpContext(
-            op,
-            response=self.sim.event(),
-            deadline_ns=deadline_ns,
-            submitted_ns=self.sim.now,
-        )
+        # Positional: keyword arguments cost a dataclass init about as
+        # much as the rest of it does.
+        ctx = OpContext(op, Event(self.sim), deadline_ns, self.sim.now)
         self._contexts[id(op)] = ctx
         if self.profiler is not None:
             self.profiler.observe_submit(ctx)
@@ -300,7 +297,8 @@ class KVProcessor:
                 self.profiler.observe_failure(ctx, exc)
             if ctx.response is not None:
                 ctx.response.fail(exc)
-        self._fan_out(op.seq, completion)
+        if completion is not None:
+            self._fan_out(op.seq, completion)
 
     def respond(self, ctx: OpContext, result: KVResult) -> None:
         if self._contexts.pop(id(ctx.op), None) is None:
@@ -314,10 +312,11 @@ class KVProcessor:
 
     def _fan_out(self, seq: int, completion: Completion) -> None:
         """Route what the station released when op ``seq`` left it, whether
-        it completed or failed: forwarded dependents execute one per clock
-        in the dedicated execution engine; a dirtied cached value is
-        written back and a newly unblocked op issued, both through the
-        main pipeline."""
+        it completed or failed (a station that released nothing returns no
+        completion, and there is nothing to route): forwarded dependents
+        execute one per clock in the dedicated execution engine; a dirtied
+        cached value is written back and a newly unblocked op issued, both
+        through the main pipeline."""
         sim = self.sim
         for forwarded in completion.responses:  # (op, result) pairs
             sim.call_soon(partial(self._deliver_forwarded, *forwarded))
@@ -356,17 +355,16 @@ class KVProcessor:
             self._expire(ctx, "decode")
             return
         # admission: one reservation-station slot from the ingress queue
-        # (which, under an overload policy, may shed the op instead),
-        # recording the time a queued op stalled on a full station.
+        # (which, under an overload policy, may shed the op instead), whose
+        # grant queues _admitted; an op left waiting stalled on a full
+        # station, and _admitted records for how long.
         ctx.timestamps["admission"] = sim.now
-        grant = self.admission.submit(op)
-        stall_start = None
-        if not grant.triggered:
+        if not self.admission.submit(op, partial(self._admitted, ctx)):
             self.station.record_full_stall()
-            stall_start = sim.now
-        grant.callbacks.append(partial(self._admitted, ctx, stall_start))
+            ctx.stall_start = sim.now
 
-    def _admitted(self, ctx: OpContext, stall_start, grant: Event) -> None:
+    def _admitted(self, ctx: OpContext, grant) -> None:
+        """The slot grant: the kick, or a failed event if the op was shed."""
         sim = self.sim
         tracer = self.tracer
         op = ctx.op
@@ -376,8 +374,8 @@ class KVProcessor:
             self.emit(ctx, "shed", f"policy={exc.policy}")
             self.fail_before_admission(ctx, exc)
             return
-        if stall_start is not None:
-            self.stall_times.record(sim.now - stall_start)
+        if ctx.stall_start is not None:
+            self.stall_times.record(sim.now - ctx.stall_start)
         ctx.slot_held = True
         if ctx.deadline_ns is not None and sim.now > ctx.deadline_ns:
             self._expire(ctx, "admission")
@@ -478,10 +476,11 @@ class KVProcessor:
                     partial(self._replay, ctx, accesses),
                 )
                 return
-            compute_ns = self.compute_time(op, value_after)
-            if compute_ns > 0:
-                sim.call_after(compute_ns, partial(self._replay, ctx, None))
-                return
+            if self.hls is not None:
+                compute_ns = self.compute_time(op, value_after)
+                if compute_ns > 0:
+                    sim.call_after(compute_ns, partial(self._replay, ctx, None))
+                    return
         self.memory_time.record(sim.now - ctx.timestamps["memory"])
         self.counters["main_pipeline_ops"] += 1
         if self.tracer is not None:
@@ -492,7 +491,8 @@ class KVProcessor:
         completion = self.station.complete(op, value_after, op.key_hash)
         if seq >= 0:
             self.respond(ctx, result)
-        self._fan_out(seq, completion)
+        if completion is not None:
+            self._fan_out(seq, completion)
 
     def _expire(self, ctx: OpContext, boundary: str) -> None:
         """Uniform deadline-expiry handling at one stage boundary.

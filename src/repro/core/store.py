@@ -172,19 +172,18 @@ class KVDirectStore:
         forwarding runs too), and write back if it changed.
         """
         index = self.index
+        # Point results are built positionally - (op, ok, value, seq) -
+        # since keywords cost a frozen dataclass init a third again.
         if op.op is OpType.GET:
             value = index.lookup(op.key, h)
-            return (
-                KVResult(op.op, ok=value is not None, value=value, seq=op.seq),
-                value,
-            )
+            return KVResult(op.op, value is not None, value, op.seq), value
         if op.op is OpType.PUT:
             assert op.value is not None
             index.insert(op.key, op.value, h)
-            return KVResult(op.op, ok=True, seq=op.seq), op.value
+            return KVResult(op.op, True, None, op.seq), op.value
         if op.op is OpType.DELETE:
             existed = index.delete(op.key, h)
-            return KVResult(op.op, ok=existed, seq=op.seq), None
+            return KVResult(op.op, existed, None, op.seq), None
         if op.op in (OpType.RANGE, OpType.SCAN):
             with_values = op.op is OpType.RANGE
             entries = index.scan(op.key, op.count, with_values=with_values)

@@ -21,7 +21,9 @@ class MemoryImage:
     Reads and writes are counted both as discrete accesses and as touched
     64-byte lines (the unit one PCIe DMA or one DRAM burst moves).  An
     optional trace records ``(kind, addr, size)`` tuples for the timing
-    layer to replay.
+    layer to replay.  :attr:`accesses`, which the per-op cost statistics
+    read before and after every operation, is a plain field kept next to
+    the counters, so reading it costs no call.
     """
 
     def __init__(self, size: int, name: str = "host") -> None:
@@ -31,6 +33,9 @@ class MemoryImage:
         self.name = name
         self._data = bytearray(size)
         self.counters = Counter()
+        #: Counted read + write accesses: ``counters["reads"] +
+        #: counters["writes"]``, zeroed with them by :meth:`reset_counters`.
+        self.accesses = 0
         self._trace: Optional[List[Tuple[str, int, int]]] = None
 
     # -- tracing ------------------------------------------------------------
@@ -65,6 +70,7 @@ class MemoryImage:
             self._check(addr, size)
         counters = self.counters
         counters["reads"] += 1
+        self.accesses += 1
         counters["read_bytes"] += size
         counters["read_lines"] += (  # touched_lines(addr, size), in place
             (end - 1) // CACHE_LINE_SIZE - addr // CACHE_LINE_SIZE + 1
@@ -82,6 +88,7 @@ class MemoryImage:
             self._check(addr, size)
         counters = self.counters
         counters["writes"] += 1
+        self.accesses += 1
         counters["write_bytes"] += size
         counters["write_lines"] += (
             (end - 1) // CACHE_LINE_SIZE - addr // CACHE_LINE_SIZE + 1
@@ -110,18 +117,13 @@ class MemoryImage:
     # -- accounting ---------------------------------------------------------
 
     @property
-    def accesses(self) -> int:
-        """Total counted read + write accesses."""
-        counters = self.counters
-        return counters["reads"] + counters["writes"]
-
-    @property
     def lines_touched(self) -> int:
         """Total 64 B lines moved (the DMA-equivalent unit)."""
         return self.counters["read_lines"] + self.counters["write_lines"]
 
     def reset_counters(self) -> None:
         self.counters.reset()
+        self.accesses = 0
 
 
 def touched_lines(addr: int, size: int, line: int = CACHE_LINE_SIZE) -> int:

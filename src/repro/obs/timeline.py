@@ -255,9 +255,10 @@ class TimelineSampler:
         sim=None,
         recorder: Optional[FlightRecorder] = None,
     ) -> None:
-        if window_ns <= 0:
+        if not 0 < window_ns < float("inf"):  # NaN fails this too
             raise ConfigurationError(
-                f"timeline window must be > 0 ns: {window_ns}"
+                f"timeline window must be a finite number > 0 ns: "
+                f"{window_ns}"
             )
         self.window_ns = float(window_ns)
         self.sim = sim

@@ -50,7 +50,9 @@ class _Transfer:
     the caller's next step, bare, where a completion event used to be (or,
     from the continuation-omitted ``read()`` / ``write()``, completes the
     pending event ``then`` is).  ``sent`` / ``drop_check``
-    are the fault checks of one attempt: an attempt whose TLPs were
+    are the fault checks of one attempt, run only on a link with an
+    injector (a clean link's drained request goes straight to
+    ``delivered``): an attempt whose TLPs were
     dropped is replayed from ``send`` after the completion timeout, and
     once the retry budget is exhausted the transfer fails: ``then`` is
     handed a failed event carrying :class:`~repro.errors.FaultInjected`.
@@ -71,16 +73,17 @@ class _Transfer:
 
     def send(self, _event) -> None:
         link = self.link
+        # The request TLP drains into the transfer's delivery, or - with an
+        # injector - into the fault checks that decide whether it arrived.
         link.sim.call_when(
-            link.tx.reserve(self.request_bytes(self.nbytes)), self.sent
+            link.tx.reserve(self.request_bytes(self.nbytes)),
+            self.delivered if link.injector is None else self.sent,
         )
 
     def sent(self, _entry) -> None:
         link = self.link
         injector = link.injector
-        if injector is None:
-            self.delivered()
-        elif injector.dma_delay(link.name, link.sim.now):
+        if injector.dma_delay(link.name, link.sim.now):
             link.counters["fault_delays"] += 1
             link._trace(self.seq, "pcie.fault_delay", link.name)
             link.sim.call_after(injector.plan.dma_delay_ns, self.drop_check)
@@ -127,7 +130,7 @@ class _Read(_Transfer):
     def tagged(self, _event) -> None:
         self.link.nonposted_credits.acquire(self.send)
 
-    def delivered(self) -> None:
+    def delivered(self, _entry=None) -> None:
         # Round trip: root complex -> host DRAM -> completion arrives.
         link = self.link
         link.sim.call_after(link.config.read_latency.sample(), self.respond)
@@ -146,7 +149,8 @@ class _Read(_Transfer):
     def complete(self, _entry) -> None:
         link = self.link
         nbytes = self.nbytes
-        self.release()
+        link.nonposted_credits.release()  # what release() does, in place
+        link.tags.release()
         counters = link.counters
         counters["dma_reads"] += 1
         counters["dma_read_bytes"] += nbytes
@@ -171,7 +175,7 @@ class _Write(_Transfer):
     def issue(self, _entry) -> None:
         self.link.posted_credits.acquire(self.send)
 
-    def delivered(self) -> None:
+    def delivered(self, _entry=None) -> None:
         link = self.link
         nbytes = self.nbytes
         # The posted credit is consumed until the root complex processes the

@@ -47,7 +47,10 @@ _PENDING = object()
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-_PAST = "cannot schedule at {} before now ({})"
+#: Every past-time check is written ``not when > now`` (or ``>=``), never
+#: ``when < now``: that is False for NaN, and a NaN entry would sit at the
+#: heap top forever, ending ``run()`` with every later entry unrun.
+_PAST = "cannot schedule at {}: not a time at or after now ({})"
 
 #: :class:`Event` and every subclass: how the run loop tells an event entry
 #: from a bare callable (one ``type(entry) in`` test, no call).
@@ -278,7 +281,7 @@ class Simulator:
         if when == self.now:
             self._dq.append(event)
         else:
-            if when < self.now:
+            if not when > self.now:
                 raise SimulationError(_PAST.format(when, self.now))
             self._sequence += 1
             _heappush(self._queue, (when, self._sequence, event))
@@ -286,7 +289,7 @@ class Simulator:
 
     def schedule_at(self, event: Event, when: float, value: Any = None) -> Event:
         """Trigger ``event`` successfully at absolute time ``when``."""
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(_PAST.format(when, self.now))
         if event._value is not _PENDING or event._exception is not None:
             raise SimulationError("event already triggered")
@@ -310,7 +313,7 @@ class Simulator:
         if when == self.now:
             self._dq.append(callback)
         else:
-            if when < self.now:
+            if not when > self.now:
                 raise SimulationError(_PAST.format(when, self.now))
             self._sequence += 1
             _heappush(self._queue, (when, self._sequence, callback))
@@ -321,7 +324,7 @@ class Simulator:
         if when == self.now:
             self._dq.append(callback)
         else:
-            if when < self.now:
+            if not when > self.now:
                 raise SimulationError(_PAST.format(when, self.now))
             self._sequence += 1
             _heappush(self._queue, (when, self._sequence, callback))
@@ -382,8 +385,10 @@ class Simulator:
             target = _NEVER
             if until is not None:
                 deadline = float(until)
-                if deadline < self.now:
-                    raise SimulationError("run(until) target is in the past")
+                if not deadline >= self.now:
+                    raise SimulationError(
+                        f"run(until={until}) target is not at or after now"
+                    )
         while target.callbacks is not None:
             # Heap entries due at this instant were all pushed before the
             # clock reached it: they go before anything in the deque.

@@ -42,18 +42,21 @@ class TestCallBudget:
             seed=7, memory_size=1 << 20, corpus=2000, put_ratio=0.5
         )
         measured = calls_per_op(built, built.operations(400), 32)
-        # 184.5 on CPython 3.11 (216.0 with the per-op drivers as
-        # generator processes, 302.5 before the frames were removed).
-        assert measured <= 185 * HEADROOM, measured
+        # 159.7 on CPython 3.11 (184.5 with an event per slot grant and
+        # pass-through index, station and DMA frames, 216.0 with the per-op
+        # drivers as generator processes, 302.5 before the frames were
+        # removed).
+        assert measured <= 160 * HEADROOM, measured
 
     def test_ordered_scans(self):
         built = scenario.build(
             seed=7, memory_size=1 << 20, corpus=1000, workload="E"
         )
         measured = calls_per_op(built, built.operations(120), 16)
-        # 1796.2 on CPython 3.11 (1890.6 with generator drivers, 2577.0
+        # 1722.9 on CPython 3.11 (1796.2 with an event per slot grant and
+        # pass-through frames, 1890.6 with generator drivers, 2577.0
         # before the frames were removed).
-        assert measured <= 1797 * HEADROOM, measured
+        assert measured <= 1723 * HEADROOM, measured
 
     def test_cluster_router_with_a_kill(self):
         """The replicated path: one key hash per op from router to replica,
@@ -73,6 +76,7 @@ class TestCallBudget:
         assert stats["completed"] == len(ops)
         assert cluster.counters["failovers"] == 1
         measured = sum(e.callcount for e in profile.getstats()) / len(ops)
-        # 334.0 on CPython 3.11 (351.1 with a hash per layer, a stamped op
+        # 297.9 on CPython 3.11 (334.0 with an event per slot grant and
+        # pass-through frames, 351.1 with a hash per layer, a stamped op
         # copy per attempt and a drain process per burst of records).
-        assert measured <= 334 * HEADROOM, measured
+        assert measured <= 298 * HEADROOM, measured

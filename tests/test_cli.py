@@ -97,6 +97,22 @@ class TestErrors:
         with pytest.raises(SystemExit):
             run_cli("tune", "--kv-size", "30")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("timeline", "--window-ns"),
+        ("bench", "run", "--window-ns"),
+        ("overload", "--deadline-us"),
+        ("soak", "--deadline-us"),
+    ])
+    def test_time_spans_must_be_finite_and_positive(self, argv, value, capsys):
+        """Regression: ``--deadline-us nan`` silently disabled every
+        deadline and ``--window-ns nan`` ended the run as a "deadlock";
+        ``0`` / ``-1`` windows died in a traceback, not a usage error."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv, value)
+        assert exited.value.code == 2
+        assert "finite number above zero" in capsys.readouterr().err
+
 
 class TestRecordReplay:
     def test_record_then_replay(self, tmp_path):

@@ -39,6 +39,28 @@ class TestMemoryImage:
         assert mem.peek(0, 3) == b"abc"
         assert mem.accesses == 0
 
+    def test_accesses_field_tracks_the_counters(self):
+        """``accesses`` is a field kept next to the read/write counters:
+        it must equal their sum after counted and uncounted accesses and
+        after a reset."""
+        mem = MemoryImage(256)
+
+        def in_step():
+            counters = mem.counters
+            return mem.accesses == counters["reads"] + counters["writes"]
+
+        mem.write(0, b"x" * 100)
+        mem.read(10, 80)
+        mem.read(0, 0)
+        assert mem.accesses == 3 and in_step()
+        mem.poke(128, b"y" * 8)
+        assert mem.peek(128, 8) == b"y" * 8
+        assert mem.accesses == 3 and in_step()
+        mem.reset_counters()
+        assert mem.accesses == 0 and in_step()
+        mem.write(200, b"z")
+        assert mem.accesses == 1 and in_step()
+
     def test_out_of_bounds(self):
         mem = MemoryImage(64)
         with pytest.raises(IndexError):

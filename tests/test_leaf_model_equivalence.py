@@ -455,7 +455,8 @@ class RefKVProcessor(KVProcessor):
         completion = self.station.complete(op, value_after, op.key_hash)
         if seq >= 0:
             self.respond(ctx, result)
-        self._fan_out(seq, completion)
+        if completion is not None:
+            self._fan_out(seq, completion)
 
     def _stamp_on_response(self, ctx):
         def record(ev):
@@ -854,8 +855,14 @@ class ProcessorRig(Rig):
             r.hit, r.writeback_line, r.needs_fill
         ))
         self._spy(self.tracer, "emit", "tracer")
+        # The reference takes its grant as an event, the chains pass a
+        # continuation: both are logged as the op and whether the grant
+        # (or the shed) was queued on arrival.
         self._spy(processor.admission, "submit", "slots",
-                  result=lambda grant: grant.triggered)
+                  result=lambda grant: (
+                      grant if type(grant) is bool else grant.triggered
+                  ),
+                  logged_args=lambda args: args[:1])
         self._spy(processor.admission, "release", "slots")
         for link in processor.dma.links:
             self._spy(link.tx, "reserve", link.tx.name)

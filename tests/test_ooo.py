@@ -60,12 +60,12 @@ class TestAdmission:
 
 class TestCompletion:
     def test_plain_completion_frees_slot(self):
+        """Nothing was parked behind the op, so nothing is released: no
+        completion is built at all."""
         station = make_station()
         op = KVOperation.get(b"a")
         station.admit(op)
-        completion = station.complete(op, b"value")
-        assert completion.responses == []
-        assert completion.writeback is None
+        assert station.complete(op, b"value") is None
         assert station.inflight == 0
         assert station.busy_slots() == 0
 
@@ -96,9 +96,8 @@ class TestCompletion:
         assert completion.writeback is not None
         assert completion.writeback.op is OpType.PUT
         assert completion.writeback.value == b"v2"
-        # Write-back completion releases the slot.
-        done = station.complete(completion.writeback, b"v2")
-        assert done.writeback is None
+        # Write-back completion releases the slot, and nothing else.
+        assert station.complete(completion.writeback, b"v2") is None
         assert station.busy_slots() == 0
 
     def test_atomic_chain_executes_in_order(self):
@@ -162,8 +161,7 @@ class TestCompletion:
         completion = station.complete(first, b"va")
         assert completion.responses == []  # different key: no forwarding
         assert completion.next_issue is second
-        done = station.complete(second, b"vb")
-        assert done.next_issue is None
+        assert station.complete(second, b"vb") is None
 
     def test_popular_key_skips_colliding_op(self):
         """Same-hash different-key ops do not block same-key forwarding."""
@@ -190,7 +188,9 @@ class TestCompletion:
         for op in ops[1:]:
             station.admit(op)
         completion = station.complete(ops[0], q(1))
-        while completion.writeback or completion.next_issue:
+        while completion is not None and (
+            completion.writeback or completion.next_issue
+        ):
             nxt = completion.writeback or completion.next_issue
             completion = station.complete(nxt, nxt.value if nxt.op is OpType.PUT else None)
         assert station.inflight == 0
@@ -219,10 +219,23 @@ class TestStallMode:
             station.admit(op)
         issued = 1
         completion = station.complete(ops[0], q(1))
-        while completion.next_issue is not None:
+        while completion is not None:  # each releases just the next op
             issued += 1
             completion = station.complete(completion.next_issue, q(issued))
         assert issued == 5  # every op took its own pipeline pass
+
+    def test_reads_sharing_a_slot_release_nothing(self):
+        """Concurrent same-key GETs: neither the primary finishing while
+        an extra reader holds the slot, nor the last reader leaving an
+        empty chain, releases anything."""
+        station = make_station(forwarding=False)
+        first, second = KVOperation.get(b"a"), KVOperation.get(b"a")
+        assert station.admit(first) is Admission.EXECUTE
+        assert station.admit(second) is Admission.EXECUTE
+        assert station.complete(first, b"v") is None
+        assert station.busy_slots() == 1
+        assert station.complete(second, b"v") is None
+        assert station.inflight == 0 and station.busy_slots() == 0
 
 
 class TestAccounting:

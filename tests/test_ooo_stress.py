@@ -66,6 +66,8 @@ class StationDriver:
         if op.seq >= 0:
             self.responses[op.seq] = result
         completion = self.station.complete(op, new_value)
+        if completion is None:  # nothing parked behind the op
+            return True
         for fwd_op, fwd_result in completion.responses:
             self.responses[fwd_op.seq] = fwd_result
         if completion.writeback is not None:

@@ -183,6 +183,86 @@ class TestIngressQueue:
         assert not arrival.triggered
 
 
+def _holder(queue):
+    """Take the one slot."""
+    queue.submit(KVOperation.get(b"holder"))
+
+
+class TestIngressContinuation:
+    """``submit(op, then)`` queues ``then`` exactly where the event form
+    queues its event - at once, from ``release``, or failed at a shed -
+    measured against ``call_soon`` entries queued just before and just
+    after the call that grants (or sheds) the watched op."""
+
+    #: name -> (policy, setup before the trigger, trigger, whether the
+    #: continuation form's submit of the watched op reports it queued).
+    #: ``watch`` submits the watched op in the form under test.
+    CASES = {
+        "granted at once": (
+            "reject-new",
+            lambda queue, watch: None,
+            lambda queue, watch: watch(KVOperation.get(b"a")),
+            True,
+        ),
+        "granted on release": (
+            "reject-new",
+            lambda queue, watch: (_holder(queue), watch(KVOperation.get(b"a"))),
+            lambda queue, watch: queue.release(),
+            False,
+        ),
+        "shed on arrival": (
+            "reject-new",
+            lambda queue, watch: (
+                _holder(queue), queue.submit(KVOperation.get(b"waiter"))
+            ),
+            lambda queue, watch: watch(KVOperation.get(b"a")),
+            True,
+        ),
+        "shed while waiting": (
+            "drop-oldest",
+            lambda queue, watch: (_holder(queue), watch(KVOperation.get(b"a"))),
+            lambda queue, watch: queue.submit(KVOperation.get(b"newer")),
+            False,
+        ),
+    }
+
+    @staticmethod
+    def positions(case, form):
+        policy, setup, trigger, __ = TestIngressContinuation.CASES[case]
+        sim, queue = _queue(policy=policy, depth=1)
+        order, queued_at_once = [], []
+
+        def landed(event):
+            order.append(("watched", type(event.exception)))
+
+        def watch(op):
+            if form == "event":
+                queue.submit(op).callbacks.append(landed)
+            else:
+                queued_at_once.append(queue.submit(op, landed))
+
+        setup(queue, watch)
+        sim.run()
+        sim.call_soon(lambda entry: order.append("before"))
+        trigger(queue, watch)
+        sim.call_soon(lambda entry: order.append("after"))
+        sim.run()
+        return order, queued_at_once
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_continuation_runs_where_the_event_did(self, case):
+        shed = case.startswith("shed")
+        expected = [
+            "before",
+            ("watched", ServerBusy if shed else type(None)),
+            "after",
+        ]
+        by_event, __ = self.positions(case, "event")
+        by_continuation, queued_at_once = self.positions(case, "continuation")
+        assert by_event == by_continuation == expected
+        assert queued_at_once == [self.CASES[case][3]]
+
+
 class TestWireDeadline:
     OPS = [
         KVOperation.put(b"key1", b"value", seq=0),
@@ -281,6 +361,7 @@ class TestProcessorShedding:
         assert queue.policy is None and queue.shed_total == 0
         assert queue.counters["max_depth"] >= 14
         assert queue.depth == 0
+        assert queue.wait_ns.count == 0  # exported only under a policy
         assert processor.counters["shed_ops"] == 0
         names = processor.register_metrics(MetricsRegistry()).names()
         assert not [name for name in names if name.startswith("ingress")]

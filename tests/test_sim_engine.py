@@ -104,6 +104,31 @@ class TestTimeout:
         assert sim.run(event) == "on time"
         assert sim.now == 10.0
 
+    def test_nan_time_rejected_on_every_schedule(self):
+        """Regression: ``when < now`` is False for NaN, so a NaN entry was
+        pushed, sat at the heap top failing ``<= deadline``, and ``run()``
+        returned with every later entry unrun and the clock unmoved."""
+        nan = float("nan")
+        sim = Simulator()
+        ran = []
+        sim.call_after(5.0, ran.append)
+        event = sim.event()
+        schedules = (
+            lambda: sim.call_after(nan, ran.append),
+            lambda: sim.call_when(nan, ran.append),
+            lambda: sim.schedule_at(event, nan),
+            lambda: event.succeed(delay=nan),
+            lambda: event.fail(ValueError("nan"), delay=nan),
+            lambda: sim.timeout(nan),
+            lambda: sim.run(until=nan),
+        )
+        for schedule in schedules:
+            with pytest.raises(SimulationError):
+                schedule()
+        assert not event.triggered
+        sim.run()
+        assert len(ran) == 1 and sim.now == 5.0
+
     def test_zero_delay_allowed(self):
         sim = Simulator()
         timeout = sim.timeout(0.0)

@@ -107,6 +107,13 @@ class TestConfiguration:
             with pytest.raises(ConfigurationError, match="window"):
                 TimelineSampler(window_ns=bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_window_must_be_finite(self, bad):
+        """Regression: NaN passed the ``<= 0`` check, and the first tick's
+        NaN boundary ended the run ("ran out of events ... deadlock?")."""
+        with pytest.raises(ConfigurationError, match="window"):
+            TimelineSampler(window_ns=bad)
+
     def test_start_requires_simulator(self):
         sampler = TimelineSampler()
         sampler.attach_processor = lambda *a: None  # not reached
