@@ -385,13 +385,15 @@ class KVClient:
         self, pending: List[KVOperation], events: List[Event]
     ) -> Tuple[List[KVOperation], int]:
         """Harvest one round of responses; return the NACKed ops and how
-        many ops succeeded."""
+        many ops succeeded.  Every event has settled, so its ``_exception``
+        and ``_value`` are read directly, as the processor reads them."""
         busy_ops: List[KVOperation] = []
         succeeded = 0
         for op, event in zip(pending, events):
-            if event.ok:
+            exc = event._exception
+            if exc is None:
                 succeeded += 1
-                result = event.value
+                result = event._value
                 if result.seq >= 0:
                     self.responses[result.seq] = result
                 if self.breaker is not None:
@@ -399,7 +401,6 @@ class KVClient:
                 if self.retry_budget is not None:
                     self.retry_budget.on_success()
                 continue
-            exc = event.exception
             if isinstance(exc, ServerBusy):
                 self.busy_nacks += 1
                 busy_ops.append(op)
@@ -494,10 +495,12 @@ class KVClient:
 
 
 def _response_size(event: Event) -> int:
-    """Bytes one result occupies in a response packet."""
+    """Bytes one settled result occupies in a response packet."""
     base = 4  # opcode + status + sequence echo
-    if event.ok and event.value.value is not None:
-        return base + 2 + len(event.value.value)
+    if event._exception is None:
+        value = event._value.value
+        if value is not None:
+            return base + 2 + len(value)
     return base
 
 

@@ -11,6 +11,7 @@ access pattern and target memory utilization."
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -120,8 +121,13 @@ class KVDirectConfig:
             )
         if not 0.0 <= self.load_dispatch_ratio <= 1.0:
             raise ConfigurationError("load dispatch ratio must be in [0, 1]")
-        if self.clock_hz <= 0:
-            raise ConfigurationError("clock must be positive")
+        # Written so that NaN fails each check.
+        if not 0 < self.clock_hz < math.inf:
+            raise ConfigurationError("clock must be finite and positive")
+        if not 0 < self.network_bandwidth < math.inf:
+            raise ConfigurationError("network bandwidth must be finite, > 0")
+        if not 0 <= self.network_rtt_ns < math.inf:
+            raise ConfigurationError("network RTT must be finite and >= 0")
         if self.pcie_links <= 0:
             raise ConfigurationError("need at least one PCIe link")
         if self.max_inflight <= 0 or self.reservation_slots <= 0:

@@ -48,10 +48,10 @@ class OpType(IntEnum):
 
 
 #: Operations that carry a value payload to the server.
-_OPS_WITH_VALUE = frozenset({OpType.PUT, OpType.UPDATE_VECTOR2VECTOR})
+OPS_WITH_VALUE = frozenset({OpType.PUT, OpType.UPDATE_VECTOR2VECTOR})
 
 #: Operations that carry a registered function id and a parameter.
-_OPS_WITH_FUNC = frozenset(
+OPS_WITH_FUNC = frozenset(
     {
         OpType.UPDATE_SCALAR,
         OpType.UPDATE_SCALAR2VECTOR,
@@ -62,7 +62,7 @@ _OPS_WITH_FUNC = frozenset(
 )
 
 #: Ordered operations carrying a scan count/limit field.
-_OPS_WITH_COUNT = frozenset({OpType.RANGE, OpType.SCAN})
+OPS_WITH_COUNT = frozenset({OpType.RANGE, OpType.SCAN})
 
 #: Operations that leave store state as it was.
 _READ_OPS = frozenset(
@@ -156,15 +156,15 @@ class KVOperation:
 
     @property
     def carries_value(self) -> bool:
-        return self.op in _OPS_WITH_VALUE
+        return self.op in OPS_WITH_VALUE
 
     @property
     def carries_func(self) -> bool:
-        return self.op in _OPS_WITH_FUNC
+        return self.op in OPS_WITH_FUNC
 
     @property
     def carries_count(self) -> bool:
-        return self.op in _OPS_WITH_COUNT
+        return self.op in OPS_WITH_COUNT
 
     @property
     def is_write(self) -> bool:

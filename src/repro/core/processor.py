@@ -344,7 +344,7 @@ class KVProcessor:
             self.tracer.emit(op.seq, "ingress", f"op={op.op.name}")
         # decode: the fully pipelined batch/op decoder (one op per clock).
         ctx.timestamps["decode"] = sim.now
-        sim.call_when(self.decoder.reserve(), partial(self._decoded, ctx))
+        self.decoder.reserve(partial(self._decoded, ctx))
 
     def _decoded(self, ctx: OpContext, _entry) -> None:
         sim = self.sim
@@ -530,9 +530,7 @@ class KVProcessor:
 
     def _deliver_forwarded(self, op, result, _entry) -> None:
         """Forwarded ops respond one per clock via the dedicated engine."""
-        self.sim.call_when(
-            self.forward_engine.reserve(), partial(self._forwarded, op, result)
-        )
+        self.forward_engine.reserve(partial(self._forwarded, op, result))
 
     def _forwarded(self, op, result, _entry) -> None:
         self.counters["forwarded"] += 1

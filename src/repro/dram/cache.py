@@ -37,8 +37,11 @@ class AccessResult:
     needs_fill: bool = False
 
 
-#: Every hit's result: frozen, so one object serves them all.
+#: Every hit's result, and every miss's without a dirty victim: frozen, so
+#: one object serves them all.
 _HIT = AccessResult(hit=True)
+_MISS_FILL = AccessResult(hit=False, needs_fill=True)
+_MISS_NO_FILL = AccessResult(hit=False)
 
 
 class CacheStats:
@@ -157,37 +160,38 @@ class DramCache:
         """
         if not 0 <= host_line < self.host_lines:
             self._check_line(host_line)
-        # The metadata word is (tag << 1) | dirty (ECCMetadataCodec.pack,
-        # which still range-checks every word a miss installs).
+        # The metadata word is (tag << 1) | dirty, ECCMetadataCodec.pack
+        # written out: the bounds check above already keeps the tag below
+        # ceil(host_lines / nic_lines) <= 2**tag_bits.
         nic_lines = self.nic_lines
         slot = host_line % nic_lines
         tag = host_line // nic_lines
+        stats = self.stats
         if self._valid[slot]:
             word = self._meta[slot]
             old_tag = word >> 1
             if old_tag == tag:
-                self.stats.hits += 1
+                stats.hits += 1
                 if write:
                     self._meta[slot] = word | 1
                 return _HIT
             # Conflict miss: evict the resident line.
-            self.stats.misses += 1
-            self.stats.evictions += 1
-            writeback = None
+            stats.misses += 1
+            stats.evictions += 1
+            self._meta[slot] = (tag << 1) | write
             if word & 1:
-                self.stats.writebacks += 1
-                writeback = old_tag * nic_lines + slot
-            self._meta[slot] = self.codec.pack(tag, write)
-            needs_fill = (not write) or (not full_line)
-            return AccessResult(
-                hit=False, writeback_line=writeback, needs_fill=needs_fill
-            )
-        # Cold miss.
-        self.stats.misses += 1
-        self._valid[slot] = 1
-        self._meta[slot] = self.codec.pack(tag, write)
-        needs_fill = (not write) or (not full_line)
-        return AccessResult(hit=False, needs_fill=needs_fill)
+                stats.writebacks += 1
+                return AccessResult(
+                    hit=False,
+                    writeback_line=old_tag * nic_lines + slot,
+                    needs_fill=(not write) or (not full_line),
+                )
+        else:
+            # Cold miss.
+            stats.misses += 1
+            self._valid[slot] = 1
+            self._meta[slot] = (tag << 1) | write
+        return _MISS_NO_FILL if write and full_line else _MISS_FILL
 
     def invalidate(self, host_line: int) -> Optional[int]:
         """Drop a line; returns the line index if a dirty copy was lost."""

@@ -36,8 +36,7 @@ class _Burst:
         dram.sim.call_soon(self.issue)
 
     def issue(self, _entry) -> None:
-        dram = self.dram
-        dram.sim.call_when(dram.channel.reserve(self.nbytes), self.drained)
+        self.dram.channel.reserve(self.nbytes, self.drained)
 
     def drained(self, _entry) -> None:
         dram = self.dram
@@ -62,11 +61,11 @@ class NICDram:
         latency_ns: float = constants.NIC_DRAM_LATENCY_NS,
         image: Optional[MemoryImage] = None,
     ) -> None:
-        if size <= 0:
+        if not size > 0:
             raise ConfigurationError("NIC DRAM size must be positive")
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise ConfigurationError("NIC DRAM bandwidth must be positive")
-        if latency_ns < 0:
+        if not latency_ns >= 0:
             raise ConfigurationError("NIC DRAM latency must be non-negative")
         self.sim = sim
         self.size = size

@@ -13,6 +13,13 @@ cacheable.  The optimal ``l`` balances traffic so that::
 
 where DRAM serves cache hits (plus fills) and PCIe serves the bypass
 portion plus cache misses.
+
+The per-line test has one definition: a line is cacheable when its 32-bit
+multiplicative hash ``(line * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK`` is
+below :attr:`LoadDispatcher.threshold`, ``ratio * 2**32``.  Both scalings
+by a power of two are exact, so this compares exactly like
+``address_hash(line) < ratio``; the memory access engine evaluates it in
+place, once per line, without a call.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from repro.constants import CACHE_LINE_SIZE
 from repro.errors import ConfigurationError
 
 #: Knuth's multiplicative hash constant (2^32 / phi).
-_HASH_MULTIPLIER = 2654435761
-_HASH_MASK = (1 << 32) - 1
+LINE_HASH_MULTIPLIER = 2654435761
+LINE_HASH_MASK = (1 << 32) - 1
 
 
 def address_hash(line_index: int) -> float:
@@ -35,7 +42,9 @@ def address_hash(line_index: int) -> float:
     evenly, satisfying the paper's "equal probability of being cache-able"
     requirement.
     """
-    return ((line_index * _HASH_MULTIPLIER) & _HASH_MASK) / (_HASH_MASK + 1)
+    return (
+        (line_index * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK
+    ) / (LINE_HASH_MASK + 1)
 
 
 class LoadDispatcher:
@@ -53,6 +62,8 @@ class LoadDispatcher:
         if line_size <= 0:
             raise ConfigurationError("line size must be positive")
         self.ratio = load_dispatch_ratio
+        #: A line is cacheable when its 32-bit hash is below this.
+        self.threshold = load_dispatch_ratio * (LINE_HASH_MASK + 1)
         self.line_size = line_size
 
     def is_cacheable(self, addr: int) -> bool:
@@ -61,11 +72,10 @@ class LoadDispatcher:
 
     def caches_line(self, line_index: int) -> bool:
         """:meth:`is_cacheable` for a caller that already holds the line
-        index (the access engine, once per line): :func:`address_hash`
-        written out, so the per-line question is one call."""
+        index."""
         return (
-            (line_index * _HASH_MULTIPLIER) & _HASH_MASK
-        ) / (_HASH_MASK + 1) < self.ratio
+            (line_index * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK
+        ) < self.threshold
 
 
 def uniform_hit_rate(k: float, l: float) -> float:

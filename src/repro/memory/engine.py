@@ -19,7 +19,11 @@ from repro.dram.cache import DramCache, ECCFaultPath
 from repro.dram.hamming import DecodeStatus
 from repro.dram.nic import NICDram
 from repro.errors import CorruptionDetected
-from repro.memory.dispatcher import LoadDispatcher
+from repro.memory.dispatcher import (
+    LINE_HASH_MASK,
+    LINE_HASH_MULTIPLIER,
+    LoadDispatcher,
+)
 from repro.pcie.dma import MultiLinkDMA
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Counter
@@ -61,13 +65,16 @@ class _Access:
         # per-line detail strings.
         tracer = engine.tracer
         cache = engine.cache
-        caches_line = engine.dispatcher.caches_line
+        # The dispatcher's per-line test, evaluated in place.
+        threshold = engine.dispatcher.threshold
         line_landed = self.line_landed
         for line in range(first, last + 1):
             line_addr = line * line_size
             start = addr if line == first else line_addr
             span = (end if line == last else line_addr + line_size) - start
-            if cache is not None and caches_line(line):
+            if cache is not None and (
+                (line * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK
+            ) < threshold:
                 if tracer is not None:
                     tracer.emit(seq, "mem.route", f"line={line} dram")
                 _CachedLine(
@@ -144,9 +151,10 @@ class _CachedLine:
                 except CorruptionDetected as exc:
                     engine.sim.fail(self.then, exc)
                     return
-                if status is DecodeStatus.CORRECTED:
-                    engine._trace(seq, "dram.ecc_corrected", f"line={line}")
-            self.burst(write)
+                if status is DecodeStatus.CORRECTED and tracer is not None:
+                    tracer.emit(seq, "dram.ecc_corrected", f"line={line}")
+            # The line's last step: one NIC-DRAM burst, then done.
+            engine.nic_dram.access(engine.line_size, write, self.landed)
             return
         engine.counters["cache_misses"] += 1
         if engine.profiler is not None:
@@ -159,9 +167,10 @@ class _CachedLine:
             engine.counters["writebacks"] += 1
             if engine.profiler is not None:
                 engine.profiler.record_cache(seq, "writeback")
-            engine._trace(
-                seq, "dram.writeback", f"line={result.writeback_line}"
-            )
+            if tracer is not None:
+                tracer.emit(
+                    seq, "dram.writeback", f"line={result.writeback_line}"
+                )
             engine.nic_dram.access(engine.line_size, False, self.victim_read)
         else:
             self.fetch()
@@ -179,22 +188,18 @@ class _CachedLine:
             self.fetch()
 
     def fetch(self) -> None:
+        engine = self.engine
         if not self.fill:
-            # Install the (new or fetched) line in NIC DRAM.
-            self.burst(True)
+            # Install the (new or fetched) line in NIC DRAM: the last step.
+            engine.nic_dram.access(engine.line_size, True, self.landed)
             return
         self.fill = False
-        engine = self.engine
         engine.counters["fills"] += 1
         if engine.profiler is not None:
             engine.profiler.record_cache(self.seq, "fill")
-        engine._trace(self.seq, "dram.fill", f"line={self.line}")
+        if engine.tracer is not None:
+            engine.tracer.emit(self.seq, "dram.fill", f"line={self.line}")
         engine.dma.read(engine.line_size, self.seq, self.dma_landed)
-
-    def burst(self, write: bool) -> None:
-        """The line's last step: one NIC-DRAM burst, then done."""
-        engine = self.engine
-        engine.nic_dram.access(engine.line_size, write, self.landed)
 
     def landed(self, _entry) -> None:
         self.engine.sim.call_soon(self.then)
@@ -239,10 +244,6 @@ class MemoryAccessEngine:
         done = Event(self.sim) if then is None else None
         _Access(self, addr, size, write, seq, then or done)
         return done
-
-    def _trace(self, seq: int, stage: str, detail: str = "") -> None:
-        if self.tracer is not None:
-            self.tracer.emit(seq, stage, detail)
 
     # -- introspection ------------------------------------------------------
 

@@ -37,7 +37,13 @@ from __future__ import annotations
 import struct
 from typing import Iterable, List, Optional, Tuple
 
-from repro.core.operations import KVOperation, OpType
+from repro.core.operations import (
+    OPS_WITH_COUNT,
+    OPS_WITH_FUNC,
+    OPS_WITH_VALUE,
+    KVOperation,
+    OpType,
+)
 from repro.errors import CorruptionDetected, ProtocolError
 
 _OPCODE_MASK = 0x0F
@@ -118,7 +124,12 @@ class BatchEncoder:
     def add(self, op: KVOperation) -> None:
         if self._count >= _MAX_BATCH_OPS:
             raise ProtocolError("batch op count overflow")
-        self._validate(op)
+        # The op kind, read once and tested against the three op-kind sets.
+        kind = op.op
+        carries_value = kind in OPS_WITH_VALUE
+        carries_func = kind in OPS_WITH_FUNC
+        carries_count = kind in OPS_WITH_COUNT
+        self._validate(op, carries_value, carries_func, carries_count)
         flags = 0
         header = bytearray()
         klen = len(op.key)
@@ -127,10 +138,10 @@ class BatchEncoder:
         else:
             header.append(klen)
             self._prev_klen = klen
-        if op.carries_count:
+        if carries_count:
             header.extend(_U16.pack(op.count))
         body = bytearray()
-        if op.carries_value:
+        if carries_value:
             assert op.value is not None
             vlen = len(op.value)
             if vlen == self._prev_vlen:
@@ -143,35 +154,39 @@ class BatchEncoder:
             else:
                 body.extend(op.value)
                 self._prev_value = op.value
-        if op.carries_func:
+        if carries_func:
             header.append(op.func_id)
             header.extend(_U16.pack(len(op.param)))
             header.extend(op.param)
-        self._parts.append(bytes([op.op | flags]) + bytes(header))
+        self._parts.append(bytes([kind | flags]) + bytes(header))
         self._parts.append(bytes(op.key))
         if body:
             self._parts.append(bytes(body))
         self._count += 1
 
     @staticmethod
-    def _validate(op: KVOperation) -> None:
+    def _validate(
+        op: KVOperation, carries_value: bool, carries_func: bool,
+        carries_count: bool,
+    ) -> None:
         """Check the op fits the wire format's fixed-width length fields.
 
         Validated up front so an oversized op raises a clear
         :class:`~repro.errors.ProtocolError` (not an opaque ``ValueError``
         from ``bytearray.append``) and leaves the encoder state untouched.
+        The flags are the op kind's, as :meth:`add` tested them.
         """
         if len(op.key) > 0xFF:
             raise ProtocolError(
                 f"key length {len(op.key)} exceeds the wire format's "
                 f"u8 key-length field (max 255)"
             )
-        if op.carries_value and op.value is not None and len(op.value) > 0xFFFF:
+        if carries_value and op.value is not None and len(op.value) > 0xFFFF:
             raise ProtocolError(
                 f"value length {len(op.value)} exceeds the wire format's "
                 f"u16 value-length field (max 65535)"
             )
-        if op.carries_func:
+        if carries_func:
             if not 0 <= op.func_id <= 0xFF:
                 raise ProtocolError(
                     f"func id {op.func_id} exceeds the wire format's "
@@ -182,7 +197,7 @@ class BatchEncoder:
                     f"param length {len(op.param)} exceeds the wire "
                     f"format's u16 param-length field (max 65535)"
                 )
-        if op.carries_count and not 1 <= op.count <= 0xFFFF:
+        if carries_count and not 1 <= op.count <= 0xFFFF:
             raise ProtocolError(
                 f"scan count {op.count} outside the wire format's "
                 f"non-zero u16 count field (1..65535)"
@@ -272,13 +287,13 @@ class BatchDecoder:
                 klen = self._u8()
                 prev_klen = klen
             count = 0
-            if op_type in (OpType.RANGE, OpType.SCAN):
+            if op_type in OPS_WITH_COUNT:
                 count = self._u16()
                 if count == 0:
                     raise ProtocolError(
                         f"{op_type.name} with zero scan count"
                     )
-            carries_value = op_type in (OpType.PUT, OpType.UPDATE_VECTOR2VECTOR)
+            carries_value = op_type in OPS_WITH_VALUE
             vlen = None
             same_value = False
             if carries_value:
@@ -291,13 +306,7 @@ class BatchDecoder:
                     prev_vlen = vlen
                 same_value = bool(lead & _FLAG_SAME_VALUE)
             func_id, param = 0, b""
-            if op_type in (
-                OpType.UPDATE_SCALAR,
-                OpType.UPDATE_SCALAR2VECTOR,
-                OpType.UPDATE_VECTOR2VECTOR,
-                OpType.REDUCE,
-                OpType.FILTER,
-            ):
+            if op_type in OPS_WITH_FUNC:
                 func_id = self._u8()
                 param = self._take(self._u16())
             key = self._take(klen)

@@ -37,11 +37,11 @@ class _Transfer(Event):
         link.sim.call_soon(self.start)
 
     def start(self, _entry) -> None:
-        self.sim.call_when(self.channel.reserve(self.nbytes), self.sent)
+        self.channel.reserve(self.nbytes, self.sent)
 
     def sent(self, _entry) -> None:
         if self.misbehaves("packet_duplicate", "dup", "duplicates"):
-            self.sim.call_when(self.channel.reserve(self.nbytes), self.held)
+            self.channel.reserve(self.nbytes, self.held)
         else:
             self.held(None)
 
@@ -90,9 +90,9 @@ class EthernetLink:
         injector: Optional["FaultInjector"] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise ConfigurationError("network bandwidth must be positive")
-        if rtt_ns < 0:
+        if not rtt_ns >= 0:
             raise ConfigurationError("network RTT must be non-negative")
         self.sim = sim
         self.rtt_ns = rtt_ns

@@ -75,8 +75,8 @@ class _Transfer:
         link = self.link
         # The request TLP drains into the transfer's delivery, or - with an
         # injector - into the fault checks that decide whether it arrived.
-        link.sim.call_when(
-            link.tx.reserve(self.request_bytes(self.nbytes)),
+        link.tx.reserve(
+            self.request_bytes(self.nbytes),
             self.delivered if link.injector is None else self.sent,
         )
 
@@ -137,10 +137,7 @@ class _Read(_Transfer):
 
     def respond(self, _entry) -> None:
         # Completion TLP(s) downstream carry the payload.
-        link = self.link
-        link.sim.call_when(
-            link.rx.reserve(read_response_bytes(self.nbytes)), self.complete
-        )
+        self.link.rx.reserve(read_response_bytes(self.nbytes), self.complete)
 
     def release(self) -> None:
         self.link.nonposted_credits.release()
@@ -318,6 +315,7 @@ class MultiLinkDMA:
             )
             for i in range(link_count)
         ]
+        self._link_count = link_count
         self._next = 0
 
     def read(
@@ -326,9 +324,8 @@ class MultiLinkDMA:
         """:meth:`DMAEngine.read` on the next link in turn.  With a
         continuation there is nothing to return, so the transfer starts on
         the link directly."""
-        links = self.links
-        link = links[self._next]
-        self._next = (self._next + 1) % len(links)
+        link = self.links[self._next]
+        self._next = (self._next + 1) % self._link_count
         if then is None:
             return link.read(nbytes, seq)
         _Read(link, nbytes, seq, then)
@@ -337,9 +334,8 @@ class MultiLinkDMA:
     def write(
         self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
     ) -> Optional[Event]:
-        links = self.links
-        link = links[self._next]
-        self._next = (self._next + 1) % len(links)
+        link = self.links[self._next]
+        self._next = (self._next + 1) % self._link_count
         if then is None:
             return link.write(nbytes, seq)
         _Write(link, nbytes, seq, then)

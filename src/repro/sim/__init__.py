@@ -18,9 +18,11 @@ The kernel provides:
   flow-control credits); ``acquire(then)``
   queues the continuation on grant, ``acquire()`` returns an event.
 - :class:`~repro.sim.resources.BandwidthServer` - a serial channel with a
-  fixed byte rate (PCIe link, DRAM channel, Ethernet port).
+  fixed byte rate (PCIe link, DRAM channel, Ethernet port);
+  ``reserve(nbytes, then)`` books the bytes and queues ``then`` at the
+  drain time, ``reserve(nbytes)`` returns an event queued there.
 - :class:`~repro.sim.resources.FIFOServer` - a fixed-service-time pipeline
-  stage; ``reserve()`` returns an item's exit time.
+  stage; ``reserve(then)`` / ``reserve()`` the same, at the item's exit.
 - :mod:`~repro.sim.stats` - counters, histograms and percentile helpers.
 - :mod:`~repro.sim.latency` - reproducible latency distributions.
 """

@@ -3,7 +3,8 @@
 PCIe random DMA read latency (Figure 3b) is modelled as a base (cached)
 latency plus a uniform spread capturing host DRAM access, refresh, and
 response reordering.  All models draw from a seeded :class:`random.Random`
-so simulations are deterministic.
+so simulations are deterministic.  Every parameter check is written so
+that NaN fails it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class ConstantLatency(LatencyModel):
     """Always the same latency."""
 
     def __init__(self, latency_ns: float) -> None:
-        if latency_ns < 0:
+        if not latency_ns >= 0:
             raise ValueError("latency must be non-negative")
         self.latency_ns = latency_ns
 
@@ -51,7 +52,7 @@ class UniformLatency(LatencyModel):
     def __init__(
         self, base_ns: float, spread_ns: float, seed: Optional[int] = 0
     ) -> None:
-        if base_ns < 0 or spread_ns < 0:
+        if not (base_ns >= 0 and spread_ns >= 0):
             raise ValueError("latency parameters must be non-negative")
         self.base_ns = base_ns
         self.spread_ns = spread_ns
@@ -73,7 +74,7 @@ class ExponentialLatency(LatencyModel):
     def __init__(
         self, base_ns: float, tail_mean_ns: float, seed: Optional[int] = 0
     ) -> None:
-        if base_ns < 0 or tail_mean_ns < 0:
+        if not (base_ns >= 0 and tail_mean_ns >= 0):
             raise ValueError("latency parameters must be non-negative")
         self.base_ns = base_ns
         self.tail_mean_ns = tail_mean_ns

@@ -9,11 +9,19 @@ from:
   seconds per transfer and queue excess demand.
 - A fully pipelined FPGA kernel stage is a :class:`FIFOServer` with an
   initiation interval of one clock cycle.
+
+Each takes the waiter's next step as a continuation, ``then``, and queues
+it itself: a pool at the grant, a channel or stage at its drain time, in
+the frame that books it.  With ``then`` omitted each returns a pending
+:class:`~repro.sim.engine.Event` queued at that same position instead.
+Every size, rate and time check is written so that NaN fails it, before
+any state moves.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, Optional, Union
 
 from repro.errors import SimulationError
@@ -30,7 +38,7 @@ class TokenPool:
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "tokens") -> None:
-        if capacity <= 0:
+        if not capacity > 0:
             raise SimulationError(f"{name}: capacity must be positive")
         self.sim = sim
         self.name = name
@@ -102,7 +110,7 @@ class BandwidthServer:
         bytes_per_ns: float,
         name: str = "channel",
     ) -> None:
-        if bytes_per_ns <= 0:
+        if not bytes_per_ns > 0:
             raise SimulationError(f"{name}: rate must be positive")
         self.sim = sim
         self.name = name
@@ -118,26 +126,41 @@ class BandwidthServer:
     ) -> "BandwidthServer":
         return cls(sim, bytes_per_sec / 1e9, name)
 
-    def reserve(self, nbytes: float) -> float:
-        """Book ``nbytes`` behind everything already submitted; returns the
-        absolute time the channel has drained them."""
-        if nbytes < 0:
-            raise SimulationError(f"{self.name}: negative transfer size")
+    def reserve(
+        self, nbytes: float, then: Optional[Callable] = None
+    ) -> Optional[Event]:
+        """Book ``nbytes`` behind everything already submitted and queue
+        ``then(kick)`` for the instant the channel has drained them.  With
+        ``then`` omitted an event is returned instead and is itself what
+        is queued at that position."""
+        if not nbytes >= 0:
+            raise SimulationError(
+                f"{self.name}: transfer size must be >= 0, got {nbytes!r}"
+            )
+        sim = self.sim
+        now = sim.now
         start = self._free_at
-        now = self.sim.now
         if start < now:
             start = now
         duration = nbytes / self.bytes_per_ns
-        self._free_at = start + duration
+        drained = self._free_at = start + duration
         self.bytes_transferred += nbytes
         self.transfers += 1
         self.busy_time += duration
-        return self._free_at
-
-    def transfer(self, nbytes: float) -> Event:
-        """Serialize ``nbytes`` through the channel; event fires when done."""
-        sim = self.sim
-        return sim.schedule_at(Event(sim), self.reserve(nbytes))
+        event = None
+        if then is None:
+            then = event = Event(sim)
+            event._value = None
+            event._scheduled = True
+        # Where ``call_when(drained, then)`` queues it (docs/MODELING.md,
+        # "Same-instant ordering contract"): a zero-byte transfer at once,
+        # anything else on the heap with the next sequence number.
+        if drained == now:
+            sim._dq.append(then)
+        else:
+            sim._sequence += 1
+            heappush(sim._queue, (drained, sim._sequence, then))
+        return event
 
     def queue_delay(self) -> float:
         """Current backlog in ns (0 when the channel is idle)."""
@@ -165,9 +188,9 @@ class FIFOServer:
         latency_ns: float = 0.0,
         name: str = "stage",
     ) -> None:
-        if initiation_interval_ns <= 0:
+        if not initiation_interval_ns > 0:
             raise SimulationError(f"{name}: initiation interval must be > 0")
-        if latency_ns < 0:
+        if not latency_ns >= 0:
             raise SimulationError(f"{name}: latency must be >= 0")
         self.sim = sim
         self.name = name
@@ -176,11 +199,30 @@ class FIFOServer:
         self._next_issue = 0.0
         self.items = 0
 
-    def reserve(self) -> float:
-        """Enter the pipeline behind every earlier item; returns the
-        absolute time this one exits (for ``call_when``)."""
-        issue = max(self.sim.now, self._next_issue)
+    def reserve(self, then: Optional[Callable] = None) -> Optional[Event]:
+        """Enter the pipeline behind every earlier item and queue
+        ``then(kick)`` for the instant this one exits.  With ``then``
+        omitted an event is returned instead and is itself what is queued
+        at that position."""
+        sim = self.sim
+        now = sim.now
+        issue = self._next_issue
+        if issue < now:
+            issue = now
         self._next_issue = issue + self.interval
         self.items += 1
-        return issue + self.latency + self.interval
+        exits = issue + self.latency + self.interval
+        event = None
+        if then is None:
+            then = event = Event(sim)
+            event._value = None
+            event._scheduled = True
+        # Where ``call_when(exits, then)`` queues it (docs/MODELING.md,
+        # "Same-instant ordering contract").
+        if exits == now:
+            sim._dq.append(then)
+        else:
+            sim._sequence += 1
+            heappush(sim._queue, (exits, sim._sequence, then))
+        return event
 

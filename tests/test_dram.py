@@ -1,5 +1,7 @@
 """Unit tests for memory images, NIC DRAM, ECC metadata, and the cache."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.dram import (
     hamming_parity_bits,
     spare_bits_per_line,
 )
+from repro.dram.cache import AccessResult
 from repro.dram.ecc import ECCMetadataCodec
 from repro.dram.host import touched_lines
 from repro.errors import ConfigurationError
@@ -135,6 +138,13 @@ class TestNICDram:
         with pytest.raises(ConfigurationError):
             NICDram(sim, bandwidth=-1)
 
+    def test_nan_config_rejected(self):
+        sim = Simulator()
+        nan = float("nan")
+        for options in ({"latency_ns": nan}, {"bandwidth": nan}, {"size": nan}):
+            with pytest.raises(ConfigurationError):
+                NICDram(sim, **options)
+
 
 class TestECC:
     def test_hamming_64_needs_7(self):
@@ -184,6 +194,43 @@ class TestECC:
     def test_codec_property(self, tag, dirty):
         codec = ECCMetadataCodec(tag_bits=4)
         assert codec.unpack(codec.pack(tag, dirty)) == (tag, dirty)
+
+
+class RefDramCache(DramCache):
+    """The access path as it was: an ``AccessResult`` built per miss and
+    every installed metadata word packed (and range-checked) by the
+    codec."""
+
+    def access(self, host_line, write, full_line=True):
+        if not 0 <= host_line < self.host_lines:
+            self._check_line(host_line)
+        nic_lines = self.nic_lines
+        slot = host_line % nic_lines
+        tag = host_line // nic_lines
+        if self._valid[slot]:
+            word = self._meta[slot]
+            old_tag = word >> 1
+            if old_tag == tag:
+                self.stats.hits += 1
+                if write:
+                    self._meta[slot] = word | 1
+                return AccessResult(hit=True)
+            self.stats.misses += 1
+            self.stats.evictions += 1
+            writeback = None
+            if word & 1:
+                self.stats.writebacks += 1
+                writeback = old_tag * nic_lines + slot
+            self._meta[slot] = self.codec.pack(tag, write)
+            needs_fill = (not write) or (not full_line)
+            return AccessResult(
+                hit=False, writeback_line=writeback, needs_fill=needs_fill
+            )
+        self.stats.misses += 1
+        self._valid[slot] = 1
+        self._meta[slot] = self.codec.pack(tag, write)
+        needs_fill = (not write) or (not full_line)
+        return AccessResult(hit=False, needs_fill=needs_fill)
 
 
 class TestDramCache:
@@ -292,3 +339,31 @@ class TestDramCache:
             cache.access(line, write=False)
             result = cache.access(line, write=False)
             assert result.hit
+
+    @pytest.mark.parametrize("nic_lines,host_lines", [
+        (8, 64), (8, 128), (5, 37), (16, 16), (3, 40),
+    ])
+    def test_results_and_metadata_match_the_codec_reference(
+        self, nic_lines, host_lines
+    ):
+        """The shared miss results and the in-place metadata word give the
+        same outcomes, metadata and counters as a result object per miss
+        and ``codec.pack`` per installed word, over a seeded mix that
+        reaches every tag the geometry allows."""
+        rng = random.Random(nic_lines * 1000 + host_lines)
+        cache = DramCache(nic_lines, host_lines)
+        reference = RefDramCache(nic_lines, host_lines)
+        for __ in range(3000):
+            line = rng.randrange(host_lines)
+            write = rng.random() < 0.5
+            full = rng.random() < 0.5
+            got = cache.access(line, write, full_line=full)
+            want = reference.access(line, write, full_line=full)
+            assert (got.hit, got.writeback_line, got.needs_fill) == (
+                want.hit, want.writeback_line, want.needs_fill
+            )
+            assert type(got.needs_fill) is bool
+        assert cache._meta == reference._meta
+        assert all(type(word) is int for word in cache._meta)
+        assert cache._valid == reference._valid
+        assert repr(cache.stats) == repr(reference.stats)

@@ -26,6 +26,7 @@ import pytest
 from repro import scenario
 from repro.client.client import KVClient
 from repro.client.router import ClusterRouter
+from repro.constants import DEFAULT_LOAD_DISPATCH_RATIO
 from repro.core.admission import SHED_POLICIES, OverloadPolicy
 from repro.core.config import KVDirectConfig
 from repro.core.hls import HLSToolchain
@@ -46,7 +47,12 @@ from repro.errors import (
     ServerBusy,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.memory.dispatcher import LoadDispatcher, address_hash
+from repro.memory.dispatcher import (
+    LINE_HASH_MASK,
+    LINE_HASH_MULTIPLIER,
+    LoadDispatcher,
+    address_hash,
+)
 from repro.memory.engine import MemoryAccessEngine
 from repro.multi import Cluster
 from repro.multi.cluster import REPLICATION_DELAY_NS, ReplicationChannel
@@ -78,7 +84,7 @@ class RefNICDram(NICDram):
         return self.sim.process(self._access(nbytes))
 
     def _access(self, nbytes):
-        yield self.channel.transfer(nbytes)
+        yield self.channel.reserve(nbytes)
         yield self.sim.timeout(self.latency_ns)
 
 
@@ -100,14 +106,14 @@ class RefDMAEngine(DMAEngine):
         try:
             attempts = 0
             while True:
-                yield self.tx.transfer(read_request_bytes(nbytes))
+                yield self.tx.reserve(read_request_bytes(nbytes))
                 if self.injector is None:
                     break
                 if not (yield from self._fault_check(nbytes, attempts, seq)):
                     break
                 attempts += 1
             yield self.sim.timeout(self.config.read_latency.sample())
-            yield self.rx.transfer(read_response_bytes(nbytes))
+            yield self.rx.reserve(read_response_bytes(nbytes))
         finally:
             self.nonposted_credits.release()
             self.tags.release()
@@ -148,7 +154,7 @@ class RefDMAEngine(DMAEngine):
         try:
             attempts = 0
             while True:
-                yield self.tx.transfer(write_request_bytes(nbytes))
+                yield self.tx.reserve(write_request_bytes(nbytes))
                 if self.injector is None:
                     break
                 if not (yield from self._fault_check(nbytes, attempts, seq)):
@@ -173,6 +179,11 @@ class RefDMAEngine(DMAEngine):
 class RefEngine(MemoryAccessEngine):
     def access(self, addr, size, write=False, seq=-1):
         return self.sim.process(self._access(addr, size, write, seq))
+
+    def _trace(self, seq, stage, detail=""):
+        # The engine's helper these bodies called; the chains emit in place.
+        if self.tracer is not None:
+            self.tracer.emit(seq, stage, detail)
 
     def _access(self, addr, size, write, seq):
         if size <= 0:
@@ -246,12 +257,6 @@ class RefEngine(MemoryAccessEngine):
         yield self.nic_dram.access(self.line_size, write=True)
 
 
-class RefFIFOServer(FIFOServer):
-    def submit(self):
-        sim = self.sim
-        return sim.schedule_at(sim.event(), self.reserve())
-
-
 class RefEthernetLink(EthernetLink):
     def receive(self, nbytes):
         self.counters["rx_packets"] += 1
@@ -266,7 +271,7 @@ class RefEthernetLink(EthernetLink):
         return self.sim.process(self._transfer(self.egress, nbytes, "tx"))
 
     def _transfer(self, channel, nbytes, direction):
-        yield channel.transfer(nbytes)
+        yield channel.reserve(nbytes)
         injector = self.injector
         if injector is not None:
             site = f"eth.{direction}"
@@ -274,7 +279,7 @@ class RefEthernetLink(EthernetLink):
                 # The duplicate serializes too; the receiver drops it.
                 self.counters.add(f"{direction}_duplicates")
                 self._trace(f"eth.{direction}.dup", f"{nbytes}B")
-                yield channel.transfer(nbytes)
+                yield channel.reserve(nbytes)
             if injector.packet_reorder(site, self.sim.now):
                 # Held in the fabric long enough for successors to pass it.
                 self.counters.add(f"{direction}_reordered")
@@ -296,8 +301,6 @@ class RefKVProcessor(KVProcessor):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.decoder.__class__ = RefFIFOServer
-        self.forward_engine.__class__ = RefFIFOServer
         self.network.__class__ = RefEthernetLink
 
     def submit(self, op, deadline_ns=None):
@@ -344,7 +347,7 @@ class RefKVProcessor(KVProcessor):
 
         # decode: the fully pipelined batch/op decoder (one op per clock).
         stamps["decode"] = sim.now
-        yield self.decoder.submit()
+        yield self.decoder.reserve()
         if tracer is not None:
             tracer.emit(seq, "decode")
         if deadline is not None and sim.now > deadline:
@@ -472,7 +475,7 @@ class RefKVProcessor(KVProcessor):
         ctx.response.add_callback(record)
 
     def _deliver_forwarded(self, op, result):
-        yield self.forward_engine.submit()
+        yield self.forward_engine.reserve()
         self.counters["forwarded"] += 1
         ctx = self.context_for(op)
         if self.tracer is not None:
@@ -489,8 +492,8 @@ class HopFusedNICDram(NICDram):
         self.counters.add(kind)
         self.counters.add(f"{kind[:-1]}_bytes", nbytes)
         sim = self.sim
-        sim.call_when(
-            self.channel.reserve(nbytes),
+        self.channel.reserve(
+            nbytes,
             lambda _: sim.call_after(
                 self.latency_ns, lambda _: sim.call_soon(then)
             ),
@@ -501,18 +504,6 @@ class HopFusedNICDram(NICDram):
 
 CHAINS = (NICDram, DMAEngine, MemoryAccessEngine)
 REFERENCE = (RefNICDram, RefDMAEngine, RefEngine)
-
-
-class _LoggedHistogram:
-    """Stands in for a ``__slots__`` Histogram, whose ``record`` cannot be
-    patched on the instance."""
-
-    def __init__(self, rig, inner, label):
-        self.rig, self.inner, self.label = rig, inner, label
-
-    def record(self, value):
-        self.rig.log.append((self.rig.sim.now, self.label, "record", value))
-        self.inner.record(value)
 
 
 class Rig:
@@ -545,18 +536,17 @@ class Rig:
             tracer=self.tracer,
         )
         self.pools = []
-        self._spy(self.nic.channel, "reserve", "nic_dram")
+        self._spy_channel(self.nic.channel, "nic_dram")
         self._spy(self.cache, "access", "cache", result=lambda r: (
             r.hit, r.writeback_line, r.needs_fill
         ))
         self._spy(self.tracer, "emit", "tracer")
         for link in self.dma.links:
-            self._spy(link.tx, "reserve", link.tx.name)
-            self._spy(link.rx, "reserve", link.rx.name)
+            self._spy_channel(link.tx, link.tx.name)
+            self._spy_channel(link.rx, link.rx.name)
             self._spy(link.config.read_latency, "sample", f"{link.name}.rtt")
-            link.read_latency_hist = _LoggedHistogram(
-                self, link.read_latency_hist, f"{link.name}.hist"
-            )
+            # ``record`` is the histogram's own slot: patched on the instance.
+            self._spy(link.read_latency_hist, "record", f"{link.name}.hist")
             for pool in (link.tags, link.posted_credits, link.nonposted_credits):
                 self.pools.append(pool)
                 # The chains pass their next step to ``acquire``; the
@@ -578,6 +568,17 @@ class Rig:
             return value
 
         setattr(target, method, spy)
+
+    def _spy_channel(self, channel, label):
+        """Log a channel's or stage's bookings: the chains pass their next
+        step to ``reserve``, the generators take the event it returns.  Both
+        are logged as the size booked and the drain time it set."""
+        if isinstance(channel, FIFOServer):
+            sized, drained = 0, lambda _: channel._next_issue
+        else:
+            sized, drained = 1, lambda _: channel._free_at
+        self._spy(channel, "reserve", label, result=drained,
+                  logged_args=lambda args: args[:sized])
 
     def watch(self, label, event):
         """Log the outcome of one issued access when it lands."""
@@ -850,7 +851,7 @@ class ProcessorRig(Rig):
             (processor.network.ingress, "eth.rx"),
             (processor.network.egress, "eth.tx"),
         ):
-            self._spy(target, "reserve", label)
+            self._spy_channel(target, label)
         self._spy(processor.cache, "access", "cache", result=lambda r: (
             r.hit, r.writeback_line, r.needs_fill
         ))
@@ -865,8 +866,8 @@ class ProcessorRig(Rig):
                   logged_args=lambda args: args[:1])
         self._spy(processor.admission, "release", "slots")
         for link in processor.dma.links:
-            self._spy(link.tx, "reserve", link.tx.name)
-            self._spy(link.rx, "reserve", link.rx.name)
+            self._spy_channel(link.tx, link.tx.name)
+            self._spy_channel(link.rx, link.rx.name)
             self._spy(link.config.read_latency, "sample", f"{link.name}.rtt")
             for pool in (link.tags, link.posted_credits, link.nonposted_credits):
                 self.pools.append(pool)
@@ -1193,12 +1194,25 @@ class TestReplicationChainMatchesTheGenerator:
 
 class TestPureFunctionTrims:
     def test_line_indexed_predicate_matches_the_address_one(self):
-        for ratio in (0.0, 0.3, 0.5, 1.0):
+        """The one per-line test - the 32-bit line hash against
+        ``ratio * 2**32`` - compares exactly like ``address_hash < ratio``,
+        on both sides of the threshold and on it (line 2**31 hashes to
+        exactly 2**31, the 0.5 threshold)."""
+        for ratio in (0.0, 0.3, 0.5, DEFAULT_LOAD_DISPATCH_RATIO, 1.0):
             dispatcher = LoadDispatcher(ratio)
-            for line in list(range(2000)) + [2**31 - 1, 2**40 + 17]:
+            lines = list(range(2000)) + [
+                2**31 - 1, 2**31, 2**31 + 1, 2**40 + 17,
+            ]
+            for line in lines:
                 expected = address_hash(line) < ratio
+                inline = (
+                    (line * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK
+                ) < dispatcher.threshold
+                assert inline is expected
                 assert dispatcher.caches_line(line) is expected
                 assert dispatcher.is_cacheable(line * LINE + 5) is expected
+        assert address_hash(2**31) == 0.5
+        assert not LoadDispatcher(0.5).caches_line(2**31)
 
     def test_memoised_tlp_sizes_still_validate(self):
         assert read_request_bytes(64) == read_request_bytes(64) == 26

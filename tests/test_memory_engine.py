@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.constants import DEFAULT_LOAD_DISPATCH_RATIO
 from repro.dram.cache import DramCache
 from repro.dram.nic import NICDram
 from repro.errors import ConfigurationError
@@ -13,6 +14,7 @@ from repro.memory import (
     uniform_hit_rate,
 )
 from repro.memory.dispatcher import address_hash
+from repro.obs.tracer import Tracer
 from repro.pcie import MultiLinkDMA
 from repro.sim import Simulator
 
@@ -184,6 +186,28 @@ class TestMemoryAccessEngine:
         engine = _engine(sim)
         sim.run(engine.access(0, 0, write=False))
         assert engine.dma.total_ops == 0
+
+    @pytest.mark.parametrize(
+        "ratio", [0.0, DEFAULT_LOAD_DISPATCH_RATIO, 1.0]
+    )
+    def test_each_line_is_routed_by_the_dispatcher_test(self, ratio):
+        """The engine evaluates the dispatcher's per-line test in place: a
+        line goes to NIC DRAM exactly when ``address_hash(line) < ratio``
+        (lines 0-511, which fall on both sides of any ratio in (0, 1))."""
+        sim = Simulator()
+        engine = _engine(sim, ratio=ratio)
+        engine.tracer = Tracer(clock=lambda: sim.now)
+        sim.run(engine.access(0, 512 * 64 - 7, write=False))
+        routes = [
+            span.detail for span in engine.tracer.spans
+            if span.stage == "mem.route"
+        ]
+        assert routes == [
+            f"line={line} " + ("dram" if address_hash(line) < ratio else "pcie")
+            for line in range(512)
+        ]
+        if 0.0 < ratio < 1.0:
+            assert {route.split()[1] for route in routes} == {"dram", "pcie"}
 
     def test_hit_rate(self):
         sim = Simulator()

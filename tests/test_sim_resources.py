@@ -110,15 +110,15 @@ class TestBandwidthServer:
         sim = Simulator()
         # 1 byte/ns = 1 GB/s
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        done = channel.transfer(64)
+        done = channel.reserve(64)
         sim.run(done)
         assert sim.now == pytest.approx(64.0)
 
     def test_transfers_serialize(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=2.0)
-        first = channel.transfer(100)  # 50 ns
-        second = channel.transfer(100)  # next 50 ns
+        first = channel.reserve(100)  # 50 ns
+        second = channel.reserve(100)  # next 50 ns
         sim.run(first)
         assert sim.now == pytest.approx(50.0)
         sim.run(second)
@@ -127,23 +127,23 @@ class TestBandwidthServer:
     def test_idle_gap_not_charged(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        sim.run(channel.transfer(10))
+        sim.run(channel.reserve(10))
         sim.run(sim.timeout(90))  # idle until t=100
-        done = channel.transfer(10)
+        done = channel.reserve(10)
         sim.run(done)
         assert sim.now == pytest.approx(110.0)
 
     def test_from_bytes_per_sec(self):
         sim = Simulator()
         channel = BandwidthServer.from_bytes_per_sec(sim, 5e9)  # 5 GB/s
-        sim.run(channel.transfer(5000))
+        sim.run(channel.reserve(5000))
         assert sim.now == pytest.approx(1000.0)  # 5000 B at 5 B/ns
 
     def test_accounting(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        channel.transfer(30)
-        channel.transfer(70)
+        channel.reserve(30)
+        channel.reserve(70)
         sim.run()
         assert channel.bytes_transferred == 100
         assert channel.transfers == 2
@@ -152,27 +152,102 @@ class TestBandwidthServer:
     def test_queue_delay(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        channel.transfer(500)
+        channel.reserve(500)
         assert channel.queue_delay() == pytest.approx(500.0)
 
     def test_negative_size_rejected(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
         with pytest.raises(SimulationError):
-            channel.transfer(-1)
+            channel.reserve(-1)
 
     def test_zero_rate_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             BandwidthServer(sim, bytes_per_ns=0.0)
 
+    def test_nan_rate_rejected(self):
+        with pytest.raises(SimulationError):
+            BandwidthServer(Simulator(), bytes_per_ns=float("nan"))
+
+    @pytest.mark.parametrize("size", [float("nan"), -1.0])
+    def test_a_rejected_size_leaves_the_channel_as_it_was(self, size):
+        """A NaN size used to be booked before the schedule call raised,
+        leaving the drain time, byte count and busy time NaN: every later
+        booking on the channel raised too."""
+        sim = Simulator()
+        channel = BandwidthServer(sim, bytes_per_ns=1.0)
+        channel.reserve(10)
+        state = (
+            channel._free_at, channel.bytes_transferred,
+            channel.transfers, channel.busy_time, sim._sequence,
+        )
+        with pytest.raises(SimulationError):
+            channel.reserve(size, lambda _: None)
+        assert state == (
+            channel._free_at, channel.bytes_transferred,
+            channel.transfers, channel.busy_time, sim._sequence,
+        )
+        sim.run(channel.reserve(5))
+        assert sim.now == 15.0
+
+    def test_then_runs_in_fifo_order_among_call_when_entries(self):
+        """``reserve(n, then)`` queues ``then`` where ``call_when`` would:
+        behind the entries for the same instant booked before it, ahead
+        of those booked after it."""
+        sim = Simulator()
+        channel = BandwidthServer(sim, bytes_per_ns=1.0)
+        order = []
+        sim.call_when(10.0, lambda _: order.append("before"))
+        channel.reserve(10, lambda _: order.append(("then", sim.now)))
+        sim.call_when(10.0, lambda _: order.append("after"))
+        sim.run()
+        assert order == ["before", ("then", 10.0), "after"]
+
+    def test_the_event_form_fires_at_the_same_position(self):
+        sim = Simulator()
+        channel = BandwidthServer(sim, bytes_per_ns=1.0)
+        order = []
+        sim.call_when(10.0, lambda _: order.append("before"))
+        done = channel.reserve(10)
+        done.callbacks.append(lambda event: order.append(("event", sim.now)))
+        sim.call_when(10.0, lambda _: order.append("after"))
+        assert not done.processed
+        sim.run()
+        assert order == ["before", ("event", 10.0), "after"]
+        assert done.ok and done.value is None
+
+    def test_a_zero_byte_reserve_lands_on_the_deque_at_now(self):
+        sim = Simulator()
+        channel = BandwidthServer(sim, bytes_per_ns=1.0)
+        step = lambda _: None  # noqa: E731
+        channel.reserve(0, step)
+        assert list(sim._dq) == [step]
+        assert not sim._queue and sim._sequence == 0
+        # Behind a booked transfer, zero bytes still wait for the drain.
+        channel.reserve(8)
+        channel.reserve(0, step)
+        assert [entry[0] for entry in sim._queue] == [8.0, 8.0]
+        assert sim._queue[-1][2] is step
+
 
 class TestFIFOServer:
+    @staticmethod
+    def exits(stage, count):
+        """Book ``count`` items; returns the list their exit times fill."""
+        sim = stage.sim
+        times = []
+        for __ in range(count):
+            stage.reserve(lambda _: times.append(sim.now))
+        return times
+
     def test_initiation_interval_paces_throughput(self):
         sim = Simulator()
         # One item per 5.56 ns = 180 MHz pipeline.
         stage = FIFOServer(sim, initiation_interval_ns=5.0, latency_ns=0.0)
-        assert [stage.reserve() for __ in range(4)] == [
+        times = self.exits(stage, 4)
+        sim.run()
+        assert times == [
             pytest.approx(5.0),
             pytest.approx(10.0),
             pytest.approx(15.0),
@@ -183,11 +258,25 @@ class TestFIFOServer:
     def test_latency_adds_to_exit_time(self):
         sim = Simulator()
         stage = FIFOServer(sim, initiation_interval_ns=1.0, latency_ns=100.0)
-        assert stage.reserve() == pytest.approx(101.0)
+        times = self.exits(stage, 1)
         # An item entering an idle stage later starts from the clock.
         sim.now = 50.0
-        assert stage.reserve() == pytest.approx(151.0)
-        assert stage.reserve() == pytest.approx(152.0)
+        times_later = self.exits(stage, 2)
+        sim.run()
+        assert times == [pytest.approx(101.0)]
+        assert times_later == [pytest.approx(151.0), pytest.approx(152.0)]
+
+    def test_the_event_form_fires_at_the_exit(self):
+        sim = Simulator()
+        stage = FIFOServer(sim, initiation_interval_ns=2.0, latency_ns=6.0)
+        order = []
+        sim.call_when(8.0, lambda _: order.append("before"))
+        done = stage.reserve()
+        done.callbacks.append(lambda event: order.append(("event", sim.now)))
+        stage.reserve(lambda _: order.append(("then", sim.now)))
+        sim.call_when(8.0, lambda _: order.append("after"))
+        sim.run()
+        assert order == ["before", ("event", 8.0), "after", ("then", 10.0)]
 
     def test_invalid_parameters_rejected(self):
         sim = Simulator()
@@ -195,6 +284,13 @@ class TestFIFOServer:
             FIFOServer(sim, initiation_interval_ns=0.0)
         with pytest.raises(SimulationError):
             FIFOServer(sim, initiation_interval_ns=1.0, latency_ns=-1.0)
+
+    def test_nan_parameters_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            FIFOServer(sim, initiation_interval_ns=float("nan"))
+        with pytest.raises(SimulationError):
+            FIFOServer(sim, initiation_interval_ns=1.0, latency_ns=float("nan"))
 
 
 class TestLatencyModels:
@@ -247,3 +343,17 @@ class TestLatencyModels:
             UniformLatency(-1, 10)
         with pytest.raises(ValueError):
             ExponentialLatency(1, -1)
+
+    def test_nan_parameters_rejected(self):
+        from repro.sim import ConstantLatency, ExponentialLatency, UniformLatency
+
+        nan = float("nan")
+        for build in (
+            lambda: ConstantLatency(nan),
+            lambda: UniformLatency(nan, 1),
+            lambda: UniformLatency(1, nan),
+            lambda: ExponentialLatency(nan, 1),
+            lambda: ExponentialLatency(1, nan),
+        ):
+            with pytest.raises(ValueError):
+                build()

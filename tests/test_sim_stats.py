@@ -1,5 +1,6 @@
 """Unit tests for counters, histograms, and running statistics."""
 
+import copy
 import math
 
 import pytest
@@ -219,6 +220,50 @@ class TestHistogram:
         assert hist.min() == 1.0
         hist.record(0.5)
         assert hist.min() == 0.5
+
+    def test_recording_after_a_percentile_read_re_sorts(self):
+        hist = Histogram()
+        for value in (5.0, 1.0, 3.0):
+            hist.record(value)
+        assert hist.percentile(50) == 3.0
+        hist.record(0.0)
+        hist.record(9.0)
+        assert hist.min() == 0.0 and hist.max() == 9.0
+        assert hist.percentile(50) == 3.0
+        assert hist.samples() == [0.0, 1.0, 3.0, 5.0, 9.0]
+
+    def test_samples_keep_insertion_order(self):
+        hist = Histogram()
+        for value in (4.0, 2.0, 8.0):
+            hist.record(value)
+        assert hist.samples() == [4.0, 2.0, 8.0]
+        hist.record(1.0)
+        hist.extend([6.0, 0.5])
+        assert hist.samples() == [4.0, 2.0, 8.0, 1.0, 6.0, 0.5]
+        assert hist.count == 6
+        # Left fold in insertion order, before any sort.
+        assert hist.mean() == sum([4.0, 2.0, 8.0, 1.0, 6.0, 0.5]) / 6
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    @pytest.mark.parametrize("materialized", [False, True])
+    def test_a_copy_is_an_independent_histogram(self, copier, materialized):
+        """``record`` is the staging list's bound ``append``: a copy must
+        record into its own list, not the original's."""
+        original = Histogram()
+        original.extend([3.0, 1.0, 2.0])
+        expected = [3.0, 1.0, 2.0]
+        if materialized:
+            assert original.median() == 2.0  # sorts the array in place
+            original.record(7.0)
+            expected = [1.0, 2.0, 3.0, 7.0]
+        clone = copier(original)
+        clone.record(100.0)
+        original.record(50.0)
+        assert original.samples() == expected + [50.0]
+        assert clone.samples() == expected + [100.0]
+        # Sorting one in place leaves the other's order alone.
+        assert clone.min() == 1.0
+        assert original.samples() == expected + [50.0]
 
     def test_summary_keys(self):
         hist = Histogram()

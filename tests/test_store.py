@@ -54,6 +54,25 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError):
             KVDirectConfig(load_dispatch_ratio=2.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("clock_hz", float("nan")),
+        ("clock_hz", float("inf")),
+        ("clock_hz", 0.0),
+        ("network_bandwidth", float("nan")),
+        ("network_bandwidth", float("inf")),
+        ("network_bandwidth", 0.0),
+        ("network_rtt_ns", float("nan")),
+        ("network_rtt_ns", float("inf")),
+        ("network_rtt_ns", -5.0),
+    ])
+    def test_timing_fields_must_be_finite(self, field, value):
+        """Rejected at construction, not as a SimulationError deep in a
+        run (a NaN clock made ``cycle_ns`` NaN, an infinite one 0.0)."""
+        with pytest.raises(ConfigurationError):
+            KVDirectConfig(**{field: value})
+        # The edge values that are valid stay valid.
+        assert KVDirectConfig(network_rtt_ns=0.0).network_rtt_ns == 0.0
+
     def test_paper_scale_geometry(self):
         config = KVDirectConfig.paper_scale()
         assert config.memory_size == 64 * 1024**3
