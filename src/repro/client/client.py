@@ -122,13 +122,13 @@ class KVClient:
             raise ConfigurationError("need at least one outstanding batch")
         if retry_limit < 0:
             raise ConfigurationError("retry limit must be non-negative")
-        if retry_backoff_ns < 0:
+        if not retry_backoff_ns >= 0:
             raise ConfigurationError("retry backoff must be non-negative")
         if busy_retry_limit < 0:
             raise ConfigurationError("busy retry limit must be non-negative")
-        if busy_backoff_ns < 0:
+        if not busy_backoff_ns >= 0:
             raise ConfigurationError("busy backoff must be non-negative")
-        if deadline_budget_ns is not None and deadline_budget_ns <= 0:
+        if deadline_budget_ns is not None and not deadline_budget_ns > 0:
             raise ConfigurationError("deadline budget must be positive")
         self.sim = sim
         self.processor = processor

@@ -60,9 +60,9 @@ class BackoffPolicy:
         seed: int = 0,
         stream: str = "loss",
     ) -> None:
-        if base_ns < 0:
+        if not base_ns >= 0:
             raise ConfigurationError("backoff base must be non-negative")
-        if max_ns is not None and max_ns < base_ns:
+        if max_ns is not None and not max_ns >= base_ns:
             raise ConfigurationError(
                 f"backoff cap {max_ns} below base {base_ns}"
             )
@@ -100,9 +100,9 @@ class RetryBudget:
     def __init__(
         self, capacity: float = 16.0, refill_per_success: float = 0.1
     ) -> None:
-        if capacity <= 0:
+        if not capacity > 0:
             raise ConfigurationError("retry budget capacity must be positive")
-        if refill_per_success < 0:
+        if not refill_per_success >= 0:
             raise ConfigurationError("refill per success must be >= 0")
         self.capacity = float(capacity)
         self.refill_per_success = float(refill_per_success)
@@ -151,13 +151,13 @@ class CircuitBreaker:
         min_samples: int = 10,
         open_ns: float = 100_000.0,
     ) -> None:
-        if window_ns <= 0 or open_ns <= 0:
+        if not (window_ns > 0 and open_ns > 0):
             raise ConfigurationError("breaker windows must be positive")
         if not 0.0 < failure_threshold <= 1.0:
             raise ConfigurationError(
                 f"failure threshold must be in (0, 1]: {failure_threshold}"
             )
-        if min_samples < 1:
+        if not min_samples >= 1:
             raise ConfigurationError("need at least one sample to trip")
         self._clock = clock
         self.window_ns = window_ns

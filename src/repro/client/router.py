@@ -188,7 +188,7 @@ class ClusterRouter:
     ) -> None:
         if retry_limit < 0:
             raise ConfigurationError("retry limit must be non-negative")
-        if route_delay_ns < 0:
+        if not route_delay_ns >= 0:
             raise ConfigurationError("route delay must be non-negative")
         self.sim = sim
         self.cluster = cluster

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Optional, Union
+from typing import Callable, Deque, Optional
 
 from repro.core.operations import KVOperation, OpType
 from repro.errors import ConfigurationError, ServerBusy, SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.stats import Counter, Histogram
 
 #: The shed policies :class:`OverloadPolicy` accepts.
@@ -98,8 +98,7 @@ class _Waiter:
     """One operation parked in the ingress queue."""
 
     op: KVOperation
-    #: What the grant queues: a continuation, or the pending event the
-    #: continuation-omitted :meth:`IngressQueue.submit` returned.
+    #: The continuation the grant (or the shed) queues.
     then: Callable
     enqueued_ns: float
 
@@ -108,14 +107,13 @@ class IngressQueue:
     """FIFO admission queue in front of the reservation station.
 
     :meth:`submit` queues its continuation ``then(kick)`` once one of
-    ``capacity`` station slots is granted, or - under a ``policy`` only -
-    hands it a failed event carrying :class:`~repro.errors.ServerBusy`
-    when the shed policy drops the operation, the way
-    :meth:`~repro.sim.resources.TokenPool.acquire` does; with ``then``
-    omitted it returns an event that succeeds (with the queue wait in ns)
-    or fails at that same queue position.  ``policy=None`` makes the queue
-    unbounded: it never sheds.  Every granted slot comes back through
-    :meth:`release`, which hands it to the oldest waiter in FIFO order.
+    ``capacity`` station slots is granted, as
+    :meth:`~repro.sim.resources.TokenPool.acquire` does, or - under a
+    ``policy`` only - hands it a failed event carrying
+    :class:`~repro.errors.ServerBusy` when the shed policy drops the
+    operation.  ``policy=None`` makes the queue unbounded: it never sheds.
+    Every granted slot comes back through :meth:`release`, which hands it
+    to the oldest waiter in FIFO order.
     """
 
     def __init__(
@@ -150,41 +148,31 @@ class IngressQueue:
 
     # -- admission ----------------------------------------------------------
 
-    def submit(
-        self, op: KVOperation, then: Optional[Callable] = None
-    ) -> Union[Event, bool]:
+    def submit(self, op: KVOperation, then: Callable) -> bool:
         """Request admission for one op: ``then(kick)`` is queued once a
         slot is granted - at once, or in FIFO turn from :meth:`release` -
         and ``then(failed_event)`` if the op is shed.  Returns whether
         ``then`` is queued already (granted or shed on arrival), so False
-        means the op waits for a slot.  With ``then`` omitted the event
-        the class docstring describes is returned instead."""
-        event = None
-        if then is None:
-            then = event = Event(self.sim)
+        means the op waits for a slot."""
         policy = self.policy
         if self.available and not self._queue:
             self.available -= 1
             self.counters["admitted_direct"] += 1
             if policy is not None:
                 self.wait_ns.record(0.0)
-            if event is None:
-                self.sim.call_soon(then)
-                return True
-            return event.succeed(0.0)
+            self.sim.call_soon(then)
+            return True
         waiter = _Waiter(op, then, self.sim.now)
-        shed_on_arrival = False
         if policy is None or len(self._queue) < policy.queue_depth:
             self._enqueue(waiter)
-        else:
-            self.counters["queue_full"] += 1
-            victim = self._choose_victim(waiter)
-            if victim is not waiter:
-                self._queue.remove(victim)
-                self._enqueue(waiter)
-            self._shed(victim)
-            shed_on_arrival = victim is waiter
-        return shed_on_arrival if event is None else event
+            return False
+        self.counters["queue_full"] += 1
+        victim = self._choose_victim(waiter)
+        if victim is not waiter:
+            self._queue.remove(victim)
+            self._enqueue(waiter)
+        self._shed(victim)
+        return victim is waiter
 
     def release(self) -> None:
         """Return one station slot, granting it to the oldest waiter if
@@ -195,15 +183,10 @@ class IngressQueue:
             self.available += 1
             return
         waiter = self._queue.popleft()
-        waited = self.sim.now - waiter.enqueued_ns
         self.counters["admitted_queued"] += 1
         if self.policy is not None:
-            self.wait_ns.record(waited)
-        then = waiter.then
-        if type(then) is Event:
-            then.succeed(waited)
-        else:
-            self.sim.call_soon(then)
+            self.wait_ns.record(self.sim.now - waiter.enqueued_ns)
+        self.sim.call_soon(waiter.then)
 
     # -- shedding -----------------------------------------------------------
 

@@ -112,13 +112,6 @@ class KVOperation:
     count: int = 0
     #: Client-side issue sequence, for latency attribution.
     seq: int = field(default=0, compare=False)
-    #: Cluster-map epoch the op was built under; -1 disables the epoch
-    #: check (single-node and plain sharded paths).  The cluster router
-    #: passes its routing epoch to ``ClusterNode.submit(epoch=)`` instead,
-    #: and a node falls back to this field when none is passed.  Nodes
-    #: reject mismatched epochs with :class:`~repro.errors.WrongEpoch`
-    #: before any side effect.
-    epoch: int = field(default=-1, compare=False)
 
     key_hash = _KeyHash()
 

@@ -3,8 +3,9 @@
 4 GiB of DDR3-1600 at 12.8 GB/s with a single channel - "an order of
 magnitude smaller than the KVS storage on host DRAM and slightly slower than
 the PCIe link" (section 3.3.4).  The timing half is a bandwidth server plus
-a fixed access latency; the functional half is a :class:`MemoryImage` that
-the DRAM cache stores line data in.
+a fixed access latency, ending in the caller's continuation (there is no
+event to wait on); the functional half is a :class:`MemoryImage` that the
+DRAM cache stores line data in.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Optional
 from repro import constants
 from repro.dram.host import MemoryImage
 from repro.errors import ConfigurationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthServer
 from repro.sim.stats import Counter
 
@@ -24,8 +25,7 @@ class _Burst:
     queued, a queue hop each - the first too (``docs/MODELING.md``,
     "Same-instant ordering contract", has the run that moves when it is
     dropped).  ``then`` is the caller's next step, queued bare where a
-    completion event used to be; or, from the continuation-omitted
-    ``access()``, the pending event that is completed there instead."""
+    completion event used to be."""
 
     __slots__ = ("dram", "nbytes", "then")
 
@@ -43,11 +43,7 @@ class _Burst:
         dram.sim.call_after(dram.latency_ns, self.landed)
 
     def landed(self, _entry) -> None:
-        then = self.then
-        if type(then) is Event:
-            self.dram.sim.finish(then)
-        else:
-            self.dram.sim.call_soon(then)
+        self.dram.sim.call_soon(self.then)
 
 
 class NICDram:
@@ -78,13 +74,9 @@ class NICDram:
         self.image = image
         self.counters = Counter()
 
-    def access(
-        self, nbytes: int, write: bool = False,
-        then: Optional[Callable] = None,
-    ) -> Optional[Event]:
+    def access(self, nbytes: int, write: bool, then: Callable) -> None:
         """Timed access of ``nbytes``: ``then(kick)`` is queued when the
-        burst has drained.  With ``then`` omitted an event is returned and
-        completes at that same queue position."""
+        burst has drained."""
         counters = self.counters
         if write:
             counters["writes"] += 1
@@ -92,11 +84,7 @@ class NICDram:
         else:
             counters["reads"] += 1
             counters["read_bytes"] += nbytes
-        done = None
-        if then is None:
-            then = done = Event(self.sim)
         _Burst(self, nbytes, then)
-        return done
 
     @property
     def accesses(self) -> int:

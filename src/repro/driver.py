@@ -35,6 +35,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.operations import KVOperation, KVResult, fan_out, merge_scan
+from repro.errors import ConfigurationError
 from repro.sim.stats import Histogram, mops
 
 
@@ -106,6 +107,8 @@ def run_closed_loop(
     count and digest land in the stats (``None`` without one - they are
     context, like the wall-clock fields, never a gated metric).
     """
+    if not concurrency > 0:
+        raise ConfigurationError("concurrency must be positive")
     sim = target.sim
     lanes = getattr(target, "processors", None)
     sharded = lanes is not None

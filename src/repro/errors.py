@@ -35,7 +35,9 @@ class UnsupportedOperation(KVDirectError):
     Raised when an ordered operation (RANGE/SCAN) reaches a store whose
     index is hash-only (``ordered_index=False``): a chained hash table
     has no key order to scan.  Surfaced to clients as a failed response,
-    like any other server-side :class:`KVDirectError`.
+    like any other server-side :class:`KVDirectError`.  Also raised at
+    the call when one is submitted straight to a multi-NIC server, whose
+    shards each hold part of the key order.
     """
 
 

@@ -7,7 +7,9 @@ a portion of host memory in NIC DRAM" (section 3.3).
 The engine is the timing hub of the KV processor: every memory access the
 functional hash table / slab allocator makes is replayed here, routed by the
 load dispatcher to either the NIC DRAM (cacheable lines) or PCIe DMA
-(bypass), charging bandwidth/latency and cache fill/writeback traffic.
+(bypass), charging bandwidth/latency and cache fill/writeback traffic.  An
+access ends by queueing the caller's continuation, ``then``: the one way
+to wait on it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.memory.dispatcher import (
     LoadDispatcher,
 )
 from repro.pcie.dma import MultiLinkDMA
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,8 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class _Access:
     """One timed access: fan out a transfer per line, join when the last
-    one lands - queueing ``then``, the caller's next step (or completing
-    the event ``access()`` returned) - and fail fast with the first failure."""
+    one lands - queueing ``then``, the caller's next step - and fail fast
+    with the first failure."""
 
     __slots__ = ("engine", "addr", "size", "write", "seq", "then", "waiting")
 
@@ -105,10 +107,7 @@ class _Access:
                 sim.call_soon(self.joined)
 
     def joined(self, _entry) -> None:
-        if type(self.then) is Event:
-            self.engine.sim.finish(self.then)
-        else:
-            self.engine.sim.call_soon(self.then)
+        self.engine.sim.call_soon(self.then)
 
 
 class _CachedLine:
@@ -235,15 +234,13 @@ class MemoryAccessEngine:
         self.profiler = profiler
         self.counters = Counter()
 
-    def access(self, addr: int, size: int, write: bool = False, seq: int = -1,
-               then: Optional[Callable] = None) -> Optional[Event]:
+    def access(self, addr: int, size: int, write: bool, seq: int,
+               then: Callable) -> None:
         """Perform a timed access: ``then(kick)`` is queued when all its
-        traffic drains (``then(failed_event)`` on a failed line); with
-        ``then`` omitted an event is returned that completes there instead.
-        ``seq`` attributes the access to a client operation for tracing."""
-        done = Event(self.sim) if then is None else None
-        _Access(self, addr, size, write, seq, then or done)
-        return done
+        traffic drains (``then(failed_event)`` on a failed line).  ``seq``
+        attributes the access to a client operation for tracing (-1 when
+        unattributed)."""
+        _Access(self, addr, size, write, seq, then)
 
     # -- introspection ------------------------------------------------------
 

@@ -215,9 +215,8 @@ class ClusterNode:
         retryable NACK / pipeline error.
 
         ``epoch`` is the cluster-map epoch the caller routed under (the
-        router passes it rather than stamping a copy of the op); -1 falls
-        back to ``op.epoch``, and an epoch of -1 after that skips the
-        check."""
+        router passes it rather than stamping a copy of the op); -1 skips
+        the check."""
         sim = self.sim
         cluster = self.cluster
         now = sim.now
@@ -250,8 +249,6 @@ class ClusterNode:
                     NodeDown(f"{self.name} stalled", node=self.index,
                              reason="stalled")
                 )
-        if epoch == -1:
-            epoch = op.epoch
         if epoch != -1 and epoch != cluster.map.epoch:
             return self._nack(
                 WrongEpoch(

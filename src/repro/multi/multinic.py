@@ -32,7 +32,7 @@ from repro.core.config import KVDirectConfig
 from repro.core.hashing import shard_of
 from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnsupportedOperation
 from repro.multi.stack import ServerStack
 from repro.obs.profiler import StageProfiler
 from repro.obs.registry import MetricsRegistry
@@ -105,7 +105,14 @@ class MultiNICServer:
     def submit(
         self, op: KVOperation, deadline_ns: Optional[float] = None
     ) -> Event:
-        """Direct submission to the owning NIC (bypasses the wire)."""
+        """Direct submission to the owning NIC (bypasses the wire).  A
+        RANGE or SCAN spans every NIC, so on more than one it is refused:
+        one shard's part of it would read as the whole."""
+        if op.carries_count and self.nic_count > 1:
+            raise UnsupportedOperation(
+                f"{op.op.name} spans all {self.nic_count} NICs: fan it out "
+                "with run_closed_loop(server, ...) or server.router()"
+            )
         return self.owner(op.key).processor.submit(
             op, deadline_ns=deadline_ns
         )

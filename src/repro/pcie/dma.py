@@ -14,6 +14,10 @@ A DMA **write** (posted) takes a posted header credit, serializes the full
 request TLP upstream, and completes once serialized; the credit returns
 after the fabric round-trip.
 
+Either completes by queueing the caller's continuation, ``then`` - handed
+a failed event when the retry budget runs out - and there is no other way
+to wait on one.
+
 With the paper's constants this reproduces Figure 3a: 64-byte reads are
 tag-bound near 60 Mops; writes are bandwidth-bound near 80 Mops.
 """
@@ -30,7 +34,7 @@ from repro.pcie.tlp import (
     transfer_drop_probability,
     write_request_bytes,
 )
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthServer, TokenPool
 from repro.sim.stats import Counter, Histogram
 
@@ -47,9 +51,8 @@ class _Transfer:
     Creating it queues ``issue``, one hop after the request; every later step is
     the continuation handed to the resource it waits for (a tag or credit
     grant, a drained channel, a timer), and the last one queues ``then`` -
-    the caller's next step, bare, where a completion event used to be (or,
-    from the continuation-omitted ``read()`` / ``write()``, completes the
-    pending event ``then`` is).  ``sent`` / ``drop_check``
+    the caller's next step, bare, where a completion event used to be.
+    ``sent`` / ``drop_check``
     are the fault checks of one attempt, run only on a link with an
     injector (a clean link's drained request goes straight to
     ``delivered``): an attempt whose TLPs were
@@ -156,11 +159,7 @@ class _Read(_Transfer):
             link.profiler.record_dma(self.seq, "read", nbytes)
         if link.tracer is not None:
             link.tracer.emit(self.seq, "pcie.read", f"{link.name} {nbytes}B")
-        then = self.then
-        if type(then) is Event:
-            link.sim.finish(then)
-        else:
-            link.sim.call_soon(then)
+        link.sim.call_soon(self.then)
 
 
 class _Write(_Transfer):
@@ -185,11 +184,7 @@ class _Write(_Transfer):
             link.profiler.record_dma(self.seq, "write", nbytes)
         if link.tracer is not None:
             link.tracer.emit(self.seq, "pcie.write", f"{link.name} {nbytes}B")
-        then = self.then
-        if type(then) is Event:
-            link.sim.finish(then)
-        else:
-            link.sim.call_soon(then)
+        link.sim.call_soon(self.then)
 
     def credit_in_flight(self, _entry) -> None:
         link = self.link
@@ -237,31 +232,17 @@ class DMAEngine:
 
     # -- public API ---------------------------------------------------------
 
-    def read(
-        self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
-    ) -> Optional[Event]:
+    def read(self, nbytes: int, seq: int, then: Callable) -> None:
         """Issue a DMA read: ``then(kick)`` is queued with the data
         available on the NIC, or ``then(failed_event)`` once the retry
-        budget is exhausted.  With ``then`` omitted an event is returned
-        and completes (or fails) at that same queue position.  ``seq`` is
-        the client sequence of the op this transfer serves (for tracing;
-        -1 when unattributed)."""
-        done = None
-        if then is None:
-            then = done = Event(self.sim)
+        budget is exhausted.  ``seq`` is the client sequence of the op this
+        transfer serves (for tracing; -1 when unattributed)."""
         _Read(self, nbytes, seq, then)
-        return done
 
-    def write(
-        self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
-    ) -> Optional[Event]:
+    def write(self, nbytes: int, seq: int, then: Callable) -> None:
         """Issue a posted DMA write; completes, the way :meth:`read` does,
         once the TLP is serialized."""
-        done = None
-        if then is None:
-            then = done = Event(self.sim)
         _Write(self, nbytes, seq, then)
-        return done
 
     def _trace(self, seq: int, stage: str, detail: str = "") -> None:
         if self.tracer is not None:
@@ -318,28 +299,18 @@ class MultiLinkDMA:
         self._link_count = link_count
         self._next = 0
 
-    def read(
-        self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
-    ) -> Optional[Event]:
-        """:meth:`DMAEngine.read` on the next link in turn.  With a
-        continuation there is nothing to return, so the transfer starts on
-        the link directly."""
+    def read(self, nbytes: int, seq: int, then: Callable) -> None:
+        """:meth:`DMAEngine.read` on the next link in turn, the transfer
+        started on the link directly."""
         link = self.links[self._next]
         self._next = (self._next + 1) % self._link_count
-        if then is None:
-            return link.read(nbytes, seq)
         _Read(link, nbytes, seq, then)
-        return None
 
-    def write(
-        self, nbytes: int, seq: int = -1, then: Optional[Callable] = None
-    ) -> Optional[Event]:
+    def write(self, nbytes: int, seq: int, then: Callable) -> None:
+        """:meth:`DMAEngine.write` on the next link in turn."""
         link = self.links[self._next]
         self._next = (self._next + 1) % self._link_count
-        if then is None:
-            return link.write(nbytes, seq)
         _Write(link, nbytes, seq, then)
-        return None
 
     @property
     def reads(self) -> int:

@@ -12,17 +12,17 @@ The kernel provides:
   sentinel: what a leaf model's chain hops on, at no allocation per hop.
 - :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Process` -
   synchronization primitives; processes are Python generators that ``yield``
-  events.  Completions inside the leaf models are not events but
-  continuations (``then``): the next step, queued bare when its turn comes.
+  events.  Completions inside the resources and leaf models are not events
+  but continuations (``then``): the next step, queued bare when its turn
+  comes.
 - :class:`~repro.sim.resources.TokenPool` - counted resource (PCIe tags,
-  flow-control credits); ``acquire(then)``
-  queues the continuation on grant, ``acquire()`` returns an event.
+  flow-control credits); ``acquire(then)`` queues the continuation on grant.
 - :class:`~repro.sim.resources.BandwidthServer` - a serial channel with a
   fixed byte rate (PCIe link, DRAM channel, Ethernet port);
   ``reserve(nbytes, then)`` books the bytes and queues ``then`` at the
-  drain time, ``reserve(nbytes)`` returns an event queued there.
+  drain time.
 - :class:`~repro.sim.resources.FIFOServer` - a fixed-service-time pipeline
-  stage; ``reserve(then)`` / ``reserve()`` the same, at the item's exit.
+  stage; ``reserve(then)`` the same, at the item's exit.
 - :mod:`~repro.sim.stats` - counters, histograms and percentile helpers.
 - :mod:`~repro.sim.latency` - reproducible latency distributions.
 """

@@ -9,7 +9,9 @@ NIC-DRAM burst and cache line is a callback chain, hopping between
 ``call_soon`` / ``call_after`` / ``call_when`` entries and ending by
 queueing its continuation: the queue positions a process would occupy
 ("Same-instant ordering contract" in ``docs/MODELING.md``) without the
-generator and without an :class:`Event` per hop.
+generator and without an :class:`Event` per hop.  A resource takes its
+waiter's next step only as such a continuation; a generator waits on events
+that it, a process or a timer completes.
 
 A queue entry is one of two things.  A triggered :class:`Event` (or
 subclass): processing it clears ``callbacks`` and runs them with the event.
@@ -107,28 +109,24 @@ class Event:
         inspect an outcome without :attr:`value` re-raising it."""
         return self._exception
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully after ``delay`` ns."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully at the current instant."""
         if self._value is not _PENDING or self._exception is not None:
             raise SimulationError("event already triggered")
         if self._scheduled:
             raise SimulationError("event scheduled twice")
-        sim = self.sim
-        if sim.now + delay == sim.now:
-            self._scheduled = True
-            sim._dq.append(self)
-        else:
-            sim._schedule(self, delay)
+        self._scheduled = True
+        self.sim._dq.append(self)
         self._value = value
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Trigger the event with an exception after ``delay`` ns."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Trigger the event with an exception at the current instant."""
         if self._value is not _PENDING or self._exception is not None:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        self.sim._schedule(self, delay)
+        self.sim._schedule(self, 0.0)
         self._exception = exception
         self._value = None
         return self
@@ -287,23 +285,6 @@ class Simulator:
             _heappush(self._queue, (when, self._sequence, event))
         event._scheduled = True
 
-    def schedule_at(self, event: Event, when: float, value: Any = None) -> Event:
-        """Trigger ``event`` successfully at absolute time ``when``."""
-        if not when >= self.now:
-            raise SimulationError(_PAST.format(when, self.now))
-        if event._value is not _PENDING or event._exception is not None:
-            raise SimulationError("event already triggered")
-        if event._scheduled:
-            raise SimulationError("event scheduled twice")
-        event._value = value
-        event._scheduled = True
-        if when == self.now:
-            self._dq.append(event)
-        else:
-            self._sequence += 1
-            _heappush(self._queue, (when, self._sequence, event))
-        return event
-
     # -- bare callables: one queue entry, nothing allocated -----------------
 
     def call_after(self, delay: float, callback: Callable) -> None:
@@ -319,8 +300,9 @@ class Simulator:
             _heappush(self._queue, (when, self._sequence, callback))
 
     def call_when(self, when: float, callback: Callable) -> None:
-        """Run ``callback(kick)`` at absolute time ``when`` (the position
-        of ``schedule_at``): a window tick, a reservation's drain time."""
+        """Run ``callback(kick)`` at absolute time ``when``, after every
+        entry already queued for that instant: a window tick, a
+        reservation's drain time."""
         if when == self.now:
             self._dq.append(callback)
         else:
@@ -338,16 +320,13 @@ class Simulator:
             event._scheduled = True
             self._dq.append(event)
 
-    def fail(self, then: Any, exception: BaseException) -> None:
-        """Fail a chain at the current instant, where ``done.fail(exc)``
-        would queue ``done``: ``then`` is that pending event (the
-        continuation-omitted form), or a continuation, which is handed a
-        failed event to read ``.exception`` from."""
-        if type(then) is not Event:
-            failed = Event(self)
-            failed.callbacks.append(then)
-            then = failed
-        then.fail(exception)
+    def fail(self, then: Callable, exception: BaseException) -> None:
+        """Fail a chain at the current instant: ``then`` is handed a failed
+        event, queued where ``done.fail(exc)`` would queue ``done``, to read
+        ``.exception`` from."""
+        failed = Event(self)
+        failed.callbacks.append(then)
+        failed.fail(exception)
 
     # -- factories ---------------------------------------------------------
 

@@ -10,11 +10,9 @@ from:
 - A fully pipelined FPGA kernel stage is a :class:`FIFOServer` with an
   initiation interval of one clock cycle.
 
-Each takes the waiter's next step as a continuation, ``then``, and queues
-it itself: a pool at the grant, a channel or stage at its drain time, in
-the frame that books it.  With ``then`` omitted each returns a pending
-:class:`~repro.sim.engine.Event` queued at that same position instead.
-Every size, rate and time check is written so that NaN fails it, before
+Each takes the waiter's next step as a required continuation, ``then``,
+and queues it itself: a pool at the grant, a channel or stage at its drain
+time, in the frame that books it.  Every size, rate and time check is written so that NaN fails it, before
 any state moves.
 """
 
@@ -22,19 +20,18 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Deque, Optional, Union
+from typing import Callable, Deque
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 
 class TokenPool:
     """A counted resource with FIFO acquisition.
 
     Models PCIe tags (64 per DMA engine) and posted/non-posted header
-    credits.  ``acquire`` queues a continuation
-    (or triggers the event it returns) once a token is available;
-    ``release`` returns one token.
+    credits.  ``acquire`` queues a continuation once a token is
+    available; ``release`` returns one token.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "tokens") -> None:
@@ -44,7 +41,7 @@ class TokenPool:
         self.name = name
         self.capacity = capacity
         self._available = capacity
-        self._waiters: Deque[Union[Callable, Event]] = deque()
+        self._waiters: Deque[Callable] = deque()
         self.peak_in_use = 0
         self.total_acquired = 0
 
@@ -56,27 +53,18 @@ class TokenPool:
     def in_use(self) -> int:
         return self.capacity - self._available
 
-    def acquire(self, then: Optional[Callable] = None) -> Optional[Event]:
+    def acquire(self, then: Callable) -> None:
         """Request one token.  ``then(kick)`` is queued once it is granted -
-        at once, or in FIFO turn on a later :meth:`release`.  With ``then``
-        omitted an event is returned instead and is itself what is queued
-        at that position."""
-        event = None
-        if then is None:
-            then = event = Event(self.sim)
+        at once, or in FIFO turn on a later :meth:`release`."""
         if self._available > 0 and not self._waiters:
             self._available -= 1
             self.total_acquired += 1
             in_use = self.capacity - self._available
             if in_use > self.peak_in_use:
                 self.peak_in_use = in_use
-            if event is None:
-                self.sim.call_soon(then)
-            else:
-                event.succeed()
+            self.sim.call_soon(then)
         else:
             self._waiters.append(then)
-        return event
 
     def release(self) -> None:
         """Return one token, waking the oldest waiter if any."""
@@ -86,12 +74,8 @@ class TokenPool:
             # The token passes directly to the oldest waiter; _available
             # stays unchanged (it was consumed by the releaser and is now
             # consumed by the waiter), and so does the peak.
-            then = self._waiters.popleft()
             self.total_acquired += 1
-            if type(then) is Event:
-                then.succeed()
-            else:
-                self.sim.call_soon(then)
+            self.sim.call_soon(self._waiters.popleft())
         else:
             self._available += 1
 
@@ -126,13 +110,9 @@ class BandwidthServer:
     ) -> "BandwidthServer":
         return cls(sim, bytes_per_sec / 1e9, name)
 
-    def reserve(
-        self, nbytes: float, then: Optional[Callable] = None
-    ) -> Optional[Event]:
+    def reserve(self, nbytes: float, then: Callable) -> None:
         """Book ``nbytes`` behind everything already submitted and queue
-        ``then(kick)`` for the instant the channel has drained them.  With
-        ``then`` omitted an event is returned instead and is itself what
-        is queued at that position."""
+        ``then(kick)`` for the instant the channel has drained them."""
         if not nbytes >= 0:
             raise SimulationError(
                 f"{self.name}: transfer size must be >= 0, got {nbytes!r}"
@@ -147,11 +127,6 @@ class BandwidthServer:
         self.bytes_transferred += nbytes
         self.transfers += 1
         self.busy_time += duration
-        event = None
-        if then is None:
-            then = event = Event(sim)
-            event._value = None
-            event._scheduled = True
         # Where ``call_when(drained, then)`` queues it (docs/MODELING.md,
         # "Same-instant ordering contract"): a zero-byte transfer at once,
         # anything else on the heap with the next sequence number.
@@ -160,7 +135,6 @@ class BandwidthServer:
         else:
             sim._sequence += 1
             heappush(sim._queue, (drained, sim._sequence, then))
-        return event
 
     def queue_delay(self) -> float:
         """Current backlog in ns (0 when the channel is idle)."""
@@ -199,11 +173,9 @@ class FIFOServer:
         self._next_issue = 0.0
         self.items = 0
 
-    def reserve(self, then: Optional[Callable] = None) -> Optional[Event]:
+    def reserve(self, then: Callable) -> None:
         """Enter the pipeline behind every earlier item and queue
-        ``then(kick)`` for the instant this one exits.  With ``then``
-        omitted an event is returned instead and is itself what is queued
-        at that position."""
+        ``then(kick)`` for the instant this one exits."""
         sim = self.sim
         now = sim.now
         issue = self._next_issue
@@ -212,11 +184,6 @@ class FIFOServer:
         self._next_issue = issue + self.interval
         self.items += 1
         exits = issue + self.latency + self.interval
-        event = None
-        if then is None:
-            then = event = Event(sim)
-            event._value = None
-            event._scheduled = True
         # Where ``call_when(exits, then)`` queues it (docs/MODELING.md,
         # "Same-instant ordering contract").
         if exits == now:
@@ -224,5 +191,4 @@ class FIFOServer:
         else:
             sim._sequence += 1
             heappush(sim._queue, (exits, sim._sequence, then))
-        return event
 

@@ -165,11 +165,7 @@ class TestKillSemantics:
         )
         node = cluster.nodes[cluster.map.primary(0)]
         op = KVOperation.put(slot0_key, b"v", seq=0)
-        stale = KVOperation.put(
-            slot0_key, b"v", seq=0
-        )
-        object.__setattr__(stale, "epoch", 5)
-        event = node.submit(stale)
+        event = node.submit(op, None, epoch=5)  # routed under a stale map
         assert not event.ok
         assert isinstance(event.exception, WrongEpoch)
         assert event.exception.expected == 0

@@ -19,6 +19,7 @@ from repro.dram.ecc import ECCMetadataCodec
 from repro.dram.host import touched_lines
 from repro.errors import ConfigurationError
 from repro.sim import Simulator
+from tests.waiting import wait
 
 
 class TestMemoryImage:
@@ -120,13 +121,15 @@ class TestNICDram:
     def test_access_charges_bandwidth_and_latency(self):
         sim = Simulator()
         dram = NICDram(sim, bandwidth=12.8e9, latency_ns=100.0)
-        sim.run(dram.access(64))
+        sim.run(wait(sim, dram.access, 64, False))
         assert sim.now == pytest.approx(64 / 12.8 + 100.0)
 
     def test_counters(self):
         sim = Simulator()
         dram = NICDram(sim)
-        sim.run(sim.all_of([dram.access(64), dram.access(64, write=True)]))
+        sim.run(sim.all_of([
+            wait(sim, dram.access, 64, False), wait(sim, dram.access, 64, True)
+        ]))
         assert dram.counters["reads"] == 1
         assert dram.counters["writes"] == 1
         assert dram.accesses == 2

@@ -1,5 +1,7 @@
 """The one closed-loop pump: 1..N lanes, scan fan-out and merge."""
 
+import pytest
+
 from repro.core.config import KVDirectConfig
 from repro.core.operations import (
     KVOperation,
@@ -11,7 +13,7 @@ from repro.core.operations import (
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.driver import run_closed_loop
-from repro.errors import KVDirectError
+from repro.errors import ConfigurationError, KVDirectError
 from repro.multi import MultiNICServer
 from repro.sim import Simulator
 from repro.sim.stats import Histogram
@@ -177,3 +179,17 @@ class TestLanes:
         for field in ("latency_p50_ns", "latency_p95_ns",
                       "latency_p99_ns", "latency_mean_ns"):
             assert stats[field] is None
+
+    @pytest.mark.parametrize("concurrency", [0, -1])
+    def test_non_positive_concurrency_is_rejected_before_any_submit(
+        self, concurrency
+    ):
+        """Regression: the run was built, nothing was ever submitted, and
+        it ended in a "simulation ran out of events (deadlock?)" error."""
+        sim = Simulator()
+        lane = _FakeLane(sim, 10.0, lambda op: KVResult(OpType.GET, ok=True))
+        with pytest.raises(ConfigurationError, match="concurrency"):
+            run_closed_loop(
+                lane, [KVOperation.get(b"k", seq=0)], concurrency=concurrency
+            )
+        assert lane.seen == [] and sim.peek() == float("inf")

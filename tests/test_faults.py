@@ -34,6 +34,7 @@ from repro.pcie.dma import DMAEngine
 from repro.pcie.link import PCIeLinkConfig
 from repro.pcie.tlp import transfer_drop_probability
 from repro.sim import Simulator
+from tests.waiting import wait
 
 
 class TestFaultPlan:
@@ -135,7 +136,7 @@ class TestDMAFaults:
     def test_delay_spike_slows_read(self):
         sim, engine = self._engine(FaultPlan(dma_delay_prob=1.0,
                                              dma_delay_ns=50_000.0))
-        sim.run(engine.read(64))
+        sim.run(wait(sim, engine.read, 64, -1))
         assert sim.now >= 50_000.0
         assert engine.counters["fault_delays"] == 1
 
@@ -144,7 +145,7 @@ class TestDMAFaults:
                          dma_retry_timeout_ns=10.0)
         sim, engine = self._engine(plan)
         for __ in range(200):
-            sim.run(engine.read(64))
+            sim.run(wait(sim, engine.read, 64, -1))
         assert engine.reads == 200
         assert engine.counters["dma_retries"] > 0
 
@@ -153,7 +154,7 @@ class TestDMAFaults:
                          dma_retry_timeout_ns=10.0)
         sim, engine = self._engine(plan)
         with pytest.raises(FaultInjected):
-            sim.run(engine.read(64))
+            sim.run(wait(sim, engine.read, 64, -1))
         assert engine.counters["fault_drops"] == 4  # initial + 3 retries
 
     def test_write_path_faults_too(self):
@@ -161,7 +162,7 @@ class TestDMAFaults:
                          dma_retry_timeout_ns=10.0)
         sim, engine = self._engine(plan)
         with pytest.raises(FaultInjected):
-            sim.run(engine.write(64))
+            sim.run(wait(sim, engine.write, 64, -1))
         # The posted credit must be released on failure.
         assert engine.posted_credits.in_use == 0
 

@@ -8,7 +8,9 @@ processor ran every op through its ``_ingress`` / ``_main_pipeline`` /
 ``ReplicationChannel._drain``; all of them are now callback chains that must
 occupy the *same queue positions* (see "Same-instant ordering contract" in
 ``docs/MODELING.md``).  The deleted generator bodies live on here,
-verbatim, as the ``Ref*`` subclasses - a test-only reference.  Both
+verbatim, as the ``Ref*`` subclasses - a test-only reference, whose waits
+on the shared resources (pools, channels, stages, the ingress queue) go
+through ``tests/waiting.py`` at a continuation's own queue position.  Both
 implementations are driven through the same seeded runs and must produce
 the same ordered log of every ``(sim.now, resource, call)``: token
 acquires and releases, bandwidth reservations, cache decisions, latency
@@ -69,6 +71,7 @@ from repro.pcie.tlp import (
 )
 from repro.driver import run_closed_loop
 from repro.sim import FIFOServer, Simulator
+from tests.waiting import Waiting, wait
 
 LINE = 64
 
@@ -84,36 +87,33 @@ class RefNICDram(NICDram):
         return self.sim.process(self._access(nbytes))
 
     def _access(self, nbytes):
-        yield self.channel.reserve(nbytes)
+        yield wait(self.sim, self.channel.reserve, nbytes)
         yield self.sim.timeout(self.latency_ns)
 
 
 class RefDMAEngine(DMAEngine):
-    # ``then`` is what ``MultiLinkDMA`` forwards; the generators never pass
-    # one and wait on the returned process instead.
-    def read(self, nbytes, seq=-1, then=None):
-        assert then is None
+    def read(self, nbytes, seq=-1):
         return self.sim.process(self._read(nbytes, seq))
 
-    def write(self, nbytes, seq=-1, then=None):
-        assert then is None
+    def write(self, nbytes, seq=-1):
         return self.sim.process(self._write(nbytes, seq))
 
     def _read(self, nbytes, seq=-1):
-        start = self.sim.now
-        yield self.tags.acquire()
-        yield self.nonposted_credits.acquire()
+        sim = self.sim
+        start = sim.now
+        yield wait(sim, self.tags.acquire)
+        yield wait(sim, self.nonposted_credits.acquire)
         try:
             attempts = 0
             while True:
-                yield self.tx.reserve(read_request_bytes(nbytes))
+                yield wait(sim, self.tx.reserve, read_request_bytes(nbytes))
                 if self.injector is None:
                     break
                 if not (yield from self._fault_check(nbytes, attempts, seq)):
                     break
                 attempts += 1
-            yield self.sim.timeout(self.config.read_latency.sample())
-            yield self.rx.reserve(read_response_bytes(nbytes))
+            yield sim.timeout(self.config.read_latency.sample())
+            yield wait(sim, self.rx.reserve, read_response_bytes(nbytes))
         finally:
             self.nonposted_credits.release()
             self.tags.release()
@@ -150,11 +150,12 @@ class RefDMAEngine(DMAEngine):
         return True
 
     def _write(self, nbytes, seq=-1):
-        yield self.posted_credits.acquire()
+        sim = self.sim
+        yield wait(sim, self.posted_credits.acquire)
         try:
             attempts = 0
             while True:
-                yield self.tx.reserve(write_request_bytes(nbytes))
+                yield wait(sim, self.tx.reserve, write_request_bytes(nbytes))
                 if self.injector is None:
                     break
                 if not (yield from self._fault_check(nbytes, attempts, seq)):
@@ -174,6 +175,21 @@ class RefDMAEngine(DMAEngine):
     def _return_posted_credit(self):
         yield self.sim.timeout(self.config.fabric_rtt_ns)
         self.posted_credits.release()
+
+
+class RefMultiLinkDMA(MultiLinkDMA):
+    """The round robin as the generators saw it: the next link's
+    :class:`RefDMAEngine` returns the process a ``RefEngine`` waits on."""
+
+    def read(self, nbytes, seq=-1):
+        link = self.links[self._next]
+        self._next = (self._next + 1) % self._link_count
+        return link.read(nbytes, seq)
+
+    def write(self, nbytes, seq=-1):
+        link = self.links[self._next]
+        self._next = (self._next + 1) % self._link_count
+        return link.write(nbytes, seq)
 
 
 class RefEngine(MemoryAccessEngine):
@@ -271,7 +287,7 @@ class RefEthernetLink(EthernetLink):
         return self.sim.process(self._transfer(self.egress, nbytes, "tx"))
 
     def _transfer(self, channel, nbytes, direction):
-        yield channel.reserve(nbytes)
+        yield wait(self.sim, channel.reserve, nbytes)
         injector = self.injector
         if injector is not None:
             site = f"eth.{direction}"
@@ -279,7 +295,7 @@ class RefEthernetLink(EthernetLink):
                 # The duplicate serializes too; the receiver drops it.
                 self.counters.add(f"{direction}_duplicates")
                 self._trace(f"eth.{direction}.dup", f"{nbytes}B")
-                yield channel.reserve(nbytes)
+                yield wait(self.sim, channel.reserve, nbytes)
             if injector.packet_reorder(site, self.sim.now):
                 # Held in the fabric long enough for successors to pass it.
                 self.counters.add(f"{direction}_reordered")
@@ -347,7 +363,7 @@ class RefKVProcessor(KVProcessor):
 
         # decode: the fully pipelined batch/op decoder (one op per clock).
         stamps["decode"] = sim.now
-        yield self.decoder.reserve()
+        yield wait(sim, self.decoder.reserve)
         if tracer is not None:
             tracer.emit(seq, "decode")
         if deadline is not None and sim.now > deadline:
@@ -358,8 +374,8 @@ class RefKVProcessor(KVProcessor):
         # (which, under an overload policy, may shed the op instead),
         # recording the time a queued op stalled on a full station.
         stamps["admission"] = sim.now
-        grant = self.admission.submit(op)
-        queued = not grant.triggered
+        grant = Waiting(sim)
+        queued = not self.admission.submit(op, grant)
         if queued:
             self.station.record_full_stall()
             stall_start = sim.now
@@ -433,8 +449,8 @@ class RefKVProcessor(KVProcessor):
         replay_start = sim.now
         try:
             for kind, addr, size in trace:
-                yield self.engine.access(
-                    addr, size, write=(kind == "write"), seq=seq
+                yield wait(
+                    sim, self.engine.access, addr, size, kind == "write", seq
                 )
             compute_ns = self.compute_time(op, value_after)
             if compute_ns > 0:
@@ -475,7 +491,7 @@ class RefKVProcessor(KVProcessor):
         ctx.response.add_callback(record)
 
     def _deliver_forwarded(self, op, result):
-        yield self.forward_engine.reserve()
+        yield wait(self.sim, self.forward_engine.reserve)
         self.counters["forwarded"] += 1
         ctx = self.context_for(op)
         if self.tracer is not None:
@@ -487,7 +503,7 @@ class HopFusedNICDram(NICDram):
     """What the contract forbids: the burst books the channel inside
     ``access()`` instead of one queue hop later."""
 
-    def access(self, nbytes, write=False, then=None):
+    def access(self, nbytes, write, then):
         kind = "writes" if write else "reads"
         self.counters.add(kind)
         self.counters.add(f"{kind[:-1]}_bytes", nbytes)
@@ -513,11 +529,13 @@ class Rig:
     def __init__(self, classes, plan=None, nic_lines=8, host_lines=256,
                  ratio=0.5, seed=3):
         nic_cls, dma_cls, engine_cls = classes
+        self.reference = classes == REFERENCE
         self.sim = sim = Simulator()
         self.log = []
         self.injector = FaultInjector(plan, seed=seed) if plan else None
         self.tracer = Tracer(clock=lambda: sim.now)
-        self.dma = MultiLinkDMA(sim, link_count=2)
+        multi_cls = RefMultiLinkDMA if self.reference else MultiLinkDMA
+        self.dma = multi_cls(sim, link_count=2)
         self.dma.links = [
             dma_cls(
                 sim, PCIeLinkConfig.gen3_x8(seed=seed + i), name=f"pcie{i}",
@@ -550,7 +568,7 @@ class Rig:
             for pool in (link.tags, link.posted_credits, link.nonposted_credits):
                 self.pools.append(pool)
                 # The chains pass their next step to ``acquire``; the
-                # generators yield on the event it returns.  Same call.
+                # generators pass the event they yield.  Same call.
                 self._spy(pool, "acquire", pool.name, result=lambda _: None,
                           logged_args=lambda args: ())
                 self._spy(pool, "release", pool.name)
@@ -571,14 +589,19 @@ class Rig:
 
     def _spy_channel(self, channel, label):
         """Log a channel's or stage's bookings: the chains pass their next
-        step to ``reserve``, the generators take the event it returns.  Both
-        are logged as the size booked and the drain time it set."""
+        step to ``reserve``, the generators the event they yield.  Both are
+        logged as the size booked and the drain time it set."""
         if isinstance(channel, FIFOServer):
             sized, drained = 0, lambda _: channel._next_issue
         else:
             sized, drained = 1, lambda _: channel._free_at
         self._spy(channel, "reserve", label, result=drained,
                   logged_args=lambda args: args[:sized])
+
+    def issue(self, call, *args):
+        """Start one access or DMA: a reference call returns the process
+        that lands with it, a chain's is waited on as an event."""
+        return call(*args) if self.reference else wait(self.sim, call, *args)
 
     def watch(self, label, event):
         """Log the outcome of one issued access when it lands."""
@@ -611,10 +634,9 @@ def engine_mix(rig, seed, count=120):
         for seq in range(count):
             addr = rng.randrange(250 * LINE)
             size = rng.choice((1, 8, 13, 64, 64, 100, 254, 300))
-            rig.watch(
-                f"op{seq}",
-                rig.engine.access(addr, size, write=rng.random() < 0.5, seq=seq),
-            )
+            rig.watch(f"op{seq}", rig.issue(
+                rig.engine.access, addr, size, rng.random() < 0.5, seq
+            ))
             gap = rng.choice((0.0, 0.0, 0.0, 5.0, 5.555, 40.0, 900.0))
             if gap:
                 yield rig.sim.timeout(gap)
@@ -653,7 +675,7 @@ class TestChainsMatchTheGenerators:
             link = rig.dma.links[0]
             for i in range(300):
                 issue = link.write if i % 3 == 2 else link.read
-                rig.watch(f"dma{i}", issue(64 + (i % 5) * 100, seq=i))
+                rig.watch(f"dma{i}", rig.issue(issue, 64 + (i % 5) * 100, i))
             rig.sim.run()
 
         rig = run_both(drive)
@@ -713,11 +735,15 @@ class TestTheGateBites:
             line for line in range(1000)
             if address_hash(line) >= 0.5 > address_hash(line + 1)
         )
-        warm = rig.engine.access((bypass_then_cached + 1) * LINE, LINE, write=True)
+        warm = rig.issue(
+            rig.engine.access, (bypass_then_cached + 1) * LINE, LINE, True, -1
+        )
         rig.sim.run(warm)
         rig.sim.run()
         del rig.log[:]
-        rig.watch("tie", rig.engine.access(bypass_then_cached * LINE, 2 * LINE))
+        rig.watch("tie", rig.issue(
+            rig.engine.access, bypass_then_cached * LINE, 2 * LINE, False, -1
+        ))
         rig.sim.run()
 
     def test_chains_keep_the_order_and_a_fused_hop_does_not(self):
@@ -856,13 +882,9 @@ class ProcessorRig(Rig):
             r.hit, r.writeback_line, r.needs_fill
         ))
         self._spy(self.tracer, "emit", "tracer")
-        # The reference takes its grant as an event, the chains pass a
-        # continuation: both are logged as the op and whether the grant
-        # (or the shed) was queued on arrival.
+        # Logged as the op and whether the grant (or the shed) was queued
+        # on arrival: the continuation (the reference's event) is not.
         self._spy(processor.admission, "submit", "slots",
-                  result=lambda grant: (
-                      grant if type(grant) is bool else grant.triggered
-                  ),
                   logged_args=lambda args: args[:1])
         self._spy(processor.admission, "release", "slots")
         for link in processor.dma.links:

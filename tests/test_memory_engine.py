@@ -17,6 +17,7 @@ from repro.memory.dispatcher import address_hash
 from repro.obs.tracer import Tracer
 from repro.pcie import MultiLinkDMA
 from repro.sim import Simulator
+from tests.waiting import wait
 
 
 class TestAddressHash:
@@ -130,15 +131,15 @@ class TestMemoryAccessEngine:
     def test_bypass_goes_to_pcie(self):
         sim = Simulator()
         engine = _engine(sim, ratio=0.0)
-        sim.run(engine.access(0, 64, write=False))
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))
         assert engine.counters["pcie_direct"] == 1
         assert engine.dma.reads == 1
 
     def test_cacheable_miss_then_hit(self):
         sim = Simulator()
         engine = _engine(sim, ratio=1.0)
-        sim.run(engine.access(0, 64, write=False))
-        sim.run(engine.access(0, 64, write=False))
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))
         assert engine.counters["cache_misses"] == 1
         assert engine.counters["cache_hits"] == 1
         assert engine.dma.reads == 1  # only the fill
@@ -147,44 +148,44 @@ class TestMemoryAccessEngine:
         sim = Simulator()
         engine = _engine(sim, ratio=1.0)
         start = sim.now
-        sim.run(engine.access(0, 64, write=False))
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))
         miss_time = sim.now - start
         start = sim.now
-        sim.run(engine.access(0, 64, write=False))
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))
         hit_time = sim.now - start
         assert hit_time < miss_time
 
     def test_full_line_write_miss_no_fill(self):
         sim = Simulator()
         engine = _engine(sim, ratio=1.0)
-        sim.run(engine.access(64, 64, write=True))
+        sim.run(wait(sim, engine.access, 64, 64, True, -1))
         assert engine.dma.reads == 0
         assert engine.counters["fills"] == 0
 
     def test_dirty_writeback_traffic(self):
         sim = Simulator()
         engine = _engine(sim, ratio=1.0, nic_lines=4, host_lines=16)
-        sim.run(engine.access(1 * 64, 64, write=True))  # dirty line 1
-        sim.run(engine.access(5 * 64, 64, write=False))  # evicts line 1
+        sim.run(wait(sim, engine.access, 1 * 64, 64, True, -1))  # dirty line 1
+        sim.run(wait(sim, engine.access, 5 * 64, 64, False, -1))  # evicts 1
         assert engine.counters["writebacks"] == 1
         assert engine.dma.writes == 1
 
     def test_multi_line_access_fans_out(self):
         sim = Simulator()
         engine = _engine(sim, ratio=0.0)
-        sim.run(engine.access(0, 256, write=False))
+        sim.run(wait(sim, engine.access, 0, 256, False, -1))
         assert engine.dma.reads == 4
 
     def test_no_cache_configured(self):
         sim = Simulator()
         engine = _engine(sim, ratio=1.0, cache=False)
-        sim.run(engine.access(0, 64, write=False))
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))
         assert engine.counters["pcie_direct"] == 1
 
     def test_zero_size_noop(self):
         sim = Simulator()
         engine = _engine(sim)
-        sim.run(engine.access(0, 0, write=False))
+        sim.run(wait(sim, engine.access, 0, 0, False, -1))
         assert engine.dma.total_ops == 0
 
     @pytest.mark.parametrize(
@@ -197,7 +198,7 @@ class TestMemoryAccessEngine:
         sim = Simulator()
         engine = _engine(sim, ratio=ratio)
         engine.tracer = Tracer(clock=lambda: sim.now)
-        sim.run(engine.access(0, 512 * 64 - 7, write=False))
+        sim.run(wait(sim, engine.access, 0, 512 * 64 - 7, False, -1))
         routes = [
             span.detail for span in engine.tracer.spans
             if span.stage == "mem.route"
@@ -212,9 +213,9 @@ class TestMemoryAccessEngine:
     def test_hit_rate(self):
         sim = Simulator()
         engine = _engine(sim, ratio=1.0)
-        sim.run(engine.access(0, 64))
-        sim.run(engine.access(0, 64))
-        sim.run(engine.access(0, 64))
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))
         assert engine.hit_rate() == pytest.approx(2 / 3)
 
 
@@ -223,7 +224,7 @@ class TestPartialLineWrites:
         """Writing 10 B into an uncached line must fetch the line."""
         sim = Simulator()
         engine = _engine(sim, ratio=1.0)
-        sim.run(engine.access(64, 10, write=True))
+        sim.run(wait(sim, engine.access, 64, 10, True, -1))
         assert engine.counters["fills"] == 1
         assert engine.dma.reads == 1
 
@@ -231,13 +232,13 @@ class TestPartialLineWrites:
         """A write straddling two lines touches both (one full, one not)."""
         sim = Simulator()
         engine = _engine(sim, ratio=1.0)
-        sim.run(engine.access(32, 64, write=True))  # lines 0 and 1, partial
+        sim.run(wait(sim, engine.access, 32, 64, True, -1))  # lines 0, 1: partial
         assert engine.counters["cache_misses"] == 2
         assert engine.counters["fills"] == 2  # both partial: both fill
 
     def test_partial_write_hit_needs_no_fill(self):
         sim = Simulator()
         engine = _engine(sim, ratio=1.0)
-        sim.run(engine.access(0, 64, write=False))  # fill the line
-        sim.run(engine.access(8, 4, write=True))  # partial write, hit
+        sim.run(wait(sim, engine.access, 0, 64, False, -1))  # fill the line
+        sim.run(wait(sim, engine.access, 8, 4, True, -1))  # partial write, hit
         assert engine.counters["fills"] == 1  # only the initial read

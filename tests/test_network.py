@@ -272,11 +272,11 @@ class TestKVOperationValidation:
         assert not KVOperation.range(b"k", 3).is_write
         assert not KVOperation.scan(b"k", 3).is_write
 
-    def test_submit_epoch_overrides_and_falls_back_to_op_epoch(self):
+    def test_submit_checks_the_passed_epoch_and_minus_one_skips_it(self):
         """The router hands its routing epoch to ``ClusterNode.submit``
         instead of stamping a copy of the op: a stale ``epoch=`` NACKs with
-        WrongEpoch before any side effect, ``epoch=-1`` falls back to
-        ``op.epoch``, and the op object itself is what reaches the node."""
+        WrongEpoch before any side effect, ``epoch=-1`` (the default) skips
+        the check, and the op object itself is what reaches the node."""
         from repro.core.config import KVDirectConfig
         from repro.errors import WrongEpoch
         from repro.multi import Cluster
@@ -299,13 +299,11 @@ class TestKVOperationValidation:
         assert (stale.expected, stale.got) == (1, 0)
         assert node.accepted == 0 and b"k" not in node.store
         assert cluster.counters["wrong_epoch_nacks"] == 1
-        # epoch=-1 falls back to op.epoch: -1 there too skips the check...
         assert outcome(node.submit(op, None)).ok
-        # ...and a stamped op.epoch is checked like a passed one.
-        stamped = KVOperation(OpType.GET, b"k", seq=2, epoch=0)
-        assert isinstance(outcome(node.submit(stamped)), WrongEpoch)
-        assert outcome(node.submit(stamped, None, epoch=1)).value == b"v"
-        assert node.accepted == 2 and op.epoch == -1
+        read = KVOperation.get(b"k", seq=2)
+        assert outcome(node.submit(read, None, epoch=1)).value == b"v"
+        assert node.accepted == 2
+        assert not hasattr(op, "epoch")  # nothing on the op to fall back to
 
     def test_key_hash_is_cached_lazily_and_is_not_a_field(self):
         import dataclasses

@@ -37,6 +37,7 @@ from repro.network.batching import (
 )
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
+from tests.waiting import ignore, wait
 
 
 def q(value):
@@ -86,18 +87,22 @@ def _queue(policy="reject-new", depth=2, slots=1):
 
 
 class TestIngressQueue:
+    """Each op is waited on through ``tests.waiting``: its event is
+    processed once the op is granted or shed, and not before."""
+
     def test_direct_admit_when_idle(self):
-        __, queue = _queue()
-        event = queue.submit(KVOperation.get(b"a"))
-        assert event.triggered and event.ok and event.value == 0.0
+        sim, queue = _queue()
+        assert queue.submit(KVOperation.get(b"a"), ignore) is True
+        assert list(sim._dq) == [ignore]  # granted at once
         assert queue.counters["admitted_direct"] == 1
+        assert queue.wait_ns.samples() == [0.0]
         assert queue.depth == 0
         assert queue.available == 0  # the slot went to the op
 
     def test_release_without_grant_rejected(self):
         """The slot ledger: every release returns a granted slot."""
         __, queue = _queue(slots=2)
-        queue.submit(KVOperation.get(b"a"))
+        queue.submit(KVOperation.get(b"a"), ignore)
         queue.release()
         assert queue.available == queue.capacity
         with pytest.raises(SimulationError, match="without a grant"):
@@ -109,33 +114,35 @@ class TestIngressQueue:
             _queue(slots=slots)
 
     def test_enqueues_when_tokens_busy(self):
-        __, queue = _queue()
-        queue.submit(KVOperation.get(b"a"))
-        waiting = queue.submit(KVOperation.get(b"b"))
-        assert not waiting.triggered
+        sim, queue = _queue()
+        queue.submit(KVOperation.get(b"a"), ignore)
+        assert queue.submit(KVOperation.get(b"b"), ignore) is False
+        sim.run()
         assert queue.depth == 1
         assert queue.counters["enqueued"] == 1
 
     def test_release_grants_fifo_with_wait_time(self):
         sim, queue = _queue()
-        queue.submit(KVOperation.get(b"a"))
-        first = queue.submit(KVOperation.get(b"b"))
-        second = queue.submit(KVOperation.get(b"c"))
-        sim.now = 500.0  # advance the clock without running processes
+        queue.submit(KVOperation.get(b"a"), ignore)
+        first = wait(sim, queue.submit, KVOperation.get(b"b"))
+        second = wait(sim, queue.submit, KVOperation.get(b"c"))
+        sim.now = 500.0  # advance the clock without running anything
         queue.release()
-        assert first.triggered and first.ok and first.value == 500.0
-        assert not second.triggered
+        sim.run()
+        assert first.processed and first.exception is None
+        assert not second.processed
         assert queue.wait_ns.count == 2  # the direct admit recorded 0.0
         assert queue.wait_ns.max() == 500.0
         assert queue.counters["admitted_queued"] == 1
 
     def test_reject_new_sheds_the_arrival(self):
-        __, queue = _queue(policy="reject-new", depth=1)
-        queue.submit(KVOperation.get(b"a"))
-        queued = queue.submit(KVOperation.get(b"b"))
-        shed = queue.submit(KVOperation.get(b"c"))
-        assert not queued.triggered
-        assert shed.triggered and not shed.ok
+        sim, queue = _queue(policy="reject-new", depth=1)
+        queue.submit(KVOperation.get(b"a"), ignore)
+        queued = wait(sim, queue.submit, KVOperation.get(b"b"))
+        shed = wait(sim, queue.submit, KVOperation.get(b"c"))
+        sim.run()
+        assert not queued.processed
+        assert shed.processed
         assert isinstance(shed.exception, ServerBusy)
         assert shed.exception.policy == "reject-new"
         assert shed.exception.reason == "arriving"
@@ -143,60 +150,64 @@ class TestIngressQueue:
         assert queue.shed_total == 1
 
     def test_drop_oldest_sheds_the_head(self):
-        __, queue = _queue(policy="drop-oldest", depth=1)
-        queue.submit(KVOperation.get(b"a"))
-        oldest = queue.submit(KVOperation.get(b"b"))
-        arrival = queue.submit(KVOperation.get(b"c"))
-        assert oldest.triggered and not oldest.ok
-        assert oldest.exception.reason == "oldest"
-        assert not arrival.triggered  # took the shed op's place
+        sim, queue = _queue(policy="drop-oldest", depth=1)
+        queue.submit(KVOperation.get(b"a"), ignore)
+        oldest = wait(sim, queue.submit, KVOperation.get(b"b"))
+        arrival = wait(sim, queue.submit, KVOperation.get(b"c"))
+        sim.run()
+        assert oldest.processed and oldest.exception.reason == "oldest"
+        assert not arrival.processed  # took the shed op's place
         assert queue.depth == 1
 
     def test_by_op_class_sheds_writes_before_reads(self):
-        __, queue = _queue(policy="by-op-class", depth=2)
-        queue.submit(KVOperation.get(b"a"))
-        write = queue.submit(KVOperation.put(b"b", b"v"))
-        read = queue.submit(KVOperation.get(b"c"))
-        arrival = queue.submit(KVOperation.get(b"d"))
-        assert write.triggered and not write.ok
-        assert write.exception.reason == "write"
-        assert not read.triggered and not arrival.triggered
+        sim, queue = _queue(policy="by-op-class", depth=2)
+        queue.submit(KVOperation.get(b"a"), ignore)
+        write = wait(sim, queue.submit, KVOperation.put(b"b", b"v"))
+        read = wait(sim, queue.submit, KVOperation.get(b"c"))
+        arrival = wait(sim, queue.submit, KVOperation.get(b"d"))
+        sim.run()
+        assert write.processed and write.exception.reason == "write"
+        assert not read.processed and not arrival.processed
         assert queue.counters["shed_class_write"] == 1
 
     def test_by_op_class_sheds_vector_ops_first(self):
-        __, queue = _queue(policy="by-op-class", depth=2)
-        queue.submit(KVOperation.get(b"a"))
-        write = queue.submit(KVOperation.put(b"b", b"v"))
-        vector = queue.submit(KVOperation.update(b"c", FETCH_ADD, q(1)))
-        queue.submit(KVOperation.get(b"d"))
-        assert vector.triggered and not vector.ok
-        assert vector.exception.reason == "vector"
-        assert not write.triggered
+        sim, queue = _queue(policy="by-op-class", depth=2)
+        queue.submit(KVOperation.get(b"a"), ignore)
+        write = wait(sim, queue.submit, KVOperation.put(b"b", b"v"))
+        vector = wait(
+            sim, queue.submit, KVOperation.update(b"c", FETCH_ADD, q(1))
+        )
+        queue.submit(KVOperation.get(b"d"), ignore)
+        sim.run()
+        assert vector.processed and vector.exception.reason == "vector"
+        assert not write.processed
 
     def test_by_op_class_tie_sheds_oldest(self):
         """All reads: the oldest queued read goes, not the arrival."""
-        __, queue = _queue(policy="by-op-class", depth=1)
-        queue.submit(KVOperation.get(b"a"))
-        oldest = queue.submit(KVOperation.get(b"b"))
-        arrival = queue.submit(KVOperation.get(b"c"))
-        assert oldest.triggered and not oldest.ok
-        assert not arrival.triggered
+        sim, queue = _queue(policy="by-op-class", depth=1)
+        queue.submit(KVOperation.get(b"a"), ignore)
+        oldest = wait(sim, queue.submit, KVOperation.get(b"b"))
+        arrival = wait(sim, queue.submit, KVOperation.get(b"c"))
+        sim.run()
+        assert oldest.processed and isinstance(oldest.exception, ServerBusy)
+        assert not arrival.processed
 
 
 def _holder(queue):
     """Take the one slot."""
-    queue.submit(KVOperation.get(b"holder"))
+    queue.submit(KVOperation.get(b"holder"), ignore)
 
 
 class TestIngressContinuation:
-    """``submit(op, then)`` queues ``then`` exactly where the event form
-    queues its event - at once, from ``release``, or failed at a shed -
+    """``submit(op, then)`` queues ``then`` at the call that grants (or
+    sheds) the op - at once, from ``release``, or failed at a shed -
     measured against ``call_soon`` entries queued just before and just
-    after the call that grants (or sheds) the watched op."""
+    after that call; the position the event a generator once waited on
+    was queued at."""
 
     #: name -> (policy, setup before the trigger, trigger, whether the
-    #: continuation form's submit of the watched op reports it queued).
-    #: ``watch`` submits the watched op in the form under test.
+    #: submit of the watched op reports it queued at once).  ``watch``
+    #: submits the watched op.
     CASES = {
         "granted at once": (
             "reject-new",
@@ -213,7 +224,8 @@ class TestIngressContinuation:
         "shed on arrival": (
             "reject-new",
             lambda queue, watch: (
-                _holder(queue), queue.submit(KVOperation.get(b"waiter"))
+                _holder(queue),
+                queue.submit(KVOperation.get(b"waiter"), ignore),
             ),
             lambda queue, watch: watch(KVOperation.get(b"a")),
             True,
@@ -221,14 +233,14 @@ class TestIngressContinuation:
         "shed while waiting": (
             "drop-oldest",
             lambda queue, watch: (_holder(queue), watch(KVOperation.get(b"a"))),
-            lambda queue, watch: queue.submit(KVOperation.get(b"newer")),
+            lambda queue, watch: queue.submit(KVOperation.get(b"newer"), ignore),
             False,
         ),
     }
 
-    @staticmethod
-    def positions(case, form):
-        policy, setup, trigger, __ = TestIngressContinuation.CASES[case]
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_continuation_runs_where_the_event_did(self, case):
+        policy, setup, trigger, at_once = self.CASES[case]
         sim, queue = _queue(policy=policy, depth=1)
         order, queued_at_once = [], []
 
@@ -236,10 +248,7 @@ class TestIngressContinuation:
             order.append(("watched", type(event.exception)))
 
         def watch(op):
-            if form == "event":
-                queue.submit(op).callbacks.append(landed)
-            else:
-                queued_at_once.append(queue.submit(op, landed))
+            queued_at_once.append(queue.submit(op, landed))
 
         setup(queue, watch)
         sim.run()
@@ -247,20 +256,13 @@ class TestIngressContinuation:
         trigger(queue, watch)
         sim.call_soon(lambda entry: order.append("after"))
         sim.run()
-        return order, queued_at_once
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_continuation_runs_where_the_event_did(self, case):
         shed = case.startswith("shed")
-        expected = [
+        assert order == [
             "before",
             ("watched", ServerBusy if shed else type(None)),
             "after",
         ]
-        by_event, __ = self.positions(case, "event")
-        by_continuation, queued_at_once = self.positions(case, "continuation")
-        assert by_event == by_continuation == expected
-        assert queued_at_once == [self.CASES[case][3]]
+        assert queued_at_once == [at_once]
 
 
 class TestWireDeadline:

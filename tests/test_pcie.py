@@ -16,6 +16,7 @@ from repro.pcie import (
 from repro.pcie.tlp import effective_op_rate
 from repro.sim import ConstantLatency, Simulator
 from repro.sim.stats import mops
+from tests.waiting import wait
 
 
 class TestTLPArithmetic:
@@ -86,7 +87,7 @@ class TestDMARead:
     def test_single_read_latency(self):
         sim = Simulator()
         engine = _engine(sim, latency_ns=1000.0)
-        done = engine.read(64)
+        done = wait(sim, engine.read, 64, -1)
         sim.run(done)
         # request 26 B + 1000 ns + response 90 B at 7.87 B/ns
         expected = 26 / 7.87 + 1000.0 + 90 / 7.87
@@ -96,7 +97,7 @@ class TestDMARead:
     def test_tag_limit_bounds_concurrency(self):
         sim = Simulator()
         engine = _engine(sim, latency_ns=1000.0, tags=4)
-        procs = [engine.read(64) for __ in range(16)]
+        procs = [wait(sim, engine.read, 64, -1) for __ in range(16)]
         sim.run(sim.all_of(procs))
         assert engine.tags.peak_in_use == 4
         # 16 reads with 4-way concurrency need ~4 serial rounds.
@@ -110,7 +111,9 @@ class TestDMARead:
         completed = []
 
         def issuer():
-            inflight = [engine.read(64) for __ in range(2000)]
+            inflight = [
+                wait(sim, engine.read, 64, -1) for __ in range(2000)
+            ]
             yield sim.all_of(inflight)
             completed.append(len(inflight))
 
@@ -121,7 +124,9 @@ class TestDMARead:
     def test_read_latency_histogram_populated(self):
         sim = Simulator()
         engine = _engine(sim)
-        sim.run(sim.all_of([engine.read(64) for __ in range(10)]))
+        sim.run(sim.all_of(
+            [wait(sim, engine.read, 64, -1) for __ in range(10)]
+        ))
         assert engine.read_latency_hist.count == 10
         assert engine.read_latency_hist.min() >= 1000.0
 
@@ -130,7 +135,7 @@ class TestDMAWrite:
     def test_single_write_is_serialization_only(self):
         sim = Simulator()
         engine = _engine(sim)
-        done = engine.write(64)
+        done = wait(sim, engine.write, 64, -1)
         sim.run(done)
         assert sim.now == pytest.approx(90 / 7.87, rel=1e-6)
         assert engine.writes == 1
@@ -141,7 +146,9 @@ class TestDMAWrite:
         engine = DMAEngine(sim, PCIeLinkConfig.gen3_x8())
 
         def issuer():
-            yield sim.all_of([engine.write(64) for __ in range(2000)])
+            yield sim.all_of(
+                [wait(sim, engine.write, 64, -1) for __ in range(2000)]
+            )
 
         sim.run(sim.process(issuer()))
         rate = mops(2000, sim.now)
@@ -150,8 +157,10 @@ class TestDMAWrite:
     def test_posted_credits_recycle(self):
         sim = Simulator()
         engine = _engine(sim)
-        sim.run(sim.all_of([engine.write(64) for __ in range(500)]))
-        sim.run()  # drain credit-return processes
+        sim.run(sim.all_of(
+            [wait(sim, engine.write, 64, -1) for __ in range(500)]
+        ))
+        sim.run()  # drain the credit returns
         assert engine.posted_credits.available == engine.config.posted_credits
 
 
@@ -159,7 +168,9 @@ class TestMultiLink:
     def test_round_robin_balances(self):
         sim = Simulator()
         dma = MultiLinkDMA(sim, link_count=2)
-        sim.run(sim.all_of([dma.read(64) for __ in range(100)]))
+        sim.run(sim.all_of(
+            [wait(sim, dma.read, 64, -1) for __ in range(100)]
+        ))
         assert dma.links[0].reads == 50
         assert dma.links[1].reads == 50
         assert dma.reads == 100
@@ -167,12 +178,16 @@ class TestMultiLink:
     def test_two_links_double_throughput(self):
         sim1 = Simulator()
         single = MultiLinkDMA(sim1, link_count=1)
-        sim1.run(sim1.all_of([single.read(64) for __ in range(1000)]))
+        sim1.run(sim1.all_of(
+            [wait(sim1, single.read, 64, -1) for __ in range(1000)]
+        ))
         single_time = sim1.now
 
         sim2 = Simulator()
         double = MultiLinkDMA(sim2, link_count=2)
-        sim2.run(sim2.all_of([double.read(64) for __ in range(1000)]))
+        sim2.run(sim2.all_of(
+            [wait(sim2, double.read, 64, -1) for __ in range(1000)]
+        ))
         double_time = sim2.now
 
         assert double_time == pytest.approx(single_time / 2, rel=0.1)
@@ -184,7 +199,9 @@ class TestMultiLink:
     def test_snapshot_merges(self):
         sim = Simulator()
         dma = MultiLinkDMA(sim, link_count=2)
-        sim.run(sim.all_of([dma.read(64), dma.write(64)]))
+        sim.run(sim.all_of(
+            [wait(sim, dma.read, 64, -1), wait(sim, dma.write, 64, -1)]
+        ))
         sim.run()
         snap = dma.snapshot()
         assert snap["dma_reads"] == 1
@@ -197,7 +214,7 @@ class TestMultiTLPTransfers:
     def test_large_read_wire_bytes(self):
         sim = Simulator()
         engine = _engine(sim, latency_ns=1000.0)
-        sim.run(engine.read(1024))
+        sim.run(wait(sim, engine.read, 1024, -1))
         # 4 TLPs of header upstream; 1024 B + 4 headers downstream.
         assert engine.tx.bytes_transferred == 4 * 26
         assert engine.rx.bytes_transferred == 1024 + 4 * 26
@@ -205,12 +222,12 @@ class TestMultiTLPTransfers:
     def test_large_write_wire_bytes(self):
         sim = Simulator()
         engine = _engine(sim)
-        sim.run(engine.write(512))
+        sim.run(wait(sim, engine.write, 512, -1))
         assert engine.tx.bytes_transferred == 512 + 2 * 26
 
     def test_zero_length_read(self):
         sim = Simulator()
         engine = _engine(sim, latency_ns=100.0)
-        sim.run(engine.read(0))
+        sim.run(wait(sim, engine.read, 0, -1))
         assert engine.reads == 1
         assert engine.tx.bytes_transferred == 26

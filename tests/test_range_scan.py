@@ -306,6 +306,35 @@ class TestShardedScans:
         __, __, four, __s2 = _sharded_scan_run(nics=4)
         assert one == four
 
+    @staticmethod
+    def _loaded_server(nics):
+        sim = Simulator()
+        server = MultiNICServer(
+            sim, nic_count=nics,
+            config=KVDirectConfig(memory_size=4 << 20, ordered_index=True),
+        )
+        pairs = [(b"key%05d" % i, b"v%04d" % i) for i in range(64)]
+        for key, value in pairs:
+            server.put_direct(key, value)
+        return sim, server, pairs
+
+    @pytest.mark.parametrize("build", [KVOperation.range, KVOperation.scan])
+    def test_direct_submit_refuses_a_scan_on_more_than_one_nic(self, build):
+        """Regression: ``server.submit`` sent a RANGE or SCAN to the NIC
+        owning its start key alone, and that shard's entries (global ranks
+        0, 1, 5, 11, ... on 4 NICs) came back as the whole result."""
+        sim, server, __ = self._loaded_server(nics=4)
+        with pytest.raises(UnsupportedOperation, match="run_closed_loop"):
+            server.submit(build(b"key00000", 10))
+        assert sim.peek() == float("inf")  # no NIC saw the op
+        assert not any(p.counters["admitted"] for p in server.processors)
+
+    def test_direct_submit_of_a_scan_on_one_nic_is_the_whole_scan(self):
+        sim, server, pairs = self._loaded_server(nics=1)
+        response = server.submit(KVOperation.range(b"key00000", 10))
+        result = sim.run(response)
+        assert decode_scan_payload(result.value, True) == pairs[:10]
+
 
 class TestShardRouterScans:
     def _run(self, shards):

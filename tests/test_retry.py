@@ -17,6 +17,7 @@ from repro.client import (
     KVClient,
     RetryBudget,
 )
+from repro.client.router import ClusterRouter
 from repro.client.robust import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -31,6 +32,7 @@ from repro.errors import ConfigurationError, RetryExhausted
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
+from tests.waiting import ignore
 
 
 class TestBackoffPolicy:
@@ -237,6 +239,37 @@ def _gets(store, count=24):
             for i in range(count)]
 
 
+NAN = float("nan")
+
+#: Every client robustness knob, set to NaN: each comparison against NaN
+#: is False, so a check written ``x < 0`` let it through.
+NAN_KNOBS = {
+    "backoff base": lambda: BackoffPolicy(NAN),
+    "backoff cap": lambda: BackoffPolicy(1.0, max_ns=NAN),
+    "budget capacity": lambda: RetryBudget(capacity=NAN),
+    "budget refill": lambda: RetryBudget(refill_per_success=NAN),
+    "breaker window": lambda: CircuitBreaker(FakeClock(), window_ns=NAN),
+    "breaker open period": lambda: CircuitBreaker(FakeClock(), open_ns=NAN),
+    "breaker samples": lambda: CircuitBreaker(FakeClock(), min_samples=NAN),
+    "route delay": lambda: ClusterRouter(
+        Simulator(), None, route_delay_ns=NAN
+    ),
+    "loss backoff": lambda: KVClient(Simulator(), None, retry_backoff_ns=NAN),
+    "busy backoff": lambda: KVClient(Simulator(), None, busy_backoff_ns=NAN),
+    "deadline budget": lambda: KVClient(
+        Simulator(), None, deadline_budget_ns=NAN
+    ),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(NAN_KNOBS))
+def test_a_nan_knob_is_rejected_at_construction(knob):
+    """Regression: each was accepted, and then never refused (a NaN budget
+    or breaker window), ignored (a NaN cap) or raised mid-run."""
+    with pytest.raises(ConfigurationError):
+        NAN_KNOBS[knob]()
+
+
 class TestClientLossRetries:
     def test_retry_limit_zero_fails_fast(self):
         sim, store, client = _client_setup(
@@ -336,8 +369,8 @@ class TestClientBusyRetries:
         # Take the one slot and the one queue place first, so every client
         # op arrives at a full queue and is shed.
         admission = client.processor.admission
-        admission.submit(KVOperation.get(b"holder"))
-        admission.submit(KVOperation.get(b"waiter"))
+        admission.submit(KVOperation.get(b"holder"), ignore)
+        admission.submit(KVOperation.get(b"waiter"), ignore)
         stats = client.run(ops)
         assert stats.busy_give_ups == stats.failed_ops == len(ops)
         assert [

@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import inspect
 from functools import partial
 
 import pytest
 
+from repro.core.admission import IngressQueue
 from repro.dram.cache import DramCache, ECCFaultPath
 from repro.dram.nic import NICDram
 from repro.errors import CorruptionDetected, FaultInjected, SimulationError
@@ -11,7 +13,14 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.memory.dispatcher import LoadDispatcher
 from repro.memory.engine import MemoryAccessEngine, _CachedLine
 from repro.pcie.dma import DMAEngine, MultiLinkDMA
-from repro.sim import Event, Simulator, TokenPool
+from repro.sim import (
+    BandwidthServer,
+    Event,
+    FIFOServer,
+    Simulator,
+    TokenPool,
+)
+from tests.waiting import wait
 
 
 class TestEventBasics:
@@ -84,24 +93,16 @@ class TestTimeout:
             sim.timeout(-1.0)
 
     def test_negative_delay_rejected_on_every_relative_schedule(self):
-        """``succeed`` / ``fail`` / ``call_after`` used to push the entry
-        into the past: a waiter at t=10 resumed with ``sim.now == 5``."""
+        """``call_after`` used to push the entry into the past: a waiter at
+        t=10 resumed with ``sim.now == 5``."""
         sim = Simulator()
         sim.run(sim.timeout(10.0))
-        event = sim.event()
-        with pytest.raises(SimulationError):
-            event.succeed("early", delay=-5.0)
-        with pytest.raises(SimulationError):
-            event.fail(ValueError("early"), delay=-5.0)
         with pytest.raises(SimulationError):
             sim.call_after(-5.0, lambda entry: None)
         with pytest.raises(SimulationError):
             sim.call_when(5.0, lambda entry: None)
-        # A rejected trigger leaves the event usable, and the clock where
-        # it was.
-        assert not event.triggered
-        event.succeed("on time")
-        assert sim.run(event) == "on time"
+        # Nothing was queued, and the clock is where it was.
+        assert sim.peek() == float("inf")
         assert sim.now == 10.0
 
     def test_nan_time_rejected_on_every_schedule(self):
@@ -112,20 +113,15 @@ class TestTimeout:
         sim = Simulator()
         ran = []
         sim.call_after(5.0, ran.append)
-        event = sim.event()
         schedules = (
             lambda: sim.call_after(nan, ran.append),
             lambda: sim.call_when(nan, ran.append),
-            lambda: sim.schedule_at(event, nan),
-            lambda: event.succeed(delay=nan),
-            lambda: event.fail(ValueError("nan"), delay=nan),
             lambda: sim.timeout(nan),
             lambda: sim.run(until=nan),
         )
         for schedule in schedules:
             with pytest.raises(SimulationError):
                 schedule()
-        assert not event.triggered
         sim.run()
         assert len(ran) == 1 and sim.now == 5.0
 
@@ -291,20 +287,6 @@ class TestSimulatorRun:
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(proc)
 
-    def test_schedule_at_absolute(self):
-        sim = Simulator()
-        sim.run(sim.timeout(50))
-        event = sim.event()
-        sim.schedule_at(event, 120.0, value="later")
-        assert sim.run(event) == "later"
-        assert sim.now == pytest.approx(120.0)
-
-    def test_schedule_at_past_rejected(self):
-        sim = Simulator()
-        sim.run(sim.timeout(10))
-        with pytest.raises(SimulationError):
-            sim.schedule_at(sim.event(), 5.0)
-
     def test_peek(self):
         sim = Simulator()
         assert sim.peek() == float("inf")
@@ -326,8 +308,9 @@ class TestSimulatorRun:
 
 
 class TestBareCallbacks:
-    """``call_soon`` / ``call_after`` / ``call_when`` entries take the queue
-    positions of a delay-0 ``succeed``, a ``Timeout`` and ``schedule_at``."""
+    """``call_soon`` / ``call_after`` entries take the queue positions of a
+    delay-0 ``succeed`` and a ``Timeout``; ``call_when`` is ``call_after``
+    at an absolute time."""
 
     def test_time_fifo_order_across_entry_kinds(self):
         sim = Simulator()
@@ -351,13 +334,12 @@ class TestBareCallbacks:
         # Equal future times: heap entries of every kind in push order, and
         # all of them before anything queued while processing that instant.
         sim.call_after(7.0, note("after-1"))
-        sim.timeout(7.0).add_callback(note("timeout-2"))
-        sim.call_when(7.0, note("when-3"))
-        sim.schedule_at(sim.event(), 7.0).add_callback(
-            lambda _event: (note("scheduled-4")(None),
-                            sim.call_soon(note("soon-6")))
+        sim.timeout(7.0).add_callback(
+            lambda _event: (note("timeout-2")(None),
+                            sim.call_soon(note("soon-5")))
         )
-        sim.event().succeed(delay=7.0).add_callback(note("delayed-5"))
+        sim.call_when(7.0, note("when-3"))
+        sim.call_after(7.0, note("after-4"))
         sim.call_after(3.0, note("earlier"))
         sim.run()
         assert order == [
@@ -365,7 +347,7 @@ class TestBareCallbacks:
             (0.0, "after0-4"), (0.0, "when0-5"), (0.0, "timeout0-6"),
             (3.0, "earlier"),
             (7.0, "after-1"), (7.0, "timeout-2"), (7.0, "when-3"),
-            (7.0, "scheduled-4"), (7.0, "delayed-5"), (7.0, "soon-6"),
+            (7.0, "after-4"), (7.0, "soon-5"),
         ]
 
     def test_any_callable_is_an_entry_in_the_deque_and_the_heap(self):
@@ -392,7 +374,6 @@ class TestBareCallbacks:
         sim.timeout(5.0).add_callback(note("timeout-2"))
         sim.call_when(5.0, order.append)
         sim.call_after(5.0, lambda kick: tagged("lambda-4", kick))
-        sim.schedule_at(sim.event(), 5.0).add_callback(note("scheduled-5"))
         sim.call_after(0.0, order.append)
         sim.call_after(2.0, order.append)
         sim.run()
@@ -406,7 +387,6 @@ class TestBareCallbacks:
             kick,
             kick,
             (5.0, "partial-1"), (5.0, "timeout-2"), kick, (5.0, "lambda-4"),
-            (5.0, "scheduled-5"),
         ]
 
     def test_a_process_is_kick_started_by_its_bare_resume(self):
@@ -498,7 +478,8 @@ class TestBareCallbacks:
 
 class TestContinuations:
     """``TokenPool.acquire(then)`` and the leaf models' ``then``: the next
-    step queued bare where the event form queues its event."""
+    step queued bare; generator code waits through ``tests.waiting``, whose
+    event is itself the ``then`` queued."""
 
     def test_immediate_grant_is_queued_not_called(self):
         sim = Simulator()
@@ -506,8 +487,8 @@ class TestContinuations:
         order = []
         assert pool.acquire(lambda kick: order.append("then")) is None
         order.append("after acquire")
-        granted = pool.acquire()
-        assert granted.triggered and not granted.processed
+        granted = wait(sim, pool.acquire)
+        assert list(sim._dq)[-1] is granted and not granted.processed
         granted.add_callback(lambda event: order.append("event"))
         sim.run()
         assert order == ["after acquire", "then", "event"]
@@ -522,22 +503,17 @@ class TestContinuations:
             return lambda entry: order.append((sim.now, tag))
 
         pool.acquire(holder("then-0"))
-        second = pool.acquire()
-        second.add_callback(holder("event-1"))
+        wait(sim, pool.acquire).add_callback(holder("event-1"))
         pool.acquire(holder("then-2"))
-        fourth = pool.acquire()
-        fourth.add_callback(holder("event-3"))
+        wait(sim, pool.acquire).add_callback(holder("event-3"))
         pool.acquire(holder("then-4"))
-        assert not second.triggered and not fourth.triggered
         sim.run()
         assert order == [(0.0, "then-0")]
         for when in (10.0, 20.0, 30.0, 40.0):
             sim.run(until=when)
             pool.release()
             # Granted at the release, queued behind it - not run inline.
-            assert len(order) == when // 10
-            assert second.triggered is (when >= 10.0)
-            assert fourth.triggered is (when >= 30.0)
+            assert len(order) == when // 10 and len(sim._dq) == 1
         sim.run()
         assert order == [
             (0.0, "then-0"), (10.0, "event-1"), (20.0, "then-2"),
@@ -561,7 +537,7 @@ class TestContinuations:
             sim.run()
             return seen
 
-        with_events = drive(lambda pool: pool.acquire())
+        with_events = drive(lambda pool: wait(pool.sim, pool.acquire))
         with_continuations = drive(lambda pool: pool.acquire(lambda kick: None))
         assert with_continuations == with_events
         assert with_events[-1] == (2, 3, 5, 0)
@@ -575,7 +551,7 @@ class TestContinuations:
         got = []
         assert link.read(64, seq=5, then=got.append) is None
         assert link.write(64, seq=6, then=got.append) is None
-        failed_read = link.read(64, seq=7)
+        failed_read = wait(sim, link.read, 64, 7)
         sim.run()
         assert [type(event.exception) for event in got] == [FaultInjected] * 2
         assert all(type(event) is Event and event.processed for event in got)
@@ -592,16 +568,35 @@ class TestContinuations:
             DramCache(nic_lines=8, host_lines=64),
             ecc=ECCFaultPath(injector),
         )
-        sim.run(engine.access(0, 64, write=True))  # install line 0
+        sim.run(wait(sim, engine.access, 0, 64, True, -1))  # install line 0
         got = []
         _CachedLine(engine, 0, False, True, -1, got.append)
         sim.run()
         assert len(got) == 1 and type(got[0]) is Event
         assert isinstance(got[0].exception, CorruptionDetected)
-        # ...and through the public, event-returning form.
-        access = engine.access(0, 64)
+        # ...and through the public access, waited on as an event.
+        access = wait(sim, engine.access, 0, 64, False, -1)
         with pytest.raises(CorruptionDetected):
             sim.run(access)
+
+
+class TestOneWayToWait:
+    """The continuation is the only way model code waits on a resource:
+    ``then`` is required on every one of these, and the kernel has no
+    absolute-time event form, so an event-returning twin cannot come
+    back unnoticed."""
+
+    @pytest.mark.parametrize("method", [
+        TokenPool.acquire, BandwidthServer.reserve, FIFOServer.reserve,
+        IngressQueue.submit, NICDram.access, MemoryAccessEngine.access,
+        DMAEngine.read, DMAEngine.write, MultiLinkDMA.read, MultiLinkDMA.write,
+    ], ids=lambda method: method.__qualname__)
+    def test_then_has_no_default(self, method):
+        then = inspect.signature(method).parameters["then"]
+        assert then.default is inspect.Parameter.empty
+
+    def test_the_kernel_has_no_schedule_at(self):
+        assert not hasattr(Simulator, "schedule_at")
 
 
 class TestEdgeCases:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import BandwidthServer, FIFOServer, Simulator, TokenPool
+from tests.waiting import ignore, wait
 
 
 class TestTokenPool:
@@ -13,7 +14,7 @@ class TestTokenPool:
         grants = []
 
         def worker(i):
-            yield pool.acquire()
+            yield wait(sim, pool.acquire)
             grants.append((i, sim.now))
 
         for i in range(3):
@@ -28,12 +29,12 @@ class TestTokenPool:
         log = []
 
         def holder():
-            yield pool.acquire()
+            yield wait(sim, pool.acquire)
             yield sim.timeout(100)
             pool.release()
 
         def waiter():
-            yield pool.acquire()
+            yield wait(sim, pool.acquire)
             log.append(sim.now)
 
         sim.process(holder())
@@ -47,12 +48,12 @@ class TestTokenPool:
         order = []
 
         def holder():
-            yield pool.acquire()
+            yield wait(sim, pool.acquire)
             yield sim.timeout(10)
             pool.release()
 
         def waiter(name):
-            yield pool.acquire()
+            yield wait(sim, pool.acquire)
             order.append(name)
             yield sim.timeout(1)
             pool.release()
@@ -73,7 +74,8 @@ class TestTokenPool:
         sim = Simulator()
         pool = TokenPool(sim, capacity=8)
         for __ in range(5):
-            assert pool.acquire().triggered
+            pool.acquire(ignore)
+        assert list(sim._dq) == [ignore] * 5  # every grant at once
         for __ in range(5):
             pool.release()
         assert pool.peak_in_use == 5
@@ -92,7 +94,7 @@ class TestTokenPool:
         done = []
 
         def worker(i):
-            yield pool.acquire()
+            yield wait(sim, pool.acquire)
             assert 0 <= pool.available <= pool.capacity
             yield sim.timeout(1 + (i % 7))
             pool.release()
@@ -110,15 +112,14 @@ class TestBandwidthServer:
         sim = Simulator()
         # 1 byte/ns = 1 GB/s
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        done = channel.reserve(64)
-        sim.run(done)
+        sim.run(wait(sim, channel.reserve, 64))
         assert sim.now == pytest.approx(64.0)
 
     def test_transfers_serialize(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=2.0)
-        first = channel.reserve(100)  # 50 ns
-        second = channel.reserve(100)  # next 50 ns
+        first = wait(sim, channel.reserve, 100)  # 50 ns
+        second = wait(sim, channel.reserve, 100)  # next 50 ns
         sim.run(first)
         assert sim.now == pytest.approx(50.0)
         sim.run(second)
@@ -127,23 +128,22 @@ class TestBandwidthServer:
     def test_idle_gap_not_charged(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        sim.run(channel.reserve(10))
+        sim.run(wait(sim, channel.reserve, 10))
         sim.run(sim.timeout(90))  # idle until t=100
-        done = channel.reserve(10)
-        sim.run(done)
+        sim.run(wait(sim, channel.reserve, 10))
         assert sim.now == pytest.approx(110.0)
 
     def test_from_bytes_per_sec(self):
         sim = Simulator()
         channel = BandwidthServer.from_bytes_per_sec(sim, 5e9)  # 5 GB/s
-        sim.run(channel.reserve(5000))
+        sim.run(wait(sim, channel.reserve, 5000))
         assert sim.now == pytest.approx(1000.0)  # 5000 B at 5 B/ns
 
     def test_accounting(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        channel.reserve(30)
-        channel.reserve(70)
+        channel.reserve(30, ignore)
+        channel.reserve(70, ignore)
         sim.run()
         assert channel.bytes_transferred == 100
         assert channel.transfers == 2
@@ -152,14 +152,14 @@ class TestBandwidthServer:
     def test_queue_delay(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        channel.reserve(500)
+        channel.reserve(500, ignore)
         assert channel.queue_delay() == pytest.approx(500.0)
 
     def test_negative_size_rejected(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
         with pytest.raises(SimulationError):
-            channel.reserve(-1)
+            channel.reserve(-1, ignore)
 
     def test_zero_rate_rejected(self):
         sim = Simulator()
@@ -177,18 +177,18 @@ class TestBandwidthServer:
         booking on the channel raised too."""
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        channel.reserve(10)
+        channel.reserve(10, ignore)
         state = (
             channel._free_at, channel.bytes_transferred,
             channel.transfers, channel.busy_time, sim._sequence,
         )
         with pytest.raises(SimulationError):
-            channel.reserve(size, lambda _: None)
+            channel.reserve(size, ignore)
         assert state == (
             channel._free_at, channel.bytes_transferred,
             channel.transfers, channel.busy_time, sim._sequence,
         )
-        sim.run(channel.reserve(5))
+        sim.run(wait(sim, channel.reserve, 5))
         assert sim.now == 15.0
 
     def test_then_runs_in_fifo_order_among_call_when_entries(self):
@@ -204,19 +204,6 @@ class TestBandwidthServer:
         sim.run()
         assert order == ["before", ("then", 10.0), "after"]
 
-    def test_the_event_form_fires_at_the_same_position(self):
-        sim = Simulator()
-        channel = BandwidthServer(sim, bytes_per_ns=1.0)
-        order = []
-        sim.call_when(10.0, lambda _: order.append("before"))
-        done = channel.reserve(10)
-        done.callbacks.append(lambda event: order.append(("event", sim.now)))
-        sim.call_when(10.0, lambda _: order.append("after"))
-        assert not done.processed
-        sim.run()
-        assert order == ["before", ("event", 10.0), "after"]
-        assert done.ok and done.value is None
-
     def test_a_zero_byte_reserve_lands_on_the_deque_at_now(self):
         sim = Simulator()
         channel = BandwidthServer(sim, bytes_per_ns=1.0)
@@ -225,7 +212,7 @@ class TestBandwidthServer:
         assert list(sim._dq) == [step]
         assert not sim._queue and sim._sequence == 0
         # Behind a booked transfer, zero bytes still wait for the drain.
-        channel.reserve(8)
+        channel.reserve(8, ignore)
         channel.reserve(0, step)
         assert [entry[0] for entry in sim._queue] == [8.0, 8.0]
         assert sim._queue[-1][2] is step
@@ -266,17 +253,16 @@ class TestFIFOServer:
         assert times == [pytest.approx(101.0)]
         assert times_later == [pytest.approx(151.0), pytest.approx(152.0)]
 
-    def test_the_event_form_fires_at_the_exit(self):
+    def test_then_runs_at_the_exit_among_call_when_entries(self):
         sim = Simulator()
         stage = FIFOServer(sim, initiation_interval_ns=2.0, latency_ns=6.0)
         order = []
         sim.call_when(8.0, lambda _: order.append("before"))
-        done = stage.reserve()
-        done.callbacks.append(lambda event: order.append(("event", sim.now)))
-        stage.reserve(lambda _: order.append(("then", sim.now)))
+        stage.reserve(lambda _: order.append(("first", sim.now)))
+        stage.reserve(lambda _: order.append(("second", sim.now)))
         sim.call_when(8.0, lambda _: order.append("after"))
         sim.run()
-        assert order == ["before", ("event", 8.0), "after", ("then", 10.0)]
+        assert order == ["before", ("first", 8.0), "after", ("second", 10.0)]
 
     def test_invalid_parameters_rejected(self):
         sim = Simulator()

@@ -35,6 +35,8 @@ EXTRA = {
     "metrics": "metrics --seed 7 --format both",
     "overload-export": "overload --seed 0 --ops 1500 --deadline-us 10 "
                        "--export overload.json",
+    "pcie-read": "pcie --payload 64 --ops 3000",
+    "pcie-write": "pcie --payload 64 --ops 3000 --write",
     "ycsb": "ycsb --ops 3000 --put-ratio 0.5",
 }
 
