@@ -439,7 +439,7 @@ class _Soak:
         between is a divergence.
         """
         before = self.model.state.get(op.key)
-        actual = self.topology.owner(op.key).store.get(op.key)
+        actual = self.topology.owner(op.key).store.peek(op.key)
         if actual == before:
             return
         self.model.apply(op)

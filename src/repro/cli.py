@@ -37,6 +37,7 @@ from repro.core.operations import KVOperation, decode_scan_payload
 from repro.core.tuning import optimal_hash_index_ratio
 from repro.core.vector import FETCH_ADD
 from repro.driver import run_closed_loop
+from repro.errors import CapacityError
 from repro.faults import FaultPlan
 from repro.obs import (
     FlightRecorder,
@@ -82,18 +83,29 @@ def _plain(parser, **defaults) -> None:
         )
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a span of time: a finite float above zero, so that
-    ``nan``, ``inf``, ``0`` and negatives are usage errors (exit 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < float("inf"):  # NaN fails this too
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number above zero: {text!r}"
-        )
-    return value
+def _number_below(high: float, what: str):
+    """argparse type of a float in the open interval (0, ``high``), so that
+    ``nan``, ``0``, negatives and ``high`` itself are usage errors (exit
+    2) that say the value must be ``what``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a number: {text!r}"
+            ) from None
+        if not 0.0 < value < high:  # NaN fails this too
+            raise argparse.ArgumentTypeError(f"must be {what}: {text!r}")
+        return value
+
+    return parse
+
+
+#: A span of time.
+_positive_float = _number_below(float("inf"), "a finite number above zero")
+#: A share of something, such as a target memory utilization.
+_fraction = _number_below(1.0, "a fraction between 0 and 1, exclusive")
 
 
 def _timeline_args(parser, what: str) -> None:
@@ -313,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "tune", help="optimal hash index ratio (Figure 10)"
     )
     tune.add_argument("--kv-size", type=int, required=True)
-    tune.add_argument("--utilization", type=float, required=True)
+    tune.add_argument("--utilization", type=_fraction, required=True)
     _plain(tune, inline_threshold=20, memory_mib=2)
 
     record = sub.add_parser(
@@ -917,12 +929,16 @@ def _cmd_pcie(args, out) -> int:
 
 
 def _cmd_tune(args, out) -> int:
-    ratio, accesses = optimal_hash_index_ratio(
-        args.kv_size,
-        args.utilization,
-        args.inline_threshold,
-        memory_size=args.memory_mib << 20,
-    )
+    try:
+        ratio, accesses = optimal_hash_index_ratio(
+            args.kv_size,
+            args.utilization,
+            args.inline_threshold,
+            memory_size=args.memory_mib << 20,
+        )
+    except CapacityError as exc:  # an unreachable target: say so, exit 1
+        print(f"repro tune: {exc}", file=sys.stderr)
+        return 1
     rows = [
         ["KV size", f"{args.kv_size} B"],
         ["required utilization", f"{args.utilization:.2f}"],

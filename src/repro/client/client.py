@@ -120,12 +120,17 @@ class KVClient:
             raise ConfigurationError("batch size must be positive")
         if max_outstanding_batches <= 0:
             raise ConfigurationError("need at least one outstanding batch")
-        if retry_limit < 0:
-            raise ConfigurationError("retry limit must be non-negative")
+        if type(retry_limit) is not int or retry_limit < 0:
+            raise ConfigurationError(
+                f"retry limit must be a non-negative int: {retry_limit!r}"
+            )
         if not retry_backoff_ns >= 0:
             raise ConfigurationError("retry backoff must be non-negative")
-        if busy_retry_limit < 0:
-            raise ConfigurationError("busy retry limit must be non-negative")
+        if type(busy_retry_limit) is not int or busy_retry_limit < 0:
+            raise ConfigurationError(
+                "busy retry limit must be a non-negative int: "
+                f"{busy_retry_limit!r}"
+            )
         if not busy_backoff_ns >= 0:
             raise ConfigurationError("busy backoff must be non-negative")
         if deadline_budget_ns is not None and not deadline_budget_ns > 0:

@@ -79,7 +79,10 @@ class BackoffPolicy:
         """Backoff before retry ``attempt`` (1-based)."""
         if attempt < 1:
             raise ConfigurationError("attempt numbers are 1-based")
-        delay = self.base_ns * (2 ** (attempt - 1))
+        # The exponent is capped where a float still holds the power of
+        # two, so a long retry run saturates at max_ns instead of raising
+        # OverflowError; below the cap the product is the same float.
+        delay = self.base_ns * 2.0 ** (attempt - 1 if attempt < 1024 else 1023)
         if self.max_ns is not None:
             delay = min(delay, self.max_ns)
         if self.jitter:

@@ -186,8 +186,10 @@ class ClusterRouter:
         retry_budget: Optional[RetryBudget] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
-        if retry_limit < 0:
-            raise ConfigurationError("retry limit must be non-negative")
+        if type(retry_limit) is not int or retry_limit < 0:
+            raise ConfigurationError(
+                f"retry limit must be a non-negative int: {retry_limit!r}"
+            )
         if not route_delay_ns >= 0:
             raise ConfigurationError("route delay must be non-negative")
         self.sim = sim

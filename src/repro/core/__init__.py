@@ -3,7 +3,8 @@
 Subpackage layout follows Figure 4:
 
 - :mod:`~repro.core.operations` - KV-Direct operation set (Table 1).
-- :mod:`~repro.core.hashindex` - bit-packed 64 B bucket codec (Figure 5).
+- :mod:`~repro.core.hashindex` - the 64 B bucket codec (Figure 5), which
+  queries and edits a bucket as its bytes.
 - :mod:`~repro.core.hashtable` - chained hash table with inline KVs.
 - :mod:`~repro.core.slab` / :mod:`~repro.core.slab_host` - slab memory
   allocator split across NIC and host daemon (Figure 8).

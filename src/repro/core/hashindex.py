@@ -1,4 +1,4 @@
-"""Bit-packed 64-byte hash bucket codec (Figure 5).
+"""The 64-byte hash bucket, queried and edited as its bytes (Figure 5).
 
 Each bucket is one 64 B line::
 
@@ -22,20 +22,28 @@ fetching the pointed-to KV; the full key is still compared after the fetch,
 path.
 
 The hardware decides a bucket in one clock: the ten slots, the two bitmaps
-and the secondary hashes are evaluated side by side, not walked.  The
-queries here are written the same way - :meth:`Bucket.find_inline`,
-:meth:`Bucket.pointer_slots`, :meth:`Bucket.find_free_run` and
-:meth:`Bucket.has_no_entries` work on the two bitmaps and on the slot area
-taken as one integer (set bits by ``x & -x``, free runs by shift-and-mask),
-so a query is one frame whatever the bucket holds.  Bitmap bits 10..15 are
-carried through :meth:`Bucket.pack` untouched and never looked at, as a
-walk over ten slots never looks at them.
+and the secondary hashes are evaluated side by side, on the line as it
+arrived.  So does this model.  A bucket is never decoded into an object:
+the queries take the line as ``memory.read`` / ``memory.peek`` return it
+and look at the bytes they need - the slots the start bitmap names (one
+table lookup per bitmap value) begin the inline KVs to compare, the slots
+outside the used bitmap are the ones that may hold pointers, and a slot's
+secondary hash is its low nine bits - so a query is one frame whatever
+the bucket holds.
+
+A bucket is copied only to be changed.  :func:`edit` returns a
+``bytearray`` of the line normalised as every stored bucket is - reserved
+bytes zero, bits 30..31 of the slab-type word and bit 31 of the chain word
+clear - and the edits change it in place for the caller to write back.  A
+line that is only read is never normalised.  Bitmap bits 10..15 are carried
+through untouched and never looked at, as a walk over ten slots never
+looks at them.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.constants import (
     BUCKET_SIZE,
@@ -57,15 +65,20 @@ INLINE_HEADER = 2
 
 _SECONDARY_MASK = (1 << SECONDARY_HASH_BITS) - 1
 _POINTER_MASK = (1 << POINTER_BITS) - 1
-#: slot area, slab types, used, start, chain, reserved
-_BUCKET = struct.Struct(f"<{SLOT_AREA}sIHHIH")
-_SLOT_BITS = SLOT_SIZE * 8
-_SLOT_WORD_MASK = (1 << _SLOT_BITS) - 1
+#: Byte offsets of the slab-type word, the two bitmaps and the chain word.
+_TYPES, _USED, _START, _CHAIN = 50, 54, 56, 58
+#: slab types, used, start: the words an inline or pointer edit rewrites.
+_META = struct.Struct("<IHH")
 #: The bitmap bits that name a slot.
 _SLOTS_MASK = (1 << SLOTS_PER_BUCKET) - 1
-#: Slot index of a one-bit bitmap (what ``x & -x`` leaves).
-_SLOT_OF_BIT = {1 << index: index for index in range(SLOTS_PER_BUCKET)}
-_NO_SLAB_TYPES = [0] * SLOTS_PER_BUCKET
+#: (slot index, first byte) of each slot.
+_SLOT_AT = tuple((i, i * SLOT_SIZE) for i in range(SLOTS_PER_BUCKET))
+#: The ``_SLOT_AT`` entries of the slots a ten-bit bitmap names, in order.
+_SLOTS_OF = tuple(
+    tuple(at for at in _SLOT_AT if bits >> at[0] & 1)
+    for bits in range(1 << SLOTS_PER_BUCKET)
+)
+_FREE_SLOT = bytes(SLOT_SIZE)
 _EMPTY_SLOT_AREA = bytes(SLOT_AREA)
 
 
@@ -96,235 +109,196 @@ def max_inline_kv_size() -> int:
     return SLOT_AREA - INLINE_HEADER
 
 
-class Bucket:
-    """A decoded, mutable 64 B hash bucket."""
+# -- queries: any 64 B line, read only ---------------------------------------
 
-    __slots__ = (
-        "slot_bytes",
-        "slab_types",
-        "inline_used",
-        "inline_start",
-        "chain_ptr",
+
+def find_inline(line: bytes, key: bytes) -> Optional[int]:
+    """Start slot of the inline KV with this key, if present."""
+    starts = line[_START] | line[_START + 1] << 8
+    for slot, offset in _SLOTS_OF[starts & _SLOTS_MASK]:
+        end = offset + INLINE_HEADER + line[offset]
+        if end <= SLOT_AREA and line[offset + INLINE_HEADER : end] == key:
+            return slot
+    return None
+
+
+def read_inline(line: bytes, start: int) -> Tuple[bytes, bytes]:
+    """Read the inline KV beginning at ``start``; returns (key, value)."""
+    if not (line[_START] | line[_START + 1] << 8) & (1 << start):
+        raise KVDirectError(f"slot {start} does not begin an inline KV")
+    area = line[:SLOT_AREA]
+    offset = start * SLOT_SIZE
+    data = offset + INLINE_HEADER
+    value = data + area[offset]
+    return (
+        bytes(area[data:value]),
+        bytes(area[value : value + area[offset + 1]]),
     )
 
-    def __init__(self) -> None:
-        self.slot_bytes = bytearray(SLOT_AREA)
-        self.slab_types: List[int] = [0] * SLOTS_PER_BUCKET
-        self.inline_used = 0
-        self.inline_start = 0
-        self.chain_ptr = 0
 
-    # -- codec ---------------------------------------------------------------
+def inline_spans(line: bytes) -> List[Tuple[int, int]]:
+    """(start slot, slot count) of each stored inline KV."""
+    used = line[_USED] | line[_USED + 1] << 8
+    starts = line[_START] | line[_START + 1] << 8
+    spans = []
+    i = 0
+    while i < SLOTS_PER_BUCKET:
+        if starts >> i & 1:
+            j = i + 1
+            while (
+                j < SLOTS_PER_BUCKET and used >> j & 1 and not starts >> j & 1
+            ):
+                j += 1
+            spans.append((i, j - i))
+            i = j
+        else:
+            i += 1
+    return spans
 
-    @classmethod
-    def unpack(cls, data: bytes) -> "Bucket":
-        try:
-            area, types, used, start, chain, __ = _BUCKET.unpack(data)
-        except struct.error:
-            raise KVDirectError(
-                f"bucket must be {BUCKET_SIZE} bytes, got {len(data)}"
-            ) from None
-        bucket = cls.__new__(cls)
-        bucket.slot_bytes = bytearray(area)
-        bucket.slab_types = [
-            types & 7, types >> 3 & 7, types >> 6 & 7, types >> 9 & 7,
-            types >> 12 & 7, types >> 15 & 7, types >> 18 & 7,
-            types >> 21 & 7, types >> 24 & 7, types >> 27 & 7,
-        ] if types else [0] * SLOTS_PER_BUCKET
-        bucket.inline_used = used
-        bucket.inline_start = start
-        bucket.chain_ptr = chain & _POINTER_MASK
-        return bucket
 
-    def pack(self) -> bytes:
-        types_word = 0
-        if self.slab_types != _NO_SLAB_TYPES:
-            for i, slab_type in enumerate(self.slab_types):
-                if not 0 <= slab_type <= 0x7:
-                    raise KVDirectError(
-                        f"slab type out of range: {slab_type}"
-                    )
-                types_word |= slab_type << (3 * i)
-        if self.chain_ptr > _POINTER_MASK:
-            raise KVDirectError(f"chain pointer out of range: {self.chain_ptr}")
-        return _BUCKET.pack(
-            self.slot_bytes,
-            types_word,
-            self.inline_used,
-            self.inline_start,
-            self.chain_ptr,
-            0,
-        )
-
-    @classmethod
-    def empty_bytes(cls) -> bytes:
-        return bytes(BUCKET_SIZE)
-
-    # -- slot access -----------------------------------------------------------
-
-    def slot_word(self, index: int) -> int:
-        self._check_slot(index)
-        offset = index * SLOT_SIZE
-        return int.from_bytes(self.slot_bytes[offset : offset + SLOT_SIZE], "little")
-
-    def set_slot_word(self, index: int, word: int) -> None:
-        self._check_slot(index)
-        if word < 0 or word >= 1 << (SLOT_SIZE * 8):
-            raise KVDirectError(f"slot word out of range: {word}")
-        offset = index * SLOT_SIZE
-        self.slot_bytes[offset : offset + SLOT_SIZE] = word.to_bytes(
-            SLOT_SIZE, "little"
-        )
-
-    def _check_slot(self, index: int) -> None:
-        if not 0 <= index < SLOTS_PER_BUCKET:
-            raise IndexError(f"slot index {index} outside bucket")
-
-    def is_inline_slot(self, index: int) -> bool:
-        self._check_slot(index)
-        return bool(self.inline_used & (1 << index))
-
-    def is_free(self, index: int) -> bool:
-        """A slot is free if it holds neither a pointer nor inline data."""
-        return not self.is_inline_slot(index) and self.slot_word(index) == 0
-
-    def free_slots(self) -> int:
-        return sum(self.is_free(i) for i in range(SLOTS_PER_BUCKET))
-
-    def find_free_run(self, length: int) -> Optional[int]:
-        """First index of ``length`` contiguous free slots, if any."""
-        if length <= 0 or length > SLOTS_PER_BUCKET:
-            return None
-        # Occupied: holds inline data, or a non-zero word.
-        occupied = self.inline_used
-        area = int.from_bytes(self.slot_bytes, "little")
-        bit = 1
-        while area:
-            if area & _SLOT_WORD_MASK:
-                occupied |= bit
-            area >>= _SLOT_BITS
-            bit <<= 1
-        free = ~occupied & _SLOTS_MASK
-        # Bit i survives k shifts iff slots i..i+k are all free.
-        runs = free
-        for shift in range(1, length):
-            runs &= free >> shift
-        return _SLOT_OF_BIT[runs & -runs] if runs else None
-
-    # -- pointer slots ---------------------------------------------------------
-
-    def pointer_slots(self) -> List[Tuple[int, int, int]]:
-        """(slot index, pointer, secondary hash) of each occupied slot."""
-        found = []
-        area = int.from_bytes(self.slot_bytes, "little")
-        inline = self.inline_used
-        index = 0
-        while area:
-            word = area & _SLOT_WORD_MASK
-            if word and not inline >> index & 1:
-                found.append(
-                    (index, word >> SECONDARY_HASH_BITS, word & _SECONDARY_MASK)
-                )
-            area >>= _SLOT_BITS
-            index += 1
+def pointer_slots(
+    line: bytes, secondary: Optional[int] = None
+) -> List[Tuple[int, int, int]]:
+    """(slot index, pointer, slab type) of each pointer slot - a non-zero
+    word outside the used bitmap - in slot order; with ``secondary``, of
+    those whose secondary hash it is."""
+    found = []
+    if line[:SLOT_AREA] == _EMPTY_SLOT_AREA:
         return found
+    used = line[_USED] | line[_USED + 1] << 8
+    for slot, offset in _SLOTS_OF[~used & _SLOTS_MASK]:
+        if (
+            secondary is not None
+            and line[offset] | (line[offset + 1] & 1) << 8 != secondary
+        ) or line[offset : offset + SLOT_SIZE] == _FREE_SLOT:
+            continue
+        found.append((
+            slot,
+            line[offset + 1] >> 1 | line[offset + 2] << 7
+            | line[offset + 3] << 15 | line[offset + 4] << 23,
+            (line[_TYPES] | line[_TYPES + 1] << 8 | line[_TYPES + 2] << 16
+             | line[_TYPES + 3] << 24) >> 3 * slot & 7,
+        ))
+    return found
 
-    def set_pointer(
-        self, index: int, pointer: int, secondary: int, slab_type: int
-    ) -> None:
-        if self.is_inline_slot(index):
-            raise KVDirectError(f"slot {index} holds inline data")
-        self.set_slot_word(index, pack_slot(pointer, secondary))
-        self.slab_types[index] = slab_type
 
-    def clear_slot(self, index: int) -> None:
-        self.set_slot_word(index, 0)
-        self.slab_types[index] = 0
-
-    # -- inline KVs --------------------------------------------------------------
-
-    def inline_spans(self) -> Iterator[Tuple[int, int]]:
-        """Yield (start slot, slot count) for each stored inline KV."""
-        i = 0
-        while i < SLOTS_PER_BUCKET:
-            if self.inline_start & (1 << i):
-                j = i + 1
-                while (
-                    j < SLOTS_PER_BUCKET
-                    and (self.inline_used & (1 << j))
-                    and not (self.inline_start & (1 << j))
-                ):
-                    j += 1
-                yield i, j - i
-                i = j
-            else:
-                i += 1
-
-    def read_inline(self, start: int) -> Tuple[bytes, bytes]:
-        """Read the inline KV beginning at ``start``; returns (key, value)."""
-        if not self.inline_start & (1 << start):
-            raise KVDirectError(f"slot {start} does not begin an inline KV")
-        slot_bytes = self.slot_bytes
-        offset = start * SLOT_SIZE
-        data_start = offset + INLINE_HEADER
-        value_start = data_start + slot_bytes[offset]
-        return (
-            bytes(slot_bytes[data_start:value_start]),
-            bytes(slot_bytes[value_start : value_start + slot_bytes[offset + 1]]),
-        )
-
-    def write_inline(self, start: int, key: bytes, value: bytes) -> None:
-        """Store an inline KV at ``start``; caller ensured the run is free."""
-        size = len(key) + len(value)
-        nslots = inline_slots_needed(size)
-        if start < 0 or start + nslots > SLOTS_PER_BUCKET:
-            raise KVDirectError("inline KV does not fit the bucket")
-        if len(key) > 255 or len(value) > 255:
-            raise KVDirectError("inline key/value length must fit one byte")
-        offset = start * SLOT_SIZE
-        record = bytes([len(key), len(value)]) + key + value
-        padded = record.ljust(nslots * SLOT_SIZE, b"\x00")
-        self.slot_bytes[offset : offset + nslots * SLOT_SIZE] = padded
-        run = ((1 << nslots) - 1) << start
-        self.inline_used |= run
-        self.inline_start = self.inline_start & ~run | 1 << start
-        self.slab_types[start : start + nslots] = [0] * nslots
-
-    def erase_inline(self, start: int) -> None:
-        """Remove the inline KV beginning at ``start``."""
-        if not self.inline_start & (1 << start):
-            raise KVDirectError(f"slot {start} does not begin an inline KV")
-        offset = start * SLOT_SIZE
-        slot_bytes = self.slot_bytes
-        nslots = inline_slots_needed(slot_bytes[offset] + slot_bytes[offset + 1])
-        if start + nslots > SLOTS_PER_BUCKET:  # lengths that overrun the area
-            nslots = SLOTS_PER_BUCKET - start
-        slot_bytes[offset : offset + nslots * SLOT_SIZE] = bytes(
-            nslots * SLOT_SIZE
-        )
-        run = ((1 << nslots) - 1) << start
-        self.inline_used &= ~run
-        self.inline_start &= ~run
-
-    def find_inline(self, key: bytes) -> Optional[int]:
-        """Start slot of the inline KV with this key, if present."""
-        starts = self.inline_start & _SLOTS_MASK
-        slot_bytes = self.slot_bytes
-        klen = len(key)
-        while starts:
-            low = starts & -starts
-            starts ^= low
-            start = _SLOT_OF_BIT[low]
-            offset = start * SLOT_SIZE
-            if slot_bytes[offset] == klen:
-                data_start = offset + INLINE_HEADER
-                if slot_bytes[data_start : data_start + klen] == key:
-                    return start
+def find_free_run(line: bytes, length: int) -> Optional[int]:
+    """First index of ``length`` contiguous free slots - neither inline
+    data nor a non-zero word - if any."""
+    if not 0 < length <= SLOTS_PER_BUCKET:
         return None
+    free = ~(line[_USED] | line[_USED + 1] << 8) & _SLOTS_MASK
+    if line[:SLOT_AREA] != _EMPTY_SLOT_AREA:
+        for slot, offset in _SLOTS_OF[free]:
+            if line[offset : offset + SLOT_SIZE] != _FREE_SLOT:
+                free ^= 1 << slot
+    # Bit i survives k shifts iff slots i..i+k are all free.
+    runs = free
+    for shift in range(1, length):
+        runs &= free >> shift
+    return _SLOTS_OF[runs][0][0] if runs else None
 
-    def has_no_entries(self) -> bool:
-        """No inline KVs and no pointer slots (chain pointer ignored)."""
-        return self.inline_used == 0 and self.slot_bytes == _EMPTY_SLOT_AREA
 
-    def is_empty(self) -> bool:
-        return self.chain_ptr == 0 and self.has_no_entries()
+def chain_ptr(line: bytes) -> int:
+    """Pointer (32 B units) to the next bucket of the chain; 0 ends it."""
+    return (
+        line[_CHAIN] | line[_CHAIN + 1] << 8 | line[_CHAIN + 2] << 16
+        | (line[_CHAIN + 3] & 0x7F) << 24
+    )
+
+
+def has_no_entries(line: bytes) -> bool:
+    """No inline KVs and no pointer slots (chain pointer ignored)."""
+    return (
+        not line[_USED] and not line[_USED + 1]
+        and line[:SLOT_AREA] == _EMPTY_SLOT_AREA
+    )
+
+
+# -- edits: a bytearray from edit(), changed in place ------------------------
+
+
+def edit(line: bytes) -> bytearray:
+    """A copy of ``line`` to change, normalised as a stored bucket is."""
+    if len(line) != BUCKET_SIZE:
+        raise KVDirectError(
+            f"bucket must be {BUCKET_SIZE} bytes, got {len(line)}"
+        )
+    bucket = bytearray(line)
+    bucket[_TYPES + 3] &= 0x3F
+    bucket[_CHAIN + 3] &= 0x7F
+    bucket[62] = bucket[63] = 0
+    return bucket
+
+
+def write_inline(
+    bucket: bytearray, start: int, key: bytes, value: bytes
+) -> None:
+    """Store an inline KV at ``start``; caller ensured the run is free."""
+    klen, vlen = len(key), len(value)
+    nslots = -(-(klen + vlen + INLINE_HEADER) // SLOT_SIZE)
+    if start < 0 or start + nslots > SLOTS_PER_BUCKET:
+        raise KVDirectError("inline KV does not fit the bucket")
+    if klen > 255 or vlen > 255:
+        raise KVDirectError("inline key/value length must fit one byte")
+    offset = start * SLOT_SIZE
+    pad = nslots * SLOT_SIZE - INLINE_HEADER - klen - vlen
+    bucket[offset : offset + nslots * SLOT_SIZE] = (
+        bytes((klen, vlen)) + key + value + bytes(pad)
+    )
+    run = ((1 << nslots) - 1) << start
+    types, used, starts = _META.unpack_from(bucket, _TYPES)
+    _META.pack_into(
+        bucket, _TYPES, types & ~(((1 << 3 * nslots) - 1) << 3 * start),
+        used | run, starts & ~run | 1 << start,
+    )
+
+
+def erase_inline(bucket: bytearray, start: int) -> None:
+    """Remove the inline KV beginning at ``start``."""
+    types, used, starts = _META.unpack_from(bucket, _TYPES)
+    if not starts & (1 << start):
+        raise KVDirectError(f"slot {start} does not begin an inline KV")
+    offset = start * SLOT_SIZE
+    nslots = -(-(bucket[offset] + bucket[offset + 1] + INLINE_HEADER)
+               // SLOT_SIZE)
+    if start + nslots > SLOTS_PER_BUCKET:  # lengths that overrun the area
+        nslots = SLOTS_PER_BUCKET - start
+    bucket[offset : offset + nslots * SLOT_SIZE] = bytes(nslots * SLOT_SIZE)
+    run = ((1 << nslots) - 1) << start
+    _META.pack_into(bucket, _TYPES, types, used & ~run, starts & ~run)
+
+
+def set_pointer(
+    bucket: bytearray, index: int, pointer: int, secondary: int, slab_type: int
+) -> None:
+    """Point slot ``index`` at a slab record of class ``slab_type``."""
+    if not 0 <= index < SLOTS_PER_BUCKET:
+        raise IndexError(f"slot index {index} outside bucket")
+    types, used, starts = _META.unpack_from(bucket, _TYPES)
+    if used & (1 << index):
+        raise KVDirectError(f"slot {index} holds inline data")
+    word = pack_slot(pointer, secondary)
+    if not 0 <= slab_type <= 0x7:
+        raise KVDirectError(f"slab type out of range: {slab_type}")
+    offset = index * SLOT_SIZE
+    bucket[offset : offset + SLOT_SIZE] = word.to_bytes(SLOT_SIZE, "little")
+    types = types & ~(0x7 << 3 * index) | slab_type << 3 * index
+    _META.pack_into(bucket, _TYPES, types, used, starts)
+
+
+def clear_slot(bucket: bytearray, index: int) -> None:
+    """Zero slot ``index`` and its slab type."""
+    if not 0 <= index < SLOTS_PER_BUCKET:
+        raise IndexError(f"slot index {index} outside bucket")
+    offset = index * SLOT_SIZE
+    bucket[offset : offset + SLOT_SIZE] = _FREE_SLOT
+    types, used, starts = _META.unpack_from(bucket, _TYPES)
+    _META.pack_into(bucket, _TYPES, types & ~(0x7 << 3 * index), used, starts)
+
+
+def set_chain(bucket: bytearray, pointer: int) -> None:
+    """Chain the bucket to the one at ``pointer`` (32 B units; 0 = none)."""
+    if not 0 <= pointer <= _POINTER_MASK:
+        raise KVDirectError(f"chain pointer out of range: {pointer}")
+    bucket[_CHAIN : _CHAIN + 4] = pointer.to_bytes(4, "little")

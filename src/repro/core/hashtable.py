@@ -11,9 +11,13 @@ more robust to hash clustering".
 
 Every host-memory access goes through the backing
 :class:`~repro.dram.host.MemoryImage`, so *measured* (not modelled) DMA
-counts per GET/PUT/DELETE drive Figures 6, 9, 10 and 11.  The store reaches
-the table through :class:`~repro.core.index.CompositeIndex`, which adds the
-ordered sidecar for RANGE/SCAN when one is configured.
+counts per GET/PUT/DELETE drive Figures 6, 9, 10 and 11.  The walks decide
+each bucket on the 64 bytes the read returned, through the codec's queries,
+and copy a bucket only to edit it (``hashindex.edit``) and write it back;
+the bucket index, the secondary hash and the key and value checks are
+evaluated in place.  The store reaches the table through
+:class:`~repro.core.index.CompositeIndex`, which adds the ordered sidecar
+for RANGE/SCAN when one is configured.
 """
 
 from __future__ import annotations
@@ -21,13 +25,27 @@ from __future__ import annotations
 import struct
 from typing import Callable, Iterator, Optional, Tuple
 
-from repro.constants import BUCKET_SIZE
+from repro.constants import BUCKET_SIZE, SECONDARY_HASH_BITS
 from repro.core.hashindex import (
+    INLINE_HEADER,
     POINTER_GRANULARITY,
-    Bucket,
-    inline_slots_needed,
+    SLOT_SIZE,
+    chain_ptr,
+    clear_slot,
+    edit,
+    erase_inline,
+    find_free_run,
+    find_inline,
+    has_no_entries,
+    inline_spans,
+    max_inline_kv_size,
+    pointer_slots,
+    read_inline,
+    set_chain,
+    set_pointer,
+    write_inline,
 )
-from repro.core.hashing import bucket_index, fnv1a64, secondary_hash
+from repro.core.hashing import fnv1a64
 from repro.core.slab import SlabAllocator
 from repro.core.slab_host import class_for_size, class_size
 from repro.dram.host import MemoryImage
@@ -46,8 +64,15 @@ MAX_KEY_SIZE = 255
 #: Largest record (header + key + value) that fits the biggest slab.
 MAX_RECORD_SIZE = 512
 
+#: Largest key + value whose record fits: the fast path of the checks.
+_MAX_KV_SIZE = MAX_RECORD_SIZE - _RECORD_HEADER.size
+
+#: ``secondary_hash(h)`` is ``h >> _SECONDARY_SHIFT & _SECONDARY_MASK``.
+_SECONDARY_SHIFT = 64 - SECONDARY_HASH_BITS
+_SECONDARY_MASK = (1 << SECONDARY_HASH_BITS) - 1
+
 #: What a never-written (or fully emptied, unchained) bucket looks like.
-_ZERO_BUCKET = Bucket.empty_bytes()
+_ZERO_BUCKET = bytes(BUCKET_SIZE)
 
 #: ``read(addr, size) -> bytes``: ``memory.read`` (counted, traced) or
 #: ``memory.peek`` (neither).
@@ -69,8 +94,6 @@ class HashTable:
             raise ConfigurationError("need at least one hash bucket")
         if inline_threshold < 0:
             raise ConfigurationError("inline threshold must be >= 0")
-        from repro.core.hashindex import max_inline_kv_size
-
         if inline_threshold > max_inline_kv_size():
             raise ConfigurationError(
                 f"inline threshold {inline_threshold} exceeds bucket "
@@ -97,7 +120,8 @@ class HashTable:
         """Look up a key; returns its value or ``None``.  ``h``, here and
         on the other operations, is ``fnv1a64(key)`` when the caller
         already has it."""
-        self._check_key(key)
+        if type(key) is not bytes or not 0 < len(key) <= MAX_KEY_SIZE:
+            self._check_key(key)
         memory = self.memory
         before = memory.accesses
         value = self._get(key, fnv1a64(key) if h is None else h)
@@ -107,23 +131,31 @@ class HashTable:
 
     def put(self, key: bytes, value: bytes, h: Optional[int] = None) -> bool:
         """Insert or replace a (key, value) pair.  Returns True."""
-        self._check_key(key)
-        self._check_value(key, value)
+        if type(key) is not bytes or type(value) is not bytes:
+            self._check_key(key)
+            self._check_value(key, value)
+        klen, vlen = len(key), len(value)
+        if not 0 < klen <= MAX_KEY_SIZE or klen + vlen > _MAX_KV_SIZE:
+            self._check_key(key)
+            self._check_value(key, value)
         memory = self.memory
         before = memory.accesses
-        replaced_size = self._put(key, value, fnv1a64(key) if h is None else h)
+        replaced_size = self._put(
+            key, value, fnv1a64(key) if h is None else h, klen + vlen
+        )
         self.put_cost.record(memory.accesses - before)
         self.counters["puts"] += 1
         if replaced_size is None:
             self.count += 1
-            self.stored_bytes += len(key) + len(value)
+            self.stored_bytes += klen + vlen
         else:
-            self.stored_bytes += len(value) - replaced_size
+            self.stored_bytes += vlen - replaced_size
         return True
 
     def delete(self, key: bytes, h: Optional[int] = None) -> bool:
         """Delete a key; returns whether it existed."""
-        self._check_key(key)
+        if type(key) is not bytes or not 0 < len(key) <= MAX_KEY_SIZE:
+            self._check_key(key)
         memory = self.memory
         before = memory.accesses
         removed = self._delete(key, fnv1a64(key) if h is None else h)
@@ -148,7 +180,8 @@ class HashTable:
         *scan* - the get/put/delete cost distributions stay pure per-op
         measurements.
         """
-        self._check_key(key)
+        if type(key) is not bytes or not 0 < len(key) <= MAX_KEY_SIZE:
+            self._check_key(key)
         return self._get(key, fnv1a64(key) if h is None else h)
 
     def peek(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
@@ -158,7 +191,8 @@ class HashTable:
         (cluster snapshots, replica comparison, the value a failed op
         forwards to its dependents) and ``key in table``, which must not
         perturb the measured data path."""
-        self._check_key(key)
+        if type(key) is not bytes or not 0 < len(key) <= MAX_KEY_SIZE:
+            self._check_key(key)
         return self._get(
             key, fnv1a64(key) if h is None else h, self.memory.peek
         )
@@ -169,11 +203,12 @@ class HashTable:
         return self.stored_bytes / total if total else 0.0
 
     # -- validation ------------------------------------------------------------
+    # The slow paths: each public method tests the common case (a ``bytes``
+    # key, and value, within the limits) in place and calls these only when
+    # it fails, to raise the error or to accept a ``bytearray``.
 
     @staticmethod
     def _check_key(key: bytes) -> None:
-        if type(key) is bytes and 0 < len(key) <= MAX_KEY_SIZE:
-            return
         if not isinstance(key, (bytes, bytearray)):
             raise TypeError("key must be bytes")
         if not key:
@@ -194,9 +229,11 @@ class HashTable:
             )
 
     # -- bucket IO ---------------------------------------------------------------
-    # A bucket is stored as ``memory.write(addr, bucket.pack())`` and a
-    # chain head found as ``base + bucket_index(h) * BUCKET_SIZE``, written
-    # out at each site rather than behind a forwarding frame.
+    # A bucket is read as ``read(addr, BUCKET_SIZE)``, stored as
+    # ``memory.write(addr, bucket)`` after ``edit`` and the codec's edits,
+    # and a chain head found as ``base + h % num_buckets * BUCKET_SIZE``
+    # (``bucket_index(h)``), written out at each site rather than behind a
+    # forwarding frame.
 
     def bucket_addr(self, index: int) -> int:
         return self.base + index * BUCKET_SIZE
@@ -233,82 +270,79 @@ class HashTable:
         counted = read is None
         if counted:
             read = self.memory.read
-        unpack = Bucket.unpack
-        secondary = secondary_hash(h)
-        addr = self.base + bucket_index(h, self.num_buckets) * BUCKET_SIZE
+        secondary = h >> _SECONDARY_SHIFT & _SECONDARY_MASK
+        addr = self.base + h % self.num_buckets * BUCKET_SIZE
         while True:
-            bucket = unpack(read(addr, BUCKET_SIZE))
-            start = bucket.find_inline(key)
+            line = read(addr, BUCKET_SIZE)
+            start = find_inline(line, key)
             if start is not None:
-                return bucket.read_inline(start)[1]
-            for slot, pointer, sec in bucket.pointer_slots():
-                if sec != secondary:
-                    continue
-                rkey, rvalue = self._read_record(
-                    pointer, bucket.slab_types[slot], read
-                )
+                return read_inline(line, start)[1]
+            for __, pointer, slab_type in pointer_slots(line, secondary):
+                rkey, rvalue = self._read_record(pointer, slab_type, read)
                 if rkey == key:
                     return rvalue
                 if counted:
                     self.counters["secondary_false_positives"] += 1
-            if not bucket.chain_ptr:
+            addr = chain_ptr(line) * POINTER_GRANULARITY
+            if not addr:
                 return None
-            addr = bucket.chain_ptr * POINTER_GRANULARITY
 
     # -- PUT -------------------------------------------------------------------------
 
-    def _put(self, key: bytes, value: bytes, h: int) -> Optional[int]:
-        """Insert/replace; returns the replaced value's size, or None."""
-        secondary = secondary_hash(h)
+    def _put(
+        self, key: bytes, value: bytes, h: int, kv_size: int
+    ) -> Optional[int]:
+        """Insert/replace a KV of ``kv_size = klen + vlen`` bytes; returns
+        the replaced value's size, or None."""
+        secondary = h >> _SECONDARY_SHIFT & _SECONDARY_MASK
         read = self.memory.read
-        unpack = Bucket.unpack
 
         # Pass 1: walk the chain looking for the key, remembering the first
         # bucket that could host the new KV and where in it.  Whether the
         # KV goes inline, and in how many slots, is decided once, here.
-        kv_size = len(key) + len(value)
         inline_ok = kv_size <= self.inline_threshold
-        nslots = inline_slots_needed(kv_size) if inline_ok else 1
-        host: Optional[Tuple[int, Bucket, int]] = None
-        addr = self.base + bucket_index(h, self.num_buckets) * BUCKET_SIZE
+        nslots = (
+            -(-(kv_size + INLINE_HEADER) // SLOT_SIZE) if inline_ok else 1
+        )
+        host: Optional[Tuple[int, bytes, int]] = None
+        addr = self.base + h % self.num_buckets * BUCKET_SIZE
         while True:
-            bucket = unpack(read(addr, BUCKET_SIZE))
-            start = bucket.find_inline(key)
+            line = read(addr, BUCKET_SIZE)
+            start = find_inline(line, key)
             if start is not None:
                 return self._replace_inline(
-                    addr, bucket, start, key, value, secondary, h,
-                    inline_ok, nslots,
+                    addr, line, start, key, value, secondary, inline_ok,
+                    nslots,
                 )
-            for slot, pointer, sec in bucket.pointer_slots():
-                if sec != secondary:
-                    continue
-                rkey, rvalue = self._read_record(
-                    pointer, bucket.slab_types[slot], read
-                )
+            for slot, pointer, slab_type in pointer_slots(line, secondary):
+                rkey, rvalue = self._read_record(pointer, slab_type, read)
                 if rkey == key:
-                    return self._replace_record(
-                        addr, bucket, slot, pointer, key, value, len(rvalue),
+                    self._replace_record(
+                        addr, line, slot, pointer, slab_type, key, value,
                         secondary,
                     )
+                    return len(rvalue)
                 self.counters["secondary_false_positives"] += 1
             if host is None:
-                run = bucket.find_free_run(nslots)
+                run = find_free_run(line, nslots)
                 if run is not None:
-                    host = (addr, bucket, run)
-            if not bucket.chain_ptr:
+                    host = (addr, line, run)
+            chain = chain_ptr(line)
+            if not chain:
                 break
-            addr = bucket.chain_ptr * POINTER_GRANULARITY
+            addr = chain * POINTER_GRANULARITY
 
         # Pass 2: insert as a new KV.  The hosting bucket is still held in
         # the pipeline from pass 1 (no extra DMA to re-read it).
         if host is None:
             return self._insert_into_new_chain_bucket(
-                addr, bucket, key, value, secondary, inline_ok
+                addr, line, key, value, secondary, inline_ok
             )
-        addr, bucket, run = host
+        addr, line, run = host
+        bucket = edit(line)
         if inline_ok:
-            bucket.write_inline(run, key, value)
-            self.memory.write(addr, bucket.pack())
+            write_inline(bucket, run, key, value)
+            self.memory.write(addr, bucket)
         else:
             self._insert_pointer(addr, bucket, run, key, value, secondary)
         return None
@@ -316,7 +350,7 @@ class HashTable:
     def _insert_pointer(
         self,
         addr: int,
-        bucket: Bucket,
+        bucket: bytearray,
         slot: int,
         key: bytes,
         value: bytes,
@@ -325,15 +359,16 @@ class HashTable:
         record_class = self._record_class(key, value)
         record_addr = self.allocator.alloc_class(record_class)
         self._write_record(record_addr, key, value)
-        bucket.set_pointer(
-            slot, record_addr // POINTER_GRANULARITY, secondary, record_class
+        set_pointer(
+            bucket, slot, record_addr // POINTER_GRANULARITY, secondary,
+            record_class,
         )
-        self.memory.write(addr, bucket.pack())
+        self.memory.write(addr, bucket)
 
     def _insert_into_new_chain_bucket(
         self,
         last_addr: int,
-        last_bucket: Bucket,
+        last_line: bytes,
         key: bytes,
         value: bytes,
         secondary: int,
@@ -341,74 +376,75 @@ class HashTable:
     ) -> None:
         """Chain a fresh overflow bucket and place the KV in it."""
         new_addr = self.allocator.alloc_class(_BUCKET_CLASS)
-        new_bucket = Bucket()
+        new_bucket = bytearray(BUCKET_SIZE)
         if inline_ok:
-            new_bucket.write_inline(0, key, value)
+            write_inline(new_bucket, 0, key, value)
         else:
             record_class = self._record_class(key, value)
             record_addr = self.allocator.alloc_class(record_class)
             self._write_record(record_addr, key, value)
-            new_bucket.set_pointer(
-                0, record_addr // POINTER_GRANULARITY, secondary, record_class
+            set_pointer(
+                new_bucket, 0, record_addr // POINTER_GRANULARITY, secondary,
+                record_class,
             )
-        self.memory.write(new_addr, new_bucket.pack())
-        last_bucket.chain_ptr = new_addr // POINTER_GRANULARITY
-        self.memory.write(last_addr, last_bucket.pack())
+        self.memory.write(new_addr, new_bucket)
+        last_bucket = edit(last_line)
+        set_chain(last_bucket, new_addr // POINTER_GRANULARITY)
+        self.memory.write(last_addr, last_bucket)
         self.counters["chained_buckets"] += 1
         return None
 
     def _replace_inline(
-        self, addr: int, bucket: Bucket, start: int, key: bytes, value: bytes,
-        secondary: int, h: int, inline_ok: bool, nslots: int,
-    ) -> Optional[int]:
-        """Replace the inline KV at ``start``; ``inline_ok`` / ``nslots``
-        are the new KV's placement, as :meth:`_put` decided it."""
-        old_key, old_value = bucket.read_inline(start)
-        bucket.erase_inline(start)
-        if inline_ok:
-            run = bucket.find_free_run(nslots)
-            if run is not None:
-                bucket.write_inline(run, key, value)
-                self.memory.write(addr, bucket.pack())
-                return len(old_value)
-        # The replacement no longer fits inline: demote to a slab record.
-        free_slot = bucket.find_free_run(1)
-        if free_slot is not None:
+        self, addr: int, line: bytes, start: int, key: bytes, value: bytes,
+        secondary: int, inline_ok: bool, nslots: int,
+    ) -> int:
+        """Replace the inline KV at ``start``: erase it, then place the new
+        KV (``inline_ok`` / ``nslots`` as :meth:`_put` decided) in the
+        bucket's *first* free run - which may lie below ``start`` - or,
+        when it is no longer inline or finds no run, demote it to a slab
+        record behind the first free slot (the erase freed at least one)."""
+        old_size = len(read_inline(line, start)[1])
+        bucket = edit(line)
+        erase_inline(bucket, start)
+        run = find_free_run(bucket, nslots) if inline_ok else None
+        if run is not None:
+            write_inline(bucket, run, key, value)
+            self.memory.write(addr, bucket)
+        else:
             self._insert_pointer(
-                addr, bucket, free_slot, key, value, secondary
+                addr, bucket, find_free_run(bucket, 1), key, value, secondary
             )
-            return len(old_value)
-        # No room in this bucket at all: persist the erase, then reinsert.
-        self.memory.write(addr, bucket.pack())
-        self._put(key, value, h)
-        return len(old_value)
+        return old_size
 
     def _replace_record(
         self,
         addr: int,
-        bucket: Bucket,
+        line: bytes,
         slot: int,
         pointer: int,
+        old_class: int,
         key: bytes,
         value: bytes,
-        old_value_len: int,
         secondary: int,
-    ) -> Optional[int]:
-        old_class = bucket.slab_types[slot]
+    ) -> None:
+        """Rewrite the slab record behind ``slot``: in place when the new
+        record keeps its size class, else in a new slab the slot is
+        re-pointed at (the old one freed)."""
         new_class = self._record_class(key, value)
         record_addr = pointer * POINTER_GRANULARITY
         if new_class == old_class:
             # Same size class: overwrite in place, bucket untouched.
             self._write_record(record_addr, key, value)
-            return old_value_len
+            return
         new_addr = self.allocator.alloc_class(new_class)
         self._write_record(new_addr, key, value)
-        bucket.set_pointer(
-            slot, new_addr // POINTER_GRANULARITY, secondary, new_class
+        bucket = edit(line)
+        set_pointer(
+            bucket, slot, new_addr // POINTER_GRANULARITY, secondary,
+            new_class,
         )
-        self.memory.write(addr, bucket.pack())
+        self.memory.write(addr, bucket)
         self.allocator.free(record_addr, old_class)
-        return old_value_len
 
     # -- DELETE -----------------------------------------------------------------------
 
@@ -419,51 +455,51 @@ class HashTable:
         its predecessor and its 64 B slab freed, so chains shrink again
         after churn instead of growing monotonically.
         """
-        secondary = secondary_hash(h)
+        secondary = h >> _SECONDARY_SHIFT & _SECONDARY_MASK
         read = self.memory.read
-        unpack = Bucket.unpack
-        prev: Optional[Tuple[int, Bucket]] = None
-        addr = self.base + bucket_index(h, self.num_buckets) * BUCKET_SIZE
+        prev: Optional[Tuple[int, bytes]] = None
+        addr = self.base + h % self.num_buckets * BUCKET_SIZE
         while True:
-            bucket = unpack(read(addr, BUCKET_SIZE))
-            start = bucket.find_inline(key)
+            line = read(addr, BUCKET_SIZE)
+            start = find_inline(line, key)
             if start is not None:
-                __, old_value = bucket.read_inline(start)
-                bucket.erase_inline(start)
+                old_size = len(read_inline(line, start)[1])
+                bucket = edit(line)
+                erase_inline(bucket, start)
                 self._finish_delete(addr, bucket, prev)
-                return len(old_value)
-            for slot, pointer, sec in bucket.pointer_slots():
-                if sec != secondary:
-                    continue
-                old_class = bucket.slab_types[slot]
+                return old_size
+            for slot, pointer, old_class in pointer_slots(line, secondary):
                 rkey, rvalue = self._read_record(pointer, old_class, read)
                 if rkey != key:
                     self.counters["secondary_false_positives"] += 1
                     continue
-                bucket.clear_slot(slot)
+                bucket = edit(line)
+                clear_slot(bucket, slot)
                 self._finish_delete(addr, bucket, prev)
                 self.allocator.free(pointer * POINTER_GRANULARITY, old_class)
                 return len(rvalue)
-            if not bucket.chain_ptr:
+            chain = chain_ptr(line)
+            if not chain:
                 return None
-            prev = (addr, bucket)
-            addr = bucket.chain_ptr * POINTER_GRANULARITY
+            prev = (addr, line)
+            addr = chain * POINTER_GRANULARITY
 
     def _finish_delete(
         self,
         addr: int,
-        bucket: Bucket,
-        prev: Optional[Tuple[int, Bucket]],
+        bucket: bytearray,
+        prev: Optional[Tuple[int, bytes]],
     ) -> None:
         """Persist a bucket after a removal, unlinking it if it emptied."""
-        if prev is not None and bucket.has_no_entries():
-            prev_addr, prev_bucket = prev
-            prev_bucket.chain_ptr = bucket.chain_ptr
-            self.memory.write(prev_addr, prev_bucket.pack())
+        if prev is not None and has_no_entries(bucket):
+            prev_addr, prev_line = prev
+            prev_bucket = edit(prev_line)
+            set_chain(prev_bucket, chain_ptr(bucket))
+            self.memory.write(prev_addr, prev_bucket)
             self.allocator.free(addr, _BUCKET_CLASS)
             self.counters["unlinked_buckets"] += 1
             return
-        self.memory.write(addr, bucket.pack())
+        self.memory.write(addr, bucket)
 
     # -- debug / introspection -----------------------------------------------------------
 
@@ -473,28 +509,19 @@ class HashTable:
         The reference walk other structures are checked against: it
         derives the contents from the memory image alone.  All-zero
         buckets - most of a sparsely filled table - hold nothing and
-        chain nowhere, so they are skipped without decoding.
+        chain nowhere, so they are skipped without a query.
         """
+        peek = self.memory.peek
         for index in range(self.num_buckets):
             addr = self.bucket_addr(index)
             while True:
-                raw = self.memory.peek(addr, BUCKET_SIZE)
-                if raw == _ZERO_BUCKET:
+                line = peek(addr, BUCKET_SIZE)
+                if line == _ZERO_BUCKET:
                     break
-                bucket = Bucket.unpack(raw)
-                for start, __ in bucket.inline_spans():
-                    yield bucket.read_inline(start)
-                for slot, pointer, __ in bucket.pointer_slots():
-                    raw = self.memory.peek(
-                        pointer * POINTER_GRANULARITY,
-                        class_size(bucket.slab_types[slot]),
-                    )
-                    klen, vlen = _RECORD_HEADER.unpack_from(raw)
-                    base = _RECORD_HEADER.size
-                    yield (
-                        raw[base : base + klen],
-                        raw[base + klen : base + klen + vlen],
-                    )
-                if not bucket.chain_ptr:
+                for start, __ in inline_spans(line):
+                    yield read_inline(line, start)
+                for __, pointer, slab_type in pointer_slots(line):
+                    yield self._read_record(pointer, slab_type, peek)
+                addr = chain_ptr(line) * POINTER_GRANULARITY
+                if not addr:
                     break
-                addr = bucket.chain_ptr * POINTER_GRANULARITY

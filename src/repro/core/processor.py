@@ -207,10 +207,18 @@ class KVProcessor:
         :class:`~repro.core.admission.OverloadPolicy` the event may also
         fail with :class:`~repro.errors.ServerBusy` when the op is shed.
         """
+        # The context table is keyed by the op object: a second submit of
+        # one still in flight would overwrite the first one's context.
+        op_id = id(op)
+        if op_id in self._contexts:
+            raise SimulationError(
+                f"operation seq {op.seq} is already in flight; submit a "
+                "copy of it to run it twice"
+            )
         # Positional: keyword arguments cost a dataclass init about as
         # much as the rest of it does.
         ctx = OpContext(op, Event(self.sim), deadline_ns, self.sim.now)
-        self._contexts[id(op)] = ctx
+        self._contexts[op_id] = ctx
         if self.profiler is not None:
             self.profiler.observe_submit(ctx)
         self.sim.call_soon(partial(self._ingress, ctx))

@@ -11,7 +11,9 @@ and a report that actually flags violated invariants.
 import pytest
 
 from repro.chaos import SoakConfig, run_soak
+from repro.chaos.soak import _Soak
 from repro.core.admission import OverloadPolicy
+from repro.core.operations import KVOperation
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, Tracer
@@ -193,3 +195,25 @@ class TestHarnessPlumbing:
         )
         assert report.shed > 0
         assert report.check() == []
+
+    def test_reconciling_a_failed_op_reads_without_counting(self):
+        """Regression: ``_reconcile_failure`` read the store through the
+        counted ``store.get`` - one phantom memory access, ``gets`` count
+        and ``get_cost`` sample per shed, expired or failed op, with no
+        DMA replayed for any of them."""
+        soak = _Soak(QUICK, None)
+        report = soak.run()
+        assert report.shed > 0 and report.check() == []
+        assert soak.model.state
+        for key in sorted(soak.model.state):
+            table = soak.topology.owner(key).store.table
+            before = (
+                table.memory.accesses, table.counters["gets"],
+                table.get_cost.count,
+            )
+            soak._reconcile_failure(KVOperation.get(key, seq=-1))
+            assert (
+                table.memory.accesses, table.counters["gets"],
+                table.get_cost.count,
+            ) == before
+        assert soak.report.divergences == []

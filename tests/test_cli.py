@@ -87,6 +87,26 @@ class TestTune:
         assert code == 0
         assert "optimal hash index ratio" in output
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "1", "1.5"])
+    def test_utilization_must_be_a_fraction(self, value, capsys):
+        """Regression: each escaped as a ``KVDirectError`` traceback."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli("tune", "--kv-size", "30", "--utilization", value)
+        assert exited.value.code == 2
+        assert "fraction between 0 and 1" in capsys.readouterr().err
+
+    def test_an_unreachable_target_is_one_line_and_exit_1(self, capsys):
+        """Regression: it escaped as a ``CapacityError`` traceback."""
+        code, output = run_cli(
+            "tune", "--kv-size", "30", "--utilization", "0.9",
+            "--memory-mib", "1",
+        )
+        assert (code, output) == (1, "")
+        assert capsys.readouterr().err == (
+            "repro tune: no hash index ratio reaches utilization 0.9 for "
+            "30 B KVs\n"
+        )
+
 
 class TestErrors:
     def test_unknown_command(self):

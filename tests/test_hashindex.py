@@ -1,18 +1,50 @@
-"""Unit tests for the 64 B bucket codec (Figure 5)."""
+"""Unit tests for the 64 B bucket codec (Figure 5), which queries and
+edits a bucket as its bytes."""
+
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.constants import BUCKET_SIZE, SLOTS_PER_BUCKET
+from repro.constants import BUCKET_SIZE, SLOT_SIZE, SLOTS_PER_BUCKET
 from repro.core.hashindex import (
-    Bucket,
+    SLOT_AREA,
+    chain_ptr,
+    clear_slot,
+    edit,
+    erase_inline,
+    find_free_run,
+    find_inline,
+    has_no_entries,
     inline_slots_needed,
+    inline_spans,
     max_inline_kv_size,
     pack_slot,
+    pointer_slots,
+    read_inline,
+    set_chain,
+    set_pointer,
     unpack_slot,
+    write_inline,
 )
 from repro.errors import KVDirectError
+from tests.ref_bucket import RefBucket
+
+
+def new_bucket():
+    """An empty bucket to edit, as a fresh chain bucket starts."""
+    return bytearray(BUCKET_SIZE)
+
+
+def free_slots(line):
+    """Slots outside the used bitmap (bytes 54..55) that hold no pointer."""
+    used = line[54] | line[55] << 8
+    pointers = {slot for slot, __, __ in pointer_slots(line)}
+    return [
+        i for i in range(SLOTS_PER_BUCKET)
+        if not used >> i & 1 and i not in pointers
+    ]
 
 
 class TestSlotWords:
@@ -32,6 +64,11 @@ class TestSlotWords:
             pack_slot(0, 1 << 9)
         with pytest.raises(KVDirectError):
             pack_slot(-1, 0)
+        for pointer, secondary in ((1 << 31, 0), (0, 1 << 9), (-1, 0)):
+            bucket = new_bucket()
+            with pytest.raises(KVDirectError):
+                set_pointer(bucket, 0, pointer, secondary, 0)
+            assert bucket == new_bucket()
 
     @given(st.integers(0, (1 << 31) - 1), st.integers(0, 511))
     def test_roundtrip_property(self, pointer, secondary):
@@ -61,123 +98,141 @@ class TestInlineSizing:
 
 class TestBucketCodec:
     def test_empty_roundtrip(self):
-        bucket = Bucket()
-        assert Bucket.unpack(bucket.pack()).pack() == bucket.pack()
-        assert bucket.pack() == Bucket.empty_bytes()
+        empty = bytes(BUCKET_SIZE)
+        assert edit(empty) == empty
+        assert has_no_entries(empty) and not chain_ptr(empty)
+        assert pointer_slots(empty) == [] and inline_spans(empty) == []
 
     def test_size(self):
-        assert len(Bucket().pack()) == BUCKET_SIZE
+        assert len(edit(bytes(BUCKET_SIZE))) == BUCKET_SIZE
+        bucket = new_bucket()
+        write_inline(bucket, 0, b"key", b"value")
+        set_pointer(bucket, 5, 1, 1, 1)
+        set_chain(bucket, 7)
+        assert len(bucket) == BUCKET_SIZE
 
     def test_pointer_roundtrip(self):
-        bucket = Bucket()
-        bucket.set_pointer(3, pointer=999, secondary=77, slab_type=4)
-        decoded = Bucket.unpack(bucket.pack())
-        slots = list(decoded.pointer_slots())
-        assert slots == [(3, 999, 77)]
-        assert decoded.slab_types[3] == 4
+        bucket = new_bucket()
+        set_pointer(bucket, 3, pointer=999, secondary=77, slab_type=4)
+        line = bytes(bucket)
+        assert pointer_slots(line) == [(3, 999, 4)]
+        assert pointer_slots(line, 77) == [(3, 999, 4)]
+        assert pointer_slots(line, 78) == []
 
     def test_chain_pointer_roundtrip(self):
-        bucket = Bucket()
-        bucket.chain_ptr = (1 << 31) - 1
-        assert Bucket.unpack(bucket.pack()).chain_ptr == (1 << 31) - 1
+        bucket = new_bucket()
+        set_chain(bucket, (1 << 31) - 1)
+        assert chain_ptr(bytes(bucket)) == (1 << 31) - 1
+        with pytest.raises(KVDirectError):
+            set_chain(bucket, 1 << 31)
 
     def test_bad_length_rejected(self):
         with pytest.raises(KVDirectError):
-            Bucket.unpack(b"\x00" * 63)
+            edit(b"\x00" * 63)
 
     def test_bad_slab_type_rejected(self):
-        bucket = Bucket()
-        bucket.slab_types[0] = 8
+        bucket = new_bucket()
         with pytest.raises(KVDirectError):
-            bucket.pack()
+            set_pointer(bucket, 0, 1, 1, 8)
+        assert bucket == new_bucket()
 
 
 class TestInlineKVs:
     def test_write_read(self):
-        bucket = Bucket()
-        bucket.write_inline(0, b"key", b"value")
-        assert bucket.read_inline(0) == (b"key", b"value")
+        bucket = new_bucket()
+        write_inline(bucket, 0, b"key", b"value")
+        assert read_inline(bucket, 0) == (b"key", b"value")
+        assert all(type(part) is bytes for part in read_inline(bucket, 0))
 
     def test_find_inline(self):
-        bucket = Bucket()
-        bucket.write_inline(0, b"aa", b"11")
-        bucket.write_inline(2, b"bb", b"2222")
-        assert bucket.find_inline(b"aa") == 0
-        assert bucket.find_inline(b"bb") == 2
-        assert bucket.find_inline(b"cc") is None
+        bucket = new_bucket()
+        write_inline(bucket, 0, b"aa", b"11")
+        write_inline(bucket, 2, b"bb", b"2222")
+        assert find_inline(bucket, b"aa") == 0
+        assert find_inline(bucket, b"bb") == 2
+        assert find_inline(bucket, b"cc") is None
 
     def test_spans(self):
-        bucket = Bucket()
-        bucket.write_inline(0, b"aa", b"11")  # 6 B -> 2 slots
-        bucket.write_inline(2, b"b", b"")  # 3 B -> 1 slot
-        assert list(bucket.inline_spans()) == [(0, 2), (2, 1)]
+        bucket = new_bucket()
+        write_inline(bucket, 0, b"aa", b"11")  # 6 B -> 2 slots
+        write_inline(bucket, 2, b"b", b"")  # 3 B -> 1 slot
+        assert inline_spans(bucket) == [(0, 2), (2, 1)]
 
     def test_erase(self):
-        bucket = Bucket()
-        bucket.write_inline(0, b"key", b"value")
-        bucket.erase_inline(0)
-        assert bucket.find_inline(b"key") is None
-        assert bucket.free_slots() == SLOTS_PER_BUCKET
-        assert bucket.is_empty()
+        bucket = new_bucket()
+        write_inline(bucket, 0, b"key", b"value")
+        erase_inline(bucket, 0)
+        assert find_inline(bucket, b"key") is None
+        assert free_slots(bucket) == list(range(SLOTS_PER_BUCKET))
+        assert has_no_entries(bucket) and not chain_ptr(bucket)
 
     def test_codec_roundtrip_with_inline(self):
-        bucket = Bucket()
-        bucket.write_inline(4, b"hello", b"world!")
-        decoded = Bucket.unpack(bucket.pack())
-        assert decoded.read_inline(4) == (b"hello", b"world!")
-        assert decoded.find_inline(b"hello") == 4
+        bucket = new_bucket()
+        write_inline(bucket, 4, b"hello", b"world!")
+        line = bytes(bucket)
+        assert read_inline(line, 4) == (b"hello", b"world!")
+        assert find_inline(line, b"hello") == 4
 
     def test_inline_and_pointer_coexist(self):
-        bucket = Bucket()
-        bucket.write_inline(0, b"aaa", b"bbb")  # 8 B -> 2 slots
-        bucket.set_pointer(5, 1234, 56, 2)
-        decoded = Bucket.unpack(bucket.pack())
-        assert decoded.find_inline(b"aaa") == 0
-        assert list(decoded.pointer_slots()) == [(5, 1234, 56)]
+        bucket = new_bucket()
+        write_inline(bucket, 0, b"aaa", b"bbb")  # 8 B -> 2 slots
+        set_pointer(bucket, 5, 1234, 56, 2)
+        line = bytes(bucket)
+        assert find_inline(line, b"aaa") == 0
+        assert pointer_slots(line) == [(5, 1234, 2)]
+        with pytest.raises(KVDirectError, match="holds inline data"):
+            set_pointer(bucket, 1, 1, 1, 1)
 
     def test_overflow_rejected(self):
-        bucket = Bucket()
+        bucket = new_bucket()
         with pytest.raises(KVDirectError):
-            bucket.write_inline(9, b"long-key", b"long-value")
+            write_inline(bucket, 9, b"long-key", b"long-value")
+        assert bucket == new_bucket()
 
     def test_read_non_start_rejected(self):
-        bucket = Bucket()
-        bucket.write_inline(0, b"abcd", b"efgh")
+        bucket = new_bucket()
+        write_inline(bucket, 0, b"abcd", b"efgh")
         with pytest.raises(KVDirectError):
-            bucket.read_inline(1)
+            read_inline(bucket, 1)
+        with pytest.raises(KVDirectError):
+            erase_inline(bucket, 1)
 
     def test_full_bucket_inline(self):
-        bucket = Bucket()
+        bucket = new_bucket()
         key, value = b"k" * 8, b"v" * 40  # 48 B + 2 header = 50 B = 10 slots
-        bucket.write_inline(0, key, value)
-        assert bucket.read_inline(0) == (key, value)
-        assert bucket.free_slots() == 0
+        write_inline(bucket, 0, key, value)
+        assert read_inline(bucket, 0) == (key, value)
+        assert free_slots(bucket) == []
+        assert find_free_run(bucket, 1) is None
 
 
 class TestFreeRuns:
     def test_empty_bucket(self):
-        assert Bucket().find_free_run(10) == 0
-        assert Bucket().find_free_run(1) == 0
+        assert find_free_run(bytes(BUCKET_SIZE), 10) == 0
+        assert find_free_run(bytes(BUCKET_SIZE), 1) == 0
 
     def test_after_occupancy(self):
-        bucket = Bucket()
-        bucket.set_pointer(0, 1, 1, 0)
-        bucket.write_inline(4, b"ab", b"cd")  # slots 4-5
-        assert bucket.find_free_run(3) == 1
-        assert bucket.find_free_run(4) == 6
-        assert bucket.find_free_run(5) is None
+        bucket = new_bucket()
+        set_pointer(bucket, 0, 1, 1, 0)
+        write_inline(bucket, 4, b"ab", b"cd")  # slots 4-5
+        assert find_free_run(bucket, 3) == 1
+        assert find_free_run(bucket, 4) == 6
+        assert find_free_run(bucket, 5) is None
 
     def test_zero_length(self):
-        assert Bucket().find_free_run(0) is None
-        assert Bucket().find_free_run(11) is None
+        assert find_free_run(bytes(BUCKET_SIZE), 0) is None
+        assert find_free_run(bytes(BUCKET_SIZE), 11) is None
 
     def test_is_free(self):
-        bucket = Bucket()
-        bucket.set_pointer(2, 5, 5, 0)
-        assert not bucket.is_free(2)
-        assert bucket.is_free(3)
-        bucket.clear_slot(2)
-        assert bucket.is_free(2)
+        bucket = new_bucket()
+        set_pointer(bucket, 2, 5, 5, 0)
+        assert 2 not in free_slots(bucket)
+        assert 3 in free_slots(bucket)
+        clear_slot(bucket, 2)
+        assert 2 in free_slots(bucket)
+        assert bucket == new_bucket()
+        with pytest.raises(IndexError):
+            clear_slot(bucket, SLOTS_PER_BUCKET)
 
     @given(
         st.lists(
@@ -186,12 +241,12 @@ class TestFreeRuns:
         )
     )
     def test_free_count_consistency(self, placements):
-        bucket = Bucket()
+        bucket = new_bucket()
         for slot, pointer in placements:
-            if bucket.is_free(slot):
-                bucket.set_pointer(slot, pointer, 0, 0)
-        occupied = len(list(bucket.pointer_slots()))
-        assert bucket.free_slots() == SLOTS_PER_BUCKET - occupied
+            if slot in free_slots(bucket):
+                set_pointer(bucket, slot, pointer, 0, 0)
+        occupied = len(pointer_slots(bucket))
+        assert len(free_slots(bucket)) == SLOTS_PER_BUCKET - occupied
 
 
 class TestWireLayoutStability:
@@ -200,57 +255,49 @@ class TestWireLayoutStability:
     change the memory image."""
 
     def test_slot_bytes_little_endian(self):
-        bucket = Bucket()
-        bucket.set_slot_word(0, 0x0102030405)
-        packed = bucket.pack()
-        assert packed[0:5] == bytes([0x05, 0x04, 0x03, 0x02, 0x01])
+        bucket = new_bucket()
+        set_pointer(bucket, 0, *unpack_slot(0x0102030405), 0)
+        assert bucket[0:5] == bytes([0x05, 0x04, 0x03, 0x02, 0x01])
 
     def test_slot_positions(self):
-        bucket = Bucket()
-        bucket.set_slot_word(9, 0xFF)
-        packed = bucket.pack()
-        assert packed[45] == 0xFF  # slot 9 starts at byte 45
-        assert packed[46:50] == b"\x00\x00\x00\x00"
+        bucket = new_bucket()
+        set_pointer(bucket, 9, *unpack_slot(0xFF), 0)
+        assert bucket[45] == 0xFF  # slot 9 starts at byte 45
+        assert bucket[46:50] == b"\x00\x00\x00\x00"
 
     def test_slab_types_at_byte_50(self):
-        bucket = Bucket()
-        bucket.slab_types[0] = 0b101
-        bucket.slab_types[1] = 0b011
-        packed = bucket.pack()
+        bucket = new_bucket()
+        set_pointer(bucket, 0, 1, 0, 0b101)
+        set_pointer(bucket, 1, 2, 0, 0b011)
         # 3-bit fields LSB-first within a u32 at byte 50.
-        assert packed[50] == 0b101 | (0b011 << 3)
+        assert bucket[50] == 0b101 | (0b011 << 3)
 
     def test_inline_bitmaps_at_bytes_54_56(self):
-        bucket = Bucket()
-        bucket.write_inline(2, b"ab", b"c")  # one slot at index 2
-        packed = bucket.pack()
-        assert packed[54] == 1 << 2  # used bitmap
-        assert packed[56] == 1 << 2  # start bitmap
+        bucket = new_bucket()
+        write_inline(bucket, 2, b"ab", b"c")  # one slot at index 2
+        assert bucket[54] == 1 << 2  # used bitmap
+        assert bucket[56] == 1 << 2  # start bitmap
 
     def test_chain_pointer_at_byte_58(self):
-        bucket = Bucket()
-        bucket.chain_ptr = 0x0A0B0C0D
-        packed = bucket.pack()
-        assert packed[58:62] == bytes([0x0D, 0x0C, 0x0B, 0x0A])
+        bucket = new_bucket()
+        set_chain(bucket, 0x0A0B0C0D)
+        assert bucket[58:62] == bytes([0x0D, 0x0C, 0x0B, 0x0A])
 
     def test_reserved_tail_zero(self):
-        bucket = Bucket()
-        bucket.write_inline(0, b"k", b"v")
-        bucket.chain_ptr = 123
-        assert bucket.pack()[62:64] == b"\x00\x00"
+        line = bytes(62) + b"\xAB\xCD"
+        bucket = edit(line)
+        write_inline(bucket, 0, b"k", b"v")
+        set_chain(bucket, 123)
+        assert bucket[62:64] == b"\x00\x00"
+        assert line[62:64] == b"\xAB\xCD"  # the line read stays as read
 
 
-# -- the bitmap forms against the slot walk they replaced ---------------------
-
-import struct
-
-from repro.constants import SLOT_SIZE
-from repro.core.hashindex import SLOT_AREA
+# -- the byte codec against the decoded object it replaced -------------------
 
 _REF_META = struct.Struct("<IHHIH")
 
 
-class SlotWalkBucket(Bucket):
+class SlotWalkBucket(RefBucket):
     """The per-slot bodies as they were before the bitmap forms - ``is_free
     -> is_inline_slot -> _check_slot -> slot_word`` per slot, a decode by
     slices - kept verbatim as a test-only reference."""
@@ -350,29 +397,58 @@ class SlotWalkBucket(Bucket):
         )
 
 
-def assert_same_answers(bucket, reference, keys=()):
-    """Every query of the bitmap forms against the slot walk's."""
-    assert bytes(bucket.slot_bytes) == bytes(reference.slot_bytes)
-    assert bucket.slab_types == reference.slab_types
-    assert bucket.inline_used == reference.inline_used
-    assert bucket.inline_start == reference.inline_start
-    assert bucket.chain_ptr == reference.chain_ptr
-    assert bucket.pack() == reference.pack()
+def raised(call, *args):
+    """The exception type ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the answer
+        return type(exc)
+    return None
+
+
+def assert_same_answers(line, reference, keys=()):
+    """Every query of the byte codec on ``line`` against the decoded
+    ``reference`` object's answer."""
+    slots = list(reference.pointer_slots())
+    assert pointer_slots(line) == [
+        (slot, pointer, reference.slab_types[slot])
+        for slot, pointer, __ in slots
+    ]
+    for secondary in {sec for __, __, sec in slots} | {0, 511}:
+        assert pointer_slots(line, secondary) == [
+            (slot, pointer, reference.slab_types[slot])
+            for slot, pointer, sec in slots if sec == secondary
+        ]
     for length in range(-1, SLOTS_PER_BUCKET + 2):
-        assert bucket.find_free_run(length) == reference.find_free_run(length)
-    assert bucket.pointer_slots() == list(reference.pointer_slots())
-    assert list(bucket.inline_spans()) == list(reference.inline_spans())
-    assert bucket.has_no_entries() == reference.has_no_entries()
-    assert bucket.is_empty() == reference.is_empty()
-    assert bucket.free_slots() == reference.free_slots()
+        assert find_free_run(line, length) == reference.find_free_run(length)
+    assert inline_spans(line) == list(reference.inline_spans())
+    assert has_no_entries(line) == reference.has_no_entries()
+    assert chain_ptr(line) == reference.chain_ptr
+    assert free_slots(line) == [
+        i for i in range(SLOTS_PER_BUCKET) if reference.is_free(i)
+    ]
+    for slot in range(SLOTS_PER_BUCKET):
+        if reference.inline_start >> slot & 1:
+            assert read_inline(line, slot) == reference.read_inline(slot)
+        else:
+            assert raised(read_inline, line, slot) is KVDirectError
+            assert raised(reference.read_inline, slot) is KVDirectError
     # Every key any slot could be read as holding, plus the caller's.
-    area = bytes(bucket.slot_bytes)
+    area = bytes(line[:50])
     candidates = list(keys) + [
         area[5 * i + 2 : 5 * i + 2 + area[5 * i]]
         for i in range(SLOTS_PER_BUCKET)
     ]
     for key in candidates:
-        assert bucket.find_inline(key) == reference.find_inline(key)
+        assert find_inline(line, key) == reference.find_inline(key)
+
+
+def assert_same_bucket(bucket, reference, keys=()):
+    """An edited bucket: the bytes ``pack()`` writes, and the answers."""
+    assert type(bucket) is bytearray
+    assert bytes(bucket) == reference.pack()
+    assert_same_answers(bucket, reference, keys)
+    assert_same_answers(bytes(bucket), reference, keys)
 
 
 #: One slot of raw bytes: free (zero) half the time, so free runs, empty
@@ -384,85 +460,148 @@ raw_slots = st.lists(
 #: Bitmaps with and without the six bits no slot owns.
 bitmaps = st.one_of(st.integers(0, 0x3FF), st.integers(0, 0xFFFF), st.just(0))
 
+#: The decoded references the codec is held to: the parent's object, and
+#: the per-slot walk it was itself checked against.
+REFERENCES = (RefBucket, SlotWalkBucket)
+
 
 class TestBitmapFormsMatchTheSlotWalk:
     @given(raw_slots, st.integers(0, 2**32 - 1), bitmaps, bitmaps,
            st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))
     def test_any_64_bytes(self, slots, types, used, start, chain, reserved):
-        """Raw images, valid or not: bitmap bits 10..15, slab-type bits
-        30..31, chain bit 31 and the reserved tail are ignored or dropped
-        exactly as the slot walk ignores or drops them."""
+        """Raw images, valid or not: every query on the line as read
+        answers as the decoded object does, bitmap bits 10..15, slab-type
+        bits 30..31, chain bit 31 and the reserved tail ignored exactly as
+        it ignores them; an edit copy is normalised exactly as ``pack()``
+        normalises, and an erase from it writes ``pack()``'s bytes."""
         data = b"".join(slots) + _REF_META.pack(
             types, used, start, chain, reserved
         )
-        bucket, reference = Bucket.unpack(data), SlotWalkBucket.unpack(data)
-        assert_same_answers(bucket, reference)
-        # The stray bitmap bits ride through pack() untouched.
-        assert bucket.pack()[54:58] == data[54:58]
+        for cls in REFERENCES:
+            reference = cls.unpack(data)
+            assert_same_answers(data, reference)
+            assert_same_bucket(edit(data), reference)
+        # The stray bitmap bits ride through an edit untouched.
+        assert edit(data)[54:58] == data[54:58]
         for slot in range(SLOTS_PER_BUCKET):
             if not start >> slot & 1:
                 continue
-            assert bucket.read_inline(slot) == reference.read_inline(slot)
-            erased, erased_reference = (
-                cls.unpack(data) for cls in (Bucket, SlotWalkBucket)
-            )
-            erased.erase_inline(slot)
-            erased_reference.erase_inline(slot)
-            assert_same_answers(erased, erased_reference)
+            for cls in REFERENCES:
+                bucket, reference = edit(data), cls.unpack(data)
+                erase_inline(bucket, slot)
+                reference.erase_inline(slot)
+                assert_same_bucket(bucket, reference)
 
-    @given(st.lists(st.tuples(
-        st.sampled_from(("inline", "pointer", "erase", "clear", "chain")),
-        st.binary(min_size=1, max_size=12), st.binary(max_size=30),
-        st.integers(0, 2**31 - 1), st.integers(0, 511), st.integers(0, 7),
-    ), max_size=25))
-    def test_random_mixes_built_through_the_api(self, steps):
+    @given(st.binary(min_size=BUCKET_SIZE, max_size=BUCKET_SIZE),
+           st.lists(st.tuples(
+               st.sampled_from((
+                   "inline", "pointer", "erase", "clear", "chain",
+                   "bad-inline", "bad-pointer", "bad-erase", "bad-clear",
+                   "bad-chain",
+               )),
+               st.binary(min_size=1, max_size=12), st.binary(max_size=30),
+               st.integers(0, 2**31 - 1), st.integers(0, 511),
+               st.integers(0, 7),
+           ), max_size=25),
+           st.booleans())
+    def test_random_mixes_built_through_the_api(self, image, steps, fresh):
         """Inline KVs, pointer slots, frees and chain pointers, applied in
-        lockstep: same placement decisions, same bytes after every step."""
-        bucket, reference = Bucket(), SlotWalkBucket()
+        lockstep to a fresh bucket or to any 64 bytes: same placement
+        decisions, ``pack()``'s bytes after every edit, and an edit the
+        reference refuses (at once or at ``pack()``) refused with the same
+        exception type and the bucket left as it was."""
+        data = bytes(BUCKET_SIZE) if fresh else image
+        bucket, reference = edit(data), SlotWalkBucket.unpack(data)
         keys = []
         for action, key, value, pointer, secondary, slab_type in steps:
+            spans = inline_spans(bucket)
+            slots = pointer_slots(bucket)
             if action == "inline":
                 if len(key) + len(value) > max_inline_kv_size():
                     continue
-                run = bucket.find_free_run(
-                    inline_slots_needed(len(key) + len(value))
+                run = find_free_run(
+                    bucket, inline_slots_needed(len(key) + len(value))
                 )
-                if run is None or bucket.find_inline(key) is not None:
+                if run is None or find_inline(bucket, key) is not None:
                     continue
-                bucket.write_inline(run, key, value)
+                write_inline(bucket, run, key, value)
                 reference.write_inline(run, key, value)
                 keys.append(key)
             elif action == "pointer":
-                run = bucket.find_free_run(1)
+                run = find_free_run(bucket, 1)
                 if run is None or not (pointer or secondary):
                     continue
-                bucket.set_pointer(run, pointer, secondary, slab_type)
+                set_pointer(bucket, run, pointer, secondary, slab_type)
                 reference.set_pointer(run, pointer, secondary, slab_type)
             elif action == "erase":
-                spans = list(bucket.inline_spans())
                 if not spans:
                     continue
                 start = spans[pointer % len(spans)][0]
-                bucket.erase_inline(start)
+                erase_inline(bucket, start)
                 reference.erase_inline(start)
             elif action == "clear":
-                slots = bucket.pointer_slots()
                 if not slots:
                     continue
                 slot = slots[pointer % len(slots)][0]
-                bucket.clear_slot(slot)
+                clear_slot(bucket, slot)
                 reference.clear_slot(slot)
+            elif action == "chain":
+                set_chain(bucket, pointer)
+                reference.chain_ptr = pointer
             else:
-                bucket.chain_ptr = reference.chain_ptr = pointer
-            assert_same_answers(bucket, reference, keys)
-            # And the image decodes back to the same thing on both sides.
-            assert_same_answers(
-                Bucket.unpack(bucket.pack()),
-                SlotWalkBucket.unpack(reference.pack()), keys,
+                self._refused(bucket, reference, action, key, value,
+                              pointer, secondary, slab_type, spans)
+            assert_same_bucket(bucket, reference, keys)
+
+    @staticmethod
+    def _refused(bucket, reference, action, key, value, pointer, secondary,
+                 slab_type, spans):
+        """One edit both sides must refuse; the reference tries it on a
+        copy, since it may change itself before ``pack()`` refuses."""
+        trial = SlotWalkBucket.unpack(reference.pack())
+        before = bytes(bucket)
+        used = bucket[54] | bucket[55] << 8
+        inline = [i for i in range(SLOTS_PER_BUCKET) if used >> i & 1]
+        if action == "bad-inline":  # a run that overruns the slot area
+            args = (9 - pointer % 2, key + b"x" * 8, value + b"y" * 8)
+            theirs = raised(lambda: (trial.write_inline(*args), trial.pack()))
+            ours = raised(write_inline, bucket, *args)
+        elif action == "bad-pointer":  # an inline slot, a pointer, a type
+            slot = inline[pointer % len(inline)] if inline else pointer % 10
+            args = [
+                (slot, pointer, secondary, slab_type),
+                (pointer % 10, pointer + (1 << 31), secondary, slab_type),
+                (pointer % 10, pointer, secondary + 512, slab_type),
+                (pointer % 10, pointer, secondary, slab_type + 8),
+                (10 + pointer % 5, pointer, secondary, slab_type),
+            ][pointer % 5 if inline else 1 + pointer % 4]
+            theirs = raised(lambda: (trial.set_pointer(*args), trial.pack()))
+            ours = raised(set_pointer, bucket, *args)
+        elif action == "bad-erase":  # a slot that begins no inline KV
+            starts = {s for s, __ in spans}
+            slot = next(
+                (i for i in range(10) if i not in starts and i not in inline),
+                None,
             )
+            if slot is None:
+                return
+            theirs = raised(trial.erase_inline, slot)
+            ours = raised(erase_inline, bucket, slot)
+        elif action == "bad-clear":  # a slot index outside the bucket
+            slot = (-1, SLOTS_PER_BUCKET)[pointer % 2]
+            theirs = raised(trial.clear_slot, slot)
+            ours = raised(clear_slot, bucket, slot)
+        else:  # a chain pointer wider than 31 bits
+            trial.chain_ptr = pointer + (1 << 31)
+            theirs = raised(trial.pack)
+            ours = raised(set_chain, bucket, pointer + (1 << 31))
+        assert theirs is not None and ours is theirs, (action, theirs, ours)
+        assert bytes(bucket) == before
 
     def test_a_short_or_long_image_is_rejected_by_both(self):
-        for cls in (Bucket, SlotWalkBucket):
-            for size in (0, BUCKET_SIZE - 1, BUCKET_SIZE + 1):
+        for size in (0, BUCKET_SIZE - 1, BUCKET_SIZE + 1):
+            with pytest.raises(KVDirectError, match=f"got {size}"):
+                edit(bytes(size))
+            for cls in REFERENCES:
                 with pytest.raises(KVDirectError, match=f"got {size}"):
                     cls.unpack(bytes(size))

@@ -1,17 +1,27 @@
 """Unit + property tests for the KV-Direct hash table."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import BUCKET_SIZE
-from repro.core.hashindex import POINTER_GRANULARITY, Bucket
+from repro.core.hashindex import (
+    POINTER_GRANULARITY,
+    chain_ptr,
+    has_no_entries,
+    inline_spans,
+    read_inline,
+)
 from repro.core.hashing import fnv1a64, secondary_hash
 from repro.core.hashtable import HashTable
 from repro.core.slab import SlabAllocator
 from repro.core.slab_host import HostSlabManager, class_size
 from repro.dram.host import MemoryImage
 from repro.errors import ConfigurationError, KeyTooLargeError
+from tests.ref_bucket import RefBucket
 
 
 def make_table(
@@ -306,11 +316,12 @@ class TestAccounting:
 
 def _undecoded_walk(table):
     """``HashTable.items()`` without the zero-bucket skip: decode every
-    bucket.  The order it yields in is the order ``items()`` must keep."""
+    bucket into the reference object.  The order it yields in is the
+    order ``items()`` must keep."""
     for index in range(table.num_buckets):
         addr = table.bucket_addr(index)
         while True:
-            bucket = Bucket.unpack(table.memory.peek(addr, BUCKET_SIZE))
+            bucket = RefBucket.unpack(table.memory.peek(addr, BUCKET_SIZE))
             for start, __ in bucket.inline_spans():
                 yield bucket.read_inline(start)
             for slot, pointer, __ in bucket.pointer_slots():
@@ -334,7 +345,7 @@ class TestItemsWalk:
             table.delete(b"k%04d" % i)
         zero = sum(
             table.memory.peek(table.bucket_addr(i), BUCKET_SIZE)
-            == Bucket.empty_bytes()
+            == bytes(BUCKET_SIZE)
             for i in range(table.num_buckets)
         )
         assert zero > 0.9 * table.num_buckets
@@ -351,12 +362,12 @@ class TestItemsWalk:
         keys = [b"k%03d" % i for i in range(40)]
         for key in keys:
             table.put(key, b"v" * 30)
-        head = Bucket.unpack(table.memory.peek(0, BUCKET_SIZE))
-        in_head = [head.read_inline(s)[0] for s, __ in head.inline_spans()]
+        head = table.memory.peek(0, BUCKET_SIZE)
+        in_head = [read_inline(head, s)[0] for s, __ in inline_spans(head)]
         for key in in_head:
             table.delete(key)
-        head = Bucket.unpack(table.memory.peek(0, BUCKET_SIZE))
-        assert head.has_no_entries() and head.chain_ptr
+        head = table.memory.peek(0, BUCKET_SIZE)
+        assert has_no_entries(head) and chain_ptr(head)
         assert list(table.items()) == list(_undecoded_walk(table))
         assert {k for k, __ in table.items()} == set(keys) - set(in_head)
 
@@ -476,3 +487,65 @@ class TestPropertyBased:
             model[key] = value
         expected = sum(len(k) + len(v) for k, v in model.items())
         assert table.stored_bytes == expected
+
+
+class TestWholeTableDigest:
+    """One seeded table through every bucket path - inline KVs, slab
+    records and their size-class changes, secondary-hash false positives,
+    chained overflow buckets, inline KVs demoted to slab records, deletes
+    that empty a chained bucket - digested: the memory image bytes, the
+    table and memory counters, the cost stats, the access trace and every
+    answer.  The digest was taken with the decoded bucket object the
+    codec replaced; working on the bytes must write the same bytes through
+    the same accesses."""
+
+    DIGEST = (
+        "90bc26035b7bc20647143f3eb3f9ee6716213083798b42f0e8d7100f9a9e2d9b"
+    )
+
+    def test_digest_is_pinned(self):
+        table = make_table(
+            memory_size=1 << 17, index_ratio=1 / 128, inline_threshold=20
+        )
+        rng = random.Random(7)
+        keys = [b"key%03d" % i for i in range(160)]
+        model, answers, demotions = {}, [], 0
+        table.memory.start_trace()
+        for __ in range(3000):
+            key = rng.choice(keys)
+            roll = rng.random()
+            if roll < 0.5:
+                value = bytes([rng.randrange(256)]) * rng.choice(
+                    (0, 3, 8, 12, 14, 30, 60, 120, 250)
+                )
+                old = model.get(key)
+                if old is not None and (
+                    len(key) + len(old) <= 20 < len(key) + len(value)
+                ):
+                    demotions += 1
+                answers.append(table.put(key, value))
+                model[key] = value
+            elif roll < 0.8:
+                answers.append(table.get(key))
+                assert answers[-1] == model.get(key)
+            else:
+                answers.append(table.delete(key))
+                assert answers[-1] == (model.pop(key, None) is not None)
+        trace = table.memory.stop_trace()
+        assert dict(table.items()) == model
+        assert list(table.items()) == list(_undecoded_walk(table))
+        counters = table.counters.snapshot()
+        assert demotions and counters["secondary_false_positives"]
+        assert counters["chained_buckets"] and counters["unlinked_buckets"]
+        state = (
+            hashlib.sha256(
+                table.memory.peek(0, table.memory.size)
+            ).hexdigest(),
+            sorted(counters.items()),
+            sorted(table.memory.counters.snapshot().items()),
+            [(s.count, s.mean, s.variance, s.minimum, s.maximum)
+             for s in (table.get_cost, table.put_cost, table.delete_cost)],
+            table.count, table.stored_bytes, trace, answers,
+        )
+        digest = hashlib.sha256(repr(state).encode()).hexdigest()
+        assert digest == self.DIGEST

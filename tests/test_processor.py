@@ -4,11 +4,14 @@ import struct
 
 import pytest
 
+from repro import scenario
+from repro.client.router import ClusterRouter
 from repro.core.operations import KVOperation, OpType
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD
 from repro.driver import run_closed_loop
+from repro.errors import SimulationError
 from repro.sim import Simulator
 
 
@@ -186,6 +189,37 @@ class TestThroughputShape:
             ]
 
         assert run(True) > run(False) * 1.1
+
+
+class TestOneSubmitPerOpObject:
+    """Regression: the context table is keyed by the op object, so a
+    second submit of an op still in flight overwrote the first one's
+    context and the run died at the second response ("response for
+    unknown operation")."""
+
+    def test_closed_loop_refuses_the_second_submit(self):
+        proc = make_processor()
+        op = KVOperation.put(b"k", b"v", seq=3)
+        with pytest.raises(SimulationError, match="seq 3 .*submit a copy"):
+            run_closed_loop(proc, [op, op], concurrency=2)
+
+    def test_router_fails_the_second_submit_and_completes_the_first(self):
+        built = scenario.build(
+            seed=7, memory_size=2 << 20, corpus=100, put_ratio=0.5, nodes=3
+        )
+        op = KVOperation.put(b"k", b"v", seq=3)
+        stats = ClusterRouter(built.sim, built.cluster, seed=7).run(
+            [op, op], concurrency=2
+        )
+        assert (stats["completed"], stats["failed"]) == (1, 1)
+        assert built.cluster.owner(b"k").store.peek(b"k") == b"v"
+
+    def test_a_settled_op_may_be_submitted_again(self):
+        proc = make_processor()
+        op = KVOperation.put(b"k", b"v")
+        for __ in range(2):
+            assert proc.sim.run(proc.submit(op)).ok
+        assert proc.completed == 2
 
 
 class TestAccounting:

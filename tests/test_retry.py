@@ -8,6 +8,7 @@ run on independent counters and independent backoff streams.
 """
 
 import json
+import random
 
 import pytest
 
@@ -25,11 +26,13 @@ from repro.client.robust import (
 )
 from repro.cli import _latency_rows
 from repro.core.admission import OverloadPolicy
+from repro.core.config import KVDirectConfig
 from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.errors import ConfigurationError, RetryExhausted
 from repro.faults import FaultPlan
+from repro.multi.cluster import Cluster
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 from tests.waiting import ignore
@@ -268,6 +271,84 @@ def test_a_nan_knob_is_rejected_at_construction(knob):
     or breaker window), ignored (a NaN cap) or raised mid-run."""
     with pytest.raises(ConfigurationError):
         NAN_KNOBS[knob]()
+
+
+#: Every retry limit, as a constructor keyword of each class that takes one.
+RETRY_LIMITS = {
+    "router retry limit": lambda v: ClusterRouter(
+        Simulator(), None, retry_limit=v
+    ),
+    "loss retry limit": lambda v: KVClient(Simulator(), None, retry_limit=v),
+    "busy retry limit": lambda v: KVClient(
+        Simulator(), None, busy_retry_limit=v
+    ),
+}
+
+
+@pytest.mark.parametrize("limit", sorted(RETRY_LIMITS))
+@pytest.mark.parametrize("value", [NAN, 2.5, True, -1, "3"],
+                         ids=["nan", "float", "bool", "negative", "str"])
+def test_a_retry_limit_must_be_a_non_negative_int(limit, value):
+    """Regression: NaN, 2.5 and True passed the ``< 0`` test; a NaN limit
+    is never reached, so the router retried until the backoff overflowed."""
+    with pytest.raises(ConfigurationError, match="non-negative int"):
+        RETRY_LIMITS[limit](value)
+    RETRY_LIMITS[limit](0)  # the bound itself is accepted
+
+
+class TestBackoffBeyondTheFloatRange:
+    """Regression: ``base * 2 ** (attempt - 1)`` was converted to a float
+    before the cap applied, so attempt 1026 raised OverflowError."""
+
+    def test_a_capped_delay_saturates_instead_of_raising(self):
+        policy = BackoffPolicy(1000.0, max_ns=100000.0)
+        assert policy.delay(1026) == policy.delay(10**6) == 100000.0
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_every_representable_attempt_keeps_its_delay_and_one_draw(
+        self, jitter
+    ):
+        """Below the cap the delay is the old product to the bit, and each
+        call, overflowing or not, takes the one jitter draw it took."""
+        for base, cap in ((1000.0, 100000.0), (0.5, None), (3.0, 1e300)):
+            policy = BackoffPolicy(base, max_ns=cap, jitter=jitter, seed=5)
+            twin = random.Random("backoff:5:loss")
+            for attempt in range(1, 1025):
+                old = base * (2 ** (attempt - 1))
+                if cap is not None:
+                    old = min(old, cap)
+                if jitter:
+                    old *= 1.0 + jitter * twin.random()
+                assert policy.delay(attempt) == old, (base, attempt)
+            if cap is not None:
+                for attempt in (1025, 1026, 5000):
+                    expected = cap * (1.0 + jitter * twin.random()) if (
+                        jitter
+                    ) else cap
+                    assert policy.delay(attempt) == expected
+
+    def test_a_long_retry_run_gives_up_instead_of_overflowing(self):
+        """A dead node whose slots have no backup: the router's retries
+        run past attempt 1025 and end in RetryExhausted."""
+        sim = Simulator()
+        cluster = Cluster(
+            sim, num_nodes=1, num_slots=2,
+            config=KVDirectConfig(memory_size=1 << 20),
+        )
+        cluster.nodes[0].die()
+        router = ClusterRouter(sim, cluster, retry_limit=2000)
+        outcome = []
+
+        def runner():
+            try:
+                yield from router.perform(KVOperation.get(b"key", seq=0))
+            except RetryExhausted as exc:
+                outcome.append(exc)
+
+        sim.process(runner())
+        sim.run()
+        assert len(outcome) == 1 and "NACKed 2001 times" in str(outcome[0])
+        assert router.counters.get("give_ups") == 1
 
 
 class TestClientLossRetries:

@@ -38,6 +38,9 @@ EXTRA = {
     "pcie-read": "pcie --payload 64 --ops 3000",
     "pcie-write": "pcie --payload 64 --ops 3000 --write",
     "ycsb": "ycsb --ops 3000 --put-ratio 0.5",
+    # Slab records: a table filled through them, and through the pipeline.
+    "tune": "tune --kv-size 30 --utilization 0.2",
+    "ycsb-slab": "ycsb --ops 3000 --put-ratio 0.5 --kv-size 254",
 }
 
 SIDES = ("parent", "change")
