@@ -43,7 +43,7 @@ def _fragmented_manager() -> HostSlabManager:
 
 
 def _slots(host) -> int:
-    return sum(len(pool) for pool in host.pools.values())
+    return sum(host.pool_sizes().values())
 
 
 def amdahl(serial_time: float, cores: int, parallel_fraction: float) -> float:

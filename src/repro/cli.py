@@ -37,7 +37,7 @@ from repro.core.operations import KVOperation, decode_scan_payload
 from repro.core.tuning import optimal_hash_index_ratio
 from repro.core.vector import FETCH_ADD
 from repro.driver import run_closed_loop
-from repro.errors import CapacityError
+from repro.errors import CapacityError, ConfigurationError
 from repro.faults import FaultPlan
 from repro.obs import (
     FlightRecorder,
@@ -76,24 +76,25 @@ def _latency_rows(stats, pcts=(50, 99)) -> List[List[str]]:
 
 def _plain(parser, **defaults) -> None:
     """Add ``--name`` options that carry only a typed default (``kv_size=13``
-    adds ``--kv-size``, ``type=int``), in the order given."""
+    adds ``--kv-size``, ``type=int``; memory sizes > 0), in the order given."""
     for name, default in defaults.items():
+        kind = _positive_int if name == "memory_mib" else type(default)
         parser.add_argument(
-            "--" + name.replace("_", "-"), type=type(default), default=default
+            "--" + name.replace("_", "-"), type=kind, default=default
         )
 
 
-def _number_below(high: float, what: str):
-    """argparse type of a float in the open interval (0, ``high``), so that
-    ``nan``, ``0``, negatives and ``high`` itself are usage errors (exit
-    2) that say the value must be ``what``."""
+def _number_below(high: float, what: str, kind=float):
+    """argparse type of a ``kind`` in the open interval (0, ``high``), so
+    that ``nan``, ``0``, negatives and ``high`` itself are usage errors
+    (exit 2) that say the value must be ``what``."""
 
     def parse(text: str) -> float:
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"not a number: {text!r}"
+                f"not {what}: {text!r}"
             ) from None
         if not 0.0 < value < high:  # NaN fails this too
             raise argparse.ArgumentTypeError(f"must be {what}: {text!r}")
@@ -106,6 +107,8 @@ def _number_below(high: float, what: str):
 _positive_float = _number_below(float("inf"), "a finite number above zero")
 #: A share of something, such as a target memory utilization.
 _fraction = _number_below(1.0, "a fraction between 0 and 1, exclusive")
+#: A size, such as every ``--memory-mib``.
+_positive_int = _number_below(float("inf"), "a positive integer", int)
 
 
 def _timeline_args(parser, what: str) -> None:
@@ -346,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "replay", help="replay a trace against a fresh store"
     )
     replay.add_argument("input", help="trace file to replay")
-    replay.add_argument("--memory-mib", type=int, default=8)
+    replay.add_argument("--memory-mib", type=_positive_int, default=8)
     replay.add_argument(
         "--timed", action="store_true",
         help="run through the cycle-level simulation (slower)",
@@ -1256,6 +1259,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     try:
         # Subcommand ``x`` is implemented by ``_cmd_x``.
         return globals()[f"_cmd_{args.command}"](args, out or sys.stdout)
+    except ConfigurationError as exc:  # e.g. a store too large to reserve
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Downstream consumer (head, less) closed the pipe: not an error.
         try:

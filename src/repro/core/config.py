@@ -109,6 +109,12 @@ class KVDirectConfig:
                 f"overload must be an OverloadPolicy, got "
                 f"{type(self.overload).__name__}"
             )
+        for name in ("memory_size", "nic_dram_size"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:  # rejects bool and float
+                raise ConfigurationError(
+                    f"{name} must be an int >= 0: {value!r}"
+                )
         if self.memory_size < 4 * BUCKET_SIZE:
             raise ConfigurationError("memory_size too small")
         if not 0.0 < self.hash_index_ratio < 1.0:
@@ -177,7 +183,9 @@ class KVDirectConfig:
     def paper_scale(cls) -> "KVDirectConfig":
         """The testbed's actual sizes (64 GiB host KVS, 4 GiB NIC DRAM).
 
-        Useful for analytic models; too large for functional simulation.
+        A functional store this size builds in milliseconds and holds only
+        the pages a run writes, but the OS may refuse the 64 GiB reservation
+        (a ConfigurationError that names the size).
         """
         return cls(
             memory_size=constants.HOST_KVS_SIZE,

@@ -8,7 +8,8 @@ the paper squeezes into spare ECC bits (:mod:`repro.dram.ecc`).
 This class models the cache *metadata* (tags, dirty bits, hit/miss/eviction
 accounting).  Functional data stays in the host :class:`~repro.dram.host.
 MemoryImage`; the memory access engine charges timing for the traffic this
-class reports (fills, writebacks).
+class reports (fills, writebacks).  The metadata is one 64-bit word per NIC
+line in an anonymous mapping, so only the slots a run fills take memory.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.dram.ecc import ECCLineLayout, ECCMetadataCodec
 from repro.dram.hamming import DecodeStatus, HammingSECDED
+from repro.dram.host import anonymous_mapping
 from repro.errors import ConfigurationError, CorruptionDetected
 from repro.sim.stats import Counter
 
@@ -110,11 +114,13 @@ class DramCache:
         self.tag_bits = max(1, math.ceil(math.log2(ways)))
         #: Validates that tag + dirty fit the spare ECC bits.
         self.codec = ECCMetadataCodec(self.tag_bits, layout)
-        # The real hardware needs no valid bit (the NIC initializes and
-        # exclusively owns the DRAM); we keep one so a cold simulated cache
-        # does not alias tag-0 lines.
-        self._valid = bytearray(nic_lines)
-        self._meta = [0] * nic_lines  # packed (tag, dirty) words
+        # Per slot, the codec's word over a valid bit the hardware does
+        # without (the NIC owns its DRAM from reset): 0 is an empty slot, so
+        # a cold simulated cache does not alias tag-0 lines.
+        self._words = memoryview(
+            anonymous_mapping(nic_lines * 8, "NIC DRAM cache tags")
+        ).cast("Q")
+        self._array = np.frombuffer(self._words, dtype=np.uint64)
         self.stats = CacheStats()
 
     # -- mapping ------------------------------------------------------------
@@ -134,19 +140,19 @@ class DramCache:
 
     def resident_line(self, slot: int) -> Optional[int]:
         """Host line currently held in a NIC slot, or None if empty."""
-        if not self._valid[slot]:
+        if not self._words[slot]:
             return None
-        tag, __ = self.codec.unpack(self._meta[slot])
+        tag, __ = self.codec.unpack(self._words[slot] >> 1)
         return tag * self.nic_lines + slot
 
     # -- operations ----------------------------------------------------------
 
     def lookup(self, host_line: int) -> bool:
         """Non-mutating hit test."""
-        slot = self.slot_of(host_line)
-        if not self._valid[slot]:
+        word = self._words[self.slot_of(host_line)]
+        if not word:
             return False
-        tag, __ = self.codec.unpack(self._meta[slot])
+        tag, __ = self.codec.unpack(word >> 1)
         return tag == self.tag_of(host_line)
 
     def access(
@@ -160,26 +166,27 @@ class DramCache:
         """
         if not 0 <= host_line < self.host_lines:
             self._check_line(host_line)
-        # The metadata word is (tag << 1) | dirty, ECCMetadataCodec.pack
-        # written out: the bounds check above already keeps the tag below
-        # ceil(host_lines / nic_lines) <= 2**tag_bits.
+        # The slot word is (tag << 2) | (dirty << 1) | valid,
+        # ECCMetadataCodec.pack written out: the bounds check above already
+        # keeps the tag below ceil(host_lines / nic_lines) <= 2**tag_bits.
         nic_lines = self.nic_lines
         slot = host_line % nic_lines
         tag = host_line // nic_lines
         stats = self.stats
-        if self._valid[slot]:
-            word = self._meta[slot]
-            old_tag = word >> 1
+        words = self._words
+        word = words[slot]
+        if word:
+            old_tag = word >> 2
             if old_tag == tag:
                 stats.hits += 1
                 if write:
-                    self._meta[slot] = word | 1
+                    words[slot] = word | 2
                 return _HIT
             # Conflict miss: evict the resident line.
             stats.misses += 1
             stats.evictions += 1
-            self._meta[slot] = (tag << 1) | write
-            if word & 1:
+            words[slot] = (tag << 2) | (write << 1) | 1
+            if word & 2:
                 stats.writebacks += 1
                 return AccessResult(
                     hit=False,
@@ -189,36 +196,31 @@ class DramCache:
         else:
             # Cold miss.
             stats.misses += 1
-            self._valid[slot] = 1
-            self._meta[slot] = (tag << 1) | write
+            words[slot] = (tag << 2) | (write << 1) | 1
         return _MISS_NO_FILL if write and full_line else _MISS_FILL
 
     def invalidate(self, host_line: int) -> Optional[int]:
         """Drop a line; returns the line index if a dirty copy was lost."""
         slot = self.slot_of(host_line)
-        if not self._valid[slot]:
+        if not self._words[slot]:
             return None
-        tag, dirty = self.codec.unpack(self._meta[slot])
+        tag, dirty = self.codec.unpack(self._words[slot] >> 1)
         if tag != self.tag_of(host_line):
             return None
-        self._valid[slot] = 0
+        self._words[slot] = 0
         return host_line if dirty else None
 
     def flush(self) -> list:
         """Invalidate everything; returns dirty host lines needing writeback."""
-        dirty_lines = []
-        for slot in range(self.nic_lines):
-            if not self._valid[slot]:
-                continue
-            tag, dirty = self.codec.unpack(self._meta[slot])
-            if dirty:
-                dirty_lines.append(tag * self.nic_lines + slot)
-            self._valid[slot] = 0
-        return dirty_lines
+        words = self._array
+        slots = np.flatnonzero(words & 2)
+        tags = (words[slots] >> 2).astype(np.int64)
+        words[np.flatnonzero(words)] = 0
+        return (tags * self.nic_lines + slots).tolist()
 
     def occupancy(self) -> float:
         """Fraction of NIC slots holding a valid line."""
-        return sum(self._valid) / self.nic_lines
+        return int(np.count_nonzero(self._array)) / self.nic_lines
 
 
 class ECCFaultPath:

@@ -4,15 +4,30 @@ The KV storage lives in host memory; the NIC accesses it via PCIe DMA in
 64-byte granularity.  :class:`MemoryImage` is the functional half of that:
 real bytes, bounds checking, and counters that let the hash-table figures
 (6, 9, 10, 11) report *measured* memory accesses per operation.
+
+The bytes live in a private anonymous mapping, so a page becomes resident
+only when first written: a run's footprint follows what it stores.
 """
 
 from __future__ import annotations
 
+from mmap import MAP_ANONYMOUS, MAP_PRIVATE, mmap
 from typing import List, Optional, Tuple
 
 from repro.constants import CACHE_LINE_SIZE
 from repro.errors import ConfigurationError
 from repro.sim.stats import Counter
+
+
+def anonymous_mapping(size: int, name: str) -> mmap:
+    """``size`` zero bytes, resident once written; private, so a fork shares
+    them copy-on-write as it would a ``bytearray``."""
+    try:
+        return mmap(-1, size, flags=MAP_PRIVATE | MAP_ANONYMOUS)
+    except (OSError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"{name}: cannot reserve {size} B ({size / 2**30:.2f} GiB): {exc}"
+        ) from None
 
 
 class MemoryImage:
@@ -27,16 +42,24 @@ class MemoryImage:
     """
 
     def __init__(self, size: int, name: str = "host") -> None:
-        if size <= 0:
-            raise ConfigurationError(f"{name}: memory size must be positive")
+        if type(size) is not int or size <= 0:
+            raise ConfigurationError(f"{name}: size {size!r} not an int > 0")
         self.size = size
         self.name = name
-        self._data = bytearray(size)
+        self._data = anonymous_mapping(size, name)
         self.counters = Counter()
         #: Counted read + write accesses: ``counters["reads"] +
         #: counters["writes"]``, zeroed with them by :meth:`reset_counters`.
         self.accesses = 0
         self._trace: Optional[List[Tuple[str, int, int]]] = None
+
+    def __getstate__(self) -> dict:  # for copy and pickle: not the mapping
+        return {**self.__dict__, "_data": self._data[:]}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._data = anonymous_mapping(self.size, self.name)
+        self._data[:] = state["_data"]
 
     # -- tracing ------------------------------------------------------------
 
@@ -78,7 +101,7 @@ class MemoryImage:
         )
         if self._trace is not None:
             self._trace.append(("read", addr, size))
-        return bytes(self._data[addr:end])
+        return self._data[addr:end]
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at ``addr``; counts one write access."""
@@ -101,7 +124,7 @@ class MemoryImage:
     def peek(self, addr: int, size: int) -> bytes:
         """Read without counting (debug / test introspection)."""
         self._check(addr, size)
-        return bytes(self._data[addr : addr + size])
+        return self._data[addr : addr + size]
 
     def poke(self, addr: int, data: bytes) -> None:
         """Write without counting (initialization)."""
@@ -109,7 +132,7 @@ class MemoryImage:
         self._data[addr : addr + len(data)] = data
 
     def fill(self, value: int = 0) -> None:
-        """Reset contents without counting."""
+        """Reset contents without counting (every page becomes resident)."""
         for i in range(0, self.size, 1 << 20):
             span = min(1 << 20, self.size - i)
             self._data[i : i + span] = bytes([value]) * span

@@ -79,6 +79,21 @@ class TestVerdict:
             ab_pairs, [p * 1.3 for p in nine], parent=nine
         )["verdict"] == "UNRESOLVED"
 
+    def test_lower_is_better_turns_the_verdict_round(self, ab_pairs):
+        """``setup_s`` and ``peak_rss_mib`` are better lower: a drop is a
+        gain, a rise beyond the bound a regression."""
+        assert ab_pairs.verdict(
+            PARENT, [p * 0.6 for p in PARENT], 0.1, "lower"
+        )["verdict"] == "GAIN"
+        result = ab_pairs.verdict(PARENT, [p * 1.2 for p in PARENT], 0.1,
+                                  "lower")
+        assert (result["verdict"], result["losses"]) == ("REGRESSED", 10)
+        assert ab_pairs.verdict(
+            PARENT, [p * 1.05 for p in PARENT], 0.1, "lower"
+        )["verdict"] == "NO CHANGE"
+        with pytest.raises(ValueError):
+            ab_pairs.verdict(PARENT, PARENT, 0.1, "sideways")
+
     def test_unpaired_runs_are_rejected(self, ab_pairs):
         with pytest.raises(ValueError):
             judge(ab_pairs, [1.0, 2.0], parent=[1.0])
@@ -86,13 +101,14 @@ class TestVerdict:
             judge(ab_pairs, [], parent=[])
 
 
-def _result(ab_pairs, calls):
+def _result(ab_pairs, calls, **host_rows):
     """A run.py result line with every row the tool reads."""
     rows = dict.fromkeys(ab_pairs.EXACT_ROWS, 1.0)
     rows.update(
         sim_ops_per_wall_s=1000.0, host_calls_per_op=calls,
         setup_s=1.0, peak_rss_mib=100.0,
     )
+    rows.update(host_rows)
     return {
         "correct": True, "failed": 0,
         "metrics": {name: {"value": value} for name, value in rows.items()},
@@ -109,10 +125,13 @@ class TestCountRule:
         assert not ab_pairs.count_worse(100.0, 108.0, 0.08)
         assert ab_pairs.count_worse(100.0, 108.1, 0.08)
 
-    def _main(self, ab_pairs, monkeypatch, capsys, change_calls, argv=()):
+    def _main(self, ab_pairs, monkeypatch, capsys, change_calls, argv=(),
+              change_rows=lambda workload: {}):
         def fake_run(checkout, workload, seed, seconds):
             if checkout == "change":
-                return _result(ab_pairs, change_calls(workload))
+                return _result(
+                    ab_pairs, change_calls(workload), **change_rows(workload)
+                )
             return _result(ab_pairs, 100.0)
 
         monkeypatch.setattr(ab_pairs, "run_once", fake_run)
@@ -153,3 +172,23 @@ class TestCountRule:
         assert code == 0
         assert out.count("sim_ops_per_wall_s: ") == 1
         assert "point-direct" not in out
+
+    @pytest.mark.parametrize("row,value,code,word", [
+        ("peak_rss_mib", 120.0, 1, "REGRESSED"),
+        ("setup_s", 1.3, 1, "REGRESSED"),
+        ("peak_rss_mib", 60.0, 0, "UNRESOLVED"),
+        ("setup_s", 1.05, 0, "NO CHANGE"),
+    ])
+    def test_setup_and_rss_are_judged_in_their_direction(
+        self, ab_pairs, monkeypatch, capsys, row, value, code, word
+    ):
+        """Regression: a setup or RSS rise only printed a median and the
+        run exited 0.  Three pairs cannot claim the drop they show."""
+        got, out = self._main(
+            ab_pairs, monkeypatch, capsys, lambda w: 100.0,
+            argv=("--workload", "net-sharded"),
+            change_rows=lambda w: {row: value},
+        )
+        assert got == code
+        assert f"net-sharded {row}: {word} " in out
+        assert "net-sharded sim_ops_per_wall_s: NO CHANGE " in out

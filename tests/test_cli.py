@@ -134,6 +134,29 @@ class TestErrors:
         assert "finite number above zero" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "nan", "x"])
+    @pytest.mark.parametrize("command", ["ycsb", "tune", "overload", "range"])
+    def test_memory_mib_takes_a_positive_integer(self, command, value, capsys):
+        """Regression: ``--memory-mib 0`` and ``-3`` ended in a
+        ``ConfigurationError`` traceback."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli(command, "--memory-mib", value)
+        assert exited.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ycsb", "range"])
+    def test_a_store_the_os_cannot_reserve_is_one_line_and_exit_1(
+        self, command, capsys
+    ):
+        """Regression: a huge ``--memory-mib`` ended in a MemoryError
+        traceback.  2**40 MiB is more than any address space holds."""
+        code, output = run_cli(command, "--memory-mib", str(1 << 40))
+        assert (code, output) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: host_kvs: cannot reserve ")
+        assert str(1 << 60) in err and err.count("\n") == 1
+
+
 class TestRecordReplay:
     def test_record_then_replay(self, tmp_path):
         path = str(tmp_path / "w.kvdt")

@@ -1,5 +1,7 @@
 """Unit tests for memory images, NIC DRAM, ECC metadata, and the cache."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from repro.dram.ecc import ECCMetadataCodec
 from repro.dram.host import touched_lines
 from repro.errors import ConfigurationError
 from repro.sim import Simulator
+from tests import ref_resident
 from tests.waiting import wait
 
 
@@ -90,6 +93,100 @@ class TestMemoryImage:
     def test_zero_size_rejected(self):
         with pytest.raises(ConfigurationError):
             MemoryImage(0)
+
+    @pytest.mark.parametrize("size", [8e6, float("nan"), True, -64, 0])
+    def test_size_must_be_a_positive_int(self, size):
+        with pytest.raises(ConfigurationError):
+            MemoryImage(size)
+
+    def test_a_refused_reservation_names_the_size(self):
+        """More than any address space holds: the OS refuses the mapping,
+        and that is a configuration error, not an OSError."""
+        with pytest.raises(ConfigurationError, match=str(1 << 62)):
+            MemoryImage(1 << 62, name="huge")
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda mem: pickle.loads(pickle.dumps(mem)),
+    ])
+    def test_a_copy_has_its_own_bytes(self, copier):
+        """A mapping cannot be copied or pickled; the image can, with the
+        same bytes and counters and a mapping of its own."""
+        mem = MemoryImage(4096, name="img")
+        mem.write(100, b"abc")
+        clone = copier(mem)
+        assert (clone.size, clone.name) == (4096, "img")
+        assert clone.peek(0, 4096) == mem.peek(0, 4096)
+        assert clone.counters.snapshot() == mem.counters.snapshot()
+        clone.write(100, b"xyz")
+        assert mem.peek(100, 3) == b"abc" and clone.peek(100, 3) == b"xyz"
+
+    _SIZE = 300
+    _ADDR = st.integers(-8, _SIZE + 8)
+    _OP = st.one_of(
+        st.tuples(st.sampled_from(["read", "peek"]), _ADDR,
+                  st.integers(-2, 140)),
+        st.tuples(st.sampled_from(["write", "poke"]), _ADDR,
+                  st.binary(max_size=140)),
+        st.tuples(st.just("fill"), st.integers(0, 255), st.none()),
+        st.tuples(st.sampled_from(["start", "stop", "reset"]), st.none(),
+                  st.none()),
+    )
+
+    @given(st.lists(_OP, max_size=60))
+    def test_matches_a_bytearray_model(self, ops):
+        """Every read, write, peek, poke and fill answers as a
+        ``bytearray`` of the same size does - the same bytes as ``bytes``,
+        the same out-of-range errors - and counts and traces as the model
+        says."""
+        size = self._SIZE
+        mem = MemoryImage(size)
+        model = bytearray(size)
+        counts = dict.fromkeys(
+            ["reads", "read_bytes", "read_lines",
+             "writes", "write_bytes", "write_lines"], 0
+        )
+        trace = None
+        for kind, addr, arg in ops:
+            if kind in ("start", "stop", "reset"):
+                if kind == "start":
+                    mem.start_trace()
+                    trace = []
+                elif kind == "stop":
+                    assert mem.stop_trace() == (trace or [])
+                    trace = None
+                else:
+                    mem.reset_counters()
+                    counts = dict.fromkeys(counts, 0)
+                continue
+            if kind == "fill":
+                mem.fill(addr)
+                model[:] = bytes([addr]) * size
+                continue
+            length = arg if kind in ("read", "peek") else len(arg)
+            if addr < 0 or length < 0 or addr + length > size:
+                with pytest.raises(IndexError):
+                    getattr(mem, kind)(addr, arg)
+                continue
+            if kind in ("read", "peek"):
+                got = getattr(mem, kind)(addr, arg)
+                assert type(got) is bytes
+                assert got == model[addr:addr + arg]
+            else:
+                assert getattr(mem, kind)(addr, arg) is None
+                model[addr:addr + length] = arg
+            if kind in ("read", "write"):
+                counts[kind + "s"] += 1
+                counts[kind + "_bytes"] += length
+                counts[kind + "_lines"] += touched_lines(addr, length)
+                if trace is not None:
+                    trace.append((kind, addr, length))
+        assert mem.peek(0, size) == bytes(model)
+        assert {k: mem.counters[k] for k in counts} == counts
+        assert mem.accesses == counts["reads"] + counts["writes"]
+        assert mem.lines_touched == (
+            counts["read_lines"] + counts["write_lines"]
+        )
+        assert mem.tracing == (trace is not None)
 
     def test_line_accounting(self):
         mem = MemoryImage(256)
@@ -199,10 +296,10 @@ class TestECC:
         assert codec.unpack(codec.pack(tag, dirty)) == (tag, dirty)
 
 
-class RefDramCache(DramCache):
-    """The access path as it was: an ``AccessResult`` built per miss and
-    every installed metadata word packed (and range-checked) by the
-    codec."""
+class RefDramCache(ref_resident.RefDramCache):
+    """The access path as it was: an ``AccessResult`` built per miss, every
+    installed metadata word packed (and range-checked) by the codec, and a
+    valid byte plus a metadata word per NIC line."""
 
     def access(self, host_line, write, full_line=True):
         if not 0 <= host_line < self.host_lines:
@@ -345,28 +442,56 @@ class TestDramCache:
 
     @pytest.mark.parametrize("nic_lines,host_lines", [
         (8, 64), (8, 128), (5, 37), (16, 16), (3, 40),
+        (1, 1 << 20), (7, 3 << 17),
     ])
     def test_results_and_metadata_match_the_codec_reference(
         self, nic_lines, host_lines
     ):
-        """The shared miss results and the in-place metadata word give the
-        same outcomes, metadata and counters as a result object per miss
-        and ``codec.pack`` per installed word, over a seeded mix that
-        reaches every tag the geometry allows."""
+        """The shared miss results and the one lazily resident word per
+        slot give the same answers - every access, lookup, invalidate and
+        flush, each slot's resident line, occupancy and counters - as a
+        result object per miss, ``codec.pack`` per installed word and a
+        valid byte per slot, over a seeded mix that reaches every tag the
+        geometry allows (20 tag bits on the widest)."""
+        # Tags wider than the paper's 6 spare bits allow need a wider ECC.
+        wide = host_lines > 32 * nic_lines
+        layout = ECCLineLayout(ecc_bits_per_word=16 if wide else 8)
         rng = random.Random(nic_lines * 1000 + host_lines)
-        cache = DramCache(nic_lines, host_lines)
-        reference = RefDramCache(nic_lines, host_lines)
-        for __ in range(3000):
+        cache = DramCache(nic_lines, host_lines, layout)
+        reference = RefDramCache(nic_lines, host_lines, layout)
+
+        def same_state():
+            for slot in range(nic_lines):
+                assert cache.resident_line(slot) == reference.resident_line(
+                    slot
+                )
+            assert cache.occupancy() == reference.occupancy()
+            assert type(cache.occupancy()) is float
+            assert repr(cache.stats) == repr(reference.stats)
+
+        for step in range(3000):
             line = rng.randrange(host_lines)
-            write = rng.random() < 0.5
-            full = rng.random() < 0.5
-            got = cache.access(line, write, full_line=full)
-            want = reference.access(line, write, full_line=full)
-            assert (got.hit, got.writeback_line, got.needs_fill) == (
-                want.hit, want.writeback_line, want.needs_fill
-            )
-            assert type(got.needs_fill) is bool
-        assert cache._meta == reference._meta
-        assert all(type(word) is int for word in cache._meta)
-        assert cache._valid == reference._valid
-        assert repr(cache.stats) == repr(reference.stats)
+            kind = rng.random()
+            if kind < 0.8:
+                write = rng.random() < 0.5
+                full = rng.random() < 0.5
+                got = cache.access(line, write, full_line=full)
+                want = reference.access(line, write, full_line=full)
+                assert (got.hit, got.writeback_line, got.needs_fill) == (
+                    want.hit, want.writeback_line, want.needs_fill
+                )
+                assert type(got.needs_fill) is bool
+            elif kind < 0.9:
+                assert cache.lookup(line) == reference.lookup(line)
+            elif kind < 0.995:
+                assert cache.invalidate(line) == reference.invalidate(line)
+            else:
+                same_state()
+                got = cache.flush()
+                assert got == reference.flush()
+                assert all(type(line) is int for line in got)
+            if step % 500 == 0:
+                same_state()
+        same_state()
+        assert cache.flush() == reference.flush()
+        same_state()

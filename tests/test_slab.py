@@ -1,5 +1,7 @@
 """Unit tests for the slab allocator (NIC cache + host daemon)."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from repro.core.slab_host import (
     class_size,
     radix_sort,
 )
-from repro.errors import AllocationError, ConfigurationError
+from repro.errors import AllocationError, ConfigurationError, SimulationError
+from tests.ref_resident import RefHostSlabManager
 
 
 class TestSizeClasses:
@@ -103,6 +106,131 @@ class TestHostSlabManager:
         host = HostSlabManager(base=4096, size=1024)
         entries = host.pop(4, 2)
         assert all(addr >= 4096 for addr in entries)
+
+
+class TestPopArguments:
+    @pytest.mark.parametrize("class_index,count", [
+        (4, 0), (4, -3), (0, 0), (4, True), (4, 2.0), (4, None),
+        (7, 1), (-1, 1), (NUM_CLASSES, 1),
+    ])
+    def test_a_bad_pop_is_refused_before_any_state_moves(
+        self, class_index, count
+    ):
+        """A count that is not a positive int, or a class that does not
+        exist, is an AllocationError - not the whole pool, not all but
+        three slabs, not a bare KeyError - and nothing is taken."""
+        host = HostSlabManager(base=0, size=1 << 20)
+        host.pop(0, 3)
+        before = (
+            host.pool_sizes(), host.counters.snapshot(),
+            host.bitmap.free_units(),
+        )
+        with pytest.raises(AllocationError):
+            host.pop(class_index, count)
+        after = (
+            host.pool_sizes(), host.counters.snapshot(),
+            host.bitmap.free_units(),
+        )
+        assert after == before
+
+
+def _outcome(method, *args):
+    """A method's answer, or the type and message of what it raised."""
+    try:
+        return method(*args)
+    except (AllocationError, SimulationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _pools(host):
+    """Every pool as the list it stands for: pool 4 is the ``_fresh``
+    never-taken 512 B slabs from the base up, then its list."""
+    pools = {c: list(pool) for c, pool in host.pools.items()}
+    pools[NUM_CLASSES - 1][:0] = range(
+        host.base, host.base + 512 * host._fresh, 512
+    )
+    return pools
+
+
+def _same_state(host, ref):
+    assert _pools(host) == ref.pools
+    assert host.pool_sizes() == ref.pool_sizes()
+    assert host.free_bytes() == ref.free_bytes()
+    assert np.array_equal(host.bitmap._bits, ref.bitmap._bits)
+    assert host.counters.snapshot() == ref.counters.snapshot()
+    assert _outcome(host.check_invariants) == _outcome(ref.check_invariants)
+
+
+class TestMatchesTheListPools:
+    """The count of never-taken 512 B slabs answers as the pool built in
+    full as ``list(range(...))`` did (``RefHostSlabManager``,
+    kept verbatim in ``tests/ref_resident.py``): every pop list, push,
+    split, merge and out-of-memory error, and the pools, bitmap bits,
+    counters and invariant check after them."""
+
+    # A bitmap merge materialises the whole pool, so the radix-only mixes
+    # keep part of the fresh range untaken to the end.
+    @pytest.mark.parametrize("base,size,steps,seed,methods", [
+        (0, 1 << 16, 1500, 1, ("radix", "bitmap")),
+        (4096, (1 << 16) + 3 * 512 + 100, 1500, 2, ("radix", "bitmap")),
+        (1024, 7 * 512, 800, 3, ("radix", "bitmap")),
+        (0, 512, 300, 4, ("radix", "bitmap")),
+        (512, 1 << 20, 600, 5, ("radix",)),
+        (0, 1 << 16, 1500, 6, ("radix",)),
+    ])
+    def test_seeded_mix(self, base, size, steps, seed, methods):
+        rng = random.Random(seed)
+        host = HostSlabManager(base=base, size=size)
+        ref = RefHostSlabManager(base=base, size=size)
+        _same_state(host, ref)
+        live = {c: [] for c in range(NUM_CLASSES)}
+        for step in range(steps):
+            roll = rng.random()
+            class_index = rng.randrange(NUM_CLASSES)
+            held = live[class_index]
+            if roll < 0.45:
+                count = rng.randint(1, 40)
+                got = _outcome(host.pop, class_index, count)
+                assert got == _outcome(ref.pop, class_index, count)
+                if isinstance(got, list):
+                    held.extend(got)
+            elif roll < 0.8 and held:
+                rng.shuffle(held)
+                back = held[:rng.randint(1, len(held))]
+                del held[:len(back)]
+                host.push(class_index, back)
+                ref.push(class_index, back)
+            elif roll < 0.9:
+                assert host.split(class_index) == ref.split(class_index)
+            elif roll < 0.95:
+                method = rng.choice(methods)
+                assert host.merge_free_slabs(method) == (
+                    ref.merge_free_slabs(method)
+                )
+            if step % 100 == 0:
+                _same_state(host, ref)
+        _same_state(host, ref)
+
+    @pytest.mark.parametrize("corrupt", ["allocated", "overlap", "leak"])
+    def test_a_corrupt_fresh_range_is_reported_as_before(self, corrupt):
+        """The fresh range is checked with one slice, and a clash inside it
+        names the same slab with the same message as the per-slab loop."""
+        base, size = 2048, 1 << 15
+        host = HostSlabManager(base=base, size=size)
+        ref = RefHostSlabManager(base=base, size=size)
+        for manager in (host, ref):
+            manager.pop(4, 3)
+            victim = base + 5 * 512
+            if corrupt == "allocated":
+                manager.bitmap.mark_allocated((victim - base) // 32 + 7, 1)
+            elif corrupt == "overlap":
+                manager.pools[1].append(victim + 128)
+            else:
+                (addr,) = manager.pop(4, 1)
+                manager.bitmap.mark_free((addr - base) // 32, 16)
+        got = _outcome(host.check_invariants)
+        assert got == _outcome(ref.check_invariants)
+        assert got[0] == "SimulationError"
 
 
 class TestMerging:

@@ -151,18 +151,19 @@ class TestExactReclamation:
         """The invariant check is not vacuous: hiding a free slab from the
         pools trips the exact-accounting assertion."""
         host, __ = make_allocator()
-        host.pools[NUM_CLASSES - 1].pop()
+        # A 512 B slab leaves the pools but stays free in the bitmap.
+        (addr,) = host.pop(NUM_CLASSES - 1, 1)
+        host.bitmap.mark_free((addr - host.base) // 32, 16)
         from repro.errors import SimulationError
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="pools cover"):
             host.check_invariants()
 
     def test_check_invariants_catches_double_pooling(self):
         host, __ = make_allocator()
-        host.pools[NUM_CLASSES - 1].append(
-            host.pools[NUM_CLASSES - 1][0]
-        )
+        # The lowest 512 B slab, never taken, pooled a second time.
+        host.pools[NUM_CLASSES - 1].append(host.base)
         from repro.errors import SimulationError
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="overlaps"):
             host.check_invariants()
 
     def test_partial_frees_account_exactly(self):

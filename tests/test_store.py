@@ -73,6 +73,24 @@ class TestLifecycle:
         # The edge values that are valid stay valid.
         assert KVDirectConfig(network_rtt_ns=0.0).network_rtt_ns == 0.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("memory_size", 8e6),
+        ("memory_size", float("nan")),
+        ("memory_size", True),
+        ("memory_size", -(1 << 20)),
+        ("nic_dram_size", -4096),
+        ("nic_dram_size", 2.5),
+        ("nic_dram_size", False),
+    ])
+    def test_memory_sizes_must_be_ints(self, field, value):
+        """A size the store cannot build is refused at construction, not
+        as a TypeError from the memory image or a bad metadata width at
+        processor build."""
+        with pytest.raises(ConfigurationError, match=field):
+            KVDirectConfig(**{field: value})
+        # 0 still means "derived from memory_size".
+        assert KVDirectConfig(nic_dram_size=0).effective_nic_dram == 4 << 20
+
     def test_paper_scale_geometry(self):
         config = KVDirectConfig.paper_scale()
         assert config.memory_size == 64 * 1024**3

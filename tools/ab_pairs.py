@@ -11,18 +11,20 @@ then prints, for each workload (every one in ``BENCHMARK.json`` unless
   are equal on both sides, and ``host_calls_per_op`` per seed - a count
   that also repeats exactly, so one pair above the parent by more than
   its ``BENCHMARK.json`` bound is a regression, not noise;
-* each side's median and quartiles of ``sim_ops_per_wall_s`` and every pair,
-  and the medians of the other host rows (``setup_s``, ``peak_rss_mib``);
-* the verdict of section 8 of the choosing-metrics guide: a gain needs the
-  change ahead in at least nine tenths of the pairs (ties count for
-  neither side) *and* medians further apart than the parent's own
-  inter-quartile distance.
+* each side's median and quartiles of the three noisy host rows
+  (``sim_ops_per_wall_s``, ``setup_s``, ``peak_rss_mib``) and every pair;
+* for each of those rows, the verdict of section 8 of the choosing-metrics
+  guide, in the direction and against the bound ``BENCHMARK.json`` gives
+  it: a gain needs the change ahead in at least nine tenths of the pairs
+  (ties count for neither side) *and* medians further apart than the
+  parent's own inter-quartile distance.
 
 Each checkout runs its own copy of the benchmark on its own ``src/``, so
 the two must carry identical ``benchmarks/e2e/`` files.  Exits 1 when, on
 any workload, an exact row differs, a run is incorrect, the call count
-rose beyond its bound or the metric regressed - so a change that claims
-no gain has one command for "no row worse on any workload".
+rose beyond its bound or any of the three host rows regressed - so a
+change that claims no gain has one command for "no row worse on any
+workload".
 
 Usage::
 
@@ -40,8 +42,10 @@ import sys
 from typing import Dict, List, Sequence, Tuple
 
 SEEDS = (7, 11, 23)
-#: The one end-to-end row that is a noisy wall-clock rate (higher is better).
-METRIC = "sim_ops_per_wall_s"
+#: The end-to-end rows measured on the host, noisy run to run: judged by
+#: medians over the pairs.  The first is printed for every pair.
+NOISY = ("sim_ops_per_wall_s", "setup_s", "peak_rss_mib")
+METRIC = NOISY[0]
 #: The end-to-end row that is an exact count per seed (lower is better).
 COUNT = "host_calls_per_op"
 #: Pairs below which no gain is claimed.
@@ -66,9 +70,13 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
 
 
 def verdict(
-    parent: Sequence[float], change: Sequence[float], bound: float
+    parent: Sequence[float],
+    change: Sequence[float],
+    bound: float,
+    better: str = "higher",
 ) -> Dict[str, object]:
-    """Judge the rates ``change[i]`` against ``parent[i]`` over all pairs.
+    """Judge the values ``change[i]`` against ``parent[i]`` over all pairs,
+    where ``better`` (``"higher"`` or ``"lower"``) says which way is ahead.
 
     ``GAIN``        at least ten pairs, change ahead in >= 9/10 of them and
                     the medians differ by more than the parent's
@@ -82,12 +90,15 @@ def verdict(
     """
     if not parent or len(parent) != len(change):
         raise ValueError("need the same, non-zero number of runs per side")
-    wins = sum(c > p for p, c in zip(parent, change))
-    losses = sum(c < p for p, c in zip(parent, change))
+    if better not in ("higher", "lower"):
+        raise ValueError(f"better must be 'higher' or 'lower': {better!r}")
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     p_q1, p_median, p_q3 = quartiles(parent)
     __, c_median, __ = quartiles(change)
     spread = p_q3 - p_q1
-    ahead_by = c_median - p_median
+    ahead_by = sign * (c_median - p_median)
     if 10 * wins >= 9 * len(parent) and ahead_by > spread:
         outcome = "GAIN" if len(parent) >= MIN_PAIRS else "UNRESOLVED"
     elif -ahead_by > bound * p_median:
@@ -133,7 +144,7 @@ def judge_workload(
     workload: str,
     pairs: int,
     seconds: float,
-    bounds: Dict[str, float],
+    rows_spec: Dict[str, dict],
 ) -> bool:
     """Run and print ``pairs`` alternating pairs of one workload; True
     when nothing is worse (see the module docstring)."""
@@ -158,7 +169,8 @@ def judge_workload(
             for result in results.values()
         )
         more_calls = count_worse(
-            rows["parent"][COUNT], rows["change"][COUNT], bounds[COUNT]
+            rows["parent"][COUNT], rows["change"][COUNT],
+            rows_spec[COUNT]["bound"],
         )
         count_ok = count_ok and not more_calls
         for side in sides:
@@ -173,30 +185,33 @@ def judge_workload(
             flush=True,
         )
 
-    values = {side: [row[METRIC] for row in runs[side]] for side in sides}
-    judged = verdict(values["parent"], values["change"], bounds[METRIC])
-    for side in sides:
-        q1, median, q3 = quartiles(values[side])
-        others = ", ".join(
-            f"{name} median "
-            f"{statistics.median(row[name] for row in runs[side]):.4g}"
-            for name in ("setup_s", "peak_rss_mib")
+    regressed = False
+    for name in NOISY:
+        values = {side: [row[name] for row in runs[side]] for side in sides}
+        spec = rows_spec[name]
+        judged = verdict(
+            values["parent"], values["change"], spec["bound"], spec["better"]
         )
-        print(f"{side:<7} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}"
-              f"  ({others})")
+        regressed = regressed or judged["verdict"] == "REGRESSED"
+        for side in sides:
+            q1, median, q3 = quartiles(values[side])
+            print(f"{side:<7} {name} median {median:.6g}  "
+                  f"quartiles {q1:.6g} .. {q3:.6g}")
+        print(
+            f"{workload} {name}: {judged['verdict']} - change ahead "
+            f"in {judged['wins']}/{judged['pairs']} pairs "
+            f"({spec['better']} is better), median ratio "
+            f"{judged['ratio']:.3f} (base {judged['parent_median']:.6g}), "
+            f"parent inter-quartile distance {judged['parent_iqr']:.6g}",
+            flush=True,
+        )
     print(
-        f"{workload} {METRIC}: {judged['verdict']} - change ahead "
-        f"in {judged['wins']}/{judged['pairs']} pairs, median ratio "
-        f"{judged['ratio']:.3f} (base {judged['parent_median']:.6g}), "
-        f"parent inter-quartile distance {judged['parent_iqr']:.6g}; "
-        f"exact rows {'equal' if exact_ok else 'MOVED'}; {COUNT} "
+        f"{workload} exact rows {'equal' if exact_ok else 'MOVED'}; {COUNT} "
         f"{'within' if count_ok else 'ABOVE'} its bound; "
         f"{'all runs correct' if correct else 'INCORRECT RUNS'}",
         flush=True,
     )
-    return (
-        judged["verdict"] != "REGRESSED" and exact_ok and count_ok and correct
-    )
+    return not regressed and exact_ok and count_ok and correct
 
 
 def main(argv: List[str]) -> int:
@@ -214,9 +229,7 @@ def main(argv: List[str]) -> int:
         parser.error("--pairs must be positive")
     with open(f"{args.parent}/BENCHMARK.json", encoding="utf-8") as handle:
         contract = json.load(handle)
-    bounds = {
-        metric["name"]: metric["bound"] for metric in contract["end_to_end"]
-    }
+    rows_spec = {metric["name"]: metric for metric in contract["end_to_end"]}
     workloads = [args.workload] if args.workload else [
         workload["name"] for workload in contract["workloads"]
     ]
@@ -224,7 +237,7 @@ def main(argv: List[str]) -> int:
     seconds = args.seconds or contract["run_seconds"]
     # Judge every workload even after one fails: each gets its verdict line.
     passed = [
-        judge_workload(sides, workload, args.pairs, seconds, bounds)
+        judge_workload(sides, workload, args.pairs, seconds, rows_spec)
         for workload in workloads
     ]
     return 0 if all(passed) else 1
