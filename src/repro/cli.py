@@ -37,7 +37,7 @@ from repro.core.operations import KVOperation, decode_scan_payload
 from repro.core.tuning import optimal_hash_index_ratio
 from repro.core.vector import FETCH_ADD
 from repro.driver import run_closed_loop
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import CapacityError, ConfigurationError, ProtocolError
 from repro.faults import FaultPlan
 from repro.obs import (
     FlightRecorder,
@@ -75,19 +75,21 @@ def _latency_rows(stats, pcts=(50, 99)) -> List[List[str]]:
 
 
 def _plain(parser, **defaults) -> None:
-    """Add ``--name`` options that carry only a typed default (``kv_size=13``
-    adds ``--kv-size``, ``type=int``; memory sizes > 0), in the order given."""
+    """Add ``--name`` options that carry only a typed default (``ops=5000``
+    adds ``--ops``), in the order given: a count or a size must be above
+    zero and a KV size above the key size; anything else takes the
+    default's type."""
     for name, default in defaults.items():
-        kind = _positive_int if name == "memory_mib" else type(default)
+        kind = _KINDS.get(name, type(default))
         parser.add_argument(
             "--" + name.replace("_", "-"), type=kind, default=default
         )
 
 
-def _number_below(high: float, what: str, kind=float):
-    """argparse type of a ``kind`` in the open interval (0, ``high``), so
-    that ``nan``, ``0``, negatives and ``high`` itself are usage errors
-    (exit 2) that say the value must be ``what``."""
+def _number_in(low: float, high: float, what: str, kind=float):
+    """argparse type of a ``kind`` in the open interval (``low``,
+    ``high``), so that ``nan``, ``low`` and below, and ``high`` itself are
+    usage errors (exit 2) that say the value must be ``what``."""
 
     def parse(text: str) -> float:
         try:
@@ -96,7 +98,7 @@ def _number_below(high: float, what: str, kind=float):
             raise argparse.ArgumentTypeError(
                 f"not {what}: {text!r}"
             ) from None
-        if not 0.0 < value < high:  # NaN fails this too
+        if not low < value < high:  # NaN fails this too
             raise argparse.ArgumentTypeError(f"must be {what}: {text!r}")
         return value
 
@@ -104,11 +106,31 @@ def _number_below(high: float, what: str, kind=float):
 
 
 #: A span of time.
-_positive_float = _number_below(float("inf"), "a finite number above zero")
+_positive_float = _number_in(0, float("inf"), "a finite number above zero")
 #: A share of something, such as a target memory utilization.
-_fraction = _number_below(1.0, "a fraction between 0 and 1, exclusive")
-#: A size, such as every ``--memory-mib``.
-_positive_int = _number_below(float("inf"), "a positive integer", int)
+_fraction = _number_in(0, 1, "a fraction between 0 and 1, exclusive")
+#: A count or a size, such as every ``--ops`` and ``--memory-mib``.
+_positive_int = _number_in(0, float("inf"), "a positive integer", int)
+#: A KV size: more than the 8 B keys every workload and the tuner draw.
+_kv_size = _number_in(8, float("inf"), "a KV size above the 8 B key", int)
+#: The ``_plain`` options that are counts or sizes.
+_KINDS = {
+    "kv_size": _kv_size,
+    **dict.fromkeys(
+        ("ops", "corpus", "keys", "payload", "memory_mib", "concurrency",
+         "queue_depth", "ops_per_key", "batch_size"),
+        _positive_int,
+    ),
+}
+
+
+def _multipliers(text: str):
+    """argparse type of ``--multipliers``: comma-separated offered-load
+    multiples, each a finite number above zero."""
+    values = tuple(_positive_float(m) for m in text.split(",") if m.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"no multipliers in {text!r}")
+    return values
 
 
 def _timeline_args(parser, what: str) -> None:
@@ -327,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser(
         "tune", help="optimal hash index ratio (Figure 10)"
     )
-    tune.add_argument("--kv-size", type=int, required=True)
+    tune.add_argument("--kv-size", type=_kv_size, required=True)
     tune.add_argument("--utilization", type=_fraction, required=True)
     _plain(tune, inline_threshold=20, memory_mib=2)
 
@@ -362,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "and shed-rate curves (docs/ROBUSTNESS.md)",
     )
     overload.add_argument(
-        "--multipliers", default="0.5,1.0,2.0,3.0",
+        "--multipliers", type=_multipliers, default="0.5,1.0,2.0,3.0",
         help="comma-separated offered-load multiples of probed capacity",
     )
     _plain(overload, ops=3000, seed=0, memory_mib=4, queue_depth=64)
@@ -999,11 +1021,8 @@ def _cmd_replay(args, out) -> int:
 
 
 def _cmd_overload(args, out) -> int:
-    multipliers = tuple(
-        float(m) for m in args.multipliers.split(",") if m.strip()
-    )
     curves = sweep_offered_load(
-        multipliers=multipliers,
+        multipliers=args.multipliers,
         seed=args.seed,
         num_ops=args.ops,
         memory_size=args.memory_mib << 20,
@@ -1259,9 +1278,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     try:
         # Subcommand ``x`` is implemented by ``_cmd_x``.
         return globals()[f"_cmd_{args.command}"](args, out or sys.stdout)
-    except ConfigurationError as exc:  # e.g. a store too large to reserve
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # Downstream consumer (head, less) closed the pipe: not an error.
         try:
@@ -1269,6 +1285,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         except BrokenPipeError:
             pass
         return 0
+    except (ConfigurationError, ProtocolError, OSError) as exc:
+        # A store too large to reserve, a missing or truncated trace, an
+        # unwritable export: one line, not a traceback.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,7 +21,7 @@ from enum import IntEnum
 from heapq import merge as _heap_merge
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.hashing import fnv1a64, shard_of_many
+from repro.core.hashing import fnv1a64, shard_of_hash
 from repro.errors import ProtocolError
 
 
@@ -324,12 +324,12 @@ def fan_out(
     if shards == 1:
         return [list(ops)]
     parts: List[List[KVOperation]] = [[] for __ in range(shards)]
-    for op, shard in zip(ops, shard_of_many([op.key for op in ops], shards)):
+    for op in ops:
         if op.carries_count:
             for part in parts:
                 part.append(op)
         else:
-            parts[shard].append(op)
+            parts[shard_of_hash(op.key_hash, shards)].append(op)
     return parts
 
 

@@ -10,15 +10,17 @@ accounting).  Functional data stays in the host :class:`~repro.dram.host.
 MemoryImage`; the memory access engine charges timing for the traffic this
 class reports (fills, writebacks).  The metadata is one 64-bit word per NIC
 line in an anonymous mapping, so only the slots a run fills take memory.
+``flush`` and ``occupancy`` scan the words' low bytes a chunk at a time
+with ``bytes`` methods (a slot is empty iff its low byte is 0), never a
+Python loop over every slot, and ``flush`` empties the cache by swapping
+in a fresh mapping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from repro.dram.ecc import ECCLineLayout, ECCMetadataCodec
 from repro.dram.hamming import DecodeStatus, HammingSECDED
@@ -46,6 +48,11 @@ class AccessResult:
 _HIT = AccessResult(hit=True)
 _MISS_FILL = AccessResult(hit=False, needs_fill=True)
 _MISS_NO_FILL = AccessResult(hit=False)
+
+#: Slots per chunk of a whole-cache scan: 8 MiB of tag words at a time.
+_SCAN_SLOTS = 1 << 20
+#: ``bytes.translate`` table from a slot word's low byte to its dirty bit.
+_DIRTY = bytes((byte >> 1) & 1 for byte in range(256))
 
 
 class CacheStats:
@@ -114,14 +121,23 @@ class DramCache:
         self.tag_bits = max(1, math.ceil(math.log2(ways)))
         #: Validates that tag + dirty fit the spare ECC bits.
         self.codec = ECCMetadataCodec(self.tag_bits, layout)
+        self._clear()
+        self.stats = CacheStats()
+
+    def _clear(self) -> None:
+        """Empty every slot: a fresh mapping, resident once written."""
         # Per slot, the codec's word over a valid bit the hardware does
         # without (the NIC owns its DRAM from reset): 0 is an empty slot, so
         # a cold simulated cache does not alias tag-0 lines.
-        self._words = memoryview(
-            anonymous_mapping(nic_lines * 8, "NIC DRAM cache tags")
-        ).cast("Q")
-        self._array = np.frombuffer(self._words, dtype=np.uint64)
-        self.stats = CacheStats()
+        self._tags = anonymous_mapping(self.nic_lines * 8, "NIC DRAM cache tags")
+        self._words = memoryview(self._tags).cast("Q")
+
+    def _low_bytes(self) -> Iterator[Tuple[int, bytes]]:
+        """``(first slot, low byte of each slot's word)`` a chunk at a time:
+        the byte is 0 for an empty slot and has the dirty flag as bit 1."""
+        tags = self._tags
+        for first in range(0, self.nic_lines, _SCAN_SLOTS):
+            yield first, tags[first * 8:(first + _SCAN_SLOTS) * 8:8]
 
     # -- mapping ------------------------------------------------------------
 
@@ -211,16 +227,25 @@ class DramCache:
         return host_line if dirty else None
 
     def flush(self) -> list:
-        """Invalidate everything; returns dirty host lines needing writeback."""
-        words = self._array
-        slots = np.flatnonzero(words & 2)
-        tags = (words[slots] >> 2).astype(np.int64)
-        words[np.flatnonzero(words)] = 0
-        return (tags * self.nic_lines + slots).tolist()
+        """Invalidate everything; returns dirty host lines needing writeback,
+        in slot order."""
+        words = self._words
+        nic_lines = self.nic_lines
+        dirty = []
+        for first, low in self._low_bytes():
+            flags = low.translate(_DIRTY)
+            slot = flags.find(1)
+            while slot >= 0:
+                line = first + slot
+                dirty.append((words[line] >> 2) * nic_lines + line)
+                slot = flags.find(1, slot + 1)
+        self._clear()
+        return dirty
 
     def occupancy(self) -> float:
         """Fraction of NIC slots holding a valid line."""
-        return int(np.count_nonzero(self._array)) / self.nic_lines
+        empty = sum(low.count(0) for __, low in self._low_bytes())
+        return (self.nic_lines - empty) / self.nic_lines
 
 
 class ECCFaultPath:

@@ -4,15 +4,14 @@ Every hardware model exposes its behaviour through these so benchmarks can
 report the same quantities the paper plots (throughput in Mops, latency
 percentiles, memory accesses per operation).  The per-event paths cost no
 Python frame: a :class:`Counter` bump is two dict operations and a
-:class:`Histogram` sample one builtin ``list.append``.
+:class:`Histogram` sample one builtin ``array.append`` into 8 bytes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from array import array
+from typing import Dict, Iterable, List, Tuple
 
 
 class Counter(dict):
@@ -117,35 +116,34 @@ class Histogram:
     Stores raw samples (the simulation scales are small enough); computes
     percentiles by interpolation, matching ``numpy.percentile``'s default.
 
-    Recording appends to a small staging list: :attr:`record` *is* that
-    list's bound ``append``, so a sample costs one builtin call and no
-    Python frame.  Reads materialize the samples into a float64 array
-    (clearing the list in place and marking the array unsorted), which is
-    what sorting, percentiles and bulk merges (:meth:`record_many`) operate
-    on.  Float semantics are bit-compatible with the historical list
-    implementation: ``mean`` is the left-fold sum in the samples' current
-    order (insertion order, or sorted order once a percentile forced a
-    sort) and percentile interpolation follows the same IEEE expression.
+    The samples live in one ``array("d")``, 8 bytes each, and :attr:`record`
+    *is* that array's bound ``append``: a sample costs one builtin call and
+    no Python frame.  The array holds the samples in their current order:
+    insertion order, until a read that needs order (a percentile, ``min``,
+    ``max``, ``cdf``) sorts it in place, NaN last as ``numpy.sort`` puts it;
+    later samples append after the sorted run and the next such read sorts
+    again.  ``mean`` is the left-fold sum in the current order, and the
+    percentile interpolation is one IEEE expression, clamped into the two
+    samples it interpolates.
 
     ``copy.copy`` and ``copy.deepcopy`` give an independent histogram
-    whose ``record`` appends to its own list (a bound builtin would
+    whose ``record`` appends to its own array (a bound builtin would
     otherwise be copied as is, still appending to the original's).
     """
 
-    __slots__ = ("_pending", "_arr", "_sorted", "record")
+    __slots__ = ("_samples", "_sorted", "record")
 
     def __init__(self) -> None:
-        self._pending: List[float] = []
-        #: ``record(value)``: stage one sample.
-        self.record = self._pending.append
-        self._arr: Optional[np.ndarray] = None
-        self._sorted = True
+        self._samples = array("d")
+        #: ``record(value)``: store one sample.
+        self.record = self._samples.append
+        #: The sample count at the last sort: the array is in sorted order
+        #: while its length still equals this.
+        self._sorted = 0
 
     def __copy__(self) -> "Histogram":
         clone = type(self)()
-        clone._pending.extend(self._pending)
-        if self._arr is not None:
-            clone._arr = self._arr.copy()
+        clone._samples.extend(self._samples)
         clone._sorted = self._sorted
         return clone
 
@@ -153,112 +151,96 @@ class Histogram:
         return self.__copy__()
 
     def extend(self, values: Iterable[float]) -> None:
-        self._pending.extend(values)
+        self._samples.extend(values)
 
-    def record_many(self, values) -> None:
-        """Bulk-record an array of samples in one call.
-
-        Accepts any array-like; the vectorized counterpart of
-        :meth:`record` for columnar pipelines and shard merges.
-        """
-        chunk = np.asarray(values, dtype=np.float64)
-        if chunk.size == 0:
-            return
-        if self._arr is None:
-            self._arr = chunk.copy()
-        else:
-            self._materialize()
-            self._arr = np.concatenate((self._arr, chunk))
-        self._sorted = False
-
-    def _materialize(self) -> np.ndarray:
-        """Fold staged samples into the backing array (insertion order)."""
-        pending = self._pending
-        if pending:
-            chunk = np.asarray(pending, dtype=np.float64)
-            if self._arr is None:
-                self._arr = chunk
-            else:
-                self._arr = np.concatenate((self._arr, chunk))
-            pending.clear()
-            self._sorted = False
-        elif self._arr is None:
-            self._arr = np.empty(0, dtype=np.float64)
-        return self._arr
+    #: Bulk-record any iterable of numbers (a shard merge of ``samples()``).
+    record_many = extend
 
     def samples(self) -> List[float]:
         """The raw samples in their current order (copy)."""
-        return self._materialize().tolist()
+        return self._samples.tolist()
 
     def __len__(self) -> int:
-        arr = self._arr
-        return len(self._pending) + (0 if arr is None else arr.shape[0])
+        return len(self._samples)
 
     @property
     def count(self) -> int:
-        return len(self)
+        return len(self._samples)
 
-    def _ensure_sorted(self) -> np.ndarray:
-        arr = self._materialize()
-        if not self._sorted:
-            arr.sort()
-            self._sorted = True
-        return arr
+    def _ensure_sorted(self) -> array:
+        samples = self._samples
+        if self._sorted != len(samples):
+            ordered = [x for x in samples if x == x]
+            ordered.sort()
+            if len(ordered) != len(samples):  # NaN last, as numpy sorts
+                ordered += [x for x in samples if x != x]
+            samples[:] = array("d", ordered)
+            self._sorted = len(samples)
+        return samples
 
     def percentile(self, pct: float) -> float:
         """Linear-interpolated percentile; ``pct`` in [0, 100]."""
-        if not len(self):
+        if not self._samples:
             raise ValueError("percentile of empty histogram")
         if not 0.0 <= pct <= 100.0:
             raise ValueError(f"percentile out of range: {pct}")
         arr = self._ensure_sorted()
-        n = arr.shape[0]
+        n = len(arr)
         if n == 1:
-            return float(arr[0])
+            return arr[0]
         rank = (pct / 100.0) * (n - 1)
         low = int(math.floor(rank))
         high = int(math.ceil(rank))
-        if low == high or arr[low] == arr[high]:
-            return float(arr[low])
+        lo = arr[low]
+        hi = arr[high]
+        if low == high or lo == hi:
+            return lo
         frac = rank - low
-        return float(arr[low] * (1 - frac) + arr[high] * frac)
+        value = lo * (1 - frac) + hi * frac
+        # Rounding can land a hair outside [lo, hi]; clamp with
+        # comparisons, which leave a value inside the bracket as it is.
+        if value < lo:
+            return lo
+        if value > hi:
+            return hi
+        return value
 
     def median(self) -> float:
         return self.percentile(50.0)
 
     def mean(self) -> float:
-        if not len(self):
+        samples = self._samples
+        if not samples:
             raise ValueError("mean of empty histogram")
-        arr = self._materialize()
         # Left-fold sum in current sample order, exactly as sum(list)/n did.
-        return sum(arr.tolist()) / arr.shape[0]
+        return sum(samples) / len(samples)
 
     def min(self) -> float:
-        if not len(self):
+        if not self._samples:
             raise ValueError("min of empty histogram")
-        return float(self._ensure_sorted()[0])
+        return self._ensure_sorted()[0]
 
     def max(self) -> float:
-        if not len(self):
+        if not self._samples:
             raise ValueError("max of empty histogram")
-        return float(self._ensure_sorted()[-1])
+        return self._ensure_sorted()[-1]
 
     def cdf(self, points: int = 100) -> List[Tuple[float, float]]:
         """Return ``points`` (value, cumulative fraction) pairs."""
-        if not len(self):
+        if not self._samples:
             return []
         arr = self._ensure_sorted()
-        n = arr.shape[0]
+        n = len(arr)
         out = []
         for i in range(points):
             frac = (i + 1) / points
             idx = min(n - 1, int(round(frac * n)) - 1)
-            out.append((float(arr[max(0, idx)]), frac))
+            out.append((arr[max(0, idx)], frac))
         return out
 
     def summary(self) -> Dict[str, float]:
         """Mean and the percentiles the paper quotes (5/50/95/99)."""
-        if not len(self):
+        if not self._samples:
             return {}
         return {
             "count": float(len(self)),

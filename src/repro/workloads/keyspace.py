@@ -5,20 +5,20 @@ inline case, we use KV size that is a multiple of slot size.  To test
 non-inline case, we use KV size that is a power of two minus 2 bytes (for
 metadata)."
 
-Value bytes come from a per-index ``random.Random`` stream (one MT word
-per byte, high byte of each word).  The batch paths pull each index's
-words in a single ``getrandbits`` call and carve the bytes out with
-numpy, which is bit-identical to the historical per-byte loop but an
-order of magnitude cheaper - corpus construction used to dominate
-benchmark setup time.
+A key is its index's big-endian bytes.  A value's bytes come from a
+per-index Mersenne stream, ``random.Random((seed << 32) ^ index)``, one
+word per byte (the high byte of each word, as ``getrandbits(8)`` draws
+it).  One generator is reseeded per value, its words pulled in a single
+``getrandbits`` call and the bytes carved out with a slice: bit-identical
+to the historical per-byte loop, and cheap enough that building a corpus
+no longer dominates a benchmark's setup.  The batch forms are the scalar
+ones in a loop.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterable, Iterator, List, Tuple
-
-import numpy as np
 
 from repro.constants import SLOT_SIZE
 
@@ -43,68 +43,37 @@ class KeySpace:
         self.kv_size = kv_size
         self.key_size = key_size
         self.value_size = kv_size - key_size
-        self._rng = random.Random(seed)
+        #: Reseeded per value: ``seed(x)`` is the same ``init_by_array`` as
+        #: ``random.Random(x)``, without a new generator per value.
+        self._rng = random.Random()
         self._value_seed = seed
 
     def key(self, index: int) -> bytes:
-        """Deterministic key of ``index``."""
+        """Deterministic key of ``index``: its big-endian bytes."""
         if not 0 <= index < self.count:
             raise IndexError(f"key index {index} outside [0, {self.count})")
         return index.to_bytes(self.key_size, "big")
 
     def keys_many(self, indices: Iterable[int]) -> List[bytes]:
-        """Batch counterpart of :meth:`key`: one numpy pass, then slices."""
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size == 0:
-            return []
-        if idx.min() < 0 or idx.max() >= self.count:
-            raise IndexError(
-                f"key index outside [0, {self.count}): "
-                f"{int(idx.min())}..{int(idx.max())}"
-            )
-        raw = idx.astype(">u8").tobytes()
-        size = self.key_size
-        if size == 8:
-            return [raw[i: i + 8] for i in range(0, len(raw), 8)]
-        if size < 8:
-            skip = 8 - size
-            return [raw[i + skip: i + 8] for i in range(0, len(raw), 8)]
-        pad = b"\x00" * (size - 8)
-        return [pad + raw[i: i + 8] for i in range(0, len(raw), 8)]
+        """:meth:`key` of each index."""
+        return list(map(self.key, indices))
 
     def value(self, index: int) -> bytes:
         """Deterministic pseudo-random value for ``index``.
 
-        Byte ``i`` is ``getrandbits(8)`` draw ``i`` of the per-index
-        stream, i.e. the high byte of Mersenne word ``i``; all words are
+        Byte ``i`` is ``getrandbits(8)`` draw ``i`` of the index's own
+        stream, i.e. the high byte of Mersenne word ``i``: all words are
         pulled in one ``getrandbits`` call and the high bytes carved out
-        by slicing the little-endian word buffer.
+        of the little-endian word buffer with ``[3::4]``.
         """
-        rng = random.Random((self._value_seed << 32) ^ index)
+        rng = self._rng
+        rng.seed((self._value_seed << 32) ^ index)
         n = self.value_size
         return rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
 
     def values_many(self, indices: Iterable[int]) -> List[bytes]:
-        """Batch counterpart of :meth:`value`.
-
-        The per-index word pulls stay scalar (each index seeds its own
-        generator), but the byte extraction for the whole batch is a
-        single numpy reshape/stride pass.
-        """
-        indices = list(indices)
-        if not indices:
-            return []
-        n = self.value_size
-        nbytes = 4 * n
-        base = self._value_seed << 32
-        bits = 32 * n
-        buf = bytearray()
-        for index in indices:
-            rng = random.Random(base ^ index)
-            buf += rng.getrandbits(bits).to_bytes(nbytes, "little")
-        mat = np.frombuffer(bytes(buf), dtype=np.uint8)
-        flat = mat.reshape(len(indices) * n, 4)[:, 3].tobytes()
-        return [flat[i: i + n] for i in range(0, len(flat), n)]
+        """:meth:`value` of each index."""
+        return list(map(self.value, indices))
 
     def pair(self, index: int) -> Tuple[bytes, bytes]:
         return self.key(index), self.value(index)

@@ -4,6 +4,11 @@ A workload is a GET/PUT mix over a key popularity distribution.  The paper
 reports PUT ratios of 0 % (100 % GET), 5 %, 50 % and 100 % under both
 uniform and long-tail (Zipf 0.99) key popularity - the axes of Figures 16
 and 17.
+
+Every draw is a scalar ``random.Random`` call: the key sampler's, one
+``random()`` coin per op from the generator's own stream, and the
+keyspace's per-index value streams.  A uniform workload imports no numpy;
+a Zipf one does, once, to build its table (:mod:`repro.workloads.zipf`).
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Iterator, List
 from repro.constants import ZIPF_SKEW
 from repro.core.operations import KVOperation
 from repro.workloads.keyspace import KeySpace
-from repro.workloads.mtstream import random_many
 from repro.workloads.zipf import UniformSampler, ZipfSampler
 
 
@@ -65,17 +69,18 @@ class YCSBGenerator:
     def operations(self, count: int) -> List[KVOperation]:
         """The measurement phase: ``count`` GET/PUT ops.
 
-        Generated columnar: key indices, the GET/PUT coin flips, keys and
-        PUT values are each drawn for the whole stream in one vectorized
-        batch, then zipped into operations.  The result is bit-identical
-        to the historical per-op loop (same sampler and coin RNG streams,
-        consumed in the same order per op) because the two RNGs are
-        independent streams.
+        Generated column by column: the key indices, then the GET/PUT
+        coins, then the keys and the PUT values, each a scalar loop.  The
+        result is the historical per-op loop's (same sampler and coin
+        streams, each consumed in the same order) because the two
+        generators are independent streams.
         """
         if count <= 0:
             return []
         indices = self.sampler.sample_many(count)
-        is_put = (random_many(self._rng, count) < self.spec.put_ratio).tolist()
+        coin = self._rng.random
+        ratio = self.spec.put_ratio
+        is_put = [coin() < ratio for __ in range(count)]
         keys = self.keyspace.keys_many(indices)
         put_values = iter(self.keyspace.values_many(
             [index for index, put in zip(indices, is_put) if put]

@@ -4,11 +4,17 @@ The Zipf sampler uses the alias method over the exact Zipf PMF, giving
 O(1) draws after O(n) setup - fast enough to generate millions of requests
 against scaled-down key spaces.
 
-Both samplers generate in columnar batches: ``sample_many`` draws raw
-Mersenne words through :mod:`repro.workloads.mtstream` and classifies /
-maps them with numpy, producing the *bit-identical* sequence the scalar
-``sample`` loop would (and leaving the RNG positioned identically), at a
-fraction of the interpreter cost.
+A draw is scalar ``random.Random`` calls over Python lists, and
+``sample_many`` is ``sample`` in a loop: the same stream, the generator
+left in the same state.  numpy builds the Zipf table and nothing else:
+the weights are ``np.power``, normalised by numpy's pairwise sum, and the
+rank shuffle is a ``RandomState``'s.  Those stay numpy because Python
+cannot reproduce them bit for bit: ``np.power`` may take a SIMD path by
+CPU dispatch, and on an AVX-512 machine it disagrees with libm's ``pow``
+(Python's ``**``) on 1,056 of 20,000 weights.  So a Zipf stream may
+depend on which CPU path numpy dispatches to; docs/MODELING.md records
+this.
+A uniform sampler imports no numpy.
 """
 
 from __future__ import annotations
@@ -16,15 +22,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-import numpy as np
-
 from repro.constants import ZIPF_SKEW
-from repro.workloads.mtstream import (
-    randrange_many,
-    state_from_numpy,
-    state_to_numpy,
-    words,
-)
 
 
 class UniformSampler:
@@ -44,8 +42,9 @@ class UniformSampler:
         return self._rng.randrange(self.population)
 
     def sample_many(self, count: int) -> List[int]:
-        values, __ = randrange_many(self._rng, self.population, count)
-        return values.tolist()
+        randrange = self._rng.randrange
+        population = self.population
+        return [randrange(population) for __ in range(count)]
 
 
 class ZipfSampler:
@@ -76,12 +75,15 @@ class ZipfSampler:
         self.population = population
         self.skew = skew
         self._rng = random.Random(seed)
+        import numpy as np  # the table only: see the module docstring
+
         weights = 1.0 / np.power(np.arange(1, population + 1, dtype=float), skew)
-        probabilities = weights / weights.sum()
-        self._alias, self._prob = self._build_alias(probabilities)
+        self._alias, self._prob = self._build_alias(
+            (weights / weights.sum()).tolist()
+        )
         # Map popularity ranks onto key indices in a shuffled order so hot
         # keys are not clustered in adjacent hash buckets.
-        self._rank_to_key = np.arange(population)
+        rank_to_key = np.arange(population)
         if shuffle:
             if seed is None:
                 # Nondeterministic mode: derive the shuffle from the
@@ -89,17 +91,17 @@ class ZipfSampler:
                 shuffler = np.random.RandomState(self._rng.getrandbits(32))
             else:
                 shuffler = np.random.RandomState(seed)
-            shuffler.shuffle(self._rank_to_key)
+            shuffler.shuffle(rank_to_key)
+        self._rank_to_key: List[int] = rank_to_key.tolist()
 
     @staticmethod
-    def _build_alias(probabilities: np.ndarray):
+    def _build_alias(probabilities: List[float]):
         n = len(probabilities)
-        prob = np.zeros(n)
-        alias = np.zeros(n, dtype=np.int64)
-        scaled = probabilities * n
+        prob = [0.0] * n
+        alias = [0] * n
+        scaled = [p * n for p in probabilities]
         small = [i for i, p in enumerate(scaled) if p < 1.0]
         large = [i for i, p in enumerate(scaled) if p >= 1.0]
-        scaled = scaled.copy()
         while small and large:
             s, l = small.pop(), large.pop()
             prob[s] = scaled[s]
@@ -114,61 +116,14 @@ class ZipfSampler:
         """Draw one key index."""
         column = self._rng.randrange(self.population)
         if self._rng.random() < self._prob[column]:
-            rank = column
-        else:
-            rank = int(self._alias[column])
-        return int(self._rank_to_key[rank])
+            return self._rank_to_key[column]
+        return self._rank_to_key[self._alias[column]]
 
     def sample_many(self, count: int) -> List[int]:
-        """Columnar batch of draws, bit-identical to ``count`` ``sample()``\\ s.
-
-        One scalar draw consumes a data-dependent number of Mersenne
-        words: rejection-sampled ``randrange`` words (one per candidate
-        until a candidate falls below the population) followed by the two
-        words of ``random()``.  We draw the raw word stream in bulk, walk
-        it once in Python to find each draw's word positions, then do the
-        alias-table classification and rank mapping vectorized.
-        """
-        if count <= 0:
-            return []
-        n = self.population
-        shift = 32 - n.bit_length()
-        rs = state_to_numpy(self._rng)
-        # Expected words/draw: rejection overhead + 2 for random().
-        expect = (2 ** n.bit_length()) / n + 2.0
-        raw = words(rs, int(count * expect * 1.05) + 16)
-        raw_l = raw.tolist()
-        cand_l = (raw >> np.uint64(shift)).tolist()
-        cols: List[int] = []
-        u1: List[int] = []
-        u2: List[int] = []
-        p = 0
-        while len(cols) < count:
-            if p + 3 > len(raw_l):
-                more = words(rs, max(256, (count - len(cols)) * 4))
-                raw_l.extend(more.tolist())
-                cand_l.extend((more >> np.uint64(shift)).tolist())
-            c = cand_l[p]
-            if c >= n:
-                p += 1
-                continue
-            cols.append(c)
-            u1.append(raw_l[p + 1])
-            u2.append(raw_l[p + 2])
-            p += 3
-        # Reposition the scalar RNG past exactly the consumed words.
-        rs = state_to_numpy(self._rng)
-        words(rs, p)
-        state_from_numpy(self._rng, rs)
-        columns = np.asarray(cols, dtype=np.int64)
-        # random() = (a * 2**26 + b) / 2**53 with a = word >> 5, b = word >> 6.
-        a = np.asarray(u1, dtype=np.uint64) >> np.uint64(5)
-        b = np.asarray(u2, dtype=np.uint64) >> np.uint64(6)
-        uniforms = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
-        ranks = np.where(uniforms < self._prob[columns], columns,
-                         self._alias[columns])
-        return self._rank_to_key[ranks].tolist()
+        """``count`` draws of :meth:`sample`."""
+        sample = self.sample
+        return [sample() for __ in range(count)]
 
     def hot_keys(self, count: int) -> List[int]:
         """The ``count`` most popular key indices."""
-        return [int(self._rank_to_key[r]) for r in range(min(count, self.population))]
+        return self._rank_to_key[:max(0, count)]

@@ -4,7 +4,11 @@ state stopped pre-allocating the modelled size, kept verbatim as
 ``RefHostSlabManager`` (pool 4 built in full as ``list(range(...))``): the
 references the lazily resident :class:`~repro.dram.cache.DramCache` and
 :class:`~repro.core.slab_host.HostSlabManager` are compared against,
-answer for answer (``tests/test_dram.py``, ``tests/test_slab.py``)."""
+answer for answer (``tests/test_dram.py``, ``tests/test_slab.py``).
+
+The one edit since: the reference daemon shares the live
+:class:`~repro.core.slab_host.AllocationBitmap`, whose flags are now a
+mapping, so its bitmap merge reads them through ``view()``."""
 
 from __future__ import annotations
 
@@ -332,7 +336,7 @@ class RefHostSlabManager:
         slabs.  This discards the existing pool lists entirely, which is
         why the bitmap approach is expensive: it touches the whole region.
         """
-        free = ~self.bitmap._bits
+        free = ~self.bitmap.view()
         new_pools: Dict[int, List[int]] = {c: [] for c in range(NUM_CLASSES)}
         unit_bytes = SLAB_MIN_SIZE
         total_units = self.bitmap.units

@@ -157,6 +157,69 @@ class TestErrors:
         assert str(1 << 60) in err and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ("pcie", "--ops"),
+        ("pcie", "--payload"),
+        ("atomics", "--keys"),
+        ("atomics", "--ops"),
+        ("overload", "--ops"),
+        ("ycsb", "--ops"),
+        ("ycsb", "--corpus"),
+    ])
+    def test_counts_and_sizes_take_a_positive_integer(
+        self, argv, value, capsys
+    ):
+        """Regression: ``pcie --ops 0`` raised "percentile of empty
+        histogram", ``atomics --keys 0`` and ``overload --ops 0`` a
+        ZeroDivisionError, and ``atomics --keys -2`` ran and reported
+        "keys -2"."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv, value)
+        assert exited.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc", "nan", "inf",
+                                       "1.0,0", ","])
+    def test_multipliers_are_finite_and_positive(self, value, capsys):
+        """Regression: ``0`` raised a ZeroDivisionError, ``-1`` a
+        "deadlock?" SimulationError and ``abc`` a ValueError."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli("overload", f"--multipliers={value}")
+        assert exited.value.code == 2
+        assert "--multipliers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "8"])
+    @pytest.mark.parametrize("argv", [
+        ("ycsb",),
+        ("record", "unused.kvdt"),
+        ("tune", "--utilization", "0.5"),
+    ])
+    def test_a_kv_size_must_exceed_the_key(self, argv, value, capsys):
+        """Regression: ``tune --kv-size 0`` raised a KVDirectError and
+        ``ycsb --kv-size 0`` a ValueError, after building the store."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv, "--kv-size", value)
+        assert exited.value.code == 2
+        assert "above the 8 B key" in capsys.readouterr().err
+
+    def test_a_missing_trace_is_one_line_and_exit_1(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.kvdt")
+        assert run_cli("replay", path) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("repro replay: [Errno 2] ")
+        assert path in err and err.count("\n") == 1
+
+    def test_a_truncated_trace_is_one_line_and_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "w.kvdt"
+        run_cli("record", str(path), "--ops", "50", "--corpus", "20")
+        path.write_bytes(path.read_bytes()[:40])
+        assert run_cli("replay", str(path)) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("repro replay: trace file truncated")
+        assert err.count("\n") == 1
+
+
 class TestRecordReplay:
     def test_record_then_replay(self, tmp_path):
         path = str(tmp_path / "w.kvdt")

@@ -2,11 +2,17 @@
 
 The host image, the NIC-DRAM cache tags and the slab free pool take no
 memory until an operation touches them, so building a store is cheap at
-any modelled size.  Linux only: the footprint is ``VmRSS`` from
-``/proc/self/status``.
+any modelled size.  A latency sample takes 8 bytes, and a run that draws
+uniform keys never imports numpy.  Linux only: the footprint is ``VmRSS``
+from ``/proc/self/status``.  The import and sample checks run in a fresh
+interpreter, since this one has imported numpy through other tests and
+holds their freed memory.
 """
 
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +67,70 @@ def test_paper_scale_builds_or_is_refused_as_a_configuration_error():
     grown = vm_rss_mib() - before
     assert grown < BUDGET_MIB, f"+{grown:.0f} MiB to build 64 GiB"
     assert store.put(b"key", b"value") and store.get(b"key") == b"value"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_uniform_point_scan_and_cluster_kill_runs_never_import_numpy():
+    out = run_fresh("""
+        import sys
+        from repro import scenario
+        from repro.client.router import ClusterRouter
+        from repro.core.operations import KVOperation
+        from repro.driver import run_closed_loop
+
+        point = scenario.build(seed=7, corpus=400, put_ratio=0.5)
+        stats = run_closed_loop(point.processor, point.operations(300))
+        assert stats["latency_p99_ns"] > 0
+        scan = scenario.build(seed=7, corpus=400, ordered_index=True)
+        ranges = [KVOperation.range(scan.keyspace.key(i), 5, seq=i)
+                  for i in range(0, 400, 4)]
+        run_closed_loop(scan.processor, ranges)
+        multi = scenario.build(seed=7, corpus=300, put_ratio=0.5, nodes=3)
+        cluster = multi.cluster
+        cluster.kill_after_accepts(cluster.map.primary(0), 30)
+        ClusterRouter(multi.sim, cluster, seed=7).run(
+            multi.operations(300), concurrency=16
+        )
+        assert cluster.alive_nodes == 2
+        print("numpy" in sys.modules)
+        from repro.workloads.zipf import ZipfSampler
+        ZipfSampler(100, seed=7)
+        print("numpy" in sys.modules)
+    """)
+    assert out.split() == ["False", "True"]
+
+
+def test_a_million_latency_samples_take_8_bytes_each():
+    """A Python float in a list took 32 bytes: 31 MiB for a million."""
+    out = run_fresh("""
+        from repro.sim import Histogram
+
+        def vm_rss_kib():
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1])
+
+        hist = Histogram()
+        record = hist.record
+        before = vm_rss_kib()
+        for i in range(1_000_000):
+            record(i * 0.5)
+        print((vm_rss_kib() - before) / 1024)
+        assert hist.percentile(50) == 249999.75
+    """)
+    grown = float(out)
+    assert grown < 12, f"+{grown:.1f} MiB for a million samples"

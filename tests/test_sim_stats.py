@@ -2,13 +2,15 @@
 
 import copy
 import math
+import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.sim import Counter, Histogram, RunningStats
 from repro.sim.stats import gbps, mops, percentile
+from tests.ref_histogram import RefHistogram
 
 
 class TestCounter:
@@ -305,11 +307,105 @@ class TestHistogram:
         ),
         st.floats(0, 100),
     )
+    @example(values=[524289.0, 524290.0], pct=9.90280672211611e-15)
     def test_percentile_monotone_in_pct(self, values, pct):
         hist = Histogram()
         hist.extend(values)
         assert hist.percentile(pct) <= hist.percentile(100)
         assert hist.percentile(0) <= hist.percentile(pct)
+
+    def test_an_interpolation_that_rounds_below_its_bracket_is_clamped(self):
+        hist = Histogram()
+        hist.extend([524289.0, 524290.0])
+        assert hist.percentile(9.90280672211611e-15) == 524289.0
+        assert hist.percentile(50) == 524289.5
+
+    def test_nan_samples_sort_last(self):
+        hist = Histogram()
+        hist.extend([3.0, math.nan, 1.0, 2.0])
+        assert hist.min() == 1.0
+        assert hist.samples()[:3] == [1.0, 2.0, 3.0]
+        assert math.isnan(hist.samples()[3]) and math.isnan(hist.max())
+
+    def test_a_sample_takes_eight_bytes(self):
+        hist = Histogram()
+        hist.extend(float(i) for i in range(1000))
+        assert hist._samples.itemsize == 8 and len(hist) == 1000
+
+
+#: Samples: non-negative (numpy's sort may swap -0.0 and 0.0, which
+#: compare equal), with the odd NaN to check it sorts last.
+_SAMPLE = st.one_of(
+    st.floats(0, 1e9, allow_subnormal=False), st.just(math.nan)
+)
+_GRID = (0, 1e-9, 0.5, 1, 5, 25, 50, 75, 95, 99, 99.9, 100)
+_READS = (
+    lambda h: [h.percentile(pct) for pct in _GRID],
+    lambda h: h.mean(),
+    lambda h: h.min(),
+    lambda h: h.max(),
+    lambda h: h.cdf(),
+    lambda h: h.cdf(points=7),
+    lambda h: h.summary(),
+)
+_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), _SAMPLE),
+        st.tuples(st.just("extend"), st.lists(_SAMPLE, max_size=8)),
+        st.tuples(st.just("record_many"), st.lists(_SAMPLE, max_size=8)),
+        st.tuples(st.just("read"), st.sampled_from(range(len(_READS)))),
+        st.tuples(st.just("copy"), st.sampled_from((copy.copy, copy.deepcopy))),
+    ),
+    max_size=40,
+)
+
+
+def _bits(value):
+    """A read as comparable bytes: floats bit for bit, NaN included."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _read(hist, read):
+    try:
+        return _bits(read(hist))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestHistogramMatchesTheNumpyReference:
+    """The array-backed histogram answers every read as the staging-list
+    and numpy one did, bit for bit, across records, bulk records, copies
+    and reads that sort in between."""
+
+    @given(_ACTIONS, st.lists(st.integers(0, 7), min_size=40, max_size=40))
+    def test_every_read_matches(self, actions, targets):
+        pairs = [(Histogram(), RefHistogram())]
+        for (action, arg), target in zip(actions, targets):
+            live, ref = pairs[target % len(pairs)]
+            if action == "record":
+                live.record(arg)
+                ref.record(arg)
+            elif action == "copy":
+                pairs.append((arg(live), arg(ref)))
+            elif action == "read":
+                assert _bits(live.samples()) == _bits(ref.samples())
+                assert _read(live, _READS[arg]) == _read(ref, _READS[arg])
+            else:
+                getattr(live, action)(arg)
+                getattr(ref, action)(arg)
+            for live, ref in pairs:
+                assert len(live) == len(ref)
+                assert _bits(live.samples()) == _bits(ref.samples())
+        for live, ref in pairs:
+            for read in _READS:
+                assert _read(live, read) == _read(ref, read)
+            assert _bits(live.samples()) == _bits(ref.samples())
 
 
 class TestRates:

@@ -1,6 +1,7 @@
 """Unit tests for workload generators."""
 
 import collections
+import random
 
 import pytest
 
@@ -51,6 +52,32 @@ class TestKeySpace:
             KeySpace(count=5, kv_size=8, key_size=8)
         with pytest.raises(ValueError):
             KeySpace(count=5, kv_size=300, key_size=2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23, 1 << 20])
+    def test_values_are_each_index_s_mersenne_high_bytes(self, seed):
+        """Byte ``i`` of value ``index`` is the high byte of word ``i`` of
+        ``random.Random((seed << 32) ^ index)``, at every KV size, whether
+        drawn alone or in a batch, in any order."""
+        indices = [0, 1, 5, 2, 5]
+        for kv_size in range(9, 259):
+            ks = KeySpace(count=10, kv_size=kv_size, seed=seed)
+            n = kv_size - 8
+            expected = [
+                random.Random((seed << 32) ^ index)
+                .getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+                for index in indices
+            ]
+            assert ks.values_many(indices) == expected
+            assert [ks.value(index) for index in indices] == expected
+
+    def test_keys_are_big_endian_indices(self):
+        for key_size in (4, 8, 12):
+            ks = KeySpace(count=300, kv_size=40, key_size=key_size)
+            assert ks.keys_many([0, 1, 299]) == [
+                i.to_bytes(key_size, "big") for i in (0, 1, 299)
+            ]
+        with pytest.raises(IndexError):
+            ks.keys_many([1, 300])
 
     def test_paper_kv_size_points(self):
         assert inline_kv_sizes()[:3] == [5, 10, 15]
@@ -132,6 +159,20 @@ class TestZipfSampler:
         assert len(calls) == 1
         assert calls[0] is not None
         assert all(0 <= s < 100 for s in sampler.sample_many(50))
+
+    @pytest.mark.parametrize("make", [
+        lambda: UniformSampler(1000, seed=3),
+        lambda: UniformSampler(65537, seed=3),
+        lambda: ZipfSampler(1000, seed=3),
+        lambda: ZipfSampler(300, skew=0.5, seed=4, shuffle=False),
+    ])
+    def test_a_batch_is_the_scalar_draws(self, make):
+        """``sample_many`` is ``sample`` in a loop: the same draws, and the
+        generator left where the loop leaves it."""
+        batch, scalar = make(), make()
+        assert batch.sample_many(500) == [scalar.sample() for __ in range(500)]
+        assert batch._rng.getstate() == scalar._rng.getstate()
+        assert batch.sample_many(0) == [] and batch.sample_many(-1) == []
 
     def test_invalid(self):
         with pytest.raises(ValueError):

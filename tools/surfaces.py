@@ -43,6 +43,8 @@ EXTRA = {
     "ycsb-slab": "ycsb --ops 3000 --put-ratio 0.5 --kv-size 254",
     # A 1 GiB store: the memory a run does not write is never touched.
     "ycsb-1gib": "ycsb --ops 2000 --corpus 2000 --memory-mib 1024",
+    # A shuffled Zipf stream drawn through ZipfSampler.sample_many.
+    "ycsb-zipf": "ycsb --ops 3000 --put-ratio 0.5 --distribution zipf",
 }
 
 SIDES = ("parent", "change")
