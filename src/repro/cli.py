@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import struct
 import sys
@@ -33,11 +34,13 @@ from repro.analysis.report import format_table
 from repro.chaos import SoakConfig, run_soak, sweep_offered_load
 from repro.client.router import ClusterRouter
 from repro.core.admission import SHED_POLICIES, OverloadPolicy
+from repro.core.hashtable import MAX_KV_SIZE
 from repro.core.operations import KVOperation, decode_scan_payload
 from repro.core.tuning import optimal_hash_index_ratio
 from repro.core.vector import FETCH_ADD
 from repro.driver import run_closed_loop
-from repro.errors import CapacityError, ConfigurationError, ProtocolError
+from repro.errors import (CapacityError, ConfigurationError, KeyTooLargeError,
+                          ProtocolError)
 from repro.faults import FaultPlan
 from repro.obs import (
     FlightRecorder,
@@ -77,8 +80,8 @@ def _latency_rows(stats, pcts=(50, 99)) -> List[List[str]]:
 def _plain(parser, **defaults) -> None:
     """Add ``--name`` options that carry only a typed default (``ops=5000``
     adds ``--ops``), in the order given: a count or a size must be above
-    zero and a KV size above the key size; anything else takes the
-    default's type."""
+    zero, a KV size must fit a slab and a put ratio lie in [0, 1];
+    anything else takes the default's type."""
     for name, default in defaults.items():
         kind = _KINDS.get(name, type(default))
         parser.add_argument(
@@ -111,14 +114,20 @@ _positive_float = _number_in(0, float("inf"), "a finite number above zero")
 _fraction = _number_in(0, 1, "a fraction between 0 and 1, exclusive")
 #: A count or a size, such as every ``--ops`` and ``--memory-mib``.
 _positive_int = _number_in(0, float("inf"), "a positive integer", int)
-#: A KV size: more than the 8 B keys every workload and the tuner draw.
-_kv_size = _number_in(8, float("inf"), "a KV size above the 8 B key", int)
-#: The ``_plain`` options that are counts or sizes.
+#: A KV size: more than the 8 B keys every workload and the tuner draw, and
+#: no more than the largest slab holds.
+_kv_size = _number_in(8, MAX_KV_SIZE + 1, "a KV size above the 8 B key and "
+                      f"at most {MAX_KV_SIZE} B", int)
+#: The ``_plain`` options that are counts, sizes or shares.  No float lies
+#: strictly between 0 and the next one down, or 1 and the next one up, so
+#: the open interval between them is exactly [0, 1].
 _KINDS = {
     "kv_size": _kv_size,
+    "put_ratio": _number_in(math.nextafter(0, -1), math.nextafter(1, 2),
+                            "a put ratio in [0, 1]"),
     **dict.fromkeys(
         ("ops", "corpus", "keys", "payload", "memory_mib", "concurrency",
-         "queue_depth", "ops_per_key", "batch_size"),
+         "queue_depth", "ops_per_key", "batch_size", "nodes", "slots"),
         _positive_int,
     ),
 }
@@ -1285,9 +1294,10 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         except BrokenPipeError:
             pass
         return 0
-    except (ConfigurationError, ProtocolError, OSError) as exc:
-        # A store too large to reserve, a missing or truncated trace, an
-        # unwritable export: one line, not a traceback.
+    except (ConfigurationError, KeyTooLargeError, ProtocolError,
+            OSError) as exc:
+        # A store too large to reserve, a missing or truncated trace or a
+        # KV in it no slab holds, an unwritable export: one line, exit 1.
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 1
 

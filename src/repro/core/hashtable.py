@@ -65,7 +65,7 @@ MAX_KEY_SIZE = 255
 MAX_RECORD_SIZE = 512
 
 #: Largest key + value whose record fits: the fast path of the checks.
-_MAX_KV_SIZE = MAX_RECORD_SIZE - _RECORD_HEADER.size
+MAX_KV_SIZE = MAX_RECORD_SIZE - _RECORD_HEADER.size
 
 #: ``secondary_hash(h)`` is ``h >> _SECONDARY_SHIFT & _SECONDARY_MASK``.
 _SECONDARY_SHIFT = 64 - SECONDARY_HASH_BITS
@@ -135,7 +135,7 @@ class HashTable:
             self._check_key(key)
             self._check_value(key, value)
         klen, vlen = len(key), len(value)
-        if not 0 < klen <= MAX_KEY_SIZE or klen + vlen > _MAX_KV_SIZE:
+        if not 0 < klen <= MAX_KEY_SIZE or klen + vlen > MAX_KV_SIZE:
             self._check_key(key)
             self._check_value(key, value)
         memory = self.memory

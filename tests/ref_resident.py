@@ -1,10 +1,13 @@
-"""The NIC-DRAM cache and the host slab daemon as they were before their
-state stopped pre-allocating the modelled size, kept verbatim as
-``RefDramCache`` (a ``_valid`` byte and a ``_meta`` word per NIC line) and
-``RefHostSlabManager`` (pool 4 built in full as ``list(range(...))``): the
-references the lazily resident :class:`~repro.dram.cache.DramCache` and
-:class:`~repro.core.slab_host.HostSlabManager` are compared against,
-answer for answer (``tests/test_dram.py``, ``tests/test_slab.py``).
+"""The NIC-DRAM cache, the host slab daemon and the host memory image as
+they were before their state stopped pre-allocating the modelled size or
+became resident by chunk, kept verbatim as ``RefDramCache`` (a ``_valid``
+byte and a ``_meta`` word per NIC line), ``RefHostSlabManager`` (pool 4
+built in full as ``list(range(...))``) and ``RefMemoryImage`` (one flat
+mapping of the modelled size, resident by page): the references the lazily
+resident :class:`~repro.dram.cache.DramCache`,
+:class:`~repro.core.slab_host.HostSlabManager` and
+:class:`~repro.dram.host.MemoryImage` are compared against, answer for
+answer (``tests/test_dram.py``, ``tests/test_slab.py``).
 
 The one edit since: the reference daemon shares the live
 :class:`~repro.core.slab_host.AllocationBitmap`, whose flags are now a
@@ -13,11 +16,11 @@ mapping, so its bitmap merge reads them through ``view()``."""
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import SLAB_MIN_SIZE, SLAB_SIZES
+from repro.constants import CACHE_LINE_SIZE, SLAB_MIN_SIZE, SLAB_SIZES
 from repro.core.slab_host import (
     NUM_CLASSES,
     AllocationBitmap,
@@ -32,6 +35,7 @@ from repro.dram.cache import (
     CacheStats,
 )
 from repro.dram.ecc import ECCLineLayout, ECCMetadataCodec
+from repro.dram.host import anonymous_mapping
 from repro.errors import AllocationError, ConfigurationError, SimulationError
 from repro.sim.stats import Counter
 
@@ -409,3 +413,122 @@ class RefHostSlabManager:
 
     def pool_sizes(self) -> Dict[int, int]:
         return {c: len(pool) for c, pool in self.pools.items()}
+
+
+class RefMemoryImage:
+    """A contiguous byte-addressable memory with access counters.
+
+    Reads and writes are counted both as discrete accesses and as touched
+    64-byte lines (the unit one PCIe DMA or one DRAM burst moves).  An
+    optional trace records ``(kind, addr, size)`` tuples for the timing
+    layer to replay.  :attr:`accesses`, which the per-op cost statistics
+    read before and after every operation, is a plain field kept next to
+    the counters, so reading it costs no call.
+    """
+
+    def __init__(self, size: int, name: str = "host") -> None:
+        if type(size) is not int or size <= 0:
+            raise ConfigurationError(f"{name}: size {size!r} not an int > 0")
+        self.size = size
+        self.name = name
+        self._data = anonymous_mapping(size, name)
+        self.counters = Counter()
+        #: Counted read + write accesses: ``counters["reads"] +
+        #: counters["writes"]``, zeroed with them by :meth:`reset_counters`.
+        self.accesses = 0
+        self._trace: Optional[List[Tuple[str, int, int]]] = None
+
+    def __getstate__(self) -> dict:  # for copy and pickle: not the mapping
+        return {**self.__dict__, "_data": self._data[:]}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._data = anonymous_mapping(self.size, self.name)
+        self._data[:] = state["_data"]
+
+    # -- tracing ------------------------------------------------------------
+
+    def start_trace(self) -> None:
+        """Begin recording accesses (clears any previous trace)."""
+        self._trace = []
+
+    def stop_trace(self) -> List[Tuple[str, int, int]]:
+        """Stop recording and return the trace."""
+        trace = self._trace or []
+        self._trace = None
+        return trace
+
+    @property
+    def tracing(self) -> bool:
+        return self._trace is not None
+
+    # -- access -------------------------------------------------------------
+
+    def _check(self, addr: int, size: int) -> None:
+        if addr < 0 or size < 0 or addr + size > self.size:
+            raise IndexError(
+                f"{self.name}: access [{addr}, {addr + size}) outside "
+                f"[0, {self.size})"
+            )
+
+    def read(self, addr: int, size: int) -> bytes:
+        """Read ``size`` bytes at ``addr``; counts one read access."""
+        end = addr + size
+        if addr < 0 or size < 0 or end > self.size:
+            self._check(addr, size)
+        counters = self.counters
+        counters["reads"] += 1
+        self.accesses += 1
+        counters["read_bytes"] += size
+        counters["read_lines"] += (  # touched_lines(addr, size), in place
+            (end - 1) // CACHE_LINE_SIZE - addr // CACHE_LINE_SIZE + 1
+            if size else 0
+        )
+        if self._trace is not None:
+            self._trace.append(("read", addr, size))
+        return self._data[addr:end]
+
+    def write(self, addr: int, data: bytes) -> None:
+        """Write ``data`` at ``addr``; counts one write access."""
+        size = len(data)
+        end = addr + size
+        if addr < 0 or end > self.size:
+            self._check(addr, size)
+        counters = self.counters
+        counters["writes"] += 1
+        self.accesses += 1
+        counters["write_bytes"] += size
+        counters["write_lines"] += (
+            (end - 1) // CACHE_LINE_SIZE - addr // CACHE_LINE_SIZE + 1
+            if size else 0
+        )
+        if self._trace is not None:
+            self._trace.append(("write", addr, size))
+        self._data[addr:end] = data
+
+    def peek(self, addr: int, size: int) -> bytes:
+        """Read without counting (debug / test introspection)."""
+        self._check(addr, size)
+        return self._data[addr : addr + size]
+
+    def poke(self, addr: int, data: bytes) -> None:
+        """Write without counting (initialization)."""
+        self._check(addr, len(data))
+        self._data[addr : addr + len(data)] = data
+
+    def fill(self, value: int = 0) -> None:
+        """Reset contents without counting (every page becomes resident)."""
+        for i in range(0, self.size, 1 << 20):
+            span = min(1 << 20, self.size - i)
+            self._data[i : i + span] = bytes([value]) * span
+
+    # -- accounting ---------------------------------------------------------
+
+    @property
+    def lines_touched(self) -> int:
+        """Total 64 B lines moved (the DMA-equivalent unit)."""
+        return self.counters["read_lines"] + self.counters["write_lines"]
+
+    def reset_counters(self) -> None:
+        self.counters.reset()
+        self.accesses = 0

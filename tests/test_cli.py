@@ -5,6 +5,9 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.core.hashtable import MAX_KV_SIZE
+from repro.core.operations import KVOperation
+from repro.workloads.trace import TraceWriter
 
 
 def run_cli(*argv):
@@ -202,6 +205,73 @@ class TestErrors:
             run_cli(*argv, "--kv-size", value)
         assert exited.value.code == 2
         assert "above the 8 B key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["510", "600"])
+    @pytest.mark.parametrize("argv", [
+        ("ycsb",),
+        ("record", "unused.kvdt"),
+        ("tune", "--utilization", "0.5"),
+        ("cluster",),
+        ("metrics",),
+    ])
+    def test_a_kv_size_must_fit_the_largest_slab(self, argv, value, capsys):
+        """Regression: ``ycsb --kv-size 510`` raised "record of 513 B
+        exceeds the 512 B slab" as a KeyTooLargeError traceback, and
+        ``record`` wrote a trace that ``replay`` then crashed on."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv, "--kv-size", value)
+        assert exited.value.code == 2
+        assert f"at most {MAX_KV_SIZE} B" in capsys.readouterr().err
+
+    def test_the_largest_slab_kv_runs(self):
+        code, output = run_cli(
+            "ycsb", "--kv-size", str(MAX_KV_SIZE), "--ops", "200",
+            "--corpus", "100", "--put-ratio", "1",
+        )
+        assert code == 0 and "Mops" in output
+
+    def test_a_traced_kv_no_slab_holds_is_one_line_and_exit_1(
+        self, tmp_path, capsys
+    ):
+        path = str(tmp_path / "big.kvdt")
+        with TraceWriter(path) as writer:
+            writer.append(KVOperation.put(b"k" * 8, b"v" * 100))
+            writer.append(KVOperation.put(b"j" * 8, b"v" * 600, seq=1))
+        assert run_cli("replay", path) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("repro replay: record of 611 B exceeds ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "x"])
+    @pytest.mark.parametrize("argv", [
+        ("ycsb",), ("trace",), ("timeline",), ("metrics",),
+        ("bench", "run"), ("profile",), ("cluster",),
+        ("record", "unused.kvdt"),
+    ])
+    def test_a_put_ratio_lies_in_0_to_1(self, argv, value, capsys):
+        """Regression: ``ycsb --put-ratio 1.5`` (or ``-0.1``, ``nan``)
+        raised "put ratio must be in [0, 1]" as a ValueError traceback."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv, "--put-ratio", value)
+        assert exited.value.code == 2
+        assert "put ratio in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_a_put_ratio_of_0_or_1_runs(self, value):
+        code, output = run_cli(
+            "ycsb", "--put-ratio", value, "--ops", "100", "--corpus", "50"
+        )
+        assert code == 0 and "Mops" in output
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("option", ["--nodes", "--slots"])
+    def test_a_cluster_has_nodes_and_slots(self, option, value, capsys):
+        """Regression: ``cluster --nodes 0`` built no cluster and died in
+        ``ClusterRouter.perform`` with an AttributeError on ``None``."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli("cluster", option, value)
+        assert exited.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
     def test_a_missing_trace_is_one_line_and_exit_1(self, tmp_path, capsys):
         path = str(tmp_path / "absent.kvdt")

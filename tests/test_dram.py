@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import store as store_module
+from repro.core.operations import KVOperation
+from repro.core.store import KVDirectStore
 from repro.dram import (
     DramCache,
     ECCLineLayout,
@@ -120,14 +123,27 @@ class TestMemoryImage:
         clone.write(100, b"xyz")
         assert mem.peek(100, 3) == b"abc" and clone.peek(100, 3) == b"xyz"
 
-    _SIZE = 300
-    _ADDR = st.integers(-8, _SIZE + 8)
+    #: Not a whole number of 512 B chunks, so the last one is partial.
+    _SIZE = 3000
+    _ADDR = st.one_of(
+        st.integers(-8, _SIZE + 8),
+        # Near a chunk boundary, and at the end of the image.
+        st.builds(lambda chunk, off: chunk * 512 + off,
+                  st.integers(0, _SIZE // 512 + 1), st.integers(-70, 70)),
+    )
+    _COPIERS = (
+        copy.copy, copy.deepcopy, lambda mem: pickle.loads(pickle.dumps(mem)),
+    )
     _OP = st.one_of(
         st.tuples(st.sampled_from(["read", "peek"]), _ADDR,
-                  st.integers(-2, 140)),
+                  st.one_of(st.integers(-2, 140), st.integers(0, 1100))),
         st.tuples(st.sampled_from(["write", "poke"]), _ADDR,
-                  st.binary(max_size=140)),
-        st.tuples(st.just("fill"), st.integers(0, 255), st.none()),
+                  st.one_of(st.binary(max_size=140),
+                            st.binary(min_size=400, max_size=1100))),
+        st.tuples(st.just("fill"), st.sampled_from([0, 0, 7, 255]),
+                  st.none()),
+        st.tuples(st.just("copy"), st.integers(0, len(_COPIERS) - 1),
+                  st.none()),
         st.tuples(st.sampled_from(["start", "stop", "reset"]), st.none(),
                   st.none()),
     )
@@ -137,7 +153,8 @@ class TestMemoryImage:
         """Every read, write, peek, poke and fill answers as a
         ``bytearray`` of the same size does - the same bytes as ``bytes``,
         the same out-of-range errors - and counts and traces as the model
-        says."""
+        says, within a chunk and across chunks, and after a copy, a
+        deepcopy or a pickle round trip has replaced the image."""
         size = self._SIZE
         mem = MemoryImage(size)
         model = bytearray(size)
@@ -161,6 +178,9 @@ class TestMemoryImage:
             if kind == "fill":
                 mem.fill(addr)
                 model[:] = bytes([addr]) * size
+                continue
+            if kind == "copy":
+                mem = self._COPIERS[addr](mem)
                 continue
             length = arg if kind in ("read", "peek") else len(arg)
             if addr < 0 or length < 0 or addr + length > size:
@@ -193,6 +213,106 @@ class TestMemoryImage:
         mem.read(0, 64)  # one line
         mem.read(32, 64)  # straddles two lines
         assert mem.counters["read_lines"] == 3
+
+    def test_zero_length_accesses_place_no_chunk(self):
+        """An empty write places no chunk, even inside one, and an empty
+        access at the very end reads past no table."""
+        for size in (1024, 1000):
+            mem = MemoryImage(size)
+            for addr in (0, 100, 512, size):
+                mem.write(addr, b"")
+                mem.poke(addr, b"")
+                assert mem.read(addr, 0) == mem.peek(addr, 0) == b""
+            assert mem._chunks == 0
+
+    def test_written_chunks_are_packed_in_first_write_order(self):
+        mem = MemoryImage(4096)
+        mem.write(3000, b"a")
+        mem.write(100, b"b" * 8)
+        mem.write(3001, b"c")
+        mem.poke(1000, b"d" * 30)  # crosses into chunk 2
+        assert list(mem._places) == [2, 3, 4, 0, 0, 1, 0, 0]
+        assert mem.peek(2999, 4) == b"\0ac\0"
+
+    def test_more_than_4_byte_places_cover_is_refused(self):
+        with pytest.raises(ConfigurationError, match=str((1 << 41) + 1)):
+            MemoryImage((1 << 41) + 1, name="huge")
+
+
+class _Recording:
+    """Mixin logging every byte string an image's counted reads return."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.answers = []
+
+    def read(self, addr, size):
+        got = super().read(addr, size)
+        self.answers.append(got)
+        return got
+
+
+class _RecordingImage(_Recording, MemoryImage):
+    pass
+
+
+class _RecordingRefImage(_Recording, ref_resident.RefMemoryImage):
+    pass
+
+
+class TestChunkedImageAgainstTheFlatOne:
+    """A store on the chunk-resident image makes the same accesses, reads
+    the same bytes and leaves the same image as on the flat one it
+    replaced (``RefMemoryImage``)."""
+
+    @staticmethod
+    def run_store(monkeypatch, image_cls, memory_size, ratio):
+        monkeypatch.setattr(store_module, "MemoryImage", image_cls)
+        store = KVDirectStore.create(
+            memory_size=memory_size, hash_index_ratio=ratio,
+            ordered_index=True,
+        )
+        memory = store.memory
+        memory.start_trace()
+        rng = random.Random(11)
+        keys = [i.to_bytes(8, "big") for i in range(0, 1200, 3)]
+        results = []
+        for seq in range(3000):
+            key = rng.choice(keys)
+            roll = rng.random()
+            if roll < 0.35:
+                op = KVOperation.put(key, bytes([seq % 251]) * 5, seq=seq)
+            elif roll < 0.6:
+                op = KVOperation.put(key, bytes([seq % 241]) * 246, seq=seq)
+            elif roll < 0.75:
+                op = KVOperation.delete(key, seq=seq)
+            elif roll < 0.95:
+                op = KVOperation.get(key, seq=seq)
+            else:
+                op = KVOperation.range(key, 6, seq=seq)
+            results.append(store.execute(op))
+        results.append(sorted(store.items()))
+        return (
+            results, memory.answers, memory.stop_trace(),
+            memory.counters.snapshot(), memory.peek(0, memory_size),
+        )
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.3])
+    def test_a_store_workload_is_byte_identical(self, monkeypatch, ratio):
+        """At ratio 0.5 the index ends on a chunk boundary and no access
+        crosses one; at 0.3 it ends 64-aligned only, so 256 B and 512 B
+        slabs straddle chunks and take the loop."""
+        size = 1 << 20
+        index_bytes = int(size * ratio) // 64 * 64
+        assert (index_bytes % 512 == 0) == (ratio == 0.5)
+        got = self.run_store(monkeypatch, _RecordingImage, size, ratio)
+        want = self.run_store(monkeypatch, _RecordingRefImage, size, ratio)
+        for part, mine, theirs in zip(
+            ("results", "answers", "trace", "counters", "image"), got, want
+        ):
+            assert mine == theirs, part
+        assert len(got[1]) > 6_000
+        assert sum(result.ok for result in got[0][:-1]) > 2000
 
 
 class TestTouchedLines:

@@ -2,7 +2,8 @@
 
 The host image, the NIC-DRAM cache tags and the slab free pool take no
 memory until an operation touches them, so building a store is cheap at
-any modelled size.  A latency sample takes 8 bytes, and a run that draws
+any modelled size.  The host image is resident by the 512 B chunk, not by
+the 4 KiB page, so scattered 64 B buckets do not each cost a page.  A latency sample takes 8 bytes, and a run that draws
 uniform keys never imports numpy.  Linux only: the footprint is ``VmRSS``
 from ``/proc/self/status``.  The import and sample checks run in a fresh
 interpreter, since this one has imported numpy through other tests and
@@ -134,3 +135,54 @@ def test_a_million_latency_samples_take_8_bytes_each():
     """)
     grown = float(out)
     assert grown < 12, f"+{grown:.1f} MiB for a million samples"
+
+
+#: ``vm_rss_kib()`` for a :func:`run_fresh` program, indented as its body is.
+VM_RSS_KIB = """
+        def vm_rss_kib():
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1])
+"""
+
+
+def test_scattered_buckets_cost_a_chunk_each_not_a_page():
+    """5,000 random 64 B buckets over the 8 MiB index half of a 16 MiB
+    image land on about 1,870 of its 2,048 pages (7.3 MiB), but on only
+    about 4,300 chunks of 512 B (2.1 MiB)."""
+    out = run_fresh(VM_RSS_KIB + """
+        import random
+        from repro.dram.host import MemoryImage
+
+        size = 16 << 20
+        mem = MemoryImage(size)
+        rng = random.Random(7)
+        addrs = [rng.randrange(size // 2 // 64) * 64 for _ in range(5000)]
+        line = b"b" * 64
+        before = vm_rss_kib()
+        for addr in addrs:
+            mem.write(addr, line)
+        print((vm_rss_kib() - before) / 1024)
+        assert all(mem.read(addr, 64) == line for addr in addrs)
+    """)
+    grown = float(out)
+    assert grown < 4, f"+{grown:.1f} MiB for 5,000 scattered buckets"
+
+
+def test_a_1_gib_store_holding_20_000_inline_keys_stays_small():
+    """Before the chunk table, the buckets these keys land in made 78 MiB
+    of the 512 MiB index resident."""
+    out = run_fresh(VM_RSS_KIB + """
+        from repro.core.store import KVDirectStore
+
+        keys = [i.to_bytes(8, "big") for i in range(20_000)]
+        before = vm_rss_kib()
+        store = KVDirectStore.create(memory_size=1 << 30)
+        for key in keys:
+            assert store.put(key, b"v" * 5)
+        print((vm_rss_kib() - before) / 1024)
+        assert store.get(keys[123]) == b"v" * 5 and len(store) == 20_000
+    """)
+    grown = float(out)
+    assert grown < 24, f"+{grown:.1f} MiB for 20,000 inline keys in 1 GiB"

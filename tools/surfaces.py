@@ -41,6 +41,8 @@ EXTRA = {
     # Slab records: a table filled through them, and through the pipeline.
     "tune": "tune --kv-size 30 --utilization 0.2",
     "ycsb-slab": "ycsb --ops 3000 --put-ratio 0.5 --kv-size 254",
+    # Every record one whole 512 B slab, the largest KV a slab stores.
+    "ycsb-slab-max": "ycsb --ops 2000 --put-ratio 0.5 --kv-size 509",
     # A 1 GiB store: the memory a run does not write is never touched.
     "ycsb-1gib": "ycsb --ops 2000 --corpus 2000 --memory-mib 1024",
     # A shuffled Zipf stream drawn through ZipfSampler.sample_many.
