@@ -116,17 +116,23 @@ def run_point(
         if state["settled"] == num_ops and not done.triggered:
             done.succeed()
 
-    def submitter():
-        for op in ops:
-            deadline = (
-                sim.now + deadline_budget_ns
-                if deadline_budget_ns is not None
-                else None
-            )
-            processor.submit(op, deadline_ns=deadline).add_callback(on_settle)
-            yield sim.timeout(gap_ns)
+    stream = iter(ops)
 
-    sim.process(submitter())
+    def submit_next(_kick) -> None:
+        # Open loop: each op goes out ``gap_ns`` after the one before,
+        # whether or not that one settled.
+        op = next(stream, None)
+        if op is None:
+            return
+        deadline = (
+            sim.now + deadline_budget_ns
+            if deadline_budget_ns is not None
+            else None
+        )
+        processor.submit(op, deadline_ns=deadline).add_callback(on_settle)
+        sim.call_after(gap_ns, submit_next)
+
+    sim.call_soon(submit_next)
     sim.run(done)
     elapsed = sim.now
     latencies = processor.latencies

@@ -1,7 +1,7 @@
 """Chaos soak: faults + overload bursts + differential checking, seeded.
 
 One soak run drives the full timed stack (decoder, admission, station,
-memory engine) with per-key driver processes whose arrival schedule
+memory engine) with per-key driver chains whose arrival schedule
 alternates calm phases with seeded **overload bursts** at 2-4x the probed
 capacity, while a :class:`~repro.faults.plan.FaultPlan` injects hardware
 misbehaviour underneath.  Throughout the run every response is checked
@@ -30,7 +30,8 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import scenario
 from repro.chaos.overload import probe_capacity
@@ -282,8 +283,9 @@ class _Soak:
         #: ``fault_digest_lines()`` and the observability attach points.
         self.topology = built.topology
         self.router: Optional[ClusterRouter] = None
-        #: Generator ``perform(op, deadline_ns)`` -> result: direct submit
-        #: to the owning shard, or the cluster router's retry loop.
+        #: ``perform(op, deadline_ns, then)`` -> ``then(result, error)``:
+        #: direct submit to the owning shard, or the cluster router's
+        #: retry loop.
         self.perform = self._submit_direct
         if self.cluster is not None:
             self.router = ClusterRouter(
@@ -385,40 +387,64 @@ class _Soak:
 
     # -- drivers -----------------------------------------------------------
 
-    def _submit_direct(self, op: KVOperation, deadline_ns: Optional[float]):
-        return (yield self.topology.submit(op, deadline_ns=deadline_ns))
+    def _submit_direct(
+        self, op: KVOperation, deadline_ns: Optional[float], then
+    ) -> None:
+        self.topology.submit(op, deadline_ns=deadline_ns).add_callback(
+            lambda event: then(event._value, event._exception)
+        )
 
-    def _driver(self, key_idx: int):
+    def _next_op(self, key_idx: int, ops: Iterator, _kick=None) -> None:
+        """One driver: each op arrives its gap after the previous one
+        settled; the last driver to run dry ends the run."""
+        item = next(ops, None)
+        if item is None:
+            self._drivers -= 1
+            if not self._drivers:
+                # The last driver's completion, then the every-driver-done
+                # entry the simulator stops at.
+                self.sim.call_soon(lambda _kick: self.sim.finish(self._done))
+            return
+        i, (op, gap) = item
+        self.sim.call_after(
+            gap, partial(self._submit, key_idx, ops, i, op)
+        )
+
+    def _submit(self, key_idx: int, ops: Iterator, i: int, op, _kick) -> None:
         cfg = self.cfg
-        for i, (op, gap) in enumerate(self.schedule[key_idx]):
-            yield self.sim.timeout(gap)
-            deadline = (
-                self.sim.now + cfg.deadline_budget_ns
-                if cfg.deadline_budget_ns is not None
-                else None
-            )
-            self.report.submitted += 1
-            outcome = "ok"
-            try:
-                result = yield from self.perform(op, deadline)
-            except ServerBusy:
-                self.report.shed += 1
-                outcome = "shed"
-                self._reconcile_failure(op)
-            except DeadlineExceeded as exc:
-                self.report.expired += 1
-                outcome = f"expired:{exc.stage}"
-                self._reconcile_failure(op)
-            except KVDirectError as exc:
-                self.report.failed += 1
-                outcome = f"failed:{type(exc).__name__}"
-                self._reconcile_failure(op)
-            else:
-                self.report.completed += 1
-                self._check_response(op, result)
-            self._hash.update(
-                f"out|{key_idx}|{i}|{op.seq}|{outcome}\n".encode()
-            )
+        deadline = (
+            self.sim.now + cfg.deadline_budget_ns
+            if cfg.deadline_budget_ns is not None
+            else None
+        )
+        self.report.submitted += 1
+        self.perform(op, deadline, partial(self._settled, key_idx, ops, i, op))
+
+    def _settled(
+        self, key_idx: int, ops: Iterator, i: int, op, result, error
+    ) -> None:
+        outcome = "ok"
+        if error is None:
+            self.report.completed += 1
+            self._check_response(op, result)
+        elif isinstance(error, ServerBusy):
+            self.report.shed += 1
+            outcome = "shed"
+            self._reconcile_failure(op)
+        elif isinstance(error, DeadlineExceeded):
+            self.report.expired += 1
+            outcome = f"expired:{error.stage}"
+            self._reconcile_failure(op)
+        elif isinstance(error, KVDirectError):
+            self.report.failed += 1
+            outcome = f"failed:{type(error).__name__}"
+            self._reconcile_failure(op)
+        else:
+            raise error
+        self._hash.update(
+            f"out|{key_idx}|{i}|{op.seq}|{outcome}\n".encode()
+        )
+        self._next_op(key_idx, ops)
 
     def _check_response(self, op: KVOperation, result) -> None:
         ok, value = self.model.apply(op)
@@ -459,17 +485,21 @@ class _Soak:
     # -- run ---------------------------------------------------------------
 
     def run(self) -> SoakReport:
-        procs = [
-            self.sim.process(self._driver(key_idx))
-            for key_idx in range(self.cfg.num_keys)
-        ]
-        done = self.sim.all_of(procs)
-        self.sim.run(done)
+        sim = self.sim
+        self._drivers = self.cfg.num_keys
+        self._done = sim.event()
+        for key_idx in range(self.cfg.num_keys):
+            sim.call_soon(partial(
+                self._next_op, key_idx, enumerate(self.schedule[key_idx])
+            ))
+        sim.run(self._done)
         report = self.report
         if self.cluster is not None:
             # Let replication channels drain and any in-flight failover
             # finish before the replicas are compared differentially.
-            self.sim.run(self.sim.process(self.cluster.quiesce()))
+            quiesced = sim.event()
+            self.cluster.quiesce(partial(sim.finish, quiesced))
+            sim.run(quiesced)
         report.elapsed_ns = self.sim.now
         report.final_state_matches = (
             self.topology.primary_state() == self.model.state

@@ -118,16 +118,23 @@ _positive_int = _number_in(0, float("inf"), "a positive integer", int)
 #: no more than the largest slab holds.
 _kv_size = _number_in(8, MAX_KV_SIZE + 1, "a KV size above the 8 B key and "
                       f"at most {MAX_KV_SIZE} B", int)
-#: The ``_plain`` options that are counts, sizes or shares.  No float lies
-#: strictly between 0 and the next one down, or 1 and the next one up, so
-#: the open interval between them is exactly [0, 1].
+
+
+def _unit_interval(what: str):
+    """argparse type of a float in [0, 1]: no float lies strictly between
+    0 and the next one down, or 1 and the next one up, so the open interval
+    between them is exactly [0, 1]."""
+    return _number_in(math.nextafter(0, -1), math.nextafter(1, 2), what)
+
+
+#: The ``_plain`` options that are counts, sizes or shares.
 _KINDS = {
     "kv_size": _kv_size,
-    "put_ratio": _number_in(math.nextafter(0, -1), math.nextafter(1, 2),
-                            "a put ratio in [0, 1]"),
+    "put_ratio": _unit_interval("a put ratio in [0, 1]"),
     **dict.fromkeys(
         ("ops", "corpus", "keys", "payload", "memory_mib", "concurrency",
-         "queue_depth", "ops_per_key", "batch_size", "nodes", "slots"),
+         "queue_depth", "ops_per_key", "batch_size", "nodes", "slots",
+         "scans", "max_count", "nics"),
         _positive_int,
     ),
 }
@@ -328,16 +335,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "N shards; deterministic JSON with a merged-results digest",
     )
     range_cmd.add_argument("--seed", type=int, default=0)
-    range_cmd.add_argument(
-        "--scans", type=int, default=64,
-        help="number of RANGE/SCAN operations (every 4th is a keys-only "
-             "SCAN)",
-    )
-    _plain(range_cmd, corpus=512, kv_size=13, memory_mib=8)
-    range_cmd.add_argument(
-        "--max-count", type=int, default=16,
-        help="scan lengths are uniform in [1, max-count]",
-    )
+    # --scans RANGE/SCANs, every 4th keys-only, of lengths uniform in
+    # [1, --max-count].
+    _plain(range_cmd, scans=64, corpus=512, kv_size=13, memory_mib=8,
+           max_count=16)
     range_cmd.add_argument(
         "--shards", type=int, default=1,
         help="replicate each scan to N shards and k-way merge the partial "
@@ -416,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _plain(soak, seed=0, keys=16, ops_per_key=40)
     soak.add_argument(
-        "--chaos", type=float, default=0.02,
+        "--chaos", type=_unit_interval("a fault intensity in [0, 1]"),
+        default=0.02,
         help="fault intensity for FaultPlan.chaos (0 disables faults)",
     )
     soak.add_argument(
@@ -493,13 +495,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="multi-NIC scaling, end-to-end: key-hash routed clients "
              "drive N full server stacks (section 1, Table 3)",
     )
-    multinic.add_argument("--nics", type=int, default=4,
-                          help="number of server stacks (NICs)")
-    multinic.add_argument("--ops", type=int, default=4000,
-                          help="total GET operations across all NICs")
-    multinic.add_argument("--corpus", type=int, default=512,
-                          help="distinct keys preloaded before the run")
-    _plain(multinic, batch_size=16, seed=0)
+    # --nics server stacks, --ops GETs across them all, over --corpus
+    # distinct keys preloaded before the run.
+    _plain(multinic, nics=4, ops=4000, corpus=512, batch_size=16, seed=0)
     multinic.add_argument(
         "--direct", action="store_true",
         help="direct-submit closed loop (no client/wire layer): reports "

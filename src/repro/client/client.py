@@ -27,7 +27,7 @@ clients cannot amplify the very overload being shed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.client.robust import BackoffPolicy, CircuitBreaker, RetryBudget
 from repro.core.operations import KVOperation, KVResult
@@ -43,7 +43,7 @@ from repro.errors import (
 from repro.network.batching import decode_batch, encode_batch
 from repro.network.rdma import packet_wire_bytes
 from repro.obs.registry import MetricsRegistry
-from repro.sim.engine import Event, Process, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Histogram, mops
 
 
@@ -185,16 +185,19 @@ class KVClient:
         self.sim.run(done)
         return self.collect_stats(len(ops), self.sim.now)
 
-    def start(self, ops: List[KVOperation]) -> Process:
-        """Launch the run as a simulated process without blocking.
+    def start(self, ops: List[KVOperation]) -> Event:
+        """Launch the run without blocking; returns its settle event.
 
         Lets several clients (e.g. one per shard, see
         :class:`~repro.client.router.ShardRouter`) be driven concurrently
-        under one ``sim.run``; the returned process settles when every
-        batch has, and fails if a batch exhausts its retries."""
+        under one ``sim.run``; the event succeeds when every batch has
+        finished, and fails if a batch exhausts its retries.  The run
+        kick-starts on the next entry at the current instant."""
         if not ops:
             raise ConfigurationError("no operations to run")
-        return self.sim.process(self._run(ops))
+        run = _Run(self, ops)
+        self.sim.call_soon(run.launch)
+        return run.settle
 
     def collect_stats(self, operations: int, elapsed_ns: float) -> ClientStats:
         """Snapshot this client's counters into a :class:`ClientStats`.
@@ -271,121 +274,6 @@ class KVClient:
         if tracer is not None:
             tracer.emit(-1, stage, detail)
 
-    def _run(self, ops: List[KVOperation]) -> Generator:
-        batches = [
-            ops[i : i + self.batch_size]
-            for i in range(0, len(ops), self.batch_size)
-        ]
-        if not batches:
-            return
-        state = {"outstanding": 0, "next": 0, "done": 0, "total": len(batches)}
-        all_done = self.sim.event()
-
-        def watch(proc: Process) -> None:
-            # A batch that exhausts its retries fails its process; surface
-            # that instead of deadlocking the run.
-            def on_settle(event: Event) -> None:
-                if event.exception is not None and not all_done.triggered:
-                    all_done.fail(event.exception)
-
-            proc.add_callback(on_settle)
-
-        def launch() -> None:
-            while (
-                state["next"] < state["total"]
-                and state["outstanding"] < self.max_outstanding
-            ):
-                batch = batches[state["next"]]
-                state["next"] += 1
-                state["outstanding"] += 1
-                watch(self.sim.process(self._send_batch(batch, on_batch_done)))
-
-        def on_batch_done() -> None:
-            state["outstanding"] -= 1
-            state["done"] += 1
-            if state["done"] == state["total"]:
-                if not all_done.triggered:
-                    all_done.succeed()
-            else:
-                launch()
-
-        launch()
-        yield all_done
-
-    def _send_batch(self, batch: List[KVOperation], callback) -> Generator:
-        start = self.sim.now
-        network = self.processor.network
-        deadline = (
-            self.sim.now + self.deadline_budget_ns
-            if self.deadline_budget_ns is not None
-            else None
-        )
-        pending = batch
-        busy_attempt = 0
-        completed = 0
-        while True:
-            yield from self._breaker_gate()
-            payload = encode_batch(
-                pending, checksum=self.checksum, deadline_ns=deadline
-            )
-            wire = packet_wire_bytes(len(payload))
-            self._trace(
-                "client.batch.send", f"ops={len(pending)} wire={wire}B"
-            )
-            # Request flight: serialization on the port plus propagation.  A
-            # lost request never reached the server; resend the whole batch.
-            yield from self._flight_with_retries(
-                lambda w=wire: network.receive(w), wire, "request"
-            )
-            # Server side: verify + unpack as the NIC batch decoder would,
-            # then process every op.  (The submitted ops keep their seq
-            # numbers; the decode is the integrity check.)
-            if self.checksum:
-                decode_batch(payload, checksum=True)
-            events = [
-                self.processor.submit(op, deadline_ns=deadline)
-                for op in pending
-            ]
-            yield self._settled(events)
-            busy_ops, succeeded = self._collect(pending, events)
-            completed += succeeded
-            # Response flight back to the client.  These ops already
-            # executed (or were NACKed), so only the send retries (server
-            # retransmit buffer).
-            response_payload = sum(_response_size(event) for event in events)
-            response_wire = packet_wire_bytes(response_payload)
-            yield from self._flight_with_retries(
-                lambda w=response_wire: network.send(w, nacks=len(busy_ops)),
-                response_wire,
-                "response",
-            )
-            if not busy_ops:
-                break
-            busy_attempt += 1
-            if busy_attempt > self.busy_retry_limit:
-                self._give_up(busy_ops, "busy retry limit")
-                break
-            if self.retry_budget is not None and not (
-                self.retry_budget.try_spend()
-            ):
-                self._give_up(busy_ops, "retry budget exhausted")
-                break
-            self.busy_retries += 1
-            delay = self._busy_backoff.delay(busy_attempt)
-            self._trace(
-                "client.busy_retry",
-                f"ops={len(busy_ops)} attempt={busy_attempt} "
-                f"backoff={delay:.0f}ns",
-            )
-            yield self.sim.timeout(delay)
-            pending = busy_ops
-        latency = self.sim.now - start
-        self._trace("client.batch.done", f"ops={len(batch)}")
-        # One sample per op that succeeded: like the processor's, the
-        # client's latencies time completed ops only.
-        self.latencies.extend([latency] * completed)
-        callback()
-
     def _collect(
         self, pending: List[KVOperation], events: List[Event]
     ) -> Tuple[List[KVOperation], int]:
@@ -426,77 +314,205 @@ class KVClient:
         self.failed_ops += len(busy_ops)
         self._trace("client.busy_give_up", f"ops={len(busy_ops)} ({why})")
 
-    def _breaker_gate(self) -> Generator:
-        """Hold the batch while the circuit breaker is open."""
-        if self.breaker is None:
-            return
-        while not self.breaker.allow():
-            wait = max(self.breaker.wait_ns(), 1.0)
-            self._trace("client.breaker.wait", f"{wait:.0f}ns")
-            yield self.sim.timeout(wait)
 
-    def _flight_with_retries(
-        self, flight: Callable[[], Event], wire: int, direction: str
-    ) -> Generator:
-        """Run one network flight, retrying injected losses with capped
-        exponential backoff; raises
-        :class:`~repro.errors.RetryExhausted` past the retry limit."""
-        attempt = 0
-        waited = 0.0
-        while True:
-            if direction == "request":
-                self._request_bytes += wire
+class _Run:
+    """One :meth:`KVClient.start`: up to ``max_outstanding`` batches in
+    flight, the next launched as one finishes.  ``settle`` completes where
+    the run process's completion was queued: one entry after the last
+    batch's, or two after the first failed batch's."""
+
+    __slots__ = ("client", "batches", "next", "running", "failed", "settle")
+
+    def __init__(self, client: KVClient, ops: List[KVOperation]) -> None:
+        size = client.batch_size
+        self.client = client
+        self.batches = [ops[i : i + size] for i in range(0, len(ops), size)]
+        self.next = self.running = 0
+        self.failed = False
+        self.settle = client.sim.event()
+
+    def launch(self, _kick=None) -> None:
+        client = self.client
+        while (
+            self.next < len(self.batches)
+            and self.running < client.max_outstanding
+        ):
+            batch = _Batch(client, self, self.batches[self.next])
+            self.next += 1
+            self.running += 1
+            client.sim.call_soon(batch.send)
+
+    def batch_done(self) -> None:
+        self.running -= 1
+        if self.running or self.next < len(self.batches):
+            self.launch()
+        else:
+            self.client.sim.call_soon(self.finish)
+
+    def finish(self, _kick) -> None:
+        self.client.sim.finish(self.settle)
+
+    def batch_failed(self, failed: Event) -> None:
+        if not self.failed:
+            self.failed = True
+            self.client.sim.fail(self.fail, failed.exception)
+
+    def fail(self, failed: Event) -> None:
+        self.settle.fail(failed.exception)
+
+
+class _Batch:
+    """One batch as a chain: the request flight, every op submitted and
+    settled, the response flight, then busy-retry rounds for the NACKed
+    ops.  A lost request never reached the server, so the whole batch is
+    resent; a lost response carries results of ops that already executed,
+    so only it is resent (the server's retransmit buffer) - each after a
+    loss backoff, and a batch out of retries fails its run."""
+
+    __slots__ = ("client", "run", "ops", "pending", "start", "deadline",
+                 "busy_attempt", "completed", "payload", "wire", "response",
+                 "attempt", "waited", "events", "remaining", "busy_ops")
+
+    def __init__(self, client: KVClient, run: _Run, ops) -> None:
+        self.client, self.run = client, run
+        self.ops = self.pending = ops
+        self.busy_attempt = self.completed = 0
+        # The batch kick-starts at this instant.
+        self.start = client.sim.now
+        budget = client.deadline_budget_ns
+        self.deadline = None if budget is None else self.start + budget
+
+    def send(self, _kick) -> None:
+        """One round: wait out an open breaker, then the request flight."""
+        client = self.client
+        breaker = client.breaker
+        if breaker is not None and not breaker.allow():
+            wait = max(breaker.wait_ns(), 1.0)
+            client._trace("client.breaker.wait", f"{wait:.0f}ns")
+            client.sim.call_after(wait, self.send)
+            return
+        self.payload = encode_batch(
+            self.pending, checksum=client.checksum, deadline_ns=self.deadline
+        )
+        self.wire = packet_wire_bytes(len(self.payload))
+        client._trace(
+            "client.batch.send", f"ops={len(self.pending)} wire={self.wire}B"
+        )
+        self.fly(False)
+
+    def fly(self, response: bool) -> None:
+        self.response = response
+        self.attempt = 0
+        self.waited = 0.0
+        self.retry(None)
+
+    def retry(self, _kick) -> None:
+        client = self.client
+        network = client.processor.network
+        if self.response:
+            client._response_bytes += self.wire
+            transfer = network.send(self.wire, nacks=len(self.busy_ops))
+        else:
+            client._request_bytes += self.wire
+            transfer = network.receive(self.wire)
+        transfer.callbacks.append(self.landed)
+
+    def landed(self, transfer: Event) -> None:
+        client = self.client
+        error = transfer._exception
+        if error is None:
+            if client.retry_budget is not None:
+                client.retry_budget.on_success()
+            if self.response:
+                self.answered()
             else:
-                self._response_bytes += wire
-            try:
-                yield flight()
-            except FaultInjected as exc:
-                attempt += 1
-                if attempt > self.retry_limit:
-                    raise RetryExhausted(
-                        f"{direction} flight lost {attempt} times "
-                        f"(retry limit {self.retry_limit}, waited "
-                        f"{waited:.0f} ns in backoff)"
-                    ) from exc
-                if self.retry_budget is not None and not (
-                    self.retry_budget.try_spend()
-                ):
-                    raise RetryExhausted(
-                        f"{direction} flight lost {attempt} times and the "
-                        f"shared retry budget is exhausted (waited "
-                        f"{waited:.0f} ns in backoff)"
-                    ) from exc
-                self.retries += 1
-                delay = self._loss_backoff.delay(attempt)
-                waited += delay
-                self._trace(
-                    "client.retry",
-                    f"{direction} attempt={attempt} backoff={delay:.0f}ns",
-                )
-                yield self.sim.timeout(delay)
-                continue
-            if self.retry_budget is not None:
-                self.retry_budget.on_success()
+                self.submit()
             return
+        if isinstance(error, FaultInjected):
+            self.attempt += 1
+            direction = "response" if self.response else "request"
+            lost = f"{direction} flight lost {self.attempt} times"
+            waited = f"waited {self.waited:.0f} ns in backoff"
+            budget = client.retry_budget
+            if self.attempt > client.retry_limit:
+                error = RetryExhausted(
+                    f"{lost} (retry limit {client.retry_limit}, {waited})"
+                )
+            elif budget is not None and not budget.try_spend():
+                error = RetryExhausted(
+                    f"{lost} and the shared retry budget is exhausted "
+                    f"({waited})"
+                )
+            else:
+                client.retries += 1
+                delay = client._loss_backoff.delay(self.attempt)
+                self.waited += delay
+                client._trace(
+                    "client.retry",
+                    f"{direction} attempt={self.attempt} "
+                    f"backoff={delay:.0f}ns",
+                )
+                client.sim.call_after(delay, self.retry)
+                return
+            error.__cause__ = transfer._exception
+        client.sim.fail(self.run.batch_failed, error)
 
-    def _settled(self, events: List[Event]) -> Event:
-        """An event firing once every op event settled - succeeded *or*
-        failed.  (``sim.all_of`` fails fast, which would abandon the rest
-        of the batch mid-flight.)"""
-        gate = self.sim.event()
-        state = {"remaining": len(events)}
+    def submit(self) -> None:
+        """Server side: verify and unpack as the NIC batch decoder would,
+        then process every op.  (The submitted ops keep their seq numbers;
+        the decode is the integrity check.)  The round resumes once every
+        op has settled - succeeded *or* failed."""
+        client = self.client
+        if client.checksum:
+            decode_batch(self.payload, checksum=True)
+        submit, deadline = client.processor.submit, self.deadline
+        self.events = [submit(op, deadline_ns=deadline) for op in self.pending]
+        self.remaining = len(self.events)
+        for event in self.events:
+            event.callbacks.append(self.settled)
 
-        def on_settle(event: Event) -> None:
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                gate.succeed()
+    def settled(self, _event: Event) -> None:
+        self.remaining -= 1
+        if not self.remaining:
+            self.client.sim.call_soon(self.harvest)
 
-        if not events:
-            gate.succeed()
-            return gate
-        for event in events:
-            event.add_callback(on_settle)
-        return gate
+    def harvest(self, _kick) -> None:
+        """Collect the round's responses and send them back."""
+        client = self.client
+        self.busy_ops, succeeded = client._collect(self.pending, self.events)
+        self.completed += succeeded
+        payload = sum(_response_size(event) for event in self.events)
+        self.wire = packet_wire_bytes(payload)
+        self.fly(True)
+
+    def answered(self) -> None:
+        """Retry the NACKed ops on the busy backoff stream, or finish."""
+        client = self.client
+        busy_ops = self.busy_ops
+        if busy_ops:
+            self.busy_attempt += 1
+            budget = client.retry_budget
+            if self.busy_attempt > client.busy_retry_limit:
+                client._give_up(busy_ops, "busy retry limit")
+            elif budget is not None and not budget.try_spend():
+                client._give_up(busy_ops, "retry budget exhausted")
+            else:
+                client.busy_retries += 1
+                delay = client._busy_backoff.delay(self.busy_attempt)
+                client._trace(
+                    "client.busy_retry",
+                    f"ops={len(busy_ops)} attempt={self.busy_attempt} "
+                    f"backoff={delay:.0f}ns",
+                )
+                self.pending = busy_ops
+                client.sim.call_after(delay, self.send)
+                return
+        latency = client.sim.now - self.start
+        client._trace("client.batch.done", f"ops={len(self.ops)}")
+        # One sample per op that succeeded: like the processor's, the
+        # client's latencies time completed ops only.
+        client.latencies.extend([latency] * self.completed)
+        self.run.batch_done()
 
 
 def _response_size(event: Event) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.client.client import ClientStats, KVClient
@@ -129,14 +130,28 @@ class ShardRouter:
         # Mirrors the server's shard function; scans go to every shard
         # and are merged afterwards by :meth:`scan_results`.
         parts = fan_out(ops, self.shards)
-        start = self.sim.now
-        procs = []
-        ran: List[int] = []
-        for index, (client, part) in enumerate(zip(self.clients, parts)):
-            if part:
-                procs.append(client.start(part))
-                ran.append(index)
-        self.sim.run(self.sim.all_of(procs))
+        sim = self.sim
+        start = sim.now
+        ran = [index for index, part in enumerate(parts) if part]
+        done = sim.event()
+        running = len(ran)
+
+        def settled(event) -> None:
+            # Fail on the first client that fails; else the entry after
+            # the last client's settle is the every-shard-done one.
+            nonlocal running
+            if done.triggered:
+                return
+            if event._exception is not None:
+                done.fail(event._exception)
+                return
+            running -= 1
+            if not running:
+                sim.finish(done)
+
+        for index in ran:
+            self.clients[index].start(parts[index]).callbacks.append(settled)
+        sim.run(done)
         elapsed = self.sim.now - start
         per_shard = [
             self.clients[index].collect_stats(len(parts[index]), elapsed)
@@ -160,19 +175,19 @@ class ShardRouter:
 class ClusterRouter:
     """Epoch-aware, failover-tolerant routing over a replicated cluster.
 
-    :meth:`perform` is a generator meant to run inside a simulation
-    process (``result = yield from router.perform(op)``): each attempt
-    re-reads the :class:`~repro.multi.cluster.ClusterMap` and its epoch,
-    pays ``route_delay_ns`` of wire time (during which the epoch may move
-    - that is how :class:`~repro.errors.WrongEpoch` fires) and submits the
+    :meth:`perform` is a chain that hands its outcome to a continuation
+    (``router.perform(op, deadline_ns, then)``): each attempt re-reads
+    the :class:`~repro.multi.cluster.ClusterMap` and its epoch, pays
+    ``route_delay_ns`` of wire time (during which the epoch may move -
+    that is how :class:`~repro.errors.WrongEpoch` fires) and submits the
     operation with that epoch to the slot's primary (a RANGE/SCAN: to
     every primary, merging the partial results).  Retryable NACKs back
     off through a dedicated :class:`~repro.client.robust.BackoffPolicy`
     stream, bounded by ``retry_limit`` and the optional
     :class:`~repro.client.robust.RetryBudget`; the optional
     :class:`~repro.client.robust.CircuitBreaker` fails fast while open.
-    Non-retryable failures (shed, deadline, injected faults) propagate to
-    the caller unchanged.
+    Non-retryable failures (shed, deadline, injected faults) reach the
+    continuation unchanged.
     """
 
     def __init__(
@@ -208,8 +223,10 @@ class ClusterRouter:
         self.counters = Counter()
         self.latency_ns = Histogram()
 
-    def perform(self, op: KVOperation, deadline_ns: Optional[float] = None):
-        """Generator: route one operation to ack or a terminal failure.
+    def perform(self, op: KVOperation, deadline_ns, then) -> None:
+        """Route one operation to ack or a terminal failure, then call
+        ``then(result, None)`` or ``then(None, error)`` in the step that
+        sees the outcome.
 
         A point operation goes to its slot's primary.  Slot placement
         scatters adjacent keys across the cluster, so a RANGE/SCAN has no
@@ -220,72 +237,7 @@ class ClusterRouter:
         map - partials from a failed attempt are discarded, so a merged
         result always reflects one epoch.
         """
-        sim = self.sim
-        cluster = self.cluster
-        cmap = cluster.map
-        scan = op.carries_count
-        attempt = 0
-        while True:
-            if self.breaker is not None and not self.breaker.allow():
-                self.counters["breaker_fast_fails"] += 1
-                yield sim.timeout(max(self.breaker.wait_ns(), 1.0))
-                continue
-            if scan:
-                targets = sorted(
-                    {cmap.primary(slot) for slot in range(cmap.num_slots)}
-                )
-                # Partials of a NACKed attempt may still be in flight at
-                # the other primaries, and a processor tracks an in-flight
-                # op by identity: each fan-out attempt sends its own copy.
-                sent = copy(op)
-            else:
-                targets = (cmap.primary(cmap.slot_of(op.key, op.key_hash)),)
-                sent = op
-            epoch = cmap.epoch
-            # Wire time between routing and arrival: an epoch bump can
-            # land in this window, which is exactly the stale-routing race
-            # the WrongEpoch NACK exists for.
-            yield sim.timeout(self.route_delay_ns)
-            events = [
-                cluster.nodes[node].submit(sent, deadline_ns, epoch)
-                for node in targets
-            ]
-            try:
-                results = []
-                for event in events:
-                    results.append((yield event))
-            except NodeDown as exc:
-                if exc.reason == "killed":
-                    cluster.notice_node_down(exc.node)
-                self.counters["node_down_retries"] += 1
-            except WrongEpoch:
-                self.counters["wrong_epoch_retries"] += 1
-            else:
-                if self.breaker is not None:
-                    self.breaker.record(True)
-                if self.budget is not None:
-                    self.budget.on_success()
-                if not scan:
-                    return results[0]
-                self.counters["scan_fanouts"] += 1
-                merged = merge_scan(op, results)
-                return KVResult(
-                    op.op, ok=merged is not None, value=merged, seq=op.seq
-                )
-            if self.breaker is not None:
-                self.breaker.record(False)
-            attempt += 1
-            if attempt > self.retry_limit:
-                self.counters["give_ups"] += 1
-                raise RetryExhausted(
-                    f"{op.op.name} on {op.key!r} NACKed {attempt} times"
-                )
-            if self.budget is not None and not self.budget.try_spend():
-                self.counters["give_ups"] += 1
-                raise RetryExhausted(
-                    f"{op.op.name} on {op.key!r}: retry budget exhausted"
-                )
-            yield sim.timeout(self.backoff.delay(attempt))
+        _Routed(self, op, deadline_ns, then).route()
 
     def run(self, ops: Sequence[KVOperation], concurrency: int = 64) -> dict:
         """Closed-loop run: ``concurrency`` workers drain the op stream
@@ -298,25 +250,38 @@ class ClusterRouter:
         sim = self.sim
         start = sim.now
         stream = iter(ops)
+        workers = running = min(concurrency, len(ops))
         outcomes = {"completed": 0, "failed": 0}
+        drained = sim.event()
 
-        def worker():
-            for op in stream:
-                issued = sim.now
-                try:
-                    yield from self.perform(op)
-                except KVDirectError:
-                    outcomes["failed"] += 1
-                else:
-                    outcomes["completed"] += 1
-                    self.latency_ns.record(sim.now - issued)
+        def work(_kick=None) -> None:
+            nonlocal running
+            op = next(stream, None)
+            if op is not None:
+                self.perform(op, None, partial(performed, sim.now))
+                return
+            running -= 1
+            if not running:
+                # The last worker's completion, then the every-worker-done
+                # entry the simulator stops at.
+                sim.call_soon(lambda _kick: sim.finish(drained))
 
-        workers = [
-            sim.process(worker())
-            for __ in range(min(concurrency, len(ops)))
-        ]
-        sim.run(sim.all_of(workers))
-        sim.run(sim.process(self.cluster.quiesce()))
+        def performed(issued, result, error) -> None:
+            if error is None:
+                outcomes["completed"] += 1
+                self.latency_ns.record(sim.now - issued)
+            elif isinstance(error, KVDirectError):
+                outcomes["failed"] += 1
+            else:
+                raise error
+            work()
+
+        for __ in range(workers):
+            sim.call_soon(work)
+        sim.run(drained)
+        quiesced = sim.event()
+        self.cluster.quiesce(partial(sim.finish, quiesced))
+        sim.run(quiesced)
         elapsed = sim.now - start
         stats = {
             "nodes": float(len(self.cluster.nodes)),
@@ -354,3 +319,123 @@ class ClusterRouter:
         """Register the router's counters under ``cluster.router``."""
         registry.register("cluster.router", self.counters)
         registry.register("cluster.router_latency_ns", self.latency_ns)
+
+
+class _Routed:
+    """One :meth:`ClusterRouter.perform` as a chain: each attempt waits out
+    an open breaker, routes under the map it re-reads, pays the wire time,
+    then resumes over its nodes' responses in node order; a retryable NACK
+    backs off and re-routes."""
+
+    __slots__ = ("router", "op", "deadline_ns", "then", "scan", "attempt",
+                 "sent", "epoch", "targets", "pending", "results")
+
+    def __init__(self, router: ClusterRouter, op, deadline_ns, then) -> None:
+        self.router, self.op, self.deadline_ns, self.then = (
+            router, op, deadline_ns, then
+        )
+        self.scan = op.carries_count
+        self.attempt = 0
+
+    def route(self, _kick=None) -> None:
+        router = self.router
+        breaker = router.breaker
+        if breaker is not None and not breaker.allow():
+            router.counters["breaker_fast_fails"] += 1
+            router.sim.call_after(max(breaker.wait_ns(), 1.0), self.route)
+            return
+        cmap = router.cluster.map
+        op = self.op
+        if self.scan:
+            self.targets = sorted(
+                {cmap.primary(slot) for slot in range(cmap.num_slots)}
+            )
+            # Partials of a NACKed attempt may still be in flight at the
+            # other primaries, and a processor tracks an in-flight op by
+            # identity: each fan-out attempt sends its own copy.
+            self.sent = copy(op)
+        else:
+            self.targets = (cmap.primary(cmap.slot_of(op.key, op.key_hash)),)
+            self.sent = op
+        self.epoch = cmap.epoch
+        # Wire time between routing and arrival: an epoch bump can land in
+        # this window, which is exactly the stale-routing race the
+        # WrongEpoch NACK exists for.
+        router.sim.call_after(router.route_delay_ns, self.arrive)
+
+    def arrive(self, _kick) -> None:
+        nodes = self.router.cluster.nodes
+        sent, deadline_ns, epoch = self.sent, self.deadline_ns, self.epoch
+        try:
+            self.pending = iter([
+                nodes[node].submit(sent, deadline_ns, epoch)
+                for node in self.targets
+            ])
+        except KVDirectError as error:  # e.g. the op is already in flight
+            self.then(None, error)
+            return
+        self.results = []
+        self.wait_next()
+
+    def wait_next(self) -> None:
+        """Resume on the next response in node order: at its entry, or at
+        once if it already settled."""
+        event = next(self.pending, None)
+        if event is None:
+            self.answered()
+        elif event.callbacks is None:
+            self.landed(event)
+        else:
+            event.callbacks.append(self.landed)
+
+    def landed(self, event) -> None:
+        error = event._exception
+        if error is None:
+            self.results.append(event._value)
+            self.wait_next()
+            return
+        router = self.router
+        if isinstance(error, NodeDown):
+            if error.reason == "killed":
+                router.cluster.notice_node_down(error.node)
+            router.counters["node_down_retries"] += 1
+        elif isinstance(error, WrongEpoch):
+            router.counters["wrong_epoch_retries"] += 1
+        else:
+            self.then(None, error)
+            return
+        if router.breaker is not None:
+            router.breaker.record(False)
+        self.attempt += 1
+        op = self.op
+        if self.attempt > router.retry_limit:
+            router.counters["give_ups"] += 1
+            self.then(None, RetryExhausted(
+                f"{op.op.name} on {op.key!r} NACKed {self.attempt} times"
+            ))
+        elif router.budget is not None and not router.budget.try_spend():
+            router.counters["give_ups"] += 1
+            self.then(None, RetryExhausted(
+                f"{op.op.name} on {op.key!r}: retry budget exhausted"
+            ))
+        else:
+            router.sim.call_after(
+                router.backoff.delay(self.attempt), self.route
+            )
+
+    def answered(self) -> None:
+        router = self.router
+        if router.breaker is not None:
+            router.breaker.record(True)
+        if router.budget is not None:
+            router.budget.on_success()
+        op = self.op
+        if not self.scan:
+            self.then(self.results[0], None)
+            return
+        router.counters["scan_fanouts"] += 1
+        merged = merge_scan(op, self.results)
+        self.then(
+            KVResult(op.op, ok=merged is not None, value=merged, seq=op.seq),
+            None,
+        )

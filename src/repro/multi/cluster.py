@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import KVDirectConfig
 from repro.core.hashing import fnv1a64, shard_of_hash
@@ -499,7 +499,7 @@ class Cluster:
             return
         self._failed_over.add(node_id)
         self._failovers_active += 1
-        self.sim.process(self._fail_over(node_id))
+        self.sim.call_soon(_Failover(self, node_id).start)
 
     def _pick_backup(self, exclude: int) -> Optional[int]:
         """Round-robin choice of an alive backup node != ``exclude``."""
@@ -510,96 +510,34 @@ class Cluster:
                 return candidate
         return None
 
-    def _quiesce_slot(self, slot: int):
-        """Wait until a write-blocked slot has no in-flight ops and an
-        empty replication channel (its state is fully settled)."""
-        while self.slot_outstanding[slot] > 0:
-            yield self.sim.timeout(POLL_NS)
-        while self.channels[slot].pending:
-            yield self.sim.timeout(POLL_NS)
+    def _poll(
+        self, busy: Callable[[], bool], then: Callable[[], None], _kick=None
+    ) -> None:
+        """Call ``then()`` once ``busy()`` is false, re-checking every
+        :data:`POLL_NS`: at once if it already is."""
+        if busy():
+            self.sim.call_after(POLL_NS, partial(self._poll, busy, then))
+        else:
+            then()
+
+    def _slot_settled(self, slot: int, then: Callable[[], None]) -> bool:
+        """Whether a write-blocked slot has settled: no in-flight ops, and
+        then an empty replication channel.  If it has not, ``then()`` runs
+        in the poll step that sees it settle."""
+        channel = self.channels[slot]
+        drained = partial(self._poll, lambda: channel.pending, then)
+        if self.slot_outstanding[slot] > 0:
+            self._poll(lambda: self.slot_outstanding[slot] > 0, drained)
+            return False
+        if channel.pending:
+            drained()
+            return False
+        return True
 
     def annotate(self, name: str, detail: str = "") -> None:
         """Forward an instant-event marker to the tracer, if any."""
         if self.tracer is not None:
             self.tracer.annotate(name, detail)
-
-    def _fail_over(self, node_id: int):
-        """The failover process: drain, promote, bump, re-replicate."""
-        started = self.sim.now
-        node = self.nodes[node_id]
-        self.annotate("cluster.failover_start", f"node{node_id}")
-        # In-flight ops at the dead node settle normally (their acks
-        # were or will be delivered), and each settled write enqueues its
-        # replication record - wait for all of them before draining.
-        while node.outstanding > 0:
-            yield self.sim.timeout(POLL_NS)
-        primary_slots = self.map.slots_owned(node_id)
-        backup_slots = self.map.slots_backed(node_id)
-        for slot in primary_slots:
-            # Write-block, then drain: every acknowledged write's record
-            # reaches the backup before it becomes the primary.
-            self.migrating_slots.add(slot)
-            yield from self._quiesce_slot(slot)
-            new_primary = self.map.backup(slot)
-            if new_primary is None or not self.nodes[new_primary].alive:
-                self.counters["slots_lost"] += 1
-                self.migrating_slots.discard(slot)
-                continue
-            self.map.placements[slot] = Placement(
-                primary=new_primary, backup=None
-            )
-            self.counters["promotions"] += 1
-        self.map.bump()
-        self.counters["epoch_bumps"] += 1
-        self.annotate("cluster.epoch_bump", f"epoch={self.map.epoch}")
-        # Re-establish the replication factor for every slot the dead
-        # node touched; each slot stays write-blocked during its copy so
-        # the snapshot cannot race concurrent writes.
-        for slot in primary_slots + backup_slots:
-            placement = self.map.placements[slot]
-            owner = placement.primary
-            if owner == node_id or not self.nodes[owner].alive:
-                self.migrating_slots.discard(slot)
-                continue
-            self.migrating_slots.add(slot)
-            yield from self._quiesce_slot(slot)
-            new_backup = self._pick_backup(exclude=owner)
-            if new_backup is None:
-                self.counters["unreplicated_slots"] += 1
-                self.map.placements[slot] = Placement(
-                    primary=owner, backup=None
-                )
-                self.migrating_slots.discard(slot)
-                continue
-            target = self.nodes[new_backup]
-            # Clear any stale copy of this slot before the fresh snapshot
-            # (a delete at the primary must not resurrect at the backup).
-            # Both lists are sorted: migration order, and so every
-            # timestamp, must not depend on set iteration order.
-            for key in sorted(self.directory[new_backup][slot]):
-                self.apply_state(target, slot, key, None)
-            snapshot = sorted(
-                self._slot_items(self.nodes[owner], slot).items()
-            )
-            for key, value in snapshot:
-                yield self.sim.timeout(MIGRATION_DELAY_PER_KEY_NS)
-                if self.apply_state(target, slot, key, value):
-                    self.counters["migrated_keys"] += 1
-            self.map.placements[slot] = Placement(
-                primary=owner, backup=new_backup
-            )
-            self.migrating_slots.discard(slot)
-            self.annotate(
-                "cluster.slot_migrated",
-                f"slot={slot} keys={len(snapshot)} backup=node{new_backup}",
-            )
-        self.failover_time_ns.record(self.sim.now - started)
-        self.counters["failovers"] += 1
-        self._failovers_active -= 1
-        self.annotate(
-            "cluster.failover_done",
-            f"node{node_id} took={self.sim.now - started:.0f}ns",
-        )
 
     # -- settling ----------------------------------------------------------
 
@@ -612,16 +550,20 @@ class Cluster:
         peek = node.store.peek
         return {key: peek(key) for key in self.directory[node.index][slot]}
 
-    def quiesce(self):
-        """Generator: wait for every channel to drain and every failover
-        to finish (run it to compare replicas differentially)."""
-        while True:
-            busy = self._failovers_active > 0 or any(
-                channel.pending for channel in self.channels
-            )
-            if not busy:
-                return
-            yield self.sim.timeout(POLL_NS)
+    def quiesce(self, then: Callable[[], None]) -> None:
+        """Call ``then()`` once every channel has drained and every
+        failover has finished (then compare replicas differentially).
+
+        The wait kick-starts on the next entry at the current instant, and
+        ``then`` runs in the step that sees the cluster idle: a caller that
+        runs the simulator until then passes ``partial(sim.finish, done)``
+        and runs until ``done``."""
+        self.sim.call_soon(partial(self._poll, self._busy, then))
+
+    def _busy(self) -> bool:
+        return self._failovers_active > 0 or any(
+            channel.pending for channel in self.channels
+        )
 
     def primary_state(self) -> dict:
         """The authoritative key space: each slot read at its primary."""
@@ -736,3 +678,144 @@ class Cluster:
         for node in self.nodes:
             sampler.attach_processor(node.name, node.stack.processor)
         sampler.attach_cluster(self)
+
+
+class _Failover:
+    """One failover as a chain: wait for the dead node's in-flight ops,
+    write-block and drain each slot it owned and promote the slot's
+    backup, bump the epoch, then re-replicate every slot it touched.  Both
+    loops over slots run on in place while each slot has settled already,
+    and resume from the poll step that sees one settle."""
+
+    __slots__ = ("cluster", "node_id", "started", "owned", "slots",
+                 "target", "snapshot", "resume_at")
+
+    def __init__(self, cluster: Cluster, node_id: int) -> None:
+        self.cluster, self.node_id = cluster, node_id
+
+    def start(self, _kick) -> None:
+        cluster = self.cluster
+        self.started = cluster.sim.now
+        node = cluster.nodes[self.node_id]
+        cluster.annotate("cluster.failover_start", f"node{self.node_id}")
+        # In-flight ops at the dead node settle normally (their acks
+        # were or will be delivered), and each settled write enqueues its
+        # replication record - wait for all of them before draining.
+        cluster._poll(lambda: node.outstanding > 0, self.drained)
+
+    def drained(self) -> None:
+        cmap = self.cluster.map
+        self.owned = cmap.slots_owned(self.node_id)
+        self.slots = self.owned + cmap.slots_backed(self.node_id)
+        self.promote_from(0)
+
+    def promote_from(self, index: int, settled: bool = False) -> None:
+        """Write-block, then drain: every acknowledged write's record
+        reaches the backup before it becomes the primary."""
+        cluster = self.cluster
+        cmap = cluster.map
+        while index < len(self.owned):
+            slot = self.owned[index]
+            resume = partial(self.promote_from, index, True)
+            if not settled:
+                cluster.migrating_slots.add(slot)
+                if not cluster._slot_settled(slot, resume):
+                    return
+            settled = False
+            index += 1
+            new_primary = cmap.backup(slot)
+            if new_primary is None or not cluster.nodes[new_primary].alive:
+                cluster.counters["slots_lost"] += 1
+                cluster.migrating_slots.discard(slot)
+                continue
+            cmap.placements[slot] = Placement(primary=new_primary, backup=None)
+            cluster.counters["promotions"] += 1
+        cmap.bump()
+        cluster.counters["epoch_bumps"] += 1
+        cluster.annotate("cluster.epoch_bump", f"epoch={cmap.epoch}")
+        # Re-establish the replication factor for every slot the dead
+        # node touched; each slot stays write-blocked during its copy so
+        # the snapshot cannot race concurrent writes.
+        self.migrate_from(0)
+
+    def migrate_from(self, index: int, owner: Optional[int] = None) -> None:
+        """``owner`` is the primary read before the wait, when resuming on
+        the slot at ``index`` that has just settled."""
+        cluster = self.cluster
+        while index < len(self.slots):
+            slot = self.slots[index]
+            index += 1
+            if owner is None:
+                owner = cluster.map.placements[slot].primary
+                if owner == self.node_id or not cluster.nodes[owner].alive:
+                    cluster.migrating_slots.discard(slot)
+                    owner = None
+                    continue
+                cluster.migrating_slots.add(slot)
+                resume = partial(self.migrate_from, index - 1, owner)
+                if not cluster._slot_settled(slot, resume):
+                    return
+            if not self.copy(slot, owner, index):
+                return
+            owner = None
+        cluster.failover_time_ns.record(cluster.sim.now - self.started)
+        cluster.counters["failovers"] += 1
+        cluster._failovers_active -= 1
+        cluster.annotate(
+            "cluster.failover_done",
+            f"node{self.node_id} took={cluster.sim.now - self.started:.0f}ns",
+        )
+
+    def copy(self, slot: int, owner: int, index: int) -> bool:
+        """Re-replicate a settled slot to a fresh backup, one key per
+        :data:`MIGRATION_DELAY_PER_KEY_NS`; whether that is done at once.
+        If not, the last key's step resumes the loop at ``index``."""
+        cluster = self.cluster
+        new_backup = cluster._pick_backup(exclude=owner)
+        if new_backup is None:
+            cluster.counters["unreplicated_slots"] += 1
+            cluster.map.placements[slot] = Placement(
+                primary=owner, backup=None
+            )
+            cluster.migrating_slots.discard(slot)
+            return True
+        target = self.target = cluster.nodes[new_backup]
+        # Clear any stale copy of this slot before the fresh snapshot
+        # (a delete at the primary must not resurrect at the backup).
+        # Both lists are sorted: migration order, and so every
+        # timestamp, must not depend on set iteration order.
+        for key in sorted(cluster.directory[new_backup][slot]):
+            cluster.apply_state(target, slot, key, None)
+        self.snapshot = sorted(
+            cluster._slot_items(cluster.nodes[owner], slot).items()
+        )
+        self.resume_at = index
+        return self.copy_key(slot, owner, 0)
+
+    def copy_key(self, slot: int, owner: int, position: int, _kick=None):
+        """Wait out the next key's delay and copy it; once every key is
+        copied, point the slot at its new backup.  Returns whether the
+        slot is done at once (it had no key)."""
+        cluster = self.cluster
+        snapshot = self.snapshot
+        if _kick is not None:
+            key, value = snapshot[position - 1]
+            if cluster.apply_state(self.target, slot, key, value):
+                cluster.counters["migrated_keys"] += 1
+        if position < len(snapshot):
+            cluster.sim.call_after(
+                MIGRATION_DELAY_PER_KEY_NS,
+                partial(self.copy_key, slot, owner, position + 1),
+            )
+            return False
+        cluster.map.placements[slot] = Placement(
+            primary=owner, backup=self.target.index
+        )
+        cluster.migrating_slots.discard(slot)
+        cluster.annotate(
+            "cluster.slot_migrated",
+            f"slot={slot} keys={position} backup={self.target.name}",
+        )
+        if _kick is not None:
+            self.migrate_from(self.resume_at)
+        return True

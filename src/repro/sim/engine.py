@@ -1,17 +1,22 @@
-"""Event loop, events, generator-based processes and bare callables.
+"""Event loop, events, bare callables - and generator processes.
 
 The design mirrors SimPy's core: a :class:`Simulator` owns a priority queue
-of pending entries; a :class:`Process` wraps a generator that ``yield``\\ s
-events and is resumed when they trigger.  Processes carry cold control
-flow (clients' batches, router workers, failover, the soak); on the
-server's request path each op through the KV pipeline, each packet, DMA,
-NIC-DRAM burst and cache line is a callback chain, hopping between
-``call_soon`` / ``call_after`` / ``call_when`` entries and ending by
-queueing its continuation: the queue positions a process would occupy
-("Same-instant ordering contract" in ``docs/MODELING.md``) without the
-generator and without an :class:`Event` per hop.  A resource takes its
-waiter's next step only as such a continuation; a generator waits on events
-that it, a process or a timer completes.
+of pending entries, and an :class:`Event` runs its callbacks when its entry
+is processed.  Everything in the model is a callback chain: each op through
+the KV pipeline, each packet, DMA, NIC-DRAM burst and cache line, and the
+cold paths around them (a client's batches, a router's attempts, failover,
+the soak's drivers), hopping between ``call_soon`` / ``call_after`` /
+``call_when`` entries and ending by queueing - or, for a step that used to
+be a sub-generator, calling - its continuation: the queue positions a
+process would occupy ("Same-instant ordering contract" in
+``docs/MODELING.md``) without the generator and without an :class:`Event`
+per hop.  A resource takes its waiter's next step only as such a
+continuation.
+
+:class:`Process` (a generator that yields events and is resumed when they
+trigger) and :class:`Timeout` remain for test code written
+generator-style and for the benchmark's kernel ledger, which counts their
+constructors; no model code creates either.
 
 A queue entry is one of two things.  A triggered :class:`Event` (or
 subclass): processing it clears ``callbacks`` and runs them with the event.
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import SimulationError
 
@@ -220,35 +225,6 @@ class Process(Event):
             callbacks.append(self._resume)
 
 
-class AllOf(Event):
-    """Triggers when every constituent event has triggered.
-
-    Succeeds with the list of values; fails fast on the first failure.
-    """
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for event in self._events:
-            event.add_callback(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self._value is not _PENDING or self._exception is not None:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e._value for e in self._events])
-
-
 class Simulator:
     """The event loop: a clock plus pending-entry queues.
 
@@ -338,9 +314,6 @@ class Simulator:
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- execution ---------------------------------------------------------
 

@@ -85,27 +85,40 @@ class TraceReader:
 
     def __init__(self, target: PathOrFile) -> None:
         self._file, self._owns = _open(target, "rb")
-        header = self._file.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ProtocolError("trace file truncated before header")
-        magic, version = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise ProtocolError(f"not a KV-Direct trace (magic {magic!r})")
-        if version != _VERSION:
-            raise ProtocolError(f"unsupported trace version {version}")
+        try:
+            header = self._file.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise ProtocolError("trace file truncated before header")
+            magic, version = _HEADER.unpack(header)
+            if magic != _MAGIC:
+                raise ProtocolError(
+                    f"not a KV-Direct trace (magic {magic!r})"
+                )
+            if version != _VERSION:
+                raise ProtocolError(f"unsupported trace version {version}")
+        except ProtocolError:
+            self._close()
+            raise
 
     def __iter__(self) -> Iterator[KVOperation]:
-        while True:
-            length_bytes = self._file.read(_LENGTH.size)
-            if not length_bytes:
-                break
-            if len(length_bytes) != _LENGTH.size:
-                raise ProtocolError("trace file truncated mid-frame")
-            (length,) = _LENGTH.unpack(length_bytes)
-            payload = self._file.read(length)
-            if len(payload) != length:
-                raise ProtocolError("trace file truncated mid-batch")
-            yield from decode_batch(payload)
+        """The stored operations; a file the reader opened is closed at
+        the end, on a truncated frame or batch, or on a bad payload."""
+        try:
+            while True:
+                length_bytes = self._file.read(_LENGTH.size)
+                if not length_bytes:
+                    break
+                if len(length_bytes) != _LENGTH.size:
+                    raise ProtocolError("trace file truncated mid-frame")
+                (length,) = _LENGTH.unpack(length_bytes)
+                payload = self._file.read(length)
+                if len(payload) != length:
+                    raise ProtocolError("trace file truncated mid-batch")
+                yield from decode_batch(payload)
+        finally:
+            self._close()
+
+    def _close(self) -> None:
         if self._owns:
             self._file.close()
 

@@ -169,14 +169,20 @@ class TestErrors:
         ("overload", "--ops"),
         ("ycsb", "--ops"),
         ("ycsb", "--corpus"),
+        ("range", "--scans"),
+        ("range", "--max-count"),
+        ("multinic", "--nics"),
+        ("multinic", "--ops"),
+        ("multinic", "--corpus"),
     ])
     def test_counts_and_sizes_take_a_positive_integer(
         self, argv, value, capsys
     ):
         """Regression: ``pcie --ops 0`` raised "percentile of empty
         histogram", ``atomics --keys 0`` and ``overload --ops 0`` a
-        ZeroDivisionError, and ``atomics --keys -2`` ran and reported
-        "keys -2"."""
+        ZeroDivisionError, ``atomics --keys -2`` ran and reported "keys
+        -2", ``range --max-count 0`` raised a ValueError from ``randrange``
+        and ``multinic --corpus 0`` a ZeroDivisionError."""
         with pytest.raises(SystemExit) as exited:
             run_cli(*argv, value)
         assert exited.value.code == 2
@@ -403,6 +409,15 @@ class TestSoak:
         assert code == 0
         assert "PASS" in output
         assert "digest" in output
+
+    @pytest.mark.parametrize("value", ["-1", "1.5", "nan", "x"])
+    def test_chaos_is_an_intensity_in_0_to_1(self, value, capsys):
+        """Regression: ``--chaos -1`` and ``--chaos nan`` ran a soak
+        without faults."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli("soak", "--chaos", value, *self._FAST)
+        assert exited.value.code == 2
+        assert "fault intensity in [0, 1]" in capsys.readouterr().err
 
     def test_chaos_flag_drives_fault_injection(self):
         import json

@@ -35,6 +35,7 @@ from repro.faults import FaultPlan
 from repro.multi import Cluster, ClusterMap, Placement
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
+from tests.waiting import performed, quiesced
 
 
 def _cluster(nodes=3, slots=8, **kwargs):
@@ -48,7 +49,7 @@ def _cluster(nodes=3, slots=8, **kwargs):
 
 def _perform(sim, router, op, results):
     def runner():
-        results.append((yield from router.perform(op)))
+        results.append((yield performed(router, op)))
 
     return sim.process(runner())
 
@@ -239,7 +240,7 @@ class TestFailover:
         read = KVOperation.get(key, seq=1)
         _perform(sim, router, read, results)
         sim.run()
-        sim.run(sim.process(cluster.quiesce()))
+        sim.run(quiesced(cluster))
         # The read NACKed, triggered failover, retried against the
         # promoted backup - and saw the acknowledged write.
         assert results[1].ok
@@ -260,7 +261,7 @@ class TestFailover:
         router.run(ops)
         cluster.nodes[0].die()
         cluster.notice_node_down(0)
-        sim.run(sim.process(cluster.quiesce()))
+        sim.run(quiesced(cluster))
         # Every slot again has an alive primary and an alive backup.
         for slot, placement in enumerate(cluster.map.placements):
             assert cluster.nodes[placement.primary].alive, slot
@@ -280,7 +281,7 @@ class TestFailover:
         router.run(ops)
         cluster.nodes[0].die()
         cluster.notice_node_down(0)
-        sim.run(sim.process(cluster.quiesce()))
+        sim.run(quiesced(cluster))
         # No second node remains to back up: slots run unreplicated but
         # stay available at the survivor.
         for placement in cluster.map.placements:
@@ -297,11 +298,11 @@ class TestFailover:
         cluster.nodes[0].die()
         cluster.notice_node_down(0)
         cluster.notice_node_down(0)
-        sim.run(sim.process(cluster.quiesce()))
+        sim.run(quiesced(cluster))
         assert cluster.counters.get("failovers") == 1
         # A live node is never failed over.
         cluster.notice_node_down(1)
-        sim.run(sim.process(cluster.quiesce()))
+        sim.run(quiesced(cluster))
         assert cluster.counters.get("failovers") == 1
 
 
@@ -431,7 +432,7 @@ class TestKeyDirectory:
             assert cluster.nodes[index].store.get(key) is None
         cluster.nodes[placement.backup].die()
         cluster.notice_node_down(placement.backup)
-        sim.run(sim.process(cluster.quiesce()))
+        sim.run(quiesced(cluster))
         assert cluster.map.backup(slot) == spare.index
         assert key not in cluster.directory[spare.index][slot]
         assert spare.store.get(key) is None
@@ -482,7 +483,7 @@ class TestFailedApply:
             self._break_puts(node)
         cluster.nodes[0].die()
         cluster.notice_node_down(0)
-        sim.run(sim.process(cluster.quiesce()))
+        sim.run(quiesced(cluster))
         assert cluster.counters.get("failovers") == 1
         assert cluster.counters.get("replication_apply_failures") > 0
         assert cluster.counters.get("migrated_keys") == 0
@@ -558,7 +559,7 @@ class TestRetryLoop:
 
         def runner():
             try:
-                outcome.append((yield from router.perform(_RETRY_OPS[kind])))
+                outcome.append((yield performed(router, _RETRY_OPS[kind])))
             except RetryExhausted as exc:
                 outcome.append(exc)
 
@@ -572,7 +573,7 @@ class TestRetryLoop:
             cluster.map.primary(cluster.map.slot_of(b"key000000"))
         ].die()
         result = self._outcome(sim, router, kind)
-        sim.run(sim.process(cluster.quiesce()))
+        sim.run(quiesced(cluster))
         assert result.ok
         assert router.counters.get("node_down_retries") >= 1
         assert cluster.counters.get("failovers") == 1

@@ -25,7 +25,7 @@ from repro.dram.host import touched_lines
 from repro.errors import ConfigurationError
 from repro.sim import Simulator
 from tests import ref_resident
-from tests.waiting import wait
+from tests.waiting import all_of, wait
 
 
 class TestMemoryImage:
@@ -344,7 +344,7 @@ class TestNICDram:
     def test_counters(self):
         sim = Simulator()
         dram = NICDram(sim)
-        sim.run(sim.all_of([
+        sim.run(all_of(sim, [
             wait(sim, dram.access, 64, False), wait(sim, dram.access, 64, True)
         ]))
         assert dram.counters["reads"] == 1

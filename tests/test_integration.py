@@ -19,6 +19,7 @@ from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD, apply_operation
 from repro.driver import run_closed_loop
 from repro.sim import Simulator
+from tests.waiting import all_of
 
 
 def q(*values):
@@ -47,7 +48,7 @@ def _run_timed(ops, **config_overrides):
     store = KVDirectStore.create(memory_size=2 << 20, **config_overrides)
     processor = KVProcessor(sim, store)
     events = processor.submit_many(ops)
-    sim.run(sim.all_of(events))
+    sim.run(all_of(sim, events))
     sim.run()
     return store, [event.value for event in events]
 
@@ -173,7 +174,7 @@ class TestVectorOpsThroughPipeline:
                             seq=1),
             ]
         )
-        sim.run(sim.all_of(events))
+        sim.run(all_of(sim, events))
         assert events[0].value.value == q(4)
         assert events[1].value.value == q(1, 3)
         assert processor.counters["writebacks"] == 0
@@ -193,7 +194,7 @@ class TestVectorOpsThroughPipeline:
                 for i in range(40)
             ]
         )
-        sim.run(sim.all_of(events))
+        sim.run(all_of(sim, events))
         sim.run()
         assert store.get(b"vec") == q(40, 40)
 

@@ -71,7 +71,7 @@ from repro.pcie.tlp import (
 )
 from repro.driver import run_closed_loop
 from repro.sim import FIFOServer, Simulator
-from tests.waiting import Waiting, wait
+from tests.waiting import Waiting, all_of, wait
 
 LINE = 64
 
@@ -232,7 +232,7 @@ class RefEngine(MemoryAccessEngine):
                 else:
                     pending.append(self.dma.read(span, seq))
         if pending:
-            yield self.sim.all_of(pending)
+            yield all_of(self.sim, pending)
 
     def _cached_line(self, line, write, full, seq=-1):
         cache = self.cache
@@ -788,14 +788,19 @@ class TestQueueEntriesPerOp:
     pipeline.  Heap pushes are unchanged."""
 
     @staticmethod
-    def queue_entries(built, ops, concurrency):
+    def queue_entries(built, ops, concurrency, run=None):
         sim = built.sim
         assert not sim._dq and not sim._queue
         counting = sim._dq = _CountingDeque()
         sim.call_soon = counting.append
         pushes = sim._sequence
-        stats = run_closed_loop(built.processor, ops, concurrency=concurrency)
-        assert stats["operations"] == len(ops)
+        if run is None:
+            stats = run_closed_loop(
+                built.processor, ops, concurrency=concurrency
+            )
+            assert stats["operations"] == len(ops)
+        else:
+            run(ops)
         return counting.appends, sim._sequence - pushes
 
     def test_direct_point_ops(self):
@@ -831,6 +836,42 @@ class TestQueueEntriesPerOp:
     def test_saturated_ingress_under_a_shed_policy(self):
         policy = OverloadPolicy(queue_depth=8, shed_policy="drop-oldest")
         assert self.saturated(overload=policy) == ((1443, 489), 396, 13)
+
+    # The two routers' runs, whose clients, workers and failover were
+    # generator processes too (tests/test_cold_chains.py asserts the
+    # identity against those generators run by run).
+
+    def test_sharded_router_over_the_wire(self):
+        """The ``net-sharded`` shape: 4 NICs behind batching clients.  The
+        generator clients queued 17,664 deque appends; the 20 batches'
+        completions, which nothing waited on, are gone."""
+        built = scenario.build(
+            seed=7, memory_size=2 << 20, corpus=1000, kv_size=254,
+            put_ratio=0.05, distribution="zipf", shards=4,
+        )
+        router = built.server.router(batch_size=32, seed=7)
+        entries = self.queue_entries(
+            built, built.operations(600), None, router.run
+        )
+        assert entries == (17644, 10062)  # 29.4 per op
+
+    def test_cluster_router_with_a_kill(self):
+        """The ``cluster-failover`` shape: 3 nodes, a primary killed after
+        a ninth of the ops.  The generator workers queued 10,015 deque
+        appends; the completions of the failover and of the 63 workers
+        before the last one, which nothing waited on, are gone."""
+        built = scenario.build(
+            seed=7, memory_size=2 << 20, corpus=600, put_ratio=0.5, nodes=3
+        )
+        cluster = built.cluster
+        ops = built.operations(600)
+        cluster.kill_after_accepts(cluster.map.primary(0), len(ops) // 9)
+        router = ClusterRouter(built.sim, cluster, seed=7)
+        entries = self.queue_entries(
+            built, ops, None, lambda ops: router.run(ops, concurrency=64)
+        )
+        assert cluster.counters["failovers"] == 1
+        assert entries == (9951, 5510)  # 16.6 per op
 
 
 # -- the per-op drivers: the processor's chains against RefKVProcessor --------

@@ -7,6 +7,7 @@ from repro.driver import run_closed_loop
 from repro.errors import ConfigurationError
 from repro.multi import MultiNICServer
 from repro.sim import Simulator
+from tests.waiting import all_of
 
 
 class TestSharding:
@@ -33,12 +34,12 @@ class TestOperations:
                                           seq=i))
             for i in range(20)
         ]
-        sim.run(sim.all_of(events))
+        sim.run(all_of(sim, events))
         gets = [
             server.submit(KVOperation.get(b"key%02d" % i, seq=100 + i))
             for i in range(20)
         ]
-        sim.run(sim.all_of(gets))
+        sim.run(all_of(sim, gets))
         assert [e.value.value for e in gets] == [
             b"val%02d" % i for i in range(20)
         ]
@@ -146,11 +147,11 @@ class TestNetworkedMultiNIC:
             for processor in server.processors
         ]
         processes = [
-            sim.process(client._run(ops))
+            client.start(ops)
             for client, ops in zip(clients, shards)
             if ops
         ]
-        sim.run(sim.all_of(processes))
+        sim.run(all_of(sim, processes))
         total = sum(len(s) for s in shards)
         elapsed = sim.now
         assert total == 900
@@ -183,9 +184,9 @@ class TestNetworkedMultiNIC:
                     continue
                 client = KVClient(sim, processor, batch_size=1,
                                   max_outstanding_batches=64)
-                processes.append(sim.process(client._run(ops)))
+                processes.append(client.start(ops))
             total = sum(len(s) for s in shards)
-            sim.run(sim.all_of(processes))
+            sim.run(all_of(sim, processes))
             return total / sim.now * 1e3  # Mops
 
         one = run(1)

@@ -18,6 +18,7 @@ from repro.network import (
 )
 from repro.network.rdma import goodput_fraction, wire_bytes
 from repro.sim import Simulator
+from tests.waiting import all_of
 
 
 class TestEthernetLink:
@@ -33,7 +34,7 @@ class TestEthernetLink:
         link = EthernetLink(sim, bandwidth=5e9, rtt_ns=0)
         rx = link.receive(5000)
         tx = link.send(5000)
-        sim.run(sim.all_of([rx, tx]))
+        sim.run(all_of(sim, [rx, tx]))
         assert sim.now == pytest.approx(1000)  # not serialized together
 
     def test_counters(self):

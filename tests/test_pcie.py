@@ -16,7 +16,7 @@ from repro.pcie import (
 from repro.pcie.tlp import effective_op_rate
 from repro.sim import ConstantLatency, Simulator
 from repro.sim.stats import mops
-from tests.waiting import wait
+from tests.waiting import all_of, wait
 
 
 class TestTLPArithmetic:
@@ -98,7 +98,7 @@ class TestDMARead:
         sim = Simulator()
         engine = _engine(sim, latency_ns=1000.0, tags=4)
         procs = [wait(sim, engine.read, 64, -1) for __ in range(16)]
-        sim.run(sim.all_of(procs))
+        sim.run(all_of(sim, procs))
         assert engine.tags.peak_in_use == 4
         # 16 reads with 4-way concurrency need ~4 serial rounds.
         assert sim.now >= 4 * 1000.0
@@ -114,7 +114,7 @@ class TestDMARead:
             inflight = [
                 wait(sim, engine.read, 64, -1) for __ in range(2000)
             ]
-            yield sim.all_of(inflight)
+            yield all_of(sim, inflight)
             completed.append(len(inflight))
 
         sim.run(sim.process(issuer()))
@@ -124,7 +124,7 @@ class TestDMARead:
     def test_read_latency_histogram_populated(self):
         sim = Simulator()
         engine = _engine(sim)
-        sim.run(sim.all_of(
+        sim.run(all_of(sim,
             [wait(sim, engine.read, 64, -1) for __ in range(10)]
         ))
         assert engine.read_latency_hist.count == 10
@@ -146,7 +146,7 @@ class TestDMAWrite:
         engine = DMAEngine(sim, PCIeLinkConfig.gen3_x8())
 
         def issuer():
-            yield sim.all_of(
+            yield all_of(sim,
                 [wait(sim, engine.write, 64, -1) for __ in range(2000)]
             )
 
@@ -157,7 +157,7 @@ class TestDMAWrite:
     def test_posted_credits_recycle(self):
         sim = Simulator()
         engine = _engine(sim)
-        sim.run(sim.all_of(
+        sim.run(all_of(sim,
             [wait(sim, engine.write, 64, -1) for __ in range(500)]
         ))
         sim.run()  # drain the credit returns
@@ -168,7 +168,7 @@ class TestMultiLink:
     def test_round_robin_balances(self):
         sim = Simulator()
         dma = MultiLinkDMA(sim, link_count=2)
-        sim.run(sim.all_of(
+        sim.run(all_of(sim,
             [wait(sim, dma.read, 64, -1) for __ in range(100)]
         ))
         assert dma.links[0].reads == 50
@@ -178,14 +178,14 @@ class TestMultiLink:
     def test_two_links_double_throughput(self):
         sim1 = Simulator()
         single = MultiLinkDMA(sim1, link_count=1)
-        sim1.run(sim1.all_of(
+        sim1.run(all_of(sim1,
             [wait(sim1, single.read, 64, -1) for __ in range(1000)]
         ))
         single_time = sim1.now
 
         sim2 = Simulator()
         double = MultiLinkDMA(sim2, link_count=2)
-        sim2.run(sim2.all_of(
+        sim2.run(all_of(sim2,
             [wait(sim2, double.read, 64, -1) for __ in range(1000)]
         ))
         double_time = sim2.now
@@ -199,7 +199,7 @@ class TestMultiLink:
     def test_snapshot_merges(self):
         sim = Simulator()
         dma = MultiLinkDMA(sim, link_count=2)
-        sim.run(sim.all_of(
+        sim.run(all_of(sim,
             [wait(sim, dma.read, 64, -1), wait(sim, dma.write, 64, -1)]
         ))
         sim.run()

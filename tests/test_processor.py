@@ -13,6 +13,7 @@ from repro.core.vector import FETCH_ADD
 from repro.driver import run_closed_loop
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from tests.waiting import all_of
 
 
 def q(*values):
@@ -38,7 +39,7 @@ class TestSingleOps:
         sim = proc.sim
         put_ev = proc.submit(KVOperation.put(b"k", b"new"))
         get_ev = proc.submit(KVOperation.get(b"k"))
-        sim.run(sim.all_of([put_ev, get_ev]))
+        sim.run(all_of(sim, [put_ev, get_ev]))
         assert get_ev.value.value == b"new"
 
     def test_missing_get(self):
@@ -81,7 +82,7 @@ class TestDependentOps:
             proc.submit(KVOperation.put(b"k", b"new")),
             proc.submit(KVOperation.get(b"k")),
         ]
-        sim.run(sim.all_of(events))
+        sim.run(all_of(sim, events))
         assert events[1].value.value == b"new"
 
     def test_atomic_sequence_consistent(self):
@@ -94,7 +95,7 @@ class TestDependentOps:
             for i in range(50)
         ]
         events = proc.submit_many(ops)
-        sim.run(sim.all_of(events))
+        sim.run(all_of(sim, events))
         tickets = sorted(
             struct.unpack("<q", e.value.value)[0] for e in events
         )
@@ -108,7 +109,7 @@ class TestDependentOps:
         events = proc.submit_many(
             [KVOperation.update(b"seq", FETCH_ADD, q(1)) for __ in range(20)]
         )
-        sim.run(sim.all_of(events))
+        sim.run(all_of(sim, events))
         assert proc.store.get(b"seq") == q(20)
 
     def test_delete_then_get_misses(self):
@@ -117,7 +118,7 @@ class TestDependentOps:
         sim = proc.sim
         delete_ev = proc.submit(KVOperation.delete(b"k"))
         get_ev = proc.submit(KVOperation.get(b"k"))
-        sim.run(sim.all_of([delete_ev, get_ev]))
+        sim.run(all_of(sim, [delete_ev, get_ev]))
         assert not get_ev.value.found
 
 
@@ -250,7 +251,7 @@ class TestAccounting:
             [KVOperation.update(b"hot", FETCH_ADD, q(1), seq=i)
              for i in range(30)]
         )
-        sim.run(sim.all_of(events))
+        sim.run(all_of(sim, events))
         assert proc.counters["forwarded"] > 0
         assert proc.counters["writebacks"] > 0
 

@@ -26,6 +26,7 @@ from repro.errors import ProtocolError, UnsupportedOperation
 from repro.multi import MultiNICServer
 from repro.network.batching import BatchEncoder, decode_batch, encode_batch
 from repro.sim import Simulator
+from tests.waiting import all_of, performed
 
 
 def _ordered_store(**overrides):
@@ -245,7 +246,7 @@ class TestOoOScanGuard:
             processor.submit(KVOperation.range(key, 2, seq=1)),
             processor.submit(KVOperation.get(key, seq=2)),
         ]
-        sim.run(sim.all_of(events))
+        sim.run(all_of(sim, events))
         entries = decode_scan_payload(events[1].value.value, True)
         assert entries[0] == (key, b"fresh")
         assert events[2].value.value == b"fresh"
@@ -257,7 +258,7 @@ class TestOoOScanGuard:
                                               seq=i))
             for i in range(64)
         ]
-        sim.run(sim.all_of(events))
+        sim.run(all_of(sim, events))
         assert all(event.ok and event.value.ok for event in events)
 
 
@@ -404,7 +405,7 @@ class TestClusterScans:
             for i in range(6):
                 op = KVOperation.range(b"key%05d" % (i * 9), 4,
                                        seq=200 + i)
-                results[i] = yield from router.perform(op)
+                results[i] = yield performed(router, op)
 
         sim.run(sim.process(driver()))
         for i in range(6):

@@ -35,7 +35,7 @@ from repro.faults import FaultPlan
 from repro.multi.cluster import Cluster
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
-from tests.waiting import ignore
+from tests.waiting import ignore, performed
 
 
 class TestBackoffPolicy:
@@ -341,7 +341,7 @@ class TestBackoffBeyondTheFloatRange:
 
         def runner():
             try:
-                yield from router.perform(KVOperation.get(b"key", seq=0))
+                yield performed(router, KVOperation.get(b"key", seq=0))
             except RetryExhausted as exc:
                 outcome.append(exc)
 

@@ -10,6 +10,7 @@ from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD
 from repro.errors import AllocationError, CapacityError
 from repro.sim import Simulator
+from tests.waiting import all_of
 
 
 def q(*values):
@@ -69,7 +70,7 @@ class TestMemoryExhaustion:
         ]
         events = processor.submit_many(ops)
         with pytest.raises(CapacityError):
-            sim.run(sim.all_of(events))
+            sim.run(all_of(sim, events))
 
 
 class TestDegenerateWorkloads:

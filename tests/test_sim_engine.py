@@ -1,10 +1,14 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import ast
 import inspect
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.sim.engine
 from repro.core.admission import IngressQueue
 from repro.dram.cache import DramCache, ECCFaultPath
 from repro.dram.nic import NICDram
@@ -20,7 +24,7 @@ from repro.sim import (
     Simulator,
     TokenPool,
 )
-from tests.waiting import wait
+from tests.waiting import all_of, wait
 
 
 class TestEventBasics:
@@ -242,13 +246,13 @@ class TestConditions:
     def test_all_of_collects_values(self):
         sim = Simulator()
         events = [sim.timeout(i, value=i) for i in (3, 1, 2)]
-        result = sim.run(sim.all_of(events))
+        result = sim.run(all_of(sim, events))
         assert result == [3, 1, 2]
         assert sim.now == pytest.approx(3.0)
 
     def test_all_of_empty(self):
         sim = Simulator()
-        result = sim.run(sim.all_of([]))
+        result = sim.run(all_of(sim, []))
         assert result == []
 
 class TestSimulatorRun:
@@ -599,13 +603,70 @@ class TestOneWayToWait:
         assert not hasattr(Simulator, "schedule_at")
 
 
+SRC = Path(repro.__file__).parent
+
+
+def _modules(*packages):
+    for package in packages or ("",):
+        for path in sorted((SRC / package).rglob("*.py")):
+            yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+class TestOneSchedulingForm:
+    """Model code waits only through chains: no generator runs as a
+    simulated process, and the kernel's generator support - ``Process``,
+    ``Timeout`` and their factories - is used by test code and the
+    benchmark's kernel ledger alone."""
+
+    KERNEL_NAMES = {"Process", "Timeout", "AllOf", "all_of"}
+    #: The frozen benchmark imports these two from ``repro.sim``.
+    REEXPORTED = {"sim/__init__.py": {"Process", "Timeout"}}
+
+    def test_no_generator_in_the_kernel_client_cluster_or_chaos(self):
+        generators = [
+            f"{name}:{node.lineno}"
+            for name, tree in _modules("sim", "client", "multi", "chaos")
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Yield, ast.YieldFrom))
+        ]
+        assert not generators
+
+    def test_only_the_kernel_names_processes_and_timeouts(self):
+        uses = []
+        for name, tree in _modules():
+            if name == "sim/engine.py":
+                continue
+            allowed = self.REEXPORTED.get(name, set())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute
+                ) and node.func.attr in {"process", "timeout", "all_of"}:
+                    uses.append(f"{name}:{node.lineno} .{node.func.attr}(")
+                named = (
+                    node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else None
+                )
+                if named in self.KERNEL_NAMES - allowed:
+                    uses.append(f"{name}:{getattr(node, 'lineno', '?')} {named}")
+        assert not uses
+
+    def test_all_of_has_left_the_kernel(self):
+        assert not hasattr(repro.sim, "AllOf")
+        assert not hasattr(repro.sim.engine, "AllOf")
+        assert not hasattr(Simulator, "all_of")
+        with pytest.raises(ImportError):
+            from repro.sim import AllOf  # noqa: F401
+
+
 class TestEdgeCases:
     def test_all_of_failure_fails_fast(self):
         sim = Simulator()
         slow = sim.timeout(1000)
         bad = sim.event()
         bad.fail(ValueError("nope"))
-        condition = sim.all_of([slow, bad])
+        condition = all_of(sim, [slow, bad])
         with pytest.raises(ValueError):
             sim.run(condition)
         assert sim.now < 1000

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.operations import KVOperation, OpType
 from repro.core.store import KVDirectStore
 from repro.errors import ProtocolError
+from repro.workloads import trace as trace_module
 from repro.workloads.trace import (
     TraceReader,
     TraceWriter,
@@ -93,6 +94,48 @@ class TestCorruption:
         data = trace_to_bytes(sample_ops(10))
         with pytest.raises(ProtocolError):
             trace_from_bytes(data[:-3])
+
+
+class TestReaderClosesItsFile:
+    """A trace the reader opened from a path is closed on every
+    ``ProtocolError``, not left for the garbage collector."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        files = []
+
+        def spy(path, mode):
+            files.append(open(path, mode))
+            return files[-1]
+
+        monkeypatch.setattr(trace_module, "open", spy, raising=False)
+        return files
+
+    @pytest.mark.parametrize("data,match", [
+        (b"KV", "header"),
+        (b"NOPE\x01\x00\x00\x00", "magic"),
+        (b"KVDT\x63\x00\x00\x00", "version"),
+    ], ids=["truncated-header", "bad-magic", "bad-version"])
+    def test_a_bad_header(self, tmp_path, opened, data, match):
+        path = tmp_path / "bad.kvdt"
+        path.write_bytes(data)
+        with pytest.raises(ProtocolError, match=match):
+            TraceReader(path)
+        assert len(opened) == 1 and opened[0].closed
+
+    @pytest.mark.parametrize("cut", [3, 300], ids=["mid-frame", "mid-batch"])
+    def test_a_truncated_body(self, tmp_path, opened, cut):
+        path = tmp_path / "cut.kvdt"
+        path.write_bytes(trace_to_bytes(sample_ops(600))[:-cut])
+        with pytest.raises(ProtocolError, match="truncated"):
+            load_trace(path)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_a_whole_trace(self, tmp_path, opened):
+        path = tmp_path / "ok.kvdt"
+        record_trace(sample_ops(10), path)
+        assert len(load_trace(path)) == 10
+        assert opened[-1].closed
 
 
 class TestReplay:

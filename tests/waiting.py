@@ -11,9 +11,16 @@ event *as* ``then``, so the queue entries are the continuation's own:
 
 So a generator (or ``sim.run(event)``) sees each completion at the instant
 and queue position a chain does.
+
+A test that waits on several events at once uses :class:`AllOf` (or
+:func:`all_of`): the kernel's class as it was before model code stopped
+using it.  :func:`performed` and :func:`quiesced` turn a cluster router's
+``perform`` and a cluster's ``quiesce`` into events the same way.
 """
 
-from repro.sim.engine import Event
+from functools import partial
+
+from repro.sim.engine import _PENDING, Event
 
 
 class Waiting(Event):
@@ -42,3 +49,60 @@ def wait(sim, call, *args):
 
 def ignore(_entry):
     """The ``then`` of a booking or grant nothing waits on."""
+
+
+class AllOf(Event):
+    """Triggers when every constituent event has triggered.
+
+    Succeeds with the list of values; fails fast on the first failure.
+    """
+
+    __slots__ = ("_events", "_remaining")
+
+    def __init__(self, sim, events):
+        super().__init__(sim)
+        self._events = list(events)
+        self._remaining = len(self._events)
+        if self._remaining == 0:
+            self.succeed([])
+            return
+        for event in self._events:
+            event.add_callback(self._check)
+
+    def _check(self, event):
+        if self._value is not _PENDING or self._exception is not None:
+            return
+        if event._exception is not None:
+            self.fail(event._exception)
+            return
+        self._remaining -= 1
+        if self._remaining == 0:
+            self.succeed([e._value for e in self._events])
+
+
+def all_of(sim, events):
+    """The event a test waits on for every one of ``events``."""
+    return AllOf(sim, events)
+
+
+def performed(router, op, deadline_ns=None):
+    """``router.perform(op, deadline_ns, then)`` as an event: it succeeds
+    with the result, or fails with the error, in the step that sees the
+    outcome."""
+    event = Event(router.sim)
+
+    def then(result, error):
+        if error is None:
+            event.succeed(result)
+        else:
+            event.fail(error)
+
+    router.perform(op, deadline_ns, then)
+    return event
+
+
+def quiesced(cluster):
+    """``cluster.quiesce(then)`` as the event ``sim.run`` waits for."""
+    done = Event(cluster.sim)
+    cluster.quiesce(partial(cluster.sim.finish, done))
+    return done
