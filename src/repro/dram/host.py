@@ -109,7 +109,8 @@ class MemoryImage:
 
     # -- access -------------------------------------------------------------
     # A span within one chunk is served in frame, with no call (and literals:
-    # a global costs a lookup); one across chunks, a chunk at a time.
+    # a global costs a lookup); one across chunks, a chunk at a time.  The
+    # bounds test is in frame too: ``_check`` is called only to raise.
 
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or size < 0 or addr + size > self.size:
@@ -165,8 +166,9 @@ class MemoryImage:
 
     def peek(self, addr: int, size: int) -> bytes:
         """Read without counting (debug / test introspection)."""
-        self._check(addr, size)
         end = addr + size
+        if addr < 0 or size < 0 or end > self.size:
+            self._check(addr, size)
         if addr >> 9 != (end - 1) >> 9:
             return self._gather(addr, end)
         place = self._places[addr >> 9]
@@ -176,8 +178,9 @@ class MemoryImage:
     def poke(self, addr: int, data: bytes) -> None:
         """Write without counting (initialization)."""
         size = len(data)
-        self._check(addr, size)
         end = addr + size
+        if addr < 0 or end > self.size:
+            self._check(addr, size)
         if addr >> 9 != (end - 1) >> 9 or not size:  # places no empty chunk
             return self._scatter(addr, data)
         place = self._places[addr >> 9]

@@ -7,8 +7,8 @@ and 17.
 
 Every draw is a scalar ``random.Random`` call: the key sampler's, one
 ``random()`` coin per op from the generator's own stream, and the
-keyspace's per-index value streams.  A uniform workload imports no numpy;
-a Zipf one does, once, to build its table (:mod:`repro.workloads.zipf`).
+keyspace's per-index value streams.  No workload imports numpy: the Zipf
+table is pure Python too (:mod:`repro.workloads.zipf`).
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ class WorkloadSpec:
             raise ValueError(f"put ratio must be in [0, 1]: {self.put_ratio}")
         if self.distribution not in ("uniform", "zipf"):
             raise ValueError(f"unknown distribution: {self.distribution}")
+        if not self.zipf_skew >= 0:
+            raise ValueError(f"zipf skew must be >= 0: {self.zipf_skew}")
 
     @property
     def name(self) -> str:

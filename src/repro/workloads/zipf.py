@@ -6,19 +6,19 @@ against scaled-down key spaces.
 
 A draw is scalar ``random.Random`` calls over Python lists, and
 ``sample_many`` is ``sample`` in a loop: the same stream, the generator
-left in the same state.  numpy builds the Zipf table and nothing else:
-the weights are ``np.power``, normalised by numpy's pairwise sum, and the
-rank shuffle is a ``RandomState``'s.  Those stay numpy because Python
-cannot reproduce them bit for bit: ``np.power`` may take a SIMD path by
-CPU dispatch, and on an AVX-512 machine it disagrees with libm's ``pow``
-(Python's ``**``) on 1,056 of 20,000 weights.  So a Zipf stream may
-depend on which CPU path numpy dispatches to; docs/MODELING.md records
-this.
-A uniform sampler imports no numpy.
+left in the same state.  The Zipf table is pure Python too, so neither
+sampler imports numpy: the weights are libm's ``pow`` (``math.pow``),
+normalised by ``math.fsum``, and the rank shuffle replays
+``numpy.random.RandomState(seed).shuffle`` bit for bit on an MT19937
+``random.Random`` (:func:`_shuffled`).  The table is the same on every
+CPU, and it draws the stream a numpy-built one (``np.power`` weights) does:
+docs/MODELING.md says why.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from typing import List, Optional
 
@@ -70,29 +70,26 @@ class ZipfSampler:
     ) -> None:
         if population <= 0:
             raise ValueError("population must be positive")
-        if skew < 0:
-            raise ValueError("skew must be non-negative")
+        if not skew >= 0:  # NaN too, which would build an all-zero table
+            raise ValueError(f"skew must be non-negative: {skew}")
         self.population = population
         self.skew = skew
         self._rng = random.Random(seed)
-        import numpy as np  # the table only: see the module docstring
-
-        weights = 1.0 / np.power(np.arange(1, population + 1, dtype=float), skew)
+        weights = [1.0 / math.pow(r, skew) for r in range(1, population + 1)]
+        total = math.fsum(weights)
         self._alias, self._prob = self._build_alias(
-            (weights / weights.sum()).tolist()
+            [w / total for w in weights]
         )
         # Map popularity ranks onto key indices in a shuffled order so hot
         # keys are not clustered in adjacent hash buckets.
-        rank_to_key = np.arange(population)
-        if shuffle:
-            if seed is None:
-                # Nondeterministic mode: derive the shuffle from the
-                # entropy-seeded sampler RNG instead of RandomState(None).
-                shuffler = np.random.RandomState(self._rng.getrandbits(32))
-            else:
-                shuffler = np.random.RandomState(seed)
-            shuffler.shuffle(rank_to_key)
-        self._rank_to_key: List[int] = rank_to_key.tolist()
+        if not shuffle:
+            self._rank_to_key: List[int] = list(range(population))
+        elif seed is None:
+            # Nondeterministic mode: derive the shuffle from the
+            # entropy-seeded sampler RNG, not from a second entropy pull.
+            self._rank_to_key = _shuffled(population, self._rng.getrandbits(32))
+        else:
+            self._rank_to_key = _shuffled(population, seed)
 
     @staticmethod
     def _build_alias(probabilities: List[float]):
@@ -127,3 +124,32 @@ class ZipfSampler:
     def hot_keys(self, count: int) -> List[int]:
         """The ``count`` most popular key indices."""
         return self._rank_to_key[:max(0, count)]
+
+
+def _shuffled(population: int, seed: int) -> List[int]:
+    """``numpy.random.RandomState(seed).shuffle(numpy.arange(population))``,
+    bit for bit: MT19937 seeded by ``init_genrand(seed)``, then a
+    Fisher-Yates pass from the top, each ``j`` drawn by masked rejection
+    from 32-bit outputs.  ``seed`` is refused as ``RandomState`` refuses it:
+    ``TypeError`` if not an integer, ``ValueError`` outside [0, 2**32)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"shuffle seed must be an integer: {seed!r}") from None
+    if not 0 <= seed < 1 << 32:
+        raise ValueError(f"shuffle seed must be in [0, 2**32): {seed}")
+    key = [seed]
+    for i in range(1, 624):
+        prev = key[-1]
+        key.append((1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
+    mt = random.Random()
+    mt.setstate((3, (*key, 624), None))  # 624: regenerate at the first draw
+    bits = mt.getrandbits
+    keys = list(range(population))
+    for i in range(population - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = bits(32) & mask
+        while j > i:
+            j = bits(32) & mask
+        keys[i], keys[j] = keys[j], keys[i]
+    return keys

@@ -77,6 +77,14 @@ class TestMemoryImage:
             mem.read(60, 8)
         with pytest.raises(IndexError):
             mem.write(-1, b"x")
+        # The uncounted pair tests bounds in frame, as read / write do: one
+        # byte past the end, a negative address or size, and nothing moved.
+        for call in (lambda: mem.peek(60, 5), lambda: mem.peek(-1, 1),
+                     lambda: mem.peek(0, -1), lambda: mem.poke(60, b"x" * 5),
+                     lambda: mem.poke(-1, b"x"), lambda: mem.read(0, -1)):
+            with pytest.raises(IndexError):
+                call()
+        assert mem.peek(0, 64) == bytes(64) and mem._chunks == 0
 
     def test_trace(self):
         mem = MemoryImage(256)

@@ -1,6 +1,7 @@
 """Unit tests for workload generators."""
 
 import collections
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from repro.workloads import (
     YCSBGenerator,
     ZipfSampler,
 )
+from repro.workloads import zipf
 from repro.workloads.keyspace import inline_kv_sizes, noninline_kv_sizes
 from repro.workloads.ycsb import PAPER_PUT_RATIOS, paper_workloads
 
@@ -143,21 +145,28 @@ class TestZipfSampler:
     def test_seed_none_shuffle_derived_from_sampler_rng(self, monkeypatch):
         """Regression: with ``seed=None`` the rank shuffle must be seeded
         from the (entropy-seeded) sampler RNG, not from a second
-        independent ``RandomState(None)`` entropy pull - the draw stream
-        and the rank mapping stay coherent with each other."""
-        import numpy as np
+        independent entropy pull - the draw stream and the rank mapping
+        stay coherent with each other.  The sampler's first 32-bit draw is
+        the shuffle seed, and its draws continue right after it."""
+        made = []
 
-        calls = []
-        real = np.random.RandomState
+        class Recorded(random.Random):
+            def __init__(self, seed=None):
+                super().__init__(seed)
+                made.append((self, self.getstate()))
 
-        def spy(seed=None):
-            calls.append(seed)
-            return real(seed)
-
-        monkeypatch.setattr(np.random, "RandomState", spy)
+        monkeypatch.setattr(zipf.random, "Random", Recorded)
         sampler = ZipfSampler(100, seed=None)
-        assert len(calls) == 1
-        assert calls[0] is not None
+        monkeypatch.undo()
+        rng, first_state = made[0]
+        assert rng is sampler._rng
+        replay = random.Random()
+        replay.setstate(first_state)
+        assert sampler._rank_to_key == zipf._shuffled(
+            100, replay.getrandbits(32)
+        )
+        assert sampler._rng.getstate() == replay.getstate()
+        assert sorted(sampler._rank_to_key) == list(range(100))
         assert all(0 <= s < 100 for s in sampler.sample_many(50))
 
     @pytest.mark.parametrize("make", [
@@ -179,6 +188,112 @@ class TestZipfSampler:
             ZipfSampler(0)
         with pytest.raises(ValueError):
             ZipfSampler(10, skew=-1)
+        # NaN passed ``skew < 0`` and built an all-zero table: every draw
+        # was the same key.
+        with pytest.raises(ValueError, match="skew"):
+            ZipfSampler(100, skew=float("nan"), seed=1)
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (1 << 32, ValueError), (-(1 << 40), ValueError),
+        (1.5, TypeError), (2.0, TypeError), ("abc", TypeError),
+        (b"x", TypeError),
+    ])
+    def test_a_seed_the_shuffle_cannot_take_is_refused(self, seed, error):
+        """As ``numpy.random.RandomState`` refused it, and only when the
+        ranks are shuffled."""
+        with pytest.raises(error):
+            ZipfSampler(50, seed=seed)
+        assert ZipfSampler(50, seed=seed, shuffle=False).hot_keys(3) == [0, 1, 2]
+
+
+#: sha256[:16] of ``repr`` of the first 10,000 draws and of ``hot_keys(50)``
+#: for every ``(population, skew, seed, shuffle)`` a gate builds, frozen
+#: from the numpy-built table: ``net-sharded`` (its unshuffled sampler and
+#: the shuffled one its generator builds first), the ``ycsb-zipf`` surface
+#: and Table 3 (5,000), YCSB-E and Fig 13 (2,000), Figs 16/17 (4,000),
+#: Fig 14 (225,848), and the tests' own.
+PINNED_ZIPF_STREAMS = [
+    ((20000, 0.99, 7, False), "06ff18bf4a917dd5", "d97b3c7daac644a1"),
+    ((20000, 0.99, 11, False), "1dd9861779ddf124", "d97b3c7daac644a1"),
+    ((20000, 0.99, 23, False), "4861b168050bba9a", "d97b3c7daac644a1"),
+    ((20000, 0.99, 7, True), "46886fbd7ed57563", "4c10c738effd4972"),
+    ((20000, 0.99, 11, True), "c03d713a6bc4b9f1", "e734a4a88e0bd9df"),
+    ((20000, 0.99, 23, True), "bbce6c0e784b99d5", "1ed49183093f4d1b"),
+    ((5000, 0.99, 0, True), "10fafb25145fded3", "b5d2114fe7e52c9c"),
+    ((2000, 0.99, 0, True), "8a7cc50020411dba", "c8f8e1074c7b5739"),
+    ((4000, 0.99, 0, True), "66b9d3a16097d7b2", "eb0c327d2bdb8da3"),
+    ((225848, 0.99, 0, True), "5f5bb9c6e2b5d402", "2d3b235227153675"),
+    ((10, 0.0, 1, True), "89a864ef15b2c57c", "5ddeb9130fe33d2f"),
+    ((100, 0.99, 7, False), "ac92eb11831a2ef1", "d97b3c7daac644a1"),
+    ((1000, 0.99, 1, True), "37168098d1aa1aa9", "8617a91865207572"),
+    ((1000, 0.99, 3, True), "c313893a9bc06664", "0db446a7f078bfc1"),
+    ((1000, 0.99, 7, True), "15e09e02020f2b4b", "809b08adea7f8c93"),
+    ((1000, 0.99, 11, True), "49aefb650e90c86a", "1990190ace0ef123"),
+    ((10000, 0.99, 1, True), "377330d30a0ee2d7", "11a3fddfbee54a58"),
+    ((1500, 0.99, 0, True), "2eacdf3d62052d72", "76783ed71b969a2a"),
+    ((1500, 0.99, 7, True), "f23bc0cbde399ed6", "7bd6aecbc222f6bd"),
+    ((1500, 0.99, 42, True), "56981107e0e14476", "6a29ccc6529d7a80"),
+    ((200, 0.99, 0, True), "9be85536fc326117", "85e64d193dff7a0f"),
+    ((300, 0.5, 4, False), "d37acb9941af83b9", "d97b3c7daac644a1"),
+    ((500, 0.99, 0, True), "0889801f350f2ae0", "0643b0ffa55c6b5d"),
+    ((500, 0.99, 1, True), "f0730ef05b1f3ea8", "0f1fabcc389313bc"),
+    ((500, 0.99, 2, True), "0a12da87da130b7f", "a9355dc00e766fcd"),
+    ((500, 0.99, 5, True), "ea52d392d2c94194", "a2b2560a468be084"),
+    ((500, 0.99, 9, True), "78913b3e8f1ed0e7", "9e823292e5859fcd"),
+]
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+
+
+class TestZipfStreamIsPinned:
+    """The pure-Python table draws the stream the numpy-built one drew."""
+
+    @pytest.mark.parametrize(
+        "shape, draws, hot", PINNED_ZIPF_STREAMS,
+        ids=["-".join(map(str, shape)) for shape, *__ in PINNED_ZIPF_STREAMS],
+    )
+    def test_draws_and_hot_keys(self, shape, draws, hot):
+        population, skew, seed, shuffle = shape
+        sampler = ZipfSampler(population, skew, seed=seed, shuffle=shuffle)
+        assert _digest(sampler.sample_many(10_000)) == draws
+        assert _digest(sampler.hot_keys(50)) == hot
+
+
+def _numpy_table(np, population, skew):
+    """The numpy-built table: ``np.power`` weights over a pairwise sum."""
+    weights = 1.0 / np.power(np.arange(1, population + 1, dtype=float), skew)
+    return ZipfSampler._build_alias((weights / weights.sum()).tolist())
+
+
+class TestZipfTableMatchesNumpy:
+    """Against the numpy definition the table replaced; skipped without
+    numpy."""
+
+    @pytest.mark.parametrize("population", [1, 2, 7, 100, 1000, 20000])
+    @pytest.mark.parametrize("skew", [0.0, 0.5, 0.99, 1.2])
+    def test_alias_table(self, population, skew):
+        """The same alias partition; its column probabilities differ only
+        in their last bits (``np.power`` against libm's ``pow``, a pairwise
+        sum against ``fsum``, carried through the partition's running
+        sums), and no draw moves."""
+        np = pytest.importorskip("numpy")
+        alias, prob = _numpy_table(np, population, skew)
+        sampler = ZipfSampler(population, skew, seed=3, shuffle=False)
+        assert sampler._alias == alias
+        assert sampler._prob == pytest.approx(prob, rel=1e-10, abs=0)
+        reference = ZipfSampler(population, skew, seed=3, shuffle=False)
+        reference._alias, reference._prob = alias, prob
+        assert sampler.sample_many(5000) == reference.sample_many(5000)
+
+    @pytest.mark.parametrize("population", [1, 2, 3, 1000, 4000, 20000])
+    @pytest.mark.parametrize("seed", [0, 7, 11, 23, 42, (1 << 32) - 1])
+    def test_shuffle(self, population, seed):
+        np = pytest.importorskip("numpy")
+        keys = np.arange(population)
+        np.random.RandomState(seed).shuffle(keys)
+        assert zipf._shuffled(population, seed) == keys.tolist()
 
 
 class TestWorkloadSpec:
@@ -191,6 +306,13 @@ class TestWorkloadSpec:
             WorkloadSpec(put_ratio=1.5)
         with pytest.raises(ValueError):
             WorkloadSpec(distribution="pareto")
+
+    @pytest.mark.parametrize("skew", [float("nan"), -0.5])
+    def test_a_nan_or_negative_zipf_skew_is_refused(self, skew):
+        """Refused at construction, as a bad put ratio is, not when (or
+        if) a generator builds the table."""
+        with pytest.raises(ValueError, match="skew"):
+            WorkloadSpec(distribution="zipf", zipf_skew=skew)
 
     def test_paper_workloads(self):
         specs = paper_workloads()
