@@ -17,18 +17,15 @@ Paper shape reproduced here:
 - hopscotch GET is competitive, PUT degrades sharply (bubbling).
 """
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import pytest
 
 from repro.analysis.report import format_series
-from repro.baselines.cuckoo import BUCKET_BYTES, CuckooHashTable
+from repro.baselines.cuckoo import CuckooHashTable
 from repro.baselines.hopscotch import HopscotchHashTable
 from repro.core.config import KVDirectConfig
-from repro.core.slab import SlabAllocator
-from repro.core.slab_host import HostSlabManager
 from repro.core.store import KVDirectStore
-from repro.dram.host import MemoryImage
 from repro.errors import CapacityError
 
 MEMORY = 1 << 20
@@ -100,14 +97,7 @@ def _kvdirect(utilization, kv_size):
 def _baseline(cls, utilization, kv_size):
     # Tuned split: balance index slots against value slabs.
     ratio = 0.3 if kv_size <= 20 else 0.1
-    memory = MemoryImage(MEMORY)
-    index_bytes = int(MEMORY * ratio) // 64 * 64
-    host = HostSlabManager(base=index_bytes, size=MEMORY - index_bytes)
-    allocator = SlabAllocator(host)
-    if cls is CuckooHashTable:
-        table = cls(memory, allocator, index_bytes // BUCKET_BYTES)
-    else:
-        table = cls(memory, allocator, index_bytes // 64)
+    table = cls.over(MEMORY, int(MEMORY * ratio))
     keys = _fill(table, utilization, kv_size, MEMORY)
     if keys is None:
         return None
@@ -245,15 +235,8 @@ def test_fig11_cuckoo_put_fluctuates_at_high_load_factor(benchmark, emit):
     def degradation():
         rows = []
         for load_factor in (0.3, 0.6, 0.85):
-            memory = MemoryImage(MEMORY)
-            index_bytes = (64 << 10)
-            host = HostSlabManager(
-                base=index_bytes, size=MEMORY - index_bytes
-            )
-            cuckoo = CuckooHashTable(
-                memory, SlabAllocator(host), index_bytes // BUCKET_BYTES
-            )
-            slots = (index_bytes // BUCKET_BYTES) * 4
+            cuckoo = CuckooHashTable.over(MEMORY, 64 << 10)
+            slots = cuckoo.num_buckets * 4
             for key in _random_keys(int(slots * load_factor), seed=3):
                 cuckoo.put(key, b"v")
             rows.append(
@@ -285,15 +268,8 @@ def test_fig11_hopscotch_put_degrades_at_high_load_factor(benchmark, emit):
     def degradation():
         rows = []
         for load_factor in (0.3, 0.6, 0.95):
-            memory = MemoryImage(MEMORY)
-            index_bytes = 64 << 10
-            host = HostSlabManager(
-                base=index_bytes, size=MEMORY - index_bytes
-            )
-            hop = HopscotchHashTable(
-                memory, SlabAllocator(host), index_bytes // 64
-            )
-            slots = (index_bytes // 64) * 4
+            hop = HopscotchHashTable.over(MEMORY, 64 << 10)
+            slots = hop.num_buckets * 4
             for key in _random_keys(int(slots * load_factor), seed=4):
                 hop.put(key, b"v")
             rows.append((load_factor, hop.put_cost.mean, hop.put_cost.maximum))

@@ -1,5 +1,7 @@
 """Baseline systems the paper compares against.
 
+- :mod:`~repro.baselines.slotted` - the inline-key bucket and slab value
+  record both hash tables share.
 - :mod:`~repro.baselines.cuckoo` - MemC3-style bucketized cuckoo hashing.
 - :mod:`~repro.baselines.hopscotch` - FaRM-style chain-associative
   hopscotch hashing.

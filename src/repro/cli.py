@@ -114,6 +114,9 @@ _positive_float = _number_in(0, float("inf"), "a finite number above zero")
 _fraction = _number_in(0, 1, "a fraction between 0 and 1, exclusive")
 #: A count or a size, such as every ``--ops`` and ``--memory-mib``.
 _positive_int = _number_in(0, float("inf"), "a positive integer", int)
+#: A relative tolerance: a finite number, zero or above.
+_tolerance = _number_in(math.nextafter(0, -1), float("inf"),
+                        "a finite number of at least 0")
 #: A KV size: more than the 8 B keys every workload and the tuner draw, and
 #: no more than the largest slab holds.
 _kv_size = _number_in(8, MAX_KV_SIZE + 1, "a KV size above the 8 B key and "
@@ -239,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sampling window in simulated nanoseconds",
     )
     timeline.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="run an N-shard server (per-nic<i> series + an 'all' "
              "aggregate)",
     )
@@ -267,11 +270,11 @@ def _build_parser() -> argparse.ArgumentParser:
         memory_mib=8,
     )
     profile.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="profile an N-shard server (per-nic<i> prefixed profiles)",
     )
     profile.add_argument(
-        "--tolerance", type=float, default=0.2,
+        "--tolerance", type=_tolerance, default=0.2,
         help="relative tolerance for the paper's ~1/GET ~2/PUT predictions",
     )
     profile.add_argument(
@@ -322,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_diff.add_argument("baseline", help="baseline BENCH_*.json")
     bench_diff.add_argument("current", help="current BENCH_*.json")
     bench_diff.add_argument(
-        "--tolerance", type=float, default=0.15,
+        "--tolerance", type=_tolerance, default=0.15,
         help="relative tolerance before a metric counts as regressed",
     )
     bench_diff.add_argument(
@@ -340,11 +343,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _plain(range_cmd, scans=64, corpus=512, kv_size=13, memory_mib=8,
            max_count=16)
     range_cmd.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="replicate each scan to N shards and k-way merge the partial "
              "results (the digest is shard-count invariant)",
     )
-    range_cmd.add_argument("--batch-size", type=int, default=8)
+    range_cmd.add_argument("--batch-size", type=_positive_int, default=8)
 
     atomics = sub.add_parser(
         "atomics", help="single/multi-key atomics (Figure 13a)"
@@ -386,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timed", action="store_true",
         help="run through the cycle-level simulation (slower)",
     )
-    replay.add_argument("--concurrency", type=int, default=250)
+    replay.add_argument("--concurrency", type=_positive_int, default=250)
 
     overload = sub.add_parser(
         "overload",
@@ -428,9 +431,9 @@ def _build_parser() -> argparse.ArgumentParser:
     soak.add_argument(
         "--shed-policy", choices=SHED_POLICIES, default="reject-new"
     )
-    soak.add_argument("--queue-depth", type=int, default=4)
+    soak.add_argument("--queue-depth", type=_positive_int, default=4)
     soak.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="shard the soak across N server stacks (key-hash routed; "
              "default 1 = the original single-stack soak)",
     )
@@ -440,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "shards (routes through the epoch-aware ClusterRouter)",
     )
     soak.add_argument(
-        "--slots", type=int, default=8,
+        "--slots", type=_positive_int, default=8,
         help="placement-directory slots in cluster mode",
     )
     soak.add_argument(
@@ -505,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "histograms",
     )
     multinic.add_argument(
-        "--concurrency-per-nic", type=int, default=128,
+        "--concurrency-per-nic", type=_positive_int, default=128,
         help="outstanding ops per shard in --direct mode",
     )
     multinic.add_argument(
@@ -793,8 +796,12 @@ def _cmd_profile(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     if args.bench_command == "diff":
-        baseline = bench_history.load_snapshot(args.baseline)
-        current = bench_history.load_snapshot(args.current)
+        try:
+            baseline = bench_history.load_snapshot(args.baseline)
+            current = bench_history.load_snapshot(args.current)
+        except ValueError as exc:  # not JSON, or not a valid snapshot
+            print(f"repro bench diff: {exc}", file=sys.stderr)
+            return 1
         result = bench_history.diff(baseline, current,
                                     tolerance=args.tolerance)
         if args.json:

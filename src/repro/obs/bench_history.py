@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
@@ -185,6 +186,10 @@ def validate(data: dict) -> List[str]:
             problems.append(f"field {key!r} must be {kind} or null")
     if "extra" in data and not isinstance(data["extra"], dict):
         problems.append("field 'extra' must be an object")
+    # Python's json reads NaN and Infinity; no snapshot may carry them.
+    for key, value in sorted(data.items()):
+        if isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"field {key!r} is non-finite")
     return problems
 
 
@@ -278,7 +283,13 @@ def diff(
     Metrics that are None (or zero baseline) on either side are reported
     but never gate; differing config digests are flagged in ``notes``
     because comparing differently-configured runs is usually a mistake.
+    A ``tolerance`` that is negative, NaN or infinite is a ValueError: it
+    would fail unchanged metrics or pass any change.
     """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(
+            f"tolerance must be a finite number of at least 0: {tolerance!r}"
+        )
     notes: List[str] = []
     if baseline.config_digest != current.config_digest:
         notes.append(

@@ -23,6 +23,7 @@ from repro.core.config import KVDirectConfig
 from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
+from repro.errors import ConfigurationError
 from repro.multi.cluster import Cluster
 from repro.multi.multinic import MultiNICServer
 from repro.obs.tracer import Tracer
@@ -111,13 +112,20 @@ def build(
 
     ``nodes`` > 0 selects a replicated cluster of that many members
     (``slots`` placement slots) instead of ``shards`` plain NICs;
-    ``profile`` attaches a stage profiler per NIC (plain NICs only).
+    ``profile`` attaches a stage profiler per NIC; a cluster takes none
+    (a ``ConfigurationError``), since its request path has no profile
+    yet (item 8 of ROADMAP.md).
     ``overrides`` are further :class:`KVDirectConfig` fields; the
     ordered index is on by default exactly when the workload scans
     (YCSB-E).  The corpus is inserted functionally, bypassing the timed
     path (to primary *and* backup in a cluster), and access counters are
     zeroed afterwards so the run measures only its own operations.
     """
+    if nodes and profile:
+        raise ConfigurationError(
+            "a cluster build takes no stage profiler: profiling the "
+            "replicated request path is item 8 of ROADMAP.md"
+        )
     sim = Simulator()
     overrides.setdefault("ordered_index", workload == "E")
     config = KVDirectConfig(memory_size=memory_size, seed=seed, **overrides)

@@ -1,5 +1,8 @@
 """Unit tests for the baseline hash tables and analytic models."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,31 +15,17 @@ from repro.baselines import (
     OneSidedRDMAModel,
     TwoSidedRDMAModel,
 )
-from repro.baselines.cuckoo import BUCKET_BYTES as CUCKOO_BUCKET_BYTES
-from repro.core.slab import SlabAllocator
-from repro.core.slab_host import HostSlabManager
-from repro.dram.host import MemoryImage
 from repro.errors import KeyTooLargeError
 
 
 def make_cuckoo(memory_size=1 << 20, index_ratio=0.5, **kwargs):
-    memory = MemoryImage(memory_size)
-    index_bytes = int(memory_size * index_ratio) // 64 * 64
-    host = HostSlabManager(base=index_bytes, size=memory_size - index_bytes)
-    allocator = SlabAllocator(host)
-    return CuckooHashTable(
-        memory, allocator, index_bytes // CUCKOO_BUCKET_BYTES, **kwargs
-    )
+    index_bytes = int(memory_size * index_ratio)
+    return CuckooHashTable.over(memory_size, index_bytes, **kwargs)
 
 
 def make_hopscotch(memory_size=1 << 20, index_ratio=0.5, **kwargs):
-    memory = MemoryImage(memory_size)
-    index_bytes = int(memory_size * index_ratio) // 64 * 64
-    host = HostSlabManager(base=index_bytes, size=memory_size - index_bytes)
-    allocator = SlabAllocator(host)
-    return HopscotchHashTable(
-        memory, allocator, index_bytes // 64, **kwargs
-    )
+    index_bytes = int(memory_size * index_ratio)
+    return HopscotchHashTable.over(memory_size, index_bytes, **kwargs)
 
 
 class TestCuckooBasics:
@@ -267,3 +256,161 @@ class TestHopscotchOverflowChains:
         assert len(table) == count - 3
         for key in keys[-3:]:
             assert table.get(key) is None
+
+
+class TestSlottedStore:
+    @pytest.mark.parametrize("make", [make_cuckoo, make_hopscotch])
+    def test_value_no_slab_holds_is_refused_before_any_access(self, make):
+        """A record is a 3 B header and the value in one 512 B slab at
+        most: 510 B is refused up front, as ``HashTable`` refuses it."""
+        table = make()
+        with pytest.raises(KeyTooLargeError):
+            table.put(b"key", b"x" * 510)
+        assert table.memory.accesses == 0
+        assert table.put_cost.count == 0 and len(table) == 0
+        table.put(b"key", b"x" * 509)
+        assert table.get(b"key") == b"x" * 509
+
+
+#: What each Figure 11 run below observes, frozen before the two baselines
+#: shared one store: per-op cost ``(count, mean, maximum)``, the tables'
+#: own counters, the image's counters, and digests of the access trace and
+#: of the image's bytes.
+FIG11_PINNED = {
+    ("cuckoo", "10 B"): {
+        "get": (102, 2.0784313725490207, 3),
+        "put": (10664, 4.009002250562643, 13),
+        "len": 10452, "stored": 105183, "counters": {"kicks": 66},
+        "memory": {"read_bytes": 1382560, "read_lines": 21742,
+                   "reads": 21742, "write_bytes": 737766,
+                   "write_lines": 21327, "writes": 21327},
+        "trace": "4f9455c4ff282a5c", "image": "40f1f37c7e9cc759",
+    },
+    ("cuckoo", "253 B"): {
+        "get": (105, 2.0, 2),
+        "put": (597, 3.825795644891124, 4),
+        "len": 380, "stored": 92672, "counters": {},
+        "memory": {"read_bytes": 163040, "read_lines": 2552,
+                   "reads": 1476, "write_bytes": 177584,
+                   "write_lines": 2890, "writes": 1125},
+        "trace": "4a9da9ca0eead850", "image": "05b6f71670e4590d",
+    },
+    ("hopscotch", "10 B"): {
+        "get": (102, 1.9901960784313726, 2),
+        "put": (10664, 4.0617966991747885, 19),
+        "len": 10452, "stored": 105183,
+        "counters": {"bubbles": 131, "chained": 8},
+        "memory": {"read_bytes": 2098080, "read_lines": 32922,
+                   "reads": 22124, "write_bytes": 750310,
+                   "write_lines": 21523, "writes": 21531},
+        "trace": "80a654676724238c", "image": "5c2d86c6dc6c435d",
+    },
+    ("hopscotch", "253 B"): {
+        "get": (105, 1.9904761904761905, 2),
+        "put": (597, 3.9581239530988266, 5),
+        "len": 380, "stored": 92672, "counters": {},
+        "memory": {"read_bytes": 217376, "read_lines": 3401,
+                   "reads": 1588, "write_bytes": 177584,
+                   "write_lines": 2890, "writes": 1125},
+        "trace": "c233253870d9a16c", "image": "05b6f71670e4590d",
+    },
+    ("cuckoo", "load 0.85"): {
+        "get": (104, 2.1923076923076916, 3),
+        "put": (3662, 4.432277444019671, 31),
+        "len": 3446, "stored": 31694, "counters": {"kicks": 701},
+        "memory": {"read_bytes": 542528, "read_lines": 8619,
+                   "reads": 8619, "write_bytes": 291608,
+                   "write_lines": 7957, "writes": 7957},
+        "trace": "0b29f2c0432a712d", "image": "9b27e52a37093193",
+    },
+    ("hopscotch", "load 0.95"): {
+        "get": (104, 2.153846153846154, 5),
+        "put": (4072, 5.170186640471514, 59),
+        "len": 3856, "stored": 35384,
+        "counters": {"bubbles": 693, "chained": 235},
+        "memory": {"read_bytes": 1010752, "read_lines": 15935,
+                   "reads": 11728, "write_bytes": 362752,
+                   "write_lines": 9453, "writes": 9688},
+        "trace": "2fbbb9097840165d", "image": "6f5efdb505b5d1b0",
+    },
+}
+
+
+class TestFigure11Pinned:
+    """Figure 11's baselines, access for access: the utilization 0.10
+    points of ``benchmarks/bench_fig11_tables.py`` at 10 B and 253 B KVs,
+    and its densest index load factors, each followed by GETs, overwrites
+    that keep, grow and shrink the slab class, and deletes."""
+
+    MEMORY = 1 << 20
+    TABLES = {"cuckoo": CuckooHashTable, "hopscotch": HopscotchHashTable}
+
+    @staticmethod
+    def _exercise(table, keys, vlen):
+        probe = keys[:: max(1, len(keys) // 100)]
+        for key in probe:
+            table.get(key)
+        table.get(b"absent")
+        for key in probe:
+            table.put(key, b"\xcd" * vlen)
+        for key in probe[::2]:
+            table.put(key, b"\xef" * (vlen + 40))
+        for key in probe[::4]:
+            table.put(key, b"\x12")
+        for key in probe[::3]:
+            table.delete(key)
+        table.delete(b"absent")
+
+    def _utilization_run(self, cls, kv_size):
+        ratio = 0.3 if kv_size <= 20 else 0.1
+        table = cls.over(self.MEMORY, int(self.MEMORY * ratio))
+        table.memory.start_trace()
+        rng, keys = random.Random(11), []
+        while table.stored_bytes / self.MEMORY < 0.10:
+            keys.append(rng.getrandbits(64).to_bytes(8, "big"))
+            table.put(keys[-1], b"\xab" * (kv_size - 8))
+        self._exercise(table, keys, kv_size - 8)
+        return table
+
+    def _load_factor_run(self, cls, load_factor, seed):
+        table = cls.over(self.MEMORY, 64 << 10)
+        table.memory.start_trace()
+        rng = random.Random(seed)
+        keys = [
+            rng.getrandbits(64).to_bytes(8, "big")
+            for __ in range(int(table.num_buckets * 4 * load_factor))
+        ]
+        for key in keys:
+            table.put(key, b"v")
+        self._exercise(table, keys, 1)
+        return table
+
+    @staticmethod
+    def _observe(table):
+        memory = table.memory
+        trace = repr(memory.stop_trace()).encode()
+        get, put = table.get_cost, table.put_cost
+        return {
+            "get": (get.count, get.mean, get.maximum),
+            "put": (put.count, put.mean, put.maximum),
+            "len": len(table),
+            "stored": table.stored_bytes,
+            "counters": dict(sorted(table.counters.items())),
+            "memory": dict(sorted(memory.counters.items())),
+            "trace": hashlib.sha256(trace).hexdigest()[:16],
+            "image": hashlib.sha256(
+                memory.peek(0, memory.size)
+            ).hexdigest()[:16],
+        }
+
+    def test_access_counts_match_the_pinned_runs(self):
+        runs = {}
+        for name, cls in self.TABLES.items():
+            for kv_size in (10, 253):
+                table = self._utilization_run(cls, kv_size)
+                runs[(name, f"{kv_size} B")] = self._observe(table)
+        cuckoo = self._load_factor_run(CuckooHashTable, 0.85, seed=3)
+        runs[("cuckoo", "load 0.85")] = self._observe(cuckoo)
+        hop = self._load_factor_run(HopscotchHashTable, 0.95, seed=4)
+        runs[("hopscotch", "load 0.95")] = self._observe(hop)
+        assert runs == FIG11_PINNED

@@ -78,6 +78,15 @@ class TestValidate:
     def test_clean_snapshot_validates(self):
         assert validate(json.loads(_snapshot().to_json())) == []
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_refused(self, number):
+        """Regression: only ``tools/check_bench.py`` refused them, so
+        ``repro bench diff`` read a NaN snapshot as a PASS."""
+        text = _snapshot().to_json().replace("120.0", number)
+        assert validate(json.loads(text)) == [
+            "field 'throughput_mops' is non-finite"
+        ]
+
     def test_non_object_rejected(self):
         assert validate([]) == ["snapshot must be a JSON object"]
 
@@ -178,6 +187,21 @@ class TestDiff:
         worse = _snapshot(throughput_mops=110.0)
         assert diff(_snapshot(), worse, tolerance=0.15).passed
         assert not diff(_snapshot(), worse, tolerance=0.05).passed
+
+    @pytest.mark.parametrize(
+        "tolerance", [float("nan"), float("inf"), -1.0, -1e-9]
+    )
+    def test_a_tolerance_that_cannot_gate_is_refused(self, tolerance):
+        """Regression: NaN or infinity passed a 10x throughput drop and a
+        negative tolerance failed unchanged metrics."""
+        with pytest.raises(ValueError, match="tolerance"):
+            diff(_snapshot(), _snapshot(throughput_mops=12.0),
+                 tolerance=tolerance)
+
+    def test_zero_tolerance_gates_any_bad_move(self):
+        assert diff(_snapshot(), _snapshot(), tolerance=0.0).passed
+        worse = _snapshot(throughput_mops=119.9)
+        assert not diff(_snapshot(), worse, tolerance=0.0).passed
 
     def test_none_metrics_never_gate(self):
         report = diff(

@@ -174,6 +174,15 @@ class TestErrors:
         ("multinic", "--nics"),
         ("multinic", "--ops"),
         ("multinic", "--corpus"),
+        ("multinic", "--concurrency-per-nic"),
+        ("timeline", "--shards"),
+        ("profile", "--shards"),
+        ("range", "--shards"),
+        ("range", "--batch-size"),
+        ("replay", "unused.kvdt", "--concurrency"),
+        ("soak", "--shards"),
+        ("soak", "--queue-depth"),
+        ("soak", "--slots"),
     ])
     def test_counts_and_sizes_take_a_positive_integer(
         self, argv, value, capsys
@@ -182,11 +191,29 @@ class TestErrors:
         histogram", ``atomics --keys 0`` and ``overload --ops 0`` a
         ZeroDivisionError, ``atomics --keys -2`` ran and reported "keys
         -2", ``range --max-count 0`` raised a ValueError from ``randrange``
-        and ``multinic --corpus 0`` a ZeroDivisionError."""
+        and ``multinic --corpus 0`` a ZeroDivisionError.  The shard,
+        batch, concurrency, queue and slot counts reached a constructor
+        and exited 1."""
         with pytest.raises(SystemExit) as exited:
             run_cli(*argv, value)
         assert exited.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
+    @pytest.mark.parametrize("argv", [
+        ("bench", "diff", "a.json", "b.json", "--tolerance"),
+        ("profile", "--tolerance"),
+    ])
+    def test_a_tolerance_is_finite_and_not_negative(
+        self, argv, value, capsys
+    ):
+        """Regression: ``bench diff --tolerance nan`` or ``inf`` passed a
+        10x throughput drop, ``-1`` marked unchanged metrics REGRESSED,
+        and ``profile --tolerance -1`` failed the audit."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv, value)
+        assert exited.value.code == 2
+        assert "finite number of at least 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-1", "abc", "nan", "inf",
                                        "1.0,0", ","])
@@ -563,3 +590,24 @@ class TestBench:
         )
         assert code == 1
         assert "REGRESSED" in output
+
+    def test_diff_refuses_a_non_finite_snapshot(self, tmp_path, capsys):
+        """Regression: a current snapshot whose throughput and p99 were
+        NaN read ``verdict: PASS``."""
+        from repro.obs.bench_history import BenchSnapshot
+
+        fields = dict(
+            name="unit", operations=100, throughput_mops=50.0,
+            latency_p50_ns=900.0, latency_p95_ns=1500.0,
+            latency_p99_ns=2000.0, dma_per_op=0.9, cache_hit_rate=0.5,
+            git_rev="abc1234", config_digest="0123456789abcdef",
+        )
+        good, bad = tmp_path / "BENCH_good.json", tmp_path / "BENCH_nan.json"
+        BenchSnapshot(**fields).save(str(good))
+        fields.update(throughput_mops=float("nan"),
+                      latency_p99_ns=float("nan"))
+        BenchSnapshot(**fields).save(str(bad))
+        assert run_cli("bench", "diff", str(good), str(bad)) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("repro bench diff: ") and err.count("\n") == 1
+        assert "'throughput_mops' is non-finite" in err

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import scenario
 from repro.chaos import SoakConfig, run_soak
 from repro.client.robust import RetryBudget
 from repro.client.router import ClusterRouter
@@ -101,6 +102,14 @@ class TestClusterMap:
             ClusterMap(num_slots=0, num_nodes=1)
         with pytest.raises(ConfigurationError):
             ClusterMap(num_slots=4, num_nodes=0)
+
+
+class TestScenarioBuild:
+    def test_a_profiled_cluster_build_is_refused(self):
+        """Regression: ``build(nodes=3, profile=True)`` built a cluster
+        with no profiler and said nothing (``server.profilers == []``)."""
+        with pytest.raises(ConfigurationError, match="ROADMAP.md"):
+            scenario.build(nodes=3, profile=True)
 
 
 class TestKillSemantics:
