@@ -35,7 +35,8 @@ from repro.chaos import SoakConfig, run_soak, sweep_offered_load
 from repro.client.router import ClusterRouter
 from repro.core.admission import SHED_POLICIES, OverloadPolicy
 from repro.core.hashtable import MAX_KV_SIZE
-from repro.core.operations import KVOperation, decode_scan_payload
+from repro.core.operations import (KVOperation, decode_scan_payload,
+                                   nonempty)
 from repro.core.tuning import optimal_hash_index_ratio
 from repro.core.vector import FETCH_ADD
 from repro.driver import run_closed_loop
@@ -55,7 +56,7 @@ from repro.obs.timeline import sparkline
 from repro.pcie import DMAEngine, PCIeLinkConfig
 from repro.sim import Simulator
 from repro.sim.stats import mops
-from repro.workloads.trace import TraceWriter, load_trace
+from repro.workloads.trace import TraceReader, TraceWriter
 
 
 def _latency_rows(stats, pcts=(50, 99)) -> List[List[str]]:
@@ -557,7 +558,7 @@ def _cmd_ycsb(args, out) -> int:
     )
     processor = built.processor
     stats = run_closed_loop(
-        processor, built.operations(args.ops),
+        processor, built.generator.stream(args.ops),
         concurrency=args.concurrency,
     )
     rows = [
@@ -827,7 +828,7 @@ def _cmd_bench(args, out) -> int:
         sampler = TimelineSampler(window_ns=args.window_ns)
         built.server.attach_timeline(sampler)
     stats = run_closed_loop(
-        processor, built.operations(args.ops),
+        processor, built.generator.stream(args.ops),
         concurrency=args.concurrency, timeline=sampler,
     )
     if sampler is not None:
@@ -998,7 +999,7 @@ def _cmd_record(args, out) -> int:
     with TraceWriter(args.output) as writer:
         if args.load_phase:
             writer.extend(generator.load_phase())
-        writer.extend(generator.operations(args.ops))
+        writer.extend(generator.stream(args.ops))
         total = writer.operations
     rows = [
         ["trace", args.output],
@@ -1011,24 +1012,30 @@ def _cmd_record(args, out) -> int:
 
 
 def _cmd_replay(args, out) -> int:
-    ops = load_trace(args.input)
     built = scenario.build(memory_size=args.memory_mib << 20)
     store = built.store
-    rows = [["trace", args.input], ["operations", str(len(ops))]]
-    if args.timed:
-        stats = run_closed_loop(built.processor, ops,
-                                concurrency=args.concurrency)
-        rows += _latency_rows(stats, pcts=(99,))
-    else:
-        hits = 0
-        for op in ops:
-            result = store.execute(op)
-            hits += result.ok
-        rows += [
-            ["ok responses", str(hits)],
-            ["final keys", str(len(store))],
-            ["mem accesses", str(int(store.dma_stats()['memory_accesses']))],
-        ]
+    with TraceReader(args.input) as reader:
+        # An empty trace is refused on both paths, as every driver
+        # refuses an empty stream.
+        ops = nonempty(reader)
+        if args.timed:
+            stats = run_closed_loop(built.processor, ops,
+                                    concurrency=args.concurrency)
+            count = int(stats["operations"])
+            rows = _latency_rows(stats, pcts=(99,))
+        else:
+            count = hits = 0
+            for op in ops:
+                result = store.execute(op)
+                count += 1
+                hits += result.ok
+            rows = [
+                ["ok responses", str(hits)],
+                ["final keys", str(len(store))],
+                ["mem accesses",
+                 str(int(store.dma_stats()['memory_accesses']))],
+            ]
+    rows = [["trace", args.input], ["operations", str(count)], *rows]
     print(format_table("Trace replayed", ["metric", "value"], rows),
           file=out)
     return 0

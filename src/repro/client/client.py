@@ -27,12 +27,12 @@ clients cannot amplify the very overload being shed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.client.robust import BackoffPolicy, CircuitBreaker, RetryBudget
-from repro.core.operations import KVOperation, KVResult
+from repro.core.operations import FanOut, KVOperation, KVResult, Lane
 from repro.core.processor import KVProcessor
-from repro.driver import latency_fields
+from repro.driver import Sink, latency_fields
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -115,6 +115,7 @@ class KVClient:
         busy_backoff_ns: float = 2000.0,
         retry_budget: Optional[RetryBudget] = None,
         breaker: Optional[CircuitBreaker] = None,
+        sink: Optional[Sink] = None,
     ) -> None:
         if batch_size <= 0:
             raise ConfigurationError("batch size must be positive")
@@ -133,8 +134,14 @@ class KVClient:
             )
         if not busy_backoff_ns >= 0:
             raise ConfigurationError("busy backoff must be non-negative")
-        if deadline_budget_ns is not None and not deadline_budget_ns > 0:
-            raise ConfigurationError("deadline budget must be positive")
+        if deadline_budget_ns is not None and not (
+            0 < deadline_budget_ns < 2 ** 64
+        ):
+            # Infinity would pass here and fail every batch's wire encode.
+            raise ConfigurationError(
+                "deadline budget must be a positive ns count below the wire "
+                f"format's u64 field: {deadline_budget_ns!r}"
+            )
         self.sim = sim
         self.processor = processor
         self.batch_size = batch_size
@@ -166,8 +173,12 @@ class KVClient:
         )
         self.latencies = Histogram()
         #: Responses keyed by op sequence number (ops with seq >= 0;
-        #: latest write wins on a reused seq).
+        #: latest write wins on a reused seq), filled by the default sink.
         self.responses: Dict[int, KVResult] = {}
+        #: ``sink(op, result)``: receives every successful result as its
+        #: batch is harvested; :meth:`_respond` (into :attr:`responses`)
+        #: unless the caller folds results itself.
+        self.sink = self._respond if sink is None else sink
         self.retries = 0
         self.failed_ops = 0
         self.busy_nacks = 0
@@ -179,23 +190,33 @@ class KVClient:
 
     # -- public -----------------------------------------------------------------
 
-    def run(self, ops: List[KVOperation]) -> ClientStats:
+    def run(self, ops: Iterable[KVOperation]) -> ClientStats:
         """Send all operations; blocks (simulated) until every response."""
-        done = self.start(ops)
+        lane = FanOut(ops, 1).lanes[0]
+        done = self.start(lane)
         self.sim.run(done)
-        return self.collect_stats(len(ops), self.sim.now)
+        return self.collect_stats(lane.taken, self.sim.now)
 
-    def start(self, ops: List[KVOperation]) -> Event:
+    def start(self, ops: Union[Iterable[KVOperation], Lane]) -> Event:
         """Launch the run without blocking; returns its settle event.
+
+        ``ops`` is any iterable, or one :class:`~repro.core.operations.Lane`
+        of a shard fan-out (whose ops come with the key hashes they were
+        routed by); batches are cut from it as they are sent, so only the
+        ops of the batches in flight (and the next one) are held.  A
+        stream that yields nothing is a
+        :class:`~repro.errors.ConfigurationError`.
 
         Lets several clients (e.g. one per shard, see
         :class:`~repro.client.router.ShardRouter`) be driven concurrently
         under one ``sim.run``; the event succeeds when every batch has
         finished, and fails if a batch exhausts its retries.  The run
         kick-starts on the next entry at the current instant."""
-        if not ops:
-            raise ConfigurationError("no operations to run")
+        if not isinstance(ops, Lane):
+            ops = FanOut(ops, 1).lanes[0]
         run = _Run(self, ops)
+        if not run.upcoming[0]:
+            raise ConfigurationError("no operations to run")
         self.sim.call_soon(run.launch)
         return run.settle
 
@@ -269,26 +290,33 @@ class KVClient:
 
     # -- internals ---------------------------------------------------------------
 
+    def _respond(self, op: KVOperation, result: KVResult) -> None:
+        """The default sink: keep the result under its seq."""
+        if result.seq >= 0:
+            self.responses[result.seq] = result
+
     def _trace(self, stage: str, detail: str = "") -> None:
         tracer = self.processor.tracer
         if tracer is not None:
             tracer.emit(-1, stage, detail)
 
     def _collect(
-        self, pending: List[KVOperation], events: List[Event]
-    ) -> Tuple[List[KVOperation], int]:
-        """Harvest one round of responses; return the NACKed ops and how
-        many ops succeeded.  Every event has settled, so its ``_exception``
-        and ``_value`` are read directly, as the processor reads them."""
+        self, pending: List[KVOperation], hashes: List[Optional[int]],
+        events: List[Event],
+    ) -> Tuple[List[KVOperation], List[Optional[int]], int]:
+        """Harvest one round of responses; return the NACKed ops, their
+        key hashes (``hashes`` runs beside ``pending``) and how many ops
+        succeeded.  Every event has settled, so its ``_exception`` and
+        ``_value`` are read directly, as the processor reads them."""
         busy_ops: List[KVOperation] = []
+        busy_hashes: List[Optional[int]] = []
         succeeded = 0
-        for op, event in zip(pending, events):
+        sink = self.sink
+        for op, h, event in zip(pending, hashes, events):
             exc = event._exception
             if exc is None:
                 succeeded += 1
-                result = event._value
-                if result.seq >= 0:
-                    self.responses[result.seq] = result
+                sink(op, event._value)
                 if self.breaker is not None:
                     self.breaker.record(True)
                 if self.retry_budget is not None:
@@ -297,6 +325,7 @@ class KVClient:
             if isinstance(exc, ServerBusy):
                 self.busy_nacks += 1
                 busy_ops.append(op)
+                busy_hashes.append(h)
                 if self.breaker is not None:
                     self.breaker.record(False)
             elif isinstance(exc, DeadlineExceeded):
@@ -306,7 +335,7 @@ class KVClient:
                     self.breaker.record(False)
             else:
                 self.failed_ops += 1
-        return busy_ops, succeeded
+        return busy_ops, busy_hashes, succeeded
 
     def _give_up(self, busy_ops: List[KVOperation], why: str) -> None:
         """Abandon NACKed ops: fail fast rather than retry-storm."""
@@ -317,34 +346,34 @@ class KVClient:
 
 class _Run:
     """One :meth:`KVClient.start`: up to ``max_outstanding`` batches in
-    flight, the next launched as one finishes.  ``settle`` completes where
-    the run process's completion was queued: one entry after the last
-    batch's, or two after the first failed batch's."""
+    flight, the next launched as one finishes.  Each batch is cut from the
+    lane when the one before it is launched (``upcoming``: the ops and
+    their key hashes), so the run holds one batch beyond those in flight.
+    ``settle`` completes where the run process's completion was queued:
+    one entry after the last batch's, or two after the first failed
+    batch's."""
 
-    __slots__ = ("client", "batches", "next", "running", "failed", "settle")
+    __slots__ = ("client", "lane", "upcoming", "running", "failed", "settle")
 
-    def __init__(self, client: KVClient, ops: List[KVOperation]) -> None:
-        size = client.batch_size
+    def __init__(self, client: KVClient, lane: Lane) -> None:
         self.client = client
-        self.batches = [ops[i : i + size] for i in range(0, len(ops), size)]
-        self.next = self.running = 0
+        self.lane = lane
+        self.upcoming = lane.take(client.batch_size)
+        self.running = 0
         self.failed = False
         self.settle = client.sim.event()
 
     def launch(self, _kick=None) -> None:
         client = self.client
-        while (
-            self.next < len(self.batches)
-            and self.running < client.max_outstanding
-        ):
-            batch = _Batch(client, self, self.batches[self.next])
-            self.next += 1
+        while self.upcoming[0] and self.running < client.max_outstanding:
+            batch = _Batch(client, self, *self.upcoming)
+            self.upcoming = self.lane.take(client.batch_size)
             self.running += 1
             client.sim.call_soon(batch.send)
 
     def batch_done(self) -> None:
         self.running -= 1
-        if self.running or self.next < len(self.batches):
+        if self.running or self.upcoming[0]:
             self.launch()
         else:
             self.client.sim.call_soon(self.finish)
@@ -369,13 +398,17 @@ class _Batch:
     so only it is resent (the server's retransmit buffer) - each after a
     loss backoff, and a batch out of retries fails its run."""
 
-    __slots__ = ("client", "run", "ops", "pending", "start", "deadline",
-                 "busy_attempt", "completed", "payload", "wire", "response",
-                 "attempt", "waited", "events", "remaining", "busy_ops")
+    __slots__ = ("client", "run", "ops", "pending", "hashes", "start",
+                 "deadline", "busy_attempt", "completed", "payload", "wire",
+                 "response", "attempt", "waited", "events", "remaining",
+                 "busy_ops", "busy_hashes")
 
-    def __init__(self, client: KVClient, run: _Run, ops) -> None:
+    def __init__(self, client: KVClient, run: _Run, ops, hashes) -> None:
         self.client, self.run = client, run
         self.ops = self.pending = ops
+        #: The pending ops' key hashes (``None`` where none was handed
+        #: down: the processor hashes those at issue).
+        self.hashes = hashes
         self.busy_attempt = self.completed = 0
         # The batch kick-starts at this instant.
         self.start = client.sim.now
@@ -466,7 +499,10 @@ class _Batch:
         if client.checksum:
             decode_batch(self.payload, checksum=True)
         submit, deadline = client.processor.submit, self.deadline
-        self.events = [submit(op, deadline_ns=deadline) for op in self.pending]
+        self.events = [
+            submit(op, deadline) if h is None else submit(op, deadline, h)
+            for op, h in zip(self.pending, self.hashes)
+        ]
         self.remaining = len(self.events)
         for event in self.events:
             event.callbacks.append(self.settled)
@@ -479,7 +515,9 @@ class _Batch:
     def harvest(self, _kick) -> None:
         """Collect the round's responses and send them back."""
         client = self.client
-        self.busy_ops, succeeded = client._collect(self.pending, self.events)
+        self.busy_ops, self.busy_hashes, succeeded = client._collect(
+            self.pending, self.hashes, self.events
+        )
         self.completed += succeeded
         payload = sum(_response_size(event) for event in self.events)
         self.wire = packet_wire_bytes(payload)
@@ -504,7 +542,7 @@ class _Batch:
                     f"ops={len(busy_ops)} attempt={self.busy_attempt} "
                     f"backoff={delay:.0f}ns",
                 )
-                self.pending = busy_ops
+                self.pending, self.hashes = busy_ops, self.busy_hashes
                 client.sim.call_after(delay, self.send)
                 return
         latency = client.sim.now - self.start
@@ -528,7 +566,7 @@ def _response_size(event: Event) -> int:
 def run_unbatched(
     sim: Simulator,
     processor: KVProcessor,
-    ops: List[KVOperation],
+    ops: Iterable[KVOperation],
     max_outstanding: int = 64,
 ) -> ClientStats:
     """One op per packet - the Figure 15/17 'no batching' baseline."""

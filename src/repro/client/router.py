@@ -2,8 +2,10 @@
 
 "Clients route operations to the NIC owning the key, by key hash": the
 :class:`ShardRouter` mirrors the server's shard function
-(:func:`repro.core.hashing.shard_of`) on the client side, partitions an
-operation stream into per-shard substreams, and drives one full
+(:func:`repro.core.hashing.shard_of`) on the client side, splits an
+operation stream into per-shard substreams (a
+:class:`~repro.core.operations.FanOut`, pulled as each shard's client
+cuts its next batch), and drives one full
 :class:`~repro.client.client.KVClient` (batching, wire flights, retries,
 deadlines) per shard concurrently under the shared simulator.
 
@@ -14,8 +16,9 @@ shards there is no ordering, exactly like independent NICs.
 The :class:`ClusterRouter` is the fault-tolerant variant over a
 :class:`~repro.multi.cluster.Cluster`: every attempt re-reads the
 placement directory, routes to the slot's primary and hands it the
-epoch it routed under (``ClusterNode.submit(op, deadline_ns, epoch)``:
-the operation itself is never copied or re-stamped); retryable NACKs
+epoch it routed under and the key hash it routed by
+(``ClusterNode.submit(op, deadline_ns, epoch, key_hash)``: the operation
+itself is never copied, re-stamped or re-hashed); retryable NACKs
 (:class:`~repro.errors.NodeDown`, :class:`~repro.errors.WrongEpoch`)
 back off and re-route - the first ``NodeDown(reason="killed")`` observed
 triggers cluster failover.  Because a NACKed operation provably had no
@@ -29,12 +32,20 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from itertools import chain, islice
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.client.client import ClientStats, KVClient
 from repro.client.robust import BackoffPolicy, CircuitBreaker, RetryBudget
-from repro.core.operations import KVOperation, KVResult, fan_out, merge_scan
-from repro.driver import latency_fields
+from repro.core.hashing import fnv1a64
+from repro.core.operations import (
+    FanOut,
+    KVOperation,
+    KVResult,
+    merge_scan,
+    nonempty,
+)
+from repro.driver import Sink, check_concurrency, latency_fields
 from repro.errors import (
     ConfigurationError,
     KVDirectError,
@@ -80,7 +91,11 @@ class RouterStats:
 
 
 class ShardRouter:
-    """One KVClient per server stack, routed by key hash."""
+    """One KVClient per server stack, routed by key hash.
+
+    ``client_kwargs`` go to every shard's client, a ``sink(op, result)``
+    among them (each client's results then go there instead of into its
+    ``responses``, which :meth:`scan_results` reads)."""
 
     def __init__(self, sim: Simulator, stacks: Sequence, **client_kwargs):
         if not stacks:
@@ -115,11 +130,11 @@ class ShardRouter:
                 merged[op.seq] = payload
         return merged
 
-    def run(self, ops: Sequence[KVOperation]) -> RouterStats:
+    def run(self, ops: Iterable[KVOperation]) -> RouterStats:
         """Route and send all operations; blocks (simulated) until every
-        shard's client finished, then aggregates their statistics."""
-        if not ops:
-            raise ConfigurationError("no operations to run")
+        shard's client finished, then aggregates their statistics.  A
+        stream that yields nothing is a ``ConfigurationError``."""
+        ops = nonempty(ops)
         if len(self.clients) != len(self.stacks):
             # zip() below would silently drop the excess shards' ops.
             raise ConfigurationError(
@@ -129,10 +144,11 @@ class ShardRouter:
             )
         # Mirrors the server's shard function; scans go to every shard
         # and are merged afterwards by :meth:`scan_results`.
-        parts = fan_out(ops, self.shards)
+        fan = FanOut(ops, self.shards)
+        lanes = fan.lanes
         sim = self.sim
         start = sim.now
-        ran = [index for index, part in enumerate(parts) if part]
+        ran = [index for index, lane in enumerate(lanes) if lane.has_more()]
         done = sim.event()
         running = len(ran)
 
@@ -150,20 +166,20 @@ class ShardRouter:
                 sim.finish(done)
 
         for index in ran:
-            self.clients[index].start(parts[index]).callbacks.append(settled)
+            self.clients[index].start(lanes[index]).callbacks.append(settled)
         sim.run(done)
         elapsed = self.sim.now - start
         per_shard = [
-            self.clients[index].collect_stats(len(parts[index]), elapsed)
+            self.clients[index].collect_stats(lanes[index].taken, elapsed)
             for index in ran
         ]
-        total = mops(len(ops), elapsed)
+        total = mops(fan.pulled, elapsed)
         latencies = Histogram()
         for client in self.clients:
             latencies.record_many(client.latencies.samples())
         return RouterStats(
             shards=self.shards,
-            operations=len(ops),
+            operations=fan.pulled,
             elapsed_ns=elapsed,
             throughput_mops=total,
             per_shard_mops=total / self.shards,
@@ -187,7 +203,8 @@ class ClusterRouter:
     :class:`~repro.client.robust.RetryBudget`; the optional
     :class:`~repro.client.robust.CircuitBreaker` fails fast while open.
     Non-retryable failures (shed, deadline, injected faults) reach the
-    continuation unchanged.
+    continuation unchanged.  :meth:`run` hands every successful result
+    to ``sink(op, result)`` when one is given, and keeps none itself.
     """
 
     def __init__(
@@ -200,6 +217,7 @@ class ClusterRouter:
         backoff: Optional[BackoffPolicy] = None,
         retry_budget: Optional[RetryBudget] = None,
         breaker: Optional[CircuitBreaker] = None,
+        sink: Optional[Sink] = None,
     ) -> None:
         if type(retry_limit) is not int or retry_limit < 0:
             raise ConfigurationError(
@@ -220,6 +238,7 @@ class ClusterRouter:
         )
         self.budget = retry_budget
         self.breaker = breaker
+        self.sink = sink
         self.counters = Counter()
         self.latency_ns = Histogram()
 
@@ -235,30 +254,36 @@ class ClusterRouter:
         are k-way merged by key, truncated to ``op.count``.  Either way a
         retryable NACK restarts the whole attempt against the re-read
         map - partials from a failed attempt are discarded, so a merged
-        result always reflects one epoch.
+        result always reflects one epoch.  The key is hashed once, here,
+        and the hash travels with every attempt.
         """
         _Routed(self, op, deadline_ns, then).route()
 
-    def run(self, ops: Sequence[KVOperation], concurrency: int = 64) -> dict:
+    def run(
+        self, ops: Iterable[KVOperation], concurrency: int = 64
+    ) -> dict:
         """Closed-loop run: ``concurrency`` workers drain the op stream
-        through :meth:`perform`, then the cluster quiesces (channels
-        drained, failovers finished) before statistics are read."""
-        if not ops:
-            raise ConfigurationError("no operations to run")
-        if concurrency <= 0:
-            raise ConfigurationError("concurrency must be positive")
+        (any iterable, pulled as workers free up; an empty one is a
+        ``ConfigurationError``) through :meth:`perform`, then the cluster
+        quiesces (channels drained, failovers finished) before statistics
+        are read."""
+        check_concurrency(concurrency)
+        stream = nonempty(ops)
         sim = self.sim
+        sink = self.sink
         start = sim.now
-        stream = iter(ops)
-        workers = running = min(concurrency, len(ops))
-        outcomes = {"completed": 0, "failed": 0}
+        first = list(islice(stream, concurrency))
+        workers = running = len(first)
+        stream = chain(first, stream)
+        outcomes = {"operations": 0, "completed": 0, "failed": 0}
         drained = sim.event()
 
         def work(_kick=None) -> None:
             nonlocal running
             op = next(stream, None)
             if op is not None:
-                self.perform(op, None, partial(performed, sim.now))
+                outcomes["operations"] += 1
+                self.perform(op, None, partial(performed, op, sim.now))
                 return
             running -= 1
             if not running:
@@ -266,10 +291,12 @@ class ClusterRouter:
                 # entry the simulator stops at.
                 sim.call_soon(lambda _kick: sim.finish(drained))
 
-        def performed(issued, result, error) -> None:
+        def performed(op, issued, result, error) -> None:
             if error is None:
                 outcomes["completed"] += 1
                 self.latency_ns.record(sim.now - issued)
+                if sink is not None:
+                    sink(op, result)
             elif isinstance(error, KVDirectError):
                 outcomes["failed"] += 1
             else:
@@ -286,7 +313,7 @@ class ClusterRouter:
         stats = {
             "nodes": float(len(self.cluster.nodes)),
             "slots": float(self.cluster.map.num_slots),
-            "operations": float(len(ops)),
+            "operations": float(outcomes["operations"]),
             "completed": float(outcomes["completed"]),
             "failed": float(outcomes["failed"]),
             "elapsed_ns": elapsed,
@@ -327,13 +354,16 @@ class _Routed:
     then resumes over its nodes' responses in node order; a retryable NACK
     backs off and re-routes."""
 
-    __slots__ = ("router", "op", "deadline_ns", "then", "scan", "attempt",
-                 "sent", "epoch", "targets", "pending", "results")
+    __slots__ = ("router", "op", "h", "deadline_ns", "then", "scan",
+                 "attempt", "sent", "epoch", "targets", "pending", "results")
 
     def __init__(self, router: ClusterRouter, op, deadline_ns, then) -> None:
         self.router, self.op, self.deadline_ns, self.then = (
             router, op, deadline_ns, then
         )
+        #: The op's one hash: every attempt routes by it and hands it to
+        #: the nodes, and it is dropped with this chain.
+        self.h = fnv1a64(op.key)
         self.scan = op.carries_count
         self.attempt = 0
 
@@ -355,7 +385,7 @@ class _Routed:
             # identity: each fan-out attempt sends its own copy.
             self.sent = copy(op)
         else:
-            self.targets = (cmap.primary(cmap.slot_of(op.key, op.key_hash)),)
+            self.targets = (cmap.primary(cmap.slot_of(op.key, self.h)),)
             self.sent = op
         self.epoch = cmap.epoch
         # Wire time between routing and arrival: an epoch bump can land in
@@ -365,10 +395,12 @@ class _Routed:
 
     def arrive(self, _kick) -> None:
         nodes = self.router.cluster.nodes
-        sent, deadline_ns, epoch = self.sent, self.deadline_ns, self.epoch
+        sent, deadline_ns, epoch, h = (
+            self.sent, self.deadline_ns, self.epoch, self.h
+        )
         try:
             self.pending = iter([
-                nodes[node].submit(sent, deadline_ns, epoch)
+                nodes[node].submit(sent, deadline_ns, epoch, h)
                 for node in self.targets
             ])
         except KVDirectError as error:  # e.g. the op is already in flight

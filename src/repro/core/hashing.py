@@ -5,9 +5,10 @@ cheap, and uniform enough for the chaining analysis - the paper chooses
 chaining partly because it is "more robust to hash clustering" than linear
 probing, but the index hash still needs reasonable uniformity.
 
-Every function is scalar.  An operation hashes its key once
-(``KVOperation.key_hash``), and the shard fan-out, the processor and the
-index all read that cached hash.
+Every function is scalar.  An operation's key is hashed once, by the
+first layer that needs it (a shard fan-out, the cluster router, or the
+processor at issue), and the hash travels with the op's in-flight state
+to the station and the index; nothing caches it on the op.
 """
 
 from __future__ import annotations

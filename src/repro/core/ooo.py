@@ -51,6 +51,9 @@ class Completion:
     #: Write-back the caller must issue to the main pipeline (PUT/DELETE of
     #: the cached value), if forwarding dirtied it.
     writeback: Optional[KVOperation] = None
+    #: The write-back key's hash: the ``h`` the completing op was passed
+    #: (it writes that op's key), or ``None`` when none was.
+    writeback_hash: Optional[int] = None
     #: A queued different-key op that may now enter the main pipeline.
     next_issue: Optional[KVOperation] = None
     #: Forwarded ops resolved without touching memory (for accounting).
@@ -263,22 +266,18 @@ class ReservationStation:
             self.counters["forwarded"] += 1
         slot.chain = remaining
         if dirty:
-            completion.writeback = self._writeback_op(slot, h)
+            completion.writeback = self._writeback_op(slot)
+            completion.writeback_hash = h
             self.counters["writebacks"] += 1
 
     @staticmethod
-    def _writeback_op(slot: _Slot, h: Optional[int]) -> KVOperation:
-        """Build the cache write-back op; seq = -1 marks it internal.
-        ``h``, the slot key's hash when known, seeds its ``key_hash``."""
+    def _writeback_op(slot: _Slot) -> KVOperation:
+        """Build the cache write-back op; seq = -1 marks it internal."""
         if slot.cached is None:
-            op = KVOperation(OpType.DELETE, slot.busy_key, seq=-1)
-        else:
-            op = KVOperation(
-                OpType.PUT, slot.busy_key, value=slot.cached, seq=-1
-            )
-        if h is not None:
-            op.__dict__["key_hash"] = h
-        return op
+            return KVOperation(OpType.DELETE, slot.busy_key, seq=-1)
+        return KVOperation(
+            OpType.PUT, slot.busy_key, value=slot.cached, seq=-1
+        )
 
     # -- introspection ---------------------------------------------------------------
 

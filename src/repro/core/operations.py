@@ -16,13 +16,15 @@ in the :class:`KVResult` value payload (see :func:`encode_scan_payload`).
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import merge as _heap_merge
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.hashing import fnv1a64, shard_of_hash
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 
 
 class OpType(IntEnum):
@@ -79,20 +81,6 @@ MAX_VALUE_LEN = 65535
 MAX_SCAN_COUNT = 65535
 
 
-class _KeyHash:
-    """``op.key_hash``: ``fnv1a64(op.key)``, computed on the first read and
-    stored in the instance ``__dict__``, which shadows this non-data
-    descriptor from then on.  Not a dataclass field, so construction,
-    ``__eq__`` and ``repr`` do not see it; every layer an op crosses (router,
-    cluster node, processor, replication) reads the one hash."""
-
-    def __get__(self, op, owner=None):
-        if op is None:
-            return self
-        h = op.__dict__["key_hash"] = fnv1a64(op.key)
-        return h
-
-
 @dataclass(frozen=True)
 class KVOperation:
     """One client-issued operation.
@@ -113,7 +101,15 @@ class KVOperation:
     #: Client-side issue sequence, for latency attribution.
     seq: int = field(default=0, compare=False)
 
-    key_hash = _KeyHash()
+    @property
+    def key_hash(self) -> int:
+        """``fnv1a64(self.key)``, computed on every read and stored nowhere.
+
+        The drivers hash each op once and carry the hash in its in-flight
+        state (a :class:`FanOut` lane, the cluster router's attempt, the
+        processor's context), so nothing per op outlives its completion.
+        """
+        return fnv1a64(self.key)
 
     def __post_init__(self) -> None:
         if not isinstance(self.key, (bytes, bytearray)):
@@ -316,21 +312,122 @@ def merge_scan_payloads(
 # scatters adjacent keys, and the per-shard partials are k-way merged.
 
 
+def nonempty(ops: Iterable[KVOperation]) -> Iterator[KVOperation]:
+    """``ops`` as an iterator, refusing an empty stream: every driver
+    reads a stream that yields nothing as a
+    :class:`~repro.errors.ConfigurationError`, never as a zero-op run."""
+    stream = iter(ops)
+    for first in stream:
+        return chain((first,), stream)
+    raise ConfigurationError("no operations to run")
+
+
+class FanOut:
+    """Per-shard substreams of one op stream, pulled as the shards ask.
+
+    Each :class:`Lane` is one shard's substream, order-preserving (scans
+    are replicated into every lane).  A lane asking for ops pulls the
+    shared source until it has them, hashing each op once on the way -
+    the hash it was routed by travels with it (``Lane.take``), so the
+    layers below never hash it again - and parking the ops of the other
+    shards in their lanes.  One shard stream (``shards == 1``) hashes
+    nothing: its ops go out with ``None`` hashes.
+
+    No lane waits for another, so the buffer is not bounded by a window:
+    a lane holds the ops of its shard between its own position in the
+    source and the furthest position any lane has pulled to.  On a
+    stream whose shards drain at the same pace that is a few pulls' worth;
+    a lane that lags (a hot shard) holds up to its whole remaining share.
+    Either way each parked op costs two list slots and its hash, where
+    the materialised split held every op of the run.
+    """
+
+    __slots__ = ("_source", "lanes", "pulled")
+
+    def __init__(self, ops: Iterable[KVOperation], shards: int) -> None:
+        self._source = iter(ops)
+        self.lanes = [Lane(self) for __ in range(shards)]
+        #: Ops drawn from the source so far.
+        self.pulled = 0
+
+    def _pull(self, lane: "Lane", need: int) -> None:
+        """Draw from the source until ``lane`` has ``need`` ops parked or
+        the source ends."""
+        lanes = self.lanes
+        if len(lanes) == 1:
+            ops = list(islice(self._source, need))
+            lane._ops += ops
+            lane._hashes += [None] * len(ops)
+            self.pulled += len(ops)
+            return
+        shards = len(lanes)
+        pulled = 0
+        for op in self._source:
+            pulled += 1
+            h = fnv1a64(op.key)
+            if op.op in OPS_WITH_COUNT:
+                for other in lanes:
+                    other._ops.append(op)
+                    other._hashes.append(h)
+                need -= 1
+            else:
+                owner = lanes[shard_of_hash(h, shards)]
+                owner._ops.append(op)
+                owner._hashes.append(h)
+                if owner is lane:
+                    need -= 1
+            if not need:
+                break
+        self.pulled += pulled
+
+
+class Lane:
+    """One shard's substream of a :class:`FanOut`."""
+
+    __slots__ = ("fan", "_ops", "_hashes", "_head", "taken")
+
+    def __init__(self, fan: FanOut) -> None:
+        self.fan = fan
+        #: Parked ops and their hashes; ``_head`` is the next one to take.
+        self._ops: List[KVOperation] = []
+        self._hashes: List[Optional[int]] = []
+        self._head = 0
+        #: Ops taken so far.
+        self.taken = 0
+
+    def take(self, n: int) -> Tuple[List[KVOperation], List[Optional[int]]]:
+        """The next ``n`` ops of the lane and their key hashes (``None``
+        on a one-shard stream); fewer only at the end of the source."""
+        head = self._head
+        ops, hashes = self._ops, self._hashes
+        if len(ops) - head < n:
+            self.fan._pull(self, n - (len(ops) - head))
+        end = head + n
+        taken, taken_hashes = ops[head:end], hashes[head:end]
+        if end >= len(ops):
+            ops.clear()
+            hashes.clear()
+            end = 0
+        elif end > 4096 and end * 2 > len(ops):
+            del ops[:end], hashes[:end]
+            end = 0
+        self._head = end
+        self.taken += len(taken)
+        return taken, taken_hashes
+
+    def has_more(self) -> bool:
+        """Whether :meth:`take` would return an op."""
+        if self._head == len(self._ops):
+            self.fan._pull(self, 1)
+        return self._head < len(self._ops)
+
+
 def fan_out(
-    ops: Sequence[KVOperation], shards: int
+    ops: Iterable[KVOperation], shards: int
 ) -> List[List[KVOperation]]:
-    """Per-shard substreams of ``ops``, order-preserving within a shard
-    (scans are replicated into every substream)."""
-    if shards == 1:
-        return [list(ops)]
-    parts: List[List[KVOperation]] = [[] for __ in range(shards)]
-    for op in ops:
-        if op.carries_count:
-            for part in parts:
-                part.append(op)
-        else:
-            parts[shard_of_hash(op.key_hash, shards)].append(op)
-    return parts
+    """The whole of each lane of ``FanOut(ops, shards)``, as lists."""
+    lanes = FanOut(ops, shards).lanes
+    return [lane.take(sys.maxsize)[0] for lane in lanes]
 
 
 def merge_scan(

@@ -19,8 +19,10 @@ them:
   this order, and the profiler (:mod:`repro.obs.profiler`) decomposes
   latency along them.
 - :class:`OpContext`, everything an in-flight operation owns - the op
-  itself, its response event, deadline, per-stage timestamps, and unwind
-  state (station slot / reservation-station membership).
+  itself, its response event, deadline, key hash, per-stage timestamps,
+  and unwind state (station slot / reservation-station membership).  It
+  is dropped when the op completes, and with it the hash: nothing per op
+  is kept on the op itself.
 
 Admission is one path for every configuration: a FIFO
 :class:`~repro.core.admission.IngressQueue` over the station's slot
@@ -62,6 +64,10 @@ class OpContext:
     deadline_ns: Optional[float] = None
     #: Simulated time the op entered the pipeline (latency epoch).
     submitted_ns: float = 0.0
+    #: ``fnv1a64(op.key)``: handed down by whichever layer hashed the op
+    #: (a shard fan-out, the cluster router), else computed at issue; the
+    #: station, the index and a write-back of the op's key read this one.
+    key_hash: Optional[int] = None
     #: Simulated entry time of each stage crossed, by stage name.
     timestamps: Dict[str, float] = field(default_factory=dict)
     #: When the op began waiting for an in-flight slot, if it found every

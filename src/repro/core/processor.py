@@ -194,7 +194,10 @@ class KVProcessor:
     # -- public API -----------------------------------------------------------
 
     def submit(
-        self, op: KVOperation, deadline_ns: Optional[float] = None
+        self,
+        op: KVOperation,
+        deadline_ns: Optional[float] = None,
+        key_hash: Optional[int] = None,
     ) -> Event:
         """Submit one operation; the event fires with its
         :class:`~repro.core.operations.KVResult` at response time.
@@ -203,10 +206,17 @@ class KVProcessor:
         pipeline checks it lazily at stage boundaries (decode, station
         admission, main-pipeline start) and fails the op with
         :class:`~repro.errors.DeadlineExceeded` once expired - always
-        *before* it touches store state.  Under a configured
+        *before* it touches store state.  A NaN deadline, which would
+        never expire, is refused.  Under a configured
         :class:`~repro.core.admission.OverloadPolicy` the event may also
         fail with :class:`~repro.errors.ServerBusy` when the op is shed.
+
+        ``key_hash`` is ``fnv1a64(op.key)`` when the caller already
+        hashed the op (to route it); otherwise issue computes it.  It
+        lives in the op's context, not on the op.
         """
+        if deadline_ns != deadline_ns:  # NaN, tested without a call
+            raise SimulationError(f"op seq {op.seq}: deadline is NaN")
         # The context table is keyed by the op object: a second submit of
         # one still in flight would overwrite the first one's context.
         op_id = id(op)
@@ -217,7 +227,9 @@ class KVProcessor:
             )
         # Positional: keyword arguments cost a dataclass init about as
         # much as the rest of it does.
-        ctx = OpContext(op, Event(self.sim), deadline_ns, self.sim.now)
+        ctx = OpContext(
+            op, Event(self.sim), deadline_ns, self.sim.now, key_hash
+        )
         self._contexts[op_id] = ctx
         if self.profiler is not None:
             self.profiler.observe_submit(ctx)
@@ -238,17 +250,21 @@ class KVProcessor:
         if self.tracer is not None:
             self.tracer.emit(ctx.op.seq, stage, detail)
 
-    def context_for(self, op: KVOperation) -> OpContext:
+    def context_for(
+        self, op: KVOperation, key_hash: Optional[int] = None
+    ) -> OpContext:
         """The live context of ``op``, or a fresh internal one.
 
         Station write-backs (seq < 0) are synthesized inside the
         reservation station and never crossed ingress, so they get an
-        ephemeral context with no response event and no deadline.
+        ephemeral context with no response event and no deadline, and
+        with the ``key_hash`` the station handed down with them.
         """
         ctx = self._contexts.get(id(op))
         if ctx is None:
             ctx = OpContext(
-                op, submitted_ns=self.sim.now, station_admitted=True
+                op, submitted_ns=self.sim.now, key_hash=key_hash,
+                station_admitted=True,
             )
         return ctx
 
@@ -296,8 +312,8 @@ class KVProcessor:
         op = ctx.op
         self.counters["failed_ops"] += 1
         self.emit(ctx, "failed", type(exc).__name__)
-        value_after = self.store.table.peek(op.key, op.key_hash)
-        completion = self.station.complete(op, value_after, op.key_hash)
+        value_after = self.store.table.peek(op.key, ctx.key_hash)
+        completion = self.station.complete(op, value_after, ctx.key_hash)
         if op.seq >= 0:
             self._contexts.pop(id(op), None)
             self.admission.release()
@@ -333,7 +349,10 @@ class KVProcessor:
             if self.tracer is not None:
                 self.tracer.emit(seq, "station.writeback")
             sim.call_soon(partial(
-                self._main_pipeline, self.context_for(completion.writeback)
+                self._main_pipeline,
+                self.context_for(
+                    completion.writeback, completion.writeback_hash
+                ),
             ))
         if completion.next_issue is not None:
             sim.call_soon(partial(
@@ -394,13 +413,11 @@ class KVProcessor:
         # next_issue resolves them - either path fires their response.
         ctx.timestamps["issue"] = sim.now
         self.counters["admitted"] += 1
-        # The op's first read of ``op.key_hash`` on the single-node path:
-        # fill its cache here, without the descriptor's frame.
-        cached = op.__dict__
-        if "key_hash" in cached:
-            key_hash = cached["key_hash"]
-        else:
-            key_hash = cached["key_hash"] = fnv1a64(op.key)
+        # The op's one hash, unless the layer that routed it handed it
+        # down with it.
+        key_hash = ctx.key_hash
+        if key_hash is None:
+            key_hash = ctx.key_hash = fnv1a64(op.key)
         admission = self.station.admit(op, key_hash)
         ctx.station_admitted = True
         if admission is Admission.EXECUTE:
@@ -448,7 +465,7 @@ class KVProcessor:
         memory = self.store.memory
         memory.start_trace()
         try:
-            ctx.outcome = self.store.apply(op, op.key_hash)
+            ctx.outcome = self.store.apply(op, ctx.key_hash)
         except KVDirectError as exc:
             memory.stop_trace()
             self.fail_op(ctx, exc)
@@ -496,7 +513,7 @@ class KVProcessor:
 
         # complete/respond: synchronous, no simulated resource wait.
         ctx.timestamps["complete"] = sim.now
-        completion = self.station.complete(op, value_after, op.key_hash)
+        completion = self.station.complete(op, value_after, ctx.key_hash)
         if seq >= 0:
             self.respond(ctx, result)
         if completion is not None:

@@ -22,45 +22,108 @@ thousands of short-lived events and chain steps per run, and the
 periodic gen0 scans cost ~15% wall time while collecting almost nothing
 (everything is freed by refcounting at run end).
 
+Ops are pulled, never copied: each lane takes the next ones from a
+:class:`~repro.core.operations.FanOut` over the caller's iterable when
+its window opens, so a run holds the ops in flight, not the op count -
+feed it a generator and nothing per op outlives that op's response.
+
 This module intentionally knows nothing about :class:`KVProcessor`
 internals: any object with ``sim``, ``submit(op) -> Event`` and a
 ``latencies`` histogram is a lane, and any object with ``sim`` and a
-``processors`` list of lanes is a sharded server.
+``processors`` list of lanes is a sharded server (whose lanes are called
+``submit(op, None, key_hash)`` with the hash the fan-out routed by).
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.operations import KVOperation, KVResult, fan_out, merge_scan
+from repro.core.operations import (
+    OPS_WITH_COUNT,
+    FanOut,
+    KVOperation,
+    KVResult,
+    merge_scan,
+    nonempty,
+)
 from repro.errors import ConfigurationError
 from repro.sim.stats import Histogram, mops
 
+#: ``sink(op, result)``: receives each successful result as it settles.
+Sink = Callable[[KVOperation, KVResult], None]
 
-def _pump_lane(processor, pending: List[KVOperation], concurrency: int,
-               on_response) -> None:
-    """Keep up to ``concurrency`` ops outstanding on one processor.
 
-    ``pending`` is consumed in-place from the tail (pass a reversed
-    list); ``on_response`` fires once per settled op, after the window
-    has been refilled.
-    """
-    outstanding = {"count": 0}
+def check_concurrency(concurrency) -> None:
+    """Refuse anything but a positive ``int`` window."""
+    if type(concurrency) is not int or concurrency <= 0:
+        raise ConfigurationError(
+            f"concurrency must be a positive int: {concurrency!r}"
+        )
 
-    def fill() -> None:
-        while pending and outstanding["count"] < concurrency:
-            op = pending.pop()
-            outstanding["count"] += 1
-            processor.submit(op).add_callback(drain)
 
-    def drain(event) -> None:
-        outstanding["count"] -= 1
-        fill()
-        on_response(event)
+class _Pump:
+    """Keep up to ``concurrency`` ops outstanding on one lane.
 
-    fill()
+    Ops come from ``source.take`` (a :class:`~repro.core.operations.Lane`)
+    a window's worth at a time; ``settled(op, event)`` fires once per
+    settled op, after the window has been refilled, and ``finished()``
+    once the source ran dry and the last op settled."""
+
+    __slots__ = ("submit", "source", "concurrency", "settled", "finished",
+                 "ops", "hashes", "next", "end", "outstanding")
+
+    def __init__(self, lane, source, concurrency, settled, finished) -> None:
+        self.submit = lane.submit
+        self.source = source
+        self.concurrency = concurrency
+        self.settled = settled
+        self.finished = finished
+        self.ops: List[KVOperation] = []
+        self.hashes: List[Optional[int]] = []
+        self.next = self.end = self.outstanding = 0
+
+    def fill(self) -> None:
+        submit = self.submit
+        while self.outstanding < self.concurrency:
+            index = self.next
+            if index == self.end:
+                if self.source is None:
+                    return
+                self.ops, self.hashes = self.source.take(self.concurrency)
+                self.next = index = 0
+                self.end = len(self.ops)
+                if not self.end:
+                    self.source = None
+                    return
+            self.next = index + 1
+            op, h = self.ops[index], self.hashes[index]
+            self.outstanding += 1
+            event = submit(op) if h is None else submit(op, None, h)
+            event.add_callback(partial(self.drain, op))
+
+    def drain(self, op, event) -> None:
+        self.outstanding -= 1
+        self.fill()
+        self.settled(op, event)
+        if not self.outstanding:
+            self.finished()
+
+
+def _registering(ops, partials, lanes: int):
+    """``ops``, recording each scan in ``partials`` as it is drawn; two
+    scans with one seq would merge into one payload, so they are refused."""
+    for op in ops:
+        if op.op in OPS_WITH_COUNT:
+            if op.seq in partials:
+                raise ConfigurationError(
+                    f"two scans share seq {op.seq}: scan_results keys "
+                    "each scan by its seq"
+                )
+            partials[op.seq] = (op, [None] * lanes)
+        yield op
 
 
 def latency_fields(latencies) -> Dict[str, Optional[float]]:
@@ -81,10 +144,11 @@ def latency_fields(latencies) -> Dict[str, Optional[float]]:
 
 def run_closed_loop(
     target,
-    ops: Sequence[KVOperation],
+    ops: Iterable[KVOperation],
     concurrency: int = 128,
     timeline=None,
     scan_results: Optional[Dict[int, bytes]] = None,
+    sink: Optional[Sink] = None,
 ) -> Dict[str, float]:
     """Keep ``concurrency`` operations outstanding per lane until ``ops``
     drains; returns throughput, latency and wall-clock statistics.
@@ -94,21 +158,26 @@ def run_closed_loop(
     list (one lane per NIC, so a slow shard never stalls the others'
     submission windows - the Table 3 scaling measurement; its stats add
     ``nics`` / ``per_nic_mops`` and take latency percentiles over the
-    merged per-lane histograms).  Ops are split across lanes by
-    :func:`~repro.core.operations.fan_out`: point ops to the shard
-    owning their key, RANGE/SCAN to every shard.
+    merged per-lane histograms).  ``ops`` is any iterable, pulled as the
+    lanes' windows open and split across them by
+    :class:`~repro.core.operations.FanOut`: point ops to the shard owning
+    their key, RANGE/SCAN to every shard.  A stream that yields nothing
+    is a :class:`~repro.errors.ConfigurationError`, as in every driver.
 
-    Pass a dict as ``scan_results`` to receive ``{seq: merged payload}``
-    for every scan that succeeded on all lanes.  Merging is independent
-    of simulated completion order - scans in ascending ``seq``, lanes in
+    ``sink(op, result)`` receives every successful result as it settles
+    (a scan once per lane, with that lane's partial).  Pass a dict as
+    ``scan_results`` to receive ``{seq: merged payload}`` for every scan
+    that succeeded on all lanes; two scans sharing a seq are refused with
+    :class:`~repro.errors.ConfigurationError`.  Merging is independent of
+    simulated completion order - scans in ascending ``seq``, lanes in
     index order - so the bytes are seed-stable at any shard count.  Pass
     an attached :class:`~repro.obs.timeline.TimelineSampler` as
     ``timeline`` to sample windowed metrics during the run; its window
     count and digest land in the stats (``None`` without one - they are
     context, like the wall-clock fields, never a gated metric).
     """
-    if not concurrency > 0:
-        raise ConfigurationError("concurrency must be positive")
+    check_concurrency(concurrency)
+    ops = nonempty(ops)
     sim = target.sim
     lanes = getattr(target, "processors", None)
     sharded = lanes is not None
@@ -117,44 +186,40 @@ def run_closed_loop(
     if timeline is not None:
         timeline.bind(sim)
         timeline.start()
-    queues = fan_out(ops, len(lanes))
-    done = sim.event()
-    state = {"remaining": 0}
-    for queue in queues:
-        state["remaining"] += len(queue)
-
-    def on_response(event) -> None:
-        state["remaining"] -= 1
-        if state["remaining"] == 0 and not done.triggered:
-            done.succeed()
-
     #: seq -> (scan op, its per-lane results): collected only when the
     #: caller asks for the merged payloads, so a plain run pays nothing
     #: per response for them.
     partials: Dict[int, Tuple[KVOperation, List[Optional[KVResult]]]] = {}
     if scan_results is not None:
-        partials = {
-            op.seq: (op, [None] * len(lanes))
-            for op in ops if op.carries_count
-        }
+        ops = _registering(ops, partials, len(lanes))
+    fan = FanOut(ops, len(lanes))
+    done = sim.event()
+    running = len(lanes)
 
-    def collecting(lane: int):
-        def on_scan_response(event) -> None:
-            if event.ok and event.value.seq in partials:
-                partials[event.value.seq][1][lane] = event.value
-            on_response(event)
+    def finished() -> None:
+        nonlocal running
+        running -= 1
+        if not running:
+            done.succeed()
 
-        return on_scan_response
+    def settled(lane: int):
+        def on_response(op, event) -> None:
+            if event._exception is None:
+                if sink is not None:
+                    sink(op, event._value)
+                if partials and op.op in OPS_WITH_COUNT:
+                    partials[op.seq][1][lane] = event._value
+
+        return on_response
 
     start = sim.now
     wall_start = time.perf_counter()
-    for lane, queue in enumerate(queues):
-        if queue:
-            queue.reverse()
-            _pump_lane(lanes[lane], queue, concurrency,
-                       collecting(lane) if partials else on_response)
-    if state["remaining"] == 0 and not done.triggered:
-        done.succeed()
+    for index, lane in enumerate(lanes):
+        pump = _Pump(lane, fan.lanes[index], concurrency, settled(index),
+                     finished)
+        pump.fill()
+        if not pump.outstanding:
+            finished()
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()
@@ -176,15 +241,16 @@ def run_closed_loop(
         latencies = Histogram()
         for processor in lanes:
             latencies.record_many(processor.latencies.samples())
-    throughput = mops(len(ops), elapsed)
+    count = fan.pulled
+    throughput = mops(count, elapsed)
     stats: Dict[str, float] = {
-        "operations": float(len(ops)),
+        "operations": float(count),
         "elapsed_ns": elapsed,
         "throughput_mops": throughput,
         **latency_fields(latencies),
         "wall_clock_s": wall_clock_s,
         "sim_ops_per_wall_s": (
-            len(ops) / wall_clock_s if wall_clock_s > 0 else 0.0
+            count / wall_clock_s if wall_clock_s > 0 else 0.0
         ),
         "timeline_windows": (
             None if timeline is None else float(timeline.windows)

@@ -12,9 +12,9 @@ Writes apply at the slot's primary and are asynchronously replicated to
 its backup through a cluster-owned :class:`ReplicationChannel` (FIFO,
 state-based: each ``(key, key_hash, value, acked_at)`` record carries a
 full value snapshot taken when the write settled, so replay is
-idempotent and last-writer-wins).  The key is hashed once per operation:
-the router, the node gate, the processor and the record share the op's
-cached ``key_hash``.
+idempotent and last-writer-wins).  The key is hashed once per operation,
+by the router, and the hash is handed down with it: to the node gate,
+the processor's context and the record - never kept on the op.
 
 Node-level faults (``node<i>.kill`` / ``node<i>.stall`` sites, driven by
 :class:`~repro.faults.plan.FaultPlan` probabilities or scheduled
@@ -209,6 +209,7 @@ class ClusterNode:
         op: KVOperation,
         deadline_ns: Optional[float] = None,
         epoch: int = -1,
+        key_hash: Optional[int] = None,
     ) -> Event:
         """Gate and submit one operation; the returned event settles with
         the :class:`~repro.core.operations.KVResult` or fails with a
@@ -216,7 +217,8 @@ class ClusterNode:
 
         ``epoch`` is the cluster-map epoch the caller routed under (the
         router passes it rather than stamping a copy of the op); -1 skips
-        the check."""
+        the check.  ``key_hash`` is ``fnv1a64(op.key)`` when the caller
+        routed by it; the gate hashes the key itself otherwise."""
         sim = self.sim
         cluster = self.cluster
         now = sim.now
@@ -258,7 +260,8 @@ class ClusterNode:
                     got=epoch,
                 )
             )
-        slot = cluster.map.slot_of(op.key, op.key_hash)
+        h = fnv1a64(op.key) if key_hash is None else key_hash
+        slot = cluster.map.slot_of(op.key, h)
         if op.is_write and slot in cluster.migrating_slots:
             return self._nack(
                 NodeDown(
@@ -270,17 +273,19 @@ class ClusterNode:
         self.accepted += 1
         self.outstanding += 1
         cluster.slot_outstanding[slot] += 1
-        event = self.stack.processor.submit(op, deadline_ns=deadline_ns)
-        event.add_callback(partial(self._settled, op, slot))
+        event = self.stack.processor.submit(op, deadline_ns, h)
+        event.add_callback(partial(self._settled, op, slot, h))
         return event
 
-    def _settled(self, op: KVOperation, slot: int, _event: Event) -> None:
+    def _settled(
+        self, op: KVOperation, slot: int, h: int, _event: Event
+    ) -> None:
         """An accepted op settled: release it and replicate a write."""
         self.outstanding -= 1
         cluster = self.cluster
         cluster.slot_outstanding[slot] -= 1
         if op.is_write:
-            cluster.replicate(slot, op.key, op.key_hash, self)
+            cluster.replicate(slot, op.key, h, self)
 
 
 class ReplicationChannel:

@@ -264,7 +264,9 @@ class BatchDecoder:
     def _u16(self) -> int:
         return _U16.unpack(self._take(2))[0]
 
-    def decode(self) -> List[KVOperation]:
+    def decode(self, first_seq: int = 0) -> List[KVOperation]:
+        """The batch's operations, numbered ``first_seq`` onwards (the
+        wire carries no sequence numbers)."""
         lead = self._u16()
         count = lead & _MAX_BATCH_OPS
         if lead & _FLAG_BATCH_DEADLINE:
@@ -273,7 +275,7 @@ class BatchDecoder:
         prev_klen: Optional[int] = None
         prev_vlen: Optional[int] = None
         prev_value: Optional[bytes] = None
-        for __ in range(count):
+        for seq in range(first_seq, first_seq + count):
             lead = self._u8()
             try:
                 op_type = OpType(lead & _OPCODE_MASK)
@@ -324,7 +326,7 @@ class BatchDecoder:
             ops.append(
                 KVOperation(
                     op_type, key, value=value, func_id=func_id, param=param,
-                    count=count,
+                    count=count, seq=seq,
                 )
             )
         if self._pos != len(self._data):
@@ -351,14 +353,17 @@ def encode_batch(
     return seal_batch(payload) if checksum else payload
 
 
-def decode_batch(data: bytes, checksum: bool = False) -> List[KVOperation]:
-    """Decode one batch payload, verifying the trailer if ``checksum``."""
-    ops, __ = decode_batch_with_deadline(data, checksum=checksum)
+def decode_batch(
+    data: bytes, checksum: bool = False, first_seq: int = 0
+) -> List[KVOperation]:
+    """Decode one batch payload, verifying the trailer if ``checksum``;
+    the ops are numbered ``first_seq`` onwards."""
+    ops, __ = decode_batch_with_deadline(data, checksum, first_seq)
     return ops
 
 
 def decode_batch_with_deadline(
-    data: bytes, checksum: bool = False
+    data: bytes, checksum: bool = False, first_seq: int = 0
 ) -> Tuple[List[KVOperation], Optional[float]]:
     """Decode one batch payload, returning ``(ops, deadline_ns)``.
 
@@ -368,5 +373,5 @@ def decode_batch_with_deadline(
     if checksum:
         data = unseal_batch(data)
     decoder = BatchDecoder(data)
-    ops = decoder.decode()
+    ops = decoder.decode(first_seq)
     return ops, decoder.deadline_ns

@@ -11,6 +11,9 @@ sequence of the RDMA packet payloads a KV-Direct client would send::
     repeated:  u32 payload length | batch payload
 
 Responses are not stored; replaying against a store regenerates them.
+Neither are sequence numbers: the wire carries none, so a replayed op is
+numbered by its position in the file (0, 1, 2, ...), which keeps the
+seq-keyed results of a replay (scan merges, client responses) apart.
 """
 
 from __future__ import annotations
@@ -81,7 +84,10 @@ class TraceWriter:
 
 
 class TraceReader:
-    """Iterates the operations stored in a trace file."""
+    """Iterates the operations stored in a trace file, one batch in memory
+    at a time, each op numbered by its position in the file.  Use it in a
+    ``with`` block when the iteration may not start or finish: leaving the
+    block closes a file the reader opened."""
 
     def __init__(self, target: PathOrFile) -> None:
         self._file, self._owns = _open(target, "rb")
@@ -97,12 +103,19 @@ class TraceReader:
             if version != _VERSION:
                 raise ProtocolError(f"unsupported trace version {version}")
         except ProtocolError:
-            self._close()
+            self.close()
             raise
+
+    def __enter__(self) -> "TraceReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __iter__(self) -> Iterator[KVOperation]:
         """The stored operations; a file the reader opened is closed at
         the end, on a truncated frame or batch, or on a bad payload."""
+        seq = 0
         try:
             while True:
                 length_bytes = self._file.read(_LENGTH.size)
@@ -114,11 +127,13 @@ class TraceReader:
                 payload = self._file.read(length)
                 if len(payload) != length:
                     raise ProtocolError("trace file truncated mid-batch")
-                yield from decode_batch(payload)
+                ops = decode_batch(payload, first_seq=seq)
+                seq += len(ops)
+                yield from ops
         finally:
-            self._close()
+            self.close()
 
-    def _close(self) -> None:
+    def close(self) -> None:
         if self._owns:
             self._file.close()
 

@@ -69,34 +69,29 @@ class YCSBGenerator:
             yield KVOperation.put(key, value)
 
     def operations(self, count: int) -> List[KVOperation]:
-        """The measurement phase: ``count`` GET/PUT ops.
+        """The measurement phase: ``count`` GET/PUT ops, as a list."""
+        return list(self.stream(count))
 
-        Generated column by column: the key indices, then the GET/PUT
-        coins, then the keys and the PUT values, each a scalar loop.  The
-        result is the historical per-op loop's (same sampler and coin
-        streams, each consumed in the same order) because the two
-        generators are independent streams.
+    def stream(self, count: int) -> Iterator[KVOperation]:
+        """:meth:`operations`, each op drawn as it is pulled.
+
+        An op is a sampler draw, a GET/PUT coin and (for a PUT) the key's
+        corpus value.  The sampler and the coins are the generator's own
+        ``random.Random`` streams and a value is a pure function of its
+        key index, so pulling ops lazily, interleaved with anything else,
+        draws exactly what building the list up front does.
         """
-        if count <= 0:
-            return []
-        indices = self.sampler.sample_many(count)
+        sample = self.sampler.sample
         coin = self._rng.random
         ratio = self.spec.put_ratio
-        is_put = [coin() < ratio for __ in range(count)]
-        keys = self.keyspace.keys_many(indices)
-        put_values = iter(self.keyspace.values_many(
-            [index for index, put in zip(indices, is_put) if put]
-        ))
-        make_put = KVOperation.put
-        make_get = KVOperation.get
-        ops: List[KVOperation] = []
-        append = ops.append
-        for seq, (key, put) in enumerate(zip(keys, is_put)):
-            if put:
-                append(make_put(key, next(put_values), seq=seq))
+        key, value = self.keyspace.key, self.keyspace.value
+        make_put, make_get = KVOperation.put, KVOperation.get
+        for seq in range(count):
+            index = sample()
+            if coin() < ratio:
+                yield make_put(key(index), value(index), seq=seq)
             else:
-                append(make_get(key, seq=seq))
-        return ops
+                yield make_get(key(index), seq=seq)
 
 
 #: The four PUT ratios Figures 16/17 sweep.

@@ -76,8 +76,13 @@ class StandardYCSB:
         return self.keyspace.value(index)
 
     def operations(self, count: int) -> List[KVOperation]:
-        make = getattr(self, f"_op_{self.workload.lower()}")
-        return [make(seq) for seq in range(count)]
+        return list(self.stream(count))
+
+    def stream(self, count: int) -> Iterator[KVOperation]:
+        """:meth:`operations`, each op drawn as it is pulled (the draws
+        are this generator's own, so they come out the same)."""
+        return map(getattr(self, f"_op_{self.workload.lower()}"),
+                   range(count))
 
     # -- per-workload op construction ----------------------------------------------
 

@@ -4,9 +4,9 @@ The Zipf sampler uses the alias method over the exact Zipf PMF, giving
 O(1) draws after O(n) setup - fast enough to generate millions of requests
 against scaled-down key spaces.
 
-A draw is scalar ``random.Random`` calls over Python lists, and
-``sample_many`` is ``sample`` in a loop: the same stream, the generator
-left in the same state.  The Zipf table is pure Python too, so neither
+A draw is scalar ``random.Random`` calls over Python lists, on the
+sampler's own generator, so draws pulled one at a time between other
+generators' draws are the stream drawn in one go.  The Zipf table is pure Python too, so neither
 sampler imports numpy: the weights are libm's ``pow`` (``math.pow``),
 normalised by ``math.fsum``, and the rank shuffle replays
 ``numpy.random.RandomState(seed).shuffle`` bit for bit on an MT19937
@@ -40,11 +40,6 @@ class UniformSampler:
 
     def sample(self) -> int:
         return self._rng.randrange(self.population)
-
-    def sample_many(self, count: int) -> List[int]:
-        randrange = self._rng.randrange
-        population = self.population
-        return [randrange(population) for __ in range(count)]
 
 
 class ZipfSampler:
@@ -115,11 +110,6 @@ class ZipfSampler:
         if self._rng.random() < self._prob[column]:
             return self._rank_to_key[column]
         return self._rank_to_key[self._alias[column]]
-
-    def sample_many(self, count: int) -> List[int]:
-        """``count`` draws of :meth:`sample`."""
-        sample = self.sample
-        return [sample() for __ in range(count)]
 
     def hot_keys(self, count: int) -> List[int]:
         """The ``count`` most popular key indices."""

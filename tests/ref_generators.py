@@ -7,10 +7,14 @@ sweep's open-loop submitter used to be generator processes.  They are
 chains now, and must occupy the same queue positions (``docs/MODELING.md``,
 "Rule for writing a chain").  Their bodies live on here verbatim, as
 subclasses that put them back - a test-only reference that
-``tests/test_cold_chains.py`` runs next to the chains.  The one edit: a
-wait on several processes goes through :func:`tests.waiting.all_of`, the
-kernel's old ``Simulator.all_of``.
+``tests/test_cold_chains.py`` runs next to the chains.  The three edits:
+a wait on several processes goes through :func:`tests.waiting.all_of`,
+the kernel's old ``Simulator.all_of``; ``RefKVClient.start`` drains the
+lane ``KVClient.run`` now hands it into the list it used to get; and its
+batch hands ``KVClient._collect`` no key hashes (it submits none).
 """
+
+import sys
 
 from copy import copy
 from typing import Callable, Dict, Generator, List, Optional, Sequence
@@ -20,7 +24,13 @@ from repro.chaos.soak import SoakReport, _Soak
 from repro.client.client import KVClient, _response_size
 from repro.client.router import ClusterRouter, RouterStats, ShardRouter
 from repro.core.admission import OverloadPolicy
-from repro.core.operations import KVOperation, KVResult, fan_out, merge_scan
+from repro.core.operations import (
+    KVOperation,
+    KVResult,
+    Lane,
+    fan_out,
+    merge_scan,
+)
 from repro.driver import latency_fields
 from repro.errors import (
     ConfigurationError,
@@ -56,6 +66,8 @@ class RefKVClient(KVClient):
         :class:`~repro.client.router.ShardRouter`) be driven concurrently
         under one ``sim.run``; the returned process settles when every
         batch has, and fails if a batch exhausts its retries."""
+        if isinstance(ops, Lane):
+            ops = ops.take(sys.maxsize)[0]
         if not ops:
             raise ConfigurationError("no operations to run")
         return self.sim.process(self._run(ops))
@@ -136,7 +148,9 @@ class RefKVClient(KVClient):
                 for op in pending
             ]
             yield self._settled(events)
-            busy_ops, succeeded = self._collect(pending, events)
+            busy_ops, __, succeeded = self._collect(
+                pending, [None] * len(pending), events
+            )
             completed += succeeded
             # Response flight back to the client.  These ops already
             # executed (or were NACKed), so only the send retries (server

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import gc
 import io
+import warnings
 
 import pytest
 
@@ -346,6 +348,38 @@ class TestRecordReplay:
         )
         assert code == 0
         assert "Mops" in output
+
+
+    @pytest.mark.parametrize("timed", [(), ("--timed",)])
+    def test_an_empty_trace_is_refused_on_both_paths(
+        self, tmp_path, capsys, timed
+    ):
+        """An empty trace has one meaning: the untimed replay printed
+        ``operations 0`` where ``--timed`` refused it."""
+        path = str(tmp_path / "empty.kvdt")
+        TraceWriter(path).close()
+        assert run_cli("replay", path, "--memory-mib", "4", *timed) == (1, "")
+        err = capsys.readouterr().err
+        assert err == "repro replay: no operations to run\n"
+
+    def test_a_store_the_os_cannot_reserve_leaves_the_trace_closed(
+        self, tmp_path, capsys
+    ):
+        """The trace is opened after the store is built, so a store that
+        cannot be reserved leaks no open file."""
+        path = str(tmp_path / "w.kvdt")
+        run_cli("record", path, "--ops", "20", "--corpus", "10")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, output = run_cli(
+                "replay", path, "--memory-mib", str(1 << 40)
+            )
+            gc.collect()
+        assert (code, output) == (1, "")
+        assert "cannot reserve" in capsys.readouterr().err
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
 
 
 class TestStandardWorkloads:

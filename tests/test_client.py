@@ -1,5 +1,7 @@
 """Integration tests for the network client and batching (Figure 15)."""
 
+import math
+
 import pytest
 
 from repro.client import KVClient
@@ -42,6 +44,20 @@ class TestClientBasics:
         client = KVClient(sim, processor)
         with pytest.raises(ConfigurationError):
             client.run([])
+
+    @pytest.mark.parametrize(
+        "budget", [math.inf, float(2 ** 64), math.nan, 0.0, -5.0],
+        ids=["inf", "u64-overflow", "nan", "zero", "negative"],
+    )
+    def test_a_deadline_budget_the_wire_cannot_carry_is_refused(
+        self, budget
+    ):
+        """An infinite budget passed construction and then failed the
+        first batch's encode ("exceeds the wire format's u64 field")
+        inside the timed run."""
+        sim, __, processor = make_setup()
+        with pytest.raises(ConfigurationError, match="deadline budget"):
+            KVClient(sim, processor, deadline_budget_ns=budget)
 
     def test_invalid_config(self):
         sim, __, processor = make_setup()

@@ -709,11 +709,12 @@ class TestPlacement:
 
 
 class TestOneHashPerOp:
-    """The router, the node gate, the processor and the replication record
-    share the op's cached ``key_hash``, and a station write-back inherits
-    its key's: over a seeded run with a primary kill, FNV-1a runs once per
-    op, and otherwise only for the failover's uncounted snapshot peeks and
-    the migration applies that copy them."""
+    """The router hashes each op once and hands the hash down - to the
+    node gate, the processor's context and the replication record - and a
+    station write-back inherits its key's: over a seeded run with a
+    primary kill, FNV-1a runs once per op, and otherwise only for the
+    failover's uncounted snapshot peeks and the migration applies that
+    copy them."""
 
     def test_fnv1a64_runs_once_per_op_plus_the_failover(self):
         sim, cluster = _cluster()
@@ -744,8 +745,8 @@ class TestOneHashPerOp:
         ]
         calls, callers = hashed
         per_op = sum(
-            count for (__, __, name), (count, *__) in callers.items()
-            if name in ("__get__", "_admitted")
+            count for (path, __, name), (count, *__) in callers.items()
+            if path.endswith("router.py") and name == "__init__"
         )
         assert per_op <= len(ops), per_op
         # Each migrated key: one peek at the owner, one insert at the

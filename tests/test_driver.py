@@ -41,7 +41,8 @@ def _mixed_ops(pairs):
 
 class _FakeLane:
     """A duck-typed lane: answers after ``delay`` ns with ``answer(op)``
-    (a KVResult, or an exception to fail the op with)."""
+    (a KVResult, or an exception to fail the op with).  As a sharded
+    server's lane it is also handed the key hash the fan-out routed by."""
 
     def __init__(self, sim, delay, answer):
         self.sim = sim
@@ -50,7 +51,7 @@ class _FakeLane:
         self.latencies = Histogram()
         self.seen = []
 
-    def submit(self, op):
+    def submit(self, op, deadline_ns=None, key_hash=None):
         self.seen.append(op.seq)
         event = self.sim.event()
         outcome = self.answer(op)
@@ -193,3 +194,27 @@ class TestLanes:
                 lane, [KVOperation.get(b"k", seq=0)], concurrency=concurrency
             )
         assert lane.seen == [] and sim.peek() == float("inf")
+
+
+class TestScanSeqs:
+    def test_two_scans_sharing_a_seq_are_refused(self):
+        """``scan_results`` keys each scan by its seq: two scans with one
+        seq used to merge into one payload mixing both scans' partials."""
+        sim = Simulator()
+        server = MultiNICServer(
+            sim, 2,
+            config=KVDirectConfig(memory_size=4 << 20, ordered_index=True),
+        )
+        _corpus(server.put_direct)
+        ops = [KVOperation.range(b"key00000", 3, seq=0),
+               KVOperation.range(b"key00010", 3, seq=0)]
+        with pytest.raises(ConfigurationError, match="share seq 0"):
+            run_closed_loop(server, ops, scan_results={})
+        # Without scan_results nothing is keyed by seq, and the run is fine.
+        server = MultiNICServer(
+            Simulator(), 2,
+            config=KVDirectConfig(memory_size=4 << 20, ordered_index=True),
+        )
+        _corpus(server.put_direct)
+        stats = run_closed_loop(server, ops)
+        assert stats["operations"] == 2.0

@@ -204,3 +204,110 @@ def test_a_1_gib_store_holding_20_000_inline_keys_stays_small():
     """)
     grown = float(out)
     assert grown < 24, f"+{grown:.1f} MiB for 20,000 inline keys in 1 GiB"
+
+
+#: A ``point-direct``-shaped run fed ``ops`` ops from a generator: 20,000
+#: inline 13 B keys, half PUTs, 250 in flight; prints its VmRSS growth.
+POINT_RUN = VM_RSS_KIB + """
+        import sys
+        from repro.core.processor import KVProcessor
+        from repro.core.store import KVDirectStore
+        from repro.driver import run_closed_loop
+        from repro.sim import Simulator
+        from repro.workloads.keyspace import KeySpace
+        from repro.workloads.ycsb import WorkloadSpec, YCSBGenerator
+
+        keyspace = KeySpace(count=20_000, kv_size=13, seed=7)
+        store = KVDirectStore.create(memory_size=8 << 20, seed=7)
+        for key, value in keyspace.pairs():
+            store.put(key, value)
+        store.reset_measurements()
+        processor = KVProcessor(Simulator(), store)
+        generator = YCSBGenerator(
+            keyspace, WorkloadSpec(put_ratio=0.5, seed=7)
+        )
+        before = vm_rss_kib()
+        run_closed_loop(processor, generator.stream(OPS), concurrency=250)
+        print(vm_rss_kib() - before)
+"""
+
+
+def test_a_generator_fed_run_grows_by_its_histograms_not_its_ops():
+    """Between 5,000 and 30,000 ops a generator-fed run keeps its latency,
+    memory-time and PCIe read-latency samples (8 B each) and nothing else
+    per op: at most 64 B per extra op.  Fed a list, the op objects and
+    their key-hash caches made that 414 B per op."""
+    grown = [
+        int(run_fresh(POINT_RUN.replace("OPS", str(ops))))
+        for ops in (5_000, 30_000)
+    ]
+    per_op = (grown[1] - grown[0]) * 1024 / 25_000
+    assert per_op <= 64, f"{per_op:.0f} B per extra op ({grown} KiB)"
+
+
+#: Three small generator-fed runs, one per driver, each with a counting
+#: sink, under tracemalloc: prints, per driver, the bytes still allocated
+#: after the run and the samples every live histogram holds.
+RETAINED = """
+        import gc, tracemalloc
+        from repro import scenario
+        from repro.client.router import ClusterRouter
+        from repro.driver import run_closed_loop
+        from repro.sim.stats import Histogram
+        from repro.workloads.zipf import ZipfSampler
+
+        def retained(run):
+            gc.collect()
+            tracemalloc.start()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.stop()
+            samples = sum(
+                len(obj) for obj in gc.get_objects()
+                if isinstance(obj, Histogram)
+            )
+            print(grown, samples)
+
+        count = [0]
+
+        def sink(op, result):
+            count[0] += 1
+
+        point = scenario.build(seed=7, memory_size=8 << 20, corpus=4000,
+                               put_ratio=0.5)
+        retained(lambda: run_closed_loop(
+            point.processor, point.generator.stream(6000),
+            concurrency=250, sink=sink,
+        ))
+        sharded = scenario.build(
+            seed=7, memory_size=4 << 20, corpus=2000, kv_size=254,
+            put_ratio=0.05, distribution="zipf", shards=4,
+        )
+        sharded.generator.sampler = ZipfSampler(2000, seed=7, shuffle=False)
+        router = sharded.server.router(batch_size=32, seed=7, sink=sink)
+        retained(lambda: router.run(sharded.generator.stream(6000)))
+        multi = scenario.build(seed=7, memory_size=2 << 20, corpus=1000,
+                               put_ratio=0.5, nodes=3)
+        cluster = multi.cluster
+        cluster.kill_after_accepts(cluster.map.primary(0), 600)
+        router = ClusterRouter(multi.sim, cluster, seed=7, sink=sink)
+        retained(lambda: router.run(multi.generator.stream(6000),
+                                    concurrency=64))
+        print(count[0])
+"""
+
+
+def test_after_a_run_only_the_histograms_hold_memory():
+    """``run_closed_loop``, a ``ShardRouter`` over the wire and a
+    ``ClusterRouter`` through a failover, each fed 6,000 ops from a
+    generator into a counting sink: what the run leaves allocated is its
+    histogram samples at 8 B each, plus at most 256 KiB."""
+    lines = run_fresh(RETAINED).split()
+    assert int(lines[-1]) >= 3 * 6000 - 10  # the sinks saw the results
+    for driver, (grown, samples) in zip(
+        ("run_closed_loop", "ShardRouter", "ClusterRouter"),
+        zip(map(int, lines[0:6:2]), map(int, lines[1:6:2])),
+    ):
+        assert grown <= 8 * samples + (256 << 10), (driver, grown, samples)

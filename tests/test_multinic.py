@@ -117,8 +117,13 @@ class TestScaling:
         reports None latency fields instead of crashing."""
         sim = Simulator()
         server = MultiNICServer(sim, nic_count=2)
-        stats = run_closed_loop(server, [])
-        assert stats["operations"] == 0.0
+        # Every op fails: a KV no slab holds (an empty stream is refused).
+        ops = [KVOperation.put(b"k%03d" % i, b"x" * 600, seq=i)
+               for i in range(8)]
+        stats = run_closed_loop(server, ops)
+        assert stats["operations"] == 8.0
+        assert [proc.completed for proc in server.processors] == [0, 0]
+        assert all(proc.counters["failed_ops"] for proc in server.processors)
         assert stats["latency_p50_ns"] is None
         assert stats["latency_p99_ns"] is None
         assert stats["latency_mean_ns"] is None

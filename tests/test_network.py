@@ -306,17 +306,16 @@ class TestKVOperationValidation:
         assert node.accepted == 2
         assert not hasattr(op, "epoch")  # nothing on the op to fall back to
 
-    def test_key_hash_is_cached_lazily_and_is_not_a_field(self):
+    def test_key_hash_is_computed_on_read_and_never_stored(self):
         import dataclasses
 
         from repro.core.hashing import fnv1a64
 
         op = KVOperation.put(b"k", b"v", seq=3)
-        before = repr(op)
-        assert "key_hash" not in op.__dict__  # construction does not hash
+        before = dict(vars(op))
         assert op.key_hash == fnv1a64(b"k")
-        assert op.__dict__["key_hash"] == fnv1a64(b"k")
-        assert repr(op) == before and op == KVOperation.put(b"k", b"v")
+        assert vars(op) == before  # reading it stores nothing on the op
+        assert op == KVOperation.put(b"k", b"v")
         assert "key_hash" not in {f.name for f in dataclasses.fields(op)}
 
     def test_key_must_be_bytes(self):

@@ -130,16 +130,18 @@ class TestCompletion:
         assert completion.writeback.op is OpType.DELETE
 
     def test_writeback_inherits_the_completed_ops_key_hash(self):
-        """A write-back writes its slot's key, so it carries the hash the
-        completing op was passed instead of hashing the key again."""
-        for h, cached in ((fnv1a64(b"a"), True), (None, False)):
+        """A write-back writes its slot's key, so its completion hands on
+        the hash the completing op was passed (for the write-back's
+        context) instead of hashing the key again; the op keeps none."""
+        for h in (fnv1a64(b"a"), None):
             station = make_station()
             get, put = KVOperation.get(b"a"), KVOperation.put(b"a", b"v2")
             station.admit(get, h)
             station.admit(put, h)
-            writeback = station.complete(get, b"v1", h).writeback
-            assert ("key_hash" in writeback.__dict__) == cached
-            assert writeback.key_hash == fnv1a64(b"a")
+            completion = station.complete(get, b"v1", h)
+            writeback = completion.writeback
+            assert completion.writeback_hash == h
+            assert "key_hash" not in vars(writeback)
             assert writeback == KVOperation(OpType.PUT, b"a", value=b"v2")
 
     def test_get_after_delete_forwards_missing(self):

@@ -1,5 +1,6 @@
 """Integration tests for the timed KV processor pipeline."""
 
+import math
 import struct
 
 import pytest
@@ -221,6 +222,23 @@ class TestOneSubmitPerOpObject:
         for __ in range(2):
             assert proc.sim.run(proc.submit(op)).ok
         assert proc.completed == 2
+
+
+class TestDeadlines:
+    def test_a_nan_deadline_is_refused_at_submit(self):
+        """A NaN deadline fails every ``now > deadline`` test, so the op
+        silently never expired; it is refused before it enters."""
+        proc = make_processor()
+        with pytest.raises(SimulationError, match="NaN"):
+            proc.submit(KVOperation.get(b"k", seq=4), deadline_ns=math.nan)
+        assert not proc._contexts and proc.sim.peek() == math.inf
+
+    def test_a_finite_deadline_still_expires(self):
+        proc = make_processor()
+        event = proc.submit(KVOperation.get(b"k"), deadline_ns=0.0)
+        proc.sim.run()
+        assert not event.ok
+        assert proc.deadline_counters["decode"] == 1
 
 
 class TestAccounting:

@@ -165,3 +165,45 @@ class TestReplay:
                 store.execute(op)
             states.append(dict(store.items()))
         assert states[0] == states[1]
+
+
+class TestReplayNumbersItsOps:
+    """The wire codec carries no seq, so a replayed op is numbered by its
+    position in the file; before, every replayed op read seq 0."""
+
+    def test_ops_are_numbered_by_position_across_batches(self):
+        ops = sample_ops(700)  # three stored batches of up to 256
+        replayed = trace_from_bytes(trace_to_bytes(ops))
+        assert [op.seq for op in replayed] == list(range(700))
+        assert replayed == ops
+
+    def test_replayed_scans_merge_apart_on_two_nics(self):
+        """Two RANGEs replayed through a 2-NIC closed loop: each gets its
+        own merged payload (with seq 0 for both, their shard partials
+        mixed into one payload)."""
+        from repro.core.config import KVDirectConfig
+        from repro.core.operations import decode_scan_payload
+        from repro.driver import run_closed_loop
+        from repro.multi import MultiNICServer
+        from repro.sim import Simulator
+
+        ops = [KVOperation.range(b"k00", 3, seq=0),
+               KVOperation.range(b"k10", 3, seq=1)]
+        results = []
+        for stream in (ops, trace_from_bytes(trace_to_bytes(ops))):
+            server = MultiNICServer(
+                Simulator(), 2,
+                config=KVDirectConfig(memory_size=4 << 20,
+                                      ordered_index=True),
+            )
+            for i in range(20):
+                server.put_direct(b"k%02d" % i, b"v%02d" % i)
+            merged = {}
+            run_closed_loop(server, stream, scan_results=merged)
+            results.append({
+                seq: [key for key, __ in decode_scan_payload(payload, True)]
+                for seq, payload in merged.items()
+            })
+        assert results[0] == {0: [b"k00", b"k01", b"k02"],
+                              1: [b"k10", b"k11", b"k12"]}
+        assert results[1] == results[0]

@@ -86,21 +86,25 @@ class TestKeySpace:
         assert noninline_kv_sizes() == [62, 126, 254]
 
 
+def _draws(sampler, count):
+    return [sampler.sample() for __ in range(count)]
+
+
 class TestUniformSampler:
     def test_range(self):
         sampler = UniformSampler(100, seed=1)
-        samples = sampler.sample_many(1000)
+        samples = _draws(sampler, 1000)
         assert all(0 <= s < 100 for s in samples)
 
     def test_roughly_uniform(self):
         sampler = UniformSampler(10, seed=2)
-        counts = collections.Counter(sampler.sample_many(10_000))
+        counts = collections.Counter(_draws(sampler, 10_000))
         for key in range(10):
             assert 800 < counts[key] < 1200
 
     def test_deterministic(self):
-        a = UniformSampler(50, seed=3).sample_many(20)
-        b = UniformSampler(50, seed=3).sample_many(20)
+        a = _draws(UniformSampler(50, seed=3), 20)
+        b = _draws(UniformSampler(50, seed=3), 20)
         assert a == b
 
     def test_invalid(self):
@@ -111,31 +115,31 @@ class TestUniformSampler:
 class TestZipfSampler:
     def test_range(self):
         sampler = ZipfSampler(1000, seed=1)
-        assert all(0 <= s < 1000 for s in sampler.sample_many(1000))
+        assert all(0 <= s < 1000 for s in _draws(sampler, 1000))
 
     def test_skew_concentrates_mass(self):
         """With skew 0.99, the hottest keys dominate the distribution."""
         sampler = ZipfSampler(10_000, seed=1)
         hot = set(sampler.hot_keys(100))  # top 1 %
-        samples = sampler.sample_many(20_000)
+        samples = _draws(sampler, 20_000)
         hot_fraction = sum(s in hot for s in samples) / len(samples)
         assert hot_fraction > 0.4
 
     def test_rank_order(self):
         """Lower ranks (hotter keys) are sampled more often."""
         sampler = ZipfSampler(100, seed=7, shuffle=False)
-        counts = collections.Counter(sampler.sample_many(50_000))
+        counts = collections.Counter(_draws(sampler, 50_000))
         assert counts[0] > counts[10] > counts[90]
 
     def test_zero_skew_is_uniform(self):
         sampler = ZipfSampler(10, skew=0.0, seed=1)
-        counts = collections.Counter(sampler.sample_many(20_000))
+        counts = collections.Counter(_draws(sampler, 20_000))
         for key in range(10):
             assert 1600 < counts[key] < 2400
 
     def test_deterministic(self):
-        a = ZipfSampler(500, seed=5).sample_many(50)
-        b = ZipfSampler(500, seed=5).sample_many(50)
+        a = _draws(ZipfSampler(500, seed=5), 50)
+        b = _draws(ZipfSampler(500, seed=5), 50)
         assert a == b
 
     def test_shuffle_spreads_hot_keys(self):
@@ -167,7 +171,7 @@ class TestZipfSampler:
         )
         assert sampler._rng.getstate() == replay.getstate()
         assert sorted(sampler._rank_to_key) == list(range(100))
-        assert all(0 <= s < 100 for s in sampler.sample_many(50))
+        assert all(0 <= s < 100 for s in _draws(sampler, 50))
 
     @pytest.mark.parametrize("make", [
         lambda: UniformSampler(1000, seed=3),
@@ -176,12 +180,18 @@ class TestZipfSampler:
         lambda: ZipfSampler(300, skew=0.5, seed=4, shuffle=False),
     ])
     def test_a_batch_is_the_scalar_draws(self, make):
-        """``sample_many`` is ``sample`` in a loop: the same draws, and the
-        generator left where the loop leaves it."""
-        batch, scalar = make(), make()
-        assert batch.sample_many(500) == [scalar.sample() for __ in range(500)]
+        """A sampler draws from its own generator only: 500 draws in one
+        go are the 500 drawn one at a time between other generators'
+        draws (as a lazily pulled op stream draws them), and leave the
+        generator in the same state."""
+        batch, scalar, other = make(), make(), make()
+        interleaved = []
+        for __ in range(500):
+            other.sample()
+            random.random()
+            interleaved.append(scalar.sample())
+        assert _draws(batch, 500) == interleaved
         assert batch._rng.getstate() == scalar._rng.getstate()
-        assert batch.sample_many(0) == [] and batch.sample_many(-1) == []
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -257,7 +267,7 @@ class TestZipfStreamIsPinned:
     def test_draws_and_hot_keys(self, shape, draws, hot):
         population, skew, seed, shuffle = shape
         sampler = ZipfSampler(population, skew, seed=seed, shuffle=shuffle)
-        assert _digest(sampler.sample_many(10_000)) == draws
+        assert _digest(_draws(sampler, 10_000)) == draws
         assert _digest(sampler.hot_keys(50)) == hot
 
 
@@ -285,7 +295,7 @@ class TestZipfTableMatchesNumpy:
         assert sampler._prob == pytest.approx(prob, rel=1e-10, abs=0)
         reference = ZipfSampler(population, skew, seed=3, shuffle=False)
         reference._alias, reference._prob = alias, prob
-        assert sampler.sample_many(5000) == reference.sample_many(5000)
+        assert _draws(sampler, 5000) == _draws(reference, 5000)
 
     @pytest.mark.parametrize("population", [1, 2, 3, 1000, 4000, 20000])
     @pytest.mark.parametrize("seed", [0, 7, 11, 23, 42, (1 << 32) - 1])

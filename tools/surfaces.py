@@ -3,9 +3,11 @@
 
 Runs each surface - every ``CASES`` command of
 ``tests/test_cli_determinism.py`` plus the few seeded commands listed in
-:data:`EXTRA` - as ``python -m repro ...`` once on each checkout's
-``src/``, both sides from directories of the same name (so the paths the
-commands write and print match), two processes at a time.  Then it
+:data:`EXTRA`, where ``;`` separates the steps of a surface that runs
+several commands in one directory - as ``python -m repro ...`` once on
+each checkout's ``src/``, both sides from directories of the same name
+(so the paths the commands write and print match), two processes at a
+time.  Then it
 compares stdout and every file each side wrote, byte for byte, prints one
 line per surface and exits 1 if any surface differs; the outputs are kept
 for inspection in that case and removed otherwise.
@@ -45,8 +47,12 @@ EXTRA = {
     "ycsb-slab-max": "ycsb --ops 2000 --put-ratio 0.5 --kv-size 509",
     # A 1 GiB store: the memory a run does not write is never touched.
     "ycsb-1gib": "ycsb --ops 2000 --corpus 2000 --memory-mib 1024",
-    # A shuffled Zipf stream drawn through ZipfSampler.sample_many.
+    # A shuffled Zipf stream, drawn one op at a time as the run pulls it.
     "ycsb-zipf": "ycsb --ops 3000 --put-ratio 0.5 --distribution zipf",
+    # A seeded trace with its load phase, replayed from the file untimed
+    # and through the timed pipeline.
+    "replay": "record trace.kvdt --load-phase --ops 3000 --corpus 1000 ; "
+              "replay trace.kvdt ; replay trace.kvdt --timed",
 }
 
 SIDES = ("parent", "change")
@@ -65,20 +71,25 @@ def surfaces() -> Dict[str, str]:
 
 
 def run_cli(checkout: str, argv: List[str], cwd: pathlib.Path) -> bytes:
-    """``python -m repro ARGV`` on ``checkout``'s sources, run in ``cwd``;
-    returns stdout."""
+    """``python -m repro ARGV`` on ``checkout``'s sources, run in ``cwd``,
+    one step per ``;``-separated part of ``argv``; returns the steps'
+    stdout, concatenated."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(checkout) / "src"),
                PYTHONHASHSEED="0")
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
-        cwd=cwd, env=env, capture_output=True, check=False,
-    )
-    if done.returncode != 0:
-        raise RuntimeError(
-            f"{checkout}: repro {' '.join(argv)} exited {done.returncode}\n"
-            f"{done.stderr.decode()}"
+    stdout = b""
+    for step in " ".join(argv).split(" ; "):
+        step_argv = step.split()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *step_argv],
+            cwd=cwd, env=env, capture_output=True, check=False,
         )
-    return done.stdout
+        if done.returncode != 0:
+            raise RuntimeError(
+                f"{checkout}: repro {step} exited {done.returncode}\n"
+                f"{done.stderr.decode()}"
+            )
+        stdout += done.stdout
+    return stdout
 
 
 def outputs(stdout: bytes, cwd: pathlib.Path) -> Dict[str, bytes]:
