@@ -20,6 +20,7 @@ from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD
 from repro.network.rdma import wire_bytes
 from repro.sim import Simulator
+from repro.sim.stats import gbps
 
 VECTOR_SIZES = [64, 128, 256, 496]  # 496: largest whole-element vector fitting the 512 B slab
 OPS = 400
@@ -52,7 +53,7 @@ def _vector_update_throughput(vector_bytes: int) -> float:
     client = KVClient(sim, processor, batch_size=16,
                       max_outstanding_batches=16)
     stats = client.run(ops)
-    return OPS * vector_bytes / stats.elapsed_ns  # bytes/ns == GB/s
+    return gbps(OPS * vector_bytes, stats.elapsed_ns)
 
 
 def _one_key_per_element_bound(vector_bytes: int) -> float:

@@ -20,7 +20,10 @@ import struct
 
 from repro import KVDirectStore
 from repro.core.hls import HLSToolchain
+from repro.core.operations import KVOperation
+from repro.core.processor import KVProcessor
 from repro.core.vector import FuncKind
+from repro.sim import Simulator
 
 RATE = 5          # tokens refilled per tick
 BURST = 20        # bucket capacity
@@ -106,6 +109,15 @@ def main() -> None:
             assert admitted[flow] == offered[flow]
     print("\nflood clipped to the token rate; polite flows unthrottled -")
     print("per-flow isolation enforced entirely NIC-side.")
+
+    # One more packet through the NIC's timed pipeline: the compiled λ
+    # occupies its lanes for the update's cycles.
+    sim = Simulator()
+    processor = KVProcessor(sim, store, hls=toolchain)
+    sim.run(processor.submit(KVOperation.update(b"flow:00", limiter, q(401))))
+    print(f"\none update on the pipeline: "
+          f"{processor.counters['lambda_cycles']} λ-lane cycle, "
+          f"answered at {sim.now:.0f} ns")
 
 
 if __name__ == "__main__":

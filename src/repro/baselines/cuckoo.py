@@ -112,14 +112,3 @@ class CuckooHashTable(SlottedTable):
         raise CapacityError(
             f"cuckoo displacement exceeded {MAX_KICKS} kicks (table full)"
         )
-
-    def _delete(self, key: bytes) -> Optional[int]:
-        for bucket in self._buckets_of(key):
-            slots = self._read_bucket(bucket)
-            for i, (slot_key, pointer) in enumerate(slots):
-                if slot_key == key:
-                    removed = self._free_value(pointer)
-                    slots[i] = EMPTY
-                    self._write_bucket(bucket, slots)
-                    return removed
-        return None

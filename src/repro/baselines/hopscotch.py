@@ -172,19 +172,3 @@ class HopscotchHashTable(SlottedTable):
 
     def _distance(self, start: int, bucket: int) -> int:
         return (bucket - start) % self.num_buckets
-
-    def _delete(self, key: bytes) -> Optional[int]:
-        home = self._home(key)
-        for i, (slot_key, pointer) in enumerate(self._read_neighborhood(home)):
-            if slot_key == key:
-                removed = self._free_value(pointer)
-                self._set_neighbor(home, i, EMPTY)
-                return removed
-        chain = self._chains.get(home, [])
-        for entry_index, (chain_key, pointer, block) in enumerate(chain):
-            if chain_key == key:
-                removed = self._free_value(pointer)
-                self.allocator.free(block, 1)
-                chain.pop(entry_index)
-                return removed
-        return None

@@ -44,26 +44,8 @@ class OneSidedRDMAModel:
     """Client-driven KVS using one-sided READ/WRITE/atomics."""
 
     nic_message_rate: float = constants.RDMA_NIC_MESSAGE_RATE[1]
-    #: READs per GET (hash-index probe + value; >1 under collisions).
-    reads_per_get: float = 1.3
-    #: Round trips per PUT (lock + write + unlock, per section 2.2).
-    round_trips_per_put: float = 3.0
     #: Measured single-key atomics rate (internal NIC lock serializes).
     atomics_rate: float = constants.RDMA_ATOMICS_OPS
-
-    def get_throughput(self) -> float:
-        return self.nic_message_rate / self.reads_per_get
-
-    def put_throughput(self) -> float:
-        return self.nic_message_rate / self.round_trips_per_put
-
-    def throughput(self, put_ratio: float) -> float:
-        """Harmonic blend of GET/PUT service rates."""
-        if not 0.0 <= put_ratio <= 1.0:
-            raise ConfigurationError("put ratio must be in [0, 1]")
-        get_cost = 1.0 / self.get_throughput()
-        put_cost = 1.0 / self.put_throughput()
-        return 1.0 / ((1 - put_ratio) * get_cost + put_ratio * put_cost)
 
     def atomics_throughput(self, distinct_keys: int = 1) -> float:
         """Per-key atomics serialize; spread across keys until NIC-bound."""

@@ -64,9 +64,8 @@ def decode_slots(raw: bytes) -> List[Slot]:
 class SlottedTable:
     """Inline-key buckets over slab-allocated value records.
 
-    A subclass implements ``_get(key)``, ``_put(key, value)`` (the replaced
-    value's length, or ``None`` for a new key) and ``_delete(key)`` (the
-    removed value's length, or ``None``).
+    A subclass implements ``_get(key)`` and ``_put(key, value)`` (the
+    replaced value's length, or ``None`` for a new key).
     """
 
     def __init__(
@@ -141,12 +140,6 @@ class SlottedTable:
         self.allocator.free(pointer * 32, old_cls)
         return new_pointer, len(old_value)
 
-    def _free_value(self, pointer: int) -> int:
-        """Free the record at ``pointer``; returns its value's length."""
-        value, cls = self._read_value(pointer)
-        self.allocator.free(pointer * 32, cls)
-        return len(value)
-
     # -- operations ---------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
@@ -173,15 +166,6 @@ class SlottedTable:
             self.stored_bytes += len(value) - replaced
         return True
 
-    def delete(self, key: bytes) -> bool:
-        self._check_key(key)
-        removed = self._delete(key)
-        if removed is None:
-            return False
-        self.count -= 1
-        self.stored_bytes -= len(key) + removed
-        return True
-
     def _check_key(self, key: bytes) -> None:
         if not key:
             raise KeyTooLargeError("key must be non-empty")
@@ -189,10 +173,3 @@ class SlottedTable:
             raise KeyTooLargeError(
                 f"{type(self).__name__} inlines keys up to {MAX_INLINE_KEY} B"
             )
-
-    def __len__(self) -> int:
-        return self.count
-
-    def utilization(self, total_memory: Optional[int] = None) -> float:
-        total = total_memory if total_memory is not None else self.memory.size
-        return self.stored_bytes / total if total else 0.0

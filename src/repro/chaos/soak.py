@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -179,8 +179,6 @@ class SoakConfig:
         if not 0.0 <= self.goodput_floor <= 1.0:
             raise ConfigurationError("goodput floor must be in [0, 1]")
 
-    def with_overrides(self, **kwargs) -> "SoakConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass

@@ -329,9 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=_tolerance, default=0.15,
         help="relative tolerance before a metric counts as regressed",
     )
-    bench_diff.add_argument(
-        "--json", action="store_true", help="emit the diff as JSON"
-    )
 
     range_cmd = sub.add_parser(
         "range",
@@ -805,19 +802,15 @@ def _cmd_bench(args, out) -> int:
             return 1
         result = bench_history.diff(baseline, current,
                                     tolerance=args.tolerance)
-        if args.json:
-            print(json.dumps(result.as_dict(), indent=2, sort_keys=True),
-                  file=out)
-        else:
-            print(format_table(
-                f"Bench diff ({result.baseline} -> {result.current}, "
-                f"tolerance {result.tolerance:.0%})",
-                ["metric", "baseline", "current", "change", "status"],
-                result.rows(),
-            ), file=out)
-            for note in result.notes:
-                print(f"note: {note}", file=out)
-            print("verdict:", "PASS" if result.passed else "FAIL", file=out)
+        print(format_table(
+            f"Bench diff ({result.baseline} -> {result.current}, "
+            f"tolerance {result.tolerance:.0%})",
+            ["metric", "baseline", "current", "change", "status"],
+            result.rows(),
+        ), file=out)
+        for note in result.notes:
+            print(f"note: {note}", file=out)
+        print("verdict:", "PASS" if result.passed else "FAIL", file=out)
         return 0 if result.passed else 1
 
     built = _build(args, profile=True)

@@ -274,10 +274,10 @@ class KVClient:
             f"{prefix}.deadline_expired", lambda: self.deadline_expired
         )
         if self.breaker is not None:
-            registry.register_gauge(
-                f"{prefix}.breaker_state", self.breaker.state_code
-            )
             breaker = self.breaker
+            registry.register_gauge(
+                f"{prefix}.breaker_state", lambda: breaker.state_code
+            )
             registry.register_gauge(
                 f"{prefix}.breaker_opens", lambda: breaker.opens
             )
@@ -561,16 +561,3 @@ def _response_size(event: Event) -> int:
         if value is not None:
             return base + 2 + len(value)
     return base
-
-
-def run_unbatched(
-    sim: Simulator,
-    processor: KVProcessor,
-    ops: Iterable[KVOperation],
-    max_outstanding: int = 64,
-) -> ClientStats:
-    """One op per packet - the Figure 15/17 'no batching' baseline."""
-    client = KVClient(
-        sim, processor, batch_size=1, max_outstanding_batches=max_outstanding
-    )
-    return client.run(ops)

@@ -31,12 +31,6 @@ BREAKER_CLOSED = 0
 BREAKER_OPEN = 1
 BREAKER_HALF_OPEN = 2
 
-_STATE_NAMES = {
-    BREAKER_CLOSED: "closed",
-    BREAKER_OPEN: "open",
-    BREAKER_HALF_OPEN: "half-open",
-}
-
 
 class BackoffPolicy:
     """Capped exponential backoff with deterministic seeded jitter.
@@ -109,27 +103,23 @@ class RetryBudget:
             raise ConfigurationError("refill per success must be >= 0")
         self.capacity = float(capacity)
         self.refill_per_success = float(refill_per_success)
-        self._tokens = float(capacity)
+        self.tokens = float(capacity)
         self.spent = 0
         self.refused = 0
 
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
     def try_spend(self, n: float = 1.0) -> bool:
         """Spend ``n`` tokens if available; ``False`` means fail fast."""
-        if self._tokens < n:
+        if self.tokens < n:
             self.refused += 1
             return False
-        self._tokens -= n
+        self.tokens -= n
         self.spent += 1
         return True
 
     def on_success(self, n: float = 1.0) -> None:
         """Credit the pool after ``n`` successful flights."""
-        self._tokens = min(
-            self.capacity, self._tokens + n * self.refill_per_success
+        self.tokens = min(
+            self.capacity, self.tokens + n * self.refill_per_success
         )
 
 
@@ -167,30 +157,20 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.min_samples = min_samples
         self.open_ns = open_ns
-        self._state = BREAKER_CLOSED
+        self.state_code = BREAKER_CLOSED
         self._opened_at = 0.0
         self._events: List[Tuple[float, bool]] = []  # (when, ok)
         self.opens = 0
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def state(self) -> str:
-        return _STATE_NAMES[self._state]
-
-    def state_code(self) -> int:
-        """Numeric state for the metrics gauge (0/1/2)."""
-        return self._state
 
     # -- behaviour ----------------------------------------------------------
 
     def allow(self) -> bool:
         """May a flight be attempted now?  Advances open -> half-open."""
-        if self._state == BREAKER_CLOSED:
+        if self.state_code == BREAKER_CLOSED:
             return True
-        if self._state == BREAKER_OPEN:
+        if self.state_code == BREAKER_OPEN:
             if self._clock() - self._opened_at >= self.open_ns:
-                self._state = BREAKER_HALF_OPEN
+                self.state_code = BREAKER_HALF_OPEN
                 return True
             return False
         # Half-open: exactly one probe at a time; callers serialize on the
@@ -199,7 +179,7 @@ class CircuitBreaker:
 
     def wait_ns(self) -> float:
         """Simulated ns until the open period elapses (0 when not open)."""
-        if self._state != BREAKER_OPEN:
+        if self.state_code != BREAKER_OPEN:
             return 0.0
         remaining = self.open_ns - (self._clock() - self._opened_at)
         return max(0.0, remaining)
@@ -207,16 +187,16 @@ class CircuitBreaker:
     def record(self, ok: bool) -> None:
         """Feed one flight outcome into the automaton."""
         now = self._clock()
-        if self._state == BREAKER_HALF_OPEN:
+        if self.state_code == BREAKER_HALF_OPEN:
             if ok:
-                self._state = BREAKER_CLOSED
+                self.state_code = BREAKER_CLOSED
                 self._events.clear()
             else:
                 self._trip(now)
             return
         self._events.append((now, ok))
         self._prune(now)
-        if self._state != BREAKER_CLOSED:
+        if self.state_code != BREAKER_CLOSED:
             return
         if len(self._events) < self.min_samples:
             return
@@ -225,7 +205,7 @@ class CircuitBreaker:
             self._trip(now)
 
     def _trip(self, now: float) -> None:
-        self._state = BREAKER_OPEN
+        self.state_code = BREAKER_OPEN
         self._opened_at = now
         self.opens += 1
         self._events.clear()

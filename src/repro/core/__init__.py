@@ -20,27 +20,7 @@ Subpackage layout follows Figure 4:
 from repro.core.operations import KVOperation, KVResult, OpType
 
 __all__ = [
-    "KVDirectConfig",
-    "KVDirectStore",
     "KVOperation",
     "KVResult",
     "OpType",
 ]
-
-_LAZY = {
-    "KVDirectStore": ("repro.core.store", "KVDirectStore"),
-    "KVDirectConfig": ("repro.core.config", "KVDirectConfig"),
-}
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value

@@ -28,7 +28,7 @@ See ``docs/ROBUSTNESS.md`` for the full overload-control design.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Deque, Optional
 
 from repro.core.operations import KVOperation, OpType
@@ -88,9 +88,6 @@ class OverloadPolicy:
                 f"want one of {', '.join(SHED_POLICIES)}"
             )
 
-    def with_overrides(self, **kwargs) -> "OverloadPolicy":
-        """A copy with some knobs replaced (policies are frozen)."""
-        return replace(self, **kwargs)
 
 
 @dataclass
@@ -141,10 +138,6 @@ class IngressQueue:
     def depth(self) -> int:
         """Operations currently waiting in the queue."""
         return len(self._queue)
-
-    @property
-    def shed_total(self) -> int:
-        return self.counters["shed_total"]
 
     # -- admission ----------------------------------------------------------
 
@@ -231,8 +224,3 @@ class IngressQueue:
                 reason=reason,
             ),
         )
-
-    def snapshot(self) -> dict:
-        data = self.counters.snapshot()
-        data["depth"] = len(self._queue)
-        return data

@@ -12,7 +12,7 @@ access pattern and target memory utilization."
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import constants
@@ -174,10 +174,6 @@ class KVDirectConfig:
         return 1e9 / self.clock_hz
 
     # -- convenience -------------------------------------------------------------
-
-    def with_overrides(self, **kwargs) -> "KVDirectConfig":
-        """A copy with some fields replaced (config objects are frozen)."""
-        return replace(self, **kwargs)
 
     @classmethod
     def paper_scale(cls) -> "KVDirectConfig":

@@ -91,19 +91,6 @@ def pack_slot(pointer: int, secondary: int) -> int:
     return (pointer << SECONDARY_HASH_BITS) | secondary
 
 
-def unpack_slot(word: int) -> Tuple[int, int]:
-    """Unpack a slot word into (pointer, secondary hash)."""
-    return word >> SECONDARY_HASH_BITS, word & _SECONDARY_MASK
-
-
-def inline_slots_needed(kv_size: int) -> int:
-    """Hash slots an inline KV of ``kv_size = klen + vlen`` bytes occupies."""
-    if kv_size < 0:
-        raise KVDirectError(f"negative KV size: {kv_size}")
-    # Never below one slot: the header alone is two bytes.
-    return -(-(kv_size + INLINE_HEADER) // SLOT_SIZE)
-
-
 def max_inline_kv_size() -> int:
     """Largest klen + vlen that fits a whole bucket's slot area."""
     return SLOT_AREA - INLINE_HEADER

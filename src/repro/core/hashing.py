@@ -13,7 +13,6 @@ to the station and the index; nothing caches it on the op.
 
 from __future__ import annotations
 
-from repro.constants import SECONDARY_HASH_BITS
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -29,17 +28,12 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def bucket_index(key_hash: int, num_buckets: int) -> int:
-    """Primary bucket for a key hash."""
-    return key_hash % num_buckets
-
-
 def shard_of(key: bytes, shards: int) -> int:
     """The shard (NIC) owning a key in a share-nothing deployment.
 
     Uses bits 16..63 of the key hash so shard routing stays statistically
-    independent of each shard's bucket index (``bucket_index`` consumes
-    the hash modulo the bucket count, which is dominated by the low bits)
+    independent of each shard's bucket index (the hash modulo the bucket
+    count, which is dominated by the low bits)
     - otherwise every shard would see only a biased slice of its own
     bucket space.
 
@@ -52,16 +46,9 @@ def shard_of(key: bytes, shards: int) -> int:
 
 
 def shard_of_hash(key_hash: int, shards: int) -> int:
-    """:func:`shard_of` for a key whose ``fnv1a64`` is already known (an
-    operation's cached ``key_hash``)."""
+    """:func:`shard_of` for a key whose ``fnv1a64`` is already known (the
+    hash an operation carries in flight)."""
     h = key_hash >> 16
     h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (h ^ (h >> 31)) % shards
-
-
-def secondary_hash(key_hash: int) -> int:
-    """9-bit secondary hash from the high bits (independent of the index)."""
-    return (key_hash >> (64 - SECONDARY_HASH_BITS)) & (
-        (1 << SECONDARY_HASH_BITS) - 1
-    )

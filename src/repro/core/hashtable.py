@@ -67,7 +67,7 @@ MAX_RECORD_SIZE = 512
 #: Largest key + value whose record fits: the fast path of the checks.
 MAX_KV_SIZE = MAX_RECORD_SIZE - _RECORD_HEADER.size
 
-#: ``secondary_hash(h)`` is ``h >> _SECONDARY_SHIFT & _SECONDARY_MASK``.
+#: A key's 9-bit secondary hash is ``h >> _SECONDARY_SHIFT & _SECONDARY_MASK``.
 _SECONDARY_SHIFT = 64 - SECONDARY_HASH_BITS
 _SECONDARY_MASK = (1 << SECONDARY_HASH_BITS) - 1
 
@@ -169,9 +169,6 @@ class HashTable:
     def __len__(self) -> int:
         return self.count
 
-    def __contains__(self, key: bytes) -> bool:
-        return self.peek(key) is not None
-
     def probe(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
         """Lookup without per-op statistics, for index-internal reads.
 
@@ -231,9 +228,8 @@ class HashTable:
     # -- bucket IO ---------------------------------------------------------------
     # A bucket is read as ``read(addr, BUCKET_SIZE)``, stored as
     # ``memory.write(addr, bucket)`` after ``edit`` and the codec's edits,
-    # and a chain head found as ``base + h % num_buckets * BUCKET_SIZE``
-    # (``bucket_index(h)``), written out at each site rather than behind a
-    # forwarding frame.
+    # and a chain head found as ``base + h % num_buckets * BUCKET_SIZE``,
+    # written out at each site rather than behind a forwarding frame.
 
     def bucket_addr(self, index: int) -> int:
         return self.base + index * BUCKET_SIZE

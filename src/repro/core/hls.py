@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro import constants
-from repro.core.vector import FunctionRegistry, VectorFunction
+from repro.core.vector import VectorFunction
 from repro.errors import ConfigurationError, KVDirectError
 
 #: Adaptive logic modules on the paper's Intel Stratix V FPGA.
@@ -123,14 +123,6 @@ class HLSToolchain:
         self._compiled[func.func_id] = compiled
         self.alms_used += alms
         return compiled
-
-    def compile_registry(self, registry: FunctionRegistry) -> int:
-        """Compile every registered λ; returns how many were compiled."""
-        count = 0
-        for func_id in sorted(registry._functions):
-            self.compile(registry.lookup(func_id))
-            count += 1
-        return count
 
     # -- lookup -------------------------------------------------------------------
 

@@ -104,10 +104,6 @@ class ReservationStation:
 
     # -- admission -------------------------------------------------------------
 
-    @property
-    def has_room(self) -> bool:
-        return self.occupancy < self.capacity
-
     def record_full_stall(self) -> None:
         """Count one ingress arrival that found every in-flight slot taken.
 
@@ -120,8 +116,9 @@ class ReservationStation:
         self.counters["full_stalls"] += 1
 
     def admit(self, op: KVOperation, h: Optional[int] = None) -> Admission:
-        """Accept one operation; caller must respect :attr:`has_room`.
-        ``h`` is ``fnv1a64(op.key)`` when the caller already has it."""
+        """Accept one operation; the caller keeps ``occupancy`` below
+        ``capacity``.  ``h`` is ``fnv1a64(op.key)`` when the caller
+        already has it."""
         if self.occupancy >= self.capacity:
             raise SimulationError("reservation station full")
         self.occupancy += 1
@@ -281,15 +278,5 @@ class ReservationStation:
 
     # -- introspection ---------------------------------------------------------------
 
-    @property
-    def inflight(self) -> int:
-        return self.occupancy
-
     def busy_slots(self) -> int:
         return len(self._slots)
-
-    def snapshot(self) -> dict:
-        data = self.counters.snapshot()
-        data["occupancy"] = self.occupancy
-        data["busy_slots"] = len(self._slots)
-        return data

@@ -16,7 +16,6 @@ in the :class:`KVResult` value payload (see :func:`encode_scan_payload`).
 from __future__ import annotations
 
 import struct
-import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import merge as _heap_merge
@@ -100,16 +99,6 @@ class KVOperation:
     count: int = 0
     #: Client-side issue sequence, for latency attribution.
     seq: int = field(default=0, compare=False)
-
-    @property
-    def key_hash(self) -> int:
-        """``fnv1a64(self.key)``, computed on every read and stored nowhere.
-
-        The drivers hash each op once and carry the hash in its in-flight
-        state (a :class:`FanOut` lane, the cluster router's attempt, the
-        processor's context), so nothing per op outlives its completion.
-        """
-        return fnv1a64(self.key)
 
     def __post_init__(self) -> None:
         if not isinstance(self.key, (bytes, bytearray)):
@@ -201,11 +190,6 @@ class KVResult:
     ok: bool
     value: Optional[bytes] = None
     seq: int = field(default=0, compare=False)
-
-    @property
-    def found(self) -> bool:
-        """For GET: whether the key existed."""
-        return self.ok and self.value is not None
 
 
 # -- scan result payloads ------------------------------------------------------
@@ -420,14 +404,6 @@ class Lane:
         if self._head == len(self._ops):
             self.fan._pull(self, 1)
         return self._head < len(self._ops)
-
-
-def fan_out(
-    ops: Iterable[KVOperation], shards: int
-) -> List[List[KVOperation]]:
-    """The whole of each lane of ``FanOut(ops, shards)``, as lists."""
-    lanes = FanOut(ops, shards).lanes
-    return [lane.take(sys.maxsize)[0] for lane in lanes]
 
 
 def merge_scan(

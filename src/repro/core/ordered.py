@@ -71,9 +71,6 @@ class OrderedIndex:
         self._leaves: List[_Leaf] = []
         self.count = 0
 
-    def __len__(self) -> int:
-        return self.count
-
     # -- leaf IO ---------------------------------------------------------------
 
     def _image(self, leaf: _Leaf) -> bytes:
@@ -176,16 +173,3 @@ class OrderedIndex:
             skip = 0
             index += 1
         return keys, hashes
-
-    # -- introspection ------------------------------------------------------------
-
-    def keys(self) -> List[bytes]:
-        """Every key, ascending (uncounted; for tests and invariants)."""
-        return [key for leaf in self._leaves for key in leaf.keys]
-
-    def snapshot(self) -> dict:
-        return {
-            "keys": self.count,
-            "leaves": len(self._leaves),
-            "leaf_capacity": LEAF_CAPACITY,
-        }

@@ -36,7 +36,7 @@ only: an op that fails or expires is neither completed nor timed.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.admission import IngressQueue
 from repro.core.config import KVDirectConfig
@@ -235,9 +235,6 @@ class KVProcessor:
             self.profiler.observe_submit(ctx)
         self.sim.call_soon(partial(self._ingress, ctx))
         return ctx.response
-
-    def submit_many(self, ops: List[KVOperation]) -> List[Event]:
-        return [self.submit(op) for op in ops]
 
     # -- contexts, unwinds and completion (shared by the two drivers) ----------
 

@@ -128,10 +128,6 @@ class SlabAllocator:
         if len(stack) > self.stack_capacity:
             self._sync_to_host(class_index)
 
-    def free_size(self, addr: int, nbytes: int) -> None:
-        """Free by original allocation size instead of class index."""
-        self.free(addr, class_for_size(nbytes))
-
     # -- host synchronization -----------------------------------------------------
 
     def _sync_from_host(self, class_index: int) -> None:
@@ -187,19 +183,3 @@ class SlabAllocator:
         """DMA operations per alloc/free - the paper's < 0.07 figure."""
         ops = self.counters["allocs"] + self.counters["frees"]
         return self.sync_dmas / ops if ops else 0.0
-
-    def cached_entries(self, class_index: int) -> int:
-        return len(self._stacks[class_index])
-
-    @property
-    def live_allocations(self) -> int:
-        """Slabs currently allocated (handed out and not yet freed)."""
-        return len(self._live)
-
-    def is_live(self, addr: int) -> bool:
-        return addr in self._live
-
-    def snapshot(self) -> dict:
-        data = self.counters.snapshot()
-        data["host_free_bytes"] = self.host.free_bytes()
-        return data

@@ -216,9 +216,6 @@ class KVDirectStore:
     def __len__(self) -> int:
         return len(self.table)
 
-    def __contains__(self, key: bytes) -> bool:
-        return self.peek(key) is not None
-
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         return self.table.items()
 

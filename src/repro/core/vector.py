@@ -130,9 +130,6 @@ class FunctionRegistry:
         except KeyError:
             raise KVDirectError(f"function {func_id} not registered")
 
-    def __contains__(self, func_id: int) -> bool:
-        return func_id in self._functions
-
 
 def _compare_and_swap(value: int, delta: Tuple[int, int]) -> int:
     expected, new = delta

@@ -10,7 +10,6 @@ from repro.dram.cache import CacheStats, DramCache
 from repro.dram.ecc import (
     ECCLineLayout,
     hamming_parity_bits,
-    spare_bits_per_line,
 )
 from repro.dram.hamming import DecodeStatus, HammingSECDED
 from repro.dram.host import MemoryImage
@@ -25,5 +24,4 @@ __all__ = [
     "MemoryImage",
     "NICDram",
     "hamming_parity_bits",
-    "spare_bits_per_line",
 ]

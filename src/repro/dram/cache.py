@@ -10,17 +10,13 @@ accounting).  Functional data stays in the host :class:`~repro.dram.host.
 MemoryImage`; the memory access engine charges timing for the traffic this
 class reports (fills, writebacks).  The metadata is one 64-bit word per NIC
 line in an anonymous mapping, so only the slots a run fills take memory.
-``flush`` and ``occupancy`` scan the words' low bytes a chunk at a time
-with ``bytes`` methods (a slot is empty iff its low byte is 0), never a
-Python loop over every slot, and ``flush`` empties the cache by swapping
-in a fresh mapping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.dram.ecc import ECCLineLayout, ECCMetadataCodec
 from repro.dram.hamming import DecodeStatus, HammingSECDED
@@ -49,11 +45,6 @@ _HIT = AccessResult(hit=True)
 _MISS_FILL = AccessResult(hit=False, needs_fill=True)
 _MISS_NO_FILL = AccessResult(hit=False)
 
-#: Slots per chunk of a whole-cache scan: 8 MiB of tag words at a time.
-_SCAN_SLOTS = 1 << 20
-#: ``bytes.translate`` table from a slot word's low byte to its dirty bit.
-_DIRTY = bytes((byte >> 1) & 1 for byte in range(256))
-
 
 class CacheStats:
     """Hit/miss/eviction counters with derived rates."""
@@ -70,27 +61,6 @@ class CacheStats:
 
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
-
-    def snapshot(self) -> dict:
-        """Counter-style snapshot, registrable alongside Counter bags."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "writebacks": self.writebacks,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, writebacks={self.writebacks})"
-        )
 
 
 class DramCache:
@@ -132,44 +102,13 @@ class DramCache:
         self._tags = anonymous_mapping(self.nic_lines * 8, "NIC DRAM cache tags")
         self._words = memoryview(self._tags).cast("Q")
 
-    def _low_bytes(self) -> Iterator[Tuple[int, bytes]]:
-        """``(first slot, low byte of each slot's word)`` a chunk at a time:
-        the byte is 0 for an empty slot and has the dirty flag as bit 1."""
-        tags = self._tags
-        for first in range(0, self.nic_lines, _SCAN_SLOTS):
-            yield first, tags[first * 8:(first + _SCAN_SLOTS) * 8:8]
-
-    # -- mapping ------------------------------------------------------------
-
-    def slot_of(self, host_line: int) -> int:
-        self._check_line(host_line)
-        return host_line % self.nic_lines
-
-    def tag_of(self, host_line: int) -> int:
-        return host_line // self.nic_lines
-
     def _check_line(self, host_line: int) -> None:
         if not 0 <= host_line < self.host_lines:
             raise IndexError(
                 f"host line {host_line} outside [0, {self.host_lines})"
             )
 
-    def resident_line(self, slot: int) -> Optional[int]:
-        """Host line currently held in a NIC slot, or None if empty."""
-        if not self._words[slot]:
-            return None
-        tag, __ = self.codec.unpack(self._words[slot] >> 1)
-        return tag * self.nic_lines + slot
-
     # -- operations ----------------------------------------------------------
-
-    def lookup(self, host_line: int) -> bool:
-        """Non-mutating hit test."""
-        word = self._words[self.slot_of(host_line)]
-        if not word:
-            return False
-        tag, __ = self.codec.unpack(word >> 1)
-        return tag == self.tag_of(host_line)
 
     def access(
         self, host_line: int, write: bool, full_line: bool = True
@@ -214,38 +153,6 @@ class DramCache:
             stats.misses += 1
             words[slot] = (tag << 2) | (write << 1) | 1
         return _MISS_NO_FILL if write and full_line else _MISS_FILL
-
-    def invalidate(self, host_line: int) -> Optional[int]:
-        """Drop a line; returns the line index if a dirty copy was lost."""
-        slot = self.slot_of(host_line)
-        if not self._words[slot]:
-            return None
-        tag, dirty = self.codec.unpack(self._words[slot] >> 1)
-        if tag != self.tag_of(host_line):
-            return None
-        self._words[slot] = 0
-        return host_line if dirty else None
-
-    def flush(self) -> list:
-        """Invalidate everything; returns dirty host lines needing writeback,
-        in slot order."""
-        words = self._words
-        nic_lines = self.nic_lines
-        dirty = []
-        for first, low in self._low_bytes():
-            flags = low.translate(_DIRTY)
-            slot = flags.find(1)
-            while slot >= 0:
-                line = first + slot
-                dirty.append((words[line] >> 2) * nic_lines + line)
-                slot = flags.find(1, slot + 1)
-        self._clear()
-        return dirty
-
-    def occupancy(self) -> float:
-        """Fraction of NIC slots holding a valid line."""
-        empty = sum(low.count(0) for __, low in self._low_bytes())
-        return (self.nic_lines - empty) / self.nic_lines
 
 
 class ECCFaultPath:
@@ -313,6 +220,3 @@ class ECCFaultPath:
             f"uncorrectable double-bit error in NIC DRAM "
             f"(positions {sorted(positions)})"
         )
-
-    def snapshot(self) -> dict:
-        return self.counters.snapshot()

@@ -96,11 +96,6 @@ class ECCLineLayout:
             )
 
 
-def spare_bits_per_line(layout: ECCLineLayout = ECCLineLayout()) -> int:
-    """Spare ECC bits per cache line under the paper's layout (6)."""
-    return layout.spare_bits
-
-
 class ECCMetadataCodec:
     """Packs cache-line metadata (tag + dirty flag) into spare ECC bits."""
 
@@ -110,21 +105,3 @@ class ECCMetadataCodec:
         self.tag_bits = tag_bits
         self.layout = layout
         layout.check_metadata_fits(tag_bits + 1)
-
-    @property
-    def metadata_bits(self) -> int:
-        return self.tag_bits + 1
-
-    def pack(self, tag: int, dirty: bool) -> int:
-        """Encode (tag, dirty) into the spare-bit word."""
-        if tag < 0 or tag >= (1 << self.tag_bits):
-            raise ValueError(
-                f"tag {tag} does not fit in {self.tag_bits} bits"
-            )
-        return (tag << 1) | int(dirty)
-
-    def unpack(self, word: int) -> tuple:
-        """Decode the spare-bit word back into (tag, dirty)."""
-        if word < 0 or word >= (1 << self.metadata_bits):
-            raise ValueError(f"metadata word out of range: {word}")
-        return word >> 1, bool(word & 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Tuple
+from typing import Iterable
 
 from repro.dram.ecc import hamming_parity_bits
 from repro.errors import KVDirectError
@@ -156,7 +156,3 @@ class HammingSECDED:
             seen.add(position)
             codeword = self.flip(codeword, position)
         return codeword
-
-    def roundtrip(self, data: int) -> Tuple[int, DecodeResult]:
-        codeword = self.encode(data)
-        return codeword, self.decode(codeword)

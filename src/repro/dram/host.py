@@ -103,10 +103,6 @@ class MemoryImage:
         self._trace = None
         return trace
 
-    @property
-    def tracing(self) -> bool:
-        return self._trace is not None
-
     # -- access -------------------------------------------------------------
     # A span within one chunk is served in frame, with no call (and literals:
     # a global costs a lookup); one across chunks, a chunk at a time.  The
@@ -128,7 +124,7 @@ class MemoryImage:
         counters["reads"] += 1
         self.accesses += 1
         counters["read_bytes"] += size
-        counters["read_lines"] += (  # touched_lines(addr, size), in place
+        counters["read_lines"] += (  # the 64 B lines the span overlaps
             (end - 1) // CACHE_LINE_SIZE - addr // CACHE_LINE_SIZE + 1
             if size else 0
         )
@@ -202,13 +198,6 @@ class MemoryImage:
         for a, b in self._parts(addr, addr + len(data)):
             self.poke(a, data[a - addr:b - addr])
 
-    def fill(self, value: int = 0) -> None:
-        """Reset contents without counting: ``fill(0)`` unwrites every
-        chunk, any other value writes every byte."""
-        self._map()
-        if value:
-            self._scatter(0, bytes([value]) * self.size)
-
     # -- accounting ---------------------------------------------------------
 
     @property
@@ -219,12 +208,3 @@ class MemoryImage:
     def reset_counters(self) -> None:
         self.counters.reset()
         self.accesses = 0
-
-
-def touched_lines(addr: int, size: int, line: int = CACHE_LINE_SIZE) -> int:
-    """Number of 64 B lines the byte range [addr, addr+size) overlaps."""
-    if size <= 0:
-        return 0
-    first = addr // line
-    last = (addr + size - 1) // line
-    return last - first + 1

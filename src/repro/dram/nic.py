@@ -85,12 +85,3 @@ class NICDram:
             counters["reads"] += 1
             counters["read_bytes"] += nbytes
         _Burst(self, nbytes, then)
-
-    @property
-    def accesses(self) -> int:
-        return self.counters["reads"] + self.counters["writes"]
-
-    def snapshot(self) -> dict:
-        data = self.counters.snapshot()
-        data["bytes_on_channel"] = self.channel.bytes_transferred
-        return data

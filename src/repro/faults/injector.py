@@ -111,7 +111,7 @@ class FaultInjector:
         self.counters.add(f"{site}.{kind}")
         return True
 
-    # -- convenience wrappers (one per fault class) ------------------------
+    # -- the DMA and slab draws ---------------------------------------------
 
     def dma_delay(self, site: str, now: float) -> bool:
         return self.fire(
@@ -122,37 +122,6 @@ class FaultInjector:
         if prob is None:
             prob = self.plan.dma_drop_prob
         return self.fire(f"{site}.drop", "dma_drop", prob, now)
-
-    def packet_loss(self, site: str, now: float) -> bool:
-        return self.fire(
-            f"{site}.loss", "packet_loss", self.plan.packet_loss_prob, now
-        )
-
-    def packet_reorder(self, site: str, now: float) -> bool:
-        return self.fire(
-            f"{site}.reorder",
-            "packet_reorder",
-            self.plan.packet_reorder_prob,
-            now,
-        )
-
-    def packet_duplicate(self, site: str, now: float) -> bool:
-        return self.fire(
-            f"{site}.dup",
-            "packet_duplicate",
-            self.plan.packet_duplicate_prob,
-            now,
-        )
-
-    def node_kill(self, site: str, now: float) -> bool:
-        return self.fire(
-            f"{site}.kill", "node_kill", self.plan.node_kill_prob, now
-        )
-
-    def node_stall(self, site: str, now: float) -> bool:
-        return self.fire(
-            f"{site}.stall", "node_stall", self.plan.node_stall_prob, now
-        )
 
     def slab_exhausted(self, detail: str = "") -> bool:
         return self.fire(
@@ -182,7 +151,3 @@ class FaultInjector:
                 f"{event.at_ns!r}|{event.detail}\n".encode()
             )
         return digest.hexdigest()
-
-    def snapshot(self) -> dict:
-        """Per-site fault counters (order-insensitive, comparable with ==)."""
-        return self.counters.snapshot()

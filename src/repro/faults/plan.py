@@ -15,7 +15,7 @@ own fault sites.  See ``docs/FAULTS.md`` for the full fault model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -139,19 +139,6 @@ class FaultPlan:
         if not isinstance(self.window, FaultWindow):
             raise ConfigurationError("window must be a FaultWindow")
 
-    @property
-    def enabled(self) -> bool:
-        """True if any fault can ever fire under this plan."""
-        return any(
-            getattr(self, f.name) > 0.0
-            for f in fields(self)
-            if f.name.endswith("_prob")
-        )
-
-    def with_overrides(self, **kwargs) -> "FaultPlan":
-        """A copy with some knobs replaced (plans are frozen)."""
-        return replace(self, **kwargs)
-
     # -- presets -----------------------------------------------------------
 
     @classmethod
@@ -171,8 +158,3 @@ class FaultPlan:
             packet_duplicate_prob=intensity / 2,
             slab_exhaust_prob=intensity / 10,
         )
-
-    @classmethod
-    def transient_network(cls, loss: float = 0.1) -> "FaultPlan":
-        """Packet loss only - the client retry/backoff exercise."""
-        return cls(packet_loss_prob=loss)

@@ -17,9 +17,9 @@ portion plus cache misses.
 The per-line test has one definition: a line is cacheable when its 32-bit
 multiplicative hash ``(line * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK`` is
 below :attr:`LoadDispatcher.threshold`, ``ratio * 2**32``.  Both scalings
-by a power of two are exact, so this compares exactly like
-``address_hash(line) < ratio``; the memory access engine evaluates it in
-place, once per line, without a call.
+by a power of two are exact, so this compares exactly like ``hash / 2**32
+< ratio``; the memory access engine evaluates it in place, once per line,
+without a call.
 """
 
 from __future__ import annotations
@@ -33,18 +33,6 @@ from repro.errors import ConfigurationError
 #: Knuth's multiplicative hash constant (2^32 / phi).
 LINE_HASH_MULTIPLIER = 2654435761
 LINE_HASH_MASK = (1 << 32) - 1
-
-
-def address_hash(line_index: int) -> float:
-    """Deterministic hash of a 64 B line index, uniform in [0, 1).
-
-    Multiplicative hashing spreads both hash-index buckets and slab lines
-    evenly, satisfying the paper's "equal probability of being cache-able"
-    requirement.
-    """
-    return (
-        (line_index * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK
-    ) / (LINE_HASH_MASK + 1)
 
 
 class LoadDispatcher:
@@ -65,17 +53,6 @@ class LoadDispatcher:
         #: A line is cacheable when its 32-bit hash is below this.
         self.threshold = load_dispatch_ratio * (LINE_HASH_MASK + 1)
         self.line_size = line_size
-
-    def is_cacheable(self, addr: int) -> bool:
-        """True if the 64 B line holding ``addr`` is in the cacheable part."""
-        return self.caches_line(addr // self.line_size)
-
-    def caches_line(self, line_index: int) -> bool:
-        """:meth:`is_cacheable` for a caller that already holds the line
-        index."""
-        return (
-            (line_index * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK
-        ) < self.threshold
 
 
 def uniform_hit_rate(k: float, l: float) -> float:

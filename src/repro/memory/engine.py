@@ -248,15 +248,3 @@ class MemoryAccessEngine:
         hits = self.counters["cache_hits"]
         total = hits + self.counters["cache_misses"]
         return hits / total if total else 0.0
-
-    def snapshot(self) -> dict:
-        data = self.counters.snapshot()
-        data.update({f"dma_{k}": v for k, v in self.dma.snapshot().items()})
-        data.update(
-            {f"nic_{k}": v for k, v in self.nic_dram.snapshot().items()}
-        )
-        if self.ecc is not None:
-            data.update(
-                {f"ecc_{k}": v for k, v in self.ecc.snapshot().items()}
-            )
-        return data

@@ -239,14 +239,19 @@ class ClusterNode:
             )
         if cluster.has_node_faults:
             injector = cluster.injector
-            if injector.node_kill(self.name, now):
+            plan = injector.plan
+            if injector.fire(
+                f"{self.name}.kill", "node_kill", plan.node_kill_prob, now
+            ):
                 self.alive = False
                 return self._nack(
                     NodeDown(f"{self.name} died", node=self.index,
                              reason="killed")
                 )
-            if injector.node_stall(self.name, now):
-                self.stalled_until = now + injector.plan.node_stall_ns
+            if injector.fire(
+                f"{self.name}.stall", "node_stall", plan.node_stall_prob, now
+            ):
+                self.stalled_until = now + plan.node_stall_ns
                 return self._nack(
                     NodeDown(f"{self.name} stalled", node=self.index,
                              reason="stalled")

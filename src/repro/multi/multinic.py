@@ -25,6 +25,7 @@ byte-identical to a bare processor's.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.client.router import ShardRouter
@@ -66,7 +67,7 @@ class MultiNICServer:
         self.stacks: List[ServerStack] = [
             ServerStack(
                 sim,
-                base.with_overrides(seed=base.seed + i),
+                replace(base, seed=base.seed + i),
                 name=f"nic{i}",
                 tracer=tracer,
                 profiler=(

@@ -213,14 +213,6 @@ class BatchEncoder:
         self._parts[0] = _U16.pack(lead) + trailer
         return b"".join(self._parts)
 
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def payload_size(self) -> int:
-        """Bytes the batch occupies so far (including the count header)."""
-        return sum(len(p) for p in self._parts)
-
 
 def _validate_deadline(deadline_ns: Optional[float]) -> Optional[float]:
     """Check a deadline fits the wire format's u64 nanosecond field."""

@@ -18,6 +18,13 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.resources import BandwidthServer
 from repro.sim.stats import Counter
 
+#: The fault site of each packet draw, under ``eth.<direction>``.
+_SITE_SUFFIX = {
+    "packet_duplicate": "dup",
+    "packet_reorder": "reorder",
+    "packet_loss": "loss",
+}
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.obs.tracer import Tracer
@@ -67,7 +74,10 @@ class _Transfer(Event):
         """Draw ``draw`` for this packet; count and trace it if it fires."""
         link, site = self.link, f"eth.{self.direction}"
         injector = link.injector
-        if injector is None or not getattr(injector, draw)(site, self.sim.now):
+        if injector is None or not injector.fire(
+            f"{site}.{_SITE_SUFFIX[draw]}", draw,
+            getattr(injector.plan, draw + "_prob"), self.sim.now,
+        ):
             return False
         link.counters.add(f"{self.direction}_{counter}")
         link._trace(f"{site}.{span}", f"{self.nbytes}B")
@@ -128,6 +138,3 @@ class EthernetLink:
         if nacks:
             self.counters["tx_nacks"] += nacks
         return _Transfer(self, self.egress, nbytes, "tx")
-
-    def snapshot(self) -> dict:
-        return self.counters.snapshot()

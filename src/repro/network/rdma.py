@@ -31,10 +31,3 @@ def packets_for_payload(payload: int, mtu: int = NETWORK_MTU) -> int:
 def wire_bytes(payload: int, mtu: int = NETWORK_MTU) -> int:
     """Total wire bytes including per-packet overhead for a payload."""
     return payload + packets_for_payload(payload, mtu) * RDMA_PACKET_OVERHEAD
-
-
-def goodput_fraction(payload: int, mtu: int = NETWORK_MTU) -> float:
-    """Fraction of wire bandwidth carrying useful payload."""
-    if payload <= 0:
-        return 0.0
-    return payload / wire_bytes(payload, mtu)

@@ -249,15 +249,3 @@ def audit(
                 profilers, scan_class, "dma_tlps"
             )
     return AuditReport(checks=checks, info=info)
-
-
-def audit_processor(processor, tolerance: float = DEFAULT_TOLERANCE):
-    """Audit one processor: its attached profiler + its slab allocator."""
-    if processor.profiler is None:
-        raise ValueError("processor has no attached StageProfiler")
-    return audit(
-        [processor.profiler],
-        allocators=[processor.store.allocator],
-        tolerance=tolerance,
-        ordered=processor.store.config.ordered_index,
-    )

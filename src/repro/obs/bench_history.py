@@ -217,9 +217,6 @@ class MetricDelta:
     change: Optional[float]
     regressed: bool
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class BenchDiff:
@@ -238,16 +235,6 @@ class BenchDiff:
     @property
     def passed(self) -> bool:
         return not self.regressions
-
-    def as_dict(self) -> dict:
-        return {
-            "baseline": self.baseline,
-            "current": self.current,
-            "tolerance": self.tolerance,
-            "verdict": "PASS" if self.passed else "FAIL",
-            "deltas": [delta.as_dict() for delta in self.deltas],
-            "notes": self.notes,
-        }
 
     def rows(self) -> List[List[str]]:
         """Terminal-table rows (``repro bench diff``)."""

@@ -416,13 +416,6 @@ class StageProfiler:
             return None
         return profile.memory.table_accesses / profile.completed
 
-    def dma_per_op(self, name: str) -> Optional[float]:
-        """Post-cache PCIe TLPs per completed op of one class."""
-        profile = self.classes.get(name)
-        if profile is None or profile.completed == 0:
-            return None
-        return profile.memory.dma_tlps / profile.completed
-
     # -- export ----------------------------------------------------------------
 
     def as_dict(self) -> dict:

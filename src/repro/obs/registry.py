@@ -109,15 +109,8 @@ class MetricsRegistry:
             raise ConfigurationError(f"metric {name!r} already registered")
         self._sources[name] = (kind, source)
 
-    def names(self) -> List[str]:
-        """Registered source names, in registration order."""
-        return list(self._sources)
-
     def __contains__(self, name: str) -> bool:
         return name in self._sources
-
-    def __len__(self) -> int:
-        return len(self._sources)
 
     # -- collection ---------------------------------------------------------
 

@@ -408,10 +408,6 @@ class TimelineSampler:
 
     # -- export -------------------------------------------------------------
 
-    def rows(self) -> List[Dict[str, Any]]:
-        """Every emitted row, in emission order (mutate-safe copy)."""
-        return list(self._rows)
-
     def lines(self) -> List[str]:
         """Canonical JSONL lines (``json.dumps(row, sort_keys=True)``)."""
         return list(self._lines)

@@ -263,9 +263,3 @@ class Tracer:
             {"displayTimeUnit": "ns", "traceEvents": events},
             sort_keys=True,
         )
-
-    def reset(self) -> None:
-        """Clear collected spans (not the sampling decisions or seed)."""
-        self.spans.clear()
-        self.counters.reset()
-        self.annotations.clear()

@@ -258,10 +258,6 @@ class DMAEngine:
     def writes(self) -> int:
         return self.counters["dma_writes"]
 
-    @property
-    def total_ops(self) -> int:
-        return self.reads + self.writes
-
     def snapshot(self) -> dict:
         data = self.counters.snapshot()
         data["tags_peak"] = self.tags.peak_in_use
@@ -319,10 +315,6 @@ class MultiLinkDMA:
     @property
     def writes(self) -> int:
         return sum(link.writes for link in self.links)
-
-    @property
-    def total_ops(self) -> int:
-        return self.reads + self.writes
 
     def snapshot(self) -> dict:
         merged: dict = {}

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro import constants
 from repro.errors import ConfigurationError
-from repro.sim.latency import LatencyModel, UniformLatency
+from repro.sim.latency import UniformLatency
 
 
 @dataclass
@@ -32,7 +32,7 @@ class PCIeLinkConfig:
     fabric_rtt_ns: float = constants.PCIE_FABRIC_RTT_NS
 
     #: Latency model for DMA reads (request issue to completion arrival).
-    read_latency: LatencyModel = field(
+    read_latency: UniformLatency = field(
         default_factory=lambda: UniformLatency(
             constants.PCIE_DMA_READ_CACHED_NS,
             constants.PCIE_DMA_READ_RANDOM_SPREAD_NS,

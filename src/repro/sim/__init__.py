@@ -31,24 +31,16 @@ The kernel provides:
 """
 
 from repro.sim.engine import Event, Process, Simulator, Timeout
-from repro.sim.latency import (
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyModel,
-    UniformLatency,
-)
+from repro.sim.latency import UniformLatency
 from repro.sim.resources import BandwidthServer, FIFOServer, TokenPool
 from repro.sim.stats import Counter, Histogram, RunningStats
 
 __all__ = [
     "BandwidthServer",
-    "ConstantLatency",
     "Counter",
     "Event",
-    "ExponentialLatency",
     "FIFOServer",
     "Histogram",
-    "LatencyModel",
     "Process",
     "RunningStats",
     "Simulator",

@@ -91,11 +91,6 @@ class Event:
         return self._value is not _PENDING or self._exception is not None
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded (valid only once triggered)."""
         return self.triggered and self._exception is None
@@ -192,10 +187,6 @@ class Process(Event):
         self._generator = generator
         # Kick-start on the next simulation step at the current time.
         sim.call_soon(self._resume)
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
 
     def _resume(self, event: Event) -> None:
         sim = self.sim
@@ -381,10 +372,3 @@ class Simulator:
                 return None
         return target.value
 
-    def peek(self) -> float:
-        """Time of the next scheduled entry, or ``inf`` if none."""
-        if self._dq:
-            if self._queue and self._queue[0][0] < self.now:
-                return self._queue[0][0]
-            return self.now
-        return self._queue[0][0] if self._queue else float("inf")

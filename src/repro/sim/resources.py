@@ -40,26 +40,18 @@ class TokenPool:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self._available = capacity
+        self.available = capacity
         self._waiters: Deque[Callable] = deque()
         self.peak_in_use = 0
         self.total_acquired = 0
 
-    @property
-    def available(self) -> int:
-        return self._available
-
-    @property
-    def in_use(self) -> int:
-        return self.capacity - self._available
-
     def acquire(self, then: Callable) -> None:
         """Request one token.  ``then(kick)`` is queued once it is granted -
         at once, or in FIFO turn on a later :meth:`release`."""
-        if self._available > 0 and not self._waiters:
-            self._available -= 1
+        if self.available > 0 and not self._waiters:
+            self.available -= 1
             self.total_acquired += 1
-            in_use = self.capacity - self._available
+            in_use = self.capacity - self.available
             if in_use > self.peak_in_use:
                 self.peak_in_use = in_use
             self.sim.call_soon(then)
@@ -68,16 +60,16 @@ class TokenPool:
 
     def release(self) -> None:
         """Return one token, waking the oldest waiter if any."""
-        if self._available >= self.capacity:
+        if self.available >= self.capacity:
             raise SimulationError(f"{self.name}: release without acquire")
         if self._waiters:
-            # The token passes directly to the oldest waiter; _available
+            # The token passes directly to the oldest waiter; available
             # stays unchanged (it was consumed by the releaser and is now
             # consumed by the waiter), and so does the peak.
             self.total_acquired += 1
             self.sim.call_soon(self._waiters.popleft())
         else:
-            self._available += 1
+            self.available += 1
 
 
 class BandwidthServer:
@@ -135,16 +127,6 @@ class BandwidthServer:
         else:
             sim._sequence += 1
             heappush(sim._queue, (drained, sim._sequence, then))
-
-    def queue_delay(self) -> float:
-        """Current backlog in ns (0 when the channel is idle)."""
-        return max(0.0, self._free_at - self.sim.now)
-
-    def utilization(self) -> float:
-        """Fraction of elapsed simulated time the channel was busy."""
-        if self.sim.now <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / self.sim.now)
 
 
 class FIFOServer:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 
 class Counter(dict):
@@ -53,10 +53,6 @@ class Counter(dict):
     def snapshot(self) -> Dict[str, int]:
         return dict(self)
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.items()))
-        return f"Counter({inner})"
-
 
 class RunningStats:
     """Streaming mean / variance / min / max (Welford's algorithm)."""
@@ -86,29 +82,6 @@ class RunningStats:
     def variance(self) -> float:
         return self._m2 / self.count if self.count else 0.0
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another RunningStats into this one."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
 
 class Histogram:
     """A sample collection with exact percentiles.
@@ -120,7 +93,7 @@ class Histogram:
     *is* that array's bound ``append``: a sample costs one builtin call and
     no Python frame.  The array holds the samples in their current order:
     insertion order, until a read that needs order (a percentile, ``min``,
-    ``max``, ``cdf``) sorts it in place, NaN last as ``numpy.sort`` puts it;
+    ``max``) sorts it in place, NaN last as ``numpy.sort`` puts it;
     later samples append after the sorted run and the next such read sorts
     again.  ``mean`` is the left-fold sum in the current order, and the
     percentile interpolation is one IEEE expression, clamped into the two
@@ -159,9 +132,6 @@ class Histogram:
     def samples(self) -> List[float]:
         """The raw samples in their current order (copy)."""
         return self._samples.tolist()
-
-    def __len__(self) -> int:
-        return len(self._samples)
 
     @property
     def count(self) -> int:
@@ -205,9 +175,6 @@ class Histogram:
             return hi
         return value
 
-    def median(self) -> float:
-        return self.percentile(50.0)
-
     def mean(self) -> float:
         samples = self._samples
         if not samples:
@@ -225,34 +192,6 @@ class Histogram:
             raise ValueError("max of empty histogram")
         return self._ensure_sorted()[-1]
 
-    def cdf(self, points: int = 100) -> List[Tuple[float, float]]:
-        """Return ``points`` (value, cumulative fraction) pairs."""
-        if not self._samples:
-            return []
-        arr = self._ensure_sorted()
-        n = len(arr)
-        out = []
-        for i in range(points):
-            frac = (i + 1) / points
-            idx = min(n - 1, int(round(frac * n)) - 1)
-            out.append((arr[max(0, idx)], frac))
-        return out
-
-    def summary(self) -> Dict[str, float]:
-        """Mean and the percentiles the paper quotes (5/50/95/99)."""
-        if not self._samples:
-            return {}
-        return {
-            "count": float(len(self)),
-            "mean": self.mean(),
-            "min": self.min(),
-            "p5": self.percentile(5),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": self.max(),
-        }
-
 
 def mops(operations: int, elapsed_ns: float) -> float:
     """Throughput in million operations per second."""
@@ -266,10 +205,3 @@ def gbps(nbytes: float, elapsed_ns: float) -> float:
     if elapsed_ns <= 0:
         return 0.0
     return nbytes / elapsed_ns
-
-
-def percentile(samples: Iterable[float], pct: float) -> float:
-    """Convenience one-shot percentile over an iterable."""
-    hist = Histogram()
-    hist.extend(samples)
-    return hist.percentile(pct)

@@ -5,12 +5,7 @@ workload, we choose skewness 0.99 and refer it as long-tail workload."
 """
 
 from repro.workloads.keyspace import KeySpace
-from repro.workloads.trace import (
-    TraceReader,
-    TraceWriter,
-    load_trace,
-    record_trace,
-)
+from repro.workloads.trace import TraceReader, TraceWriter
 from repro.workloads.ycsb import WorkloadSpec, YCSBGenerator
 from repro.workloads.ycsb_standard import StandardYCSB
 from repro.workloads.zipf import UniformSampler, ZipfSampler
@@ -24,6 +19,4 @@ __all__ = [
     "WorkloadSpec",
     "YCSBGenerator",
     "ZipfSampler",
-    "load_trace",
-    "record_trace",
 ]

@@ -20,8 +20,6 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, List, Tuple
 
-from repro.constants import SLOT_SIZE
-
 
 class KeySpace:
     """A corpus of fixed-size KV pairs indexed by integer."""
@@ -81,13 +79,3 @@ class KeySpace:
     def pairs(self) -> Iterator[Tuple[bytes, bytes]]:
         indices = range(self.count)
         yield from zip(self.keys_many(indices), self.values_many(indices))
-
-
-def inline_kv_sizes(max_size: int = 50) -> List[int]:
-    """KV sizes that are multiples of the slot size (inline test points)."""
-    return list(range(SLOT_SIZE, max_size + 1, SLOT_SIZE))
-
-
-def noninline_kv_sizes(max_exponent: int = 8) -> List[int]:
-    """Power-of-two-minus-2 KV sizes (non-inline test points): 62, 126, 254."""
-    return [2**e - 2 for e in range(6, max_exponent + 1)]

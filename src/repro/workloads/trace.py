@@ -18,7 +18,6 @@ seq-keyed results of a replay (scan merges, client responses) apart.
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, List, Union
@@ -136,26 +135,3 @@ class TraceReader:
     def close(self) -> None:
         if self._owns:
             self._file.close()
-
-
-def record_trace(ops: Iterable[KVOperation], target: PathOrFile) -> int:
-    """Write an operation stream to a trace; returns the op count."""
-    with TraceWriter(target) as writer:
-        writer.extend(ops)
-        return writer.operations
-
-
-def load_trace(target: PathOrFile) -> List[KVOperation]:
-    """Read a whole trace into memory."""
-    return list(TraceReader(target))
-
-
-def trace_to_bytes(ops: Iterable[KVOperation]) -> bytes:
-    """In-memory trace (for tests and transport)."""
-    buffer = io.BytesIO()
-    record_trace(ops, buffer)
-    return buffer.getvalue()
-
-
-def trace_from_bytes(data: bytes) -> List[KVOperation]:
-    return load_trace(io.BytesIO(data))

@@ -92,20 +92,3 @@ class YCSBGenerator:
                 yield make_put(key(index), value(index), seq=seq)
             else:
                 yield make_get(key(index), seq=seq)
-
-
-#: The four PUT ratios Figures 16/17 sweep.
-PAPER_PUT_RATIOS = (0.0, 0.05, 0.5, 1.0)
-
-
-def paper_workloads(seed: int = 0) -> List[WorkloadSpec]:
-    """The eight (distribution, put-ratio) combinations of Figure 16."""
-    specs = []
-    for distribution in ("uniform", "zipf"):
-        for put_ratio in PAPER_PUT_RATIOS:
-            specs.append(
-                WorkloadSpec(
-                    put_ratio=put_ratio, distribution=distribution, seed=seed
-                )
-            )
-    return specs

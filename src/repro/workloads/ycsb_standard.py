@@ -137,15 +137,3 @@ class StandardYCSB:
             struct.pack("<q", 1),
             seq=seq,
         )
-
-
-def mix_of(workload: str) -> dict:
-    """The nominal op mix of a preset (for documentation and tests)."""
-    return {
-        "A": {"read": 0.5, "update": 0.5},
-        "B": {"read": 0.95, "update": 0.05},
-        "C": {"read": 1.0},
-        "D": {"read": 0.95, "insert": 0.05},
-        "E": {"scan": 0.95, "insert": 0.05},
-        "F": {"read": 0.5, "rmw": 0.5},
-    }[workload.upper()]

@@ -111,10 +111,6 @@ class ZipfSampler:
             return self._rank_to_key[column]
         return self._rank_to_key[self._alias[column]]
 
-    def hot_keys(self, count: int) -> List[int]:
-        """The ``count`` most popular key indices."""
-        return self._rank_to_key[:max(0, count)]
-
 
 def _shuffled(population: int, seed: int) -> List[int]:
     """``numpy.random.RandomState(seed).shuffle(numpy.arange(population))``,

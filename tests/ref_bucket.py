@@ -16,16 +16,26 @@ from repro.constants import (
     SLOT_SIZE,
     SLOTS_PER_BUCKET,
 )
-from repro.core.hashindex import (
-    INLINE_HEADER,
-    SLOT_AREA,
-    inline_slots_needed,
-    pack_slot,
-)
+from repro.core.hashindex import INLINE_HEADER, SLOT_AREA, pack_slot
 from repro.errors import KVDirectError
 
 _SECONDARY_MASK = (1 << SECONDARY_HASH_BITS) - 1
 _POINTER_MASK = (1 << POINTER_BITS) - 1
+
+
+def unpack_slot(word: int) -> Tuple[int, int]:
+    """Unpack a slot word into (pointer, secondary hash)."""
+    return word >> SECONDARY_HASH_BITS, word & _SECONDARY_MASK
+
+
+def inline_slots_needed(kv_size: int) -> int:
+    """Hash slots an inline KV of ``kv_size = klen + vlen`` bytes occupies."""
+    if kv_size < 0:
+        raise KVDirectError(f"negative KV size: {kv_size}")
+    # Never below one slot: the header alone is two bytes.
+    return -(-(kv_size + INLINE_HEADER) // SLOT_SIZE)
+
+
 #: slot area, slab types, used, start, chain, reserved
 _BUCKET = struct.Struct(f"<{SLOT_AREA}sIHHIH")
 _SLOT_BITS = SLOT_SIZE * 8

@@ -17,18 +17,21 @@ batch hands ``KVClient._collect`` no key hashes (it submits none).
 import sys
 
 from copy import copy
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import (
+    Callable, Dict, Generator, Iterable, List, Optional, Sequence,
+)
 
 from repro.chaos.overload import _processor, _workload
 from repro.chaos.soak import SoakReport, _Soak
 from repro.client.client import KVClient, _response_size
 from repro.client.router import ClusterRouter, RouterStats, ShardRouter
 from repro.core.admission import OverloadPolicy
+from repro.core.hashing import fnv1a64
 from repro.core.operations import (
+    FanOut,
     KVOperation,
     KVResult,
     Lane,
-    fan_out,
     merge_scan,
 )
 from repro.driver import latency_fields
@@ -54,6 +57,14 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Event, Process
 from repro.sim.stats import Histogram, mops
 from tests.waiting import all_of
+
+
+def fan_out(
+    ops: Iterable[KVOperation], shards: int
+) -> List[List[KVOperation]]:
+    """The whole of each lane of ``FanOut(ops, shards)``, as lists."""
+    lanes = FanOut(ops, shards).lanes
+    return [lane.take(sys.maxsize)[0] for lane in lanes]
 
 
 class RefKVClient(KVClient):
@@ -349,7 +360,8 @@ class RefClusterRouter(ClusterRouter):
                 # op by identity: each fan-out attempt sends its own copy.
                 sent = copy(op)
             else:
-                targets = (cmap.primary(cmap.slot_of(op.key, op.key_hash)),)
+                slot = cmap.slot_of(op.key, fnv1a64(op.key))
+                targets = (cmap.primary(slot),)
                 sent = op
             epoch = cmap.epoch
             # Wire time between routing and arrival: an epoch bump can

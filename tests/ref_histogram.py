@@ -15,7 +15,7 @@ histogram).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -133,9 +133,6 @@ class RefHistogram:
             return float(arr[high])
         return value
 
-    def median(self) -> float:
-        return self.percentile(50.0)
-
     def mean(self) -> float:
         if not len(self):
             raise ValueError("mean of empty histogram")
@@ -153,30 +150,3 @@ class RefHistogram:
             raise ValueError("max of empty histogram")
         return float(self._ensure_sorted()[-1])
 
-    def cdf(self, points: int = 100) -> List[Tuple[float, float]]:
-        """Return ``points`` (value, cumulative fraction) pairs."""
-        if not len(self):
-            return []
-        arr = self._ensure_sorted()
-        n = arr.shape[0]
-        out = []
-        for i in range(points):
-            frac = (i + 1) / points
-            idx = min(n - 1, int(round(frac * n)) - 1)
-            out.append((float(arr[max(0, idx)]), frac))
-        return out
-
-    def summary(self) -> Dict[str, float]:
-        """Mean and the percentiles the paper quotes (5/50/95/99)."""
-        if not len(self):
-            return {}
-        return {
-            "count": float(len(self)),
-            "mean": self.mean(),
-            "min": self.min(),
-            "p5": self.percentile(5),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": self.max(),
-        }

@@ -36,8 +36,60 @@ from repro.dram.cache import (
 )
 from repro.dram.ecc import ECCLineLayout, ECCMetadataCodec
 from repro.dram.host import anonymous_mapping
+from repro.memory.dispatcher import (
+    LINE_HASH_MASK,
+    LINE_HASH_MULTIPLIER,
+    LoadDispatcher,
+)
 from repro.errors import AllocationError, ConfigurationError, SimulationError
 from repro.sim.stats import Counter
+
+
+def address_hash(line_index: int) -> float:
+    """The dispatcher's 32-bit line hash scaled into [0, 1): a line is
+    cacheable when this is below the load dispatch ratio."""
+    return (
+        (line_index * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK
+    ) / (LINE_HASH_MASK + 1)
+
+
+def is_cacheable(dispatcher: LoadDispatcher, addr: int) -> bool:
+    """Whether the 64 B line holding ``addr`` is in the cacheable part: the
+    test the memory access engine evaluates in place."""
+    return address_hash(addr // dispatcher.line_size) < dispatcher.ratio
+
+
+def touched_lines(addr: int, size: int, line: int = 64) -> int:
+    """Number of 64 B lines the byte range [addr, addr+size) overlaps: the
+    count ``MemoryImage.read`` / ``write`` add to ``*_lines`` in place."""
+    if size <= 0:
+        return 0
+    first = addr // line
+    last = (addr + size - 1) // line
+    return last - first + 1
+
+
+class RefMetadataCodec(ECCMetadataCodec):
+    """The codec's pack / unpack, which ``DramCache.access`` writes out
+    inline: the word layout the reference cache stores per line."""
+
+    @property
+    def metadata_bits(self) -> int:
+        return self.tag_bits + 1
+
+    def pack(self, tag: int, dirty: bool) -> int:
+        """Encode (tag, dirty) into the spare-bit word."""
+        if tag < 0 or tag >= (1 << self.tag_bits):
+            raise ValueError(
+                f"tag {tag} does not fit in {self.tag_bits} bits"
+            )
+        return (tag << 1) | int(dirty)
+
+    def unpack(self, word: int) -> tuple:
+        """Decode the spare-bit word back into (tag, dirty)."""
+        if word < 0 or word >= (1 << self.metadata_bits):
+            raise ValueError(f"metadata word out of range: {word}")
+        return word >> 1, bool(word & 1)
 
 
 class RefDramCache:
@@ -67,7 +119,7 @@ class RefDramCache:
         ways = math.ceil(host_lines / nic_lines)
         self.tag_bits = max(1, math.ceil(math.log2(ways)))
         #: Validates that tag + dirty fit the spare ECC bits.
-        self.codec = ECCMetadataCodec(self.tag_bits, layout)
+        self.codec = RefMetadataCodec(self.tag_bits, layout)
         # The real hardware needs no valid bit (the NIC initializes and
         # exclusively owns the DRAM); we keep one so a cold simulated cache
         # does not alias tag-0 lines.

@@ -15,17 +15,69 @@ from repro.baselines import (
     OneSidedRDMAModel,
     TwoSidedRDMAModel,
 )
+from repro.baselines.slotted import EMPTY
 from repro.errors import KeyTooLargeError
+
+
+class Deletes:
+    """The Figure 11 baselines' delete path, which no figure runs, kept
+    here because the pinned runs below end in deletes."""
+
+    def delete(self, key):
+        self._check_key(key)
+        removed = self._delete(key)
+        if removed is None:
+            return False
+        self.count -= 1
+        self.stored_bytes -= len(key) + removed
+        return True
+
+    def _free_value(self, pointer):
+        """Free the record at ``pointer``; returns its value's length."""
+        value, cls = self._read_value(pointer)
+        self.allocator.free(pointer * 32, cls)
+        return len(value)
+
+
+class Cuckoo(Deletes, CuckooHashTable):
+    def _delete(self, key):
+        for bucket in self._buckets_of(key):
+            slots = self._read_bucket(bucket)
+            for i, (slot_key, pointer) in enumerate(slots):
+                if slot_key == key:
+                    removed = self._free_value(pointer)
+                    slots[i] = EMPTY
+                    self._write_bucket(bucket, slots)
+                    return removed
+        return None
+
+
+class Hopscotch(Deletes, HopscotchHashTable):
+    def _delete(self, key):
+        home = self._home(key)
+        for i, (slot_key, pointer) in enumerate(self._read_neighborhood(home)):
+            if slot_key == key:
+                removed = self._free_value(pointer)
+                self._set_neighbor(home, i, EMPTY)
+                return removed
+        chain = self._chains.get(home, [])
+        for entry_index, (chain_key, pointer, block) in enumerate(chain):
+            if chain_key == key:
+                removed = self._free_value(pointer)
+                self.allocator.free(block, 1)
+                chain.pop(entry_index)
+                return removed
+        return None
 
 
 def make_cuckoo(memory_size=1 << 20, index_ratio=0.5, **kwargs):
     index_bytes = int(memory_size * index_ratio)
-    return CuckooHashTable.over(memory_size, index_bytes, **kwargs)
+    return Cuckoo.over(memory_size, index_bytes, **kwargs)
 
 
 def make_hopscotch(memory_size=1 << 20, index_ratio=0.5, **kwargs):
     index_bytes = int(memory_size * index_ratio)
-    return HopscotchHashTable.over(memory_size, index_bytes, **kwargs)
+    return Hopscotch.over(memory_size, index_bytes, **kwargs)
 
 
 class TestCuckooBasics:
@@ -41,13 +93,13 @@ class TestCuckooBasics:
         table.put(b"k", b"v1")
         table.put(b"k", b"v2" * 30)
         assert table.get(b"k") == b"v2" * 30
-        assert len(table) == 1
+        assert table.count == 1
 
     def test_many_keys(self):
         table = make_cuckoo()
         for i in range(1500):
             table.put(b"k%07d" % i, b"v%07d" % i)
-        assert len(table) == 1500
+        assert table.count == 1500
         for i in range(0, 1500, 83):
             assert table.get(b"k%07d" % i) == b"v%07d" % i
 
@@ -96,7 +148,7 @@ class TestCuckooBasics:
             else:
                 assert table.delete(key) == (key in model)
                 model.pop(key, None)
-        assert len(table) == len(model)
+        assert table.count == len(model)
 
 
 class TestHopscotchBasics:
@@ -111,7 +163,7 @@ class TestHopscotchBasics:
         table = make_hopscotch()
         for i in range(1500):
             table.put(b"k%07d" % i, b"v%07d" % i)
-        assert len(table) == 1500
+        assert table.count == 1500
         for i in range(0, 1500, 83):
             assert table.get(b"k%07d" % i) == b"v%07d" % i
 
@@ -173,25 +225,16 @@ class TestHopscotchBasics:
             else:
                 assert table.delete(key) == (key in model)
                 model.pop(key, None)
-        assert len(table) == len(model)
+        assert table.count == len(model)
 
 
 class TestCPUModel:
-    def test_throughput(self):
-        model = CPUKVSModel(cores=16)
-        assert model.throughput(batched=True) == pytest.approx(16 * 7.9e6)
-        assert model.throughput(batched=False) == pytest.approx(16 * 5.5e6)
-
     def test_paper_equivalence_claim(self):
         """180 Mops is 'equivalent to the throughput of tens of CPU cores'
         (the paper quotes 36 at 5 Mops/core [47])."""
         model = CPUKVSModel()
         cores = model.cores_for_throughput(180e6)
         assert 25 < cores < 40
-
-    def test_latency_monotone(self):
-        model = CPUKVSModel()
-        assert model.latency_percentile(99) > model.latency_percentile(50)
 
 
 class TestRDMAModels:
@@ -202,14 +245,6 @@ class TestRDMAModels:
     def test_two_sided_nic_bound(self):
         model = TwoSidedRDMAModel(cores=64)
         assert model.throughput() == model.nic_message_rate
-
-    def test_one_sided_get_beats_put(self):
-        model = OneSidedRDMAModel()
-        assert model.get_throughput() > model.put_throughput()
-
-    def test_one_sided_blend_monotone_in_put_ratio(self):
-        model = OneSidedRDMAModel()
-        assert model.throughput(0.0) > model.throughput(0.5) > model.throughput(1.0)
 
     def test_atomics_match_paper_measurement(self):
         model = OneSidedRDMAModel()
@@ -246,14 +281,14 @@ class TestHopscotchOverflowChains:
         for key in keys[-3:]:
             table.put(key, b"longer-value")
             assert table.get(key) == b"longer-value"
-        assert len(table) == len(keys)
+        assert table.count == len(keys)
 
     def test_chained_entry_delete(self):
         table, keys = self._full_table()
         count = len(keys)
         for key in keys[-3:]:
             assert table.delete(key)
-        assert len(table) == count - 3
+        assert table.count == count - 3
         for key in keys[-3:]:
             assert table.get(key) is None
 
@@ -267,7 +302,7 @@ class TestSlottedStore:
         with pytest.raises(KeyTooLargeError):
             table.put(b"key", b"x" * 510)
         assert table.memory.accesses == 0
-        assert table.put_cost.count == 0 and len(table) == 0
+        assert table.put_cost.count == 0 and table.count == 0
         table.put(b"key", b"x" * 509)
         assert table.get(b"key") == b"x" * 509
 
@@ -343,7 +378,7 @@ class TestFigure11Pinned:
     that keep, grow and shrink the slab class, and deletes."""
 
     MEMORY = 1 << 20
-    TABLES = {"cuckoo": CuckooHashTable, "hopscotch": HopscotchHashTable}
+    TABLES = {"cuckoo": Cuckoo, "hopscotch": Hopscotch}
 
     @staticmethod
     def _exercise(table, keys, vlen):
@@ -393,7 +428,7 @@ class TestFigure11Pinned:
         return {
             "get": (get.count, get.mean, get.maximum),
             "put": (put.count, put.mean, put.maximum),
-            "len": len(table),
+            "len": table.count,
             "stored": table.stored_bytes,
             "counters": dict(sorted(table.counters.items())),
             "memory": dict(sorted(memory.counters.items())),
@@ -409,8 +444,8 @@ class TestFigure11Pinned:
             for kv_size in (10, 253):
                 table = self._utilization_run(cls, kv_size)
                 runs[(name, f"{kv_size} B")] = self._observe(table)
-        cuckoo = self._load_factor_run(CuckooHashTable, 0.85, seed=3)
+        cuckoo = self._load_factor_run(Cuckoo, 0.85, seed=3)
         runs[("cuckoo", "load 0.85")] = self._observe(cuckoo)
-        hop = self._load_factor_run(HopscotchHashTable, 0.95, seed=4)
+        hop = self._load_factor_run(Hopscotch, 0.95, seed=4)
         runs[("hopscotch", "load 0.95")] = self._observe(hop)
         assert runs == FIG11_PINNED

@@ -8,6 +8,8 @@ airtight accounting, zero store/model divergence under combined chaos,
 and a report that actually flags violated invariants.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import SoakConfig, run_soak
@@ -42,17 +44,17 @@ class TestDeterminism:
     def test_different_seed_different_digest(self):
         assert (
             run_soak(QUICK).digest
-            != run_soak(QUICK.with_overrides(seed=1)).digest
+            != run_soak(replace(QUICK, seed=1)).digest
         )
 
     def test_config_changes_change_the_digest(self):
         assert (
             run_soak(QUICK).digest
-            != run_soak(QUICK.with_overrides(burst_high=3.0)).digest
+            != run_soak(replace(QUICK, burst_high=3.0)).digest
         )
 
     def test_deterministic_with_faults_active(self):
-        config = QUICK.with_overrides(fault_plan=FaultPlan.chaos(0.02))
+        config = replace(QUICK, fault_plan=FaultPlan.chaos(0.02))
         first = run_soak(config)
         assert first.faults_fired > 0
         assert first.digest == run_soak(config).digest
@@ -113,7 +115,7 @@ class TestInvariants:
         """The acceptance criterion: faults + overload + deadlines at
         once, zero differential divergence, final states identical."""
         report = run_soak(
-            QUICK.with_overrides(
+            replace(QUICK,
                 fault_plan=FaultPlan.chaos(0.05),
                 deadline_budget_ns=50_000.0,
                 goodput_floor=0.0,  # heavy chaos; safety is the claim here
@@ -126,7 +128,7 @@ class TestInvariants:
 
     def test_tight_deadline_budget_expires_ops(self):
         report = run_soak(
-            QUICK.with_overrides(
+            replace(QUICK,
                 deadline_budget_ns=300.0, goodput_floor=0.0
             )
         )
@@ -135,12 +137,12 @@ class TestInvariants:
         assert report.final_state_matches
 
     def test_blocking_ingress_soaks_without_shedding(self):
-        report = run_soak(QUICK.with_overrides(overload=None))
+        report = run_soak(replace(QUICK, overload=None))
         assert report.shed == 0
         assert report.check() == []
 
     def test_goodput_floor_violation_is_reported(self):
-        report = run_soak(QUICK.with_overrides(goodput_floor=1.0))
+        report = run_soak(replace(QUICK, goodput_floor=1.0))
         problems = report.check()
         assert any("goodput" in p for p in problems)
         assert report.as_dict()["ok"] is False
@@ -187,7 +189,7 @@ class TestHarnessPlumbing:
 
     def test_overload_policy_flows_through(self):
         report = run_soak(
-            QUICK.with_overrides(
+            replace(QUICK,
                 overload=OverloadPolicy(
                     queue_depth=4, shed_policy="by-op-class"
                 )

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.client import KVClient
-from repro.client.client import run_unbatched
 from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
@@ -91,7 +90,10 @@ class TestBatchingEffect:
         batched = KVClient(sim1, proc1, batch_size=40).run(self._ops(store1))
 
         sim2, store2, proc2 = make_setup()
-        unbatched = run_unbatched(sim2, proc2, self._ops(store2))
+        # One op per packet: the Figure 15/17 'no batching' baseline.
+        unbatched = KVClient(
+            sim2, proc2, batch_size=1, max_outstanding_batches=64
+        ).run(self._ops(store2))
 
         assert batched.throughput_mops > 2.0 * unbatched.throughput_mops
 

@@ -11,6 +11,7 @@ import cProfile
 import pstats
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -638,7 +639,7 @@ class TestClusterSoak:
         assert report.robustness["retry_give_ups"] == 0
 
     def test_kill_changes_the_digest(self):
-        calm = run_soak(self.KILL.with_overrides(kill_node=False))
+        calm = run_soak(replace(self.KILL, kill_node=False))
         killed = run_soak(self.KILL)
         assert calm.digest != killed.digest
         assert calm.cluster["failovers"] == 0

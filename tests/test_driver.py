@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError, KVDirectError
 from repro.multi import MultiNICServer
 from repro.sim import Simulator
 from repro.sim.stats import Histogram
+from tests.waiting import idle
 
 SIMULATED = ("operations", "elapsed_ns", "throughput_mops",
              "latency_p50_ns", "latency_p95_ns", "latency_p99_ns",
@@ -193,7 +194,7 @@ class TestLanes:
             run_closed_loop(
                 lane, [KVOperation.get(b"k", seq=0)], concurrency=concurrency
             )
-        assert lane.seen == [] and sim.peek() == float("inf")
+        assert lane.seen == [] and idle(sim)
 
 
 class TestScanSeqs:

@@ -6,6 +6,8 @@ flips, packet loss, slab exhaustion - and the client's retry/backoff
 recovery from transient network faults.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.client import KVClient
@@ -37,14 +39,28 @@ from repro.sim import Simulator
 from tests.waiting import wait
 
 
+
+
+def _loss(injector, site, now):
+    """One packet-loss draw at ``site``, as an Ethernet link makes it."""
+    return injector.fire(
+        f"{site}.loss", "packet_loss", injector.plan.packet_loss_prob, now
+    )
+
 class TestFaultPlan:
     def test_default_plan_is_inert(self):
-        plan = FaultPlan()
-        assert not plan.enabled
+        injector = FaultInjector(FaultPlan(), seed=0)
+        for i in range(200):
+            assert not injector.dma_delay("pcie0", float(i))
+            assert not _loss(injector, "eth.rx", float(i))
+            assert not injector.slab_exhausted()
+        assert injector.fired == 0
 
     def test_any_probability_enables(self):
-        assert FaultPlan(packet_loss_prob=0.01).enabled
-        assert FaultPlan(slab_exhaust_prob=1.0).enabled
+        lossy = FaultInjector(FaultPlan(packet_loss_prob=0.01), seed=0)
+        assert any(_loss(lossy, "eth.rx", float(i)) for i in range(2000))
+        exhausting = FaultInjector(FaultPlan(slab_exhaust_prob=1.0), seed=0)
+        assert exhausting.slab_exhausted()
 
     @pytest.mark.parametrize("knob", [
         "dma_delay_prob", "dma_drop_prob", "bit_flip_prob",
@@ -66,12 +82,12 @@ class TestFaultPlan:
             FaultPlan(window="not a window")
 
     def test_with_overrides(self):
-        plan = FaultPlan.chaos(0.1).with_overrides(packet_loss_prob=0.0)
+        plan = replace(FaultPlan.chaos(0.1), packet_loss_prob=0.0)
         assert plan.packet_loss_prob == 0.0
         assert plan.dma_delay_prob == 0.1
 
     def test_config_carries_plan(self):
-        plan = FaultPlan.transient_network()
+        plan = FaultPlan(packet_loss_prob=0.1)
         cfg = KVDirectConfig(fault_plan=plan)
         assert cfg.fault_plan is plan
         with pytest.raises(ConfigurationError):
@@ -80,11 +96,11 @@ class TestFaultPlan:
 
 class TestInjectorDeterminism:
     def _drive(self, seed, salt=0):
-        plan = FaultPlan.chaos(0.2).with_overrides(seed_salt=salt)
+        plan = replace(FaultPlan.chaos(0.2), seed_salt=salt)
         injector = FaultInjector(plan, seed=seed)
         for i in range(200):
             injector.dma_delay("pcie0", float(i))
-            injector.packet_loss("eth.rx", float(i))
+            _loss(injector, "eth.rx", float(i))
             injector.slab_exhausted(detail=f"op{i}")
         return injector
 
@@ -92,7 +108,7 @@ class TestInjectorDeterminism:
         a, b = self._drive(seed=7), self._drive(seed=7)
         assert a.fired > 0
         assert a.schedule_digest() == b.schedule_digest()
-        assert a.snapshot() == b.snapshot()
+        assert a.counters.snapshot() == b.counters.snapshot()
 
     def test_different_seed_differs(self):
         a, b = self._drive(seed=7), self._drive(seed=8)
@@ -107,10 +123,10 @@ class TestInjectorDeterminism:
         plan = FaultPlan(packet_loss_prob=0.3)
         a = FaultInjector(plan, seed=3)
         b = FaultInjector(plan, seed=3)
-        results_a = [a.packet_loss("eth.rx", float(i)) for i in range(50)]
+        results_a = [_loss(a, "eth.rx", float(i)) for i in range(50)]
         for i in range(50):
-            b.packet_loss("eth.tx", float(i))  # unrelated site, interleaved
-            assert b.packet_loss("eth.rx", float(i)) == results_a[i]
+            _loss(b, "eth.tx", float(i))  # unrelated site, interleaved
+            assert _loss(b, "eth.rx", float(i)) == results_a[i]
 
     def test_window_suppresses_outside(self):
         plan = FaultPlan(
@@ -118,9 +134,9 @@ class TestInjectorDeterminism:
             window=FaultWindow(start_ns=100.0, end_ns=200.0),
         )
         injector = FaultInjector(plan, seed=0)
-        assert not injector.packet_loss("eth.rx", 50.0)
-        assert injector.packet_loss("eth.rx", 150.0)
-        assert not injector.packet_loss("eth.rx", 250.0)
+        assert not _loss(injector, "eth.rx", 50.0)
+        assert _loss(injector, "eth.rx", 150.0)
+        assert not _loss(injector, "eth.rx", 250.0)
         assert injector.counters["eth.rx.loss.suppressed"] == 2
         assert injector.fired == 1
 
@@ -164,7 +180,7 @@ class TestDMAFaults:
         with pytest.raises(FaultInjected):
             sim.run(wait(sim, engine.write, 64, -1))
         # The posted credit must be released on failure.
-        assert engine.posted_credits.in_use == 0
+        assert engine.posted_credits.available == engine.posted_credits.capacity
 
     def test_transfer_drop_probability_compounds_per_tlp(self):
         p = transfer_drop_probability(0.01, 64)
@@ -289,7 +305,7 @@ class TestClientRecovery:
     def test_transient_loss_recovered_end_to_end(self):
         """Acceptance: injected packet loss is absorbed by retry/backoff -
         retries happen, yet zero ops fail and every response arrives."""
-        plan = FaultPlan.transient_network(loss=0.2)
+        plan = FaultPlan(packet_loss_prob=0.2)
         client, stats, injector = _faulted_client_run(seed=11, plan=plan)
         assert stats.retries > 0
         assert stats.failed_ops == 0
@@ -334,7 +350,7 @@ class TestEndToEndDeterminism:
             client, stats, injector = _faulted_client_run(seed=42, plan=plan)
             runs.append((
                 injector.schedule_digest(),
-                injector.snapshot(),
+                injector.counters.snapshot(),
                 stats.as_dict(),
                 sorted(client.responses),
             ))

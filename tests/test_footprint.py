@@ -11,6 +11,7 @@ interpreter, since this one has imported numpy through other tests and
 holds their freed memory.
 """
 
+import ctypes
 import subprocess
 import sys
 import textwrap
@@ -52,7 +53,7 @@ def test_a_1_gib_store_and_its_processor_stay_small():
     # Written pages, and only they, become resident; the store works.
     assert store.put(b"key", b"v" * 200)
     assert store.get(b"key") == b"v" * 200
-    assert processor.cache.occupancy() == 0.0
+    assert processor.cache.stats.accesses == 0
     assert vm_rss_mib() - before < BUDGET_MIB
 
 
@@ -206,10 +207,10 @@ def test_a_1_gib_store_holding_20_000_inline_keys_stays_small():
     assert grown < 24, f"+{grown:.1f} MiB for 20,000 inline keys in 1 GiB"
 
 
-#: A ``point-direct``-shaped run fed ``ops`` ops from a generator: 20,000
-#: inline 13 B keys, half PUTs, 250 in flight; prints its VmRSS growth.
+#: A ``point-direct``-shaped run fed 30,000 ops from a generator: 20,000
+#: inline 13 B keys, half PUTs, 250 in flight; prints its VmRSS at the
+#: 5,000th result and at the end.
 POINT_RUN = VM_RSS_KIB + """
-        import sys
         from repro.core.processor import KVProcessor
         from repro.core.store import KVDirectStore
         from repro.driver import run_closed_loop
@@ -226,49 +227,84 @@ POINT_RUN = VM_RSS_KIB + """
         generator = YCSBGenerator(
             keyspace, WorkloadSpec(put_ratio=0.5, seed=7)
         )
-        before = vm_rss_kib()
-        run_closed_loop(processor, generator.stream(OPS), concurrency=250)
-        print(vm_rss_kib() - before)
+        results = [0]
+
+        def sink(op, result):
+            results[0] += 1
+            if results[0] == 5_000:
+                print(vm_rss_kib())
+
+        run_closed_loop(processor, generator.stream(30_000),
+                        concurrency=250, sink=sink)
+        print(vm_rss_kib())
 """
 
 
 def test_a_generator_fed_run_grows_by_its_histograms_not_its_ops():
-    """Between 5,000 and 30,000 ops a generator-fed run keeps its latency,
-    memory-time and PCIe read-latency samples (8 B each) and nothing else
-    per op: at most 64 B per extra op.  Fed a list, the op objects and
-    their key-hash caches made that 414 B per op."""
-    grown = [
-        int(run_fresh(POINT_RUN.replace("OPS", str(ops))))
-        for ops in (5_000, 30_000)
-    ]
+    """Between its 5,000th and 30,000th result a generator-fed run keeps
+    its latency, memory-time and PCIe read-latency samples (8 B each) and
+    nothing else per op: at most 64 B per extra op.  Fed a list, the op
+    objects and their key-hash caches made that 414 B per op."""
+    grown = [int(line) for line in run_fresh(POINT_RUN).split()]
     per_op = (grown[1] - grown[0]) * 1024 / 25_000
     assert per_op <= 64, f"{per_op:.0f} B per extra op ({grown} KiB)"
 
 
 #: Three small generator-fed runs, one per driver, each with a counting
-#: sink, under tracemalloc: prints, per driver, the bytes still allocated
-#: after the run and the samples every live histogram holds.
+#: sink: prints, per driver, the bytes the run left allocated and the
+#: samples it added to the live histograms.  The bytes are the
+#: allocators' own counts - pymalloc's allocated blocks, which
+#: ``sys._debugmallocstats`` writes to the C stderr, plus what glibc's
+#: ``malloc`` has handed out - so the run is not slowed as tracemalloc
+#: slows it, about sixfold.
 RETAINED = """
-        import gc, tracemalloc
+        import ctypes, gc, os, re, sys, tempfile
         from repro import scenario
         from repro.client.router import ClusterRouter
         from repro.driver import run_closed_loop
         from repro.sim.stats import Histogram
         from repro.workloads.zipf import ZipfSampler
 
-        def retained(run):
-            gc.collect()
-            tracemalloc.start()
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            gc.collect()
-            grown = tracemalloc.get_traced_memory()[0] - base
-            tracemalloc.stop()
-            samples = sum(
-                len(obj) for obj in gc.get_objects()
+        class MallInfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                "fsmblks", "uordblks", "fordblks", "keepcost",
+            )]
+
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+        mallinfo2.restype = MallInfo2
+
+        def allocated():
+            with tempfile.TemporaryFile() as stats:
+                stderr = os.dup(2)
+                os.dup2(stats.fileno(), 2)
+                try:
+                    sys._debugmallocstats()
+                finally:
+                    os.dup2(stderr, 2)
+                    os.close(stderr)
+                stats.seek(0)
+                small = re.search(
+                    rb"# bytes in allocated blocks *= *([0-9,]+)",
+                    stats.read(),
+                )
+            info = mallinfo2()
+            return (int(small[1].replace(b",", b"")) + info.uordblks
+                    + info.hblkhd)
+
+        def samples():
+            return sum(
+                obj.count for obj in gc.get_objects()
                 if isinstance(obj, Histogram)
             )
-            print(grown, samples)
+
+        def retained(run):
+            gc.collect()
+            before = samples()
+            base = allocated()
+            run()
+            gc.collect()
+            print(allocated() - base, samples() - before)
 
         count = [0]
 
@@ -302,8 +338,12 @@ RETAINED = """
 def test_after_a_run_only_the_histograms_hold_memory():
     """``run_closed_loop``, a ``ShardRouter`` over the wire and a
     ``ClusterRouter`` through a failover, each fed 6,000 ops from a
-    generator into a counting sink: what the run leaves allocated is its
-    histogram samples at 8 B each, plus at most 256 KiB."""
+    generator into a counting sink: what the run leaves allocated is the
+    samples it added to its histograms at 8 B each, plus at most 256 KiB.
+    A run that kept one float per op (32 B in pymalloc, 8 B in a list)
+    leaves at least 240 KB more, over the bound on every driver."""
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("needs glibc's mallinfo2")
     lines = run_fresh(RETAINED).split()
     assert int(lines[-1]) >= 3 * 6000 - 10  # the sinks saw the results
     for driver, (grown, samples) in zip(

@@ -17,7 +17,6 @@ from repro.core.hashindex import (
     find_free_run,
     find_inline,
     has_no_entries,
-    inline_slots_needed,
     inline_spans,
     max_inline_kv_size,
     pack_slot,
@@ -25,11 +24,10 @@ from repro.core.hashindex import (
     read_inline,
     set_chain,
     set_pointer,
-    unpack_slot,
     write_inline,
 )
 from repro.errors import KVDirectError
-from tests.ref_bucket import RefBucket
+from tests.ref_bucket import RefBucket, inline_slots_needed, unpack_slot
 
 
 def new_bucket():

@@ -1,8 +1,8 @@
 """Hashing on the batch paths: every op of a batch hashes and routes as the
 scalar functions say.
 
-A batch of operations hashes each key once (``KVOperation.key_hash``) and
-the shard fan-out routes on that cached hash; any divergence from
+A batch of operations hashes each key once (the hashes a ``FanOut`` lane
+hands out with its ops) and the shard fan-out routes on that hash; any divergence from
 ``fnv1a64`` / ``shard_of`` would silently re-route keys to different
 shards and invalidate every golden trace.  These property tests pin the
 equivalence across random key batches (mixed lengths, binary content,
@@ -15,7 +15,17 @@ from collections import Counter
 import pytest
 
 from repro.core.hashing import fnv1a64, shard_of
-from repro.core.operations import KVOperation, fan_out
+from repro.core.operations import FanOut, KVOperation
+from tests.ref_generators import fan_out
+
+
+def _hashes(ops):
+    """The hash a two-way fan-out hands out with each of ``ops``."""
+    by_op = {}
+    for lane in FanOut(ops, 2).lanes:
+        taken, hashes = lane.take(len(ops))
+        by_op.update(zip(map(id, taken), hashes))
+    return [by_op[id(op)] for op in ops]
 
 
 def _random_keys(rng, count, min_len=1, max_len=24, fixed_len=None):
@@ -33,14 +43,14 @@ class TestScalarEquivalence:
     def test_key_hash_matches_fnv1a64(self, seed):
         keys = _random_keys(random.Random(seed), 200)
         ops = [KVOperation.get(key) for key in keys]
-        assert [op.key_hash for op in ops] == [fnv1a64(k) for k in keys]
+        assert _hashes(ops) == [fnv1a64(k) for k in keys]
 
     def test_fixed_width_fast_path_matches_scalar(self, seed):
         """Fixed-width keys (the KeySpace shape) hash and route as the
         scalar functions say."""
         keys = _random_keys(random.Random(seed), 200, fixed_len=13)
         ops = [KVOperation.get(key, seq=i) for i, key in enumerate(keys)]
-        assert [op.key_hash for op in ops] == [fnv1a64(k) for k in keys]
+        assert _hashes(ops) == [fnv1a64(k) for k in keys]
         for shards in (2, 4, 10):
             parts = fan_out(ops, shards)
             for shard, part in enumerate(parts):
@@ -75,7 +85,7 @@ class TestEdgeCases:
         published test vector."""
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-        assert KVOperation.get(b"a").key_hash == fnv1a64(b"a")
+        assert _hashes([KVOperation.get(b"a")]) == [fnv1a64(b"a")]
 
     def test_sequential_keyspace_keys_spread_over_shards(self):
         """The splitmix finalizer must keep short sequential keys (the

@@ -52,8 +52,11 @@ class TestCompilation:
         assert toolchain.alms_used == used
 
     def test_compile_registry(self, toolchain, registry):
-        count = toolchain.compile_registry(registry)
-        assert count >= 10  # all builtins
+        """Every builtin λ compiles within the user logic budget."""
+        builtins = sorted(registry._functions)
+        for func_id in builtins:
+            toolchain.compile(registry.lookup(func_id))
+        assert len(builtins) >= 10
         assert 0 < toolchain.utilization <= 1.0
 
     def test_complex_lambda_costs_more(self, toolchain, registry):

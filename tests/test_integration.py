@@ -47,7 +47,7 @@ def _run_timed(ops, **config_overrides):
     sim = Simulator()
     store = KVDirectStore.create(memory_size=2 << 20, **config_overrides)
     processor = KVProcessor(sim, store)
-    events = processor.submit_many(ops)
+    events = [processor.submit(op) for op in ops]
     sim.run(all_of(sim, events))
     sim.run()
     return store, [event.value for event in events]
@@ -141,7 +141,7 @@ class TestClosedLoopConservation:
         # In-flight write-backs may still be draining when the last
         # response fires; run the simulation dry before checking.
         sim.run()
-        assert processor.station.inflight == 0
+        assert processor.station.occupancy == 0
         assert processor.station.busy_slots() == 0
         assert processor.admission.available == processor.admission.capacity
 
@@ -149,9 +149,9 @@ class TestClosedLoopConservation:
         sim = Simulator()
         store = KVDirectStore.create(memory_size=2 << 20)
         processor = KVProcessor(sim, store)
-        events = processor.submit_many(
+        events = list(map(processor.submit,
             [KVOperation.get(b"missing%d" % i, seq=i) for i in range(50)]
-        )
+        ))
         sim.run()
         assert all(e.triggered for e in events)
         assert not processor._contexts
@@ -166,14 +166,14 @@ class TestVectorOpsThroughPipeline:
         processor = KVProcessor(sim, store)
         from repro.core.vector import FILTER_NONZERO, REDUCE_SUM
 
-        events = processor.submit_many(
+        events = list(map(processor.submit,
             [
                 KVOperation(OpType.REDUCE, b"vec", func_id=REDUCE_SUM,
                             param=q(0), seq=0),
                 KVOperation(OpType.FILTER, b"vec", func_id=FILTER_NONZERO,
                             seq=1),
             ]
-        )
+        ))
         sim.run(all_of(sim, events))
         assert events[0].value.value == q(4)
         assert events[1].value.value == q(1, 3)
@@ -185,7 +185,7 @@ class TestVectorOpsThroughPipeline:
         store = KVDirectStore.create(memory_size=2 << 20)
         store.put(b"vec", q(0, 0))
         processor = KVProcessor(sim, store)
-        events = processor.submit_many(
+        events = list(map(processor.submit,
             [
                 KVOperation(
                     OpType.UPDATE_SCALAR2VECTOR, b"vec",
@@ -193,7 +193,7 @@ class TestVectorOpsThroughPipeline:
                 )
                 for i in range(40)
             ]
-        )
+        ))
         sim.run(all_of(sim, events))
         sim.run()
         assert store.get(b"vec") == q(40, 40)

@@ -31,6 +31,7 @@ from repro.client.router import ClusterRouter
 from repro.constants import DEFAULT_LOAD_DISPATCH_RATIO
 from repro.core.admission import SHED_POLICIES, OverloadPolicy
 from repro.core.config import KVDirectConfig
+from repro.core.hashing import fnv1a64
 from repro.core.hls import HLSToolchain
 from repro.core.ooo import Admission
 from repro.core.operations import KVOperation, OpType
@@ -53,7 +54,6 @@ from repro.memory.dispatcher import (
     LINE_HASH_MASK,
     LINE_HASH_MULTIPLIER,
     LoadDispatcher,
-    address_hash,
 )
 from repro.memory.engine import MemoryAccessEngine
 from repro.multi import Cluster
@@ -71,7 +71,8 @@ from repro.pcie.tlp import (
 )
 from repro.driver import run_closed_loop
 from repro.sim import FIFOServer, Simulator
-from tests.waiting import Waiting, all_of, wait
+from tests.ref_resident import address_hash, is_cacheable
+from tests.waiting import Waiting, all_of, idle, wait
 
 LINE = 64
 
@@ -217,7 +218,7 @@ class RefEngine(MemoryAccessEngine):
             end = min(addr + size, line_addr + line_size)
             span = end - start
             full = span == line_size
-            if cache is not None and self.dispatcher.is_cacheable(line_addr):
+            if cache is not None and is_cacheable(self.dispatcher, line_addr):
                 if tracer is not None:
                     tracer.emit(seq, "mem.route", f"line={line} dram")
                 pending.append(
@@ -291,17 +292,26 @@ class RefEthernetLink(EthernetLink):
         injector = self.injector
         if injector is not None:
             site = f"eth.{direction}"
-            if injector.packet_duplicate(site, self.sim.now):
+            if injector.fire(
+                f"{site}.dup", "packet_duplicate",
+                injector.plan.packet_duplicate_prob, self.sim.now,
+            ):
                 # The duplicate serializes too; the receiver drops it.
                 self.counters.add(f"{direction}_duplicates")
                 self._trace(f"eth.{direction}.dup", f"{nbytes}B")
                 yield wait(self.sim, channel.reserve, nbytes)
-            if injector.packet_reorder(site, self.sim.now):
+            if injector.fire(
+                f"{site}.reorder", "packet_reorder",
+                injector.plan.packet_reorder_prob, self.sim.now,
+            ):
                 # Held in the fabric long enough for successors to pass it.
                 self.counters.add(f"{direction}_reordered")
                 self._trace(f"eth.{direction}.reorder", f"{nbytes}B")
                 yield self.sim.timeout(injector.plan.packet_reorder_delay_ns)
-            if injector.packet_loss(site, self.sim.now):
+            if injector.fire(
+                f"{site}.loss", "packet_loss",
+                injector.plan.packet_loss_prob, self.sim.now,
+            ):
                 self.counters.add(f"{direction}_lost")
                 self._trace(f"eth.{direction}.lost", f"{nbytes}B")
                 raise FaultInjected(
@@ -398,7 +408,7 @@ class RefKVProcessor(KVProcessor):
         # next_issue resolves them - either path fires their response.
         stamps["issue"] = sim.now
         self.counters["admitted"] += 1
-        admission = self.station.admit(op, op.key_hash)
+        admission = self.station.admit(op, fnv1a64(op.key))
         ctx.station_admitted = True
         if admission is Admission.EXECUTE:
             if tracer is not None:
@@ -434,7 +444,7 @@ class RefKVProcessor(KVProcessor):
         memory = self.store.memory
         memory.start_trace()
         try:
-            result, value_after = self.store.apply(op, op.key_hash)
+            result, value_after = self.store.apply(op, fnv1a64(op.key))
         except KVDirectError as exc:
             memory.stop_trace()
             self.fail_op(ctx, exc)
@@ -471,7 +481,9 @@ class RefKVProcessor(KVProcessor):
 
         # complete/respond: synchronous, no simulated resource wait.
         ctx.timestamps["complete"] = sim.now
-        completion = self.station.complete(op, value_after, op.key_hash)
+        completion = self.station.complete(
+            op, value_after, fnv1a64(op.key)
+        )
         if seq >= 0:
             self.respond(ctx, result)
         if completion is not None:
@@ -618,7 +630,7 @@ class Rig:
                 if entry[2] == "done" and entry[3] is not None]
 
     def assert_drained(self):
-        assert self.sim.peek() == float("inf")
+        assert idle(self.sim)
         for pool in self.pools:
             assert pool.available == pool.capacity, pool.name
             assert not pool._waiters, pool.name
@@ -645,6 +657,19 @@ def engine_mix(rig, seed, count=120):
     rig.sim.run()
 
 
+def engine_state(engine):
+    """Every counter of a memory engine and of the models under it."""
+    data = engine.counters.snapshot()
+    data.update({f"dma_{k}": v for k, v in engine.dma.snapshot().items()})
+    nic = engine.nic_dram
+    data.update({f"nic_{k}": v for k, v in nic.counters.snapshot().items()})
+    data["nic_bytes_on_channel"] = nic.channel.bytes_transferred
+    if engine.ecc is not None:
+        ecc = engine.ecc.counters.snapshot()
+        data.update({f"ecc_{k}": v for k, v in ecc.items()})
+    return data
+
+
 def run_both(drive, **rig_options):
     rigs = [Rig(classes, **rig_options) for classes in (REFERENCE, CHAINS)]
     for rig in rigs:
@@ -652,7 +677,7 @@ def run_both(drive, **rig_options):
     reference, chains = rigs
     assert chains.log == reference.log
     assert chains.tracer.render_lines() == reference.tracer.render_lines()
-    assert chains.engine.snapshot() == reference.engine.snapshot()
+    assert engine_state(chains.engine) == engine_state(reference.engine)
     assert chains.sim.now == reference.sim.now
     chains.assert_drained()
     return chains
@@ -662,7 +687,7 @@ class TestChainsMatchTheGenerators:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_clean_concurrent_mix(self, seed):
         rig = run_both(lambda rig: engine_mix(rig, seed))
-        snapshot = rig.engine.snapshot()
+        snapshot = engine_state(rig.engine)
         # The mix reaches every branch of the cached-line chain.
         assert snapshot["cache_hits"] and snapshot["fills"]
         assert snapshot["writebacks"] and snapshot["pcie_direct"]
@@ -706,7 +731,7 @@ class TestChainsMatchTheGenerators:
             lambda rig: engine_mix(rig, seed, count=200), plan=plan,
             nic_lines=64,
         )
-        ecc = rig.engine.ecc.snapshot()
+        ecc = rig.engine.ecc.counters.snapshot()
         assert ecc["corrected_bits"] and ecc["detected_double_errors"]
         assert set(rig.failures()) == {CorruptionDetected}
 
@@ -1272,10 +1297,8 @@ class TestPureFunctionTrims:
                     (line * LINE_HASH_MULTIPLIER) & LINE_HASH_MASK
                 ) < dispatcher.threshold
                 assert inline is expected
-                assert dispatcher.caches_line(line) is expected
-                assert dispatcher.is_cacheable(line * LINE + 5) is expected
+                assert is_cacheable(dispatcher, line * LINE + 5) is expected
         assert address_hash(2**31) == 0.5
-        assert not LoadDispatcher(0.5).caches_line(2**31)
 
     def test_memoised_tlp_sizes_still_validate(self):
         assert read_request_bytes(64) == read_request_bytes(64) == 26

@@ -83,7 +83,7 @@ class TestClockBoundFormula:
 class TestNetworkFormula:
     def test_unbatched_bound_is_header_dominated(self):
         """50 Mops = 5 GB/s / ~100 B-per-op, reproduced by the client."""
-        from repro.client.client import run_unbatched
+        from repro.client import KVClient
         from repro.core.operations import KVOperation
         from repro.core.processor import KVProcessor
         from repro.core.store import KVDirectStore
@@ -100,7 +100,9 @@ class TestNetworkFormula:
             KVOperation.get(keyspace.key(i % 1000), seq=i)
             for i in range(3000)
         ]
-        stats = run_unbatched(sim, processor, ops, max_outstanding=512)
+        stats = KVClient(
+            sim, processor, batch_size=1, max_outstanding_batches=512
+        ).run(ops)
         per_op_wire = stats.request_bytes_on_wire / stats.operations
         predicted = constants.NETWORK_BANDWIDTH / per_op_wire
         measured = stats.throughput_mops * 1e6

@@ -16,7 +16,7 @@ from repro.network import (
     packet_wire_bytes,
     packets_for_payload,
 )
-from repro.network.rdma import goodput_fraction, wire_bytes
+from repro.network.rdma import wire_bytes
 from repro.sim import Simulator
 from tests.waiting import all_of
 
@@ -42,7 +42,7 @@ class TestEthernetLink:
         link = EthernetLink(sim)
         sim.run(link.receive(100))
         sim.run(link.send(200))
-        snap = link.snapshot()
+        snap = link.counters.snapshot()
         assert snap["rx_packets"] == 1
         assert snap["tx_bytes"] == 200
 
@@ -57,10 +57,14 @@ class TestEthernetLink:
         injector = FaultInjector(FaultPlan(packet_reorder_prob=0.5), seed=1)
         link = EthernetLink(sim, injector=injector)
 
-        def broken(site, now):
-            raise RuntimeError(f"reorder draw at {site}")
+        draw = injector.fire
 
-        injector.packet_reorder = broken
+        def broken(site, kind, prob, now=None, detail=""):
+            if kind == "packet_reorder":
+                raise RuntimeError(f"reorder draw at {site}")
+            return draw(site, kind, prob, now, detail)
+
+        injector.fire = broken
         link.send(100)
         with pytest.raises(RuntimeError, match="eth.tx"):
             sim.run()
@@ -81,8 +85,8 @@ class TestRDMAFraming:
 
     def test_goodput_improves_with_batching(self):
         # One tiny KV op (~30 B encoded) per packet vs a full batch.
-        small = goodput_fraction(30)
-        big = goodput_fraction(1400)
+        small = 30 / wire_bytes(30)
+        big = 1400 / wire_bytes(1400)
         assert big > small
         # Paper: up to ~4x network throughput from batching (Figure 15).
         assert big / small > 3.0
@@ -180,7 +184,7 @@ class TestBatchCodec:
         with pytest.raises(ProtocolError, match="255"):
             encoder.add(self._forged(OpType.GET, b"k" * 256))
         # The failed add left no partial op behind.
-        assert encoder.count == 0
+        assert decode_batch(encoder.finish()) == []
         assert decode_batch(encoder.finish()) == []
 
     def test_oversized_value_raises_protocol_error(self):
@@ -189,7 +193,7 @@ class TestBatchCodec:
             encoder.add(
                 self._forged(OpType.PUT, b"k", value=b"v" * 0x10000)
             )
-        assert encoder.count == 0
+        assert decode_batch(encoder.finish()) == []
 
     def test_max_value_length_roundtrips(self):
         ops = [KVOperation.put(b"k", b"v" * 0xFFFF)]
@@ -204,16 +208,16 @@ class TestBatchCodec:
                     param=b"p" * 0x10000,
                 )
             )
-        assert encoder.count == 0
+        assert decode_batch(encoder.finish()) == []
 
     def test_encoder_incremental_size(self):
         encoder = BatchEncoder()
-        assert encoder.payload_size() == 2
+        assert len(encoder.finish()) == 2
         encoder.add(KVOperation.get(b"abc"))
-        size_one = encoder.payload_size()
+        size_one = len(encoder.finish())
         encoder.add(KVOperation.get(b"def"))  # same klen: smaller increment
-        assert encoder.payload_size() - size_one < size_one - 2
-        assert encoder.count == 2
+        assert len(encoder.finish()) - size_one < size_one - 2
+        assert len(decode_batch(encoder.finish())) == 2
 
     def test_batch_count_limit(self):
         encoder = BatchEncoder()
@@ -298,7 +302,7 @@ class TestKVOperationValidation:
         stale = outcome(node.submit(op, None, epoch=0))
         assert isinstance(stale, WrongEpoch)
         assert (stale.expected, stale.got) == (1, 0)
-        assert node.accepted == 0 and b"k" not in node.store
+        assert node.accepted == 0 and node.store.peek(b"k") is None
         assert cluster.counters["wrong_epoch_nacks"] == 1
         assert outcome(node.submit(op, None)).ok
         read = KVOperation.get(b"k", seq=2)
@@ -310,11 +314,13 @@ class TestKVOperationValidation:
         import dataclasses
 
         from repro.core.hashing import fnv1a64
+        from repro.core.operations import FanOut
 
         op = KVOperation.put(b"k", b"v", seq=3)
         before = dict(vars(op))
-        assert op.key_hash == fnv1a64(b"k")
-        assert vars(op) == before  # reading it stores nothing on the op
+        taken = [lane.take(1) for lane in FanOut([op], 2).lanes]
+        assert ([op], [fnv1a64(b"k")]) in taken
+        assert vars(op) == before  # hashing it stores nothing on the op
         assert op == KVOperation.put(b"k", b"v")
         assert "key_hash" not in {f.name for f in dataclasses.fields(op)}
 

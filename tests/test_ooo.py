@@ -25,13 +25,13 @@ class TestAdmission:
     def test_first_op_executes(self):
         station = make_station()
         assert station.admit(KVOperation.get(b"a")) is Admission.EXECUTE
-        assert station.inflight == 1
+        assert station.occupancy == 1
 
     def test_same_key_queues(self):
         station = make_station()
         station.admit(KVOperation.get(b"a"))
         assert station.admit(KVOperation.get(b"a")) is Admission.QUEUED
-        assert station.inflight == 2
+        assert station.occupancy == 2
 
     def test_different_keys_execute_concurrently(self):
         station = make_station()
@@ -47,7 +47,7 @@ class TestAdmission:
         station = make_station(capacity=2)
         station.admit(KVOperation.get(b"a"))
         station.admit(KVOperation.get(b"b"))
-        assert not station.has_room
+        assert station.occupancy == station.capacity  # no room
         with pytest.raises(SimulationError):
             station.admit(KVOperation.get(b"c"))
 
@@ -66,7 +66,7 @@ class TestCompletion:
         op = KVOperation.get(b"a")
         station.admit(op)
         assert station.complete(op, b"value") is None
-        assert station.inflight == 0
+        assert station.occupancy == 0
         assert station.busy_slots() == 0
 
     def test_get_after_put_forwards_updated_value(self):
@@ -152,7 +152,7 @@ class TestCompletion:
         station.admit(get)
         completion = station.complete(delete, None)
         __, result = completion.responses[0]
-        assert not result.found
+        assert result.value is None
 
     def test_collision_chain_issues_next_key(self):
         station = make_station(num_slots=1)
@@ -195,7 +195,7 @@ class TestCompletion:
         ):
             nxt = completion.writeback or completion.next_issue
             completion = station.complete(nxt, nxt.value if nxt.op is OpType.PUT else None)
-        assert station.inflight == 0
+        assert station.occupancy == 0
         assert station.busy_slots() == 0
 
 
@@ -237,7 +237,7 @@ class TestStallMode:
         assert station.complete(first, b"v") is None
         assert station.busy_slots() == 1
         assert station.complete(second, b"v") is None
-        assert station.inflight == 0 and station.busy_slots() == 0
+        assert station.occupancy == 0 and station.busy_slots() == 0
 
 
 class TestAccounting:
@@ -248,7 +248,7 @@ class TestAccounting:
         station.admit(put)
         station.admit(get)
         station.complete(put, b"v")
-        snap = station.snapshot()
+        snap = station.counters
         assert snap["issued"] == 1
         assert snap["queued"] == 1
         assert snap["forwarded"] == 1

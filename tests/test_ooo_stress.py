@@ -141,7 +141,7 @@ def test_random_interleavings_match_serial_oracle(spec, seed, forwarding):
         got = driver.responses[seq]
         assert got.ok == want.ok, f"seq {seq}"
         assert got.value == want.value, f"seq {seq}"
-    assert driver.station.inflight == 0
+    assert driver.station.occupancy == 0
     assert driver.station.busy_slots() == 0
 
 
@@ -234,7 +234,7 @@ class TestTimedPipelineUnderFaults:
             assert got.ok == want.ok, f"seq {seq}"
             assert got.value == want.value, f"seq {seq}"
         assert dict(store.items()) == expected_state
-        assert processor.station.inflight == 0
+        assert processor.station.occupancy == 0
         assert processor.station.busy_slots() == 0
         # With three hot keys the forwarding path was genuinely exercised.
         assert processor.counters["forwarded"] > 0
@@ -269,4 +269,4 @@ class TestTimedPipelineUnderFaults:
         assert result.value == q(99)
         # The GET never touched memory itself: it was forwarded.
         assert processor.counters["forwarded"] >= 1
-        assert processor.station.inflight == 0
+        assert processor.station.occupancy == 0

@@ -9,6 +9,7 @@ latency blow up with the backlog.
 """
 
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -37,7 +38,7 @@ from repro.network.batching import (
 )
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
-from tests.waiting import ignore, wait
+from tests.waiting import ignore, processed, wait
 
 
 def q(value):
@@ -60,7 +61,7 @@ class TestOverloadPolicy:
             OverloadPolicy(shed_policy="coin-flip")
 
     def test_with_overrides(self):
-        policy = OverloadPolicy().with_overrides(shed_policy="drop-oldest")
+        policy = replace(OverloadPolicy(), shed_policy="drop-oldest")
         assert policy.shed_policy == "drop-oldest"
 
     def test_config_rejects_non_policy(self):
@@ -129,8 +130,8 @@ class TestIngressQueue:
         sim.now = 500.0  # advance the clock without running anything
         queue.release()
         sim.run()
-        assert first.processed and first.exception is None
-        assert not second.processed
+        assert processed(first) and first.exception is None
+        assert not processed(second)
         assert queue.wait_ns.count == 2  # the direct admit recorded 0.0
         assert queue.wait_ns.max() == 500.0
         assert queue.counters["admitted_queued"] == 1
@@ -141,13 +142,13 @@ class TestIngressQueue:
         queued = wait(sim, queue.submit, KVOperation.get(b"b"))
         shed = wait(sim, queue.submit, KVOperation.get(b"c"))
         sim.run()
-        assert not queued.processed
-        assert shed.processed
+        assert not processed(queued)
+        assert processed(shed)
         assert isinstance(shed.exception, ServerBusy)
         assert shed.exception.policy == "reject-new"
         assert shed.exception.reason == "arriving"
         assert queue.depth == 1
-        assert queue.shed_total == 1
+        assert queue.counters["shed_total"] == 1
 
     def test_drop_oldest_sheds_the_head(self):
         sim, queue = _queue(policy="drop-oldest", depth=1)
@@ -155,8 +156,8 @@ class TestIngressQueue:
         oldest = wait(sim, queue.submit, KVOperation.get(b"b"))
         arrival = wait(sim, queue.submit, KVOperation.get(b"c"))
         sim.run()
-        assert oldest.processed and oldest.exception.reason == "oldest"
-        assert not arrival.processed  # took the shed op's place
+        assert processed(oldest) and oldest.exception.reason == "oldest"
+        assert not processed(arrival)  # took the shed op's place
         assert queue.depth == 1
 
     def test_by_op_class_sheds_writes_before_reads(self):
@@ -166,8 +167,8 @@ class TestIngressQueue:
         read = wait(sim, queue.submit, KVOperation.get(b"c"))
         arrival = wait(sim, queue.submit, KVOperation.get(b"d"))
         sim.run()
-        assert write.processed and write.exception.reason == "write"
-        assert not read.processed and not arrival.processed
+        assert processed(write) and write.exception.reason == "write"
+        assert not processed(read) and not processed(arrival)
         assert queue.counters["shed_class_write"] == 1
 
     def test_by_op_class_sheds_vector_ops_first(self):
@@ -179,8 +180,8 @@ class TestIngressQueue:
         )
         queue.submit(KVOperation.get(b"d"), ignore)
         sim.run()
-        assert vector.processed and vector.exception.reason == "vector"
-        assert not write.processed
+        assert processed(vector) and vector.exception.reason == "vector"
+        assert not processed(write)
 
     def test_by_op_class_tie_sheds_oldest(self):
         """All reads: the oldest queued read goes, not the arrival."""
@@ -189,8 +190,8 @@ class TestIngressQueue:
         oldest = wait(sim, queue.submit, KVOperation.get(b"b"))
         arrival = wait(sim, queue.submit, KVOperation.get(b"c"))
         sim.run()
-        assert oldest.processed and isinstance(oldest.exception, ServerBusy)
-        assert not arrival.processed
+        assert processed(oldest) and isinstance(oldest.exception, ServerBusy)
+        assert not processed(arrival)
 
 
 def _holder(queue):
@@ -346,7 +347,7 @@ class TestProcessorShedding:
         # Shed ops are NOT counted as completed (goodput accounting).
         assert processor.completed == len(ok)
         assert processor.counters["shed_ops"] == len(shed)
-        assert processor.admission.shed_total == len(shed)
+        assert processor.admission.counters["shed_total"] == len(shed)
 
     def test_no_shedding_without_policy(self):
         """Without a policy the ingress queue is unbounded: 16 ops through
@@ -360,12 +361,12 @@ class TestProcessorShedding:
         ok, shed, __ = _settle_all(sim, events)
         assert len(ok) == 16 and not shed
         queue = processor.admission
-        assert queue.policy is None and queue.shed_total == 0
+        assert queue.policy is None and queue.counters["shed_total"] == 0
         assert queue.counters["max_depth"] >= 14
         assert queue.depth == 0
         assert queue.wait_ns.count == 0  # exported only under a policy
         assert processor.counters["shed_ops"] == 0
-        names = processor.register_metrics(MetricsRegistry()).names()
+        names = processor.register_metrics(MetricsRegistry())._sources
         assert not [name for name in names if name.startswith("ingress")]
 
     def test_full_stalls_counted_on_both_paths(self):

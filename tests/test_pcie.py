@@ -14,7 +14,7 @@ from repro.pcie import (
     write_request_bytes,
 )
 from repro.pcie.tlp import effective_op_rate
-from repro.sim import ConstantLatency, Simulator
+from repro.sim import Simulator, UniformLatency
 from repro.sim.stats import mops
 from tests.waiting import all_of, wait
 
@@ -75,10 +75,10 @@ class TestLinkConfig:
 
 
 def _engine(sim, latency_ns=1000.0, tags=None):
-    config = PCIeLinkConfig(read_latency=ConstantLatency(latency_ns))
+    config = PCIeLinkConfig(read_latency=UniformLatency(latency_ns, 0.0))
     if tags is not None:
         config = PCIeLinkConfig(
-            read_latency=ConstantLatency(latency_ns), tags=tags
+            read_latency=UniformLatency(latency_ns, 0.0), tags=tags
         )
     return DMAEngine(sim, config)
 

@@ -20,7 +20,7 @@ from repro.driver import run_closed_loop
 from repro.faults import FaultPlan
 from repro.multi import MultiNICServer
 from repro.obs import StageProfiler
-from repro.obs.attribution import audit, audit_processor
+from repro.obs.attribution import audit
 from repro.obs.profiler import (
     STAGE_ORDER,
     merge_folded,
@@ -239,7 +239,9 @@ class _FakeAllocator:
 class TestAudit:
     def test_passes_on_clean_inline_run(self):
         __, processor, __stats = _ycsb_run(ops=1000)
-        report = audit_processor(processor)
+        report = audit(
+            [processor.profiler], allocators=[processor.store.allocator]
+        )
         assert report.passed
         by_name = {check.name: check for check in report.checks}
         assert by_name["accesses per GET"].measured == pytest.approx(
@@ -290,10 +292,3 @@ class TestAudit:
         profiler, __, __stats = _ycsb_run(ops=400)
         report = audit([profiler])
         assert 0.0 <= report.info["forwarded_share"] < 1.0
-
-    def test_audit_processor_requires_profiler(self):
-        sim = Simulator()
-        store = KVDirectStore.create(memory_size=4 << 20)
-        processor = KVProcessor(sim, store)
-        with pytest.raises(ValueError, match="no attached StageProfiler"):
-            audit_processor(processor)

@@ -17,7 +17,6 @@ from repro.core.operations import (
     OpType,
     decode_scan_payload,
     encode_scan_payload,
-    fan_out,
     merge_scan_payloads,
 )
 from repro.core.store import KVDirectStore
@@ -26,7 +25,8 @@ from repro.errors import ProtocolError, UnsupportedOperation
 from repro.multi import MultiNICServer
 from repro.network.batching import BatchEncoder, decode_batch, encode_batch
 from repro.sim import Simulator
-from tests.waiting import all_of, performed
+from tests.ref_generators import fan_out
+from tests.waiting import all_of, idle, performed
 
 
 def _ordered_store(**overrides):
@@ -197,7 +197,7 @@ class TestRangeWireFormat:
         encoder = BatchEncoder()
         with pytest.raises(ProtocolError, match="count"):
             encoder.add(op)
-        assert encoder.count == 0
+        assert decode_batch(encoder.finish()) == []
 
     def test_zero_count_on_wire_rejected(self):
         """A zero scan count can only come from a corrupt packet."""
@@ -327,7 +327,7 @@ class TestShardedScans:
         sim, server, __ = self._loaded_server(nics=4)
         with pytest.raises(UnsupportedOperation, match="run_closed_loop"):
             server.submit(build(b"key00000", 10))
-        assert sim.peek() == float("inf")  # no NIC saw the op
+        assert idle(sim)  # no NIC saw the op
         assert not any(p.counters["admitted"] for p in server.processors)
 
     def test_direct_submit_of_a_scan_on_one_nic_is_the_whole_scan(self):

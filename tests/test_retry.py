@@ -166,11 +166,11 @@ class TestCircuitBreaker:
         breaker.record(False)
         breaker.record(False)
         breaker.record(False)
-        assert breaker.state == "closed"  # only 3 < min_samples outcomes
+        # Only 3 < min_samples outcomes.
+        assert breaker.state_code == BREAKER_CLOSED
         breaker.record(True)
         # 3/4 failures >= 0.5 threshold with 4 >= min_samples -> open.
-        assert breaker.state == "open"
-        assert breaker.state_code() == BREAKER_OPEN
+        assert breaker.state_code == BREAKER_OPEN
         assert breaker.opens == 1
 
     def test_open_refuses_until_open_ns_elapses(self):
@@ -182,8 +182,7 @@ class TestCircuitBreaker:
         assert not breaker.allow()
         clock.now = 100.0
         assert breaker.allow()  # first allowed call -> half-open probe
-        assert breaker.state == "half-open"
-        assert breaker.state_code() == BREAKER_HALF_OPEN
+        assert breaker.state_code == BREAKER_HALF_OPEN
 
     def test_half_open_probe_success_closes(self):
         clock, breaker = self._breaker(min_samples=1, failure_threshold=1.0)
@@ -191,8 +190,7 @@ class TestCircuitBreaker:
         clock.now = 100.0
         breaker.allow()
         breaker.record(True)
-        assert breaker.state == "closed"
-        assert breaker.state_code() == BREAKER_CLOSED
+        assert breaker.state_code == BREAKER_CLOSED
 
     def test_half_open_probe_failure_reopens(self):
         clock, breaker = self._breaker(min_samples=1, failure_threshold=1.0)
@@ -200,7 +198,7 @@ class TestCircuitBreaker:
         clock.now = 100.0
         breaker.allow()
         breaker.record(False)
-        assert breaker.state == "open"
+        assert breaker.state_code == BREAKER_OPEN
         assert breaker.opens == 2
         assert breaker.wait_ns() == 100.0  # timer restarted at now=100
 
@@ -211,7 +209,7 @@ class TestCircuitBreaker:
         clock.now = 2000.0  # the failures age out of the 1000 ns window
         for __ in range(4):
             breaker.record(True)
-        assert breaker.state == "closed"
+        assert breaker.state_code == BREAKER_CLOSED
 
     def test_validation(self):
         clock = FakeClock()
@@ -399,7 +397,7 @@ class TestClientLossRetries:
     def test_lossy_run_with_jitter_is_deterministic(self):
         def run():
             sim, store, client = _client_setup(
-                plan=FaultPlan.transient_network(loss=0.2),
+                plan=FaultPlan(packet_loss_prob=0.2),
                 retry_limit=16, backoff_jitter=0.3, seed=9, batch_size=8,
             )
             stats = client.run(_gets(store, count=48))

@@ -24,7 +24,7 @@ from repro.sim import (
     Simulator,
     TokenPool,
 )
-from tests.waiting import all_of, wait
+from tests.waiting import all_of, idle, peek, processed, wait
 
 
 class TestEventBasics:
@@ -32,7 +32,7 @@ class TestEventBasics:
         sim = Simulator()
         event = sim.event()
         assert not event.triggered
-        assert not event.processed
+        assert not processed(event)
 
     def test_succeed_carries_value(self):
         sim = Simulator()
@@ -106,7 +106,7 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             sim.call_when(5.0, lambda entry: None)
         # Nothing was queued, and the clock is where it was.
-        assert sim.peek() == float("inf")
+        assert idle(sim)
         assert sim.now == 10.0
 
     def test_nan_time_rejected_on_every_schedule(self):
@@ -237,9 +237,9 @@ class TestProcess:
             yield sim.timeout(1)
 
         proc = sim.process(quick())
-        assert proc.is_alive
+        assert not proc.triggered  # alive
         sim.run(proc)
-        assert not proc.is_alive
+        assert proc.triggered
 
 
 class TestConditions:
@@ -293,9 +293,9 @@ class TestSimulatorRun:
 
     def test_peek(self):
         sim = Simulator()
-        assert sim.peek() == float("inf")
+        assert idle(sim)
         sim.timeout(42.0)
-        assert sim.peek() == pytest.approx(42.0)
+        assert peek(sim) == pytest.approx(42.0)
 
     def test_fifo_order_for_simultaneous_events(self):
         sim = Simulator()
@@ -440,7 +440,7 @@ class TestBareCallbacks:
         assert sim.run(target) == "hit"
         assert order == [(7.0, "heap-1"), (7.0, "target-2")]
         assert sim.now == 7.0 and len(sim._dq) == 1 and len(sim._queue) == 3
-        assert sim.peek() == 7.0
+        assert peek(sim) == 7.0
         assert sim.run(target) == "hit"  # already processed: nothing runs
         assert len(order) == 2
         sim.run()
@@ -453,7 +453,7 @@ class TestBareCallbacks:
         sim = Simulator()
         fired = []
         sim.call_after(42.0, fired.append)
-        assert sim.peek() == pytest.approx(42.0)
+        assert peek(sim) == pytest.approx(42.0)
         sim.run(until=41.0)
         assert not fired
         sim.run(until=50.0)
@@ -463,7 +463,7 @@ class TestBareCallbacks:
         sim = Simulator()
         event = sim.event()
         sim.finish(event, "value")
-        assert event.triggered and not event.processed
+        assert event.triggered and not processed(event)
         assert sim.run(event) == "value"
 
     def test_finish_on_a_triggered_event_is_a_noop(self):
@@ -492,7 +492,7 @@ class TestContinuations:
         assert pool.acquire(lambda kick: order.append("then")) is None
         order.append("after acquire")
         granted = wait(sim, pool.acquire)
-        assert list(sim._dq)[-1] is granted and not granted.processed
+        assert list(sim._dq)[-1] is granted and not processed(granted)
         granted.add_callback(lambda event: order.append("event"))
         sim.run()
         assert order == ["after acquire", "then", "event"]
@@ -558,7 +558,7 @@ class TestContinuations:
         failed_read = wait(sim, link.read, 64, 7)
         sim.run()
         assert [type(event.exception) for event in got] == [FaultInjected] * 2
-        assert all(type(event) is Event and event.processed for event in got)
+        assert all(type(event) is Event and processed(event) for event in got)
         assert isinstance(failed_read.exception, FaultInjected)
         assert link.counters["fault_drops"] == 9
         for pool in (link.tags, link.nonposted_credits, link.posted_credits):

@@ -320,7 +320,7 @@ class TestSlabAllocator:
         alloc = self._allocator()
         addr = alloc.alloc(100)  # -> 128 B class
         assert addr % 32 == 0
-        alloc.free_size(addr, 100)
+        alloc.free(addr, class_for_size(100))
         assert alloc.counters["allocs"] == 1
         assert alloc.counters["frees"] == 1
 
@@ -392,4 +392,4 @@ class TestSlabAllocator:
             live[addr] = span
             if i % 3 == 2:  # free every third allocation
                 victim = next(iter(live))
-                alloc.free_size(victim, live.pop(victim))
+                alloc.free(victim, class_for_size(live.pop(victim)))

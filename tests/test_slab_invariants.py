@@ -22,6 +22,7 @@ from repro.core.slab import SlabAllocator
 from repro.core.slab_host import (
     NUM_CLASSES,
     HostSlabManager,
+    class_for_size,
     class_size,
 )
 from repro.errors import AllocationError
@@ -55,7 +56,7 @@ class TestNoDoubleAllocation:
                 addr = allocator.alloc_class(class_index)
                 assert addr not in live, f"step {step}: double allocation"
                 live[addr] = class_index
-            assert allocator.live_allocations == len(live)
+            assert len(allocator._live) == len(live)
         spans = sorted(
             (addr, addr + class_size(c)) for addr, c in live.items()
         )
@@ -66,7 +67,7 @@ class TestNoDoubleAllocation:
         __, allocator = make_allocator()
         for nbytes, want_class in ((1, 0), (32, 0), (33, 1), (512, 4)):
             addr = allocator.alloc(nbytes)
-            assert allocator.is_live(addr)
+            assert addr in allocator._live
             allocator.free(addr, want_class)
 
 
@@ -89,16 +90,16 @@ class TestFreeValidation:
         addr = allocator.alloc_class(2)
         with pytest.raises(AllocationError):
             allocator.free(addr, 1)
-        assert allocator.is_live(addr)  # rejection must not consume it
+        assert addr in allocator._live  # rejection must not consume it
         allocator.free(addr, 2)  # the correct free still works
-        assert not allocator.is_live(addr)
+        assert addr not in allocator._live
 
     def test_bad_class_index_rejected(self):
         __, allocator = make_allocator()
         addr = allocator.alloc_class(0)
         with pytest.raises(AllocationError):
             allocator.free(addr, NUM_CLASSES)
-        assert allocator.is_live(addr)
+        assert addr in allocator._live
 
     def test_rejected_frees_do_not_corrupt_pools(self):
         """After a burst of invalid frees the allocator still round-trips
@@ -139,7 +140,7 @@ class TestExactReclamation:
                 live[allocator.alloc_class(class_index)] = class_index
         for addr, class_index in list(live.items()):
             allocator.free(addr, class_index)
-        assert allocator.live_allocations == 0
+        assert len(allocator._live) == 0
         allocator.flush()
         host.merge_free_slabs(method=method)
         host.check_invariants()

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -99,7 +100,7 @@ class TestLifecycle:
         assert config.num_buckets == 64 * 1024**3 // 2 // 64
 
     def test_config_with_overrides(self):
-        config = KVDirectConfig().with_overrides(inline_threshold=10)
+        config = replace(KVDirectConfig(), inline_threshold=10)
         assert config.inline_threshold == 10
         assert config.memory_size == KVDirectConfig().memory_size
 
@@ -108,7 +109,7 @@ class TestCrud(object):
     def test_put_get_delete(self, store):
         store.put(b"k", b"v")
         assert store.get(b"k") == b"v"
-        assert b"k" in store
+        assert store.peek(b"k") is not None
         assert store.delete(b"k")
         assert store.get(b"k") is None
 
@@ -130,7 +131,7 @@ class TestCrud(object):
         assert store.dma_stats() == stats
 
     def test_membership_is_uncounted_and_untraced(self, store):
-        """Regression: ``key in store`` ran a counted ``get`` - it bumped
+        """Regression: a membership test ran a counted ``get`` - it bumped
         ``gets``, the cost distribution and the memory counters, and
         inside a pipeline trace window appended a replayed access."""
         store.put(b"a", b"1")
@@ -139,8 +140,9 @@ class TestCrud(object):
         memory_counters = store.memory.counters.snapshot()
         gets = store.table.get_cost.count
         store.memory.start_trace()
-        assert b"a" in store and b"big" in store
-        assert b"missing" not in store
+        assert store.peek(b"a") is not None
+        assert store.peek(b"big") is not None
+        assert store.peek(b"missing") is None
         assert store.memory.stop_trace() == []
         assert store.table.counters.snapshot() == table_counters
         assert store.memory.counters.snapshot() == memory_counters
@@ -218,7 +220,7 @@ class TestExecuteWireOps:
 
     def test_execute_missing_get(self, store):
         result = store.execute(KVOperation.get(b"nope"))
-        assert not result.ok and not result.found
+        assert not result.ok and result.value is None
 
     def test_execute_delete(self, store):
         store.put(b"k", b"v")

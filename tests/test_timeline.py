@@ -146,7 +146,7 @@ class TestWindows:
     def test_deltas_sum_to_run_totals(self):
         sampler = TimelineSampler(window_ns=WINDOW_NS)
         processor, stats = _single_run(sampler)
-        rows = sampler.rows()
+        rows = sampler._rows
         assert rows, "no windows closed"
         assert all(r["shard"] == "nic0" for r in rows)
         assert sum(r["completed"] for r in rows) == processor.completed
@@ -160,7 +160,7 @@ class TestWindows:
     def test_windows_are_contiguous_and_final_is_partial(self):
         sampler = TimelineSampler(window_ns=WINDOW_NS)
         processor, __ = _single_run(sampler)
-        rows = sampler.rows()
+        rows = sampler._rows
         for prev, cur in zip(rows, rows[1:]):
             assert cur["start_ns"] == prev["end_ns"]
             assert cur["window"] == prev["window"] + 1
@@ -172,7 +172,7 @@ class TestWindows:
     def test_percentiles_none_only_when_window_empty(self):
         sampler = TimelineSampler(window_ns=WINDOW_NS)
         _single_run(sampler)
-        for row in sampler.rows():
+        for row in sampler._rows:
             if row["completed"] == 0:
                 assert row["latency_p50_ns"] is None
             else:
@@ -186,7 +186,7 @@ class TestWindows:
     def test_cache_hit_rate_null_without_accesses(self):
         sampler = TimelineSampler(window_ns=WINDOW_NS)
         _single_run(sampler)
-        for row in sampler.rows():
+        for row in sampler._rows:
             accesses = row["cache_hits"] + row["cache_misses"]
             if accesses == 0:
                 assert row["cache_hit_rate"] is None
@@ -198,7 +198,7 @@ class TestWindows:
     def test_throughput_matches_completed_over_elapsed(self):
         sampler = TimelineSampler(window_ns=WINDOW_NS)
         _single_run(sampler)
-        for row in sampler.rows():
+        for row in sampler._rows:
             elapsed = row["end_ns"] - row["start_ns"]
             expected = row["completed"] / elapsed * 1e3 if elapsed else 0.0
             assert row["throughput_mops"] == pytest.approx(expected)
@@ -220,7 +220,7 @@ class TestDeterminism:
         _sharded_run(first)
         _sharded_run(second)
         assert first.dumps() == second.dumps()
-        shards = {row["shard"] for row in first.rows()}
+        shards = {row["shard"] for row in first._rows}
         assert shards == {"nic0", "nic1", "nic2", "nic3", "all"}
         assert first.shard_names == ["nic0", "nic1", "nic2", "nic3"]
 
@@ -228,7 +228,7 @@ class TestDeterminism:
         sampler = TimelineSampler(window_ns=WINDOW_NS)
         _sharded_run(sampler)
         by_window = {}
-        for row in sampler.rows():
+        for row in sampler._rows:
             by_window.setdefault(row["window"], []).append(row)
         for rows in by_window.values():
             agg = [r for r in rows if r["shard"] == "all"]
@@ -241,7 +241,7 @@ class TestDeterminism:
     def test_single_shard_has_no_aggregate_row(self):
         sampler = TimelineSampler(window_ns=WINDOW_NS)
         _single_run(sampler)
-        assert all(r["shard"] == "nic0" for r in sampler.rows())
+        assert all(r["shard"] == "nic0" for r in sampler._rows)
 
     def test_lines_are_canonical_json(self):
         sampler = TimelineSampler(window_ns=WINDOW_NS)
@@ -326,7 +326,7 @@ class TestClusterTimeline:
         _cluster_kill_run(second)
         assert first.dumps() == second.dumps()
         assert cluster.counters.get("failovers") == 1
-        rows = first.rows()
+        rows = first._rows
         cluster_rows = [r for r in rows if r["shard"] == "cluster"]
         assert cluster_rows[0]["epoch"] == 0
         assert cluster_rows[-1]["epoch"] == 1
@@ -339,7 +339,7 @@ class TestClusterTimeline:
     def test_node_rows_present_alongside_cluster_row(self):
         sampler = TimelineSampler(window_ns=WINDOW_NS)
         _cluster_kill_run(sampler)
-        shards = {r["shard"] for r in sampler.rows()}
+        shards = {r["shard"] for r in sampler._rows}
         assert "cluster" in shards
         assert {"node0", "node1", "node2"} <= shards
 

@@ -10,14 +10,28 @@ from repro.core.operations import KVOperation, OpType
 from repro.core.store import KVDirectStore
 from repro.errors import ProtocolError
 from repro.workloads import trace as trace_module
-from repro.workloads.trace import (
-    TraceReader,
-    TraceWriter,
-    load_trace,
-    record_trace,
-    trace_from_bytes,
-    trace_to_bytes,
-)
+from repro.workloads.trace import TraceReader, TraceWriter
+
+
+def record_trace(ops, target):
+    """Write ``ops`` to a trace at ``target``; the op count."""
+    with TraceWriter(target) as writer:
+        writer.extend(ops)
+        return writer.operations
+
+
+def load_trace(target):
+    return list(TraceReader(target))
+
+
+def trace_to_bytes(ops):
+    buffer = io.BytesIO()
+    record_trace(ops, buffer)
+    return buffer.getvalue()
+
+
+def trace_from_bytes(data):
+    return load_trace(io.BytesIO(data))
 
 
 def sample_ops(n=600):

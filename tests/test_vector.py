@@ -66,7 +66,7 @@ class TestRegistry:
     def test_builtins_present(self, registry):
         for func_id in (FETCH_ADD, SWAP, COMPARE_AND_SWAP, REDUCE_SUM,
                         FILTER_NONZERO):
-            assert func_id in registry
+            assert registry.lookup(func_id).func_id == func_id
 
     def test_register_user_function(self, registry):
         func_id = registry.register(

@@ -15,8 +15,6 @@ from repro.workloads import (
     ZipfSampler,
 )
 from repro.workloads import zipf
-from repro.workloads.keyspace import inline_kv_sizes, noninline_kv_sizes
-from repro.workloads.ycsb import PAPER_PUT_RATIOS, paper_workloads
 
 
 class TestKeySpace:
@@ -81,10 +79,11 @@ class TestKeySpace:
         with pytest.raises(IndexError):
             ks.keys_many([1, 300])
 
-    def test_paper_kv_size_points(self):
-        assert inline_kv_sizes()[:3] == [5, 10, 15]
-        assert noninline_kv_sizes() == [62, 126, 254]
 
+
+def _hot(sampler, count):
+    """The ``count`` most popular key indices: the head of the rank table."""
+    return sampler._rank_to_key[:count]
 
 def _draws(sampler, count):
     return [sampler.sample() for __ in range(count)]
@@ -120,7 +119,7 @@ class TestZipfSampler:
     def test_skew_concentrates_mass(self):
         """With skew 0.99, the hottest keys dominate the distribution."""
         sampler = ZipfSampler(10_000, seed=1)
-        hot = set(sampler.hot_keys(100))  # top 1 %
+        hot = set(_hot(sampler, 100))  # top 1 %
         samples = _draws(sampler, 20_000)
         hot_fraction = sum(s in hot for s in samples) / len(samples)
         assert hot_fraction > 0.4
@@ -144,7 +143,7 @@ class TestZipfSampler:
 
     def test_shuffle_spreads_hot_keys(self):
         shuffled = ZipfSampler(1000, seed=1, shuffle=True)
-        assert shuffled.hot_keys(3) != [0, 1, 2]
+        assert _hot(shuffled, 3) != [0, 1, 2]
 
     def test_seed_none_shuffle_derived_from_sampler_rng(self, monkeypatch):
         """Regression: with ``seed=None`` the rank shuffle must be seeded
@@ -213,7 +212,8 @@ class TestZipfSampler:
         ranks are shuffled."""
         with pytest.raises(error):
             ZipfSampler(50, seed=seed)
-        assert ZipfSampler(50, seed=seed, shuffle=False).hot_keys(3) == [0, 1, 2]
+        unshuffled = ZipfSampler(50, seed=seed, shuffle=False)
+        assert _hot(unshuffled, 3) == [0, 1, 2]
 
 
 #: sha256[:16] of ``repr`` of the first 10,000 draws and of ``hot_keys(50)``
@@ -268,7 +268,7 @@ class TestZipfStreamIsPinned:
         population, skew, seed, shuffle = shape
         sampler = ZipfSampler(population, skew, seed=seed, shuffle=shuffle)
         assert _digest(_draws(sampler, 10_000)) == draws
-        assert _digest(sampler.hot_keys(50)) == hot
+        assert _digest(_hot(sampler, 50)) == hot
 
 
 def _numpy_table(np, population, skew):
@@ -323,12 +323,6 @@ class TestWorkloadSpec:
         if) a generator builds the table."""
         with pytest.raises(ValueError, match="skew"):
             WorkloadSpec(distribution="zipf", zipf_skew=skew)
-
-    def test_paper_workloads(self):
-        specs = paper_workloads()
-        assert len(specs) == 8
-        assert {s.distribution for s in specs} == {"uniform", "zipf"}
-        assert {s.put_ratio for s in specs} == set(PAPER_PUT_RATIOS)
 
 
 class TestYCSBGenerator:

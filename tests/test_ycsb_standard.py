@@ -8,7 +8,7 @@ from repro.core.operations import OpType
 from repro.core.store import KVDirectStore
 from repro.errors import ConfigurationError
 from repro.workloads import KeySpace
-from repro.workloads.ycsb_standard import WORKLOADS, StandardYCSB, mix_of
+from repro.workloads.ycsb_standard import WORKLOADS, StandardYCSB
 
 
 @pytest.fixture
@@ -65,11 +65,6 @@ class TestMixes:
         mix = self._fractions(keyspace, "F")
         assert mix["rmw"] == pytest.approx(0.5, abs=0.05)
 
-    def test_mix_of_documentation(self):
-        assert mix_of("A") == {"read": 0.5, "update": 0.5}
-        assert "rmw" in mix_of("F")
-        assert mix_of("E") == {"scan": 0.95, "insert": 0.05}
-
     def test_e_scan_heavy(self, keyspace):
         gen = StandardYCSB(keyspace, "E", seed=1)
         ops = gen.operations(4000)
@@ -99,7 +94,7 @@ class TestSemantics:
 
     def test_c_reads_always_hit(self, keyspace):
         __, results = self._run("C", keyspace)
-        assert all(r.found for r in results)
+        assert all(r.ok and r.value is not None for r in results)
 
     def test_d_read_latest_hits(self, keyspace):
         """Reads target existing recent inserts, so almost all hit."""

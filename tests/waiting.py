@@ -16,11 +16,32 @@ A test that waits on several events at once uses :class:`AllOf` (or
 :func:`all_of`): the kernel's class as it was before model code stopped
 using it.  :func:`performed` and :func:`quiesced` turn a cluster router's
 ``perform`` and a cluster's ``quiesce`` into events the same way.
+:func:`processed`, :func:`idle` and :func:`peek` read an event's and a
+simulator's state.
 """
 
 from functools import partial
 
 from repro.sim.engine import _PENDING, Event
+
+
+def processed(event):
+    """Whether an event's callbacks have run."""
+    return event.callbacks is None
+
+
+def idle(sim):
+    """Whether nothing is queued, now or later."""
+    return not sim._dq and not sim._queue
+
+
+def peek(sim):
+    """Time of the next queued entry, or ``inf`` if none."""
+    if sim._dq:
+        if sim._queue and sim._queue[0][0] < sim.now:
+            return sim._queue[0][0]
+        return sim.now
+    return sim._queue[0][0] if sim._queue else float("inf")
 
 
 class Waiting(Event):

@@ -35,7 +35,25 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Seeded surfaces beyond the determinism cases, by name.
 EXTRA = {
     "metrics": "metrics --seed 7 --format both",
+    "info": "info",
+    # Contended atomics, forwarded in the reservation station and not.
+    "atomics": "atomics --keys 2 --ops 400",
+    "atomics-no-ooo": "atomics --keys 1 --ops 400 --no-ooo",
+    "profile-folded": "profile --seed 7 --ops 1200 --format folded",
+    "profile-table": "profile --seed 7 --ops 1200 --format table",
+    "timeline-table": "timeline --seed 7 --ops 800 --format table",
+    # Half the spans, drawn per op by the tracer's seeded hash.
+    "timeline-sampled": "timeline --seed 7 --ops 300 --format chrome "
+                        "--sample 0.5",
+    # A cluster soak whose faults fail ops: each is reconciled at its owner.
+    "soak-cluster-chaos": "soak --nodes 3 --chaos 0.2 --seed 7 --json",
+    # A primary killed mid-soak: the flight recorder dumps its windows.
+    "soak-kill-timeline": "soak --nodes 3 --kill-node --seed 7 --json "
+                          "--timeline soak.jsonl",
     "overload-export": "overload --seed 0 --ops 1500 --deadline-us 10 "
+                       "--export overload.json",
+    # A deadline short enough that ops expire at every point.
+    "overload-expire": "overload --seed 0 --ops 1500 --deadline-us 0.05 "
                        "--export overload.json",
     "pcie-read": "pcie --payload 64 --ops 3000",
     "pcie-write": "pcie --payload 64 --ops 3000 --write",
