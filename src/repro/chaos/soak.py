@@ -26,7 +26,6 @@ Invariants (:meth:`SoakReport.check`):
 
 from __future__ import annotations
 
-import hashlib
 import random
 import struct
 from dataclasses import dataclass, field
@@ -306,6 +305,8 @@ class _Soak:
         self.report = SoakReport(
             seed=cfg.seed, goodput_floor=cfg.goodput_floor
         )
+        import hashlib
+
         self._hash = hashlib.sha256()
         self.schedule = self._build_schedule()
         if cfg.kill_node and self.cluster is not None:

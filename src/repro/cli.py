@@ -20,7 +20,6 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import random
@@ -890,6 +889,8 @@ def _cmd_range(args, out) -> int:
     router = built.server.router(batch_size=args.batch_size, checksum=True)
     stats = router.run(ops)
     merged = router.scan_results(ops)
+    import hashlib
+
     digest = hashlib.sha256()
     entries = 0
     for seq in sorted(merged):

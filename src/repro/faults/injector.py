@@ -18,7 +18,6 @@ them.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -144,6 +143,8 @@ class FaultInjector:
         Two runs of the same configuration must produce identical digests;
         this is the byte-identical-schedule guarantee chaos tests assert.
         """
+        import hashlib
+
         digest = hashlib.sha256()
         for event in self.log:
             digest.update(

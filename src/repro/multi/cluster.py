@@ -414,12 +414,14 @@ class Cluster:
     # -- data path ---------------------------------------------------------
 
     def preload(self, key: bytes, value: bytes) -> None:
-        """Functional insert to primary *and* backup (benchmark prep)."""
-        slot = self.map.slot_of(key)
+        """Functional insert to primary *and* backup (benchmark prep): a
+        ``store.put`` on each holder, the key hashed once for them all."""
+        h = fnv1a64(key)
+        slot = self.map.slot_of(key, h)
         placement = self.map.placements[slot]
         for holder in (placement.primary, placement.backup):
             if holder is not None:
-                self.nodes[holder].store.put(key, value)
+                self.nodes[holder].store.index.insert(key, value, h)
                 self.directory[holder][slot].add(key)
 
     def owner(self, key: bytes) -> ServerStack:

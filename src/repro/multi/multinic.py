@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.client.router import ShardRouter
 from repro.core.config import KVDirectConfig
-from repro.core.hashing import shard_of
+from repro.core.hashing import fnv1a64, shard_of, shard_of_hash
 from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
 from repro.errors import ConfigurationError, UnsupportedOperation
@@ -119,8 +119,12 @@ class MultiNICServer:
         )
 
     def put_direct(self, key: bytes, value: bytes) -> None:
-        """Functional insert bypassing timing (benchmark preparation)."""
-        self.owner(key).store.put(key, value)
+        """Functional insert bypassing timing (benchmark preparation):
+        ``store.put``, with the key hashed once for the shard and the
+        index both."""
+        h = fnv1a64(key)
+        stack = self.stacks[shard_of_hash(h, self.nic_count)]
+        stack.store.index.insert(key, value, h)
 
     def reset_measurements(self) -> None:
         """Zero every store's access counters (after loading a corpus)."""

@@ -26,7 +26,6 @@ lints any ``BENCH_*.json`` against :func:`validate`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import subprocess
@@ -108,6 +107,8 @@ def git_rev() -> str:
 
 def config_digest(config) -> str:
     """SHA-256 over a config's fields (any dataclass; order-independent)."""
+    import hashlib
+
     payload = {
         f.name: repr(getattr(config, f.name)) for f in fields(config)
     }

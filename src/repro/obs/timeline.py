@@ -29,7 +29,6 @@ a full trace.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -419,6 +418,8 @@ class TimelineSampler:
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSONL - the byte-identity guarantee."""
+        import hashlib
+
         return hashlib.sha256(self.dumps().encode()).hexdigest()
 
     def series(

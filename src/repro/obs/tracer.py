@@ -18,7 +18,6 @@ operations are sampled, and the decision is identical across processes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -176,6 +175,8 @@ class Tracer:
         Two runs of the same seeded configuration must produce identical
         digests - the byte-identical-trace guarantee.
         """
+        import hashlib
+
         return hashlib.sha256(self.dumps().encode()).hexdigest()
 
     def export_chrome(

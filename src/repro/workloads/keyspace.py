@@ -11,14 +11,14 @@ word per byte (the high byte of each word, as ``getrandbits(8)`` draws
 it).  One generator is reseeded per value, its words pulled in a single
 ``getrandbits`` call and the bytes carved out with a slice: bit-identical
 to the historical per-byte loop, and cheap enough that building a corpus
-no longer dominates a benchmark's setup.  The batch forms are the scalar
-ones in a loop.
+no longer dominates a benchmark's setup.  :meth:`KeySpace.pairs` builds
+one pair at a time, so a loader that keeps nothing never holds the corpus.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 
 class KeySpace:
@@ -52,10 +52,6 @@ class KeySpace:
             raise IndexError(f"key index {index} outside [0, {self.count})")
         return index.to_bytes(self.key_size, "big")
 
-    def keys_many(self, indices: Iterable[int]) -> List[bytes]:
-        """:meth:`key` of each index."""
-        return list(map(self.key, indices))
-
     def value(self, index: int) -> bytes:
         """Deterministic pseudo-random value for ``index``.
 
@@ -69,13 +65,9 @@ class KeySpace:
         n = self.value_size
         return rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
 
-    def values_many(self, indices: Iterable[int]) -> List[bytes]:
-        """:meth:`value` of each index."""
-        return list(map(self.value, indices))
-
     def pair(self, index: int) -> Tuple[bytes, bytes]:
         return self.key(index), self.value(index)
 
     def pairs(self) -> Iterator[Tuple[bytes, bytes]]:
-        indices = range(self.count)
-        yield from zip(self.keys_many(indices), self.values_many(indices))
+        """Every :meth:`pair`, in index order, built as it is drawn."""
+        return map(self.pair, range(self.count))

@@ -34,7 +34,7 @@ from repro.errors import (
     WrongEpoch,
 )
 from repro.faults import FaultPlan
-from repro.multi import Cluster, ClusterMap, Placement
+from repro.multi import Cluster, ClusterMap, MultiNICServer, Placement
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 from tests.waiting import performed, quiesced
@@ -753,3 +753,67 @@ class TestOneHashPerOp:
         # Each migrated key: one peek at the owner, one insert at the
         # new backup (4.9 calls per op before the hash was shared).
         assert calls - per_op <= 2 * migrated, (calls, per_op, migrated)
+
+
+def _fnv1a64_calls(load, pairs):
+    """Run ``load(key, value)`` over ``pairs`` under cProfile; the number
+    of ``fnv1a64`` calls it made."""
+    profile = cProfile.Profile()
+    profile.enable()
+    for key, value in pairs:
+        load(key, value)
+    profile.disable()
+    return sum(
+        calls
+        for (__, __, name), (__, calls, *__)
+        in pstats.Stats(profile).stats.items()
+        if name == "fnv1a64"
+    )
+
+
+def _store_state(store):
+    return (
+        sorted(store.items()),
+        store.dma_stats(),
+        dict(store.table.counters),
+    )
+
+
+class TestOneHashPerPreloadedKey:
+    """A functional preload hashes each key once - for the shard or slot
+    and for every holder's index - and leaves each store exactly as
+    ``store.put`` would: same contents, same access counters."""
+
+    PAIRS = [(b"key%06d" % i, b"v%d" % (i % 7) * (1 + i % 40))
+             for i in range(200)] + [(b"key%06d" % 3, b"replaced")]
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_put_direct_hashes_each_key_once(self, ordered):
+        config = KVDirectConfig(memory_size=2 << 20, ordered_index=ordered)
+        server = MultiNICServer(Simulator(), nic_count=4, config=config)
+        reference = MultiNICServer(Simulator(), nic_count=4, config=config)
+        assert _fnv1a64_calls(server.put_direct, self.PAIRS) == len(
+            self.PAIRS
+        )
+        for key, value in self.PAIRS:
+            reference.owner(key).store.put(key, value)
+        for stack, ref in zip(server.stacks, reference.stacks):
+            assert _store_state(stack.store) == _store_state(ref.store)
+            assert len(stack.store)
+
+    def test_cluster_preload_hashes_each_key_once(self):
+        __, cluster = _cluster()
+        __, reference = _cluster()
+        assert _fnv1a64_calls(cluster.preload, self.PAIRS) == len(
+            self.PAIRS
+        )
+        for key, value in self.PAIRS:
+            slot = reference.map.slot_of(key)
+            placement = reference.map.placements[slot]
+            for holder in (placement.primary, placement.backup):
+                reference.nodes[holder].store.put(key, value)
+                reference.directory[holder][slot].add(key)
+        assert cluster.directory == reference.directory
+        for node, ref in zip(cluster.nodes, reference.nodes):
+            assert _store_state(node.store) == _store_state(ref.store)
+            assert len(node.store)

@@ -5,7 +5,8 @@ memory until an operation touches them, so building a store is cheap at
 any modelled size.  The host image is resident by the 512 B chunk, not by
 the 4 KiB page, so scattered 64 B buckets do not each cost a page.  A
 latency sample takes 8 bytes, and no run imports numpy, whether it draws
-uniform or Zipf keys.  Linux only: the footprint is ``VmRSS`` from
+uniform or Zipf keys, nor OpenSSL (``hashlib``) unless it asks for a
+digest.  Linux only: the footprint is ``VmRSS`` from
 ``/proc/self/status``.  The import and sample checks run in a fresh
 interpreter, since this one has imported numpy through other tests and
 holds their freed memory.
@@ -86,10 +87,11 @@ def run_fresh(code: str) -> str:
     return done.stdout
 
 
-def test_uniform_point_scan_and_cluster_kill_runs_never_import_numpy():
+def test_point_scan_cluster_kill_and_zipf_runs_never_import_numpy_or_openssl():
     """Nor do the Zipf runs: a 4-shard wire run shaped like the benchmark's
     ``net-sharded`` (ranks unshuffled) and a shuffled ``repro ycsb
-    --distribution zipf``."""
+    --distribution zipf``.  ``_hashlib`` is OpenSSL's ``libcrypto``, 3.5
+    MiB that only a digest needs."""
     out = run_fresh("""
         import io, sys
         from repro import cli, scenario
@@ -112,7 +114,7 @@ def test_uniform_point_scan_and_cluster_kill_runs_never_import_numpy():
             multi.operations(300), concurrency=16
         )
         assert cluster.alive_nodes == 2
-        print("numpy" in sys.modules)
+        print("numpy" in sys.modules, "_hashlib" in sys.modules)
         sharded = scenario.build(
             seed=7, memory_size=2 << 20, corpus=1000, kv_size=254,
             put_ratio=0.05, distribution="zipf", shards=4,
@@ -128,9 +130,39 @@ def test_uniform_point_scan_and_cluster_kill_runs_never_import_numpy():
             "--put-ratio", "0.5", "--distribution", "zipf",
         ], out) == 0
         assert "long-tail" in out.getvalue(), out.getvalue()
-        print("numpy" in sys.modules)
+        print("numpy" in sys.modules, "_hashlib" in sys.modules)
     """)
-    assert out.split() == ["False", "False"]
+    assert out.split() == ["False"] * 4
+
+
+def test_hashlib_loads_at_the_first_trace_digest_and_matches_the_golden():
+    """The 200-op run behind ``tests/goldens/trace_seed7_ops200.log``
+    (``repro trace --seed 7 --ops 200``) imports no ``hashlib`` until
+    ``Tracer.digest()`` is called, and that call returns the pinned
+    digest."""
+    out = run_fresh("""
+        import sys
+        from repro import scenario
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer(sample_rate=1.0, seed=7)
+        built = scenario.build(
+            seed=7, memory_size=8 << 20, corpus=500, kv_size=13,
+            put_ratio=0.5, shards=1, tracer=tracer,
+        )
+        built.server.router(batch_size=16).run(built.operations(200))
+        print("hashlib" in sys.modules, "_hashlib" in sys.modules)
+        print(tracer.digest())
+        print("hashlib" in sys.modules)
+    """)
+    golden = (
+        Path(__file__).resolve().parent / "goldens" / "trace_seed7_ops200.log"
+    ).read_text().splitlines()[-1]
+    assert golden.startswith("# spans=1908 digest="), golden
+    before, digest, after = out.splitlines()
+    assert before == "False False"
+    assert digest == golden.rsplit("digest=", 1)[1]
+    assert after == "True"
 
 
 def test_a_million_latency_samples_take_8_bytes_each():
@@ -209,7 +241,8 @@ def test_a_1_gib_store_holding_20_000_inline_keys_stays_small():
 
 #: A ``point-direct``-shaped run fed 30,000 ops from a generator: 20,000
 #: inline 13 B keys, half PUTs, 250 in flight; prints its VmRSS at the
-#: 5,000th result and at the end.
+#: 5,000th and at the 30,000th (last) result, before the run's closing
+#: percentile read.
 POINT_RUN = VM_RSS_KIB + """
         from repro.core.processor import KVProcessor
         from repro.core.store import KVDirectStore
@@ -231,23 +264,26 @@ POINT_RUN = VM_RSS_KIB + """
 
         def sink(op, result):
             results[0] += 1
-            if results[0] == 5_000:
+            if results[0] in (5_000, 30_000):
                 print(vm_rss_kib())
 
         run_closed_loop(processor, generator.stream(30_000),
                         concurrency=250, sink=sink)
-        print(vm_rss_kib())
 """
 
 
 def test_a_generator_fed_run_grows_by_its_histograms_not_its_ops():
     """Between its 5,000th and 30,000th result a generator-fed run keeps
     its latency, memory-time and PCIe read-latency samples (8 B each) and
-    nothing else per op: at most 64 B per extra op.  Fed a list, the op
-    objects and their key-hash caches made that 414 B per op."""
+    nothing else per op: at most 48 B per extra op, so keeping one more
+    float per op (32 B) fails.  Fed a list, the op objects and their
+    key-hash caches made that 414 B per op.  Both readings are taken
+    mid-run: the closing percentile read sorts the samples through one
+    float object each, a transient whose pages stay resident only when no
+    freed memory is left to hold them."""
     grown = [int(line) for line in run_fresh(POINT_RUN).split()]
     per_op = (grown[1] - grown[0]) * 1024 / 25_000
-    assert per_op <= 64, f"{per_op:.0f} B per extra op ({grown} KiB)"
+    assert per_op <= 48, f"{per_op:.0f} B per extra op ({grown} KiB)"
 
 
 #: Three small generator-fed runs, one per driver, each with a counting

@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -57,7 +58,7 @@ class TestKeySpace:
     def test_values_are_each_index_s_mersenne_high_bytes(self, seed):
         """Byte ``i`` of value ``index`` is the high byte of word ``i`` of
         ``random.Random((seed << 32) ^ index)``, at every KV size, whether
-        drawn alone or in a batch, in any order."""
+        drawn alone, in any order, or through :meth:`KeySpace.pairs`."""
         indices = [0, 1, 5, 2, 5]
         for kv_size in range(9, 259):
             ks = KeySpace(count=10, kv_size=kv_size, seed=seed)
@@ -67,17 +68,36 @@ class TestKeySpace:
                 .getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
                 for index in indices
             ]
-            assert ks.values_many(indices) == expected
             assert [ks.value(index) for index in indices] == expected
+            pairs = list(ks.pairs())
+            assert [pairs[index][1] for index in indices] == expected
 
     def test_keys_are_big_endian_indices(self):
         for key_size in (4, 8, 12):
             ks = KeySpace(count=300, kv_size=40, key_size=key_size)
-            assert ks.keys_many([0, 1, 299]) == [
+            assert [ks.key(i) for i in (0, 1, 299)] == [
                 i.to_bytes(key_size, "big") for i in (0, 1, 299)
             ]
         with pytest.raises(IndexError):
-            ks.keys_many([1, 300])
+            ks.key(300)
+
+    def test_pairs_hold_one_pair_at_a_time(self):
+        """A loader that keeps nothing never holds the corpus: 20,000
+        254 B KVs (4.9 MB of values) iterate under a 256 KiB peak."""
+        ks = KeySpace(count=20_000, kv_size=254, seed=7)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            count = sum(1 for __ in ks.pairs())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert count == 20_000
+        assert peak < 256 << 10, peak
 
 
 
