@@ -4,14 +4,21 @@ Every hardware model exposes its behaviour through these so benchmarks can
 report the same quantities the paper plots (throughput in Mops, latency
 percentiles, memory accesses per operation).  The per-event paths cost no
 Python frame: a :class:`Counter` bump is two dict operations and a
-:class:`Histogram` sample one builtin ``array.append`` into 8 bytes.
+:class:`Histogram` sample one builtin ``array.append`` into 8 bytes.  A
+read that needs order sorts the samples in place, a block at a time, so
+it never holds a Python float per sample.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List
+
+#: Samples a histogram sort holds as Python floats at once: it sorts the
+#: array in blocks this long and merges two runs a window this long each.
+_BLOCK = 4096
 
 
 class Counter(dict):
@@ -95,9 +102,12 @@ class Histogram:
     insertion order, until a read that needs order (a percentile, ``min``,
     ``max``) sorts it in place, NaN last as ``numpy.sort`` puts it;
     later samples append after the sorted run and the next such read sorts
-    again.  ``mean`` is the left-fold sum in the current order, and the
-    percentile interpolation is one IEEE expression, clamped into the two
-    samples it interpolates.
+    again.  The sort (:func:`_sort`) is ``list.sort()``'s, bit for bit,
+    done in place: it holds a block of :data:`_BLOCK` floats at a time and
+    a copy of one run, about 4 bytes per sample at most, never a Python
+    float per sample.  ``mean`` is the left-fold sum in the current order,
+    and the percentile interpolation is one IEEE expression, clamped into
+    the two samples it interpolates.
 
     ``copy.copy`` and ``copy.deepcopy`` give an independent histogram
     whose ``record`` appends to its own array (a bound builtin would
@@ -140,11 +150,7 @@ class Histogram:
     def _ensure_sorted(self) -> array:
         samples = self._samples
         if self._sorted != len(samples):
-            ordered = [x for x in samples if x == x]
-            ordered.sort()
-            if len(ordered) != len(samples):  # NaN last, as numpy sorts
-                ordered += [x for x in samples if x != x]
-            samples[:] = array("d", ordered)
+            _sort(samples)
             self._sorted = len(samples)
         return samples
 
@@ -191,6 +197,73 @@ class Histogram:
         if not self._samples:
             raise ValueError("max of empty histogram")
         return self._ensure_sorted()[-1]
+
+
+def _sort(samples: array) -> None:
+    """Sort ``samples`` in place as ``list.sort()`` sorts its non-NaN
+    values, then the NaNs in their current order, as numpy sorts.
+
+    The NaNs move out first, so that the blocks align on the non-NaN
+    samples alone.  Each block of :data:`_BLOCK` is sorted through a list
+    and written back; :func:`_merge` then joins the blocks, ties in the
+    left run first, so the result is one stable sort of the whole
+    (``-0.0`` and ``0.0`` keep their order, as in ``list.sort()``).
+    """
+    count = len(samples)
+    nans = array("d")
+    total = sum(samples)
+    if total != total:  # a NaN, or both infinities: move the NaNs out
+        count = 0
+        for start in range(0, len(samples), _BLOCK):
+            block = samples[start:start + _BLOCK].tolist()
+            numbers = [x for x in block if x == x]
+            nans.extend([x for x in block if x != x])
+            samples[count:count + len(numbers)] = array("d", numbers)
+            count += len(numbers)
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        samples[start:stop] = array("d", sorted(samples[start:stop]))
+    _merge(samples, 0, count)
+    samples[count:] = nans
+
+
+def _merge(samples: array, lo: int, hi: int) -> None:
+    """Merge ``samples[lo:hi]``, sorted in blocks of :data:`_BLOCK`
+    counted from ``lo``, into one sorted run, in place.
+
+    The halves split on a block boundary, the left one holding at most
+    half the blocks.  The left half is copied aside, and the output fills
+    the slice from ``lo`` without overtaking the right half's unread
+    samples.  Each step reads a window of each run.  If the left one ends
+    no higher, the right one is cut before the left's last value
+    (``bisect_left``: a tie waits behind the left run); otherwise the
+    left one is cut after the right's last value (``bisect_right``).  The
+    rest of either run is then no lower than the two parts, which sort
+    together, left part first (timsort merges the two runs in C).
+    """
+    blocks = -(-(hi - lo) // _BLOCK)
+    if blocks < 2:
+        return
+    mid = lo + blocks // 2 * _BLOCK
+    _merge(samples, lo, mid)
+    _merge(samples, mid, hi)
+    left = samples[lo:mid]
+    i, j, out = 0, mid, lo
+    while i < len(left) and j < hi:
+        part = left[i:i + _BLOCK].tolist()
+        right = samples[j:min(j + _BLOCK, hi)].tolist()
+        if part[-1] <= right[-1]:
+            del right[bisect_left(right, part[-1]):]
+        else:
+            del part[bisect_right(part, right[-1]):]
+        i += len(part)
+        j += len(right)
+        part += right
+        part.sort()
+        samples[out:out + len(part)] = array("d", part)
+        out += len(part)
+    if i < len(left):  # else the right run's tail already sits in place
+        samples[out:hi] = left[i:]
 
 
 def mops(operations: int, elapsed_ns: float) -> float:

@@ -1,23 +1,47 @@
-"""The latency histogram as it was before its samples moved into an
-``array("d")``, kept as ``RefHistogram``: a staging list of Python floats
-folded into a numpy float64 array on a read.  It is the reference
+"""Two earlier forms of the latency histogram, the references
 :class:`~repro.sim.stats.Histogram` is compared against, read for read
 (``tests/test_sim_stats.py``).
 
-Verbatim but for two changes the live class has too: a percentile is
-clamped into the two samples it interpolates, and ``record_many`` folds
-the staged samples in first, so a bulk chunk lands after the samples
-recorded before it (the old code put it ahead of them when nothing had
-been read yet; no caller in the package recorded both ways into one
-histogram).
+``ListSortHistogram`` is the live class with the sort it had before the
+block sort: every sample copied into one list of Python floats, sorted
+by ``list.sort()``, the NaNs appended in their order.  Its
+``_ensure_sorted`` is verbatim.
+
+``RefHistogram`` is the histogram as it was before its samples moved into
+an ``array("d")``: a staging list of Python floats folded into a numpy
+float64 array on a read.  Verbatim but for three changes.  Two the live
+class has too: a percentile is clamped into the two samples it
+interpolates, and ``record_many`` folds the staged samples in first, so
+a bulk chunk lands after the samples recorded before it (the old code
+put it ahead of them when nothing had been read yet; no caller in the
+package recorded both ways into one histogram).  And numpy is imported
+where it is used, so that this module imports without it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable, List, Optional
 
-import numpy as np
+from repro.sim.stats import Histogram
+
+
+class ListSortHistogram(Histogram):
+    """:class:`Histogram` sorting through one Python float per sample."""
+
+    __slots__ = ()
+
+    def _ensure_sorted(self) -> array:
+        samples = self._samples
+        if self._sorted != len(samples):
+            ordered = [x for x in samples if x == x]
+            ordered.sort()
+            if len(ordered) != len(samples):  # NaN last, as numpy sorts
+                ordered += [x for x in samples if x != x]
+            samples[:] = array("d", ordered)
+            self._sorted = len(samples)
+        return samples
 
 
 class RefHistogram:
@@ -70,6 +94,8 @@ class RefHistogram:
         Accepts any array-like; the vectorized counterpart of
         :meth:`record` for columnar pipelines and shard merges.
         """
+        import numpy as np
+
         chunk = np.asarray(values, dtype=np.float64)
         if chunk.size == 0:
             return
@@ -78,6 +104,8 @@ class RefHistogram:
 
     def _materialize(self) -> np.ndarray:
         """Fold staged samples into the backing array (insertion order)."""
+        import numpy as np
+
         pending = self._pending
         if pending:
             chunk = np.asarray(pending, dtype=np.float64)

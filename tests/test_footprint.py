@@ -166,26 +166,33 @@ def test_hashlib_loads_at_the_first_trace_digest_and_matches_the_golden():
 
 
 def test_a_million_latency_samples_take_8_bytes_each():
-    """A Python float in a list took 32 bytes: 31 MiB for a million."""
+    """A Python float in a list took 32 bytes: 31 MiB for a million.  The
+    first read that sorts them, and the ``min`` and ``max`` after it, raise
+    the peak (``VmHWM``) by less than another 8 bytes a sample: sorting
+    through one float object per sample raised it by about 47 MiB."""
     out = run_fresh("""
         from repro.sim import Histogram
 
-        def vm_rss_kib():
+        def status_kib(field):
             with open("/proc/self/status") as status:
                 for line in status:
-                    if line.startswith("VmRSS:"):
+                    if line.startswith(field + ":"):
                         return int(line.split()[1])
 
         hist = Histogram()
         record = hist.record
-        before = vm_rss_kib()
+        before = status_kib("VmRSS")
         for i in range(1_000_000):
-            record(i * 0.5)
-        print((vm_rss_kib() - before) / 1024)
+            record(i * 7919 % 1_000_000 * 0.5)  # 0 to 499,999.5, shuffled
+        print((status_kib("VmRSS") - before) / 1024)
+        peak = status_kib("VmHWM")
         assert hist.percentile(50) == 249999.75
+        assert hist.min() == 0.0 and hist.max() == 499999.5
+        print((status_kib("VmHWM") - peak) / 1024)
     """)
-    grown = float(out)
+    grown, sort_peak = map(float, out.split())
     assert grown < 12, f"+{grown:.1f} MiB for a million samples"
+    assert sort_peak < 8, f"+{sort_peak:.1f} MiB peak to sort them"
 
 
 #: ``vm_rss_kib()`` for a :func:`run_fresh` program, indented as its body is.
@@ -241,8 +248,7 @@ def test_a_1_gib_store_holding_20_000_inline_keys_stays_small():
 
 #: A ``point-direct``-shaped run fed 30,000 ops from a generator: 20,000
 #: inline 13 B keys, half PUTs, 250 in flight; prints its VmRSS at the
-#: 5,000th and at the 30,000th (last) result, before the run's closing
-#: percentile read.
+#: 5,000th result and after the run, its closing percentile read included.
 POINT_RUN = VM_RSS_KIB + """
         from repro.core.processor import KVProcessor
         from repro.core.store import KVDirectStore
@@ -264,23 +270,24 @@ POINT_RUN = VM_RSS_KIB + """
 
         def sink(op, result):
             results[0] += 1
-            if results[0] in (5_000, 30_000):
+            if results[0] == 5_000:
                 print(vm_rss_kib())
 
         run_closed_loop(processor, generator.stream(30_000),
                         concurrency=250, sink=sink)
+        print(vm_rss_kib())
 """
 
 
 def test_a_generator_fed_run_grows_by_its_histograms_not_its_ops():
-    """Between its 5,000th and 30,000th result a generator-fed run keeps
+    """Between its 5,000th result and its return a generator-fed run keeps
     its latency, memory-time and PCIe read-latency samples (8 B each) and
     nothing else per op: at most 48 B per extra op, so keeping one more
     float per op (32 B) fails.  Fed a list, the op objects and their
-    key-hash caches made that 414 B per op.  Both readings are taken
-    mid-run: the closing percentile read sorts the samples through one
-    float object each, a transient whose pages stay resident only when no
-    freed memory is left to hold them."""
+    key-hash caches made that 414 B per op.  The second reading follows
+    the run's closing percentile read: a sort through one float object
+    per sample left about 24 B per sample resident there (60-64 B per
+    extra op in all)."""
     grown = [int(line) for line in run_fresh(POINT_RUN).split()]
     per_op = (grown[1] - grown[0]) * 1024 / 25_000
     assert per_op <= 48, f"{per_op:.0f} B per extra op ({grown} KiB)"

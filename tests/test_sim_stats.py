@@ -9,8 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.sim import Counter, Histogram, RunningStats
+from repro.sim import stats
 from repro.sim.stats import gbps, mops
-from tests.ref_histogram import RefHistogram
+from tests.ref_histogram import ListSortHistogram, RefHistogram
 
 
 class TestCounter:
@@ -301,16 +302,26 @@ _READS = (
     lambda h: h.min(),
     lambda h: h.max(),
 )
-_ACTIONS = st.lists(
-    st.one_of(
-        st.tuples(st.just("record"), _SAMPLE),
-        st.tuples(st.just("extend"), st.lists(_SAMPLE, max_size=8)),
-        st.tuples(st.just("record_many"), st.lists(_SAMPLE, max_size=8)),
-        st.tuples(st.just("read"), st.sampled_from(range(len(_READS)))),
-        st.tuples(st.just("copy"), st.sampled_from((copy.copy, copy.deepcopy))),
-    ),
-    max_size=40,
-)
+
+
+def _actions(sample, bulk):
+    """Up to 40 records, bulk records (of up to ``bulk`` samples), reads
+    and copies."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("record"), sample),
+            st.tuples(st.just("extend"), st.lists(sample, max_size=bulk)),
+            st.tuples(st.just("record_many"), st.lists(sample, max_size=bulk)),
+            st.tuples(st.just("read"), st.sampled_from(range(len(_READS)))),
+            st.tuples(
+                st.just("copy"), st.sampled_from((copy.copy, copy.deepcopy))
+            ),
+        ),
+        max_size=40,
+    )
+
+
+_ACTIONS = _actions(_SAMPLE, 8)
 
 
 def _bits(value):
@@ -331,34 +342,85 @@ def _read(hist, read):
         return str(exc)
 
 
+def _play(reference, actions, targets):
+    """Run ``actions`` on a :class:`Histogram` and on a ``reference`` one,
+    each copy beside its reference's copy, and check that the samples
+    (in their order, bit for bit) and every read agree throughout."""
+    pairs = [(Histogram(), reference())]
+    for (action, arg), target in zip(actions, targets):
+        live, ref = pairs[target % len(pairs)]
+        if action == "record":
+            live.record(arg)
+            ref.record(arg)
+        elif action == "copy":
+            pairs.append((arg(live), arg(ref)))
+        elif action == "read":
+            assert _bits(live.samples()) == _bits(ref.samples())
+            assert _read(live, _READS[arg]) == _read(ref, _READS[arg])
+        else:
+            getattr(live, action)(arg)
+            getattr(ref, action)(arg)
+        for live, ref in pairs:
+            assert live.count == ref.count
+            assert _bits(live.samples()) == _bits(ref.samples())
+    for live, ref in pairs:
+        for read in _READS:
+            assert _read(live, read) == _read(ref, read)
+        assert _bits(live.samples()) == _bits(ref.samples())
+    return pairs
+
+
+_TARGETS = st.lists(st.integers(0, 7), min_size=40, max_size=40)
+
+
 class TestHistogramMatchesTheNumpyReference:
     """The array-backed histogram answers every read as the staging-list
     and numpy one did, bit for bit, across records, bulk records, copies
     and reads that sort in between."""
 
-    @given(_ACTIONS, st.lists(st.integers(0, 7), min_size=40, max_size=40))
+    @given(_ACTIONS, _TARGETS)
     def test_every_read_matches(self, actions, targets):
-        pairs = [(Histogram(), RefHistogram())]
-        for (action, arg), target in zip(actions, targets):
-            live, ref = pairs[target % len(pairs)]
-            if action == "record":
-                live.record(arg)
-                ref.record(arg)
-            elif action == "copy":
-                pairs.append((arg(live), arg(ref)))
-            elif action == "read":
-                assert _bits(live.samples()) == _bits(ref.samples())
-                assert _read(live, _READS[arg]) == _read(ref, _READS[arg])
-            else:
-                getattr(live, action)(arg)
-                getattr(ref, action)(arg)
-            for live, ref in pairs:
-                assert live.count == ref.count
-                assert _bits(live.samples()) == _bits(ref.samples())
-        for live, ref in pairs:
-            for read in _READS:
-                assert _read(live, read) == _read(ref, read)
-            assert _bits(live.samples()) == _bits(ref.samples())
+        pytest.importorskip("numpy")
+        _play(RefHistogram, actions, targets)
+
+
+#: A NaN with its sign bit set and a payload.
+_NEGATIVE_NAN = struct.unpack("<d", b"\x01\0\0\0\0\0\xf8\xff")[0]
+#: Equal samples of both signs, in an order a right-first merge changes.
+_SIGNED_ZEROS = [
+    0.0, -0.0, 1.0, -0.0, math.nan, 0.0, -1.0, 0.0, _NEGATIVE_NAN,
+    -0.0, 0.0, -0.0, 2.0, 0.0,
+]
+#: Any float: signed zeros, infinities, NaNs of either sign, subnormals,
+#: and a few small integers, so that many samples tie.
+_ANY_SAMPLE = st.one_of(
+    st.sampled_from(
+        (0.0, -0.0, math.inf, -math.inf, math.nan, _NEGATIVE_NAN, 5e-324)
+    ),
+    st.floats(-1e-307, 1e-307),
+    st.integers(-3, 3).map(float),
+    st.floats(),
+)
+
+
+class TestTheBlockSortIsTheListSort:
+    """The in-place block sort leaves the array as ``list.sort()`` of its
+    non-NaN samples followed by its NaNs in their order, byte for byte,
+    and every read as the list-sorting histogram gave it.  Blocks of 1 to
+    8 samples make small inputs merge across many blocks."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 8])
+    @given(actions=_actions(_ANY_SAMPLE, 24), targets=_TARGETS)
+    @example(
+        actions=[("extend", _SIGNED_ZEROS), ("read", 2), ("record", -0.0)],
+        targets=[0] * 40,
+    )
+    def test_every_read_and_every_byte_matches(self, block, actions, targets):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats, "_BLOCK", block)
+            # The closing reads sorted every pair that holds samples.
+            for live, ref in _play(ListSortHistogram, actions, targets):
+                assert live._samples.tobytes() == ref._samples.tobytes()
 
 
 class TestRates:
