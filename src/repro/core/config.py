@@ -180,8 +180,8 @@ class KVDirectConfig:
         """The testbed's actual sizes (64 GiB host KVS, 4 GiB NIC DRAM).
 
         A functional store this size builds in milliseconds and holds only
-        the pages a run writes, but the OS may refuse the 64 GiB reservation
-        (a ConfigurationError that names the size).
+        the lines and chunks a run writes, but the OS may refuse the 64 GiB
+        reservation (a ConfigurationError that names the size).
         """
         return cls(
             memory_size=constants.HOST_KVS_SIZE,

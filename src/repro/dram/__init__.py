@@ -7,10 +7,7 @@ cache metadata in spare ECC bits (section 4, "DRAM Load Dispatcher").
 """
 
 from repro.dram.cache import CacheStats, DramCache
-from repro.dram.ecc import (
-    ECCLineLayout,
-    hamming_parity_bits,
-)
+from repro.dram.ecc import ECCLineLayout, hamming_parity_bits
 from repro.dram.hamming import DecodeStatus, HammingSECDED
 from repro.dram.host import MemoryImage
 from repro.dram.nic import NICDram

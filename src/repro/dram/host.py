@@ -5,9 +5,11 @@ The KV storage lives in host memory; the NIC accesses it via PCIe DMA in
 real bytes, bounds checking, and counters that let the hash-table figures
 (6, 9, 10, 11) report *measured* memory accesses per operation.
 
-The image is resident by the 512 B chunk (``SLAB_SIZES[-1]``), not by the
-4 KiB page: a chunk's first write packs it into a private anonymous
-mapping, and a chunk table (another mapping, of 4 B places) says where.
+The image is resident by the 512 B chunk (``SLAB_SIZES[-1]``) or, for a
+chunk whose first write lies in one 64 B line, by the line: the first
+write packs the chunk, or the line, into a private anonymous mapping, and
+a chunk table (another mapping, of 4 B places) says where.  So a bucket
+costs its 64 B line, and a 512 B leaf or a 256 B record its chunk whole.
 Buckets are 64 B-aligned and slabs are aligned to their own size from the
 dynamic region's base, so if that is 512-aligned no access crosses chunks.
 """
@@ -17,7 +19,6 @@ from __future__ import annotations
 from mmap import MAP_ANONYMOUS, MAP_PRIVATE, mmap
 from typing import List, Optional, Tuple
 
-from repro.constants import CACHE_LINE_SIZE
 from repro.errors import ConfigurationError
 from repro.sim.stats import Counter
 
@@ -35,10 +36,6 @@ def anonymous_mapping(size: int, name: str, asked: int = 0) -> mmap:
         ) from None
 
 
-#: The unit of residency: ``addr >> 9`` is the chunk an address lies in.
-CHUNK_SIZE = 512
-
-
 class MemoryImage:
     """A contiguous byte-addressable memory with access counters.
 
@@ -49,47 +46,48 @@ class MemoryImage:
     read before and after every operation, is a plain field kept next to
     the counters, so reading it costs no call.
 
-    Chunk ``c`` is unwritten while ``_places[c]`` is 0, and otherwise at byte
-    ``_places[c] << 9`` of ``_data`` (slot 0 unused); ``_chunks`` are placed.
+    Chunk ``c`` is unwritten while ``_places[c]`` is 0.  An even place ``p``
+    holds it whole, its byte ``i`` at ``(p << 5) + i`` of ``_data``; an odd
+    one line by line, line ``k`` at the even place ``_lines[p + k]`` (0 =
+    unwritten).  ``_data``'s 64 B slots 8 to ``_slots`` are placed, and
+    ``_groups`` groups of eight line places.
     """
 
     def __init__(self, size: int, name: str = "host") -> None:
         if type(size) is not int or size <= 0:
             raise ConfigurationError(f"{name}: size {size!r} not an int > 0")
-        if size > (1 << 41) - CHUNK_SIZE:  # 4 B places: 2**32 - 1 chunks
+        if size > (1 << 37) - 512:  # even 4 B places: 2**31 slots of 64 B
             raise ConfigurationError(
-                f"{name}: cannot reserve {size} B: chunk places cover 2 TiB"
+                f"{name}: cannot reserve {size} B: chunk places cover 128 GiB"
             )
         self.size = size
         self.name = name
-        self._map()
+        lines = (size + 511) >> 9 << 3
+        self._data = anonymous_mapping((lines + 8) << 6, name, size)
+        self._table = anonymous_mapping(lines >> 1, name, size)
+        self._places = memoryview(self._table).cast("I")
+        self._group_table = anonymous_mapping((lines + 1) * 4, name, size)
+        self._lines = memoryview(self._group_table).cast("I")
+        self._slots, self._groups = 7, 0
         self.counters = Counter()
         #: Counted read + write accesses: ``counters["reads"] +
         #: counters["writes"]``, zeroed with them by :meth:`reset_counters`.
         self.accesses = 0
         self._trace: Optional[List[Tuple[str, int, int]]] = None
 
-    def _map(self) -> None:
-        """Fresh mappings, every chunk unwritten: rebound, never closed,
-        since a view may still hold the old table."""
-        size, name, chunks = self.size, self.name, (self.size + 511) >> 9
-        self._data = anonymous_mapping((chunks + 1) << 9, name, size)
-        self._table = anonymous_mapping(chunks * 4, name, size)
-        self._places = memoryview(self._table).cast("I")
-        self._chunks = 0
-
-    def __getstate__(self) -> dict:  # for copy and pickle: not the mappings
-        written = self._data[CHUNK_SIZE:(self._chunks + 1) << 9]
-        state = {**self.__dict__, "_data": written, "_table": self._table[:]}
-        del state["_places"]
+    def __getstate__(self) -> dict:  # for copy and pickle: the written part
+        state = {**self.__dict__, "_table": self._table[:],
+                 "_data": self._data[:(self._slots + 1) << 6],
+                 "_group_table": self._group_table[:(self._groups + 1) << 5]}
+        del state["_places"], state["_lines"]
         return state
 
     def __setstate__(self, state: dict) -> None:
+        self.__init__(state["size"], state["name"])  # fresh mappings
+        for name in ("_data", "_table", "_group_table"):
+            written = state.pop(name)
+            getattr(self, name)[:len(written)] = written
         self.__dict__.update(state)
-        self._map()
-        self._chunks, written = state["_chunks"], state["_data"]
-        self._data[CHUNK_SIZE:CHUNK_SIZE + len(written)] = written
-        self._table[:] = state["_table"]
 
     # -- tracing ------------------------------------------------------------
 
@@ -104,9 +102,9 @@ class MemoryImage:
         return trace
 
     # -- access -------------------------------------------------------------
-    # A span within one chunk is served in frame, with no call (and literals:
-    # a global costs a lookup); one across chunks, a chunk at a time.  The
-    # bounds test is in frame too: ``_check`` is called only to raise.
+    # A span in one whole chunk, or in one line of a line-held chunk, is
+    # served (and placed, at its first write) in frame, with no call and no
+    # global; any other a chunk, then a line, at a time.  ``_check`` raises.
 
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or size < 0 or addr + size > self.size:
@@ -120,20 +118,22 @@ class MemoryImage:
         end = addr + size
         if addr < 0 or size < 0 or end > self.size:
             self._check(addr, size)
+        lines = ((end - 1) >> 6) - (addr >> 6) + 1 if size else 0
         counters = self.counters
         counters["reads"] += 1
         self.accesses += 1
         counters["read_bytes"] += size
-        counters["read_lines"] += (  # the 64 B lines the span overlaps
-            (end - 1) // CACHE_LINE_SIZE - addr // CACHE_LINE_SIZE + 1
-            if size else 0
-        )
+        counters["read_lines"] += lines  # the 64 B lines the span overlaps
         if self._trace is not None:
             self._trace.append(("read", addr, size))
-        if addr >> 9 != (end - 1) >> 9:
+        if lines != 1 and (end - 1) ^ addr > 511:  # across chunks
             return self._gather(addr, end)
         place = self._places[addr >> 9]
-        at = (place << 9) | (addr & 511)
+        if place & 1:  # held line by line
+            if lines > 1:
+                return self._gather(addr, end, 64)
+            place = self._lines[place + ((addr >> 6) & 7)]
+        at = (place << 5) + (addr & 511)
         return self._data[at:at + size] if place else bytes(size)
 
     def write(self, addr: int, data: bytes) -> None:
@@ -142,22 +142,32 @@ class MemoryImage:
         end = addr + size
         if addr < 0 or end > self.size:
             self._check(addr, size)
+        lines = ((end - 1) >> 6) - (addr >> 6) + 1 if size else 0
         counters = self.counters
         counters["writes"] += 1
         self.accesses += 1
         counters["write_bytes"] += size
-        counters["write_lines"] += (
-            (end - 1) // CACHE_LINE_SIZE - addr // CACHE_LINE_SIZE + 1
-            if size else 0
-        )
+        counters["write_lines"] += lines
         if self._trace is not None:
             self._trace.append(("write", addr, size))
-        if addr >> 9 != (end - 1) >> 9 or not size:  # places no empty chunk
-            return self._scatter(addr, data)
+        if lines != 1 and ((end - 1) ^ addr > 511 or not size):
+            return self._scatter(addr, data)  # placing no empty chunk
         place = self._places[addr >> 9]
-        if not place:
-            place = self._places[addr >> 9] = self._chunks = self._chunks + 1
-        at = (place << 9) | (addr & 511)
+        if not place and lines > 1:  # first written across lines: whole
+            self._slots += 8
+            place = self._places[addr >> 9] = (self._slots - 7) << 1
+        elif not place:  # first written inside one line: line by line
+            place = self._places[addr >> 9] = (self._groups << 3) | 1
+            self._groups += 1
+        if place & 1:
+            if lines > 1:
+                return self._scatter(addr, data, 64)
+            line = place + ((addr >> 6) & 7)
+            place = self._lines[line]
+            if not place:  # its first write: the slot less the line's offset
+                self._slots += 1
+                place = self._lines[line] = (self._slots - (line - 1 & 7)) << 1
+        at = (place << 5) + (addr & 511)
         self._data[at:at + size] = data
 
     def peek(self, addr: int, size: int) -> bytes:
@@ -165,10 +175,15 @@ class MemoryImage:
         end = addr + size
         if addr < 0 or size < 0 or end > self.size:
             self._check(addr, size)
-        if addr >> 9 != (end - 1) >> 9:
+        span = (end - 1) ^ addr  # above 511 across chunks, 63 across lines
+        if span > 511:
             return self._gather(addr, end)
         place = self._places[addr >> 9]
-        at = (place << 9) | (addr & 511)
+        if place & 1:
+            if span > 63:
+                return self._gather(addr, end, 64)
+            place = self._lines[place + ((addr >> 6) & 7)]
+        at = (place << 5) + (addr & 511)
         return self._data[at:at + size] if place else bytes(size)
 
     def poke(self, addr: int, data: bytes) -> None:
@@ -177,25 +192,40 @@ class MemoryImage:
         end = addr + size
         if addr < 0 or end > self.size:
             self._check(addr, size)
-        if addr >> 9 != (end - 1) >> 9 or not size:  # places no empty chunk
+        span = (end - 1) ^ addr
+        if span > 511 or not size:
             return self._scatter(addr, data)
         place = self._places[addr >> 9]
-        if not place:
-            place = self._places[addr >> 9] = self._chunks = self._chunks + 1
-        at = (place << 9) | (addr & 511)
+        if not place and span > 63:
+            self._slots += 8
+            place = self._places[addr >> 9] = (self._slots - 7) << 1
+        elif not place:
+            place = self._places[addr >> 9] = (self._groups << 3) | 1
+            self._groups += 1
+        if place & 1:
+            if span > 63:
+                return self._scatter(addr, data, 64)
+            line = place + ((addr >> 6) & 7)
+            place = self._lines[line]
+            if not place:
+                self._slots += 1
+                place = self._lines[line] = (self._slots - (line - 1 & 7)) << 1
+        at = (place << 5) + (addr & 511)
         self._data[at:at + size] = data
 
     @staticmethod
-    def _parts(addr: int, end: int) -> List[Tuple[int, int]]:
-        """``(start, stop)`` of each chunk's part of ``[addr, end)``."""
-        cuts = [addr, *range((addr | 511) + 1, end, CHUNK_SIZE), end]
+    def _parts(addr: int, end: int, step: int) -> List[Tuple[int, int]]:
+        """``(start, stop)`` of each chunk's or line's part of a span."""
+        cuts = [addr, *range(addr - addr % step + step, end, step), end]
         return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
-    def _gather(self, addr: int, end: int) -> bytes:
-        return b"".join(self.peek(a, b - a) for a, b in self._parts(addr, end))
+    def _gather(self, addr: int, end: int, step: int = 512) -> bytes:
+        return b"".join(
+            self.peek(a, b - a) for a, b in self._parts(addr, end, step)
+        )
 
-    def _scatter(self, addr: int, data: bytes) -> None:
-        for a, b in self._parts(addr, addr + len(data)):
+    def _scatter(self, addr: int, data: bytes, step: int = 512) -> None:
+        for a, b in self._parts(addr, addr + len(data), step):
             self.poke(a, data[a - addr:b - addr])
 
     # -- accounting ---------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import importlib.util
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 
@@ -101,6 +103,16 @@ class TestVerdict:
             judge(ab_pairs, [], parent=[])
 
 
+@pytest.fixture
+def checkouts(tmp_path):
+    """Two checkouts with no bytecode caches; the parent only supplies
+    BENCHMARK.json, since the runs are faked."""
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "parent")
+    return tmp_path / "parent", tmp_path / "change"
+
+
 def _result(ab_pairs, calls, **host_rows):
     """A run.py result line with every row the tool reads."""
     rows = dict.fromkeys(ab_pairs.EXACT_ROWS, 1.0)
@@ -125,18 +137,21 @@ class TestCountRule:
         assert not ab_pairs.count_worse(100.0, 108.0, 0.08)
         assert ab_pairs.count_worse(100.0, 108.1, 0.08)
 
+    @pytest.fixture(autouse=True)
+    def sides(self, checkouts):
+        self.parent, self.change = map(str, checkouts)
+
     def _main(self, ab_pairs, monkeypatch, capsys, change_calls, argv=(),
               change_rows=lambda workload: {}):
         def fake_run(checkout, workload, seed, seconds):
-            if checkout == "change":
+            if checkout == self.change:
                 return _result(
                     ab_pairs, change_calls(workload), **change_rows(workload)
                 )
             return _result(ab_pairs, 100.0)
 
         monkeypatch.setattr(ab_pairs, "run_once", fake_run)
-        # The parent directory only supplies BENCHMARK.json.
-        code = ab_pairs.main([str(ROOT), "change", "--pairs", "3", *argv])
+        code = ab_pairs.main([self.parent, self.change, "--pairs", "3", *argv])
         return code, capsys.readouterr().out
 
     def test_every_workload_is_judged_by_default(
@@ -192,3 +207,37 @@ class TestCountRule:
         assert got == code
         assert f"net-sharded {row}: {word} " in out
         assert "net-sharded sim_ops_per_wall_s: NO CHANGE " in out
+
+
+class TestLikeWithLike:
+    """Both sides import ``repro`` from source: cached bytecode took its
+    import from 4.1 to 3.0 MiB, so a cache on one side only moved
+    ``peak_rss_mib`` by about as much as a footprint change does."""
+
+    def test_runs_write_no_bytecode(self, ab_pairs, monkeypatch):
+        seen = {}
+
+        def fake_run(argv, cwd, env, **kwargs):
+            seen.update(cwd=cwd, env=env)
+            return subprocess.CompletedProcess(argv, 0, 'table\n{"a": 1}\n')
+
+        monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+        assert ab_pairs.run_once("there", "net-sharded", 7, 1.0) == {"a": 1}
+        assert seen["cwd"] == "there"
+        assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+    @pytest.mark.parametrize("side,where", [
+        ("change", "src/repro/dram"), ("parent", "benchmarks/e2e"),
+    ])
+    def test_a_checkout_holding_cached_bytecode_is_refused(
+        self, ab_pairs, monkeypatch, capsys, checkouts, side, where
+    ):
+        """Refused before any run, naming the directory: exit 2."""
+        parent, change = checkouts
+        cache = (parent if side == "parent" else change) / where / "__pycache__"
+        cache.mkdir(parents=True)
+        monkeypatch.setattr(ab_pairs, "run_once", None)  # any run raises
+        code = ab_pairs.main([str(parent), str(change), "--pairs", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert str(cache) in captured.err

@@ -82,7 +82,7 @@ class TestMemoryImage:
                      lambda: mem.poke(-1, b"x"), lambda: mem.read(0, -1)):
             with pytest.raises(IndexError):
                 call()
-        assert mem.peek(0, 64) == bytes(64) and mem._chunks == 0
+        assert mem.peek(0, 64) == bytes(64) and not any(mem._places)
 
     def test_trace(self):
         mem = MemoryImage(256)
@@ -131,6 +131,9 @@ class TestMemoryImage:
         # Near a chunk boundary, and at the end of the image.
         st.builds(lambda chunk, off: chunk * 512 + off,
                   st.integers(0, _SIZE // 512 + 1), st.integers(-70, 70)),
+        # Near a line boundary, inside or at the edge of a chunk.
+        st.builds(lambda line, off: line * 64 + off,
+                  st.integers(0, _SIZE // 64 + 1), st.integers(-8, 72)),
     )
     _COPIERS = (
         copy.copy, copy.deepcopy, lambda mem: pickle.loads(pickle.dumps(mem)),
@@ -138,6 +141,7 @@ class TestMemoryImage:
     _OP = st.one_of(
         st.tuples(st.sampled_from(["read", "peek"]), _ADDR,
                   st.one_of(st.integers(-2, 140), st.integers(0, 1100))),
+        # Empty, inside one line, across lines, and across chunks.
         st.tuples(st.sampled_from(["write", "poke"]), _ADDR,
                   st.one_of(st.binary(max_size=140),
                             st.binary(min_size=400, max_size=1100))),
@@ -147,16 +151,36 @@ class TestMemoryImage:
                   st.none()),
     )
 
+    @staticmethod
+    def _held(mem):
+        """``{chunk: "whole" | its placed lines}`` of an image's written
+        chunks, once their 64 B slots of ``_data`` are checked to be 8 to
+        ``_slots``, each taken once."""
+        held, slots = {}, []
+        for chunk, place in enumerate(mem._places):
+            if place & 1:
+                lines = {k: mem._lines[place + k] for k in range(8)}
+                held[chunk] = {k for k, line in lines.items() if line}
+                slots += [(line >> 1) + k for k, line in lines.items() if line]
+            elif place:
+                held[chunk] = "whole"
+                slots += range(place >> 1, (place >> 1) + 8)
+        assert sorted(slots) == list(range(8, mem._slots + 1))
+        return held
+
     @given(st.lists(_OP, max_size=60))
     def test_matches_a_bytearray_model(self, ops):
         """Every read, write, peek and poke answers as a
         ``bytearray`` of the same size does - the same bytes as ``bytes``,
         the same out-of-range errors - and counts and traces as the model
-        says, within a chunk and across chunks, and after a copy, a
-        deepcopy or a pickle round trip has replaced the image."""
+        says, within a line, across lines and across chunks, and after a
+        copy, a deepcopy or a pickle round trip has replaced the image.
+        Each chunk is held as its first non-empty write says: line by line
+        if that write's part of it lies in one line, else whole."""
         size = self._SIZE
         mem = MemoryImage(size)
         model = bytearray(size)
+        held = {}
         counts = dict.fromkeys(
             ["reads", "read_bytes", "read_lines",
              "writes", "write_bytes", "write_lines"], 0
@@ -189,6 +213,15 @@ class TestMemoryImage:
             else:
                 assert getattr(mem, kind)(addr, arg) is None
                 model[addr:addr + length] = arg
+                end = addr + length
+                for chunk in range(addr >> 9, (end + 511) >> 9) if arg else ():
+                    first = max(addr, chunk << 9) >> 6 & 7
+                    last = (min(end, (chunk + 1) << 9) - 1) >> 6 & 7
+                    lines = held.setdefault(
+                        chunk, "whole" if first != last else set()
+                    )
+                    if lines != "whole":
+                        lines.update(range(first, last + 1))
             if kind in ("read", "write"):
                 counts[kind + "s"] += 1
                 counts[kind + "_bytes"] += length
@@ -196,6 +229,7 @@ class TestMemoryImage:
                 if trace is not None:
                     trace.append((kind, addr, length))
         assert mem.peek(0, size) == bytes(model)
+        assert self._held(mem) == held
         assert {k: mem.counters[k] for k in counts} == counts
         assert mem.accesses == counts["reads"] + counts["writes"]
         assert mem.lines_touched == (
@@ -218,20 +252,41 @@ class TestMemoryImage:
                 mem.write(addr, b"")
                 mem.poke(addr, b"")
                 assert mem.read(addr, 0) == mem.peek(addr, 0) == b""
-            assert mem._chunks == 0
+            assert not any(mem._places) and mem._groups == 0
 
     def test_written_chunks_are_packed_in_first_write_order(self):
+        """A chunk first written inside one line is held line by line (an
+        odd place, naming a group of eight line places), any other whole
+        (an even place); lines and whole chunks take 64 B slots of
+        ``_data`` in first-write order, from slot 8 on.  A place ``p`` puts
+        the chunk's byte ``i`` at ``(p << 5) + i``, so a line's place is
+        twice the slot its chunk would start at."""
         mem = MemoryImage(4096)
-        mem.write(3000, b"a")
-        mem.write(100, b"b" * 8)
-        mem.write(3001, b"c")
-        mem.poke(1000, b"d" * 30)  # crosses into chunk 2
-        assert list(mem._places) == [2, 3, 4, 0, 0, 1, 0, 0]
+        mem.write(3000, b"a")  # chunk 5, line 6: group 0, slot 8
+        mem.write(100, b"b" * 40)  # chunk 0, lines 1-2: whole, slots 9-16
+        mem.write(3001, b"c")  # the same line: nothing placed
+        mem.poke(1000, b"d" * 30)  # chunk 1 line 7: 17; chunk 2 line 0: 18
+        mem.write(2600, b"e" * 24)  # chunk 5, line 0: slot 19
+        mem.write(1100, b"f" * 200)  # chunk 2, lines 1-4: slots 20-23
+        assert list(mem._places) == [18, 9, 17, 0, 0, 1, 0, 0]
+        assert {i: p for i, p in enumerate(mem._lines) if p} == {
+            7: (8 - 6) * 2, 16: (17 - 7) * 2, 17: 18 * 2, 1: 19 * 2,
+            18: 19 * 2, 19: 19 * 2, 20: 19 * 2, 21: 19 * 2,
+        }
+        assert (mem._slots, mem._groups) == (23, 3)
         assert mem.peek(2999, 4) == b"\0ac\0"
+        assert mem._data[8 * 64 + 56:8 * 64 + 58] == b"ac"
+        assert mem.peek(1024, 128) == b"d" * 6 + bytes(70) + b"f" * 52
+        assert mem.peek(2560, 512).strip(b"\0") == (
+            b"e" * 24 + bytes(376) + b"ac"
+        )
 
     def test_more_than_4_byte_places_cover_is_refused(self):
+        """Even places count 64 B slots up to 2**31: 128 GiB less a chunk."""
         with pytest.raises(ConfigurationError, match=str((1 << 41) + 1)):
             MemoryImage((1 << 41) + 1, name="huge")
+        with pytest.raises(ConfigurationError, match="cover 128 GiB"):
+            MemoryImage((1 << 37) - 511, name="huge")
 
 
 class _Recording:

@@ -2,8 +2,9 @@
 
 The host image, the NIC-DRAM cache tags and the slab free pool take no
 memory until an operation touches them, so building a store is cheap at
-any modelled size.  The host image is resident by the 512 B chunk, not by
-the 4 KiB page, so scattered 64 B buckets do not each cost a page.  A
+any modelled size.  The host image is resident by the 64 B line where a
+chunk is first written one line at a time, so scattered 64 B buckets do
+not each cost a 512 B chunk, let alone a 4 KiB page.  A
 latency sample takes 8 bytes, and no run imports numpy, whether it draws
 uniform or Zipf keys, nor OpenSSL (``hashlib``) unless it asks for a
 digest.  Linux only: the footprint is ``VmRSS`` from
@@ -205,10 +206,11 @@ VM_RSS_KIB = """
 """
 
 
-def test_scattered_buckets_cost_a_chunk_each_not_a_page():
+def test_scattered_buckets_cost_a_line_each_not_a_chunk():
     """5,000 random 64 B buckets over the 8 MiB index half of a 16 MiB
-    image land on about 1,870 of its 2,048 pages (7.3 MiB), but on only
-    about 4,300 chunks of 512 B (2.1 MiB)."""
+    image land on about 1,870 of its 2,048 pages (7.3 MiB) and about 4,300
+    chunks of 512 B (2.1 MiB), but take only their own 5,000 lines
+    (0.3 MiB), each chunk's line places 32 B more (0.1 MiB)."""
     out = run_fresh(VM_RSS_KIB + """
         import random
         from repro.dram.host import MemoryImage
@@ -225,12 +227,12 @@ def test_scattered_buckets_cost_a_chunk_each_not_a_page():
         assert all(mem.read(addr, 64) == line for addr in addrs)
     """)
     grown = float(out)
-    assert grown < 4, f"+{grown:.1f} MiB for 5,000 scattered buckets"
+    assert grown < 1, f"+{grown:.1f} MiB for 5,000 scattered buckets"
 
 
 def test_a_1_gib_store_holding_20_000_inline_keys_stays_small():
     """Before the chunk table, the buckets these keys land in made 78 MiB
-    of the 512 MiB index resident."""
+    of the 512 MiB index resident; with a 512 B chunk per bucket, 12.9."""
     out = run_fresh(VM_RSS_KIB + """
         from repro.core.store import KVDirectStore
 
@@ -243,7 +245,7 @@ def test_a_1_gib_store_holding_20_000_inline_keys_stays_small():
         assert store.get(keys[123]) == b"v" * 5 and len(store) == 20_000
     """)
     grown = float(out)
-    assert grown < 24, f"+{grown:.1f} MiB for 20,000 inline keys in 1 GiB"
+    assert grown < 8, f"+{grown:.1f} MiB for 20,000 inline keys in 1 GiB"
 
 
 #: A ``point-direct``-shaped run fed 30,000 ops from a generator: 20,000

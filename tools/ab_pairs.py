@@ -20,7 +20,11 @@ then prints, for each workload (every one in ``BENCHMARK.json`` unless
   parent's own inter-quartile distance.
 
 Each checkout runs its own copy of the benchmark on its own ``src/``, so
-the two must carry identical ``benchmarks/e2e/`` files.  Exits 1 when, on
+the two must carry identical ``benchmarks/e2e/`` files.  Both run with
+``PYTHONDONTWRITEBYTECODE=1``, and a checkout holding a ``__pycache__``
+under ``src/`` or ``benchmarks/e2e/`` is refused (exit 2): cached bytecode
+makes ``repro``'s import about 1 MiB smaller, so a cache on one side only
+moves ``peak_rss_mib`` by as much as a change might.  Exits 1 when, on
 any workload, an exact row differs, a run is incorrect, the call count
 rose beyond its bound or any of the three host rows regressed - so a
 change that claims no gain has one command for "no row worse on any
@@ -36,6 +40,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pathlib
 import statistics
 import subprocess
 import sys
@@ -131,12 +137,22 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     if done.returncode != 0:
         raise RuntimeError(
             f"{checkout}: run.py exited {done.returncode}\n{done.stderr}"
         )
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def bytecode_caches(checkout: str) -> List[str]:
+    """The ``__pycache__`` directories under ``checkout``'s ``src/`` and
+    ``benchmarks/e2e/``."""
+    return sorted(
+        str(path) for part in ("src", "benchmarks/e2e")
+        for path in pathlib.Path(checkout, part).rglob("__pycache__")
+    )
 
 
 def judge_workload(
@@ -234,6 +250,13 @@ def main(argv: List[str]) -> int:
         workload["name"] for workload in contract["workloads"]
     ]
     sides = {"parent": args.parent, "change": args.change}
+    caches = [cache for side in sides.values()
+              for cache in bytecode_caches(side)]
+    for cache in caches:
+        print(f"refused: {cache} holds cached bytecode; delete it, since "
+              "both sides must import repro from source", file=sys.stderr)
+    if caches:
+        return 2
     seconds = args.seconds or contract["run_seconds"]
     # Judge every workload even after one fails: each gets its verdict line.
     passed = [
