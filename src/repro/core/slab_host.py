@@ -9,10 +9,11 @@ every deallocation.
 
 The 512 B slabs nothing has taken yet are a count, not a list, and the
 bitmap is one byte per unit in an anonymous mapping, so a region costs
-memory for the slabs a run takes, not for those it could take.  Only the
-region-wide scans (the merges, ``check_invariants``, ``radix_sort``)
-import numpy, over a zero-copy view of the bitmap; allocation and free
-never do.
+memory for the slabs a run takes, not for those it could take.  The
+region-wide scans (the merges, ``check_invariants``, ``radix_sort``) are
+plain Python over lists and the mapping's ``find`` / ``count``: no run
+path takes them but a lazy merge, and Figure 12 prices their work from
+counts, not from this interpreter's clock.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.constants import SLAB_MIN_SIZE, SLAB_SIZES
-from repro.dram.host import anonymous_mapping
+from repro.dram.host import anonymous_mapping, nonzero_pages
 from repro.errors import AllocationError, ConfigurationError, SimulationError
 from repro.sim.stats import Counter
 
 #: Number of slab size classes (32, 64, 128, 256, 512).
 NUM_CLASSES = len(SLAB_SIZES)
+
+#: Bits of a key each radix-sort pass deals on (256 buckets).
+RADIX_BITS = 8
 
 
 def class_size(class_index: int) -> int:
@@ -52,8 +56,7 @@ class AllocationBitmap:
 
     One byte per unit, 1 = allocated (or cached on the NIC, i.e. not
     mergeable), in an anonymous mapping: only the units a run touches take
-    memory.  The region-wide merge and invariant scans read it through a
-    zero-copy numpy view.
+    memory, and a copy carries only the pages written.
     """
 
     def __init__(self, units: int) -> None:
@@ -62,13 +65,14 @@ class AllocationBitmap:
         self.units = units
         self._bits = anonymous_mapping(units, "slab allocation bitmap")
 
-    def __getstate__(self) -> dict:  # for copy and pickle: not the mapping
-        return {**self.__dict__, "_bits": self._bits[:]}
+    def __getstate__(self) -> dict:  # for copy and pickle: written pages
+        return {**self.__dict__, "_bits": nonzero_pages(self._bits, self.units)}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._bits = anonymous_mapping(self.units, "slab allocation bitmap")
-        self._bits[:] = state["_bits"]
+        for at, page in state["_bits"]:
+            self._bits[at:at + len(page)] = page
 
     def mark_allocated(self, unit: int, count: int) -> None:
         self._check(unit, count)
@@ -96,12 +100,6 @@ class AllocationBitmap:
             bits[first : first + step].count(1)
             for first in range(0, self.units, step)
         )
-
-    def view(self):
-        """The flags as a numpy bool array over the mapping (no copy)."""
-        import numpy as np  # the region-wide scans only
-
-        return np.frombuffer(self._bits, dtype=bool)
 
 
 class HostSlabManager:
@@ -223,11 +221,7 @@ class HostSlabManager:
         # workload shifts from small KV to large KV" - or, as here, when no
         # larger pool can be split.
         self.merge_free_slabs()
-        if self.pools[class_index]:
-            return
-        if self.split(class_index):
-            return
-        if not self.pools[class_index]:
+        if not (self.pools[class_index] or self.split(class_index)):
             raise AllocationError(
                 f"out of memory for slab class {class_index} "
                 f"({class_size(class_index)} B)"
@@ -258,57 +252,53 @@ class HostSlabManager:
         pool = self.pools[class_index]
         if len(pool) < 2:
             return 0
-        import numpy as np  # the region-wide merge only
-
         size = class_size(class_index)
-        addrs = radix_sort(np.array(pool, dtype=np.int64))
+        addrs = radix_sort(pool)
         # A slab aligned to 2*size merges with the slab at addr + size;
-        # buddy pairs are disjoint by construction, so detection is a
-        # vectorized adjacent-element test.
-        aligned = (addrs - self.base) % (2 * size) == 0
-        lower = np.zeros(len(addrs), dtype=bool)
-        lower[:-1] = aligned[:-1] & (addrs[1:] == addrs[:-1] + size)
-        upper = np.roll(lower, 1)
-        upper[0] = False
-        promoted = addrs[lower]
-        if len(promoted):
-            self.pools[class_index] = addrs[~(lower | upper)].tolist()
-            self.pools[class_index + 1].extend(promoted.tolist())
+        # buddy pairs are disjoint by construction, so one pass over the
+        # sorted addresses pairs each aligned slab with its successor.
+        kept: List[int] = []
+        promoted: List[int] = []
+        at = 0
+        while at < len(addrs):
+            addr = addrs[at]
+            buddy = at + 1 < len(addrs) and addrs[at + 1] == addr + size
+            if buddy and (addr - self.base) % (2 * size) == 0:
+                promoted.append(addr)
+                at += 2
+            else:
+                kept.append(addr)
+                at += 1
+        if promoted:
+            self.pools[class_index] = kept
+            self.pools[class_index + 1].extend(promoted)
         return len(promoted)
 
     def _merge_via_bitmap(self) -> int:
         """Rebuild all pools by scanning the allocation bitmap.
 
         Free units (bit clear) are re-carved greedily into maximal aligned
-        slabs.  This discards the existing pool lists entirely, which is
-        why the bitmap approach is expensive: it touches the whole region.
+        slabs, one free run at a time.  This discards the existing pool
+        lists entirely, which is why the bitmap approach is expensive: it
+        touches the whole region.
         """
-        free = ~self.bitmap.view()
+        bits = self.bitmap._bits
         new_pools: Dict[int, List[int]] = {c: [] for c in range(NUM_CLASSES)}
-        unit_bytes = SLAB_MIN_SIZE
-        total_units = self.bitmap.units
         merged = 0
-        unit = 0
-        while unit < total_units:
-            if not free[unit]:
-                unit += 1
-                continue
-            placed = False
-            for class_index in reversed(range(NUM_CLASSES)):
+        unit = bits.find(b"\x00")
+        while unit >= 0:
+            end = bits.find(b"\x01", unit)
+            end = self.bitmap.units if end < 0 else end
+            while unit < end:
+                class_index = NUM_CLASSES - 1
                 units = self._units_of(class_index)
-                if (
-                    unit % units == 0
-                    and unit + units <= total_units
-                    and free[unit : unit + units].all()
-                ):
-                    new_pools[class_index].append(self.base + unit * unit_bytes)
-                    if class_index > 0:
-                        merged += 1
-                    unit += units
-                    placed = True
-                    break
-            if not placed:  # pragma: no cover - class 0 always places
-                unit += 1
+                while unit % units or unit + units > end:
+                    class_index -= 1
+                    units = self._units_of(class_index)
+                new_pools[class_index].append(self.base + unit * SLAB_MIN_SIZE)
+                merged += class_index > 0
+                unit += units
+            unit = bits.find(b"\x00", end)
         self.pools = new_pools
         self._fresh = 0
         return merged
@@ -323,20 +313,18 @@ class HostSlabManager:
         the region, and (3) the pools account for *all* free units - so a
         leaked or double-counted slab is caught, not papered over.
         """
-        import numpy as np  # the region-wide scan only
-
-        claimed = np.zeros(self.bitmap.units, dtype=bool)
-        bits = self.bitmap.view()
+        claimed = bytearray(self.bitmap.units)
         for class_index, pool in self.pools.items():
             units = self._units_of(class_index)
             if class_index == NUM_CLASSES - 1:
                 # The fresh slabs as one slice, or on a clash slab by slab.
                 end = self._fresh * units
-                if (claimed[:end] | bits[:end]).any():
+                clash = claimed.find(1, 0, end) >= 0
+                if clash or not self.bitmap.is_free(0, end):
                     top = self.base + end * SLAB_MIN_SIZE
                     pool = [*range(self.base, top, SLAB_SIZES[-1]), *pool]
                 else:
-                    claimed[:end] = True
+                    claimed[:end] = b"\x01" * end
             for addr in pool:
                 unit = self._unit(addr)  # raises if outside the region
                 if unit % units:
@@ -344,7 +332,7 @@ class HostSlabManager:
                         f"free slab {addr:#x} misaligned for class "
                         f"{class_index}"
                     )
-                if claimed[unit : unit + units].any():
+                if claimed.find(1, unit, unit + units) >= 0:
                     raise SimulationError(
                         f"free slab {addr:#x} overlaps another pooled slab"
                     )
@@ -353,8 +341,8 @@ class HostSlabManager:
                         f"pooled slab {addr:#x} is marked allocated in "
                         f"the bitmap"
                     )
-                claimed[unit : unit + units] = True
-        pooled = int(claimed.sum())
+                claimed[unit : unit + units] = b"\x01" * units
+        pooled = claimed.count(1)
         if pooled != self.bitmap.free_units():
             raise SimulationError(
                 f"pools cover {pooled} free units but the bitmap reports "
@@ -372,29 +360,23 @@ class HostSlabManager:
         return sizes
 
 
-def radix_sort(values: np.ndarray, radix_bits: int = 8) -> np.ndarray:
-    """LSD radix sort of non-negative int64 values.
+def radix_sort(values: Sequence[int]) -> List[int]:
+    """LSD radix sort of non-negative ints, :data:`RADIX_BITS` per pass.
 
     The paper cites radix sort [66] as scaling better than a bitmap for
-    merging billions of slab slots; this is the real algorithm (numpy
-    counting passes per digit), used both by the merger and by the
-    Figure 12 benchmark.
+    merging billions of slab slots; this is the real algorithm (each pass
+    deals the list stably into one bucket per digit), used by the merger.
     """
-    import numpy as np  # the Figure 12 merge only
-
-    if values.ndim != 1:
-        raise ValueError("radix_sort expects a 1-D array")
-    if len(values) == 0:
-        return values.copy()
-    if (values < 0).any():
+    out = list(values)
+    if out and min(out) < 0:
         raise ValueError("radix_sort requires non-negative values")
-    out = values.copy()
-    max_value = int(out.max())
+    top = max(out, default=0)
+    mask = (1 << RADIX_BITS) - 1
     shift = 0
-    mask = (1 << radix_bits) - 1
-    while (max_value >> shift) > 0:
-        digits = (out >> shift) & mask
-        order = np.argsort(digits, kind="stable")
-        out = out[order]
-        shift += radix_bits
+    while top >> shift:
+        buckets: List[List[int]] = [[] for _ in range(mask + 1)]
+        for value in out:
+            buckets[(value >> shift) & mask].append(value)
+        out = [value for bucket in buckets for value in bucket]
+        shift += RADIX_BITS
     return out

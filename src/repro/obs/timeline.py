@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.stats import Histogram, mops
@@ -113,7 +113,9 @@ class _ProcessorSource:
             "faults": proc.injector.fired if proc.injector is not None else 0,
         }
 
-    def close(self, base: Dict[str, Any]) -> Tuple[Dict[str, Any], List[float]]:
+    def close(
+        self, base: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], Sequence[float]]:
         """Close one window: the row for this shard plus its raw window
         latency samples (for cross-shard aggregation)."""
         cur = self._cumulative()
@@ -336,17 +338,17 @@ class TimelineSampler:
             "end_ns": end_ns,
         }
         emitted: List[Dict[str, Any]] = []
-        merged_samples: List[float] = []
+        merged = Histogram()
         totals = {"completed": 0, "expired": 0, "faults": 0,
                   "station_occupancy": 0, "ingress_depth": 0}
         for source in self._sources:
             row, samples = source.close(base)
             emitted.append(row)
-            merged_samples.extend(samples)
+            merged.record_many(samples)
             for key in totals:
                 totals[key] += row[key]
         if len(self._sources) > 1:
-            emitted.append(self._aggregate_row(base, emitted, merged_samples))
+            emitted.append(self._aggregate_row(base, emitted, merged))
         cluster_row: Optional[Dict[str, Any]] = None
         if self._cluster is not None:
             cluster_row = self._cluster.close(base)
@@ -362,7 +364,7 @@ class TimelineSampler:
         self,
         base: Dict[str, Any],
         shard_rows: List[Dict[str, Any]],
-        merged_samples: List[float],
+        merged: Histogram,
     ) -> Dict[str, Any]:
         row: Dict[str, Any] = dict(base)
         row["shard"] = "all"
@@ -370,8 +372,6 @@ class TimelineSampler:
                     "cache_misses", "nacks", "faults", "station_occupancy",
                     "ingress_depth"):
             row[key] = sum(r[key] for r in shard_rows)
-        merged = Histogram()
-        merged.record_many(merged_samples)
         row.update(_percentile_fields(merged))
         _derive_rates(row)
         return row

@@ -9,24 +9,20 @@ resident :class:`~repro.dram.cache.DramCache`,
 :class:`~repro.dram.host.MemoryImage` are compared against, answer for
 answer (``tests/test_dram.py``, ``tests/test_slab.py``).
 
-The one edit since: the reference daemon shares the live
+The edits since: the reference daemon shares the live
 :class:`~repro.core.slab_host.AllocationBitmap`, whose flags are now a
-mapping, so its bitmap merge reads them through ``view()``."""
+mapping, so its bitmap merge reads them through a zero-copy numpy view;
+and since the live daemon's scans dropped numpy, the reference keeps the
+numpy ``radix_sort`` as :func:`ref_radix_sort` and imports numpy inside
+the functions that use it, so importing this module needs no numpy."""
 
 from __future__ import annotations
 
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.constants import CACHE_LINE_SIZE, SLAB_MIN_SIZE, SLAB_SIZES
-from repro.core.slab_host import (
-    NUM_CLASSES,
-    AllocationBitmap,
-    class_size,
-    radix_sort,
-)
+from repro.core.slab_host import NUM_CLASSES, AllocationBitmap, class_size
 from repro.dram.cache import (
     _HIT,
     _MISS_FILL,
@@ -369,8 +365,10 @@ class RefHostSlabManager:
         pool = self.pools[class_index]
         if len(pool) < 2:
             return 0
+        import numpy as np
+
         size = class_size(class_index)
-        addrs = radix_sort(np.array(pool, dtype=np.int64))
+        addrs = ref_radix_sort(np.array(pool, dtype=np.int64))
         # A slab aligned to 2*size merges with the slab at addr + size;
         # buddy pairs are disjoint by construction, so detection is a
         # vectorized adjacent-element test.
@@ -392,7 +390,9 @@ class RefHostSlabManager:
         slabs.  This discards the existing pool lists entirely, which is
         why the bitmap approach is expensive: it touches the whole region.
         """
-        free = ~self.bitmap.view()
+        import numpy as np
+
+        free = ~np.frombuffer(self.bitmap._bits, dtype=bool)
         new_pools: Dict[int, List[int]] = {c: [] for c in range(NUM_CLASSES)}
         unit_bytes = SLAB_MIN_SIZE
         total_units = self.bitmap.units
@@ -431,6 +431,8 @@ class RefHostSlabManager:
         the region, and (3) the pools account for *all* free units - so a
         leaked or double-counted slab is caught, not papered over.
         """
+        import numpy as np
+
         claimed = np.zeros(self.bitmap.units, dtype=bool)
         for class_index, pool in self.pools.items():
             units = self._units_of(class_index)
@@ -465,6 +467,29 @@ class RefHostSlabManager:
 
     def pool_sizes(self) -> Dict[int, int]:
         return {c: len(pool) for c, pool in self.pools.items()}
+
+
+def ref_radix_sort(values, radix_bits: int = 8):
+    """LSD radix sort of a 1-D array of non-negative int64 values (numpy
+    counting passes per digit): the daemon's sort before it took lists."""
+    import numpy as np
+
+    if values.ndim != 1:
+        raise ValueError("radix_sort expects a 1-D array")
+    if len(values) == 0:
+        return values.copy()
+    if (values < 0).any():
+        raise ValueError("radix_sort requires non-negative values")
+    out = values.copy()
+    max_value = int(out.max())
+    shift = 0
+    mask = (1 << radix_bits) - 1
+    while (max_value >> shift) > 0:
+        digits = (out >> shift) & mask
+        order = np.argsort(digits, kind="stable")
+        out = out[order]
+        shift += radix_bits
+    return out
 
 
 class RefMemoryImage:

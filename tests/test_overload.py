@@ -96,7 +96,7 @@ class TestIngressQueue:
         assert queue.submit(KVOperation.get(b"a"), ignore) is True
         assert list(sim._dq) == [ignore]  # granted at once
         assert queue.counters["admitted_direct"] == 1
-        assert queue.wait_ns.samples() == [0.0]
+        assert queue.wait_ns.samples().tolist() == [0.0]
         assert queue.depth == 0
         assert queue.available == 0  # the slot went to the op
 
