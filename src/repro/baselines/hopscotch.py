@@ -44,14 +44,12 @@ class HopscotchHashTable(SlottedTable):
         allocator: SlabAllocator,
         num_buckets: int,
         base: int = 0,
-        neighborhood: int = NEIGHBORHOOD,
     ) -> None:
-        if num_buckets < neighborhood:
+        if num_buckets < NEIGHBORHOOD:
             raise ConfigurationError(
                 "table must be at least one neighborhood long"
             )
         super().__init__(memory, allocator, num_buckets, base)
-        self.neighborhood = neighborhood
         #: Overflow chains: home bucket -> list of (key, pointer, block)
         #: entries stored in slab-allocated 64 B blocks (modelled per-block).
         self._chains: Dict[int, List[Tuple[bytes, int, int]]] = {}
@@ -61,11 +59,11 @@ class HopscotchHashTable(SlottedTable):
 
     def _read_neighborhood(self, home: int) -> List[Slot]:
         """One contiguous read covering the whole neighborhood."""
-        span = min(self.neighborhood, self.num_buckets - home)
+        span = min(NEIGHBORHOOD, self.num_buckets - home)
         raw = self.memory.read(self._addr(home), span * BUCKET_BYTES)
-        if span < self.neighborhood:  # wraparound tail
+        if span < NEIGHBORHOOD:  # wraparound tail
             raw += self.memory.read(
-                self._addr(0), (self.neighborhood - span) * BUCKET_BYTES
+                self._addr(0), (NEIGHBORHOOD - span) * BUCKET_BYTES
             )
         return decode_slots(raw)
 
@@ -122,7 +120,7 @@ class HopscotchHashTable(SlottedTable):
 
     def _hopscotch_insert(self, home: int, key: bytes, pointer: int) -> bool:
         """Linear-probe for a free slot, then bubble it into reach."""
-        for distance in range(self.neighborhood, MAX_PROBE):
+        for distance in range(NEIGHBORHOOD, MAX_PROBE):
             free_bucket = (home + distance) % self.num_buckets
             slots = self._read_bucket(free_bucket)
             if EMPTY in slots:
@@ -132,7 +130,7 @@ class HopscotchHashTable(SlottedTable):
             return False
         # Bubble the free slot backwards until it is within the
         # neighborhood of `home`.
-        while self._distance(home, free_bucket) >= self.neighborhood:
+        while self._distance(home, free_bucket) >= NEIGHBORHOOD:
             moved = self._bubble(free_bucket, free_slot)
             if moved is None:
                 return False
@@ -145,14 +143,14 @@ class HopscotchHashTable(SlottedTable):
     ) -> Optional[Tuple[int, int]]:
         """Move into the free slot an entry from the H-1 buckets before it
         whose own neighborhood still covers it; returns the slot it left."""
-        for back in range(self.neighborhood - 1, 0, -1):
+        for back in range(NEIGHBORHOOD - 1, 0, -1):
             candidate = (free_bucket - back) % self.num_buckets
             slots = self._read_bucket(candidate)
             for i, (slot_key, slot_pointer) in enumerate(slots):
                 if slot_key is None:
                     continue
                 key_home = self._home(slot_key)
-                if self._distance(key_home, free_bucket) < self.neighborhood:
+                if self._distance(key_home, free_bucket) < NEIGHBORHOOD:
                     self._set_slot(
                         free_bucket, free_slot, (slot_key, slot_pointer)
                     )

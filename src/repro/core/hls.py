@@ -69,16 +69,14 @@ class HLSToolchain:
     def __init__(
         self,
         clock_hz: float = constants.KV_CLOCK_HZ,
-        pcie_bandwidth: float = constants.PCIE_ACHIEVABLE_BANDWIDTH,
         fpga_alms: int = STRATIX_V_ALMS,
         user_budget: float = USER_LOGIC_BUDGET,
     ) -> None:
-        if clock_hz <= 0 or pcie_bandwidth <= 0:
-            raise ConfigurationError("clock and PCIe bandwidth must be > 0")
+        if clock_hz <= 0:
+            raise ConfigurationError("clock must be > 0")
         if fpga_alms <= 0 or not 0 < user_budget <= 1:
             raise ConfigurationError("invalid FPGA budget")
         self.clock_hz = clock_hz
-        self.pcie_bandwidth = pcie_bandwidth
         self.alm_budget = int(fpga_alms * user_budget)
         self._compiled: Dict[int, CompiledFunction] = {}
         self.alms_used = 0
@@ -87,7 +85,7 @@ class HLSToolchain:
 
     def duplication_for(self, element_size: int) -> int:
         """Lanes needed so computation keeps up with PCIe payload rate."""
-        elements_per_sec = self.pcie_bandwidth / element_size
+        elements_per_sec = constants.PCIE_ACHIEVABLE_BANDWIDTH / element_size
         return max(1, math.ceil(elements_per_sec / self.clock_hz))
 
     @staticmethod

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.constants import SLAB_MIN_SIZE, SLAB_SIZES
-from repro.dram.host import anonymous_mapping, nonzero_pages
+from repro.dram.host import anonymous_mapping
 from repro.errors import AllocationError, ConfigurationError, SimulationError
 from repro.sim.stats import Counter
 
@@ -56,7 +56,7 @@ class AllocationBitmap:
 
     One byte per unit, 1 = allocated (or cached on the NIC, i.e. not
     mergeable), in an anonymous mapping: only the units a run touches take
-    memory, and a copy carries only the pages written.
+    memory.
     """
 
     def __init__(self, units: int) -> None:
@@ -64,15 +64,6 @@ class AllocationBitmap:
             raise ConfigurationError("bitmap must cover at least one unit")
         self.units = units
         self._bits = anonymous_mapping(units, "slab allocation bitmap")
-
-    def __getstate__(self) -> dict:  # for copy and pickle: written pages
-        return {**self.__dict__, "_bits": nonzero_pages(self._bits, self.units)}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._bits = anonymous_mapping(self.units, "slab allocation bitmap")
-        for at, page in state["_bits"]:
-            self._bits[at:at + len(page)] = page
 
     def mark_allocated(self, unit: int, count: int) -> None:
         self._check(unit, count)

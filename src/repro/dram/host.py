@@ -36,14 +36,6 @@ def anonymous_mapping(size: int, name: str, asked: int = 0) -> mmap:
         ) from None
 
 
-def nonzero_pages(mapping: mmap, end: int) -> List[Tuple[int, bytes]]:
-    """``(offset, page)`` of each 4 KiB page that holds a nonzero byte, of
-    the pages starting below ``end``: what a copy carries into a fresh
-    mapping, which reads zero elsewhere."""
-    pages = ((at, mapping[at:at + 4096]) for at in range(0, end, 4096))
-    return [(at, page) for at, page in pages if page.count(0) < len(page)]
-
-
 class MemoryImage:
     """A contiguous byte-addressable memory with access counters.
 
@@ -82,23 +74,6 @@ class MemoryImage:
         #: counters["writes"]``, zeroed with them by :meth:`reset_counters`.
         self.accesses = 0
         self._trace: Optional[List[Tuple[str, int, int]]] = None
-
-    def __getstate__(self) -> dict:  # for copy and pickle: the written pages
-        state = {**self.__dict__,
-                 "_table": nonzero_pages(self._table, len(self._table)),
-                 "_data": nonzero_pages(self._data, (self._slots + 1) << 6),
-                 "_group_table": nonzero_pages(
-                     self._group_table, (self._groups + 1) << 5)}
-        del state["_places"], state["_lines"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["size"], state["name"])  # fresh mappings
-        for name in ("_data", "_table", "_group_table"):
-            mapping = getattr(self, name)
-            for at, page in state.pop(name):
-                mapping[at:at + len(page)] = page
-        self.__dict__.update(state)
 
     # -- tracing ------------------------------------------------------------
 

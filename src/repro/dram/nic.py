@@ -2,18 +2,18 @@
 
 4 GiB of DDR3-1600 at 12.8 GB/s with a single channel - "an order of
 magnitude smaller than the KVS storage on host DRAM and slightly slower than
-the PCIe link" (section 3.3.4).  The timing half is a bandwidth server plus
-a fixed access latency, ending in the caller's continuation (there is no
-event to wait on); the functional half is a :class:`MemoryImage` that the
-DRAM cache stores line data in.
+the PCIe link" (section 3.3.4).  The model is timing only: a bandwidth
+server plus a fixed access latency, ending in the caller's continuation
+(there is no event to wait on).  It holds no bytes: the data stays in the
+host :class:`~repro.dram.host.MemoryImage`, and
+:class:`~repro.dram.cache.DramCache` keeps only the tags.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro import constants
-from repro.dram.host import MemoryImage
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthServer
@@ -55,7 +55,6 @@ class NICDram:
         size: int = constants.NIC_DRAM_SIZE,
         bandwidth: float = constants.NIC_DRAM_BANDWIDTH,
         latency_ns: float = constants.NIC_DRAM_LATENCY_NS,
-        image: Optional[MemoryImage] = None,
     ) -> None:
         if not size > 0:
             raise ConfigurationError("NIC DRAM size must be positive")
@@ -69,9 +68,6 @@ class NICDram:
         self.channel = BandwidthServer.from_bytes_per_sec(
             sim, bandwidth, name="nic_dram"
         )
-        #: Functional byte store; sized separately so simulations can use a
-        #: scaled-down image while the timing model keeps the real capacity.
-        self.image = image
         self.counters = Counter()
 
     def access(self, nbytes: int, write: bool, then: Callable) -> None:

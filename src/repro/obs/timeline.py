@@ -42,6 +42,11 @@ DEFAULT_WINDOW_NS = 2000.0
 #: Eight-level bar glyphs for CLI sparklines.
 SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 
+#: Expired deadlines in one window that trigger a flight-recorder dump.
+DEADLINE_STORM_OPS = 8
+#: Faults in one window that trigger a flight-recorder dump.
+FAULT_BURST_OPS = 8
+
 
 def sparkline(values: List[Optional[float]]) -> str:
     """Render a series as a row of eight-level bar glyphs.
@@ -184,23 +189,19 @@ class FlightRecorder:
     Attach to a :class:`~repro.obs.tracer.Tracer` (spans) and pass to a
     :class:`TimelineSampler` (windows + anomaly detection); every
     :meth:`trigger` snapshots both rings into :attr:`dumps`.  Triggers
-    fire on a deadline storm (>= ``deadline_storm_ops`` expiries in one
-    window), a fault burst (>= ``fault_burst_ops`` faults in one window),
-    a node kill (cluster ``alive_nodes`` dropped), and - wired by the
-    soak harness - on soak FAIL.
+    fire on a deadline storm (>= :data:`DEADLINE_STORM_OPS` expiries in
+    one window), a fault burst (>= :data:`FAULT_BURST_OPS` faults in one
+    window), a node kill (cluster ``alive_nodes`` dropped), and - wired
+    by the soak harness - on soak FAIL.
     """
 
     def __init__(
         self,
         span_capacity: int = 256,
         window_capacity: int = 64,
-        deadline_storm_ops: int = 8,
-        fault_burst_ops: int = 8,
     ) -> None:
         if span_capacity <= 0 or window_capacity <= 0:
             raise ConfigurationError("flight recorder capacities must be > 0")
-        self.deadline_storm_ops = deadline_storm_ops
-        self.fault_burst_ops = fault_burst_ops
         self.spans: Deque = deque(maxlen=span_capacity)
         self.windows: Deque[Dict[str, Any]] = deque(maxlen=window_capacity)
         #: One entry per trigger: reason, trigger time, ring snapshots.
@@ -390,12 +391,12 @@ class TimelineSampler:
             return
         for row in emitted:
             recorder.record_window(row)
-        if totals["expired"] >= recorder.deadline_storm_ops:
+        if totals["expired"] >= DEADLINE_STORM_OPS:
             recorder.trigger("deadline_storm", end_ns)
         total_faults = totals["faults"] + (
             cluster_row["faults"] if cluster_row is not None else 0
         )
-        if total_faults >= recorder.fault_burst_ops:
+        if total_faults >= FAULT_BURST_OPS:
             recorder.trigger("fault_burst", end_ns)
         if (
             alive is not None

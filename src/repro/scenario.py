@@ -2,9 +2,11 @@
 
 Every experiment in the repo is the same recipe - a seed, a memory
 size, a corpus, a workload, and a topology of ``shards`` NICs or
-``nodes`` replicated cluster members - so it is written once, here, and
-the CLI subcommands, the chaos harnesses and the benchmark helpers all
-go through :func:`build`.  Everything is derived from ``seed`` (store
+``nodes`` replicated cluster members - so it is written once, here.  The
+CLI subcommands, the chaos harnesses and Figure 16
+(``benchmarks/bench_fig16_ycsb.py``) go through :func:`build`; the
+other benchmarks and the e2e workloads assemble their own stacks.
+Everything is derived from ``seed`` (store
 config, corpus values, workload streams, hardware jitter), so two builds
 with identical arguments replay the identical simulation.
 

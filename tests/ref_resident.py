@@ -515,14 +515,6 @@ class RefMemoryImage:
         self.accesses = 0
         self._trace: Optional[List[Tuple[str, int, int]]] = None
 
-    def __getstate__(self) -> dict:  # for copy and pickle: not the mapping
-        return {**self.__dict__, "_data": self._data[:]}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._data = anonymous_mapping(self.size, self.name)
-        self._data[:] = state["_data"]
-
     # -- tracing ------------------------------------------------------------
 
     def start_trace(self) -> None:

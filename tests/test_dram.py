@@ -1,7 +1,5 @@
 """Unit tests for memory images, NIC DRAM, ECC metadata, and the cache."""
 
-import copy
-import pickle
 import random
 
 import pytest
@@ -109,21 +107,6 @@ class TestMemoryImage:
         with pytest.raises(ConfigurationError, match=str(1 << 62)):
             MemoryImage(1 << 62, name="huge")
 
-    @pytest.mark.parametrize("copier", [
-        copy.copy, copy.deepcopy, lambda mem: pickle.loads(pickle.dumps(mem)),
-    ])
-    def test_a_copy_has_its_own_bytes(self, copier):
-        """A mapping cannot be copied or pickled; the image can, with the
-        same bytes and counters and a mapping of its own."""
-        mem = MemoryImage(4096, name="img")
-        mem.write(100, b"abc")
-        clone = copier(mem)
-        assert (clone.size, clone.name) == (4096, "img")
-        assert clone.peek(0, 4096) == mem.peek(0, 4096)
-        assert clone.counters.snapshot() == mem.counters.snapshot()
-        clone.write(100, b"xyz")
-        assert mem.peek(100, 3) == b"abc" and clone.peek(100, 3) == b"xyz"
-
     #: Not a whole number of 512 B chunks, so the last one is partial.
     _SIZE = 3000
     _ADDR = st.one_of(
@@ -135,9 +118,6 @@ class TestMemoryImage:
         st.builds(lambda line, off: line * 64 + off,
                   st.integers(0, _SIZE // 64 + 1), st.integers(-8, 72)),
     )
-    _COPIERS = (
-        copy.copy, copy.deepcopy, lambda mem: pickle.loads(pickle.dumps(mem)),
-    )
     _OP = st.one_of(
         st.tuples(st.sampled_from(["read", "peek"]), _ADDR,
                   st.one_of(st.integers(-2, 140), st.integers(0, 1100))),
@@ -145,8 +125,6 @@ class TestMemoryImage:
         st.tuples(st.sampled_from(["write", "poke"]), _ADDR,
                   st.one_of(st.binary(max_size=140),
                             st.binary(min_size=400, max_size=1100))),
-        st.tuples(st.just("copy"), st.integers(0, len(_COPIERS) - 1),
-                  st.none()),
         st.tuples(st.sampled_from(["start", "stop", "reset"]), st.none(),
                   st.none()),
     )
@@ -173,9 +151,7 @@ class TestMemoryImage:
         """Every read, write, peek and poke answers as a
         ``bytearray`` of the same size does - the same bytes as ``bytes``,
         the same out-of-range errors - and counts and traces as the model
-        says, within a line, across lines and across chunks, and after a
-        copy, a deepcopy or a pickle round trip has replaced the image.
-        Each chunk is held as its first non-empty write says: line by line
+        says, within a line, across lines and across chunks.  Each chunk is held as its first non-empty write says: line by line
         if that write's part of it lies in one line, else whole."""
         size = self._SIZE
         mem = MemoryImage(size)
@@ -197,9 +173,6 @@ class TestMemoryImage:
                 else:
                     mem.reset_counters()
                     counts = dict.fromkeys(counts, 0)
-                continue
-            if kind == "copy":
-                mem = self._COPIERS[addr](mem)
                 continue
             length = arg if kind in ("read", "peek") else len(arg)
             if addr < 0 or length < 0 or addr + length > size:

@@ -248,39 +248,6 @@ def test_a_1_gib_store_holding_20_000_inline_keys_stays_small():
     assert grown < 8, f"+{grown:.1f} MiB for 20,000 inline keys in 1 GiB"
 
 
-def test_a_copy_of_a_1_gib_store_carries_only_its_written_pages():
-    """A deep copy (the benchmark helpers' filled-store template) carries
-    the nonzero 4 KiB pages of the chunk table and the slab bitmap into
-    its fresh mappings.  Carrying every page grew ``VmRSS`` by 25.9 MiB
-    for these 20,000 inline keys in 1 GiB; the keys, the image's tables
-    and the bitmap come out byte-identical either way."""
-    out = run_fresh(VM_RSS_KIB + """
-        import copy
-        from repro.core.store import KVDirectStore
-
-        keys = [i.to_bytes(8, "big") for i in range(20_000)]
-        store = KVDirectStore.create(memory_size=1 << 30)
-        for key in keys:
-            assert store.put(key, b"v" * 5)
-        before = vm_rss_kib()
-        clone = copy.deepcopy(store)
-        print((vm_rss_kib() - before) / 1024)
-        mem = store.memory
-        ends = {"_data": (mem._slots + 1) << 6, "_table": len(mem._table),
-                "_group_table": (mem._groups + 1) << 5}
-        for name, end in ends.items():
-            assert getattr(clone.memory, name)[:end] == (
-                getattr(mem, name)[:end]
-            ), name
-        assert clone.host_slab.bitmap._bits[:] == (
-            store.host_slab.bitmap._bits[:]
-        )
-        assert all(clone.peek(key) == b"v" * 5 for key in keys)
-    """)
-    grown = float(out)
-    assert grown < 10, f"+{grown:.1f} MiB to copy 20,000 keys in 1 GiB"
-
-
 #: A ``point-direct``-shaped run fed 30,000 ops from a generator: 20,000
 #: inline 13 B keys, half PUTs, 250 in flight; prints its VmRSS at the
 #: 5,000th result and after the run, its closing percentile read included.

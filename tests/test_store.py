@@ -1,5 +1,7 @@
 """Unit tests for the public KVDirectStore API."""
 
+import copy
+import pickle
 import random
 import struct
 from dataclasses import replace
@@ -103,6 +105,14 @@ class TestLifecycle:
         config = replace(KVDirectConfig(), inline_threshold=10)
         assert config.inline_threshold == 10
         assert config.memory_size == KVDirectConfig().memory_size
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, pickle.dumps])
+    def test_a_store_cannot_be_deep_copied_or_pickled(self, store, copier):
+        """A store's bytes live only in anonymous mappings, which refuse to
+        be pickled, and nothing carries them into a copy."""
+        store.put(b"key", b"v" * 60)
+        with pytest.raises(TypeError):
+            copier(store)
 
 
 class TestCrud(object):
