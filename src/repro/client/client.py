@@ -13,7 +13,8 @@ lost flights with exponential backoff.  A lost *request* never reached the
 server, so the whole batch is resent; a lost *response* carries results of
 operations that already executed, so only the response flight is
 retransmitted (the server keeps a retransmit buffer) - atomics are never
-applied twice.  When the retry budget is exhausted the batch fails with
+applied twice.  Past :data:`RETRY_LIMIT` retries of one flight, or when
+the shared retry budget refuses one, the batch fails with
 :class:`~repro.errors.RetryExhausted`.
 
 Overload coherence (see ``docs/ROBUSTNESS.md``): batches may carry an
@@ -21,15 +22,19 @@ absolute deadline on the wire; :class:`~repro.errors.ServerBusy` NACKs
 from the server's shed policy are retried on a backoff schedule *distinct*
 from loss retries, gated by a shared :class:`~repro.client.robust.RetryBudget`
 and a :class:`~repro.client.robust.CircuitBreaker` so a fleet of retrying
-clients cannot amplify the very overload being shed.
+clients cannot amplify the very overload being shed.  Each retry kind is
+decided by its own :class:`~repro.client.robust.RetryPolicy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.client.robust import BackoffPolicy, CircuitBreaker, RetryBudget
+from repro.client.robust import (
+    BUDGET, LIMIT, BackoffPolicy, CircuitBreaker, RetryBudget, RetryPolicy,
+)
 from repro.core.operations import FanOut, KVOperation, KVResult, Lane
 from repro.core.processor import KVProcessor
 from repro.driver import Sink, latency_fields
@@ -45,6 +50,19 @@ from repro.network.rdma import packet_wire_bytes
 from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Histogram, mops
+
+#: Retries of one lost flight before its batch fails with RetryExhausted,
+#: and the loss backoff before retry ``n``: ``RETRY_BACKOFF_NS * 2**(n-1)``
+#: capped at ``MAX_BACKOFF_NS`` (None: uncapped) and stretched by up to
+#: ``BACKOFF_JITTER`` (0: the exact schedule), as the busy backoff is.
+RETRY_LIMIT = 8
+RETRY_BACKOFF_NS = 1000.0
+MAX_BACKOFF_NS: Optional[float] = None
+BACKOFF_JITTER = 0.0
+#: ServerBusy retry rounds of one batch before its NACKed ops give up,
+#: and the busy backoff before round ``n``: ``BUSY_BACKOFF_NS * 2**(n-1)``.
+BUSY_RETRY_LIMIT = 4
+BUSY_BACKOFF_NS = 2000.0
 
 
 @dataclass
@@ -77,26 +95,21 @@ class ClientStats:
     breaker_opens: int = 0
 
     def as_dict(self) -> Dict[str, Optional[float]]:
+        """Every field but the wire byte counts, as floats (None kept)."""
         return {
-            "operations": float(self.operations),
-            "elapsed_ns": self.elapsed_ns,
-            "throughput_mops": self.throughput_mops,
-            "latency_mean_ns": self.latency_mean_ns,
-            "latency_p50_ns": self.latency_p50_ns,
-            "latency_p95_ns": self.latency_p95_ns,
-            "latency_p99_ns": self.latency_p99_ns,
-            "retries": float(self.retries),
-            "failed_ops": float(self.failed_ops),
-            "busy_nacks": float(self.busy_nacks),
-            "busy_retries": float(self.busy_retries),
-            "busy_give_ups": float(self.busy_give_ups),
-            "deadline_expired": float(self.deadline_expired),
-            "breaker_opens": float(self.breaker_opens),
+            name: None if value is None else float(value)
+            for name, value in vars(self).items()
+            if not name.endswith("_on_wire")
         }
 
 
 class KVClient:
-    """Drives a :class:`~repro.core.processor.KVProcessor` over the network."""
+    """Drives a :class:`~repro.core.processor.KVProcessor` over the network.
+
+    Its retry limits and backoffs are this module's constants
+    (``RETRY_LIMIT``, ``RETRY_BACKOFF_NS``, ``MAX_BACKOFF_NS``,
+    ``BACKOFF_JITTER``, ``BUSY_RETRY_LIMIT``, ``BUSY_BACKOFF_NS``), read
+    when it is built, like ``retry_budget`` and ``breaker``."""
 
     def __init__(
         self,
@@ -104,15 +117,9 @@ class KVClient:
         processor: KVProcessor,
         batch_size: int = 32,
         max_outstanding_batches: int = 16,
-        retry_limit: int = 8,
-        retry_backoff_ns: float = 1000.0,
         checksum: bool = False,
-        max_backoff_ns: Optional[float] = None,
-        backoff_jitter: float = 0.0,
         seed: int = 0,
         deadline_budget_ns: Optional[float] = None,
-        busy_retry_limit: int = 4,
-        busy_backoff_ns: float = 2000.0,
         retry_budget: Optional[RetryBudget] = None,
         breaker: Optional[CircuitBreaker] = None,
         sink: Optional[Sink] = None,
@@ -121,19 +128,6 @@ class KVClient:
             raise ConfigurationError("batch size must be positive")
         if max_outstanding_batches <= 0:
             raise ConfigurationError("need at least one outstanding batch")
-        if type(retry_limit) is not int or retry_limit < 0:
-            raise ConfigurationError(
-                f"retry limit must be a non-negative int: {retry_limit!r}"
-            )
-        if not retry_backoff_ns >= 0:
-            raise ConfigurationError("retry backoff must be non-negative")
-        if type(busy_retry_limit) is not int or busy_retry_limit < 0:
-            raise ConfigurationError(
-                "busy retry limit must be a non-negative int: "
-                f"{busy_retry_limit!r}"
-            )
-        if not busy_backoff_ns >= 0:
-            raise ConfigurationError("busy backoff must be non-negative")
         if deadline_budget_ns is not None and not (
             0 < deadline_budget_ns < 2 ** 64
         ):
@@ -146,31 +140,21 @@ class KVClient:
         self.processor = processor
         self.batch_size = batch_size
         self.max_outstanding = max_outstanding_batches
-        self.retry_limit = retry_limit
-        self.retry_backoff_ns = retry_backoff_ns
         #: Seal request payloads with the FNV-1a integrity trailer.
         self.checksum = checksum
         #: Per-batch deadline: stamped on the wire as ``now + budget``.
         self.deadline_budget_ns = deadline_budget_ns
-        self.busy_retry_limit = busy_retry_limit
         self.retry_budget = retry_budget
         self.breaker = breaker
         #: Loss retries and ServerBusy retries back off on *independent*
-        #: seeded streams - a loss burst must not perturb busy pacing.
-        self._loss_backoff = BackoffPolicy(
-            retry_backoff_ns,
-            max_ns=max_backoff_ns,
-            jitter=backoff_jitter,
-            seed=seed,
-            stream="loss",
-        )
-        self._busy_backoff = BackoffPolicy(
-            busy_backoff_ns,
-            max_ns=max_backoff_ns,
-            jitter=backoff_jitter,
-            seed=seed,
-            stream="busy",
-        )
+        #: seeded streams - a loss burst must not perturb busy pacing -
+        #: and share the budget and breaker.
+        self._loss = RetryPolicy(RETRY_LIMIT, BackoffPolicy(
+            RETRY_BACKOFF_NS, MAX_BACKOFF_NS, BACKOFF_JITTER, seed, "loss"
+        ), retry_budget, breaker)
+        self._busy = RetryPolicy(BUSY_RETRY_LIMIT, BackoffPolicy(
+            BUSY_BACKOFF_NS, MAX_BACKOFF_NS, BACKOFF_JITTER, seed, "busy"
+        ), retry_budget, breaker)
         self.latencies = Histogram()
         #: Responses keyed by op sequence number (ops with seq >= 0;
         #: latest write wins on a reused seq), filled by the default sink.
@@ -254,25 +238,16 @@ class KVClient:
     ) -> MetricsRegistry:
         """Register the client's live metrics under ``prefix``."""
         registry.register(f"{prefix}.latency_ns", self.latencies)
-        registry.register_gauge(f"{prefix}.retries", lambda: self.retries)
-        registry.register_gauge(
-            f"{prefix}.failed_ops", lambda: self.failed_ops
-        )
-        registry.register_gauge(
-            f"{prefix}.request_bytes", lambda: self._request_bytes
-        )
-        registry.register_gauge(
-            f"{prefix}.response_bytes", lambda: self._response_bytes
-        )
-        registry.register_gauge(
-            f"{prefix}.busy_nacks", lambda: self.busy_nacks
-        )
-        registry.register_gauge(
-            f"{prefix}.busy_retries", lambda: self.busy_retries
-        )
-        registry.register_gauge(
-            f"{prefix}.deadline_expired", lambda: self.deadline_expired
-        )
+        for name, attr in (
+            ("retries", "retries"), ("failed_ops", "failed_ops"),
+            ("request_bytes", "_request_bytes"),
+            ("response_bytes", "_response_bytes"),
+            ("busy_nacks", "busy_nacks"), ("busy_retries", "busy_retries"),
+            ("deadline_expired", "deadline_expired"),
+        ):
+            registry.register_gauge(
+                f"{prefix}.{name}", partial(getattr, self, attr)
+            )
         if self.breaker is not None:
             breaker = self.breaker
             registry.register_gauge(
@@ -418,12 +393,12 @@ class _Batch:
     def send(self, _kick) -> None:
         """One round: wait out an open breaker, then the request flight."""
         client = self.client
-        breaker = client.breaker
-        if breaker is not None and not breaker.allow():
-            wait = max(breaker.wait_ns(), 1.0)
-            client._trace("client.breaker.wait", f"{wait:.0f}ns")
-            client.sim.call_after(wait, self.send)
-            return
+        if client.breaker is not None:
+            hold = client._busy.hold_ns()
+            if hold:
+                client._trace("client.breaker.wait", f"{hold:.0f}ns")
+                client.sim.call_after(hold, self.send)
+                return
         self.payload = encode_batch(
             self.pending, checksum=client.checksum, deadline_ns=self.deadline
         )
@@ -466,19 +441,18 @@ class _Batch:
             direction = "response" if self.response else "request"
             lost = f"{direction} flight lost {self.attempt} times"
             waited = f"waited {self.waited:.0f} ns in backoff"
-            budget = client.retry_budget
-            if self.attempt > client.retry_limit:
+            delay = client._loss.retry_after(self.attempt)
+            if delay is LIMIT:
                 error = RetryExhausted(
-                    f"{lost} (retry limit {client.retry_limit}, {waited})"
+                    f"{lost} (retry limit {client._loss.limit}, {waited})"
                 )
-            elif budget is not None and not budget.try_spend():
+            elif delay is BUDGET:
                 error = RetryExhausted(
                     f"{lost} and the shared retry budget is exhausted "
                     f"({waited})"
                 )
             else:
                 client.retries += 1
-                delay = client._loss_backoff.delay(self.attempt)
                 self.waited += delay
                 client._trace(
                     "client.retry",
@@ -529,14 +503,13 @@ class _Batch:
         busy_ops = self.busy_ops
         if busy_ops:
             self.busy_attempt += 1
-            budget = client.retry_budget
-            if self.busy_attempt > client.busy_retry_limit:
+            delay = client._busy.retry_after(self.busy_attempt)
+            if delay is LIMIT:
                 client._give_up(busy_ops, "busy retry limit")
-            elif budget is not None and not budget.try_spend():
+            elif delay is BUDGET:
                 client._give_up(busy_ops, "retry budget exhausted")
             else:
                 client.busy_retries += 1
-                delay = client._busy_backoff.delay(self.busy_attempt)
                 client._trace(
                     "client.busy_retry",
                     f"ops={len(busy_ops)} attempt={self.busy_attempt} "

@@ -3,7 +3,8 @@
 Retries amplify overload: a server shedding 50 % of arrivals sees its
 offered load *double* if every NACK is retried immediately.  The three
 pieces here keep a fleet of retrying clients from melting the server they
-are trying to protect themselves against (see ``docs/ROBUSTNESS.md``):
+are trying to protect themselves against (see ``docs/ROBUSTNESS.md``),
+and :class:`RetryPolicy` decides each retry with them:
 
 - :class:`BackoffPolicy` - capped exponential backoff with deterministic
   seeded jitter, one independent stream per retry *kind* (loss vs busy).
@@ -21,7 +22,7 @@ byte-identically.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -49,7 +50,7 @@ class BackoffPolicy:
     def __init__(
         self,
         base_ns: float,
-        max_ns: float = None,
+        max_ns: Optional[float] = None,
         jitter: float = 0.0,
         seed: int = 0,
         stream: str = "loss",
@@ -77,8 +78,9 @@ class BackoffPolicy:
         # two, so a long retry run saturates at max_ns instead of raising
         # OverflowError; below the cap the product is the same float.
         delay = self.base_ns * 2.0 ** (attempt - 1 if attempt < 1024 else 1023)
-        if self.max_ns is not None:
-            delay = min(delay, self.max_ns)
+        # min() as a comparison: RetryPolicy.retry_after is a retry's call.
+        if self.max_ns is not None and self.max_ns < delay:
+            delay = self.max_ns
         if self.jitter:
             delay *= 1.0 + self.jitter * self._rng.random()
         return delay
@@ -107,33 +109,31 @@ class RetryBudget:
         self.spent = 0
         self.refused = 0
 
-    def try_spend(self, n: float = 1.0) -> bool:
-        """Spend ``n`` tokens if available; ``False`` means fail fast."""
-        if self.tokens < n:
+    def try_spend(self) -> bool:
+        """Spend one token if available; ``False`` means fail fast."""
+        if self.tokens < 1.0:
             self.refused += 1
             return False
-        self.tokens -= n
+        self.tokens -= 1.0
         self.spent += 1
         return True
 
-    def on_success(self, n: float = 1.0) -> None:
-        """Credit the pool after ``n`` successful flights."""
-        self.tokens = min(
-            self.capacity, self.tokens + n * self.refill_per_success
-        )
+    def on_success(self) -> None:
+        """Credit the pool after one successful flight."""
+        self.tokens = min(self.capacity, self.tokens + self.refill_per_success)
 
 
 class CircuitBreaker:
     """Closed / open / half-open breaker over a sliding time window.
 
-    Outcomes (success or failure - NACKs and deadline misses both count
-    as failures) are :meth:`record`-ed with the *simulated* clock read
-    from ``clock`` (wire to ``sim: lambda: sim.now``).  When, within the
-    last ``window_ns``, at least ``min_samples`` outcomes were seen and
-    the failure fraction reaches ``failure_threshold``, the breaker
-    *opens*: :meth:`allow` refuses for ``open_ns``.  The first call after
-    the open period moves to *half-open* - one probe is allowed; its
-    success closes the breaker, its failure re-opens it.
+    Outcomes (success or failure; which failures count is the caller's,
+    see ``docs/ROBUSTNESS.md``) are :meth:`record`-ed with the *simulated*
+    clock read from ``clock`` (wire to ``sim: lambda: sim.now``).  When,
+    within the last ``window_ns``, at least ``min_samples`` outcomes were
+    seen and the failure fraction reaches ``failure_threshold``, the
+    breaker *opens*: :meth:`allow` refuses for ``open_ns``.  The first
+    call after the open period moves to *half-open* - one probe is
+    allowed; its success closes the breaker, its failure re-opens it.
     """
 
     def __init__(
@@ -215,3 +215,46 @@ class CircuitBreaker:
         self._events = [
             (when, ok) for when, ok in self._events if when >= cutoff
         ]
+
+
+
+#: What :meth:`RetryPolicy.retry_after` answers in place of a delay when
+#: the kind's attempt limit is spent, or the shared budget has no token.
+LIMIT = "limit"
+BUDGET = "budget"
+
+
+class RetryPolicy:
+    """One retry kind's decision: its attempt limit and seeded backoff
+    stream over the caller's shared budget and breaker (either ``None``).
+    Callers record outcomes themselves, inline on their success paths."""
+
+    __slots__ = ("limit", "backoff", "budget", "breaker")
+
+    def __init__(self, limit: int, backoff: BackoffPolicy,
+                 budget: Optional[RetryBudget],
+                 breaker: Optional[CircuitBreaker]) -> None:
+        if type(limit) is not int or limit < 0:
+            raise ConfigurationError(
+                f"retry limit must be a non-negative int: {limit!r}"
+            )
+        self.limit, self.backoff = limit, backoff
+        self.budget, self.breaker = budget, breaker
+
+    def hold_ns(self) -> float:
+        """Ns to hold a send for an open breaker (at least 1, so the
+        re-check is a later instant); 0 sends now."""
+        breaker = self.breaker
+        if breaker is None or breaker.allow():
+            return 0.0
+        return max(breaker.wait_ns(), 1.0)
+
+    def retry_after(self, attempt: int) -> Union[float, str]:
+        """The backoff before retry ``attempt`` (1-based), or why to give
+        up: :data:`LIMIT`, else :data:`BUDGET` if the budget refuses."""
+        if attempt > self.limit:
+            return LIMIT
+        budget = self.budget
+        if budget is not None and not budget.try_spend():
+            return BUDGET
+        return self.backoff.delay(attempt)

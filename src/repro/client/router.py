@@ -36,7 +36,9 @@ from itertools import chain, islice
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.client.client import ClientStats, KVClient
-from repro.client.robust import BackoffPolicy, CircuitBreaker, RetryBudget
+from repro.client.robust import (
+    BUDGET, LIMIT, BackoffPolicy, CircuitBreaker, RetryBudget, RetryPolicy,
+)
 from repro.core.hashing import fnv1a64
 from repro.core.operations import (
     FanOut,
@@ -55,6 +57,17 @@ from repro.errors import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.stats import Counter, Histogram, mops
+
+#: NACKed attempts of one cluster operation before it gives up.
+RETRY_LIMIT = 32
+#: Wire time between routing an attempt and its arrival at the nodes.
+ROUTE_DELAY_NS = 50.0
+#: The cluster backoff stream: ``min(RETRY_BACKOFF_NS * 2**(n-1),
+#: MAX_BACKOFF_NS)`` before retry ``n``, stretched by up to
+#: ``BACKOFF_JITTER``.
+RETRY_BACKOFF_NS = 1_000.0
+MAX_BACKOFF_NS = 100_000.0
+BACKOFF_JITTER = 0.1
 
 
 @dataclass
@@ -76,17 +89,11 @@ class RouterStats:
     latency_p99_ns: Optional[float] = None
     latency_mean_ns: Optional[float] = None
 
-    def as_dict(self) -> Dict[str, float]:
+    def as_dict(self) -> Dict[str, Optional[float]]:
+        """Every field but ``per_shard``, as floats (None kept)."""
         return {
-            "shards": float(self.shards),
-            "operations": float(self.operations),
-            "elapsed_ns": self.elapsed_ns,
-            "throughput_mops": self.throughput_mops,
-            "per_shard_mops": self.per_shard_mops,
-            "latency_p50_ns": self.latency_p50_ns,
-            "latency_p95_ns": self.latency_p95_ns,
-            "latency_p99_ns": self.latency_p99_ns,
-            "latency_mean_ns": self.latency_mean_ns,
+            name: None if value is None else float(value)
+            for name, value in vars(self).items() if name != "per_shard"
         }
 
 
@@ -194,17 +201,17 @@ class ClusterRouter:
     :meth:`perform` is a chain that hands its outcome to a continuation
     (``router.perform(op, deadline_ns, then)``): each attempt re-reads
     the :class:`~repro.multi.cluster.ClusterMap` and its epoch, pays
-    ``route_delay_ns`` of wire time (during which the epoch may move -
+    :data:`ROUTE_DELAY_NS` of wire time (during which the epoch may move -
     that is how :class:`~repro.errors.WrongEpoch` fires) and submits the
     operation with that epoch to the slot's primary (a RANGE/SCAN: to
-    every primary, merging the partial results).  Retryable NACKs back
-    off through a dedicated :class:`~repro.client.robust.BackoffPolicy`
-    stream, bounded by ``retry_limit`` and the optional
-    :class:`~repro.client.robust.RetryBudget`; the optional
-    :class:`~repro.client.robust.CircuitBreaker` fails fast while open.
+    every primary, merging the partial results).  A
+    :class:`~repro.client.robust.RetryPolicy` decides retryable NACKs: up
+    to :data:`RETRY_LIMIT`, on the ``"cluster"`` backoff stream (jitter
+    seeded by ``seed``), under the optional budget and breaker.
     Non-retryable failures (shed, deadline, injected faults) reach the
-    continuation unchanged.  :meth:`run` hands every successful result
-    to ``sink(op, result)`` when one is given, and keeps none itself.
+    continuation unchanged and unrecorded.  :meth:`run` hands every
+    successful result to ``sink(op, result)`` when one is given, and
+    keeps none itself.
     """
 
     def __init__(
@@ -212,32 +219,17 @@ class ClusterRouter:
         sim: Simulator,
         cluster,
         seed: int = 0,
-        retry_limit: int = 32,
-        route_delay_ns: float = 50.0,
-        backoff: Optional[BackoffPolicy] = None,
         retry_budget: Optional[RetryBudget] = None,
         breaker: Optional[CircuitBreaker] = None,
         sink: Optional[Sink] = None,
     ) -> None:
-        if type(retry_limit) is not int or retry_limit < 0:
-            raise ConfigurationError(
-                f"retry limit must be a non-negative int: {retry_limit!r}"
-            )
-        if not route_delay_ns >= 0:
-            raise ConfigurationError("route delay must be non-negative")
         self.sim = sim
         self.cluster = cluster
-        self.retry_limit = retry_limit
-        self.route_delay_ns = route_delay_ns
-        self.backoff = backoff or BackoffPolicy(
-            base_ns=1_000.0,
-            max_ns=100_000.0,
-            jitter=0.1,
-            seed=seed,
-            stream="cluster",
-        )
         self.budget = retry_budget
         self.breaker = breaker
+        self._retry = RetryPolicy(RETRY_LIMIT, BackoffPolicy(
+            RETRY_BACKOFF_NS, MAX_BACKOFF_NS, BACKOFF_JITTER, seed, "cluster"
+        ), retry_budget, breaker)
         self.sink = sink
         self.counters = Counter()
         self.latency_ns = Histogram()
@@ -325,22 +317,16 @@ class ClusterRouter:
 
     def robustness_snapshot(self) -> Dict[str, int]:
         """The retry/fast-fail counters one soak report surfaces."""
-        snapshot = {
-            "node_down_retries": self.counters.get("node_down_retries"),
-            "wrong_epoch_retries": self.counters.get("wrong_epoch_retries"),
-            "retry_give_ups": self.counters.get("give_ups"),
-            "breaker_fast_fails": self.counters.get("breaker_fast_fails"),
-            "breaker_opens": (
-                self.breaker.opens if self.breaker is not None else 0
-            ),
-            "budget_spent": (
-                self.budget.spent if self.budget is not None else 0
-            ),
-            "budget_refused": (
-                self.budget.refused if self.budget is not None else 0
-            ),
+        counters, budget = self.counters, self.budget
+        return {
+            "node_down_retries": counters.get("node_down_retries"),
+            "wrong_epoch_retries": counters.get("wrong_epoch_retries"),
+            "retry_give_ups": counters.get("give_ups"),
+            "breaker_fast_fails": counters.get("breaker_fast_fails"),
+            "breaker_opens": self.breaker.opens if self.breaker else 0,
+            "budget_spent": budget.spent if budget else 0,
+            "budget_refused": budget.refused if budget else 0,
         }
-        return snapshot
 
     def register_metrics(self, registry) -> None:
         """Register the router's counters under ``cluster.router``."""
@@ -369,11 +355,12 @@ class _Routed:
 
     def route(self, _kick=None) -> None:
         router = self.router
-        breaker = router.breaker
-        if breaker is not None and not breaker.allow():
-            router.counters["breaker_fast_fails"] += 1
-            router.sim.call_after(max(breaker.wait_ns(), 1.0), self.route)
-            return
+        if router.breaker is not None:
+            hold = router._retry.hold_ns()
+            if hold:
+                router.counters["breaker_fast_fails"] += 1
+                router.sim.call_after(hold, self.route)
+                return
         cmap = router.cluster.map
         op = self.op
         if self.scan:
@@ -391,7 +378,7 @@ class _Routed:
         # Wire time between routing and arrival: an epoch bump can land in
         # this window, which is exactly the stale-routing race the
         # WrongEpoch NACK exists for.
-        router.sim.call_after(router.route_delay_ns, self.arrive)
+        router.sim.call_after(ROUTE_DELAY_NS, self.arrive)
 
     def arrive(self, _kick) -> None:
         nodes = self.router.cluster.nodes
@@ -440,20 +427,16 @@ class _Routed:
             router.breaker.record(False)
         self.attempt += 1
         op = self.op
-        if self.attempt > router.retry_limit:
-            router.counters["give_ups"] += 1
-            self.then(None, RetryExhausted(
-                f"{op.op.name} on {op.key!r} NACKed {self.attempt} times"
-            ))
-        elif router.budget is not None and not router.budget.try_spend():
-            router.counters["give_ups"] += 1
-            self.then(None, RetryExhausted(
-                f"{op.op.name} on {op.key!r}: retry budget exhausted"
-            ))
+        delay = router._retry.retry_after(self.attempt)
+        if delay is LIMIT:
+            why = f" NACKed {self.attempt} times"
+        elif delay is BUDGET:
+            why = ": retry budget exhausted"
         else:
-            router.sim.call_after(
-                router.backoff.delay(self.attempt), self.route
-            )
+            router.sim.call_after(delay, self.route)
+            return
+        router.counters["give_ups"] += 1
+        self.then(None, RetryExhausted(f"{op.op.name} on {op.key!r}{why}"))
 
     def answered(self) -> None:
         router = self.router

@@ -7,11 +7,15 @@ sweep's open-loop submitter used to be generator processes.  They are
 chains now, and must occupy the same queue positions (``docs/MODELING.md``,
 "Rule for writing a chain").  Their bodies live on here verbatim, as
 subclasses that put them back - a test-only reference that
-``tests/test_cold_chains.py`` runs next to the chains.  The three edits:
+``tests/test_cold_chains.py`` runs next to the chains.  The four edits:
 a wait on several processes goes through :func:`tests.waiting.all_of`,
 the kernel's old ``Simulator.all_of``; ``RefKVClient.start`` drains the
-lane ``KVClient.run`` now hands it into the list it used to get; and its
-batch hands ``KVClient._collect`` no key hashes (it submits none).
+lane ``KVClient.run`` now hands it into the list it used to get; its
+batch hands ``KVClient._collect`` no key hashes (it submits none); and
+the retry limits and backoff streams, once constructor options, are read
+from the live object's retry policies (``_loss``, ``_busy``, ``_retry``)
+and the route delay from ``repro.client.router.ROUTE_DELAY_NS``, while
+the limit, budget, backoff and breaker decisions stay written out here.
 """
 
 import sys
@@ -23,6 +27,7 @@ from typing import (
 
 from repro.chaos.overload import _processor, _workload
 from repro.chaos.soak import SoakReport, _Soak
+from repro.client import router as router_module
 from repro.client.client import KVClient, _response_size
 from repro.client.router import ClusterRouter, RouterStats, ShardRouter
 from repro.core.admission import OverloadPolicy
@@ -176,7 +181,7 @@ class RefKVClient(KVClient):
             if not busy_ops:
                 break
             busy_attempt += 1
-            if busy_attempt > self.busy_retry_limit:
+            if busy_attempt > self._busy.limit:
                 self._give_up(busy_ops, "busy retry limit")
                 break
             if self.retry_budget is not None and not (
@@ -185,7 +190,7 @@ class RefKVClient(KVClient):
                 self._give_up(busy_ops, "retry budget exhausted")
                 break
             self.busy_retries += 1
-            delay = self._busy_backoff.delay(busy_attempt)
+            delay = self._busy.backoff.delay(busy_attempt)
             self._trace(
                 "client.busy_retry",
                 f"ops={len(busy_ops)} attempt={busy_attempt} "
@@ -226,10 +231,10 @@ class RefKVClient(KVClient):
                 yield flight()
             except FaultInjected as exc:
                 attempt += 1
-                if attempt > self.retry_limit:
+                if attempt > self._loss.limit:
                     raise RetryExhausted(
                         f"{direction} flight lost {attempt} times "
-                        f"(retry limit {self.retry_limit}, waited "
+                        f"(retry limit {self._loss.limit}, waited "
                         f"{waited:.0f} ns in backoff)"
                     ) from exc
                 if self.retry_budget is not None and not (
@@ -241,7 +246,7 @@ class RefKVClient(KVClient):
                         f"{waited:.0f} ns in backoff)"
                     ) from exc
                 self.retries += 1
-                delay = self._loss_backoff.delay(attempt)
+                delay = self._loss.backoff.delay(attempt)
                 waited += delay
                 self._trace(
                     "client.retry",
@@ -367,7 +372,7 @@ class RefClusterRouter(ClusterRouter):
             # Wire time between routing and arrival: an epoch bump can
             # land in this window, which is exactly the stale-routing race
             # the WrongEpoch NACK exists for.
-            yield sim.timeout(self.route_delay_ns)
+            yield sim.timeout(router_module.ROUTE_DELAY_NS)
             events = [
                 cluster.nodes[node].submit(sent, deadline_ns, epoch)
                 for node in targets
@@ -397,7 +402,7 @@ class RefClusterRouter(ClusterRouter):
             if self.breaker is not None:
                 self.breaker.record(False)
             attempt += 1
-            if attempt > self.retry_limit:
+            if attempt > self._retry.limit:
                 self.counters["give_ups"] += 1
                 raise RetryExhausted(
                     f"{op.op.name} on {op.key!r} NACKed {attempt} times"
@@ -407,7 +412,7 @@ class RefClusterRouter(ClusterRouter):
                 raise RetryExhausted(
                     f"{op.op.name} on {op.key!r}: retry budget exhausted"
                 )
-            yield sim.timeout(self.backoff.delay(attempt))
+            yield sim.timeout(self._retry.backoff.delay(attempt))
 
     def run(self, ops: Sequence[KVOperation], concurrency: int = 64) -> dict:
         """Closed-loop run: ``concurrency`` workers drain the op stream

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro import scenario
 from repro.chaos import SoakConfig, run_soak
+from repro.client import router as router_module
 from repro.client.robust import RetryBudget
 from repro.client.router import ClusterRouter
 from repro.core.config import KVDirectConfig
@@ -545,6 +546,10 @@ class TestRetryLoop:
     scans (every primary): each retryable NACK re-reads the map and
     retries; the retry limit and the retry budget bound the churn."""
 
+    @pytest.fixture(autouse=True)
+    def _slow_route(self, monkeypatch):
+        monkeypatch.setattr(router_module, "ROUTE_DELAY_NS", 100.0)
+
     def _setup(self, **router_kwargs):
         sim = Simulator()
         cluster = Cluster(
@@ -552,8 +557,7 @@ class TestRetryLoop:
             config=KVDirectConfig(memory_size=2 << 20, ordered_index=True),
         )
         cluster.preload(b"key000000", b"old")
-        router = ClusterRouter(sim, cluster, route_delay_ns=100.0,
-                               **router_kwargs)
+        router = ClusterRouter(sim, cluster, **router_kwargs)
         return sim, cluster, router
 
     def _bump_in_flight(self, sim, cluster):
@@ -598,8 +602,9 @@ class TestRetryLoop:
         assert router.counters.get("wrong_epoch_retries") >= 1
         assert router.counters.get("give_ups") == 0
 
-    def test_retry_limit_bounds_epoch_churn(self, kind):
-        sim, cluster, router = self._setup(retry_limit=0)
+    def test_retry_limit_bounds_epoch_churn(self, kind, monkeypatch):
+        monkeypatch.setattr(router_module, "RETRY_LIMIT", 0)
+        sim, cluster, router = self._setup()
         self._bump_in_flight(sim, cluster)
         assert isinstance(self._outcome(sim, router, kind), RetryExhausted)
         assert router.counters.get("give_ups") == 1

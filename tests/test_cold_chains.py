@@ -27,6 +27,7 @@ import pytest
 from repro import scenario
 from repro.chaos import overload
 from repro.chaos.soak import SoakConfig, _Soak
+from repro.client import client as client_module
 from repro.client.client import KVClient
 from repro.client.robust import CircuitBreaker, RetryBudget
 from repro.client.router import ClusterRouter, ShardRouter
@@ -164,18 +165,22 @@ def client_run(client_cls, fault_plan, ops, **client_options):
 
 class TestClientChainsMatchTheGenerators:
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_loss_busy_nacks_breaker_and_budget(self, seed):
+    def test_loss_busy_nacks_breaker_and_budget(self, seed, monkeypatch):
         plan = FaultPlan(
             packet_loss_prob=0.1, packet_duplicate_prob=0.1,
             packet_reorder_prob=0.1,
         )
+        for name, value in (
+            ("RETRY_LIMIT", 16), ("RETRY_BACKOFF_NS", 300.0),
+            ("BACKOFF_JITTER", 0.2), ("BUSY_RETRY_LIMIT", 3),
+            ("BUSY_BACKOFF_NS", 500.0),
+        ):
+            monkeypatch.setattr(client_module, name, value)
 
         def run(client_cls):
             sim_clock = []
             options = dict(
-                batch_size=8, max_outstanding_batches=6, retry_limit=16,
-                retry_backoff_ns=300.0, backoff_jitter=0.2, seed=seed,
-                busy_retry_limit=3, busy_backoff_ns=500.0,
+                batch_size=8, max_outstanding_batches=6, seed=seed,
                 deadline_budget_ns=40_000.0,
                 retry_budget=RetryBudget(capacity=400.0, refill_per_success=0.5),
                 breaker=CircuitBreaker(
@@ -201,12 +206,16 @@ class TestClientChainsMatchTheGenerators:
             chains, reference, reference[1].succeeded("_send_batch")
         )
 
-    def test_retry_exhaustion_fails_the_run_at_the_same_entry(self):
+    def test_retry_exhaustion_fails_the_run_at_the_same_entry(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(client_module, "RETRY_LIMIT", 1)
+        monkeypatch.setattr(client_module, "RETRY_BACKOFF_NS", 200.0)
+
         def run(client_cls):
             return client_run(
                 client_cls, FaultPlan(packet_loss_prob=0.6),
-                mixed_ops(3, 120), batch_size=4, retry_limit=1,
-                retry_backoff_ns=200.0, seed=3,
+                mixed_ops(3, 120), batch_size=4, seed=3,
             )
 
         reference, chains = run(RefKVClient), run(KVClient)

@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from repro.client import KVClient
+from repro.client import client as client_module
 from repro.core.config import KVDirectConfig
 from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
@@ -275,17 +276,18 @@ class TestErrorTaxonomy:
 
 
 def _faulted_client_run(seed, plan, nops=96, retry_limit=16):
-    """One full client run under a fault plan; returns (client, stats,
+    """One full client run under a fault plan, with ``retry_limit`` loss
+    retries per flight and a 500 ns backoff base; returns (client, stats,
     injector)."""
     store = KVDirectStore.create(
         memory_size=4 << 20, fault_plan=plan, seed=seed
     )
     sim = Simulator()
     processor = KVProcessor(sim, store)
-    client = KVClient(
-        sim, processor, batch_size=8, retry_limit=retry_limit,
-        retry_backoff_ns=500.0,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(client_module, "RETRY_LIMIT", retry_limit)
+        patch.setattr(client_module, "RETRY_BACKOFF_NS", 500.0)
+        client = KVClient(sim, processor, batch_size=8)
     ops = []
     for i in range(nops):
         # PUT/GET pairs share a key, so GETs read keys that were written.

@@ -26,6 +26,7 @@ from collections import deque
 import pytest
 
 from repro import scenario
+from repro.client import client as client_module
 from repro.client.client import KVClient
 from repro.client.router import ClusterRouter
 from repro.constants import DEFAULT_LOAD_DISPATCH_RATIO
@@ -1140,18 +1141,19 @@ class TestDriverChainsMatchTheGenerators:
         )
         assert rig.processor.store.index.scan_cost.count
 
-    def test_client_under_packet_loss_duplication_and_reorder(self):
+    def test_client_under_packet_loss_duplication_and_reorder(
+        self, monkeypatch
+    ):
         plan = FaultPlan(
             packet_loss_prob=0.15, packet_duplicate_prob=0.2,
             packet_reorder_prob=0.2,
         )
         stats = []
+        monkeypatch.setattr(client_module, "RETRY_LIMIT", 16)
+        monkeypatch.setattr(client_module, "RETRY_BACKOFF_NS", 500.0)
 
         def drive(rig):
-            client = KVClient(
-                rig.sim, rig.processor, batch_size=8, retry_limit=16,
-                retry_backoff_ns=500.0,
-            )
+            client = KVClient(rig.sim, rig.processor, batch_size=8)
             stats.append(dataclasses.asdict(client.run(hot_key_mix(9))))
             stats.append(client.responses)
 

@@ -18,6 +18,8 @@ from repro.client import (
     KVClient,
     RetryBudget,
 )
+from repro.client import client as client_module
+from repro.client import router as router_module
 from repro.client.router import ClusterRouter
 from repro.client.robust import (
     BREAKER_CLOSED,
@@ -233,6 +235,13 @@ def _client_setup(plan=None, overload=None, max_inflight=256,
     return sim, store, client
 
 
+def _patch(monkeypatch, **constants):
+    """Set ``repro.client.client`` retry constants for one test; a client
+    built afterwards reads them."""
+    for name, value in constants.items():
+        monkeypatch.setattr(client_module, name, value)
+
+
 def _gets(store, count=24):
     for i in range(8):
         store.put(b"key%02d" % i, b"value%02d" % i)
@@ -252,11 +261,6 @@ NAN_KNOBS = {
     "breaker window": lambda: CircuitBreaker(FakeClock(), window_ns=NAN),
     "breaker open period": lambda: CircuitBreaker(FakeClock(), open_ns=NAN),
     "breaker samples": lambda: CircuitBreaker(FakeClock(), min_samples=NAN),
-    "route delay": lambda: ClusterRouter(
-        Simulator(), None, route_delay_ns=NAN
-    ),
-    "loss backoff": lambda: KVClient(Simulator(), None, retry_backoff_ns=NAN),
-    "busy backoff": lambda: KVClient(Simulator(), None, busy_backoff_ns=NAN),
     "deadline budget": lambda: KVClient(
         Simulator(), None, deadline_budget_ns=NAN
     ),
@@ -271,14 +275,17 @@ def test_a_nan_knob_is_rejected_at_construction(knob):
         NAN_KNOBS[knob]()
 
 
-#: Every retry limit, as a constructor keyword of each class that takes one.
+#: Every retry limit: the module constant an owner builds one of its
+#: retry policies from, and a build of that owner.
 RETRY_LIMITS = {
-    "router retry limit": lambda v: ClusterRouter(
-        Simulator(), None, retry_limit=v
+    "router retry limit": (
+        router_module, "RETRY_LIMIT", lambda: ClusterRouter(Simulator(), None)
     ),
-    "loss retry limit": lambda v: KVClient(Simulator(), None, retry_limit=v),
-    "busy retry limit": lambda v: KVClient(
-        Simulator(), None, busy_retry_limit=v
+    "loss retry limit": (
+        client_module, "RETRY_LIMIT", lambda: KVClient(Simulator(), None)
+    ),
+    "busy retry limit": (
+        client_module, "BUSY_RETRY_LIMIT", lambda: KVClient(Simulator(), None)
     ),
 }
 
@@ -286,12 +293,16 @@ RETRY_LIMITS = {
 @pytest.mark.parametrize("limit", sorted(RETRY_LIMITS))
 @pytest.mark.parametrize("value", [NAN, 2.5, True, -1, "3"],
                          ids=["nan", "float", "bool", "negative", "str"])
-def test_a_retry_limit_must_be_a_non_negative_int(limit, value):
+def test_a_retry_limit_must_be_a_non_negative_int(limit, value, monkeypatch):
     """Regression: NaN, 2.5 and True passed the ``< 0`` test; a NaN limit
-    is never reached, so the router retried until the backoff overflowed."""
+    is never reached, so the router retried until the backoff overflowed.
+    Each owner's retry policy refuses such a limit at construction."""
+    module, name, build = RETRY_LIMITS[limit]
+    monkeypatch.setattr(module, name, value)
     with pytest.raises(ConfigurationError, match="non-negative int"):
-        RETRY_LIMITS[limit](value)
-    RETRY_LIMITS[limit](0)  # the bound itself is accepted
+        build()
+    monkeypatch.setattr(module, name, 0)
+    build()  # the bound itself is accepted
 
 
 class TestBackoffBeyondTheFloatRange:
@@ -325,16 +336,19 @@ class TestBackoffBeyondTheFloatRange:
                     ) else cap
                     assert policy.delay(attempt) == expected
 
-    def test_a_long_retry_run_gives_up_instead_of_overflowing(self):
+    def test_a_long_retry_run_gives_up_instead_of_overflowing(
+        self, monkeypatch
+    ):
         """A dead node whose slots have no backup: the router's retries
         run past attempt 1025 and end in RetryExhausted."""
+        monkeypatch.setattr(router_module, "RETRY_LIMIT", 2000)
         sim = Simulator()
         cluster = Cluster(
             sim, num_nodes=1, num_slots=2,
             config=KVDirectConfig(memory_size=1 << 20),
         )
         cluster.nodes[0].die()
-        router = ClusterRouter(sim, cluster, retry_limit=2000)
+        router = ClusterRouter(sim, cluster)
         outcome = []
 
         def runner():
@@ -350,19 +364,19 @@ class TestBackoffBeyondTheFloatRange:
 
 
 class TestClientLossRetries:
-    def test_retry_limit_zero_fails_fast(self):
+    def test_retry_limit_zero_fails_fast(self, monkeypatch):
+        _patch(monkeypatch, RETRY_LIMIT=0)
         sim, store, client = _client_setup(
-            plan=FaultPlan(packet_loss_prob=1.0),
-            retry_limit=0, batch_size=8,
+            plan=FaultPlan(packet_loss_prob=1.0), batch_size=8,
         )
         with pytest.raises(RetryExhausted, match="retry limit 0"):
             client.run(_gets(store, count=8))
         assert client.retries == 0
 
-    def test_exhaustion_message_reports_time_waited(self):
+    def test_exhaustion_message_reports_time_waited(self, monkeypatch):
+        _patch(monkeypatch, RETRY_LIMIT=3, RETRY_BACKOFF_NS=1000.0)
         sim, store, client = _client_setup(
-            plan=FaultPlan(packet_loss_prob=1.0),
-            retry_limit=3, retry_backoff_ns=1000.0, batch_size=8,
+            plan=FaultPlan(packet_loss_prob=1.0), batch_size=8,
         )
         # Deterministic uncapped schedule: 1000 + 2000 + 4000 ns waited
         # before the fourth loss exhausts the limit.
@@ -371,11 +385,13 @@ class TestClientLossRetries:
         ):
             client.run(_gets(store, count=8))
 
-    def test_cap_bounds_the_waited_time(self):
+    def test_cap_bounds_the_waited_time(self, monkeypatch):
+        _patch(
+            monkeypatch, RETRY_LIMIT=3, RETRY_BACKOFF_NS=1000.0,
+            MAX_BACKOFF_NS=1500.0, BUSY_BACKOFF_NS=500.0,
+        )
         sim, store, client = _client_setup(
-            plan=FaultPlan(packet_loss_prob=1.0),
-            retry_limit=3, retry_backoff_ns=1000.0,
-            max_backoff_ns=1500.0, busy_backoff_ns=500.0, batch_size=8,
+            plan=FaultPlan(packet_loss_prob=1.0), batch_size=8,
         )
         # Capped: 1000 + 1500 + 1500 ns.
         with pytest.raises(
@@ -383,22 +399,24 @@ class TestClientLossRetries:
         ):
             client.run(_gets(store, count=8))
 
-    def test_budget_exhaustion_fails_fast_before_limit(self):
+    def test_budget_exhaustion_fails_fast_before_limit(self, monkeypatch):
+        _patch(monkeypatch, RETRY_LIMIT=50)
         budget = RetryBudget(capacity=2.0, refill_per_success=0.0)
         sim, store, client = _client_setup(
-            plan=FaultPlan(packet_loss_prob=1.0),
-            retry_limit=50, batch_size=8, retry_budget=budget,
+            plan=FaultPlan(packet_loss_prob=1.0), batch_size=8,
+            retry_budget=budget,
         )
         with pytest.raises(RetryExhausted, match="retry budget"):
             client.run(_gets(store, count=8))
         assert budget.refused >= 1
         assert client.retries < 50
 
-    def test_lossy_run_with_jitter_is_deterministic(self):
+    def test_lossy_run_with_jitter_is_deterministic(self, monkeypatch):
+        _patch(monkeypatch, RETRY_LIMIT=16, BACKOFF_JITTER=0.3)
+
         def run():
             sim, store, client = _client_setup(
-                plan=FaultPlan(packet_loss_prob=0.2),
-                retry_limit=16, backoff_jitter=0.3, seed=9, batch_size=8,
+                plan=FaultPlan(packet_loss_prob=0.2), seed=9, batch_size=8,
             )
             stats = client.run(_gets(store, count=48))
             return stats.as_dict(), sim.now
@@ -408,19 +426,23 @@ class TestClientLossRetries:
 class TestClientBusyRetries:
     """ServerBusy NACKs retry on their own counter and backoff stream."""
 
-    def _busy_run(self, **kwargs):
+    def _busy_run(self, monkeypatch, busy_retry_limit, **kwargs):
         # One token and a one-deep queue: any burst sheds most of a batch.
+        _patch(
+            monkeypatch, BUSY_RETRY_LIMIT=busy_retry_limit,
+            BUSY_BACKOFF_NS=500.0,
+        )
         defaults = dict(
             overload=OverloadPolicy(queue_depth=1), max_inflight=1,
-            batch_size=16, busy_backoff_ns=500.0,
+            batch_size=16,
         )
         defaults.update(kwargs)
         sim, store, client = _client_setup(**defaults)
         stats = client.run(_gets(store, count=16))
         return sim, client, stats
 
-    def test_nacks_are_retried_to_completion(self):
-        sim, client, stats = self._busy_run(busy_retry_limit=64)
+    def test_nacks_are_retried_to_completion(self, monkeypatch):
+        sim, client, stats = self._busy_run(monkeypatch, 64)
         assert stats.busy_nacks > 0
         assert stats.busy_retries > 0
         assert stats.failed_ops == 0
@@ -428,21 +450,22 @@ class TestClientBusyRetries:
         # Loss retries are a different counter; no loss was injected.
         assert stats.retries == 0
 
-    def test_busy_retry_limit_gives_up(self):
+    def test_busy_retry_limit_gives_up(self, monkeypatch):
         sim, client, stats = self._busy_run(
-            busy_retry_limit=0, max_outstanding_batches=1
+            monkeypatch, 0, max_outstanding_batches=1
         )
         assert stats.busy_give_ups > 0
         assert stats.busy_give_ups == stats.failed_ops
         assert stats.busy_retries == 0
 
-    def test_every_op_shed_reports_no_latency(self):
+    def test_every_op_shed_reports_no_latency(self, monkeypatch):
         """Regression: a client that completed no op reported 0.0 ns
         latencies - a zero-latency success - where every other driver
         reports None."""
+        _patch(monkeypatch, BUSY_RETRY_LIMIT=0)
         sim, store, client = _client_setup(
             overload=OverloadPolicy(queue_depth=1), max_inflight=1,
-            batch_size=8, busy_retry_limit=0,
+            batch_size=8,
         )
         ops = _gets(store, count=8)
         # Take the one slot and the one queue place first, so every client
@@ -460,15 +483,16 @@ class TestClientBusyRetries:
             ["p50 latency", "n/a"], ["p99 latency", "n/a"]
         ]
 
-    def test_budget_stops_busy_retries(self):
+    def test_budget_stops_busy_retries(self, monkeypatch):
         budget = RetryBudget(capacity=1.0, refill_per_success=0.0)
         sim, client, stats = self._busy_run(
-            busy_retry_limit=64, retry_budget=budget
+            monkeypatch, 64, retry_budget=budget
         )
         assert stats.busy_give_ups > 0
         assert budget.refused >= 1
 
-    def test_breaker_opens_under_sustained_nacks(self):
+    def test_breaker_opens_under_sustained_nacks(self, monkeypatch):
+        _patch(monkeypatch, BUSY_RETRY_LIMIT=64, BUSY_BACKOFF_NS=200.0)
         breaker = None
         sim, store, client = (None, None, None)
         store = KVDirectStore.create(
@@ -482,10 +506,7 @@ class TestClientBusyRetries:
             failure_threshold=0.5, min_samples=4, open_ns=5000.0,
         )
         processor = KVProcessor(sim, store)
-        client = KVClient(
-            sim, processor, batch_size=16, busy_retry_limit=64,
-            busy_backoff_ns=200.0, breaker=breaker,
-        )
+        client = KVClient(sim, processor, batch_size=16, breaker=breaker)
         stats = client.run(_gets(store, count=32))
         assert stats.busy_nacks > 0
         assert stats.breaker_opens == breaker.opens
@@ -496,10 +517,9 @@ class TestClientBusyRetries:
         budget = RetryBudget()
         sim, store, client = _client_setup(
             overload=OverloadPolicy(queue_depth=1), max_inflight=1,
-            batch_size=16, busy_retry_limit=64,
-            retry_budget=budget,
+            batch_size=16, retry_budget=budget,
+            breaker=CircuitBreaker(FakeClock()),
         )
-        client.breaker = CircuitBreaker(lambda: sim.now)
         registry = client.register_metrics(MetricsRegistry())
         exported = json.loads(registry.to_json())
         for name in (
@@ -518,17 +538,14 @@ class TestClientBusyRetries:
         store = KVDirectStore.create(memory_size=4 << 20)
         processor = KVProcessor(sim, store)
         with pytest.raises(ConfigurationError):
-            KVClient(sim, processor, busy_retry_limit=-1)
-        with pytest.raises(ConfigurationError):
-            KVClient(sim, processor, busy_backoff_ns=-1.0)
-        with pytest.raises(ConfigurationError):
             KVClient(sim, processor, deadline_budget_ns=0.0)
 
 
 class TestClientDeadlines:
-    def test_tight_budget_expires_server_side(self):
+    def test_tight_budget_expires_server_side(self, monkeypatch):
+        _patch(monkeypatch, BUSY_RETRY_LIMIT=0)
         sim, store, client = _client_setup(
-            batch_size=8, deadline_budget_ns=60.0, busy_retry_limit=0,
+            batch_size=8, deadline_budget_ns=60.0,
         )
         stats = client.run(_gets(store, count=16))
         assert stats.deadline_expired > 0
