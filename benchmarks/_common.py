@@ -1,12 +1,14 @@
-"""Metric exports shared by the benchmark suite."""
+"""Metric exports and the cluster workload shared by the benchmark suite."""
 
 from __future__ import annotations
 
 import pathlib
 import re
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
+from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
+from repro.multi import Cluster
 from repro.obs import MetricsRegistry
 from repro.obs.bench_history import snapshot_from_run
 
@@ -55,3 +57,18 @@ def export_profile(
     snapshot = snapshot_from_run(slug, processor, stats)
     snapshot.save(str(EXPORT_METRICS_DIR / f"BENCH_{slug}.json"))
     return path
+
+
+def cluster_workload(
+    cluster: Cluster, corpus: int, total: int
+) -> List[KVOperation]:
+    """Preload ``corpus`` keys ``key%06d`` (13 B values) into a cluster and
+    return ``total`` ops cycling through them, every third a PUT."""
+    keys = [b"key%06d" % i for i in range(corpus)]
+    for key in keys:
+        cluster.preload(key, b"v" * 13)
+    return [
+        KVOperation.put(keys[i % corpus], b"w" * 13, seq=i) if i % 3 == 0
+        else KVOperation.get(keys[i % corpus], seq=i)
+        for i in range(total)
+    ]

@@ -13,36 +13,17 @@ fixes with one-sentence justifications:
 - PCIe link count (the bifurcated x16 gives two x8 endpoints).
 """
 
-import struct
-
-import pytest
-
+from repro import scenario
 from repro.analysis.report import format_series
-from repro.core.operations import KVOperation
-from repro.core.processor import KVProcessor
 from repro.core.slab import SlabAllocator
 from repro.core.slab_host import HostSlabManager
-from repro.core.store import KVDirectStore
 from repro.driver import run_closed_loop
-from repro.sim import Simulator
-from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
-
-
-def q(*values):
-    return struct.pack("<%dq" % len(values), *values)
 
 
 def _ycsb_throughput(**overrides) -> float:
-    sim = Simulator()
-    store = KVDirectStore.create(memory_size=4 << 20, **overrides)
-    keyspace = KeySpace(count=3000, kv_size=13)
-    for key, value in keyspace.pairs():
-        store.put(key, value)
-    store.reset_measurements()
-    processor = KVProcessor(sim, store)
-    generator = YCSBGenerator(keyspace, WorkloadSpec(0.0, "uniform"))
+    built = scenario.build(memory_size=4 << 20, corpus=3000, **overrides)
     stats = run_closed_loop(
-        processor, generator.operations(4000), concurrency=250
+        built.processor, built.operations(4000), concurrency=250
     )
     return stats["throughput_mops"]
 

@@ -18,43 +18,24 @@ tracking as the implementation evolves:
 
 import pytest
 
+import _common
+from repro import scenario
 from repro.analysis.report import format_series
 from repro.client.router import ClusterRouter
-from repro.core.config import KVDirectConfig
-from repro.core.operations import KVOperation
-from repro.multi import Cluster
-from repro.sim import Simulator
 
 CORPUS = 256
 TOTAL_OPS = 3000
 NODE_COUNTS = [1, 2, 3]
 
 
-def _ops(keys, total):
-    """Deterministic GET/PUT mix over the preloaded corpus."""
-    ops = []
-    for i in range(total):
-        key = keys[i % len(keys)]
-        if i % 3 == 0:
-            ops.append(KVOperation.put(key, b"w" * 13, seq=i))
-        else:
-            ops.append(KVOperation.get(key, seq=i))
-    return ops
-
-
 def _run(nodes: int, kill: bool = False) -> dict:
-    sim = Simulator()
-    cluster = Cluster(
-        sim, num_nodes=nodes, config=KVDirectConfig(memory_size=4 << 20)
-    )
-    keys = [b"key%06d" % i for i in range(CORPUS)]
-    for key in keys:
-        cluster.preload(key, b"v" * 13)
-    ops = _ops(keys, TOTAL_OPS)
+    built = scenario.build(memory_size=4 << 20, nodes=nodes)
+    cluster = built.cluster
+    ops = _common.cluster_workload(cluster, CORPUS, TOTAL_OPS)
     if kill:
         target = cluster.map.primary(cluster.map.slot_of(ops[0].key))
         cluster.kill_after_accepts(target, max(1, TOTAL_OPS // (3 * nodes)))
-    router = ClusterRouter(sim, cluster)
+    router = ClusterRouter(built.sim, cluster)
     stats = router.run(ops)
     stats["divergences"] = cluster.replication_divergences()
     stats["failovers"] = cluster.counters.get("failovers")

@@ -13,15 +13,12 @@ import struct
 
 import pytest
 
+from repro import scenario
 from repro.analysis.report import format_series
 from repro.baselines import OneSidedRDMAModel, TwoSidedRDMAModel
 from repro.core.operations import KVOperation
-from repro.core.processor import KVProcessor
-from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD
 from repro.driver import run_closed_loop
-from repro.sim import Simulator
-from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
 
 KEY_COUNTS = [1, 4, 16, 64]
 PUT_RATIOS = [0.0, 0.05, 0.3, 1.0]
@@ -32,36 +29,27 @@ def q(value):
 
 
 def _atomics_throughput(out_of_order: bool, keys: int, ops: int) -> float:
-    sim = Simulator()
-    store = KVDirectStore.create(
-        memory_size=4 << 20, out_of_order=out_of_order
-    )
+    built = scenario.build(memory_size=4 << 20, out_of_order=out_of_order)
     for k in range(keys):
-        store.put(b"ctr%04d" % k, q(0))
-    processor = KVProcessor(sim, store)
+        built.store.put(b"ctr%04d" % k, q(0))
     stream = [
         KVOperation.update(b"ctr%04d" % (i % keys), FETCH_ADD, q(1), seq=i)
         for i in range(ops)
     ]
-    stats = run_closed_loop(processor, stream, concurrency=200)
+    stats = run_closed_loop(built.processor, stream, concurrency=200)
     return stats["throughput_mops"]
 
 
 def _longtail_throughput(out_of_order: bool, put_ratio: float) -> float:
-    sim = Simulator()
-    store = KVDirectStore.create(
-        memory_size=4 << 20, out_of_order=out_of_order
-    )
-    keyspace = KeySpace(count=2000, kv_size=13)
-    for key, value in keyspace.pairs():
-        store.put(key, value)
-    store.reset_measurements()
-    processor = KVProcessor(sim, store)
-    generator = YCSBGenerator(
-        keyspace, WorkloadSpec(put_ratio=put_ratio, distribution="zipf")
+    built = scenario.build(
+        memory_size=4 << 20,
+        corpus=2000,
+        put_ratio=put_ratio,
+        distribution="zipf",
+        out_of_order=out_of_order,
     )
     stats = run_closed_loop(
-        processor, generator.operations(4000), concurrency=200
+        built.processor, built.operations(4000), concurrency=200
     )
     return stats["throughput_mops"]
 

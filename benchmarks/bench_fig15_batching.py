@@ -11,13 +11,9 @@ so the latency comparison isolates the batching delay, not queueing.
 
 import pytest
 
+from repro import scenario
 from repro.analysis.report import format_series
-from repro.client import KVClient
 from repro.core.operations import KVOperation
-from repro.core.processor import KVProcessor
-from repro.core.store import KVDirectStore
-from repro.sim import Simulator
-from repro.workloads import KeySpace
 
 KV_SIZE = 13
 BATCH_OPS = [1, 4, 16, 32, 64]
@@ -31,20 +27,17 @@ OPS = 6000
 CORPUS = 2000
 
 
-def _run(batch_ops: int, inflight_ops: int, ops: int = OPS):
-    sim = Simulator()
-    store = KVDirectStore.create(memory_size=8 << 20)
-    keyspace = KeySpace(count=CORPUS, kv_size=KV_SIZE)
-    for key, value in keyspace.pairs():
-        store.put(key, value)
-    store.reset_measurements()
-    processor = KVProcessor(sim, store)
+def _run(batch_ops: int, inflight_ops: int, ops: int = OPS, **overrides):
+    """GETs cycling through the corpus, ``batch_ops`` to a packet;
+    ``overrides`` are further config fields (the link's bandwidth)."""
+    built = scenario.build(
+        memory_size=8 << 20, corpus=CORPUS, kv_size=KV_SIZE, **overrides
+    )
     stream = [
-        KVOperation.get(keyspace.key(i % CORPUS), seq=i) for i in range(ops)
+        KVOperation.get(built.keyspace.key(i % CORPUS), seq=i)
+        for i in range(ops)
     ]
-    client = KVClient(
-        sim,
-        processor,
+    client = built.server.stacks[0].client(
         batch_size=batch_ops,
         max_outstanding_batches=max(1, inflight_ops // batch_ops),
     )
@@ -142,35 +135,15 @@ def test_fig15_future_100gbe_reduces_batching_need(benchmark, emit):
     """Section 4, looking forward: 'batching would be unnecessary if
     higher-bandwidth network is available.'  At 100 GbE the unbatched
     configuration recovers most of the batched throughput."""
-    from repro.analysis.report import format_series
-    from repro.core.store import KVDirectStore as _Store
-    from repro.workloads import KeySpace as _KeySpace
-
-    def run(bandwidth, batch_ops):
-        sim = Simulator()
-        store = _Store.create(
-            memory_size=8 << 20, network_bandwidth=bandwidth
-        )
-        keyspace = _KeySpace(count=CORPUS, kv_size=KV_SIZE)
-        for key, value in keyspace.pairs():
-            store.put(key, value)
-        store.reset_measurements()
-        processor = KVProcessor(sim, store)
-        stream = [
-            KVOperation.get(keyspace.key(i % CORPUS), seq=i)
-            for i in range(4000)
-        ]
-        client = KVClient(
-            sim, processor, batch_size=batch_ops,
-            max_outstanding_batches=max(1, 2048 // batch_ops),
-        )
-        return client.run(stream).throughput_mops
 
     def sweep():
-        forty_unbatched = run(5e9, 1)
-        forty_batched = run(5e9, 32)
-        hundred_unbatched = run(12.5e9, 1)
-        return forty_unbatched, forty_batched, hundred_unbatched
+        return [
+            _run(
+                batch_ops, SATURATING_INFLIGHT, ops=4000,
+                network_bandwidth=bandwidth,
+            ).throughput_mops
+            for bandwidth, batch_ops in ((5e9, 1), (5e9, 32), (12.5e9, 1))
+        ]
 
     f_un, f_b, h_un = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit(

@@ -7,12 +7,8 @@ without batching; batching adds less than 1 us; PUT slightly above GET
 
 import pytest
 
+from repro import scenario
 from repro.analysis.report import format_series
-from repro.client import KVClient
-from repro.core.processor import KVProcessor
-from repro.core.store import KVDirectStore
-from repro.sim import Simulator
-from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
 
 KV_SIZES = [10, 62]
 OPS = 1500
@@ -20,23 +16,18 @@ CORPUS = 4000
 
 
 def _latency(kv_size, put_ratio, distribution, batch_size):
-    sim = Simulator()
-    store = KVDirectStore.create(memory_size=8 << 20)
-    keyspace = KeySpace(count=CORPUS, kv_size=kv_size)
-    for key, value in keyspace.pairs():
-        store.put(key, value)
-    store.reset_measurements()
-    processor = KVProcessor(sim, store)
-    generator = YCSBGenerator(
-        keyspace, WorkloadSpec(put_ratio=put_ratio, distribution=distribution)
+    built = scenario.build(
+        memory_size=8 << 20,
+        corpus=CORPUS,
+        kv_size=kv_size,
+        put_ratio=put_ratio,
+        distribution=distribution,
     )
-    client = KVClient(
-        sim,
-        processor,
+    client = built.server.stacks[0].client(
         batch_size=batch_size,
         max_outstanding_batches=max(2, 128 // batch_size),
     )
-    stats = client.run(generator.operations(OPS))
+    stats = client.run(built.operations(OPS))
     return stats.latency_p95_ns / 1e3  # us
 
 

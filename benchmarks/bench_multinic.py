@@ -18,13 +18,11 @@ scaling is near-linear because they share nothing.  Two measurements:
 
 import pytest
 
+from repro import scenario
 from repro.analysis.report import format_series
-from repro.core.config import KVDirectConfig
 from repro.core.hashing import shard_of
 from repro.core.operations import KVOperation
 from repro.driver import run_closed_loop
-from repro.multi import MultiNICServer
-from repro.sim import Simulator
 
 NIC_COUNTS = [1, 2, 4, 10]
 OPS_PER_NIC = 1500
@@ -34,10 +32,7 @@ E2E_CORPUS = 512
 
 
 def _server(nic_count: int, corpus: int):
-    sim = Simulator()
-    server = MultiNICServer(
-        sim, nic_count, config=KVDirectConfig(memory_size=4 << 20)
-    )
+    server = scenario.build(memory_size=4 << 20, shards=nic_count).server
     keys = [b"key%06d" % i for i in range(corpus)]
     for key in keys:
         server.put_direct(key, b"v" * 5)

@@ -11,15 +11,12 @@ import struct
 
 import pytest
 
+from repro import constants, scenario
 from repro.analysis.report import format_series
-from repro import constants
-from repro.client import KVClient
 from repro.core.operations import KVOperation, OpType
-from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.core.vector import FETCH_ADD
 from repro.network.rdma import wire_bytes
-from repro.sim import Simulator
 from repro.sim.stats import gbps
 
 VECTOR_SIZES = [64, 128, 256, 496]  # 496: largest whole-element vector fitting the 512 B slab
@@ -32,14 +29,12 @@ def q(*values):
 
 def _vector_update_throughput(vector_bytes: int) -> float:
     """GB/s of vector payload updated via NIC-side scalar2vector ops."""
-    sim = Simulator()
-    store = KVDirectStore.create(memory_size=8 << 20)
+    built = scenario.build(memory_size=8 << 20)
     elements = vector_bytes // 8
     keys = [b"vec%04d" % i for i in range(64)]
     for key in keys:
-        store.put(key, q(*([1] * elements)))
-    store.reset_measurements()
-    processor = KVProcessor(sim, store)
+        built.store.put(key, q(*([1] * elements)))
+    built.store.reset_measurements()
     ops = [
         KVOperation(
             OpType.UPDATE_SCALAR2VECTOR,
@@ -50,8 +45,9 @@ def _vector_update_throughput(vector_bytes: int) -> float:
         )
         for i in range(OPS)
     ]
-    client = KVClient(sim, processor, batch_size=16,
-                      max_outstanding_batches=16)
+    client = built.server.stacks[0].client(
+        batch_size=16, max_outstanding_batches=16
+    )
     stats = client.run(ops)
     return gbps(OPS * vector_bytes, stats.elapsed_ns)
 

@@ -13,6 +13,7 @@ throughput and the paper's measured wall power.  The claims under test:
 
 import pytest
 
+from repro import scenario
 from repro.analysis.power import (
     PowerModel,
     TABLE3_SYSTEMS,
@@ -20,34 +21,19 @@ from repro.analysis.power import (
 )
 from repro.analysis.report import format_table
 from repro.baselines import CPUKVSModel
-from repro.core.processor import KVProcessor
-from repro.core.store import KVDirectStore
 from repro.driver import run_closed_loop
-from repro.sim import Simulator
-from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
-
-
-def _peak_throughput_ops() -> float:
-    """Measured peak: long-tail, read-intensive, small inline KVs."""
-    sim = Simulator()
-    store = KVDirectStore.create(memory_size=8 << 20)
-    keyspace = KeySpace(count=5000, kv_size=13)
-    for key, value in keyspace.pairs():
-        store.put(key, value)
-    store.reset_measurements()
-    processor = KVProcessor(sim, store)
-    generator = YCSBGenerator(
-        keyspace, WorkloadSpec(put_ratio=0.0, distribution="zipf")
-    )
-    stats = run_closed_loop(
-        processor, generator.operations(5000), concurrency=250
-    )
-    return stats["throughput_mops"] * 1e6
 
 
 @pytest.fixture(scope="module")
 def table3():
-    peak = _peak_throughput_ops()
+    """Measured peak: long-tail, read-intensive, small inline KVs."""
+    built = scenario.build(
+        memory_size=8 << 20, corpus=5000, distribution="zipf"
+    )
+    stats = run_closed_loop(
+        built.processor, built.operations(5000), concurrency=250
+    )
+    peak = stats["throughput_mops"] * 1e6
     rows = list(TABLE3_SYSTEMS)
     rows.append(kvdirect_row(peak, nic_count=1))
     rows.append(kvdirect_row(peak * 10 * 0.9, nic_count=10))  # ~linear

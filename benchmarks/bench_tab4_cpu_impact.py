@@ -12,37 +12,21 @@ host-daemon CPU share the paper reports (slab work, ~1 core worst case).
 
 import pytest
 
-from repro import constants
+from repro import constants, scenario
 from repro.analysis.report import format_table
-from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.driver import run_closed_loop
-from repro.sim import Simulator
-from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
-
-
-def _peak_run():
-    sim = Simulator()
-    store = KVDirectStore.create(memory_size=8 << 20)
-    keyspace = KeySpace(count=5000, kv_size=13)
-    for key, value in keyspace.pairs():
-        store.put(key, value)
-    store.reset_measurements()
-    processor = KVProcessor(sim, store)
-    generator = YCSBGenerator(
-        keyspace, WorkloadSpec(put_ratio=0.5, distribution="uniform")
-    )
-    stats = run_closed_loop(
-        processor, generator.operations(5000), concurrency=250
-    )
-    return processor, stats
 
 
 @pytest.fixture(scope="module")
 def table4():
-    processor, stats = _peak_run()
+    """Peak load: uniform keys, half PUTs, small inline KVs."""
+    built = scenario.build(memory_size=8 << 20, corpus=5000, put_ratio=0.5)
+    stats = run_closed_loop(
+        built.processor, built.operations(5000), concurrency=250
+    )
     elapsed = stats["elapsed_ns"]
-    dma = processor.dma.snapshot()
+    dma = built.processor.dma.snapshot()
     host_bytes = dma["dma_read_bytes"] + dma["dma_write_bytes"]
     host_bw_used = host_bytes / elapsed  # GB/s
     host_bw_total = constants.HOST_DRAM_BANDWIDTH / 1e9

@@ -12,19 +12,12 @@ the timeline must make visible with zero lost acknowledged writes.
 
 import json
 
-import pytest
-
+import _common
+from repro import scenario
 from repro.analysis.report import format_series
 from repro.client.router import ClusterRouter
-from repro.core.config import KVDirectConfig
-from repro.core.operations import KVOperation
-from repro.core.processor import KVProcessor
-from repro.core.store import KVDirectStore
 from repro.driver import run_closed_loop
-from repro.multi import Cluster
 from repro.obs.timeline import TimelineSampler
-from repro.sim import Simulator
-from repro.workloads import KeySpace, WorkloadSpec, YCSBGenerator
 
 CORPUS = 512
 TOTAL_OPS = 3000
@@ -32,61 +25,41 @@ WINDOW_NS = 2000.0
 
 
 def _seeded_run(timeline=None):
-    sim = Simulator()
-    store = KVDirectStore.create(memory_size=8 << 20, seed=7)
-    keyspace = KeySpace(count=CORPUS, kv_size=13, seed=7)
-    for key, value in keyspace.pairs():
-        store.put(key, value)
-    store.reset_measurements()
-    processor = KVProcessor(sim, store)
-    generator = YCSBGenerator(
-        keyspace, WorkloadSpec(put_ratio=0.5, seed=7)
+    built = scenario.build(
+        seed=7, memory_size=8 << 20, corpus=CORPUS, put_ratio=0.5
     )
     if timeline is not None:
-        timeline.bind(sim)
-        timeline.attach_processor("nic0", processor)
+        built.server.attach_timeline(timeline)
     stats = run_closed_loop(
-        processor, generator.operations(TOTAL_OPS), timeline=timeline
+        built.processor, built.operations(TOTAL_OPS), timeline=timeline
     )
-    return processor, stats
+    return stats
 
 
-def _cluster_run(timeline=None, kill=False):
-    sim = Simulator()
-    cluster = Cluster(
-        sim, num_nodes=3, config=KVDirectConfig(memory_size=4 << 20)
-    )
-    keys = [b"key%06d" % i for i in range(CORPUS)]
-    for key in keys:
-        cluster.preload(key, b"v" * 13)
-    ops = [
-        KVOperation.put(key, b"w" * 13, seq=i) if i % 3 == 0
-        else KVOperation.get(key, seq=i)
-        for i, key in enumerate(keys[i % CORPUS] for i in range(TOTAL_OPS))
-    ]
-    if kill:
-        target = cluster.map.primary(cluster.map.slot_of(ops[0].key))
-        cluster.kill_after_accepts(target, max(1, TOTAL_OPS // 9))
-    if timeline is not None:
-        timeline.bind(sim)
-        cluster.attach_timeline(timeline)
-        timeline.start()
-    router = ClusterRouter(sim, cluster)
-    stats = router.run(ops)
-    if timeline is not None:
-        timeline.finish()
+def _killed_cluster_run(timeline):
+    """A 3-node cluster whose first op's primary dies a ninth of the way
+    through the run, sampled by ``timeline``."""
+    built = scenario.build(memory_size=4 << 20, nodes=3)
+    cluster = built.cluster
+    ops = _common.cluster_workload(cluster, CORPUS, TOTAL_OPS)
+    target = cluster.map.primary(cluster.map.slot_of(ops[0].key))
+    cluster.kill_after_accepts(target, max(1, TOTAL_OPS // 9))
+    cluster.attach_timeline(timeline)
+    timeline.start()
+    stats = ClusterRouter(built.sim, cluster).run(ops)
+    timeline.finish()
     stats["failovers"] = cluster.counters.get("failovers")
-    return cluster, stats
+    return stats
 
 
 def test_timeline_is_observationally_transparent(benchmark, emit):
     """Sim metrics with the sampler attached == without, to the bit."""
-    __, plain = _seeded_run()
+    plain = _seeded_run()
 
     def instrumented():
         return _seeded_run(TimelineSampler(window_ns=WINDOW_NS))
 
-    __, sampled = benchmark.pedantic(instrumented, rounds=1, iterations=1)
+    sampled = benchmark.pedantic(instrumented, rounds=1, iterations=1)
     compared = [
         key for key in sorted(plain)
         if not key.startswith(("wall_clock", "sim_ops_per_wall",
@@ -127,7 +100,7 @@ def test_timeline_shows_failover_window(benchmark, emit):
     """The kill-node cluster timeline shows dip, epoch bump, recovery."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     sampler = TimelineSampler(window_ns=WINDOW_NS)
-    cluster, stats = _cluster_run(sampler, kill=True)
+    stats = _killed_cluster_run(sampler)
     rows = [json.loads(line) for line in sampler.lines()]
     cluster_rows = [r for r in rows if r["shard"] == "cluster"]
     agg = [r for r in rows if r["shard"] == "all"]

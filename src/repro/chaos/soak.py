@@ -53,6 +53,16 @@ from repro.obs.tracer import Tracer
 #: ``kill_node`` soak takes it down (mid-run, deterministically).
 _KILL_FRACTION = 0.4
 
+#: Host memory of every soak stack and of its capacity probe.
+MEMORY_SIZE = 4 << 20
+#: Arrival-schedule shape, read when a schedule is built: ``PHASE_OPS``
+#: per phase, calm phases at ``CALM_MULTIPLIER`` x capacity, burst phases
+#: drawn uniformly from ``[BURST_LOW, BURST_HIGH]`` x capacity.
+PHASE_OPS = 10
+CALM_MULTIPLIER = 0.8
+BURST_LOW = 2.0
+BURST_HIGH = 4.0
+
 #: The robustness counters every soak report carries (zeros outside
 #: cluster mode), so retry-behaviour regressions show up next to goodput.
 _ROBUSTNESS_KEYS = (
@@ -116,7 +126,6 @@ class SoakConfig:
     num_keys: int = 16
     #: Operations each driver submits, strictly in order.
     ops_per_key: int = 40
-    memory_size: int = 4 << 20
     #: Station capacity during the soak.  Deliberately small relative to
     #: ``num_keys`` so the 2-4x bursts genuinely overflow admission - the
     #: paper-scale 256-token station would absorb a 16-driver burst
@@ -128,13 +137,6 @@ class SoakConfig:
     fault_plan: Optional[FaultPlan] = None
     #: Per-op deadline budget stamped at submission (``None`` = none).
     deadline_budget_ns: Optional[float] = None
-    #: Arrival-schedule shape: ``phase_ops`` per phase, calm phases at
-    #: ``calm_multiplier`` x capacity, burst phases drawn uniformly from
-    #: ``[burst_low, burst_high]`` x capacity.
-    phase_ops: int = 10
-    calm_multiplier: float = 0.8
-    burst_low: float = 2.0
-    burst_high: float = 4.0
     #: Invariant: completed / submitted must stay at or above this.
     goodput_floor: float = 0.5
     #: Replicated cluster nodes to soak instead of plain shards (0 = the
@@ -166,15 +168,6 @@ class SoakConfig:
             )
         if self.num_keys <= 0 or self.ops_per_key <= 0:
             raise ConfigurationError("soak needs keys and ops")
-        if self.phase_ops <= 0:
-            raise ConfigurationError("phase length must be positive")
-        if not 0.0 < self.calm_multiplier:
-            raise ConfigurationError("calm multiplier must be positive")
-        if not 0.0 < self.burst_low <= self.burst_high:
-            raise ConfigurationError(
-                f"burst range must satisfy 0 < low <= high: "
-                f"[{self.burst_low}, {self.burst_high}]"
-            )
         if not 0.0 <= self.goodput_floor <= 1.0:
             raise ConfigurationError("goodput floor must be in [0, 1]")
 
@@ -263,7 +256,7 @@ class _Soak:
         self.cfg = cfg
         built = scenario.build(
             seed=cfg.seed,
-            memory_size=cfg.memory_size,
+            memory_size=MEMORY_SIZE,
             shards=cfg.num_shards,
             nodes=cfg.cluster_nodes,
             slots=cfg.cluster_slots,
@@ -330,7 +323,7 @@ class _Soak:
     def _capacity(self) -> float:
         """Ops per ns, probed on a clean copy of the same geometry."""
         ops_per_ns = probe_capacity(
-            memory_size=self.cfg.memory_size, seed=self.cfg.seed, num_ops=500
+            memory_size=MEMORY_SIZE, seed=self.cfg.seed, num_ops=500
         )
         self.report.capacity_mops = ops_per_ns * 1e3
         return ops_per_ns
@@ -356,12 +349,12 @@ class _Soak:
         """Per-driver (op, arrival gap ns) lists; pure function of config."""
         cfg = self.cfg
         capacity = self._capacity()
-        phases = (cfg.ops_per_key + cfg.phase_ops - 1) // cfg.phase_ops
+        phases = (cfg.ops_per_key + PHASE_OPS - 1) // PHASE_OPS
         phase_rng = random.Random(f"soak:{cfg.seed}:phases")
         multipliers = [
-            cfg.calm_multiplier
+            CALM_MULTIPLIER
             if phase % 2 == 0
-            else phase_rng.uniform(cfg.burst_low, cfg.burst_high)
+            else phase_rng.uniform(BURST_LOW, BURST_HIGH)
             for phase in range(phases)
         ]
         #: Kept for timeline phase annotation (report.timeline["phases"]).
@@ -374,7 +367,7 @@ class _Soak:
             for i in range(cfg.ops_per_key):
                 seq = key_idx * cfg.ops_per_key + i
                 op = self._op_for(rng, key, seq)
-                mult = multipliers[i // cfg.phase_ops]
+                mult = multipliers[i // PHASE_OPS]
                 # Aggregate offered load = num_keys / gap = mult * capacity.
                 gap = cfg.num_keys / (mult * capacity)
                 driver.append((op, gap))

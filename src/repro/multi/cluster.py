@@ -299,11 +299,11 @@ class ReplicationChannel:
     Records are ``(key, key_hash, value-or-None, acked_at_ns)`` snapshots
     of the primary's state when the write settled; a lazy drain chain
     applies them to the slot's *current* backup after
-    :data:`REPLICATION_DELAY_NS` each - one ``call_after`` per record, so
-    each apply holds the queue position its ``Timeout`` used to.  Because
-    the channel outlives its nodes, every record enqueued at ack time
-    survives a primary kill - failover drains the channel into the backup
-    before promoting it.
+    :data:`REPLICATION_DELAY_NS` each.  One ``call_after`` per record fixes
+    each apply's place among same-instant events (docs/MODELING.md,
+    "Same-instant ordering contract").  Because the channel outlives its
+    nodes, every record enqueued at ack time survives a primary kill -
+    failover drains the channel into the backup before promoting it.
     """
 
     def __init__(self, cluster: "Cluster", slot: int) -> None:

@@ -2,13 +2,17 @@
 
 Every experiment in the repo is the same recipe - a seed, a memory
 size, a corpus, a workload, and a topology of ``shards`` NICs or
-``nodes`` replicated cluster members - so it is written once, here.  The
-CLI subcommands, the chaos harnesses and Figure 16
-(``benchmarks/bench_fig16_ycsb.py``) go through :func:`build`; the
-other benchmarks and the e2e workloads assemble their own stacks.
-Everything is derived from ``seed`` (store
-config, corpus values, workload streams, hardware jitter), so two builds
-with identical arguments replay the identical simulation.
+``nodes`` replicated cluster members - so it is written once, here: the
+CLI, the chaos harnesses and the figure benchmarks call :func:`build`,
+a figure's own config fields going through ``overrides``.  Four figures
+build their own stack: ``bench_fig03_pcie`` drives a bare ``DMAEngine``;
+``bench_fig14_dispatch`` carries three filled stores from cell to cell;
+``bench_ycsb_standard`` and ``bench_ycsb_e`` seed their generator 1 over
+a seed-0 store, where :func:`build` ties the two seeds.  So does the
+repo benchmark (``benchmarks/e2e``), kept unchanged as the yardstick.
+Everything is derived from ``seed`` (store config, corpus values,
+workload streams, hardware jitter), so two builds with identical
+arguments replay the identical simulation.
 
 The topology is always a :class:`~repro.multi.multinic.MultiNICServer`
 (a 1-NIC server is byte-identical to a bare processor + client, so there
