@@ -52,11 +52,13 @@ from repro.dram.host import MemoryImage
 from repro.errors import ConfigurationError, KeyTooLargeError
 from repro.sim.stats import Counter, RunningStats
 
-#: Non-inline record header: key length (u8) + value length (u16).
-_RECORD_HEADER = struct.Struct("<BH")
+#: Non-inline record header, section 5.2.1's 2 B: key length, value length's
+#: low byte.  A record sits in its smallest slab class (``_record_class``),
+#: so a 512 B slab whose record fits 256 B on the low byte holds 256 B more.
+_RECORD_HEADER = struct.Struct("<BB")
 
-#: Slab class of a chained overflow bucket (64 B).
-_BUCKET_CLASS = 1
+#: Slab classes of a chained overflow bucket (64 B) and of the 512 B slab.
+_BUCKET_CLASS, _TOP_CLASS = 1, 4
 
 #: Largest key the wire format and record header support.
 MAX_KEY_SIZE = 255
@@ -237,9 +239,8 @@ class HashTable:
     # -- records -------------------------------------------------------------------
 
     def _write_record(self, addr: int, key: bytes, value: bytes) -> None:
-        self.memory.write(
-            addr, _RECORD_HEADER.pack(len(key), len(value)) + key + value
-        )
+        header = _RECORD_HEADER.pack(len(key), len(value) & 0xFF)
+        self.memory.write(addr, header + key + value)
 
     @staticmethod
     def _read_record(
@@ -247,9 +248,10 @@ class HashTable:
     ) -> Tuple[bytes, bytes]:
         """Read a slab record; one DMA of the slab's size class."""
         raw = read(pointer * POINTER_GRANULARITY, class_size(slab_type))
-        klen, vlen = _RECORD_HEADER.unpack_from(raw)
-        start = _RECORD_HEADER.size
-        return raw[start : start + klen], raw[start + klen : start + klen + vlen]
+        klen, vlen = raw[0], raw[1]
+        if slab_type == _TOP_CLASS and 2 + klen + vlen <= 256:
+            vlen += 256
+        return raw[2 : 2 + klen], raw[2 + klen : 2 + klen + vlen]
 
     @staticmethod
     def _record_class(key: bytes, value: bytes) -> int:
@@ -388,7 +390,6 @@ class HashTable:
         set_chain(last_bucket, new_addr // POINTER_GRANULARITY)
         self.memory.write(last_addr, last_bucket)
         self.counters["chained_buckets"] += 1
-        return None
 
     def _replace_inline(
         self, addr: int, line: bytes, start: int, key: bytes, value: bytes,

@@ -3,16 +3,15 @@
 Section 5.2.1: "we generate random KV pairs with a given size ... To test
 inline case, we use KV size that is a multiple of slot size.  To test
 non-inline case, we use KV size that is a power of two minus 2 bytes (for
-metadata)."
+metadata)."  The slab record header is those 2 B, so such a KV and its
+header fill one slab (``core/hashtable.py``).
 
-A key is its index's big-endian bytes.  A value's bytes come from a
-per-index Mersenne stream, ``random.Random((seed << 32) ^ index)``, one
-word per byte (the high byte of each word, as ``getrandbits(8)`` draws
-it).  One generator is reseeded per value, its words pulled in a single
-``getrandbits`` call and the bytes carved out with a slice: bit-identical
-to the historical per-byte loop, and cheap enough that building a corpus
-no longer dominates a benchmark's setup.  :meth:`KeySpace.pairs` builds
-one pair at a time, so a loader that keeps nothing never holds the corpus.
+A key is its index's big-endian bytes.  A value's bytes are the high bytes
+of a per-index Mersenne stream, ``random.Random((seed << 32) ^ index)``,
+one word per byte, pulled in one ``getrandbits`` call (bit-identical to
+``getrandbits(8)`` a byte, and cheap enough that a corpus no longer
+dominates a benchmark's setup).  :meth:`KeySpace.pairs` builds one pair at
+a time, so a loader that keeps nothing never holds the corpus.
 """
 
 from __future__ import annotations

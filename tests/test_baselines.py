@@ -296,8 +296,10 @@ class TestHopscotchOverflowChains:
 class TestSlottedStore:
     @pytest.mark.parametrize("make", [make_cuckoo, make_hopscotch])
     def test_value_no_slab_holds_is_refused_before_any_access(self, make):
-        """A record is a 3 B header and the value in one 512 B slab at
-        most: 510 B is refused up front, as ``HashTable`` refuses it."""
+        """A Figure 11 record is its own 3 B header and the value, in one
+        512 B slab at most: a 510 B value is refused up front, and 509 B
+        fits.  (``HashTable``'s records hold a 2 B header, the key and the
+        value: it takes up to 510 B of key and value.)"""
         table = make()
         with pytest.raises(KeyTooLargeError):
             table.put(b"key", b"x" * 510)

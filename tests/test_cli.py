@@ -241,7 +241,7 @@ class TestErrors:
         assert exited.value.code == 2
         assert "above the 8 B key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["510", "600"])
+    @pytest.mark.parametrize("value", ["511", "600"])
     @pytest.mark.parametrize("argv", [
         ("ycsb",),
         ("record", "unused.kvdt"),
@@ -252,7 +252,8 @@ class TestErrors:
     def test_a_kv_size_must_fit_the_largest_slab(self, argv, value, capsys):
         """Regression: ``ycsb --kv-size 510`` raised "record of 513 B
         exceeds the 512 B slab" as a KeyTooLargeError traceback, and
-        ``record`` wrote a trace that ``replay`` then crashed on."""
+        ``record`` wrote a trace that ``replay`` then crashed on.  Since
+        the record header is 2 B, 510 fits and 511 is the first refused."""
         with pytest.raises(SystemExit) as exited:
             run_cli(*argv, "--kv-size", value)
         assert exited.value.code == 2
@@ -274,7 +275,7 @@ class TestErrors:
             writer.append(KVOperation.put(b"j" * 8, b"v" * 600, seq=1))
         assert run_cli("replay", path) == (1, "")
         err = capsys.readouterr().err
-        assert err.startswith("repro replay: record of 611 B exceeds ")
+        assert err.startswith("repro replay: record of 610 B exceeds ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "x"])

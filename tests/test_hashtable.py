@@ -18,7 +18,7 @@ from repro.core.hashindex import (
 from repro.core.hashing import fnv1a64
 from repro.core.hashtable import _SECONDARY_MASK, _SECONDARY_SHIFT, HashTable
 from repro.core.slab import SlabAllocator
-from repro.core.slab_host import HostSlabManager, class_size
+from repro.core.slab_host import HostSlabManager, class_for_size, class_size
 from repro.dram.host import MemoryImage
 from repro.errors import ConfigurationError, KeyTooLargeError
 from tests.ref_bucket import RefBucket
@@ -315,10 +315,22 @@ class TestAccounting:
         assert dict(table.items()) == expected
 
 
+def _record_length(raw, slab_type):
+    """The value length of a 2 B-header record: the low byte, or 256 B
+    more, whichever makes the record need exactly its slab class."""
+    klen, low = raw[0], raw[1]
+    for vlen in (low, low + 256):
+        size = 2 + klen + vlen
+        if size <= 512 and class_for_size(size) == slab_type:
+            return vlen
+    raise AssertionError(f"record {raw[:2].hex()} fits no class {slab_type}")
+
+
 def _undecoded_walk(table):
     """``HashTable.items()`` without the zero-bucket skip: decode every
-    bucket into the reference object.  The order it yields in is the
-    order ``items()`` must keep."""
+    bucket into the reference object, and every record by the class its
+    length needs.  The order it yields in is the order ``items()`` must
+    keep."""
     for index in range(table.num_buckets):
         addr = table.bucket_addr(index)
         while True:
@@ -326,12 +338,12 @@ def _undecoded_walk(table):
             for start, __ in bucket.inline_spans():
                 yield bucket.read_inline(start)
             for slot, pointer, __ in bucket.pointer_slots():
+                slab_type = bucket.slab_types[slot]
                 raw = table.memory.peek(
-                    pointer * POINTER_GRANULARITY,
-                    class_size(bucket.slab_types[slot]),
+                    pointer * POINTER_GRANULARITY, class_size(slab_type)
                 )
-                klen, vlen = raw[0], int.from_bytes(raw[1:3], "little")
-                yield raw[3 : 3 + klen], raw[3 + klen : 3 + klen + vlen]
+                klen, vlen = raw[0], _record_length(raw, slab_type)
+                yield raw[2 : 2 + klen], raw[2 + klen : 2 + klen + vlen]
             if not bucket.chain_ptr:
                 break
             addr = bucket.chain_ptr * POINTER_GRANULARITY
@@ -371,6 +383,67 @@ class TestItemsWalk:
         assert has_no_entries(head) and chain_ptr(head)
         assert list(table.items()) == list(_undecoded_walk(table))
         assert {k for k, __ in table.items()} == set(keys) - set(in_head)
+
+
+class TestRecordHeader:
+    """A slab record is a 2 B header (key length, value length's low
+    byte) and the KV; the slab class carries the high bit.  Records at
+    every class boundary, the 256 <-> 257 B step across the top one,
+    and replacements that cross classes read back whole.  The reference
+    walk decodes a record only if it sits in the smallest class that
+    holds it."""
+
+    KEY_LENGTHS = (1, 8, 255)
+
+    @classmethod
+    def _cases(cls):
+        """(key length, value length) of each record: sizes 32 and under,
+        S / 2 + 1 and S for S = 64 ... 512, and values of 0, 255, 256 and
+        257 B, for every key length they fit."""
+        sizes = [3, 10, 32]
+        for slab in (64, 128, 256, 512):
+            sizes += [slab // 2 + 1, slab]
+        cases = set()
+        for klen in cls.KEY_LENGTHS:
+            cases.update((klen, size - 2 - klen) for size in sizes)
+            cases.update((klen, vlen) for vlen in (0, 255, 256, 257))
+        return sorted((k, v) for k, v in cases if v >= 0 and k + v <= 510)
+
+    @staticmethod
+    def _check(table, model):
+        for key, value in model.items():
+            assert table.get(key) == value
+            assert table.peek(key) == value
+        assert dict(table.items()) == model
+        assert list(table.items()) == list(_undecoded_walk(table))
+
+    def test_every_boundary_reads_back(self):
+        table = make_table(memory_size=1 << 20, inline_threshold=0)
+        model = {}
+        for n, (klen, vlen) in enumerate(self._cases()):
+            key = bytes([n]) * klen
+            model[key] = bytes([n % 251 + 1]) * vlen
+            table.put(key, model[key])
+        assert any(2 + len(k) + len(v) == 512 for k, v in model.items())
+        self._check(table, model)
+
+    @pytest.mark.parametrize("klen", KEY_LENGTHS)
+    def test_replacements_cross_every_class(self, klen):
+        """One key walks every record size of its key length up, then
+        down, and steps 256 <-> 257 B both ways, in one table."""
+        table = make_table(memory_size=1 << 20, inline_threshold=0)
+        key = b"k" * klen
+        lengths = [v for k, v in self._cases() if k == klen]
+        steps = [254 - klen, 255 - klen] * 2 if klen < 255 else []
+        walk = lengths + lengths[::-1] + steps
+        for step, vlen in enumerate(walk):
+            model = {key: bytes([step % 251 + 1]) * vlen}
+            table.put(key, model[key])
+            self._check(table, model)
+        classes = [class_for_size(2 + klen + vlen) for vlen in walk]
+        moves = sum(a != b for a, b in zip(classes, classes[1:]))
+        assert table.allocator.counters["frees"] == moves
+        assert moves or klen == 255
 
 
 class TestUncountedPeek:
@@ -498,10 +571,12 @@ class TestWholeTableDigest:
     table and memory counters, the cost stats, the access trace and every
     answer.  The digest was taken with the decoded bucket object the
     codec replaced; working on the bytes must write the same bytes through
-    the same accesses."""
+    the same accesses.  It was re-pinned when the record header went from
+    3 B to 2 B, which rewrites every record's bytes and moves the 120 B
+    values of 6 B keys from 256 B slabs to 128 B ones (fewer bytes read)."""
 
     DIGEST = (
-        "90bc26035b7bc20647143f3eb3f9ee6716213083798b42f0e8d7100f9a9e2d9b"
+        "a8aaa3c188957a7881310e428cc4b4b14e9cc879474158f1785bc82bf7a2290d"
     )
 
     def test_digest_is_pinned(self):
