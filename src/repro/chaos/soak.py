@@ -489,9 +489,7 @@ class _Soak:
         if self.cluster is not None:
             # Let replication channels drain and any in-flight failover
             # finish before the replicas are compared differentially.
-            quiesced = sim.event()
-            self.cluster.quiesce(partial(sim.finish, quiesced))
-            sim.run(quiesced)
+            self.cluster.quiesce()
         report.elapsed_ns = self.sim.now
         report.final_state_matches = (
             self.topology.primary_state() == self.model.state

@@ -298,9 +298,7 @@ class ClusterRouter:
         for __ in range(workers):
             sim.call_soon(work)
         sim.run(drained)
-        quiesced = sim.event()
-        self.cluster.quiesce(partial(sim.finish, quiesced))
-        sim.run(quiesced)
+        self.cluster.quiesce()
         elapsed = sim.now - start
         stats = {
             "nodes": float(len(self.cluster.nodes)),

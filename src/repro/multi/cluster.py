@@ -22,16 +22,17 @@ explicitly) take a whole stack down mid-run.  A dead node NACKs every
 operation with a retryable :class:`~repro.errors.NodeDown` and has no
 further side effects; failover then
 
-1. waits for the dead node's in-flight operations to settle,
-2. write-blocks the affected slots and drains their replication
-   channels (an acknowledged write always enqueued its record *at ack
+1. write-blocks each slot the dead node owned and, in the step whose
+   record apply drains it, finds it settled: its in-flight writes (the
+   dead node's included) have settled and its replication channel is
+   empty (an acknowledged write always enqueued its record *at ack
    time*, and the channels are owned by the cluster, not the dying node
    - so draining guarantees **zero lost acknowledged writes**),
-3. promotes each slot's backup to primary and bumps the epoch
+2. promotes each such slot's backup to primary, then bumps the epoch
    (operations routed under the stale epoch - the router passes it as
    ``ClusterNode.submit(..., epoch=)`` - NACK with
    :class:`~repro.errors.WrongEpoch` and re-route),
-4. migrates each affected slot's keys to a freshly chosen backup to
+3. migrates each affected slot's keys to a freshly chosen backup to
    re-establish the replication factor, then unblocks writes.
 
 The cluster also keeps a **live-key directory** - per node, per slot, the
@@ -78,8 +79,6 @@ from repro.sim.stats import Counter, Histogram
 REPLICATION_DELAY_NS = 200.0
 #: Simulated cost of copying one key during a slot migration.
 MIGRATION_DELAY_PER_KEY_NS = 300.0
-#: How often quiesce/failover loops re-check for in-flight work.
-POLL_NS = 100.0
 
 
 @dataclass(frozen=True)
@@ -171,8 +170,6 @@ class ClusterNode:
         self.sim = stack.sim
         self.alive = True
         self.stalled_until = -1.0
-        #: Operations accepted into the pipeline and not yet settled.
-        self.outstanding = 0
         #: Operations accepted over the node's lifetime.
         self.accepted = 0
         #: Die when ``accepted`` reaches this (deterministic mid-run kill).
@@ -266,8 +263,11 @@ class ClusterNode:
                 )
             )
         h = fnv1a64(op.key) if key_hash is None else key_hash
+        if not op.is_write:
+            self.accepted += 1
+            return self.stack.processor.submit(op, deadline_ns, h)
         slot = cluster.map.slot_of(op.key, h)
-        if op.is_write and slot in cluster.migrating_slots:
+        if slot in cluster.migrating_slots:
             return self._nack(
                 NodeDown(
                     f"slot {slot} is write-blocked during migration",
@@ -276,21 +276,17 @@ class ClusterNode:
                 )
             )
         self.accepted += 1
-        self.outstanding += 1
-        cluster.slot_outstanding[slot] += 1
+        cluster.slot_writes[slot] += 1
         event = self.stack.processor.submit(op, deadline_ns, h)
-        event.add_callback(partial(self._settled, op, slot, h))
+        event.add_callback(partial(self._settled, op.key, slot, h))
         return event
 
-    def _settled(
-        self, op: KVOperation, slot: int, h: int, _event: Event
-    ) -> None:
-        """An accepted op settled: release it and replicate a write."""
-        self.outstanding -= 1
+    def _settled(self, key: bytes, slot: int, h: int, _event: Event) -> None:
+        """An accepted write settled: replicate it.  Its record keeps the
+        slot busy until the channel drains, so this ends no wait."""
         cluster = self.cluster
-        cluster.slot_outstanding[slot] -= 1
-        if op.is_write:
-            cluster.replicate(slot, op.key, h, self)
+        cluster.slot_writes[slot] -= 1
+        cluster.replicate(slot, key, h, self)
 
 
 class ReplicationChannel:
@@ -313,10 +309,6 @@ class ReplicationChannel:
             Tuple[bytes, int, Optional[bytes], float]
         ] = deque()
         self._draining = False
-
-    @property
-    def pending(self) -> int:
-        return len(self.queue)
 
     def enqueue(
         self, key: bytes, h: int, value: Optional[bytes], acked_at: float
@@ -348,6 +340,8 @@ class ReplicationChannel:
             cluster.sim.call_after(REPLICATION_DELAY_NS, self._apply)
         else:
             self._draining = False
+            if cluster._waiters:
+                cluster._wake()
 
 
 class Cluster:
@@ -407,9 +401,14 @@ class Cluster:
         ]
         #: Slots currently write-blocked by an in-progress migration.
         self.migrating_slots: Set[int] = set()
-        self.slot_outstanding: List[int] = [0] * num_slots
+        #: Writes accepted per slot and not yet settled.  A write-blocked
+        #: slot's count can only fall.
+        self.slot_writes: List[int] = [0] * num_slots
         self._failed_over: Set[int] = set()
         self._failovers_active = 0
+        #: ``(busy, then)`` waits not yet ended, oldest first.
+        self._waiters: List[Tuple[Callable[[], bool], Callable[[], None]]] = []
+        self._waking = False
 
     # -- data path ---------------------------------------------------------
 
@@ -522,29 +521,43 @@ class Cluster:
                 return candidate
         return None
 
-    def _poll(
-        self, busy: Callable[[], bool], then: Callable[[], None], _kick=None
+    def _wait(
+        self, busy: Callable[[], bool], then: Callable[[], None]
     ) -> None:
-        """Call ``then()`` once ``busy()`` is false, re-checking every
-        :data:`POLL_NS`: at once if it already is."""
-        if busy():
-            self.sim.call_after(POLL_NS, partial(self._poll, busy, then))
-        else:
-            then()
+        """Call ``then()`` once ``busy()`` is false: at once if it already
+        is, else in the step that makes it so.  Only a falling count ends
+        a wait, so waits are re-checked only where one falls: a channel
+        draining and a failover finishing."""
+        self._waiters.append((busy, then))
+        self._wake()
 
-    def _slot_settled(self, slot: int, then: Callable[[], None]) -> bool:
-        """Whether a write-blocked slot has settled: no in-flight ops, and
-        then an empty replication channel.  If it has not, ``then()`` runs
-        in the poll step that sees it settle."""
-        channel = self.channels[slot]
-        drained = partial(self._poll, lambda: channel.pending, then)
-        if self.slot_outstanding[slot] > 0:
-            self._poll(lambda: self.slot_outstanding[slot] > 0, drained)
-            return False
-        if channel.pending:
-            drained()
-            return False
-        return True
+    def _wake(self) -> None:
+        """Run every wait that has ended, oldest first.  A ``then()`` that
+        waits again, or ends another wait, joins this pass instead of
+        nesting one, so any number of settled slots takes no stack."""
+        if self._waking:
+            return
+        self._waking = True
+        waiters = self._waiters
+        index = 0
+        while index < len(waiters):
+            busy, then = waiters[index]
+            if busy():
+                index += 1
+            else:
+                del waiters[index]
+                then()
+                index = 0
+        self._waking = False
+
+    def _block(self, slot: int, then: Callable[[], None]) -> None:
+        """Write-block a slot and call ``then()`` once it has settled."""
+        self.migrating_slots.add(slot)
+        self._wait(partial(self._slot_busy, slot), then)
+
+    def _slot_busy(self, slot: int) -> bool:
+        """Whether a slot has unsettled writes or undrained records."""
+        return self.slot_writes[slot] > 0 or bool(self.channels[slot].queue)
 
     def annotate(self, name: str, detail: str = "") -> None:
         """Forward an instant-event marker to the tracer, if any."""
@@ -562,19 +575,20 @@ class Cluster:
         peek = node.store.peek
         return {key: peek(key) for key in self.directory[node.index][slot]}
 
-    def quiesce(self, then: Callable[[], None]) -> None:
-        """Call ``then()`` once every channel has drained and every
+    def quiesce(self) -> None:
+        """Run the simulator until every channel has drained and every
         failover has finished (then compare replicas differentially).
 
-        The wait kick-starts on the next entry at the current instant, and
-        ``then`` runs in the step that sees the cluster idle: a caller that
-        runs the simulator until then passes ``partial(sim.finish, done)``
-        and runs until ``done``."""
-        self.sim.call_soon(partial(self._poll, self._busy, then))
+        It stops in the step that leaves the cluster idle; a cluster that
+        can never go idle raises :class:`~repro.errors.SimulationError`
+        when the simulator runs out of events."""
+        done = self.sim.event()
+        self._wait(self._busy, partial(self.sim.finish, done))
+        self.sim.run(done)
 
     def _busy(self) -> bool:
         return self._failovers_active > 0 or any(
-            channel.pending for channel in self.channels
+            channel.queue for channel in self.channels
         )
 
     def primary_state(self) -> dict:
@@ -693,83 +707,69 @@ class Cluster:
 
 
 class _Failover:
-    """One failover as a chain: wait for the dead node's in-flight ops,
-    write-block and drain each slot it owned and promote the slot's
-    backup, bump the epoch, then re-replicate every slot it touched.  Both
-    loops over slots run on in place while each slot has settled already,
-    and resume from the poll step that sees one settle."""
+    """One failover as a chain: for each slot the dead node owned,
+    write-block it, wait until it has settled and promote its backup;
+    bump the epoch; then for each slot it touched, write-block it, wait
+    again and copy it to a fresh backup."""
 
     __slots__ = ("cluster", "node_id", "started", "owned", "slots",
-                 "target", "snapshot", "resume_at")
+                 "target", "snapshot")
 
     def __init__(self, cluster: Cluster, node_id: int) -> None:
         self.cluster, self.node_id = cluster, node_id
 
     def start(self, _kick) -> None:
         cluster = self.cluster
+        cmap = cluster.map
         self.started = cluster.sim.now
-        node = cluster.nodes[self.node_id]
-        cluster.annotate("cluster.failover_start", f"node{self.node_id}")
-        # In-flight ops at the dead node settle normally (their acks
-        # were or will be delivered), and each settled write enqueues its
-        # replication record - wait for all of them before draining.
-        cluster._poll(lambda: node.outstanding > 0, self.drained)
-
-    def drained(self) -> None:
-        cmap = self.cluster.map
         self.owned = cmap.slots_owned(self.node_id)
         self.slots = self.owned + cmap.slots_backed(self.node_id)
-        self.promote_from(0)
+        cluster.annotate("cluster.failover_start", f"node{self.node_id}")
+        self.promote(0)
 
-    def promote_from(self, index: int, settled: bool = False) -> None:
-        """Write-block, then drain: every acknowledged write's record
+    def promote(self, index: int) -> None:
+        """Write-block, then drain: every acknowledged write's record -
+        the dead node's in-flight writes settle and enqueue theirs too -
         reaches the backup before it becomes the primary."""
         cluster = self.cluster
+        if index < len(self.owned):
+            cluster._block(self.owned[index], partial(self.promoted, index))
+            return
         cmap = cluster.map
-        while index < len(self.owned):
-            slot = self.owned[index]
-            resume = partial(self.promote_from, index, True)
-            if not settled:
-                cluster.migrating_slots.add(slot)
-                if not cluster._slot_settled(slot, resume):
-                    return
-            settled = False
-            index += 1
-            new_primary = cmap.backup(slot)
-            if new_primary is None or not cluster.nodes[new_primary].alive:
-                cluster.counters["slots_lost"] += 1
-                cluster.migrating_slots.discard(slot)
-                continue
-            cmap.placements[slot] = Placement(primary=new_primary, backup=None)
-            cluster.counters["promotions"] += 1
         cmap.bump()
         cluster.counters["epoch_bumps"] += 1
         cluster.annotate("cluster.epoch_bump", f"epoch={cmap.epoch}")
         # Re-establish the replication factor for every slot the dead
         # node touched; each slot stays write-blocked during its copy so
         # the snapshot cannot race concurrent writes.
-        self.migrate_from(0)
+        self.migrate(0)
 
-    def migrate_from(self, index: int, owner: Optional[int] = None) -> None:
-        """``owner`` is the primary read before the wait, when resuming on
-        the slot at ``index`` that has just settled."""
+    def promoted(self, index: int) -> None:
+        cluster = self.cluster
+        cmap = cluster.map
+        slot = self.owned[index]
+        new_primary = cmap.backup(slot)
+        if new_primary is None or not cluster.nodes[new_primary].alive:
+            cluster.counters["slots_lost"] += 1
+            cluster.migrating_slots.discard(slot)
+        else:
+            cmap.placements[slot] = Placement(primary=new_primary)
+            cluster.counters["promotions"] += 1
+        self.promote(index + 1)
+
+    def migrate(self, index: int) -> None:
+        """Write-block the next slot with a live primary and copy it once
+        it has settled; after the last, the failover is done."""
         cluster = self.cluster
         while index < len(self.slots):
             slot = self.slots[index]
             index += 1
-            if owner is None:
-                owner = cluster.map.placements[slot].primary
-                if owner == self.node_id or not cluster.nodes[owner].alive:
-                    cluster.migrating_slots.discard(slot)
-                    owner = None
-                    continue
-                cluster.migrating_slots.add(slot)
-                resume = partial(self.migrate_from, index - 1, owner)
-                if not cluster._slot_settled(slot, resume):
-                    return
-            if not self.copy(slot, owner, index):
-                return
-            owner = None
+            owner = cluster.map.placements[slot].primary
+            if owner == self.node_id or not cluster.nodes[owner].alive:
+                cluster.migrating_slots.discard(slot)
+                continue
+            cluster._block(slot, partial(self.copy, slot, owner, index))
+            return
         cluster.failover_time_ns.record(cluster.sim.now - self.started)
         cluster.counters["failovers"] += 1
         cluster._failovers_active -= 1
@@ -777,20 +777,19 @@ class _Failover:
             "cluster.failover_done",
             f"node{self.node_id} took={cluster.sim.now - self.started:.0f}ns",
         )
+        cluster._wake()
 
-    def copy(self, slot: int, owner: int, index: int) -> bool:
+    def copy(self, slot: int, owner: int, index: int) -> None:
         """Re-replicate a settled slot to a fresh backup, one key per
-        :data:`MIGRATION_DELAY_PER_KEY_NS`; whether that is done at once.
-        If not, the last key's step resumes the loop at ``index``."""
+        :data:`MIGRATION_DELAY_PER_KEY_NS`, then migrate from ``index``."""
         cluster = self.cluster
         new_backup = cluster._pick_backup(exclude=owner)
         if new_backup is None:
             cluster.counters["unreplicated_slots"] += 1
-            cluster.map.placements[slot] = Placement(
-                primary=owner, backup=None
-            )
+            cluster.map.placements[slot] = Placement(primary=owner)
             cluster.migrating_slots.discard(slot)
-            return True
+            self.migrate(index)
+            return
         target = self.target = cluster.nodes[new_backup]
         # Clear any stale copy of this slot before the fresh snapshot
         # (a delete at the primary must not resurrect at the backup).
@@ -801,25 +800,26 @@ class _Failover:
         self.snapshot = sorted(
             cluster._slot_items(cluster.nodes[owner], slot).items()
         )
-        self.resume_at = index
-        return self.copy_key(slot, owner, 0)
+        self.copy_key(slot, owner, index, 0)
 
-    def copy_key(self, slot: int, owner: int, position: int, _kick=None):
-        """Wait out the next key's delay and copy it; once every key is
-        copied, point the slot at its new backup.  Returns whether the
-        slot is done at once (it had no key)."""
+    def copy_key(
+        self, slot: int, owner: int, index: int, position: int, _kick=None
+    ) -> None:
+        """Copy the key before ``position`` (none at 0), then wait out the
+        next key's delay; once every key is copied, point the slot at its
+        new backup and migrate from ``index``."""
         cluster = self.cluster
         snapshot = self.snapshot
-        if _kick is not None:
+        if position:
             key, value = snapshot[position - 1]
             if cluster.apply_state(self.target, slot, key, value):
                 cluster.counters["migrated_keys"] += 1
         if position < len(snapshot):
             cluster.sim.call_after(
                 MIGRATION_DELAY_PER_KEY_NS,
-                partial(self.copy_key, slot, owner, position + 1),
+                partial(self.copy_key, slot, owner, index, position + 1),
             )
-            return False
+            return
         cluster.map.placements[slot] = Placement(
             primary=owner, backup=self.target.index
         )
@@ -828,6 +828,4 @@ class _Failover:
             "cluster.slot_migrated",
             f"slot={slot} keys={position} backup={self.target.name}",
         )
-        if _kick is not None:
-            self.migrate_from(self.resume_at)
-        return True
+        self.migrate(index)

@@ -7,7 +7,7 @@ sweep's open-loop submitter used to be generator processes.  They are
 chains now, and must occupy the same queue positions (``docs/MODELING.md``,
 "Rule for writing a chain").  Their bodies live on here verbatim, as
 subclasses that put them back - a test-only reference that
-``tests/test_cold_chains.py`` runs next to the chains.  The four edits:
+``tests/test_cold_chains.py`` runs next to the chains.  The five edits:
 a wait on several processes goes through :func:`tests.waiting.all_of`,
 the kernel's old ``Simulator.all_of``; ``RefKVClient.start`` drains the
 lane ``KVClient.run`` now hands it into the list it used to get; its
@@ -15,12 +15,16 @@ batch hands ``KVClient._collect`` no key hashes (it submits none); and
 the retry limits and backoff streams, once constructor options, are read
 from the live object's retry policies (``_loss``, ``_busy``, ``_retry``)
 and the route delay from ``repro.client.router.ROUTE_DELAY_NS``, while
-the limit, budget, backoff and breaker decisions stay written out here.
+the limit, budget, backoff and breaker decisions stay written out here;
+and the cluster's waits, once loops that slept a fixed poll interval,
+yield an event the live cluster's wake triggers (the failover no longer
+waits for the dead node to drain first: each slot's wait covers it).
 """
 
 import sys
 
 from copy import copy
+from functools import partial
 from typing import (
     Callable, Dict, Generator, Iterable, List, Optional, Sequence,
 )
@@ -52,16 +56,15 @@ from repro.errors import (
 )
 from repro.multi.cluster import (
     MIGRATION_DELAY_PER_KEY_NS,
-    POLL_NS,
     Cluster,
     Placement,
 )
 from repro.network.batching import decode_batch, encode_batch
 from repro.network.rdma import packet_wire_bytes
 from repro.obs.registry import MetricsRegistry
-from repro.sim.engine import Event, Process
+from repro.sim.engine import _KICK, Event, Process
 from repro.sim.stats import Histogram, mops
-from tests.waiting import all_of
+from tests.waiting import Waiting, all_of, processed
 
 
 def fan_out(
@@ -472,31 +475,25 @@ class RefCluster(Cluster):
         self._failovers_active += 1
         self.sim.process(self._fail_over(node_id))
 
-    def _quiesce_slot(self, slot: int):
-        """Wait until a write-blocked slot has no in-flight ops and an
-        empty replication channel (its state is fully settled)."""
-        while self.slot_outstanding[slot] > 0:
-            yield self.sim.timeout(POLL_NS)
-        while self.channels[slot].pending:
-            yield self.sim.timeout(POLL_NS)
+    def _settle(self, busy: Callable[[], bool]):
+        """Generator: return once ``busy()`` is false, resuming inline in
+        the step that ends the cluster's wait."""
+        ended = Waiting(self.sim)
+        self._wait(busy, partial(ended, _KICK))
+        if not processed(ended):
+            yield ended
 
     def _fail_over(self, node_id: int):
         """The failover process: drain, promote, bump, re-replicate."""
         started = self.sim.now
-        node = self.nodes[node_id]
         self.annotate("cluster.failover_start", f"node{node_id}")
-        # In-flight ops at the dead node settle normally (their acks
-        # were or will be delivered), and each settled write enqueues its
-        # replication record - wait for all of them before draining.
-        while node.outstanding > 0:
-            yield self.sim.timeout(POLL_NS)
         primary_slots = self.map.slots_owned(node_id)
         backup_slots = self.map.slots_backed(node_id)
         for slot in primary_slots:
             # Write-block, then drain: every acknowledged write's record
             # reaches the backup before it becomes the primary.
             self.migrating_slots.add(slot)
-            yield from self._quiesce_slot(slot)
+            yield from self._settle(partial(self._slot_busy, slot))
             new_primary = self.map.backup(slot)
             if new_primary is None or not self.nodes[new_primary].alive:
                 self.counters["slots_lost"] += 1
@@ -519,7 +516,7 @@ class RefCluster(Cluster):
                 self.migrating_slots.discard(slot)
                 continue
             self.migrating_slots.add(slot)
-            yield from self._quiesce_slot(slot)
+            yield from self._settle(partial(self._slot_busy, slot))
             new_backup = self._pick_backup(exclude=owner)
             if new_backup is None:
                 self.counters["unreplicated_slots"] += 1
@@ -557,17 +554,12 @@ class RefCluster(Cluster):
             "cluster.failover_done",
             f"node{node_id} took={self.sim.now - started:.0f}ns",
         )
+        self._wake()
 
     def quiesce(self):
         """Generator: wait for every channel to drain and every failover
         to finish (run it to compare replicas differentially)."""
-        while True:
-            busy = self._failovers_active > 0 or any(
-                channel.pending for channel in self.channels
-            )
-            if not busy:
-                return
-            yield self.sim.timeout(POLL_NS)
+        yield from self._settle(self._busy)
 
 
 class RefSoak(_Soak):

@@ -32,13 +32,14 @@ from repro.errors import (
     ConfigurationError,
     NodeDown,
     RetryExhausted,
+    SimulationError,
     WrongEpoch,
 )
 from repro.faults import FaultPlan
 from repro.multi import Cluster, ClusterMap, MultiNICServer, Placement
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
-from tests.waiting import performed, quiesced
+from tests.waiting import performed
 
 
 def _cluster(nodes=3, slots=8, **kwargs):
@@ -251,7 +252,7 @@ class TestFailover:
         read = KVOperation.get(key, seq=1)
         _perform(sim, router, read, results)
         sim.run()
-        sim.run(quiesced(cluster))
+        cluster.quiesce()
         # The read NACKed, triggered failover, retried against the
         # promoted backup - and saw the acknowledged write.
         assert results[1].ok
@@ -272,7 +273,7 @@ class TestFailover:
         router.run(ops)
         cluster.nodes[0].die()
         cluster.notice_node_down(0)
-        sim.run(quiesced(cluster))
+        cluster.quiesce()
         # Every slot again has an alive primary and an alive backup.
         for slot, placement in enumerate(cluster.map.placements):
             assert cluster.nodes[placement.primary].alive, slot
@@ -292,7 +293,7 @@ class TestFailover:
         router.run(ops)
         cluster.nodes[0].die()
         cluster.notice_node_down(0)
-        sim.run(quiesced(cluster))
+        cluster.quiesce()
         # No second node remains to back up: slots run unreplicated but
         # stay available at the survivor.
         for placement in cluster.map.placements:
@@ -309,12 +310,108 @@ class TestFailover:
         cluster.nodes[0].die()
         cluster.notice_node_down(0)
         cluster.notice_node_down(0)
-        sim.run(quiesced(cluster))
+        cluster.quiesce()
         assert cluster.counters.get("failovers") == 1
         # A live node is never failed over.
         cluster.notice_node_down(1)
-        sim.run(quiesced(cluster))
+        cluster.quiesce()
         assert cluster.counters.get("failovers") == 1
+
+    def test_each_slot_wait_ends_in_the_step_that_drains_the_slot(self):
+        """A slot's promotion and its copy start at the instant it was
+        write-blocked if it was settled then, else in the step whose
+        record apply empties its channel - not on a later timer tick, and
+        not after a gap in a GET stream to the slot that never pauses."""
+        sim, cluster = _cluster()
+        router = ClusterRouter(sim, cluster)
+        for i in range(0, 96, 2):
+            cluster.preload(b"key%06d" % i, struct.pack("<q", i))
+        log = []
+
+        class Blocks(set):
+            def add(self, slot):
+                log.append((sim.now, "block", slot))
+                super().add(slot)
+
+        class Placements(list):
+            def __setitem__(self, slot, placement):
+                if placement.backup is None:
+                    log.append((sim.now, "promote", slot))
+                super().__setitem__(slot, placement)
+
+        def spy_drain(channel, apply):
+            def drain(kick):
+                apply(kick)
+                if not channel.queue:
+                    log.append((sim.now, "drained", channel.slot))
+            channel._apply = drain
+
+        def spy_copy(node, slot):
+            log.append((sim.now, "copy", slot))
+            if slot == streamed:
+                streaming.append(in_flight[0])
+            return slot_items(node, slot)
+
+        slot_items = cluster._slot_items
+        cluster._slot_items = spy_copy
+        cluster.migrating_slots = Blocks()
+        cluster.map.placements = Placements(cluster.map.placements)
+        for channel in cluster.channels:
+            spy_drain(channel, channel._apply)
+        owned = cluster.map.slots_owned(0)
+        touched = owned + cluster.map.slots_backed(0)
+        streamed = owned[0]
+        key = next(
+            b"key%06d" % i for i in range(96)
+            if cluster.map.slot_of(b"key%06d" % i) == streamed
+        )
+        gets = iter(range(1000, 1400))
+        in_flight, streaming = [0], []
+
+        def get(_result=None, _error=None):
+            seq = next(gets, None)
+            if seq is not None:
+                in_flight[0] += 1
+                router.perform(KVOperation.get(key, seq=seq), None, got)
+
+        def got(_result, _error):
+            in_flight[0] -= 1
+            get()
+
+        for __ in range(4):
+            get()
+        cluster.kill_after_accepts(0, 64)
+        router.run(_mixed_ops(600), concurrency=8)
+        assert cluster.counters.get("failovers") == 1
+        assert streaming and streaming[0] > 0
+        blocked, drained, waits = {}, {}, []
+        for now, kind, slot in log:
+            if kind == "block":
+                blocked[slot] = now
+            elif kind == "drained":
+                drained.setdefault(slot, []).append(now)
+            elif slot in blocked:
+                waits.append((slot, kind, blocked.pop(slot), now))
+        assert [(slot, kind) for slot, kind, __, __ in waits] == [
+            (slot, "promote") for slot in owned
+        ] + [(slot, "copy") for slot in touched]
+        for slot, kind, blocked_at, ended_at in waits:
+            last = max(
+                (t for t in drained.get(slot, ()) if t <= ended_at),
+                default=blocked_at,
+            )
+            assert ended_at == max(blocked_at, last), (slot, kind)
+        # Some slot was still busy when blocked, so a wait really ran.
+        assert any(ended > start for __, __, start, ended in waits)
+
+    def test_a_quiesce_that_can_never_finish_raises(self):
+        """A channel record no drain will apply keeps the cluster busy
+        forever: the simulator runs out of events instead of spinning."""
+        __, cluster = _cluster()
+        key = b"key000000"
+        cluster.channels[0].queue.append((key, fnv1a64(key), b"v", 0.0))
+        with pytest.raises(SimulationError, match="ran out of events"):
+            cluster.quiesce()
 
 
 def _walk_slot_items(cluster, node, slot):
@@ -443,7 +540,7 @@ class TestKeyDirectory:
             assert cluster.nodes[index].store.get(key) is None
         cluster.nodes[placement.backup].die()
         cluster.notice_node_down(placement.backup)
-        sim.run(quiesced(cluster))
+        cluster.quiesce()
         assert cluster.map.backup(slot) == spare.index
         assert key not in cluster.directory[spare.index][slot]
         assert spare.store.get(key) is None
@@ -494,7 +591,7 @@ class TestFailedApply:
             self._break_puts(node)
         cluster.nodes[0].die()
         cluster.notice_node_down(0)
-        sim.run(quiesced(cluster))
+        cluster.quiesce()
         assert cluster.counters.get("failovers") == 1
         assert cluster.counters.get("replication_apply_failures") > 0
         assert cluster.counters.get("migrated_keys") == 0
@@ -587,7 +684,7 @@ class TestRetryLoop:
             cluster.map.primary(cluster.map.slot_of(b"key000000"))
         ].die()
         result = self._outcome(sim, router, kind)
-        sim.run(quiesced(cluster))
+        cluster.quiesce()
         assert result.ok
         assert router.counters.get("node_down_retries") >= 1
         assert cluster.counters.get("failovers") == 1

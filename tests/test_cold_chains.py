@@ -14,7 +14,8 @@ completion only ran a callback that acts on a failure, a failover's and an
 overload submitter's ran nothing, and a worker's or soak driver's only
 counted the rest down: the last one's is kept, because the every-worker
 entry after it is where the run returns.  A run's or ``quiesce``'s
-completion, where ``sim.run`` stops, is kept.
+completion, where ``sim.run`` stops, is kept; ``quiesce``'s kick-start is
+not, as its chain starts waiting in the call itself.
 """
 
 import dataclasses
@@ -305,7 +306,7 @@ def cluster_run(refs, nodes, seed, scans=False, breaker=False):
             retry_budget=RetryBudget(capacity=20.0, refill_per_success=0.2),
             breaker=CircuitBreaker(
                 clock=lambda: sim.now, window_ns=50_000.0,
-                failure_threshold=0.2, min_samples=4, open_ns=2_000.0,
+                failure_threshold=0.02, min_samples=4, open_ns=2_000.0,
             ),
         )
     router_cls = ClusterRouter
@@ -341,9 +342,8 @@ class TestClusterChainsMatchTheGenerators:
         chains = cluster_run(False, nodes, seed, scans, breaker)
         created = reference[1].created()
         assert created["quiesce"] == 1 and created["_fail_over"] == 1
-        assert_matches(
-            chains, reference, created["worker"] - 1 + created["_fail_over"]
-        )
+        assert_matches(chains, reference, created["worker"] - 1
+                       + created["_fail_over"] + created["quiesce"])
         events = chains[0]["cluster"]
         assert events["failovers"] == 1
         assert chains[0]["router"]["node_down_retries"]
@@ -379,9 +379,8 @@ class TestSoakAndOverloadChainsMatchTheGenerators:
         created = reference[1].created()
         assert created["_driver"] == cfg.num_keys
         assert chains[0]["report"]["ok"]
-        assert_matches(
-            chains, reference, created["_driver"] - 1 + created["_fail_over"]
-        )
+        assert_matches(chains, reference, created["_driver"] - 1
+                       + created["_fail_over"] + created["quiesce"])
 
     @pytest.mark.parametrize("shed", [True, False])
     def test_overload_point(self, shed, monkeypatch):

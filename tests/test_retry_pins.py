@@ -167,11 +167,11 @@ class TestClusterRetries:
     def test_node_kill(self):
         router, stats = self._killed()
         snapshot = router.robustness_snapshot()
-        assert snapshot["node_down_retries"] == 14
-        assert snapshot["wrong_epoch_retries"] == 1
+        assert snapshot["node_down_retries"] == 12
+        assert snapshot["wrong_epoch_retries"] == 2
         assert snapshot["retry_give_ups"] == 0
-        assert stats["elapsed_ns"] == 62894.656993642064
-        assert stats["latency_p99_ns"] == 2223.6695603572093
+        assert stats["elapsed_ns"] == 62901.1779246849
+        assert stats["latency_p99_ns"] == 2201.3415989466225
         assert stats["completed"] == 600.0
 
     def test_node_kill_under_a_budget(self):
@@ -179,23 +179,23 @@ class TestClusterRetries:
             retry_budget=RetryBudget(capacity=4.0, refill_per_success=0.0)
         )
         assert router.robustness_snapshot() == {
-            "node_down_retries": 13, "wrong_epoch_retries": 1,
+            "node_down_retries": 12, "wrong_epoch_retries": 2,
             "retry_give_ups": 10, "breaker_fast_fails": 0,
             "breaker_opens": 0, "budget_spent": 4, "budget_refused": 10,
         }
-        assert stats["elapsed_ns"] == 58825.01585304292
-        assert stats["latency_p99_ns"] == 1550.4534497681389
+        assert stats["elapsed_ns"] == 58841.997029555714
+        assert stats["latency_p99_ns"] == 1572.3250596189205
         assert (stats["completed"], stats["failed"]) == (590.0, 10.0)
 
     def test_node_kill_behind_a_breaker(self):
         router, stats = self._killed(breaker=True)
         assert router.robustness_snapshot() == {
-            "node_down_retries": 11, "wrong_epoch_retries": 1,
+            "node_down_retries": 10, "wrong_epoch_retries": 2,
             "retry_give_ups": 0, "breaker_fast_fails": 29,
             "breaker_opens": 4, "budget_spent": 0, "budget_refused": 0,
         }
-        assert stats["elapsed_ns"] == 66088.74201905781
-        assert stats["latency_p99_ns"] == 3249.8207882435813
+        assert stats["elapsed_ns"] == 66088.00683031244
+        assert stats["latency_p99_ns"] == 3248.085765944515
 
 
 def test_the_router_passes_a_deadline_miss_on_unrecorded():

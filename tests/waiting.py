@@ -14,13 +14,11 @@ and queue position a chain does.
 
 A test that waits on several events at once uses :class:`AllOf` (or
 :func:`all_of`): the kernel's class as it was before model code stopped
-using it.  :func:`performed` and :func:`quiesced` turn a cluster router's
-``perform`` and a cluster's ``quiesce`` into events the same way.
+using it.  :func:`performed` turns a cluster router's ``perform`` into an
+event the same way.
 :func:`processed`, :func:`idle` and :func:`peek` read an event's and a
 simulator's state.
 """
-
-from functools import partial
 
 from repro.sim.engine import _PENDING, Event
 
@@ -120,10 +118,3 @@ def performed(router, op, deadline_ns=None):
 
     router.perform(op, deadline_ns, then)
     return event
-
-
-def quiesced(cluster):
-    """``cluster.quiesce(then)`` as the event ``sim.run`` waits for."""
-    done = Event(cluster.sim)
-    cluster.quiesce(partial(cluster.sim.finish, done))
-    return done

@@ -62,7 +62,7 @@ EXTRA = {
     "tune": "tune --kv-size 30 --utilization 0.2",
     "ycsb-slab": "ycsb --ops 3000 --put-ratio 0.5 --kv-size 254",
     # Every record one whole 512 B slab, the largest KV a slab stores.
-    "ycsb-slab-max": "ycsb --ops 2000 --put-ratio 0.5 --kv-size 509",
+    "ycsb-slab-max": "ycsb --ops 2000 --put-ratio 0.5 --kv-size 510",
     # A 1 GiB store: the memory a run does not write is never touched.
     "ycsb-1gib": "ycsb --ops 2000 --corpus 2000 --memory-mib 1024",
     # A shuffled Zipf stream, drawn one op at a time as the run pulls it.
