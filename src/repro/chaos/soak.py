@@ -542,20 +542,20 @@ def run_soak(
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
     timeline=None,
-    recorder=None,
 ) -> SoakReport:
     """Run one chaos soak; see the module docstring for the invariants.
 
     When ``registry`` is given every layer's metrics (including the
     ingress/shed counters) are registered on it before the run, so the
-    caller can export them afterwards.  When ``timeline`` (a
-    :class:`~repro.obs.timeline.TimelineSampler`) is given it is bound
-    to the soak's simulator, attached per shard (``nic<i>``) or per
-    cluster node plus cluster-wide gauges, and run for the soak's
-    duration; the report then carries a ``timeline`` section with the
-    window count, digest, and the arrival schedule's phase annotations.
-    When ``recorder`` (a :class:`~repro.obs.timeline.FlightRecorder`) is
-    given, a failing soak triggers a ``soak_fail`` dump on it.
+    caller can export them afterwards.  ``tracer`` goes to the soak's
+    simulator.  When ``timeline`` (a
+    :class:`~repro.obs.timeline.TimelineSampler`) is given it is
+    attached per shard (``nic<i>``) or per cluster node plus
+    cluster-wide gauges, and run for the soak's duration; the report
+    then carries a ``timeline`` section with the window count, digest,
+    and the arrival schedule's phase annotations, and a failing soak
+    triggers a ``soak_fail`` dump on the sampler's flight recorder, if
+    it has one.
     """
     soak = _Soak(config or SoakConfig(), tracer)
     if registry is not None:
@@ -581,6 +581,7 @@ def run_soak(
                 for index, multiplier in enumerate(soak.phase_multipliers)
             ],
         }
-    if recorder is not None and report.check():
-        recorder.trigger("soak_fail", soak.sim.now)
+        recorder = timeline.recorder
+        if recorder is not None and report.check():
+            recorder.trigger("soak_fail", soak.sim.now)
     return report

@@ -114,6 +114,9 @@ _positive_float = _number_in(0, float("inf"), "a finite number above zero")
 _fraction = _number_in(0, 1, "a fraction between 0 and 1, exclusive")
 #: A count or a size, such as every ``--ops`` and ``--memory-mib``.
 _positive_int = _number_in(0, float("inf"), "a positive integer", int)
+#: A count where 0 means "none", such as ``soak --nodes``.
+_non_negative_int = _number_in(-1, float("inf"), "a non-negative integer",
+                               int)
 #: A relative tolerance: a finite number, zero or above.
 _tolerance = _number_in(math.nextafter(0, -1), float("inf"),
                         "a finite number of at least 0")
@@ -129,6 +132,9 @@ def _unit_interval(what: str):
     between them is exactly [0, 1]."""
     return _number_in(math.nextafter(0, -1), math.nextafter(1, 2), what)
 
+
+#: The share of ops a tracer samples (``--sample``).
+_sample_rate = _unit_interval("a sample rate in [0, 1]")
 
 #: The ``_plain`` options that are counts, sizes or shares.
 _KINDS = {
@@ -223,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
         memory_mib=8,
     )
     trace.add_argument(
-        "--sample", type=float, default=1.0,
+        "--sample", type=_sample_rate, default=1.0,
         help="fraction of ops traced (deterministic hash sampling)",
     )
 
@@ -252,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "Chrome trace-event JSON (load in Perfetto / about:tracing)",
     )
     timeline.add_argument(
-        "--sample", type=float, default=1.0,
+        "--sample", type=_sample_rate, default=1.0,
         help="tracer sample rate for --format chrome span events",
     )
     timeline.add_argument(
@@ -435,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "default 1 = the original single-stack soak)",
     )
     soak.add_argument(
-        "--nodes", type=int, default=0,
+        "--nodes", type=_non_negative_int, default=0,
         help="soak a replicated cluster of N nodes instead of plain "
              "shards (routes through the epoch-aware ClusterRouter)",
     )
@@ -596,7 +602,7 @@ def _write_timeline(path: str, sampler) -> None:
         handle.write(timeline_text(sampler))
 
 
-def _seeded_run(args, tracer=None, profile=False, timeline=None):
+def _seeded_run(args, timeline=None, **topology):
     """One batched client run over a seeded corpus/workload/topology.
 
     Shared by ``repro metrics``, ``repro trace``, ``repro profile`` and
@@ -605,14 +611,12 @@ def _seeded_run(args, tracer=None, profile=False, timeline=None):
     invocations with identical arguments replay the identical
     simulation.  ``args.shards`` (profile/timeline) sizes the server;
     ``args.workload`` (profile) switches the op stream to standard YCSB-E
-    and enables the ordered index the scans need.  A ``timeline``
-    sampler, when given, is attached per NIC and finished after the run.
-    Returns ``(server, router, ops)``.
+    and enables the ordered index the scans need; ``topology`` adds
+    :func:`~repro.scenario.build` options (a tracer, profilers).  A
+    ``timeline`` sampler, when given, is attached per NIC and finished
+    after the run.  Returns ``(server, router, ops)``.
     """
-    built = _build(
-        args, shards=getattr(args, "shards", 1), tracer=tracer,
-        profile=profile,
-    )
+    built = _build(args, shards=getattr(args, "shards", 1), **topology)
     ops = built.operations(args.ops)
     router = built.server.router(batch_size=16)
     if timeline is not None:
@@ -1089,17 +1093,16 @@ def _cmd_soak(args, out) -> int:
         cluster_slots=args.slots,
         kill_node=args.kill_node,
     )
-    sampler = recorder = None
+    sampler = None
     if args.timeline:
-        recorder = FlightRecorder()
         sampler = TimelineSampler(window_ns=args.window_ns,
-                                  recorder=recorder)
-    report = run_soak(config, timeline=sampler, recorder=recorder)
+                                  recorder=FlightRecorder())
+    report = run_soak(config, timeline=sampler)
     if sampler is not None:
         _write_timeline(args.timeline, sampler)
-        if recorder.dumps:
+        if sampler.recorder.dumps:
             with open(args.timeline + ".flight.json", "w") as handle:
-                handle.write(recorder.dump_json() + "\n")
+                handle.write(sampler.recorder.dump_json() + "\n")
     problems = report.check()
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True),
@@ -1151,15 +1154,15 @@ def _cmd_cluster(args, out) -> int:
     ops = built.operations(args.ops)
     if args.kill_node:
         if args.nodes < 2:
-            raise SystemExit("--kill-node needs --nodes >= 2 (a backup "
-                             "must exist to promote)")
+            raise ConfigurationError("--kill-node needs --nodes >= 2 (a "
+                                     "backup must exist to promote)")
         target = cluster.map.primary(cluster.map.slot_of(ops[0].key))
         cluster.kill_after_accepts(
             target, max(1, int(0.4 * len(ops) / args.nodes))
         )
     sampler = None
     if args.timeline:
-        sampler = TimelineSampler(window_ns=args.window_ns, sim=sim)
+        sampler = TimelineSampler(window_ns=args.window_ns)
         cluster.attach_timeline(sampler)
         sampler.start()
     router = ClusterRouter(sim, cluster, seed=args.seed)

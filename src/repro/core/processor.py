@@ -58,7 +58,6 @@ from repro.memory.engine import MemoryAccessEngine
 from repro.network.ethernet import EthernetLink
 from repro.obs.profiler import StageProfiler
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.pcie.dma import MultiLinkDMA
 from repro.pcie.link import PCIeLinkConfig
 from repro.sim.engine import Event, Simulator
@@ -79,7 +78,6 @@ class KVProcessor:
         store: Optional[KVDirectStore] = None,
         config: Optional[KVDirectConfig] = None,
         hls=None,
-        tracer: Optional[Tracer] = None,
         profiler: Optional[StageProfiler] = None,
     ) -> None:
         if store is None:
@@ -89,18 +87,17 @@ class KVProcessor:
         self.sim = sim
         self.store = store
         self.config = store.config
-        #: Optional per-op tracer, shared with every hardware model so one
-        #: span log covers the whole pipeline an operation crosses.
-        self.tracer = tracer
-        if tracer is not None:
-            tracer.bind_clock(lambda: self.sim.now)
+        #: The simulator's per-op tracer (None when untraced); every
+        #: hardware model reads the same one, so one span log covers the
+        #: whole pipeline an operation crosses.
+        self.tracer = sim.tracer
         #: Optional stage profiler (see :mod:`repro.obs.profiler`): purely
         #: observational latency/DMA attribution per op class - attaching
         #: one never changes simulated behaviour.
         self.profiler = profiler
         if profiler is not None:
-            profiler.bind(
-                decode_service_ns=(_DECODE_DEPTH + 1) * store.config.cycle_ns
+            profiler.decode_service_ns = (
+                (_DECODE_DEPTH + 1) * store.config.cycle_ns
             )
         #: Optional :class:`~repro.core.hls.HLSToolchain`: when provided,
         #: vector λs are charged their compiled pipeline cycles
@@ -121,7 +118,6 @@ class KVProcessor:
                 seed=seed + cfg.seed
             ),
             injector=self.injector,
-            tracer=tracer,
             profiler=profiler,
         )
         self.nic_dram = NICDram(sim, size=cfg.effective_nic_dram)
@@ -146,14 +142,13 @@ class KVProcessor:
             ecc = ECCFaultPath(self.injector)
         self.engine = MemoryAccessEngine(
             sim, self.dma, self.nic_dram, self.dispatcher, cache, ecc=ecc,
-            tracer=tracer, profiler=profiler,
+            profiler=profiler,
         )
         self.network = EthernetLink(
             sim,
             bandwidth=cfg.network_bandwidth,
             rtt_ns=cfg.network_rtt_ns,
             injector=self.injector,
-            tracer=tracer,
         )
 
         # -- pipeline resources ---------------------------------------------

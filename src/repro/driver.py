@@ -184,7 +184,6 @@ def run_closed_loop(
     if not sharded:
         lanes = [target]
     if timeline is not None:
-        timeline.bind(sim)
         timeline.start()
     #: seq -> (scan op, its per-lane results): collected only when the
     #: caller asks for the merged payloads, so a plain run pays nothing

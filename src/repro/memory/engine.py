@@ -32,7 +32,6 @@ from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profiler import StageProfiler
-    from repro.obs.tracer import Tracer
 
 
 class _Access:
@@ -216,7 +215,6 @@ class MemoryAccessEngine:
         cache: Optional[DramCache] = None,
         line_size: int = CACHE_LINE_SIZE,
         ecc: Optional[ECCFaultPath] = None,
-        tracer: Optional["Tracer"] = None,
         profiler: Optional["StageProfiler"] = None,
     ) -> None:
         self.sim = sim
@@ -228,8 +226,8 @@ class MemoryAccessEngine:
         #: Optional ECC fault path: injected bit flips on cached-line reads
         #: run through the real SEC-DED codec (corrected or detected).
         self.ecc = ecc
-        #: Optional per-op tracer: routing decisions, hits/fills, ECC.
-        self.tracer = tracer
+        #: The simulator's per-op tracer: routing decisions, hits/fills, ECC.
+        self.tracer = sim.tracer
         #: Optional profiler: attributes cache events to op classes.
         self.profiler = profiler
         self.counters = Counter()

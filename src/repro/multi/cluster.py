@@ -71,7 +71,6 @@ from repro.faults.plan import FaultPlan
 from repro.multi.multinic import MultiNICServer
 from repro.multi.stack import ServerStack
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Counter, Histogram
 
@@ -358,7 +357,6 @@ class Cluster:
         num_nodes: int,
         num_slots: int = 8,
         config: Optional[KVDirectConfig] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if num_nodes <= 0:
             raise ConfigurationError("cluster needs at least one node")
@@ -366,14 +364,11 @@ class Cluster:
         self.map = ClusterMap(num_slots, num_nodes)
         #: The stacks (built, seeded and observed by the shard server);
         #: node i gates stack i.
-        self.server = MultiNICServer(sim, num_nodes, config, tracer=tracer)
+        self.server = MultiNICServer(sim, num_nodes, config)
         base = self.server.config
         self.counters = Counter()
         self.replication_lag_ns = Histogram()
         self.failover_time_ns = Histogram()
-        #: Kept for failover/migration annotations (Perfetto instant
-        #: events via :meth:`Tracer.annotate`); never affects span goldens.
-        self.tracer = tracer
         #: Node-level fault sites (``node<i>.kill`` / ``node<i>.stall``)
         #: share one injector with per-site RNG streams; scheduled kills
         #: also land here so the fault log covers them.
@@ -560,9 +555,12 @@ class Cluster:
         return self.slot_writes[slot] > 0 or bool(self.channels[slot].queue)
 
     def annotate(self, name: str, detail: str = "") -> None:
-        """Forward an instant-event marker to the tracer, if any."""
-        if self.tracer is not None:
-            self.tracer.annotate(name, detail)
+        """Forward an instant-event marker to the simulator's tracer, if
+        any (:meth:`~repro.obs.tracer.Tracer.annotate`: a Perfetto instant
+        event, never in the span log)."""
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.annotate(name, detail)
 
     # -- settling ----------------------------------------------------------
 
@@ -700,7 +698,6 @@ class Cluster:
     def attach_timeline(self, sampler) -> None:
         """Attach each node's processor (``node<i>`` series) and the
         cluster gauges to a timeline sampler."""
-        sampler.bind(self.sim)
         for node in self.nodes:
             sampler.attach_processor(node.name, node.stack.processor)
         sampler.attach_cluster(self)

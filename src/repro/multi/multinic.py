@@ -37,7 +37,6 @@ from repro.errors import ConfigurationError, UnsupportedOperation
 from repro.multi.stack import ServerStack
 from repro.obs.profiler import StageProfiler
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.sim.engine import Event, Simulator
 
 
@@ -49,7 +48,6 @@ class MultiNICServer:
         sim: Simulator,
         nic_count: int,
         config: Optional[KVDirectConfig] = None,
-        tracer: Optional[Tracer] = None,
         profile: bool = False,
     ) -> None:
         if nic_count <= 0:
@@ -69,7 +67,6 @@ class MultiNICServer:
                 sim,
                 replace(base, seed=base.seed + i),
                 name=f"nic{i}",
-                tracer=tracer,
                 profiler=(
                     StageProfiler(name=f"nic{i}" if nic_count > 1 else "")
                     if profile else None
@@ -168,7 +165,6 @@ class MultiNICServer:
 
     def attach_timeline(self, sampler) -> None:
         """Attach every stack to a timeline sampler (``nic<i>`` series)."""
-        sampler.bind(self.sim)
         for stack in self.stacks:
             sampler.attach_processor(stack.name, stack.processor)
 

@@ -23,7 +23,6 @@ from repro.core.config import KVDirectConfig
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.obs.profiler import StageProfiler
-from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
 
 
@@ -36,16 +35,13 @@ class ServerStack:
         sim: Simulator,
         config: Optional[KVDirectConfig] = None,
         name: str = "nic0",
-        tracer: Optional[Tracer] = None,
         profiler: Optional[StageProfiler] = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self.store = KVDirectStore(config)
         self.profiler = profiler
-        self.processor = KVProcessor(
-            sim, self.store, tracer=tracer, profiler=profiler
-        )
+        self.processor = KVProcessor(sim, self.store, profiler=profiler)
 
     @property
     def config(self) -> KVDirectConfig:

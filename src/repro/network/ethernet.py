@@ -27,7 +27,6 @@ _SITE_SUFFIX = {
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-    from repro.obs.tracer import Tracer
 
 
 class _Transfer(Event):
@@ -98,7 +97,6 @@ class EthernetLink:
         bandwidth: float = constants.NETWORK_BANDWIDTH,
         rtt_ns: float = constants.NETWORK_RTT_NS,
         injector: Optional["FaultInjector"] = None,
-        tracer: Optional["Tracer"] = None,
     ) -> None:
         if not bandwidth > 0:
             raise ConfigurationError("network bandwidth must be positive")
@@ -111,9 +109,9 @@ class EthernetLink:
         self.egress = BandwidthServer(sim, rate, name="eth.tx")
         #: Optional fault injector: loss / reorder / duplication per flight.
         self.injector = injector
-        #: Optional tracer: flight delivery and fabric-misbehaviour spans
-        #: (emitted with seq -1, packets carry whole batches).
-        self.tracer = tracer
+        #: The simulator's tracer: flight delivery and fabric-misbehaviour
+        #: spans (emitted with seq -1, packets carry whole batches).
+        self.tracer = sim.tracer
         self.counters = Counter()
 
     def _trace(self, stage: str, detail: str = "") -> None:

@@ -207,14 +207,8 @@ class StageProfiler:
         #: seq -> op class, registered at submission.
         self._class_of: Dict[int, str] = {}
         #: Decoder pipeline occupancy (service floor of the decode stage),
-        #: bound by the processor at attach time.
+        #: set by the processor the profiler is passed to.
         self.decode_service_ns = 0.0
-
-    # -- wiring (called by KVProcessor) -------------------------------------
-
-    def bind(self, decode_service_ns: float) -> None:
-        """Learn the decode stage's fixed service time from the processor."""
-        self.decode_service_ns = decode_service_ns
 
     def class_profile(self, name: str) -> ClassProfile:
         profile = self.classes.get(name)

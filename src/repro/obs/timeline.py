@@ -236,15 +236,16 @@ class FlightRecorder:
 class TimelineSampler:
     """Windowed metric sampling on the simulator's own event loop.
 
-    Construct with the window width, ``bind()`` a simulator (or pass one
-    up front), attach sources (a topology's ``attach_timeline(sampler)``,
-    or :meth:`attach_processor` for a bare processor), then ``start()``
-    before driving load and ``finish()`` after - the final partial window
-    is closed there.  Each closed window emits one row per attached processor (in attach order),
-    an ``"all"`` aggregate row when more than one processor is attached
-    (window latency percentiles over the *merged* raw samples, not
-    averaged percentiles), and a ``"cluster"`` row when a cluster is
-    attached.
+    Construct with the window width, attach sources (a topology's
+    ``attach_timeline(sampler)``, or :meth:`attach_processor` for a bare
+    processor), then ``start()`` before driving load and ``finish()``
+    after - the final partial window is closed there.  The sampler runs
+    on the simulator of the first source attached and refuses a source
+    on any other.  Each closed window emits one row per attached
+    processor (in attach order), an ``"all"`` aggregate row when more
+    than one processor is attached (window latency percentiles over the
+    *merged* raw samples, not averaged percentiles), and a ``"cluster"``
+    row when a cluster is attached.
 
     The tick is a plain event callback that re-arms itself; ``finish()``
     sets a stop flag so a still-pending tick left in the event heap after
@@ -254,7 +255,6 @@ class TimelineSampler:
     def __init__(
         self,
         window_ns: float = DEFAULT_WINDOW_NS,
-        sim=None,
         recorder: Optional[FlightRecorder] = None,
     ) -> None:
         if not 0 < window_ns < float("inf"):  # NaN fails this too
@@ -263,7 +263,8 @@ class TimelineSampler:
                 f"{window_ns}"
             )
         self.window_ns = float(window_ns)
-        self.sim = sim
+        #: The simulator the attached sources run on (set by the first).
+        self.sim = None
         self.recorder = recorder
         self._sources: List[_ProcessorSource] = []
         self._cluster: Optional[_ClusterSource] = None
@@ -279,21 +280,26 @@ class TimelineSampler:
 
     # -- wiring -------------------------------------------------------------
 
-    def bind(self, sim) -> None:
-        """Attach the simulator, if none was given at construction."""
+    def _attach(self, source) -> None:
+        """Take the simulator of the first source; refuse a source on
+        another, or one attached after ``start()``."""
+        if self._started:
+            raise ConfigurationError("cannot attach sources after start()")
         if self.sim is None:
-            self.sim = sim
+            self.sim = source.sim
+        elif source.sim is not self.sim:
+            raise ConfigurationError(
+                "cannot attach a source that runs on another simulator"
+            )
 
     def attach_processor(self, name: str, processor) -> None:
         """Add one shard's processor as a series named ``name``."""
-        if self._started:
-            raise ConfigurationError("cannot attach sources after start()")
+        self._attach(processor)
         self._sources.append(_ProcessorSource(name, processor))
 
     def attach_cluster(self, cluster) -> None:
         """Add the cluster-wide gauge series (``"cluster"`` rows)."""
-        if self._started:
-            raise ConfigurationError("cannot attach sources after start()")
+        self._attach(cluster)
         self._cluster = _ClusterSource(cluster)
 
     @property
@@ -307,8 +313,6 @@ class TimelineSampler:
         if self._started:
             return
         if self.sim is None:
-            raise ConfigurationError("bind() a simulator before start()")
-        if not self._sources and self._cluster is None:
             raise ConfigurationError("attach at least one source before start()")
         self._started = True
         self._closed_until = self.sim.now

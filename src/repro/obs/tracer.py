@@ -76,25 +76,22 @@ class Tracer:
     """Collects spans for a sampled subset of operations.
 
     ``sample_rate`` is the fraction of operations traced: 0.0 disables
-    tracing entirely, 1.0 traces every operation.  ``clock`` is a
-    zero-argument callable returning the current simulated time; the
-    :class:`~repro.core.processor.KVProcessor` binds it to its simulator
-    automatically.
+    tracing entirely, 1.0 traces every operation.  Hand the tracer to
+    the run's :class:`~repro.sim.engine.Simulator` (``Simulator(tracer=)``):
+    the simulator owns it and its clock stamps every span; a span emitted
+    by a tracer no simulator owns is :data:`UNTIMED`.
     """
 
-    def __init__(
-        self,
-        sample_rate: float = 1.0,
-        seed: int = 0,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, sample_rate: float = 1.0, seed: int = 0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ConfigurationError(
                 f"sample rate must be in [0, 1]: {sample_rate}"
             )
         self.sample_rate = sample_rate
         self.seed = seed
-        self.clock = clock
+        #: The simulator that owns this tracer (set by it): its ``now``
+        #: stamps each span.
+        self.sim = None
         self.spans: List[Span] = []
         #: Spans emitted per stage (registrable as ``trace`` metrics).
         self.counters = Counter()
@@ -107,11 +104,6 @@ class Tracer:
         #: surface in :meth:`export_chrome` - so annotating never perturbs
         #: golden traces.
         self.annotations: List[Tuple[str, float, str]] = []
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the sim-time source, if none was given at construction."""
-        if self.clock is None:
-            self.clock = clock
 
     # -- sampling -----------------------------------------------------------
 
@@ -139,7 +131,7 @@ class Tracer:
         """Record one span for operation ``seq`` if it is sampled."""
         if not self.sampled(seq):
             return
-        at_ns = self.clock() if self.clock is not None else UNTIMED
+        at_ns = self.sim.now if self.sim is not None else UNTIMED
         span = Span(len(self.spans), seq, stage, at_ns, detail)
         self.spans.append(span)
         self.counters[stage] += 1
@@ -153,7 +145,7 @@ class Tracer:
         digest; rendered as a global instant event by
         :meth:`export_chrome`.
         """
-        at_ns = self.clock() if self.clock is not None else UNTIMED
+        at_ns = self.sim.now if self.sim is not None else UNTIMED
         self.annotations.append((name, at_ns, detail))
 
     # -- export -------------------------------------------------------------

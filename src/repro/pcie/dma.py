@@ -41,7 +41,6 @@ from repro.sim.stats import Counter, Histogram
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.obs.profiler import StageProfiler
-    from repro.obs.tracer import Tracer
 
 
 class _Transfer:
@@ -203,7 +202,6 @@ class DMAEngine:
         config: Optional[PCIeLinkConfig] = None,
         name: str = "pcie0",
         injector: Optional["FaultInjector"] = None,
-        tracer: Optional["Tracer"] = None,
         profiler: Optional["StageProfiler"] = None,
     ) -> None:
         self.sim = sim
@@ -211,8 +209,9 @@ class DMAEngine:
         self.name = name
         #: Optional fault injector: delay spikes and dropped TLPs.
         self.injector = injector
-        #: Optional per-op tracer: spans for transfers, retries, delays.
-        self.tracer = tracer
+        #: The simulator's per-op tracer: spans for transfers, retries,
+        #: delays.
+        self.tracer = sim.tracer
         #: Optional profiler: attributes completed TLPs to op classes.
         self.profiler = profiler
         bytes_per_ns = self.config.bandwidth / 1e9
@@ -279,7 +278,6 @@ class MultiLinkDMA:
         link_count: int = 2,
         config_factory=PCIeLinkConfig.gen3_x8,
         injector: Optional["FaultInjector"] = None,
-        tracer: Optional["Tracer"] = None,
         profiler: Optional["StageProfiler"] = None,
     ) -> None:
         if link_count <= 0:
@@ -288,7 +286,7 @@ class MultiLinkDMA:
         self.links = [
             DMAEngine(
                 sim, config_factory(seed=i), name=f"pcie{i}",
-                injector=injector, tracer=tracer, profiler=profiler,
+                injector=injector, profiler=profiler,
             )
             for i in range(link_count)
         ]

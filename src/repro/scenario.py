@@ -118,9 +118,10 @@ def build(
 
     ``nodes`` > 0 selects a replicated cluster of that many members
     (``slots`` placement slots) instead of ``shards`` plain NICs;
-    ``profile`` attaches a stage profiler per NIC; a cluster takes none
-    (a ``ConfigurationError``), since its request path has no profile
-    yet (item 8 of ROADMAP.md).
+    ``tracer`` goes to the :class:`~repro.sim.engine.Simulator`, where
+    every model reads it; ``profile`` attaches a stage profiler per NIC;
+    a cluster takes none (a ``ConfigurationError``), since its request
+    path has no profile yet (item 8 of ROADMAP.md).
     ``overrides`` are further :class:`KVDirectConfig` fields; the
     ordered index is on by default exactly when the workload scans
     (YCSB-E).  The corpus is inserted functionally, bypassing the timed
@@ -132,14 +133,14 @@ def build(
             "a cluster build takes no stage profiler: profiling the "
             "replicated request path is item 8 of ROADMAP.md"
         )
-    sim = Simulator()
+    sim = Simulator(tracer=tracer)
     overrides.setdefault("ordered_index", workload == "E")
     config = KVDirectConfig(memory_size=memory_size, seed=seed, **overrides)
     cluster = (
-        Cluster(sim, nodes, slots, config, tracer=tracer) if nodes else None
+        Cluster(sim, nodes, slots, config) if nodes else None
     )
     server = cluster.server if cluster else MultiNICServer(
-        sim, shards, config, tracer=tracer, profile=profile
+        sim, shards, config, profile=profile
     )
     scenario = Scenario(sim, server, cluster)
     if corpus:

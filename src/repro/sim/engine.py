@@ -44,9 +44,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.tracer import Tracer
 
 #: Sentinel distinguishing "not yet triggered" from a ``None`` value.
 _PENDING = object()
@@ -223,9 +226,14 @@ class Simulator:
     scheduled at the current instant live in a FIFO deque.  An entry is a
     triggered :class:`Event` or a bare callable.  See the module docstring
     for why this preserves exact ``(time, FIFO)`` order.
+
+    ``tracer`` is the run's one :class:`~repro.obs.tracer.Tracer`, if any:
+    the simulator stamps its spans with :attr:`now`, and every model built
+    on the simulator reads :attr:`tracer` once, at construction, so one
+    span log covers every NIC and layer of the run.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tracer: Optional["Tracer"] = None) -> None:
         #: Current simulated time in nanoseconds: a plain attribute the run
         #: loop assigns, so reading the clock costs no call.
         self.now = 0.0
@@ -236,6 +244,13 @@ class Simulator:
         #: instant, after everything already queued for it (the position
         #: of a delay-0 ``succeed``).  The deque's own ``append``.
         self.call_soon: Callable[[Callable], None] = self._dq.append
+        self.tracer = tracer
+        if tracer is not None:
+            if tracer.sim is not None:
+                raise ConfigurationError(
+                    "this tracer already belongs to another simulator"
+                )
+            tracer.sim = self
 
     # -- scheduling --------------------------------------------------------
 

@@ -283,14 +283,41 @@ class TestErrors:
         ("ycsb",), ("trace",), ("timeline",), ("metrics",),
         ("bench", "run"), ("profile",), ("cluster",),
         ("record", "unused.kvdt"),
+        ("trace", "--sample"), ("timeline", "--sample"),
     ])
     def test_a_put_ratio_lies_in_0_to_1(self, argv, value, capsys):
         """Regression: ``ycsb --put-ratio 1.5`` (or ``-0.1``, ``nan``)
-        raised "put ratio must be in [0, 1]" as a ValueError traceback."""
+        raised "put ratio must be in [0, 1]" as a ValueError traceback,
+        and ``--sample`` (the tracer's share of ops) reached the tracer
+        and exited 1 with its "sample rate must be in [0, 1]"."""
+        if argv[-1] != "--sample":
+            argv += ("--put-ratio",)
         with pytest.raises(SystemExit) as exited:
-            run_cli(*argv, "--put-ratio", value)
+            run_cli(*argv, value)
         assert exited.value.code == 2
-        assert "put ratio in [0, 1]" in capsys.readouterr().err
+        what = "sample rate" if argv[-1] == "--sample" else "put ratio"
+        assert f"{what} in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-3", "-1", "2.5", "nan", "x"])
+    def test_soak_nodes_is_a_count(self, value, capsys):
+        """``soak --nodes 0`` means no cluster; below that is a usage error.
+        Regression: ``--nodes -3`` exited 1 from the soak's config."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli("soak", "--nodes", value)
+        assert exited.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cluster", "soak"])
+    def test_a_kill_without_a_backup_is_one_line_and_exit_1(
+        self, command, capsys
+    ):
+        """Regression: ``cluster --nodes 1 --kill-node`` raised a bare
+        ``SystemExit`` string, without the ``repro cluster:`` prefix."""
+        assert run_cli(command, "--nodes", "1", "--kill-node") == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: ")
+        assert "a backup must exist to promote" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_a_put_ratio_of_0_or_1_runs(self, value):

@@ -543,16 +543,16 @@ class Rig:
                  ratio=0.5, seed=3):
         nic_cls, dma_cls, engine_cls = classes
         self.reference = classes == REFERENCE
-        self.sim = sim = Simulator()
+        self.tracer = Tracer()
+        self.sim = sim = Simulator(tracer=self.tracer)
         self.log = []
         self.injector = FaultInjector(plan, seed=seed) if plan else None
-        self.tracer = Tracer(clock=lambda: sim.now)
         multi_cls = RefMultiLinkDMA if self.reference else MultiLinkDMA
         self.dma = multi_cls(sim, link_count=2)
         self.dma.links = [
             dma_cls(
                 sim, PCIeLinkConfig.gen3_x8(seed=seed + i), name=f"pcie{i}",
-                injector=self.injector, tracer=self.tracer,
+                injector=self.injector,
             )
             for i in range(2)
         ]
@@ -564,7 +564,6 @@ class Rig:
         self.dispatcher = LoadDispatcher(ratio)
         self.engine = engine_cls(
             sim, self.dma, self.nic, self.dispatcher, self.cache, ecc=ecc,
-            tracer=self.tracer,
         )
         self.pools = []
         self._spy_channel(self.nic.channel, "nic_dram")
@@ -919,7 +918,8 @@ class ProcessorRig(Rig):
     the reference's driver processes counted."""
 
     def __init__(self, processor_cls, preload=(), hls=None, **store_options):
-        self.sim = sim = Simulator()
+        self.tracer = Tracer()
+        self.sim = sim = Simulator(tracer=self.tracer)
         self.log, self.pools, self.contexts, self.responses = [], [], [], []
         self.entries = sim._dq = _CountingDeque()
         sim.call_soon = self.entries.append
@@ -935,11 +935,10 @@ class ProcessorRig(Rig):
         for key, value in preload:
             store.put(key, value)
         store.reset_measurements()
-        self.tracer = Tracer()
         self.profiler = StageProfiler()
         self.processor = processor = processor_cls(
             sim, store, hls=hls(store) if hls else None,
-            tracer=self.tracer, profiler=self.profiler,
+            profiler=self.profiler,
         )
         for target, label in (
             (processor.decoder, "decode"),
@@ -1206,7 +1205,8 @@ def run_cluster(channel_cls, nodes, seed):
     """One seeded ClusterRouter run with a primary killed mid-run, every
     channel a ``channel_cls``: what it leaves behind, its deque appends and
     the number of drain processes it created."""
-    sim = Simulator()
+    tracer = Tracer()
+    sim = Simulator(tracer=tracer)
     entries = sim._dq = _CountingDeque()
     sim.call_soon = entries.append
     drains = []
@@ -1217,9 +1217,8 @@ def run_cluster(channel_cls, nodes, seed):
         return spawn(generator)
 
     sim.process = process
-    tracer = Tracer()
     cluster = Cluster(
-        sim, num_nodes=nodes, num_slots=8, tracer=tracer,
+        sim, num_nodes=nodes, num_slots=8,
         config=KVDirectConfig(memory_size=2 << 20, seed=seed),
     )
     for channel in cluster.channels:

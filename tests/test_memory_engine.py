@@ -195,9 +195,8 @@ class TestMemoryAccessEngine:
         """The engine evaluates the dispatcher's per-line test in place: a
         line goes to NIC DRAM exactly when ``address_hash(line) < ratio``
         (lines 0-511, which fall on both sides of any ratio in (0, 1))."""
-        sim = Simulator()
+        sim = Simulator(tracer=Tracer())
         engine = _engine(sim, ratio=ratio)
-        engine.tracer = Tracer(clock=lambda: sim.now)
         sim.run(wait(sim, engine.access, 0, 512 * 64 - 7, False, -1))
         routes = [
             span.detail for span in engine.tracer.spans

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro import scenario
 from repro.client.client import KVClient
+from repro.client.router import ClusterRouter
+from repro.core.operations import KVOperation
 from repro.core.processor import KVProcessor
 from repro.core.store import KVDirectStore
 from repro.dram.cache import CacheStats
@@ -201,19 +204,25 @@ class TestTracerUnit:
         tracer.emit(0, "ingress")
         assert tracer.spans[0].at_ns == UNTIMED
 
-    def test_clock_binding(self):
+    def test_the_simulator_stamps_its_tracers_spans(self):
         tracer = Tracer()
-        tracer.bind_clock(lambda: 123.5)
+        sim = Simulator(tracer=tracer)
+        assert sim.tracer is tracer
+        sim.now = 123.5
         tracer.emit(0, "ingress", "op=GET")
+        tracer.annotate("cluster.failover", "node1")
         span = tracer.spans[0]
         assert span == Span(0, 0, "ingress", 123.5, "op=GET")
         assert span.render() == "000000 seq=0 at=123.500 ingress op=GET"
+        assert tracer.annotations == [("cluster.failover", 123.5, "node1")]
 
-    def test_explicit_clock_wins_over_bind(self):
-        tracer = Tracer(clock=lambda: 1.0)
-        tracer.bind_clock(lambda: 2.0)
-        tracer.emit(0, "x")
-        assert tracer.spans[0].at_ns == 1.0
+    def test_a_tracer_belongs_to_one_simulator(self):
+        """A second simulator would stamp the first one's span log with
+        its own clock."""
+        tracer = Tracer()
+        Simulator(tracer=tracer)
+        with pytest.raises(ConfigurationError, match="another simulator"):
+            Simulator(tracer=tracer)
 
     def test_stage_counters(self):
         tracer = Tracer()
@@ -226,14 +235,14 @@ class TestTracerUnit:
 
 def _traced_run(seed: int, ops: int = 120, sample: float = 1.0):
     """A small seeded client workload with a tracer attached."""
-    sim = Simulator()
+    tracer = Tracer(sample_rate=sample, seed=seed)
+    sim = Simulator(tracer=tracer)
     store = KVDirectStore.create(memory_size=4 << 20, seed=seed)
     keyspace = KeySpace(count=200, kv_size=13, seed=seed)
     for key, value in keyspace.pairs():
         store.put(key, value)
     store.reset_measurements()
-    tracer = Tracer(sample_rate=sample, seed=seed)
-    processor = KVProcessor(sim, store, tracer=tracer)
+    processor = KVProcessor(sim, store)
     client = KVClient(sim, processor, batch_size=16)
     generator = YCSBGenerator(
         keyspace, WorkloadSpec(put_ratio=0.5, seed=seed)
@@ -273,6 +282,51 @@ class TestTraceDeterminism:
             assert expected in stages, f"missing stage {expected}"
         # At least one execute/queue decision happened.
         assert stages & {"station.execute", "station.queued"}
+
+    def test_one_tracer_sees_every_layer_of_a_cluster_run(self):
+        """The simulator's one tracer collects the spans of every model on
+        every node - processor stages, PCIe, NIC DRAM, a wire client's
+        Ethernet and batch spans - and the failover's annotations."""
+        tracer = Tracer(seed=3)
+        built = scenario.build(
+            seed=3, memory_size=2 << 20, corpus=200, put_ratio=0.5,
+            nodes=3, tracer=tracer,
+        )
+        cluster = built.cluster
+        ops = built.operations(600)
+        target = cluster.map.primary(cluster.map.slot_of(ops[0].key))
+        reads = [
+            KVOperation.get(op.key, seq=seq) for seq, op in enumerate(ops[:40])
+        ]
+        built.server.stacks[(target + 1) % 3].client(batch_size=8).run(reads)
+        cluster.kill_after_accepts(target, 60)
+        ClusterRouter(built.sim, cluster, seed=3).run(ops)
+        assert cluster.counters.get("failovers") == 1
+
+        families = {span.stage.split(".")[0] for span in tracer.spans}
+        assert {
+            "ingress", "decode", "station", "pipeline", "complete", "mem",
+            "pcie", "dram", "eth", "client",
+        } <= families
+        # Every node's admissions are in the one log, stamped by one clock.
+        admitted = [p.counters["admitted"] for p in built.server.processors]
+        assert min(admitted) > 0
+        ingress = [span for span in tracer.spans if span.stage == "ingress"]
+        assert len(ingress) == sum(admitted)
+        indices = [span.index for span in tracer.spans]
+        assert indices == list(range(len(tracer)))
+        timed = [span.at_ns for span in tracer.spans if span.at_ns != UNTIMED]
+        assert timed == sorted(timed)
+
+        events = json.loads(tracer.export_chrome())["traceEvents"]
+        marks = {
+            e["name"]: e["ts"] for e in events if e.get("cat") == "annotation"
+        }
+        assert {
+            "cluster.node_kill", "cluster.failover_start",
+            "cluster.epoch_bump", "cluster.slot_migrated",
+        } <= set(marks)
+        assert marks["cluster.node_kill"] > 0
 
 
 class TestTraceSampling:

@@ -21,9 +21,9 @@ _HARDWARE_SPANS = ("mem.", "dram.", "pcie.")
 
 
 def _processor(tracer=None, profiler=None, **overrides):
-    sim = Simulator()
+    sim = Simulator(tracer=tracer)
     store = KVDirectStore.create(memory_size=2 << 20, **overrides)
-    return sim, KVProcessor(sim, store, tracer=tracer, profiler=profiler)
+    return sim, KVProcessor(sim, store, profiler=profiler)
 
 
 @pytest.fixture(params=["blocking", "overload"])

@@ -44,7 +44,6 @@ def _single_run(timeline=None, ops=OPS, seed=7):
         keyspace, WorkloadSpec(put_ratio=0.5, seed=seed)
     )
     if timeline is not None:
-        timeline.bind(sim)
         timeline.attach_processor("nic0", processor)
     stats = run_closed_loop(
         processor, generator.operations(ops), timeline=timeline
@@ -75,7 +74,7 @@ def _sharded_run(timeline=None, shards=4, ops=OPS, seed=7):
     return server, stats
 
 
-def _cluster_kill_run(timeline=None, recorder=None, ops=900, seed=0):
+def _cluster_kill_run(timeline=None, ops=900, seed=0):
     """A replicated cluster run that kills the primary mid-run."""
     sim = Simulator()
     cluster = Cluster(
@@ -92,7 +91,6 @@ def _cluster_kill_run(timeline=None, recorder=None, ops=900, seed=0):
     target = cluster.map.primary(cluster.map.slot_of(workload[0].key))
     cluster.kill_after_accepts(target, max(1, ops // 9))
     if timeline is not None:
-        timeline.bind(sim)
         cluster.attach_timeline(timeline)
         timeline.start()
     stats = ClusterRouter(sim, cluster).run(workload)
@@ -115,13 +113,26 @@ class TestConfiguration:
             TimelineSampler(window_ns=bad)
 
     def test_start_requires_simulator(self):
+        """A sampler runs on the simulator of the first source attached and
+        refuses a processor or a cluster on another one (which would close
+        its windows on the wrong clock)."""
         sampler = TimelineSampler()
-        sampler.attach_processor = lambda *a: None  # not reached
-        with pytest.raises(ConfigurationError, match="bind"):
-            sampler.start()
+        assert sampler.sim is None
+        first, second = Simulator(), Simulator()
+        config = KVDirectConfig(memory_size=1 << 20)
+        sampler.attach_processor("nic0", KVProcessor(first, config=config))
+        assert sampler.sim is first
+        stranger = KVProcessor(second, config=config)
+        with pytest.raises(ConfigurationError, match="another simulator"):
+            sampler.attach_processor("nic1", stranger)
+        with pytest.raises(ConfigurationError, match="another simulator"):
+            sampler.attach_cluster(Cluster(second, 2, config=config))
+        assert sampler.shard_names == ["nic0"]
+        sampler.start()
+        assert sampler.sim is first
 
     def test_start_requires_a_source(self):
-        sampler = TimelineSampler(sim=Simulator())
+        sampler = TimelineSampler()
         with pytest.raises(ConfigurationError, match="source"):
             sampler.start()
 
@@ -129,7 +140,7 @@ class TestConfiguration:
         sim = Simulator()
         store = KVDirectStore.create(memory_size=4 << 20, seed=1)
         processor = KVProcessor(sim, store)
-        sampler = TimelineSampler(sim=sim)
+        sampler = TimelineSampler()
         sampler.attach_processor("nic0", processor)
         sampler.start()
         with pytest.raises(ConfigurationError, match="after start"):
@@ -304,7 +315,7 @@ class TestFlightRecorder:
     def test_node_kill_triggers_a_dump(self):
         recorder = FlightRecorder()
         sampler = TimelineSampler(window_ns=WINDOW_NS, recorder=recorder)
-        _cluster_kill_run(sampler, recorder=recorder)
+        _cluster_kill_run(sampler)
         reasons = [d["reason"] for d in recorder.dumps]
         assert "node_kill" in reasons
         kill = next(d for d in recorder.dumps if d["reason"] == "node_kill")
@@ -346,14 +357,14 @@ class TestClusterTimeline:
 
 class TestChromeExport:
     def _traced_single(self):
-        sim = Simulator()
+        tracer = Tracer(sample_rate=1.0, seed=3)
+        sim = Simulator(tracer=tracer)
         store = KVDirectStore.create(memory_size=4 << 20, seed=3)
         keyspace = KeySpace(count=64, kv_size=13, seed=3)
         for key, value in keyspace.pairs():
             store.put(key, value)
         store.reset_measurements()
-        tracer = Tracer(sample_rate=1.0, seed=3)
-        processor = KVProcessor(sim, store, tracer=tracer)
+        processor = KVProcessor(sim, store)
         generator = YCSBGenerator(
             keyspace, WorkloadSpec(put_ratio=0.5, seed=3)
         )
@@ -456,12 +467,12 @@ class TestCheckTimelineTool:
 
     def test_chrome_validation(self, tmp_path):
         check = _load_check_timeline()
-        sim = Simulator()
+        tracer = Tracer(sample_rate=1.0, seed=3)
+        sim = Simulator(tracer=tracer)
         store = KVDirectStore.create(memory_size=4 << 20, seed=3)
         store.fill_to_utilization(0.2, kv_size=13)
         store.reset_measurements()
-        tracer = Tracer(sample_rate=1.0, seed=3)
-        processor = KVProcessor(sim, store, tracer=tracer)
+        processor = KVProcessor(sim, store)
         keyspace = KeySpace(count=64, kv_size=13, seed=3)
         for key, value in keyspace.pairs():
             store.put(key, value)

@@ -51,15 +51,15 @@ def _exports(processor, client, tracer, profilers, registry):
 
 
 def _bare(**overrides):
-    sim = Simulator()
+    tracer = Tracer(seed=SEED)
+    sim = Simulator(tracer=tracer)
     store = KVDirectStore.create(memory_size=MEMORY, seed=SEED, **overrides)
     keyspace = KeySpace(count=CORPUS, kv_size=13, seed=SEED)
     for key, value in keyspace.pairs():
         store.put(key, value)
     store.reset_measurements()
-    tracer = Tracer(seed=SEED)
     profiler = StageProfiler()
-    processor = KVProcessor(sim, store, tracer=tracer, profiler=profiler)
+    processor = KVProcessor(sim, store, profiler=profiler)
     client = KVClient(sim, processor, batch_size=16)
     generator = YCSBGenerator(
         keyspace, WorkloadSpec(put_ratio=0.5, seed=SEED)
@@ -136,10 +136,9 @@ def test_three_node_cluster_matches_hand_built():
     """``build(nodes=3)`` is the replicated cluster built, preloaded and
     reset by hand."""
     tracer = Tracer(seed=SEED)
-    sim = Simulator()
+    sim = Simulator(tracer=tracer)
     cluster = Cluster(
-        sim, 3, config=KVDirectConfig(memory_size=MEMORY, seed=SEED),
-        tracer=tracer,
+        sim, 3, config=KVDirectConfig(memory_size=MEMORY, seed=SEED)
     )
     keyspace = KeySpace(count=CORPUS, kv_size=13, seed=SEED)
     for key, value in keyspace.pairs():
