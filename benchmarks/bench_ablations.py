@@ -79,7 +79,7 @@ def test_ablation_station_slots(benchmark, emit):
     assert tputs[1] > tputs[0]
 
 
-def test_ablation_slab_sync_batch(benchmark, emit):
+def test_ablation_slab_batch(benchmark, emit):
     """Section 3.3.2: batching slab-entry sync amortizes the PCIe cost;
     a batch of 1 means one DMA per allocation."""
     batches = [1, 8, 32]

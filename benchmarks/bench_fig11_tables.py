@@ -27,6 +27,7 @@ from repro.baselines.hopscotch import HopscotchHashTable
 from repro.core.config import KVDirectConfig
 from repro.core.store import KVDirectStore
 from repro.errors import CapacityError
+from repro.workloads.keyspace import KEY_SIZE
 
 MEMORY = 1 << 20
 UTILIZATIONS = [0.05, 0.10, 0.15]
@@ -37,7 +38,6 @@ SMALL_KV = 10
 #: 253 B KV's record, 255 B under KV-Direct's 2 B header, keeps the 256 B
 #: slab class (the table was cut when that header was 3 B).
 LARGE_KV = 253
-KEY_SIZE = 8
 
 
 def _random_keys(count: int, seed: int = 11):

@@ -38,7 +38,7 @@ def _filled_store(**overrides) -> KVDirectStore:
 @pytest.fixture(scope="module")
 def stores():
     return {
-        "baseline": _filled_store(use_nic_dram=False),
+        "baseline": _filled_store(load_dispatch_ratio=0.0),
         "hybrid": _filled_store(load_dispatch_ratio=0.5),
         "cache_all": _filled_store(load_dispatch_ratio=1.0),
     }

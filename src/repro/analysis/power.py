@@ -16,19 +16,13 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro import constants
-from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
 class PowerModel:
     """Wall and incremental power of a KV-Direct server."""
 
-    idle_watts: float = constants.SERVER_IDLE_POWER_W
-    incremental_watts: float = constants.KVDIRECT_INCREMENTAL_POWER_W
-
-    def __post_init__(self) -> None:
-        if self.idle_watts < 0 or self.incremental_watts <= 0:
-            raise ConfigurationError("power must be positive")
+    idle_watts = constants.SERVER_IDLE_POWER_W
+    incremental_watts = constants.KVDIRECT_INCREMENTAL_POWER_W
 
     @property
     def peak_watts(self) -> float:
@@ -92,13 +86,12 @@ TABLE3_SYSTEMS: List[SystemComparison] = [
 def kvdirect_row(
     throughput_ops: float,
     nic_count: int = 1,
-    power: PowerModel = PowerModel(),
 ) -> SystemComparison:
     """Build the KV-Direct row(s) of Table 3 from measured throughput."""
     return SystemComparison(
         name=f"KV-Direct ({nic_count} NIC{'s' if nic_count > 1 else ''})",
         throughput_ops=throughput_ops,
-        watts=power.multi_nic_watts(nic_count),
+        watts=PowerModel().multi_nic_watts(nic_count),
         tail_latency_us=10.0,
         comment="this reproduction (simulated)",
     )

@@ -13,23 +13,14 @@ as Table 3's CPU rows and as the "tens of CPU cores" equivalence claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro import constants
-from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
 class CPUKVSModel:
     """Throughput/latency model of a CPU-based KVS server."""
 
-    cores: int = 16
     #: Per-core op rate without batching (ops/s).
-    ops_per_core: float = constants.CPU_CORE_KV_OPS
-
-    def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ConfigurationError("cores must be positive")
+    ops_per_core = constants.CPU_CORE_KV_OPS
 
     def cores_for_throughput(self, target_ops: float) -> float:
         """CPU cores equivalent to a target op rate (the '36 cores' claim)."""

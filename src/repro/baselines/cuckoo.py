@@ -31,13 +31,11 @@ class CuckooHashTable(SlottedTable):
         memory: MemoryImage,
         allocator: SlabAllocator,
         num_buckets: int,
-        base: int = 0,
-        seed: int = 0,
     ) -> None:
         if num_buckets < 2:
             raise ConfigurationError("need at least two cuckoo buckets")
-        super().__init__(memory, allocator, num_buckets, base)
-        self._rng = random.Random(seed)
+        super().__init__(memory, allocator, num_buckets)
+        self._rng = random.Random(0)
 
     def _buckets_of(self, key: bytes) -> Tuple[int, int]:
         h = fnv1a64(key)

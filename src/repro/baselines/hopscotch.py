@@ -43,13 +43,12 @@ class HopscotchHashTable(SlottedTable):
         memory: MemoryImage,
         allocator: SlabAllocator,
         num_buckets: int,
-        base: int = 0,
     ) -> None:
         if num_buckets < NEIGHBORHOOD:
             raise ConfigurationError(
                 "table must be at least one neighborhood long"
             )
-        super().__init__(memory, allocator, num_buckets, base)
+        super().__init__(memory, allocator, num_buckets)
         #: Overflow chains: home bucket -> list of (key, pointer, block)
         #: entries stored in slab-allocated 64 B blocks (modelled per-block).
         self._chains: Dict[int, List[Tuple[bytes, int, int]]] = {}

@@ -11,23 +11,15 @@ single-key RDMA atomics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro import constants
-from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
 class TwoSidedRDMAModel:
     """Server-CPU-bound RPC KVS over a message-rate-limited NIC."""
 
-    cores: int = 16
-    nic_message_rate: float = constants.RDMA_NIC_MESSAGE_RATE[1]
-    ops_per_core: float = constants.CPU_CORE_KV_OPS_BATCHED
-
-    def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ConfigurationError("cores must be positive")
+    cores = 16
+    nic_message_rate = constants.RDMA_NIC_MESSAGE_RATE[1]
+    ops_per_core = constants.CPU_CORE_KV_OPS_BATCHED
 
     def throughput(self) -> float:
         """min(NIC message rate, aggregate CPU rate), ops/s."""
@@ -39,13 +31,12 @@ class TwoSidedRDMAModel:
         return min(self.throughput(), distinct_keys * per_key)
 
 
-@dataclass(frozen=True)
 class OneSidedRDMAModel:
     """Client-driven KVS using one-sided READ/WRITE/atomics."""
 
-    nic_message_rate: float = constants.RDMA_NIC_MESSAGE_RATE[1]
+    nic_message_rate = constants.RDMA_NIC_MESSAGE_RATE[1]
     #: Measured single-key atomics rate (internal NIC lock serializes).
-    atomics_rate: float = constants.RDMA_ATOMICS_OPS
+    atomics_rate = constants.RDMA_ATOMICS_OPS
 
     def atomics_throughput(self, distinct_keys: int = 1) -> float:
         """Per-key atomics serialize; spread across keys until NIC-bound."""

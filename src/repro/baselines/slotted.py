@@ -73,12 +73,10 @@ class SlottedTable:
         memory: MemoryImage,
         allocator: SlabAllocator,
         num_buckets: int,
-        base: int = 0,
     ) -> None:
         self.memory = memory
         self.allocator = allocator
         self.num_buckets = num_buckets
-        self.base = base
         self.counters = Counter()
         self.count = 0
         self.stored_bytes = 0
@@ -86,19 +84,19 @@ class SlottedTable:
         self.put_cost = RunningStats()
 
     @classmethod
-    def over(cls, memory_size: int, index_bytes: int, **kw) -> "SlottedTable":
+    def over(cls, memory_size: int, index_bytes: int) -> "SlottedTable":
         """A table over a fresh ``memory_size`` B image: the index first,
         ``index_bytes`` rounded down to whole buckets, the slabs after it."""
         num_buckets = index_bytes // BUCKET_BYTES
         index_bytes = num_buckets * BUCKET_BYTES
         memory = MemoryImage(memory_size)
         host = HostSlabManager(base=index_bytes, size=memory_size - index_bytes)
-        return cls(memory, SlabAllocator(host), num_buckets, **kw)
+        return cls(memory, SlabAllocator(host), num_buckets)
 
     # -- buckets ------------------------------------------------------------
 
     def _addr(self, bucket: int) -> int:
-        return self.base + (bucket % self.num_buckets) * BUCKET_BYTES
+        return (bucket % self.num_buckets) * BUCKET_BYTES
 
     def _read_bucket(self, bucket: int) -> List[Slot]:
         return decode_slots(self.memory.read(self._addr(bucket), BUCKET_BYTES))

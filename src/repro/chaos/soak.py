@@ -55,6 +55,11 @@ _KILL_FRACTION = 0.4
 
 #: Host memory of every soak stack and of its capacity probe.
 MEMORY_SIZE = 4 << 20
+#: Station capacity of every soak stack.  Deliberately small relative to
+#: the 16 drivers so the 2-4x bursts genuinely overflow admission - the
+#: paper-scale 256-token station would absorb a 16-driver burst without
+#: ever shedding.
+MAX_INFLIGHT = 8
 #: Arrival-schedule shape, read when a schedule is built: ``PHASE_OPS``
 #: per phase, calm phases at ``CALM_MULTIPLIER`` x capacity, burst phases
 #: drawn uniformly from ``[BURST_LOW, BURST_HIGH]`` x capacity.
@@ -126,11 +131,6 @@ class SoakConfig:
     num_keys: int = 16
     #: Operations each driver submits, strictly in order.
     ops_per_key: int = 40
-    #: Station capacity during the soak.  Deliberately small relative to
-    #: ``num_keys`` so the 2-4x bursts genuinely overflow admission - the
-    #: paper-scale 256-token station would absorb a 16-driver burst
-    #: without ever shedding.
-    max_inflight: int = 8
     #: Overload policy under test; ``None`` soaks the blocking ingress.
     overload: Optional[OverloadPolicy] = OverloadPolicy(queue_depth=4)
     #: Hardware faults active underneath the overload.
@@ -261,7 +261,7 @@ class _Soak:
             nodes=cfg.cluster_nodes,
             slots=cfg.cluster_slots,
             tracer=tracer,
-            max_inflight=cfg.max_inflight,
+            max_inflight=MAX_INFLIGHT,
             overload=cfg.overload,
             fault_plan=cfg.fault_plan,
         )

@@ -55,6 +55,7 @@ from repro.obs.timeline import sparkline
 from repro.pcie import DMAEngine, PCIeLinkConfig
 from repro.sim import Simulator
 from repro.sim.stats import mops
+from repro.workloads.keyspace import KEY_SIZE
 from repro.workloads.trace import TraceReader, TraceWriter
 
 
@@ -122,7 +123,8 @@ _tolerance = _number_in(math.nextafter(0, -1), float("inf"),
                         "a finite number of at least 0")
 #: A KV size: more than the 8 B keys every workload and the tuner draw, and
 #: no more than the largest slab holds.
-_kv_size = _number_in(8, MAX_KV_SIZE + 1, "a KV size above the 8 B key and "
+_kv_size = _number_in(KEY_SIZE, MAX_KV_SIZE + 1,
+                      f"a KV size above the {KEY_SIZE} B key and "
                       f"at most {MAX_KV_SIZE} B", int)
 
 
@@ -190,7 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-ooo", action="store_true", help="disable out-of-order execution"
     )
     ycsb.add_argument(
-        "--no-nic-dram", action="store_true", help="disable the DRAM cache"
+        "--no-nic-dram", action="store_true",
+        help="disable the DRAM cache (load dispatch ratio 0)",
     )
     ycsb.add_argument(
         "-w", "--standard",
@@ -340,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ordered RANGE/SCAN end-to-end through checksummed clients at "
              "N shards; deterministic JSON with a merged-results digest",
     )
-    range_cmd.add_argument("--seed", type=int, default=0)
+    _plain(range_cmd, seed=0)
     # --scans RANGE/SCANs, every 4th keys-only, of lengths uniform in
     # [1, --max-count].
     _plain(range_cmd, scans=64, corpus=512, kv_size=13, memory_mib=8,
@@ -350,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replicate each scan to N shards and k-way merge the partial "
              "results (the digest is shard-count invariant)",
     )
-    range_cmd.add_argument("--batch-size", type=_positive_int, default=8)
+    _plain(range_cmd, batch_size=8)
 
     atomics = sub.add_parser(
         "atomics", help="single/multi-key atomics (Figure 13a)"
@@ -387,12 +390,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "replay", help="replay a trace against a fresh store"
     )
     replay.add_argument("input", help="trace file to replay")
-    replay.add_argument("--memory-mib", type=_positive_int, default=8)
+    _plain(replay, memory_mib=8)
     replay.add_argument(
         "--timed", action="store_true",
         help="run through the cycle-level simulation (slower)",
     )
-    replay.add_argument("--concurrency", type=_positive_int, default=250)
+    _plain(replay, concurrency=250)
 
     overload = sub.add_parser(
         "overload",
@@ -434,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     soak.add_argument(
         "--shed-policy", choices=SHED_POLICIES, default="reject-new"
     )
-    soak.add_argument("--queue-depth", type=_positive_int, default=4)
+    _plain(soak, queue_depth=4)
     soak.add_argument(
         "--shards", type=_positive_int, default=1,
         help="shard the soak across N server stacks (key-hash routed; "
@@ -552,7 +555,9 @@ def _cmd_ycsb(args, out) -> int:
         distribution=args.distribution,
         workload=args.standard or "ycsb",
         out_of_order=not args.no_ooo,
-        use_nic_dram=not args.no_nic_dram,
+        load_dispatch_ratio=(
+            0.0 if args.no_nic_dram else constants.DEFAULT_LOAD_DISPATCH_RATIO
+        ),
     )
     workload_name = (
         f"YCSB-{args.standard}" if args.standard

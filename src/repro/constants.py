@@ -16,9 +16,6 @@ a suffix says otherwise.
 #: design can process KV operations at 180 M op/s" (section 4).
 KV_CLOCK_HZ = 180_000_000
 
-#: One KV processor clock cycle, in nanoseconds.
-KV_CYCLE_NS = 1e9 / KV_CLOCK_HZ
-
 #: In-flight KV operations needed to saturate PCIe/DRAM (section 3.3.3).
 MAX_INFLIGHT_OPS = 256
 
@@ -74,6 +71,10 @@ PCIE_CONCURRENCY_FOR_SATURATION = 92
 
 #: NIC on-board DRAM capacity (bytes): 4 GiB DDR3-1600, single channel.
 NIC_DRAM_SIZE = 4 * 1024**3
+
+#: Host KVS memory per byte of NIC DRAM (64 GiB : 4 GiB): every simulated
+#: store keeps the testbed's ratio at its own memory size.
+HOST_TO_NIC_DRAM_RATIO = 16
 
 #: NIC DRAM throughput (bytes/s).
 NIC_DRAM_BANDWIDTH = 12.8e9

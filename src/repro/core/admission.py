@@ -78,9 +78,10 @@ class OverloadPolicy:
     shed_policy: str = "reject-new"
 
     def __post_init__(self) -> None:
-        if self.queue_depth <= 0:
+        depth = self.queue_depth
+        if type(depth) is not int or depth <= 0:  # rejects bool, float, NaN
             raise ConfigurationError(
-                f"ingress queue depth must be positive: {self.queue_depth}"
+                f"ingress queue depth must be a positive int: {depth!r}"
             )
         if self.shed_policy not in SHED_POLICIES:
             raise ConfigurationError(

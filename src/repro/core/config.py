@@ -25,10 +25,13 @@ from repro.faults.plan import FaultPlan
 
 @dataclass(frozen=True)
 class KVDirectConfig:
-    """All knobs of one KV-Direct NIC + its slice of host memory.
+    """What an experiment varies on one KV-Direct NIC + its slice of host
+    memory.  The testbed's fixed hardware (the 180 MHz clock, the 2 us
+    network RTT, NIC DRAM at 1/16 of host memory, the slab sync batch) is
+    in :mod:`repro.constants`.
 
     Defaults give a laptop-scale 64 MiB KV store with the paper's ratios
-    (NIC DRAM = 1/16 of host KVS memory, two PCIe Gen3 x8 links, 40 GbE).
+    (two PCIe Gen3 x8 links, 40 GbE).
     """
 
     #: Host memory reserved for KV storage (index + dynamic area), bytes.
@@ -43,19 +46,11 @@ class KVDirectConfig:
     #: Fraction of memory cacheable in NIC DRAM (load dispatch ratio, l).
     load_dispatch_ratio: float = constants.DEFAULT_LOAD_DISPATCH_RATIO
 
-    #: NIC on-board DRAM size, bytes.  Default keeps the paper's 16:1
-    #: host:NIC ratio at whatever memory_size is simulated.
-    nic_dram_size: int = 0  # 0 -> memory_size // 16
-
-    #: KV processor clock (Hz).
-    clock_hz: float = constants.KV_CLOCK_HZ
-
     #: PCIe Gen3 x8 endpoints on the NIC.
     pcie_links: int = constants.PCIE_LINK_COUNT
 
-    #: Network port bandwidth (bytes/s) and round-trip (ns).
+    #: Network port bandwidth (bytes/s).
     network_bandwidth: float = constants.NETWORK_BANDWIDTH
-    network_rtt_ns: float = constants.NETWORK_RTT_NS
 
     #: Reservation station geometry.
     reservation_slots: int = constants.RESERVATION_STATION_SLOTS
@@ -70,13 +65,6 @@ class KVDirectConfig:
     #: pre-index-refactor behaviour, and PUT/DELETE pay no ordered
     #: maintenance accesses.
     ordered_index: bool = False
-
-    #: DRAM load dispatch / caching on/off (Figure 14's ablation).
-    use_nic_dram: bool = True
-
-    #: Slab allocator batching.
-    slab_sync_batch: int = constants.SLAB_SYNC_BATCH
-    slab_stack_capacity: int = constants.SLAB_NIC_STACK_CAPACITY
 
     #: Seed for the latency distributions.
     seed: int = 0
@@ -109,35 +97,28 @@ class KVDirectConfig:
                 f"overload must be an OverloadPolicy, got "
                 f"{type(self.overload).__name__}"
             )
-        for name in ("memory_size", "nic_dram_size"):
+        # Counts are ints (not bool, not float) in range, and the ratios and
+        # the bandwidth are written so that NaN fails each check.
+        for name, low, high in (
+            ("memory_size", 4 * BUCKET_SIZE, math.inf),
+            ("inline_threshold", 0, max_inline_kv_size()),
+            ("pcie_links", 1, math.inf),
+            ("reservation_slots", 1, math.inf),
+            ("max_inflight", 1, math.inf),
+        ):
             value = getattr(self, name)
-            if type(value) is not int or value < 0:  # rejects bool and float
+            if type(value) is not int or not low <= value <= high:
                 raise ConfigurationError(
-                    f"{name} must be an int >= 0: {value!r}"
+                    f"{name} must be an int in [{low}, {high}]: {value!r}"
                 )
-        if self.memory_size < 4 * BUCKET_SIZE:
-            raise ConfigurationError("memory_size too small")
         if not 0.0 < self.hash_index_ratio < 1.0:
             raise ConfigurationError(
                 f"hash index ratio must be in (0, 1): {self.hash_index_ratio}"
             )
-        if not 0 <= self.inline_threshold <= max_inline_kv_size():
-            raise ConfigurationError(
-                f"inline threshold must be in [0, {max_inline_kv_size()}]"
-            )
         if not 0.0 <= self.load_dispatch_ratio <= 1.0:
             raise ConfigurationError("load dispatch ratio must be in [0, 1]")
-        # Written so that NaN fails each check.
-        if not 0 < self.clock_hz < math.inf:
-            raise ConfigurationError("clock must be finite and positive")
         if not 0 < self.network_bandwidth < math.inf:
             raise ConfigurationError("network bandwidth must be finite, > 0")
-        if not 0 <= self.network_rtt_ns < math.inf:
-            raise ConfigurationError("network RTT must be finite and >= 0")
-        if self.pcie_links <= 0:
-            raise ConfigurationError("need at least one PCIe link")
-        if self.max_inflight <= 0 or self.reservation_slots <= 0:
-            raise ConfigurationError("reservation station must be non-empty")
         index = self.index_bytes
         if index < BUCKET_SIZE:
             raise ConfigurationError("hash index smaller than one bucket")
@@ -166,24 +147,22 @@ class KVDirectConfig:
         return self.memory_size - self.index_bytes
 
     @property
-    def effective_nic_dram(self) -> int:
-        return self.nic_dram_size or self.memory_size // 16
+    def nic_dram_bytes(self) -> int:
+        """NIC on-board DRAM, at the testbed's host:NIC ratio."""
+        return self.memory_size // constants.HOST_TO_NIC_DRAM_RATIO
 
     @property
     def cycle_ns(self) -> float:
-        return 1e9 / self.clock_hz
+        return 1e9 / constants.KV_CLOCK_HZ
 
     # -- convenience -------------------------------------------------------------
 
     @classmethod
     def paper_scale(cls) -> "KVDirectConfig":
-        """The testbed's actual sizes (64 GiB host KVS, 4 GiB NIC DRAM).
+        """The testbed's actual sizes (64 GiB host KVS, so 4 GiB NIC DRAM).
 
         A functional store this size builds in milliseconds and holds only
         the lines and chunks a run writes, but the OS may refuse the 64 GiB
         reservation (a ConfigurationError that names the size).
         """
-        return cls(
-            memory_size=constants.HOST_KVS_SIZE,
-            nic_dram_size=constants.NIC_DRAM_SIZE,
-        )
+        return cls(memory_size=constants.HOST_KVS_SIZE)

@@ -90,7 +90,6 @@ class HashTable:
         allocator: SlabAllocator,
         num_buckets: int,
         inline_threshold: int = 0,
-        base: int = 0,
     ) -> None:
         if num_buckets <= 0:
             raise ConfigurationError("need at least one hash bucket")
@@ -101,13 +100,10 @@ class HashTable:
                 f"inline threshold {inline_threshold} exceeds bucket "
                 f"capacity {max_inline_kv_size()}"
             )
-        if base % BUCKET_SIZE:
-            raise ConfigurationError("index base must be bucket-aligned")
         self.memory = memory
         self.allocator = allocator
         self.num_buckets = num_buckets
         self.inline_threshold = inline_threshold
-        self.base = base
         self.counters = Counter()
         self.stored_bytes = 0
         self.count = 0
@@ -230,11 +226,12 @@ class HashTable:
     # -- bucket IO ---------------------------------------------------------------
     # A bucket is read as ``read(addr, BUCKET_SIZE)``, stored as
     # ``memory.write(addr, bucket)`` after ``edit`` and the codec's edits,
-    # and a chain head found as ``base + h % num_buckets * BUCKET_SIZE``,
+    # and a chain head found as ``h % num_buckets * BUCKET_SIZE`` (the index
+    # starts at address 0),
     # written out at each site rather than behind a forwarding frame.
 
     def bucket_addr(self, index: int) -> int:
-        return self.base + index * BUCKET_SIZE
+        return index * BUCKET_SIZE
 
     # -- records -------------------------------------------------------------------
 
@@ -269,7 +266,7 @@ class HashTable:
         if counted:
             read = self.memory.read
         secondary = h >> _SECONDARY_SHIFT & _SECONDARY_MASK
-        addr = self.base + h % self.num_buckets * BUCKET_SIZE
+        addr = h % self.num_buckets * BUCKET_SIZE
         while True:
             line = read(addr, BUCKET_SIZE)
             start = find_inline(line, key)
@@ -303,7 +300,7 @@ class HashTable:
             -(-(kv_size + INLINE_HEADER) // SLOT_SIZE) if inline_ok else 1
         )
         host: Optional[Tuple[int, bytes, int]] = None
-        addr = self.base + h % self.num_buckets * BUCKET_SIZE
+        addr = h % self.num_buckets * BUCKET_SIZE
         while True:
             line = read(addr, BUCKET_SIZE)
             start = find_inline(line, key)
@@ -455,7 +452,7 @@ class HashTable:
         secondary = h >> _SECONDARY_SHIFT & _SECONDARY_MASK
         read = self.memory.read
         prev: Optional[Tuple[int, bytes]] = None
-        addr = self.base + h % self.num_buckets * BUCKET_SIZE
+        addr = h % self.num_buckets * BUCKET_SIZE
         while True:
             line = read(addr, BUCKET_SIZE)
             start = find_inline(line, key)

@@ -29,7 +29,7 @@ from typing import Dict
 
 from repro import constants
 from repro.core.vector import VectorFunction
-from repro.errors import ConfigurationError, KVDirectError
+from repro.errors import KVDirectError
 
 #: Adaptive logic modules on the paper's Intel Stratix V FPGA.
 STRATIX_V_ALMS = 234_720
@@ -64,20 +64,11 @@ class CompiledFunction:
 
 
 class HLSToolchain:
-    """Compiles registered λs against a clock/PCIe/FPGA budget."""
+    """Compiles registered λs against the 180 MHz clock, the PCIe rate and
+    the Stratix V logic budget."""
 
-    def __init__(
-        self,
-        clock_hz: float = constants.KV_CLOCK_HZ,
-        fpga_alms: int = STRATIX_V_ALMS,
-        user_budget: float = USER_LOGIC_BUDGET,
-    ) -> None:
-        if clock_hz <= 0:
-            raise ConfigurationError("clock must be > 0")
-        if fpga_alms <= 0 or not 0 < user_budget <= 1:
-            raise ConfigurationError("invalid FPGA budget")
-        self.clock_hz = clock_hz
-        self.alm_budget = int(fpga_alms * user_budget)
+    def __init__(self) -> None:
+        self.alm_budget = int(STRATIX_V_ALMS * USER_LOGIC_BUDGET)
         self._compiled: Dict[int, CompiledFunction] = {}
         self.alms_used = 0
 
@@ -86,7 +77,7 @@ class HLSToolchain:
     def duplication_for(self, element_size: int) -> int:
         """Lanes needed so computation keeps up with PCIe payload rate."""
         elements_per_sec = constants.PCIE_ACHIEVABLE_BANDWIDTH / element_size
-        return max(1, math.ceil(elements_per_sec / self.clock_hz))
+        return max(1, math.ceil(elements_per_sec / constants.KV_CLOCK_HZ))
 
     @staticmethod
     def estimate_operations(func: VectorFunction) -> int:

@@ -39,7 +39,6 @@ from functools import partial
 from typing import Dict, Optional
 
 from repro.core.admission import IngressQueue
-from repro.core.config import KVDirectConfig
 from repro.core.hashing import fnv1a64
 from repro.core.ooo import Admission, Completion, ReservationStation
 from repro.core.operations import KVOperation, KVResult
@@ -75,15 +74,10 @@ class KVProcessor:
     def __init__(
         self,
         sim: Simulator,
-        store: Optional[KVDirectStore] = None,
-        config: Optional[KVDirectConfig] = None,
+        store: KVDirectStore,
         hls=None,
         profiler: Optional[StageProfiler] = None,
     ) -> None:
-        if store is None:
-            store = KVDirectStore(config)
-        elif config is not None and config is not store.config:
-            raise SimulationError("config must match the store's config")
         self.sim = sim
         self.store = store
         self.config = store.config
@@ -120,13 +114,12 @@ class KVProcessor:
             injector=self.injector,
             profiler=profiler,
         )
-        self.nic_dram = NICDram(sim, size=cfg.effective_nic_dram)
-        dispatch_ratio = cfg.load_dispatch_ratio if cfg.use_nic_dram else 0.0
-        self.dispatcher = LoadDispatcher(dispatch_ratio)
+        self.nic_dram = NICDram(sim, size=cfg.nic_dram_bytes)
+        self.dispatcher = LoadDispatcher(cfg.load_dispatch_ratio)
         cache = None
-        if cfg.use_nic_dram and dispatch_ratio > 0.0:
+        if cfg.load_dispatch_ratio > 0.0:
             cache = DramCache(
-                nic_lines=max(1, cfg.effective_nic_dram // 64),
+                nic_lines=max(1, cfg.nic_dram_bytes // 64),
                 host_lines=max(1, cfg.memory_size // 64),
             )
         self.cache = cache
@@ -145,10 +138,7 @@ class KVProcessor:
             profiler=profiler,
         )
         self.network = EthernetLink(
-            sim,
-            bandwidth=cfg.network_bandwidth,
-            rtt_ns=cfg.network_rtt_ns,
-            injector=self.injector,
+            sim, cfg.network_bandwidth, injector=self.injector
         )
 
         # -- pipeline resources ---------------------------------------------

@@ -37,8 +37,8 @@ from repro.faults.injector import FaultInjector
 class KVDirectStore:
     """In-memory key-value store with KV-Direct's data structures."""
 
-    def __init__(self, config: Optional[KVDirectConfig] = None) -> None:
-        self.config = config or KVDirectConfig()
+    def __init__(self, config: KVDirectConfig) -> None:
+        self.config = config
         #: Shared fault injector (one per store/processor stack), created
         #: when the config carries a fault plan; None on clean runs.
         self.injector = (
@@ -50,12 +50,7 @@ class KVDirectStore:
         self.host_slab = HostSlabManager(
             base=self.config.index_bytes, size=self.config.dynamic_bytes
         )
-        self.allocator = SlabAllocator(
-            self.host_slab,
-            sync_batch=self.config.slab_sync_batch,
-            stack_capacity=self.config.slab_stack_capacity,
-            injector=self.injector,
-        )
+        self.allocator = SlabAllocator(self.host_slab, injector=self.injector)
         self.table = HashTable(
             self.memory,
             self.allocator,

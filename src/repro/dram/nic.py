@@ -53,20 +53,14 @@ class NICDram:
         self,
         sim: Simulator,
         size: int = constants.NIC_DRAM_SIZE,
-        bandwidth: float = constants.NIC_DRAM_BANDWIDTH,
-        latency_ns: float = constants.NIC_DRAM_LATENCY_NS,
     ) -> None:
         if not size > 0:
             raise ConfigurationError("NIC DRAM size must be positive")
-        if not bandwidth > 0:
-            raise ConfigurationError("NIC DRAM bandwidth must be positive")
-        if not latency_ns >= 0:
-            raise ConfigurationError("NIC DRAM latency must be non-negative")
         self.sim = sim
         self.size = size
-        self.latency_ns = latency_ns
+        self.latency_ns = constants.NIC_DRAM_LATENCY_NS
         self.channel = BandwidthServer.from_bytes_per_sec(
-            sim, bandwidth, name="nic_dram"
+            sim, constants.NIC_DRAM_BANDWIDTH, name="nic_dram"
         )
         self.counters = Counter()
 

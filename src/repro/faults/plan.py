@@ -32,11 +32,13 @@ class FaultWindow:
     end_ns: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.start_ns < 0:
+        # Written so that NaN fails each check; only the end may be inf.
+        if not 0 <= self.start_ns < math.inf:
             raise ConfigurationError(
-                f"fault window start must be non-negative: {self.start_ns}"
+                f"fault window start must be finite and non-negative: "
+                f"{self.start_ns}"
             )
-        if self.end_ns < self.start_ns:
+        if not self.end_ns >= self.start_ns:
             raise ConfigurationError(
                 f"fault window ends ({self.end_ns}) before it starts "
                 f"({self.start_ns})"
@@ -132,10 +134,16 @@ class FaultPlan:
             "packet_reorder_delay_ns",
             "node_stall_ns",
         ):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
-        if self.dma_max_retries < 0:
-            raise ConfigurationError("dma_max_retries must be non-negative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative: {value}"
+                )
+        retries = self.dma_max_retries
+        if type(retries) is not int or retries < 0:  # rejects bool and float
+            raise ConfigurationError(
+                f"dma_max_retries must be an int >= 0: {retries!r}"
+            )
         if not isinstance(self.window, FaultWindow):
             raise ConfigurationError("window must be a FaultWindow")
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from repro.constants import CACHE_LINE_SIZE
 from repro.errors import ConfigurationError
 
 #: Knuth's multiplicative hash constant (2^32 / phi).
@@ -38,21 +37,15 @@ LINE_HASH_MASK = (1 << 32) - 1
 class LoadDispatcher:
     """Partitions the address space by hash into cacheable vs. bypass."""
 
-    def __init__(
-        self,
-        load_dispatch_ratio: float,
-        line_size: int = CACHE_LINE_SIZE,
-    ) -> None:
+    def __init__(self, load_dispatch_ratio: float) -> None:
         if not 0.0 <= load_dispatch_ratio <= 1.0:
             raise ConfigurationError(
                 f"load dispatch ratio must be in [0, 1]: {load_dispatch_ratio}"
             )
-        if line_size <= 0:
-            raise ConfigurationError("line size must be positive")
         self.ratio = load_dispatch_ratio
-        #: A line is cacheable when its 32-bit hash is below this.
+        #: A line of ``CACHE_LINE_SIZE`` bytes is cacheable when its 32-bit
+        #: hash is below this.
         self.threshold = load_dispatch_ratio * (LINE_HASH_MASK + 1)
-        self.line_size = line_size
 
 
 def uniform_hit_rate(k: float, l: float) -> float:

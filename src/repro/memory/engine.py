@@ -58,7 +58,7 @@ class _Access:
             self.joined(None)
             return
         engine.counters["writes" if write else "reads"] += 1
-        line_size = engine.line_size
+        line_size = CACHE_LINE_SIZE
         end = addr + size
         first = addr // line_size
         last = (end - 1) // line_size
@@ -152,7 +152,7 @@ class _CachedLine:
                 if status is DecodeStatus.CORRECTED and tracer is not None:
                     tracer.emit(seq, "dram.ecc_corrected", f"line={line}")
             # The line's last step: one NIC-DRAM burst, then done.
-            engine.nic_dram.access(engine.line_size, write, self.landed)
+            engine.nic_dram.access(CACHE_LINE_SIZE, write, self.landed)
             return
         engine.counters["cache_misses"] += 1
         if engine.profiler is not None:
@@ -169,13 +169,13 @@ class _CachedLine:
                 tracer.emit(
                     seq, "dram.writeback", f"line={result.writeback_line}"
                 )
-            engine.nic_dram.access(engine.line_size, False, self.victim_read)
+            engine.nic_dram.access(CACHE_LINE_SIZE, False, self.victim_read)
         else:
             self.fetch()
 
     def victim_read(self, _entry) -> None:
         engine = self.engine
-        engine.dma.write(engine.line_size, self.seq, self.dma_landed)
+        engine.dma.write(CACHE_LINE_SIZE, self.seq, self.dma_landed)
 
     def dma_landed(self, event) -> None:
         """The write-back or the fill is over: on to the next step, unless
@@ -189,7 +189,7 @@ class _CachedLine:
         engine = self.engine
         if not self.fill:
             # Install the (new or fetched) line in NIC DRAM: the last step.
-            engine.nic_dram.access(engine.line_size, True, self.landed)
+            engine.nic_dram.access(CACHE_LINE_SIZE, True, self.landed)
             return
         self.fill = False
         engine.counters["fills"] += 1
@@ -197,7 +197,7 @@ class _CachedLine:
             engine.profiler.record_cache(self.seq, "fill")
         if engine.tracer is not None:
             engine.tracer.emit(self.seq, "dram.fill", f"line={self.line}")
-        engine.dma.read(engine.line_size, self.seq, self.dma_landed)
+        engine.dma.read(CACHE_LINE_SIZE, self.seq, self.dma_landed)
 
     def landed(self, _entry) -> None:
         self.engine.sim.call_soon(self.then)
@@ -213,7 +213,6 @@ class MemoryAccessEngine:
         nic_dram: NICDram,
         dispatcher: LoadDispatcher,
         cache: Optional[DramCache] = None,
-        line_size: int = CACHE_LINE_SIZE,
         ecc: Optional[ECCFaultPath] = None,
         profiler: Optional["StageProfiler"] = None,
     ) -> None:
@@ -222,7 +221,6 @@ class MemoryAccessEngine:
         self.nic_dram = nic_dram
         self.dispatcher = dispatcher
         self.cache = cache
-        self.line_size = line_size
         #: Optional ECC fault path: injected bit flips on cached-line reads
         #: run through the real SEC-DED codec (corrected or detected).
         self.ecc = ecc

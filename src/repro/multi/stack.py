@@ -33,7 +33,7 @@ class ServerStack:
     def __init__(
         self,
         sim: Simulator,
-        config: Optional[KVDirectConfig] = None,
+        config: KVDirectConfig,
         name: str = "nic0",
         profiler: Optional[StageProfiler] = None,
     ) -> None:

@@ -95,15 +95,12 @@ class EthernetLink:
         self,
         sim: Simulator,
         bandwidth: float = constants.NETWORK_BANDWIDTH,
-        rtt_ns: float = constants.NETWORK_RTT_NS,
         injector: Optional["FaultInjector"] = None,
     ) -> None:
         if not bandwidth > 0:
             raise ConfigurationError("network bandwidth must be positive")
-        if not rtt_ns >= 0:
-            raise ConfigurationError("network RTT must be non-negative")
         self.sim = sim
-        self.rtt_ns = rtt_ns
+        self.rtt_ns = constants.NETWORK_RTT_NS
         rate = bandwidth / 1e9
         self.ingress = BandwidthServer(sim, rate, name="eth.rx")
         self.egress = BandwidthServer(sim, rate, name="eth.tx")

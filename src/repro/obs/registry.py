@@ -31,6 +31,9 @@ MetricSource = Union[Counter, Histogram, CacheStats, Callable[[], float]]
 #: Dotted hierarchical metric names: ``processor.main_pipeline_ops``.
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
 
+#: Prefix of every Prometheus metric name.
+NAMESPACE = "kvdirect"
+
 #: Histogram percentiles exported, matching the paper's quoted quantiles.
 _HIST_PERCENTILES = (50, 95, 99)
 
@@ -57,10 +60,7 @@ class MetricsRegistry:
     whenever.
     """
 
-    def __init__(self, namespace: str = "kvdirect") -> None:
-        if not re.match(r"^[a-zA-Z_][a-zA-Z0-9_]*$", namespace):
-            raise ConfigurationError(f"bad metrics namespace: {namespace!r}")
-        self.namespace = namespace
+    def __init__(self) -> None:
         #: name -> (kind, source); insertion-ordered for stable export.
         self._sources: Dict[str, Tuple[str, MetricSource]] = {}
 
@@ -169,7 +169,7 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {family} {kind}")
 
         for name, (kind, source) in sorted(self._sources.items()):
-            base = f"{self.namespace}_{_prom_sanitize(name)}"
+            base = f"{NAMESPACE}_{_prom_sanitize(name)}"
             if kind == "counter":
                 snapshot = source.snapshot()
                 if not snapshot:
@@ -198,7 +198,7 @@ class MetricsRegistry:
                         f"{_prom_value(getattr(source, key))}"
                     )
                 rate = (
-                    f"{self.namespace}_{_prom_sanitize(f'{name}.hit_rate')}"
+                    f"{NAMESPACE}_{_prom_sanitize(f'{name}.hit_rate')}"
                 )
                 declare(rate, "gauge")
                 lines.append(f"{rate} {_prom_value(source.hit_rate())}")

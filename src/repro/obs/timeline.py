@@ -46,6 +46,9 @@ SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 DEADLINE_STORM_OPS = 8
 #: Faults in one window that trigger a flight-recorder dump.
 FAULT_BURST_OPS = 8
+#: Most recent spans and metric windows a flight recorder keeps.
+RECORDER_SPANS = 256
+RECORDER_WINDOWS = 64
 
 
 def sparkline(values: List[Optional[float]]) -> str:
@@ -195,15 +198,9 @@ class FlightRecorder:
     by the soak harness - on soak FAIL.
     """
 
-    def __init__(
-        self,
-        span_capacity: int = 256,
-        window_capacity: int = 64,
-    ) -> None:
-        if span_capacity <= 0 or window_capacity <= 0:
-            raise ConfigurationError("flight recorder capacities must be > 0")
-        self.spans: Deque = deque(maxlen=span_capacity)
-        self.windows: Deque[Dict[str, Any]] = deque(maxlen=window_capacity)
+    def __init__(self) -> None:
+        self.spans: Deque = deque(maxlen=RECORDER_SPANS)
+        self.windows: Deque[Dict[str, Any]] = deque(maxlen=RECORDER_WINDOWS)
         #: One entry per trigger: reason, trigger time, ring snapshots.
         self.dumps: List[Dict[str, Any]] = []
 

@@ -26,6 +26,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.constants import (
+    PCIE_FABRIC_RTT_NS,
+    PCIE_GEN3_X8_BANDWIDTH,
+    PCIE_NONPOSTED_CREDITS,
+    PCIE_POSTED_CREDITS,
+)
 from repro.errors import FaultInjected
 from repro.pcie.link import PCIeLinkConfig
 from repro.pcie.tlp import (
@@ -187,7 +193,7 @@ class _Write(_Transfer):
 
     def credit_in_flight(self, _entry) -> None:
         link = self.link
-        link.sim.call_after(link.config.fabric_rtt_ns, self.release)
+        link.sim.call_after(PCIE_FABRIC_RTT_NS, self.release)
 
     def release(self, _entry=None) -> None:
         self.link.posted_credits.release()
@@ -214,17 +220,17 @@ class DMAEngine:
         self.tracer = sim.tracer
         #: Optional profiler: attributes completed TLPs to op classes.
         self.profiler = profiler
-        bytes_per_ns = self.config.bandwidth / 1e9
+        bytes_per_ns = PCIE_GEN3_X8_BANDWIDTH / 1e9
         #: NIC -> host direction (read requests, write request TLPs).
         self.tx = BandwidthServer(sim, bytes_per_ns, name=f"{name}.tx")
         #: Host -> NIC direction (read completions).
         self.rx = BandwidthServer(sim, bytes_per_ns, name=f"{name}.rx")
         self.tags = TokenPool(sim, self.config.tags, name=f"{name}.tags")
         self.posted_credits = TokenPool(
-            sim, self.config.posted_credits, name=f"{name}.posted"
+            sim, PCIE_POSTED_CREDITS, name=f"{name}.posted"
         )
         self.nonposted_credits = TokenPool(
-            sim, self.config.nonposted_credits, name=f"{name}.nonposted"
+            sim, PCIE_NONPOSTED_CREDITS, name=f"{name}.nonposted"
         )
         self.counters = Counter()
         self.read_latency_hist = Histogram()

@@ -19,6 +19,10 @@ from __future__ import annotations
 import random
 from typing import Iterator, Tuple
 
+#: Key width (bytes): every benchmark key is its index in 8 big-endian
+#: bytes, so a KV of ``kv_size`` carries ``kv_size - 8`` B of value.
+KEY_SIZE = 8
+
 
 class KeySpace:
     """A corpus of fixed-size KV pairs indexed by integer."""
@@ -27,19 +31,15 @@ class KeySpace:
         self,
         count: int,
         kv_size: int,
-        key_size: int = 8,
         seed: int = 0,
     ) -> None:
         if count <= 0:
             raise ValueError("count must be positive")
-        if key_size < 4 or key_size > 255:
-            raise ValueError("key_size must be in [4, 255]")
-        if kv_size <= key_size:
-            raise ValueError("kv_size must exceed key_size")
+        if kv_size <= KEY_SIZE:
+            raise ValueError(f"kv_size must exceed the {KEY_SIZE} B key")
         self.count = count
         self.kv_size = kv_size
-        self.key_size = key_size
-        self.value_size = kv_size - key_size
+        self.value_size = kv_size - KEY_SIZE
         #: Reseeded per value: ``seed(x)`` is the same ``init_by_array`` as
         #: ``random.Random(x)``, without a new generator per value.
         self._rng = random.Random()
@@ -49,7 +49,7 @@ class KeySpace:
         """Deterministic key of ``index``: its big-endian bytes."""
         if not 0 <= index < self.count:
             raise IndexError(f"key index {index} outside [0, {self.count})")
-        return index.to_bytes(self.key_size, "big")
+        return index.to_bytes(KEY_SIZE, "big")
 
     def value(self, index: int) -> bytes:
         """Deterministic pseudo-random value for ``index``.

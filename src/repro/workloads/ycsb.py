@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List
 
-from repro.constants import ZIPF_SKEW
 from repro.core.operations import KVOperation
 from repro.workloads.keyspace import KeySpace
 from repro.workloads.zipf import UniformSampler, ZipfSampler
@@ -31,7 +30,6 @@ class WorkloadSpec:
     put_ratio: float = 0.0
     #: "uniform" or "zipf" (the paper's long-tail, skew 0.99).
     distribution: str = "uniform"
-    zipf_skew: float = ZIPF_SKEW
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -39,8 +37,6 @@ class WorkloadSpec:
             raise ValueError(f"put ratio must be in [0, 1]: {self.put_ratio}")
         if self.distribution not in ("uniform", "zipf"):
             raise ValueError(f"unknown distribution: {self.distribution}")
-        if not self.zipf_skew >= 0:
-            raise ValueError(f"zipf skew must be >= 0: {self.zipf_skew}")
 
     @property
     def name(self) -> str:
@@ -55,9 +51,7 @@ class YCSBGenerator:
         self.keyspace = keyspace
         self.spec = spec
         if spec.distribution == "zipf":
-            self.sampler = ZipfSampler(
-                keyspace.count, skew=spec.zipf_skew, seed=spec.seed
-            )
+            self.sampler = ZipfSampler(keyspace.count, seed=spec.seed)
         else:
             self.sampler = UniformSampler(keyspace.count, seed=spec.seed)
         self._rng = random.Random(spec.seed ^ 0x5CB)

@@ -52,7 +52,7 @@ def address_hash(line_index: int) -> float:
 def is_cacheable(dispatcher: LoadDispatcher, addr: int) -> bool:
     """Whether the 64 B line holding ``addr`` is in the cacheable part: the
     test the memory access engine evaluates in place."""
-    return address_hash(addr // dispatcher.line_size) < dispatcher.ratio
+    return address_hash(addr // CACHE_LINE_SIZE) < dispatcher.ratio
 
 
 def touched_lines(addr: int, size: int, line: int = 64) -> int:

@@ -10,7 +10,6 @@ from repro.analysis import (
     format_table,
 )
 from repro.analysis.power import kvdirect_row
-from repro.errors import ConfigurationError
 
 
 class TestPowerModel:
@@ -34,10 +33,6 @@ class TestPowerModel:
     def test_multi_nic_watts(self):
         model = PowerModel()
         assert model.multi_nic_watts(10) == pytest.approx(87.0 + 340.0)
-
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            PowerModel(incremental_watts=0)
 
 
 class TestTable3:

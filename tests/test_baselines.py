@@ -238,12 +238,13 @@ class TestCPUModel:
 
 
 class TestRDMAModels:
-    def test_two_sided_cpu_bound(self):
-        model = TwoSidedRDMAModel(cores=1)
-        assert model.throughput() == pytest.approx(7.9e6)
+    def test_two_sided_cpu_bound(self, monkeypatch):
+        monkeypatch.setattr(TwoSidedRDMAModel, "cores", 1)
+        assert TwoSidedRDMAModel().throughput() == pytest.approx(7.9e6)
 
-    def test_two_sided_nic_bound(self):
-        model = TwoSidedRDMAModel(cores=64)
+    def test_two_sided_nic_bound(self, monkeypatch):
+        monkeypatch.setattr(TwoSidedRDMAModel, "cores", 64)
+        model = TwoSidedRDMAModel()
         assert model.throughput() == model.nic_message_rate
 
     def test_atomics_match_paper_measurement(self):

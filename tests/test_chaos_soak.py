@@ -20,18 +20,23 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, Tracer
 
-#: Small but busy: eight drivers against a two-token station with a
-#: two-deep queue, so the 2-4x bursts genuinely overflow admission while
-#: the run still finishes fast.
+#: Small but busy: eight drivers against a two-token station (see
+#: ``two_token_station``) with a two-deep queue, so the 2-4x bursts
+#: genuinely overflow admission while the run still finishes fast.
 QUICK = SoakConfig(
     num_keys=8,
     ops_per_key=20,
-    max_inflight=2,
     overload=OverloadPolicy(queue_depth=2),
     # The two-token station sheds even in calm phases (capacity is
     # probed against the full paper-scale config); ~1/3 completes.
     goodput_floor=0.25,
 )
+
+
+@pytest.fixture(autouse=True)
+def two_token_station(monkeypatch):
+    """Every soak in this module runs against a two-token station."""
+    monkeypatch.setattr("repro.chaos.soak.MAX_INFLIGHT", 2)
 
 
 class TestDeterminism:

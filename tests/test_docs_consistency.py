@@ -1,13 +1,18 @@
 """Documentation-to-code consistency checks.
 
 DESIGN.md's per-experiment index and the benchmark suite must stay in
-sync; the README's architecture tree must list real packages.
+sync, and so must its config table and ``KVDirectConfig``; the README's
+architecture tree must list real packages.
 """
 
+import dataclasses
 import pathlib
 import re
 
 import pytest
+
+from repro import constants
+from repro.core.config import KVDirectConfig
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -54,6 +59,29 @@ class TestDesignIndex:
             "bench_multinic.py",
         }
         assert needed <= on_disk
+
+
+def _table_names(markdown, heading):
+    """The backticked first-column names of the table under ``heading``."""
+    section = markdown.split(heading, 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+
+
+class TestDesignConfigTable:
+    def test_config_table_names_exactly_the_fields(self):
+        """A field added, removed or renamed without its row fails here."""
+        names = _table_names(read("DESIGN.md"), "### `KVDirectConfig` fields")
+        fields = [f.name for f in dataclasses.fields(KVDirectConfig)]
+        assert sorted(names) == sorted(fields)
+
+    def test_retired_fields_name_their_constants(self):
+        design = read("DESIGN.md")
+        retired = _table_names(design, "### Retired fields")
+        fields = {f.name for f in dataclasses.fields(KVDirectConfig)}
+        assert retired and not fields & set(retired)
+        section = design.split("### Retired fields", 1)[1].split("\n#", 1)[0]
+        for name in re.findall(r"`([A-Z][A-Z0-9_]+)`", section):
+            assert hasattr(constants, name), name
 
 
 class TestReadme:

@@ -74,11 +74,31 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan(**{knob: -0.1})
 
+    @pytest.mark.parametrize("knob", [
+        "dma_delay_ns", "dma_retry_timeout_ns", "packet_reorder_delay_ns",
+        "node_stall_ns",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_times_validated(self, knob, value):
+        """Every time is finite and non-negative: NaN passed the old
+        ``< 0`` checks."""
+        with pytest.raises(ConfigurationError, match=knob):
+            FaultPlan(**{knob: value})
+
+    @pytest.mark.parametrize("retries", [-1, 2.5, True, float("nan")])
+    def test_retry_budget_is_a_count(self, retries):
+        with pytest.raises(ConfigurationError, match="dma_max_retries"):
+            FaultPlan(dma_max_retries=retries)
+
     def test_window_validated(self):
+        nan = float("nan")
         with pytest.raises(ConfigurationError):
             FaultWindow(start_ns=-1.0)
         with pytest.raises(ConfigurationError):
             FaultWindow(start_ns=100.0, end_ns=50.0)
+        for start, end in ((nan, 10.0), (0.0, nan), (float("inf"), 10.0)):
+            with pytest.raises(ConfigurationError):
+                FaultWindow(start_ns=start, end_ns=end)
         with pytest.raises(ConfigurationError):
             FaultPlan(window="not a window")
 

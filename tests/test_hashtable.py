@@ -284,8 +284,6 @@ class TestValidation:
             HashTable(memory, allocator, 16, inline_threshold=-1)
         with pytest.raises(ConfigurationError):
             HashTable(memory, allocator, 16, inline_threshold=100)
-        with pytest.raises(ConfigurationError):
-            HashTable(memory, allocator, 16, base=30)
 
 
 class TestAccounting:

@@ -9,7 +9,7 @@ from repro.core.hls import (
     STRATIX_V_ALMS,
 )
 from repro.core.vector import FETCH_ADD, FuncKind, FunctionRegistry
-from repro.errors import ConfigurationError, KVDirectError
+from repro.errors import KVDirectError
 
 
 @pytest.fixture
@@ -31,9 +31,9 @@ class TestDuplication:
     def test_wider_elements_need_fewer_lanes(self, toolchain):
         assert toolchain.duplication_for(8) > toolchain.duplication_for(64)
 
-    def test_at_least_one_lane(self):
-        slow = HLSToolchain(clock_hz=1e12)  # absurdly fast clock
-        assert slow.duplication_for(8) == 1
+    def test_at_least_one_lane(self, monkeypatch):
+        monkeypatch.setattr(constants, "KV_CLOCK_HZ", 1e12)  # absurdly fast
+        assert HLSToolchain().duplication_for(8) == 1
 
 
 class TestCompilation:
@@ -70,8 +70,10 @@ class TestCompilation:
         assert gnarly.operations > simple.operations
         assert gnarly.alms > simple.alms
 
-    def test_budget_exhaustion(self, registry):
-        tiny = HLSToolchain(fpga_alms=2000, user_budget=0.5)
+    def test_budget_exhaustion(self, registry, monkeypatch):
+        monkeypatch.setattr("repro.core.hls.STRATIX_V_ALMS", 2000)
+        monkeypatch.setattr("repro.core.hls.USER_LOGIC_BUDGET", 0.5)
+        tiny = HLSToolchain()
         with pytest.raises(KVDirectError, match="ALMs"):
             for func_id in sorted(registry._functions):
                 tiny.compile(registry.lookup(func_id))
@@ -79,12 +81,6 @@ class TestCompilation:
     def test_unknown_lookup(self, toolchain):
         with pytest.raises(KVDirectError):
             toolchain.lookup(99)
-
-    def test_invalid_config(self):
-        with pytest.raises(ConfigurationError):
-            HLSToolchain(clock_hz=0)
-        with pytest.raises(ConfigurationError):
-            HLSToolchain(user_budget=0)
 
 
 class TestCycleModel:

@@ -122,7 +122,7 @@ class TestProcessorMatchesSerialReference:
     def test_without_nic_dram(self, commands):
         ops = _build_ops(commands)
         expected_state, __ = _serial_reference(ops)
-        store, __results = _run_timed(ops, use_nic_dram=False)
+        store, __results = _run_timed(ops, load_dispatch_ratio=0.0)
         assert dict(store.items()) == expected_state
 
 
@@ -208,5 +208,5 @@ class TestCachedAndUncachedAgree:
             for i in range(200)
         ] + [KVOperation.delete(b"k%02d" % j, seq=200 + j) for j in range(3)]
         cached_store, __ = _run_timed(list(ops))
-        plain_store, __r = _run_timed(list(ops), use_nic_dram=False)
+        plain_store, __r = _run_timed(list(ops), load_dispatch_ratio=0.0)
         assert dict(cached_store.items()) == dict(plain_store.items())

@@ -29,7 +29,11 @@ from repro import scenario
 from repro.client import client as client_module
 from repro.client.client import KVClient
 from repro.client.router import ClusterRouter
-from repro.constants import DEFAULT_LOAD_DISPATCH_RATIO
+from repro.constants import (
+    CACHE_LINE_SIZE,
+    DEFAULT_LOAD_DISPATCH_RATIO,
+    PCIE_FABRIC_RTT_NS,
+)
 from repro.core.admission import SHED_POLICIES, OverloadPolicy
 from repro.core.config import KVDirectConfig
 from repro.core.hashing import fnv1a64
@@ -175,7 +179,7 @@ class RefDMAEngine(DMAEngine):
             self.tracer.emit(seq, "pcie.write", f"{self.name} {nbytes}B")
 
     def _return_posted_credit(self):
-        yield self.sim.timeout(self.config.fabric_rtt_ns)
+        yield self.sim.timeout(PCIE_FABRIC_RTT_NS)
         self.posted_credits.release()
 
 
@@ -207,7 +211,7 @@ class RefEngine(MemoryAccessEngine):
         if size <= 0:
             return
         self.counters.add("writes" if write else "reads")
-        line_size = self.line_size
+        line_size = CACHE_LINE_SIZE
         first = addr // line_size
         last = (addr + size - 1) // line_size
         tracer = self.tracer
@@ -250,7 +254,7 @@ class RefEngine(MemoryAccessEngine):
                 status = self.ecc.read_word(self.sim.now)
                 if status is DecodeStatus.CORRECTED:
                     self._trace(seq, "dram.ecc_corrected", f"line={line}")
-            yield self.nic_dram.access(self.line_size, write=write)
+            yield self.nic_dram.access(CACHE_LINE_SIZE, write=write)
             return
         self.counters.add("cache_misses")
         if self.profiler is not None:
@@ -264,15 +268,15 @@ class RefEngine(MemoryAccessEngine):
             self._trace(
                 seq, "dram.writeback", f"line={result.writeback_line}"
             )
-            yield self.nic_dram.access(self.line_size, write=False)
-            yield self.dma.write(self.line_size, seq)
+            yield self.nic_dram.access(CACHE_LINE_SIZE, write=False)
+            yield self.dma.write(CACHE_LINE_SIZE, seq)
         if result.needs_fill:
             self.counters.add("fills")
             if self.profiler is not None:
                 self.profiler.record_cache(seq, "fill")
             self._trace(seq, "dram.fill", f"line={line}")
-            yield self.dma.read(self.line_size, seq)
-        yield self.nic_dram.access(self.line_size, write=True)
+            yield self.dma.read(CACHE_LINE_SIZE, seq)
+        yield self.nic_dram.access(CACHE_LINE_SIZE, write=True)
 
 
 class RefEthernetLink(EthernetLink):

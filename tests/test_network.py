@@ -24,14 +24,15 @@ from tests.waiting import all_of
 class TestEthernetLink:
     def test_receive_time(self):
         sim = Simulator()
-        link = EthernetLink(sim, bandwidth=5e9, rtt_ns=2000)
+        link = EthernetLink(sim, bandwidth=5e9)  # the paper's 2 us RTT
         sim.run(link.receive(5000))
         # 5000 B at 5 B/ns + half RTT
         assert sim.now == pytest.approx(1000 + 1000)
 
-    def test_duplex_directions_independent(self):
+    def test_duplex_directions_independent(self, monkeypatch):
+        monkeypatch.setattr("repro.constants.NETWORK_RTT_NS", 0)
         sim = Simulator()
-        link = EthernetLink(sim, bandwidth=5e9, rtt_ns=0)
+        link = EthernetLink(sim, bandwidth=5e9)
         rx = link.receive(5000)
         tx = link.send(5000)
         sim.run(all_of(sim, [rx, tx]))

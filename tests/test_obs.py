@@ -52,10 +52,6 @@ class TestRegistryRegistration:
         with pytest.raises(ConfigurationError, match="cannot register"):
             registry.register("x", object())
 
-    def test_bad_namespace_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MetricsRegistry(namespace="9bad")
-
 
 class TestRegistryExport:
     def _small_registry(self):

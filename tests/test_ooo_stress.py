@@ -251,7 +251,7 @@ class TestTimedPipelineUnderFaults:
             dma_retry_timeout_ns=1000.0,
         )
         store = KVDirectStore.create(
-            memory_size=4 << 20, fault_plan=plan, use_nic_dram=False
+            memory_size=4 << 20, fault_plan=plan, load_dispatch_ratio=0.0
         )
         sim = Simulator()
         processor = KVProcessor(sim, store)

@@ -51,7 +51,7 @@ class TestOverloadPolicy:
         assert policy.queue_depth == 64
         assert policy.shed_policy in SHED_POLICIES
 
-    @pytest.mark.parametrize("depth", [0, -1])
+    @pytest.mark.parametrize("depth", [0, -1, float("nan"), 2.5, True])
     def test_rejects_bad_depth(self, depth):
         with pytest.raises(ConfigurationError):
             OverloadPolicy(queue_depth=depth)

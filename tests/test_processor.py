@@ -171,10 +171,10 @@ class TestThroughputShape:
         workload (under uniform the paper itself finds caching negligible).
         """
 
-        def run(use_nic_dram):
+        def run(load_dispatch_ratio):
             sim = Simulator()
             store = KVDirectStore.create(
-                memory_size=4 << 20, use_nic_dram=use_nic_dram
+                memory_size=4 << 20, load_dispatch_ratio=load_dispatch_ratio
             )
             n = store.fill_to_utilization(0.3, kv_size=13)
             proc = KVProcessor(sim, store)
@@ -190,7 +190,7 @@ class TestThroughputShape:
                 "throughput_mops"
             ]
 
-        assert run(True) > run(False) * 1.1
+        assert run(0.5) > run(0.0) * 1.1
 
 
 class TestOneSubmitPerOpObject:

@@ -142,11 +142,13 @@ class TestShardRouterEdgeCases:
     """Typed configuration errors instead of silent misrouting."""
 
     def _stacks(self, n):
+        from repro.core.config import KVDirectConfig
         from repro.multi import ServerStack
 
         sim = Simulator()
         return sim, [
-            ServerStack(sim, name=f"nic{i}") for i in range(n)
+            ServerStack(sim, KVDirectConfig(), name=f"nic{i}")
+            for i in range(n)
         ]
 
     def test_zero_stacks_is_a_typed_error(self):

@@ -58,46 +58,48 @@ class TestLifecycle:
             KVDirectConfig(load_dispatch_ratio=2.0)
 
     @pytest.mark.parametrize("field,value", [
-        ("clock_hz", float("nan")),
-        ("clock_hz", float("inf")),
-        ("clock_hz", 0.0),
         ("network_bandwidth", float("nan")),
         ("network_bandwidth", float("inf")),
         ("network_bandwidth", 0.0),
-        ("network_rtt_ns", float("nan")),
-        ("network_rtt_ns", float("inf")),
-        ("network_rtt_ns", -5.0),
     ])
     def test_timing_fields_must_be_finite(self, field, value):
         """Rejected at construction, not as a SimulationError deep in a
-        run (a NaN clock made ``cycle_ns`` NaN, an infinite one 0.0)."""
+        run."""
         with pytest.raises(ConfigurationError):
             KVDirectConfig(**{field: value})
-        # The edge values that are valid stay valid.
-        assert KVDirectConfig(network_rtt_ns=0.0).network_rtt_ns == 0.0
 
     @pytest.mark.parametrize("field,value", [
         ("memory_size", 8e6),
         ("memory_size", float("nan")),
         ("memory_size", True),
         ("memory_size", -(1 << 20)),
-        ("nic_dram_size", -4096),
-        ("nic_dram_size", 2.5),
-        ("nic_dram_size", False),
+        # A station size that is not an int ran to completion (NaN), died
+        # mid-run with "reservation station full" (3.7) or ran at a third
+        # of the throughput (2.5 slots); 1.5 links raised a TypeError
+        # from inside the processor build.
+        ("max_inflight", float("nan")),
+        ("max_inflight", 3.7),
+        ("max_inflight", True),
+        ("max_inflight", 0),
+        ("reservation_slots", 2.5),
+        ("reservation_slots", 0),
+        ("pcie_links", 1.5),
+        ("pcie_links", 0),
+        ("inline_threshold", 20.0),
+        ("inline_threshold", -1),
+        ("inline_threshold", 49),  # one past the 48 B a bucket inlines
     ])
     def test_memory_sizes_must_be_ints(self, field, value):
-        """A size the store cannot build is refused at construction, not
-        as a TypeError from the memory image or a bad metadata width at
-        processor build."""
+        """A size or a count the store cannot build is refused at
+        construction, not as a TypeError from the memory image, a bad
+        metadata width at processor build or a failure mid-run."""
         with pytest.raises(ConfigurationError, match=field):
             KVDirectConfig(**{field: value})
-        # 0 still means "derived from memory_size".
-        assert KVDirectConfig(nic_dram_size=0).effective_nic_dram == 4 << 20
 
     def test_paper_scale_geometry(self):
         config = KVDirectConfig.paper_scale()
         assert config.memory_size == 64 * 1024**3
-        assert config.effective_nic_dram == 4 * 1024**3
+        assert config.nic_dram_bytes == 4 * 1024**3
         # 64 GiB at ratio 0.5 -> 0.5 GiBuckets
         assert config.num_buckets == 64 * 1024**3 // 2 // 64
 

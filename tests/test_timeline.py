@@ -120,9 +120,11 @@ class TestConfiguration:
         assert sampler.sim is None
         first, second = Simulator(), Simulator()
         config = KVDirectConfig(memory_size=1 << 20)
-        sampler.attach_processor("nic0", KVProcessor(first, config=config))
+        sampler.attach_processor(
+            "nic0", KVProcessor(first, KVDirectStore(config))
+        )
         assert sampler.sim is first
-        stranger = KVProcessor(second, config=config)
+        stranger = KVProcessor(second, KVDirectStore(config))
         with pytest.raises(ConfigurationError, match="another simulator"):
             sampler.attach_processor("nic1", stranger)
         with pytest.raises(ConfigurationError, match="another simulator"):
@@ -145,12 +147,6 @@ class TestConfiguration:
         sampler.start()
         with pytest.raises(ConfigurationError, match="after start"):
             sampler.attach_processor("nic1", processor)
-
-    def test_recorder_capacities_validated(self):
-        with pytest.raises(ConfigurationError):
-            FlightRecorder(span_capacity=0)
-        with pytest.raises(ConfigurationError):
-            FlightRecorder(window_capacity=-1)
 
 
 class TestWindows:
@@ -288,8 +284,10 @@ class TestDefaultOff:
 
 
 class TestFlightRecorder:
-    def test_rings_hold_only_the_most_recent(self):
-        recorder = FlightRecorder(span_capacity=4, window_capacity=2)
+    def test_rings_hold_only_the_most_recent(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.timeline.RECORDER_SPANS", 4)
+        monkeypatch.setattr("repro.obs.timeline.RECORDER_WINDOWS", 2)
+        recorder = FlightRecorder()
         tracer = Tracer(sample_rate=1.0)
         recorder.attach(tracer)
         for i in range(10):

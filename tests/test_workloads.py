@@ -50,9 +50,7 @@ class TestKeySpace:
         with pytest.raises(ValueError):
             KeySpace(count=0, kv_size=16)
         with pytest.raises(ValueError):
-            KeySpace(count=5, kv_size=8, key_size=8)
-        with pytest.raises(ValueError):
-            KeySpace(count=5, kv_size=300, key_size=2)
+            KeySpace(count=5, kv_size=8)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 23, 1 << 20])
     def test_values_are_each_index_s_mersenne_high_bytes(self, seed):
@@ -73,11 +71,10 @@ class TestKeySpace:
             assert [pairs[index][1] for index in indices] == expected
 
     def test_keys_are_big_endian_indices(self):
-        for key_size in (4, 8, 12):
-            ks = KeySpace(count=300, kv_size=40, key_size=key_size)
-            assert [ks.key(i) for i in (0, 1, 299)] == [
-                i.to_bytes(key_size, "big") for i in (0, 1, 299)
-            ]
+        ks = KeySpace(count=300, kv_size=40)
+        assert [ks.key(i) for i in (0, 1, 299)] == [
+            i.to_bytes(8, "big") for i in (0, 1, 299)
+        ]
         with pytest.raises(IndexError):
             ks.key(300)
 
@@ -336,13 +333,6 @@ class TestWorkloadSpec:
             WorkloadSpec(put_ratio=1.5)
         with pytest.raises(ValueError):
             WorkloadSpec(distribution="pareto")
-
-    @pytest.mark.parametrize("skew", [float("nan"), -0.5])
-    def test_a_nan_or_negative_zipf_skew_is_refused(self, skew):
-        """Refused at construction, as a bad put ratio is, not when (or
-        if) a generator builds the table."""
-        with pytest.raises(ValueError, match="skew"):
-            WorkloadSpec(distribution="zipf", zipf_skew=skew)
 
 
 class TestYCSBGenerator:
